@@ -157,9 +157,8 @@ func serveCmd(args []string, opts *execOpts) error {
 		mode = fmt.Sprintf("replica of %s (sync every %s)", replicaOf, syncInterval)
 	case shards > 1:
 		router, err := resultshard.Open(dataDir, resultshard.Options{
-			Shards:      shards,
-			QueueDepth:  shardQueue,
-			CommitDelay: shardSlow,
+			Shards: shards,
+			Store:  resultstore.Options{QueueDepth: shardQueue, CommitDelay: shardSlow},
 		})
 		if err != nil {
 			return err

@@ -34,9 +34,10 @@ var GoroLeak = &Analyzer{
 		// The on-disk cache is hit by concurrent writers (engine worker
 		// pool, CI runners); any goroutine it spawns must be bounded.
 		"internal/cachekey", "internal/buildcache",
-		// The sharded router runs one commit-loop goroutine per shard
-		// (joined by Close), and the load generator one goroutine per
-		// simulated runner (joined by Run) — both must stay bounded.
+		// The sharded router starts no goroutine of its own any more
+		// (each shard store's committer is resultstore's, joined by its
+		// Close) and must stay that way; the load generator runs one
+		// goroutine per simulated runner (joined by Run).
 		"internal/resultshard", "internal/loadgen",
 	},
 	Run: runGoroLeak,

@@ -26,9 +26,9 @@ var WalAck = &Analyzer{
 	// The cachekey store shares the contract: Store.Commit must sync
 	// entry bytes before renaming them into place — a torn entry that
 	// was "committed" is exactly the corruption the torture tests
-	// exist to catch early. The sharded router's commit workers ack
-	// through resultstore.AppendMany, so its ingest paths inherit the
-	// same fsync-before-ack obligation.
+	// exist to catch early. The sharded router acks what its shard
+	// stores' committers acked, so its ingest path stays in scope: a
+	// write it ever grows of its own inherits the obligation.
 	Scope: []string{"internal/resultstore", "internal/cachekey", "internal/resultshard"},
 	Run:   runWalAck,
 }

@@ -103,29 +103,23 @@ func (f Filter) matches(r Result) bool {
 }
 
 // Query returns matching results in sequence order.
-func (db *DB) Query(f Filter) []Result {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []Result
-	for _, r := range db.results {
-		if f.matches(r) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+func (db *DB) Query(f Filter) []Result { return db.scan(f, math.MinInt) }
 
 // QueryAfter returns every result with Seq strictly greater than seq,
-// in sequence order. It is the replication delta primitive: a follower
-// that has applied everything up to watermark W fetches QueryAfter(W)
-// and is caught up (see internal/resultshard).
-func (db *DB) QueryAfter(seq int) []Result {
+// in sequence order. With MaxSeq it is the snapshot-shipping primitive
+// (see internal/resultshard): a follower at watermark W applies
+// QueryAfter(W) and holds the primary's exact state — IDs, Seqs and
+// trace provenance included, so its responses are byte-identical —
+// and QueryAfter(0) is the snapshot a fresh follower bootstraps from.
+func (db *DB) QueryAfter(seq int) []Result { return db.scan(Filter{}, seq) }
+
+// scan returns the results after seq that f matches, in sequence order.
+func (db *DB) scan(f Filter, seq int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Result
 	for _, r := range db.results {
-		if r.Seq > seq {
+		if r.Seq > seq && f.matches(r) {
 			out = append(out, r)
 		}
 	}
@@ -195,10 +189,9 @@ func (db *DB) DetectRegressions(f Filter, fom string, window int, threshold floa
 
 // DetectInSeries runs the rolling-median regression scan over an
 // already-extracted series. It is the detection kernel behind
-// DB.DetectRegressions, exported so layers that merge series from
-// several databases (the sharded router and its read replicas in
-// internal/resultshard) apply the exact same semantics to the merged
-// stream.
+// DB.DetectRegressions and Reader.DetectRegressions, so a series
+// merged from several databases is judged with the exact same
+// semantics as one database's.
 func DetectInSeries(series []Point, window int, threshold float64) []Regression {
 	if window < 2 || len(series) < window+1 {
 		return nil
@@ -372,8 +365,12 @@ func (db *DB) Systems() []string {
 	for _, r := range db.results {
 		seen[r.System] = true
 	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
+	return sortedKeys(seen)
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for s := range set {
 		out = append(out, s)
 	}
 	sort.Strings(out)

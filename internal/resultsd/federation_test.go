@@ -157,10 +157,8 @@ func TestShardedServeByteIdenticalAcrossRestart(t *testing.T) {
 // 429 with a Retry-After header, not a hang or a 500.
 func TestIngestOverloadMapsTo429(t *testing.T) {
 	srv, router := newShardedServer(t, t.TempDir(), resultshard.Options{
-		Shards:      2,
-		QueueDepth:  1,
-		RetryAfter:  2 * time.Second,
-		CommitDelay: 100 * time.Millisecond,
+		Shards: 2,
+		Store:  resultstore.Options{QueueDepth: 1, CommitDelay: 100 * time.Millisecond},
 	})
 	h := srv.Handler()
 	// Fire enough concurrent single-key ingests at the slow shards to
@@ -183,8 +181,8 @@ func TestIngestOverloadMapsTo429(t *testing.T) {
 		case http.StatusOK:
 		case http.StatusTooManyRequests:
 			overloaded++
-			if r.retryAfter != "2" {
-				t.Fatalf("Retry-After = %q, want \"2\"", r.retryAfter)
+			if r.retryAfter != "1" {
+				t.Fatalf("Retry-After = %q, want \"1\"", r.retryAfter)
 			}
 		default:
 			t.Fatalf("unexpected status %d", r.code)
@@ -419,8 +417,11 @@ func TestRunFollowerLoop(t *testing.T) {
 	if _, err := router.Append(context.Background(), resultstore.Batch{Key: "extra", Results: fleetResults(10)}); err != nil {
 		t.Fatal(err)
 	}
+	// Wait for a COMPLETED sync too: Len reaches 20 before a first Sync
+	// has pulled its last (possibly empty) shard, and cancelling there
+	// fails that Sync before it marks the follower synced.
 	deadline := time.After(5 * time.Second)
-	for f.Len() != 20 {
+	for f.Len() != 20 || !f.Status().Synced {
 		select {
 		case <-deadline:
 			t.Fatalf("follower stuck at %d results, want 20", f.Len())

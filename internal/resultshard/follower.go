@@ -129,16 +129,13 @@ func (f *Follower) Sync(ctx context.Context, src Source) (lag int, err error) {
 		f.primaryMaxSeq[i] = delta.MaxSeq
 		f.primaryBatches[i] = delta.AppliedBatches
 		f.mu.Unlock()
-		if d := delta.MaxSeq - db.MaxSeq(); d > 0 {
-			lag += d
-		}
 	}
 	f.mu.Lock()
 	f.synced = true
 	f.syncs++
 	f.lastErr = ""
 	f.mu.Unlock()
-	return lag, nil
+	return f.Status().LagResults, nil
 }
 
 // Status reports the replica's position as of the last Sync.
@@ -168,65 +165,22 @@ func (f *Follower) Append(ctx context.Context, b resultstore.Batch) (bool, error
 	return false, ErrReadOnly
 }
 
-// Len reports the total mirrored result count.
-func (f *Follower) Len() int {
+// reader is the primary's read path — same Reader, same placement —
+// over whatever mirrors exist right now (none before the first Sync).
+func (f *Follower) reader() metricsdb.Reader {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	total := 0
-	for _, db := range f.dbs {
-		total += db.Len()
-	}
-	return total
+	return metricsdb.NewReader(ShardFor, f.dbs...)
 }
 
-// readers snapshots the shard mirrors for the shared merge helpers.
-func (f *Follower) readers() []shardReader {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]shardReader, len(f.dbs))
-	for i, db := range f.dbs {
-		out[i] = db
-	}
-	return out
-}
-
-// Query returns matching mirrored results merged across shards.
-func (f *Follower) Query(q metricsdb.Filter) []metricsdb.Result {
-	if db := f.route(q); db != nil {
-		return db.Query(q)
-	}
-	return mergeResults(f.readers(), q)
-}
-
-// Series returns one FOM's mirrored series merged across shards.
+func (f *Follower) Len() int                                    { return f.reader().Len() }
+func (f *Follower) Query(q metricsdb.Filter) []metricsdb.Result { return f.reader().Query(q) }
+func (f *Follower) Systems() []string                           { return f.reader().Systems() }
 func (f *Follower) Series(q metricsdb.Filter, fom string) []metricsdb.Point {
-	if db := f.route(q); db != nil {
-		return db.Series(q, fom)
-	}
-	return mergeSeries(f.readers(), q, fom)
+	return f.reader().Series(q, fom)
 }
-
-// DetectRegressions scans the mirrored series with the single-node
-// semantics.
 func (f *Follower) DetectRegressions(q metricsdb.Filter, fom string, window int, threshold float64) []metricsdb.Regression {
-	if db := f.route(q); db != nil {
-		return db.DetectRegressions(q, fom, window, threshold)
-	}
-	return metricsdb.DetectInSeries(mergeSeries(f.readers(), q, fom), window, threshold)
-}
-
-// Systems returns the sorted union of mirrored system inventories.
-func (f *Follower) Systems() []string { return mergeSystems(f.readers()) }
-
-// route mirrors the router's single-shard fast path, returning the
-// mirror that owns a fully-pinned filter (nil = fan out).
-func (f *Follower) route(q metricsdb.Filter) *metricsdb.DB {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.dbs != nil && q.System != "" && q.Benchmark != "" {
-		return f.dbs[ShardFor(q.System, q.Benchmark, len(f.dbs))]
-	}
-	return nil
+	return f.reader().DetectRegressions(q, fom, window, threshold)
 }
 
 // Health reports replica readiness: ready once the first Sync has
@@ -235,10 +189,7 @@ func (f *Follower) route(q metricsdb.Filter) *metricsdb.DB {
 func (f *Follower) Health() resultstore.Health {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := resultstore.Health{Ready: f.synced}
-	for _, db := range f.dbs {
-		h.Results += db.Len()
-	}
+	h := resultstore.Health{Ready: f.synced, Results: metricsdb.NewReader(nil, f.dbs...).Len()}
 	if !f.synced {
 		h.Reason = "replica awaiting first sync from primary"
 		if f.lastErr != "" {

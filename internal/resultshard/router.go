@@ -1,28 +1,25 @@
 // Package resultshard is the fleet-scale layer of the results
 // federation service: it fans the proven single-node resultstore out
-// into N independent shards behind one deterministic router, adds
-// bounded, group-committed ingest queues with explicit backpressure,
-// and ships snapshots to read-only follower replicas so reads scale
-// independently of the ingest path.
+// into N independent shards behind one deterministic router, turns a
+// full shard queue into explicit backpressure, and ships snapshots to
+// read-only follower replicas so reads scale independently of ingest.
 //
 // The layering is deliberate:
 //
-//   - Each shard IS a resultstore.Store — its own WAL, segment
-//     rotation, compaction, torn-tail recovery and Health. Every
-//     durability property the single-node torture tests prove holds
-//     per shard, including byte-identical recovery.
-//   - The router owns only placement and flow control. A result lives
-//     on the shard ShardFor(system, benchmark) names; a mixed batch is
-//     split into per-shard sub-batches that reuse the batch's ingest
-//     key (key spaces are per-shard, so retrying a partially-applied
-//     batch converges — the shards that applied it dedup, the rest
-//     apply).
-//   - Backpressure is explicit. Each shard has a bounded queue of
-//     pending sub-batches drained by one worker goroutine that group-
-//     commits everything waiting behind a single fsync
-//     (resultstore.AppendMany). A full queue refuses the batch with an
-//     OverloadError carrying a Retry-After hint instead of queueing
-//     unboundedly or wedging the caller.
+//   - Each shard IS a resultstore.Store — its own WAL, commit queue,
+//     committer, rotation, compaction, torn-tail recovery and Health.
+//     Every durability property the single-node torture tests prove,
+//     group commit under one fsync included, holds per shard.
+//   - The router owns only placement and flow-control policy; it
+//     starts no goroutine and keeps no queue. A result lives on the
+//     shard ShardFor(system, benchmark) names; a mixed batch is split
+//     into per-shard sub-batches that reuse the batch's ingest key
+//     (key spaces are per-shard, so retrying a partially-applied batch
+//     converges — the shards that applied it dedup, the rest apply).
+//   - Backpressure is explicit. Where a single store's Append waits
+//     for a queue slot, the router uses the non-blocking Enqueue: a
+//     full shard queue refuses the batch with an OverloadError
+//     carrying a Retry-After hint instead of wedging the caller.
 //   - Replication is snapshot shipping by watermark. Results carry
 //     per-shard monotone Seqs, so "everything after Seq W" is both the
 //     incremental delta and — from W=0 — the full bootstrap snapshot.
@@ -33,11 +30,10 @@ package resultshard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,25 +48,13 @@ type Options struct {
 	// with a different count is refused (resharding moves dedup keys
 	// between shards and must be an explicit migration).
 	Shards int
-	// QueueDepth bounds each shard's pending ingest queue; <=0 means
-	// 64. When a shard's queue is full, Append fails fast with an
-	// OverloadError instead of blocking.
-	QueueDepth int
-	// RetryAfter is the backoff hint attached to OverloadErrors; <=0
-	// means 1s.
-	RetryAfter time.Duration
-	// CommitDelay injects a sleep before every group commit. It exists
-	// for fault injection only — scripts/fedsmoke uses it to simulate a
-	// slow disk and deterministically drive a shard into overload.
-	CommitDelay time.Duration
-	// Store configures each per-shard resultstore.
+	// Store configures each per-shard resultstore, including the
+	// QueueDepth past which Append refuses with an OverloadError.
 	Store resultstore.Options
 }
 
-const (
-	defaultQueueDepth = 64
-	defaultRetryAfter = time.Second
-)
+// RetryAfter is the backoff hint attached to OverloadErrors.
+const RetryAfter = time.Second
 
 // manifest is the router's on-disk identity, written on first Open.
 // It pins the shard count and key schema so a later Open cannot
@@ -84,40 +68,18 @@ type manifest struct {
 const manifestFormat = "benchpark-router-1"
 
 // Router is a sharded result store: N resultstore instances behind a
-// deterministic (system, benchmark) router with bounded, group-
-// committed ingest queues. It satisfies the same backend surface as a
-// single resultstore.Store, so resultsd serves either unchanged.
+// deterministic (system, benchmark) router. Reads are the embedded
+// Reader: the merge of the shards' readers with ShardFor as placement,
+// the same type followers serve over their mirrors. It satisfies the
+// backend surface of a single resultstore.Store, so resultsd serves
+// either unchanged.
 type Router struct {
-	dir  string
-	opts Options
-
-	// mu guards closed. Append holds it shared for enqueue + wait so
-	// Close (exclusive) cannot tear down queues under an in-flight
-	// request.
-	mu     sync.RWMutex
-	closed bool
-
-	shards []*shard
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
-
-// shard is one store plus its ingest queue.
-type shard struct {
-	idx       int
-	store     *resultstore.Store
-	queue     chan *pending
+	metricsdb.Reader
+	shards    []shard
 	overloads atomic.Int64
 }
 
-// pending is one sub-batch waiting for its group commit. done is
-// buffered so the worker never blocks acknowledging an abandoned
-// waiter.
-type pending struct {
-	batch   resultstore.Batch
-	applied bool
-	done    chan error
-}
+type shard struct{ store *resultstore.Store }
 
 // Open recovers (or creates) a sharded store under dir: shard i lives
 // in dir/shard-NN with its own WAL and compaction. The first Open
@@ -127,35 +89,24 @@ func Open(dir string, opts Options) (*Router, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = defaultQueueDepth
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = defaultRetryAfter
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultshard: %w", err)
 	}
 	if err := checkManifest(dir, opts.Shards); err != nil {
 		return nil, err
 	}
-	r := &Router{dir: dir, opts: opts, done: make(chan struct{})}
-	for i := 0; i < opts.Shards; i++ {
+	r := &Router{}
+	readers := make([]metricsdb.Reader, opts.Shards)
+	for i := range readers {
 		st, err := resultstore.Open(filepath.Join(dir, shardDirName(i)), opts.Store)
 		if err != nil {
-			r.closeStores()
+			r.Close()
 			return nil, fmt.Errorf("resultshard: shard %d: %w", i, err)
 		}
-		r.shards = append(r.shards, &shard{
-			idx:   i,
-			store: st,
-			queue: make(chan *pending, opts.QueueDepth),
-		})
+		r.shards = append(r.shards, shard{store: st})
+		readers[i] = st.Reader
 	}
-	for _, sh := range r.shards {
-		r.wg.Add(1)
-		go r.commitLoop(sh)
-	}
+	r.Reader = metricsdb.MergeReaders(ShardFor, readers...)
 	return r, nil
 }
 
@@ -171,7 +122,9 @@ func checkManifest(dir string, shards int) error {
 		if merr != nil {
 			return fmt.Errorf("resultshard: %w", merr)
 		}
-		return os.WriteFile(path, out, 0o644)
+		// Temp + rename + dir fsync: a crash mid-write must not leave a
+		// torn manifest every later Open would refuse.
+		return resultstore.AtomicWriteFile(path, out)
 	}
 	if err != nil {
 		return fmt.Errorf("resultshard: %w", err)
@@ -195,12 +148,9 @@ func checkManifest(dir string, shards int) error {
 // Shards reports the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Dir returns the router's directory.
-func (r *Router) Dir() string { return r.dir }
-
 // Append routes one batch: results split by (system, benchmark) onto
-// their shards, each sub-batch enqueued on its shard's bounded queue,
-// and the call blocks until every enqueued sub-batch is durably
+// their shards, each sub-batch enqueued on its shard's bounded commit
+// queue, and the call blocks until every enqueued sub-batch is durably
 // committed (or refused). The returned applied is true when any shard
 // newly applied results; (false, nil) means every shard had already
 // seen the key.
@@ -211,16 +161,8 @@ func (r *Router) Dir() string { return r.dir }
 // safe because a retry under the same ingest key dedups on the shards
 // that applied and lands on the ones that refused.
 func (r *Router) Append(ctx context.Context, b resultstore.Batch) (bool, error) {
-	if b.Key == "" {
-		return false, fmt.Errorf("resultshard: batch needs an ingest key")
-	}
-	if len(b.Results) == 0 {
-		return false, fmt.Errorf("resultshard: batch %q holds no results", b.Key)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return false, fmt.Errorf("resultshard: router is closed")
+	if err := b.Validate(); err != nil {
+		return false, err
 	}
 
 	// Split by shard, preserving within-shard result order.
@@ -232,135 +174,47 @@ func (r *Router) Append(ctx context.Context, b resultstore.Batch) (bool, error) 
 	}
 
 	var (
-		waiting  []*pending
-		overload *OverloadError
+		waiting  []*resultstore.Pending
+		overload error // the first refusal
+		firstErr error
+		applied  bool
 	)
 	for i, rs := range split {
 		if len(rs) == 0 {
 			continue
 		}
-		p := &pending{
-			batch: resultstore.Batch{Key: b.Key, TraceID: b.TraceID, Results: rs},
-			done:  make(chan error, 1),
-		}
-		select {
-		case r.shards[i].queue <- p:
+		p, err := r.shards[i].store.Enqueue(resultstore.Batch{Key: b.Key, TraceID: b.TraceID, Results: rs})
+		switch {
+		case err == nil:
 			waiting = append(waiting, p)
-		default:
-			r.shards[i].overloads.Add(1)
+		case errors.Is(err, resultstore.ErrQueueFull):
+			r.overloads.Add(1)
 			if overload == nil {
-				overload = &OverloadError{Shard: i, RetryAfter: r.opts.RetryAfter}
+				overload = &OverloadError{Shard: i, RetryAfter: RetryAfter}
 			}
+		default:
+			return false, fmt.Errorf("resultshard: shard %d: %w", i, err)
 		}
 	}
 
-	applied := false
-	var firstErr error
 	for _, p := range waiting {
-		select {
-		case err := <-p.done:
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if p.applied {
-				applied = true
-			}
-		case <-ctx.Done():
-			// The commit may still complete; done is buffered so the
-			// worker never blocks on our abandoned waiters.
-			return applied, ctx.Err()
+		// Once ctx is done every remaining Wait returns at once; the
+		// commits may still complete behind the caller's back.
+		ok, err := p.Wait(ctx)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
+		applied = applied || ok
 	}
-	if firstErr != nil {
-		return applied, firstErr
+	if firstErr == nil {
+		firstErr = overload
 	}
-	if overload != nil {
-		return applied, overload
-	}
-	return applied, nil
+	return applied, firstErr
 }
 
-// commitLoop is shard sh's single writer: it takes one pending
-// sub-batch, opportunistically drains everything else waiting, and
-// commits the group under one fsync via AppendMany. One loop per
-// shard, joined by Close through the WaitGroup and bounded by done.
-//
-// The commit runs under context.Background() deliberately: a group
-// mixes sub-batches from many callers, so no single caller's context
-// may abort it — waiters that gave up still get their (buffered) done
-// send, and shutdown is the router's done channel, not a request ctx.
-//
-//benchlint:compat
-func (r *Router) commitLoop(sh *shard) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.done:
-			return
-		case p := <-sh.queue:
-			group := []*pending{p}
-			for len(group) < cap(sh.queue) {
-				select {
-				case q := <-sh.queue:
-					group = append(group, q)
-				default:
-					goto commit
-				}
-			}
-		commit:
-			if d := r.opts.CommitDelay; d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-r.done:
-					t.Stop()
-					r.failGroup(group, fmt.Errorf("resultshard: router is closed"))
-					return
-				case <-t.C:
-				}
-			}
-			batches := make([]resultstore.Batch, len(group))
-			for i, q := range group {
-				batches[i] = q.batch
-			}
-			applied, err := sh.store.AppendMany(context.Background(), batches)
-			for i, q := range group {
-				if err == nil {
-					q.applied = applied[i]
-				}
-				q.done <- err
-			}
-		}
-	}
-}
-
-// failGroup acknowledges a drained group with an error.
-func (r *Router) failGroup(group []*pending, err error) {
-	for _, q := range group {
-		q.done <- err
-	}
-}
-
-// Close stops the commit workers, fails anything still queued, and
-// closes every shard store. In-flight Appends finish first (they hold
-// the read lock Close waits on).
+// Close closes every shard store; batches still queued fail their
+// waiters with the store's closed error.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	close(r.done)
-	r.wg.Wait()
-	// Nothing can enqueue anymore (closed is set under the exclusive
-	// lock); fail whatever the workers left behind.
-	for _, sh := range r.shards {
-		drainQueue(sh.queue)
-	}
-	return r.closeStores()
-}
-
-func (r *Router) closeStores() error {
 	var firstErr error
 	for _, sh := range r.shards {
 		if err := sh.store.Close(); err != nil && firstErr == nil {
@@ -370,112 +224,25 @@ func (r *Router) closeStores() error {
 	return firstErr
 }
 
-// drainQueue fails everything still waiting on a torn-down queue.
-func drainQueue(q chan *pending) {
-	for {
-		select {
-		case p := <-q:
-			p.done <- fmt.Errorf("resultshard: router is closed")
-		default:
-			return
-		}
-	}
-}
-
 // Overloads reports how many enqueue attempts the router has refused
 // for backpressure since Open — the flow-control gauge the ops plane
 // and the load-generator report surface.
-func (r *Router) Overloads() int64 {
-	var total int64
-	for _, sh := range r.shards {
-		total += sh.overloads.Load()
-	}
-	return total
-}
-
-// Compact folds every shard's sealed segments into snapshots.
-func (r *Router) Compact() error {
-	var firstErr error
-	for _, sh := range r.shards {
-		if err := sh.store.Compact(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("resultshard: shard %d: %w", sh.idx, err)
-		}
-	}
-	return firstErr
-}
-
-// Len reports the total number of stored results across shards.
-func (r *Router) Len() int {
-	total := 0
-	for _, sh := range r.shards {
-		total += sh.store.Len()
-	}
-	return total
-}
-
-// readers adapts the shards to the shared merge helpers.
-func (r *Router) readers() []shardReader {
-	out := make([]shardReader, len(r.shards))
-	for i, sh := range r.shards {
-		out[i] = sh.store
-	}
-	return out
-}
-
-// Query returns matching results merged across shards. A filter that
-// pins both System and Benchmark routes to exactly one shard.
-func (r *Router) Query(f metricsdb.Filter) []metricsdb.Result {
-	if i, ok := r.route(f); ok {
-		return r.shards[i].store.Query(f)
-	}
-	return mergeResults(r.readers(), f)
-}
-
-// Series returns one FOM's series merged across shards.
-func (r *Router) Series(f metricsdb.Filter, fom string) []metricsdb.Point {
-	if i, ok := r.route(f); ok {
-		return r.shards[i].store.Series(f, fom)
-	}
-	return mergeSeries(r.readers(), f, fom)
-}
-
-// DetectRegressions scans the merged series with the exact single-node
-// semantics (metricsdb.DetectInSeries over the merged stream).
-func (r *Router) DetectRegressions(f metricsdb.Filter, fom string, window int, threshold float64) []metricsdb.Regression {
-	if i, ok := r.route(f); ok {
-		return r.shards[i].store.DetectRegressions(f, fom, window, threshold)
-	}
-	return metricsdb.DetectInSeries(mergeSeries(r.readers(), f, fom), window, threshold)
-}
-
-// Systems returns the sorted union of shard system inventories.
-func (r *Router) Systems() []string {
-	return mergeSystems(r.readers())
-}
-
-// route reports the single shard a fully-pinned filter maps to.
-func (r *Router) route(f metricsdb.Filter) (int, bool) {
-	if f.System != "" && f.Benchmark != "" {
-		return ShardFor(f.System, f.Benchmark, len(r.shards)), true
-	}
-	return 0, false
-}
+func (r *Router) Overloads() int64 { return r.overloads.Load() }
 
 // Health aggregates shard health: ready iff every shard is ready, with
 // the first unready shard's reason surfaced. Result and key counts
 // sum; WAL geometry is per-shard (see ShardHealth).
 func (r *Router) Health() resultstore.Health {
 	h := resultstore.Health{Ready: true}
-	for _, sh := range r.shards {
-		sub := sh.store.Health()
+	for i, sub := range r.ShardHealth() {
 		h.Results += sub.Results
 		h.IngestKeys += sub.IngestKeys
 		if !sub.Ready && h.Ready {
 			h.Ready = false
-			h.Reason = fmt.Sprintf("shard %d: %s", sh.idx, sub.Reason)
+			h.Reason = fmt.Sprintf("shard %d: %s", i, sub.Reason)
 		}
 		if sub.CompactError != "" && h.CompactError == "" {
-			h.CompactError = fmt.Sprintf("shard %d: %s", sh.idx, sub.CompactError)
+			h.CompactError = fmt.Sprintf("shard %d: %s", i, sub.CompactError)
 		}
 	}
 	return h
@@ -531,54 +298,6 @@ func (r *Router) ReplicaDelta(shard, afterSeq int) (ReplicaDelta, error) {
 		AfterSeq:       afterSeq,
 		MaxSeq:         st.MaxSeq(),
 		AppliedBatches: st.AppliedBatches(),
-		Results:        st.ResultsAfter(afterSeq),
+		Results:        st.QueryAfter(afterSeq),
 	}, nil
-}
-
-// mergeResults concatenates per-shard query results into one
-// deterministic stream: sorted by Seq, ties broken by shard order
-// (stable sort over shard-ordered input).
-func mergeResults(readers []shardReader, f metricsdb.Filter) []metricsdb.Result {
-	var out []metricsdb.Result
-	for _, rd := range readers {
-		out = append(out, rd.Query(f)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// mergeSeries merges per-shard series the same way.
-func mergeSeries(readers []shardReader, f metricsdb.Filter, fom string) []metricsdb.Point {
-	var out []metricsdb.Point
-	for _, rd := range readers {
-		out = append(out, rd.Series(f, fom)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// mergeSystems returns the sorted union of system inventories.
-func mergeSystems(readers []shardReader) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, rd := range readers {
-		for _, s := range rd.Systems() {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// shardReader is the query surface shared by a live store
-// (*resultstore.Store on the router) and a replica database
-// (*metricsdb.DB on a follower), so both sides merge with the same
-// helpers and serve identical bytes.
-type shardReader interface {
-	Query(metricsdb.Filter) []metricsdb.Result
-	Series(metricsdb.Filter, string) []metricsdb.Point
-	Systems() []string
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +22,14 @@ func fixedStoreOpts() resultstore.Options {
 		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	}
+}
+
+// slowStoreOpts is fixedStoreOpts with a bounded queue behind a slow
+// disk: commits lag enqueues by delay.
+func slowStoreOpts(depth int, delay time.Duration) resultstore.Options {
+	o := fixedStoreOpts()
+	o.QueueDepth, o.CommitDelay = depth, delay
+	return o
 }
 
 func res(bench, system, fom string, v float64) metricsdb.Result {
@@ -120,13 +131,7 @@ func TestRouterIdempotentAcrossShards(t *testing.T) {
 // TestRouterBackpressure: a shard driven past its queue bound refuses
 // with ErrOverloaded carrying the Retry-After hint — it does not hang.
 func TestRouterBackpressure(t *testing.T) {
-	r, err := Open(t.TempDir(), Options{
-		Shards:      2,
-		QueueDepth:  1,
-		RetryAfter:  3 * time.Second,
-		CommitDelay: 50 * time.Millisecond, // slow disk: commits lag enqueues
-		Store:       fixedStoreOpts(),
-	})
+	r, err := Open(t.TempDir(), Options{Shards: 2, Store: slowStoreOpts(1, 50*time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +162,8 @@ func TestRouterBackpressure(t *testing.T) {
 		if !errors.As(err, &ov) {
 			t.Fatalf("overload not an *OverloadError: %v", err)
 		}
-		if ov.RetryAfter != 3*time.Second {
-			t.Fatalf("RetryAfter = %v, want 3s", ov.RetryAfter)
+		if ov.RetryAfter != RetryAfter {
+			t.Fatalf("RetryAfter = %v, want %v", ov.RetryAfter, RetryAfter)
 		}
 		overloads++
 	}
@@ -189,26 +194,28 @@ func TestRouterPartialApplyConverges(t *testing.T) {
 	// The commit delay keeps shard B's worker busy with the blocker
 	// while its depth-1 queue holds the filler, so the mixed batch's
 	// B-half is deterministically refused while the A-half commits.
-	r, err := Open(t.TempDir(), Options{
-		Shards: 2, QueueDepth: 1, CommitDelay: 200 * time.Millisecond,
-		Store: fixedStoreOpts(),
-	})
+	r, err := Open(t.TempDir(), Options{Shards: 2, Store: slowStoreOpts(1, 200*time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	newPending := func(key string) *pending {
-		return &pending{batch: resultstore.Batch{
-			Key:     key,
-			Results: []metricsdb.Result{b},
-		}, done: make(chan error, 1)}
+	// Spins until the committer picks up whatever holds the depth-1
+	// queue (and starts its 200ms commit delay).
+	enqueue := func(key string) *resultstore.Pending {
+		for {
+			p, err := r.shards[shardB].store.Enqueue(resultstore.Batch{Key: key, Results: []metricsdb.Result{b}})
+			if err == nil {
+				return p
+			}
+			if !errors.Is(err, resultstore.ErrQueueFull) {
+				t.Fatal(err)
+			}
+			runtime.Gosched()
+		}
 	}
-	blocker, filler := newPending("blocker"), newPending("filler")
-	r.shards[shardB].queue <- blocker
-	// Blocks until the worker picks up the blocker (and starts its
-	// 200ms commit delay), then occupies the whole queue.
-	r.shards[shardB].queue <- filler
+	blocker := enqueue("blocker")
+	filler := enqueue("filler") // now occupies the whole queue
 
 	mixed := resultstore.Batch{Key: "mixed", Results: []metricsdb.Result{a, b}}
 	applied, err := r.Append(context.Background(), mixed)
@@ -218,10 +225,10 @@ func TestRouterPartialApplyConverges(t *testing.T) {
 	if !applied {
 		t.Fatal("partial apply: the unblocked shard should have committed")
 	}
-	if err := <-blocker.done; err != nil {
+	if _, err := blocker.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-filler.done; err != nil {
+	if _, err := filler.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -361,4 +368,37 @@ func TestRouterHealthAggregates(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("per-shard results sum to %d, want 9", total)
 	}
+}
+
+// TestManifestWrittenAtomically: the first Open leaves a complete
+// router.json and no temp file behind, and a stray temp file from an
+// interrupted manifest write does not stop a later Open.
+func TestManifestWrittenAtomically(t *testing.T) {
+	dir := t.TempDir()
+	// What a crash between temp-file creation and rename leaves.
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRouter(t, dir, 4).Close()
+	data, err := os.ReadFile(filepath.Join(dir, "router.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("router.json %q: %v", data, err)
+	}
+	if want := (manifest{Format: manifestFormat, KeySchema: KeySchema, Shards: 4}); m != want {
+		t.Fatalf("manifest = %+v, want %+v", m, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-") && e.Name() != ".tmp-123" {
+			t.Fatalf("manifest write left %s behind", e.Name())
+		}
+	}
+	openRouter(t, dir, 4).Close() // the verified path, stray file still there
 }

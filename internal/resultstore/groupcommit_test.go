@@ -126,7 +126,7 @@ func TestAppendManyEmptyGroup(t *testing.T) {
 	}
 }
 
-// TestReplicationAccessors: ResultsAfter/MaxSeq/AppliedBatches expose
+// TestReplicationAccessors: QueryAfter/MaxSeq/AppliedBatches expose
 // the watermark protocol primitives.
 func TestReplicationAccessors(t *testing.T) {
 	s, err := Open(t.TempDir(), fixedOpts())
@@ -142,15 +142,15 @@ func TestReplicationAccessors(t *testing.T) {
 	if got := s.AppliedBatches(); got != 2 {
 		t.Fatalf("AppliedBatches = %d, want 2", got)
 	}
-	delta := s.ResultsAfter(1)
+	delta := s.QueryAfter(1)
 	if len(delta) != 2 || delta[0].Seq != 2 || delta[1].Seq != 3 {
-		t.Fatalf("ResultsAfter(1) = %+v", delta)
+		t.Fatalf("QueryAfter(1) = %+v", delta)
 	}
-	if got := s.ResultsAfter(3); len(got) != 0 {
-		t.Fatalf("ResultsAfter(MaxSeq) = %+v, want empty", got)
+	if got := s.QueryAfter(3); len(got) != 0 {
+		t.Fatalf("QueryAfter(MaxSeq) = %+v, want empty", got)
 	}
 	// Watermark 0 is the full bootstrap snapshot.
-	if got := s.ResultsAfter(0); len(got) != 3 {
-		t.Fatalf("ResultsAfter(0) returned %d results, want 3", len(got))
+	if got := s.QueryAfter(0); len(got) != 3 {
+		t.Fatalf("QueryAfter(0) returned %d results, want 3", len(got))
 	}
 }

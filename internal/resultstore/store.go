@@ -11,6 +11,11 @@
 //     so an acknowledged batch survives a crash.
 //   - Idempotent ingest. Batches carry a client-supplied key; a key
 //     already applied is a no-op, which makes CI retries safe.
+//   - Group commit. One bounded queue and one committer goroutine per
+//     store (commit.go): Appends queued behind a durable write share
+//     the next one's single fsync. Append waits for a queue slot;
+//     Enqueue refuses when there is none, which the sharded router
+//     (internal/resultshard) turns into HTTP 429.
 //   - Segment rotation + compaction. The WAL rotates at a size
 //     threshold; sealed segments fold into a sorted snapshot in the
 //     background, bounding recovery time.
@@ -31,6 +36,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
@@ -49,9 +55,19 @@ type Options struct {
 	// segments then only fold into a snapshot on explicit Compact
 	// calls (tests use this for deterministic file layouts).
 	NoBackgroundCompact bool
+	// QueueDepth bounds the commit queue; <=0 means 64. Append waits
+	// for a slot; Enqueue fails fast with ErrQueueFull instead.
+	QueueDepth int
+	// CommitDelay injects a sleep before every group commit. It exists
+	// for fault injection only — scripts/fedsmoke uses it to simulate a
+	// slow disk and deterministically drive a shard into overload.
+	CommitDelay time.Duration
 }
 
-const defaultSegmentBytes = 256 << 10
+const (
+	defaultSegmentBytes = 256 << 10
+	defaultQueueDepth   = 64
+)
 
 // Batch is one idempotent ingest unit: a client-chosen key and the
 // results it covers. A key is applied at most once for the lifetime
@@ -89,13 +105,15 @@ type snapshot struct {
 
 const snapshotFormat = "benchpark-snap-1"
 
-// Store is a durable, thread-safe result store. Queries delegate to
-// an in-memory metricsdb.DB rebuilt on Open from the newest snapshot
-// plus a WAL replay.
+// Store is a durable, thread-safe result store. Queries go through the
+// embedded Reader — the read path the router and its followers share —
+// over an in-memory metricsdb.DB rebuilt on Open from the newest
+// snapshot plus a WAL replay. A Reader cannot Insert: nothing reaches
+// the queryable state except through the WAL.
 type Store struct {
-	dir   string
-	opts  Options
-	clock telemetry.Clock
+	metricsdb.Reader
+	dir  string
+	opts Options
 
 	mu          sync.Mutex
 	db          *metricsdb.DB
@@ -110,9 +128,10 @@ type Store struct {
 	failed      error // sticky: set when the WAL is in an unknown state
 	compactErr  error // last Compact outcome; cleared by a later success
 
+	queue     chan *Pending // bounded commit queue, drained by committer
 	compactCh chan struct{}
 	done      chan struct{}
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // committer + compactor, joined by Close
 }
 
 // Open recovers (or creates) a store in dir. Recovery loads the
@@ -124,25 +143,31 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = telemetry.WallClock()
+	if opts.QueueDepth <= 0 {
+		opts.QueueDepth = defaultQueueDepth
+	}
+	if opts.Clock == nil {
+		opts.Clock = telemetry.WallClock()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
+	db := metricsdb.New()
 	s := &Store{
+		Reader:    metricsdb.NewReader(nil, db),
 		dir:       dir,
 		opts:      opts,
-		clock:     clock,
-		db:        metricsdb.New(),
+		db:        db,
 		keys:      map[string]bool{},
+		queue:     make(chan *Pending, opts.QueueDepth),
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	s.wg.Add(1)
+	go s.committer()
 	if !opts.NoBackgroundCompact {
 		s.wg.Add(1)
 		go s.compactor()
@@ -261,13 +286,13 @@ func (s *Store) noteCounters(id, seq int) {
 	}
 }
 
-// Append durably ingests one batch. It assigns each result its ID and
-// sequence number, writes the batch as a single WAL record, fsyncs,
-// and only then applies it to the queryable state — so an
-// acknowledged batch is always recoverable. A batch whose key was
-// already applied returns (false, nil) without touching the WAL.
+// Append durably ingests one batch: it queues the batch, waiting for a
+// queue slot if need be, and blocks until the group the batch rode in
+// is fsynced and applied — so an acknowledged batch is always
+// recoverable. A batch whose key was already applied returns (false,
+// nil) without touching the WAL. Both waits honour ctx (see Wait).
 func (s *Store) Append(ctx context.Context, b Batch) (applied bool, err error) {
-	if err := validateBatch(b); err != nil {
+	if err := b.Validate(); err != nil {
 		return false, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -284,34 +309,32 @@ func (s *Store) Append(ctx context.Context, b Batch) (applied bool, err error) {
 			span.SetAttr("applied", fmt.Sprintf("%v", applied))
 		}
 	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.maybeRotateLocked(); err != nil {
-		return false, err
+	p := &Pending{store: s, batch: b, done: make(chan error, 1)}
+	select {
+	case s.queue <- p:
+	case <-s.done:
+		return false, errClosed
+	case <-ctx.Done():
+		return false, ctx.Err()
 	}
-	ok, err := s.appendGroupLocked([]Batch{b})
-	if err != nil {
-		return false, err
-	}
-	return ok[0], nil
+	return p.Wait(ctx)
 }
 
 // AppendMany durably ingests a group of batches under one fsync: every
 // batch becomes its own WAL record (so replay and idempotency are
 // unchanged), but the group shares a single Sync before any batch is
-// acknowledged. This is the group-commit primitive the sharded
-// router's ingest workers use to amortize fsync cost across the
-// batches queued behind one durable write. applied[i] reports whether
-// batches[i] was new (false = its key was already applied, including
-// by an earlier batch in the same group). On error nothing from the
-// group is acknowledged; retrying the whole group is safe because
-// ingest keys dedup.
+// acknowledged. It is the one durable write path — the committer's,
+// and directly callable by bulk loaders that already hold a group.
+// applied[i] reports whether batches[i] was new (false = its key was
+// already applied, including by an earlier batch in the same group).
+// On error nothing from the group is acknowledged; retrying the whole
+// group is safe because ingest keys dedup.
 func (s *Store) AppendMany(ctx context.Context, batches []Batch) (applied []bool, err error) {
 	if len(batches) == 0 {
 		return nil, nil
 	}
 	for _, b := range batches {
-		if err := validateBatch(b); err != nil {
+		if err := b.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -328,14 +351,27 @@ func (s *Store) AppendMany(ctx context.Context, batches []Batch) (applied []bool
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.maybeRotateLocked(); err != nil {
+	// Rotation comes BEFORE appendGroupLocked so a rotation failure
+	// leaves the group unwritten (clean retry semantics) rather than
+	// half-applied — and so rotation's own seal-fsync stays out of
+	// appendGroupLocked, whose single Sync call is the group's entire
+	// durability story (walack's fact for it must go dirty the moment
+	// that call is stripped).
+	if s.activeSize >= s.opts.SegmentBytes {
+		if err := s.rotateLocked(); err != nil {
+			return nil, err
+		}
+	}
+	// A literal-nil ack, so walack holds this one return — the only
+	// acknowledgement in the package — to fsync-before-ack.
+	if applied, err = s.appendGroupLocked(batches); err != nil {
 		return nil, err
 	}
-	return s.appendGroupLocked(batches)
+	return applied, nil
 }
 
-// validateBatch rejects the shapes Append never accepts.
-func validateBatch(b Batch) error {
+// Validate rejects the shapes no append path accepts.
+func (b Batch) Validate() error {
 	if b.Key == "" {
 		return fmt.Errorf("resultstore: batch needs an ingest key")
 	}
@@ -345,42 +381,23 @@ func validateBatch(b Batch) error {
 	return nil
 }
 
-// maybeRotateLocked seals the active segment once it has outgrown the
-// segment bound. Callers rotate BEFORE appendGroupLocked so a
-// rotation failure leaves the group unwritten (clean retry semantics)
-// rather than half-applied — and so rotation's own seal-fsync stays
-// out of appendGroupLocked, whose single Sync call is the group's
-// entire durability story (walack's fact for it must go dirty the
-// moment that call is stripped).
-func (s *Store) maybeRotateLocked() error {
-	if s.activeSize >= s.opts.SegmentBytes {
-		return s.rotateLocked()
-	}
-	return nil
-}
-
 // appendGroupLocked writes one record per new batch, fsyncs once, and
 // only then applies the group to the queryable state. Caller holds
 // s.mu, has validated every batch, and has rotated the segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.closed {
-		return nil, fmt.Errorf("resultstore: store is closed")
+		return nil, errClosed
 	}
 	if s.failed != nil {
 		return nil, fmt.Errorf("resultstore: store failed: %w", s.failed)
 	}
 	applied := make([]bool, len(batches))
 	var (
-		assigned int // ID/Seq counter advance to roll back on failure
+		id, seq  = s.nextID, s.nextSeq // advanced for real only once the group is durable
+		fresh    []walBatch            // the new batches, identity assigned
 		payloads [][]byte
-		results  [][]metricsdb.Result
-		keys     []string
 		seen     = map[string]bool{} // keys earlier in this group
 	)
-	rollback := func() {
-		s.nextID -= assigned
-		s.nextSeq -= assigned
-	}
 	for i, b := range batches {
 		if s.keys[b.Key] || seen[b.Key] {
 			continue // duplicate: acknowledged without a write
@@ -389,28 +406,21 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		rs := make([]metricsdb.Result, len(b.Results))
 		copy(rs, b.Results)
 		for j := range rs {
-			s.nextID++
-			s.nextSeq++
-			assigned++
-			rs[j].ID = s.nextID
-			rs[j].Seq = s.nextSeq
+			id++
+			seq++
+			rs[j].ID = id
+			rs[j].Seq = seq
 			if rs[j].TraceID == "" {
 				rs[j].TraceID = b.TraceID
 			}
 		}
-		payload, err := json.Marshal(walBatch{
-			Key:      b.Key,
-			TraceID:  b.TraceID,
-			Received: s.clock.Now().UnixNano(),
-			Results:  rs,
-		})
+		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Received: s.opts.Clock.Now().UnixNano(), Results: rs}
+		payload, err := json.Marshal(wb)
 		if err != nil {
-			rollback()
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
+		fresh = append(fresh, wb)
 		payloads = append(payloads, payload)
-		results = append(results, rs)
-		keys = append(keys, b.Key)
 		applied[i] = true
 	}
 	var written int64
@@ -430,16 +440,16 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		// The segment may hold torn records now; cut it back to the
 		// last known-good offset so later appends don't land behind a
 		// tear replay would drop.
-		rollback()
 		if terr := s.active.Truncate(s.activeSize); terr != nil {
 			s.failed = fmt.Errorf("append failed (%v) and truncate failed (%v)", werr, terr)
 		}
 		return nil, fmt.Errorf("resultstore: appending batch: %w", werr)
 	}
 	s.activeSize += written
-	for i, rs := range results {
-		s.keys[keys[i]] = true
-		for _, r := range rs {
+	s.nextID, s.nextSeq = id, seq
+	for _, wb := range fresh {
+		s.keys[wb.Key] = true
+		for _, r := range wb.Results {
 			s.db.Insert(r)
 		}
 	}
@@ -498,19 +508,13 @@ func (s *Store) compactor() {
 // sealed segments, then removes them and older snapshots. The active
 // segment stays; replaying it over the snapshot is harmless because
 // ingest keys dedup. Safe to call at any time, including with
-// background compaction enabled.
-func (s *Store) Compact() error {
+// background compaction enabled. Health reports the last outcome.
+func (s *Store) Compact() (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.compactLocked()
-	s.compactErr = err
-	return err
-}
-
-// compactLocked does the snapshot fold; caller holds s.mu.
-func (s *Store) compactLocked() error {
+	defer func() { s.compactErr = err }()
 	if s.closed {
-		return fmt.Errorf("resultstore: store is closed")
+		return errClosed
 	}
 	covered := s.activeSeq - 1
 	if covered <= s.snapCovered {
@@ -533,7 +537,7 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := atomicWriteFile(filepath.Join(s.dir, snapshotName(covered)), data); err != nil {
+	if err := AtomicWriteFile(filepath.Join(s.dir, snapshotName(covered)), data); err != nil {
 		return fmt.Errorf("resultstore: writing snapshot: %w", err)
 	}
 	prevSnap := s.snapCovered
@@ -561,8 +565,10 @@ func (s *Store) compactLocked() error {
 	return firstErr
 }
 
-// Close stops the compactor and seals the active segment. The store
-// rejects appends afterwards; a new Open recovers the same state.
+// Close stops the committer and the compactor and seals the active
+// segment. Batches still queued are not written: their waiters fail
+// with the closed error (see Pending.Wait). The store rejects appends
+// afterwards; a new Open recovers the same state.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -575,22 +581,12 @@ func (s *Store) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active == nil {
-		return nil
-	}
 	err := s.active.Sync()
 	if cerr := s.active.Close(); err == nil {
 		err = cerr
 	}
-	s.active = nil
 	return err
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Len reports the number of stored results.
-func (s *Store) Len() int { return s.db.Len() }
 
 // HasKey reports whether an ingest key has been applied.
 func (s *Store) HasKey(key string) bool {
@@ -599,25 +595,6 @@ func (s *Store) HasKey(key string) bool {
 	return s.keys[key]
 }
 
-// Query, Series, DetectRegressions, Systems, Usage and CompareSystems
-// delegate to the in-memory metricsdb state, which the WAL keeps
-// durable. See the metricsdb package for semantics.
-
-func (s *Store) Query(f metricsdb.Filter) []metricsdb.Result { return s.db.Query(f) }
-
-// ResultsAfter returns every stored result with Seq strictly greater
-// than seq, in sequence order. Together with MaxSeq it is the
-// snapshot-shipping primitive: a follower at watermark W applies
-// ResultsAfter(W) and holds the primary's exact state — including
-// IDs, Seqs and trace provenance — so its query responses are
-// byte-identical to the primary's. ResultsAfter(0) is the full
-// snapshot a fresh follower bootstraps from.
-func (s *Store) ResultsAfter(seq int) []metricsdb.Result { return s.db.QueryAfter(seq) }
-
-// MaxSeq reports the highest assigned sequence number (0 when empty) —
-// the replication watermark.
-func (s *Store) MaxSeq() int { return s.db.MaxSeq() }
-
 // AppliedBatches reports how many distinct ingest batches the store
 // has applied over its lifetime (the follower-lag gauge's batch-count
 // companion to MaxSeq).
@@ -625,20 +602,4 @@ func (s *Store) AppliedBatches() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.keys)
-}
-
-func (s *Store) Series(f metricsdb.Filter, fom string) []metricsdb.Point {
-	return s.db.Series(f, fom)
-}
-
-func (s *Store) DetectRegressions(f metricsdb.Filter, fom string, window int, threshold float64) []metricsdb.Regression {
-	return s.db.DetectRegressions(f, fom, window, threshold)
-}
-
-func (s *Store) Systems() []string { return s.db.Systems() }
-
-func (s *Store) Usage() []metricsdb.UsageRow { return s.db.Usage() }
-
-func (s *Store) CompareSystems(benchmark, sysA, sysB, fom string) []metricsdb.Comparison {
-	return s.db.CompareSystems(benchmark, sysA, sysB, fom)
 }

@@ -126,32 +126,32 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// atomicWriteFile writes data to path via a temp file + rename +
+// AtomicWriteFile writes data to path via a temp file + rename +
 // directory fsync, so a crash leaves either the old file or the new
-// one, never a partial write under the final name.
-func atomicWriteFile(path string, data []byte) error {
+// one, never a partial write under the final name. Snapshots and the
+// shard router's manifest are both written through it.
+func AtomicWriteFile(path string, data []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer func() {
+		if err != nil {
+			tmp.Close() // a second Close after the checked one is harmless
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err = tmp.Sync(); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	return syncDir(dir)
