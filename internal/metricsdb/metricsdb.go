@@ -42,7 +42,7 @@ type Result struct {
 // DB is a thread-safe result store.
 type DB struct {
 	mu      sync.RWMutex
-	results []Result
+	results []Result // in Seq order: Add, Insert and LoadJSON all keep it so
 	nextID  int
 	nextSeq int
 }
@@ -67,7 +67,9 @@ func (db *DB) Add(r Result) int {
 // raising the database's ID/Seq watermarks as needed. It is the
 // restore path for durable stores (internal/resultstore) that assign
 // identity at WAL-append time and must reconstruct the exact same
-// state on replay; fresh results should go through Add instead.
+// state on replay; fresh results should go through Add instead. A Seq
+// below the newest one held is placed in order (after any equal Seq),
+// so every read can rely on db.results being sorted.
 func (db *DB) Insert(r Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -77,7 +79,21 @@ func (db *DB) Insert(r Result) {
 	if r.Seq > db.nextSeq {
 		db.nextSeq = r.Seq
 	}
+	i := db.firstAfter(r.Seq)
 	db.results = append(db.results, r)
+	if i < len(db.results)-1 {
+		copy(db.results[i+1:], db.results[i:])
+		db.results[i] = r
+	}
+}
+
+// firstAfter is the index of the first result with Seq > seq. Caller
+// holds db.mu.
+func (db *DB) firstAfter(seq int) int {
+	if n := len(db.results); n == 0 || db.results[n-1].Seq <= seq {
+		return n // the append case, without the search
+	}
+	return sort.Search(len(db.results), func(i int) bool { return db.results[i].Seq > seq })
 }
 
 // Len reports the number of stored results.
@@ -103,7 +119,17 @@ func (f Filter) matches(r Result) bool {
 }
 
 // Query returns matching results in sequence order.
-func (db *DB) Query(f Filter) []Result { return db.scan(f, math.MinInt) }
+func (db *DB) Query(f Filter) []Result {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var out []Result
+	for _, r := range db.results {
+		if f.matches(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // QueryAfter returns every result with Seq strictly greater than seq,
 // in sequence order. With MaxSeq it is the snapshot-shipping primitive
@@ -111,20 +137,18 @@ func (db *DB) Query(f Filter) []Result { return db.scan(f, math.MinInt) }
 // QueryAfter(W) and holds the primary's exact state — IDs, Seqs and
 // trace provenance included, so its responses are byte-identical —
 // and QueryAfter(0) is the snapshot a fresh follower bootstraps from.
-func (db *DB) QueryAfter(seq int) []Result { return db.scan(Filter{}, seq) }
+// It costs the tail it returns plus a binary search, not a scan.
+func (db *DB) QueryAfter(seq int) []Result { return db.QueryAfterN(seq, math.MaxInt) }
 
-// scan returns the results after seq that f matches, in sequence order.
-func (db *DB) scan(f Filter, seq int) []Result {
+// QueryAfterN is QueryAfter cut off after n results: the paging form,
+// for a reader — the durable store's compaction — that walks a long
+// tail without holding a copy of all of it. Results already stored
+// never change, so pages read at different times agree.
+func (db *DB) QueryAfterN(seq, n int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var out []Result
-	for _, r := range db.results {
-		if r.Seq > seq && f.matches(r) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	tail := db.results[db.firstAfter(seq):]
+	return append([]Result(nil), tail[:min(n, len(tail))]...)
 }
 
 // MaxSeq reports the highest assigned sequence number (0 when empty).
@@ -255,6 +279,7 @@ func LoadJSON(src string) (*DB, error) {
 			db.nextID = r.ID
 		}
 	}
+	sort.SliceStable(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
 	db.results = results
 	return db, nil
 }

@@ -1,6 +1,9 @@
 package metricsdb
 
 import (
+	"encoding/json"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -350,4 +353,83 @@ func TestInsertPreservesIdentity(t *testing.T) {
 	if all[len(all)-1].Seq != 10 {
 		t.Fatalf("Add after Insert assigned Seq %d, want 10", all[len(all)-1].Seq)
 	}
+}
+
+// TestResultsStayInSeqOrder: out-of-order Inserts and a LoadJSON of a
+// shuffled dump must answer Query, QueryAfter and Series exactly as a
+// scan of the inserted set followed by a sort on Seq does — the
+// invariant that lets Query skip its sort and QueryAfter binary-search
+// its start.
+func TestResultsStayInSeqOrder(t *testing.T) {
+	// A fixed shuffle of Seqs 1..40 (7 is coprime to 41), two systems.
+	var shuffled []Result
+	for i := 1; i <= 40; i++ {
+		seq := i * 7 % 41
+		sys := "cts1"
+		if seq%3 == 0 {
+			sys = "ats2"
+		}
+		shuffled = append(shuffled, Result{ID: seq, Seq: seq, Benchmark: "saxpy", System: sys,
+			FOMs: map[string]float64{"t": float64(seq)}})
+	}
+	inserted := New()
+	for _, r := range shuffled {
+		inserted.Insert(r)
+	}
+	dump, err := json.Marshal(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadJSON(string(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference: scan everything, keep what matches, sort by Seq.
+	reference := func(f Filter, after int) []Result {
+		var out []Result
+		for _, r := range shuffled {
+			if r.Seq > after && f.matches(r) {
+				out = append(out, r)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+		return out
+	}
+	for name, db := range map[string]*DB{"Insert": inserted, "LoadJSON": loaded} {
+		for _, f := range []Filter{{}, {System: "cts1"}, {System: "ats2"}, {System: "nowhere"}} {
+			if got, want := db.Query(f), reference(f, 0); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Query(%+v) = Seqs %v, want %v", name, f, seqs(got), seqs(want))
+			}
+			var want []Point
+			for _, r := range reference(f, 0) {
+				want = append(want, Point{Seq: r.Seq, Value: r.FOMs["t"]})
+			}
+			if got := db.Series(f, "t"); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Series(%+v) = %v, want %v", name, f, got, want)
+			}
+		}
+		for _, after := range []int{-1, 0, 1, 17, 39, 40, 41} {
+			if got, want := db.QueryAfter(after), reference(Filter{}, after); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: QueryAfter(%d) = Seqs %v, want %v", name, after, seqs(got), seqs(want))
+			}
+		}
+		for _, n := range []int{0, 1, 5, 40, 100} {
+			want := reference(Filter{}, 17)
+			want = want[:min(n, len(want))]
+			if got := db.QueryAfterN(17, n); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("%s: QueryAfterN(17, %d) = Seqs %v, want %v", name, n, seqs(got), seqs(want))
+			}
+		}
+		if db.MaxSeq() != 40 {
+			t.Errorf("%s: MaxSeq = %d, want 40", name, db.MaxSeq())
+		}
+	}
+}
+
+func seqs(rs []Result) []int {
+	out := make([]int, len(rs))
+	for i, r := range rs {
+		out[i] = r.Seq
+	}
+	return out
 }

@@ -92,6 +92,11 @@ func Open(dir string, opts Options) (*Router, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultshard: %w", err)
 	}
+	// What a crash while writing the manifest left; each shard's Open
+	// clears its own directory.
+	if err := resultstore.RemoveStaleTemps(dir); err != nil {
+		return nil, fmt.Errorf("resultshard: %w", err)
+	}
 	if err := checkManifest(dir, opts.Shards); err != nil {
 		return nil, err
 	}
@@ -230,13 +235,17 @@ func (r *Router) Close() error {
 func (r *Router) Overloads() int64 { return r.overloads.Load() }
 
 // Health aggregates shard health: ready iff every shard is ready, with
-// the first unready shard's reason surfaced. Result and key counts
-// sum; WAL geometry is per-shard (see ShardHealth).
+// the first unready shard's reason surfaced. Result, key, snapshot and
+// compaction counts sum; WAL geometry is per-shard (see ShardHealth).
 func (r *Router) Health() resultstore.Health {
 	h := resultstore.Health{Ready: true}
 	for i, sub := range r.ShardHealth() {
 		h.Results += sub.Results
 		h.IngestKeys += sub.IngestKeys
+		h.SnapshotGenerations += sub.SnapshotGenerations
+		h.SnapshotBytes += sub.SnapshotBytes
+		h.Compactions += sub.Compactions
+		h.CompactionBytesWritten += sub.CompactionBytesWritten
 		if !sub.Ready && h.Ready {
 			h.Ready = false
 			h.Reason = fmt.Sprintf("shard %d: %s", i, sub.Reason)

@@ -22,7 +22,14 @@ type Health struct {
 	ActiveSegment   int    `json:"active_segment"`
 	ActiveSizeBytes int64  `json:"active_size_bytes"`
 	SnapshotCovered int    `json:"snapshot_covered"`
-	CompactError    string `json:"compact_error,omitempty"`
+	// The snapshot chain on disk, and what compaction has written since
+	// Open: CompactionBytesWritten over the bytes ingested is the
+	// store's snapshot write amplification.
+	SnapshotGenerations    int    `json:"snapshot_generations"`
+	SnapshotBytes          int64  `json:"snapshot_bytes"`
+	Compactions            int64  `json:"compactions"`
+	CompactionBytesWritten int64  `json:"compaction_bytes_written"`
+	CompactError           string `json:"compact_error,omitempty"`
 }
 
 // Health probes the store's ability to take durable writes and
@@ -39,7 +46,14 @@ func (s *Store) Health() Health {
 		IngestKeys:      len(s.keys),
 		ActiveSegment:   s.activeSeq,
 		ActiveSizeBytes: s.activeSize,
-		SnapshotCovered: s.snapCovered,
+		SnapshotCovered: s.genBefore(len(s.gens)).covered,
+
+		SnapshotGenerations:    len(s.gens),
+		Compactions:            s.compactions,
+		CompactionBytesWritten: s.compactionBytes,
+	}
+	for _, g := range s.gens {
+		h.SnapshotBytes += g.bytes
 	}
 	if s.compactErr != nil {
 		h.CompactError = s.compactErr.Error()

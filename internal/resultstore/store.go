@@ -17,8 +17,10 @@
 //     Enqueue refuses when there is none, which the sharded router
 //     (internal/resultshard) turns into HTTP 429.
 //   - Segment rotation + compaction. The WAL rotates at a size
-//     threshold; sealed segments fold into a sorted snapshot in the
-//     background, bounding recovery time.
+//     threshold; sealed segments fold into a short chain of snapshot
+//     generations in the background (snapshot.go), bounding recovery
+//     time at a write cost that follows what arrived, not what the
+//     store already holds.
 //   - Deterministic recovery. Replay applies committed batches in
 //     write order and truncates a torn tail — it never errors on one.
 //     Reopening a store yields byte-identical query results (the
@@ -34,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,8 +53,8 @@ type Options struct {
 	// clock choice cannot leak into served results.
 	Clock telemetry.Clock
 	// NoBackgroundCompact disables the compaction goroutine; sealed
-	// segments then only fold into a snapshot on explicit Compact
-	// calls (tests use this for deterministic file layouts).
+	// segments then only fold into a snapshot generation on explicit
+	// Compact calls (tests use this for deterministic file layouts).
 	NoBackgroundCompact bool
 	// QueueDepth bounds the commit queue; <=0 means 64. Append waits
 	// for a slot; Enqueue fails fast with ErrQueueFull instead.
@@ -91,42 +92,36 @@ type walBatch struct {
 	Results  []metricsdb.Result `json:"results"`
 }
 
-// snapshot is the compacted on-disk form: the full store state as of
-// the last sealed segment. snapshotFormat tags the file so future
-// layout changes can migrate.
-type snapshot struct {
-	Format  string             `json:"format"`
-	Covered int                `json:"covered_segment"`
-	NextID  int                `json:"next_id"`
-	NextSeq int                `json:"next_seq"`
-	Keys    []string           `json:"keys"`
-	Results []metricsdb.Result `json:"results"`
-}
-
-const snapshotFormat = "benchpark-snap-1"
-
 // Store is a durable, thread-safe result store. Queries go through the
 // embedded Reader — the read path the router and its followers share —
-// over an in-memory metricsdb.DB rebuilt on Open from the newest
-// snapshot plus a WAL replay. A Reader cannot Insert: nothing reaches
+// over an in-memory metricsdb.DB rebuilt on Open from the snapshot
+// chain plus a WAL replay. A Reader cannot Insert: nothing reaches
 // the queryable state except through the WAL.
 type Store struct {
 	metricsdb.Reader
 	dir  string
 	opts Options
 
-	mu          sync.Mutex
-	db          *metricsdb.DB
-	keys        map[string]bool
-	nextID      int
-	nextSeq     int
-	active      *os.File
-	activeSeq   int
-	activeSize  int64
-	snapCovered int
-	closed      bool
-	failed      error // sticky: set when the WAL is in an unknown state
-	compactErr  error // last Compact outcome; cleared by a later success
+	// compactMu admits one Compact at a time. It is taken before mu and
+	// never while holding it; the snapshot write happens under it alone.
+	compactMu sync.Mutex
+
+	mu         sync.Mutex
+	db         *metricsdb.DB
+	keys       map[string]bool
+	keyLog     []string // the applied ingest keys, oldest first; generations index into it
+	nextID     int
+	nextSeq    int
+	active     *os.File
+	activeSeq  int
+	activeSize int64
+	gens       []generation // the snapshot chain, oldest first
+	closed     bool
+	failed     error // sticky: set when the WAL is in an unknown state
+	compactErr error // last Compact outcome; cleared by a later success
+
+	compactions     int64 // generations written since Open
+	compactionBytes int64 // bytes of snapshot files written since Open
 
 	queue     chan *Pending // bounded commit queue, drained by committer
 	compactCh chan struct{}
@@ -134,11 +129,13 @@ type Store struct {
 	wg        sync.WaitGroup // committer + compactor, joined by Close
 }
 
-// Open recovers (or creates) a store in dir. Recovery loads the
-// newest snapshot, replays every newer WAL segment in order, skips
-// batches whose ingest key is already applied, and truncates a torn
-// tail on the active segment. It never fails on a torn tail — that
-// is the expected shape of a crash.
+// Open recovers (or creates) a store in dir. Recovery removes the
+// temp files a crashed snapshot write left, loads the snapshot chain
+// oldest generation first (see loadChain: a broken chain is an error),
+// replays every newer WAL segment in order, skips batches whose ingest
+// key is already applied, and truncates a torn tail on the active
+// segment. It never fails on a torn tail — that is the expected shape
+// of a crash.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
@@ -178,30 +175,43 @@ func Open(dir string, opts Options) (*Store, error) {
 // recover rebuilds in-memory state from disk and opens the active
 // segment for appending.
 func (s *Store) recover() error {
-	snaps, err := listNumbered(s.dir, snapshotPrefix, snapshotSuffix)
+	if err := RemoveStaleTemps(s.dir); err != nil {
+		return fmt.Errorf("resultstore: %w", err)
+	}
+	chain, stale, err := loadChain(s.dir)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if len(snaps) > 0 {
-		s.snapCovered = snaps[len(snaps)-1]
-		if err := s.loadSnapshot(s.snapCovered); err != nil {
-			return err
+	for _, snap := range chain {
+		for _, r := range snap.Results {
+			s.db.Insert(r)
+		}
+		for _, k := range snap.Keys {
+			s.applyKey(k)
+		}
+		s.noteCounters(snap.NextID, snap.NextSeq)
+		s.gens = append(s.gens, generation{covered: snap.Covered, topSeq: snap.NextSeq, keyEnd: len(s.keyLog), bytes: snap.size})
+	}
+	for _, n := range stale {
+		if err := os.Remove(filepath.Join(s.dir, snapshotName(n))); err != nil {
+			return fmt.Errorf("resultstore: removing a subsumed snapshot: %w", err)
 		}
 	}
+	covered := s.genBefore(len(s.gens)).covered
 	segs, err := listNumbered(s.dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	for i, seg := range segs {
-		if seg <= s.snapCovered {
-			continue // already folded into the snapshot
+		if seg <= covered {
+			continue // already folded into the chain
 		}
 		if err := s.replaySegment(seg, i == len(segs)-1); err != nil {
 			return err
 		}
 	}
-	s.activeSeq = s.snapCovered + 1
-	if len(segs) > 0 && segs[len(segs)-1] > s.snapCovered {
+	s.activeSeq = covered + 1
+	if len(segs) > 0 && segs[len(segs)-1] > covered {
 		s.activeSeq = segs[len(segs)-1]
 	}
 	path := filepath.Join(s.dir, segmentName(s.activeSeq))
@@ -219,27 +229,11 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// loadSnapshot restores the full store state from snap-N.json.
-func (s *Store) loadSnapshot(n int) error {
-	data, err := os.ReadFile(filepath.Join(s.dir, snapshotName(n)))
-	if err != nil {
-		return fmt.Errorf("resultstore: reading snapshot: %w", err)
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("resultstore: snapshot %s: %w", snapshotName(n), err)
-	}
-	if snap.Format != snapshotFormat {
-		return fmt.Errorf("resultstore: snapshot %s has unknown format %q", snapshotName(n), snap.Format)
-	}
-	for _, r := range snap.Results {
-		s.db.Insert(r)
-	}
-	for _, k := range snap.Keys {
-		s.keys[k] = true
-	}
-	s.noteCounters(snap.NextID, snap.NextSeq)
-	return nil
+// applyKey records an ingest key as applied. Caller holds s.mu (or is
+// recovery, before any other goroutine exists).
+func (s *Store) applyKey(k string) {
+	s.keys[k] = true
+	s.keyLog = append(s.keyLog, k)
 }
 
 // replaySegment applies a WAL segment's committed batches. A torn
@@ -260,9 +254,9 @@ func (s *Store) replaySegment(seg int, newest bool) error {
 				segmentName(seg), err)
 		}
 		if s.keys[b.Key] {
-			continue // snapshot already covers this batch
+			continue // a snapshot already covers this batch
 		}
-		s.keys[b.Key] = true
+		s.applyKey(b.Key)
 		for _, r := range b.Results {
 			s.db.Insert(r)
 			s.noteCounters(r.ID, r.Seq)
@@ -448,7 +442,7 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	s.activeSize += written
 	s.nextID, s.nextSeq = id, seq
 	for _, wb := range fresh {
-		s.keys[wb.Key] = true
+		s.applyKey(wb.Key)
 		for _, r := range wb.Results {
 			s.db.Insert(r)
 		}
@@ -489,82 +483,6 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// compactor folds sealed segments into snapshots off the append path.
-func (s *Store) compactor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.compactCh:
-			// A failed background compaction is retried on the next
-			// rotation; the WAL alone remains a complete record.
-			_ = s.Compact()
-		}
-	}
-}
-
-// Compact writes the current state as a sorted snapshot covering all
-// sealed segments, then removes them and older snapshots. The active
-// segment stays; replaying it over the snapshot is harmless because
-// ingest keys dedup. Safe to call at any time, including with
-// background compaction enabled. Health reports the last outcome.
-func (s *Store) Compact() (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { s.compactErr = err }()
-	if s.closed {
-		return errClosed
-	}
-	covered := s.activeSeq - 1
-	if covered <= s.snapCovered {
-		return nil // nothing sealed since the last snapshot
-	}
-	keys := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	snap := snapshot{
-		Format:  snapshotFormat,
-		Covered: covered,
-		NextID:  s.nextID,
-		NextSeq: s.nextSeq,
-		Keys:    keys,
-		Results: s.db.Query(metricsdb.Filter{}), // sorted by Seq
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := AtomicWriteFile(filepath.Join(s.dir, snapshotName(covered)), data); err != nil {
-		return fmt.Errorf("resultstore: writing snapshot: %w", err)
-	}
-	prevSnap := s.snapCovered
-	s.snapCovered = covered
-	// Garbage-collect what the snapshot supersedes. Removal failures
-	// are harmless (recovery skips covered segments) so only the
-	// first error is surfaced.
-	var firstErr error
-	segs, err := listNumbered(s.dir, segmentPrefix, segmentSuffix)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	for _, seg := range segs {
-		if seg <= covered {
-			if err := os.Remove(filepath.Join(s.dir, segmentName(seg))); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if prevSnap > 0 {
-		if err := os.Remove(filepath.Join(s.dir, snapshotName(prevSnap))); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Close stops the committer and the compactor and seals the active
 // segment. Batches still queued are not written: their waiters fail
 // with the closed error (see Pending.Wait). The store rejects appends
@@ -579,6 +497,9 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	close(s.done)
 	s.wg.Wait()
+	// A Compact some other goroutine called finishes its write first.
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.active.Sync()

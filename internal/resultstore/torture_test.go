@@ -18,9 +18,25 @@ import (
 // error, and (c) accepts new appends afterwards. Offsets are exact
 // because the WAL has no file header — a batch is durable iff the file
 // reaches its commit boundary.
+//
+// The torn segment sits on top of a snapshot chain of two generations
+// and a sealed, not yet compacted segment, so every cut also recovers
+// through the chain: what the generations hold must come back whatever
+// happens to the WAL above them.
 func TestPowerCutAtEveryByte(t *testing.T) {
 	const batches = 6
 	golden := t.TempDir()
+	// Five single-result batches, a segment each: generations of 3 and
+	// 2 results, then "base-5" in the segment the torture appends to.
+	base := buildChain(t, golden, "base", false, false, true, false, true, false)
+	const chained = 5
+	if h := base.Health(); h.SnapshotGenerations != 2 {
+		t.Fatalf("chain of %d generations beneath the torn segment, want 2", h.SnapshotGenerations)
+	}
+	torn := base.Health().ActiveSegment
+	if err := base.Close(); err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{
 		SegmentBytes:        1 << 20, // never rotate: one segment, exact offsets
 		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
@@ -30,46 +46,47 @@ func TestPowerCutAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// boundaries[i] is the commit point of batch i: the segment size
-	// after its append.
-	boundaries := make([]int64, batches)
-	segPath := filepath.Join(golden, segmentName(1))
-	for i := 0; i < batches; i++ {
-		mustAppend(t, s, fmt.Sprintf("batch-%d", i),
-			res("saxpy", "cts1", "saxpy_time", float64(i)),
-			res("saxpy", "cloud-c5n", "saxpy_time", float64(i)+0.5))
+	// The segment's batches in write order: key, result count, and the
+	// commit point — the segment size after the append.
+	type commit struct {
+		key      string
+		results  int
+		boundary int64
+	}
+	segPath := filepath.Join(golden, segmentName(torn))
+	size := func() int64 {
 		fi, err := os.Stat(segPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		boundaries[i] = fi.Size()
+		return fi.Size()
+	}
+	commits := []commit{{"base-5", 1, size()}}
+	for i := 0; i < batches; i++ {
+		key := fmt.Sprintf("batch-%d", i)
+		mustAppend(t, s, key,
+			res("saxpy", "cts1", "saxpy_time", float64(i)),
+			res("saxpy", "cloud-c5n", "saxpy_time", float64(i)+0.5))
+		commits = append(commits, commit{key, 2, size()})
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(data)) != boundaries[batches-1] {
-		t.Fatalf("segment is %d bytes, want %d", len(data), boundaries[batches-1])
+	files := readDir(t, golden)
+	data := files[segmentName(torn)]
+	if int64(len(data)) != commits[batches].boundary {
+		t.Fatalf("segment is %d bytes, want %d", len(data), commits[batches].boundary)
 	}
 
-	root := t.TempDir()
 	for off := 0; off <= len(data); off++ {
-		dir := filepath.Join(root, fmt.Sprintf("off-%06d", off))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data[:off], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		wantBatches := 0
+		files[segmentName(torn)] = data[:off]
+		dir := writeDir(t, files)
+		wantResults := chained
 		var lastGood int64
-		for _, b := range boundaries {
-			if b <= int64(off) {
-				wantBatches++
-				lastGood = b
+		for _, c := range commits {
+			if c.boundary <= int64(off) {
+				wantResults += c.results
+				lastGood = c.boundary
 			}
 		}
 
@@ -77,18 +94,23 @@ func TestPowerCutAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: recovery errored: %v", off, err)
 		}
-		if got := rec.Len(); got != wantBatches*2 {
-			t.Fatalf("offset %d: recovered %d results, want %d", off, got, wantBatches*2)
+		if got := rec.Len(); got != wantResults {
+			t.Fatalf("offset %d: recovered %d results, want %d", off, got, wantResults)
 		}
-		for i := 0; i < batches; i++ {
-			want := i < wantBatches
-			if got := rec.HasKey(fmt.Sprintf("batch-%d", i)); got != want {
-				t.Fatalf("offset %d: HasKey(batch-%d) = %v, want %v", off, i, got, want)
+		for i := 0; i < chained; i++ {
+			if key := fmt.Sprintf("base-%d", i); !rec.HasKey(key) {
+				t.Fatalf("offset %d: %s, held by the snapshot chain, is gone", off, key)
+			}
+		}
+		for _, c := range commits {
+			want := c.boundary <= int64(off)
+			if got := rec.HasKey(c.key); got != want {
+				t.Fatalf("offset %d: HasKey(%s) = %v, want %v", off, c.key, got, want)
 			}
 		}
 		// Recovery must have truncated the torn tail back to the last
 		// commit boundary so new appends land on clean ground.
-		fi, err := os.Stat(filepath.Join(dir, segmentName(1)))
+		fi, err := os.Stat(filepath.Join(dir, segmentName(torn)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +126,8 @@ func TestPowerCutAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: second recovery: %v", off, err)
 		}
-		if got := rec2.Len(); got != wantBatches*2+1 {
-			t.Fatalf("offset %d: second recovery holds %d results, want %d", off, got, wantBatches*2+1)
+		if got := rec2.Len(); got != wantResults+1 {
+			t.Fatalf("offset %d: second recovery holds %d results, want %d", off, got, wantResults+1)
 		}
 		rec2.Close()
 		os.RemoveAll(dir)

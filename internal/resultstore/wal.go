@@ -126,15 +126,30 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
+// tempPrefix starts the name of every AtomicWriteFile temp file.
+const tempPrefix = ".tmp-"
+
 // AtomicWriteFile writes data to path via a temp file + rename +
 // directory fsync, so a crash leaves either the old file or the new
-// one, never a partial write under the final name. Snapshots and the
-// shard router's manifest are both written through it.
-func AtomicWriteFile(path string, data []byte) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
+// one, never a partial write under the final name. The shard router's
+// manifest is written through it, snapshots through atomicWrite, its
+// streaming form. What a crash does leave is the temp file;
+// RemoveStaleTemps clears those.
+func AtomicWriteFile(path string, data []byte) error {
+	_, err := atomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
+	})
+	return err
+}
+
+// atomicWrite is AtomicWriteFile for content produced piecewise: write
+// fills the temp file, and size is what it wrote.
+func atomicWrite(path string, write func(w io.Writer) error) (size int64, err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
+	if err != nil {
+		return 0, err
 	}
 	defer func() {
 		if err != nil {
@@ -142,17 +157,39 @@ func AtomicWriteFile(path string, data []byte) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if _, err = tmp.Write(data); err != nil {
-		return err
+	if err = write(tmp); err != nil {
+		return 0, err
+	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		return 0, err
 	}
 	if err = tmp.Sync(); err != nil {
-		return err
+		return 0, err
 	}
 	if err = tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err = os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	return fi.Size(), syncDir(dir)
+}
+
+// RemoveStaleTemps deletes the temp files a crash inside
+// AtomicWriteFile left in dir. Call it before anything writes there:
+// it cannot tell a leftover from a write in flight.
+func RemoveStaleTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		return err
 	}
-	return syncDir(dir)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tempPrefix) && e.Type().IsRegular() {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

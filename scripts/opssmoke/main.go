@@ -110,16 +110,21 @@ func main() {
 		fatalf("/debug/ops = %d", code)
 	}
 	var ops struct {
-		Store struct {
-			Ready bool `json:"ready"`
-		} `json:"store"`
+		Store  map[string]json.RawMessage `json:"store"`
 		Routes map[string]json.RawMessage `json:"routes"`
 	}
 	if err := json.Unmarshal([]byte(body), &ops); err != nil {
 		fatalf("/debug/ops is not the ops snapshot: %v\n%s", err, body)
 	}
-	if !ops.Store.Ready {
+	if string(ops.Store["ready"]) != "true" {
 		fatalf("/debug/ops reports an unready store: %s", body)
+	}
+	// The compaction gauges are there even before the first snapshot:
+	// write amplification must be readable from any running server.
+	for _, field := range []string{"snapshot_generations", "snapshot_bytes", "compactions", "compaction_bytes_written"} {
+		if _, found := ops.Store[field]; !found {
+			fatalf("/debug/ops store lacks %q: %s", field, body)
+		}
 	}
 	if _, found := ops.Routes["results"]; !found {
 		fatalf("/debug/ops lacks the results route: %s", body)

@@ -14,8 +14,10 @@
 # layer (concurrent routed appends into each shard store's commit
 # queue) and its load generator (one goroutine per simulated runner), benchlint's
 # concurrent package loader, and the benchlint CLI whose tests drive
-# that loader end to end. A -diff dry-run also fails the gate when
-# mechanical fixes exist that nobody applied.
+# that loader end to end. After it, the result store's two decoders of
+# on-disk bytes — WAL frames and snapshot generations — are fuzzed for
+# five seconds each from the committed seed corpora. A -diff dry-run
+# also fails the gate when mechanical fixes exist that nobody applied.
 #
 # benchlint runs ratchet-gated against the committed
 # .benchlint-baseline.json (only NEW findings fail; the file is empty,
@@ -66,6 +68,10 @@ go test ./...
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint
+
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader; 5s each)"
+go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 
 echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
