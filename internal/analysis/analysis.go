@@ -85,9 +85,6 @@ type Pass struct {
 	findings []Finding
 }
 
-// Fset returns the file set positions resolve against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
 // Files returns the package's parsed files.
 func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 
@@ -216,38 +213,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// Run applies every analyzer whose scope matches to every package,
-// applies the suppression directives, normalizes file paths to be
-// relative to modRoot, and returns the findings sorted by position.
-// Facts are computed for all packages first (in import order), so
-// interprocedural analyzers see their dependencies' behavior.
-func Run(pkgs []*Package, analyzers []*Analyzer, modPath, modRoot string) []Finding {
-	facts := ComputeFacts(pkgs, modPath, modRoot)
-	byPath := map[string]*Package{}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-		paths = append(paths, p.ImportPath)
-	}
-	// Each package sees its own facts plus its transitive in-module
-	// dependencies' — the same visibility the incremental runner
-	// reproduces from cache, so both paths report identically.
-	closure := moduleDeps(paths, func(p string) []string { return byPath[p].Imports })
-	var all []Finding
-	for _, pkg := range pkgs {
-		visible := map[string]*PackageFacts{pkg.ImportPath: facts[pkg.ImportPath]}
-		for _, dep := range closure[pkg.ImportPath] {
-			visible[dep] = facts[dep]
-		}
-		all = append(all, runPackage(pkg, analyzers, modPath, modRoot, facts[pkg.ImportPath], visible)...)
-	}
-	SortFindings(all)
-	return all
-}
-
 // runPackage applies the matching analyzers to one package and
 // returns its suppression-resolved, path-normalized findings. The
-// incremental runner (runner.go) calls this per cache miss.
+// runner (runner.go) calls this per cache miss.
 func runPackage(pkg *Package, analyzers []*Analyzer, modPath, modRoot string, facts *PackageFacts, allFacts map[string]*PackageFacts) []Finding {
 	var out []Finding
 	// A mistyped directive must not silently disable a check.
@@ -342,4 +310,21 @@ func relPath(root, file string) string {
 		return filepath.ToSlash(rel)
 	}
 	return file
+}
+
+// calleeFunc resolves a call's static callee — a package-level
+// function or a method — or nil for dynamic calls, conversions and
+// builtins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }

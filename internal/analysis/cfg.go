@@ -72,26 +72,26 @@ type CFG struct {
 	noreturn map[ast.Node]bool
 	loc      map[ast.Node]nodeLoc
 
-	// idom/ipdom are immediate (post)dominators, computed lazily.
-	idom  map[*Block]*Block
-	ipdom map[*Block]*Block
-
 	info *types.Info
 }
 
+// jumpTarget is one enclosing breakable statement: where `break` and
+// (for loops; nil for switch and select) `continue` land, and the label
+// it carries, if any.
+type jumpTarget struct {
+	label     string
+	brk, cont *Block
+}
+
 // cfgBuilder carries the construction state: the current block, the
-// break/continue/fallthrough targets of enclosing statements, and the
-// label table shared by goto and labelled break/continue.
+// break/continue targets of enclosing statements (innermost last), and
+// the goto label table.
 type cfgBuilder struct {
 	c   *CFG
 	cur *Block
 
-	breaks    []*Block // innermost-last break targets
-	continues []*Block // innermost-last continue targets
-
-	labelBreak    map[string]*Block
-	labelContinue map[string]*Block
-	gotoTarget    map[string]*Block
+	targets    []jumpTarget
+	gotoTarget map[string]*Block
 
 	// pendingLabel is set between visiting a LabeledStmt and its
 	// inner statement so `break L`/`continue L` resolve to the
@@ -99,20 +99,14 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-// BuildCFG constructs the graph for one function body. info may be
-// nil (queries that need type information simply get fewer answers).
+// BuildCFG constructs the graph for one function body.
 func BuildCFG(info *types.Info, body *ast.BlockStmt) *CFG {
 	c := &CFG{
 		noreturn: make(map[ast.Node]bool),
 		loc:      make(map[ast.Node]nodeLoc),
 		info:     info,
 	}
-	b := &cfgBuilder{
-		c:             c,
-		labelBreak:    make(map[string]*Block),
-		labelContinue: make(map[string]*Block),
-		gotoTarget:    make(map[string]*Block),
-	}
+	b := &cfgBuilder{c: c, gotoTarget: make(map[string]*Block)}
 	c.Entry = b.newBlock()
 	c.Exit = b.newBlock()
 	first := b.newBlock()
@@ -221,7 +215,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Post != nil {
 			cont = post
 		}
-		b.pushLoop(label, after, cont)
+		b.targets = append(b.targets, jumpTarget{label, after, cont})
 		b.cur = body
 		b.stmtList(s.Body.List)
 		if s.Post != nil {
@@ -230,7 +224,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.add(s.Post)
 		}
 		b.edge(b.cur, header, EdgeNormal, nil)
-		b.popLoop(label)
+		b.targets = b.targets[:len(b.targets)-1]
 		b.cur = after
 
 	case *ast.RangeStmt:
@@ -242,11 +236,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s) // the range clause itself: one iteration decision
 		b.edge(header, body, EdgeNormal, nil)
 		b.edge(header, after, EdgeNormal, nil)
-		b.pushLoop(label, after, header)
+		b.targets = append(b.targets, jumpTarget{label, after, header})
 		b.cur = body
 		b.stmtList(s.Body.List)
 		b.edge(b.cur, header, EdgeNormal, nil)
-		b.popLoop(label)
+		b.targets = b.targets[:len(b.targets)-1]
 		b.cur = after
 
 	case *ast.SwitchStmt:
@@ -256,25 +250,20 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.switchClauses(label, s.Body.List, func(cc *ast.CaseClause) (ast.Stmt, []ast.Stmt) {
-			return nil, cc.Body
-		})
+		b.switchClauses(label, s.Body.List)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			b.add(s.Init)
 		}
 		b.add(s.Assign)
-		b.switchClauses(label, s.Body.List, func(cc *ast.CaseClause) (ast.Stmt, []ast.Stmt) {
-			return nil, cc.Body
-		})
+		b.switchClauses(label, s.Body.List)
 
 	case *ast.SelectStmt:
 		b.add(s) // the select itself: the blocking decision point
 		head := b.cur
 		after := b.newBlock()
-		b.pushBreak(label, after)
-		anySucc := false
+		b.targets = append(b.targets, jumpTarget{label: label, brk: after})
 		for _, clause := range s.Body.List {
 			cc, ok := clause.(*ast.CommClause)
 			if !ok {
@@ -282,7 +271,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			}
 			caseBlk := b.newBlock()
 			b.edge(head, caseBlk, EdgeNormal, nil)
-			anySucc = true
 			b.cur = caseBlk
 			if cc.Comm != nil {
 				b.add(cc.Comm)
@@ -290,10 +278,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.stmtList(cc.Body)
 			b.edge(b.cur, after, EdgeNormal, nil)
 		}
-		b.popBreak(label)
+		b.targets = b.targets[:len(b.targets)-1]
 		// An empty `select {}` blocks forever: head keeps no
 		// successors and `after` stays unreachable.
-		_ = anySucc
 		b.cur = after
 
 	case *ast.ReturnStmt:
@@ -304,9 +291,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s)
 		switch s.Tok {
 		case token.BREAK:
-			b.terminate(b.breakTarget(s.Label), EdgeNormal, nil)
+			b.terminate(b.jump(s.Label, false), EdgeNormal, nil)
 		case token.CONTINUE:
-			b.terminate(b.continueTarget(s.Label), EdgeNormal, nil)
+			b.terminate(b.jump(s.Label, true), EdgeNormal, nil)
 		case token.GOTO:
 			b.terminate(b.gotoBlock(s.Label.Name), EdgeNormal, nil)
 		case token.FALLTHROUGH:
@@ -334,10 +321,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 // switchClauses lowers (type-)switch clause lists: the head block
 // branches to every clause body (and to `after` when no default
 // exists); fallthrough chains clause bodies together.
-func (b *cfgBuilder) switchClauses(label string, clauses []ast.Stmt, split func(*ast.CaseClause) (ast.Stmt, []ast.Stmt)) {
+func (b *cfgBuilder) switchClauses(label string, clauses []ast.Stmt) {
 	head := b.cur
 	after := b.newBlock()
-	b.pushBreak(label, after)
+	b.targets = append(b.targets, jumpTarget{label: label, brk: after})
 	hasDefault := false
 	bodies := make([]*Block, 0, len(clauses))
 	caseBodies := make([][]ast.Stmt, 0, len(clauses))
@@ -352,8 +339,7 @@ func (b *cfgBuilder) switchClauses(label string, clauses []ast.Stmt, split func(
 		blk := b.newBlock()
 		b.edge(head, blk, EdgeNormal, nil)
 		bodies = append(bodies, blk)
-		_, body := split(cc)
-		caseBodies = append(caseBodies, body)
+		caseBodies = append(caseBodies, cc.Body)
 	}
 	if !hasDefault {
 		b.edge(head, after, EdgeNormal, nil)
@@ -373,64 +359,25 @@ func (b *cfgBuilder) switchClauses(label string, clauses []ast.Stmt, split func(
 			b.edge(b.cur, after, EdgeNormal, nil)
 		}
 	}
-	b.popBreak(label)
+	b.targets = b.targets[:len(b.targets)-1]
 	b.cur = after
 }
 
-func (b *cfgBuilder) pushLoop(label string, brk, cont *Block) {
-	b.breaks = append(b.breaks, brk)
-	b.continues = append(b.continues, cont)
-	if label != "" {
-		b.labelBreak[label] = brk
-		b.labelContinue[label] = cont
-	}
-}
-
-func (b *cfgBuilder) popLoop(label string) {
-	b.breaks = b.breaks[:len(b.breaks)-1]
-	b.continues = b.continues[:len(b.continues)-1]
-	if label != "" {
-		delete(b.labelBreak, label)
-		delete(b.labelContinue, label)
-	}
-}
-
-func (b *cfgBuilder) pushBreak(label string, brk *Block) {
-	b.breaks = append(b.breaks, brk)
-	if label != "" {
-		b.labelBreak[label] = brk
-	}
-}
-
-func (b *cfgBuilder) popBreak(label string) {
-	b.breaks = b.breaks[:len(b.breaks)-1]
-	if label != "" {
-		delete(b.labelBreak, label)
-	}
-}
-
-func (b *cfgBuilder) breakTarget(label *ast.Ident) *Block {
-	if label != nil {
-		if t, ok := b.labelBreak[label.Name]; ok {
-			return t
+// jump resolves a break (or, with cont, a continue) to its target: the
+// innermost enclosing statement that has one, or the one carrying the
+// label.
+func (b *cfgBuilder) jump(label *ast.Ident, cont bool) *Block {
+	for i := len(b.targets) - 1; i >= 0; i-- {
+		t := b.targets[i]
+		if label != nil && t.label != label.Name || cont && t.cont == nil {
+			continue
 		}
-	}
-	if len(b.breaks) > 0 {
-		return b.breaks[len(b.breaks)-1]
+		if cont {
+			return t.cont
+		}
+		return t.brk
 	}
 	return b.c.Exit // malformed code: degrade to an exit edge
-}
-
-func (b *cfgBuilder) continueTarget(label *ast.Ident) *Block {
-	if label != nil {
-		if t, ok := b.labelContinue[label.Name]; ok {
-			return t
-		}
-	}
-	if len(b.continues) > 0 {
-		return b.continues[len(b.continues)-1]
-	}
-	return b.c.Exit
 }
 
 // gotoBlock returns (creating on first use) the block a goto or label
@@ -448,39 +395,28 @@ func (b *cfgBuilder) gotoBlock(name string) *Block {
 // isNoReturnCall recognizes calls that never return control: panic,
 // os.Exit, runtime.Goexit, log.Fatal*, and the testing Fatal family.
 func isNoReturnCall(info *types.Info, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fun.Name == "panic" {
-			if info == nil {
-				return true
-			}
-			if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin {
-				return true
-			}
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+		_, isBuiltin := info.Uses[id].(*types.Builtin)
+		return isBuiltin
+	}
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "os":
+		return fn.Name() == "Exit"
+	case "runtime":
+		return fn.Name() == "Goexit"
+	case "log":
+		switch fn.Name() {
+		case "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln":
+			return true
 		}
-	case *ast.SelectorExpr:
-		if info == nil {
-			return false
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		if fn == nil || fn.Pkg() == nil {
-			return false
-		}
-		switch fn.Pkg().Path() {
-		case "os":
-			return fn.Name() == "Exit"
-		case "runtime":
-			return fn.Name() == "Goexit"
-		case "log":
-			switch fn.Name() {
-			case "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln":
-				return true
-			}
-		case "testing":
-			switch fn.Name() {
-			case "Fatal", "Fatalf", "FailNow", "SkipNow", "Skip", "Skipf":
-				return true
-			}
+	case "testing":
+		switch fn.Name() {
+		case "Fatal", "Fatalf", "FailNow", "SkipNow", "Skip", "Skipf":
+			return true
 		}
 	}
 	return false
@@ -505,198 +441,36 @@ func (c *CFG) locate(n ast.Node) (nodeLoc, bool) {
 	return bestLoc, best != nil
 }
 
-// ---- dominance ----
-
-// reachable returns the blocks reachable from Entry in reverse
-// postorder (the order the iterative dominance solver wants).
+// reachable returns the blocks reachable from Entry.
 func (c *CFG) reachable() []*Block {
 	seen := make(map[*Block]bool)
-	var order []*Block
+	var out []*Block
 	var dfs func(*Block)
 	dfs = func(b *Block) {
 		if seen[b] {
 			return
 		}
 		seen[b] = true
+		out = append(out, b)
 		for _, e := range b.Succs {
 			dfs(e.To)
 		}
-		order = append(order, b)
 	}
 	dfs(c.Entry)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-// computeDom runs the classic iterative dominator algorithm (Cooper,
-// Harvey, Kennedy) over preds/succs as directed by `preds`.
-func computeDom(root *Block, order []*Block, preds func(*Block) []*Block) map[*Block]*Block {
-	rpo := make(map[*Block]int, len(order))
-	for i, b := range order {
-		rpo[b] = i
-	}
-	idom := make(map[*Block]*Block, len(order))
-	idom[root] = root
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == root {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range preds(b) {
-				if _, ok := rpo[p]; !ok {
-					continue // pred not in this (reachable) subgraph
-				}
-				if idom[p] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-func (c *CFG) ensureDom() {
-	if c.idom != nil {
-		return
-	}
-	c.idom = computeDom(c.Entry, c.reachable(), func(b *Block) []*Block { return b.Preds })
-
-	// Postdominance: same algorithm on the reverse graph from Exit.
-	seen := make(map[*Block]bool)
-	var order []*Block
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, p := range b.Preds {
-			dfs(p)
-		}
-		order = append(order, b)
-	}
-	dfs(c.Exit)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	succs := func(b *Block) []*Block {
-		out := make([]*Block, 0, len(b.Succs))
-		for _, e := range b.Succs {
-			out = append(out, e.To)
-		}
-		return out
-	}
-	c.ipdom = computeDom(c.Exit, order, succs)
-}
-
-// dominates reports a dominates b in the given idom tree.
-func dominates(idom map[*Block]*Block, root, a, b *Block) bool {
-	if a == b {
-		return true
-	}
-	for b != root {
-		p, ok := idom[b]
-		if !ok || p == b {
-			return false
-		}
-		b = p
-		if b == a {
-			return true
-		}
-	}
-	return a == root
-}
-
-// Dominates reports whether every path from Entry to (the node
-// containing) b passes through a's node first.
-func (c *CFG) Dominates(a, b ast.Node) bool {
-	la, oka := c.locate(a)
-	lb, okb := c.locate(b)
-	if !oka || !okb {
-		return false
-	}
-	c.ensureDom()
-	if la.b == lb.b {
-		return la.i <= lb.i
-	}
-	return dominates(c.idom, c.Entry, la.b, lb.b)
-}
-
-// PostDominates reports whether every path from (the node containing)
-// b to Exit passes through a's node.
-func (c *CFG) PostDominates(a, b ast.Node) bool {
-	la, oka := c.locate(a)
-	lb, okb := c.locate(b)
-	if !oka || !okb {
-		return false
-	}
-	c.ensureDom()
-	if la.b == lb.b {
-		return la.i >= lb.i
-	}
-	return dominates(c.ipdom, c.Exit, la.b, lb.b)
-}
-
-// DominatesExit reports whether every path from Entry to Exit passes
-// through n — i.e. n runs on every complete execution of the
-// function.
-func (c *CFG) DominatesExit(n ast.Node) bool {
-	l, ok := c.locate(n)
-	if !ok {
-		return false
-	}
-	c.ensureDom()
-	return dominates(c.idom, c.Entry, l.b, c.Exit)
+	return out
 }
 
 // ---- path queries ----
 
-// PathVerdict classifies one node for MustReachOnAllPaths.
-type PathVerdict int
-
-const (
-	// PathContinue: the node neither satisfies nor exempts; keep
-	// walking.
-	PathContinue PathVerdict = iota
-	// PathSatisfied: the obligation is met on this path (a Close
-	// call, a `defer cancel()`, an ownership transfer).
-	PathSatisfied
-	// PathExempt: this path does not owe the obligation (the
-	// resource escaped, the process exits).
-	PathExempt
-)
-
-// PathQuery configures MustReachOnAllPaths. Classify is required.
-// PruneEdge, when set, exempts whole branch arms: it receives the
-// condition expression and the branch taken, and returning true
-// abandons that arm as exempt (used to skip the error-return arm of
-// `if err != nil` guards, where the resource was never acquired).
+// PathQuery configures MustReachOnAllPaths. Satisfied is required: it
+// reports whether a node meets the obligation on its path (a Close
+// call, a `defer cancel()`, an ownership transfer). PruneEdge, when
+// set, exempts whole branch arms: it receives the condition expression
+// and the branch taken, and returning true abandons that arm as exempt
+// (used to skip the error-return arm of `if err != nil` guards, where
+// the resource was never acquired).
 type PathQuery struct {
-	Classify  func(ast.Node) PathVerdict
+	Satisfied func(ast.Node) bool
 	PruneEdge func(cond ast.Expr, branch bool) bool
 }
 
@@ -708,8 +482,8 @@ const (
 )
 
 // MustReachOnAllPaths reports whether every execution path from the
-// node `after` to function exit passes a node Classify marks
-// PathSatisfied (or PathExempt) before reaching Exit. Paths through
+// node `after` to function exit passes a node q.Satisfied accepts
+// before reaching Exit. Paths through
 // noreturn calls are exempt (the process dies; defers of *other*
 // paths are unaffected). A DeferStmt that satisfies the query
 // satisfies its whole path — see the file comment. Cycles that never
@@ -731,11 +505,7 @@ func (c *CFG) MustReachOnAllPaths(after ast.Node, q PathQuery) bool {
 	walk = func(b *Block, from int) bool {
 		for i := from; i < len(b.Nodes); i++ {
 			n := b.Nodes[i]
-			if c.noreturn[n] {
-				return true
-			}
-			switch q.Classify(n) {
-			case PathSatisfied, PathExempt:
+			if c.noreturn[n] || q.Satisfied(n) {
 				return true
 			}
 		}
@@ -929,7 +699,7 @@ func isNilCheck(info *types.Info, cond ast.Expr, obj types.Object) (op token.Tok
 	}
 	matches := func(e ast.Expr) bool {
 		id, isIdent := e.(*ast.Ident)
-		return isIdent && info != nil && info.ObjectOf(id) == obj
+		return isIdent && info.ObjectOf(id) == obj
 	}
 	isNil := func(e ast.Expr) bool {
 		id, isIdent := e.(*ast.Ident)

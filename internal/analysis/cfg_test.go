@@ -61,23 +61,19 @@ func isProbeCall(n ast.Node, tag string) bool {
 	return ok && lit.Value == `"`+tag+`"`
 }
 
-// probeMatcher classifies any CFG node containing probe(tag) as
-// PathSatisfied (header nodes do not "contain" their bodies; see
-// nodeContains).
-func probeMatcher(tag string) func(ast.Node) PathVerdict {
-	return func(n ast.Node) PathVerdict {
-		if nodeHasProbe(tag)(n) {
-			return PathSatisfied
-		}
-		return PathContinue
-	}
-}
-
+// nodeHasProbe matches any CFG node containing probe(tag) (header
+// nodes do not "contain" their bodies; see nodeContains).
 func nodeHasProbe(tag string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		return nodeContains(n, func(m ast.Node) bool { return isProbeCall(m, tag) })
 	}
 }
+
+// The goto/labeled-break/select/fallthrough shapes are pinned through
+// the two queries analyzers call. With `first` the function's first
+// statement, "a dominates b" is !ReachesWithout(first, b, a) — no path
+// gets to b around a — and "a postdominates b" is MustReachOnAllPaths
+// from b with a as the satisfying node.
 
 func TestCFGGotoDominance(t *testing.T) {
 	pkg := loadCFGFixture(t)
@@ -87,20 +83,20 @@ func TestCFGGotoDominance(t *testing.T) {
 	header := probeCall(t, fn, "header")
 	done := probeCall(t, fn, "done")
 
-	if !c.Dominates(entry, header) || !c.Dominates(header, done) {
-		t.Error("entry→header→done dominance chain broken across goto back edge")
+	if c.ReachesWithout(entry, done, nodeHasProbe("header")) {
+		t.Error("the goto target sits on every path to done, back edge included")
 	}
-	if c.Dominates(done, header) {
-		t.Error("done must not dominate the goto loop header")
+	if !c.ReachesWithout(entry, header, nodeHasProbe("done")) {
+		t.Error("done must not sit between entry and the goto loop header")
 	}
-	if !c.PostDominates(done, entry) {
-		t.Error("done postdominates entry: the only exit runs through it")
+	if !c.ReachesWithout(header, header, nodeHasProbe("done")) {
+		t.Error("the goto back edge re-enters the header without passing done")
 	}
-	if !c.DominatesExit(header) {
-		t.Error("the goto target dominates exit")
-	}
-	if !c.MustReachOnAllPaths(entry, PathQuery{Classify: probeMatcher("done")}) {
+	if !c.MustReachOnAllPaths(entry, PathQuery{Satisfied: nodeHasProbe("done")}) {
 		t.Error("every path from entry must reach done")
+	}
+	if !c.MustReachOnAllPaths(nil, PathQuery{Satisfied: nodeHasProbe("header")}) {
+		t.Error("every path from function entry passes the goto target")
 	}
 }
 
@@ -112,19 +108,16 @@ func TestCFGLabeledBreak(t *testing.T) {
 	hit := probeCall(t, fn, "hit")
 	after := probeCall(t, fn, "after")
 
-	if !c.PostDominates(after, start) {
-		t.Error("after postdominates start: both loop exit and break outer land there")
+	if !c.MustReachOnAllPaths(start, PathQuery{Satisfied: nodeHasProbe("after")}) {
+		t.Error("every exit path passes after: both loop exit and break outer land there")
 	}
-	if c.Dominates(hit, after) {
-		t.Error("hit must not dominate after (the normal loop exit bypasses it)")
+	if !c.ReachesWithout(start, after, nodeHasProbe("hit")) {
+		t.Error("the normal loop exit reaches after around hit")
 	}
-	if !c.Dominates(start, hit) {
-		t.Error("start dominates the break site")
+	if !c.ReachesWithout(hit, after, nodeHasProbe("inner")) {
+		t.Error("break outer leaves both loops: hit reaches after without another inner iteration")
 	}
-	if !c.MustReachOnAllPaths(start, PathQuery{Classify: probeMatcher("after")}) {
-		t.Error("every exit path passes after")
-	}
-	if c.MustReachOnAllPaths(start, PathQuery{Classify: probeMatcher("hit")}) {
+	if c.MustReachOnAllPaths(start, PathQuery{Satisfied: nodeHasProbe("hit")}) {
 		t.Error("hit is not on every path")
 	}
 }
@@ -138,19 +131,16 @@ func TestCFGSelect(t *testing.T) {
 	dcase := probeCall(t, fn, "dcase")
 	joined := probeCall(t, fn, "joined")
 
-	if !c.Dominates(before, recv) || !c.Dominates(before, dcase) {
-		t.Error("the select head dominates both comm clauses")
+	if !c.ReachesWithout(before, recv, nodeHasProbe("dcase")) || !c.ReachesWithout(before, dcase, nodeHasProbe("recv")) {
+		t.Error("the select head branches to each comm clause independently")
 	}
-	if c.Dominates(recv, joined) {
-		t.Error("the early-return clause must not dominate the join")
-	}
-	if !c.Dominates(dcase, joined) {
+	if c.ReachesWithout(before, joined, nodeHasProbe("dcase")) {
 		t.Error("with recv returning early, dcase is the only way into the join")
 	}
-	if c.PostDominates(joined, before) {
-		t.Error("joined must not postdominate before: the recv clause returns early")
+	if c.ReachesWithout(recv, joined, func(ast.Node) bool { return false }) {
+		t.Error("the early-return clause must not reach the join")
 	}
-	if c.MustReachOnAllPaths(before, PathQuery{Classify: probeMatcher("joined")}) {
+	if c.MustReachOnAllPaths(before, PathQuery{Satisfied: nodeHasProbe("joined")}) {
 		t.Error("the early-return clause bypasses joined")
 	}
 }
@@ -162,16 +152,18 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 	sw := probeCall(t, fn, "sw")
 	one := probeCall(t, fn, "one")
 	two := probeCall(t, fn, "two")
-	end := probeCall(t, fn, "end")
 
-	if !c.PostDominates(end, sw) {
-		t.Error("end postdominates the switch head (default present)")
+	if !c.MustReachOnAllPaths(sw, PathQuery{Satisfied: nodeHasProbe("end")}) {
+		t.Error("every arm of the switch (default present) lands on end")
 	}
-	if c.Dominates(one, two) {
-		t.Error("case 2 is reachable directly, one must not dominate two")
+	if !c.ReachesWithout(sw, two, nodeHasProbe("one")) {
+		t.Error("case 2 is reachable directly, around one")
 	}
-	if !c.MustReachOnAllPaths(one, PathQuery{Classify: probeMatcher("two")}) {
+	if !c.MustReachOnAllPaths(one, PathQuery{Satisfied: nodeHasProbe("two")}) {
 		t.Error("fallthrough forces every path from one through two")
+	}
+	if c.MustReachOnAllPaths(sw, PathQuery{Satisfied: nodeHasProbe("two")}) {
+		t.Error("the default arm bypasses two")
 	}
 }
 
@@ -180,13 +172,9 @@ func TestCFGNoreturnExemptsPath(t *testing.T) {
 	fn := fixtureFunc(t, pkg, "panicPath")
 	c := BuildCFG(pkg.Info, fn.Body)
 	p0 := probeCall(t, fn, "p0")
-	p1 := probeCall(t, fn, "p1")
 
-	if !c.MustReachOnAllPaths(p0, PathQuery{Classify: probeMatcher("p1")}) {
+	if !c.MustReachOnAllPaths(p0, PathQuery{Satisfied: nodeHasProbe("p1")}) {
 		t.Error("the panic arm is exempt, the surviving path reaches p1")
-	}
-	if c.DominatesExit(p1) {
-		t.Error("p1 does not dominate exit: the panic arm also exits")
 	}
 }
 
@@ -196,7 +184,7 @@ func TestCFGDeferSatisfiesPath(t *testing.T) {
 	c := BuildCFG(pkg.Info, fn.Body)
 	d0 := probeCall(t, fn, "d0")
 
-	if !c.MustReachOnAllPaths(d0, PathQuery{Classify: probeMatcher("cleanup")}) {
+	if !c.MustReachOnAllPaths(d0, PathQuery{Satisfied: nodeHasProbe("cleanup")}) {
 		t.Error("a defer satisfies every path from its registration point")
 	}
 }
@@ -217,20 +205,17 @@ func TestCFGErrGuardPruning(t *testing.T) {
 		t.Fatal("no 2-LHS acquisition in guardShape")
 	}
 	errObj := pkg.Info.ObjectOf(acq.Lhs[1].(*ast.Ident))
-	closeMatch := func(n ast.Node) PathVerdict {
-		if nodeContainsCall(n, func(call *ast.CallExpr) bool {
+	closeMatch := func(n ast.Node) bool {
+		return nodeContainsCall(n, func(call *ast.CallExpr) bool {
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			return ok && sel.Sel.Name == "close"
-		}) {
-			return PathSatisfied
-		}
-		return PathContinue
+		})
 	}
-	if c.MustReachOnAllPaths(acq, PathQuery{Classify: closeMatch}) {
+	if c.MustReachOnAllPaths(acq, PathQuery{Satisfied: closeMatch}) {
 		t.Error("without pruning, the err-return arm skips close")
 	}
 	if !c.MustReachOnAllPaths(acq, PathQuery{
-		Classify:  closeMatch,
+		Satisfied: closeMatch,
 		PruneEdge: errGuardPruner(pkg.Info, errObj),
 	}) {
 		t.Error("with the err != nil arm pruned, all surviving paths close")

@@ -1,14 +1,16 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// CloseCheck enforces resource-release discipline on the CFG (DESIGN
-// §15): every acquired closer — files, tickers, timers, listeners,
-// HTTP response bodies — is released on every path from acquisition
+// CloseCheck enforces resource-release discipline as a row of the
+// obligation table (obligation.go, DESIGN §15): every acquired closer
+// — files, tickers, timers, listeners, HTTP response bodies — is
+// released on every path from acquisition
 // to function exit, or ownership-transferred (stored in a struct,
 // returned, passed to a callee, captured by a closure). The
 // error-return arm of the acquisition's own `if err != nil` guard is
@@ -28,7 +30,7 @@ var CloseCheck = &Analyzer{
 		"internal/resultshard", "internal/loadgen",
 	},
 	EmitsFixes: true,
-	Run:        runCloseCheck,
+	Run:        obligationRule(closeCheckRule).run,
 }
 
 // closerKind describes what kind of resource an acquisition returns
@@ -42,37 +44,22 @@ const (
 	closerBody                     // .Body.Close()
 )
 
-func (k closerKind) release() string {
-	switch k {
-	case closerTicker, closerTimer:
-		return "Stop"
-	default:
-		return "Close"
-	}
+// closerKinds spells each kind for the diagnostics and the fix: the
+// release method, the resource noun, and the release verb's stem.
+var closerKinds = [...]struct{ release, what, verb string }{
+	closerFile:   {"Close", "closer", "close"},
+	closerTicker: {"Stop", "ticker", "stop"},
+	closerTimer:  {"Stop", "timer", "stop"},
+	closerBody:   {"Close", "response body", "close"},
 }
 
-func (k closerKind) what() string {
-	switch k {
-	case closerTicker:
-		return "ticker"
-	case closerTimer:
-		return "timer"
-	case closerBody:
-		return "response body"
-	default:
-		return "closer"
-	}
-}
+func (k closerKind) release() string { return closerKinds[k].release }
 
 // closerAcquisition classifies a call as a resource acquisition.
 // hasErr reports whether the call's second result is the error paired
 // with the resource.
 func closerAcquisition(info *types.Info, call *ast.CallExpr) (kind closerKind, hasErr, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return 0, false, false
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return 0, false, false
 	}
@@ -103,78 +90,57 @@ func closerAcquisition(info *types.Info, call *ast.CallExpr) (kind closerKind, h
 	return 0, false, false
 }
 
-func runCloseCheck(pass *Pass) {
-	for _, file := range pass.Files() {
-		forEachFuncBody(file, func(body *ast.BlockStmt) {
-			checkClosers(pass, body)
-		})
-	}
-}
-
-func checkClosers(pass *Pass, body *ast.BlockStmt) {
+// closeCheckRule is closecheck's row of the obligation table: an
+// acquisition assigned to a named variable owes that kind's release,
+// or an ownership transfer; the error-return arm of its own `if err !=
+// nil` guard is pruned, and with a paired error the offered defer goes
+// after that guard.
+func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 	info := pass.TypesInfo()
-	var c *CFG
-	ownFuncNodes(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		kind, hasErr, ok := closerAcquisition(info, call)
-		if !ok {
-			return true
-		}
-		if hasErr && len(as.Lhs) != 2 || !hasErr && len(as.Lhs) != 1 {
-			return true
-		}
-		resIdent, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || resIdent.Name == "_" {
-			return true // discarded acquisitions are another analyzer's business
-		}
-		resObj := info.ObjectOf(resIdent)
-		if resObj == nil {
-			return true
-		}
-		var errObj types.Object
-		if hasErr {
-			if errIdent, isIdent := as.Lhs[1].(*ast.Ident); isIdent && errIdent.Name != "_" {
-				errObj = info.ObjectOf(errIdent)
-			}
-		}
-		if c == nil {
-			c = BuildCFG(info, body)
-		}
-		q := PathQuery{
-			Classify: func(cn ast.Node) PathVerdict {
-				if nodeReleasesCloser(cn, info, resObj, kind) {
-					return PathSatisfied
-				}
-				if nodeTransfersObj(cn, info, resObj) {
-					return PathSatisfied // ownership handed off
-				}
-				return PathContinue
-			},
-			PruneEdge: errGuardPruner(info, errObj),
-		}
-		if c.MustReachOnAllPaths(as, q) {
-			return true
-		}
-		fixes := closerFix(pass, body, as, resIdent.Name, kind, hasErr, errObj, info)
-		pass.ReportFix(as.Pos(), fixes,
-			"%s %s is not %sped on every path to return; defer %s.%s() (or transfer ownership) so no exit leaks it",
-			kind.what(), resIdent.Name, releaseVerb(kind), resIdent.Name, kind.release())
-		return true
-	})
-}
-
-func releaseVerb(k closerKind) string {
-	if k == closerTicker || k == closerTimer {
-		return "stop"
+	as, ok := stmt.(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 {
+		return nil
 	}
-	return "close"
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	kind, hasErr, ok := closerAcquisition(info, call)
+	if !ok {
+		return nil
+	}
+	if hasErr && len(as.Lhs) != 2 || !hasErr && len(as.Lhs) != 1 {
+		return nil
+	}
+	res, ok := as.Lhs[0].(*ast.Ident)
+	if !ok || res.Name == "_" {
+		return nil // discarded acquisitions are another analyzer's business
+	}
+	resObj := info.ObjectOf(res)
+	if resObj == nil {
+		return nil
+	}
+	o := &obligation{
+		discharged: func(n ast.Node) bool {
+			return nodeReleasesCloser(n, info, resObj, kind) || nodeTransfersObj(n, info, resObj)
+		},
+		message: fmt.Sprintf("%s %s is not %sped on every path to return; defer %s.%s() (or transfer ownership) so no exit leaks it",
+			closerKinds[kind].what, res.Name, closerKinds[kind].verb, res.Name, kind.release()),
+		fixMessage: "defer the release immediately after the acquisition",
+		fixText:    "defer " + res.Name + "." + kind.release() + "()",
+		afterGuard: hasErr,
+	}
+	if kind == closerBody {
+		o.fixText = "defer " + res.Name + ".Body.Close()"
+	}
+	if hasErr {
+		o.fixMessage = "defer the release after the error guard"
+		if errIdent, isIdent := as.Lhs[1].(*ast.Ident); isIdent && errIdent.Name != "_" {
+			o.guardErr = info.ObjectOf(errIdent)
+			o.prune = errGuardPruner(info, o.guardErr)
+		}
+	}
+	return o
 }
 
 // nodeReleasesCloser matches the release action for one resource
@@ -212,149 +178,6 @@ func nodeReleasesCloser(n ast.Node, info *types.Info, obj types.Object, kind clo
 			sel, ok := un.X.(*ast.SelectorExpr)
 			return ok && sel.Sel.Name == "C" && objIs(sel.X)
 		})
-	}
-	return false
-}
-
-// closerFix builds the `defer res.Close()`/`defer res.Stop()` repair
-// when it is unambiguous: the acquisition is a direct statement of a
-// block, and either it has no paired error (tickers, timers) or the
-// statement right after it is the `if err != nil { … return }` guard
-// — the defer goes after the guard so a nil resource is never
-// deferred on.
-func closerFix(pass *Pass, body *ast.BlockStmt, as *ast.AssignStmt, name string, kind closerKind, hasErr bool, errObj types.Object, info *types.Info) []Fix {
-	blk, idx := stmtContext(body, as)
-	if blk == nil {
-		return nil
-	}
-	text := "\ndefer " + name + "." + kind.release() + "()"
-	if kind == closerBody {
-		text = "\ndefer " + name + ".Body.Close()"
-	}
-	msg := "defer the release immediately after the acquisition"
-	if !hasErr {
-		return []Fix{{Message: msg, Edits: []TextEdit{pass.editReplace(as.End(), as.End(), text)}}}
-	}
-	// With a paired error the defer must follow the guard.
-	if errObj == nil || idx+1 >= len(blk.List) {
-		return nil
-	}
-	guard, ok := blk.List[idx+1].(*ast.IfStmt)
-	if !ok || guard.Init != nil || guard.Else != nil || len(guard.Body.List) == 0 {
-		return nil
-	}
-	if op, okNil := isNilCheck(info, guard.Cond, errObj); !okNil || op != token.NEQ {
-		return nil
-	}
-	if _, returns := guard.Body.List[len(guard.Body.List)-1].(*ast.ReturnStmt); !returns {
-		return nil
-	}
-	return []Fix{{
-		Message: "defer the release after the error guard",
-		Edits:   []TextEdit{pass.editReplace(guard.End(), guard.End(), text)},
-	}}
-}
-
-// nodeTransfersObj reports whether the CFG node hands ownership of
-// obj to someone else: obj (or obj.Body) passed as a call argument,
-// returned, stored via assignment, sent on a channel, placed in a
-// composite literal, address-taken, or captured by a function
-// literal/go statement. Reads like `f.Name()` or `res == nil` are
-// uses, not transfers.
-func nodeTransfersObj(n ast.Node, info *types.Info, obj types.Object) bool {
-	transferred := false
-	var stack []ast.Node
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if transferred {
-			return false
-		}
-		// A closure or spawned goroutine that mentions obj captures
-		// it; assume the capture takes responsibility.
-		switch m.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			if usesObj(m, info, obj) {
-				transferred = true
-			}
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			if identTransfers(stack, id) {
-				transferred = true
-			}
-		}
-		stack = append(stack, m)
-		return true
-	})
-	return transferred
-}
-
-func usesObj(n ast.Node, info *types.Info, obj types.Object) bool {
-	used := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
-// identTransfers decides whether this occurrence of the object's
-// identifier moves ownership, given the ancestor stack (outermost
-// first, not including id itself).
-func identTransfers(stack []ast.Node, id *ast.Ident) bool {
-	// For `res.Body` the position of the *selector* decides — the
-	// Body field carries the closer, so passing or returning it moves
-	// ownership. Any other selector is a read (`resp.StatusCode`) or
-	// a method call (`f.Close()`), never a transfer.
-	top := ast.Node(id)
-	i := len(stack) - 1
-	for ; i >= 0; i-- {
-		sel, ok := stack[i].(*ast.SelectorExpr)
-		if !ok || sel.X != top {
-			break
-		}
-		if sel.Sel.Name != "Body" {
-			return false
-		}
-		top = sel
-	}
-	if i < 0 {
-		return false
-	}
-	switch parent := stack[i].(type) {
-	case *ast.CallExpr:
-		if parent.Fun == top {
-			return false // method call on the resource
-		}
-		return true // resource passed as argument
-	case *ast.ReturnStmt:
-		return true
-	case *ast.AssignStmt:
-		for _, l := range parent.Lhs {
-			if l == top {
-				return false // reassignment target, not a move of this value
-			}
-		}
-		// obj on the RHS: a store, unless every target is blank.
-		for _, l := range parent.Lhs {
-			if lid, ok := l.(*ast.Ident); !ok || lid.Name != "_" {
-				return true
-			}
-		}
-		return false
-	case *ast.CompositeLit, *ast.KeyValueExpr:
-		return true
-	case *ast.SendStmt:
-		return parent.Value == top
-	case *ast.UnaryExpr:
-		return parent.Op == token.AND
-	case *ast.ValueSpec:
-		return true // var other = res
 	}
 	return false
 }

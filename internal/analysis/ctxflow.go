@@ -21,7 +21,6 @@ var CtxFlow = &Analyzer{
 }
 
 func runCtxFlow(pass *Pass) {
-	info := pass.TypesInfo()
 	for _, file := range pass.Files() {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -41,7 +40,6 @@ func runCtxFlow(pass *Pass) {
 			}
 		}
 	}
-	_ = info
 }
 
 // reportFreshContexts flags every context.Background()/context.TODO()
@@ -94,13 +92,8 @@ func ctxParamName(pass *Pass, fn *ast.FuncDecl) string {
 
 // contextPackageFunc resolves a call to a function of package context.
 func contextPackageFunc(pass *Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	obj := pass.TypesInfo().Uses[sel.Sel]
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
+	fn := calleeFunc(pass.TypesInfo(), call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return "", false
 	}
 	return fn.Name(), true

@@ -5,9 +5,10 @@ import (
 	"go/types"
 )
 
-// CtxLeak enforces cancel-function discipline on the CFG (DESIGN
-// §15): every `ctx, cancel := context.WithCancel/WithTimeout/
-// WithDeadline(…)` must invoke cancel on every path from the
+// CtxLeak enforces cancel-function discipline as a row of the
+// obligation table (obligation.go, DESIGN §15): every `ctx, cancel :=
+// context.WithCancel/WithTimeout/WithDeadline(…)` must invoke cancel
+// on every path from the
 // acquisition to function exit — `defer cancel()` (the house style)
 // satisfies immediately, an explicit call or handing the cancel func
 // off (returned, stored, passed along) satisfies the path it is on.
@@ -26,57 +27,13 @@ var CtxLeak = &Analyzer{
 		"cmd/benchpark", "cmd/benchlint",
 	},
 	EmitsFixes: true,
-	Run:        runCtxLeak,
-}
-
-func runCtxLeak(pass *Pass) {
-	for _, file := range pass.Files() {
-		forEachFuncBody(file, func(body *ast.BlockStmt) {
-			checkCtxLeaks(pass, body)
-		})
-	}
-}
-
-// forEachFuncBody invokes fn once per function body in the file:
-// every FuncDecl and every function literal. Literals are their own
-// functions with their own CFGs; scans inside one body must skip
-// nested literals (ownFuncNodes does).
-func forEachFuncBody(file *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				fn(n.Body)
-			}
-		case *ast.FuncLit:
-			fn(n.Body)
-		}
-		return true
-	})
-}
-
-// ownFuncNodes walks the nodes of one function body without
-// descending into nested function literals.
-func ownFuncNodes(body *ast.BlockStmt, visit func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n == nil {
-			return true
-		}
-		return visit(n)
-	})
+	Run:        obligationRule(ctxLeakRule).run,
 }
 
 // contextCancelCall matches context.WithCancel/WithTimeout/
 // WithDeadline, returning the constructor's name.
 func contextCancelCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return "", false
 	}
@@ -87,62 +44,42 @@ func contextCancelCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-func checkCtxLeaks(pass *Pass, body *ast.BlockStmt) {
-	var c *CFG // built lazily: most functions make no contexts
-	ownFuncNodes(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		ctor, ok := contextCancelCall(pass.TypesInfo(), call)
-		if !ok {
-			return true
-		}
-		cancelIdent, ok := as.Lhs[1].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if cancelIdent.Name == "_" {
-			pass.Reportf(as.Pos(),
-				"the cancel function from context.%s is discarded; the context can never be released early — keep it and defer cancel()",
-				ctor)
-			return true
-		}
-		cancelObj := pass.TypesInfo().ObjectOf(cancelIdent)
-		if cancelObj == nil {
-			return true
-		}
-		if c == nil {
-			c = BuildCFG(pass.TypesInfo(), body)
-		}
-		q := PathQuery{Classify: func(cn ast.Node) PathVerdict {
-			if nodeCallsObj(cn, pass.TypesInfo(), cancelObj) {
-				return PathSatisfied
-			}
-			if nodeTransfersObj(cn, pass.TypesInfo(), cancelObj) {
-				return PathSatisfied // ownership handed off
-			}
-			return PathContinue
-		}}
-		if c.MustReachOnAllPaths(as, q) {
-			return true
-		}
-		var fixes []Fix
-		if blk, idx := stmtContext(body, as); blk != nil && idx >= 0 {
-			fixes = []Fix{{
-				Message: "defer " + cancelIdent.Name + "() immediately after context." + ctor,
-				Edits:   []TextEdit{pass.editReplace(as.End(), as.End(), "\ndefer "+cancelIdent.Name+"()")},
-			}}
-		}
-		pass.ReportFix(as.Pos(), fixes,
-			"%s from context.%s is not called on every path to return; defer it immediately after the acquisition (a leaked cancel pins the context's timer and goroutine)",
-			cancelIdent.Name, ctor)
-		return true
-	})
+// ctxLeakRule is ctxleak's row of the obligation table: a `ctx,
+// cancel := context.With…` assignment owes a call of cancel, or its
+// hand-off (returned, stored, passed along).
+func ctxLeakRule(pass *Pass, stmt ast.Stmt) *obligation {
+	info := pass.TypesInfo()
+	as, ok := stmt.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
+		return nil
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	ctor, ok := contextCancelCall(info, call)
+	if !ok {
+		return nil
+	}
+	cancel, ok := as.Lhs[1].(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if cancel.Name == "_" {
+		return &obligation{discarded: "the cancel function from context." + ctor + " is discarded; the context can never be released early — keep it and defer cancel()"}
+	}
+	cancelObj := info.ObjectOf(cancel)
+	if cancelObj == nil {
+		return nil
+	}
+	return &obligation{
+		discharged: func(n ast.Node) bool {
+			return nodeCallsObj(n, info, cancelObj) || nodeTransfersObj(n, info, cancelObj)
+		},
+		message:    cancel.Name + " from context." + ctor + " is not called on every path to return; defer it immediately after the acquisition (a leaked cancel pins the context's timer and goroutine)",
+		fixMessage: "defer " + cancel.Name + "() immediately after context." + ctor,
+		fixText:    "defer " + cancel.Name + "()",
+	}
 }
 
 // nodeCallsObj reports whether the CFG node contains a direct call of
@@ -152,29 +89,4 @@ func nodeCallsObj(n ast.Node, info *types.Info, obj types.Object) bool {
 		id, ok := call.Fun.(*ast.Ident)
 		return ok && info.ObjectOf(id) == obj
 	})
-}
-
-// stmtContext locates stmt as a direct element of some block
-// statement list inside body (not an if-init, not inside a nested
-// function literal), so a `defer …` can be inserted right after it.
-func stmtContext(body *ast.BlockStmt, stmt ast.Stmt) (*ast.BlockStmt, int) {
-	var blk *ast.BlockStmt
-	idx := -1
-	ownFuncNodes(body, func(n ast.Node) bool {
-		if blk != nil {
-			return false
-		}
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range b.List {
-			if s == stmt {
-				blk, idx = b, i
-				return false
-			}
-		}
-		return true
-	})
-	return blk, idx
 }

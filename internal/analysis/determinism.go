@@ -81,7 +81,9 @@ func runDeterminism(pass *Pass) {
 
 // checkMapOrder flags map-range loops whose iteration order leaks
 // into output: a direct write/print/send inside the body, or an
-// append to an outer slice that is never sorted after the loop.
+// append to an outer slice that is never sorted after the loop. It is
+// determinism's sink row over the shared map-range walker
+// (forEachMapRangeSink, maporder.go).
 func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 	// Sort calls anywhere in the function clear appends they cover.
 	type sortCall struct {
@@ -94,65 +96,39 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		selFun, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		fn, ok := pass.TypesInfo().Uses[selFun.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
+		fn := calleeFunc(pass.TypesInfo(), call)
+		if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
 			return true
 		}
 		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
 			return true
 		}
-		if id, ok := call.Args[0].(*ast.Ident); ok {
+		if id, ok := call.Args[0].(*ast.Ident); ok && pass.TypesInfo().Uses[id] != nil {
 			sorts = append(sorts, sortCall{pos: call.Pos(), arg: pass.TypesInfo().Uses[id]})
 		}
 		return true
 	})
 
-	ast.Inspect(body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := pass.TypesInfo().TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rng.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SendStmt:
-				pass.Reportf(rng.For,
-					"map iteration order reaches a channel send; iterate sorted keys instead")
-				return false
-			case *ast.CallExpr:
-				if sink := outputSink(pass, n); sink != "" {
-					pass.Reportf(rng.For,
-						"map iteration order reaches %s; iterate sorted keys instead", sink)
-					return false
-				}
-				if target, ok := appendTarget(pass, n); ok {
-					sorted := false
-					for _, s := range sorts {
-						if s.arg != nil && s.arg == target && s.pos > rng.End() {
-							sorted = true
-							break
-						}
-					}
-					if !sorted {
-						pass.Reportf(rng.For,
-							"map iteration appends to %s which is never sorted afterwards; sort it (or collect sorted keys first)", target.Name())
-						return false
-					}
-				}
+	forEachMapRangeSink(pass, body, func(rng *ast.RangeStmt, n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			return "map iteration order reaches a channel send; iterate sorted keys instead"
+		case *ast.CallExpr:
+			if sink := outputSink(pass, n); sink != "" {
+				return "map iteration order reaches " + sink + "; iterate sorted keys instead"
 			}
-			return true
-		})
-		return true
+			if target, ok := appendTarget(pass, n); ok {
+				for _, s := range sorts {
+					if s.arg == target && s.pos > rng.End() {
+						return ""
+					}
+				}
+				return "map iteration appends to " + target.Name() + " which is never sorted afterwards; sort it (or collect sorted keys first)"
+			}
+		}
+		return ""
+	}, func(rng *ast.RangeStmt, _ *types.Map, finding string) {
+		pass.Reportf(rng.For, "%s", finding)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -107,10 +108,25 @@ type FuncFact struct {
 	Edges []LockEdge `json:"edges,omitempty"`
 }
 
+// reads lists the purity-lattice fields in impureBits order: entry i
+// is the field for bit 1<<i.
+func (f *FuncFact) reads() []*bool {
+	return []*bool{&f.ReadsTime, &f.ReadsRand, &f.ReadsEnv, &f.ReadsFS, &f.ReadsGlobal}
+}
+
+// flags lists every boolean fact — all transitive, so this is what the
+// fixpoint ORs from callee into caller.
+func (f *FuncFact) flags() []*bool {
+	return append([]*bool{&f.Syncs, &f.Writes, &f.CtxBound, &f.CallsDone, &f.BareSend}, f.reads()...)
+}
+
 func (f *FuncFact) empty() bool {
-	return !f.Syncs && !f.Writes && !f.CtxBound && !f.CallsDone && !f.BareSend &&
-		!f.ReadsTime && !f.ReadsRand && !f.ReadsEnv && !f.ReadsFS && !f.ReadsGlobal &&
-		len(f.Acquires) == 0 && len(f.Edges) == 0
+	for _, p := range f.flags() {
+		if *p {
+			return false
+		}
+	}
+	return len(f.Acquires) == 0 && len(f.Edges) == 0
 }
 
 // ambient returns the purity-lattice bits as a bitmask (see the
@@ -120,20 +136,10 @@ func (f *FuncFact) ambient() impureBits {
 		return 0
 	}
 	var b impureBits
-	if f.ReadsTime {
-		b |= impureTime
-	}
-	if f.ReadsRand {
-		b |= impureRand
-	}
-	if f.ReadsEnv {
-		b |= impureEnv
-	}
-	if f.ReadsFS {
-		b |= impureFS
-	}
-	if f.ReadsGlobal {
-		b |= impureGlobal
+	for i, p := range f.reads() {
+		if *p {
+			b |= 1 << i
+		}
 	}
 	return b
 }
@@ -200,87 +206,12 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// ComputeFacts computes facts for every package, in import order, so
-// each package sees its module dependencies' facts. The returned map
-// is keyed by import path.
-func ComputeFacts(pkgs []*Package, modPath, modRoot string) map[string]*PackageFacts {
-	facts := make(map[string]*PackageFacts, len(pkgs))
-	for _, pkg := range topoPackages(pkgs) {
-		facts[pkg.ImportPath] = computePackageFacts(pkg, modPath, modRoot, facts)
-	}
-	return facts
-}
-
-// topoPackages orders packages so every package follows its
-// in-module dependencies. Go's import graph is acyclic; if Imports
-// data is missing the input order is preserved.
-func topoPackages(pkgs []*Package) []*Package {
-	byPath := map[string]*Package{}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-		paths = append(paths, p.ImportPath)
-	}
-	order := topoOrder(paths, func(path string) []string { return byPath[path].Imports })
-	if order == nil {
-		return pkgs // cycle or missing data; fall back to input order
-	}
-	out := make([]*Package, len(order))
-	for i, path := range order {
-		out[i] = byPath[path]
-	}
-	return out
-}
-
-// topoOrder sorts paths so every path follows the subset of its
-// imports that are themselves in paths (Kahn's algorithm with a
-// sorted ready set, for determinism). Returns nil on a cycle.
-func topoOrder(paths []string, imports func(string) []string) []string {
-	in := map[string]bool{}
-	for _, p := range paths {
-		in[p] = true
-	}
-	indeg := map[string]int{}
-	dependents := map[string][]string{}
-	for _, p := range paths {
-		indeg[p] += 0
-		for _, imp := range imports(p) {
-			if !in[imp] || imp == p {
-				continue
-			}
-			indeg[p]++
-			dependents[imp] = append(dependents[imp], p)
-		}
-	}
-	ready := []string{}
-	for _, path := range sortedKeys(indeg) {
-		if indeg[path] == 0 {
-			ready = append(ready, path)
-		}
-	}
-	var order []string
-	for len(ready) > 0 {
-		sort.Strings(ready)
-		path := ready[0]
-		ready = ready[1:]
-		order = append(order, path)
-		for _, dep := range dependents[path] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-	}
-	if len(order) != len(paths) {
-		return nil
-	}
-	return order
-}
-
 // moduleDeps computes each path's transitive dependency closure,
 // restricted to the given path set, sorted. Interprocedural analyzers
 // see exactly this closure's facts, which is what makes cache keys
-// (own files + closure fact hashes) sound.
+// (own files + closure fact hashes) sound. A package's closure strictly
+// contains each of its dependencies' closures, so ordering paths by
+// closure size (ties by path) is a deterministic import order.
 func moduleDeps(paths []string, imports func(string) []string) map[string][]string {
 	in := map[string]bool{}
 	for _, p := range paths {
@@ -347,7 +278,7 @@ type acqSite struct {
 // package-local call graph propagates the transitive facts (Go
 // packages are acyclic, but functions within one package are not).
 func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]*PackageFacts) *PackageFacts {
-	fieldCaps := bufferedChanFields(pkg)
+	caps := chanCaps(pkg)
 	raws := map[string]*rawFunc{}
 	var order []string
 	for _, file := range pkg.Files {
@@ -360,7 +291,7 @@ func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]
 			if !ok {
 				continue
 			}
-			rf := collectRawFunc(pkg, modPath, fn.Body, fieldCaps)
+			rf := collectRawFunc(pkg, modPath, fn.Body, caps)
 			raws[obj.FullName()] = rf
 			order = append(order, obj.FullName())
 		}
@@ -379,7 +310,7 @@ func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]
 	for _, key := range order {
 		rf := raws[key]
 		for _, a := range rf.acqs {
-			if !containsString(rf.fact.Acquires, a.class) {
+			if !slices.Contains(rf.fact.Acquires, a.class) {
 				rf.fact.Acquires = append(rf.fact.Acquires, a.class)
 			}
 		}
@@ -391,43 +322,19 @@ func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]
 		for _, key := range order {
 			rf := raws[key]
 			f := rf.fact
+			flags := f.flags()
 			for _, c := range rf.calls {
 				cf := lookup(c)
 				if cf == nil {
 					continue
 				}
-				if cf.Syncs && !f.Syncs {
-					f.Syncs, changed = true, true
-				}
-				if cf.Writes && !f.Writes {
-					f.Writes, changed = true, true
-				}
-				if cf.CtxBound && !f.CtxBound {
-					f.CtxBound, changed = true, true
-				}
-				if cf.CallsDone && !f.CallsDone {
-					f.CallsDone, changed = true, true
-				}
-				if cf.BareSend && !f.BareSend {
-					f.BareSend, changed = true, true
-				}
-				if cf.ReadsTime && !f.ReadsTime {
-					f.ReadsTime, changed = true, true
-				}
-				if cf.ReadsRand && !f.ReadsRand {
-					f.ReadsRand, changed = true, true
-				}
-				if cf.ReadsEnv && !f.ReadsEnv {
-					f.ReadsEnv, changed = true, true
-				}
-				if cf.ReadsFS && !f.ReadsFS {
-					f.ReadsFS, changed = true, true
-				}
-				if cf.ReadsGlobal && !f.ReadsGlobal {
-					f.ReadsGlobal, changed = true, true
+				for i, p := range cf.flags() {
+					if *p && !*flags[i] {
+						*flags[i], changed = true, true
+					}
 				}
 				for _, a := range cf.Acquires {
-					if !containsString(f.Acquires, a) {
+					if !slices.Contains(f.Acquires, a) {
 						f.Acquires = append(f.Acquires, a)
 						changed = true
 					}
@@ -496,26 +403,17 @@ func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]
 	return pf
 }
 
-func containsString(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // collectRawFunc gathers one function body's direct facts: calls,
 // lock regions and acquisitions, and the sync/write/channel markers.
 // Function literals are folded in (they run on the same goroutine
 // when invoked inline) except goroutine bodies — a `go func(){…}()`
 // neither syncs nor holds locks on the spawner's behalf; goroleak
 // analyzes those bodies itself.
-func collectRawFunc(pkg *Package, modPath string, body *ast.BlockStmt, fieldCaps map[*types.Var]int) *rawFunc {
+func collectRawFunc(pkg *Package, modPath string, body *ast.BlockStmt, caps map[*types.Var]int) *rawFunc {
 	rf := &rawFunc{fact: &FuncFact{}}
-	scanLockRegions(pkg, body.List, body.End(), rf)
+	scanLockRegions(pkg, body, rf)
 	collectFuncEvents(pkg, modPath, body, rf)
-	rf.fact.BareSend = len(bareSends(pkg, body, body, fieldCaps)) > 0
+	rf.fact.BareSend = len(bareSends(pkg, body, caps)) > 0
 	return rf
 }
 
@@ -552,6 +450,12 @@ func collectFuncEvents(pkg *Package, modPath string, n ast.Node, rf *rawFunc) {
 	})
 }
 
+// moduleLocal reports whether tp is the package under analysis or
+// another package of its module (fixtures have no module: modPath "").
+func moduleLocal(pkg *Package, modPath string, tp *types.Package) bool {
+	return tp == pkg.Types || modPath != "" && (tp.Path() == modPath || strings.HasPrefix(tp.Path(), modPath+"/"))
+}
+
 // isMutableGlobalRead reports whether the identifier uses a
 // package-level mutable variable of this module — ambient state a
 // cache key cannot capture. Error sentinels (write-once by
@@ -562,11 +466,7 @@ func isMutableGlobalRead(pkg *Package, modPath string, id *ast.Ident) bool {
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return false
 	}
-	if v.Pkg() != pkg.Types && modPath != "" &&
-		v.Pkg().Path() != modPath && !strings.HasPrefix(v.Pkg().Path(), modPath+"/") {
-		return false
-	}
-	if v.Pkg() != pkg.Types && modPath == "" {
+	if !moduleLocal(pkg, modPath, v.Pkg()) {
 		return false
 	}
 	t := deref(v.Type())
@@ -585,32 +485,37 @@ func isMutableGlobalRead(pkg *Package, modPath string, id *ast.Ident) bool {
 	return true
 }
 
-// classifyCall records one call expression's contribution: a direct
-// sync/write marker, a WaitGroup.Done, or a statically-resolved
-// module call for the fixpoint.
-func classifyCall(pkg *Package, modPath string, call *ast.CallExpr, rf *rawFunc) {
-	var fn *types.Func
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		fn, _ = pkg.Info.Uses[fun].(*types.Func)
-	}
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
+// fileEffect classifies a direct standard-library call as writing
+// bytes to an *os.File/io.Writer or fsyncing a file: the ground truth
+// behind the Writes and Syncs facts, shared with walack.
+func fileEffect(fn *types.Func) (writes, syncs bool) {
 	switch fn.Pkg().Path() {
 	case "os":
 		switch fn.Name() {
 		case "Sync":
-			rf.fact.Syncs = true
+			return false, true
 		case "Write", "WriteString", "WriteAt":
-			rf.fact.Writes = true
+			return true, false
 		}
 	case "io":
-		if fn.Name() == "Write" || fn.Name() == "WriteString" {
-			rf.fact.Writes = true
-		}
+		return fn.Name() == "Write" || fn.Name() == "WriteString", false
+	}
+	return false, false
+}
+
+// classifyCall records one call expression's contribution: a direct
+// sync/write marker, a WaitGroup.Done, or a statically-resolved
+// module call for the fixpoint.
+func classifyCall(pkg *Package, modPath string, call *ast.CallExpr, rf *rawFunc) {
+	fn := calleeFunc(pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return
+	}
+	writes, syncs := fileEffect(fn)
+	rf.fact.Writes = rf.fact.Writes || writes
+	rf.fact.Syncs = rf.fact.Syncs || syncs
+	switch fn.Pkg().Path() {
+	case "io":
 		return
 	case "sync":
 		if fn.Name() == "Done" {
@@ -619,114 +524,62 @@ func classifyCall(pkg *Package, modPath string, call *ast.CallExpr, rf *rawFunc)
 		return
 	}
 	if bits := ambientCallBits(fn); bits != 0 {
-		if bits&impureTime != 0 {
-			rf.fact.ReadsTime = true
-		}
-		if bits&impureRand != 0 {
-			rf.fact.ReadsRand = true
-		}
-		if bits&impureEnv != 0 {
-			rf.fact.ReadsEnv = true
-		}
-		if bits&impureFS != 0 {
-			rf.fact.ReadsFS = true
+		for i, p := range rf.fact.reads() {
+			if bits&(1<<i) != 0 {
+				*p = true
+			}
 		}
 		return
 	}
 	if fn.Pkg().Path() == "os" {
 		return
 	}
-	if fn.Pkg() == pkg.Types || fn.Pkg().Path() == modPath ||
-		strings.HasPrefix(fn.Pkg().Path(), modPath+"/") {
+	if moduleLocal(pkg, modPath, fn.Pkg()) {
 		rf.calls = append(rf.calls, callRef{pkg: fn.Pkg().Path(), key: fn.FullName(), pos: call.Pos()})
 	}
 }
 
 // scanLockRegions finds every Lock/RLock with a resolvable lock class
-// in a statement list and records the region it is held over: up to
-// the straight-line unlock, or to listEnd for deferred (or missing)
-// unlocks. Nested blocks are scanned recursively; function literals
-// are skipped (their locks are their own).
-func scanLockRegions(pkg *Package, stmts []ast.Stmt, listEnd token.Pos, rf *rawFunc) {
-	for i, stmt := range stmts {
-		switch s := stmt.(type) {
+// in the body's statement lists (blocks and case/comm clause bodies)
+// and records the region it is held over: up to the straight-line
+// unlock in the same list, or to the end of that list for deferred (or
+// missing) unlocks. Function literals are skipped (their locks are
+// their own). The class is the owning named type plus field name
+// (`pkg.Type.field`), or the package path plus variable name for
+// package-level locks; locals have no class — their ordering is
+// instance-specific, which a class graph cannot judge.
+func scanLockRegions(pkg *Package, body *ast.BlockStmt, rf *rawFunc) {
+	ownFuncNodes(body, func(n ast.Node) bool {
+		var stmts []ast.Stmt
+		switch n := n.(type) {
 		case *ast.BlockStmt:
-			scanLockRegions(pkg, s.List, s.End(), rf)
-		case *ast.IfStmt:
-			scanLockRegions(pkg, s.Body.List, s.Body.End(), rf)
-			if blk, ok := s.Else.(*ast.BlockStmt); ok {
-				scanLockRegions(pkg, blk.List, blk.End(), rf)
+			stmts = n.List
+		case *ast.CaseClause:
+			stmts = n.Body
+		case *ast.CommClause:
+			stmts = n.Body
+		}
+		for i, stmt := range stmts {
+			recv, method := syncLockStmt(pkg.Info, stmt)
+			if method != "Lock" && method != "RLock" {
+				continue
 			}
-		case *ast.ForStmt:
-			scanLockRegions(pkg, s.Body.List, s.Body.End(), rf)
-		case *ast.RangeStmt:
-			scanLockRegions(pkg, s.Body.List, s.Body.End(), rf)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockRegions(pkg, cc.Body, cc.End(), rf)
+			class := lockClass(pkg, recv)
+			if class == "" {
+				continue
+			}
+			rf.acqs = append(rf.acqs, acqSite{class: class, pos: stmt.Pos()})
+			end := n.End()
+			for _, next := range stmts[i+1:] {
+				if r2, m2 := syncLockStmt(pkg.Info, next); m2 == unlockFor(method) && types.ExprString(r2) == types.ExprString(recv) {
+					end = next.Pos()
+					break
 				}
 			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockRegions(pkg, cc.Body, cc.End(), rf)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanLockRegions(pkg, cc.Body, cc.End(), rf)
-				}
-			}
+			rf.regions = append(rf.regions, lockRegion{class: class, start: stmt.End(), end: end})
 		}
-
-		class, method, recv := lockClassCall(pkg, stmt)
-		if class == "" || (method != "Lock" && method != "RLock") {
-			continue
-		}
-		rf.acqs = append(rf.acqs, acqSite{class: class, pos: stmt.Pos()})
-		unlock := unlockFor(method)
-		end := listEnd
-		for _, next := range stmts[i+1:] {
-			if c2, m2, r2 := lockClassCall(pkg, next); c2 == class && m2 == unlock && r2 == recv {
-				end = next.Pos()
-				break
-			}
-		}
-		rf.regions = append(rf.regions, lockRegion{class: class, start: stmt.End(), end: end})
-	}
-}
-
-// lockClassCall matches an ExprStmt calling a sync.Mutex/RWMutex
-// Lock/RLock/Unlock/RUnlock and resolves the lock's class: the owning
-// named type plus field name (`pkg.Type.field`), or the package path
-// plus variable name for package-level locks. Locals have no class —
-// their ordering is instance-specific, which a class graph cannot
-// judge.
-func lockClassCall(pkg *Package, stmt ast.Stmt) (class, method, recv string) {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return "", "", ""
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return "", "", ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", ""
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", ""
-	}
-	return lockClass(pkg, sel.X), sel.Sel.Name, types.ExprString(sel.X)
+		return true
+	})
 }
 
 // lockClass names the lock class of the expression the Lock method is

@@ -36,8 +36,7 @@ func TestFactsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	abs, _ := filepath.Abs(filepath.Join("testdata", "walack"))
-	facts := ComputeFacts([]*Package{pkg}, "", abs)
-	pf := facts[pkg.ImportPath]
+	pf := computePackageFacts(pkg, "", abs, nil)
 	if len(pf.Funcs) == 0 {
 		t.Fatal("walack fixture produced no facts; Writes/Syncs collection is broken")
 	}

@@ -11,9 +11,11 @@ import (
 )
 
 // runOnDir loads one testdata fixture package and runs a single
-// analyzer over it with scope filtering bypassed (fixtures live under
-// testdata/, not in the analyzer's production scope). File names in
-// the returned findings are relative to the fixture directory.
+// analyzer over it through the production per-package path
+// (computePackageFacts + runPackage), with scope filtering bypassed
+// (fixtures live under testdata/, not in the analyzer's production
+// scope). File names in the returned findings are relative to the
+// fixture directory.
 func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
 	var l Loader
@@ -22,24 +24,11 @@ func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
 	abs, _ := filepath.Abs(dir)
-	facts := ComputeFacts([]*Package{pkg}, "", abs)
-	pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts[pkg.ImportPath], AllFacts: facts}
-	a.Run(pass)
-	var out []Finding
-	for _, f := range pass.findings {
-		if d, ok := suppressedBy(pkg, f); ok {
-			f.Suppressed = true
-			f.Reason = d.Reason
-		}
-		f.File = relPath(abs, f.File)
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
+	pf := computePackageFacts(pkg, "", abs, nil)
+	unscoped := *a
+	unscoped.Scope = nil
+	out := runPackage(pkg, []*Analyzer{&unscoped}, "", abs, pf, map[string]*PackageFacts{pkg.ImportPath: pf})
+	SortFindings(out)
 	return out
 }
 
@@ -151,10 +140,11 @@ func TestExactPositions(t *testing.T) {
 			"bad.go:19:29: ctxflow",
 		}},
 		{Locks, []string{
-			"bad.go:12:7: locks",
 			"bad.go:17:2: locks",
 			"bad.go:27:2: locks",
-			"bad.go:32:9: locks",
+			"bad.go:39:2: locks",
+			"bad.go:51:2: locks",
+			"bad.go:64:2: locks",
 		}},
 	}
 	for _, c := range cases {
@@ -172,28 +162,23 @@ func TestExactPositions(t *testing.T) {
 	}
 }
 
-// TestLoadModule exercises the concurrent loader end to end over the
-// real module: every package parses, type-checks, and carries type
-// information.
-func TestLoadModule(t *testing.T) {
-	var l Loader
-	mod, pkgs, err := l.LoadModule("../..")
+// TestRunModuleLoadsWholeModule exercises the loader end to end over
+// the real module through RunModule, the only way production loads
+// one: every package parses and type-checks (any failure is
+// RunModule's error), and with no cache each is loaded cold.
+func TestRunModuleLoadsWholeModule(t *testing.T) {
+	res, err := RunModule(RunOptions{Dir: "../.."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mod.Path != "repro" {
-		t.Fatalf("module path = %q, want repro", mod.Path)
+	if res.Module.Path != "repro" {
+		t.Fatalf("module path = %q, want repro", res.Module.Path)
 	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded %d packages, expected the full module", len(pkgs))
+	if len(res.Packages) < 20 {
+		t.Fatalf("loaded %d packages, expected the full module", len(res.Packages))
 	}
-	for _, p := range pkgs {
-		if p.Types == nil || p.Info == nil {
-			t.Errorf("%s: missing type info", p.ImportPath)
-		}
-		if len(p.Files) == 0 {
-			t.Errorf("%s: no parsed files", p.ImportPath)
-		}
+	if res.CacheMisses != len(res.Packages) {
+		t.Errorf("loaded %d of %d packages", res.CacheMisses, len(res.Packages))
 	}
 }
 
@@ -210,7 +195,7 @@ func TestMalformedDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, nil, "fixture", dir)
+	findings := runPackage(pkg, nil, "fixture", dir, nil, nil)
 	if len(findings) != 1 || findings[0].Analyzer != "directive" {
 		t.Fatalf("want one directive finding, got %v", findings)
 	}

@@ -94,12 +94,7 @@ func funcLitBounded(pass *Pass, lit *ast.FuncLit) bool {
 	// ContainsNode guards the vacuous case: a body that never exits
 	// satisfies any all-paths query, but without a real Done call it
 	// is not joined.
-	if c.ContainsNode(isDone) && c.MustReachOnAllPaths(nil, PathQuery{Classify: func(n ast.Node) PathVerdict {
-		if isDone(n) {
-			return PathSatisfied
-		}
-		return PathContinue
-	}}) {
+	if c.ContainsNode(isDone) && c.MustReachOnAllPaths(nil, PathQuery{Satisfied: isDone}) {
 		return true
 	}
 	blocking := func(n ast.Node) bool {
@@ -131,24 +126,14 @@ func funcLitBounded(pass *Pass, lit *ast.FuncLit) bool {
 
 // isWaitGroupDone matches a (*sync.WaitGroup).Done call.
 func isWaitGroupDone(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return false
-	}
-	fn, ok := pass.TypesInfo().Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync"
+	fn := calleeFunc(pass.TypesInfo(), call)
+	return fn != nil && fn.Name() == "Done" && fn.Pkg() != nil && fn.Pkg().Path() == "sync"
 }
 
 // calleeFact resolves a static call to its exported fact, looking in
 // this package's facts first and then the imported fact sets.
 func calleeFact(pass *Pass, call *ast.CallExpr) *FuncFact {
-	var fn *types.Func
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, _ = pass.TypesInfo().Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		fn, _ = pass.TypesInfo().Uses[fun].(*types.Func)
-	}
+	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}

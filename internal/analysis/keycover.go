@@ -58,13 +58,7 @@ func runKeyCover(pass *Pass) {
 // exactly one empty-interface (any) parameter — cachekey.Hash's
 // signature, which is what makes the argument key material.
 func isHashShaped(pass *Pass, call *ast.CallExpr) bool {
-	var fn *types.Func
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, _ = pass.TypesInfo().Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		fn, _ = pass.TypesInfo().Uses[fun].(*types.Func)
-	}
+	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil || fn.Name() != "Hash" || fn.Pkg() == nil || !inModule(pass, fn.Pkg()) {
 		return false
 	}
@@ -110,7 +104,7 @@ func (w *keyWalker) walk(t types.Type, path string, depth int) {
 		w.walk(u.Elem(), path, depth+1)
 	case *types.Map:
 		if !encodableMapKey(u.Key()) {
-			w.report(token.NoPos,
+			w.reportFix(token.NoPos, nil,
 				"map key type %s cannot be canonically JSON-encoded (not string-kinded, integer-kinded, or a TextMarshaler); the Hash call fails at runtime", u.Key())
 		}
 		w.walk(u.Elem(), path, depth+1)
@@ -129,7 +123,7 @@ func (w *keyWalker) walkStruct(st *types.Struct, path string, depth int) {
 		jsonTag := reflect.StructTag(st.Tag(i)).Get("json")
 		switch {
 		case !f.Exported():
-			w.report(f.Pos(),
+			w.reportFix(f.Pos(), nil,
 				"unexported field %s is invisible to the canonical-JSON encoder; its value never reaches the cache key — export it or drop it from the hashed struct", fpath)
 			continue
 		case jsonTag == "-":
@@ -140,7 +134,7 @@ func (w *keyWalker) walkStruct(st *types.Struct, path string, depth int) {
 		}
 		switch f.Type().Underlying().(type) {
 		case *types.Signature, *types.Chan:
-			w.report(f.Pos(),
+			w.reportFix(f.Pos(), nil,
 				"field %s has unencodable type %s; the Hash call fails at runtime — derive a stable representation instead", fpath, f.Type())
 			continue
 		case *types.Interface:
@@ -187,13 +181,9 @@ func hasMethod(t types.Type, name string) bool {
 	return false
 }
 
-// report anchors the finding at the field's declaration when it lives
-// in the package under analysis, else at the Hash call site (the
+// reportFix anchors the finding at the field's declaration when it
+// lives in the package under analysis, else at the Hash call site (the
 // message's field path names the blind spot either way).
-func (w *keyWalker) report(pos token.Pos, format string, args ...any) {
-	w.reportFix(pos, nil, format, args...)
-}
-
 func (w *keyWalker) reportFix(pos token.Pos, fixes []Fix, format string, args ...any) {
 	if w.posInPackage(pos) {
 		w.pass.ReportFix(pos, fixes, format, args...)

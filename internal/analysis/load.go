@@ -47,11 +47,12 @@ type Module struct {
 // sees them, while the analyzed packages themselves are parsed and
 // type-checked from source to get full ASTs and type information.
 //
-// File parsing and package type-checking both run on a bounded worker
-// pool (Jobs goroutines), which is why internal/analysis is part of
-// the verify gate's -race package list.
+// A package's files are parsed on a bounded worker pool (Jobs
+// goroutines), which is why internal/analysis is part of the verify
+// gate's -race package list. Packages themselves load one at a time:
+// the runner needs them in import order for facts and cache keys.
 type Loader struct {
-	// Jobs bounds the parse/type-check worker pool; <=0 means
+	// Jobs bounds the parse worker pool; <=0 means
 	// runtime.GOMAXPROCS(0).
 	Jobs int
 }
@@ -100,48 +101,6 @@ func goList(dir string, patterns []string) ([]*listPackage, error) {
 		pkgs = append(pkgs, &p)
 	}
 	return pkgs, nil
-}
-
-// LoadModule loads every package matched by patterns (default ./...)
-// in the module rooted at or above dir, returning the module identity
-// and the parsed, type-checked packages sorted by import path.
-func (l *Loader) LoadModule(dir string, patterns ...string) (Module, []*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return Module{}, nil, err
-	}
-
-	mod := Module{}
-	exports := map[string]string{}
-	var targets []*listPackage
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.Standard || p.Module == nil {
-			continue
-		}
-		if mod.Path == "" {
-			mod.Path = p.Module.Path
-		}
-		if p.Module.Path == mod.Path {
-			targets = append(targets, p)
-		}
-	}
-	if mod.Path == "" {
-		return Module{}, nil, fmt.Errorf("analysis: no module packages match %v", patterns)
-	}
-	mod.Root = moduleRoot(dir)
-
-	fset := token.NewFileSet()
-	pkgs, err := l.loadPackages(fset, targets, exports)
-	if err != nil {
-		return Module{}, nil, err
-	}
-	return mod, pkgs, nil
 }
 
 // LoadDir parses and type-checks the single package in dir (test
@@ -197,107 +156,45 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			}
 		}
 	}
-	pkgs, err := l.loadPackages(fset, []*listPackage{target}, exports)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
+	return l.loadPackage(fset, newExportImporter(fset, exports), target)
 }
 
-// loadPackages parses and type-checks the target packages on the
-// worker pool, resolving all imports through the export map.
-func (l *Loader) loadPackages(fset *token.FileSet, targets []*listPackage, exports map[string]string) ([]*Package, error) {
-	return l.loadPackagesWith(fset, newExportImporter(fset, exports), targets)
-}
-
-// loadPackagesWith is loadPackages with a caller-owned importer, so
-// the incremental runner can re-type-check only the cache-missed
-// packages while sharing one importer (and its loaded-dependency map)
-// across calls.
-func (l *Loader) loadPackagesWith(fset *token.FileSet, imp *exportImporter, targets []*listPackage) ([]*Package, error) {
-	jobs := l.jobs()
-
-	// Parse every file of every package concurrently. token.FileSet
-	// and parser.ParseFile are safe for concurrent use.
-	type parseJob struct {
-		pkg  int
-		file int
-		path string
+// loadPackage parses the target package's files on the worker pool
+// and type-checks it, resolving imports through imp — caller-owned, so
+// the incremental runner shares one importer (and its loaded-
+// dependency map) across the packages it re-type-checks.
+func (l *Loader) loadPackage(fset *token.FileSet, imp types.Importer, t *listPackage) (*Package, error) {
+	pkg := &Package{
+		ImportPath: t.ImportPath,
+		Dir:        t.Dir,
+		Name:       t.Name,
+		Imports:    t.Imports,
+		Fset:       fset,
+		FileNames:  t.GoFiles,
+		Files:      make([]*ast.File, len(t.GoFiles)),
 	}
-	pkgs := make([]*Package, len(targets))
-	var parseJobs []parseJob
-	for i, t := range targets {
-		pkgs[i] = &Package{
-			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
-			Name:       t.Name,
-			Imports:    t.Imports,
-			Fset:       fset,
-			FileNames:  make([]string, len(t.GoFiles)),
-			Files:      make([]*ast.File, len(t.GoFiles)),
-		}
-		for j, name := range t.GoFiles {
-			pkgs[i].FileNames[j] = name
-			parseJobs = append(parseJobs, parseJob{pkg: i, file: j, path: filepath.Join(t.Dir, name)})
-		}
-	}
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
-	ch := make(chan parseJob)
-	for w := 0; w < jobs; w++ {
+	// token.FileSet and parser.ParseFile are safe for concurrent use;
+	// each worker writes only its own file's slots.
+	var wg sync.WaitGroup
+	errs := make([]error, len(t.GoFiles))
+	sem := make(chan struct{}, l.jobs())
+	for i, name := range t.GoFiles {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				f, err := parser.ParseFile(fset, j.path, nil, parser.ParseComments)
-				mu.Lock()
-				if err != nil {
-					errs = append(errs, err)
-				} else {
-					pkgs[j.pkg].Files[j.file] = f
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, j := range parseJobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	if len(errs) > 0 {
-		return nil, joinErrors("parsing", errs)
-	}
-
-	// Type-check packages concurrently. Imports all come from export
-	// data, so there is no inter-target ordering requirement; the
-	// importer serializes itself internally.
-	sem := make(chan struct{}, jobs)
-	for _, pkg := range pkgs {
-		wg.Add(1)
-		go func(pkg *Package) {
+		go func(i int, path string) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			err := typeCheck(pkg, imp)
-			if err != nil {
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("%s: %v", pkg.ImportPath, err))
-				mu.Unlock()
-			}
-		}(pkg)
+			pkg.Files[i], errs[i] = parser.ParseFile(fset, path, nil, parser.ParseComments)
+		}(i, filepath.Join(t.Dir, name))
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return nil, joinErrors("type-checking", errs)
+	if err := joinErrors("parsing", errs); err != nil {
+		return nil, err
 	}
-
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	return pkgs, nil
+	if err := typeCheck(pkg, imp); err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkg.ImportPath, err)
+	}
+	return pkg, nil
 }
 
 // typeCheck runs go/types over one parsed package and collects its
@@ -325,39 +222,16 @@ func typeCheck(pkg *Package, imp types.Importer) error {
 	return nil
 }
 
-// exportImporter resolves import paths to compiler export data files
-// produced by `go list -export`. It serializes access because the
-// underlying gc importer shares a package map across imports.
-type exportImporter struct {
-	mu      sync.Mutex
-	imp     types.ImporterFrom
-	exports map[string]string
-}
-
-func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
-	e := &exportImporter{exports: exports}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := e.exports[path]
+// newExportImporter resolves import paths to the compiler export data
+// files `go list -export` produced.
+func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("analysis: no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	e.imp = importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
-	return e
-}
-
-func (e *exportImporter) Import(path string) (*types.Package, error) {
-	return e.ImportFrom(path, "", 0)
-}
-
-func (e *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.imp.ImportFrom(path, dir, mode)
+	})
 }
 
 // moduleRoot walks up from dir to the directory containing go.mod.
@@ -378,10 +252,17 @@ func moduleRoot(dir string) string {
 	}
 }
 
+// joinErrors folds the non-nil errors into one, sorted for stable
+// output; nil when there are none.
 func joinErrors(stage string, errs []error) error {
-	msgs := make([]string, len(errs))
-	for i, e := range errs {
-		msgs[i] = e.Error()
+	var msgs []string
+	for _, e := range errs {
+		if e != nil {
+			msgs = append(msgs, e.Error())
+		}
+	}
+	if len(msgs) == 0 {
+		return nil
 	}
 	sort.Strings(msgs)
 	return fmt.Errorf("analysis: %s failed:\n  %s", stage, strings.Join(msgs, "\n  "))

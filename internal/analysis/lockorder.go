@@ -49,34 +49,18 @@ func runLockOrder(pass *Pass) {
 		adj[e.From] = append(adj[e.From], e.To)
 	}
 
-	// reaches reports whether `to` is reachable from `from`.
-	reaches := func(from, to string) bool {
-		seen := map[string]bool{}
-		stack := []string{from}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if n == to {
-				return true
-			}
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, adj[n]...)
-		}
-		return false
-	}
-
 	// An edge A→B is part of a cycle iff A is reachable from B. Report
 	// each distinct cycle (identified by its sorted lock-class set)
 	// once, at the first own edge that participates.
 	reported := map[string]bool{}
 	for _, e := range edges {
-		if !e.own || !reaches(e.To, e.From) {
+		if !e.own {
 			continue
 		}
 		cycle := cycleThrough(adj, e.From, e.To)
+		if cycle == nil {
+			continue
+		}
 		id := canonicalCycle(cycle)
 		if reported[id] {
 			continue
@@ -90,7 +74,8 @@ func runLockOrder(pass *Pass) {
 
 // cycleThrough reconstructs one concrete cycle that uses the edge
 // from→to: the shortest path to→…→from (BFS, neighbors in sorted
-// order for determinism) closed by the edge itself.
+// order for determinism) closed by the edge itself; nil when from is
+// not reachable from to, i.e. the edge is on no cycle.
 func cycleThrough(adj map[string][]string, from, to string) []string {
 	prev := map[string]string{to: to}
 	queue := []string{to}
@@ -105,6 +90,9 @@ func cycleThrough(adj map[string][]string, from, to string) []string {
 				queue = append(queue, m)
 			}
 		}
+	}
+	if prev[from] == "" {
+		return nil
 	}
 	var path []string
 	for n := from; ; n = prev[n] {

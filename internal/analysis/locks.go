@@ -5,157 +5,71 @@ import (
 	"go/types"
 )
 
-// Locks enforces the buildcache/engine locking discipline: sync
-// primitives are never copied by value (a copied mutex silently stops
-// excluding anyone), and a Lock/RLock acquired in a function is
-// released on every return path — either by an immediate defer (the
-// house style) or by an explicit unlock that no return can bypass.
+// Locks enforces the buildcache/engine locking discipline: a
+// Lock/RLock acquired in a function is released on every return path —
+// either by an immediate defer (the house style) or by an explicit
+// unlock that no return can bypass. It is a row of the obligation
+// table (obligation.go, DESIGN §15). Sync primitives copied by value
+// are `go vet`'s copylocks check, which verify.sh runs first.
 var Locks = &Analyzer{
 	Name:  "locks",
-	Doc:   "no sync primitives copied by value; every Lock has an Unlock on every return path",
+	Doc:   "every Lock has an Unlock on every return path",
 	Scope: []string{"internal/buildcache", "internal/engine", "internal/resultstore", "internal/resultsd", "internal/analysis", "cmd/benchlint", "internal/resultshard", "internal/loadgen"},
-	Run:   runLocks,
+	Run:   obligationRule(locksRule).run,
 }
 
-func runLocks(pass *Pass) {
-	for _, file := range pass.Files() {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkLockSignature(pass, n)
-				if n.Body != nil {
-					scanLockPairs(pass, n.Body.List, true)
-				}
-			case *ast.FuncLit:
-				scanLockPairs(pass, n.Body.List, true)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkLockCopy(pass, rhs)
-				}
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					checkLockCopy(pass, res)
-				}
-			}
-			return true
-		})
+// locksRule is locks' row of the obligation table: a Lock/RLock
+// statement owes the matching unlock on the same receiver expression.
+// No transfer rule (a lock handed to another function to release is
+// exactly what the discipline forbids) and no fix.
+func locksRule(pass *Pass, stmt ast.Stmt) *obligation {
+	recvExpr, method := syncLockStmt(pass.TypesInfo(), stmt)
+	if method != "Lock" && method != "RLock" {
+		return nil
+	}
+	recv, unlock := types.ExprString(recvExpr), unlockFor(method)
+	return &obligation{
+		discharged: func(n ast.Node) bool {
+			return nodeContainsCall(n, func(call *ast.CallExpr) bool {
+				r, m := syncLockCall(pass.TypesInfo(), call)
+				return m == unlock && types.ExprString(r) == recv
+			})
+		},
+		message: recv + "." + method + " is not released on every return path; defer " + recv + "." + unlock + "() immediately after acquiring",
 	}
 }
 
-// checkLockSignature flags receivers and parameters that carry a sync
-// primitive by value.
-func checkLockSignature(pass *Pass, fn *ast.FuncDecl) {
-	fields := []*ast.Field{}
-	if fn.Recv != nil {
-		fields = append(fields, fn.Recv.List...)
+// syncLockStmt matches an ExprStmt calling Lock/RLock/Unlock/RUnlock
+// on a sync primitive; see syncLockCall.
+func syncLockStmt(info *types.Info, stmt ast.Stmt) (recv ast.Expr, method string) {
+	es, ok := stmt.(*ast.ExprStmt)
+	if !ok {
+		return nil, ""
 	}
-	if fn.Type.Params != nil {
-		fields = append(fields, fn.Type.Params.List...)
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return nil, ""
 	}
-	for _, f := range fields {
-		t := pass.TypesInfo().TypeOf(f.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if lock := containsLock(t, nil); lock != "" {
-			pass.Reportf(f.Pos(),
-				"%s passed by value copies its %s; use a pointer", types.TypeString(t, types.RelativeTo(pass.Pkg.Types)), lock)
-		}
-	}
+	return syncLockCall(info, call)
 }
 
-// checkLockCopy flags expressions that copy an existing variable whose
-// type contains a sync primitive. Composite literals, function-call
-// results and address-taking are fresh values, not copies.
-func checkLockCopy(pass *Pass, e ast.Expr) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
+// syncLockCall matches a call of Lock/RLock/Unlock/RUnlock on a sync
+// primitive (directly or through an embedded field), returning the
+// receiver expression and the method name, or nil, "".
+func syncLockCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
 	}
-	t := pass.TypesInfo().TypeOf(e)
-	if t == nil {
-		return
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, ""
 	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if lock := containsLock(t, nil); lock != "" {
-		pass.Reportf(e.Pos(), "copying %s copies its %s; use a pointer",
-			types.TypeString(t, types.RelativeTo(pass.Pkg.Types)), lock)
-	}
-}
-
-// containsLock reports the name of the sync primitive a type carries
-// by value, or "".
-func containsLock(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return "sync." + obj.Name()
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := containsLock(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return ""
-}
-
-// lockCall matches an ExprStmt calling Lock/RLock/Unlock/RUnlock on a
-// sync primitive (directly or through an embedded field), returning
-// the rendered receiver expression and the method name.
-func lockCall(pass *Pass, stmt ast.Stmt) (recv, method string, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
-	}
-	return lockCallExpr(pass, es.X)
-}
-
-func lockCallExpr(pass *Pass, e ast.Expr) (recv, method string, ok bool) {
-	call, isCall := e.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
+		return sel.X, fn.Name()
 	}
-	s := pass.TypesInfo().Selections[sel]
-	if s == nil {
-		return "", "", false
-	}
-	fn, isFn := s.Obj().(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	return nil, ""
 }
 
 func unlockFor(method string) string {
@@ -163,98 +77,4 @@ func unlockFor(method string) string {
 		return "RUnlock"
 	}
 	return "Unlock"
-}
-
-// scanLockPairs walks one statement list. For each Lock/RLock it
-// requires a matching deferred or straight-line unlock before the end
-// of the list, with no return statement slipping through in between.
-// It recurses into nested blocks to find locks acquired there.
-func scanLockPairs(pass *Pass, stmts []ast.Stmt, funcBody bool) {
-	for i, stmt := range stmts {
-		// Recurse into compound statements.
-		switch s := stmt.(type) {
-		case *ast.BlockStmt:
-			scanLockPairs(pass, s.List, false)
-		case *ast.IfStmt:
-			scanLockPairs(pass, s.Body.List, false)
-			if blk, ok := s.Else.(*ast.BlockStmt); ok {
-				scanLockPairs(pass, blk.List, false)
-			}
-		case *ast.ForStmt:
-			scanLockPairs(pass, s.Body.List, false)
-		case *ast.RangeStmt:
-			scanLockPairs(pass, s.Body.List, false)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockPairs(pass, cc.Body, false)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLockPairs(pass, cc.Body, false)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanLockPairs(pass, cc.Body, false)
-				}
-			}
-		}
-
-		recv, method, ok := lockCall(pass, stmt)
-		if !ok || (method != "Lock" && method != "RLock") {
-			continue
-		}
-		unlock := unlockFor(method)
-		released := false
-		for _, next := range stmts[i+1:] {
-			if d, isDefer := next.(*ast.DeferStmt); isDefer {
-				if r, m, ok := lockCallExpr(pass, d.Call); ok && r == recv && m == unlock {
-					released = true
-				}
-				if released {
-					break
-				}
-				continue
-			}
-			if r, m, ok := lockCall(pass, next); ok && r == recv && m == unlock {
-				released = true
-				break
-			}
-			if escapesLocked(pass, next, recv, unlock) {
-				pass.Reportf(stmt.Pos(),
-					"%s.%s is not released on every return path; defer %s.%s() immediately after acquiring", recv, method, recv, unlock)
-				released = true // reported; stop tracking this lock
-				break
-			}
-		}
-		if !released && funcBody {
-			pass.Reportf(stmt.Pos(),
-				"%s.%s has no matching %s.%s() before the function returns", recv, method, recv, unlock)
-		}
-	}
-}
-
-// escapesLocked reports whether stmt can return from the function
-// while the lock is still held: it contains a return statement and no
-// matching unlock anywhere in its subtree (closures excluded).
-func escapesLocked(pass *Pass, stmt ast.Stmt, recv, unlock string) bool {
-	hasReturn, hasUnlock := false, false
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			hasReturn = true
-		case *ast.CallExpr:
-			if r, m, ok := lockCallExpr(pass, n); ok && r == recv && m == unlock {
-				hasUnlock = true
-			}
-		}
-		return true
-	})
-	return hasReturn && !hasUnlock
 }

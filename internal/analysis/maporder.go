@@ -40,39 +40,50 @@ func runMapOrder(pass *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
+			forEachMapRangeSink(pass, fn.Body, func(_ *ast.RangeStmt, n ast.Node) string {
+				if call, ok := n.(*ast.CallExpr); ok {
+					return orderSink(pass, call)
 				}
-				t := pass.TypesInfo().TypeOf(rng.X)
-				if t == nil {
-					return true
-				}
-				mt, isMap := t.Underlying().(*types.Map)
-				if !isMap {
-					return true
-				}
-				sink := ""
-				ast.Inspect(rng.Body, func(n ast.Node) bool {
-					if sink != "" {
-						return false
-					}
-					if call, ok := n.(*ast.CallExpr); ok {
-						sink = orderSink(pass, call)
-					}
-					return sink == ""
-				})
-				if sink == "" {
-					return true
-				}
-				fixes := sortKeysFix(pass, file, fn, rng, mt)
-				pass.ReportFix(rng.For, fixes,
+				return ""
+			}, func(rng *ast.RangeStmt, mt *types.Map, sink string) {
+				pass.ReportFix(rng.For, sortKeysFix(pass, file, fn, rng, mt),
 					"map iteration order reaches %s; the bytes differ run to run — range over sorted keys", sink)
-				return true
 			})
 		}
 	}
+}
+
+// forEachMapRangeSink is the one map-range walker, shared with
+// determinism: for every `range` over a map in body it asks sink — the
+// calling analyzer's row of order-sensitive effects — about each node
+// of the loop body in source order, and hands the first non-empty
+// answer to report.
+func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.RangeStmt, n ast.Node) string, report func(rng *ast.RangeStmt, mt *types.Map, hit string)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
+			return true
+		}
+		t := pass.TypesInfo().TypeOf(rng.X)
+		if t == nil {
+			return true
+		}
+		mt, isMap := t.Underlying().(*types.Map)
+		if !isMap {
+			return true
+		}
+		hit := ""
+		ast.Inspect(rng.Body, func(n ast.Node) bool {
+			if hit == "" && n != nil {
+				hit = sink(rng, n)
+			}
+			return hit == ""
+		})
+		if hit != "" {
+			report(rng, mt, hit)
+		}
+		return true
+	})
 }
 
 // orderSink classifies a call inside a map-range body as an
@@ -94,12 +105,7 @@ func orderSink(pass *Pass, call *ast.CallExpr) string {
 			}
 		}
 	}
-	var fn *types.Func
-	if isSel {
-		fn, _ = pass.TypesInfo().Uses[sel.Sel].(*types.Func)
-	} else if id, ok := call.Fun.(*ast.Ident); ok {
-		fn, _ = pass.TypesInfo().Uses[id].(*types.Func)
-	}
+	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil {
 		return ""
 	}

@@ -207,21 +207,13 @@ const (
 // name (Memo, Layer, ExperimentCache, ...) or, for plain functions,
 // the function name itself (loadCacheEntry).
 func cacheCallShape(pass *Pass, call *ast.CallExpr) cacheShape {
-	var fn *types.Func
-	var recv ast.Expr
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, _ = pass.TypesInfo().Uses[fun.Sel].(*types.Func)
-		recv = fun.X
-	case *ast.Ident:
-		fn, _ = pass.TypesInfo().Uses[fun].(*types.Func)
-	}
+	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil {
 		return cacheOther
 	}
 	cacheish := false
-	if recv != nil {
-		if t := deref(pass.TypesInfo().TypeOf(recv)); t != nil {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if t := deref(pass.TypesInfo().TypeOf(sel.X)); t != nil {
 			if named, ok := t.(*types.Named); ok {
 				cacheish = cacheNoun(named.Obj().Name())
 			}
@@ -261,13 +253,7 @@ func checkPurePath(pass *Pass, fn *ast.FuncDecl, flagged impureBits, format stri
 		case *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			var callee *types.Func
-			switch fun := n.Fun.(type) {
-			case *ast.SelectorExpr:
-				callee, _ = pass.TypesInfo().Uses[fun.Sel].(*types.Func)
-			case *ast.Ident:
-				callee, _ = pass.TypesInfo().Uses[fun].(*types.Func)
-			}
+			callee := calleeFunc(pass.TypesInfo(), n)
 			if bits := ambientCallBits(callee) & flagged; bits != 0 {
 				pass.Reportf(n.Pos(), format,
 					fnLabel(fn), bits.describe(), "")

@@ -74,12 +74,14 @@ func RunModule(opts RunOptions) (*ModuleResult, error) {
 	}
 	mod.Root = moduleRoot(opts.Dir)
 
-	imports := func(p string) []string { return byPath[p].Imports }
-	order := topoOrder(paths, imports)
-	if order == nil {
-		order = paths
-	}
-	closure := moduleDeps(paths, imports)
+	closure := moduleDeps(paths, func(p string) []string { return byPath[p].Imports })
+	order := append([]string(nil), paths...)
+	sort.Slice(order, func(i, j int) bool {
+		if ni, nj := len(closure[order[i]]), len(closure[order[j]]); ni != nj {
+			return ni < nj
+		}
+		return order[i] < order[j]
+	})
 
 	loader := &Loader{Jobs: opts.Jobs}
 	fset := token.NewFileSet()
@@ -110,11 +112,10 @@ func RunModule(opts RunOptions) (*ModuleResult, error) {
 			}
 		}
 
-		pkgs, err := loader.loadPackagesWith(fset, imp, []*listPackage{target})
+		pkg, err := loader.loadPackage(fset, imp, target)
 		if err != nil {
 			return nil, err
 		}
-		pkg := pkgs[0]
 		pf := computePackageFacts(pkg, mod.Path, mod.Root, facts)
 		facts[path] = pf
 		factHash[path] = FactsHash(pf)

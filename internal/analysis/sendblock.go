@@ -34,32 +34,28 @@ var SendBlock = &Analyzer{
 }
 
 func runSendBlock(pass *Pass) {
-	fieldCaps := bufferedChanFields(pass.Pkg)
+	caps := chanCaps(pass.Pkg)
 	for _, file := range pass.Files() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				checkGoroutineSends(pass, file, g, fieldCaps)
+				checkGoroutineSends(pass, g, caps)
 			}
 			return true
 		})
 	}
 }
 
-func checkGoroutineSends(pass *Pass, file *ast.File, g *ast.GoStmt, fieldCaps map[*types.Var]int) {
+func checkGoroutineSends(pass *Pass, g *ast.GoStmt, caps map[*types.Var]int) {
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
 		if f := calleeFact(pass, g.Call); f != nil && f.BareSend {
 			pass.Reportf(g.Pos(),
 				"goroutine entry %s performs an unguarded channel send (no select alternative, no buffered capacity); the worker can block forever on a dead receiver",
-				callName(g.Call))
+				types.ExprString(g.Call.Fun))
 		}
 		return
 	}
-	// The capacity scan uses the whole file as root: the literal's
-	// channel may be a local of the enclosing function (`res :=
-	// make(chan error, 1)` right before the spawn). Object identity
-	// keeps same-named channels in other functions from interfering.
-	for _, send := range bareSends(pass.Pkg, file, lit.Body, fieldCaps) {
+	for _, send := range bareSends(pass.Pkg, lit.Body, caps) {
 		pass.Reportf(send.Pos(),
 			"unguarded send in a goroutine can block forever; select on it with a ctx/done or default alternative, or give the channel buffered capacity")
 	}
@@ -72,24 +68,19 @@ func checkGoroutineSends(pass *Pass, file *ast.File, g *ast.GoStmt, fieldCaps ma
 			if f := calleeFact(pass, n); f != nil && f.BareSend {
 				pass.Reportf(n.Pos(),
 					"call to %s inside a goroutine performs an unguarded channel send; the worker can block forever on a dead receiver",
-					callName(n))
+					types.ExprString(n.Fun))
 			}
 		}
 		return true
 	})
 }
 
-func callName(call *ast.CallExpr) string {
-	return types.ExprString(call.Fun)
-}
-
 // bareSends returns the sends in one function body that are neither
 // select-guarded nor provably buffered. Function literals are folded
 // in (they run inline); `go` bodies are excluded — they are their own
-// goroutines, checked at their own spawn sites. root bounds the scan
-// for local channel definitions (the enclosing file for goroutine
-// literals, the body itself for facts collection).
-func bareSends(pkg *Package, root ast.Node, body *ast.BlockStmt, fieldCaps map[*types.Var]int) []ast.Node {
+// goroutines, checked at their own spawn sites. caps is the package's
+// chanCaps.
+func bareSends(pkg *Package, body *ast.BlockStmt, caps map[*types.Var]int) []ast.Node {
 	// First pass: sends that are comm clauses of a select with an
 	// always-viable alternative (default or a receive case) are
 	// guarded — the select can take the other arm.
@@ -126,7 +117,7 @@ func bareSends(pkg *Package, root ast.Node, body *ast.BlockStmt, fieldCaps map[*
 		case *ast.GoStmt:
 			return false
 		case *ast.SendStmt:
-			if guarded[n] || chanProvablyBuffered(pkg, root, n.Chan, fieldCaps) {
+			if guarded[n] || chanProvablyBuffered(pkg, n.Chan, caps) {
 				return true
 			}
 			out = append(out, n)
@@ -156,73 +147,24 @@ func isRecvComm(s ast.Stmt) bool {
 }
 
 // chanProvablyBuffered reports whether every channel value the send
-// target can hold was made with constant capacity >= 1: a local (or
-// enclosing-function) variable whose every make() in the body is
-// buffered, or a struct field whose every package-visible assignment
-// is a buffered make (bufferedChanFields).
-func chanProvablyBuffered(pkg *Package, root ast.Node, ch ast.Expr, fieldCaps map[*types.Var]int) bool {
-	switch ch := ch.(type) {
-	case *ast.Ident:
-		obj, ok := pkg.Info.ObjectOf(ch).(*types.Var)
-		if !ok {
-			return false
-		}
-		return localChanCap(pkg, root, obj) >= 1
-	case *ast.SelectorExpr:
-		obj, ok := pkg.Info.ObjectOf(ch.Sel).(*types.Var)
-		if !ok {
-			return false
-		}
-		cap, seen := fieldCaps[obj]
-		return seen && cap >= 1
-	}
-	return false
+// target can hold was made with constant capacity >= 1, per chanCaps.
+func chanProvablyBuffered(pkg *Package, ch ast.Expr, caps map[*types.Var]int) bool {
+	cap, seen := caps[chanVar(pkg, ch)]
+	return seen && cap >= 1
 }
 
-// localChanCap scans the function body for the definitions reaching a
-// local channel variable: `ch := make(chan T, n)`, `var ch = make(…)`.
-// It returns the minimum constant capacity across every assignment,
-// or -1 when any assignment is not a constant-capacity make (or none
-// is found — parameters, package vars).
-func localChanCap(pkg *Package, root ast.Node, obj *types.Var) int {
-	min := -2 // unset
-	note := func(rhs ast.Expr) {
-		c := makeChanCap(pkg, rhs)
-		if min == -2 || c < min {
-			min = c
-		}
+// chanVar resolves a channel expression to the variable it names: a
+// local or package variable, or a struct field. Anything else is nil.
+func chanVar(pkg *Package, e ast.Expr) *types.Var {
+	switch e := e.(type) {
+	case *ast.Ident:
+		v, _ := pkg.Info.ObjectOf(e).(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		v, _ := pkg.Info.ObjectOf(e.Sel).(*types.Var)
+		return v
 	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				for _, l := range n.Lhs {
-					if id, ok := l.(*ast.Ident); ok && pkg.Info.ObjectOf(id) == obj {
-						note(nil) // multi-value assignment: opaque
-					}
-				}
-				return true
-			}
-			for i, l := range n.Lhs {
-				if id, ok := l.(*ast.Ident); ok && pkg.Info.ObjectOf(id) == obj {
-					note(n.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				if pkg.Info.ObjectOf(name) == obj {
-					if i < len(n.Values) {
-						note(n.Values[i])
-					}
-				}
-			}
-		}
-		return true
-	})
-	if min == -2 {
-		return -1
-	}
-	return min
+	return nil
 }
 
 // makeChanCap returns the constant capacity of a `make(chan T, n)`
@@ -258,25 +200,27 @@ func makeChanCap(pkg *Package, e ast.Expr) int {
 	return int(c)
 }
 
-// bufferedChanFields maps each channel-typed struct field of the
-// package to the minimum constant capacity across every assignment it
-// receives — composite literals (`pending{done: make(chan error,
-// 1)}`) and field stores (`p.done = make(…)`). A field assigned
-// anything that is not a constant-capacity make is disqualified (-1).
-// Fields never assigned in the package are absent (callers treat
-// absent as unbuffered).
-func bufferedChanFields(pkg *Package) map[*types.Var]int {
+// chanCaps maps every channel variable the package assigns — locals,
+// package variables and struct fields, told apart by object identity —
+// to the minimum constant capacity across all its assignments: `ch :=
+// make(chan T, n)`, `var ch = make(…)`, composite literals
+// (`pending{done: make(chan error, 1)}`) and field stores (`p.done =
+// make(…)`). A variable assigned anything that is not a
+// constant-capacity make is disqualified (-1). Variables never assigned
+// in the package (parameters) are absent; callers treat absent as
+// unbuffered.
+func chanCaps(pkg *Package) map[*types.Var]int {
 	caps := map[*types.Var]int{}
-	note := func(field *types.Var, rhs ast.Expr) {
-		if field == nil {
+	note := func(v *types.Var, rhs ast.Expr) {
+		if v == nil {
 			return
 		}
-		if _, isChan := field.Type().Underlying().(*types.Chan); !isChan {
+		if _, isChan := v.Type().Underlying().(*types.Chan); !isChan {
 			return
 		}
 		c := makeChanCap(pkg, rhs)
-		if old, seen := caps[field]; !seen || c < old {
-			caps[field] = c
+		if old, seen := caps[v]; !seen || c < old {
+			caps[v] = c
 		}
 	}
 	for _, file := range pkg.Files {
@@ -299,23 +243,17 @@ func bufferedChanFields(pkg *Package) map[*types.Var]int {
 					}
 				}
 			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					for _, l := range n.Lhs {
-						if sel, ok := l.(*ast.SelectorExpr); ok {
-							if f, isVar := pkg.Info.ObjectOf(sel.Sel).(*types.Var); isVar && f.IsField() {
-								note(f, nil)
-							}
-						}
-					}
-					return true
-				}
 				for i, l := range n.Lhs {
-					sel, ok := l.(*ast.SelectorExpr)
-					if !ok {
-						continue
+					var rhs ast.Expr // stays nil (opaque) for a multi-value assignment
+					if len(n.Lhs) == len(n.Rhs) {
+						rhs = n.Rhs[i]
 					}
-					if f, isVar := pkg.Info.ObjectOf(sel.Sel).(*types.Var); isVar && f.IsField() {
-						note(f, n.Rhs[i])
+					note(chanVar(pkg, l), rhs)
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i < len(n.Values) {
+						note(chanVar(pkg, name), n.Values[i])
 					}
 				}
 			}

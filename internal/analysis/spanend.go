@@ -12,82 +12,39 @@ import (
 // not ended never reaches the tracer, so it silently vanishes from
 // every trace export.
 //
-// The check runs on the CFG (DESIGN §15): "Ended on every return
-// path" is MustReachOnAllPaths from the StartSpan to function exit,
-// which catches the branch shapes the old statement-order scan missed
-// (an End in one switch arm while another arm returns, spans opened
-// in nested blocks and never closed anywhere).
+// The check is a row of the obligation table (obligation.go, DESIGN
+// §15): "Ended on every return path" is MustReachOnAllPaths from the
+// StartSpan to function exit, which also sees an End in one switch arm
+// while another arm returns, and spans opened in nested blocks and
+// never closed anywhere.
 var SpanEnd = &Analyzer{
 	Name:       "spanend",
 	Doc:        "every StartSpan has a matching End on every return path",
 	Scope:      []string{"internal/engine", "internal/core", "internal/ci", "internal/install", "internal/telemetry", "internal/resultstore", "internal/resultsd"},
 	EmitsFixes: true,
-	Run:        runSpanEnd,
+	Run:        obligationRule(spanEndRule).run,
 }
 
-// deferEndFix builds the mechanical repair for an unended span:
-// insert `defer span.End()` directly after the StartSpan statement.
-// Span.End is documented idempotent ("Ending twice is a no-op"), so
-// the defer is safe even when an explicit End already covers some
-// paths.
-func deferEndFix(pass *Pass, start ast.Stmt, span string) []Fix {
-	return []Fix{{
-		Message: "defer " + span + ".End() immediately after StartSpan",
-		Edits:   []TextEdit{pass.editReplace(start.End(), start.End(), "\ndefer "+span+".End()")},
-	}}
-}
-
-func runSpanEnd(pass *Pass) {
-	for _, file := range pass.Files() {
-		forEachFuncBody(file, func(body *ast.BlockStmt) {
-			checkSpanEnds(pass, body)
-		})
+// spanEndRule is spanend's row of the obligation table: a StartSpan
+// assignment owes an End on the span. Span.End is documented
+// idempotent ("Ending twice is a no-op"), so the offered defer is safe
+// even when an explicit End already covers some paths.
+func spanEndRule(_ *Pass, stmt ast.Stmt) *obligation {
+	span, ok := startSpanAssign(stmt)
+	if !ok {
+		return nil
 	}
-}
-
-// checkSpanEnds verifies every StartSpan in one function body (nested
-// literals are their own functions) against the body's CFG: every
-// path from the acquisition to exit must pass an End on the span —
-// a defer satisfies immediately, paths dying in panic/os.Exit are
-// exempt.
-func checkSpanEnds(pass *Pass, body *ast.BlockStmt) {
-	var c *CFG // lazy: most functions start no spans
-	ownFuncNodes(body, func(n ast.Node) bool {
-		stmt, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		span, matched := startSpanAssign(stmt)
-		if !matched {
-			return true
-		}
-		if span == "_" {
-			pass.Reportf(stmt.Pos(),
-				"StartSpan's span is discarded; it can never be Ended and will be missing from the trace")
-			return true
-		}
-		if c == nil {
-			c = BuildCFG(pass.TypesInfo(), body)
-		}
-		ends := PathQuery{Classify: func(cn ast.Node) PathVerdict {
-			if nodeContainsCall(cn, func(call *ast.CallExpr) bool {
-				return endCallExpr(call, span)
-			}) {
-				return PathSatisfied
-			}
-			return PathContinue
-		}}
-		if c.MustReachOnAllPaths(stmt, ends) {
-			return true
-		}
-		var fixes []Fix
-		if blk, _ := stmtContext(body, stmt); blk != nil {
-			fixes = deferEndFix(pass, stmt, span)
-		}
-		pass.ReportFix(stmt.Pos(), fixes,
-			"span %s is not Ended on every return path; defer %s.End() immediately after StartSpan", span, span)
-		return true
-	})
+	if span == "_" {
+		return &obligation{discarded: "StartSpan's span is discarded; it can never be Ended and will be missing from the trace"}
+	}
+	return &obligation{
+		discharged: func(n ast.Node) bool {
+			return nodeContainsCall(n, func(call *ast.CallExpr) bool { return endCallExpr(call, span) })
+		},
+		message:    "span " + span + " is not Ended on every return path; defer " + span + ".End() immediately after StartSpan",
+		fixMessage: "defer " + span + ".End() immediately after StartSpan",
+		fixText:    "defer " + span + ".End()",
+	}
 }
 
 // startSpanAssign matches `ctx, s := ....StartSpan(...)` (or a plain

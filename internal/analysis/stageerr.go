@@ -41,12 +41,8 @@ func runStageErr(pass *Pass) {
 // checkErrorfWrap flags fmt.Errorf calls that interpolate an error
 // value without the %w verb.
 func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	fn, ok := pass.TypesInfo().Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
+	fn := calleeFunc(pass.TypesInfo(), call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 		return
 	}
 	if len(call.Args) < 2 {
@@ -126,12 +122,8 @@ func adHocErrorCall(pass *Pass, e ast.Expr) string {
 	if !ok {
 		return ""
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := pass.TypesInfo().Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := calleeFunc(pass.TypesInfo(), call)
+	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
 	switch {

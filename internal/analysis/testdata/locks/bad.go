@@ -1,5 +1,5 @@
-// Package fixture exercises the locks analyzer: sync primitives
-// copied by value and Lock calls a return path can bypass.
+// Package fixture exercises the locks analyzer: Lock calls a return path
+// can bypass (get's and snapshot's by-value copies are go vet's copylocks).
 package fixture
 
 import "sync"
@@ -9,7 +9,7 @@ type cache struct {
 	entries map[string]int
 }
 
-func (c cache) get(key string) int { //want locks
+func (c cache) get(key string) int {
 	return c.entries[key]
 }
 
@@ -29,5 +29,45 @@ func (c *cache) size() int {
 }
 
 func snapshot(c *cache) cache {
-	return *c //want locks
+	return *c
+}
+
+// One arm of the statement unlocks and returns, another returns with
+// the lock still held: the unlock elsewhere in the same statement
+// must not hide the escaping return.
+func (c *cache) evict(k int) {
+	c.mu.Lock() //want locks
+	switch k {
+	case 1:
+		c.mu.Unlock()
+		return
+	case 2:
+		return
+	}
+	c.mu.Unlock()
+}
+
+func (c *cache) await(done, stop chan struct{}) {
+	c.mu.Lock() //want locks
+	select {
+	case <-done:
+		c.mu.Unlock()
+		return
+	case <-stop:
+		return
+	default:
+	}
+	c.mu.Unlock()
+}
+
+func (c *cache) drop(key string, force bool) {
+	c.mu.Lock() //want locks
+	if force {
+		c.mu.Unlock()
+		return
+	} else if key == "" {
+		return
+	}
+	delete(c.entries, key)
+	c.mu.Unlock()
 }

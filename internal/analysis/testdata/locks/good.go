@@ -25,3 +25,45 @@ func (r *registry) len() int {
 	defer r.mu.RUnlock()
 	return len(r.items)
 }
+
+// Every arm that returns unlocks first: the near-misses of bad.go's
+// evict/await/drop.
+func (r *registry) evict(k int) {
+	r.mu.Lock()
+	switch k {
+	case 1:
+		r.mu.Unlock()
+		return
+	case 2:
+		r.mu.Unlock()
+		return
+	}
+	r.mu.Unlock()
+}
+
+func (r *registry) await(done, stop chan struct{}) {
+	r.mu.Lock()
+	select {
+	case <-done:
+		r.mu.Unlock()
+		return
+	case <-stop:
+		r.mu.Unlock()
+		return
+	default:
+	}
+	r.mu.Unlock()
+}
+
+func (r *registry) drop(key string, force bool) {
+	r.mu.Lock()
+	if force {
+		r.mu.Unlock()
+		return
+	} else if key == "" {
+		r.mu.Unlock()
+		return
+	}
+	delete(r.items, key)
+	r.mu.Unlock()
+}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -129,41 +128,20 @@ const (
 // write, a direct fsync, or — via facts — a helper that does either
 // (or both, in write-then-sync order).
 func classifyAckCall(pass *Pass, call *ast.CallExpr) ackCallKind {
-	var fn *types.Func
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, _ = pass.TypesInfo().Uses[fun.Sel].(*types.Func)
-	case *ast.Ident:
-		fn, _ = pass.TypesInfo().Uses[fun].(*types.Func)
-	}
+	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil || fn.Pkg() == nil {
 		return ackOther
 	}
-	switch fn.Pkg().Path() {
-	case "os":
-		switch fn.Name() {
-		case "Sync":
-			return ackSync
-		case "Write", "WriteString", "WriteAt":
-			return ackWrite
-		}
-		return ackOther
-	case "io":
-		if fn.Name() == "Write" || fn.Name() == "WriteString" {
-			return ackWrite
-		}
-		return ackOther
-	}
-	f := calleeFact(pass, call)
-	if f == nil {
-		return ackOther
+	writes, syncs := fileEffect(fn)
+	if f := calleeFact(pass, call); f != nil {
+		writes, syncs = f.Writes, f.Syncs
 	}
 	switch {
-	case f.Writes && f.Syncs:
+	case writes && syncs:
 		return ackWriteSync
-	case f.Writes:
+	case writes:
 		return ackWrite
-	case f.Syncs:
+	case syncs:
 		return ackSync
 	}
 	return ackOther
