@@ -68,9 +68,9 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 	c.hitCtr = reg.Counter("buildcache_hits_total")
 	c.missCtr = reg.Counter("buildcache_misses_total")
 	c.putCtr = reg.Counter("buildcache_puts_total")
-	c.hitCtr.Add(float64(c.hits))
-	c.missCtr.Add(float64(c.misses))
-	c.putCtr.Add(float64(c.puts))
+	c.hitCtr.Add(int64(c.hits))
+	c.missCtr.Add(int64(c.misses))
+	c.putCtr.Add(int64(c.puts))
 }
 
 // entryKey maps a spec DAG hash to its durable store key.

@@ -95,9 +95,9 @@ func TestInstrumentBackfillsPriorTraffic(t *testing.T) {
 
 	hits, misses, puts := c.Stats()
 	snap := reg.Snapshot().Counters
-	if float64(hits) != snap["buildcache_hits_total"] ||
-		float64(misses) != snap["buildcache_misses_total"] ||
-		float64(puts) != snap["buildcache_puts_total"] {
+	if int64(hits) != snap["buildcache_hits_total"] ||
+		int64(misses) != snap["buildcache_misses_total"] ||
+		int64(puts) != snap["buildcache_puts_total"] {
 		t.Errorf("Stats (%d/%d/%d) and counters (%v/%v/%v) diverge",
 			hits, misses, puts,
 			snap["buildcache_hits_total"], snap["buildcache_misses_total"], snap["buildcache_puts_total"])

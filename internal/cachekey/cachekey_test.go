@@ -88,13 +88,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %v; want payload back", got, ok)
 	}
-	s := l.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Puts != 1 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 put", s)
-	}
-	if s.Bytes != 2*int64(len(payload)) {
-		t.Errorf("bytes = %d, want %d (one put + one hit)", s.Bytes, 2*len(payload))
-	}
 }
 
 func TestStoreLayersAreIsolatedButShared(t *testing.T) {
@@ -108,9 +101,6 @@ func TestStoreLayersAreIsolatedButShared(t *testing.T) {
 	}
 	if _, ok := st.Layer("buildcache").Get(key); ok {
 		t.Error("layers must not share entries")
-	}
-	if st.Layer("run") != st.Layer("run") {
-		t.Error("Layer must return one instance per name")
 	}
 	if got, ok := st.Layer("run").Get(key); !ok || string(got) != "run-data" {
 		t.Errorf("run layer lost its entry: %q, %v", got, ok)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 )
 
 // Store is the durable on-disk content-addressed store behind the
@@ -33,9 +32,6 @@ import (
 // across jobs).
 type Store struct {
 	dir string
-
-	mu     sync.Mutex
-	layers map[string]*Layer
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -46,54 +42,25 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachekey: opening store: %w", err)
 	}
-	return &Store{dir: dir, layers: map[string]*Layer{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Layer returns the named cache layer ("concretize", "buildcache",
-// "run", ...). Repeated calls with the same name return the same
-// Layer, so hit/miss statistics aggregate per layer.
+// "run", ...). A Layer holds no state of its own: every handle on one
+// name reads and writes the same entries on disk.
 func (s *Store) Layer(name string) *Layer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.layers[name]; ok {
-		return l
-	}
-	l := &Layer{store: s, name: name}
-	s.layers[name] = l
-	return l
+	return &Layer{store: s, name: name}
 }
 
-// Layer is one named partition of a Store with its own statistics.
-// It implements the Get/Put contract the engine's run cache and the
-// other pipeline layers consume.
+// Layer is one named partition of a Store. It implements the Get/Put
+// contract the engine's run cache and the other pipeline layers
+// consume.
 type Layer struct {
 	store *Store
 	name  string
-
-	mu     sync.Mutex
-	hits   int
-	misses int
-	puts   int
-	bytes  int64 // payload bytes served by hits plus written by puts
-}
-
-// LayerStats is one layer's cache-traffic account.
-type LayerStats struct {
-	Layer  string
-	Hits   int
-	Misses int
-	Puts   int
-	Bytes  int64
-}
-
-// Stats returns the layer's lifetime counters.
-func (l *Layer) Stats() LayerStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LayerStats{Layer: l.name, Hits: l.hits, Misses: l.misses, Puts: l.puts, Bytes: l.bytes}
 }
 
 // Name returns the layer's name.
@@ -147,40 +114,17 @@ func (l *Layer) path(key Key) string {
 	return filepath.Join(l.store.dir, l.name, string(key[:2]), string(key))
 }
 
-// Get fetches the payload stored under key, recording a hit or a
-// miss. An invalid key, a missing entry, or a corrupt entry all
-// report a miss.
+// Get fetches the payload stored under key. An invalid key, a missing
+// entry, or a corrupt entry all report a miss.
 func (l *Layer) Get(key Key) ([]byte, bool) {
 	if !key.Valid() {
-		l.note(false, 0)
 		return nil, false
 	}
 	raw, err := os.ReadFile(l.path(key))
 	if err != nil {
-		l.note(false, 0)
 		return nil, false
 	}
-	payload, ok := unframe(raw)
-	if !ok {
-		l.note(false, 0)
-		return nil, false
-	}
-	l.note(true, int64(len(payload)))
-	return payload, true
-}
-
-// Has reports whether a valid entry exists under key without touching
-// the hit/miss statistics.
-func (l *Layer) Has(key Key) bool {
-	if !key.Valid() {
-		return false
-	}
-	raw, err := os.ReadFile(l.path(key))
-	if err != nil {
-		return false
-	}
-	_, ok := unframe(raw)
-	return ok
+	return unframe(raw)
 }
 
 // Put stores payload under key, atomically (write temp, fsync,
@@ -197,10 +141,6 @@ func (l *Layer) Put(key Key, data []byte) error {
 	if err := l.store.Commit(path, frame(data)); err != nil {
 		return fmt.Errorf("cachekey: put %s: %w", key.Short(), err)
 	}
-	l.mu.Lock()
-	l.puts++
-	l.bytes += int64(len(data))
-	l.mu.Unlock()
 	return nil
 }
 
@@ -231,18 +171,6 @@ func (l *Layer) Keys() []Key {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// note records one lookup outcome.
-func (l *Layer) note(hit bool, n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if hit {
-		l.hits++
-		l.bytes += n
-	} else {
-		l.misses++
-	}
 }
 
 // Commit durably publishes one entry file: the frame is written to a

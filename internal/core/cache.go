@@ -59,8 +59,8 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 	}
 	met := telemetry.FromContext(ctx).Metrics()
 	for _, d := range upstream {
-		met.Counter(fmt.Sprintf("cache_hits_total{layer=%q}", d.Layer)).Add(float64(d.Hits))
-		met.Counter(fmt.Sprintf("cache_misses_total{layer=%q}", d.Layer)).Add(float64(d.Misses))
+		met.Counter(fmt.Sprintf("cache_hits_total{layer=%q}", d.Layer)).Add(int64(d.Hits))
+		met.Counter(fmt.Sprintf("cache_misses_total{layer=%q}", d.Layer)).Add(int64(d.Misses))
 	}
 	rep.Cache = append(upstream, rep.Cache...)
 }

@@ -144,8 +144,8 @@ type Report struct {
 	// context's telemetry.Tracer; empty when the run is untraced). It
 	// travels with the published results into the federation layer so
 	// stored points name the run that produced them.
-	TraceID string
-	Jobs    int // resolved worker-pool size
+	TraceID  string
+	Jobs     int // resolved worker-pool size
 	Total    int // experiments in the matrix
 	Executed int // experiments that reached the execute stage (run or replayed)
 	Failed   int // executed experiments whose Execute returned an error
@@ -270,7 +270,8 @@ func resolveJobs(jobs, n int) int {
 // so the accumulator itself needs no lock.
 type timingAcc [StageAnalyze + 1]StageTiming
 
-func (a *timingAcc) note(st Stage, secs float64) {
+func (a *timingAcc) note(st Stage, d time.Duration) {
+	secs := d.Seconds()
 	t := &a[st]
 	t.Count++
 	t.Seconds += secs
@@ -348,9 +349,9 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		err := st.fn(sctx)
 		span.SetError(err)
 		span.End()
-		secs := span.Duration().Seconds()
-		acc.note(st.stage, secs)
-		stageSeconds(met, st.stage).Observe(secs)
+		d := span.Duration()
+		acc.note(st.stage, d)
+		stageSeconds(met, st.stage).Observe(d)
 		if err != nil {
 			return fatal(st.stage, err)
 		}
@@ -375,7 +376,7 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 	useCache := opts.Cache != nil && rc != nil
 	phaseCtx, phase := telemetry.StartSpan(ctx, StageExecute.String())
 	phaseStart := phase.StartTime()
-	execSecs := make([]float64, len(names))
+	execDur := make([]time.Duration, len(names))
 	queueWait := met.Histogram("engine_queue_wait_seconds")
 	inflight := met.Gauge("engine_inflight_jobs")
 	executed := make([]bool, len(names))
@@ -387,7 +388,7 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		// experiment span from it nests spans without detaching
 		// Execute from the run's cancellation.
 		sctx, span := telemetry.StartSpan(phaseCtx, names[i])
-		queueWait.Observe(span.StartTime().Sub(phaseStart).Seconds())
+		queueWait.Observe(span.StartTime().Sub(phaseStart))
 		inflight.Add(1)
 		var err error
 		if useCache {
@@ -415,7 +416,7 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		inflight.Add(-1)
 		span.SetError(err)
 		span.End()
-		execSecs[i] = span.Duration().Seconds()
+		execDur[i] = span.Duration()
 		return struct{}{}, err
 	})
 	phase.End()
@@ -434,17 +435,17 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		}
 		rep.CacheHits = st.Hits
 		rep.Cache = append(rep.Cache, st)
-		met.Counter(`cache_hits_total{layer="run"}`).Add(float64(st.Hits))
-		met.Counter(`cache_misses_total{layer="run"}`).Add(float64(st.Misses))
-		met.Counter(`cache_bytes_total{layer="run"}`).Add(float64(st.Bytes))
+		met.Counter(`cache_hits_total{layer="run"}`).Add(int64(st.Hits))
+		met.Counter(`cache_misses_total{layer="run"}`).Add(int64(st.Misses))
+		met.Counter(`cache_bytes_total{layer="run"}`).Add(st.Bytes)
 	}
 	execHist := stageSeconds(met, StageExecute)
 	for i := range names {
 		if !executed[i] {
 			continue
 		}
-		acc.note(StageExecute, execSecs[i])
-		execHist.Observe(execSecs[i])
+		acc.note(StageExecute, execDur[i])
+		execHist.Observe(execDur[i])
 	}
 	if acc[StageExecute].Count > 0 {
 		acc[StageExecute].WallSeconds = phase.Duration().Seconds()
@@ -480,9 +481,9 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		err := r.Commit(sctx, i)
 		span.SetError(err)
 		span.End()
-		secs := span.Duration().Seconds()
-		acc.note(StageCommit, secs)
-		commitHist.Observe(secs)
+		d := span.Duration()
+		acc.note(StageCommit, d)
+		commitHist.Observe(d)
 		if err != nil {
 			cphase.End()
 			rep.Err = &StageError{Stage: StageCommit, Experiment: name, System: rep.Label, Err: err}
@@ -509,9 +510,9 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 	aerr := r.Analyze(actx)
 	aspan.SetError(aerr)
 	aspan.End()
-	asecs := aspan.Duration().Seconds()
-	acc.note(StageAnalyze, asecs)
-	stageSeconds(met, StageAnalyze).Observe(asecs)
+	ad := aspan.Duration()
+	acc.note(StageAnalyze, ad)
+	stageSeconds(met, StageAnalyze).Observe(ad)
 	if aerr != nil {
 		return fatal(StageAnalyze, aerr)
 	}

@@ -351,8 +351,8 @@ func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep
 	// configured cache is a miss (no cache at all counts neither).
 	if inst.Cache != nil {
 		met := telemetry.FromContext(ctx).Metrics()
-		met.Counter("install_cache_hits_total").Add(float64(report.Count(FetchedFromCache)))
-		met.Counter("install_cache_misses_total").Add(float64(report.Count(Built)))
+		met.Counter("install_cache_hits_total").Add(int64(report.Count(FetchedFromCache)))
+		met.Counter("install_cache_misses_total").Add(int64(report.Count(Built)))
 	}
 	span.SetInt("nodes", len(report.Results))
 	span.SetAttr("makespan_s", fmt.Sprintf("%.2f", report.Makespan))

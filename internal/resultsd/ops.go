@@ -5,15 +5,14 @@ package resultsd
 // vanished or filled up can no longer take durable writes — /readyz
 // flips to 503 with the reason so a load balancer drains ingest — but
 // its in-memory state still serves queries, so /healthz stays 200 and
-// readers keep working. /metrics renders the tracer registry (the
-// same per-route families the request instrumentation feeds) plus a
-// server-owned block of lock-free counters; /debug/ops is the same
-// picture as structured JSON for humans and the selfmonitor loop.
+// readers keep working. /metrics renders the server's one registry
+// (the per-route families, the in-flight gauge, the ingest totals)
+// with the store's Health gauges merged in at scrape time; /debug/ops
+// is the same picture as structured JSON for humans and the
+// selfmonitor loop.
 
 import (
-	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/resultstore"
 	"repro/internal/telemetry"
@@ -37,25 +36,25 @@ type OpsSnapshot struct {
 	Routes           map[string]RouteStats `json:"routes"`
 }
 
-// OpsSnapshot assembles the live operational picture. Latency
-// histograms come from the tracer registry under the exact names the
-// instrumentation registered, so the JSON view and the /metrics view
-// can never disagree about what was observed.
+// OpsSnapshot assembles the live operational picture from one
+// registry snapshot — the same instruments /metrics renders, so the
+// JSON view and the text view can never disagree about what was
+// observed.
 func (s *Server) OpsSnapshot() OpsSnapshot {
-	snap := s.tracer.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	ops := OpsSnapshot{
-		InFlight:         s.inFlight.Load(),
-		IngestBatches:    s.ingestBatches.Load(),
-		IngestDuplicates: s.ingestDuplicates.Load(),
-		IngestResults:    s.ingestResults.Load(),
+		InFlight:         snap.Gauges["resultsd_inflight_requests"],
+		IngestBatches:    snap.Counters["resultsd_ingest_batches_total"],
+		IngestDuplicates: snap.Counters["resultsd_ingest_duplicate_batches_total"],
+		IngestResults:    snap.Counters["resultsd_ingest_results_total"],
 		Store:            s.store.Health(),
 		Routes:           make(map[string]RouteStats, len(s.routes)),
 	}
-	for route, rc := range s.routes {
+	for _, route := range s.routes {
 		ops.Routes[route] = RouteStats{
-			Requests: rc.requests.Load(),
-			Errors:   rc.errors.Load(),
-			Latency:  snap.Histograms[fmt.Sprintf("resultsd_request_seconds{route=%q}", route)],
+			Requests: snap.Counters[routeMetric("resultsd_requests_total", route)],
+			Errors:   snap.Counters[routeMetric("resultsd_errors_total", route)],
+			Latency:  snap.Histograms[routeMetric("resultsd_request_seconds", route)],
 		}
 	}
 	return ops
@@ -83,43 +82,23 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, h)
 }
 
-// handleMetrics renders the Prometheus text exposition: the tracer
-// registry's live families first, then the server-owned block. The
-// two use disjoint family names, so the concatenation is a valid
-// exposition.
+// handleMetrics renders the Prometheus text exposition: one registry
+// snapshot, with the store gauges read from Health merged in, through
+// the one text renderer.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	b.WriteString(s.tracer.Metrics().PrometheusText())
-	s.writeServerMetrics(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String())) //nolint:errcheck
-}
-
-// writeServerMetrics renders the counters the server tracks outside
-// the tracer registry, plus store gauges from Health. All values are
-// integral, so they render with %d.
-func (s *Server) writeServerMetrics(b *strings.Builder) {
+	snap := s.metrics.Snapshot()
 	h := s.store.Health()
 	ready := int64(0)
 	if h.Ready {
 		ready = 1
 	}
-	for _, m := range []struct {
-		name, typ string
-		v         int64
-	}{
-		{"resultsd_inflight_requests", "gauge", s.inFlight.Load()},
-		{"resultsd_ingest_batches_total", "counter", s.ingestBatches.Load()},
-		{"resultsd_ingest_duplicate_batches_total", "counter", s.ingestDuplicates.Load()},
-		{"resultsd_ingest_results_total", "counter", s.ingestResults.Load()},
-		{"resultsd_store_ready", "gauge", ready},
-		{"resultsd_store_results", "gauge", int64(h.Results)},
-		{"resultsd_store_ingest_keys", "gauge", int64(h.IngestKeys)},
-		{"resultsd_wal_active_segment", "gauge", int64(h.ActiveSegment)},
-		{"resultsd_wal_active_bytes", "gauge", h.ActiveSizeBytes},
-	} {
-		fmt.Fprintf(b, "# TYPE %s %s\n%s %d\n", m.name, m.typ, m.name, m.v)
-	}
+	snap.Gauges["resultsd_store_ready"] = ready
+	snap.Gauges["resultsd_store_results"] = int64(h.Results)
+	snap.Gauges["resultsd_store_ingest_keys"] = int64(h.IngestKeys)
+	snap.Gauges["resultsd_wal_active_segment"] = int64(h.ActiveSegment)
+	snap.Gauges["resultsd_wal_active_bytes"] = h.ActiveSizeBytes
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Write([]byte(snap.PrometheusText())) //nolint:errcheck
 }
 
 // handleOps serves the OpsSnapshot as JSON.

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +15,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newOpsServer is newTestServer with the ops plane enabled.
-func newOpsServer(t *testing.T, opts ...Option) (*Server, *resultstore.Store) {
+// newOpsStore opens a store for a server under test; it closes with
+// the test.
+func newOpsStore(t *testing.T) *resultstore.Store {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
 		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
@@ -25,14 +27,25 @@ func newOpsServer(t *testing.T, opts ...Option) (*Server, *resultstore.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	tracer := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
-	return New(store, tracer, opts...), store
+	return store
 }
 
+// TestOpsEndpoints drives the same traffic through a tracer-backed
+// server and one built with a nil tracer (which counts into a private
+// registry): both must report it identically on /metrics and
+// /debug/ops.
 func TestOpsEndpoints(t *testing.T) {
-	srv, _ := newOpsServer(t, WithOps())
-	h := srv.Handler()
+	for name, tracer := range map[string]*telemetry.Tracer{
+		"tracer":     telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)}),
+		"nil tracer": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			testOpsEndpoints(t, New(newOpsStore(t), tracer, WithOps()).Handler())
+		})
+	}
+}
 
+func testOpsEndpoints(t *testing.T, h http.Handler) {
 	// Two ingests under one key: one applied, one duplicate.
 	rs := []metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)}
 	if w := postResults(t, h, "k1", rs); w.Code != http.StatusOK {
@@ -80,14 +93,35 @@ func TestOpsEndpoints(t *testing.T) {
 	if !strings.Contains(text, `resultsd_requests_total{route="series"} 0`) {
 		t.Errorf("/metrics lacks the idle series route:\n%s", text)
 	}
+	// The family set is pinned literally, so a family renamed or dropped
+	// fails loudly; each has exactly one TYPE line.
+	wantFamilies := []string{
+		"resultsd_errors_total counter",
+		"resultsd_ingest_batches_total counter",
+		"resultsd_ingest_duplicate_batches_total counter",
+		"resultsd_ingest_results_total counter",
+		"resultsd_requests_total counter",
+		"resultsd_inflight_requests gauge",
+		"resultsd_store_ingest_keys gauge",
+		"resultsd_store_ready gauge",
+		"resultsd_store_results gauge",
+		"resultsd_wal_active_bytes gauge",
+		"resultsd_wal_active_segment gauge",
+		"resultsd_request_seconds histogram",
+	}
+	var families []string
 	sample := regexp.MustCompile(`^\S+ \S+$`)
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
+		if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, family)
 			continue
 		}
 		if !sample.MatchString(line) {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+	if !slices.Equal(families, wantFamilies) {
+		t.Errorf("/metrics families:\n got %q\nwant %q", families, wantFamilies)
 	}
 
 	// /debug/ops: the same picture as structured JSON.
@@ -132,7 +166,7 @@ func TestOpsEndpointsAbsentWithoutOption(t *testing.T) {
 }
 
 func TestPprofOptIn(t *testing.T) {
-	srv, _ := newOpsServer(t, WithPprof())
+	srv := New(newOpsStore(t), nil, WithPprof())
 	if w := get(t, srv.Handler(), "/debug/pprof/cmdline"); w.Code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline = %d with WithPprof, want 200", w.Code)
 	}

@@ -136,7 +136,7 @@ func RunFollower(ctx context.Context, f *resultshard.Follower, src resultshard.S
 			errs.Inc()
 		} else {
 			syncs.Inc()
-			lagGauge.Set(float64(lag))
+			lagGauge.Set(int64(lag))
 		}
 		select {
 		case <-ctx.Done():

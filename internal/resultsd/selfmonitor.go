@@ -111,10 +111,10 @@ func (m *SelfMonitor) Sample(ctx context.Context) error {
 	span.SetAttr("ingest_key", key)
 	span.SetInt("results", len(results))
 	if _, err := m.client.Push(ctx, key, results); err != nil {
-		m.server.Tracer().Metrics().Counter("resultsd_selfmonitor_errors_total").Inc()
+		m.server.metrics.Counter("resultsd_selfmonitor_errors_total").Inc()
 		return err
 	}
-	m.server.Tracer().Metrics().Counter("resultsd_selfmonitor_samples_total").Inc()
+	m.server.metrics.Counter("resultsd_selfmonitor_samples_total").Inc()
 	return nil
 }
 

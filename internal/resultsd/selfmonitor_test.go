@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
@@ -29,12 +30,12 @@ func TestSelfMonitorGatesServiceLatency(t *testing.T) {
 
 	// Six healthy intervals around 10ms, then one pathological one.
 	for i := 0; i < 6; i++ {
-		lat.Observe(0.01)
+		lat.Observe(10 * time.Millisecond)
 		if err := mon.Sample(ctx); err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
 	}
-	lat.Observe(10.0)
+	lat.Observe(10 * time.Second)
 	if err := mon.Sample(ctx); err != nil {
 		t.Fatal(err)
 	}

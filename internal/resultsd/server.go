@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/metricsdb"
 	"repro/internal/resultshard"
@@ -94,20 +93,15 @@ type Server struct {
 	tracer *telemetry.Tracer
 	mux    *http.ServeMux
 
-	// Live operational counters, readable without the tracer's
-	// registry lock. The routes map is built at New and read-only
-	// afterwards; its counters are atomics.
-	inFlight         atomic.Int64
-	ingestBatches    atomic.Int64
-	ingestDuplicates atomic.Int64
-	ingestResults    atomic.Int64
-	routes           map[string]*routeCounters
-}
-
-// routeCounters are one route's lock-free request/error tallies.
-type routeCounters struct {
-	requests atomic.Int64
-	errors   atomic.Int64
+	// metrics is the one registry every server instrument lives in:
+	// the tracer's, or a private one for a server built without a
+	// tracer, so /metrics and /debug/ops count either way.
+	metrics          *telemetry.Registry
+	inFlight         telemetry.Gauge
+	ingestBatches    telemetry.Counter
+	ingestDuplicates telemetry.Counter
+	ingestResults    telemetry.Counter
+	routes           []string // instrumented route names, fixed at New
 }
 
 // Option configures optional server surfaces.
@@ -128,8 +122,9 @@ func WithPprof() Option { return func(c *serverConfig) { c.pprof = true } }
 
 // New returns a server over the store — a single-node Store, a
 // sharded Router, or a read-only Follower. tracer may be nil (requests
-// then run uninstrumented); with a tracer, every request records a
-// span and per-route metrics into it. A backend that implements the
+// then record no spans and observe zero latencies); with a tracer,
+// every request records a span, and the per-route metrics live in the
+// tracer's registry. A backend that implements the
 // replica-source surface additionally gets the /v1/replica/meta and
 // /v1/replica/delta pull endpoints; a follower backend gets
 // /v1/replica/status.
@@ -138,7 +133,17 @@ func New(store Backend, tracer *telemetry.Tracer, opts ...Option) *Server {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Server{store: store, tracer: tracer, mux: http.NewServeMux(), routes: map[string]*routeCounters{}}
+	met := tracer.Metrics()
+	if met == nil {
+		met = telemetry.NewRegistry()
+	}
+	s := &Server{
+		store: store, tracer: tracer, mux: http.NewServeMux(), metrics: met,
+		inFlight:         met.Gauge("resultsd_inflight_requests"),
+		ingestBatches:    met.Counter("resultsd_ingest_batches_total"),
+		ingestDuplicates: met.Counter("resultsd_ingest_duplicate_batches_total"),
+		ingestResults:    met.Counter("resultsd_ingest_results_total"),
+	}
 	s.mux.HandleFunc("POST /v1/results", s.instrument("results", s.handleIngest))
 	s.mux.HandleFunc("GET /v1/series", s.instrument("series", s.handleSeries))
 	s.mux.HandleFunc("GET /v1/regressions", s.instrument("regressions", s.handleRegressions))
@@ -185,12 +190,10 @@ type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Reques
 // tracer's clock, so a FixedClock server observes zero latencies and
 // stays byte-identical across runs.
 func (s *Server) instrument(route string, fn handlerFunc) http.HandlerFunc {
-	met := s.tracer.Metrics()
-	requests := met.Counter(fmt.Sprintf("resultsd_requests_total{route=%q}", route))
-	errors := met.Counter(fmt.Sprintf("resultsd_errors_total{route=%q}", route))
-	latency := met.Histogram(fmt.Sprintf("resultsd_request_seconds{route=%q}", route))
-	rc := &routeCounters{}
-	s.routes[route] = rc
+	requests := s.metrics.Counter(routeMetric("resultsd_requests_total", route))
+	errors := s.metrics.Counter(routeMetric("resultsd_errors_total", route))
+	latency := s.metrics.Histogram(routeMetric("resultsd_request_seconds", route))
+	s.routes = append(s.routes, route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if s.tracer != nil {
@@ -204,19 +207,22 @@ func (s *Server) instrument(route string, fn handlerFunc) http.HandlerFunc {
 		}
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
-		rc.requests.Add(1)
 		start := s.tracer.Now()
 		ctx, span := telemetry.StartSpan(ctx, "http:"+route)
 		defer span.End()
 		span.SetAttr("method", r.Method)
 		requests.Inc()
-		defer func() { latency.Observe(s.tracer.Now().Sub(start).Seconds()) }()
+		defer func() { latency.Observe(s.tracer.Now().Sub(start)) }()
 		if err := fn(ctx, w, r); err != nil {
 			span.SetError(err)
 			errors.Inc()
-			rc.errors.Add(1)
 		}
 	}
+}
+
+// routeMetric names one route's sample of a per-route family.
+func routeMetric(family, route string) string {
+	return fmt.Sprintf("%s{route=%q}", family, route)
 }
 
 // apiError is the JSON error envelope.
@@ -321,13 +327,13 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 		}
 		return fail(w, http.StatusInternalServerError, err)
 	}
-	s.ingestBatches.Add(1)
+	s.ingestBatches.Inc()
 	resp := IngestResponse{Duplicate: !applied}
 	if applied {
 		resp.Accepted = len(req.Results)
 		s.ingestResults.Add(int64(len(req.Results)))
 	} else {
-		s.ingestDuplicates.Add(1)
+		s.ingestDuplicates.Inc()
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

@@ -61,7 +61,7 @@ func (t *Trace) CaliperProfile() *caliper.Profile {
 		p.Regions[s.Path] = st
 	}
 	for name, v := range t.Metrics.Counters {
-		p.Metrics[name] = v
+		p.Metrics[name] = float64(v)
 	}
 	return p
 }
@@ -78,25 +78,12 @@ func (m MetricsSnapshot) PrometheusText() string {
 }
 
 func (m MetricsSnapshot) writeText(b *strings.Builder) {
-	names := sortedKeys(m.Counters)
-	for _, name := range names {
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s counter\n", base)
-		fmt.Fprintf(b, "%s %s\n", joinLabels(base, labels), formatFloat(m.Counters[name]))
+	writeInt := func(base, labels string, v int64) {
+		fmt.Fprintf(b, "%s %d\n", joinLabels(base, labels), v)
 	}
-
-	names = sortedKeys(m.Gauges)
-	for _, name := range names {
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s gauge\n", base)
-		fmt.Fprintf(b, "%s %s\n", joinLabels(base, labels), formatFloat(m.Gauges[name]))
-	}
-
-	names = sortedKeys(m.Histograms)
-	for _, name := range names {
-		h := m.Histograms[name]
-		base, labels := splitLabels(name)
-		fmt.Fprintf(b, "# TYPE %s histogram\n", base)
+	writeFamilies(b, "counter", m.Counters, writeInt)
+	writeFamilies(b, "gauge", m.Gauges, writeInt)
+	writeFamilies(b, "histogram", m.Histograms, func(base, labels string, h HistogramSnapshot) {
 		for _, bk := range h.Buckets {
 			le := fmt.Sprintf("le=%q", formatFloat(bk.LE))
 			fmt.Fprintf(b, "%s %d\n", joinLabels(base+"_bucket", appendLabel(labels, le)), bk.Count)
@@ -104,6 +91,29 @@ func (m MetricsSnapshot) writeText(b *strings.Builder) {
 		fmt.Fprintf(b, "%s %d\n", joinLabels(base+"_bucket", appendLabel(labels, `le="+Inf"`)), h.Count)
 		fmt.Fprintf(b, "%s %s\n", joinLabels(base+"_sum", labels), formatFloat(h.Sum))
 		fmt.Fprintf(b, "%s %d\n", joinLabels(base+"_count", labels), h.Count)
+	})
+}
+
+// writeFamilies renders one instrument kind, grouped by family: names
+// sort by base name first and label block second, so each family gets
+// exactly one `# TYPE` line with its samples contiguous beneath it —
+// the text parser rejects a repeated TYPE line, and plain full-name
+// order would let `x_total_bytes` split `x_total` from `x_total{...}`.
+func writeFamilies[V any](b *strings.Builder, typ string, m map[string]V, sample func(base, labels string, v V)) {
+	names := sortedKeys(m)
+	sort.SliceStable(names, func(i, j int) bool {
+		bi, _ := splitLabels(names[i])
+		bj, _ := splitLabels(names[j])
+		return bi < bj
+	})
+	family := ""
+	for _, name := range names {
+		base, labels := splitLabels(name)
+		if base != family {
+			fmt.Fprintf(b, "# TYPE %s %s\n", base, typ)
+			family = base
+		}
+		sample(base, labels, m[name])
 	}
 }
 
@@ -126,14 +136,11 @@ func (t *Trace) PrometheusText() string {
 	// time went without parsing the span list.
 	totals := map[string]float64{}
 	for _, s := range t.Spans {
-		totals[s.Path] += s.DurS
+		totals[fmt.Sprintf("benchpark_span_seconds{path=%q}", s.Path)] += s.DurS
 	}
-	if len(totals) > 0 {
-		b.WriteString("# TYPE benchpark_span_seconds counter\n")
-		for _, path := range sortedKeys(totals) {
-			fmt.Fprintf(&b, "benchpark_span_seconds{path=%q} %s\n", path, formatFloat(totals[path]))
-		}
-	}
+	writeFamilies(&b, "counter", totals, func(base, labels string, v float64) {
+		fmt.Fprintf(&b, "%s %s\n", joinLabels(base, labels), formatFloat(v))
+	})
 	return b.String()
 }
 

@@ -23,7 +23,7 @@ func buildTrace(t *testing.T) *Trace {
 	root.End()
 	tr.Metrics().Counter("hits_total").Add(3)
 	tr.Metrics().Gauge("inflight").Set(2)
-	tr.Metrics().Histogram(`lat_seconds{stage="x"}`, 1, 10).Observe(0.5)
+	tr.Metrics().Histogram(`lat_seconds{stage="x"}`, time.Second, 10*time.Second).Observe(500 * time.Millisecond)
 	return tr.Snapshot()
 }
 
@@ -140,5 +140,49 @@ func TestSplitJoinLabels(t *testing.T) {
 	}
 	if got := joinLabels("m", ""); got != "m" {
 		t.Fatalf("joinLabels empty: %q", got)
+	}
+}
+
+// TestPrometheusTextOneTypeLinePerFamily pins the exposition's family
+// grouping: label sets of one family share a single `# TYPE` line (the
+// text parser rejects a second one) and stay contiguous beneath it,
+// even when a neighbour family's name sorts between the bare and the
+// labelled sample (`x_total` < `x_total_bytes` < `x_total{`).
+func TestPrometheusTextOneTypeLinePerFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total").Inc()
+	r.Counter(`x_total{route="a"}`).Inc()
+	r.Counter(`x_total{route="b"}`).Inc()
+	r.Counter("x_total_bytes").Add(7)
+	r.Histogram(`lat_seconds{route="a"}`).Observe(time.Millisecond)
+	r.Histogram(`lat_seconds{route="b"}`).Observe(time.Second)
+	text := r.PrometheusText()
+
+	seen := map[string]bool{}
+	family, typ := "", ""
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, typ, _ = strings.Cut(rest, " ")
+			if seen[family] {
+				t.Errorf("second TYPE line for family %s", family)
+			}
+			seen[family] = true
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if typ == "histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+		}
+		if name != family {
+			t.Errorf("sample %q sits under family %s", line, family)
+		}
+	}
+	if len(seen) != 3 {
+		t.Errorf("want families x_total, x_total_bytes, lat_seconds; got %v", seen)
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", text)
 	}
 }

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
-	"math"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Registry holds a run's counters, gauges and histograms. All
@@ -11,204 +12,143 @@ import (
 // silently drop observations, so instrumented code never branches on
 // whether telemetry is enabled.
 //
+// Every instrument is integral — counts, and durations in whole
+// nanoseconds — which is all the module's callers ever record. A
+// handle points straight at its own atomic state, so recording takes
+// no lock and no lookup, and because integer addition is associative
+// a concurrently-fed registry renders the same text whatever the
+// goroutine schedule was (pinned by the MetricsSnapshot determinism
+// test). mu guards only the maps: registration and Snapshot.
+//
 // Metric names follow the Prometheus convention and may carry a label
 // set inline: `engine_stage_seconds{stage="execute"}`. The text
 // exposition splits the label block back out (see export.go).
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*exactSum
-	gauges   map[string]*exactSum
+	counters map[string]*atomic.Int64
+	gauges   map[string]*atomic.Int64
 	hists    map[string]*histState
 }
 
 type histState struct {
-	bounds []float64 // sorted upper bounds, exclusive of +Inf
-	counts []int64   // non-cumulative per-bound counts
-	over   int64     // observations above the last bound
-	sum    exactSum
-	n      int64
+	bounds []time.Duration // sorted upper bounds, exclusive of +Inf
+	counts []atomic.Int64  // non-cumulative, one per bound plus the +Inf overflow
+	sum    atomic.Int64    // nanoseconds
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*exactSum{},
-		gauges:   map[string]*exactSum{},
+		counters: map[string]*atomic.Int64{},
+		gauges:   map[string]*atomic.Int64{},
 		hists:    map[string]*histState{},
 	}
 }
 
-// exactSum accumulates float64 values with Shewchuk's expansion
-// algorithm: the running total is a list of non-overlapping partials
-// whose sum is the exact mathematical sum of everything added. Plain
-// `+=` is not associative, so a concurrently-fed instrument's value
-// would depend on the goroutine schedule; exact accumulation makes
-// every instrument a pure function of the multiset of observations,
-// which is what lets two identically-fed registries render
-// byte-identical Prometheus text regardless of interleaving (pinned
-// by the MetricsSnapshot determinism test).
-type exactSum struct{ p []float64 }
-
-func (e *exactSum) add(x float64) {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		// A degenerate input poisons the expansion invariants;
-		// collapse to a single sticky partial.
-		e.p = append(e.p[:0], e.value()+x)
-		return
+// intern returns the named cell of m, creating it on first use.
+func (r *Registry) intern(m map[string]*atomic.Int64, name string) *atomic.Int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = new(atomic.Int64)
+		m[name] = v
 	}
-	i := 0
-	for _, y := range e.p {
-		if math.Abs(x) < math.Abs(y) {
-			x, y = y, x
-		}
-		hi := x + y
-		lo := y - (hi - x)
-		if lo != 0 {
-			e.p[i] = lo
-			i++
-		}
-		x = hi
-	}
-	e.p = append(e.p[:i], x)
+	return v
 }
 
-func (e *exactSum) set(x float64) { e.p = append(e.p[:0], x) }
-
-// value sums the partials smallest-to-largest. Because they are
-// non-overlapping, the result is the rounded exact sum, independent
-// of the order the inputs arrived in.
-func (e *exactSum) value() float64 {
-	var s float64
-	for _, v := range e.p {
-		s += v
-	}
-	return s
-}
-
-// DefaultLatencyBuckets are the histogram bounds (seconds) used when
-// a histogram is registered without explicit bounds.
-var DefaultLatencyBuckets = []float64{
-	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500,
+// DefaultLatencyBuckets are the histogram bounds used when a
+// histogram is registered without explicit bounds.
+var DefaultLatencyBuckets = []time.Duration{
+	time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 500 * time.Millisecond, time.Second, 5 * time.Second,
+	10 * time.Second, 50 * time.Second, 100 * time.Second, 500 * time.Second,
 }
 
 // Counter is a monotonically increasing value.
-type Counter struct {
-	r    *Registry
-	name string
-}
+type Counter struct{ n *atomic.Int64 }
 
 // Counter returns the named counter handle, creating it on first use.
 func (r *Registry) Counter(name string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.counters[name]; !ok {
-		r.counters[name] = &exactSum{}
-	}
-	return Counter{r: r, name: name}
+	return Counter{r.intern(r.counters, name)}
 }
 
 // Add increments the counter; negative deltas are ignored.
-func (c Counter) Add(v float64) {
-	if c.r == nil || v < 0 {
+func (c Counter) Add(v int64) {
+	if c.n == nil || v < 0 {
 		return
 	}
-	c.r.mu.Lock()
-	defer c.r.mu.Unlock()
-	c.r.counters[c.name].add(v)
+	c.n.Add(v)
 }
 
 // Inc adds one.
 func (c Counter) Inc() { c.Add(1) }
 
 // Gauge is a value that can go up and down.
-type Gauge struct {
-	r    *Registry
-	name string
-}
+type Gauge struct{ n *atomic.Int64 }
 
 // Gauge returns the named gauge handle, creating it on first use.
 func (r *Registry) Gauge(name string) Gauge {
 	if r == nil {
 		return Gauge{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.gauges[name]; !ok {
-		r.gauges[name] = &exactSum{}
-	}
-	return Gauge{r: r, name: name}
+	return Gauge{r.intern(r.gauges, name)}
 }
 
 // Set replaces the gauge's value.
-func (g Gauge) Set(v float64) {
-	if g.r == nil {
-		return
+func (g Gauge) Set(v int64) {
+	if g.n != nil {
+		g.n.Store(v)
 	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	g.r.gauges[g.name].set(v)
 }
 
 // Add shifts the gauge's value by delta (negative to decrement).
-func (g Gauge) Add(delta float64) {
-	if g.r == nil {
-		return
+func (g Gauge) Add(delta int64) {
+	if g.n != nil {
+		g.n.Add(delta)
 	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	g.r.gauges[g.name].add(delta)
 }
 
-// Histogram accumulates observations into fixed buckets.
-type Histogram struct {
-	r    *Registry
-	name string
-}
+// Histogram accumulates durations into fixed buckets.
+type Histogram struct{ st *histState }
 
 // Histogram returns the named histogram handle, registering it with
 // the given upper bounds on first use (DefaultLatencyBuckets when
 // none are supplied). Bounds are fixed at registration; later calls
 // with different bounds reuse the original.
-func (r *Registry) Histogram(name string, bounds ...float64) Histogram {
+func (r *Registry) Histogram(name string, bounds ...time.Duration) Histogram {
 	if r == nil {
 		return Histogram{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.hists[name]; !ok {
+	st, ok := r.hists[name]
+	if !ok {
 		if len(bounds) == 0 {
 			bounds = DefaultLatencyBuckets
 		}
-		bs := append([]float64(nil), bounds...)
-		sort.Float64s(bs)
-		r.hists[name] = &histState{bounds: bs, counts: make([]int64, len(bs))}
+		bs := slices.Clone(bounds)
+		slices.Sort(bs)
+		st = &histState{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
+		r.hists[name] = st
 	}
-	return Histogram{r: r, name: name}
+	return Histogram{st}
 }
 
-// Observe records one value.
-func (h Histogram) Observe(v float64) {
-	if h.r == nil || math.IsNaN(v) {
+// Observe records one duration.
+func (h Histogram) Observe(d time.Duration) {
+	if h.st == nil {
 		return
 	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	st := h.r.hists[h.name]
-	if st == nil {
-		return
+	i := 0
+	for i < len(h.st.bounds) && d > h.st.bounds[i] {
+		i++
 	}
-	st.sum.add(v)
-	st.n++
-	for i, b := range st.bounds {
-		if v <= b {
-			st.counts[i]++
-			return
-		}
-	}
-	st.over++
+	h.st.counts[i].Add(1)
+	h.st.sum.Add(int64(d))
 }
 
 // Bucket is one cumulative histogram bucket: observations <= LE.
@@ -218,8 +158,10 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is a frozen histogram: cumulative finite buckets
-// plus the overall sum and count (the count includes observations
-// above the last bound — the implicit +Inf bucket).
+// plus the overall sum (seconds) and count. The count is the total of
+// the buckets read in the same pass — including observations above
+// the last bound, the implicit +Inf bucket — so the two agree even
+// when the snapshot races concurrent Observes.
 type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets"`
 	Sum     float64  `json:"sum"`
@@ -228,8 +170,8 @@ type HistogramSnapshot struct {
 
 // MetricsSnapshot is a frozen registry.
 type MetricsSnapshot struct {
-	Counters   map[string]float64           `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -237,35 +179,31 @@ type MetricsSnapshot struct {
 // empty snapshot. Map keys marshal sorted, so snapshots of identical
 // runs are byte-identical in JSON.
 func (r *Registry) Snapshot() MetricsSnapshot {
-	var snap MetricsSnapshot
 	if r == nil {
-		return snap
+		return MetricsSnapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		snap.Counters = make(map[string]float64, len(r.counters))
-		for k, v := range r.counters {
-			snap.Counters[k] = v.value()
-		}
+	snap := MetricsSnapshot{
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
-	if len(r.gauges) > 0 {
-		snap.Gauges = make(map[string]float64, len(r.gauges))
-		for k, v := range r.gauges {
-			snap.Gauges[k] = v.value()
-		}
+	for k, v := range r.counters {
+		snap.Counters[k] = v.Load()
 	}
-	if len(r.hists) > 0 {
-		snap.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for k, st := range r.hists {
-			hs := HistogramSnapshot{Sum: st.sum.value(), Count: st.n}
-			cum := int64(0)
-			for i, b := range st.bounds {
-				cum += st.counts[i]
-				hs.Buckets = append(hs.Buckets, Bucket{LE: b, Count: cum})
-			}
-			snap.Histograms[k] = hs
+	for k, v := range r.gauges {
+		snap.Gauges[k] = v.Load()
+	}
+	for k, st := range r.hists {
+		var hs HistogramSnapshot
+		for i, b := range st.bounds {
+			hs.Count += st.counts[i].Load()
+			hs.Buckets = append(hs.Buckets, Bucket{LE: b.Seconds(), Count: hs.Count})
 		}
+		hs.Count += st.counts[len(st.bounds)].Load()
+		hs.Sum = time.Duration(st.sum.Load()).Seconds()
+		snap.Histograms[k] = hs
 	}
 	return snap
 }

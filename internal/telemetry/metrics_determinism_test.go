@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMetricsSnapshotDeterministicAcrossInterleavings pins the
@@ -19,11 +21,13 @@ func TestMetricsSnapshotDeterministicAcrossInterleavings(t *testing.T) {
 		i := i
 		ops = append(ops,
 			func(r *Registry) { r.Counter(`req_total{route="a"}`).Inc() },
-			func(r *Registry) { r.Counter(`req_total{route="b"}`).Add(float64(i % 3)) },
+			func(r *Registry) { r.Counter(`req_total{route="b"}`).Add(int64(i % 3)) },
 			func(r *Registry) { r.Gauge("inflight").Add(1) },
 			func(r *Registry) { r.Gauge("inflight").Add(-1) },
-			func(r *Registry) { r.Histogram("lat_seconds").Observe(float64(i%7) * 0.01) },
-			func(r *Registry) { r.Histogram(`lat_seconds{route="a"}`).Observe(float64(i % 11)) },
+			func(r *Registry) { r.Histogram("lat_seconds").Observe(time.Duration(i%7) * 10 * time.Millisecond) },
+			func(r *Registry) {
+				r.Histogram(`lat_seconds{route="a"}`).Observe(time.Duration(i%11)*time.Second + time.Duration(i))
+			},
 		)
 	}
 
@@ -75,8 +79,8 @@ func TestRegistryPrometheusTextMatchesTraceExport(t *testing.T) {
 	tr := New(fixed())
 	m := tr.Metrics()
 	m.Counter("a_total").Add(3)
-	m.Gauge("g").Set(1.5)
-	m.Histogram("h_seconds").Observe(0.02)
+	m.Gauge("g").Set(2)
+	m.Histogram("h_seconds").Observe(20 * time.Millisecond)
 
 	live := m.PrometheusText()
 	if live == "" {
@@ -92,5 +96,60 @@ func TestRegistryPrometheusTextMatchesTraceExport(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.PrometheusText() != "" {
 		t.Fatal("nil registry rendered non-empty text")
+	}
+}
+
+// TestSnapshotConsistentUnderConcurrentObserve scrapes in a loop while
+// eight goroutines observe: every snapshot, however it interleaves
+// with the lock-free Observes, must show non-decreasing cumulative
+// buckets whose +Inf total is exactly Count.
+func TestSnapshotConsistentUnderConcurrentObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h_seconds", time.Millisecond, time.Second)
+	const workers, perWorker = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// A third each: first bucket, second bucket, overflow.
+				h.Observe([]time.Duration{time.Microsecond, time.Millisecond + 1, time.Minute}[i%3])
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func() int64 {
+		hs := r.Snapshot().Histograms["h_seconds"]
+		prev := int64(0)
+		for _, b := range hs.Buckets {
+			if b.Count < prev {
+				t.Fatalf("cumulative buckets decrease: %+v", hs.Buckets)
+			}
+			prev = b.Count
+		}
+		if hs.Count < prev {
+			t.Fatalf("count %d below the last finite bucket: %+v", hs.Count, hs.Buckets)
+		}
+		return hs.Count
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			check()
+		}
+	}
+	if got := check(); got != workers*perWorker {
+		t.Fatalf("final count %d, want %d", got, workers*perWorker)
+	}
+	// The rendered +Inf bucket and _count are the same number.
+	text := r.PrometheusText()
+	for _, want := range []string{`h_seconds_bucket{le="+Inf"} 16000`, "h_seconds_count 16000"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
+		}
 	}
 }

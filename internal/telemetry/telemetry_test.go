@@ -41,7 +41,7 @@ func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("c").Inc()
 	reg.Gauge("g").Set(1)
-	reg.Histogram("h").Observe(1)
+	reg.Histogram("h").Observe(time.Second)
 	if snap := reg.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatal("nil registry must drop observations")
 	}
@@ -211,9 +211,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	g := r.Gauge("g")
 	g.Set(10)
 	g.Add(-3)
-	h := r.Histogram("h_seconds", 1, 10)
-	for _, v := range []float64{0.5, 5, 50} {
-		h.Observe(v)
+	h := r.Histogram("h_seconds", time.Second, 10*time.Second)
+	for _, d := range []time.Duration{500 * time.Millisecond, 5 * time.Second, 50 * time.Second} {
+		h.Observe(d)
 	}
 
 	snap := r.Snapshot()
@@ -236,9 +236,9 @@ func TestMetricsSnapshot(t *testing.T) {
 
 func TestHistogramDefaultsAndFixedBounds(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("h").Observe(0.003)
+	r.Histogram("h").Observe(3 * time.Millisecond)
 	// Re-registering with different bounds reuses the original.
-	r.Histogram("h", 1000).Observe(0.003)
+	r.Histogram("h", 1000*time.Second).Observe(3 * time.Millisecond)
 	hs := r.Snapshot().Histograms["h"]
 	if len(hs.Buckets) != len(DefaultLatencyBuckets) {
 		t.Fatalf("want default buckets, got %d", len(hs.Buckets))
@@ -259,7 +259,7 @@ func TestConcurrentMetricsAndSpans(t *testing.T) {
 			_, s := StartSpan(ctx, "w")
 			tr.Metrics().Counter("n_total").Inc()
 			tr.Metrics().Gauge("g").Add(1)
-			tr.Metrics().Histogram("h").Observe(1)
+			tr.Metrics().Histogram("h").Observe(time.Second)
 			s.AddEvent("tick")
 			s.End()
 		}()

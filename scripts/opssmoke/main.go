@@ -104,6 +104,17 @@ func main() {
 			fatalf("/metrics lacks %q:\n%s", want, text)
 		}
 	}
+	// The text parser rejects a second TYPE line for a family.
+	typed := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		if typed[line] {
+			fatalf("/metrics repeats %q:\n%s", line, text)
+		}
+		typed[line] = true
+	}
 
 	code, body, _ := get("/debug/ops")
 	if code != http.StatusOK {

@@ -64,6 +64,9 @@ go test ./...
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint
+# Order-independence of the rendered metrics is a claim about every
+# schedule, so the interleaving test runs many times, not once.
+go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
 echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
