@@ -43,12 +43,44 @@ type Result struct {
 type DB struct {
 	mu      sync.RWMutex
 	results []Result // in Seq order: Add, Insert and LoadJSON all keep it so
-	nextID  int
-	nextSeq int
+	// postings lists, per (system, benchmark) pair, the positions in
+	// results of that pair's results, ascending — so in Seq order. A
+	// dashboard series pins exactly that pair, and each (see there)
+	// walks its list instead of scanning. Positions are int32 to keep
+	// the index at 4 bytes a result: a process cannot hold 2^31 Results
+	// (over 100 bytes each before their maps) anyway.
+	postings map[pairKey][]int32
+	nextID   int
+	nextSeq  int
 }
 
+// pairKey names one posting list. Its strings alias the first stored
+// result's, so a key costs two string headers and no copy.
+type pairKey struct{ system, benchmark string }
+
 // New returns an empty database.
-func New() *DB { return &DB{} }
+func New() *DB { return &DB{postings: map[pairKey][]int32{}} }
+
+// post appends pos, the highest position posted so far, to the list of
+// the pair results[pos] belongs to. Caller holds db.mu.
+func (db *DB) post(pos int) {
+	r := &db.results[pos]
+	k := pairKey{r.System, r.Benchmark}
+	db.postings[k] = append(db.postings[k], int32(pos))
+}
+
+// reindex rebuilds every posting list from results: once after
+// LoadJSON, and after an out-of-order Insert has shifted the positions
+// behind it. Nothing is ever deleted, so every list that exists refills
+// in place. Caller holds db.mu.
+func (db *DB) reindex() {
+	for k, list := range db.postings {
+		db.postings[k] = list[:0]
+	}
+	for i := range db.results {
+		db.post(i)
+	}
+}
 
 // Add stores a result, assigning its ID and sequence number, which it
 // returns.
@@ -60,6 +92,7 @@ func (db *DB) Add(r Result) int {
 	r.ID = db.nextID
 	r.Seq = db.nextSeq
 	db.results = append(db.results, r)
+	db.post(len(db.results) - 1)
 	return r.ID
 }
 
@@ -81,10 +114,13 @@ func (db *DB) Insert(r Result) {
 	}
 	i := db.firstAfter(r.Seq)
 	db.results = append(db.results, r)
-	if i < len(db.results)-1 {
-		copy(db.results[i+1:], db.results[i:])
-		db.results[i] = r
+	if i == len(db.results)-1 {
+		db.post(i)
+		return
 	}
+	copy(db.results[i+1:], db.results[i:])
+	db.results[i] = r
+	db.reindex()
 }
 
 // firstAfter is the index of the first result with Seq > seq. Caller
@@ -111,11 +147,34 @@ type Filter struct {
 	Experiment string
 }
 
-func (f Filter) matches(r Result) bool {
+func (f Filter) matches(r *Result) bool {
 	return (f.Benchmark == "" || f.Benchmark == r.Benchmark) &&
 		(f.Workload == "" || f.Workload == r.Workload) &&
 		(f.System == "" || f.System == r.System) &&
 		(f.Experiment == "" || f.Experiment == r.Experiment)
+}
+
+// each calls fn for every stored result f matches, in sequence order.
+// It is the one iteration every filtered read is built on, and the one
+// place that chooses how: a filter that pins both System and Benchmark
+// walks that pair's posting list and applies only the residual
+// Workload/Experiment match per hit; anything else scans, because no
+// other field is indexed. fn must not retain r. Caller holds db.mu.
+func (db *DB) each(f Filter, fn func(r *Result)) {
+	if f.System != "" && f.Benchmark != "" {
+		rest := Filter{Workload: f.Workload, Experiment: f.Experiment}
+		for _, pos := range db.postings[pairKey{f.System, f.Benchmark}] {
+			if r := &db.results[pos]; rest.matches(r) {
+				fn(r)
+			}
+		}
+		return
+	}
+	for i := range db.results {
+		if r := &db.results[i]; f.matches(r) {
+			fn(r)
+		}
+	}
 }
 
 // Query returns matching results in sequence order.
@@ -123,11 +182,7 @@ func (db *DB) Query(f Filter) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Result
-	for _, r := range db.results {
-		if f.matches(r) {
-			out = append(out, r)
-		}
-	}
+	db.each(f, func(r *Result) { out = append(out, *r) })
 	return out
 }
 
@@ -169,14 +224,27 @@ type Point struct {
 	TraceID string
 }
 
-// Series extracts the time series of one FOM under a filter.
+// Series extracts the time series of one FOM under a filter. It counts
+// the points, then fills a slice of exactly that size: no intermediate
+// []Result, no growth by doubling.
 func (db *DB) Series(f Filter, fom string) []Point {
-	var out []Point
-	for _, r := range db.Query(f) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	db.each(f, func(r *Result) {
+		if _, ok := r.FOMs[fom]; ok {
+			n++
+		}
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]Point, 0, n)
+	db.each(f, func(r *Result) {
 		if v, ok := r.FOMs[fom]; ok {
 			out = append(out, Point{Seq: r.Seq, Value: v, TraceID: r.TraceID})
 		}
-	}
+	})
 	return out
 }
 
@@ -221,8 +289,9 @@ func DetectInSeries(series []Point, window int, threshold float64) []Regression 
 		return nil
 	}
 	var out []Regression
+	scratch := make([]float64, window) // median's sort buffer, reused per sample
 	for i := window; i < len(series); i++ {
-		base := median(series[i-window : i])
+		base := median(series[i-window:i], scratch)
 		if base == 0 {
 			continue
 		}
@@ -237,8 +306,9 @@ func DetectInSeries(series []Point, window int, threshold float64) []Regression 
 	return out
 }
 
-func median(pts []Point) float64 {
-	vals := make([]float64, len(pts))
+// median returns the median Value of pts, sorting a copy of the values
+// in vals (len(vals) == len(pts)).
+func median(pts []Point, vals []float64) float64 {
 	for i, p := range pts {
 		vals[i] = p.Value
 	}
@@ -281,6 +351,7 @@ func LoadJSON(src string) (*DB, error) {
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
 	db.results = results
+	db.reindex()
 	return db, nil
 }
 
@@ -387,8 +458,8 @@ func (db *DB) Systems() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	seen := map[string]bool{}
-	for _, r := range db.results {
-		seen[r.System] = true
+	for k := range db.postings { // one key per pair, not one per result
+		seen[k.system] = true
 	}
 	return sortedKeys(seen)
 }

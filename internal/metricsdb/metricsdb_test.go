@@ -388,7 +388,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 	reference := func(f Filter, after int) []Result {
 		var out []Result
 		for _, r := range shuffled {
-			if r.Seq > after && f.matches(r) {
+			if r.Seq > after && f.matches(&r) {
 				out = append(out, r)
 			}
 		}
@@ -396,7 +396,11 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 		return out
 	}
 	for name, db := range map[string]*DB{"Insert": inserted, "LoadJSON": loaded} {
-		for _, f := range []Filter{{}, {System: "cts1"}, {System: "ats2"}, {System: "nowhere"}} {
+		// The shift an out-of-order Insert causes must leave the postings
+		// naming the moved positions, not the old ones.
+		checkPostings(t, name, db)
+		for _, f := range []Filter{{}, {System: "cts1"}, {System: "ats2"}, {System: "nowhere"},
+			{System: "cts1", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "nothing"}} {
 			if got, want := db.Query(f), reference(f, 0); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Query(%+v) = Seqs %v, want %v", name, f, seqs(got), seqs(want))
 			}

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metricsdb"
@@ -84,6 +85,11 @@ func FullJitter(d time.Duration) time.Duration {
 // than it saves.
 const gzipMinBytes = 1 << 10
 
+// gzipWriters holds idle compressors. A gzip.Writer carries ~0.85 MB
+// of deflate state — more than a hundred times the batch it squeezes —
+// so a push borrows one and Resets it rather than building its own.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
@@ -121,10 +127,13 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	encoding := ""
 	if len(payload) >= gzipMinBytes && !c.DisableCompression {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(payload); err == nil && zw.Close() == nil {
+		zw := gzipWriters.Get().(*gzip.Writer)
+		zw.Reset(&buf)
+		_, werr := zw.Write(payload)
+		if cerr := zw.Close(); werr == nil && cerr == nil {
 			payload, encoding = buf.Bytes(), "gzip"
 		}
+		gzipWriters.Put(zw) // closed; the next Reset clears whatever state is left
 	}
 	u := strings.TrimSuffix(c.BaseURL, "/") + path
 	if len(query) > 0 {
@@ -227,7 +236,7 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 		return &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxIngestBytes))
+	data, err := readBody(resp)
 	if err != nil {
 		return &retryableError{err: err}
 	}
@@ -254,6 +263,17 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
+}
+
+// readBody reads a reply of at most maxIngestBytes: in one allocation
+// of the stated size when the server states one, else by growing.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxIngestBytes {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxIngestBytes))
 }
 
 // apiErrorText extracts the server's error envelope, falling back to

@@ -1,0 +1,265 @@
+package resultsd
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/metricsdb"
+	"repro/internal/resultstore"
+)
+
+// freshGzip is the reference encoding: what a gzip.Writer built for
+// this one body produces.
+func freshGzip(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// pushOf is a batch of n results under one system name nothing else
+// uses, so what the store holds for that system is what this push
+// delivered. At n >= 8 the body is over gzipMinBytes.
+func pushOf(system string, n int) []metricsdb.Result {
+	out := make([]metricsdb.Result, n)
+	for i := range out {
+		out[i] = result(fmt.Sprintf("bench-%02d", i%3), system, "fom", float64(i)+0.25)
+		out[i].Meta = map[string]string{"runner": system, "slot": fmt.Sprint(i)}
+	}
+	return out
+}
+
+// storedAs strips what the store assigns, leaving what was pushed.
+func storedAs(store *resultstore.Store, system string) []metricsdb.Result {
+	got := store.Query(metricsdb.Filter{System: system})
+	for i := range got {
+		got[i].ID, got[i].Seq, got[i].TraceID = 0, 0, ""
+	}
+	return got
+}
+
+// postRaw sends body as a gzip-encoded (or plain) ingest request.
+func postRaw(h http.Handler, body []byte, gzipped bool) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/results", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if gzipped {
+		req.Header.Set("Content-Encoding", "gzip")
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
+}
+
+// TestPooledCodecConcurrentPushes: 8 runners × 50 compressed pushes
+// share the pooled writers and readers. Every body on the wire must be
+// byte for byte what a fresh gzip.Writer makes of that payload, and
+// every push must decode server-side to exactly what was pushed.
+func TestPooledCodecConcurrentPushes(t *testing.T) {
+	const runners, pushes = 8, 50
+	srv, store := newTestServer(t)
+	inner := srv.Handler()
+	var mu sync.Mutex
+	wire := map[[sha256.Size]byte]bool{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil || r.Header.Get("Content-Encoding") != "gzip" {
+			t.Errorf("push arrived unreadable or uncompressed (%v, %q)", err, r.Header.Get("Content-Encoding"))
+		}
+		mu.Lock()
+		wire[sha256.Sum256(body)] = true
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < runners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := fastClient(ts.URL)
+			for n := 0; n < pushes; n++ {
+				system := fmt.Sprintf("runner-%d-%d", g, n)
+				resp, err := c.Push(context.Background(), system, pushOf(system, 8+n%5))
+				if err != nil || resp.Accepted != 8+n%5 {
+					t.Errorf("push %s: %+v, %v", system, resp, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g := 0; g < runners; g++ {
+		for n := 0; n < pushes; n++ {
+			system := fmt.Sprintf("runner-%d-%d", g, n)
+			pushed := pushOf(system, 8+n%5)
+			if got := storedAs(store, system); !reflect.DeepEqual(got, pushed) {
+				t.Fatalf("%s: the store holds %+v, the runner pushed %+v", system, got, pushed)
+			}
+			plain, err := json.Marshal(IngestRequest{IngestKey: system, Results: pushed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plain) < gzipMinBytes {
+				t.Fatalf("%s: a %d-byte body does not exercise the compressor", system, len(plain))
+			}
+			if !wire[sha256.Sum256(freshGzip(t, plain))] {
+				t.Fatalf("%s: no request carried the bytes a fresh gzip.Writer produces for it", system)
+			}
+		}
+	}
+	if len(wire) != runners*pushes {
+		t.Fatalf("%d distinct bodies on the wire, want %d", len(wire), runners*pushes)
+	}
+}
+
+// TestCutGzipBodyLeavesTheNextPushIntact: a body that ends mid-stream
+// is a 400, and the decompressor it leaves in the pool serves the next
+// push as if new.
+func TestCutGzipBodyLeavesTheNextPushIntact(t *testing.T) {
+	srv, store := newTestServer(t)
+	h := srv.Handler()
+	plain, err := json.Marshal(IngestRequest{IngestKey: "cut", Results: pushOf("cut", 40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := freshGzip(t, plain)
+	// Mid-stream twice, just past the 10-byte header, and inside it (the
+	// one Reset itself refuses). Not in the last block: the JSON value
+	// can be complete before the stream is, and the decoder stops there.
+	for round, cut := range []int{len(whole) / 2, len(whole) * 3 / 4, 11, 3} {
+		if w := postRaw(h, whole[:cut], true); w.Code != http.StatusBadRequest {
+			t.Fatalf("body cut at %d of %d: status %d, want 400", cut, len(whole), w.Code)
+		}
+		system := fmt.Sprintf("after-cut-%d", round)
+		pushed := pushOf(system, 12)
+		good, err := json.Marshal(IngestRequest{IngestKey: system, Results: pushed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := postRaw(h, freshGzip(t, good), true); w.Code != http.StatusOK {
+			t.Fatalf("push after a body cut at %d: %d %s", cut, w.Code, w.Body)
+		}
+		if got := storedAs(store, system); !reflect.DeepEqual(got, pushed) {
+			t.Fatalf("push after a body cut at %d stored %+v, want %+v", cut, got, pushed)
+		}
+	}
+	if n := len(store.Query(metricsdb.Filter{System: "cut"})); n != 0 {
+		t.Fatalf("%d results of a cut body were stored", n)
+	}
+}
+
+// TestPushAllocationBudget pins the client's cost model: a compressed
+// push borrows its compressor. Building one per push is ~850 KiB; the
+// median push here — the median, because the race detector makes
+// sync.Pool drop a quarter of what it is handed — stays under 128 KiB
+// with the whole in-process HTTP round trip included.
+func TestPushAllocationBudget(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		writeJSON(w, http.StatusOK, IngestResponse{Accepted: 20})
+	}))
+	defer ts.Close()
+	c := fastClient(ts.URL)
+	batch := pushOf("budget", 20)
+	push := func(n int) {
+		if _, err := c.Push(context.Background(), fmt.Sprintf("budget-%d", n), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(0) // connection set-up, and the pool's first compressor
+	var perPush []uint64
+	var before, after runtime.MemStats
+	for n := 1; n <= 21; n++ {
+		runtime.ReadMemStats(&before)
+		push(n)
+		runtime.ReadMemStats(&after)
+		perPush = append(perPush, after.TotalAlloc-before.TotalAlloc)
+	}
+	sort.Slice(perPush, func(i, j int) bool { return perPush[i] < perPush[j] })
+	if median := perPush[len(perPush)/2]; median >= 128<<10 {
+		t.Fatalf("median push allocates %d KiB, want < 128 (per push, sorted: %v)", median>>10, perPush)
+	}
+}
+
+// lastBatch is the Backend the fuzzer serves from: it keeps, in memory,
+// the last batch the handler handed down, so an exec costs microseconds
+// and runs the same code every time (a store's fsync and committer
+// goroutine would make it milliseconds and its coverage a coin flip).
+// Ingest calls nothing but Append.
+type lastBatch struct {
+	Backend
+	got resultstore.Batch
+}
+
+func (b *lastBatch) Append(_ context.Context, batch resultstore.Batch) (bool, error) {
+	b.got = batch
+	return true, nil
+}
+
+// FuzzIngestBody: the ingest handler takes whatever a runner — or
+// anything else that can reach the port — sends, and its decompressor
+// is reused from request to request. Whatever the body, the handler
+// must not panic, must answer with one of the statuses it documents,
+// and must leave the next well-formed compressed push accepted and
+// stored intact.
+func FuzzIngestBody(f *testing.F) {
+	valid, err := json.Marshal(IngestRequest{IngestKey: "seed", Results: pushOf("seed", 12)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	zipped := freshGzip(f, valid)
+	f.Add(valid, false)
+	f.Add(zipped, true)
+	f.Add(zipped[:len(zipped)/2], true)
+	f.Add(freshGzip(f, []byte("not json at all")), true)
+	f.Add(append(append([]byte(nil), zipped...), "garbage after the member"...), true)
+	f.Add(valid, true) // plain bytes announced as gzip
+
+	pushed := pushOf("after-hostile", 10)
+	good, err := json.Marshal(IngestRequest{IngestKey: "after-hostile", Results: pushed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good = freshGzip(f, good)
+
+	backend := &lastBatch{}
+	h := New(backend, nil).Handler()
+	f.Fuzz(func(t *testing.T, body []byte, gzipped bool) {
+		switch w := postRaw(h, body, gzipped); w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusForbidden,
+			http.StatusTooManyRequests, http.StatusInternalServerError:
+		default:
+			t.Fatalf("status %d for a %d-byte body (gzip %v)", w.Code, len(body), gzipped)
+		}
+		backend.got = resultstore.Batch{}
+		if w := postRaw(h, good, true); w.Code != http.StatusOK {
+			t.Fatalf("well-formed push after the hostile body: %d %s", w.Code, w.Body)
+		}
+		if got := backend.got; got.Key != "after-hostile" || !reflect.DeepEqual(got.Results, pushed) {
+			t.Fatalf("well-formed push after the hostile body reached the backend as %+v, want %+v", got, pushed)
+		}
+	})
+}

@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 
 	"repro/internal/metricsdb"
 	"repro/internal/resultshard"
@@ -238,7 +239,10 @@ func fail(w http.ResponseWriter, code int, err error) error {
 }
 
 // writeJSON renders one response body. Encoding a response we built
-// ourselves cannot fail, so the error path is just a 500 guard.
+// ourselves cannot fail, so the error path is just a 500 guard. The
+// length is stated — it is known — so a client can read the body into
+// one buffer of that size, and the newline is its own Write: appending
+// it would copy the whole body to add a byte.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -246,9 +250,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
 	w.WriteHeader(code)
-	w.Write(append(data, '\n')) //nolint:errcheck
+	w.Write(data)    //nolint:errcheck
+	w.Write(newline) //nolint:errcheck
 }
+
+var newline = []byte{'\n'}
 
 // IngestRequest is the POST /v1/results body: a client-chosen
 // idempotency key and the results it covers. Result IDs and sequence
@@ -270,6 +278,11 @@ type IngestResponse struct {
 	Duplicate bool `json:"duplicate"`
 }
 
+// gzipReaders holds idle decompressors (~44 kB of inflate state each)
+// for compressed pushes. A zero gzip.Reader is what gzip.NewReader
+// Resets, too.
+var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+
 func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	// Compressed pushes (Content-Encoding: gzip) are the norm for
 	// federated runners — a results batch is highly redundant JSON.
@@ -277,11 +290,15 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 	// bomb cannot smuggle an oversized batch past MaxBytesReader.
 	var body io.Reader = http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	if r.Header.Get("Content-Encoding") == "gzip" {
-		zr, err := gzip.NewReader(body)
-		if err != nil {
+		zr := gzipReaders.Get().(*gzip.Reader)
+		if err := zr.Reset(body); err != nil {
+			// Not returned to the pool: only a Closed reader is.
 			return fail(w, http.StatusBadRequest, fmt.Errorf("decoding gzip body: %w", err))
 		}
-		defer zr.Close()
+		defer func() {
+			zr.Close() //nolint:errcheck
+			gzipReaders.Put(zr)
+		}()
 		body = io.LimitReader(zr, maxIngestBytes)
 	}
 	var req IngestRequest

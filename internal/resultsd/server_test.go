@@ -1,7 +1,6 @@
 package resultsd
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func newTestServer(t *testing.T) (*Server, *resultstore.Store) {
+func newTestServer(t testing.TB) (*Server, *resultstore.Store) {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
 		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
@@ -44,11 +43,7 @@ func postResults(t *testing.T, h http.Handler, key string, rs []metricsdb.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/results", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	return w
+	return postRaw(h, body, false)
 }
 
 func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {

@@ -15,8 +15,10 @@
 # queue) and its load generator (one goroutine per simulated runner), benchlint's
 # concurrent file parser, and the benchlint CLI whose tests drive
 # that loader end to end. After it, the result store's two decoders of
-# on-disk bytes — WAL frames and snapshot generations — are fuzzed for
-# five seconds each from the committed seed corpora.
+# on-disk bytes — WAL frames and snapshot generations — and the ingest
+# handler's reader of network bytes (plain or gzip, through its pooled
+# decompressor) are fuzzed for five seconds each from their seed
+# corpora.
 #
 # benchlint runs ratchet-gated against the committed
 # .benchlint-baseline.json (only NEW findings fail; the file is empty,
@@ -68,9 +70,13 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
+# Whether a pooled decompressor is reused or built depends on the GC, so
+# coverage flaps and the minimizer (60 s per "new" input by default)
+# would eat the five seconds; spend them on new inputs instead.
+go test -run '^$' -fuzz '^FuzzIngestBody$' -fuzztime=5s -fuzzminimizetime=0s ./internal/resultsd
 
 echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
