@@ -345,6 +345,11 @@ func runSuite(suite, system, dir string, opts *execOpts) error {
 	bp.Cache.Instrument(opts.tracer.Metrics())
 	fmt.Printf("==> workspace %s for %s on %s (%d workers)\n", dir, suite, system, opts.jobs)
 	rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs, Timeout: opts.timeout})
+	// The workspace is what the user asked for: keep it, a failed run's
+	// partial one included.
+	if serr := sess.Workspace.Save(); err == nil {
+		err = serr
+	}
 	if ferr := opts.finish(); ferr != nil && err == nil {
 		err = ferr
 	}

@@ -121,7 +121,11 @@ func createCmd(flags map[string]string) error {
 		return fmt.Errorf("create needs --suite and --system")
 	}
 	bp := core.New()
-	if _, err := bp.Setup(suite, system, dir); err != nil {
+	sess, err := bp.Setup(suite, system, dir)
+	if err != nil {
+		return err
+	}
+	if err := sess.Workspace.Save(); err != nil {
 		return err
 	}
 	fmt.Printf("==> created workspace %s (%s on %s)\n", dir, suite, system)
@@ -175,6 +179,9 @@ func setupCmd(flags map[string]string) error {
 	if err := w.Setup(sess.InstallSoftware); err != nil {
 		return err
 	}
+	if err := w.Save(); err != nil {
+		return err
+	}
 	fmt.Printf("==> setup complete: %d experiments generated, software installed (%d packages)\n",
 		len(w.Experiments), sess.Installer.DB.Len())
 	return nil
@@ -199,6 +206,9 @@ func onCmd(flags map[string]string) error {
 		return err
 	}
 	if err := w.On(sess.Executor); err != nil {
+		return err
+	}
+	if err := w.Save(); err != nil {
 		return err
 	}
 	fmt.Printf("==> executed %d experiments on %s (outputs in experiments/)\n",

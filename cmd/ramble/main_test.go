@@ -1,10 +1,89 @@
 package main
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from what this tree prints")
+
+// TestFigure5Transcript pins what the five commands print and the
+// archive they end with, recorded from the commit before the workspace
+// moved into memory (ISSUE 17). The workspace path is relative, so the
+// rendered scripts — and with them the archive bytes — do not depend
+// on where the test runs.
+func TestFigure5Transcript(t *testing.T) {
+	golden, err := filepath.Abs(filepath.Join("testdata", "figure5_transcript.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd) //nolint:errcheck
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		printed <- data
+	}()
+	var runErr error
+	for _, args := range [][]string{
+		{"workspace", "create", "-d", "ws", "--suite", "saxpy/openmp", "--system", "cts1"},
+		{"workspace", "setup", "-d", "ws"},
+		{"on", "-d", "ws"},
+		{"workspace", "analyze", "-d", "ws"},
+		{"workspace", "archive", "-d", "ws", "-o", "ws.tar.gz"},
+	} {
+		fmt.Printf("$ ramble %v\n", args)
+		if runErr = run(args); runErr != nil {
+			break
+		}
+	}
+	os.Stdout = stdout
+	w.Close()
+	got := <-printed
+	if runErr != nil {
+		t.Fatalf("%v\n%s", runErr, got)
+	}
+	archive, err := os.ReadFile("ws.tar.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, fmt.Sprintf("ws.tar.gz sha256 %x\n", sha256.Sum256(archive))...)
+
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("transcript differs:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
 
 // TestFigure5CommandSequence drives the exact five-command workflow
 // of the paper's Figure 5 across separate invocations, with all state

@@ -62,6 +62,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A workspace lives in memory until saved; this one is about to be
+	// shown.
+	if err := sess2.Workspace.Save(); err != nil {
+		return err
+	}
 
 	fmt.Println("\nGenerated workspace (Figure 1a):")
 	if err := printTree(dir, 3); err != nil {

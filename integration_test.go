@@ -158,6 +158,9 @@ func TestIntegrationWorkspaceOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
+	}
 	for _, sub := range []string{"configs", "experiments", "logs"} {
 		if fi, err := os.Stat(filepath.Join(dir, sub)); err != nil || !fi.IsDir() {
 			t.Errorf("missing workspace dir %s", sub)

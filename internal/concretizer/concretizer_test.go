@@ -2,6 +2,7 @@ package concretizer
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/pkgrepo"
@@ -35,6 +36,42 @@ func testConfig(t testing.TB) *Config {
 
 func newC(t testing.TB) *Concretizer {
 	return New(pkgrepo.Builtin(), testConfig(t))
+}
+
+// TestConcurrentSolvesOverSharedBuiltinScope: pkgrepo.Builtin() repos
+// share one set of recipes, so solving from several goroutines must
+// only ever read them (run under -race) and give every goroutine the
+// answer a lone solve gives.
+func TestConcurrentSolvesOverSharedBuiltinScope(t *testing.T) {
+	specs := []string{"saxpy@1.0.0 +openmp ^cmake@3.23.1", "amg2023+caliper", "hypre", "caliper"}
+	want := make([]string, len(specs))
+	for i, s := range specs {
+		got, err := newC(t).Concretize(spec.MustParse(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = got.DAGHash()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := newC(t) // its own Repo over the shared scope
+			for n := 0; n < 4; n++ {
+				i := (g + n) % len(specs)
+				got, err := c.Concretize(spec.MustParse(specs[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if h := got.DAGHash(); h != want[i] {
+					t.Errorf("%s: concurrent solve %s, lone solve %s", specs[i], h, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestConcretizeSaxpy(t *testing.T) {

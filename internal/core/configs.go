@@ -117,6 +117,12 @@ func ConcretizerConfig(sys *hpcsim.System) (*concretizer.Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	return concretizerConfig(sys, files)
+}
+
+// concretizerConfig is ConcretizerConfig over already rendered
+// SystemConfigs(sys).
+func concretizerConfig(sys *hpcsim.System, files map[string]string) (*concretizer.Config, error) {
 	cfg := concretizer.NewConfig()
 	cfg.Platform = "linux"
 	if err := cfg.LoadCompilersYAML(files["compilers.yaml"]); err != nil {

@@ -141,6 +141,9 @@ func TestFigure1cQuickstart(t *testing.T) {
 		t.Errorf("thicket runs = %d", sess.Thicket.Len())
 	}
 	// Workspace directories materialized (Figure 1a).
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := os.ReadDir(filepath.Join(sess.Workspace.Root, "experiments", "saxpy", "problem"))
 	if err != nil || len(entries) != 8 {
 		t.Errorf("experiment dirs = %d, %v", len(entries), err)
@@ -353,6 +356,9 @@ func TestResultsArtifactWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sess.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Workspace.Save(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
@@ -624,6 +630,9 @@ func TestCaliFilesWritten(t *testing.T) {
 	}
 	rep, err := sess.RunAll()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Workspace.Save(); err != nil {
 		t.Fatal(err)
 	}
 	e := rep.Experiments[0]

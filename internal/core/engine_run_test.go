@@ -32,6 +32,9 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 		if rep.Failed != 0 {
 			t.Fatalf("jobs=%d: %d experiments failed", jobs, rep.Failed)
 		}
+		if err := sess.Workspace.Save(); err != nil {
+			t.Fatal(err)
+		}
 		artifact, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -88,6 +91,9 @@ func TestRunRepeatableByteIdentical(t *testing.T) {
 		}
 		if rep.Failed != 0 {
 			t.Fatalf("%d experiments failed", rep.Failed)
+		}
+		if err := sess.Workspace.Save(); err != nil {
+			t.Fatal(err)
 		}
 		artifacts := map[string]string{}
 		err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
@@ -163,6 +169,9 @@ func TestRunBatchedDeterministicAcrossJobs(t *testing.T) {
 		}
 		if _, _, err := sess.Run(context.Background(), RunOptions{Jobs: jobs, Batched: true}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if err := sess.Workspace.Save(); err != nil {
+			t.Fatal(err)
 		}
 		artifact, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
 		if err != nil {

@@ -2,6 +2,7 @@ package pkgrepo
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/spec"
 )
@@ -10,14 +11,30 @@ import (
 // math libraries, build tools, GPU runtimes, performance tools, and
 // the Benchpark benchmarks of Section 4 (saxpy, AMG2023) plus the
 // additional proxy benchmarks the suite runs continuously.
+//
+// Every call returns its own Repo, so a scope or overlay added to one
+// is invisible to the next. The builtin recipes themselves are
+// finalized once and shared read-only between repos for as long as
+// callers keep coming: builtinScopes is a pool rather than a
+// sync.OnceValue so that an idle process does not hold the ~80 kB scope
+// forever — the GC empties the pool and the next call rebuilds it.
 func Builtin() *Repo {
-	r := NewRepo()
-	if err := r.AddScope("builtin", builtinPackages()...); err != nil {
-		// The builtin repo is static; a failure here is a programming error.
-		panic(err)
+	scope, ok := builtinScopes.Get().(map[string]*Package)
+	if !ok {
+		r := NewRepo()
+		if err := r.AddScope("builtin", builtinPackages()...); err != nil {
+			// The builtin repo is static; a failure here is a programming error.
+			panic(err)
+		}
+		scope = r.scopes[0]
 	}
-	return r
+	// Nothing writes a finalized scope, so it goes straight back for the
+	// next caller while this one reads it.
+	builtinScopes.Put(scope)
+	return &Repo{scopes: []map[string]*Package{scope}, names: []string{"builtin"}}
 }
+
+var builtinScopes sync.Pool
 
 func builtinPackages() []*Package {
 	var pkgs []*Package

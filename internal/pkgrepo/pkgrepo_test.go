@@ -179,6 +179,38 @@ func TestOverlayPrecedence(t *testing.T) {
 	}
 }
 
+// TestBuiltinReposIsolated: Builtin() repos may share one finalized
+// set of recipes, but each has its own scope list, so one repo's
+// overlay or extra scope never shows in a sibling or a later repo.
+func TestBuiltinReposIsolated(t *testing.T) {
+	a, b := Builtin(), Builtin()
+	patched := NewPackage("saxpy").AddVersion("2.0.0").WithBuild("cmake", 45)
+	if err := a.AddOverlay("benchpark-repo", patched); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddScope("site", NewPackage("site-only").AddVersion("1")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := a.Get("saxpy"); got != patched {
+		t.Error("overlay not honored on the repo it was added to")
+	}
+	for name, r := range map[string]*Repo{"sibling": b, "later": Builtin()} {
+		got, err := r.Get("saxpy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := got.BestVersion(spec.VersionList{}); v.String() != "1.0.0" {
+			t.Errorf("%s repo sees another repo's overlay: saxpy@%s", name, v)
+		}
+		if r.Has("site-only") {
+			t.Errorf("%s repo sees another repo's scope", name)
+		}
+		if len(r.Names()) != len(b.Names()) {
+			t.Errorf("%s repo lists %d packages, want %d", name, len(r.Names()), len(b.Names()))
+		}
+	}
+}
+
 func TestScopeValidation(t *testing.T) {
 	r := NewRepo()
 	bad := NewPackage("") // no name

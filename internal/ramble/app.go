@@ -39,6 +39,30 @@ type FOM struct {
 	Regex     string
 	GroupName string
 	Units     string
+
+	re *regexp.Regexp // Regex as Validate compiled it
+}
+
+// compile checks the FOM's regex and keeps it for extraction.
+func (f *FOM) compile() error {
+	re, err := regexp.Compile(f.Regex)
+	if err != nil {
+		return err
+	}
+	if f.GroupName != "" && !contains(re.SubexpNames(), f.GroupName) {
+		return fmt.Errorf("regex lacks group %q", f.GroupName)
+	}
+	f.re = re
+	return nil
+}
+
+// compiled returns the regexp Validate kept, compiling on the spot for
+// a definition that was never validated.
+func compiled(re *regexp.Regexp, pattern string) *regexp.Regexp {
+	if re != nil {
+		return re
+	}
+	return regexp.MustCompile(pattern)
 }
 
 // SuccessCriterion decides pass/fail
@@ -48,6 +72,8 @@ type SuccessCriterion struct {
 	Mode  string // "string": Match regex must appear in the output file
 	Match string
 	File  string // template path; informational in the simulation
+
+	re *regexp.Regexp // Match as Validate compiled it
 }
 
 // Application is the Ramble-side description of a benchmark — the Go
@@ -129,22 +155,21 @@ func (a *Application) Validate() error {
 			}
 		}
 	}
-	for _, f := range a.FOMs {
-		re, err := regexp.Compile(f.Regex)
-		if err != nil {
-			return fmt.Errorf("ramble: %s FOM %s: %w", a.Name, f.Name, err)
-		}
-		if f.GroupName != "" && !contains(re.SubexpNames(), f.GroupName) {
-			return fmt.Errorf("ramble: %s FOM %s: regex lacks group %q", a.Name, f.Name, f.GroupName)
+	for i := range a.FOMs {
+		if err := a.FOMs[i].compile(); err != nil {
+			return fmt.Errorf("ramble: %s FOM %s: %w", a.Name, a.FOMs[i].Name, err)
 		}
 	}
-	for _, s := range a.Success {
+	for i := range a.Success {
+		s := &a.Success[i]
 		if s.Mode != "string" {
 			return fmt.Errorf("ramble: %s success %s: unsupported mode %q", a.Name, s.Name, s.Mode)
 		}
-		if _, err := regexp.Compile(s.Match); err != nil {
+		re, err := regexp.Compile(s.Match)
+		if err != nil {
 			return fmt.Errorf("ramble: %s success %s: %w", a.Name, s.Name, err)
 		}
+		s.re = re
 	}
 	return nil
 }
@@ -332,9 +357,13 @@ func workloadNames(app *Application) []string {
 
 // ExtractFOMs runs the application's FOM regexes over output text.
 func (a *Application) ExtractFOMs(output string) map[string]string {
+	return extractFOMs(a.FOMs, output)
+}
+
+func extractFOMs(foms []FOM, output string) map[string]string {
 	out := map[string]string{}
-	for _, f := range a.FOMs {
-		re := regexp.MustCompile(f.Regex)
+	for _, f := range foms {
+		re := compiled(f.re, f.Regex)
 		m := re.FindStringSubmatch(output)
 		if m == nil {
 			continue
@@ -357,8 +386,7 @@ func (a *Application) ExtractFOMs(output string) map[string]string {
 func (a *Application) CheckSuccess(output string) error {
 	var failed []string
 	for _, s := range a.Success {
-		re := regexp.MustCompile(s.Match)
-		if !re.MatchString(output) {
+		if !compiled(s.re, s.Match).MatchString(output) {
 			failed = append(failed, s.Name)
 		}
 	}

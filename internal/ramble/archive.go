@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,42 +24,63 @@ func (w *Workspace) Archive(outPath string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	gz := gzip.NewWriter(f)
-	defer gz.Close()
-	tw := tar.NewWriter(gz)
-	defer tw.Close()
+	err = w.archiveTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(outPath) // a truncated archive must not pass for a whole one
+	}
+	return err
+}
 
-	addFile := func(absPath, relPath string) error {
-		data, err := os.ReadFile(absPath)
+// archiveTo streams the workspace as it would look saved: every file
+// this process wrote plus every file already under Root, the written
+// one winning, in the order a walk of the saved tree visits them.
+func (w *Workspace) archiveTo(out io.Writer) error {
+	present := map[string]bool{}
+	for rel, f := range w.files {
+		if !f.mode.IsDir() {
+			present[rel] = true
+		}
+	}
+	err := filepath.WalkDir(w.Root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(w.Root, path)
+		present[rel] = true
+		return err
+	})
+	if err != nil {
+		return err
+	}
+
+	gz := gzip.NewWriter(out)
+	tw := tar.NewWriter(gz)
+	for _, rel := range walkSorted(present) {
+		data, err := w.read(rel)
 		if err != nil {
 			return err
 		}
 		hdr := &tar.Header{
-			Name: relPath,
+			Name: filepath.ToSlash(rel),
 			Mode: 0o644,
 			Size: int64(len(data)),
 		}
 		if err := tw.WriteHeader(hdr); err != nil {
 			return err
 		}
-		_, err = tw.Write(data)
+		if _, err := tw.Write(data); err != nil {
+			return err
+		}
+	}
+	// The tar trailer and gzip's last block are written here: an error
+	// dropped at either close is a truncated archive reported as success.
+	if err := tw.Close(); err != nil {
 		return err
 	}
-
-	return filepath.Walk(w.Root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(w.Root, path)
-		if err != nil {
-			return err
-		}
-		return addFile(path, filepath.ToSlash(rel))
-	})
+	return gz.Close()
 }
 
 // ExtractArchive unpacks a workspace archive into dir and returns the

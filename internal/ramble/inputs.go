@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strings"
 )
@@ -76,10 +76,7 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 	if fetch == nil {
 		fetch = DefaultFetcher
 	}
-	dir := filepath.Join(w.Root, "inputs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+	w.put("inputs", nil, fs.ModeDir|0o755)
 	done := map[string]bool{}
 	for _, e := range w.Experiments {
 		for _, in := range e.App.InputsFor(e.Workload) {
@@ -87,8 +84,8 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 				continue
 			}
 			done[in.Name] = true
-			path := filepath.Join(dir, in.Name)
-			if data, err := os.ReadFile(path); err == nil {
+			path := filepath.Join("inputs", in.Name)
+			if data, err := w.read(path); err == nil {
 				if digestOK(data, in.SHA256) {
 					continue // cached and intact
 				}
@@ -103,9 +100,7 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 				return fmt.Errorf("ramble: input %s: checksum mismatch (got %s, want %s)",
 					in.Name, hex.EncodeToString(sum[:])[:16], strings.TrimSpace(in.SHA256)[:16])
 			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
+			w.put(path, data, 0o644)
 		}
 	}
 	return nil

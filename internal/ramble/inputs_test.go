@@ -13,7 +13,12 @@ import (
 
 func problem2Workspace(t *testing.T) *Workspace {
 	t.Helper()
-	w, err := NewWorkspace("inputs", t.TempDir())
+	return problem2WorkspaceAt(t, t.TempDir())
+}
+
+func problem2WorkspaceAt(t *testing.T, root string) *Workspace {
+	t.Helper()
+	w, err := NewWorkspace("inputs", root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +41,21 @@ ramble:
 	return w
 }
 
+// reopened is what a later process sees of w: a fresh workspace over
+// the tree w saved, nothing in memory, w's experiments generated.
+func reopened(t *testing.T, w *Workspace) *Workspace {
+	t.Helper()
+	w2 := problem2WorkspaceAt(t, w.Root)
+	w2.Experiments = w.Experiments
+	return w2
+}
+
 func TestFetchInputsVerified(t *testing.T) {
 	w := problem2Workspace(t)
 	if err := w.Setup(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Save(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(w.Root, "inputs", "amg_problem2.deck")
@@ -49,11 +66,15 @@ func TestFetchInputsVerified(t *testing.T) {
 	if !strings.Contains(string(data), "fetched from https://benchmarks.example") {
 		t.Errorf("content = %q...", data[:40])
 	}
-	// Second setup reuses the cached file (fetcher would error).
-	w2 := problem2Workspace(t)
-	w2.Root = w.Root
-	if err := w2.Setup(nil); err != nil {
+	// Second setup reuses the cached file: the fetcher is not called.
+	if err := reopened(t, w).Setup(nil); err != nil {
 		t.Fatal(err)
+	}
+	err = reopened(t, w).FetchInputs(func(url string) ([]byte, error) {
+		return nil, fmt.Errorf("fetched %s again", url)
+	})
+	if err != nil {
+		t.Error(err)
 	}
 }
 
@@ -63,11 +84,14 @@ func TestFetchInputsChecksumMismatch(t *testing.T) {
 	if err := w.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
 	// Remove the good input and refetch corrupted content.
 	if err := os.Remove(filepath.Join(w.Root, "inputs", "amg_problem2.deck")); err != nil {
 		t.Fatal(err)
 	}
-	err := w.FetchInputs(func(url string) ([]byte, error) {
+	err := reopened(t, w).FetchInputs(func(url string) ([]byte, error) {
 		return []byte("corrupted mirror content"), nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
@@ -80,12 +104,19 @@ func TestFetchInputsCorruptCacheRefetched(t *testing.T) {
 	if err := w.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(w.Root, "inputs", "amg_problem2.deck")
 	if err := os.WriteFile(path, []byte("bitrot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Fetch again: the corrupt cache entry must be replaced.
+	w = reopened(t, w)
 	if err := w.FetchInputs(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Save(); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -99,10 +130,13 @@ func TestFetchInputsFetcherError(t *testing.T) {
 	if err := w.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Remove(filepath.Join(w.Root, "inputs", "amg_problem2.deck")); err != nil {
 		t.Fatal(err)
 	}
-	err := w.FetchInputs(func(url string) ([]byte, error) {
+	err := reopened(t, w).FetchInputs(func(url string) ([]byte, error) {
 		return nil, fmt.Errorf("mirror unreachable")
 	})
 	if err == nil || !strings.Contains(err.Error(), "mirror unreachable") {
@@ -132,7 +166,13 @@ ramble:
 	if err := w.Setup(nil); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := os.ReadDir(filepath.Join(w.Root, "inputs"))
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(w.Root, "inputs"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(entries) != 0 {
 		t.Errorf("unexpected inputs: %v", entries)
 	}

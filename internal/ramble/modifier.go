@@ -30,13 +30,9 @@ func (m *Modifier) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("ramble: modifier with empty name")
 	}
-	for _, f := range m.FOMs {
-		re, err := regexp.Compile(f.Regex)
-		if err != nil {
-			return fmt.Errorf("ramble: modifier %s FOM %s: %w", m.Name, f.Name, err)
-		}
-		if f.GroupName != "" && !contains(re.SubexpNames(), f.GroupName) {
-			return fmt.Errorf("ramble: modifier %s FOM %s: regex lacks group %q", m.Name, f.Name, f.GroupName)
+	for i := range m.FOMs {
+		if err := m.FOMs[i].compile(); err != nil {
+			return fmt.Errorf("ramble: modifier %s FOM %s: %w", m.Name, m.FOMs[i].Name, err)
 		}
 	}
 	for _, s := range m.Success {
@@ -49,24 +45,7 @@ func (m *Modifier) Validate() error {
 
 // ExtractFOMs runs the modifier's FOM regexes over output text.
 func (m *Modifier) ExtractFOMs(output string) map[string]string {
-	out := map[string]string{}
-	for _, f := range m.FOMs {
-		re := regexp.MustCompile(f.Regex)
-		match := re.FindStringSubmatch(output)
-		if match == nil {
-			continue
-		}
-		val := match[0]
-		if f.GroupName != "" {
-			for gi, gn := range re.SubexpNames() {
-				if gn == f.GroupName && gi < len(match) {
-					val = match[gi]
-				}
-			}
-		}
-		out[f.Name] = val
-	}
-	return out
+	return extractFOMs(m.FOMs, output)
 }
 
 var modifierRegistry = map[string]*Modifier{}

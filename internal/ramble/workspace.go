@@ -2,6 +2,7 @@ package ramble
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,6 +75,13 @@ type Experiment struct {
 	FailMsg string
 }
 
+// runDir is an experiment's run directory, relative to the workspace.
+func runDir(app, workload, name string) string {
+	return filepath.Join("experiments", app, workload, name)
+}
+
+func (e *Experiment) relDir() string { return runDir(e.App.Name, e.Workload, e.Name) }
+
 // Workspace is a self-contained directory representing a set of
 // experiments (Section 3.2's "primary entry point for users").
 type Workspace struct {
@@ -86,23 +94,100 @@ type Workspace struct {
 	Experiments []*Experiment
 	template    string
 	setupDone   bool
+
+	// files is everything written to the workspace since it was
+	// opened, by workspace-relative path; nothing reaches Root before
+	// Save. A directory is an entry with fs.ModeDir set and no data.
+	files map[string]file
 }
 
-// NewWorkspace creates the workspace directory skeleton
-// (`ramble workspace create`).
+type file struct {
+	data []byte
+	mode fs.FileMode
+}
+
+// NewWorkspace opens a workspace at root (`ramble workspace create`).
+// It creates root itself, so an unwritable location fails here and not
+// after the run; the skeleton under it exists in memory until Save.
 func NewWorkspace(name, root string) (*Workspace, error) {
-	for _, d := range []string{"", "configs", "experiments", "logs"} {
-		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
-			return nil, fmt.Errorf("ramble: creating workspace: %w", err)
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return nil, fmt.Errorf("ramble: creating workspace: %w", err)
+	}
+	w := &Workspace{Name: name, Root: root, template: DefaultTemplate, files: map[string]file{}}
+	for _, d := range []string{"configs", "experiments", "logs"} {
+		w.put(d, nil, fs.ModeDir|0o755)
+	}
+	return w, nil
+}
+
+// put is the one way anything is written to a workspace.
+func (w *Workspace) put(rel string, data []byte, mode fs.FileMode) {
+	w.files[rel] = file{data, mode}
+}
+
+// read returns a workspace file: what this process wrote if it wrote
+// it, else what an earlier one saved under Root — which is how a
+// reopened workspace finds its includes and cached inputs.
+func (w *Workspace) read(rel string) ([]byte, error) {
+	if f, ok := w.files[rel]; ok && !f.mode.IsDir() {
+		return f.data, nil
+	}
+	return os.ReadFile(filepath.Join(w.Root, rel))
+}
+
+// walkSorted returns m's keys, read as paths, in the order
+// filepath.Walk visits them: component-wise, so "a/x" precedes
+// "a-b/x". Save and Archive both iterate in it, which keeps an archive
+// of memory identical to an archive of the saved tree.
+func walkSorted[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	key := func(p string) string { return strings.ReplaceAll(p, string(filepath.Separator), "\x00") }
+	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+	return out
+}
+
+// Save writes everything written so far under Root. It is the only
+// code that creates anything there; callers that discard the workspace
+// (a CI push, a report) never call it.
+func (w *Workspace) Save() error {
+	for _, rel := range walkSorted(w.files) {
+		f := w.files[rel]
+		path := filepath.Join(w.Root, rel)
+		dir := path
+		if !f.mode.IsDir() {
+			dir = filepath.Dir(path)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("ramble: saving workspace: %w", err)
+		}
+		if f.mode.IsDir() {
+			continue
+		}
+		if err := os.WriteFile(path, f.data, f.mode); err != nil {
+			return fmt.Errorf("ramble: saving workspace: %w", err)
 		}
 	}
-	return &Workspace{Name: name, Root: root, template: DefaultTemplate}, nil
+	return nil
 }
 
 // WriteConfig stores a named config file under configs/
 // (spack.yaml, variables.yaml — the system-specific inputs).
-func (w *Workspace) WriteConfig(name, content string) error {
-	return os.WriteFile(filepath.Join(w.Root, "configs", name), []byte(content), 0o644)
+func (w *Workspace) WriteConfig(name, content string) {
+	w.put(filepath.Join("configs", name), []byte(content), 0o644)
+}
+
+// WriteLog stores an analysis artifact under logs/.
+func (w *Workspace) WriteLog(name string, data []byte) {
+	w.put(filepath.Join("logs", name), data, 0o644)
+}
+
+// WriteOutput stores <experiment><ext> in the experiment's run
+// directory: the .out the kernel printed, the .cali it profiled.
+func (w *Workspace) WriteOutput(e *Experiment, ext, content string) {
+	w.put(filepath.Join(e.relDir(), e.Name+ext), []byte(content), 0o644)
 }
 
 // SetTemplate overrides execute_experiment.tpl.
@@ -119,13 +204,11 @@ func (w *Workspace) Configure(rambleYAML string) error {
 	if r == nil {
 		return fmt.Errorf("ramble: ramble.yaml missing top-level 'ramble' key")
 	}
-	if err := os.WriteFile(filepath.Join(w.Root, "configs", "ramble.yaml"), []byte(rambleYAML), 0o644); err != nil {
-		return err
-	}
+	w.WriteConfig("ramble.yaml", rambleYAML)
 	eff := r.Clone()
 	for _, inc := range r.GetStrings("include") {
 		base := filepath.Base(inc) // ./configs/spack.yaml -> spack.yaml
-		data, err := os.ReadFile(filepath.Join(w.Root, "configs", base))
+		data, err := w.read(filepath.Join("configs", base))
 		if err != nil {
 			return fmt.Errorf("ramble: include %q: %w", inc, err)
 		}
@@ -187,14 +270,8 @@ func (w *Workspace) Setup(installSoftware SoftwareInstaller) error {
 		}
 	}
 
-	// Materialize experiment directories and scripts.
 	for _, e := range w.Experiments {
-		if err := os.MkdirAll(e.Dir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(e.Dir, "execute_experiment.sh"), []byte(e.Script), 0o755); err != nil {
-			return err
-		}
+		w.put(filepath.Join(e.relDir(), "execute_experiment.sh"), []byte(e.Script), 0o755)
 	}
 	w.setupDone = true
 	return nil
@@ -550,7 +627,7 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 		return nil, err
 	}
 	vars["experiment_name"] = name
-	dir := filepath.Join(w.Root, "experiments", app.Name, workload, name)
+	dir := filepath.Join(w.Root, runDir(app.Name, workload, name))
 	vars["experiment_run_dir"] = dir
 
 	// Command: the workload's executables under the system launcher.
@@ -635,9 +712,7 @@ func (w *Workspace) On(exec Executor) error {
 		}
 		// Status is finalized by Analyze (success criteria).
 		e.Status = Succeeded
-		if err := os.WriteFile(filepath.Join(e.Dir, e.Name+".out"), []byte(out), 0o644); err != nil {
-			return err
-		}
+		w.WriteOutput(e, ".out", out)
 	}
 	return nil
 }

@@ -85,12 +85,8 @@ func figure10Workspace(t *testing.T) *Workspace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteConfig("spack.yaml", figure9SpackYAML); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteConfig("variables.yaml", figure12VariablesYAML); err != nil {
-		t.Fatal(err)
-	}
+	w.WriteConfig("spack.yaml", figure9SpackYAML)
+	w.WriteConfig("variables.yaml", figure12VariablesYAML)
 	if err := w.Configure(figure10YAML); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +152,9 @@ func TestFigure13ScriptRendering(t *testing.T) {
 		}
 	}
 	// The script exists on disk (Figure 1a generated workspace).
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(filepath.Join(e.Dir, "execute_experiment.sh")); err != nil {
 		t.Errorf("script not materialized: %v", err)
 	}
@@ -228,6 +227,9 @@ func TestOnAndAnalyze(t *testing.T) {
 	}
 	if rep.Total != 8 || rep.Succeeded != 4 || rep.Failed != 4 {
 		t.Fatalf("report = %+v", rep)
+	}
+	if err := w.Save(); err != nil {
+		t.Fatal(err)
 	}
 	for _, e := range rep.Experiments {
 		n, _ := e.Expander.Expand("{n}")

@@ -3,9 +3,10 @@
 // --metrics --pprof` on an ephemeral port, scrapes every operations
 // endpoint the way a monitoring stack would (liveness, readiness,
 // Prometheus text, the JSON ops snapshot, a pprof profile), asserts
-// each one's shape, and kills the process. It exercises the binary
-// and the flag plumbing, not just the handlers — the in-process tests
-// already cover those.
+// each one's shape, pushes one suite into it with `benchpark push`
+// (which must leave its TMPDIR empty), and kills the process. It
+// exercises the binary and the flag plumbing, not just the handlers —
+// the in-process tests already cover those.
 package main
 
 import (
@@ -145,7 +146,26 @@ func main() {
 		fatalf("/debug/pprof/cmdline = %d with --pprof, want 200", code)
 	}
 
-	fmt.Println("    ops plane OK: /healthz /readyz /metrics /debug/ops /debug/pprof")
+	// A push throws its workspace away, so it must never write it: with
+	// TMPDIR pointed at a fresh directory, the only thing `benchpark
+	// push` may do there is create and remove its empty scratch root.
+	scratch := filepath.Join(tmp, "push-tmp")
+	if err := os.Mkdir(scratch, 0o755); err != nil {
+		fatalf("%v", err)
+	}
+	push := exec.Command(bin, "push", "saxpy/openmp", "cts1", base)
+	push.Env = append(os.Environ(), "TMPDIR="+scratch)
+	if out, err := push.CombinedOutput(); err != nil || !strings.Contains(string(out), "==> pushed 8 results") {
+		fatalf("benchpark push: %v\n%s", err, out)
+	}
+	if left, err := os.ReadDir(scratch); err != nil || len(left) != 0 {
+		fatalf("benchpark push left %d entries in TMPDIR (%v)", len(left), err)
+	}
+	if _, text, _ := get("/metrics"); !strings.Contains(text, "resultsd_ingest_batches_total 1\n") {
+		fatalf("/metrics does not count the pushed batch:\n%s", text)
+	}
+
+	fmt.Println("    ops plane OK: /healthz /readyz /metrics /debug/ops /debug/pprof, push leaves TMPDIR empty")
 }
 
 var announceRE = regexp.MustCompile(`on (http://[^\s,]+)`)

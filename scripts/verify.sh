@@ -28,7 +28,8 @@
 # by scripts/sarifsmoke, as the warm second run over the same cache,
 # before CI ever depends on it. The ops plane is
 # smoke-checked by scripts/opssmoke, which starts the real binary and
-# scrapes /healthz, /readyz, /metrics, /debug/ops, and /debug/pprof.
+# scrapes /healthz, /readyz, /metrics, /debug/ops, and /debug/pprof,
+# then pushes a suite into it and checks the push left its TMPDIR empty.
 # The federation plane is smoke-checked end to end by
 # scripts/fedsmoke: a 4-shard primary plus one snapshot-shipping
 # follower under loadgen ingest, follower reads during ingest,
@@ -37,7 +38,8 @@
 #
 # Finally, the incremental re-run gate runs the example suite twice
 # over a shared --cache-dir: the second run must be 100% run-layer
-# cache hits and leave a byte-identical results.json behind.
+# cache hits and leave a byte-identical workspace tree behind (paths,
+# modes, contents).
 #
 #   ./scripts/verify.sh
 set -eu
@@ -104,8 +106,26 @@ case "$runline" in
 	exit 1
 	;;
 esac
-cmp "$cache_tmp/cold-ws/logs/results.json" "$cache_tmp/warm-ws/logs/results.json" || {
-	echo "verify: warm re-run produced a different results.json" >&2
+# Every workspace file flows through one tree, so compare the whole tree:
+# a replayed .out, .cali or rendered script that differs from the
+# executed one fails the gate, not only results.json.
+tree() { # sorted "path mode sha256", the workspace's own root normalised out of contents
+	(cd "$1" && find . -mindepth 1 | LC_ALL=C sort | while read -r p; do
+		if [ -d "$p" ]; then
+			echo "$p $(stat -c %a "$p") -"
+		else
+			echo "$p $(stat -c %a "$p") $(sed "s|$1|\$WORKSPACE|g" "$p" | sha256sum | cut -d' ' -f1)"
+		fi
+	done)
+}
+tree "$cache_tmp/cold-ws" >"$cache_tmp/cold.tree"
+tree "$cache_tmp/warm-ws" >"$cache_tmp/warm.tree"
+grep -q '^\./logs/results\.json ' "$cache_tmp/cold.tree" || {
+	echo "verify: cold run left no logs/results.json" >&2
+	exit 1
+}
+diff "$cache_tmp/cold.tree" "$cache_tmp/warm.tree" >&2 || {
+	echo "verify: warm re-run left a different workspace tree" >&2
 	exit 1
 }
 rm -rf "$cache_tmp"
