@@ -304,10 +304,14 @@ func usage() {
                                        --pprof adds /debug/pprof,
                                        --selfmonitor samples the service's
                                        own latency into its store,
-                                       --shards N runs a sharded primary
-                                       (bounded queues via --shard-queue),
+                                       --shards N splits the store into
+                                       DIR/shard-NN (bounded queues via
+                                       --shard-queue); shards are for
+                                       separate disks — mount them there —
+                                       and slower than one store on one,
                                        --replica-of runs a read-only
-                                       snapshot-shipped follower
+                                       snapshot-shipped follower of any
+                                       other serve, sharded or plain
   benchpark push <suite> <system> <server-url>
                                        run a suite and push its results
   benchpark history <server-url> <benchmark> <fom> [--system S]

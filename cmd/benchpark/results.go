@@ -26,14 +26,17 @@ import (
 // three modes.
 //
 //   - Default: one durable resultstore (today's single-node mode).
-//   - --shards N (N > 1): a sharded primary — N independent stores
-//     behind the deterministic (system, benchmark) router, with
-//     bounded ingest queues (--shard-queue) and the /v1/replica
-//     endpoints followers pull from. --shard-slow injects a per-commit
-//     delay for fault-injection drills.
-//   - --replica-of URL: a read-only follower replica of a sharded
-//     primary, serving /v1/series, /v1/regressions and /v1/systems
-//     from a snapshot-shipped mirror refreshed every --sync-interval.
+//   - --shards N (N > 1): N independent stores in DIR/shard-NN behind
+//     the deterministic (system, benchmark) router, with bounded ingest
+//     queues (--shard-queue). Shards are for separate disks (mount them
+//     at DIR/shard-NN): on one device the same load runs slower through
+//     four shards than through one store. --shard-slow injects a
+//     per-commit delay for fault-injection drills.
+//   - --replica-of URL: a read-only follower replica of either of the
+//     above — both serve the /v1/replica endpoints followers pull from,
+//     a plain store as a one-shard primary — serving /v1/series,
+//     /v1/regressions and /v1/systems from a snapshot-shipped mirror
+//     refreshed every --sync-interval.
 //
 // --metrics adds the /metrics and /debug/ops operations endpoints,
 // --pprof the /debug/pprof profile handlers, and --selfmonitor starts

@@ -186,19 +186,14 @@ func (db *DB) Query(f Filter) []Result {
 	return out
 }
 
-// QueryAfter returns every result with Seq strictly greater than seq,
-// in sequence order. With MaxSeq it is the snapshot-shipping primitive
-// (see internal/resultshard): a follower at watermark W applies
-// QueryAfter(W) and holds the primary's exact state — IDs, Seqs and
-// trace provenance included, so its responses are byte-identical —
-// and QueryAfter(0) is the snapshot a fresh follower bootstraps from.
-// It costs the tail it returns plus a binary search, not a scan.
-func (db *DB) QueryAfter(seq int) []Result { return db.QueryAfterN(seq, math.MaxInt) }
-
-// QueryAfterN is QueryAfter cut off after n results: the paging form,
-// for a reader — the durable store's compaction — that walks a long
-// tail without holding a copy of all of it. Results already stored
-// never change, so pages read at different times agree.
+// QueryAfterN returns the first n results with Seq strictly greater
+// than seq, in sequence order. With MaxSeq it is the snapshot-shipping
+// primitive (see internal/resultshard): a follower at watermark W
+// applies QueryAfterN(W, n) page after page — from W = 0 to bootstrap —
+// and holds the primary's exact state, IDs, Seqs and trace provenance
+// included. The durable store's compaction walks a long tail the same
+// way. A page costs what it returns plus a binary search, and results
+// already stored never change, so pages read at different times agree.
 func (db *DB) QueryAfterN(seq, n int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

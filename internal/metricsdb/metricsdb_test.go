@@ -2,6 +2,7 @@ package metricsdb
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -356,9 +357,9 @@ func TestInsertPreservesIdentity(t *testing.T) {
 }
 
 // TestResultsStayInSeqOrder: out-of-order Inserts and a LoadJSON of a
-// shuffled dump must answer Query, QueryAfter and Series exactly as a
+// shuffled dump must answer Query, QueryAfterN and Series exactly as a
 // scan of the inserted set followed by a sort on Seq does — the
-// invariant that lets Query skip its sort and QueryAfter binary-search
+// invariant that lets Query skip its sort and QueryAfterN binary-search
 // its start.
 func TestResultsStayInSeqOrder(t *testing.T) {
 	// A fixed shuffle of Seqs 1..40 (7 is coprime to 41), two systems.
@@ -413,8 +414,8 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 			}
 		}
 		for _, after := range []int{-1, 0, 1, 17, 39, 40, 41} {
-			if got, want := db.QueryAfter(after), reference(Filter{}, after); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: QueryAfter(%d) = Seqs %v, want %v", name, after, seqs(got), seqs(want))
+			if got, want := db.QueryAfterN(after, math.MaxInt), reference(Filter{}, after); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: QueryAfterN(%d, all) = Seqs %v, want %v", name, after, seqs(got), seqs(want))
 			}
 		}
 		for _, n := range []int{0, 1, 5, 40, 100} {

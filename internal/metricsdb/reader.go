@@ -74,11 +74,22 @@ func (r Reader) Query(f Filter) []Result {
 	return mergeBySeq(r.covering(f), func(db *DB) []Result { return db.Query(f) }, resultSeq)
 }
 
-// QueryAfter returns every result with Seq strictly greater than seq,
-// in sequence order (see DB.QueryAfter). Seqs are per DB, so
-// replication asks a single-DB Reader.
-func (r Reader) QueryAfter(seq int) []Result {
-	return mergeBySeq(r.dbs, func(db *DB) []Result { return db.QueryAfter(seq) }, resultSeq)
+// Parts returns one single-DB Reader per DB, in DB order. Seqs are per
+// DB, so whatever walks them — replication, which ships a store shard
+// by shard — walks the parts.
+func (r Reader) Parts() []Reader {
+	parts := make([]Reader, len(r.dbs))
+	for i := range parts {
+		parts[i] = Reader{dbs: r.dbs[i : i+1]}
+	}
+	return parts
+}
+
+// QueryAfterN returns the first n results with Seq strictly greater
+// than seq, in sequence order (see DB.QueryAfterN).
+func (r Reader) QueryAfterN(seq, n int) []Result {
+	out := mergeBySeq(r.dbs, func(db *DB) []Result { return db.QueryAfterN(seq, n) }, resultSeq)
+	return out[:min(n, len(out))]
 }
 
 // MaxSeq reports the highest assigned sequence number (0 when empty) —

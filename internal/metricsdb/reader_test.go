@@ -42,8 +42,19 @@ func TestReaderOneDBAndPartitionedAgree(t *testing.T) {
 	if got, want := sharded.Systems(), single.Systems(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Systems = %v, want %v", got, want)
 	}
-	if got, want := sharded.QueryAfter(200), single.QueryAfter(200); !reflect.DeepEqual(got, want) {
-		t.Fatalf("QueryAfter(200) returned %d results, want %d", len(got), len(want))
+	for _, n := range []int{0, 1, 7, 40, 1000} {
+		if got, want := sharded.QueryAfterN(200, n), single.QueryAfterN(200, n); len(got) != min(n, 40) || (n > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("QueryAfterN(200, %d) returned %d results, want %d", n, len(got), len(want))
+		}
+	}
+	// Parts: one single-DB Reader per DB, in DB order, placement dropped.
+	for i, part := range sharded.Parts() {
+		if want := NewReader(nil, parts[i]); len(sharded.Parts()) != len(parts) || !reflect.DeepEqual(part, want) {
+			t.Fatalf("Parts()[%d] of %d is not the Reader over DB %d alone", i, len(sharded.Parts()), i)
+		}
+	}
+	if got := single.Parts(); len(got) != 1 || !reflect.DeepEqual(got[0].Query(Filter{}), single.Query(Filter{})) {
+		t.Fatalf("a one-DB Reader has %d parts, want itself", len(got))
 	}
 	for name, f := range map[string]Filter{
 		"empty":            {},
@@ -70,7 +81,7 @@ func TestReaderOneDBAndPartitionedAgree(t *testing.T) {
 			}
 		}
 	}
-	if empty := NewReader(place); empty.Len() != 0 || empty.Query(Filter{System: "a", Benchmark: "b"}) != nil || len(empty.Systems()) != 0 {
+	if empty := NewReader(place); len(empty.Parts()) != 0 || empty.QueryAfterN(0, 5) != nil || empty.Len() != 0 || empty.Query(Filter{System: "a", Benchmark: "b"}) != nil || len(empty.Systems()) != 0 {
 		t.Error("a Reader over no DBs (an unsynced follower) must answer empty")
 	}
 }

@@ -238,7 +238,7 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 	defer resp.Body.Close()
 	data, err := readBody(resp)
 	if err != nil {
-		return &retryableError{err: err}
+		return err
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// Server-side backpressure: reconstruct the typed overload so
@@ -266,14 +266,26 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 }
 
 // readBody reads a reply of at most maxIngestBytes: in one allocation
-// of the stated size when the server states one, else by growing.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxIngestBytes {
-		data := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, data)
-		return data, err
+// of the stated size when the server states one, else by growing. A
+// longer one is refused, terminally: a retry would read the same bytes.
+func readBody(resp *http.Response) (data []byte, err error) {
+	n := resp.ContentLength
+	if n > maxIngestBytes {
+		return nil, fmt.Errorf("reply of %d bytes exceeds the %d-byte limit", n, maxIngestBytes)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxIngestBytes))
+	if n >= 0 {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else { // chunked: one byte past the limit tells "at" from "over"
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxIngestBytes+1))
+	}
+	if err != nil {
+		return nil, &retryableError{err: err}
+	}
+	if len(data) > maxIngestBytes {
+		return nil, fmt.Errorf("chunked reply exceeds the %d-byte limit", maxIngestBytes)
+	}
+	return data, nil
 }
 
 // apiErrorText extracts the server's error envelope, falling back to

@@ -2,9 +2,12 @@ package resultsd
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,6 +133,56 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d calls, want 1 (no retry on 4xx)", got)
+	}
+}
+
+// TestClientRefusesReplyOverTheBound: a reply longer than the client
+// reads is an error that says so, after one attempt — not the first
+// 8 MiB of it handed to the JSON decoder ("unexpected end of JSON
+// input"), and not retried: a retry reads the same bytes. Both ways a
+// server can frame a body: a stated Content-Length, and chunked.
+func TestClientRefusesReplyOverTheBound(t *testing.T) {
+	body := []byte(`{"systems":["` + strings.Repeat("x", maxIngestBytes) + `"]}`)
+	for _, chunked := range []bool{false, true} {
+		var calls atomic.Int32
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			if chunked {
+				w.(http.Flusher).Flush() // headers leave before the length is known
+			} else {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			}
+			w.Write(body)
+		}))
+		_, err := fastClient(ts.URL).Systems(context.Background())
+		ts.Close()
+		want := fmt.Sprintf("reply of %d bytes exceeds the %d-byte limit", len(body), maxIngestBytes)
+		if chunked {
+			want = fmt.Sprintf("chunked reply exceeds the %d-byte limit", maxIngestBytes)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("chunked=%v: err = %v, want %q", chunked, err, want)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Errorf("chunked=%v: server saw %d calls, want 1 (an over-long reply is terminal)", chunked, got)
+		}
+	}
+	// At the bound exactly, either framing still reads.
+	exact := []byte(`{"systems":["` + strings.Repeat("x", maxIngestBytes-len(`{"systems":[""]}`)) + `"]}`)
+	for _, chunked := range []bool{false, true} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if chunked {
+				w.(http.Flusher).Flush()
+			} else {
+				w.Header().Set("Content-Length", strconv.Itoa(len(exact)))
+			}
+			w.Write(exact)
+		}))
+		got, err := fastClient(ts.URL).Systems(context.Background())
+		ts.Close()
+		if err != nil || len(got) != 1 || len(exact) != maxIngestBytes {
+			t.Errorf("chunked=%v: a %d-byte reply: %d systems, err %v", chunked, len(exact), len(got), err)
+		}
 	}
 }
 

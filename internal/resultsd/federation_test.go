@@ -15,10 +15,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/metricsdb"
 	"repro/internal/resultshard"
 	"repro/internal/resultstore"
@@ -100,15 +102,6 @@ func TestShardedServeRoutes(t *testing.T) {
 	}
 	if w = get(t, h, "/v1/replica/delta?shard=99&after=0"); w.Code != http.StatusBadRequest {
 		t.Fatalf("delta for absent shard: %d, want 400", w.Code)
-	}
-}
-
-// TestSingleStoreHasNoReplicaPlane: the endpoints are shard-only; a
-// single-store server 404s them.
-func TestSingleStoreHasNoReplicaPlane(t *testing.T) {
-	srv, _ := newTestServer(t)
-	if w := get(t, srv.Handler(), "/v1/replica/meta"); w.Code != http.StatusNotFound {
-		t.Fatalf("replica/meta on single store: %d, want 404", w.Code)
 	}
 }
 
@@ -321,74 +314,162 @@ func TestClientCompressesLargePushes(t *testing.T) {
 	}
 }
 
-// TestFollowerOverHTTP: the full replica loop — a sharded primary
-// behind httptest, a follower syncing through ReplicaClient — serves
+// TestFollowerOverHTTP: the full replica loop — a primary behind
+// httptest, a follower syncing through ReplicaClient — serves
 // byte-identical reads, reports status, and refuses writes with 403.
+// Any primary can be followed: a plain store is a one-shard one (its
+// row was TestSingleStoreHasNoReplicaPlane while only a Router could
+// serve /v1/replica/meta).
 func TestFollowerOverHTTP(t *testing.T) {
-	primarySrv, _ := newShardedServer(t, t.TempDir(), resultshard.Options{})
-	primary := httptest.NewServer(primarySrv.Handler())
-	defer primary.Close()
-	ph := primarySrv.Handler()
-	for i := 0; i < 3; i++ {
-		if w := postResults(t, ph, fmt.Sprintf("k%d", i), fleetResults(10)); w.Code != http.StatusOK {
-			t.Fatalf("primary ingest: %d %s", w.Code, w.Body)
-		}
-	}
+	sharded, _ := newShardedServer(t, t.TempDir(), resultshard.Options{})
+	single, _ := newTestServer(t)
+	for _, tc := range []struct {
+		name   string
+		srv    *Server
+		shards int
+	}{{"4-shard router", sharded, 4}, {"single store", single, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary := httptest.NewServer(tc.srv.Handler())
+			defer primary.Close()
+			ph := tc.srv.Handler()
+			for i := 0; i < 3; i++ {
+				if w := postResults(t, ph, fmt.Sprintf("k%d", i), fleetResults(10)); w.Code != http.StatusOK {
+					t.Fatalf("primary ingest: %d %s", w.Code, w.Body)
+				}
+			}
+			var meta resultshard.ReplicaMeta
+			if w := get(t, ph, "/v1/replica/meta"); w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &meta) != nil || meta.Shards != tc.shards {
+				t.Fatalf("replica/meta: %d %s, want 200 with shards: %d", w.Code, w.Body, tc.shards)
+			}
 
-	f := resultshard.NewFollower()
-	src := NewReplicaClient(primary.URL)
-	src.Client().Jitter = NoJitter
-	lag, err := f.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lag != 0 {
-		t.Fatalf("lag after sync = %d", lag)
-	}
+			f := resultshard.NewFollower()
+			src := NewReplicaClient(primary.URL)
+			src.Client().Jitter = NoJitter
+			applied, err := f.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if applied != 30 {
+				t.Fatalf("bootstrap pass applied %d results, want 30", applied)
+			}
 
-	tracer := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
-	followerSrv := New(f, tracer)
-	fh := followerSrv.Handler()
+			tracer := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
+			followerSrv := New(f, tracer)
+			fh := followerSrv.Handler()
 
-	// Reads: byte-identical to the primary.
-	for _, u := range []string{
-		"/v1/series?benchmark=bench-01&fom=fom",
-		"/v1/regressions?benchmark=bench-02&fom=fom&window=3&threshold=1.1",
-		"/v1/systems",
-	} {
-		pw, fw := get(t, ph, u), get(t, fh, u)
-		if pw.Code != http.StatusOK || fw.Code != http.StatusOK {
-			t.Fatalf("GET %s: primary %d, follower %d", u, pw.Code, fw.Code)
-		}
-		if pw.Body.String() != fw.Body.String() {
-			t.Fatalf("%s differs between primary and follower", u)
-		}
-	}
+			// Reads: byte-identical to the primary.
+			for _, u := range []string{
+				"/v1/series?benchmark=bench-01&fom=fom",
+				"/v1/series?benchmark=bench-01&system=sys-01&fom=fom",
+				"/v1/regressions?benchmark=bench-02&fom=fom&window=3&threshold=1.1",
+				"/v1/systems",
+			} {
+				pw, fw := get(t, ph, u), get(t, fh, u)
+				if pw.Code != http.StatusOK || fw.Code != http.StatusOK {
+					t.Fatalf("GET %s: primary %d, follower %d", u, pw.Code, fw.Code)
+				}
+				if pw.Body.String() != fw.Body.String() {
+					t.Fatalf("%s differs between primary and follower", u)
+				}
+			}
 
-	// Status: the follower reports its position per shard.
-	w := get(t, fh, "/v1/replica/status")
-	if w.Code != http.StatusOK {
-		t.Fatalf("replica/status: %d %s", w.Code, w.Body)
-	}
-	var st resultshard.FollowerStatus
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Synced || len(st.Shards) != 4 || st.LagResults != 0 {
-		t.Fatalf("status = %+v", st)
-	}
+			// Status: the follower reports its position per shard, and
+			// what the pass it describes had to apply.
+			status := func() (st resultshard.FollowerStatus) {
+				w := get(t, fh, "/v1/replica/status")
+				if w.Code != http.StatusOK {
+					t.Fatalf("replica/status: %d %s", w.Code, w.Body)
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			if st := status(); !st.Synced || st.Syncs != 1 || len(st.Shards) != tc.shards || st.LagResults != 30 {
+				t.Fatalf("status after the bootstrap pass = %+v", st)
+			}
+			if _, err := f.Sync(context.Background(), src); err != nil {
+				t.Fatal(err)
+			}
+			if st := status(); st.Syncs != 2 || st.LagResults != 0 || st.LastError != "" {
+				t.Fatalf("status after a quiet pass = %+v", st)
+			}
 
-	// Writes: 403 with a pointer to the primary contract.
-	if w := postResults(t, fh, "nope", fleetResults(2)); w.Code != http.StatusForbidden {
-		t.Fatalf("replica ingest: %d, want 403", w.Code)
-	}
+			// Writes: 403 with a pointer to the primary contract.
+			if w := postResults(t, fh, "nope", fleetResults(2)); w.Code != http.StatusForbidden {
+				t.Fatalf("replica ingest: %d, want 403", w.Code)
+			}
+			// A follower is nobody's primary.
+			if w := get(t, fh, "/v1/replica/meta"); w.Code != http.StatusNotFound {
+				t.Fatalf("replica/meta on a follower: %d, want 404", w.Code)
+			}
 
-	// Readiness: the follower is ready only because it synced.
-	if w := get(t, fh, "/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("follower readyz: %d %s", w.Code, w.Body)
+			// Readiness: the follower is ready only because it synced.
+			if w := get(t, fh, "/readyz"); w.Code != http.StatusOK {
+				t.Fatalf("follower readyz: %d %s", w.Code, w.Body)
+			}
+			if w := get(t, New(resultshard.NewFollower(), tracer).Handler(), "/readyz"); w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("unsynced follower readyz: %d, want 503", w.Code)
+			}
+		})
 	}
-	if w := get(t, New(resultshard.NewFollower(), tracer).Handler(), "/readyz"); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unsynced follower readyz: %d, want 503", w.Code)
+}
+
+// TestFollowerBootstrapsAnyShardOverHTTP: a delta reply stays under the
+// client's reply bound whatever the shard holds, so one Sync bootstraps
+// a follower of a shard whose full delta is far over it — by count (60k
+// loadgen-shaped results, ~12 MB) or by weight (3,000 results carrying
+// ~4 kB manifests: over the bound within one page, so the handler halves
+// it).
+func TestFollowerBootstrapsAnyShardOverHTTP(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		results, manifest int
+	}{{"60k loadgen-shaped results", 60000, 0}, {"3k results with 4 kB manifests", 3000, 4 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, store := newTestServer(t)
+			cfg := loadgen.Config{Runners: 100, ResultsPerBatch: 100, Systems: 16, Benchmarks: 8}
+			for n := 0; n*cfg.ResultsPerBatch < tc.results; n++ {
+				rs := cfg.Batch(n%cfg.Runners, n)
+				for i := range rs {
+					rs[i].Manifest = strings.Repeat("m", tc.manifest)
+				}
+				if _, err := store.Append(context.Background(), resultstore.Batch{Key: cfg.Key(0, n), Results: rs}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if whole, _ := json.Marshal(store.Query(metricsdb.Filter{})); len(whole) <= maxIngestBytes {
+				t.Fatalf("the shard is only %d bytes: it fits one reply and tests nothing", len(whole))
+			}
+			var largest atomic.Int64
+			inner := srv.Handler()
+			primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				inner.ServeHTTP(rec, r)
+				largest.Store(max(largest.Load(), int64(rec.Body.Len())))
+				for k, v := range rec.Header() {
+					w.Header()[k] = v
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+			}))
+			defer primary.Close()
+
+			f := resultshard.NewFollower()
+			src := NewReplicaClient(primary.URL)
+			src.Client().Jitter = NoJitter
+			applied, err := f.Sync(context.Background(), src)
+			if err != nil || applied != tc.results || f.Len() != store.Len() {
+				t.Fatalf("one Sync applied %d of %d results: %v", applied, tc.results, err)
+			}
+			if got := largest.Load(); got > maxIngestBytes {
+				t.Fatalf("largest reply was %d bytes, over the %d-byte bound", got, maxIngestBytes)
+			}
+			u := "/v1/series?benchmark=fedbench-03&fom=figure_of_merit"
+			if pw, fw := get(t, inner, u), get(t, New(f, nil).Handler(), u); pw.Code != http.StatusOK || pw.Body.String() != fw.Body.String() {
+				t.Fatalf("%s differs between primary and follower", u)
+			}
+		})
 	}
 }
 
@@ -434,8 +515,21 @@ func TestRunFollowerLoop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunFollower did not stop on cancel")
 	}
-	if !f.Status().Synced {
+	st := f.Status()
+	if !st.Synced {
 		t.Fatal("follower never marked synced")
+	}
+	// The loop's metrics are the status' facts: one count per completed
+	// pass, and the gauge is what the last of them had to apply.
+	snap := tracer.Metrics().Snapshot()
+	if got := snap.Counters["resultsd_replica_syncs_total"]; got != int64(st.Syncs) {
+		t.Fatalf("resultsd_replica_syncs_total = %d, status says %d completed passes", got, st.Syncs)
+	}
+	if got := snap.Gauges["resultsd_replica_lag_results"]; got != int64(st.LagResults) {
+		t.Fatalf("resultsd_replica_lag_results = %d, status lag_results %d", got, st.LagResults)
+	}
+	if _, ok := snap.Counters["resultsd_replica_sync_errors_total"]; !ok {
+		t.Fatal("resultsd_replica_sync_errors_total is not registered")
 	}
 }
 

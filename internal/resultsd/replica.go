@@ -1,22 +1,18 @@
 package resultsd
 
-// The replication plane. A sharded primary exposes two pull
-// endpoints; followers poll them and serve the read API from the
-// mirrored state:
+// The replication plane: the two transports of resultshard.Source
+// (which see for the protocol). Every primary — a plain store is a
+// one-shard one — serves a resultshard.Primary over its own data on two
+// pull endpoints, ReplicaClient is the Source that calls them, and a
+// follower adds its position to the read API it serves from its mirrors:
 //
 //	GET /v1/replica/meta                     topology (schema, shards)
-//	GET /v1/replica/delta?shard=S&after=W    shard S's results with Seq > W
-//	GET /v1/replica/status                   (follower only) lag report
-//
-// The protocol is snapshot shipping by watermark: after=0 ships the
-// full shard snapshot, any other watermark ships the incremental
-// delta, and catch-up after a follower restart is simply "pull from
-// 0 again". Results travel with their primary-assigned IDs, Seqs and
-// trace IDs, so a caught-up follower serves byte-identical /v1/series
-// and /v1/regressions responses while the primary keeps ingesting.
+//	GET /v1/replica/delta?shard=S&after=W    shard S's next page with Seq > W
+//	GET /v1/replica/status                   (follower only) position
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -30,23 +26,23 @@ import (
 // retryAfterSeconds renders a backoff hint as a Retry-After header
 // value: whole seconds, rounded up, at least 1.
 func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, int((d+time.Second-1)/time.Second))
 }
 
 // handleReplicaMeta serves the topology descriptor.
-func (s *Server) handleReplicaMeta(src replicaSource) handlerFunc {
+func (s *Server) handleReplicaMeta(src resultshard.Source) handlerFunc {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-		writeJSON(w, http.StatusOK, src.ReplicaMeta())
+		meta, err := src.ReplicaMeta(ctx)
+		if err != nil {
+			return fail(w, http.StatusInternalServerError, err)
+		}
+		writeJSON(w, http.StatusOK, meta)
 		return nil
 	}
 }
 
-// handleReplicaDelta serves one shard's results after a watermark.
-func (s *Server) handleReplicaDelta(src replicaSource) handlerFunc {
+// handleReplicaDelta serves one shard's next page after a watermark.
+func (s *Server) handleReplicaDelta(src resultshard.Source) handlerFunc {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 		q := r.URL.Query()
 		shard, err := strconv.Atoi(q.Get("shard"))
@@ -60,22 +56,33 @@ func (s *Server) handleReplicaDelta(src replicaSource) handlerFunc {
 				return fail(w, http.StatusBadRequest, fmt.Errorf("bad after %q (need an integer >= 0)", v))
 			}
 		}
-		delta, err := src.ReplicaDelta(shard, after)
+		delta, err := src.ReplicaDelta(ctx, shard, after)
 		if err != nil {
 			return fail(w, http.StatusBadRequest, err)
+		}
+		// The client refuses a reply over its bound, so halve a page of
+		// fat results until it fits; the follower asks again from where
+		// this one ends. One result fits: ingest has the same bound.
+		data, err := json.Marshal(delta)
+		for err == nil && len(data) >= maxIngestBytes && len(delta.Results) > 1 {
+			delta.Results = delta.Results[:len(delta.Results)/2]
+			data, err = json.Marshal(delta)
+		}
+		if err != nil {
+			return fail(w, http.StatusInternalServerError, err)
 		}
 		span := telemetry.Current(ctx)
 		span.SetInt("shard", shard)
 		span.SetInt("results", len(delta.Results))
-		writeJSON(w, http.StatusOK, delta)
+		writeBody(w, http.StatusOK, data)
 		return nil
 	}
 }
 
 // handleReplicaStatus serves a follower's replication position.
-func (s *Server) handleReplicaStatus(fs replicaStatus) handlerFunc {
+func (s *Server) handleReplicaStatus(f *resultshard.Follower) handlerFunc {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-		writeJSON(w, http.StatusOK, fs.Status())
+		writeJSON(w, http.StatusOK, f.Status())
 		return nil
 	}
 }
@@ -97,32 +104,23 @@ func NewReplicaClient(baseURL string) *ReplicaClient {
 func (rc *ReplicaClient) Client() *Client { return rc.c }
 
 // ReplicaMeta pulls the primary's topology descriptor.
-func (rc *ReplicaClient) ReplicaMeta(ctx context.Context) (resultshard.ReplicaMeta, error) {
-	var meta resultshard.ReplicaMeta
-	if err := rc.c.do(ctx, http.MethodGet, "/v1/replica/meta", nil, nil, &meta); err != nil {
-		return resultshard.ReplicaMeta{}, err
-	}
-	return meta, nil
+func (rc *ReplicaClient) ReplicaMeta(ctx context.Context) (meta resultshard.ReplicaMeta, err error) {
+	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/meta", nil, nil, &meta)
+	return meta, err
 }
 
-// ReplicaDelta pulls one shard's results after the watermark.
-func (rc *ReplicaClient) ReplicaDelta(ctx context.Context, shard, afterSeq int) (resultshard.ReplicaDelta, error) {
-	q := url.Values{}
-	q.Set("shard", strconv.Itoa(shard))
-	q.Set("after", strconv.Itoa(afterSeq))
-	var delta resultshard.ReplicaDelta
-	if err := rc.c.do(ctx, http.MethodGet, "/v1/replica/delta", q, nil, &delta); err != nil {
-		return resultshard.ReplicaDelta{}, err
-	}
-	return delta, nil
+// ReplicaDelta pulls one shard's next page after the watermark.
+func (rc *ReplicaClient) ReplicaDelta(ctx context.Context, shard, afterSeq int) (delta resultshard.ReplicaDelta, err error) {
+	q := url.Values{"shard": {strconv.Itoa(shard)}, "after": {strconv.Itoa(afterSeq)}}
+	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/delta", q, nil, &delta)
+	return delta, err
 }
 
-// RunFollower drives a follower's sync loop: one Sync per interval
-// until ctx is done, recording the post-sync lag into the tracer's
-// "resultsd_replica_lag_results" gauge (and sync/error counters) so
-// the follower's own /metrics endpoint exposes how far behind it is.
-// Sync errors are counted and retried on the next tick — a follower
-// outlives primary restarts.
+// RunFollower drives a follower's sync loop: one pass per interval
+// until ctx is done, recording what each completed pass had to apply
+// in the tracer's "resultsd_replica_lag_results" gauge (plus sync/error
+// counters) for the follower's own /metrics. A failed pass is counted
+// and retried next tick — a follower outlives primary restarts.
 func RunFollower(ctx context.Context, f *resultshard.Follower, src resultshard.Source, interval time.Duration, tracer *telemetry.Tracer) {
 	met := tracer.Metrics()
 	lagGauge := met.Gauge("resultsd_replica_lag_results")
@@ -131,12 +129,12 @@ func RunFollower(ctx context.Context, f *resultshard.Follower, src resultshard.S
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		lag, err := f.Sync(ctx, src)
+		applied, err := f.Sync(ctx, src)
 		if err != nil {
 			errs.Inc()
 		} else {
 			syncs.Inc()
-			lagGauge.Set(int64(lag))
+			lagGauge.Set(int64(applied))
 		}
 		select {
 		case <-ctx.Done():

@@ -55,7 +55,7 @@ import (
 )
 
 // maxIngestBytes bounds a POST /v1/results body (after decompression
-// for gzip-encoded pushes).
+// for gzip-encoded pushes) and any reply body the client will read.
 const maxIngestBytes = 8 << 20
 
 // Backend is the storage a Server serves. Three implementations share
@@ -71,21 +71,6 @@ type Backend interface {
 	Systems() []string
 	Health() resultstore.Health
 	Len() int
-}
-
-// replicaSource is the optional backend surface that makes a server a
-// replication primary: when the backend provides it (the sharded
-// router does), the /v1/replica/meta and /v1/replica/delta routes are
-// registered for followers to pull from.
-type replicaSource interface {
-	ReplicaMeta() resultshard.ReplicaMeta
-	ReplicaDelta(shard, afterSeq int) (resultshard.ReplicaDelta, error)
-}
-
-// replicaStatus is the optional backend surface of a follower: when
-// present, /v1/replica/status reports the replica's lag.
-type replicaStatus interface {
-	Status() resultshard.FollowerStatus
 }
 
 // Server serves the federation API over a store.
@@ -125,10 +110,10 @@ func WithPprof() Option { return func(c *serverConfig) { c.pprof = true } }
 // sharded Router, or a read-only Follower. tracer may be nil (requests
 // then record no spans and observe zero latencies); with a tracer,
 // every request records a span, and the per-route metrics live in the
-// tracer's registry. A backend that implements the
-// replica-source surface additionally gets the /v1/replica/meta and
-// /v1/replica/delta pull endpoints; a follower backend gets
-// /v1/replica/status.
+// tracer's registry. A backend that reads through a metricsdb.Reader —
+// a Store is a one-shard primary, a Router an N-shard one — additionally
+// gets the /v1/replica/meta and /v1/replica/delta pull endpoints; a
+// follower backend gets /v1/replica/status.
 func New(store Backend, tracer *telemetry.Tracer, opts ...Option) *Server {
 	var cfg serverConfig
 	for _, o := range opts {
@@ -149,12 +134,13 @@ func New(store Backend, tracer *telemetry.Tracer, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/series", s.instrument("series", s.handleSeries))
 	s.mux.HandleFunc("GET /v1/regressions", s.instrument("regressions", s.handleRegressions))
 	s.mux.HandleFunc("GET /v1/systems", s.instrument("systems", s.handleSystems))
-	if src, ok := store.(replicaSource); ok {
+	if sharded, ok := store.(resultshard.Sharded); ok {
+		src := resultshard.Primary{Sharded: sharded}
 		s.mux.HandleFunc("GET /v1/replica/meta", s.instrument("replica_meta", s.handleReplicaMeta(src)))
 		s.mux.HandleFunc("GET /v1/replica/delta", s.instrument("replica_delta", s.handleReplicaDelta(src)))
 	}
-	if fs, ok := store.(replicaStatus); ok {
-		s.mux.HandleFunc("GET /v1/replica/status", s.instrument("replica_status", s.handleReplicaStatus(fs)))
+	if f, ok := store.(*resultshard.Follower); ok {
+		s.mux.HandleFunc("GET /v1/replica/status", s.instrument("replica_status", s.handleReplicaStatus(f)))
 	}
 	// The ops plane stays outside instrument() so scrapes and probes
 	// don't pollute the request metrics they report.
@@ -249,6 +235,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, data)
+}
+
+// writeBody sends an already encoded JSON value.
+func writeBody(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
 	w.WriteHeader(code)

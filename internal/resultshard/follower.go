@@ -9,84 +9,68 @@ import (
 	"repro/internal/resultstore"
 )
 
-// Source is where a follower pulls replication state from. The
-// production implementation is resultsd.ReplicaClient (HTTP against a
-// primary's /v1/replica endpoints); tests wire a Router in directly.
-type Source interface {
-	// ReplicaMeta describes the primary's topology. A follower verifies
-	// the schema and shard count before pulling deltas.
-	ReplicaMeta(ctx context.Context) (ReplicaMeta, error)
-	// ReplicaDelta returns one shard's results after the follower's
-	// watermark, plus the primary's current watermarks.
-	ReplicaDelta(ctx context.Context, shard, afterSeq int) (ReplicaDelta, error)
-}
-
-// Follower is a read-only replica of a sharded primary, fed by
-// snapshot shipping: each Sync pulls every shard's delta (results
-// after the follower's per-shard Seq watermark) and applies it to an
-// in-memory mirror. Results arrive with their primary-assigned IDs,
-// Seqs and trace provenance intact, so the follower's query responses
-// are byte-identical to the primary's once caught up.
+// Follower is a read-only replica of a primary, fed by snapshot
+// shipping: each Sync pass pulls every shard's pages after its mirror's
+// Seq watermark into an in-memory mirror. Results arrive in Seq order
+// with their primary-assigned IDs, Seqs and trace provenance, so a
+// mirror is always a Seq-prefix of its shard and a caught-up follower's
+// responses are byte-identical to the primary's.
 //
-// The mirror is deliberately memoryless across restarts: a follower
-// that comes back empty re-pulls from watermark 0 — the bootstrap
-// snapshot and the catch-up delta are the same protocol — so replicas
-// need no WAL, no recovery and no durability of their own. Durability
-// lives on the primary; replicas are disposable read capacity.
+// A follower reports only what it knows: its mirrors and how many
+// passes have completed. A pass leaves each mirror holding everything
+// its shard had acked when the pass first asked it, so a reader that
+// needs what the primary acked before instant T waits for a pass that
+// STARTED after T — Syncs two past its value at T, because the pass
+// completing next may have begun before.
 //
-// Follower satisfies the same backend surface resultsd serves, except
-// Append fails with ErrReadOnly: replicas serve /v1/series,
-// /v1/regressions and /v1/systems while the primary keeps ingesting.
+// The mirror is memoryless: a restarted follower re-pulls from
+// watermark 0 (bootstrap and catch-up are one protocol), so replicas
+// need no WAL or recovery of their own — disposable read capacity with
+// the resultsd backend surface, except that Append fails ErrReadOnly.
 type Follower struct {
 	mu sync.RWMutex
 	// dbs[i] mirrors shard i. nil until the first successful meta pull.
-	dbs []*metricsdb.DB
-	// primary watermarks from the most recent delta, for lag reporting.
-	primaryMaxSeq  []int
-	primaryBatches []int
-	synced         bool
-	syncs          int
-	lastErr        string
+	dbs     []*metricsdb.DB
+	syncs   int    // completed passes
+	lag     int    // results the last completed pass applied
+	lastErr string // why the last pass failed; "" once one completes
 }
 
-// NewFollower returns an empty follower; the first Sync sizes it to
-// the primary's topology.
+// NewFollower returns an empty follower; the first Sync sizes it.
 func NewFollower() *Follower { return &Follower{} }
 
-// FollowerShardStatus is one shard's replication position.
+// FollowerShardStatus is where one shard's mirror stands now.
 type FollowerShardStatus struct {
-	Shard          int `json:"shard"`
-	Results        int `json:"results"`
-	MaxSeq         int `json:"max_seq"`
-	PrimaryMaxSeq  int `json:"primary_max_seq"`
-	PrimaryBatches int `json:"primary_batches"`
-	// LagResults is how many results the primary holds that this
-	// replica has not applied yet (the follower-lag gauge).
-	LagResults int `json:"lag_results"`
+	Shard   int `json:"shard"`
+	Results int `json:"results"`
+	MaxSeq  int `json:"max_seq"`
 }
 
-// FollowerStatus is the /v1/replica/status body: the replica's
-// position against the primary as of the last completed Sync.
+// FollowerStatus is the /v1/replica/status body.
 type FollowerStatus struct {
-	Synced bool                  `json:"synced"`
-	Syncs  int                   `json:"syncs"`
+	Synced bool                  `json:"synced"` // Syncs > 0
+	Syncs  int                   `json:"syncs"`  // completed passes
 	Shards []FollowerShardStatus `json:"shards"`
-	// LagResults sums the per-shard lags.
-	LagResults int    `json:"lag_results"`
-	LastError  string `json:"last_error,omitempty"`
+	// LagResults is what pass number Syncs had to apply: how far behind
+	// the follower was when it began. Zero one quiet pass after ingest.
+	LagResults int `json:"lag_results"`
+	// LastError is set while the latest pass is a failed one; with Syncs
+	// standing still it is what a stale follower looks like.
+	LastError string `json:"last_error,omitempty"`
 }
 
-// Sync pulls one round of deltas from the source and applies them.
-// It returns the total post-apply lag in results (0 when the follower
-// caught the watermarks the primary reported — a primary ingesting
-// concurrently may already be ahead again).
-func (f *Follower) Sync(ctx context.Context, src Source) (lag int, err error) {
+// Sync runs one pass — every shard, page by page, until its mirror
+// holds the MaxSeq the shard first reported — and returns how many
+// results it applied. A failed pass keeps those: still a prefix.
+func (f *Follower) Sync(ctx context.Context, src Source) (applied int, err error) {
 	defer func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		if err != nil {
-			f.mu.Lock()
 			f.lastErr = err.Error()
-			f.mu.Unlock()
+			return
 		}
+		f.syncs, f.lag, f.lastErr = f.syncs+1, applied, ""
 	}()
 	meta, err := src.ReplicaMeta(ctx)
 	if err != nil {
@@ -107,55 +91,45 @@ func (f *Follower) Sync(ctx context.Context, src Source) (lag int, err error) {
 		for i := range f.dbs {
 			f.dbs[i] = metricsdb.New()
 		}
-		f.primaryMaxSeq = make([]int, meta.Shards)
-		f.primaryBatches = make([]int, meta.Shards)
-	} else if len(f.dbs) != meta.Shards {
-		f.mu.Unlock()
-		return 0, fmt.Errorf("resultshard: primary resharded from %d to %d shards; restart the follower to re-bootstrap",
-			len(f.dbs), meta.Shards)
 	}
 	dbs := f.dbs
 	f.mu.Unlock()
+	if len(dbs) != meta.Shards {
+		return 0, fmt.Errorf("resultshard: primary resharded from %d to %d shards; restart the follower to re-bootstrap",
+			len(dbs), meta.Shards)
+	}
 
 	for i, db := range dbs {
-		delta, derr := src.ReplicaDelta(ctx, i, db.MaxSeq())
-		if derr != nil {
-			return 0, fmt.Errorf("resultshard: follower delta pull shard %d: %w", i, derr)
+		target := -1 // the MaxSeq shard i's first page of this pass reports
+		for target < 0 || db.MaxSeq() < target {
+			at := db.MaxSeq()
+			page, err := src.ReplicaDelta(ctx, i, at)
+			if err != nil {
+				return applied, fmt.Errorf("resultshard: follower delta pull shard %d: %w", i, err)
+			}
+			if target < 0 {
+				target = page.MaxSeq
+			}
+			if page.MaxSeq < at || len(page.Results) == 0 && at < target {
+				return applied, fmt.Errorf("resultshard: shard %d is at seq %d with %d results after this follower's %d: not the store this follower bootstrapped from; restart the follower to re-bootstrap",
+					i, page.MaxSeq, len(page.Results), at)
+			}
+			for _, r := range page.Results {
+				db.Insert(r)
+			}
+			applied += len(page.Results)
 		}
-		for _, r := range delta.Results {
-			db.Insert(r)
-		}
-		f.mu.Lock()
-		f.primaryMaxSeq[i] = delta.MaxSeq
-		f.primaryBatches[i] = delta.AppliedBatches
-		f.mu.Unlock()
 	}
-	f.mu.Lock()
-	f.synced = true
-	f.syncs++
-	f.lastErr = ""
-	f.mu.Unlock()
-	return f.Status().LagResults, nil
+	return applied, nil
 }
 
-// Status reports the replica's position as of the last Sync.
+// Status reports the replica's position; see FollowerStatus.
 func (f *Follower) Status() FollowerStatus {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	st := FollowerStatus{Synced: f.synced, Syncs: f.syncs, LastError: f.lastErr}
+	st := FollowerStatus{Synced: f.syncs > 0, Syncs: f.syncs, LagResults: f.lag, LastError: f.lastErr}
 	for i, db := range f.dbs {
-		s := FollowerShardStatus{
-			Shard:          i,
-			Results:        db.Len(),
-			MaxSeq:         db.MaxSeq(),
-			PrimaryMaxSeq:  f.primaryMaxSeq[i],
-			PrimaryBatches: f.primaryBatches[i],
-		}
-		if d := s.PrimaryMaxSeq - s.MaxSeq; d > 0 {
-			s.LagResults = d
-		}
-		st.Shards = append(st.Shards, s)
-		st.LagResults += s.LagResults
+		st.Shards = append(st.Shards, FollowerShardStatus{Shard: i, Results: db.Len(), MaxSeq: db.MaxSeq()})
 	}
 	return st
 }
@@ -183,14 +157,15 @@ func (f *Follower) DetectRegressions(q metricsdb.Filter, fom string, window int,
 	return f.reader().DetectRegressions(q, fom, window, threshold)
 }
 
-// Health reports replica readiness: ready once the first Sync has
-// completed (before that, reads would silently serve an empty mirror).
-// The WAL geometry fields stay zero — replicas have no WAL.
+// Health reports replica readiness: ready once the first pass has
+// completed (before that, reads would silently serve an empty mirror)
+// and from then on — a follower that outlives its primary serves old
+// but consistent reads, and Status says so. No WAL, so no WAL geometry.
 func (f *Follower) Health() resultstore.Health {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := resultstore.Health{Ready: f.synced, Results: metricsdb.NewReader(nil, f.dbs...).Len()}
-	if !f.synced {
+	h := resultstore.Health{Ready: f.syncs > 0, Results: metricsdb.NewReader(nil, f.dbs...).Len()}
+	if !h.Ready {
 		h.Reason = "replica awaiting first sync from primary"
 		if f.lastErr != "" {
 			h.Reason = fmt.Sprintf("replica awaiting first sync from primary (last error: %s)", f.lastErr)

@@ -5,24 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
 )
 
-// localSource adapts a Router to the follower's Source interface
-// without HTTP — the protocol-level tests; the HTTP transport is
-// covered in internal/resultsd.
-type localSource struct{ r *Router }
-
-func (s localSource) ReplicaMeta(ctx context.Context) (ReplicaMeta, error) {
-	return s.r.ReplicaMeta(), nil
-}
-
-func (s localSource) ReplicaDelta(ctx context.Context, shard, afterSeq int) (ReplicaDelta, error) {
-	return s.r.ReplicaDelta(shard, afterSeq)
-}
+// The protocol-level tests follow a Primary in process; the HTTP
+// transport is covered in internal/resultsd.
 
 // TestFollowerBootstrapAndByteIdenticalReads: one Sync bootstraps an
 // empty follower from watermark 0, after which every read API returns
@@ -44,12 +35,12 @@ func TestFollowerBootstrapAndByteIdenticalReads(t *testing.T) {
 	if f.Health().Ready {
 		t.Fatal("unsynced follower claims ready")
 	}
-	lag, err := f.Sync(context.Background(), localSource{r})
+	applied, err := f.Sync(context.Background(), Primary{r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lag != 0 {
-		t.Fatalf("post-bootstrap lag = %d, want 0", lag)
+	if st := f.Status(); applied != 40 || st.LagResults != 40 || st.Syncs != 1 {
+		t.Fatalf("bootstrap applied %d, status %+v; want 40 applied and reported by pass 1", applied, st)
 	}
 	if !f.Health().Ready {
 		t.Fatal("synced follower not ready")
@@ -91,7 +82,7 @@ func TestFollowerBootstrapAndByteIdenticalReads(t *testing.T) {
 
 // TestFollowerCatchUpAndLag: a follower that synced once catches up
 // incrementally as the primary keeps ingesting, and Status reports the
-// interim lag.
+// interim lag: what the pass that caught up had to apply, then zero.
 func TestFollowerCatchUpAndLag(t *testing.T) {
 	r := openRouter(t, t.TempDir(), 2)
 	defer r.Close()
@@ -99,7 +90,7 @@ func TestFollowerCatchUpAndLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFollower()
-	if _, err := f.Sync(context.Background(), localSource{r}); err != nil {
+	if _, err := f.Sync(context.Background(), Primary{r}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Len() != 6 {
@@ -110,15 +101,16 @@ func TestFollowerCatchUpAndLag(t *testing.T) {
 	if _, err := r.Append(context.Background(), resultstore.Batch{Key: "k1", Results: spreadResults(8)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Sync(context.Background(), localSource{r}); err != nil {
+	applied, err := f.Sync(context.Background(), Primary{r})
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := f.Status()
 	if !st.Synced || st.Syncs != 2 {
 		t.Fatalf("status = %+v", st)
 	}
-	if st.LagResults != 0 {
-		t.Fatalf("post-sync lag = %d, want 0", st.LagResults)
+	if applied != 8 || st.LagResults != 8 {
+		t.Fatalf("the pass that caught up 8 results returned %d and reports lag_results %d, want 8 and 8", applied, st.LagResults)
 	}
 	if f.Len() != 14 {
 		t.Fatalf("caught-up follower Len = %d, want 14", f.Len())
@@ -129,6 +121,60 @@ func TestFollowerCatchUpAndLag(t *testing.T) {
 	fq, _ := json.Marshal(f.Query(metricsdb.Filter{}))
 	if string(pq) != string(fq) {
 		t.Fatal("incremental catch-up diverged from primary")
+	}
+	// One quiet pass later the lag is gone.
+	applied, err = f.Sync(context.Background(), Primary{r})
+	if st := f.Status(); err != nil || applied != 0 || st.LagResults != 0 || st.Syncs != 3 {
+		t.Fatalf("quiet pass: applied %d, err %v, status %+v; want 0, nil, lag_results 0 as of pass 3", applied, err, st)
+	}
+	sum := 0
+	for i, sh := range st.Shards {
+		if sh.Shard != i || sh.Results == 0 || sh.MaxSeq != r.Parts()[i].MaxSeq() {
+			t.Fatalf("shard status %+v, want shard %d at its primary's max_seq %d", sh, i, r.Parts()[i].MaxSeq())
+		}
+		sum += sh.Results
+	}
+	if len(st.Shards) != 2 || sum != 14 {
+		t.Fatalf("status lists %d shards holding %d results, want 2 holding 14", len(st.Shards), sum)
+	}
+}
+
+// TestFollowerRefusesPrimaryBehindItsMirror: a primary that comes back
+// with less than the follower mirrored (a wiped or restored data dir) is
+// not the store this follower bootstrapped from. The pass must fail
+// loudly, not report "synced, lag 0" over results the primary lost.
+func TestFollowerRefusesPrimaryBehindItsMirror(t *testing.T) {
+	r := openRouter(t, t.TempDir(), 2)
+	defer r.Close()
+	if _, err := r.Append(context.Background(), resultstore.Batch{Key: "k0", Results: spreadResults(12)}); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower()
+	if _, err := f.Sync(context.Background(), Primary{r}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := json.Marshal(f.Query(metricsdb.Filter{}))
+
+	// The "restored" primary: same topology, a shorter history.
+	restored := openRouter(t, t.TempDir(), 2)
+	defer restored.Close()
+	if _, err := restored.Append(context.Background(), resultstore.Batch{Key: "k0", Results: spreadResults(12)[:5]}); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := f.Sync(context.Background(), Primary{restored})
+	if err == nil || !strings.Contains(err.Error(), "restart the follower to re-bootstrap") {
+		t.Fatalf("pass against a primary behind the mirror: err = %v, want the re-bootstrap error", err)
+	}
+	st := f.Status()
+	if applied != 0 || st.Syncs != 1 || !st.Synced || st.LastError != err.Error() {
+		t.Fatalf("failed pass applied %d, status %+v; want nothing applied, syncs still 1, last_error set", applied, st)
+	}
+	if after, _ := json.Marshal(f.Query(metricsdb.Filter{})); string(after) != string(before) {
+		t.Fatal("failed pass changed the mirrors")
+	}
+	// The real primary again: the follower recovers on its own.
+	if _, err := f.Sync(context.Background(), Primary{r}); err != nil || f.Status().LastError != "" || f.Status().Syncs != 2 {
+		t.Fatalf("pass against the original primary: %v, status %+v", err, f.Status())
 	}
 }
 
@@ -154,7 +200,9 @@ func TestFollowerRejectsForeignSchema(t *testing.T) {
 		meta: func() (ReplicaMeta, error) {
 			return ReplicaMeta{Schema: "benchpark-replica-99", KeySchema: KeySchema, Shards: 2}, nil
 		},
-		delta: func(shard, after int) (ReplicaDelta, error) { return r.ReplicaDelta(shard, after) },
+		delta: func(shard, after int) (ReplicaDelta, error) {
+			return Primary{r}.ReplicaDelta(context.Background(), shard, after)
+		},
 	}
 	if _, err := f.Sync(context.Background(), badSchema); err == nil {
 		t.Fatal("foreign replica schema accepted")
@@ -166,14 +214,16 @@ func TestFollowerRejectsForeignSchema(t *testing.T) {
 	// Bootstrap against the real 2-shard primary, then present a
 	// resharded topology: the follower must refuse, instructing a
 	// re-bootstrap.
-	if _, err := f.Sync(context.Background(), localSource{r}); err != nil {
+	if _, err := f.Sync(context.Background(), Primary{r}); err != nil {
 		t.Fatal(err)
 	}
 	resharded := sourceFunc{
 		meta: func() (ReplicaMeta, error) {
 			return ReplicaMeta{Schema: ReplicaSchema, KeySchema: KeySchema, Shards: 4}, nil
 		},
-		delta: func(shard, after int) (ReplicaDelta, error) { return r.ReplicaDelta(shard, after) },
+		delta: func(shard, after int) (ReplicaDelta, error) {
+			return Primary{r}.ReplicaDelta(context.Background(), shard, after)
+		},
 	}
 	if _, err := f.Sync(context.Background(), resharded); err == nil {
 		t.Fatal("resharded primary accepted without re-bootstrap")
@@ -201,11 +251,11 @@ func TestFollowerRestartRebootstraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	f1 := NewFollower()
-	if _, err := f1.Sync(context.Background(), localSource{r}); err != nil {
+	if _, err := f1.Sync(context.Background(), Primary{r}); err != nil {
 		t.Fatal(err)
 	}
 	f2 := NewFollower() // the "restarted" replica
-	if _, err := f2.Sync(context.Background(), localSource{r}); err != nil {
+	if _, err := f2.Sync(context.Background(), Primary{r}); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(f1.Query(metricsdb.Filter{}))

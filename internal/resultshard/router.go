@@ -20,11 +20,11 @@
 //     for a queue slot, the router uses the non-blocking Enqueue: a
 //     full shard queue refuses the batch with an OverloadError
 //     carrying a Retry-After hint instead of wedging the caller.
-//   - Replication is snapshot shipping by watermark. Results carry
-//     per-shard monotone Seqs, so "everything after Seq W" is both the
-//     incremental delta and — from W=0 — the full bootstrap snapshot.
-//     Followers (follower.go) poll each shard's delta and serve the
-//     read API with byte-identical responses.
+//   - Read replicas are no property of the router: results carry
+//     per-shard monotone Seqs, so anything that reads through a
+//     metricsdb.Reader can ship "the next page after Seq W"
+//     (replica.go), and followers (follower.go) mirror the pages to
+//     serve the read API with byte-identical responses.
 package resultshard
 
 import (
@@ -75,11 +75,9 @@ const manifestFormat = "benchpark-router-1"
 // either unchanged.
 type Router struct {
 	metricsdb.Reader
-	shards    []shard
+	shards    []*resultstore.Store
 	overloads atomic.Int64
 }
-
-type shard struct{ store *resultstore.Store }
 
 // Open recovers (or creates) a sharded store under dir: shard i lives
 // in dir/shard-NN with its own WAL and compaction. The first Open
@@ -108,7 +106,7 @@ func Open(dir string, opts Options) (*Router, error) {
 			r.Close()
 			return nil, fmt.Errorf("resultshard: shard %d: %w", i, err)
 		}
-		r.shards = append(r.shards, shard{store: st})
+		r.shards = append(r.shards, st)
 		readers[i] = st.Reader
 	}
 	r.Reader = metricsdb.MergeReaders(ShardFor, readers...)
@@ -188,7 +186,7 @@ func (r *Router) Append(ctx context.Context, b resultstore.Batch) (bool, error) 
 		if len(rs) == 0 {
 			continue
 		}
-		p, err := r.shards[i].store.Enqueue(resultstore.Batch{Key: b.Key, TraceID: b.TraceID, Results: rs})
+		p, err := r.shards[i].Enqueue(resultstore.Batch{Key: b.Key, TraceID: b.TraceID, Results: rs})
 		switch {
 		case err == nil:
 			waiting = append(waiting, p)
@@ -222,7 +220,7 @@ func (r *Router) Append(ctx context.Context, b resultstore.Batch) (bool, error) 
 func (r *Router) Close() error {
 	var firstErr error
 	for _, sh := range r.shards {
-		if err := sh.store.Close(); err != nil && firstErr == nil {
+		if err := sh.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -261,52 +259,7 @@ func (r *Router) Health() resultstore.Health {
 func (r *Router) ShardHealth() []resultstore.Health {
 	out := make([]resultstore.Health, len(r.shards))
 	for i, sh := range r.shards {
-		out[i] = sh.store.Health()
+		out[i] = sh.Health()
 	}
 	return out
-}
-
-// ReplicaMeta describes the primary's topology to a follower.
-type ReplicaMeta struct {
-	Schema    string `json:"schema"`
-	KeySchema string `json:"key_schema"`
-	Shards    int    `json:"shards"`
-}
-
-// ReplicaSchema versions the replication protocol.
-const ReplicaSchema = "benchpark-replica-1"
-
-// ReplicaDelta is one shard's catch-up payload: every result after the
-// follower's watermark, plus the primary's current watermarks so the
-// follower can compute its lag.
-type ReplicaDelta struct {
-	Shard          int                `json:"shard"`
-	AfterSeq       int                `json:"after_seq"`
-	MaxSeq         int                `json:"max_seq"`
-	AppliedBatches int                `json:"applied_batches"`
-	Results        []metricsdb.Result `json:"results,omitempty"`
-}
-
-// ReplicaMeta returns the topology descriptor followers verify before
-// pulling deltas.
-func (r *Router) ReplicaMeta() ReplicaMeta {
-	return ReplicaMeta{Schema: ReplicaSchema, KeySchema: KeySchema, Shards: len(r.shards)}
-}
-
-// ReplicaDelta returns shard's results after the follower's watermark.
-// afterSeq 0 ships the full snapshot — the bootstrap path and the
-// catch-up path are the same code, which is what makes follower
-// recovery trivial (drop state, pull from 0).
-func (r *Router) ReplicaDelta(shard, afterSeq int) (ReplicaDelta, error) {
-	if shard < 0 || shard >= len(r.shards) {
-		return ReplicaDelta{}, fmt.Errorf("resultshard: no shard %d (have %d)", shard, len(r.shards))
-	}
-	st := r.shards[shard].store
-	return ReplicaDelta{
-		Shard:          shard,
-		AfterSeq:       afterSeq,
-		MaxSeq:         st.MaxSeq(),
-		AppliedBatches: st.AppliedBatches(),
-		Results:        st.QueryAfter(afterSeq),
-	}, nil
 }

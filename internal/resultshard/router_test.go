@@ -80,7 +80,7 @@ func TestRouterRoutesAndMerges(t *testing.T) {
 	}
 	// Placement: every result sits on exactly the shard ShardFor names.
 	for i, sh := range r.shards {
-		for _, got := range sh.store.Query(metricsdb.Filter{}) {
+		for _, got := range sh.Query(metricsdb.Filter{}) {
 			if want := ShardFor(got.System, got.Benchmark, 4); want != i {
 				t.Fatalf("result %s/%s on shard %d, want %d", got.System, got.Benchmark, i, want)
 			}
@@ -204,7 +204,7 @@ func TestRouterPartialApplyConverges(t *testing.T) {
 	// queue (and starts its 200ms commit delay).
 	enqueue := func(key string) *resultstore.Pending {
 		for {
-			p, err := r.shards[shardB].store.Enqueue(resultstore.Batch{Key: key, Results: []metricsdb.Result{b}})
+			p, err := r.shards[shardB].Enqueue(resultstore.Batch{Key: key, Results: []metricsdb.Result{b}})
 			if err == nil {
 				return p
 			}
@@ -309,7 +309,7 @@ func TestRouterDeterministicAcrossRestart(t *testing.T) {
 	snap := func(r *Router) [][]byte {
 		var out [][]byte
 		for _, sh := range r.shards {
-			b, err := json.Marshal(sh.store.Query(metricsdb.Filter{}))
+			b, err := json.Marshal(sh.Query(metricsdb.Filter{}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,7 +120,7 @@ func concurrentAppends(t *testing.T, opts Options, writers, pushes int) {
 		}
 	}
 	before, _ := json.Marshal(s.Series(metricsdb.Filter{}, "t"))
-	keys := s.AppliedBatches()
+	keys := s.Health().IngestKeys
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func concurrentAppends(t *testing.T, opts Options, writers, pushes int) {
 	if got := s2.Len(); got != total {
 		t.Fatalf("recovered Len = %d, want %d", got, total)
 	}
-	if got := s2.AppliedBatches(); got != keys {
+	if got := s2.Health().IngestKeys; got != keys {
 		t.Fatalf("recovered %d ingest keys, want %d", got, keys)
 	}
 	for g := 0; g < writers; g++ {

@@ -126,8 +126,9 @@ func TestAppendManyEmptyGroup(t *testing.T) {
 	}
 }
 
-// TestReplicationAccessors: QueryAfter/MaxSeq/AppliedBatches expose
-// the watermark protocol primitives.
+// TestReplicationAccessors: the embedded Reader's QueryAfterN/MaxSeq
+// are the watermark protocol's primitives (resultshard.Primary serves
+// replication from them), and Health counts the applied ingest keys.
 func TestReplicationAccessors(t *testing.T) {
 	s, err := Open(t.TempDir(), fixedOpts())
 	if err != nil {
@@ -139,18 +140,24 @@ func TestReplicationAccessors(t *testing.T) {
 	if got := s.MaxSeq(); got != 3 {
 		t.Fatalf("MaxSeq = %d, want 3", got)
 	}
-	if got := s.AppliedBatches(); got != 2 {
-		t.Fatalf("AppliedBatches = %d, want 2", got)
+	if got := s.Health().IngestKeys; got != 2 {
+		t.Fatalf("Health().IngestKeys = %d, want 2", got)
 	}
-	delta := s.QueryAfter(1)
+	delta := s.QueryAfterN(1, 10)
 	if len(delta) != 2 || delta[0].Seq != 2 || delta[1].Seq != 3 {
-		t.Fatalf("QueryAfter(1) = %+v", delta)
+		t.Fatalf("QueryAfterN(1, 10) = %+v", delta)
 	}
-	if got := s.QueryAfter(3); len(got) != 0 {
-		t.Fatalf("QueryAfter(MaxSeq) = %+v, want empty", got)
+	if got := s.QueryAfterN(3, 10); len(got) != 0 {
+		t.Fatalf("QueryAfterN(MaxSeq, 10) = %+v, want empty", got)
 	}
-	// Watermark 0 is the full bootstrap snapshot.
-	if got := s.QueryAfter(0); len(got) != 3 {
-		t.Fatalf("QueryAfter(0) returned %d results, want 3", len(got))
+	// Watermark 0 is the full bootstrap snapshot, a page at a time.
+	if got := s.QueryAfterN(0, 10); len(got) != 3 {
+		t.Fatalf("QueryAfterN(0, 10) returned %d results, want 3", len(got))
+	}
+	if got := s.QueryAfterN(0, 2); len(got) != 2 || got[1].Seq != 2 {
+		t.Fatalf("QueryAfterN(0, 2) = %+v, want the first two", got)
+	}
+	if parts := s.Parts(); len(parts) != 1 || parts[0].MaxSeq() != 3 {
+		t.Fatalf("a store has %d parts, want its one DB", len(parts))
 	}
 }

@@ -124,8 +124,8 @@ func requireState(t *testing.T, dir, want string, keys []string) *Store {
 		s.Close()
 		t.Fatalf("served results differ after reopen:\n got %s\nwant %s", got, want)
 	}
-	if got := s.AppliedBatches(); got != len(keys) {
-		t.Errorf("AppliedBatches = %d, want %d", got, len(keys))
+	if got := s.Health().IngestKeys; got != len(keys) {
+		t.Errorf("Health().IngestKeys = %d, want %d", got, len(keys))
 	}
 	for _, k := range keys {
 		if !s.HasKey(k) {

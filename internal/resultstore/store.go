@@ -515,12 +515,3 @@ func (s *Store) HasKey(key string) bool {
 	defer s.mu.Unlock()
 	return s.keys[key]
 }
-
-// AppliedBatches reports how many distinct ingest batches the store
-// has applied over its lifetime (the follower-lag gauge's batch-count
-// companion to MaxSeq).
-func (s *Store) AppliedBatches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.keys)
-}

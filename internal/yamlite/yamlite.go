@@ -892,7 +892,9 @@ func needsQuote(s string) bool {
 			return true
 		}
 	}
-	if strings.HasPrefix(s, "- ") || strings.HasPrefix(s, " ") || strings.HasSuffix(s, " ") ||
+	// The parser trims with strings.TrimSpace, Unicode spaces included,
+	// so an edge space of any kind survives only inside quotes.
+	if strings.HasPrefix(s, "- ") || strings.TrimSpace(s) != s ||
 		strings.HasPrefix(s, "&") || strings.HasPrefix(s, "*") || strings.HasPrefix(s, "!") ||
 		strings.HasPrefix(s, "%") || strings.HasPrefix(s, "@") || strings.HasPrefix(s, "|") ||
 		strings.HasPrefix(s, ">") {

@@ -6,8 +6,10 @@
 // federation layer exists for:
 //
 //   - the follower keeps serving reads WHILE the primary ingests;
-//   - the follower's lag gauge drains to zero and its reads are then
-//     byte-identical to the primary's across every query route;
+//   - once a pass that started after ingest ended has completed with
+//     nothing left to apply, the follower's reads are byte-identical to
+//     the primary's across every query route;
+//   - any primary can be followed: a plain `serve` is a one-shard one;
 //   - a shard driven past its bounded queue answers 429 +
 //     Retry-After (typed ErrOverloaded) promptly — never a hang;
 //   - the recorded benchmark files (BENCH_resultstore.json,
@@ -31,6 +33,9 @@ import (
 	"regexp"
 	"sync"
 	"time"
+
+	"repro/internal/loadgen"
+	"repro/internal/resultshard"
 )
 
 func fatalf(format string, args ...any) {
@@ -117,24 +122,49 @@ func awaitAnnounce(stdout io.Reader) (string, error) {
 	}
 }
 
-// followerStatus mirrors the /v1/replica/status body.
-type followerStatus struct {
-	Synced     bool   `json:"synced"`
-	Syncs      int    `json:"syncs"`
-	LagResults int    `json:"lag_results"`
-	LastError  string `json:"last_error,omitempty"`
+// awaitQuietPass blocks until the follower has completed a pass that
+// STARTED after this call and had nothing to apply — everything the
+// primary acked before the call is then mirrored. The follower reports
+// completed passes only, and the one that completes next may have begun
+// before the call, so the wait is for two generations past the current
+// one (and a quiet one: a still-ingesting primary keeps it waiting).
+func awaitQuietPass(follower *server) resultshard.FollowerStatus {
+	status := func() (st resultshard.FollowerStatus) {
+		code, body := get(follower.base, "/v1/replica/status")
+		if code != http.StatusOK {
+			fatalf("/v1/replica/status = %d", code)
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			fatalf("/v1/replica/status: %v\n%s", err, body)
+		}
+		return st
+	}
+	from := status().Syncs
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		st := status()
+		if st.Synced && st.Syncs >= from+2 && st.LagResults == 0 {
+			return st
+		}
+		if time.Now().After(deadline) {
+			fatalf("follower never caught up (waiting for a quiet pass past generation %d): %+v", from+1, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
-// loadReport mirrors the fields of loadgen.Report this smoke asserts.
-type loadReport struct {
-	Runners       int     `json:"runners"`
-	BatchesPushed int     `json:"batches_pushed"`
-	ResultsPushed int     `json:"results_pushed"`
-	Duplicates    int     `json:"duplicates"`
-	Overloads     int     `json:"overloads"`
-	Errors        int     `json:"errors"`
-	BatchesPerSec float64 `json:"batches_per_second"`
-	FirstError    string  `json:"first_error,omitempty"`
+// assertSameBytes compares primary and follower answers byte for byte.
+func assertSameBytes(primary, follower *server, paths ...string) {
+	for _, path := range paths {
+		pcode, pbody := get(primary.base, path)
+		fcode, fbody := get(follower.base, path)
+		if pcode != http.StatusOK || fcode != http.StatusOK {
+			fatalf("%s: primary %d, follower %d", path, pcode, fcode)
+		}
+		if !bytes.Equal(pbody, fbody) {
+			fatalf("%s: follower bytes diverge from primary\nprimary:  %s\nfollower: %s", path, pbody, fbody)
+		}
+	}
 }
 
 func main() {
@@ -211,7 +241,7 @@ ingest:
 	}
 	fmt.Printf("    follower answered %d reads while the primary ingested\n", readsDuringIngest)
 
-	var rep loadReport
+	var rep loadgen.Report
 	repData, err := os.ReadFile(reportPath)
 	if err != nil {
 		fatalf("loadtest report: %v", err)
@@ -227,61 +257,57 @@ ingest:
 			rep.BatchesPushed, want, rep.Overloads, rep.Errors, rep.FirstError)
 	}
 
-	// ---- Lag drains to zero; reads go byte-identical -----------------
-	deadline := time.Now().Add(15 * time.Second)
-	var st followerStatus
-	for {
-		code, body := get(follower.base, "/v1/replica/status")
-		if code != http.StatusOK {
-			fatalf("/v1/replica/status = %d", code)
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			fatalf("/v1/replica/status: %v\n%s", err, body)
-		}
-		if st.Synced && st.LagResults == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			fatalf("follower never caught up: %s", body)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// ---- A pass begun after ingest ended; reads go byte-identical -----
+	st := awaitQuietPass(follower)
+	held := 0
+	for _, sh := range st.Shards {
+		held += sh.Results
 	}
-	fmt.Printf("    follower caught up (lag 0 after %d syncs)\n", st.Syncs)
+	if held != rep.ResultsPushed || len(st.Shards) != 4 {
+		fatalf("caught-up follower mirrors %d results in %d shards, loadtest pushed %d into 4", held, len(st.Shards), rep.ResultsPushed)
+	}
+	fmt.Printf("    follower caught up (%d results as of pass %d, lag 0)\n", held, st.Syncs)
 	if code, _ := get(follower.base, "/readyz"); code != http.StatusOK {
 		fatalf("synced follower /readyz = %d, want 200", code)
 	}
-
-	for _, path := range []string{
+	assertSameBytes(primary, follower,
 		"/v1/systems",
 		"/v1/series?benchmark=fedbench-00&system=fedsys-000&fom=figure_of_merit",
 		"/v1/series?benchmark=fedbench-03&fom=figure_of_merit",
-		"/v1/regressions?benchmark=fedbench-01&system=fedsys-001&fom=figure_of_merit",
-	} {
-		pcode, pbody := get(primary.base, path)
-		fcode, fbody := get(follower.base, path)
-		if pcode != http.StatusOK || fcode != http.StatusOK {
-			fatalf("%s: primary %d, follower %d", path, pcode, fcode)
-		}
-		if !bytes.Equal(pbody, fbody) {
-			fatalf("%s: follower bytes diverge from primary\nprimary:  %s\nfollower: %s", path, pbody, fbody)
-		}
-	}
+		"/v1/regressions?benchmark=fedbench-01&system=fedsys-001&fom=figure_of_merit")
 	fmt.Println("    follower reads are byte-identical to the primary")
 
 	// ---- Dogfood: push the recorded benchmark files through ---------
 	dogfoodBench(primary.base, "BENCH_resultstore.json", "BenchmarkWALAppend")
 	dogfoodBench(primary.base, "BENCH_benchlint.json", "BenchmarkSuiteModuleCached")
 
-	// ---- Overload drill: full queue answers 429, never hangs ---------
 	primary.stop()
 	follower.stop()
+
+	// ---- Any primary can be followed: a plain serve is one shard -----
+	plain := startServe(bin, "--data", filepath.Join(tmp, "plain"))
+	defer plain.stop()
+	if code, body := get(plain.base, "/v1/replica/meta"); code != http.StatusOK || !bytes.Contains(body, []byte(`"shards":1`)) {
+		fatalf("plain serve /v1/replica/meta = %d %s, want 200 with 1 shard", code, body)
+	}
+	plainFollower := startServe(bin, "--replica-of", plain.base, "--sync-interval", "25ms")
+	defer plainFollower.stop()
+	dogfoodBench(plain.base, "BENCH_resultstore.json", "BenchmarkWALAppend")
+	awaitQuietPass(plainFollower)
+	assertSameBytes(plain, plainFollower,
+		"/v1/systems", "/v1/series?benchmark=BenchmarkWALAppend&system=ci-smoke&fom=ns_per_op")
+	fmt.Println("    a follower of a plain serve is byte-identical too")
+	plain.stop()
+	plainFollower.stop()
+
+	// ---- Overload drill: full queue answers 429, never hangs ---------
 	overloadDrill(bin, tmp)
 
-	fmt.Println("    federation plane OK: sharded ingest, live follower reads, lag catch-up, byte-identical replicas, 429 backpressure")
+	fmt.Println("    federation plane OK: sharded ingest, live follower reads, generation catch-up, byte-identical replicas of a sharded and a plain primary, 429 backpressure")
 }
 
 // dogfoodBench pushes one of the repo's recorded benchmark files
-// through the sharded service as ordinary results and queries a probe
+// through a running service as ordinary results and queries a probe
 // benchmark back — the perf trajectory rides the same pipe as
 // everything else.
 func dogfoodBench(base, file, probe string) {
@@ -335,7 +361,7 @@ func dogfoodBench(base, file, probe string) {
 	if code != http.StatusOK || !bytes.Contains(series, []byte(`"value"`)) {
 		fatalf("dogfood query = %d %s, want the pushed %s sample back", code, series, probe)
 	}
-	fmt.Printf("    dogfood: %d benchmarks from %s pushed through the shards and queried back\n", len(req.Results), file)
+	fmt.Printf("    dogfood: %d benchmarks from %s pushed through the service and queried back\n", len(req.Results), file)
 }
 
 // overloadDrill boots a deliberately tiny topology (2 shards, queue

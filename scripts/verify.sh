@@ -15,10 +15,10 @@
 # queue) and its load generator (one goroutine per simulated runner), benchlint's
 # concurrent file parser, and the benchlint CLI whose tests drive
 # that loader end to end. After it, the result store's two decoders of
-# on-disk bytes — WAL frames and snapshot generations — and the ingest
+# on-disk bytes — WAL frames and snapshot generations — the ingest
 # handler's reader of network bytes (plain or gzip, through its pooled
-# decompressor) are fuzzed for five seconds each from their seed
-# corpora.
+# decompressor) and yamlite's scalar emitter/parser round trip are
+# fuzzed for five seconds each from their seed corpora.
 #
 # benchlint runs ratchet-gated against the committed
 # .benchlint-baseline.json (only NEW findings fail; the file is empty,
@@ -33,8 +33,9 @@
 # The federation plane is smoke-checked end to end by
 # scripts/fedsmoke: a 4-shard primary plus one snapshot-shipping
 # follower under loadgen ingest, follower reads during ingest,
-# lag catch-up to byte-identical reads, and the 429/Retry-After
-# backpressure contract on an overloaded shard.
+# byte-identical reads after a pass that started once ingest ended,
+# a follower of a plain serve, and the 429/Retry-After backpressure
+# contract on an overloaded shard.
 #
 # Finally, the incremental re-run gate runs the example suite twice
 # over a shared --cache-dir: the second run must be 100% run-layer
@@ -72,18 +73,19 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
 # coverage flaps and the minimizer (60 s per "new" input by default)
 # would eat the five seconds; spend them on new inputs instead.
 go test -run '^$' -fuzz '^FuzzIngestBody$' -fuzztime=5s -fuzzminimizetime=0s ./internal/resultsd
+go test -run '^$' -fuzz '^FuzzScalarRoundTrip$' -fuzztime=5s ./internal/yamlite
 
 echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
 
-echo "==> federation smoke (4-shard primary + follower, loadgen ingest, 429 backpressure)"
+echo "==> federation smoke (4-shard primary + follower, loadgen ingest, plain serve + follower, 429 backpressure)"
 go run ./scripts/fedsmoke
 
 echo "==> incremental re-run gate (second run over a shared cache must replay everything)"
