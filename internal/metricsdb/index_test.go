@@ -122,7 +122,7 @@ func (o *oracle) systems() []string {
 	for _, r := range o.arrived {
 		seen[r.System] = true
 	}
-	return sortedKeys(seen)
+	return sortedKeys(nil, seen)
 }
 
 // The property test's value domains. ("s2", "b2") is never stored

@@ -194,11 +194,15 @@ func (db *DB) Query(f Filter) []Result {
 // included. The durable store's compaction walks a long tail the same
 // way. A page costs what it returns plus a binary search, and results
 // already stored never change, so pages read at different times agree.
-func (db *DB) QueryAfterN(seq, n int) []Result {
+func (db *DB) QueryAfterN(seq, n int) []Result { return db.AppendAfterN(nil, seq, n) }
+
+// AppendAfterN is QueryAfterN into a slice the caller owns: the results
+// are appended to dst, so a caller walking page after page reuses one.
+func (db *DB) AppendAfterN(dst []Result, seq, n int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	tail := db.results[db.firstAfter(seq):]
-	return append([]Result(nil), tail[:min(n, len(tail))]...)
+	return append(dst, tail[:min(n, len(tail))]...)
 }
 
 // MaxSeq reports the highest assigned sequence number (0 when empty).
@@ -456,14 +460,5 @@ func (db *DB) Systems() []string {
 	for k := range db.postings { // one key per pair, not one per result
 		seen[k.system] = true
 	}
-	return sortedKeys(seen)
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(make([]string, 0, len(seen)), seen)
 }

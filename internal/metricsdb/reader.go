@@ -122,5 +122,5 @@ func (r Reader) Systems() []string {
 			seen[s] = true
 		}
 	}
-	return sortedKeys(seen)
+	return sortedKeys(make([]string, 0, len(seen)), seen)
 }

@@ -103,8 +103,14 @@ type retryableError struct{ err error }
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// do runs one API call with the retry policy and decodes the JSON
-// response into out.
+// jsonInto is the decode of every reply that holds no results.
+func jsonInto(out any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, out) }
+}
+
+// do runs one API call with the retry policy — body, when there is one,
+// is the encoded request and encoding its Content-Encoding — and hands
+// the reply's bytes to decode.
 //
 // The whole logical call is ONE span ("rpc:<route>") and ONE
 // traceparent: the header is computed once, before the retry loop, so
@@ -112,29 +118,7 @@ func (e *retryableError) Unwrap() error { return e.err }
 // one logical operation whether it took one attempt or five, mirroring
 // how the ingest key makes retried POSTs one logical batch. The span
 // records the attempt count instead of opening a span per attempt.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body, out any) (err error) {
-	var payload []byte
-	if body != nil {
-		payload, err = json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("resultsd: encoding request: %w", err)
-		}
-	}
-	// Compress once, outside the retry loop, so every attempt reuses
-	// the same bytes. Federated batches are redundant JSON; gzip
-	// typically shrinks them ~10x, which is most of the ingest
-	// bandwidth at fleet scale.
-	encoding := ""
-	if len(payload) >= gzipMinBytes && !c.DisableCompression {
-		var buf bytes.Buffer
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(&buf)
-		_, werr := zw.Write(payload)
-		if cerr := zw.Close(); werr == nil && cerr == nil {
-			payload, encoding = buf.Bytes(), "gzip"
-		}
-		gzipWriters.Put(zw) // closed; the next Reset clears whatever state is left
-	}
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, encoding string, decode func([]byte) error) (err error) {
 	u := strings.TrimSuffix(c.BaseURL, "/") + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -169,7 +153,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			return fmt.Errorf("resultsd: %w", cerr)
 		}
 		attempts++
-		aerr := c.once(ctx, method, u, traceparent, encoding, payload, out)
+		aerr := c.once(ctx, method, u, traceparent, encoding, body, decode)
 		if aerr == nil {
 			return nil
 		}
@@ -208,7 +192,7 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 // once performs a single HTTP attempt. traceparent and the (possibly
 // gzip-encoded) payload come from do so retried attempts share one
 // trace context and one set of bytes.
-func (c *Client) once(ctx context.Context, method, u, traceparent, encoding string, payload []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, u, traceparent, encoding string, payload []byte, decode func([]byte) error) error {
 	if c.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.AttemptTimeout)
@@ -256,10 +240,7 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, apiErrorText(data))
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decode(data); err != nil {
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
@@ -298,12 +279,46 @@ func apiErrorText(data []byte) string {
 	return strings.TrimSpace(string(data))
 }
 
+// pushBufs holds the buffers pushes are encoded into before they are
+// compressed.
+var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodePush renders a push body, compressed when that pays: federated
+// batches are redundant JSON that gzip shrinks ~10x, most of the ingest
+// bandwidth at fleet scale. It is encoded once, so every attempt sends
+// the same bytes, and into bytes of its own: a transport may still be
+// reading a request's body after Do returns, so the pooled buffer the
+// JSON is appended to is back in the pool before anything is sent.
+func (c *Client) encodePush(req *IngestRequest) (body []byte, encoding string, err error) {
+	buf := pushBufs.Get().(*[]byte)
+	defer pushBufs.Put(buf)
+	plain, err := req.appendJSON((*buf)[:0])
+	if err != nil {
+		return nil, "", fmt.Errorf("resultsd: encoding request: %w", err)
+	}
+	*buf = plain
+	if len(plain) >= gzipMinBytes && !c.DisableCompression {
+		var out bytes.Buffer
+		zw := gzipWriters.Get().(*gzip.Writer)
+		zw.Reset(&out)
+		_, werr := zw.Write(plain)
+		cerr := zw.Close()
+		gzipWriters.Put(zw) // closed; the next Reset clears whatever state is left
+		if werr == nil && cerr == nil {
+			return out.Bytes(), "gzip", nil
+		}
+	}
+	return bytes.Clone(plain), "", nil
+}
+
 // Push ingests one idempotent batch of results under the given key.
 func (c *Client) Push(ctx context.Context, key string, results []metricsdb.Result) (*IngestResponse, error) {
-	var resp IngestResponse
-	err := c.do(ctx, http.MethodPost, "/v1/results", nil,
-		IngestRequest{IngestKey: key, Results: results}, &resp)
+	body, encoding, err := c.encodePush(&IngestRequest{IngestKey: key, Results: results})
 	if err != nil {
+		return nil, err
+	}
+	var resp IngestResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/results", nil, body, encoding, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -329,7 +344,7 @@ func (c *Client) Series(ctx context.Context, f metricsdb.Filter, fom string) ([]
 	q := queryFromFilter(f)
 	q.Set("fom", fom)
 	var resp SeriesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/series", q, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/series", q, nil, "", jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return resp.Points, nil
@@ -347,7 +362,7 @@ func (c *Client) Regressions(ctx context.Context, f metricsdb.Filter, fom string
 		q.Set("threshold", strconv.FormatFloat(threshold, 'g', -1, 64))
 	}
 	var resp RegressionsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/regressions", q, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/regressions", q, nil, "", jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return resp.Regressions, nil
@@ -356,7 +371,7 @@ func (c *Client) Regressions(ctx context.Context, f metricsdb.Filter, fom string
 // Systems lists the distinct system names with stored results.
 func (c *Client) Systems(ctx context.Context) ([]string, error) {
 	var resp SystemsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/systems", nil, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/systems", nil, nil, "", jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return resp.Systems, nil

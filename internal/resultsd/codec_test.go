@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"sort"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/metricsdb"
+	"repro/internal/resultshard"
 	"repro/internal/resultstore"
 )
 
@@ -135,9 +137,11 @@ func TestPooledCodecConcurrentPushes(t *testing.T) {
 	}
 }
 
-// TestCutGzipBodyLeavesTheNextPushIntact: a body that ends mid-stream
-// is a 400, and the decompressor it leaves in the pool serves the next
-// push as if new.
+// TestCutGzipBodyLeavesTheNextPushIntact: a body that ends anywhere
+// short of its last byte, fails gzip's own checksum, or carries anything
+// after its one JSON value is a 400 that stores nothing, and the
+// decompressor and buffers it leaves in the pool serve the next push as
+// if new.
 func TestCutGzipBodyLeavesTheNextPushIntact(t *testing.T) {
 	srv, store := newTestServer(t)
 	h := srv.Handler()
@@ -146,12 +150,30 @@ func TestCutGzipBodyLeavesTheNextPushIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := freshGzip(t, plain)
-	// Mid-stream twice, just past the 10-byte header, and inside it (the
-	// one Reset itself refuses). Not in the last block: the JSON value
-	// can be complete before the stream is, and the decoder stops there.
-	for round, cut := range []int{len(whole) / 2, len(whole) * 3 / 4, 11, 3} {
-		if w := postRaw(h, whole[:cut], true); w.Code != http.StatusBadRequest {
-			t.Fatalf("body cut at %d of %d: status %d, want 400", cut, len(whole), w.Code)
+	flipped := bytes.Clone(whole)
+	flipped[len(flipped)-6] ^= 0x40 // in the CRC-32 of the 8-byte trailer
+	type body struct {
+		name    string
+		bytes   []byte
+		gzipped bool
+	}
+	bodies := []body{
+		{"flipped CRC byte", flipped, true},
+		{"garbage after the gzip member", append(bytes.Clone(whole), "garbage"...), true},
+		{"a second JSON value, gzip", freshGzip(t, append(bytes.Clone(plain), plain...)), true},
+		{"trailing bytes, gzip", freshGzip(t, append(bytes.Clone(plain), " \n x"...)), true},
+		{"trailing bytes, plain", append(bytes.Clone(plain), " \n x"...), false},
+		{"a second JSON value, plain", append(bytes.Clone(plain), plain...), false},
+	}
+	// Mid-stream twice, just past the 10-byte header, inside it (the one
+	// Reset itself refuses), and inside the last deflate block and the
+	// trailer, where the JSON value is already complete.
+	for _, cut := range []int{len(whole) / 2, len(whole) * 3 / 4, 11, 3, len(whole) - 1, len(whole) - 4, len(whole) - 9} {
+		bodies = append(bodies, body{fmt.Sprintf("cut at %d of %d", cut, len(whole)), whole[:cut], true})
+	}
+	for round, b := range bodies {
+		if w := postRaw(h, b.bytes, b.gzipped); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", b.name, w.Code)
 		}
 		system := fmt.Sprintf("after-cut-%d", round)
 		pushed := pushOf(system, 12)
@@ -160,14 +182,67 @@ func TestCutGzipBodyLeavesTheNextPushIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w := postRaw(h, freshGzip(t, good), true); w.Code != http.StatusOK {
-			t.Fatalf("push after a body cut at %d: %d %s", cut, w.Code, w.Body)
+			t.Fatalf("push after %s: %d %s", b.name, w.Code, w.Body)
 		}
 		if got := storedAs(store, system); !reflect.DeepEqual(got, pushed) {
-			t.Fatalf("push after a body cut at %d stored %+v, want %+v", cut, got, pushed)
+			t.Fatalf("push after %s stored %+v, want %+v", b.name, got, pushed)
 		}
 	}
 	if n := len(store.Query(metricsdb.Filter{System: "cut"})); n != 0 {
-		t.Fatalf("%d results of a cut body were stored", n)
+		t.Fatalf("%d results of a refused body were stored", n)
+	}
+	// Whitespace after the value is not "anything".
+	if w := postRaw(h, append(bytes.Clone(plain), " \r\n\t"...), false); w.Code != http.StatusOK {
+		t.Fatalf("body with trailing whitespace: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestRepliesMatchEncodingJSON: the two replies the server appends by
+// hand — a series and a replica page — are byte for byte what
+// json.Marshal makes of the declared reply types, full and empty, and a
+// follower's client reads the page back as the results it was cut from.
+func TestRepliesMatchEncodingJSON(t *testing.T) {
+	srv, store := newTestServer(t)
+	h := srv.Handler()
+	const fom = "bw <GB/s> & \"time\""
+	pushed := pushOf("wire", 9)
+	for i, v := range []float64{1e-7, 1e21, -0.5, 3, 5e-324} {
+		pushed[i].FOMs = map[string]float64{fom: v}
+	}
+	pushed[8].Manifest = "spack:\n  specs: [saxpy +openmp]\n"
+	if w := postResults(t, h, "wire", pushed); w.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	reply := func(u string, want any) {
+		t.Helper()
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := get(t, h, u); w.Code != http.StatusOK || w.Body.String() != string(data)+"\n" {
+			t.Fatalf("GET %s: %d\n%s\njson.Marshal of the reply type gives\n%s", u, w.Code, w.Body, data)
+		}
+	}
+	series := SeriesResponse{FOM: fom, Points: []SeriesPoint{}}
+	for _, p := range store.Series(metricsdb.Filter{System: "wire"}, fom) {
+		series.Points = append(series.Points, SeriesPoint{Seq: p.Seq, Value: p.Value, TraceID: p.TraceID})
+	}
+	if len(series.Points) != 5 || series.Points[0].TraceID == "" {
+		t.Fatalf("series under test: %+v", series)
+	}
+	q := url.Values{"system": {"wire"}, "fom": {fom}}
+	reply("/v1/series?"+q.Encode(), series)
+	reply("/v1/series?system=nowhere&fom=x", SeriesResponse{FOM: "x", Points: []SeriesPoint{}})
+	all := store.Query(metricsdb.Filter{})
+	reply("/v1/replica/delta?shard=0&after=0", resultshard.ReplicaDelta{MaxSeq: 9, Results: all})
+	reply("/v1/replica/delta?shard=0&after=4", resultshard.ReplicaDelta{MaxSeq: 9, Results: all[4:]})
+	reply("/v1/replica/delta?shard=0&after=9", resultshard.ReplicaDelta{MaxSeq: 9})
+
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	page, err := NewReplicaClient(ts.URL).ReplicaDelta(context.Background(), 0, 4)
+	if err != nil || page.MaxSeq != 9 || !reflect.DeepEqual(page.Results, all[4:]) {
+		t.Fatalf("the client read the page as %+v, %v", page, err)
 	}
 }
 

@@ -12,7 +12,6 @@ package resultsd
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -60,21 +59,21 @@ func (s *Server) handleReplicaDelta(src resultshard.Source) handlerFunc {
 		if err != nil {
 			return fail(w, http.StatusBadRequest, err)
 		}
-		// The client refuses a reply over its bound, so halve a page of
-		// fat results until it fits; the follower asks again from where
-		// this one ends. One result fits: ingest has the same bound.
-		data, err := json.Marshal(delta)
-		for err == nil && len(data) >= maxIngestBytes && len(delta.Results) > 1 {
-			delta.Results = delta.Results[:len(delta.Results)/2]
-			data, err = json.Marshal(delta)
-		}
+		// The client refuses a reply over its bound, so a page of fat
+		// results is cut where it would reach it; the follower asks again
+		// from where this one ends. One result fits: ingest has the same
+		// bound. The newline writeBody adds is why it is ">=".
+		sc := scratches.Get().(*scratch)
+		defer scratches.Put(sc)
+		out, sent, err := delta.AppendJSON(sc.out[:0], maxIngestBytes)
 		if err != nil {
 			return fail(w, http.StatusInternalServerError, err)
 		}
+		sc.out = out
 		span := telemetry.Current(ctx)
 		span.SetInt("shard", shard)
-		span.SetInt("results", len(delta.Results))
-		writeBody(w, http.StatusOK, data)
+		span.SetInt("results", sent)
+		writeBody(w, http.StatusOK, out)
 		return nil
 	}
 }
@@ -105,14 +104,19 @@ func (rc *ReplicaClient) Client() *Client { return rc.c }
 
 // ReplicaMeta pulls the primary's topology descriptor.
 func (rc *ReplicaClient) ReplicaMeta(ctx context.Context) (meta resultshard.ReplicaMeta, err error) {
-	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/meta", nil, nil, &meta)
+	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/meta", nil, nil, "", jsonInto(&meta))
 	return meta, err
 }
 
 // ReplicaDelta pulls one shard's next page after the watermark.
 func (rc *ReplicaClient) ReplicaDelta(ctx context.Context, shard, afterSeq int) (delta resultshard.ReplicaDelta, err error) {
 	q := url.Values{"shard": {strconv.Itoa(shard)}, "after": {strconv.Itoa(afterSeq)}}
-	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/delta", q, nil, &delta)
+	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/delta", q, nil, "", func(data []byte) (err error) {
+		sc := scratches.Get().(*scratch)
+		defer scratches.Put(sc)
+		delta, err = resultshard.DecodeReplicaDelta(&sc.dec, data)
+		return err
+	})
 	return delta, err
 }
 

@@ -37,6 +37,7 @@
 package resultsd
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -274,6 +275,41 @@ type IngestResponse struct {
 // Resets, too.
 var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
+// scratch is what a handler borrows to move results across the wire:
+// the buffer a request body is read into, the decoder that reads it —
+// with its table of the fleet's names (metricsdb.Decoder) — and the
+// buffer a reply is appended to. What is decoded is copied out of the
+// body and a reply is written before the handler returns, so all three
+// go back to the pool.
+type scratch struct {
+	body bytes.Buffer
+	dec  metricsdb.Decoder
+	out  []byte
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// appendJSON appends the request as json.Marshal(req) would write it.
+func (req *IngestRequest) appendJSON(dst []byte) ([]byte, error) {
+	dst = metricsdb.AppendString(append(dst, `{"ingest_key":`...), req.IngestKey)
+	dst, err := metricsdb.AppendResults(append(dst, `,"results":`...), req.Results)
+	return append(dst, '}'), err
+}
+
+// decode reads a request body: one JSON value and nothing after it.
+func (req *IngestRequest) decode(dec *metricsdb.Decoder, body []byte) error {
+	return dec.Document(body, func(name []byte) {
+		switch string(name) {
+		case "ingest_key":
+			dec.String(&req.IngestKey)
+		case "results":
+			req.Results = dec.Results(nil)
+		default:
+			dec.Skip()
+		}
+	})
+}
+
 func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	// Compressed pushes (Content-Encoding: gzip) are the norm for
 	// federated runners — a results batch is highly redundant JSON.
@@ -290,11 +326,22 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 			zr.Close() //nolint:errcheck
 			gzipReaders.Put(zr)
 		}()
-		body = io.LimitReader(zr, maxIngestBytes)
+		body = io.LimitReader(zr, maxIngestBytes+1)
+	}
+	// The body is read to its end before any of it is decoded: only
+	// there does gzip check its CRC and length, and only then is it
+	// known that nothing follows the JSON value.
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(body); err != nil {
+		return fail(w, http.StatusBadRequest, fmt.Errorf("reading ingest body: %w", err))
+	}
+	if sc.body.Len() > maxIngestBytes {
+		return fail(w, http.StatusBadRequest, fmt.Errorf("ingest body exceeds %d bytes decompressed", maxIngestBytes))
 	}
 	var req IngestRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
+	if err := req.decode(&sc.dec, sc.body.Bytes()); err != nil {
 		return fail(w, http.StatusBadRequest, fmt.Errorf("decoding ingest body: %w", err))
 	}
 	if req.IngestKey == "" {
@@ -380,12 +427,29 @@ func (s *Server) handleSeries(ctx context.Context, w http.ResponseWriter, r *htt
 		return fail(w, http.StatusBadRequest, fmt.Errorf("fom parameter is required"))
 	}
 	pts := s.store.Series(filterFromQuery(r), fom)
-	resp := SeriesResponse{FOM: fom, Points: make([]SeriesPoint, 0, len(pts))}
-	for _, p := range pts {
-		resp.Points = append(resp.Points, SeriesPoint{Seq: p.Seq, Value: p.Value, TraceID: p.TraceID})
+	telemetry.Current(ctx).SetInt("points", len(pts))
+	// Straight from the points: what json.Marshal writes for a
+	// SeriesResponse of them, without building one.
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	out := metricsdb.AppendString(append(sc.out[:0], `{"fom":`...), fom)
+	out = append(out, `,"points":[`...)
+	for i, p := range pts {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendInt(append(out, `{"seq":`...), int64(p.Seq), 10)
+		var err error
+		if out, err = metricsdb.AppendFloat(append(out, `,"value":`...), p.Value); err != nil {
+			return fail(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		}
+		if p.TraceID != "" {
+			out = metricsdb.AppendString(append(out, `,"trace_id":`...), p.TraceID)
+		}
+		out = append(out, '}')
 	}
-	telemetry.Current(ctx).SetInt("points", len(resp.Points))
-	writeJSON(w, http.StatusOK, resp)
+	sc.out = append(out, "]}"...)
+	writeBody(w, http.StatusOK, sc.out)
 	return nil
 }
 

@@ -264,3 +264,48 @@ func TestFollowerRestartRebootstraps(t *testing.T) {
 		t.Fatal("re-bootstrapped follower diverged")
 	}
 }
+
+// TestReplicaPageIsCutWhileEncoding: whatever the reply bound, what
+// AppendJSON writes is json.Marshal of the page's longest prefix that
+// stays under it — never fewer than one result — appended after what
+// the buffer held, and DecodeReplicaDelta reads that prefix back.
+func TestReplicaPageIsCutWhileEncoding(t *testing.T) {
+	page := ReplicaDelta{MaxSeq: 12}
+	for i := 1; i <= 6; i++ {
+		page.Results = append(page.Results, metricsdb.Result{
+			ID: i, Seq: i, Benchmark: "saxpy", System: fmt.Sprintf("sys-%d", i),
+			FOMs: map[string]float64{"t": float64(i) / 4}, Manifest: strings.Repeat("m", 10*i),
+		})
+	}
+	whole, err := json.Marshal(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec metricsdb.Decoder
+	for limit := 0; limit <= len(whole)+2; limit++ {
+		out, kept, err := page.AppendJSON([]byte("kept"), limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(ReplicaDelta{MaxSeq: 12, Results: page.Results[:kept]})
+		if string(out) != "kept"+string(want) {
+			t.Fatalf("limit %d: wrote %s, want %s", limit, out[4:], want)
+		}
+		if kept < 1 || (kept > 1 && len(want) >= limit) {
+			t.Fatalf("limit %d: kept %d results in %d bytes", limit, kept, len(want))
+		}
+		if kept < len(page.Results) {
+			if longer, _ := json.Marshal(ReplicaDelta{MaxSeq: 12, Results: page.Results[:kept+1]}); len(longer) < limit {
+				t.Fatalf("limit %d: cut at %d results though %d fit in %d bytes", limit, kept, kept+1, len(longer))
+			}
+		}
+		back, err := DecodeReplicaDelta(&dec, out[4:])
+		if err != nil || back.MaxSeq != 12 || len(back.Results) != kept || back.Results[kept-1].Manifest != page.Results[kept-1].Manifest {
+			t.Fatalf("limit %d: read back %+v, %v", limit, back, err)
+		}
+	}
+	empty, kept, err := ReplicaDelta{MaxSeq: 3}.AppendJSON(nil, 0)
+	if err != nil || kept != 0 || string(empty) != `{"max_seq":3}` {
+		t.Fatalf("an empty page: %s, %d, %v", empty, kept, err)
+	}
+}

@@ -8,6 +8,7 @@ package resultshard
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/metricsdb"
 )
@@ -36,6 +37,46 @@ type ReplicaMeta struct {
 type ReplicaDelta struct {
 	MaxSeq  int                `json:"max_seq"`
 	Results []metricsdb.Result `json:"results,omitempty"`
+}
+
+// AppendJSON appends the page as json.Marshal(d) would write it, cut
+// short — any prefix of a page is a page — before the first result that
+// would take what it appends to limit bytes or past; the first result
+// always goes out (ingest bounds one result the same way). It reports
+// how many results it wrote.
+func (d ReplicaDelta) AppendJSON(dst []byte, limit int) (_ []byte, results int, err error) {
+	start, sep := len(dst), `,"results":[`
+	dst = strconv.AppendInt(append(dst, `{"max_seq":`...), int64(d.MaxSeq), 10)
+	for i := range d.Results {
+		before := len(dst)
+		if dst, err = metricsdb.AppendResult(append(dst, sep...), &d.Results[i]); err != nil {
+			return dst, 0, err
+		}
+		if i > 0 && len(dst)+len("]}")-start >= limit {
+			dst = dst[:before]
+			break
+		}
+		results, sep = i+1, ","
+	}
+	if results > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), results, nil
+}
+
+// DecodeReplicaDelta reads a page as AppendJSON writes it.
+func DecodeReplicaDelta(dec *metricsdb.Decoder, data []byte) (d ReplicaDelta, err error) {
+	err = dec.Document(data, func(name []byte) {
+		switch string(name) {
+		case "max_seq":
+			dec.Int(&d.MaxSeq)
+		case "results":
+			d.Results = dec.Results(nil)
+		default:
+			dec.Skip()
+		}
+	})
+	return d, err
 }
 
 // Source is where a follower pulls from — a Primary in process, or

@@ -5,26 +5,28 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metricsdb"
 )
 
 // FuzzScanRecords: the WAL frame decoder takes whatever a crash or a
 // failing disk left in a segment. It must never panic, never read past
 // its input, and what it calls committed must be exactly the frames
-// appendRecord would have written.
+// sealRecord would have framed.
 func FuzzScanRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payloads, good := scanRecords(data)
 		if good < 0 || good > len(data) {
 			t.Fatalf("good offset %d outside the %d input bytes", good, len(data))
 		}
-		var framed bytes.Buffer
+		var framed []byte
 		for _, p := range payloads {
-			if _, err := appendRecord(&framed, p); err != nil {
-				t.Fatal(err)
-			}
+			at := len(framed)
+			framed = append(append(framed, make([]byte, recordHeaderSize)...), p...)
+			sealRecord(framed, at)
 		}
-		if !bytes.Equal(framed.Bytes(), data[:good]) {
-			t.Fatalf("re-framing the %d committed payloads gives %d bytes, not the %d-byte committed prefix", len(payloads), framed.Len(), good)
+		if !bytes.Equal(framed, data[:good]) {
+			t.Fatalf("re-framing the %d committed payloads gives %d bytes, not the %d-byte committed prefix", len(payloads), len(framed), good)
 		}
 		if again, g := scanRecords(data[:good]); g != good || len(again) != len(payloads) {
 			t.Fatalf("the committed prefix rescans to %d payloads / %d bytes, want %d / %d", len(again), g, len(payloads), good)
@@ -39,11 +41,14 @@ const fuzzBase = `{"format":"benchpark-snap-2","covered_segment":2,"next_id":3,"
 	`{"id":2,"seq":2,"benchmark":"saxpy","workload":"problem","system":"cts1","experiment":"e","foms":{"t":2}},` +
 	`{"id":3,"seq":3,"benchmark":"saxpy","workload":"problem","system":"cts1","experiment":"e","foms":{"t":3}}]}`
 
-// FuzzReadSnapshot: the generation loader reads data as snap-<n>.json
-// above one intact generation. It must never panic, and whenever it
-// accepts the directory the chain it returns is sound: every file
-// agrees with its name, every link with the generation beneath it, and
-// Open serves exactly the results the chain holds.
+// FuzzReadSnapshot: recovery reads data as snap-<n>.json above one
+// intact generation, in the two steps Open runs — loadChain over the
+// headers, then each generation's results streamed oldest first. It
+// must never panic; whenever both steps accept the directory the chain
+// is sound — every file agrees with its name, every link with the
+// generation beneath it, every streamed Seq is in its generation's
+// range — and Open serves exactly the results streamed; and what either
+// step refuses, Open refuses.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 1 || n > 1<<20 {
@@ -56,12 +61,16 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, snapshotName(n)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		chain, stale, err := loadChain(dir)
-		if err != nil {
+		refused := func(step string, err error) {
 			if s, oerr := Open(dir, fixedOpts()); oerr == nil {
 				s.Close()
-				t.Fatalf("loadChain refused the directory (%v) but Open took it", err)
+				t.Fatalf("%s refused the directory (%v) but Open took it", step, err)
 			}
+		}
+		var dec metricsdb.Decoder
+		chain, stale, err := loadChain(dir, &dec)
+		if err != nil {
+			refused("loadChain", err)
 			return
 		}
 		if len(chain) == 0 || chain[len(chain)-1].Covered != max(n, 2) {
@@ -76,12 +85,16 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatalf("generation segments (%d, %d] seqs (%d, %d] does not continue segments ..%d seqs ..%d",
 					snap.Base, snap.Covered, snap.AfterSeq, snap.NextSeq, before.Covered, before.NextSeq)
 			}
-			for _, r := range snap.Results {
+			err := snap.eachResult(&dec, func(r metricsdb.Result) {
 				if r.Seq <= snap.AfterSeq || r.Seq > snap.NextSeq {
 					t.Fatalf("seq %d outside (%d, %d]", r.Seq, snap.AfterSeq, snap.NextSeq)
 				}
+				results++
+			})
+			if err != nil {
+				refused("streaming "+snapshotName(snap.Covered), err)
+				return
 			}
-			results += len(snap.Results)
 			before = snap
 		}
 		if len(chain)+len(stale) != len(map[int]bool{2: true, n: true}) {
@@ -89,11 +102,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		s, err := Open(dir, fixedOpts())
 		if err != nil {
-			t.Fatalf("loadChain took the directory but Open did not: %v", err)
+			t.Fatalf("loadChain and the streamed results took the directory but Open did not: %v", err)
 		}
 		defer s.Close()
 		if s.Len() != results {
-			t.Fatalf("Open serves %d results, the chain holds %d", s.Len(), results)
+			t.Fatalf("Open serves %d results, the chain streamed %d", s.Len(), results)
 		}
 	})
 }

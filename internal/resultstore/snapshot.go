@@ -19,12 +19,13 @@ import (
 // for the oldest — and holds exactly the results with
 // AfterSeq < Seq <= NextSeq, so a chain whose links agree on Base and
 // AfterSeq has neither a gap nor an overlap. A file in the previous
-// format (one full snapshot, no base) is a chain of one.
+// format (one full snapshot, no base) is a chain of one. In memory it
+// is the decoded header and the file's bytes from its results on:
+// those are decoded once, straight into the DB (eachResult).
 type snapshot struct {
 	snapshotHeader
-	Results []metricsdb.Result `json:"results"`
-
-	size int64 // bytes of the file it was read from
+	results []byte // the file from the value of its "results" member on; nil without one
+	size    int64  // bytes of the file it was read from
 }
 
 // snapshotHeader is a generation file without its results — all of it
@@ -69,11 +70,29 @@ type generation struct {
 	bytes   int64 // file size
 }
 
-// decodeSnapshot parses the bytes of snap-<n>.json and rejects a file
-// that disagrees with its own name or is not a well-formed generation.
-func decodeSnapshot(data []byte, n int) (*snapshot, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+// decodeHeader parses the bytes of snap-<n>.json except its results,
+// which it only checks for syntax and remembers the place of, and
+// rejects a file that disagrees with its own name or is not a
+// well-formed generation. The codec splits the file; the header — every
+// other member, a few hundred bytes and the key list — is read through
+// its declared struct, as the encoder writes it.
+func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
+	snap := &snapshot{size: int64(len(data))}
+	head := []byte{'{'}
+	err := d.Document(data, func(name []byte) {
+		member, from := string(name), d.Offset() // a copy: Skip may reuse name's bytes
+		d.Skip()
+		if member == "results" {
+			snap.results = data[from:]
+			return
+		}
+		head = append(append(append(metricsdb.AppendString(head, member), ':'), data[from:d.Offset()]...), ',')
+	})
+	if err != nil {
+		return nil, err
+	}
+	// After the last comma, a member no header has: nothing reads it.
+	if err := json.Unmarshal(append(head, `"":0}`...), &snap.snapshotHeader); err != nil {
 		return nil, err
 	}
 	switch {
@@ -88,15 +107,33 @@ func decodeSnapshot(data []byte, n int) (*snapshot, error) {
 	case snap.AfterSeq < 0 || snap.NextSeq < snap.AfterSeq || (snap.Base == 0 && snap.AfterSeq != 0):
 		return nil, fmt.Errorf("covers seqs (%d, %d] over base segment %d", snap.AfterSeq, snap.NextSeq, snap.Base)
 	}
+	return snap, nil
+}
+
+// eachResult decodes the generation's results, in file order, into fn
+// one at a time and then lets go of the file's bytes. A Seq out of
+// order or outside (AfterSeq, NextSeq] is an error, and fn has by then
+// seen the results before it.
+func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)) error {
+	if snap.results == nil {
+		return nil
+	}
+	d.Reset(snap.results)
+	snap.results = nil
 	last := snap.AfterSeq
-	for _, r := range snap.Results {
+	d.Array(func() {
+		var r metricsdb.Result
+		if d.Result(&r); d.Err() != nil {
+			return
+		}
 		if r.Seq <= last || r.Seq > snap.NextSeq {
-			return nil, fmt.Errorf("result seq %d is out of order or outside (%d, %d]", r.Seq, snap.AfterSeq, snap.NextSeq)
+			d.Fail(fmt.Errorf("result seq %d is out of order or outside (%d, %d]", r.Seq, snap.AfterSeq, snap.NextSeq))
+			return
 		}
 		last = r.Seq
-	}
-	snap.size = int64(len(data))
-	return &snap, nil
+		fn(r)
+	})
+	return d.Err() // what follows the array, decodeHeader has checked
 }
 
 // loadChain reads dir's snapshot chain, oldest generation first. It
@@ -107,7 +144,7 @@ func decodeSnapshot(data []byte, n int) (*snapshot, error) {
 // A link whose file is missing, or any chain file that does not decode
 // or contradicts its neighbour, is an error: a gap is never loaded
 // around.
-func loadChain(dir string) (chain []*snapshot, stale []int, err error) {
+func loadChain(dir string, d *metricsdb.Decoder) (chain []*snapshot, stale []int, err error) {
 	nums, err := listNumbered(dir, snapshotPrefix, snapshotSuffix)
 	if err != nil || len(nums) == 0 {
 		return nil, nil, err
@@ -127,7 +164,7 @@ func loadChain(dir string) (chain []*snapshot, stale []int, err error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading snapshot: %w", err)
 		}
-		snap, err := decodeSnapshot(data, n)
+		snap, err := decodeHeader(d, data, n)
 		if err != nil {
 			return nil, nil, fmt.Errorf("snapshot %s: %w", snapshotName(n), err)
 		}
@@ -137,7 +174,7 @@ func loadChain(dir string) (chain []*snapshot, stale []int, err error) {
 		}
 		chain = append([]*snapshot{snap}, chain...) // a handful of links: oldest first
 		onChain[n] = true
-		n = snap.Base // below n: decodeSnapshot checked it
+		n = snap.Base // below n: decodeHeader checked it
 	}
 	for _, n := range nums {
 		if !onChain[n] {
@@ -295,7 +332,8 @@ const snapshotPage = 1024
 
 // encodeGeneration writes the generation file head describes: the
 // header's JSON object with a "results" member spliced in, holding the
-// DB's results in (head.AfterSeq, head.NextSeq] page by page.
+// DB's results in (head.AfterSeq, head.NextSeq], read a page at a time
+// into one page it reuses.
 func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	open, err := json.Marshal(head)
 	if err != nil {
@@ -304,19 +342,21 @@ func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	bw.Write(open[:len(open)-1]) // bufio errors are sticky: Flush reports them
 	bw.WriteString(`,"results":[`)
+	page := make([]metricsdb.Result, 0, snapshotPage)
 	for after, first := head.AfterSeq, true; ; {
-		page := s.db.QueryAfterN(after, snapshotPage)
+		page = s.db.AppendAfterN(page[:0], after, snapshotPage)
 		// Appends keep landing; what they add is the next generation's.
 		n := sort.Search(len(page), func(i int) bool { return page[i].Seq > head.NextSeq })
-		for _, r := range page[:n] {
-			data, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
+		for i := range page[:n] {
 			if !first {
 				bw.WriteByte(',')
 			}
 			first = false
+			// Into the writer's own free space when the result fits there.
+			data, err := metricsdb.AppendResult(bw.AvailableBuffer(), &page[i])
+			if err != nil {
+				return err
+			}
 			bw.Write(data)
 		}
 		if n < snapshotPage {

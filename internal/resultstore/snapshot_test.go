@@ -430,7 +430,7 @@ func TestParentFormatStoreOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := decodeSnapshot(data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
+	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
 		t.Fatalf("merged generation: %+v, %v", snap, err)
 	}
 	requireState(t, dir, want, keys).Close()
@@ -464,6 +464,14 @@ func TestOpenRemovesStaleTemps(t *testing.T) {
 	}
 }
 
+// wholeGeneration is a generation file as one value encoding/json can
+// marshal and unmarshal: the reference the streaming encoder and
+// recovery's header-then-results decoder are held to.
+type wholeGeneration struct {
+	snapshotHeader
+	Results []metricsdb.Result `json:"results"`
+}
+
 // TestGenerationSpansPages: Compact streams a generation's results a
 // page at a time while appends keep landing. Whatever the tail's size
 // against the page — short of one, exactly one, exactly two, more —
@@ -492,8 +500,8 @@ func TestGenerationSpansPages(t *testing.T) {
 			if err := s.encodeGeneration(&file, head); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := decodeSnapshot(file.Bytes(), head.Covered)
-			if err != nil {
+			var snap wholeGeneration
+			if err := json.Unmarshal(file.Bytes(), &snap); err != nil {
 				t.Fatal(err)
 			}
 			if len(snap.Results) != results+1 {
@@ -505,12 +513,24 @@ func TestGenerationSpansPages(t *testing.T) {
 				}
 			}
 			// The same bytes a whole-value encode gives.
-			whole, err := json.Marshal(snapshot{snapshotHeader: *head, Results: s.db.QueryAfterN(0, results+1)})
+			whole, err := json.Marshal(wholeGeneration{snapshotHeader: *head, Results: s.db.QueryAfterN(0, results+1)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if file.String() != string(whole) {
 				t.Fatal("streamed generation differs from json.Marshal of the same snapshot")
+			}
+			// And what recovery reads back, header then results streamed,
+			// is what the whole-value decode gives.
+			var dec metricsdb.Decoder
+			var streamed []metricsdb.Result
+			read, err := decodeHeader(&dec, file.Bytes(), head.Covered)
+			if err == nil {
+				err = read.eachResult(&dec, func(r metricsdb.Result) { streamed = append(streamed, r) })
+			}
+			if err != nil || !reflect.DeepEqual(read.snapshotHeader, snap.snapshotHeader) || !reflect.DeepEqual(streamed, snap.Results) {
+				t.Fatalf("recovery reads the generation as %+v with %d results (%v), json.Unmarshal as %+v with %d",
+					read.snapshotHeader, len(streamed), err, snap.snapshotHeader, len(snap.Results))
 			}
 			// And through the real path: compact, reopen, same served bytes.
 			if err := s.Compact(); err != nil {

@@ -32,10 +32,10 @@ package resultstore
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -68,6 +68,11 @@ type Options struct {
 const (
 	defaultSegmentBytes = 256 << 10
 	defaultQueueDepth   = 64
+	// maxIdleWALBuf is the most the store keeps of its WAL buffer from
+	// one group to the next: room for a bulk push of small results. A
+	// group that outgrew it — results with manifests — takes its buffer
+	// along, so an idle store never holds more than this.
+	maxIdleWALBuf = 32 << 10
 )
 
 // Batch is one idempotent ingest unit: a client-chosen key and the
@@ -90,6 +95,35 @@ type walBatch struct {
 	TraceID  string             `json:"trace_id,omitempty"`
 	Received int64              `json:"received_unix_ns"`
 	Results  []metricsdb.Result `json:"results"`
+}
+
+// appendJSON appends the record payload: the bytes json.Marshal(b)
+// returns.
+func (b *walBatch) appendJSON(dst []byte) ([]byte, error) {
+	dst = metricsdb.AppendString(append(dst, `{"key":`...), b.Key)
+	if b.TraceID != "" {
+		dst = metricsdb.AppendString(append(dst, `,"trace_id":`...), b.TraceID)
+	}
+	dst = strconv.AppendInt(append(dst, `,"received_unix_ns":`...), b.Received, 10)
+	dst, err := metricsdb.AppendResults(append(dst, `,"results":`...), b.Results)
+	return append(dst, '}'), err
+}
+
+// decode reads what replay needs of a record payload into b — its key
+// and its results, reusing b.Results. The rest is an audit trail nothing
+// reads back, checked for syntax like any member a record has no use for.
+func (b *walBatch) decode(d *metricsdb.Decoder, payload []byte) error {
+	b.Key, b.Results = "", b.Results[:0]
+	return d.Document(payload, func(name []byte) {
+		switch string(name) {
+		case "key":
+			d.String(&b.Key)
+		case "results":
+			b.Results = d.Results(b.Results[:0])
+		default:
+			d.Skip()
+		}
+	})
 }
 
 // Store is a durable, thread-safe result store. Queries go through the
@@ -115,6 +149,7 @@ type Store struct {
 	active     *os.File
 	activeSeq  int
 	activeSize int64
+	walBuf     []byte       // the group being framed; at most maxIdleWALBuf between groups
 	gens       []generation // the snapshot chain, oldest first
 	closed     bool
 	failed     error // sticky: set when the WAL is in an unknown state
@@ -178,13 +213,16 @@ func (s *Store) recover() error {
 	if err := RemoveStaleTemps(s.dir); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	chain, stale, err := loadChain(s.dir)
+	// One decoder for everything recovery reads, so a name the store
+	// holds a hundred thousand times is allocated once.
+	var dec metricsdb.Decoder
+	chain, stale, err := loadChain(s.dir, &dec)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	for _, snap := range chain {
-		for _, r := range snap.Results {
-			s.db.Insert(r)
+		if err := snap.eachResult(&dec, s.db.Insert); err != nil {
+			return fmt.Errorf("resultstore: snapshot %s: %w", snapshotName(snap.Covered), err)
 		}
 		for _, k := range snap.Keys {
 			s.applyKey(k)
@@ -206,7 +244,7 @@ func (s *Store) recover() error {
 		if seg <= covered {
 			continue // already folded into the chain
 		}
-		if err := s.replaySegment(seg, i == len(segs)-1); err != nil {
+		if err := s.replaySegment(&dec, seg, i == len(segs)-1); err != nil {
 			return err
 		}
 	}
@@ -240,16 +278,16 @@ func (s *Store) applyKey(k string) {
 // tail is truncated away when the segment is the newest one (the only
 // place a crash can legitimately tear); older segments just stop at
 // the tear.
-func (s *Store) replaySegment(seg int, newest bool) error {
+func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) error {
 	path := filepath.Join(s.dir, segmentName(seg))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("resultstore: reading segment: %w", err)
 	}
 	payloads, good := scanRecords(data)
+	var b walBatch
 	for _, p := range payloads {
-		var b walBatch
-		if err := json.Unmarshal(p, &b); err != nil {
+		if err := b.decode(dec, p); err != nil {
 			return fmt.Errorf("resultstore: segment %s holds a CRC-valid but undecodable record: %w",
 				segmentName(seg), err)
 		}
@@ -375,8 +413,9 @@ func (b Batch) Validate() error {
 	return nil
 }
 
-// appendGroupLocked writes one record per new batch, fsyncs once, and
-// only then applies the group to the queryable state. Caller holds
+// appendGroupLocked frames one record per new batch into the store's
+// buffer, writes them in one Write, fsyncs once, and only then applies
+// the group to the queryable state. Caller holds
 // s.mu, has validated every batch, and has rotated the segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.closed {
@@ -387,10 +426,10 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	}
 	applied := make([]bool, len(batches))
 	var (
-		id, seq  = s.nextID, s.nextSeq // advanced for real only once the group is durable
-		fresh    []walBatch            // the new batches, identity assigned
-		payloads [][]byte
-		seen     = map[string]bool{} // keys earlier in this group
+		id, seq = s.nextID, s.nextSeq // advanced for real only once the group is durable
+		fresh   []walBatch            // the new batches, identity assigned
+		seen    = map[string]bool{}   // keys earlier in this group
+		buf     = s.walBuf[:0]        // the group's records, framed
 	)
 	for i, b := range batches {
 		if s.keys[b.Key] || seen[b.Key] {
@@ -409,26 +448,24 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 			}
 		}
 		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Received: s.opts.Clock.Now().UnixNano(), Results: rs}
-		payload, err := json.Marshal(wb)
-		if err != nil {
+		at := len(buf)
+		var err error
+		if buf, err = wb.appendJSON(append(buf, make([]byte, recordHeaderSize)...)); err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
+		sealRecord(buf, at)
 		fresh = append(fresh, wb)
-		payloads = append(payloads, payload)
 		applied[i] = true
 	}
-	var written int64
-	var werr error
-	for _, payload := range payloads {
-		n, err := appendRecord(s.active, payload)
-		written += int64(n)
-		if err != nil {
-			werr = err
-			break
-		}
+	if cap(buf) <= maxIdleWALBuf {
+		s.walBuf = buf
 	}
-	if werr == nil && len(payloads) > 0 {
-		werr = s.active.Sync()
+	// The whole group is one write, then the one fsync.
+	var werr error
+	if len(buf) > 0 {
+		if _, werr = s.active.Write(buf); werr == nil {
+			werr = s.active.Sync()
+		}
 	}
 	if werr != nil {
 		// The segment may hold torn records now; cut it back to the
@@ -439,7 +476,7 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		}
 		return nil, fmt.Errorf("resultstore: appending batch: %w", werr)
 	}
-	s.activeSize += written
+	s.activeSize += int64(len(buf))
 	s.nextID, s.nextSeq = id, seq
 	for _, wb := range fresh {
 		s.applyKey(wb.Key)

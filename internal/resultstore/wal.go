@@ -28,18 +28,12 @@ const recordHeaderSize = 8
 // treated as corruption (torn tail), not an allocation request.
 const maxRecordSize = 64 << 20
 
-// appendRecord frames payload onto w and returns the bytes written.
-func appendRecord(w io.Writer, payload []byte) (int, error) {
-	var hdr [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return recordHeaderSize + len(payload), nil
+// sealRecord fills in the header reserved at buf[at:] for the payload
+// appended behind it, which runs to the end of buf.
+func sealRecord(buf []byte, at int) {
+	payload := buf[at+recordHeaderSize:]
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
 }
 
 // scanRecords walks a segment's bytes and returns the committed
