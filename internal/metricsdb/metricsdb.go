@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,16 +40,32 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// chunkLen is how many results one chunk of a DB holds: 1024 of them are
+// 128 KiB, so the slack a growing store carries — one partly filled
+// chunk — stays a rounding error beside the results' own maps, while a
+// 100k-result store still needs under a hundred chunk headers. It is
+// also larger than any store the benchmark loop builds in one session,
+// which therefore never leaves the first chunk (see push).
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
 // DB is a thread-safe result store.
 type DB struct {
-	mu      sync.RWMutex
-	results []Result // in Seq order: Add, Insert and LoadJSON all keep it so
-	// postings lists, per (system, benchmark) pair, the positions in
-	// results of that pair's results, ascending — so in Seq order. A
-	// dashboard series pins exactly that pair, and each (see there)
-	// walks its list instead of scanning. Positions are int32 to keep
-	// the index at 4 bytes a result: a process cannot hold 2^31 Results
-	// (over 100 bytes each before their maps) anyway.
+	mu sync.RWMutex
+	// chunks holds the results in Seq order — Add, Insert, InsertAll and
+	// LoadJSON all keep it so — at global positions: result p is
+	// chunks[p>>chunkShift][p&chunkMask], and every chunk but the last is
+	// full. Appending never moves a stored result (see push).
+	chunks [][]Result
+	// postings lists, per (system, benchmark) pair, the positions of
+	// that pair's results, ascending — so in Seq order. A dashboard
+	// series pins exactly that pair, and each (see there) walks its list
+	// instead of scanning. Positions are int32 to keep the index at 4
+	// bytes a result: a process cannot hold 2^31 Results (over 100 bytes
+	// each before their maps) anyway.
 	postings map[pairKey][]int32
 	nextID   int
 	nextSeq  int
@@ -61,23 +78,50 @@ type pairKey struct{ system, benchmark string }
 // New returns an empty database.
 func New() *DB { return &DB{postings: map[pairKey][]int32{}} }
 
+// len is the number of stored results. Caller holds db.mu.
+func (db *DB) len() int {
+	if len(db.chunks) == 0 {
+		return 0
+	}
+	return (len(db.chunks)-1)<<chunkShift + len(db.chunks[len(db.chunks)-1])
+}
+
+// at is the result at position pos < len. Caller holds db.mu.
+func (db *DB) at(pos int) *Result { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
+
+// push stores r at the top position. One rule decides allocation: the
+// first chunk grows the way a slice does until it holds chunkLen, so a
+// small store costs what a plain []Result would; every later chunk is
+// allocated whole, once. (Should the first one's growth overshoot
+// chunkLen — at 128 bytes a Result it lands on it — the excess is slack
+// in that one chunk.) Caller holds db.mu.
+func (db *DB) push(r Result) {
+	if n := len(db.chunks); n == 0 {
+		db.chunks = append(db.chunks, nil)
+	} else if len(db.chunks[n-1]) == chunkLen {
+		db.chunks = append(db.chunks, make([]Result, 0, chunkLen))
+	}
+	last := &db.chunks[len(db.chunks)-1]
+	*last = append(*last, r)
+}
+
 // post appends pos, the highest position posted so far, to the list of
-// the pair results[pos] belongs to. Caller holds db.mu.
+// the pair the result there belongs to. Caller holds db.mu.
 func (db *DB) post(pos int) {
-	r := &db.results[pos]
+	r := db.at(pos)
 	k := pairKey{r.System, r.Benchmark}
 	db.postings[k] = append(db.postings[k], int32(pos))
 }
 
-// reindex rebuilds every posting list from results: once after
-// LoadJSON, and after an out-of-order Insert has shifted the positions
-// behind it. Nothing is ever deleted, so every list that exists refills
-// in place. Caller holds db.mu.
+// reindex rebuilds every posting list from the results, after an
+// out-of-order insert has shifted the positions behind it. Nothing is
+// ever deleted, so every list that exists refills in place. Caller
+// holds db.mu.
 func (db *DB) reindex() {
 	for k, list := range db.postings {
 		db.postings[k] = list[:0]
 	}
-	for i := range db.results {
+	for i, n := 0, db.len(); i < n; i++ {
 		db.post(i)
 	}
 }
@@ -91,8 +135,8 @@ func (db *DB) Add(r Result) int {
 	db.nextSeq++
 	r.ID = db.nextID
 	r.Seq = db.nextSeq
-	db.results = append(db.results, r)
-	db.post(len(db.results) - 1)
+	db.push(r)
+	db.post(db.len() - 1)
 	return r.ID
 }
 
@@ -102,41 +146,59 @@ func (db *DB) Add(r Result) int {
 // identity at WAL-append time and must reconstruct the exact same
 // state on replay; fresh results should go through Add instead. A Seq
 // below the newest one held is placed in order (after any equal Seq),
-// so every read can rely on db.results being sorted.
-func (db *DB) Insert(r Result) {
+// so every read can rely on the results being sorted. That costs what
+// it would in one slice: every result above it moves up one position,
+// chunk by chunk, and the index is rebuilt.
+func (db *DB) Insert(r Result) { db.InsertAll([]Result{r}) }
+
+// InsertAll is Insert for each of rs in turn under one lock — a commit
+// group, a WAL record or a replica page at a time — so a concurrent
+// reader sees all of them or none. rs is only read.
+func (db *DB) InsertAll(rs []Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if r.ID > db.nextID {
-		db.nextID = r.ID
+	moved := false
+	for i := range rs {
+		r := &rs[i]
+		db.nextID, db.nextSeq = max(db.nextID, r.ID), max(db.nextSeq, r.Seq)
+		at, top := db.firstAfter(r.Seq), db.len()
+		if db.push(*r); at == top {
+			db.post(top)
+			continue
+		}
+		// Everything from at up moves one position: within each chunk,
+		// and each chunk's last result into the next one's first place.
+		first := at >> chunkShift
+		for c := len(db.chunks) - 1; c > first; c-- {
+			chunk := db.chunks[c]
+			copy(chunk[1:], chunk)
+			chunk[0] = db.chunks[c-1][chunkLen-1]
+		}
+		chunk := db.chunks[first][at&chunkMask:]
+		copy(chunk[1:], chunk)
+		chunk[0] = *r
+		moved = true
 	}
-	if r.Seq > db.nextSeq {
-		db.nextSeq = r.Seq
+	if moved {
+		db.reindex()
 	}
-	i := db.firstAfter(r.Seq)
-	db.results = append(db.results, r)
-	if i == len(db.results)-1 {
-		db.post(i)
-		return
-	}
-	copy(db.results[i+1:], db.results[i:])
-	db.results[i] = r
-	db.reindex()
 }
 
-// firstAfter is the index of the first result with Seq > seq. Caller
+// firstAfter is the position of the first result with Seq > seq. Caller
 // holds db.mu.
 func (db *DB) firstAfter(seq int) int {
-	if n := len(db.results); n == 0 || db.results[n-1].Seq <= seq {
+	n := db.len()
+	if n == 0 || db.at(n-1).Seq <= seq {
 		return n // the append case, without the search
 	}
-	return sort.Search(len(db.results), func(i int) bool { return db.results[i].Seq > seq })
+	return sort.Search(n, func(i int) bool { return db.at(i).Seq > seq })
 }
 
 // Len reports the number of stored results.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.results)
+	return db.len()
 }
 
 // Filter selects results; zero-valued fields match anything.
@@ -164,15 +226,17 @@ func (db *DB) each(f Filter, fn func(r *Result)) {
 	if f.System != "" && f.Benchmark != "" {
 		rest := Filter{Workload: f.Workload, Experiment: f.Experiment}
 		for _, pos := range db.postings[pairKey{f.System, f.Benchmark}] {
-			if r := &db.results[pos]; rest.matches(r) {
+			if r := db.at(int(pos)); rest.matches(r) {
 				fn(r)
 			}
 		}
 		return
 	}
-	for i := range db.results {
-		if r := &db.results[i]; f.matches(r) {
-			fn(r)
+	for _, chunk := range db.chunks {
+		for i := range chunk {
+			if r := &chunk[i]; f.matches(r) {
+				fn(r)
+			}
 		}
 	}
 }
@@ -201,8 +265,21 @@ func (db *DB) QueryAfterN(seq, n int) []Result { return db.AppendAfterN(nil, seq
 func (db *DB) AppendAfterN(dst []Result, seq, n int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	tail := db.results[db.firstAfter(seq):]
-	return append(dst, tail[:min(n, len(tail))]...)
+	return db.appendFrom(dst, db.firstAfter(seq), n)
+}
+
+// appendFrom appends up to n results from position pos on to dst,
+// which it grows at most once. Caller holds db.mu.
+func (db *DB) appendFrom(dst []Result, pos, n int) []Result {
+	n = min(n, db.len()-pos)
+	dst = slices.Grow(dst, n)
+	for n > 0 {
+		part := db.chunks[pos>>chunkShift][pos&chunkMask:]
+		part = part[:min(n, len(part))]
+		dst = append(dst, part...)
+		pos, n = pos+len(part), n-len(part)
+	}
+	return dst
 }
 
 // MaxSeq reports the highest assigned sequence number (0 when empty).
@@ -322,11 +399,13 @@ func median(pts []Point, vals []float64) float64 {
 	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-// SaveJSON serializes the whole database.
+// SaveJSON serializes the whole database: one array of the results in
+// sequence order (null when there are none), by reflection — the
+// reference the Result codec is held to.
 func (db *DB) SaveJSON() (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	b, err := json.MarshalIndent(db.results, "", "  ")
+	b, err := json.MarshalIndent(db.appendFrom(nil, 0, db.len()), "", "  ")
 	if err != nil {
 		return "", err
 	}
@@ -339,18 +418,10 @@ func LoadJSON(src string) (*DB, error) {
 	if err := json.Unmarshal([]byte(src), &results); err != nil {
 		return nil, fmt.Errorf("metricsdb: %w", err)
 	}
-	db := New()
-	for _, r := range results {
-		if r.Seq > db.nextSeq {
-			db.nextSeq = r.Seq
-		}
-		if r.ID > db.nextID {
-			db.nextID = r.ID
-		}
-	}
+	// Sorted first, so every one of them is an append.
 	sort.SliceStable(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
-	db.results = results
-	db.reindex()
+	db := New()
+	db.InsertAll(results)
 	return db, nil
 }
 
@@ -388,7 +459,7 @@ func (db *DB) Usage() []UsageRow {
 		last    int
 	}
 	m := map[string]*agg{}
-	for _, r := range db.results {
+	db.each(Filter{}, func(r *Result) {
 		a, ok := m[r.Benchmark]
 		if !ok {
 			a = &agg{systems: map[string]bool{}}
@@ -399,7 +470,7 @@ func (db *DB) Usage() []UsageRow {
 		if r.Seq > a.last {
 			a.last = r.Seq
 		}
-	}
+	})
 	out := make([]UsageRow, 0, len(m))
 	for name, a := range m {
 		out = append(out, UsageRow{Benchmark: name, Runs: a.runs, Systems: len(a.systems), LastSeq: a.last})

@@ -277,17 +277,33 @@ var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // scratch is what a handler borrows to move results across the wire:
 // the buffer a request body is read into, the decoder that reads it —
-// with its table of the fleet's names (metricsdb.Decoder) — and the
-// buffer a reply is appended to. What is decoded is copied out of the
-// body and a reply is written before the handler returns, so all three
-// go back to the pool.
+// with its table of the fleet's names (metricsdb.Decoder) — the slice a
+// push's results are decoded into, and the buffer a reply is appended
+// to. What is decoded is copied out of the body, the backend is handed
+// its own copy of the results (it may keep a batch queued after the
+// request is gone) and a reply is written before the handler returns,
+// so all four go back to the pool.
 type scratch struct {
-	body bytes.Buffer
-	dec  metricsdb.Decoder
-	out  []byte
+	body    bytes.Buffer
+	dec     metricsdb.Decoder
+	results []metricsdb.Result // empty between requests, at most maxIdleResults
+	out     []byte
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxIdleResults is the most results an idle scratch keeps room for —
+// 32 KiB, the store's maxIdleStaged: a bulk push decodes in place, and
+// the slice an 8 MiB body of valid results grew is not pooled.
+const maxIdleResults = 256
+
+// invalidResult is a push refused while decoding: the index of its
+// first result that names no benchmark or no system.
+type invalidResult int
+
+func (i invalidResult) Error() string {
+	return fmt.Sprintf("result %d needs benchmark and system", int(i))
+}
 
 // appendJSON appends the request as json.Marshal(req) would write it.
 func (req *IngestRequest) appendJSON(dst []byte) ([]byte, error) {
@@ -296,18 +312,51 @@ func (req *IngestRequest) appendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), err
 }
 
-// decode reads a request body: one JSON value and nothing after it.
+// decode reads a request body — one JSON value and nothing after it —
+// into req, the results into the room req.Results came with. Each is
+// validated as it is decoded: the first without a benchmark or a system
+// ends the walk with an invalidResult, so a body of a million empty
+// objects costs one Result.
 func (req *IngestRequest) decode(dec *metricsdb.Decoder, body []byte) error {
 	return dec.Document(body, func(name []byte) {
 		switch string(name) {
 		case "ingest_key":
 			dec.String(&req.IngestKey)
 		case "results":
-			req.Results = dec.Results(nil)
+			clear(req.Results) // a repeated member starts over
+			req.Results = req.Results[:0]
+			dec.Array(func() {
+				i := len(req.Results)
+				req.Results = append(req.Results, metricsdb.Result{})
+				r := &req.Results[i]
+				if dec.Result(r); dec.Err() == nil && (r.Benchmark == "" || r.System == "") {
+					dec.Fail(invalidResult(i))
+				}
+			})
 		default:
 			dec.Skip()
 		}
 	})
+}
+
+// decodeIngest reads the push in sc.body. The results are decoded into
+// the scratch's slice and returned as an exact-size copy — nothing
+// pooled is handed on — and the slice goes back empty, or not at all
+// once a push has grown it past maxIdleResults.
+func (sc *scratch) decodeIngest() (IngestRequest, error) {
+	req := IngestRequest{Results: sc.results}
+	err := req.decode(&sc.dec, sc.body.Bytes())
+	borrowed := req.Results
+	req.Results = nil
+	if err == nil && len(borrowed) > 0 {
+		req.Results = append(make([]metricsdb.Result, 0, len(borrowed)), borrowed...)
+	}
+	clear(borrowed)
+	sc.results = nil
+	if cap(borrowed) <= maxIdleResults {
+		sc.results = borrowed[:0]
+	}
+	return req, err
 }
 
 func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -340,21 +389,17 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 	if sc.body.Len() > maxIngestBytes {
 		return fail(w, http.StatusBadRequest, fmt.Errorf("ingest body exceeds %d bytes decompressed", maxIngestBytes))
 	}
-	var req IngestRequest
-	if err := req.decode(&sc.dec, sc.body.Bytes()); err != nil {
+	req, err := sc.decodeIngest()
+	var bad invalidResult
+	switch {
+	case errors.As(err, &bad):
+		return fail(w, http.StatusBadRequest, bad)
+	case err != nil:
 		return fail(w, http.StatusBadRequest, fmt.Errorf("decoding ingest body: %w", err))
-	}
-	if req.IngestKey == "" {
+	case req.IngestKey == "":
 		return fail(w, http.StatusBadRequest, fmt.Errorf("ingest_key is required"))
-	}
-	if len(req.Results) == 0 {
+	case len(req.Results) == 0:
 		return fail(w, http.StatusBadRequest, fmt.Errorf("results must be non-empty"))
-	}
-	for i, res := range req.Results {
-		if res.Benchmark == "" || res.System == "" {
-			return fail(w, http.StatusBadRequest,
-				fmt.Errorf("result %d needs benchmark and system", i))
-		}
 	}
 	span := telemetry.Current(ctx)
 	span.SetAttr("ingest_key", req.IngestKey)

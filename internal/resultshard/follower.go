@@ -114,9 +114,7 @@ func (f *Follower) Sync(ctx context.Context, src Source) (applied int, err error
 				return applied, fmt.Errorf("resultshard: shard %d is at seq %d with %d results after this follower's %d: not the store this follower bootstrapped from; restart the follower to re-bootstrap",
 					i, page.MaxSeq, len(page.Results), at)
 			}
-			for _, r := range page.Results {
-				db.Insert(r)
-			}
+			db.InsertAll(page.Results)
 			applied += len(page.Results)
 		}
 	}

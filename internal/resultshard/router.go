@@ -168,9 +168,19 @@ func (r *Router) Append(ctx context.Context, b resultstore.Batch) (bool, error) 
 		return false, err
 	}
 
-	// Split by shard, preserving within-shard result order.
+	// Split by shard, preserving within-shard result order: count, then
+	// carve one allocation the size of the batch into the shards'
+	// sub-slices and fill them.
 	n := len(r.shards)
+	counts := make([]int, n)
+	for i := range b.Results {
+		counts[ShardFor(b.Results[i].System, b.Results[i].Benchmark, n)]++
+	}
+	rest := make([]metricsdb.Result, len(b.Results))
 	split := make([][]metricsdb.Result, n)
+	for i, c := range counts {
+		split[i], rest = rest[:0:c], rest[c:]
+	}
 	for _, res := range b.Results {
 		i := ShardFor(res.System, res.Benchmark, n)
 		split[i] = append(split[i], res)

@@ -3,6 +3,9 @@ package resultstore
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/metricsdb"
@@ -160,4 +163,81 @@ func TestReplicationAccessors(t *testing.T) {
 	if parts := s.Parts(); len(parts) != 1 || parts[0].MaxSeq() != 3 {
 		t.Fatalf("a store has %d parts, want its one DB", len(parts))
 	}
+}
+
+// TestGroupIsStagedInTheStoresOwnSlice: a commit group gets its IDs,
+// Seqs and trace IDs in a slice the store owns, so the caller's results
+// are never written to; between groups that slice is empty, holds no
+// result's strings or maps through its whole capacity, and is no larger
+// than maxIdleStaged — after a wide group, after a group of duplicates
+// and after a group that failed to encode — and what a group stored is
+// the DB's own copy, untouched by the groups staged after it.
+func TestGroupIsStagedInTheStoresOwnSlice(t *testing.T) {
+	s, err := Open(t.TempDir(), fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	group := func(name string, batches, each int) []Batch {
+		out := make([]Batch, batches)
+		for i := range out {
+			out[i] = Batch{Key: fmt.Sprintf("%s-%d", name, i), TraceID: fmt.Sprintf("%032x", i+1)}
+			for j := 0; j < each; j++ {
+				out[i].Results = append(out[i].Results, res(name, "cts1", "t", float64(i*each+j)))
+			}
+		}
+		return out
+	}
+	idle := func(after string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.staged) != 0 || cap(s.staged) > maxIdleStaged {
+			t.Fatalf("after %s the store holds a staging slice of %d results in room for %d, want 0 in at most %d", after, len(s.staged), cap(s.staged), maxIdleStaged)
+		}
+		for i, r := range s.staged[:cap(s.staged)] {
+			if !reflect.DeepEqual(r, metricsdb.Result{}) {
+				t.Fatalf("after %s staging slot %d still holds %+v", after, i, r)
+			}
+		}
+	}
+	var want []metricsdb.Result // what the store must hold, in Seq order
+	commit := func(name string, batches []Batch) {
+		t.Helper()
+		pristine := group(name, len(batches), len(batches[0].Results))
+		if _, err := s.AppendMany(context.Background(), batches); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(batches, pristine) {
+			t.Fatalf("%s: AppendMany wrote to its caller's batches: %+v", name, batches)
+		}
+		for _, b := range pristine {
+			for _, r := range b.Results {
+				r.ID, r.Seq, r.TraceID = len(want)+1, len(want)+1, b.TraceID
+				want = append(want, r)
+			}
+		}
+		idle(name)
+		if got := s.Query(metricsdb.Filter{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s the store holds %+v, want %+v", name, got, want)
+		}
+	}
+	commit("small", group("small", 3, 5))
+	commit("wide", group("wide", 4, maxIdleStaged/2)) // outgrows the idle slice: dropped, not kept
+	commit("next", group("next", 2, 7))
+
+	if applied, err := s.AppendMany(context.Background(), group("small", 3, 5)); err != nil || applied[0] || applied[1] || applied[2] {
+		t.Fatalf("a group of duplicates: applied %v, %v", applied, err)
+	}
+	idle("a group of duplicates")
+	bad := group("bad", 2, 3)
+	bad[1].Results[2].FOMs["t"] = math.NaN()
+	if _, err := s.AppendMany(context.Background(), bad); err == nil {
+		t.Fatal("a group with a NaN FOM was committed")
+	}
+	idle("a group that failed to encode")
+	if got := s.Query(metricsdb.Filter{}); !reflect.DeepEqual(got, want) || s.HasKey("bad-0") {
+		t.Fatalf("a group that failed to encode left the store holding %d results (key applied: %v), want %d", len(got), s.HasKey("bad-0"), len(want))
+	}
+	commit("last", group("last", 1, 2))
 }

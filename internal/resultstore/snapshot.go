@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/metricsdb"
 )
@@ -330,6 +331,19 @@ func (s *Store) planGeneration() (head *snapshotHeader, from int, err error) {
 // snapshotPage is how many results encodeGeneration holds at a time.
 const snapshotPage = 1024
 
+// genScratch is what one generation write borrows: the page results are
+// copied out of the DB into, and the writer they are encoded through.
+// 192 KiB together, so they sit in a pool the GC may empty, not on the
+// store: an idle store holds neither. The page goes back cleared.
+type genScratch struct {
+	page []metricsdb.Result
+	bw   *bufio.Writer
+}
+
+var genScratches = sync.Pool{New: func() any {
+	return &genScratch{page: make([]metricsdb.Result, 0, snapshotPage), bw: bufio.NewWriterSize(nil, 64<<10)}
+}}
+
 // encodeGeneration writes the generation file head describes: the
 // header's JSON object with a "results" member spliced in, holding the
 // DB's results in (head.AfterSeq, head.NextSeq], read a page at a time
@@ -339,10 +353,16 @@ func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
+	sc := genScratches.Get().(*genScratch)
+	defer func() {
+		clear(sc.page[:cap(sc.page)])
+		sc.bw.Reset(nil)
+		genScratches.Put(sc)
+	}()
+	bw, page := sc.bw, sc.page
+	bw.Reset(w)
 	bw.Write(open[:len(open)-1]) // bufio errors are sticky: Flush reports them
 	bw.WriteString(`,"results":[`)
-	page := make([]metricsdb.Result, 0, snapshotPage)
 	for after, first := head.AfterSeq, true; ; {
 		page = s.db.AppendAfterN(page[:0], after, snapshotPage)
 		// Appends keep landing; what they add is the next generation's.

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -73,6 +74,10 @@ const (
 	// group that outgrew it — results with manifests — takes its buffer
 	// along, so an idle store never holds more than this.
 	maxIdleWALBuf = 32 << 10
+	// maxIdleStaged is the same policy for the staging slice, in results:
+	// 256 of them are the same 32 KiB, two bulk pushes' worth. What a
+	// wider group staged goes with it.
+	maxIdleStaged = 256
 )
 
 // Batch is one idempotent ingest unit: a client-chosen key and the
@@ -149,8 +154,9 @@ type Store struct {
 	active     *os.File
 	activeSeq  int
 	activeSize int64
-	walBuf     []byte       // the group being framed; at most maxIdleWALBuf between groups
-	gens       []generation // the snapshot chain, oldest first
+	walBuf     []byte             // the group being framed; at most maxIdleWALBuf between groups
+	staged     []metricsdb.Result // the group's results, identity assigned; empty and at most maxIdleStaged between groups
+	gens       []generation       // the snapshot chain, oldest first
 	closed     bool
 	failed     error // sticky: set when the WAL is in an unknown state
 	compactErr error // last Compact outcome; cleared by a later success
@@ -295,9 +301,9 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) erro
 			continue // a snapshot already covers this batch
 		}
 		s.applyKey(b.Key)
-		for _, r := range b.Results {
-			s.db.Insert(r)
-			s.noteCounters(r.ID, r.Seq)
+		s.db.InsertAll(b.Results)
+		for i := range b.Results {
+			s.noteCounters(b.Results[i].ID, b.Results[i].Seq)
 		}
 	}
 	if good < len(data) && newest {
@@ -413,10 +419,12 @@ func (b Batch) Validate() error {
 	return nil
 }
 
-// appendGroupLocked frames one record per new batch into the store's
-// buffer, writes them in one Write, fsyncs once, and only then applies
-// the group to the queryable state. Caller holds
-// s.mu, has validated every batch, and has rotated the segment.
+// appendGroupLocked copies each new batch's results into the store's
+// staging slice — the caller's are never written to — assigns their
+// identity there, frames one record per batch into the store's buffer,
+// writes them in one Write, fsyncs once, and only then applies the
+// group to the queryable state, in one InsertAll. Caller holds s.mu,
+// has validated every batch, and has rotated the segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.closed {
 		return nil, errClosed
@@ -424,20 +432,30 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.failed != nil {
 		return nil, fmt.Errorf("resultstore: store failed: %w", s.failed)
 	}
+	total := 0
+	for _, b := range batches {
+		total += len(b.Results)
+	}
 	applied := make([]bool, len(batches))
 	var (
-		id, seq = s.nextID, s.nextSeq // advanced for real only once the group is durable
-		fresh   []walBatch            // the new batches, identity assigned
-		seen    = map[string]bool{}   // keys earlier in this group
-		buf     = s.walBuf[:0]        // the group's records, framed
+		id, seq = s.nextID, s.nextSeq              // advanced for real only once the group is durable
+		seen    = map[string]bool{}                // keys earlier in this group
+		buf     = s.walBuf[:0]                     // the group's records, framed
+		staged  = slices.Grow(s.staged[:0], total) // the group's results, sized once
 	)
+	defer func() {
+		clear(staged) // whatever happened to them, the store pins no strings or maps
+		if cap(staged) <= maxIdleStaged {
+			s.staged = staged[:0]
+		}
+	}()
 	for i, b := range batches {
 		if s.keys[b.Key] || seen[b.Key] {
 			continue // duplicate: acknowledged without a write
 		}
 		seen[b.Key] = true
-		rs := make([]metricsdb.Result, len(b.Results))
-		copy(rs, b.Results)
+		staged = append(staged, b.Results...)
+		rs := staged[len(staged)-len(b.Results):]
 		for j := range rs {
 			id++
 			seq++
@@ -454,7 +472,6 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
 		sealRecord(buf, at)
-		fresh = append(fresh, wb)
 		applied[i] = true
 	}
 	if cap(buf) <= maxIdleWALBuf {
@@ -478,12 +495,12 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	}
 	s.activeSize += int64(len(buf))
 	s.nextID, s.nextSeq = id, seq
-	for _, wb := range fresh {
-		s.applyKey(wb.Key)
-		for _, r := range wb.Results {
-			s.db.Insert(r)
+	for i, b := range batches {
+		if applied[i] {
+			s.applyKey(b.Key)
 		}
 	}
+	s.db.InsertAll(staged)
 	return applied, nil
 }
 

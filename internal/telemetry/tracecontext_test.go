@@ -24,22 +24,53 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents must all be refused; they also seed the fuzzer.
+var malformedTraceparents = []string{
+	"",
+	"00-abc-def-01",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331", // missing flags
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
+	"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", // uppercase
+	"0-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-abc-def-01",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331", // missing flags
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
-		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", // uppercase
-		"0-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceparents {
 		if tc, ok := ParseTraceparent(s); ok {
 			t.Errorf("ParseTraceparent(%q) accepted: %+v", s, tc)
 		}
 	}
+}
+
+// FuzzParseTraceparent: the header is whatever a caller sends. Parsing
+// it must not panic, and whatever is accepted is a context that is
+// Valid and that survives being rendered and parsed again — so an ID
+// the server stamps on stored results is one it would accept back.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range malformedTraceparents {
+		f.Add(s)
+	}
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add(" 01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00-what-a-later-version-adds\n") // five parts and more
+	f.Add("00-00000000000000000000000000000000-0000000000000000-00")                              // all zero
+	f.Add("FF-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01")                              // upper case throughout
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, ok := ParseTraceparent(header)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceparent(%q) refused but returned %+v", header, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted the invalid %+v", header, tc)
+		}
+		if back, ok := ParseTraceparent(tc.Traceparent()); !ok || back != tc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, which renders as %q and parses back as %+v, %v", header, tc, tc.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestTraceIDDeterministicUnderFixedClock(t *testing.T) {

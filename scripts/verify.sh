@@ -17,9 +17,10 @@
 # that loader end to end. After it, the result store's two decoders of
 # on-disk bytes — WAL frames and snapshot generations — the ingest
 # handler's reader of network bytes (plain or gzip, through its pooled
-# decompressor), yamlite's scalar emitter/parser round trip and the
-# Result codec against encoding/json, both directions, are fuzzed for
-# five seconds each from their seed corpora.
+# decompressor), yamlite's scalar emitter/parser round trip, the
+# Result codec against encoding/json, both directions, and telemetry's
+# traceparent header parser are fuzzed for five seconds each from their
+# seed corpora.
 #
 # benchlint runs ratchet-gated against the committed
 # .benchlint-baseline.json (only NEW findings fail; the file is empty,
@@ -74,7 +75,7 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
@@ -85,6 +86,7 @@ go test -run '^$' -fuzz '^FuzzScalarRoundTrip$' -fuzztime=5s ./internal/yamlite
 # The seeds include 4 kB manifests and 10,000-deep nesting; minimizing
 # one of those when it reaches new coverage would take the whole budget.
 go test -run '^$' -fuzz '^FuzzResultCodec$' -fuzztime=5s -fuzzminimizetime=0s ./internal/metricsdb
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemetry
 
 echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
