@@ -15,6 +15,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -157,7 +158,7 @@ func BenchmarkFig6_Automation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := auto.SubmitContribution("jens", "bench contribution",
+		res, err := auto.SubmitContributionContext(context.Background(), "jens", "bench contribution",
 			map[string]string{"docs/n.md": "x"}, "olga")
 		if err != nil {
 			b.Fatal(err)

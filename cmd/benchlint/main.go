@@ -7,29 +7,21 @@
 //	benchlint [flags] [packages]
 //
 //	-C dir      run in dir (the module to lint; default ".")
-//	-json       emit findings as JSON (alias for -format json)
-//	-format f   output format: text, json, or sarif (SARIF 2.1.0)
+//	-json       emit findings as JSON
 //	-run list   comma-separated analyzer subset (default: all)
 //	-list       print the analyzers and exit (-json for machine form)
 //	-fix        apply suggested fixes to the source tree
-//	-diff       print suggested fixes as unified diffs (no writes)
-//	-cache dir  incremental cache: unchanged packages replay findings
-//	-baseline f ratchet file: only findings NOT in f gate the exit code
-//	-baseline-update  rewrite the ratchet file from this run's findings
-//	-v          also print suppressed/baselined findings in text mode
+//	-v          also print suppressed findings in text mode
 //
-// Packages default to ./...; any go list pattern works. benchlint
-// exits 0 when the module is clean, 1 on unsuppressed findings, and
-// 2 on usage or load errors. With -fix, findings repaired by an
-// applied fix no longer count against the exit code. With -baseline,
-// findings recorded in the ratchet file are reported but do not gate —
-// only new findings fail — and a missing file is an empty baseline
-// while a corrupt one degrades to full-fail, never silent-pass.
-// Suppress a single finding with `//benchlint:ignore <analyzer>
-// <reason>` on (or directly above) the offending line — or above the
-// statement it sits in — and mark a documented compatibility wrapper
-// that may mint context.Background() with `//benchlint:compat` in its
-// doc comment.
+// Packages default to ./...; any go list pattern works. Every run
+// loads and analyzes every matched package. benchlint exits 0 when
+// the module is clean, 1 on unsuppressed findings, and 2 on usage or
+// load errors. With -fix, findings repaired by an applied fix no
+// longer count against the exit code. Suppress a single finding with
+// `//benchlint:ignore <analyzer> <reason>` on (or directly above) the
+// offending line — or above the statement it sits in — and mark a
+// documented compatibility wrapper that may mint context.Background()
+// with `//benchlint:compat` in its doc comment.
 package main
 
 import (
@@ -53,36 +45,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir      = fs.String("C", ".", "module directory to lint")
-		jsonOut  = fs.Bool("json", false, "emit findings as JSON")
-		runList  = fs.String("run", "", "comma-separated analyzers to run (default all)")
-		list     = fs.Bool("list", false, "list analyzers and exit")
-		fix      = fs.Bool("fix", false, "apply suggested fixes to the source tree")
-		diff     = fs.Bool("diff", false, "print suggested fixes as unified diffs without applying them")
-		cacheDir = fs.String("cache", "", "incremental analysis cache directory (empty disables)")
-		verbose  = fs.Bool("v", false, "print suppressed findings too")
-		jobsFlag = fs.Int("jobs", 0, "parse/type-check parallelism (default GOMAXPROCS)")
-		format   = fs.String("format", "", "output format: text, json, or sarif (default text; -json implies json)")
-		baseline = fs.String("baseline", "", "ratchet baseline file: recorded findings do not gate the exit code")
-		blUpdate = fs.Bool("baseline-update", false, "rewrite the -baseline file from this run's findings")
+		dir     = fs.String("C", ".", "module directory to lint")
+		jsonOut = fs.Bool("json", false, "emit findings as JSON")
+		runList = fs.String("run", "", "comma-separated analyzers to run (default all)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		fix     = fs.Bool("fix", false, "apply suggested fixes to the source tree")
+		verbose = fs.Bool("v", false, "print suppressed findings too")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *format == "" {
-		*format = "text"
-		if *jsonOut {
-			*format = "json"
-		}
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "benchlint: unknown -format %q (have: text, json, sarif)\n", *format)
-		return 2
-	}
-	if *blUpdate && *baseline == "" {
-		fmt.Fprintln(stderr, "benchlint: -baseline-update requires -baseline")
 		return 2
 	}
 
@@ -100,19 +70,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyzers = selected
 	}
 	if *list {
-		return listAnalyzers(stdout, stderr, analyzers, *format == "json")
-	}
-	if *fix && *diff {
-		fmt.Fprintln(stderr, "benchlint: -fix and -diff are mutually exclusive (use -diff to preview, -fix to apply)")
-		return 2
+		return listAnalyzers(stdout, stderr, analyzers, *jsonOut)
 	}
 
 	res, err := analysis.RunModule(analysis.RunOptions{
 		Dir:       *dir,
 		Patterns:  fs.Args(),
 		Analyzers: analyzers,
-		Jobs:      *jobsFlag,
-		CacheDir:  *cacheDir,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "benchlint: %v\n", err)
@@ -120,87 +84,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	findings := res.Findings
 
-	// fixedOut[i] marks findings whose fixes -fix applied (they no
-	// longer gate the exit code) or -diff would apply.
-	fixedOut := make([]bool, len(findings))
-	if *fix || *diff {
+	// fixed[i] marks findings whose fixes -fix applied: they no longer
+	// gate the exit code.
+	fixed := make([]bool, len(findings))
+	if *fix {
 		contents, applied, err := analysis.ApplyFixes(res.Module.Root, findings)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchlint: %v\n", err)
 			return 2
 		}
 		for _, file := range sortedFiles(contents) {
-			path := filepath.Join(res.Module.Root, file)
-			old, err := os.ReadFile(path)
-			if err != nil {
-				fmt.Fprintf(stderr, "benchlint: %v\n", err)
-				return 2
-			}
-			if *diff {
-				fmt.Fprint(stdout, analysis.UnifiedDiff(file, old, contents[file]))
-				continue
-			}
-			if err := os.WriteFile(path, contents[file], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(res.Module.Root, file), contents[file], 0o644); err != nil {
 				fmt.Fprintf(stderr, "benchlint: %v\n", err)
 				return 2
 			}
 			fmt.Fprintf(stderr, "benchlint: fixed %s\n", file)
 		}
-		if *fix {
-			fixedOut = applied
-		}
-	}
-
-	// The ratchet: recorded findings stay visible but do not gate.
-	// -baseline-update rewrites the file from the live findings (which
-	// prunes stale entries); a corrupt baseline degrades to an empty
-	// one — full-fail, never silent-pass.
-	if *baseline != "" {
-		if *blUpdate {
-			live := make([]analysis.Finding, 0, len(findings))
-			for i, f := range findings {
-				if !fixedOut[i] {
-					live = append(live, f)
-				}
-			}
-			if err := analysis.SaveBaseline(*baseline, analysis.BaselineFrom(live)); err != nil {
-				fmt.Fprintf(stderr, "benchlint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "benchlint: baseline %s updated\n", *baseline)
-		}
-		b, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchlint: %v (treating baseline as empty: all findings gate)\n", err)
-			b = &analysis.Baseline{}
-		}
-		b.Apply(findings)
+		fixed = applied
 	}
 
 	unsuppressed := 0
 	for i, f := range findings {
-		if !f.Suppressed && !f.Baselined && !fixedOut[i] {
+		if !f.Suppressed && !fixed[i] {
 			unsuppressed++
 		}
 	}
 
-	if *format == "sarif" {
-		data, err := analysis.SARIF(findings, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "%s\n", data)
-	} else if *format == "json" {
+	if *jsonOut {
 		out := struct {
 			Module   string             `json:"module"`
 			Packages int                `json:"packages"`
-			Cache    cacheStats         `json:"cache"`
 			Findings []analysis.Finding `json:"findings"`
 		}{
 			Module:   res.Module.Path,
 			Packages: len(res.Packages),
-			Cache:    cacheStats{Hits: res.CacheHits, Misses: res.CacheMisses},
 			Findings: findings,
 		}
 		if out.Findings == nil {
@@ -212,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchlint: %v\n", err)
 			return 2
 		}
-	} else if !*diff {
+	} else {
 		for i, f := range findings {
 			if f.Suppressed {
 				if *verbose {
@@ -220,13 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				continue
 			}
-			if f.Baselined {
-				if *verbose {
-					fmt.Fprintf(stdout, "%s (baselined)\n", f)
-				}
-				continue
-			}
-			if fixedOut[i] {
+			if fixed[i] {
 				continue
 			}
 			fmt.Fprintln(stdout, f.String())
@@ -239,11 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-type cacheStats struct {
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
 }
 
 // listAnalyzers prints the analyzer inventory, human- or

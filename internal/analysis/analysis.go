@@ -111,8 +111,8 @@ func (p *Pass) ReportFix(pos token.Pos, fixes []Fix, format string, args ...any)
 }
 
 // ReportAt records a finding at an explicit file position, for
-// analyzers (lockorder) whose evidence comes from serialized facts
-// rather than this package's AST. The file is module-relative as
+// analyzers (lockorder) whose evidence comes from facts rather than
+// this package's AST. The file is module-relative as
 // stored in the fact.
 func (p *Pass) ReportAt(file string, line, col int, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
@@ -193,18 +193,13 @@ type Finding struct {
 	// directive; Reason carries the directive's justification.
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	// Baselined marks findings absorbed by the ratchet baseline
-	// (baseline.go): pre-existing, visible, not gating. Applied by the
-	// CLI after the run, so cached entries never carry it.
-	Baselined bool `json:"baselined,omitempty"`
 	// Fixes are the machine-applicable repairs, when the analyzer has
 	// one for this finding.
 	Fixes []Fix `json:"fixes,omitempty"`
 
 	// StmtLine is the first line of the statement the finding sits in
 	// (0 if none) — the anchor suppression directives match against.
-	// Internal: not part of the JSON schema, not restored on cache
-	// replay (replayed findings are already suppression-resolved).
+	// Internal: not part of the JSON schema.
 	StmtLine int `json:"-"`
 }
 
@@ -214,8 +209,7 @@ func (f Finding) String() string {
 }
 
 // runPackage applies the matching analyzers to one package and
-// returns its suppression-resolved, path-normalized findings. The
-// runner (runner.go) calls this per cache miss.
+// returns its suppression-resolved, path-normalized findings.
 func runPackage(pkg *Package, analyzers []*Analyzer, modPath, modRoot string, facts *PackageFacts, allFacts map[string]*PackageFacts) []Finding {
 	var out []Finding
 	// A mistyped directive must not silently disable a check.

@@ -4,43 +4,19 @@ import (
 	"testing"
 )
 
-// The suite benchmarks measure what CI actually pays: a full
-// fourteen-analyzer pass over this module, cold (no cache dir — every
-// package parsed, type-checked, fact-computed, analyzed) and cached
-// (a pre-warmed cache dir — every package replayed from its key).
-// The numbers are recorded in BENCH_benchlint.json.
-
-func benchRun(b *testing.B, cacheDir string) {
-	res, err := RunModule(RunOptions{
-		Dir:       "../..",
-		Analyzers: Suite(),
-		CacheDir:  cacheDir,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range res.Findings {
-		if !f.Suppressed {
-			b.Fatalf("module has findings; benchmark expects a clean tree: %+v", f)
+// BenchmarkSuiteModule measures what CI pays: a full fourteen-analyzer
+// pass over this module — every package parsed, type-checked,
+// fact-computed and analyzed.
+func BenchmarkSuiteModule(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res, err := RunModule(RunOptions{Dir: "../..", Analyzers: Suite()})
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSuiteModuleCold is the no-cache full pass: the cost of the
-// first benchlint run on a fresh checkout.
-func BenchmarkSuiteModuleCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRun(b, "")
-	}
-}
-
-// BenchmarkSuiteModuleCached is the steady-state CI cost: a warm
-// cache replays every package's findings and facts from its key.
-func BenchmarkSuiteModuleCached(b *testing.B) {
-	dir := b.TempDir()
-	benchRun(b, dir) // warm the cache outside the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchRun(b, dir)
+		for _, f := range res.Findings {
+			if !f.Suppressed {
+				b.Fatalf("module has findings; benchmark expects a clean tree: %+v", f)
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // cfg.go builds per-function control-flow graphs over go/ast and
 // answers the path questions the resource-discipline analyzers ask
-// (DESIGN §15). The graph is intentionally statement-grained: every
+// (DESIGN §7). The graph is intentionally statement-grained: every
 // statement (and every if/for condition, init and post clause) is a
 // node in exactly one basic block, blocks are linked by edges, and
 // condition blocks carry branch-labelled edges so queries can prune

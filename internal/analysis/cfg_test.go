@@ -10,8 +10,7 @@ import (
 // test; each helper below digs a function or probe tag out of it.
 func loadCFGFixture(t *testing.T) *Package {
 	t.Helper()
-	var l Loader
-	pkg, err := l.LoadDir(filepath.Join("testdata", "cfg"))
+	pkg, err := LoadDir(filepath.Join("testdata", "cfg"))
 	if err != nil {
 		t.Fatalf("loading cfg fixture: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // CloseCheck enforces resource-release discipline as a row of the
-// obligation table (obligation.go, DESIGN §15): every acquired closer
+// obligation table (obligation.go, DESIGN §7): every acquired closer
 // — files, tickers, timers, listeners, HTTP response bodies — is
 // released on every path from acquisition
 // to function exit, or ownership-transferred (stored in a struct,

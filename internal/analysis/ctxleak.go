@@ -6,7 +6,7 @@ import (
 )
 
 // CtxLeak enforces cancel-function discipline as a row of the
-// obligation table (obligation.go, DESIGN §15): every `ctx, cancel :=
+// obligation table (obligation.go, DESIGN §7): every `ctx, cancel :=
 // context.WithCancel/WithTimeout/WithDeadline(…)` must invoke cancel
 // on every path from the
 // acquisition to function exit — `defer cancel()` (the house style)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Determinism guards the byte-identical-results guarantee of the
@@ -26,8 +25,8 @@ var Determinism = &Analyzer{
 		// The cache-key layer must derive identical keys run to run, or
 		// every warm re-run silently goes cold.
 		"internal/cachekey",
-		// benchlint checks itself: findings, facts, and cache entries
-		// must be byte-identical run to run.
+		// benchlint checks itself: findings and facts must be
+		// identical run to run.
 		"internal/analysis",
 	},
 	Run: runDeterminism,
@@ -81,9 +80,10 @@ func runDeterminism(pass *Pass) {
 
 // checkMapOrder flags map-range loops whose iteration order leaks
 // into output: a direct write/print/send inside the body, or an
-// append to an outer slice that is never sorted after the loop. It is
-// determinism's sink row over the shared map-range walker
-// (forEachMapRangeSink, maporder.go).
+// append to an outer slice that is never sorted after the loop. The
+// writes and prints are determinism's rows of the shared sink table
+// (orderSinks), over the shared map-range walker (forEachMapRangeSink),
+// both in maporder.go.
 func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 	// Sort calls anywhere in the function clear appends they cover.
 	type sortCall struct {
@@ -114,7 +114,7 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 		case *ast.SendStmt:
 			return "map iteration order reaches a channel send; iterate sorted keys instead"
 		case *ast.CallExpr:
-			if sink := outputSink(pass, n); sink != "" {
+			if sink := tableSink(pass, n); sink != "" {
 				return "map iteration order reaches " + sink + "; iterate sorted keys instead"
 			}
 			if target, ok := appendTarget(pass, n); ok {
@@ -130,28 +130,6 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 	}, func(rng *ast.RangeStmt, _ *types.Map, finding string) {
 		pass.Reportf(rng.For, "%s", finding)
 	})
-}
-
-// outputSink reports whether the call writes formatted output (fmt
-// printing or an io/strings/bytes Write* method), returning a label
-// for the diagnostic.
-func outputSink(pass *Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if fn, ok := pass.TypesInfo().Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-		if fn.Pkg().Path() == "fmt" && (strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
-			return "fmt." + fn.Name()
-		}
-	}
-	if pass.TypesInfo().Selections[sel] != nil {
-		switch sel.Sel.Name {
-		case "Write", "WriteString", "WriteByte", "WriteRune":
-			return "a " + sel.Sel.Name + " call"
-		}
-	}
-	return ""
 }
 
 // appendTarget matches `x = append(x, ...)` and returns x's object.

@@ -1,10 +1,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -19,10 +15,7 @@ import (
 // class L", "returns when its context/done channel closes" — and
 // packages that depend on it import those facts instead of re-reading
 // its source. Facts are computed in import-graph order (Go imports
-// are acyclic), serialized as canonical JSON, and hashed; the hash
-// feeds the dependent packages' incremental-cache keys (cache.go), so
-// a fact change in a leaf package transparently invalidates everyone
-// above it.
+// are acyclic) and live only for the run that computed them.
 //
 // Facts are deliberately approximate in the safe direction for each
 // consumer (see the analyzer docs): function literals are folded into
@@ -31,19 +24,15 @@ import (
 // lock *class* (owning named type + field) rather than the instance —
 // the standard choice for order-based deadlock detection.
 
-// FactsSchema tags the serialized fact format; bump it when FuncFact
-// changes shape so stale cache entries read as misses.
-const FactsSchema = "benchlint-facts-3"
-
 // LockEdge is one observed "acquired To while holding From" pair, the
 // unit the lockorder analyzer builds its whole-module graph from.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 	// File/Line locate the acquisition (or the call that transitively
 	// acquires), relative to the module root.
-	File string `json:"file"`
-	Line int    `json:"line"`
+	File string
+	Line int
 }
 
 // FuncFact is what one function exports to its callers. All boolean
@@ -53,29 +42,29 @@ type FuncFact struct {
 	// Syncs: the function calls (*os.File).Sync on some path,
 	// directly or through a callee. walack treats a call to a Syncs
 	// function as flushing the WAL.
-	Syncs bool `json:"syncs,omitempty"`
+	Syncs bool
 	// Writes: the function writes bytes to an *os.File or io.Writer,
 	// directly or through a callee. walack treats a call to a Writes
 	// function as dirtying the WAL (any prior sync no longer covers
 	// the ack).
-	Writes bool `json:"writes,omitempty"`
+	Writes bool
 	// CtxBound: the function's body blocks on channel state — a
 	// select, a receive, or a range over a channel — directly or
 	// through a callee, so a goroutine running it terminates when its
 	// context/done channel is closed.
-	CtxBound bool `json:"ctx_bound,omitempty"`
+	CtxBound bool
 	// CallsDone: the function calls (*sync.WaitGroup).Done, directly
 	// or through a callee, so a goroutine running it is joinable via
 	// the WaitGroup.
-	CallsDone bool `json:"calls_done,omitempty"`
+	CallsDone bool
 	// BareSend: the function performs a channel send that is neither
 	// select-guarded (a select with a receive case or a default
 	// alongside it) nor aimed at a provably buffered channel (every
 	// make() reaching the channel has constant cap >= 1), directly or
 	// through a callee. A goroutine running such a function can wedge
 	// forever on a dead receiver; sendblock consumes this bit.
-	BareSend bool `json:"bare_send,omitempty"`
-	// The purity lattice (DESIGN §12): which classes of ambient state
+	BareSend bool
+	// The purity lattice (DESIGN §7): which classes of ambient state
 	// the function reads, directly or through a callee. A cached
 	// computation is a pure function of its key only when every
 	// function reachable from it carries none of these bits (or the
@@ -83,29 +72,29 @@ type FuncFact struct {
 	// consumes them; keycover and maporder share the same fact flow.
 	//
 	// ReadsTime: reads the wall clock (time.Now/Since/Until).
-	ReadsTime bool `json:"reads_time,omitempty"`
+	ReadsTime bool
 	// ReadsRand: draws from a nondeterministic RNG — the global
 	// math/rand generator or crypto/rand.
-	ReadsRand bool `json:"reads_rand,omitempty"`
+	ReadsRand bool
 	// ReadsEnv: reads ambient process state — environment variables,
 	// hostname, pids/uids, working directory, or spawns a subprocess
 	// (os/exec), whose behavior is ambient by construction.
-	ReadsEnv bool `json:"reads_env,omitempty"`
+	ReadsEnv bool
 	// ReadsFS: reads file contents or metadata (os.Open/ReadFile/
 	// Stat/ReadDir, filepath.Walk/Glob). Advisory on memoized paths —
 	// content-addressed keys legitimately hash file bytes — but hard
 	// on key derivations that do not.
-	ReadsFS bool `json:"reads_fs,omitempty"`
+	ReadsFS bool
 	// ReadsGlobal: reads a package-level mutable variable of this
 	// module (error sentinels and sync primitives excluded) — state a
 	// cache key cannot see.
-	ReadsGlobal bool `json:"reads_global,omitempty"`
+	ReadsGlobal bool
 	// Acquires lists the lock classes the function may take,
-	// transitively, sorted.
-	Acquires []string `json:"acquires,omitempty"`
+	// transitively.
+	Acquires []string
 	// Edges are the held-while-acquiring pairs observed in this
 	// function's body (including pairs completed through callees).
-	Edges []LockEdge `json:"edges,omitempty"`
+	Edges []LockEdge
 }
 
 // reads lists the purity-lattice fields in impureBits order: entry i
@@ -147,9 +136,7 @@ func (f *FuncFact) ambient() impureBits {
 // PackageFacts is every non-empty FuncFact of one package, keyed by
 // the function's fully-qualified name (types.Func.FullName).
 type PackageFacts struct {
-	Schema string               `json:"schema"`
-	Path   string               `json:"path"`
-	Funcs  map[string]*FuncFact `json:"funcs"`
+	Funcs map[string]*FuncFact
 }
 
 // Fact returns the fact exported for a fully-qualified function name,
@@ -161,42 +148,8 @@ func (pf *PackageFacts) Fact(key string) *FuncFact {
 	return pf.Funcs[key]
 }
 
-// EncodeFacts serializes facts canonically: encoding/json emits map
-// keys sorted, and every slice is sorted at construction time, so the
-// same facts always encode to the same bytes (FactsHash depends on
-// this).
-func EncodeFacts(pf *PackageFacts) ([]byte, error) {
-	return json.Marshal(pf)
-}
-
-// DecodeFacts parses a serialized fact set, rejecting unknown
-// schemas so a format change can never smuggle stale facts in.
-func DecodeFacts(data []byte) (*PackageFacts, error) {
-	var pf PackageFacts
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	if pf.Schema != FactsSchema {
-		return nil, fmt.Errorf("analysis: facts schema %q, want %q", pf.Schema, FactsSchema)
-	}
-	return &pf, nil
-}
-
-// FactsHash is the canonical content hash of a fact set; dependent
-// packages mix it into their cache keys.
-func FactsHash(pf *PackageFacts) string {
-	data, err := EncodeFacts(pf)
-	if err != nil {
-		// Facts are plain data; Marshal cannot fail on them. Guard
-		// anyway so a future shape change fails loudly in tests.
-		panic(fmt.Sprintf("analysis: encoding facts: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // sortedKeys returns m's keys sorted, so map iteration order never
-// leaks into facts, findings, or cache files.
+// leaks into facts or findings.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -208,8 +161,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // moduleDeps computes each path's transitive dependency closure,
 // restricted to the given path set, sorted. Interprocedural analyzers
-// see exactly this closure's facts, which is what makes cache keys
-// (own files + closure fact hashes) sound. A package's closure strictly
+// see exactly this closure's facts. A package's closure strictly
 // contains each of its dependencies' closures, so ordering paths by
 // closure size (ties by path) is a deterministic import order.
 func moduleDeps(paths []string, imports func(string) []string) map[string][]string {
@@ -381,20 +333,9 @@ func computePackageFacts(pkg *Package, modPath, modRoot string, deps map[string]
 				}
 			}
 		}
-		sort.Slice(f.Edges, func(i, j int) bool {
-			a, b := f.Edges[i], f.Edges[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.Line < b.Line
-		})
-		sort.Strings(f.Acquires)
 	}
 
-	pf := &PackageFacts{Schema: FactsSchema, Path: pkg.ImportPath, Funcs: map[string]*FuncFact{}}
+	pf := &PackageFacts{Funcs: map[string]*FuncFact{}}
 	for _, key := range order {
 		if f := raws[key].fact; !f.empty() {
 			pf.Funcs[key] = f

@@ -3,7 +3,6 @@ package analysis
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,54 +25,8 @@ func writeTestModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestFactsRoundTrip pins the serialization contract: facts computed
-// for a package must encode canonically, decode to an identical
-// value, and hash identically — the property cache replay depends on.
-func TestFactsRoundTrip(t *testing.T) {
-	var l Loader
-	pkg, err := l.LoadDir(filepath.Join("testdata", "walack"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, _ := filepath.Abs(filepath.Join("testdata", "walack"))
-	pf := computePackageFacts(pkg, "", abs, nil)
-	if len(pf.Funcs) == 0 {
-		t.Fatal("walack fixture produced no facts; Writes/Syncs collection is broken")
-	}
-
-	data, err := EncodeFacts(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded, pf) {
-		t.Errorf("facts changed across encode/decode:\n got %+v\nwant %+v", decoded, pf)
-	}
-	if FactsHash(decoded) != FactsHash(pf) {
-		t.Error("FactsHash differs after a round trip")
-	}
-
-	again, err := EncodeFacts(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(data) {
-		t.Error("encoding is not canonical: re-encoding decoded facts produced different bytes")
-	}
-
-	if _, err := DecodeFacts([]byte(`{"schema":"benchlint-facts-0","path":"x","funcs":{}}`)); err == nil {
-		t.Error("DecodeFacts accepted a stale schema")
-	}
-	if _, err := DecodeFacts([]byte(`{garbage`)); err == nil {
-		t.Error("DecodeFacts accepted malformed JSON")
-	}
-}
-
 // TestCrossPackageLockOrder drives the fact system end to end through
-// the incremental runner: the leaf package's helper exports an
+// the runner: the leaf package's helper exports an
 // Acquires fact, the top package closes a lock-order cycle through a
 // call to it, and lockorder reports the cycle exactly once.
 func TestCrossPackageLockOrder(t *testing.T) {

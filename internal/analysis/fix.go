@@ -6,14 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // The suggested-fix engine: analyzers attach machine-applicable edits
-// to findings, and cmd/benchlint applies them (-fix) or previews them
-// (-diff). Applied output is run through go/format, so a fix is only
-// accepted when the edited file still parses and gofmts — a botched
-// edit fails loudly rather than corrupting source.
+// to findings, and cmd/benchlint applies them (-fix). Applied output
+// is run through go/format, so a fix is only accepted when the edited
+// file still parses and gofmts — a botched edit fails loudly rather
+// than corrupting source.
 
 // TextEdit replaces the byte range [Start, End) of File with NewText.
 // Offsets are 0-based byte offsets into the file as loaded; File is
@@ -95,127 +94,4 @@ func ApplyFixes(modRoot string, findings []Finding) (map[string][]byte, []bool, 
 		out[file] = formatted
 	}
 	return out, applied, nil
-}
-
-// UnifiedDiff renders a minimal unified diff (3 context lines) between
-// a file's old and new content, for benchlint -diff.
-func UnifiedDiff(path string, oldSrc, newSrc []byte) string {
-	a := splitLines(string(oldSrc))
-	b := splitLines(string(newSrc))
-	ops := diffLines(a, b)
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "--- a/%s\n+++ b/%s\n", path, path)
-
-	const ctx = 3
-	i := 0
-	for i < len(ops) {
-		// Skip runs of equal lines to the next change.
-		for i < len(ops) && ops[i].kind == ' ' {
-			i++
-		}
-		if i >= len(ops) {
-			break
-		}
-		start := i - ctx
-		if start < 0 {
-			start = 0
-		}
-		// Extend the hunk over changes separated by <= 2*ctx equal lines.
-		end := i
-		for j := i; j < len(ops); j++ {
-			if ops[j].kind != ' ' {
-				end = j + 1
-			} else if j-end >= 2*ctx {
-				break
-			}
-		}
-		stop := end + ctx
-		if stop > len(ops) {
-			stop = len(ops)
-		}
-
-		aStart, aLen, bStart, bLen := 0, 0, 0, 0
-		for _, op := range ops[:start] {
-			if op.kind != '+' {
-				aStart++
-			}
-			if op.kind != '-' {
-				bStart++
-			}
-		}
-		for _, op := range ops[start:stop] {
-			if op.kind != '+' {
-				aLen++
-			}
-			if op.kind != '-' {
-				bLen++
-			}
-		}
-		fmt.Fprintf(&sb, "@@ -%d,%d +%d,%d @@\n", aStart+1, aLen, bStart+1, bLen)
-		for _, op := range ops[start:stop] {
-			sb.WriteByte(byte(op.kind))
-			sb.WriteString(op.text)
-			sb.WriteByte('\n')
-		}
-		i = stop
-	}
-	return sb.String()
-}
-
-type diffOp struct {
-	kind rune // ' ', '-', '+'
-	text string
-}
-
-func splitLines(s string) []string {
-	s = strings.TrimSuffix(s, "\n")
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, "\n")
-}
-
-// diffLines computes a line diff via the classic LCS table; lint fixes
-// touch small files, so quadratic space is fine.
-func diffLines(a, b []string) []diffOp {
-	n, m := len(a), len(b)
-	lcs := make([][]int, n+1)
-	for i := range lcs {
-		lcs[i] = make([]int, m+1)
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := m - 1; j >= 0; j-- {
-			if a[i] == b[j] {
-				lcs[i][j] = lcs[i+1][j+1] + 1
-			} else if lcs[i+1][j] >= lcs[i][j+1] {
-				lcs[i][j] = lcs[i+1][j]
-			} else {
-				lcs[i][j] = lcs[i][j+1]
-			}
-		}
-	}
-	var ops []diffOp
-	i, j := 0, 0
-	for i < n && j < m {
-		switch {
-		case a[i] == b[j]:
-			ops = append(ops, diffOp{' ', a[i]})
-			i++
-			j++
-		case lcs[i+1][j] >= lcs[i][j+1]:
-			ops = append(ops, diffOp{'-', a[i]})
-			i++
-		default:
-			ops = append(ops, diffOp{'+', b[j]})
-			j++
-		}
-	}
-	for ; i < n; i++ {
-		ops = append(ops, diffOp{'-', a[i]})
-	}
-	for ; j < m; j++ {
-		ops = append(ops, diffOp{'+', b[j]})
-	}
-	return ops
 }

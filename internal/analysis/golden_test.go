@@ -18,8 +18,7 @@ import (
 // fixture directory.
 func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
-	var l Loader
-	pkg, err := l.LoadDir(dir)
+	pkg, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -165,7 +164,7 @@ func TestExactPositions(t *testing.T) {
 // TestRunModuleLoadsWholeModule exercises the loader end to end over
 // the real module through RunModule, the only way production loads
 // one: every package parses and type-checks (any failure is
-// RunModule's error), and with no cache each is loaded cold.
+// RunModule's error).
 func TestRunModuleLoadsWholeModule(t *testing.T) {
 	res, err := RunModule(RunOptions{Dir: "../.."})
 	if err != nil {
@@ -177,9 +176,6 @@ func TestRunModuleLoadsWholeModule(t *testing.T) {
 	if len(res.Packages) < 20 {
 		t.Fatalf("loaded %d packages, expected the full module", len(res.Packages))
 	}
-	if res.CacheMisses != len(res.Packages) {
-		t.Errorf("loaded %d of %d packages", res.CacheMisses, len(res.Packages))
-	}
 }
 
 // TestMalformedDirective checks that a broken ignore directive
@@ -190,8 +186,7 @@ func TestMalformedDirective(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "m.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var l Loader
-	pkg, err := l.LoadDir(dir)
+	pkg, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

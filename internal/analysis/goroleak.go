@@ -19,7 +19,7 @@ import (
 // fine because compactor's fact says it selects on the store's done
 // channel, wherever that function lives.
 //
-// Goroutine literals are checked on their CFG (DESIGN §15): bounded
+// Goroutine literals are checked on their CFG (DESIGN §7): bounded
 // means every loop in the body passes a blocking channel operation
 // (so cancellation can always reach it), or WaitGroup.Done runs on
 // every exit path. The old any-marker-anywhere scan accepted a

@@ -8,7 +8,7 @@ import (
 	"reflect"
 )
 
-// KeyCover enforces the keycover↔cachekey contract (DESIGN §12):
+// KeyCover enforces the keycover↔cachekey contract (DESIGN §7):
 // every value handed to a Hash-shaped key derivation — cachekey.Hash
 // and anything with its one-empty-interface-parameter signature —
 // must be fully visible to the canonical-JSON encoder that turns it

@@ -41,29 +41,6 @@ type Module struct {
 	Root string // absolute directory of go.mod
 }
 
-// Loader loads a module's packages for analysis. Package metadata and
-// dependency export data come from `go list -export -deps -json`, so
-// dependencies resolve from the build cache exactly as the compiler
-// sees them, while the analyzed packages themselves are parsed and
-// type-checked from source to get full ASTs and type information.
-//
-// A package's files are parsed on a bounded worker pool (Jobs
-// goroutines), which is why internal/analysis is part of the verify
-// gate's -race package list. Packages themselves load one at a time:
-// the runner needs them in import order for facts and cache keys.
-type Loader struct {
-	// Jobs bounds the parse worker pool; <=0 means
-	// runtime.GOMAXPROCS(0).
-	Jobs int
-}
-
-func (l *Loader) jobs() int {
-	if l.Jobs > 0 {
-		return l.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // listPackage is the subset of `go list -json` output the loader uses.
 type listPackage struct {
 	ImportPath string
@@ -77,7 +54,11 @@ type listPackage struct {
 }
 
 // goList runs `go list -export -deps -json` for the patterns in dir
-// and decodes the package stream.
+// and decodes the package stream: package metadata plus dependency
+// export data, so dependencies resolve from the build cache exactly as
+// the compiler sees them while the analyzed packages themselves are
+// parsed and type-checked from source for full ASTs and type
+// information.
 func goList(dir string, patterns []string) ([]*listPackage, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -106,7 +87,7 @@ func goList(dir string, patterns []string) ([]*listPackage, error) {
 // LoadDir parses and type-checks the single package in dir (test
 // fixtures under testdata/, which go list refuses to enumerate).
 // Imports must resolve via go list from the enclosing module.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+func LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -156,14 +137,15 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			}
 		}
 	}
-	return l.loadPackage(fset, newExportImporter(fset, exports), target)
+	return loadPackage(fset, newExportImporter(fset, exports), target)
 }
 
-// loadPackage parses the target package's files on the worker pool
-// and type-checks it, resolving imports through imp — caller-owned, so
-// the incremental runner shares one importer (and its loaded-
-// dependency map) across the packages it re-type-checks.
-func (l *Loader) loadPackage(fset *token.FileSet, imp types.Importer, t *listPackage) (*Package, error) {
+// loadPackage parses the target package's files on a GOMAXPROCS-wide
+// worker pool (which is why internal/analysis is on the verify gate's
+// -race list) and type-checks it, resolving imports through imp —
+// caller-owned, so the runner shares one importer (and its loaded-
+// dependency map) across the module's packages.
+func loadPackage(fset *token.FileSet, imp types.Importer, t *listPackage) (*Package, error) {
 	pkg := &Package{
 		ImportPath: t.ImportPath,
 		Dir:        t.Dir,
@@ -177,7 +159,7 @@ func (l *Loader) loadPackage(fset *token.FileSet, imp types.Importer, t *listPac
 	// each worker writes only its own file's slots.
 	var wg sync.WaitGroup
 	errs := make([]error, len(t.GoFiles))
-	sem := make(chan struct{}, l.jobs())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, name := range t.GoFiles {
 		wg.Add(1)
 		go func(i int, path string) {

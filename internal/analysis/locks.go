@@ -9,7 +9,7 @@ import (
 // Lock/RLock acquired in a function is released on every return path —
 // either by an immediate defer (the house style) or by an explicit
 // unlock that no return can bypass. It is a row of the obligation
-// table (obligation.go, DESIGN §15). Sync primitives copied by value
+// table (obligation.go, DESIGN §7). Sync primitives copied by value
 // are `go vet`'s copylocks check, which verify.sh runs first.
 var Locks = &Analyzer{
 	Name:  "locks",

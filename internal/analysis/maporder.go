@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,7 +15,7 @@ import (
 // through an encoder, written by a module function (FuncFact.Writes),
 // or handed to a commit/merge path produces different bytes on every
 // run — Go randomizes map iteration order deliberately. Content-
-// addressed caching (DESIGN §11) turns that from cosmetic into
+// addressed caching (DESIGN §10) turns that from cosmetic into
 // corrupting: a key or cached payload derived through such a loop
 // never matches itself, so warm replay silently goes cold, and a
 // sorted-merge commit fed in map order loses its determinism
@@ -86,24 +87,75 @@ func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.Ran
 	})
 }
 
-// orderSink classifies a call inside a map-range body as an
-// order-sensitive byte sink: a hash write, a streaming encoder, a
-// module function that writes output (via facts), or a commit/merge
-// path. Whole-value encodings like json.Marshal(m) are NOT sinks —
-// encoding/json sorts map keys itself.
-func orderSink(pass *Pass, call *ast.CallExpr) string {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if isSel {
-		switch sel.Sel.Name {
-		case "Write", "WriteString", "Sum":
-			if p := recvPkgPath(pass, sel.X); p == "hash" || strings.HasPrefix(p, "hash/") || strings.HasPrefix(p, "crypto/") {
-				return fmt.Sprintf("a hash-state update (%s.%s)", p, sel.Sel.Name)
-			}
-		case "Encode", "EncodeElement":
-			if p := recvPkgPath(pass, sel.X); strings.HasPrefix(p, "encoding/") {
-				return fmt.Sprintf("a streaming %s encoder", p)
-			}
+// orderSinks is the one table of calls that put their arguments' bytes
+// somewhere iteration order shows, shared by maporder and determinism.
+// A row is keyed by the callee — a bare method name, or a
+// package-qualified function — and by the package of the value the
+// bytes go into: the method's receiver, the function's first argument.
+// maporder owns the rows whose destination is a hash or an encoder and
+// reports them in every package; determinism owns the rows that match
+// any destination (fmt.Print* has none) and reports them in its scoped
+// packages. label is formatted with the callee and the destination's
+// package.
+var orderSinks = []struct {
+	owner   string
+	callees []string
+	dest    string // "hash" (hash, hash/*, crypto/*), "encoding" (encoding/*), or "" for any
+	label   string
+}{
+	{"maporder", []string{"Write", "WriteString", "Sum"}, "hash", "a hash-state update (%[2]s.%[1]s)"},
+	{"maporder", []string{"Encode", "EncodeElement"}, "encoding", "a streaming %[2]s encoder"},
+	{"maporder", writerFuncs, "hash", "a hash-state update (%[1]s into %[2]s)"},
+	{"maporder", writerFuncs, "encoding", "a streaming %[2]s encoder (through %[1]s)"},
+	{"determinism", []string{"fmt.Print", "fmt.Printf", "fmt.Println", "fmt.Fprint", "fmt.Fprintf", "fmt.Fprintln"}, "", "%[1]s"},
+	{"determinism", []string{"Write", "WriteString", "WriteByte", "WriteRune"}, "", "a %[1]s call"},
+}
+
+// writerFuncs are the standard-library functions that format or copy
+// their arguments into their first one.
+var writerFuncs = []string{"fmt.Fprint", "fmt.Fprintf", "fmt.Fprintln", "io.WriteString"}
+
+// tableSink looks a call up in the running analyzer's rows of
+// orderSinks and returns the matching row's label, or "".
+func tableSink(pass *Pass, call *ast.CallExpr) string {
+	fn := calleeFunc(pass.TypesInfo(), call)
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	callee, destPkg := fn.Name(), ""
+	if fn.Type().(*types.Signature).Recv() != nil {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			destPkg = recvPkgPath(pass, sel.X)
 		}
+	} else {
+		callee = fn.Pkg().Path() + "." + callee
+		if len(call.Args) > 0 {
+			destPkg = recvPkgPath(pass, call.Args[0])
+		}
+	}
+	destClass := ""
+	switch {
+	case destPkg == "hash" || strings.HasPrefix(destPkg, "hash/") || strings.HasPrefix(destPkg, "crypto/"):
+		destClass = "hash"
+	case strings.HasPrefix(destPkg, "encoding/"):
+		destClass = "encoding"
+	}
+	for _, row := range orderSinks {
+		if row.owner == pass.Analyzer.Name && slices.Contains(row.callees, callee) && (row.dest == "" || row.dest == destClass) {
+			return fmt.Sprintf(row.label, callee, destPkg)
+		}
+	}
+	return ""
+}
+
+// orderSink classifies a call inside a map-range body as an
+// order-sensitive byte sink: a hash write or a streaming encoder
+// (orderSinks), a module function that writes output (via facts), or
+// a commit/merge path. Whole-value encodings like json.Marshal(m) are
+// NOT sinks — encoding/json sorts map keys itself.
+func orderSink(pass *Pass, call *ast.CallExpr) string {
+	if sink := tableSink(pass, call); sink != "" {
+		return sink
 	}
 	fn := calleeFunc(pass.TypesInfo(), call)
 	if fn == nil {
@@ -122,9 +174,10 @@ func orderSink(pass *Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// recvPkgPath resolves the defining package of a receiver expression's
-// named (or pointer-to-named) static type; interfaces count — a
-// hash.Hash receiver resolves to "hash".
+// recvPkgPath resolves the defining package of a receiver (or
+// destination argument) expression's named (or pointer-to-named)
+// static type; interfaces count — a hash.Hash receiver resolves to
+// "hash".
 func recvPkgPath(pass *Pass, recv ast.Expr) string {
 	t := deref(pass.TypesInfo().TypeOf(recv))
 	named, ok := t.(*types.Named)

@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// seededMutations is the audit table behind DESIGN §15: one row per
-// analyzer in Suite(), each the bug that analyzer exists for, seeded
-// into a copy of the real module. A row passes when the analyzer flags
+// seededMutations is the audit table behind DESIGN.md's analyzer
+// list: at least one row per analyzer in Suite(), each a bug that
+// analyzer exists for, seeded into a copy of the real module. A row
+// passes when the analyzer flags
 // the mutated tree — every finding in wantFile (default: the mutated
 // file) and carrying every `want` fragment — and `go vet` on the same
 // package still passes, so the row proves the analyzer sees what vet
@@ -98,6 +99,13 @@ var seededMutations = []struct {
 		analyzer: MapOrder, file: "internal/yamlite/yamlite.go",
 		edits: [][2]string{{"\tfor _, k := range src.keys {\n\t\tsv := src.vals[k]\n", "\tfor k, sv := range src.vals {\n"}},
 		want:  []string{"Merge"},
+	},
+	{
+		// The commit hash's sorted-paths loop un-sorted in front of the
+		// Fprintf that feeds the hash: a commit's SHA changes run to run.
+		analyzer: MapOrder, file: "internal/ci/githost.go",
+		edits: [][2]string{{"\tsort.Strings(paths)\n\tfor _, p := range paths {\n\t\tfmt.Fprintf(h, ", "\tsort.Strings(paths)\n\tfor p := range c.Files {\n\t\tfmt.Fprintf(h, "}},
+		want:  []string{"hash-state update", "fmt.Fprintf"},
 	},
 	{
 		// "Someone added a field but not to the key": an exported field

@@ -7,7 +7,7 @@ import (
 )
 
 // obligation.go is the one implementation of "X acquired ⇒ Y on every
-// path to return, else offer `defer Y`" (DESIGN §15). spanend,
+// path to return, else offer `defer Y`" (DESIGN §7). spanend,
 // ctxleak, closecheck and locks are rows over it: a row recognizes
 // its acquisition statement and says what that acquisition owes; the
 // engine walks every function body, asks the body's CFG whether the

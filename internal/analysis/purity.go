@@ -7,13 +7,13 @@ import (
 )
 
 // Purity proves the incremental pipeline's central assumption (DESIGN
-// §11): every cached computation is a pure function of what its cache
+// §10): every cached computation is a pure function of what its cache
 // key hashes. The content-addressed layers — the concretizer memo,
-// the buildcache, the engine run-cache, and benchlint's own
-// incremental cache — replay stored results whenever the key matches,
-// so any ambient state a keyed computation reads (wall clock, RNG,
-// environment, mutable globals) silently breaks byte-identical warm
-// replay: the cold run saw a value the key never captured.
+// the buildcache and the engine run-cache — replay stored results
+// whenever the key matches, so any ambient state a keyed computation
+// reads (wall clock, RNG, environment, mutable globals) silently
+// breaks byte-identical warm replay: the cold run saw a value the key
+// never captured.
 //
 // The check is taint-style and interprocedural through facts: the
 // fact computation marks every function with the classes of ambient
@@ -22,7 +22,7 @@ import (
 //
 //   - memoized roots — functions bracketing a compute with a
 //     cache/memo lookup and store (Memo.lookup/store,
-//     ExperimentCache.Get/Put, loadCacheEntry/storeCacheEntry).
+//     ExperimentCache.Get/Put).
 //     Calls reachable from the bracket must not read the clock, an
 //     unseeded RNG, or the process environment. Filesystem reads are
 //     allowed here: content-addressed keys legitimately hash file
@@ -35,8 +35,8 @@ import (
 //     entry as current.
 //
 // Fixture-provable false positives (a read whose value demonstrably
-// is the key material, like benchlint's cacheKey hashing the files it
-// opens) are suppressed in source with a justification.
+// is the key material, like a key hashing the files it opens) are
+// suppressed in source with a justification.
 var Purity = &Analyzer{
 	Name: "purity",
 	Doc:  "cachekey-keyed and memoized paths are pure functions of their keys: no clock, RNG, env, or unkeyed ambient reads",
@@ -174,8 +174,7 @@ func isKeyFunc(pass *Pass, fn *ast.FuncDecl) bool {
 // cache-like target (receiver type or function name mentioning
 // cache/memo/layer/store). This is how every caching layer in the
 // module brackets its compute: Memo.lookup/store around the
-// concretizer solve, ExperimentCache.Get/Put around Execute,
-// loadCacheEntry/storeCacheEntry around benchlint's package analysis.
+// concretizer solve, ExperimentCache.Get/Put around Execute.
 func isMemoBracket(pass *Pass, fn *ast.FuncDecl) bool {
 	var reads, writes bool
 	ast.Inspect(fn.Body, func(n ast.Node) bool {

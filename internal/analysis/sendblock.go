@@ -18,7 +18,7 @@ import (
 // the shutdown hang the federation plane's commit workers and
 // followers must never develop.
 //
-// The check is interprocedural through the §10 facts: a goroutine
+// The check is interprocedural through the §7 facts: a goroutine
 // whose entry function (or a callee reached from its body) carries
 // the BareSend bit is flagged at the spawn or call site. Receives are
 // deliberately out of scope: a blocked receive is the done-channel

@@ -13,7 +13,7 @@ import (
 // every trace export.
 //
 // The check is a row of the obligation table (obligation.go, DESIGN
-// §15): "Ended on every return path" is MustReachOnAllPaths from the
+// §7): "Ended on every return path" is MustReachOnAllPaths from the
 // StartSpan to function exit, which also sees an End in one switch arm
 // while another arm returns, and spans opened in nested blocks and
 // never closed anywhere.

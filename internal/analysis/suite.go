@@ -1,13 +1,12 @@
 package analysis
 
 // Suite returns benchlint's project-invariant analyzers, in the order
-// they are documented: the five intra-package rules the execution
-// engine's correctness rests on (DESIGN.md "Enforced invariants"),
-// the three interprocedural ones built on the fact system (DESIGN.md
-// §10), the cache-soundness tier that proves warm replays are pure
-// functions of their keys (DESIGN.md §12), and the CFG-backed
-// resource-leak tier guarding the federation plane's closers, cancel
-// funcs and worker sends (DESIGN.md §15).
+// they were added: the five intra-package rules the execution engine's
+// correctness rests on, the three interprocedural ones built on the
+// fact system, the cache-soundness tier that proves warm replays are
+// pure functions of their keys, and the CFG-backed resource-leak tier
+// guarding the federation plane's closers, cancel funcs and worker
+// sends. DESIGN.md §7 lists each with the bug it catches.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow, Determinism, StageErr, Locks, SpanEnd, LockOrder, GoroLeak, WalAck,

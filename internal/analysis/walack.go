@@ -14,7 +14,7 @@ import (
 // The check is interprocedural through facts: a write performed by a
 // helper (appendRecord) and a sync performed by another helper both
 // count, transitively. Path sensitivity comes from the CFG (DESIGN
-// §15): a nil return is flagged when any control-flow path carries a
+// §7): a nil return is flagged when any control-flow path carries a
 // write to it with no sync barrier in between — "the fsync dominates
 // the ack" — which catches branch shapes the old source-order scan
 // missed (a write arm and a sync arm of the same if, where source

@@ -206,21 +206,13 @@ func (gl *GitLab) Pipelines() []*Pipeline {
 	return append([]*Pipeline(nil), gl.pipelines...)
 }
 
-// RunPipeline reads .gitlab-ci.yml from the mirrored commit and
+// RunPipelineContext reads .gitlab-ci.yml from the mirrored commit and
 // executes its jobs stage by stage. Jacamar decides the execution
 // identity: the triggering user when they hold an account at the
-// runner's site, otherwise the approving admin (Section 3.3.2).
-// Cancellable callers use RunPipelineContext.
-//
-//benchlint:compat
-func (gl *GitLab) RunPipeline(sha, triggeredBy, approvedBy string) (*Pipeline, error) {
-	return gl.RunPipelineContext(context.Background(), sha, triggeredBy, approvedBy)
-}
-
-// RunPipelineContext is RunPipeline with cancellation: the context is
-// checked before each job dispatch and passed to every runner, so a
-// cancelled pipeline stops scheduling work and in-flight jobs can
-// abort. Jobs not yet dispatched are marked skipped.
+// runner's site, otherwise the approving admin (Section 3.3.2). The
+// context is checked before each job dispatch and passed to every
+// runner, so a cancelled pipeline stops scheduling work and in-flight
+// jobs can abort. Jobs not yet dispatched are marked skipped.
 func (gl *GitLab) RunPipelineContext(ctx context.Context, sha, triggeredBy, approvedBy string) (*Pipeline, error) {
 	content, ok := gl.Mirror.FileAt(sha, ".gitlab-ci.yml")
 	if !ok {

@@ -215,20 +215,12 @@ func ingestKey(jobName, label string, seq int, results []metricsdb.Result) (stri
 	return fmt.Sprintf("%s-%d-%x", jobName, seq, h.Sum(nil)[:8]), nil
 }
 
-// RunNightly executes the CI pipeline against the canonical main
-// branch — the "in service" stage of Section 1, where continuous
+// RunNightlyContext executes the CI pipeline against the canonical
+// main branch — the "in service" stage of Section 1, where continuous
 // benchmarking tracks system performance over time. Results accrue in
 // the shared metrics database; the caller can then run regression
-// detection over the series. Cancellable deployments use
-// RunNightlyContext.
-//
-//benchlint:compat
-func (a *Automation) RunNightly() (*ci.Pipeline, error) {
-	return a.RunNightlyContext(context.Background())
-}
-
-// RunNightlyContext is RunNightly with cancellation propagated
-// through the pipeline into the benchmark engine.
+// detection over the series. Cancellation propagates through the
+// pipeline into the benchmark engine.
 func (a *Automation) RunNightlyContext(ctx context.Context) (*ci.Pipeline, error) {
 	head, ok := a.GitHub.Canonical.Head("main")
 	if !ok || head == "" {
@@ -252,18 +244,10 @@ type ContributionResult struct {
 	Results  []metricsdb.Result
 }
 
-// SubmitContribution opens a PR from a contributor's fork, has an
-// admin approve it, syncs through Hubcast (running the pipelines on
-// the site runners), and merges on success. Cancellable deployments
-// use SubmitContributionContext.
-//
-//benchlint:compat
-func (a *Automation) SubmitContribution(author, title string, files map[string]string, approver string) (*ContributionResult, error) {
-	return a.SubmitContributionContext(context.Background(), author, title, files, approver)
-}
-
-// SubmitContributionContext is SubmitContribution with cancellation
-// propagated through Hubcast into the pipeline's benchmark runs.
+// SubmitContributionContext opens a PR from a contributor's fork, has
+// an admin approve it, syncs through Hubcast (running the pipelines on
+// the site runners), and merges on success. Cancellation propagates
+// through Hubcast into the pipeline's benchmark runs.
 func (a *Automation) SubmitContributionContext(ctx context.Context, author, title string, files map[string]string, approver string) (*ContributionResult, error) {
 	fork := a.GitHub.Fork(author + "/benchpark")
 	if _, err := fork.Commit("contribution", author, title, files); err != nil {

@@ -318,20 +318,6 @@ func (s *Session) RunAll() (*ramble.AnalysisReport, error) {
 	return rep, err
 }
 
-// RunAllBatched is RunAll with real batch-queue semantics: every
-// generated experiment is submitted to the system's scheduler from
-// its rendered batch script (so the Figure 13 #SBATCH/#BSUB/#flux
-// directives actually drive the allocation), the whole queue drains
-// as one simulation — experiments run concurrently when nodes allow —
-// and the analysis proceeds on the collected outputs. Cancellable
-// callers use Run directly with RunOptions.Batched.
-//
-//benchlint:compat
-func (s *Session) RunAllBatched() (*ramble.AnalysisReport, error) {
-	rep, _, err := s.Run(context.Background(), RunOptions{Batched: true})
-	return rep, err
-}
-
 // Run drives the session through the execution engine: setup →
 // install → concurrent execute → ordered commit → analyze. It returns
 // the ramble analysis, the engine's report (always non-nil — on

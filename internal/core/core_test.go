@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -264,7 +265,7 @@ func TestFigure6Automation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auto.SubmitContribution("jens", "add RIKEN results",
+	res, err := auto.SubmitContributionContext(context.Background(), "jens", "add RIKEN results",
 		map[string]string{"docs/riken.md": "notes"}, "olga")
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +389,7 @@ func TestRunAllBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAllBatched()
+	rep, _, err := sess.Run(context.Background(), RunOptions{Batched: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestRunAllBatchedDialects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sess.RunAllBatched()
+		rep, _, err := sess.Run(context.Background(), RunOptions{Batched: true})
 		if err != nil {
 			t.Fatalf("%s: %v", sysName, err)
 		}
@@ -586,7 +587,7 @@ func TestNightlyContinuousRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for night := 0; night < 2; night++ {
-		p, err := auto.RunNightly()
+		p, err := auto.RunNightlyContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -354,3 +354,41 @@ func TestFindDep(t *testing.T) {
 		t.Errorf("FindDep(nope) = %v", d)
 	}
 }
+
+// FuzzParse pins the byte boundary spec strings cross: one that Parse
+// accepts renders to a string Parse accepts again, and that rendering
+// is a fixed point — what a lockfile or a stored manifest holds
+// re-reads as itself.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		// README, examples and the paper's figures.
+		"amg2023+caliper",
+		"saxpy@1.0.0 +openmp ^cmake@3.23.1",
+		"mvapich2@2.3.7-gcc12.1.1-magic",
+		"intel-oneapi-mkl@2022.1.0",
+		"amg2023@1.0+caliper~debug build_type=Release %gcc@12.1.1 ^cmake@3.23.1 ^mpi",
+		"hypre@2.24:2.26,3: +mpi amdgpu_target=gfx90a,gfx908 arch=linux-rhel8-zen3 ^blas",
+		"-shared foo platform=linux target=x86_64",
+		// Versions constrained twice, the way depends_on meets a user's pin.
+		"hypre@2@2.24",
+		"hypre@2.24@2",
+		"x@1:2@2.4:3",
+		"@A@.",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		s, err := Parse(input)
+		if err != nil {
+			return
+		}
+		first := s.String()
+		again, err := Parse(first)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which does not re-parse: %v", input, first, err)
+		}
+		if second := again.String(); second != first {
+			t.Fatalf("Parse(%q) renders %q, which re-renders as %q", input, first, second)
+		}
+	})
+}

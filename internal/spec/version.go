@@ -170,20 +170,40 @@ func (r VersionRange) String() string {
 	return r.Lo.String() + ":" + r.Hi.String()
 }
 
+// inverted reports whether the bounds admit nothing: the lower bound
+// lies above the upper one and does not carry it as a prefix ("2.24:2"
+// is 2.24 and up within the 2 series; "3:2" is empty).
+func (r VersionRange) inverted() bool {
+	return !r.Lo.IsEmpty() && !r.Hi.IsEmpty() && r.Lo.Compare(r.Hi) > 0 && !r.Lo.HasPrefix(r.Hi)
+}
+
+// tighterHi reports whether upper bound a admits fewer versions than
+// upper bound b. An upper bound admits everything carrying it as a
+// prefix, so "2.24" is tighter than "2" although it compares greater.
+func tighterHi(a, b Version) bool {
+	if a.HasPrefix(b) || b.HasPrefix(a) {
+		return len(a.segs) > len(b.segs)
+	}
+	return a.Compare(b) < 0
+}
+
+// intersect returns the versions r and o share — the higher lower
+// bound, the tighter upper bound — and whether there are any.
+func (r VersionRange) intersect(o VersionRange) (VersionRange, bool) {
+	out := r
+	if !o.Lo.IsEmpty() && (out.Lo.IsEmpty() || o.Lo.Compare(out.Lo) > 0) {
+		out.Lo = o.Lo
+	}
+	if !o.Hi.IsEmpty() && (out.Hi.IsEmpty() || tighterHi(o.Hi, out.Hi)) {
+		out.Hi = o.Hi
+	}
+	return out, !out.inverted()
+}
+
 // Intersects reports whether two ranges share at least one version.
 func (r VersionRange) Intersects(o VersionRange) bool {
-	// lo = max(lo), hi = min(hi); nonempty if lo <= hi with prefix slack.
-	lo, hi := r.Lo, r.Hi
-	if !o.Lo.IsEmpty() && (lo.IsEmpty() || o.Lo.Compare(lo) > 0) {
-		lo = o.Lo
-	}
-	if !o.Hi.IsEmpty() && (hi.IsEmpty() || o.Hi.Compare(hi) < 0) {
-		hi = o.Hi
-	}
-	if lo.IsEmpty() || hi.IsEmpty() {
-		return true
-	}
-	return lo.Compare(hi) <= 0 || lo.HasPrefix(hi)
+	_, ok := r.intersect(o)
+	return ok
 }
 
 // subsetOf reports whether every version in r is also in o
@@ -227,12 +247,11 @@ func ParseVersionList(s string) (VersionList, error) {
 			return VersionList{}, fmt.Errorf("spec: empty version in list %q", s)
 		}
 		if i := strings.IndexByte(part, ':'); i >= 0 {
-			lo := NewVersion(part[:i])
-			hi := NewVersion(part[i+1:])
-			if !lo.IsEmpty() && !hi.IsEmpty() && lo.Compare(hi) > 0 {
+			r := VersionRange{Lo: NewVersion(part[:i]), Hi: NewVersion(part[i+1:])}
+			if r.inverted() {
 				return VersionList{}, fmt.Errorf("spec: inverted version range %q", part)
 			}
-			vl.Ranges = append(vl.Ranges, VersionRange{Lo: lo, Hi: hi})
+			vl.Ranges = append(vl.Ranges, r)
 		} else {
 			v := NewVersion(part)
 			vl.Ranges = append(vl.Ranges, VersionRange{Lo: v, Hi: v})
@@ -317,17 +336,9 @@ func (vl VersionList) Constrain(o VersionList) (VersionList, error) {
 	var out VersionList
 	for _, a := range vl.Ranges {
 		for _, b := range o.Ranges {
-			if !a.Intersects(b) {
-				continue
+			if both, ok := a.intersect(b); ok {
+				out.Ranges = append(out.Ranges, both)
 			}
-			lo, hi := a.Lo, a.Hi
-			if !b.Lo.IsEmpty() && (lo.IsEmpty() || b.Lo.Compare(lo) > 0) {
-				lo = b.Lo
-			}
-			if !b.Hi.IsEmpty() && (hi.IsEmpty() || b.Hi.Compare(hi) < 0) {
-				hi = b.Hi
-			}
-			out.Ranges = append(out.Ranges, VersionRange{Lo: lo, Hi: hi})
 		}
 	}
 	if out.Any() {

@@ -149,6 +149,32 @@ func TestVersionListConstrain(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(e, a) {
 		t.Errorf("constrain with any: %v %v", e, err)
 	}
+
+	// An upper bound admits what carries it as a prefix, so the tighter
+	// of "2" and "2.24" is "2.24" — and whatever Constrain returns must
+	// render to a list the parser takes back.
+	for _, c := range []struct{ a, b, want string }{
+		{"2", "2.24", "2.24"},
+		{"2.24", "2", "2.24"},
+		{"A", ".", "A"},
+		{"1:2", "2.4:3", "2.4:2"},
+	} {
+		a, _ := ParseVersionList(c.a)
+		b, _ := ParseVersionList(c.b)
+		got, err := a.Constrain(b)
+		if err != nil || got.String() != c.want {
+			t.Errorf("@%s constrained by @%s = %q, %v; want %q", c.a, c.b, got, err, c.want)
+			continue
+		}
+		if again, err := ParseVersionList(got.String()); err != nil || again.String() != c.want {
+			t.Errorf("@%s constrained by @%s renders %q, which re-parses as %q, %v", c.a, c.b, got, again, err)
+		}
+	}
+	x, _ := ParseVersionList("2.3:2")
+	y, _ := ParseVersionList("2.1:2.2")
+	if x.Intersects(y) {
+		t.Error("2.3:2 and 2.1:2.2 share no version")
+	}
 }
 
 func TestVersionListSatisfiedBy(t *testing.T) {

@@ -11,10 +11,7 @@
 //     the primary's across every query route;
 //   - any primary can be followed: a plain `serve` is a one-shard one;
 //   - a shard driven past its bounded queue answers 429 +
-//     Retry-After (typed ErrOverloaded) promptly — never a hang;
-//   - the recorded benchmark files (BENCH_resultstore.json,
-//     BENCH_benchlint.json) dogfood-push through the sharded service
-//     and are queryable back out.
+//     Retry-After (typed ErrOverloaded) promptly — never a hang.
 //
 // Like opssmoke it exercises the binary and flag plumbing; the
 // in-process federation tests already cover the handlers.
@@ -277,10 +274,6 @@ ingest:
 		"/v1/regressions?benchmark=fedbench-01&system=fedsys-001&fom=figure_of_merit")
 	fmt.Println("    follower reads are byte-identical to the primary")
 
-	// ---- Dogfood: push the recorded benchmark files through ---------
-	dogfoodBench(primary.base, "BENCH_resultstore.json", "BenchmarkWALAppend")
-	dogfoodBench(primary.base, "BENCH_benchlint.json", "BenchmarkSuiteModuleCached")
-
 	primary.stop()
 	follower.stop()
 
@@ -292,10 +285,19 @@ ingest:
 	}
 	plainFollower := startServe(bin, "--replica-of", plain.base, "--sync-interval", "25ms")
 	defer plainFollower.stop()
-	dogfoodBench(plain.base, "BENCH_resultstore.json", "BenchmarkWALAppend")
-	awaitQuietPass(plainFollower)
-	assertSameBytes(plain, plainFollower,
-		"/v1/systems", "/v1/series?benchmark=BenchmarkWALAppend&system=ci-smoke&fom=ns_per_op")
+	small := exec.Command(bin, "loadtest", plain.base, "--runners", "4", "--batches", "2", "--results", "5")
+	small.Stderr = os.Stderr
+	if err := small.Run(); err != nil {
+		fatalf("loadtest against the plain serve failed: %v", err)
+	}
+	if st := awaitQuietPass(plainFollower); len(st.Shards) != 1 || st.Shards[0].Results != 4*2*5 {
+		fatalf("plain follower mirrors %+v, want one shard of %d results", st.Shards, 4*2*5)
+	}
+	const plainSeries = "/v1/series?benchmark=fedbench-00&system=fedsys-000&fom=figure_of_merit"
+	if _, series := get(plain.base, plainSeries); !bytes.Contains(series, []byte(`"value"`)) {
+		fatalf("plain serve %s = %s, want the pushed samples", plainSeries, series)
+	}
+	assertSameBytes(plain, plainFollower, "/v1/systems", plainSeries)
 	fmt.Println("    a follower of a plain serve is byte-identical too")
 	plain.stop()
 	plainFollower.stop()
@@ -304,64 +306,6 @@ ingest:
 	overloadDrill(bin, tmp)
 
 	fmt.Println("    federation plane OK: sharded ingest, live follower reads, generation catch-up, byte-identical replicas of a sharded and a plain primary, 429 backpressure")
-}
-
-// dogfoodBench pushes one of the repo's recorded benchmark files
-// through a running service as ordinary results and queries a probe
-// benchmark back — the perf trajectory rides the same pipe as
-// everything else.
-func dogfoodBench(base, file, probe string) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		fatalf("reading %s: %v", file, err)
-	}
-	var bench struct {
-		Benchmarks map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		fatalf("%s: %v", file, err)
-	}
-	if len(bench.Benchmarks) == 0 {
-		fatalf("%s holds no benchmarks", file)
-	}
-	type result struct {
-		Benchmark string             `json:"benchmark"`
-		Workload  string             `json:"workload"`
-		System    string             `json:"system"`
-		FOMs      map[string]float64 `json:"foms"`
-	}
-	req := struct {
-		IngestKey string   `json:"ingest_key"`
-		Results   []result `json:"results"`
-	}{IngestKey: "fedsmoke-dogfood-" + file}
-	for name, b := range bench.Benchmarks {
-		req.Results = append(req.Results, result{
-			Benchmark: name,
-			Workload:  "microbench",
-			System:    "ci-smoke",
-			FOMs:      map[string]float64{"ns_per_op": b.NsPerOp},
-		})
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	resp, err := httpc.Post(base+"/v1/results", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		fatalf("dogfood push: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatalf("dogfood push = %d %s", resp.StatusCode, body)
-	}
-	code, series := get(base, "/v1/series?benchmark="+probe+"&system=ci-smoke&fom=ns_per_op")
-	if code != http.StatusOK || !bytes.Contains(series, []byte(`"value"`)) {
-		fatalf("dogfood query = %d %s, want the pushed %s sample back", code, series, probe)
-	}
-	fmt.Printf("    dogfood: %d benchmarks from %s pushed through the service and queried back\n", len(req.Results), file)
 }
 
 // overloadDrill boots a deliberately tiny topology (2 shards, queue
