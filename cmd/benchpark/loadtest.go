@@ -19,7 +19,7 @@ import (
 // at a resultsd endpoint (single-store, sharded primary, or — to
 // demonstrate the read-only contract — a replica) and report
 // throughput, latency percentiles and the overload/error taxonomy.
-// --out writes the report as BENCH_federation.json-style JSON.
+// --out writes the report as JSON.
 func loadtestCmd(args []string, opts *execOpts) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: benchpark loadtest <server-url> [--runners N] [--batches N] [--results N] [--key-prefix P] [--out FILE]")

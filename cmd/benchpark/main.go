@@ -342,13 +342,15 @@ func runSuite(suite, system, dir string, opts *execOpts) error {
 	if err != nil {
 		return err
 	}
-	ctx, err := opts.instrument(context.Background())
+	ctx, cancel := opts.context()
+	defer cancel()
+	ctx, err = opts.instrument(ctx)
 	if err != nil {
 		return err
 	}
 	bp.Cache.Instrument(opts.tracer.Metrics())
 	fmt.Printf("==> workspace %s for %s on %s (%d workers)\n", dir, suite, system, opts.jobs)
-	rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs, Timeout: opts.timeout})
+	rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
 	// The workspace is what the user asked for: keep it, a failed run's
 	// partial one included.
 	if serr := sess.Workspace.Save(); err == nil {
@@ -476,31 +478,12 @@ func ciDemo(opts *execOpts) error {
 	}
 	fmt.Printf("==> pipeline #%d: %s\n", res.Pipeline.ID, res.Pipeline.Status())
 	for _, j := range res.Pipeline.Jobs {
-		fmt.Printf("  job %-14s %-8s ran-as=%s\n%s\n", j.Name, j.Status, j.RunAs, indent(j.Log))
+		fmt.Printf("  job %-14s %-8s ran-as=%s\n", j.Name, j.Status, j.RunAs)
+		if j.Log != "" { // every log line, indented under its job
+			fmt.Println("      " + strings.ReplaceAll(strings.TrimSuffix(j.Log, "\n"), "\n", "\n      "))
+		}
+		fmt.Println()
 	}
 	fmt.Printf("==> PR state: %s; %d benchmark results recorded\n", res.PR.State, len(res.Results))
 	return nil
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "      " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -207,28 +204,17 @@ func serveCmd(args []string, opts *execOpts) error {
 
 // pushCmd implements `benchpark push <suite> <system> <server-url>`:
 // run the suite in a scratch workspace and push the engine report's
-// results to a resultsd endpoint through the same
-// metricsdb.ResultsFromReport bridge the CI pipelines use. The ingest
-// key is derived from the result content, so re-pushing an identical
-// run is a server-side no-op. Under --trace-out, the push itself is a
-// "push:cli" span in the run's trace, and the client propagates the
-// trace context to the server, so the stored results carry this run's
-// trace ID as provenance.
+// results to a resultsd endpoint through Session.Push, as the CI
+// pipelines do. The ingest key is derived from the result content
+// alone, so re-pushing an identical run is a server-side no-op. Under
+// --trace-out, the push itself is a "push:cli" span in the run's
+// trace, and the client propagates the trace context to the server, so
+// the stored results carry this run's trace ID as provenance.
 func pushCmd(args []string, opts *execOpts) (err error) {
 	if len(args) != 3 {
 		return fmt.Errorf("usage: benchpark push <suite> <system> <server-url>")
 	}
 	suite, system, serverURL := args[0], args[1], args[2]
-	dir, err := os.MkdirTemp("", "benchpark-push-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	bp := core.New()
-	sess, err := bp.Setup(suite, system, dir)
-	if err != nil {
-		return err
-	}
 	ctx, cancel := opts.context()
 	defer cancel()
 	ctx, err = opts.instrument(ctx)
@@ -242,41 +228,30 @@ func pushCmd(args []string, opts *execOpts) (err error) {
 			err = ferr
 		}
 	}()
-	rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs, Timeout: opts.timeout})
-	if err != nil {
-		return err
-	}
-	results := metricsdb.ResultsFromReport(erep, sess.Manifests(rep))
-	if len(results) == 0 {
-		return fmt.Errorf("push: %s on %s produced no publishable results (%d experiments, %d failed)",
-			suite, system, rep.Total, rep.Failed)
-	}
-	data, err := json.Marshal(results)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(data)
-	key := fmt.Sprintf("cli-%s-%s-%x", sess.Suite, system, sum[:8])
-	client := resultsd.NewClient(serverURL)
-	pctx, span := telemetry.StartSpan(ctx, "push:cli")
-	span.SetAttr("ingest_key", key)
-	span.SetInt("results", len(results))
-	resp, err := client.Push(pctx, key, results)
-	if err != nil {
-		span.SetError(err)
-		span.End()
-		return err
-	}
-	span.End()
-	if resp.Duplicate {
-		fmt.Printf("==> server already holds this batch (key %s); nothing pushed\n", key)
-	} else {
-		fmt.Printf("==> pushed %d results from %s@%s (key %s)\n", resp.Accepted, suite, system, key)
-	}
-	if rep.Failed > 0 {
-		fmt.Printf("==> note: %d of %d experiments failed and were not pushed\n", rep.Failed, rep.Total)
-	}
-	return nil
+	return core.New().WithScratchSession(suite, system, func(sess *core.Session) error {
+		rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
+		if err != nil {
+			return err
+		}
+		key, resp, err := sess.Push(ctx, resultsd.NewClient(serverURL), "cli",
+			"cli-"+sess.Suite+"-"+system, "", rep, erep)
+		if err != nil {
+			return err
+		}
+		switch {
+		case resp == nil:
+			return fmt.Errorf("push: %s on %s produced no publishable results (%d experiments, %d failed)",
+				suite, system, rep.Total, rep.Failed)
+		case resp.Duplicate:
+			fmt.Printf("==> server already holds this batch (key %s); nothing pushed\n", key)
+		default:
+			fmt.Printf("==> pushed %d results from %s@%s (key %s)\n", resp.Accepted, suite, system, key)
+		}
+		if rep.Failed > 0 {
+			fmt.Printf("==> note: %d of %d experiments failed and were not pushed\n", rep.Failed, rep.Total)
+		}
+		return nil
+	})
 }
 
 // historyCmd implements `benchpark history <server-url> <benchmark>

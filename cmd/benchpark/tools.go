@@ -103,18 +103,13 @@ func dashboardCmd(args []string) error {
 	fmt.Println("==> collecting results (saxpy + stream on cts1 and cloud-c5n)...")
 	for _, sysName := range []string{"cts1", "cloud-c5n"} {
 		for _, suite := range []string{"saxpy/openmp", "stream/triad"} {
-			dir, err := os.MkdirTemp("", "benchpark-dash-*")
+			err := bp.WithScratchSession(suite, sysName, func(sess *core.Session) error {
+				_, err := sess.RunAll()
+				return err
+			})
 			if err != nil {
 				return err
 			}
-			sess, err := bp.Setup(suite, sysName, dir)
-			if err != nil {
-				return err
-			}
-			if _, err := sess.RunAll(); err != nil {
-				return err
-			}
-			os.RemoveAll(dir)
 		}
 	}
 	fmt.Println()
@@ -166,30 +161,22 @@ func archiveCmd(args []string) error {
 	if len(args) != 3 {
 		return fmt.Errorf("usage: benchpark archive <suite> <system> <out.tar.gz>")
 	}
-	dir, err := os.MkdirTemp("", "benchpark-archive-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	bp := core.New()
-	sess, err := bp.Setup(args[0], args[1], dir)
-	if err != nil {
-		return err
-	}
-	rep, err := sess.RunAll()
-	if err != nil {
-		return err
-	}
-	if err := sess.Workspace.Archive(args[2]); err != nil {
-		return err
-	}
-	fi, err := os.Stat(args[2])
-	if err != nil {
-		return err
-	}
-	fmt.Printf("==> %d experiments (%d passed) archived to %s (%d bytes)\n",
-		rep.Total, rep.Succeeded, args[2], fi.Size())
-	return nil
+	return core.New().WithScratchSession(args[0], args[1], func(sess *core.Session) error {
+		rep, err := sess.RunAll()
+		if err != nil {
+			return err
+		}
+		if err := sess.Workspace.Archive(args[2]); err != nil {
+			return err
+		}
+		fi, err := os.Stat(args[2])
+		if err != nil {
+			return err
+		}
+		fmt.Printf("==> %d experiments (%d passed) archived to %s (%d bytes)\n",
+			rep.Total, rep.Succeeded, args[2], fi.Size())
+		return nil
+	})
 }
 
 // provisionCmd implements `benchpark provision <name> <instance-type>
@@ -212,24 +199,17 @@ func provisionCmd(args []string) error {
 		return err
 	}
 	fmt.Printf("==> provisioned %s: %s (detected %s)\n", sys.Name, sys.Description, arch.Name)
-	if len(args) == 4 {
-		dir, err := os.MkdirTemp("", "benchpark-cloud-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		bp := core.New()
-		sess, err := bp.Setup(args[3], sys.Name, dir)
-		if err != nil {
-			return err
-		}
+	if len(args) < 4 {
+		return nil
+	}
+	return core.New().WithScratchSession(args[3], sys.Name, func(sess *core.Session) error {
 		rep, err := sess.RunAll()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("==> %s on %s: %d/%d experiments passed\n", args[3], sys.Name, rep.Succeeded, rep.Total)
-	}
-	return nil
+		return nil
+	})
 }
 
 // reportCmd implements `benchpark report [out.md] [-full]`: rerun the

@@ -3,6 +3,7 @@ package ci
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -118,7 +119,7 @@ func ParseCIConfig(src string) ([]string, []*CIJob, error) {
 		if len(job.Script) == 0 {
 			return nil, nil, fmt.Errorf("ci: job %q has no script", key)
 		}
-		if !contains(stages, job.Stage) {
+		if !slices.Contains(stages, job.Stage) {
 			return nil, nil, fmt.Errorf("ci: job %q uses undeclared stage %q", key, job.Stage)
 		}
 		jobs = append(jobs, job)
@@ -127,15 +128,6 @@ func ParseCIConfig(src string) ([]string, []*CIJob, error) {
 		return nil, nil, fmt.Errorf("ci: .gitlab-ci.yml declares no jobs")
 	}
 	return stages, jobs, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // JobExecutor runs one job's script and returns its log output.
@@ -155,7 +147,7 @@ type Runner struct {
 
 func (r *Runner) accepts(job *CIJob) bool {
 	for _, tag := range job.Tags {
-		if !contains(r.Tags, tag) {
+		if !slices.Contains(r.Tags, tag) {
 			return false
 		}
 	}
@@ -391,7 +383,7 @@ func (h *Hubcast) SyncContext(ctx context.Context, prID int) (*Pipeline, error) 
 			return nil, err
 		}
 		for _, p := range changed {
-			if contains(h.Criteria.ProtectedPaths, p) {
+			if slices.Contains(h.Criteria.ProtectedPaths, p) {
 				return nil, fmt.Errorf("hubcast: PR #%d modifies protected path %q (changed: %s)",
 					prID, p, joinPaths(changed))
 			}

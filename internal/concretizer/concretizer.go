@@ -2,6 +2,7 @@ package concretizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/archspec"
@@ -253,7 +254,7 @@ func (sv *solve) resolve(constraint *spec.Spec) (*spec.Spec, error) {
 		}
 		if len(vdef.Values) > 0 && !vv.IsBool {
 			for _, val := range vv.Values {
-				if !contains(vdef.Values, val) {
+				if !slices.Contains(vdef.Values, val) {
 					return nil, fmt.Errorf("package %s variant %s: invalid value %q (allowed: %v)",
 						name, vname, val, vdef.Values)
 				}
@@ -489,13 +490,4 @@ func (sv *solve) tryExternal(pkg *pkgrepo.Package, constraint *spec.Spec) (*spec
 		return node, true, nil
 	}
 	return nil, false, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

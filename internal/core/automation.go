@@ -2,19 +2,16 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cachekey"
 	"repro/internal/ci"
 	"repro/internal/engine"
 	"repro/internal/metricsdb"
-	"repro/internal/ramble"
 	"repro/internal/resultsd"
 	"repro/internal/telemetry"
 )
@@ -64,8 +61,7 @@ type Automation struct {
 	// store did not do its continuous-benchmarking duty.
 	Results *resultsd.Client
 
-	pushMu  sync.Mutex
-	pushSeq int
+	pushSeq atomic.Int64 // pushes attempted, a component of each ingest key
 }
 
 // NewAutomation assembles a deployment with runners at LLNL and AWS.
@@ -157,7 +153,15 @@ func (a *Automation) jobExecutor(workDir string) ci.JobExecutor {
 				return buf.String(), &ExperimentFailuresError{Report: erep}
 			}
 			if a.Results != nil {
-				resp, err := a.pushResults(ctx, job.Name, sess, rep, erep)
+				// The key hashes the job identity, the result content and a
+				// per-deployment push sequence: a client-level retry reuses
+				// it (idempotent), while the next pipeline over the same
+				// deterministic benchmarks mints a fresh one, so nightly
+				// series actually accrue.
+				seq := a.pushSeq.Add(1)
+				_, resp, err := sess.Push(ctx, a.Results, job.Name,
+					fmt.Sprintf("%s-%d", job.Name, seq),
+					fmt.Sprintf("%s|%s|%d|", job.Name, erep.Label, seq), rep, erep)
 				if err != nil {
 					log.Error("results push failed", "error", err.Error())
 					return buf.String(), err
@@ -169,50 +173,6 @@ func (a *Automation) jobExecutor(workDir string) ci.JobExecutor {
 		}
 		return buf.String(), nil
 	}
-}
-
-// pushResults ships one job's engine report to the configured
-// results service through the metricsdb bridge, under a "push"
-// telemetry span. The ingest key hashes the job identity, the result
-// content, and a per-deployment push sequence: a client-level retry
-// reuses the key (idempotent), while the next pipeline over the same
-// deterministic benchmarks mints a fresh one, so nightly series
-// actually accrue.
-func (a *Automation) pushResults(ctx context.Context, jobName string, sess *Session, rep *ramble.AnalysisReport, erep *engine.Report) (*resultsd.IngestResponse, error) {
-	results := metricsdb.ResultsFromReport(erep, sess.Manifests(rep))
-	if len(results) == 0 {
-		return nil, nil
-	}
-	a.pushMu.Lock()
-	a.pushSeq++
-	seq := a.pushSeq
-	a.pushMu.Unlock()
-	key, err := ingestKey(jobName, erep.Label, seq, results)
-	if err != nil {
-		return nil, err
-	}
-	ctx, span := telemetry.StartSpan(ctx, "push:"+jobName)
-	defer span.End()
-	span.SetAttr("ingest_key", key)
-	span.SetInt("results", len(results))
-	resp, err := a.Results.Push(ctx, key, results)
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	return resp, nil
-}
-
-// ingestKey derives the deterministic idempotency key for one push.
-func ingestKey(jobName, label string, seq int, results []metricsdb.Result) (string, error) {
-	data, err := json.Marshal(results)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|", jobName, label, seq) //nolint:errcheck
-	h.Write(data)                                    //nolint:errcheck
-	return fmt.Sprintf("%s-%d-%x", jobName, seq, h.Sum(nil)[:8]), nil
 }
 
 // RunNightlyContext executes the CI pipeline against the canonical

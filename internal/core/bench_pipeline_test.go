@@ -37,8 +37,8 @@ func BenchmarkSessionColdRun(b *testing.B) {
 
 // BenchmarkSessionWarmRun is the same session over a primed shared
 // store: concretization, binaries, and every experiment outcome
-// replay from the cache. The BENCH_pipeline.json baseline records the
-// warm-vs-cold ratio from this pair.
+// replay from the cache. sysbench's loop_cold and loop_warm workloads
+// are this pair with the push and the regression question behind it.
 func BenchmarkSessionWarmRun(b *testing.B) {
 	st, err := cachekey.Open(b.TempDir())
 	if err != nil {

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/adiak"
 	"repro/internal/bench"
@@ -68,6 +70,8 @@ type Session struct {
 	Scheduler *scheduler.Scheduler
 	Thicket   *thicket.Thicket
 	Lockfiles map[string]*env.Lockfile // software env name -> lockfile
+
+	manifests map[string]string // experiment name -> manifest, rendered by record
 }
 
 // Setup implements Figure 1c steps 1-4: create the workspace, write
@@ -98,10 +102,6 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	inst := install.New(bp.Repo)
-	inst.Cache = bp.Cache
-	inst.PushToCache = true
-
 	ws, err := ramble.NewWorkspace(suite+"@"+systemName, workspaceDir)
 	if err != nil {
 		return nil, err
@@ -112,8 +112,16 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 	if err := ws.Configure(rambleYAML); err != nil {
 		return nil, err
 	}
+	return newSession(bp, sys, suite, cfg, ws), nil
+}
 
-	s := &Session{
+// newSession binds a configured workspace to a system, with a fresh
+// installer, scheduler and thicket.
+func newSession(bp *Benchpark, sys *hpcsim.System, suite string, cfg *concretizer.Config, ws *ramble.Workspace) *Session {
+	inst := install.New(bp.Repo)
+	inst.Cache = bp.Cache
+	inst.PushToCache = true
+	return &Session{
 		Benchpark: bp,
 		System:    sys,
 		Suite:     suite,
@@ -124,7 +132,23 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 		Thicket:   thicket.New(),
 		Lockfiles: map[string]*env.Lockfile{},
 	}
-	return s, nil
+}
+
+// WithScratchSession sets up a session whose workspace nobody keeps —
+// the caller wants the results, an archive or the metrics, not the
+// tree — over a fresh temp directory, hands it to fn, and removes the
+// directory whatever Setup or fn returned.
+func (bp *Benchpark) WithScratchSession(suite, systemName string, fn func(*Session) error) error {
+	dir, err := os.MkdirTemp("", "benchpark-scratch-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	sess, err := bp.Setup(suite, systemName, dir)
+	if err != nil {
+		return err
+	}
+	return fn(sess)
 }
 
 // installSoftwareContext is the Ramble→Spack hook (Figure 1c step 6):
@@ -165,54 +189,56 @@ func (s *Session) installSoftwareContext(ctx context.Context, envName string, sp
 	return nil
 }
 
-// Executor turns a generated experiment into a batch job running the
-// actual benchmark kernel on the simulated system (steps 7-8) — the
-// ramble.Executor of drivers that call Workspace.On themselves (the
-// ramble CLI); Run goes through the engine instead.
-func (s *Session) Executor(e *ramble.Experiment) (string, float64, error) {
+// execute runs e's benchmark kernel over its rendered variables
+// (expandedVars). A kernel is a pure function of its parameters — the
+// simulated clock is per-run — so the engine's workers call this
+// concurrently.
+func (s *Session) execute(e *ramble.Experiment, vars map[string]string) (*bench.Output, error) {
 	b, err := bench.Get(e.App.Name)
 	if err != nil {
-		return "", 0, err
+		return nil, err
 	}
-	params := bench.Params{
+	return b.Run(bench.Params{
 		System:       s.System,
 		Ranks:        e.NRanks,
 		RanksPerNode: e.ProcsPerNode,
 		Threads:      e.NThreads,
-		Variant:      rawVar(e, "variant"),
-		Vars:         expandedVars(e),
-	}
-	var out *bench.Output
-	limitMin := 60.0
-	if t, err := e.Expander.Expand("{batch_time}"); err == nil {
-		fmt.Sscanf(t, "%f", &limitMin) //nolint:errcheck
-	}
-	job, err := s.Scheduler.Submit(e.Name, e.NNodes, limitMin*60, func() (float64, error) {
-		var rerr error
-		out, rerr = b.Run(params)
+		Variant:      vars["variant"],
+		Vars:         vars,
+	})
+}
+
+// submit puts one executed experiment through the system's batch
+// scheduler (steps 7-8): a job of the experiment's node count and
+// batch_time whose payload reports the kernel's outcome, drained to
+// completion. A job that did not complete fails the experiment; one
+// that did settles it — outcome on the experiment, Caliper profile +
+// Adiak metadata into the session thicket, and the .cali (the file
+// always-on profiling leaves behind, Section 5) and .out next to its
+// batch script. The returned error is the scheduler's own, not the
+// experiment's.
+func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.Output, rerr error) error {
+	job, err := s.Scheduler.Submit(e.Name, e.NNodes, e.BatchTime*60, func() (float64, error) {
 		if rerr != nil {
 			return 0, rerr
 		}
 		return out.Elapsed, nil
 	})
 	if err != nil {
-		return "", 0, err
+		return err
 	}
-	if err := s.Scheduler.Drain(); err != nil {
-		return "", 0, err
+	if err := s.Scheduler.DrainContext(ctx); err != nil {
+		return err
 	}
-	if job.State != scheduler.Completed {
-		return "", 0, job.Err
+	if job.State != scheduler.Completed || out == nil {
+		e.Status = ramble.Failed
+		if job.Err != nil {
+			e.FailMsg = job.Err.Error()
+		} else {
+			e.FailMsg = "job " + job.State.String()
+		}
+		return nil
 	}
-	s.settle(e, out)
-	return out.Text, out.Elapsed, nil
-}
-
-// settle records one experiment that ran to completion: its outcome
-// on the experiment, Caliper profile + Adiak metadata into the session
-// thicket, and the .cali (the file always-on profiling leaves behind,
-// Section 5) and .out next to its batch script.
-func (s *Session) settle(e *ramble.Experiment, out *bench.Output) {
 	e.Output = out.Text
 	e.Elapsed = out.Elapsed
 	e.Status = ramble.Succeeded
@@ -224,30 +250,33 @@ func (s *Session) settle(e *ramble.Experiment, out *bench.Output) {
 		s.Workspace.WriteOutput(e, ".cali", cali)
 	}
 	s.Workspace.WriteOutput(e, ".out", out.Text)
+	return nil
+}
+
+// Executor is the session as a ramble.Executor, for drivers that call
+// Workspace.On themselves (the ramble CLI): each experiment is
+// executed and submitted exactly as Run does it, one at a time.
+//
+//benchlint:compat
+func (s *Session) Executor(e *ramble.Experiment) (string, float64, error) {
+	out, err := s.execute(e, expandedVars(e))
+	if err := s.submit(context.Background(), e, out, err); err != nil {
+		return "", 0, err
+	}
+	if e.Status == ramble.Failed {
+		return "", 0, errors.New(e.FailMsg)
+	}
+	return out.Text, out.Elapsed, nil
 }
 
 // NewSessionForWorkspace binds an already-configured workspace (e.g.
-// one reopened from disk by the ramble CLI) to a system, giving it a
-// fresh concretizer, installer and scheduler.
+// one reopened from disk by the ramble CLI) to a system.
 func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Workspace) (*Session, error) {
 	cfg, err := ConcretizerConfig(sys)
 	if err != nil {
 		return nil, err
 	}
-	inst := install.New(bp.Repo)
-	inst.Cache = bp.Cache
-	inst.PushToCache = true
-	return &Session{
-		Benchpark: bp,
-		System:    sys,
-		Suite:     ws.Name,
-		Config:    cfg,
-		Installer: inst,
-		Workspace: ws,
-		Scheduler: scheduler.New(sys),
-		Thicket:   thicket.New(),
-		Lockfiles: map[string]*env.Lockfile{},
-	}, nil
+	return newSession(bp, sys, ws.Name, cfg, ws), nil
 }
 
 // InstallSoftware is the exported Ramble→Spack hook for external
@@ -257,18 +286,6 @@ func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Worksp
 //benchlint:compat
 func (s *Session) InstallSoftware(envName string, specs []string) error {
 	return s.installSoftwareContext(context.Background(), envName, specs)
-}
-
-// rawVar fetches a variable's expanded value, "" when absent.
-func rawVar(e *ramble.Experiment, name string) string {
-	if _, ok := e.Expander.Get(name); !ok {
-		return ""
-	}
-	v, err := e.Expander.Expand("{" + name + "}")
-	if err != nil {
-		return ""
-	}
-	return v
 }
 
 // expandedVars renders every experiment variable to its final value
@@ -284,23 +301,10 @@ func expandedVars(e *ramble.Experiment) map[string]string {
 	return out
 }
 
-// RunOptions configures one Session.Run: worker-pool width and
-// overall deadline for the engine, and whether experiments go through
-// the per-experiment scheduler loop or one batched queue drain.
+// RunOptions configures one Session.Run.
 type RunOptions struct {
 	// Jobs bounds the engine worker pool; <=0 means runtime.NumCPU().
 	Jobs int
-	// Timeout, when positive, caps the whole run.
-	Timeout time.Duration
-	// Batched submits every experiment's rendered batch script up
-	// front and drains the queue as one simulation (Figure 13
-	// semantics) instead of one submit+drain per experiment.
-	Batched bool
-	// Cache overrides the engine's run cache for this run. When nil,
-	// the session falls back to the Benchpark store's "run" layer
-	// (Benchpark.UseCache); when the store is nil too, experiment
-	// replay is off.
-	Cache engine.ExperimentCache
 }
 
 // RunAll executes the full Figure 1c workflow after Setup: workspace
@@ -319,8 +323,10 @@ func (s *Session) RunAll() (*ramble.AnalysisReport, error) {
 }
 
 // Run drives the session through the execution engine: setup →
-// install → concurrent execute → ordered commit → analyze. It returns
-// the ramble analysis, the engine's report (always non-nil — on
+// install → concurrent execute → ordered commit → analyze, replaying
+// unchanged experiments from the deployment store's "run" layer when
+// there is one (Benchpark.UseCache). A deadline is the context's. Run
+// returns the ramble analysis, the engine's report (always non-nil — on
 // cancellation or a stage failure it records how far the matrix got),
 // and the terminal error if the run did not complete. Individual
 // experiment failures do not fail the run; they appear as failed
@@ -331,14 +337,14 @@ func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport
 	span.SetAttr("suite", s.Suite)
 	span.SetAttr("system", s.System.Name)
 	telemetry.Log(ctx).Info("session start", "suite", s.Suite, "system", s.System.Name)
-	r := &sessionRunner{s: s, batched: o.Batched}
-	cache := o.Cache
-	if cache == nil && s.Benchpark.Store != nil {
-		cache = s.Benchpark.Store.Layer("run")
+	r := &sessionRunner{s: s}
+	eopts := engine.Options{Jobs: o.Jobs}
+	if s.Benchpark.Store != nil {
+		eopts.Cache = s.Benchpark.Store.Layer("run")
 	}
 	memoBefore := s.Benchpark.Memo.Stats()
 	bcHits, bcMisses, _ := s.Benchpark.Cache.Stats()
-	erep, err := engine.Run(ctx, r, engine.Options{Jobs: o.Jobs, Timeout: o.Timeout, Cache: cache})
+	erep, err := engine.Run(ctx, r, eopts)
 	s.appendCacheStats(ctx, erep, memoBefore, bcHits, bcMisses)
 	span.SetError(err)
 	span.End()
@@ -348,23 +354,20 @@ func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport
 }
 
 // sessionRunner adapts a Session to the engine's Runner interface.
-// Execute runs the benchmark kernels concurrently (they are pure
-// functions of their parameters — the simulated clock is per-run);
-// every shared side effect (scheduler submission, thicket, metrics
-// database, files) happens in the sequential Commit/Analyze stages,
-// in experiment index order, so a concurrent run is byte-identical to
-// a sequential one.
+// Execute runs the benchmark kernels concurrently; every shared side
+// effect (scheduler submission, thicket, metrics database, files)
+// happens in the sequential Commit/Analyze stages, in experiment index
+// order, so a concurrent run is byte-identical to a sequential one.
 type sessionRunner struct {
-	s       *Session
-	batched bool
+	s *Session
 
 	exps     []*ramble.Experiment
 	vars     []map[string]string // per-experiment rendered variables, see expanded
 	outs     []*bench.Output     // per-experiment kernel output
 	errs     []error             // per-experiment kernel error
-	jobs     []*scheduler.Job    // batched mode: submitted jobs
 	analysis *ramble.AnalysisReport
-	locks    sync.Map // environment name -> lockfile JSON, see lockJSON
+	results  []engine.ExperimentResult // what Analyze recorded, see Session.record
+	locks    sync.Map                  // environment name -> lockfile JSON, see lockJSON
 }
 
 func (r *sessionRunner) Label() string {
@@ -381,7 +384,6 @@ func (r *sessionRunner) Setup(ctx context.Context) error {
 	r.vars = make([]map[string]string, len(r.exps))
 	r.outs = make([]*bench.Output, len(r.exps))
 	r.errs = make([]error, len(r.exps))
-	r.jobs = make([]*scheduler.Job, len(r.exps))
 	return nil
 }
 
@@ -418,21 +420,7 @@ func (r *sessionRunner) Experiments() []string {
 // experiment's slots — no scheduler, no files — so the engine may run
 // it concurrently with its siblings.
 func (r *sessionRunner) Execute(ctx context.Context, i int) error {
-	e := r.exps[i]
-	b, err := bench.Get(e.App.Name)
-	if err != nil {
-		r.errs[i] = err
-		return err
-	}
-	params := bench.Params{
-		System:       r.s.System,
-		Ranks:        e.NRanks,
-		RanksPerNode: e.ProcsPerNode,
-		Threads:      e.NThreads,
-		Variant:      rawVar(e, "variant"),
-		Vars:         r.expanded(i),
-	}
-	r.outs[i], r.errs[i] = b.Run(params)
+	r.outs[i], r.errs[i] = r.s.execute(r.exps[i], r.expanded(i))
 	return r.errs[i]
 }
 
@@ -446,164 +434,51 @@ func (r *sessionRunner) expanded(i int) map[string]string {
 	return r.vars[i]
 }
 
-// Commit records one executed experiment, in index order. In serial
-// mode it submits and drains the experiment's batch job (steps 7-8);
-// in batched mode it only submits — the single queue drain happens in
-// Analyze, after every script is queued.
+// Commit submits one executed (or replayed) experiment, in index
+// order.
 func (r *sessionRunner) Commit(ctx context.Context, i int) error {
-	e := r.exps[i]
-	out, rerr := r.outs[i], r.errs[i]
-	payload := func() (float64, error) {
-		if rerr != nil {
-			return 0, rerr
-		}
-		return out.Elapsed, nil
-	}
-
-	if r.batched {
-		job, err := r.s.Scheduler.SubmitScript(e.Name, e.Script, payload)
-		if err != nil {
-			return err
-		}
-		r.jobs[i] = job
-		return nil
-	}
-
-	limitMin := 60.0
-	if t, err := e.Expander.Expand("{batch_time}"); err == nil {
-		fmt.Sscanf(t, "%f", &limitMin) //nolint:errcheck
-	}
-	job, err := r.s.Scheduler.Submit(e.Name, e.NNodes, limitMin*60, payload)
-	if err != nil {
-		return err
-	}
-	if err := r.s.Scheduler.DrainContext(ctx); err != nil {
-		return err
-	}
-	r.recordJob(e, job, out)
-	return nil
-}
-
-// recordJob settles one experiment from its finished batch job.
-func (r *sessionRunner) recordJob(e *ramble.Experiment, job *scheduler.Job, out *bench.Output) {
-	if job.State != scheduler.Completed || out == nil {
-		e.Status = ramble.Failed
-		if job.Err != nil {
-			e.FailMsg = job.Err.Error()
-		} else {
-			e.FailMsg = "job " + job.State.String()
-		}
-		return
-	}
-	r.s.settle(e, out)
+	return r.s.submit(ctx, r.exps[i], r.outs[i], r.errs[i])
 }
 
 func (r *sessionRunner) Analyze(ctx context.Context) error {
-	if r.batched {
-		// One drain for the whole queue: jobs overlap when nodes allow.
-		if err := r.s.Scheduler.DrainContext(ctx); err != nil {
-			return err
-		}
-		for i, e := range r.exps {
-			if r.jobs[i] == nil {
-				continue // commit never ran (cancelled before queueing)
-			}
-			r.recordJob(e, r.jobs[i], r.outs[i])
-		}
-	}
 	rep, err := r.s.Workspace.Analyze()
 	if err != nil {
 		return err
 	}
-	if err := r.s.writeResultsArtifact(rep); err != nil {
+	if r.results, err = r.s.record(rep); err != nil {
 		return err
 	}
-	r.s.recordMetrics(rep, !r.batched)
 	r.analysis = rep
 	return nil
 }
 
-// Results implements engine.ResultReporter: after a successful
-// analysis, the runner publishes every succeeded experiment's FOMs
-// with the same identity coordinates recordMetrics writes to the
-// local database. The engine attaches the slice to Report.Results,
-// which is what the federation path (metricsdb.ResultsFromReport →
-// resultsd) pushes to a shared results service.
-func (r *sessionRunner) Results() []engine.ExperimentResult {
-	if r.analysis == nil {
+// Results implements engine.ResultReporter: the records Analyze made,
+// which the engine attaches to Report.Results — what the federation
+// path (metricsdb.ResultsFromReport → resultsd) pushes to a shared
+// results service.
+func (r *sessionRunner) Results() []engine.ExperimentResult { return r.results }
+
+// Manifests returns the reproducibility manifest of every experiment
+// in the analysis Run returned, keyed by experiment name, as Run
+// rendered them — the map metricsdb.ResultsFromReport attaches to
+// pushed results so a remote store carries the same provenance as the
+// local one. A nil analysis has none.
+func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
+	if rep == nil {
 		return nil
 	}
-	var out []engine.ExperimentResult
-	for _, e := range r.analysis.Experiments {
-		if e.Status != ramble.Succeeded {
-			continue
-		}
-		meta := map[string]string{
-			"n_ranks": fmt.Sprintf("%d", e.NRanks),
-			"n_nodes": fmt.Sprintf("%d", e.NNodes),
-		}
-		if !r.batched {
-			meta["n_threads"] = fmt.Sprintf("%d", e.NThreads)
-		}
-		out = append(out, engine.ExperimentResult{
-			Experiment: e.Name,
-			Benchmark:  e.App.Name,
-			Workload:   e.Workload,
-			System:     r.s.System.Name,
-			FOMs:       e.FOMs,
-			Meta:       meta,
-		})
-	}
-	return out
+	return s.manifests
 }
 
-// Manifests renders the reproducibility manifest of every experiment
-// in an analysis, keyed by experiment name — the map
-// metricsdb.ResultsFromReport attaches to pushed results so a remote
-// store carries the same provenance as the local one.
-func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
-	out := map[string]string{}
-	if rep == nil {
-		return out
-	}
-	for _, e := range rep.Experiments {
-		out[e.Name] = s.manifest(e)
-	}
-	return out
-}
-
-// recordMetrics streams succeeded experiments into the shared metrics
-// database. The batched path historically omits the n_threads
-// dimension (batch scripts do not pin threads); includeThreads keeps
-// that distinction.
-func (s *Session) recordMetrics(rep *ramble.AnalysisReport, includeThreads bool) {
-	for _, e := range rep.Experiments {
-		if e.Status != ramble.Succeeded {
-			continue
-		}
-		meta := map[string]string{
-			"n_ranks": fmt.Sprintf("%d", e.NRanks),
-			"n_nodes": fmt.Sprintf("%d", e.NNodes),
-		}
-		if includeThreads {
-			meta["n_threads"] = fmt.Sprintf("%d", e.NThreads)
-		}
-		s.Benchpark.Metrics.Add(metricsdb.Result{
-			Benchmark:  e.App.Name,
-			Workload:   e.Workload,
-			System:     s.System.Name,
-			Experiment: e.Name,
-			FOMs:       metricsdb.ParseFOMs(e.FOMs),
-			Meta:       meta,
-			Manifest:   s.manifest(e),
-		})
-	}
-}
-
-// writeResultsArtifact stores the analysis as logs/results.json —
-// the shareable record Section 5 wants contributors to publish
-// alongside the manifests.
-func (s *Session) writeResultsArtifact(rep *ramble.AnalysisReport) error {
+// record is what one analysis leaves behind. Every experiment's
+// manifest is rendered once (kept for Manifests) and goes with its
+// status into logs/results.json — the shareable record Section 5 wants
+// contributors to publish alongside the manifests. Every succeeded
+// experiment becomes one identity + Meta record that is streamed into
+// the deployment's metrics database and returned for the engine
+// report, so the local database, the artifact and a pushed batch
+// cannot disagree.
+func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult, error) {
 	type entry struct {
 		Experiment string            `json:"experiment"`
 		Status     string            `json:"status"`
@@ -613,14 +488,33 @@ func (s *Session) writeResultsArtifact(rep *ramble.AnalysisReport) error {
 		Manifest   string            `json:"manifest"`
 	}
 	var entries []entry
+	var results []engine.ExperimentResult
+	s.manifests = make(map[string]string, len(rep.Experiments))
 	for _, e := range rep.Experiments {
+		m := s.manifest(e)
+		s.manifests[e.Name] = m
 		entries = append(entries, entry{
 			Experiment: e.Name,
 			Status:     e.Status.String(),
 			Elapsed:    e.Elapsed,
 			FOMs:       e.FOMs,
 			Error:      e.FailMsg,
-			Manifest:   s.manifest(e),
+			Manifest:   m,
+		})
+		if e.Status != ramble.Succeeded {
+			continue
+		}
+		results = append(results, engine.ExperimentResult{
+			Experiment: e.Name,
+			Benchmark:  e.App.Name,
+			Workload:   e.Workload,
+			System:     s.System.Name,
+			FOMs:       e.FOMs,
+			Meta: map[string]string{
+				"n_ranks":   strconv.Itoa(e.NRanks),
+				"n_nodes":   strconv.Itoa(e.NNodes),
+				"n_threads": strconv.Itoa(e.NThreads),
+			},
 		})
 	}
 	data, err := json.MarshalIndent(map[string]any{
@@ -632,10 +526,21 @@ func (s *Session) writeResultsArtifact(rep *ramble.AnalysisReport) error {
 		"results": entries,
 	}, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.Workspace.WriteLog("results.json", data)
-	return nil
+	for _, r := range results {
+		s.Benchpark.Metrics.Add(metricsdb.Result{
+			Benchmark:  r.Benchmark,
+			Workload:   r.Workload,
+			System:     r.System,
+			Experiment: r.Experiment,
+			FOMs:       metricsdb.ParseFOMs(r.FOMs),
+			Meta:       r.Meta,
+			Manifest:   s.manifests[r.Experiment],
+		})
+	}
+	return results, nil
 }
 
 // manifest renders the exact experiment specification (Section 5:

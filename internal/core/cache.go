@@ -69,10 +69,10 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 // one experiment's execution covers everything that can change its
 // outcome — the suite and system coordinates, the experiment's
 // rendered variables, environment, modifiers and batch script, its
-// execution geometry, the run mode, and the lockfile of its software
-// environment (so a dependency bump re-executes even when the
-// experiment text is unchanged). cachekey.Hash folds in the schema
-// and toolchain versions on top.
+// execution geometry, and the lockfile of its software environment
+// (so a dependency bump re-executes even when the experiment text is
+// unchanged). cachekey.Hash folds in the schema and toolchain versions
+// on top.
 //
 // The workspace root is normalized out of every rendered value: batch
 // scripts and expanded variables legitimately embed the workspace
@@ -101,7 +101,6 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		Experiment string
 		App        string
 		Workload   string
-		Batched    bool
 		Vars       map[string]string
 		Env        map[string]string
 		Modifiers  []string
@@ -117,7 +116,6 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		Experiment: e.Name,
 		App:        e.App.Name,
 		Workload:   e.Workload,
-		Batched:    r.batched,
 		Vars:       normMap(r.expanded(i)),
 		Env:        normMap(e.Env),
 		Modifiers:  e.Modifiers,

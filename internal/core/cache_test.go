@@ -42,15 +42,15 @@ func TestWarmSessionRunReplaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the run layer is shared: a shared buildcache would
-	// legitimately change the install spans of the warm run, and this
-	// test pins span identity.
-	runLayer := st.Layer("run")
+	// Only the run layer is shared (bp.Store, not UseCache): a shared
+	// buildcache would legitimately change the install spans of the warm
+	// run, and this test pins span identity.
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	runOnce := func() (results string, trace *telemetry.Trace, traceJSON string, erep *engine.Report) {
 		t.Helper()
 		bp := New()
+		bp.Store = st
 		tr := telemetry.New(telemetry.FixedClock{T: epoch})
 		bp.Cache.Instrument(tr.Metrics())
 		ctx := telemetry.WithTracer(context.Background(), tr)
@@ -59,7 +59,7 @@ func TestWarmSessionRunReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, erep, err = sess.Run(ctx, RunOptions{Jobs: 8, Cache: runLayer})
+		_, erep, err = sess.Run(ctx, RunOptions{Jobs: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,12 +231,12 @@ func TestWarmRunReExecutesOnlyTheEditedExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runLayer := st.Layer("run")
 	run := func(mediumN string) *engine.Report {
 		t.Helper()
 		bp := New()
+		bp.Store = st
 		sess := deltaSession(t, bp, mediumN)
-		_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 4, Cache: runLayer})
+		_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

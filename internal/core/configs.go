@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/concretizer"
@@ -156,16 +157,8 @@ func ExperimentTemplates() []string {
 	for name := range experimentSuites {
 		out = append(out, name)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // suiteDef generates a ramble.yaml given the system (for GPU counts

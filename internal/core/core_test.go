@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -380,87 +382,124 @@ func TestResultsArtifactWritten(t *testing.T) {
 	}
 }
 
-// TestRunAllBatched: the whole experiment matrix is scheduled as one
-// batch; concurrent jobs shrink the queue makespan versus serial
-// execution, and results match the serial path.
-func TestRunAllBatched(t *testing.T) {
+// TestAnalysedExperimentIsOneRecord: the three consumers of an analysis
+// agree. For every succeeded experiment, the manifest in
+// logs/results.json, the Manifest and Meta in the deployment's metrics
+// database, and the Manifest and Meta of the batch a push would carry
+// (ResultsFromReport over Session.Manifests) are equal, n_threads
+// included.
+func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	bp := New()
-	sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+	dir := t.TempDir()
+	sess, err := bp.Setup("saxpy/openmp", "cts1", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := sess.Run(context.Background(), RunOptions{Batched: true})
+	rep, erep, err := sess.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total != 8 || rep.Failed != 0 {
-		t.Fatalf("batched: %d/%d failed", rep.Failed, rep.Total)
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
 	}
-	// All jobs completed through the scheduler, concurrently where
-	// possible: with 8 jobs of 1-2 nodes on a 1200-node machine, the
-	// makespan equals the slowest job, not the sum.
-	jobs := sess.Scheduler.Completed()
-	if len(jobs) != 8 {
-		t.Fatalf("jobs = %d", len(jobs))
+	data, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var slowest, sum float64
-	for _, j := range jobs {
-		d := j.EndTime - j.StartTime
-		sum += d
-		if d > slowest {
-			slowest = d
+	var doc struct {
+		Results []struct{ Experiment, Manifest string }
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	artifact := map[string]string{}
+	for _, r := range doc.Results {
+		artifact[r.Experiment] = r.Manifest
+	}
+	byName := func(rs []metricsdb.Result) map[string]metricsdb.Result {
+		out := map[string]metricsdb.Result{}
+		for _, r := range rs {
+			out[r.Experiment] = r
 		}
-		if j.StartTime != 0 {
-			t.Errorf("job %s queued until %v; all should start immediately", j.Name, j.StartTime)
-		}
+		return out
 	}
-	if got := sess.Scheduler.Makespan(); got > slowest*1.0001 {
-		t.Errorf("makespan %v should equal slowest job %v (concurrent)", got, slowest)
-	}
-	// FOMs match the serial path.
-	sess2, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := sess2.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fomsByName := map[string]string{}
-	for _, e := range rep2.Experiments {
-		fomsByName[e.Name] = e.FOMs["saxpy_time"]
+	local := byName(bp.Metrics.Query(metricsdb.Filter{}))
+	pushed := byName(metricsdb.ResultsFromReport(erep, sess.Manifests(rep)))
+	if rep.Succeeded != 8 || len(local) != 8 || len(pushed) != 8 {
+		t.Fatalf("%d succeeded, %d in the local database, %d to push; want 8 each", rep.Succeeded, len(local), len(pushed))
 	}
 	for _, e := range rep.Experiments {
-		if e.FOMs["saxpy_time"] != fomsByName[e.Name] {
-			t.Errorf("%s: batched %q != serial %q", e.Name, e.FOMs["saxpy_time"], fomsByName[e.Name])
+		l, p := local[e.Name], pushed[e.Name]
+		if artifact[e.Name] == "" || artifact[e.Name] != l.Manifest || l.Manifest != p.Manifest {
+			t.Errorf("%s: manifests differ:\nresults.json %q\nlocal        %q\npushed       %q",
+				e.Name, artifact[e.Name], l.Manifest, p.Manifest)
+		}
+		if l.Meta["n_threads"] == "" || !reflect.DeepEqual(l.Meta, p.Meta) {
+			t.Errorf("%s: meta local %v, pushed %v; want equal with n_threads", e.Name, l.Meta, p.Meta)
 		}
 	}
 }
 
-// TestRunAllBatchedLSFandFlux: the #BSUB and #flux: script dialects
-// drive the scheduler on ats2 and ats4.
-func TestRunAllBatchedDialects(t *testing.T) {
-	bp := New()
-	for _, sysName := range []string{"ats2", "ats4"} {
-		suite := map[string]string{"ats2": "saxpy/cuda", "ats4": "saxpy/rocm"}[sysName]
-		sess, err := bp.Setup(suite, sysName, t.TempDir())
+// TestScratchSessionAlwaysRemoved: whether Setup refuses the suite or
+// the callback fails, WithScratchSession leaves nothing under TMPDIR.
+func TestScratchSessionAlwaysRemoved(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	boom := errors.New("boom")
+	ran := false
+	for _, suite := range []string{"no/such-suite", "saxpy/openmp"} {
+		err := New().WithScratchSession(suite, "cts1", func(s *Session) error {
+			ran = true
+			if _, err := os.Stat(s.Workspace.Root); err != nil {
+				t.Errorf("scratch workspace missing while in use: %v", err)
+			}
+			return boom
+		})
+		if err == nil || (suite == "saxpy/openmp") != errors.Is(err, boom) {
+			t.Errorf("%s: error = %v", suite, err)
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Errorf("%s: TMPDIR holds %v (err %v), want it empty", suite, left, err)
+		}
+	}
+	if !ran {
+		t.Error("the callback never ran")
+	}
+}
+
+// TestRenderedScriptDirectivesParse: the batch scripts real suites
+// render carry their system's scheduler dialect (Figure 13), and
+// scheduler.SubmitScript reads the experiment's own node count back out
+// of the directives.
+func TestRenderedScriptDirectivesParse(t *testing.T) {
+	for _, tc := range []struct{ suite, system, directive string }{
+		{"saxpy/openmp", "cts1", "#SBATCH -N"},
+		{"saxpy/cuda", "ats2", "#BSUB -nnodes"},
+		{"saxpy/rocm", "ats4", "#flux: -N"},
+	} {
+		sess, err := New().Setup(tc.suite, tc.system, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, _, err := sess.Run(context.Background(), RunOptions{Batched: true})
-		if err != nil {
-			t.Fatalf("%s: %v", sysName, err)
+		if err := sess.Workspace.Setup(nil); err != nil {
+			t.Fatal(err)
 		}
-		if rep.Failed > 0 {
-			t.Errorf("%s: %d failed", sysName, rep.Failed)
+		widths := map[int]bool{}
+		for _, e := range sess.Workspace.Experiments {
+			if !strings.Contains(e.Script, tc.directive) {
+				t.Errorf("%s: script of %s has no %q directive", tc.system, e.Name, tc.directive)
+			}
+			job, err := sess.Scheduler.SubmitScript(e.Name, e.Script, func() (float64, error) { return 1, nil })
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.system, e.Name, err)
+			}
+			if job.Nodes != e.NNodes {
+				t.Errorf("%s: %s parsed to %d nodes, the experiment has %d", tc.system, e.Name, job.Nodes, e.NNodes)
+			}
+			widths[job.Nodes] = true
 		}
-		// Node counts parsed from the dialect directives (1 and 2 nodes).
-		seen := map[int]bool{}
-		for _, j := range sess.Scheduler.Completed() {
-			seen[j.Nodes] = true
-		}
-		if !seen[1] || !seen[2] {
-			t.Errorf("%s: node widths parsed = %v", sysName, seen)
+		if !widths[1] || !widths[2] {
+			t.Errorf("%s: node widths parsed = %v, want 1 and 2", tc.system, widths)
 		}
 	}
 }

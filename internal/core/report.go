@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/buildcache"
 	"repro/internal/concretizer"
@@ -27,26 +26,23 @@ func GenerateReport(w io.Writer, full bool) error {
 	fmt.Fprintf(w, "## Table 1 — component matrix\n\n```\n%s```\n\n", ComponentTable())
 
 	// ---- Figure 10 matrix ------------------------------------------------
-	dir, err := os.MkdirTemp("", "benchpark-report-*")
+	err := bp.WithScratchSession("saxpy/openmp", "cts1", func(sess *Session) error {
+		rep, err := sess.RunAll()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "## Figures 7-13 — the saxpy suite on cts1\n\n")
+		fmt.Fprintf(w, "Paper: 8 experiments (size_threads matrix × zipped vectors), FOM `Kernel done`.\n\n")
+		fmt.Fprintf(w, "| experiment | status | saxpy_time (s) |\n|---|---|---|\n")
+		for _, e := range rep.Experiments {
+			fmt.Fprintf(w, "| %s | %s | %s |\n", e.Name, e.Status, e.FOMs["saxpy_time"])
+		}
+		fmt.Fprintf(w, "\nMeasured: %d/%d passed.\n\n", rep.Succeeded, rep.Total)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	sess, err := bp.Setup("saxpy/openmp", "cts1", dir)
-	if err != nil {
-		return err
-	}
-	rep, err := sess.RunAll()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Figures 7-13 — the saxpy suite on cts1\n\n")
-	fmt.Fprintf(w, "Paper: 8 experiments (size_threads matrix × zipped vectors), FOM `Kernel done`.\n\n")
-	fmt.Fprintf(w, "| experiment | status | saxpy_time (s) |\n|---|---|---|\n")
-	for _, e := range rep.Experiments {
-		fmt.Fprintf(w, "| %s | %s | %s |\n", e.Name, e.Status, e.FOMs["saxpy_time"])
-	}
-	fmt.Fprintf(w, "\nMeasured: %d/%d passed.\n\n", rep.Succeeded, rep.Total)
 
 	// ---- Section 4 matrix ---------------------------------------------------
 	fmt.Fprintf(w, "## Section 4 — benchmarks × systems\n\n")
@@ -56,20 +52,17 @@ func GenerateReport(w io.Writer, full bool) error {
 		{"saxpy/cuda", "ats2"}, {"amg2023/cuda", "ats2"},
 		{"saxpy/rocm", "ats4"}, {"amg2023/rocm", "ats4"},
 	} {
-		d, err := os.MkdirTemp("", "benchpark-report-*")
+		err := bp.WithScratchSession(cell.suite, cell.system, func(s *Session) error {
+			r, err := s.RunAll()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "| %s | %s | %d | %d |\n", cell.suite, cell.system, r.Total, r.Succeeded)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		s, err := bp.Setup(cell.suite, cell.system, d)
-		if err != nil {
-			return err
-		}
-		r, err := s.RunAll()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "| %s | %s | %d | %d |\n", cell.suite, cell.system, r.Total, r.Succeeded)
-		os.RemoveAll(d)
 	}
 	fmt.Fprintln(w)
 

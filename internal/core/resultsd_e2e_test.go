@@ -261,26 +261,40 @@ func TestPushFailureFailsJob(t *testing.T) {
 	}
 }
 
-// TestIngestKeyDerivation pins the shape and determinism of CI ingest
-// keys: same inputs, same key; any component changing changes it.
+// TestIngestKeyDerivation pins the shape and determinism of ingest
+// keys: same inputs, same key; any component changing changes it; and
+// both callers' keys for one fixed result set are the literals the
+// parent of the Session.Push merge derived (it hashed json.Marshal
+// output), so a retry across an upgrade still dedups against a batch an
+// older binary pushed.
 func TestIngestKeyDerivation(t *testing.T) {
-	rs := []metricsdb.Result{{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 1}}}
-	k1, err := ingestKey("bench-cts1", "saxpy@cts1", 1, rs)
-	if err != nil {
-		t.Fatal(err)
+	rs := []metricsdb.Result{
+		{Benchmark: "saxpy", Workload: "problem", System: "cts1", Experiment: "saxpy_openmp_512_1_8_2",
+			FOMs:     map[string]float64{"saxpy_time": 0.000123, "fom": 1e21},
+			Meta:     map[string]string{"n_nodes": "1", "n_ranks": "8", "n_threads": "2"},
+			Manifest: "system: cts1\nsuite: saxpy/openmp\nroot: saxpy@1.0.0 <&>\n", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"},
+		{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 1}},
 	}
-	k2, err := ingestKey("bench-cts1", "saxpy@cts1", 1, rs)
-	if err != nil {
-		t.Fatal(err)
+	key := func(prefix, salt string) string {
+		t.Helper()
+		k, err := ingestKey(prefix, salt, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
-	if k1 != k2 {
-		t.Fatalf("same inputs gave %q and %q", k1, k2)
+	// As jobExecutor and `benchpark push` build prefix and salt.
+	ci := key("bench-cts1-3", "bench-cts1|saxpy/openmp@cts1|3|")
+	if want := "bench-cts1-3-91f6260fb9a531a5"; ci != want {
+		t.Errorf("CI key = %q, want the recorded %q", ci, want)
 	}
-	k3, err := ingestKey("bench-cts1", "saxpy@cts1", 2, rs)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := key("cli-saxpy/openmp-cts1", ""), "cli-saxpy/openmp-cts1-4977770c5f7ca43a"; got != want {
+		t.Errorf("CLI key = %q, want the recorded %q", got, want)
 	}
-	if k1 == k3 {
-		t.Fatal("different push sequences must give different keys")
+	if again := key("bench-cts1-3", "bench-cts1|saxpy/openmp@cts1|3|"); again != ci {
+		t.Fatalf("same inputs gave %q and %q", ci, again)
+	}
+	if next := key("bench-cts1-4", "bench-cts1|saxpy/openmp@cts1|4|"); next[len("bench-cts1-4"):] == ci[len("bench-cts1-3"):] {
+		t.Fatal("different push sequences must hash differently")
 	}
 }

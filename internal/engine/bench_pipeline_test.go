@@ -54,7 +54,7 @@ func (r *kernelRunner) Execute(ctx context.Context, i int) error {
 
 // BenchmarkEngineRunColdKernel is the cold baseline: every experiment
 // executes its kernel. Compare against BenchmarkEngineRunWarmKernel
-// for the replay speedup recorded in BENCH_pipeline.json.
+// for the execute stage's replay speedup.
 func BenchmarkEngineRunColdKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := newKernelRunner(16)

@@ -19,13 +19,13 @@
 //     matrix; failures surface as typed *StageError values in the
 //     Report.
 //
-// Wall-clock audit: the only real-time value the engine touches is
-// Options.Timeout, a duration bound handed to context.WithTimeout —
-// it can cancel a run but never feeds committed results. Nothing in
-// the commit path reads time.Now or draws from the global math/rand
-// generator; cmd/benchlint's determinism analyzer enforces this, and
-// core's TestRunRepeatableByteIdentical pins the observable
-// consequence (re-running a matrix is byte-identical).
+// Wall-clock audit: the only real-time value that reaches the engine
+// is the deadline of the caller's context — it can cancel a run but
+// never feeds committed results. Nothing in the commit path reads
+// time.Now or draws from the global math/rand generator;
+// cmd/benchlint's determinism analyzer enforces this, and core's
+// TestRunRepeatableByteIdentical pins the observable consequence
+// (re-running a matrix is byte-identical).
 //
 // Observability: when the context carries a telemetry.Tracer, Run
 // opens a span per stage and per experiment (execute and commit),
@@ -127,8 +127,6 @@ type Runner interface {
 type Options struct {
 	// Jobs bounds the worker pool; <=0 means runtime.NumCPU().
 	Jobs int
-	// Timeout, when positive, caps the whole run.
-	Timeout time.Duration
 	// Cache, when set and the Runner implements CacheableRunner,
 	// replays previously executed experiments instead of dispatching
 	// them (the incremental pipeline's "run" layer).
@@ -304,11 +302,6 @@ func (a *timingAcc) timings() []StageTiming {
 // span with one child span per matrix stage and per experiment; all
 // timestamps come from the tracer's clock, never from the engine.
 func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
 	rep := &Report{Label: r.Label()}
 	met := telemetry.FromContext(ctx).Metrics()
 	var acc timingAcc

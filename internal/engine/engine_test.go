@@ -214,7 +214,9 @@ func TestRunTimeout(t *testing.T) {
 		case <-ctx.Done():
 		}
 	}}
-	rep, err := Run(context.Background(), m, Options{Jobs: 1, Timeout: 30 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	rep, err := Run(ctx, m, Options{Jobs: 1})
 	if err == nil {
 		t.Fatal("timeout must surface as an error")
 	}

@@ -120,8 +120,8 @@ func (c Config) Batch(runner, batch int) []metricsdb.Result {
 }
 
 // Report is the outcome of one campaign: fleet shape, wall-clock
-// throughput, latency percentiles and the failure taxonomy. It
-// marshals directly into BENCH_federation.json.
+// throughput, latency percentiles and the failure taxonomy, as
+// `benchpark loadtest --out` writes it.
 type Report struct {
 	Runners          int     `json:"runners"`
 	BatchesPerRunner int     `json:"batches_per_runner"`

@@ -3,6 +3,7 @@ package ramble
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,7 +50,7 @@ func (f *FOM) compile() error {
 	if err != nil {
 		return err
 	}
-	if f.GroupName != "" && !contains(re.SubexpNames(), f.GroupName) {
+	if f.GroupName != "" && !slices.Contains(re.SubexpNames(), f.GroupName) {
 		return fmt.Errorf("regex lacks group %q", f.GroupName)
 	}
 	f.re = re
@@ -178,20 +179,11 @@ func (a *Application) Validate() error {
 func (a *Application) DefaultVars(workload string) map[string]string {
 	out := map[string]string{}
 	for _, v := range a.Variables {
-		if len(v.Workloads) == 0 || contains(v.Workloads, workload) {
+		if len(v.Workloads) == 0 || slices.Contains(v.Workloads, workload) {
 			out[v.Name] = v.Default
 		}
 	}
 	return out
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

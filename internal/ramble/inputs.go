@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -33,7 +34,7 @@ func (a *Application) AddInput(name, url, sha256sum string, workloads ...string)
 func (a *Application) InputsFor(workload string) []InputFile {
 	var out []InputFile
 	for _, in := range a.Inputs {
-		if len(in.Workloads) == 0 || contains(in.Workloads, workload) {
+		if len(in.Workloads) == 0 || slices.Contains(in.Workloads, workload) {
 			out = append(out, in)
 		}
 	}

@@ -66,6 +66,8 @@ type Experiment struct {
 
 	// Derived execution geometry.
 	NNodes, ProcsPerNode, NRanks, NThreads int
+	// BatchTime is the batch job's time limit in minutes (batch_time).
+	BatchTime float64
 
 	// Execution results.
 	Status  Status
@@ -684,6 +686,13 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 			return nil, fmt.Errorf("ramble: %s=%q is not an integer", g.key, s)
 		}
 		*g.dst = n
+	}
+	s, err := ex.Expand("{batch_time}")
+	if err != nil {
+		return nil, err
+	}
+	if e.BatchTime, err = strconv.ParseFloat(s, 64); err != nil {
+		return nil, fmt.Errorf("ramble: batch_time=%q is not a number", s)
 	}
 	return e, nil
 }

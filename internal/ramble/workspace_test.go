@@ -415,6 +415,56 @@ ramble:
 	}
 }
 
+// TestBatchTimeParsedOnce: batch_time is a number of minutes, read
+// from its expanded value when the experiment is built; text that is
+// not a number fails Setup instead of silently becoming a different
+// limit ("2h" used to scan as 2 minutes, "soon" as the 60-minute
+// default).
+func TestBatchTimeParsedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		value   string
+		want    float64
+		wantErr string
+	}{
+		{value: "soon", wantErr: `ramble: batch_time="soon" is not a number`},
+		{value: "2h", wantErr: `ramble: batch_time="2h" is not a number`},
+		{value: "'90'", want: 90},
+		{value: "'{n_nodes*minutes_per_node}'", want: 120},
+	} {
+		w, err := NewWorkspace("batchtime", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Configure(`
+ramble:
+  applications:
+    saxpy:
+      workloads:
+        problem:
+          experiments:
+            saxpy_bt:
+              variables:
+                n_nodes: '4'
+                minutes_per_node: '30'
+                n: '64'
+                batch_time: ` + tc.value + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Setup(nil)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.HasSuffix(err.Error(), tc.wantErr) {
+				t.Errorf("batch_time: %s: Setup error = %v, want %s", tc.value, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("batch_time: %s: %v", tc.value, err)
+		case w.Experiments[0].BatchTime != tc.want:
+			t.Errorf("batch_time: %s parsed to %v minutes, want %v", tc.value, w.Experiments[0].BatchTime, tc.want)
+		}
+	}
+}
+
 func TestApplicationRegistryValidation(t *testing.T) {
 	bad := NewApplication("bad-app").AddWorkload("w", "nonexistent-exe")
 	if err := bad.Validate(); err == nil {

@@ -198,7 +198,7 @@ func main() {
 	}
 
 	// ---- Loadgen ingest with concurrent follower reads ---------------
-	reportPath := filepath.Join(tmp, "BENCH_federation.json")
+	reportPath := filepath.Join(tmp, "loadtest.json")
 	lt := exec.Command(bin, "loadtest", primary.base,
 		"--runners", "120", "--batches", "6", "--results", "5",
 		"--out", reportPath)

@@ -165,8 +165,7 @@ func checkKeptWorkspace(t *testing.T, ws *ramble.Workspace, golden string) {
 
 // TestKeptWorkspaceMatchesGolden: the tree `benchpark run saxpy/openmp
 // cts1 <dir>` leaves is the recorded one however the matrix was
-// executed — serial, concurrent, batched, or replayed from the run
-// cache.
+// executed — serial, concurrent, or replayed from the run cache.
 func TestKeptWorkspaceMatchesGolden(t *testing.T) {
 	run := func(t *testing.T, bp *core.Benchpark, o core.RunOptions) *ramble.Workspace {
 		t.Helper()
@@ -190,7 +189,6 @@ func TestKeptWorkspaceMatchesGolden(t *testing.T) {
 	}{
 		{"jobs=1", core.RunOptions{Jobs: 1}},
 		{"jobs=8", core.RunOptions{Jobs: 8}},
-		{"batched", core.RunOptions{Jobs: 8, Batched: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkKeptWorkspace(t, run(t, core.New(), tc.opts), golden)
