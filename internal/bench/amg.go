@@ -39,33 +39,33 @@ func (g *grid) len() int            { return len(g.v) }
 func (g *grid) at(i, j, k int, h *halos) float64 {
 	switch {
 	case i == -1:
-		if h != nil && h.xlo != nil {
-			return h.xlo[j+g.ny*k]
+		if h != nil && h[xlo] != nil {
+			return h[xlo][j+g.ny*k]
 		}
 		return 0
 	case i == g.nx:
-		if h != nil && h.xhi != nil {
-			return h.xhi[j+g.ny*k]
+		if h != nil && h[xhi] != nil {
+			return h[xhi][j+g.ny*k]
 		}
 		return 0
 	case j == -1:
-		if h != nil && h.ylo != nil {
-			return h.ylo[i+g.nx*k]
+		if h != nil && h[ylo] != nil {
+			return h[ylo][i+g.nx*k]
 		}
 		return 0
 	case j == g.ny:
-		if h != nil && h.yhi != nil {
-			return h.yhi[i+g.nx*k]
+		if h != nil && h[yhi] != nil {
+			return h[yhi][i+g.nx*k]
 		}
 		return 0
 	case k == -1:
-		if h != nil && h.zlo != nil {
-			return h.zlo[i+g.nx*j]
+		if h != nil && h[zlo] != nil {
+			return h[zlo][i+g.nx*j]
 		}
 		return 0
 	case k == g.nz:
-		if h != nil && h.zhi != nil {
-			return h.zhi[i+g.nx*j]
+		if h != nil && h[zhi] != nil {
+			return h[zhi][i+g.nx*j]
 		}
 		return 0
 	case i < 0 || i > g.nx || j < 0 || j > g.ny || k < -1 || k > g.nz:
@@ -75,40 +75,49 @@ func (g *grid) at(i, j, k int, h *halos) float64 {
 }
 
 // applyA computes q = A·u for the 7-point Laplacian with the given
-// halos (nil = fully local with Dirichlet closure).
+// halos (nil = fully local with Dirichlet closure). Cells with all six
+// neighbors inside u index them directly; the rest go through at. Both
+// sum in the order ((((x- + x+) + y-) + y+) + z-) + z+.
 func applyA(q, u *grid, h *halos) {
+	nx, nxy := u.nx, u.nx*u.ny
 	for k := 0; k < u.nz; k++ {
 		for j := 0; j < u.ny; j++ {
-			for i := 0; i < u.nx; i++ {
-				c := u.v[u.idx(i, j, k)]
+			row := u.idx(0, j, k)
+			inner := j > 0 && j < u.ny-1 && k > 0 && k < u.nz-1
+			for i := 0; i < nx; i++ {
+				if inner && i == 1 {
+					for ; i < nx-1; i++ {
+						n := row + i
+						s := u.v[n-1] + u.v[n+1] + u.v[n-nx] + u.v[n+nx] + u.v[n-nxy] + u.v[n+nxy]
+						q.v[n] = 6*u.v[n] - s
+					}
+				}
 				s := u.at(i-1, j, k, h) + u.at(i+1, j, k, h) +
 					u.at(i, j-1, k, h) + u.at(i, j+1, k, h) +
 					u.at(i, j, k-1, h) + u.at(i, j, k+1, h)
-				q.v[q.idx(i, j, k)] = 6*c - s
+				q.v[row+i] = 6*u.v[row+i] - s
 			}
 		}
 	}
 }
 
 // jacobi runs sweeps of damped Jacobi on A u = f with zero halos
-// (local preconditioner smoothing).
-func jacobi(u, f *grid, sweeps int, omega float64) {
-	tmp := newGrid(u.nx, u.ny, u.nz)
+// (local preconditioner smoothing); au is scratch for A·u.
+func jacobi(u, f, au *grid, sweeps int, omega float64) {
 	for s := 0; s < sweeps; s++ {
-		applyA(tmp, u, nil)
+		applyA(au, u, nil)
 		for n := range u.v {
-			u.v[n] += omega / 6.0 * (f.v[n] - tmp.v[n])
+			u.v[n] += omega / 6.0 * (f.v[n] - au.v[n])
 		}
 	}
 }
 
-// restrictGrid averages 2×2×2 blocks (R = Pᵀ/8 for piecewise-constant P).
-func restrictGrid(fine *grid) *grid {
-	cx, cy, cz := half(fine.nx), half(fine.ny), half(fine.nz)
-	coarse := newGrid(cx, cy, cz)
-	for k := 0; k < cz; k++ {
-		for j := 0; j < cy; j++ {
-			for i := 0; i < cx; i++ {
+// restrictGrid averages 2×2×2 blocks of fine into coarse (R = Pᵀ/8
+// for piecewise-constant P).
+func restrictGrid(coarse, fine *grid) {
+	for k := 0; k < coarse.nz; k++ {
+		for j := 0; j < coarse.ny; j++ {
+			for i := 0; i < coarse.nx; i++ {
 				var sum float64
 				var cnt float64
 				for dk := 0; dk < 2; dk++ {
@@ -126,7 +135,6 @@ func restrictGrid(fine *grid) *grid {
 			}
 		}
 	}
-	return coarse
 }
 
 // prolongAdd adds the piecewise-constant interpolation of coarse into
@@ -159,32 +167,46 @@ func half(n int) int {
 	return h
 }
 
-// vcycle is one local multigrid V-cycle on A e = r (zero halos).
-func vcycle(u, f *grid, level int) {
-	if level == 0 || (u.nx <= 2 && u.ny <= 2 && u.nz <= 2) {
-		jacobi(u, f, 30, 0.8)
-		return
+// mgScratch is one multigrid level's temporaries: the smoother's A·u,
+// the residual, its restriction and the coarse-grid correction.
+type mgScratch struct{ au, r, rc, ec *grid }
+
+// newMGScratch builds, once per rank, the scratch of every level of a
+// V-cycle that starts at nx×ny×nz on the given level.
+func newMGScratch(nx, ny, nz, level int) []mgScratch {
+	ws := make([]mgScratch, level+1)
+	for ; level >= 0; level-- {
+		cx, cy, cz := half(nx), half(ny), half(nz)
+		ws[level] = mgScratch{newGrid(nx, ny, nz), newGrid(nx, ny, nz), newGrid(cx, cy, cz), newGrid(cx, cy, cz)}
+		nx, ny, nz = cx, cy, cz
 	}
-	jacobi(u, f, 2, 0.8)
-	// residual
-	r := newGrid(u.nx, u.ny, u.nz)
-	applyA(r, u, nil)
-	for n := range r.v {
-		r.v[n] = f.v[n] - r.v[n]
-	}
-	rc := restrictGrid(r)
-	ec := newGrid(rc.nx, rc.ny, rc.nz)
-	vcycle(ec, rc, level-1)
-	prolongAdd(u, ec)
-	jacobi(u, f, 2, 0.8)
+	return ws
 }
 
-// exchangeHalo swaps boundary z-planes with 1-D slab neighbors — the
-// (1,1,p) special case of exchangeHalo3D, kept for kernels that only
-// decompose in z.
-func exchangeHalo(c *mpisim.Comm, u *grid) halos {
-	pg := newProcGrid(c.Rank(), c.Size(), 1, 1, c.Size())
-	return exchangeHalo3D(c, u, pg)
+// vcycle is one local multigrid V-cycle on A e = r (zero halos).
+func vcycle(u, f *grid, level int, ws []mgScratch) {
+	w := ws[level]
+	if level == 0 || (u.nx <= 2 && u.ny <= 2 && u.nz <= 2) {
+		jacobi(u, f, w.au, 30, 0.8)
+		return
+	}
+	jacobi(u, f, w.au, 2, 0.8)
+	// residual
+	applyA(w.r, u, nil)
+	for n := range w.r.v {
+		w.r.v[n] = f.v[n] - w.r.v[n]
+	}
+	restrictGrid(w.rc, w.r)
+	clear(w.ec.v) // the coarse solve starts from zero
+	vcycle(w.ec, w.rc, level-1, ws)
+	prolongAdd(u, w.ec)
+	jacobi(u, f, w.au, 2, 0.8)
+}
+
+// newSlabExchanger is the (1,1,p) special case of newHaloExchanger,
+// for kernels that only decompose in z.
+func newSlabExchanger(c *mpisim.Comm) *haloExchanger {
+	return newHaloExchanger(c, newProcGrid(c.Rank(), c.Size(), 1, 1, c.Size()))
 }
 
 func runAMG(p Params) (*Output, error) {
@@ -265,7 +287,7 @@ func runAMG(p Params) (*Output, error) {
 	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
 		rec := caliper.NewRecorder(c.Now)
 		rec.Begin("main")
-		pg := newProcGrid(c.Rank(), c.Size(), px, py, pz)
+		hx := newHaloExchanger(c, newProcGrid(c.Rank(), c.Size(), px, py, pz))
 
 		// --- setup phase ----------------------------------------------
 		rec.Begin("setup")
@@ -295,25 +317,23 @@ func runAMG(p Params) (*Output, error) {
 			chargeFlops(c, p, 2*float64(nLocal))
 			return s
 		}
-		allSum := func(v float64) float64 {
-			return c.Allreduce([]float64{v}, mpisim.OpSum)[0]
-		}
+		allSum := func(v float64) float64 { return allreduce1(c, v, mpisim.OpSum) }
 		normB := math.Sqrt(allSum(dot(b, b)))
 		resNorm := math.Sqrt(allSum(dot(r, r)))
 
-		precond := func(rr *grid) (*grid, error) {
-			z := newGrid(nx, ny, nz)
+		z, ws := newGrid(nx, ny, nz), newMGScratch(nx, ny, nz, levels)
+		precond := func(rr *grid) error {
+			clear(z.v) // the V-cycle's initial guess
 			rec.Begin("vcycle")
-			vcycle(z, rr, levels)
+			vcycle(z, rr, levels, ws)
 			// ~4 smoother sweeps per level plus transfers.
 			if err := charge(c, float64(4*levels+2)); err != nil {
-				return nil, err
+				return err
 			}
-			return z, rec.End("vcycle")
+			return rec.End("vcycle")
 		}
 
-		z, err := precond(r)
-		if err != nil {
+		if err := precond(r); err != nil {
 			return err
 		}
 		pv := newGrid(nx, ny, nz)
@@ -329,8 +349,8 @@ func runAMG(p Params) (*Output, error) {
 				rz = allSum(dot(r, r))
 			}
 			rec.Begin("matvec")
-			h := exchangeHalo3D(c, pv, pg)
-			applyA(q, pv, &h)
+			applyA(q, pv, hx.exchange(pv))
+			hx.release()
 			if err := charge(c, 1); err != nil {
 				return err
 			}
@@ -353,8 +373,7 @@ func runAMG(p Params) (*Output, error) {
 				converged = true
 				break
 			}
-			z, err = precond(r)
-			if err != nil {
+			if err := precond(r); err != nil {
 				return err
 			}
 			rzNew := allSum(dot(r, z))

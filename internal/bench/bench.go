@@ -164,6 +164,15 @@ func chargeFlops(c *mpisim.Comm, p Params, flops float64) {
 	c.Compute(flops / rate)
 }
 
+// allreduce1 combines one value across the ranks and hands the result
+// buffer back to the transport.
+func allreduce1(c *mpisim.Comm, v float64, op mpisim.Op) float64 {
+	out := c.Allreduce([]float64{v}, op)
+	v = out[0]
+	c.Release(out)
+	return v
+}
+
 // validate fills Params defaults and sanity checks.
 func validate(p *Params) error {
 	if p.System == nil {

@@ -108,7 +108,7 @@ func runGUPS(p Params) (*Output, error) {
 		// Verification: XOR-reduce a table checksum across ranks; the
 		// result must be deterministic for the same parameters.
 		var local float64
-		for _, v := range table[:64] {
+		for _, v := range table[:min(64, localSize)] {
 			local += float64(v % 1000)
 		}
 		sum := c.Allreduce([]float64{local}, mpisim.OpSum)

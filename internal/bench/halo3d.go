@@ -54,95 +54,90 @@ func (g procGrid) neighbor(dim, dir int) (int, bool) {
 
 // halos carries the six neighbor boundary planes of a local grid
 // (nil at global boundaries, where the operator applies Dirichlet
-// zero).
-type halos struct {
-	xlo, xhi []float64 // planes at i=-1 / i=nx, indexed j + ny*k
-	ylo, yhi []float64 // planes at j=-1 / j=ny, indexed i + nx*k
-	zlo, zhi []float64 // planes at k=-1 / k=nz, indexed i + nx*j
+// zero), indexed 2·dim + face.
+type halos [6][]float64
+
+const (
+	xlo, xhi = 0, 1 // planes at i=-1 / i=nx, indexed j + ny*k
+	ylo, yhi = 2, 3 // planes at j=-1 / j=ny, indexed i + nx*k
+	zlo, zhi = 4, 5 // planes at k=-1 / k=nz, indexed i + nx*j
+)
+
+// haloExchanger is one rank's halo exchange over a fixed process
+// grid. It owns the neighbor list, the scratch x and y planes are
+// gathered into, and the planes of the last exchange until release.
+type haloExchanger struct {
+	c     *mpisim.Comm
+	edges []haloEdge
+	pack  []float64
+	h     halos
 }
 
-// packPlane extracts one boundary plane of u along dim at the given
-// face (0 = low face, 1 = high face).
-func packPlane(u *grid, dim, face int) []float64 {
-	switch dim {
-	case 0:
-		i := 0
-		if face == 1 {
-			i = u.nx - 1
-		}
-		out := make([]float64, u.ny*u.nz)
-		for k := 0; k < u.nz; k++ {
-			for j := 0; j < u.ny; j++ {
-				out[j+u.ny*k] = u.v[u.idx(i, j, k)]
-			}
-		}
-		return out
-	case 1:
-		j := 0
-		if face == 1 {
-			j = u.ny - 1
-		}
-		out := make([]float64, u.nx*u.nz)
-		for k := 0; k < u.nz; k++ {
-			for i := 0; i < u.nx; i++ {
-				out[i+u.nx*k] = u.v[u.idx(i, j, k)]
-			}
-		}
-		return out
-	default:
-		k := 0
-		if face == 1 {
-			k = u.nz - 1
-		}
-		out := make([]float64, u.nx*u.ny)
-		copy(out, u.v[k*u.nx*u.ny:(k+1)*u.nx*u.ny])
-		return out
-	}
-}
+// haloEdge is one neighbor: the face (0 = low, 1 = high) of dimension
+// dim it shares with this rank.
+type haloEdge struct{ dim, face, peer int }
 
-// exchangeHalo3D swaps all six boundary planes with the process-grid
-// neighbors. Sends are posted for every face first (the eager runtime
-// buffers them), then receives complete; the deterministic
-// fixed-order protocol is deadlock-free.
-func exchangeHalo3D(c *mpisim.Comm, u *grid, pg procGrid) halos {
-	type edge struct {
-		dim, dir int
-		peer     int
-	}
-	var edges []edge
+// newHaloExchanger lists the neighbors pg gives this rank, in the
+// fixed order (x, y, z; low face first) every exchange follows.
+func newHaloExchanger(c *mpisim.Comm, pg procGrid) *haloExchanger {
+	x := &haloExchanger{c: c}
 	for dim := 0; dim < 3; dim++ {
-		for _, dir := range []int{-1, 1} {
+		for face, dir := range [2]int{-1, 1} {
 			if peer, ok := pg.neighbor(dim, dir); ok {
-				edges = append(edges, edge{dim: dim, dir: dir, peer: peer})
+				x.edges = append(x.edges, haloEdge{dim, face, peer})
 			}
 		}
 	}
-	for _, e := range edges {
-		face := 0
-		if e.dir == 1 {
-			face = 1
-		}
-		c.Send(e.peer, packPlane(u, e.dim, face))
+	return x
+}
+
+// plane returns one boundary plane of u. A z plane is contiguous in u
+// and returned in place (Send copies); x and y planes are gathered
+// into the exchanger's scratch.
+func (x *haloExchanger) plane(u *grid, dim, face int) []float64 {
+	if dim == 2 {
+		k := face * (u.nz - 1)
+		return u.v[k*u.nx*u.ny : (k+1)*u.nx*u.ny]
 	}
-	var h halos
-	for _, e := range edges {
-		plane := c.Recv(e.peer)
-		switch {
-		case e.dim == 0 && e.dir == -1:
-			h.xlo = plane
-		case e.dim == 0 && e.dir == 1:
-			h.xhi = plane
-		case e.dim == 1 && e.dir == -1:
-			h.ylo = plane
-		case e.dim == 1 && e.dir == 1:
-			h.yhi = plane
-		case e.dim == 2 && e.dir == -1:
-			h.zlo = plane
-		default:
-			h.zhi = plane
+	if x.pack == nil {
+		x.pack = make([]float64, 0, max(u.nx, u.ny)*u.nz)
+	}
+	x.pack = x.pack[:0]
+	for k := 0; k < u.nz; k++ {
+		if dim == 1 {
+			row := u.idx(0, face*(u.ny-1), k)
+			x.pack = append(x.pack, u.v[row:row+u.nx]...)
+			continue
+		}
+		for j := 0; j < u.ny; j++ {
+			x.pack = append(x.pack, u.v[u.idx(face*(u.nx-1), j, k)])
 		}
 	}
-	return h
+	return x.pack
+}
+
+// exchange swaps u's boundary planes with the process-grid neighbors.
+// Sends are posted for every face first (the eager runtime buffers
+// them), then receives complete; the deterministic fixed-order
+// protocol is deadlock-free. The planes are the exchanger's until
+// release hands them back to the transport.
+func (x *haloExchanger) exchange(u *grid) *halos {
+	for _, e := range x.edges {
+		x.c.Send(e.peer, x.plane(u, e.dim, e.face))
+	}
+	for _, e := range x.edges {
+		x.h[2*e.dim+e.face] = x.c.Recv(e.peer)
+	}
+	return &x.h
+}
+
+// release hands the planes of the last exchange back to the
+// transport; the halos exchange returned are empty afterwards.
+func (x *haloExchanger) release() {
+	for i, plane := range x.h {
+		x.c.Release(plane)
+		x.h[i] = nil
+	}
 }
 
 // validateDecomposition checks a requested process grid against the

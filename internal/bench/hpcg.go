@@ -74,28 +74,27 @@ func runHPCG(p Params) (*Output, error) {
 			chargeFlops(c, p, 2*float64(nLocal))
 			return s
 		}
-		allSum := func(v float64) float64 { return c.Allreduce([]float64{v}, mpisim.OpSum)[0] }
+		allSum := func(v float64) float64 { return allreduce1(c, v, mpisim.OpSum) }
 
 		// z = D^{-1} r (Jacobi preconditioner; D = 6).
-		precond := func(rr *grid) *grid {
-			z := newGrid(nx, ny, nz)
+		z, hx := newGrid(nx, ny, nz), newSlabExchanger(c)
+		precond := func(rr *grid) {
 			for n := range z.v {
 				z.v[n] = rr.v[n] / 6.0
 			}
 			chargeMemory(c, p, 16*float64(nLocal))
-			return z
 		}
 
 		start := c.Now()
 		rec.Begin("cg")
-		z := precond(r)
+		precond(r)
 		copy(pv.v, z.v)
 		rz := allSum(dot(r, z))
 		residual := math.Sqrt(allSum(dot(r, r)))
 		for it := 0; it < iters; it++ {
 			rec.Begin("spmv")
-			h := exchangeHalo(c, pv)
-			applyA(q, pv, &h)
+			applyA(q, pv, hx.exchange(pv))
+			hx.release()
 			chargeMemory(c, p, 72*float64(nLocal))
 			if err := rec.End("spmv"); err != nil {
 				return err
@@ -110,7 +109,7 @@ func runHPCG(p Params) (*Output, error) {
 				r.v[n] -= alpha * q.v[n]
 			}
 			chargeFlops(c, p, 4*float64(nLocal))
-			z = precond(r)
+			precond(r)
 			rzNew := allSum(dot(r, z))
 			beta := rzNew / rz
 			rz = rzNew

@@ -53,7 +53,7 @@ func runLulesh(p Params) (*Output, error) {
 		if c.Rank() == 0 {
 			e.v[0] = 3.948746e+7
 		}
-		eNew := newGrid(size, size, size)
+		eNew, hx := newGrid(size, size, size), newSlabExchanger(c)
 		dt := 1e-7
 		elapsedT := 0.0
 
@@ -61,7 +61,7 @@ func runLulesh(p Params) (*Output, error) {
 		for s := 0; s < steps; s++ {
 			// Halo exchange of the energy boundary planes.
 			rec.Begin("halo")
-			h := exchangeHalo(c, e)
+			h := hx.exchange(e)
 			if err := rec.End("halo"); err != nil {
 				return err
 			}
@@ -69,7 +69,8 @@ func runLulesh(p Params) (*Output, error) {
 			// Force/energy update: diffusion-flavored stencil standing
 			// in for the hydro kernels (CalcForceForNodes etc.).
 			rec.Begin("stencil")
-			applyA(eNew, e, &h)
+			applyA(eNew, e, h)
+			hx.release()
 			for n := range eNew.v {
 				eNew.v[n] = e.v[n] - dt*1e4*eNew.v[n]
 				if eNew.v[n] < 0 {
@@ -86,8 +87,7 @@ func runLulesh(p Params) (*Output, error) {
 			// Courant condition: global minimum timestep.
 			rec.Begin("dt_allreduce")
 			localDt := 1e-7 * (1 + 0.1*math.Abs(math.Sin(float64(c.Rank()+s))))
-			global := c.Allreduce([]float64{localDt}, mpisim.OpMin)
-			dt = global[0]
+			dt = allreduce1(c, localDt, mpisim.OpMin)
 			if err := rec.End("dt_allreduce"); err != nil {
 				return err
 			}

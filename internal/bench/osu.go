@@ -50,41 +50,49 @@ func runOSU(p Params) (*Output, error) {
 	var text string
 	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
 		rec := caliper.NewRecorder(c.Now)
+		// Like the real benchmarks, a rank allocates its message once and
+		// recycles what each repetition receives.
 		op := func() error { return nil }
 		switch workload {
 		case "osu_bcast":
+			var buf []float64
+			if c.Rank() == 0 {
+				buf = make([]float64, elems)
+			}
 			op = func() error {
-				var data []float64
-				if c.Rank() == 0 {
-					data = make([]float64, elems)
-				}
-				got := c.Bcast(0, data)
+				got := c.Bcast(0, buf)
 				if len(got) != elems {
 					return fmt.Errorf("osu_bcast: rank %d got %d elems, want %d", c.Rank(), len(got), elems)
+				}
+				if c.Rank() != 0 { // the root's payload is buf itself
+					c.Release(got)
 				}
 				return nil
 			}
 		case "osu_allreduce":
+			buf := make([]float64, elems)
 			op = func() error {
-				out := c.Allreduce(make([]float64, elems), mpisim.OpSum)
+				out := c.Allreduce(buf, mpisim.OpSum)
 				if len(out) != elems {
 					return fmt.Errorf("osu_allreduce: bad length %d", len(out))
 				}
+				c.Release(out)
 				return nil
 			}
 		case "osu_latency":
 			if p.Ranks < 2 {
 				return fmt.Errorf("osu_latency needs 2 ranks")
 			}
+			buf := make([]float64, elems)
 			op = func() error {
-				buf := make([]float64, elems)
 				switch c.Rank() {
 				case 0:
 					c.Send(1, buf)
-					c.Recv(1)
+					c.Release(c.Recv(1))
 				case 1:
 					got := c.Recv(0)
 					c.Send(0, got)
+					c.Release(got)
 				}
 				return nil
 			}

@@ -9,86 +9,57 @@ package mpisim
 // Scatter distributes root's data in equal contiguous blocks; every
 // rank returns its block. len(data) must be divisible by Size() on
 // the root (binomial-tree algorithm, halving ranges like the
-// large-message broadcast).
+// large-message broadcast: a message is the contiguous blocks
+// [mid,hi), charged its two bounds and one length per block on top).
 func (c *Comm) Scatter(root int, data []float64) []float64 {
 	p := c.w.size
-	if p == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
-	}
 	vrank := (c.rank - root + p) % p
-	segs := make([][]float64, p)
-	hi := p
-	if vrank == 0 {
-		n := len(data) / p
-		for i := 0; i < p; i++ {
-			segs[i] = data[i*n : (i+1)*n]
-		}
-	} else {
-		parent, myHi := scatterMeta(vrank, p)
-		hi = myHi
-		packed := c.Recv((parent + root) % p)
-		segs = unpackSegs(packed, p)
+	held, hi := data, p // blocks [vrank,hi)
+	if vrank != 0 {
+		var parent int
+		parent, hi = scatterMeta(vrank, p)
+		held = c.Recv((parent + root) % p)
 	}
-	lo := vrank
-	for hi-lo > 1 {
-		mid := lo + (hi-lo+1)/2
-		c.Send((mid+root)%p, packSegs(segs, mid, hi))
+	n := len(held) / (hi - vrank)
+	for hi-vrank > 1 {
+		mid := vrank + (hi-vrank+1)/2
+		seg := held[(mid-vrank)*n : (hi-vrank)*n]
+		c.send((mid+root)%p, seg, 0, 2+(hi-mid)+len(seg))
 		hi = mid
 	}
-	out := make([]float64, len(segs[vrank]))
-	copy(out, segs[vrank])
-	return out
+	if vrank == 0 {
+		held = c.copyOf(data[:n]) // the root's block is a copy too
+	}
+	return held[:n]
 }
 
 // Gather collects equal-size contributions onto root in rank order;
 // root returns the concatenation, others nil (binomial tree, the
-// mirror of Scatter).
+// mirror of Scatter: each rank assembles blocks [vrank,hi) in place
+// and gives them to its parent).
 func (c *Comm) Gather(root int, data []float64) []float64 {
 	p := c.w.size
 	n := len(data)
-	if p == 1 {
-		out := make([]float64, n)
-		copy(out, data)
-		return out
-	}
 	vrank := (c.rank - root + p) % p
-	// Each rank accumulates segments for [vrank, hi); leaves send up.
-	segs := make([][]float64, p)
-	segs[vrank] = data
-	_, hi := scatterMeta(vrank, p)
-	if vrank == 0 {
-		hi = p
-	}
+	parent, hi := scatterMeta(vrank, p)
+	held := c.buffer((hi - vrank) * n)
+	copy(held, data)
 	// Receive from children in reverse order of the scatter sends.
 	var children []int
-	lo := vrank
-	h := hi
-	for h-lo > 1 {
-		mid := lo + (h-lo+1)/2
-		children = append(children, mid)
-		h = mid
+	for h := hi; h-vrank > 1; {
+		h = vrank + (h-vrank+1)/2
+		children = append(children, h)
 	}
 	for i := len(children) - 1; i >= 0; i-- {
-		packed := c.Recv((children[i] + root) % p)
-		in := unpackSegs(packed, p)
-		for idx, seg := range in {
-			if seg != nil {
-				segs[idx] = seg
-			}
-		}
+		in := c.Recv((children[i] + root) % p)
+		copy(held[(children[i]-vrank)*n:], in)
+		c.Release(in)
 	}
 	if vrank != 0 {
-		parent, myHi := scatterMeta(vrank, p)
-		c.Send((parent+root)%p, packSegs(segs, vrank, myHi))
+		c.post((parent+root)%p, held, 0, 2+(hi-vrank)+len(held))
 		return nil
 	}
-	out := make([]float64, 0, n*p)
-	for i := 0; i < p; i++ {
-		out = append(out, segs[i]...)
-	}
-	return out
+	return held
 }
 
 // ReduceScatter element-wise reduces data across ranks and scatters
@@ -116,6 +87,7 @@ func (c *Comm) Alltoall(data []float64) []float64 {
 		src := (c.rank - round + p) % p
 		in := c.SendRecv(dst, data[dst*n:(dst+1)*n], src)
 		copy(out[src*n:(src+1)*n], in)
+		c.Release(in)
 	}
 	return out
 }
