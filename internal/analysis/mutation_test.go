@@ -109,9 +109,11 @@ var seededMutations = []struct {
 	},
 	{
 		// "Someone added a field but not to the key": an exported field
-		// tagged json:"-" in the struct core hashes into the execute key.
-		analyzer: KeyCover, file: "internal/core/cache.go",
-		edits: [][2]string{{"Lockfile   string\n", "Lockfile   string\n\t\tDeadline   string `json:\"-\"`\n"}},
+		// tagged json:"-" in the struct the concretizer hashes into its
+		// config fingerprint. (core's execute key is encoded by hand and
+		// held to its struct by TestExperimentKeyMatchesMarshalledStruct.)
+		analyzer: KeyCover, file: "internal/concretizer/config.go",
+		edits: [][2]string{{"ReuseInstalled   []string\n\t}{", "ReuseInstalled   []string\n\t\tDeadline         string `json:\"-\"`\n\t}{"}},
 		want:  []string{"Deadline"},
 	},
 	{

@@ -12,6 +12,7 @@ package archspec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,6 +25,10 @@ type Microarchitecture struct {
 	Parents    []string // immediately less capable targets this one extends
 	Features   []string // ISA feature flags (sorted)
 	Generation int      // vendor generation, for POWER etc.
+
+	// closure is Features plus every ancestor's, sorted: fixed once
+	// the table is registered, so register computes it once.
+	closure []string
 
 	// compilerFlags maps compiler name to entries of (version range,
 	// flags). The best entry whose range admits the compiler version
@@ -47,6 +52,16 @@ func register(m *Microarchitecture) *Microarchitecture {
 	if _, dup := universe[m.Name]; dup {
 		panic("archspec: duplicate microarchitecture " + m.Name)
 	}
+	m.closure = append([]string(nil), m.Features...)
+	for _, p := range m.Parents {
+		pm, ok := universe[p]
+		if !ok {
+			panic("archspec: " + m.Name + " registered before its parent " + p)
+		}
+		m.closure = append(m.closure, pm.closure...)
+	}
+	sort.Strings(m.closure)
+	m.closure = slices.Compact(m.closure)
 	universe[m.Name] = m
 	return m
 }
@@ -120,17 +135,8 @@ func (m *Microarchitecture) CompatibleWith(target *Microarchitecture) bool {
 // HasFeatures reports whether m supports all the given ISA features,
 // either directly or via an ancestor.
 func (m *Microarchitecture) HasFeatures(features ...string) bool {
-	all := map[string]bool{}
-	for _, f := range m.Features {
-		all[f] = true
-	}
-	for _, a := range m.Ancestors() {
-		for _, f := range a.Features {
-			all[f] = true
-		}
-	}
 	for _, f := range features {
-		if !all[f] {
+		if i := sort.SearchStrings(m.closure, f); i == len(m.closure) || m.closure[i] != f {
 			return false
 		}
 	}
@@ -140,21 +146,7 @@ func (m *Microarchitecture) HasFeatures(features ...string) bool {
 // AllFeatures returns the union of m's features and those of all its
 // ancestors, sorted.
 func (m *Microarchitecture) AllFeatures() []string {
-	all := map[string]bool{}
-	for _, f := range m.Features {
-		all[f] = true
-	}
-	for _, a := range m.Ancestors() {
-		for _, f := range a.Features {
-			all[f] = true
-		}
-	}
-	out := make([]string, 0, len(all))
-	for f := range all {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), m.closure...)
 }
 
 // OptimizationFlags returns the compiler flags that tune for m with
@@ -279,7 +271,7 @@ func Detect(info CPUInfo) (*Microarchitecture, error) {
 		if m.Vendor != "" && info.VendorID != "" && m.Vendor != info.VendorID {
 			continue
 		}
-		feats := m.AllFeatures()
+		feats := m.closure
 		ok := true
 		for _, f := range feats {
 			if !have[f] {

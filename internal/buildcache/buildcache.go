@@ -6,6 +6,11 @@
 // The cache is safe for concurrent use — in a continuous-benchmarking
 // deployment many site installers push and fetch at once — and keeps
 // hit/miss/put statistics for the cache-ablation experiments.
+//
+// Over a durable layer (Persist) it reads through: a lookup costs one
+// entry file, whatever the layer holds, and finds what a sibling
+// process put since this one attached; only FindCompatible, Len,
+// Hashes and TotalSize load the whole set.
 package buildcache
 
 import (
@@ -38,8 +43,11 @@ type Cache struct {
 	mu      sync.RWMutex
 	entries map[string]Entry
 
-	// layer, when set, durably mirrors every entry (write-through).
+	// layer, when set, durably mirrors every entry (write-through)
+	// and answers what entries does not hold (read-through).
 	layer *cachekey.Layer
+	// listed records that the layer's whole set is in entries.
+	listed bool
 
 	hits, misses, puts int
 
@@ -58,10 +66,10 @@ func New() *Cache {
 // buildcache_puts_total counters. A nil registry leaves the cache
 // uninstrumented.
 //
-// Counts accumulated before Instrument — including entries restored
-// by Persist on another instance sharing the same durable layer — are
-// backfilled into the counters, so Stats() and the telemetry mirrors
-// agree no matter when instrumentation is attached.
+// Counts accumulated before Instrument — including hits on entries
+// another instance wrote to the shared durable layer — are backfilled
+// into the counters, so Stats() and the telemetry mirrors agree no
+// matter when instrumentation is attached.
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -78,34 +86,79 @@ func entryKey(hash string) cachekey.Key {
 	return cachekey.Hash(hash).Derive("buildcache")
 }
 
-// Persist attaches a durable cache layer: entries already on disk are
-// restored into memory (corrupt or undecodable entries are skipped —
-// a cold miss, never a wrong hit) and every future Put writes
-// through. Restored entries do not count as puts; only this process's
-// own traffic moves the statistics.
-func (c *Cache) Persist(l *cachekey.Layer) int {
-	restored := 0
+// Persist attaches a durable cache layer and performs no IO: entries
+// already on disk are read when asked for and every future Put writes
+// through. Reading an entry is not a put; only this process's own
+// traffic moves the statistics.
+func (c *Cache) Persist(l *cachekey.Layer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.layer = l
-	for _, k := range l.Keys() {
-		data, ok := l.Get(k)
-		if !ok {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(data, &e); err != nil || e.Hash == "" {
-			continue
-		}
-		if entryKey(e.Hash) != k {
-			continue // entry filed under a foreign key: ignore
-		}
-		if _, have := c.entries[e.Hash]; !have {
-			c.entries[e.Hash] = e
-			restored++
+	c.listed = false
+}
+
+// readEntry fetches and checks the entry stored under k: the frame
+// digest holds, the payload decodes, and the entry is filed under its
+// own hash's key. Anything else is a cold miss, never a wrong hit.
+func readEntry(l *cachekey.Layer, k cachekey.Key) (Entry, bool) {
+	data, ok := l.Get(k)
+	if !ok {
+		return Entry{}, false
+	}
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil || e.Hash == "" || entryKey(e.Hash) != k {
+		return Entry{}, false
+	}
+	return e, true
+}
+
+// lookup finds hash in memory, then in the durable layer (IO outside
+// the lock). A layer hit is remembered; a miss is not, so an entry a
+// sibling process puts later is seen.
+func (c *Cache) lookup(hash string) (Entry, bool) {
+	c.mu.RLock()
+	e, ok := c.entries[hash]
+	layer := c.layer
+	c.mu.RUnlock()
+	if ok || layer == nil {
+		return e, ok
+	}
+	if e, ok = readEntry(layer, entryKey(hash)); ok {
+		c.mu.Lock()
+		c.entries[hash] = e
+		c.mu.Unlock()
+	}
+	return e, ok
+}
+
+// loadAll makes entries hold the durable layer's whole set, for the
+// questions no exact key answers. The first call after Persist lists
+// and reads the layer (IO outside the lock); entries a sibling adds
+// after that are reached by exact hash only.
+func (c *Cache) loadAll() {
+	c.mu.RLock()
+	layer, listed := c.layer, c.listed
+	c.mu.RUnlock()
+	if layer == nil || listed {
+		return
+	}
+	var found []Entry
+	for _, k := range layer.Keys() {
+		if e, ok := readEntry(layer, k); ok {
+			found = append(found, e)
 		}
 	}
-	return restored
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.layer != layer {
+		return
+	}
+	for _, e := range found {
+		if _, have := c.entries[e.Hash]; !have {
+			c.entries[e.Hash] = e
+		}
+	}
+	c.listed = true
 }
 
 // Put stores an entry under its hash. Content addressing makes the
@@ -128,9 +181,9 @@ func (c *Cache) Put(e Entry) {
 
 // Get fetches the entry for a hash, recording a hit or a miss.
 func (c *Cache) Get(hash string) (Entry, bool) {
+	e, ok := c.lookup(hash)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
 	if ok {
 		c.hits++
 		c.hitCtr.Inc()
@@ -144,14 +197,13 @@ func (c *Cache) Get(hash string) (Entry, bool) {
 // Has reports whether a hash is cached without touching the
 // hit/miss statistics.
 func (c *Cache) Has(hash string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.entries[hash]
+	_, ok := c.lookup(hash)
 	return ok
 }
 
 // Len reports the number of cached binaries.
 func (c *Cache) Len() int {
+	c.loadAll()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.entries)
@@ -159,6 +211,7 @@ func (c *Cache) Len() int {
 
 // TotalSize reports the cumulative size of all cached binaries.
 func (c *Cache) TotalSize() int64 {
+	c.loadAll()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var total int64
@@ -170,6 +223,7 @@ func (c *Cache) TotalSize() int64 {
 
 // Hashes returns the cached hashes, sorted.
 func (c *Cache) Hashes() []string {
+	c.loadAll()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.entries))
@@ -193,6 +247,7 @@ func (c *Cache) Stats() (hits, misses, puts int) {
 // An exact hash hit is not required — this is the fallback lookup
 // behind Spack's relocatable-binary reuse.
 func (c *Cache) FindCompatible(name, version string, pred func(target string) bool) []Entry {
+	c.loadAll()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []Entry

@@ -83,6 +83,13 @@ func Hash(v any) Key {
 	if err != nil {
 		return ""
 	}
+	return HashJSON(data)
+}
+
+// HashJSON is Hash for a caller that has already encoded its inputs:
+// data must be byte for byte what json.Marshal gives for the value,
+// or the key differs from the one Hash derives for it.
+func HashJSON(data []byte) Key {
 	h := sha256.New()
 	h.Write([]byte(SchemaVersion)) //nolint:errcheck
 	h.Write([]byte{0})             //nolint:errcheck

@@ -367,7 +367,12 @@ type sessionRunner struct {
 	errs     []error             // per-experiment kernel error
 	analysis *ramble.AnalysisReport
 	results  []engine.ExperimentResult // what Analyze recorded, see Session.record
-	locks    sync.Map                  // environment name -> lockfile JSON, see lockJSON
+	locks    sync.Map                  // environment name -> escaped lockfile JSON, see lockJSON
+
+	// ExperimentKey's scratch, reused across the session's experiments.
+	keyMu    sync.Mutex
+	keyBuf   []byte
+	keyNames []string
 }
 
 func (r *sessionRunner) Label() string {

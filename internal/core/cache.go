@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/adiak"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/caliper"
 	"repro/internal/concretizer"
 	"repro/internal/engine"
+	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
 )
 
@@ -71,8 +73,15 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 // rendered variables, environment, modifiers and batch script, its
 // execution geometry, and the lockfile of its software environment
 // (so a dependency bump re-executes even when the experiment text is
-// unchanged). cachekey.Hash folds in the schema and toolchain versions
-// on top.
+// unchanged). cachekey.HashJSON folds in the schema and toolchain
+// versions on top.
+//
+// The key is cachekey.Hash of a struct of those fields — the struct
+// TestExperimentKeyMatchesMarshalledStruct keeps — whose canonical
+// JSON is written here by hand, member by member in declaration
+// order with map keys sorted, so deployed run layers stay warm: a
+// session hashes the same bytes without building the struct, copying
+// its maps or re-escaping the lockfile per experiment.
 //
 // The workspace root is normalized out of every rendered value: batch
 // scripts and expanded variables legitimately embed the workspace
@@ -81,71 +90,109 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 // apply to committed artifacts.
 func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	e := r.exps[i]
-	norm := func(v string) string {
-		return strings.ReplaceAll(v, r.s.Workspace.Root, "$WORKSPACE")
-	}
-	normMap := func(m map[string]string) map[string]string {
-		out := make(map[string]string, len(m))
-		for k, v := range m {
-			out[k] = norm(v)
-		}
-		return out
-	}
 	lock, err := r.lockJSON(e.App.Name)
 	if err != nil {
 		return "" // no provenance, no caching
 	}
-	in := struct {
-		Suite      string
-		System     string
-		Experiment string
-		App        string
-		Workload   string
-		Vars       map[string]string
-		Env        map[string]string
-		Modifiers  []string
-		Script     string
-		NNodes     int
-		ProcsNode  int
-		NRanks     int
-		NThreads   int
-		Lockfile   string
-	}{
-		Suite:      r.s.Suite,
-		System:     r.s.System.Name,
-		Experiment: e.Name,
-		App:        e.App.Name,
-		Workload:   e.Workload,
-		Vars:       normMap(r.expanded(i)),
-		Env:        normMap(e.Env),
-		Modifiers:  e.Modifiers,
-		Script:     norm(e.Script),
-		NNodes:     e.NNodes,
-		ProcsNode:  e.ProcsPerNode,
-		NRanks:     e.NRanks,
-		NThreads:   e.NThreads,
-		Lockfile:   lock,
+	vars, root := r.expanded(i), r.s.Workspace.Root
+
+	r.keyMu.Lock()
+	defer r.keyMu.Unlock()
+	b := r.keyBuf[:0]
+	str := func(member, v string) {
+		b = metricsdb.AppendString(append(b, member...), v)
 	}
-	return cachekey.Hash(in).Derive("execute")
+	normMap := func(member string, m map[string]string) {
+		b = append(b, member...)
+		r.keyNames = r.keyNames[:0]
+		for k := range m {
+			r.keyNames = append(r.keyNames, k)
+		}
+		sort.Strings(r.keyNames)
+		for j, k := range r.keyNames {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = appendNorm(append(metricsdb.AppendString(b, k), ':'), m[k], root)
+		}
+		b = append(b, '}')
+	}
+	num := func(member string, n int) {
+		b = strconv.AppendInt(append(b, member...), int64(n), 10)
+	}
+	str(`{"Suite":`, r.s.Suite)
+	str(`,"System":`, r.s.System.Name)
+	str(`,"Experiment":`, e.Name)
+	str(`,"App":`, e.App.Name)
+	str(`,"Workload":`, e.Workload)
+	normMap(`,"Vars":{`, vars)
+	normMap(`,"Env":{`, e.Env)
+	if e.Modifiers == nil {
+		b = append(b, `,"Modifiers":null`...)
+	} else {
+		b = append(b, `,"Modifiers":[`...)
+		for j, m := range e.Modifiers {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = metricsdb.AppendString(b, m)
+		}
+		b = append(b, ']')
+	}
+	b = appendNorm(append(b, `,"Script":`...), e.Script, root)
+	num(`,"NNodes":`, e.NNodes)
+	num(`,"ProcsNode":`, e.ProcsPerNode)
+	num(`,"NRanks":`, e.NRanks)
+	num(`,"NThreads":`, e.NThreads)
+	b = append(append(append(b, `,"Lockfile":`...), lock...), '}')
+	r.keyBuf = b
+	return cachekey.HashJSON(b).Derive("execute")
 }
 
-// lockJSON serializes the named environment's lockfile for the
-// experiment keys once per session, not once per experiment: every
-// experiment of an environment folds in the same text. Two workers
-// racing to be first both marshal it, to the same string.
-func (r *sessionRunner) lockJSON(envName string) (string, error) {
-	lf, ok := r.s.Lockfiles[envName]
-	if !ok {
-		return "", nil
+// appendNorm appends v as a JSON string with every occurrence of the
+// workspace root replaced by $WORKSPACE: what AppendString gives for
+// strings.ReplaceAll(v, root, "$WORKSPACE"), without building that
+// string. The pieces between occurrences are escaped one by one —
+// the replacement is ASCII, so no character spans a seam — and each
+// later piece's opening quote is closed up over.
+func appendNorm(b []byte, v, root string) []byte {
+	if root == "" {
+		return metricsdb.AppendString(b, strings.ReplaceAll(v, root, "$WORKSPACE"))
 	}
+	for first := true; ; first = false {
+		piece, rest, found := strings.Cut(v, root)
+		n := len(b)
+		b = metricsdb.AppendString(b, piece)
+		if !first {
+			b = append(b[:n], b[n+1:]...)
+		}
+		if !found {
+			return b
+		}
+		b = append(b[:len(b)-1], "$WORKSPACE"...)
+		v = rest
+	}
+}
+
+// lockJSON returns the named environment's lockfile as the JSON
+// string the experiment keys embed, serialized and escaped once per
+// session, not once per experiment: every experiment of an
+// environment folds in the same text. Two workers racing to be first
+// both encode it, to the same bytes.
+func (r *sessionRunner) lockJSON(envName string) ([]byte, error) {
 	if j, ok := r.locks.Load(envName); ok {
-		return j.(string), nil
+		return j.([]byte), nil
 	}
-	j, err := lf.JSON()
-	if err == nil {
-		r.locks.Store(envName, j)
+	text := ""
+	if lf, ok := r.s.Lockfiles[envName]; ok {
+		var err error
+		if text, err = lf.JSON(); err != nil {
+			return nil, err
+		}
 	}
-	return j, err
+	j := metricsdb.AppendString(make([]byte, 0, len(text)+len(text)/4), text)
+	r.locks.Store(envName, j)
+	return j, nil
 }
 
 // cachedOutcome is the serialized form of one successful execution:

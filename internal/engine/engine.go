@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cachekey"
 	"repro/internal/telemetry"
 )
 
@@ -384,24 +385,24 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		queueWait.Observe(span.StartTime().Sub(phaseStart))
 		inflight.Add(1)
 		var err error
+		var key cachekey.Key // stays invalid without a run cache
 		if useCache {
-			if key := rc.ExperimentKey(i); key.Valid() {
-				if data, ok := opts.Cache.Get(key); ok {
-					if rerr := rc.RestoreExperiment(sctx, i, data); rerr == nil {
-						replayed[i] = true
-						cacheIO[i] = int64(len(data))
-					}
+			key = rc.ExperimentKey(i)
+		}
+		if key.Valid() {
+			if data, ok := opts.Cache.Get(key); ok {
+				if rerr := rc.RestoreExperiment(sctx, i, data); rerr == nil {
+					replayed[i] = true
+					cacheIO[i] = int64(len(data))
 				}
 			}
 		}
 		if !replayed[i] {
 			err = r.Execute(sctx, i)
-			if useCache && err == nil {
-				if key := rc.ExperimentKey(i); key.Valid() {
-					if data, merr := rc.MarshalExperiment(i); merr == nil {
-						if perr := opts.Cache.Put(key, data); perr == nil {
-							cacheIO[i] = int64(len(data))
-						}
+			if err == nil && key.Valid() {
+				if data, merr := rc.MarshalExperiment(i); merr == nil {
+					if perr := opts.Cache.Put(key, data); perr == nil {
+						cacheIO[i] = int64(len(data))
 					}
 				}
 			}

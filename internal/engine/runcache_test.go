@@ -22,12 +22,14 @@ type cacheableRunner struct {
 	outcomes []string
 	execs    atomic.Int64 // real Execute calls (not replays)
 	restored atomic.Int64
+	keyed    []atomic.Int64 // ExperimentKey calls per experiment
 }
 
 func newCacheableRunner(n int) *cacheableRunner {
 	r := &cacheableRunner{mockRunner: mockRunner{label: "cached@test", n: n}}
 	r.salts = make([]string, n)
 	r.outcomes = make([]string, n)
+	r.keyed = make([]atomic.Int64, n)
 	for i := range r.salts {
 		r.salts[i] = fmt.Sprintf("salt-%d", i)
 	}
@@ -41,6 +43,7 @@ func (r *cacheableRunner) Execute(ctx context.Context, i int) error {
 }
 
 func (r *cacheableRunner) ExperimentKey(i int) cachekey.Key {
+	r.keyed[i].Add(1)
 	return cachekey.Hash(r.salts[i]).Derive("execute")
 }
 
@@ -110,6 +113,28 @@ func TestWarmRunExecutesZeroExperiments(t *testing.T) {
 	if len(wrep.Cache) != 1 || wrep.Cache[0].Layer != "run" ||
 		wrep.Cache[0].Hits != 12 || wrep.Cache[0].Misses != 0 || wrep.Cache[0].Bytes == 0 {
 		t.Errorf("cache stats = %+v", wrep.Cache)
+	}
+}
+
+// TestExperimentKeyComputedOncePerExperiment: a key hashes an
+// experiment's whole rendered text, so the engine asks for it once —
+// on a miss the key that missed is the key the outcome is stored under.
+func TestExperimentKeyComputedOncePerExperiment(t *testing.T) {
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		r := newCacheableRunner(6)
+		rep, err := Run(context.Background(), r, Options{Jobs: 3, Cache: openRunLayer(t, dir)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[string]int{"cold": 0, "warm": 6}[pass]; rep.CacheHits != want {
+			t.Errorf("%s run replayed %d experiments, want %d", pass, rep.CacheHits, want)
+		}
+		for i := range r.keyed {
+			if n := r.keyed[i].Load(); n != 1 {
+				t.Errorf("%s run computed experiment %d's key %d times, want once", pass, i, n)
+			}
+		}
 	}
 }
 

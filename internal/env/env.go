@@ -132,8 +132,9 @@ func (e *Environment) InstallContext(ctx context.Context, inst *install.Installe
 // — the ablation metric for unify on/off.
 func (e *Environment) DistinctInstalls() int {
 	seen := map[string]bool{}
+	hs := spec.Hasher{}
 	for _, r := range e.Roots {
-		r.Traverse(func(n *spec.Spec) { seen[n.DAGHash()] = true })
+		r.Traverse(func(n *spec.Spec) { seen[hs.Hash(n)] = true })
 	}
 	return len(seen)
 }
@@ -219,10 +220,11 @@ func (e *Environment) Lock() (*Lockfile, error) {
 		return nil, fmt.Errorf("env: %q is not concretized", e.Name)
 	}
 	lf := &Lockfile{Nodes: map[string]LockNode{}}
+	hs := spec.Hasher{}
 	for _, root := range e.Roots {
-		lf.Roots = append(lf.Roots, root.DAGHash())
+		lf.Roots = append(lf.Roots, hs.Hash(root))
 		root.Traverse(func(n *spec.Spec) {
-			h := n.DAGHash()
+			h := hs.Hash(n)
 			if _, ok := lf.Nodes[h]; ok {
 				return
 			}
@@ -236,7 +238,7 @@ func (e *Environment) Lock() (*Lockfile, error) {
 			if len(n.Deps) > 0 {
 				ln.Deps = map[string]string{}
 				for dn, d := range n.Deps {
-					ln.Deps[dn] = d.DAGHash()
+					ln.Deps[dn] = hs.Hash(d)
 				}
 			}
 			lf.Nodes[h] = ln

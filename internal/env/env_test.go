@@ -371,3 +371,57 @@ func TestReconstructDanglingHash(t *testing.T) {
 		t.Error("dangling root hash should fail")
 	}
 }
+
+// TestHasherAgreesWithDAGHashOnSolvedDAGs: on every node of the
+// concretised amg2023 and lulesh DAGs, one shared Hasher — asked roots
+// first, then leaves first — gives the hash DAGHash computes alone,
+// and the lockfile built with it is keyed by those hashes.
+func TestHasherAgreesWithDAGHashOnSolvedDAGs(t *testing.T) {
+	e := New("hashes")
+	for _, s := range []string{"amg2023+caliper", "lulesh"} {
+		if err := e.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Concretize(ctsConcretizer(t)); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*spec.Spec
+	for _, r := range e.Roots {
+		r.Traverse(func(n *spec.Spec) { nodes = append(nodes, n) })
+	}
+	if len(nodes) < 10 {
+		t.Fatalf("only %d nodes under amg2023 and lulesh", len(nodes))
+	}
+	rootsFirst, leavesFirst := spec.Hasher{}, spec.Hasher{}
+	for i, n := range nodes {
+		if got, want := rootsFirst.Hash(n), n.DAGHash(); got != want {
+			t.Errorf("%s: Hasher %s, DAGHash %s", n.Name, got, want)
+		}
+		n = nodes[len(nodes)-1-i]
+		if got, want := leavesFirst.Hash(n), n.DAGHash(); got != want {
+			t.Errorf("%s, leaves first: Hasher %s, DAGHash %s", n.Name, got, want)
+		}
+	}
+	lf, err := e.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range e.Roots {
+		if lf.Roots[i] != r.DAGHash() {
+			t.Errorf("lockfile root %d = %s, want %s", i, lf.Roots[i], r.DAGHash())
+		}
+	}
+	for _, n := range nodes {
+		ln, ok := lf.Nodes[n.DAGHash()]
+		if !ok || ln.Hash != n.DAGHash() {
+			t.Errorf("%s: lockfile node under %s = %+v, %v", n.Name, n.DAGHash(), ln, ok)
+			continue
+		}
+		for dn, d := range n.Deps {
+			if ln.Deps[dn] != d.DAGHash() {
+				t.Errorf("%s -> %s: lockfile edge %s, want %s", n.Name, dn, ln.Deps[dn], d.DAGHash())
+			}
+		}
+	}
+}

@@ -218,14 +218,13 @@ func fetchCost(buildSeconds float64) float64 {
 }
 
 // BuildSeconds returns the simulated from-source build duration for a
-// concrete node: the recipe's cost scaled by a deterministic ±10%
-// perturbation derived from the spec hash.
-func (inst *Installer) BuildSeconds(node *spec.Spec) (float64, error) {
+// concrete node whose DAG hash is h: the recipe's cost scaled by a
+// deterministic ±10% perturbation derived from the hash.
+func (inst *Installer) BuildSeconds(node *spec.Spec, h string) (float64, error) {
 	pkg, err := inst.Repo.Get(node.Name)
 	if err != nil {
 		return 0, err
 	}
-	h := node.DAGHash()
 	// Two hex-ish chars -> [0,1024) -> ±10%.
 	v := float64(int(h[0])*32+int(h[1])) / 1024.0
 	return pkg.BuildCost * (0.9 + 0.2*v), nil
@@ -265,11 +264,12 @@ func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep
 	states := map[string]*nodeState{}
 	var order []string // deterministic traversal order
 	var gatherErr error
+	hs := spec.Hasher{}
 	root.Traverse(func(n *spec.Spec) {
 		if gatherErr != nil {
 			return
 		}
-		h := n.DAGHash()
+		h := hs.Hash(n)
 		if _, ok := states[h]; ok {
 			return
 		}
@@ -283,7 +283,7 @@ func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep
 			st.action = AlreadyInstalled
 			st.seconds = 0
 		default:
-			sec, err := inst.BuildSeconds(n)
+			sec, err := inst.BuildSeconds(n, h)
 			if err != nil {
 				gatherErr = err
 				return
@@ -304,7 +304,7 @@ func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep
 			st.seconds = sec
 		}
 		for _, d := range n.Deps {
-			st.deps = append(st.deps, d.DAGHash())
+			st.deps = append(st.deps, hs.Hash(d))
 		}
 		sort.Strings(st.deps)
 		states[h] = st

@@ -22,12 +22,28 @@ import (
 
 // Expander substitutes {variable} references in templates, with
 // recursive expansion and simple arithmetic ({a}*{b} inside one brace
-// pair: {n_nodes*processes_per_node}).
+// pair: {n_nodes*processes_per_node}). Each variable's successful
+// expansion is remembered until the next Set, so a variable reached
+// through many templates is expanded once; an Expander is therefore
+// not safe for concurrent use.
 type Expander struct {
 	vars map[string]string
+	memo map[string]expansion
 }
 
-// NewExpander returns an expander over the given variables.
+// expansion is a variable's fully expanded value and its height: how
+// many levels of variable values expanding a reference to it descends
+// through (1 for a variable holding plain text). The depth rule is
+// decided from the height, so it answers the same whether the value
+// comes from the memo or is expanded afresh, whatever the order of
+// Expand calls.
+type expansion struct {
+	value  string
+	height int
+}
+
+// NewExpander returns an expander over the given variables. The
+// expander keeps the map; later writes to it go through Set.
 func NewExpander(vars map[string]string) *Expander {
 	return &Expander{vars: vars}
 }
@@ -38,6 +54,7 @@ func (e *Expander) Set(name, value string) {
 		e.vars = map[string]string{}
 	}
 	e.vars[name] = value
+	clear(e.memo)
 }
 
 // Get returns the raw (unexpanded) value of a variable.
@@ -60,14 +77,26 @@ const maxDepth = 32
 // Expand substitutes all {…} references in s. Unknown variables are
 // an error, as is unbounded recursion.
 func (e *Expander) Expand(s string) (string, error) {
-	return e.expand(s, 0)
+	out, _, err := e.expand(s, 0)
+	return out, err
 }
 
-func (e *Expander) expand(s string, depth int) (string, error) {
+func depthError(s string) error {
+	return fmt.Errorf("ramble: expansion depth exceeded (circular variable reference?) in %q", s)
+}
+
+// expand returns s expanded at the given depth and the height of s:
+// 0 without a reference, else one more than the tallest variable
+// referenced. depth+height is the deepest level the expansion reaches.
+func (e *Expander) expand(s string, depth int) (string, int, error) {
 	if depth > maxDepth {
-		return "", fmt.Errorf("ramble: expansion depth exceeded (circular variable reference?) in %q", s)
+		return "", 0, depthError(s)
+	}
+	if strings.IndexByte(s, '{') < 0 {
+		return s, 0, nil
 	}
 	var b strings.Builder
+	height := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c != '{' {
@@ -78,47 +107,49 @@ func (e *Expander) expand(s string, depth int) (string, error) {
 		// find matching close brace (no nesting inside a reference)
 		j := strings.IndexByte(s[i:], '}')
 		if j < 0 {
-			return "", fmt.Errorf("ramble: unbalanced '{' in %q", s)
+			return "", 0, fmt.Errorf("ramble: unbalanced '{' in %q", s)
 		}
 		expr := s[i+1 : i+j]
-		val, err := e.eval(expr, depth)
+		val, h, err := e.eval(expr, depth)
 		if err != nil {
-			return "", err
+			return "", 0, err
 		}
+		height = max(height, h)
 		b.WriteString(val)
 		i += j + 1
 	}
-	return b.String(), nil
+	return b.String(), height, nil
 }
 
 // eval resolves one brace expression: a variable name, a numeric
 // literal, or a left-to-right arithmetic chain a*b+c over variables
 // and literals (*, /, +, -, // for integer division).
-func (e *Expander) eval(expr string, depth int) (string, error) {
+func (e *Expander) eval(expr string, depth int) (string, int, error) {
 	expr = strings.TrimSpace(expr)
 	if expr == "" {
-		return "", fmt.Errorf("ramble: empty expansion {}")
+		return "", 0, fmt.Errorf("ramble: empty expansion {}")
 	}
 	tokens, err := tokenizeExpr(expr)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if len(tokens) == 1 {
 		return e.resolveToken(tokens[0], depth)
 	}
 	// arithmetic chain: operand (op operand)*
-	acc, err := e.numericToken(tokens[0], depth)
+	acc, height, err := e.numericToken(tokens[0], depth)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	for i := 1; i < len(tokens); i += 2 {
 		if i+1 >= len(tokens) {
-			return "", fmt.Errorf("ramble: trailing operator in {%s}", expr)
+			return "", 0, fmt.Errorf("ramble: trailing operator in {%s}", expr)
 		}
-		rhs, err := e.numericToken(tokens[i+1], depth)
+		rhs, h, err := e.numericToken(tokens[i+1], depth)
 		if err != nil {
-			return "", err
+			return "", 0, err
 		}
+		height = max(height, h)
 		switch tokens[i] {
 		case "*":
 			acc *= rhs
@@ -128,42 +159,56 @@ func (e *Expander) eval(expr string, depth int) (string, error) {
 			acc -= rhs
 		case "/":
 			if rhs == 0 {
-				return "", fmt.Errorf("ramble: division by zero in {%s}", expr)
+				return "", 0, fmt.Errorf("ramble: division by zero in {%s}", expr)
 			}
 			acc /= rhs
 		case "//":
 			if rhs == 0 {
-				return "", fmt.Errorf("ramble: division by zero in {%s}", expr)
+				return "", 0, fmt.Errorf("ramble: division by zero in {%s}", expr)
 			}
 			acc = float64(int64(acc) / int64(rhs))
 		default:
-			return "", fmt.Errorf("ramble: bad operator %q in {%s}", tokens[i], expr)
+			return "", 0, fmt.Errorf("ramble: bad operator %q in {%s}", tokens[i], expr)
 		}
 	}
-	return formatNumber(acc), nil
+	return formatNumber(acc), height, nil
 }
 
-func (e *Expander) resolveToken(tok string, depth int) (string, error) {
+func (e *Expander) resolveToken(tok string, depth int) (string, int, error) {
 	if isNumber(tok) {
-		return tok, nil
+		return tok, 0, nil
+	}
+	if m, ok := e.memo[tok]; ok {
+		if depth+m.height > maxDepth {
+			return "", 0, depthError(e.vars[tok])
+		}
+		return m.value, m.height, nil
 	}
 	raw, ok := e.vars[tok]
 	if !ok {
-		return "", fmt.Errorf("ramble: undefined variable %q", tok)
+		return "", 0, fmt.Errorf("ramble: undefined variable %q", tok)
 	}
-	return e.expand(raw, depth+1)
+	val, h, err := e.expand(raw, depth+1)
+	if err != nil {
+		return "", 0, err
+	}
+	if e.memo == nil {
+		e.memo = make(map[string]expansion, len(e.vars))
+	}
+	e.memo[tok] = expansion{val, h + 1}
+	return val, h + 1, nil
 }
 
-func (e *Expander) numericToken(tok string, depth int) (float64, error) {
-	s, err := e.resolveToken(tok, depth)
+func (e *Expander) numericToken(tok string, depth int) (float64, int, error) {
+	s, h, err := e.resolveToken(tok, depth)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
-		return 0, fmt.Errorf("ramble: %q = %q is not numeric", tok, s)
+		return 0, 0, fmt.Errorf("ramble: %q = %q is not numeric", tok, s)
 	}
-	return f, nil
+	return f, h, nil
 }
 
 // tokenizeExpr splits "a*b + 3" into operands and operators.
@@ -200,9 +245,40 @@ func tokenizeExpr(expr string) ([]string, error) {
 	return tokens, nil
 }
 
+// isNumber reports whether s is a decimal literal —
+// [+-]digits[.digits][e[+-]digits], with ".5" and "5." allowed —
+// and not a variable name: "inf", "nan", hex and underscore forms,
+// which strconv.ParseFloat would take, are names.
 func isNumber(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	digits := func() int {
+		start := i
+		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	mantissa := digits()
+	if i < len(s) && s[i] == '.' {
+		i++
+		mantissa += digits()
+	}
+	if mantissa == 0 {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return false
+		}
+	}
+	return i == len(s)
 }
 
 func formatNumber(f float64) string {

@@ -53,7 +53,9 @@ type Experiment struct {
 	Workload string
 
 	// Vars is the complete raw variable table (values may still hold
-	// {…} references; Expander resolves them).
+	// {…} references; Expander resolves them). It is the Expander's
+	// own map: change a variable with Expander.Set, which also drops
+	// the expansions remembered for the old value.
 	Vars     map[string]string
 	Expander *Expander
 	Env      map[string]string // rendered environment variables
@@ -628,9 +630,9 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 	if err != nil {
 		return nil, err
 	}
-	vars["experiment_name"] = name
+	ex.Set("experiment_name", name)
 	dir := filepath.Join(w.Root, runDir(app.Name, workload, name))
-	vars["experiment_run_dir"] = dir
+	ex.Set("experiment_run_dir", dir)
 
 	// Command: the workload's executables under the system launcher.
 	mpiCmd := vars["mpi_command"]
@@ -638,7 +640,7 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 	if err != nil {
 		return nil, err
 	}
-	vars["command"] = strings.Join(cmds, "\n")
+	ex.Set("command", strings.Join(cmds, "\n"))
 
 	script, err := ex.Expand(template)
 	if err != nil {

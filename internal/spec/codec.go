@@ -20,10 +20,11 @@ type EncodedNode struct {
 func EncodeDAG(roots []*Spec) (map[string]EncodedNode, []string) {
 	nodes := map[string]EncodedNode{}
 	var rootHashes []string
+	hs := Hasher{}
 	for _, root := range roots {
-		rootHashes = append(rootHashes, root.DAGHash())
+		rootHashes = append(rootHashes, hs.Hash(root))
 		root.Traverse(func(n *Spec) {
-			h := n.DAGHash()
+			h := hs.Hash(n)
 			if _, ok := nodes[h]; ok {
 				return
 			}
@@ -31,7 +32,7 @@ func EncodeDAG(roots []*Spec) (map[string]EncodedNode, []string) {
 			if len(n.Deps) > 0 {
 				en.Deps = map[string]string{}
 				for dn, d := range n.Deps {
-					en.Deps[dn] = d.DAGHash()
+					en.Deps[dn] = hs.Hash(d)
 				}
 			}
 			nodes[h] = en
@@ -54,10 +55,14 @@ func (s *Spec) renderNodeNoExternal() string {
 // re-deriving and verifying every hash (a tampered table is
 // rejected). Shared nodes are shared in the result.
 func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
-	built := map[string]*Spec{}
+	built := map[string]*Spec{} // nil while a node's dependencies are being built
+	hs := Hasher{}
 	var build func(hash string) (*Spec, error)
 	build = func(hash string) (*Spec, error) {
 		if n, ok := built[hash]; ok {
+			if n == nil {
+				return nil, fmt.Errorf("spec: encoded DAG has a cycle through %s", hash)
+			}
 			return n, nil
 		}
 		en, ok := nodes[hash]
@@ -72,7 +77,7 @@ func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
 			return nil, fmt.Errorf("spec: encoded node %s carries inline deps", hash)
 		}
 		s.External = en.External
-		built[hash] = s
+		built[hash] = nil
 		for name, dh := range en.Deps {
 			dn, err := build(dh)
 			if err != nil {
@@ -83,9 +88,12 @@ func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
 		if err := s.MarkConcrete(); err != nil {
 			return nil, fmt.Errorf("spec: encoded node %s: %w", hash, err)
 		}
-		if got := s.DAGHash(); got != hash {
+		// Every dependency is complete and verified by now, so the
+		// hasher only ever remembers final hashes.
+		if got := hs.Hash(s); got != hash {
 			return nil, fmt.Errorf("spec: DAG integrity failure: node %s rebuilds to %s", hash, got)
 		}
+		built[hash] = s
 		return s, nil
 	}
 	out := make([]*Spec, 0, len(roots))

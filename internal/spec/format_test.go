@@ -98,3 +98,62 @@ func TestDecodeDAGDangling(t *testing.T) {
 		t.Error("dangling root should fail")
 	}
 }
+
+// TestDecodeDAGRejectsCycle: a table whose edges loop is no DAG. The
+// second node's claimed hash is the one its half-built parent would
+// give it, so only refusing the back edge — not the hash check — stops
+// it, and a hasher that remembered the half-built parent would let it
+// through.
+func TestDecodeDAGRejectsCycle(t *testing.T) {
+	a := MustParse("a@1.0 target=broadwell")
+	b := MustParse("b@1.0 target=broadwell")
+	if err := a.MarkConcrete(); err != nil {
+		t.Fatal(err)
+	}
+	ha := a.DAGHash() // a before it has any dependency
+	if err := b.AddDep(a); err != nil {
+		t.Fatal(err)
+	}
+	hb := b.DAGHash()
+	nodes := map[string]EncodedNode{
+		ha: {Node: "a@1.0 target=broadwell", Deps: map[string]string{"b": hb}},
+		hb: {Node: "b@1.0 target=broadwell", Deps: map[string]string{"a": ha}},
+	}
+	for _, root := range []string{ha, hb} {
+		if _, err := DecodeDAG(nodes, []string{root}); err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Errorf("cyclic table from %s: err = %v, want a cycle error", root, err)
+		}
+	}
+}
+
+// TestHasherSharesSubtrees: one Hasher over a diamond gives every node
+// the hash DAGHash gives it, in whatever order they are asked for, and
+// a fresh one sees a mutation the old one cannot.
+func TestHasherSharesSubtrees(t *testing.T) {
+	leaf := MustParse("leaf@1.0 target=broadwell")
+	l := MustParse("left@1.0 target=broadwell")
+	r := MustParse("right@1.0 target=broadwell")
+	top := MustParse("top@1.0 target=broadwell")
+	for _, e := range [][2]*Spec{{l, leaf}, {r, leaf}, {top, l}, {top, r}} {
+		if err := e[0].AddDep(e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := []*Spec{top, l, r, leaf}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}} {
+		hs := Hasher{}
+		for _, i := range order {
+			if got, want := hs.Hash(all[i]), all[i].DAGHash(); got != want {
+				t.Errorf("order %v: Hasher gives %s for %s, DAGHash %s", order, got, all[i].Name, want)
+			}
+		}
+		if len(hs) != len(all) {
+			t.Errorf("order %v: hasher remembers %d nodes, want %d", order, len(hs), len(all))
+		}
+	}
+	before := top.DAGHash()
+	leaf.SetVariant("shared", VariantValue{IsBool: true, Bool: true})
+	if after := (Hasher{}).Hash(top); after == before || after != top.DAGHash() {
+		t.Errorf("after mutating the leaf: fresh Hasher %s, DAGHash %s, before %s", after, top.DAGHash(), before)
+	}
+}

@@ -480,24 +480,32 @@ func (s *Spec) Constrain(other *Spec) error {
 
 // DAGHash returns the content hash of a concrete spec, covering the
 // node's full assignment and the hashes of all dependencies. It is the
-// identity used by the install database and binary cache.
-func (s *Spec) DAGHash() string {
-	memo := map[*Spec]string{}
-	return s.dagHash(memo)
-}
+// identity used by the install database and binary cache. A walk that
+// hashes more than one node of a DAG uses one Hasher instead.
+func (s *Spec) DAGHash() string { return Hasher{}.Hash(s) }
 
-func (s *Spec) dagHash(memo map[*Spec]string) string {
-	if h, ok := memo[s]; ok {
+// Hasher computes DAG hashes for one walk over a DAG, hashing each node
+// once however many parents reach it. Specs are mutable, so no hash is
+// kept on a Spec: a Hasher lives for one walk and is dropped before
+// anything it has seen changes.
+type Hasher map[*Spec]string
+
+// Hash returns s.DAGHash(), remembering it and every hash below it.
+func (hs Hasher) Hash(s *Spec) string {
+	if h, ok := hs[s]; ok {
 		return h
 	}
 	var b strings.Builder
 	b.WriteString(s.renderNode())
 	for _, name := range sortedDepNames(s) {
-		b.WriteString("|" + name + ":" + s.Deps[name].dagHash(memo))
+		b.WriteString("|")
+		b.WriteString(name)
+		b.WriteString(":")
+		b.WriteString(hs.Hash(s.Deps[name]))
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	h := strings.ToLower(base32.StdEncoding.EncodeToString(sum[:]))[:32]
-	memo[s] = h
+	hs[s] = h
 	return h
 }
 

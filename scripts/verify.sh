@@ -21,8 +21,10 @@
 # handler's reader of network bytes (plain or gzip, through its pooled
 # decompressor), yamlite's scalar emitter/parser round trip, the
 # Result codec against encoding/json, both directions, telemetry's
-# traceparent header parser and the spec parser's render/re-parse
-# round trip are fuzzed for five seconds each from their seed corpora.
+# traceparent header parser, the spec parser's render/re-parse
+# round trip and ramble's memoising variable expander against its
+# memo-less oracle (templates and variable tables are user-written
+# YAML) are fuzzed for five seconds each from their seed corpora.
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
 # analyzer over every package, any unsuppressed finding fails (one
@@ -67,7 +69,7 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, ramble expander; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
@@ -83,6 +85,7 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemet
 # randomises, so the sort's coverage flaps and the minimizer would
 # stall on it.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
+go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
 
 echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
