@@ -67,7 +67,7 @@ func BenchmarkFig1_Workflow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkFig2_SpackEnv(b *testing.B) {
 			b.Fatal(err) // spack --config-scope ... concretize
 		}
 		inst := install.New(pkgrepo.Builtin())
-		rep, err := e.Install(inst) // spack install
+		rep, err := e.Install(context.Background(), inst) // spack install
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,10 +130,10 @@ func BenchmarkFig5_RambleWorkflow(b *testing.B) {
 			b.Fatal(err)
 		}
 		// create+edit happened in Setup; now setup/on/analyze:
-		if err := sess.Workspace.Setup(nil); err != nil {
+		if err := sess.Workspace.Setup(); err != nil {
 			b.Fatal(err)
 		}
-		if err := sess.Workspace.On(func(e *ramble.Experiment) (string, float64, error) {
+		if err := sess.Workspace.On(context.Background(), func(_ context.Context, e *ramble.Experiment) (string, float64, error) {
 			return "Kernel done\nsaxpy_time: 0.001 s\n", 0.001, nil
 		}); err != nil {
 			b.Fatal(err)
@@ -158,7 +158,7 @@ func BenchmarkFig6_Automation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := auto.SubmitContributionContext(context.Background(), "jens", "bench contribution",
+		res, err := auto.SubmitContribution(context.Background(), "jens", "bench contribution",
 			map[string]string{"docs/n.md": "x"}, "olga")
 		if err != nil {
 			b.Fatal(err)
@@ -187,7 +187,7 @@ func BenchmarkFig10_SaxpyMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func BenchmarkFig14_ExtraP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := study.Run(core.New())
+		res, err := study.Run(context.Background(), core.New(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkSec4_Matrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := sess.RunAll()
+			rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 			if err != nil {
 				b.Fatalf("%s on %s: %v", s.suite, s.system, err)
 			}
@@ -340,13 +340,13 @@ func BenchmarkAblation_BuildCache(b *testing.B) {
 		siteA := install.New(pkgrepo.Builtin())
 		siteA.Cache = cache
 		siteA.PushToCache = true
-		repA, err := e.Install(siteA)
+		repA, err := e.Install(context.Background(), siteA)
 		if err != nil {
 			b.Fatal(err)
 		}
 		siteB := install.New(pkgrepo.Builtin())
 		siteB.Cache = cache
-		repB, err := e.Install(siteB)
+		repB, err := e.Install(context.Background(), siteB)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 				}
 				narrow = append(narrow, jb)
 			}
-			if err := s.Drain(); err != nil {
+			if err := s.Drain(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			var totalWait float64
@@ -437,7 +437,7 @@ func BenchmarkAblation_Reuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		inst := install.New(pkgrepo.Builtin())
-		if _, err := inst.Install(oldCmake); err != nil {
+		if _, err := inst.Install(context.Background(), oldCmake); err != nil {
 			b.Fatal(err)
 		}
 
@@ -455,7 +455,7 @@ func BenchmarkAblation_Reuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := inst.Install(adiakSpec)
+			rep, err := inst.Install(context.Background(), adiakSpec)
 			if err != nil {
 				b.Fatal(err)
 			}

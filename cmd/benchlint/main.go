@@ -19,9 +19,7 @@
 // load errors. With -fix, findings repaired by an applied fix no
 // longer count against the exit code. Suppress a single finding with
 // `//benchlint:ignore <analyzer> <reason>` on (or directly above) the
-// offending line — or above the statement it sits in — and mark a
-// documented compatibility wrapper that may mint context.Background()
-// with `//benchlint:compat` in its doc comment.
+// offending line — or above the statement it sits in.
 package main
 
 import (

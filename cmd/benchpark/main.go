@@ -255,17 +255,17 @@ func run(rawArgs []string) error {
 	case "spec":
 		return specCmd(args[1:])
 	case "find":
-		return findCmd(args[1:])
+		return findCmd(args[1:], &opts)
 	case "dashboard":
-		return dashboardCmd(args[1:])
+		return dashboardCmd(args[1:], &opts)
 	case "regressions":
 		return regressionsCmd(args[1:])
 	case "archive":
-		return archiveCmd(args[1:])
+		return archiveCmd(args[1:], &opts)
 	case "provision":
-		return provisionCmd(args[1:])
+		return provisionCmd(args[1:], &opts)
 	case "report":
-		return reportCmd(args[1:])
+		return reportCmd(args[1:], &opts)
 	case "serve":
 		return serveCmd(args[1:], &opts)
 	case "push":
@@ -426,7 +426,7 @@ func figure14(args []string, opts *execOpts) error {
 	if err != nil {
 		return err
 	}
-	res, err := study.RunContext(ctx, core.New(), opts.jobs)
+	res, err := study.Run(ctx, core.New(), opts.jobs)
 	if ferr := opts.finish(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -468,7 +468,7 @@ func ciDemo(opts *execOpts) error {
 		return err
 	}
 	bp.Cache.Instrument(opts.tracer.Metrics())
-	res, err := auto.SubmitContributionContext(ctx, "jens", "add RIKEN notes",
+	res, err := auto.SubmitContribution(ctx, "jens", "add RIKEN notes",
 		map[string]string{"docs/riken.md": "results"}, "olga")
 	if ferr := opts.finish(); ferr != nil && err == nil {
 		err = ferr

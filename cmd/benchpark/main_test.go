@@ -287,3 +287,22 @@ func TestRunSuiteTimeoutCancels(t *testing.T) {
 		t.Errorf("error = %v, want a deadline error", err)
 	}
 }
+
+// TestSubcommandsHonourTimeout: every subcommand that runs a session
+// runs it under the global deadline, so an expired one fails it.
+func TestSubcommandsHonourTimeout(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"archive", "saxpy/openmp", "cts1", filepath.Join(dir, "out.tgz")},
+		{"dashboard"},
+		{"provision", "timeout-burst", "c5n.18xlarge", "2", "saxpy/openmp"},
+		{"report", filepath.Join(dir, "report.md")},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			err := run(append([]string{"--timeout", "1ns"}, args...))
+			if err == nil || !strings.Contains(err.Error(), "deadline") {
+				t.Errorf("err = %v, want a deadline error", err)
+			}
+		})
+	}
+}

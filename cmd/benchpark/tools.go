@@ -52,7 +52,7 @@ func specCmd(args []string) error {
 
 // findCmd implements `benchpark find <system> [constraint]`: install
 // the suite's software and list the install database like `spack find`.
-func findCmd(args []string) error {
+func findCmd(args []string, opts *execOpts) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: benchpark find <system> [constraint]")
 	}
@@ -66,13 +66,15 @@ func findCmd(args []string) error {
 	}
 	c := concretizer.New(pkgrepo.Builtin(), cfg)
 	inst := install.New(pkgrepo.Builtin())
+	ctx, cancel := opts.context()
+	defer cancel()
 	// Demonstrate against the two Section 4 benchmarks.
 	for _, s := range []string{"saxpy", "amg2023+caliper"} {
 		concrete, err := c.Concretize(spec.MustParse(s))
 		if err != nil {
 			return err
 		}
-		if _, err := inst.Install(concrete); err != nil {
+		if _, err := inst.Install(ctx, concrete); err != nil {
 			return err
 		}
 	}
@@ -98,13 +100,15 @@ func findCmd(args []string) error {
 
 // dashboardCmd implements `benchpark dashboard [html-file]`: run a
 // small result-producing sweep and render the Section 5 dashboard.
-func dashboardCmd(args []string) error {
+func dashboardCmd(args []string, opts *execOpts) error {
+	ctx, cancel := opts.context()
+	defer cancel()
 	bp := core.New()
 	fmt.Println("==> collecting results (saxpy + stream on cts1 and cloud-c5n)...")
 	for _, sysName := range []string{"cts1", "cloud-c5n"} {
 		for _, suite := range []string{"saxpy/openmp", "stream/triad"} {
 			err := bp.WithScratchSession(suite, sysName, func(sess *core.Session) error {
-				_, err := sess.RunAll()
+				_, _, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
 				return err
 			})
 			if err != nil {
@@ -157,12 +161,14 @@ func regressionsCmd(args []string) error {
 // archiveCmd implements `benchpark archive <suite> <system> <out.tar.gz>`:
 // run the suite and bundle the complete workspace (configs, scripts,
 // outputs, results.json) into a shareable archive (Section 5).
-func archiveCmd(args []string) error {
+func archiveCmd(args []string, opts *execOpts) error {
 	if len(args) != 3 {
 		return fmt.Errorf("usage: benchpark archive <suite> <system> <out.tar.gz>")
 	}
+	ctx, cancel := opts.context()
+	defer cancel()
 	return core.New().WithScratchSession(args[0], args[1], func(sess *core.Session) error {
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
 		if err != nil {
 			return err
 		}
@@ -182,7 +188,7 @@ func archiveCmd(args []string) error {
 // provisionCmd implements `benchpark provision <name> <instance-type>
 // <nodes> [suite]`: spin up an on-demand cloud cluster (Section 7.2)
 // and optionally run a suite on it immediately.
-func provisionCmd(args []string) error {
+func provisionCmd(args []string, opts *execOpts) error {
 	if len(args) < 3 || len(args) > 4 {
 		return fmt.Errorf("usage: benchpark provision <name> <instance-type> <nodes> [suite]")
 	}
@@ -202,8 +208,10 @@ func provisionCmd(args []string) error {
 	if len(args) < 4 {
 		return nil
 	}
+	ctx, cancel := opts.context()
+	defer cancel()
 	return core.New().WithScratchSession(args[3], sys.Name, func(sess *core.Session) error {
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
 		if err != nil {
 			return err
 		}
@@ -215,7 +223,7 @@ func provisionCmd(args []string) error {
 // reportCmd implements `benchpark report [out.md] [-full]`: rerun the
 // reproduction experiments and emit a paper-vs-measured markdown
 // report.
-func reportCmd(args []string) error {
+func reportCmd(args []string, opts *execOpts) error {
 	out := ""
 	full := false
 	for _, a := range args {
@@ -236,7 +244,9 @@ func reportCmd(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := core.GenerateReport(w, full); err != nil {
+	ctx, cancel := opts.context()
+	defer cancel()
+	if err := core.GenerateReport(ctx, w, full, opts.jobs); err != nil {
 		return err
 	}
 	if out != "" {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,12 +173,8 @@ func setupCmd(flags map[string]string) error {
 		return err
 	}
 	// Reuse the Benchpark session machinery for the Spack install hook.
-	bp := core.New()
-	sess, err := core.NewSessionForWorkspace(bp, sys, w)
+	sess, err := setupSession(context.Background(), w, sys)
 	if err != nil {
-		return err
-	}
-	if err := w.Setup(sess.InstallSoftware); err != nil {
 		return err
 	}
 	if err := w.Save(); err != nil {
@@ -186,6 +183,19 @@ func setupCmd(flags map[string]string) error {
 	fmt.Printf("==> setup complete: %d experiments generated, software installed (%d packages)\n",
 		len(w.Experiments), sess.Installer.DB.Len())
 	return nil
+}
+
+// setupSession binds a reopened workspace to its system, generates its
+// experiments and installs its software environments.
+func setupSession(ctx context.Context, w *ramble.Workspace, sys *hpcsim.System) (*core.Session, error) {
+	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Setup(); err != nil {
+		return nil, err
+	}
+	return sess, sess.Install(ctx)
 }
 
 // onCmd executes all experiments.
@@ -198,15 +208,12 @@ func onCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	bp := core.New()
-	sess, err := core.NewSessionForWorkspace(bp, sys, w)
+	ctx := context.Background()
+	sess, err := setupSession(ctx, w, sys)
 	if err != nil {
 		return err
 	}
-	if err := w.Setup(sess.InstallSoftware); err != nil {
-		return err
-	}
-	if err := w.On(sess.Executor); err != nil {
+	if err := w.On(ctx, sess.Executor); err != nil {
 		return err
 	}
 	if err := w.Save(); err != nil {
@@ -227,7 +234,7 @@ func analyzeCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		return err
 	}
 	// Recover outputs from a previous `ramble on` invocation.
@@ -285,7 +292,7 @@ func archiveCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		return err
 	}
 	if err := w.Archive(out); err != nil {

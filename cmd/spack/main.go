@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -279,7 +280,7 @@ func installCmd(flags map[string]string) error {
 	}
 	inst := install.New(pkgrepo.Builtin())
 	inst.DB = db
-	rep, err := env.InstallFromLock(lf, inst)
+	rep, err := env.InstallFromLock(context.Background(), lf, inst)
 	if err != nil {
 		return err
 	}

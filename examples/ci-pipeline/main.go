@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -27,13 +28,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "ci-pipeline:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	dir, err := os.MkdirTemp("", "benchpark-ci-*")
 	if err != nil {
 		return err
@@ -57,7 +58,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := auto.Hubcast.Sync(pr.ID); err != nil {
+	if _, err := auto.Hubcast.Sync(ctx, pr.ID); err != nil {
 		fmt.Printf("unapproved PR #%d rejected by Hubcast:\n  %v\n", pr.ID, err)
 	} else {
 		return fmt.Errorf("SECURITY HOLE: unapproved PR ran on HPC resources")
@@ -68,7 +69,7 @@ func run() error {
 	if err := auto.GitHub.Approve(pr.ID, "olga"); err != nil {
 		return err
 	}
-	pipeline, err := auto.Hubcast.Sync(pr.ID)
+	pipeline, err := auto.Hubcast.Sync(ctx, pr.ID)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -27,13 +28,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "cloud-compare:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	onprem, err := hpcsim.Get("onprem-icelake")
 	if err != nil {
 		return err
@@ -84,7 +85,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(ctx, core.RunOptions{})
 		if err != nil {
 			return err
 		}
@@ -110,7 +111,7 @@ func run() error {
 			Vars:   map[string]string{"message_size": "8192", "iterations": "10000"},
 			Scales: []int{64, 128, 256},
 		}
-		res, err := study.Run(bp)
+		res, err := study.Run(ctx, bp, 0)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "collaboration:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	// ---------------- Site A (LLNL): run and publish -----------------
 	fmt.Println("== Site A (LLNL, cts1): run the saxpy suite and publish ==")
 	siteADir, err := os.MkdirTemp("", "siteA-*")
@@ -43,7 +44,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	repA, err := sessA.RunAll()
+	repA, _, err := sessA.Run(ctx, core.RunOptions{})
 	if err != nil {
 		return err
 	}
@@ -101,7 +102,7 @@ func run() error {
 		return err
 	}
 	instB := install.New(pkgrepo.Builtin())
-	repInstall, err := env.InstallFromLock(lf, instB)
+	repInstall, err := env.InstallFromLock(ctx, lf, instB)
 	if err != nil {
 		return err
 	}
@@ -120,7 +121,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	repB, err := sessB.RunAll()
+	repB, _, err := sessB.Run(ctx, core.RunOptions{})
 	if err != nil {
 		return err
 	}

@@ -49,7 +49,7 @@ func run() error {
 	}
 
 	fmt.Println("\nSteps 5-7: ramble workspace setup (Spack builds each benchmark, scripts rendered)")
-	if err := sess.Workspace.Setup(nil); err != nil {
+	if err := sess.Workspace.Setup(); err != nil {
 		return err
 	}
 	// Re-configure to run the real software install too.

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,13 +22,13 @@ import (
 func main() {
 	full := flag.Bool("full", false, "sweep MPI_Bcast to 3456 ranks as in the paper's Figure 14")
 	flag.Parse()
-	if err := run(*full); err != nil {
+	if err := run(context.Background(), *full); err != nil {
 		fmt.Fprintln(os.Stderr, "scaling-study:", err)
 		os.Exit(1)
 	}
 }
 
-func run(full bool) error {
+func run(ctx context.Context, full bool) error {
 	bp := core.New()
 
 	fmt.Println("== AMG2023 strong-ish scaling across the Section 4 systems ==")
@@ -47,7 +48,7 @@ func run(full bool) error {
 			},
 			Scales: []int{8, 16, 32, 64},
 		}
-		res, err := study.Run(bp)
+		res, err := study.Run(ctx, bp, 0)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sysName, err)
 		}
@@ -60,7 +61,7 @@ func run(full bool) error {
 	if err != nil {
 		return err
 	}
-	strongRes, err := strong.Run(bp)
+	strongRes, err := strong.Run(ctx, bp, 0)
 	if err != nil {
 		return err
 	}
@@ -78,7 +79,7 @@ func run(full bool) error {
 		Vars:   map[string]string{"nx": "16", "ny": "16", "nz": "16", "tolerance": "1e-6"},
 		Scales: []int{8, 16, 32},
 	}
-	res, err := study.Run(bp)
+	res, err := study.Run(ctx, bp, 0)
 	if err != nil {
 		return err
 	}
@@ -94,7 +95,7 @@ func run(full bool) error {
 		return err
 	}
 	fmt.Printf("sweeping nprocs = %v (each point is a real simulated broadcast)\n\n", scales)
-	f14res, err := f14.Run(bp)
+	f14res, err := f14.Run(ctx, bp, 0)
 	if err != nil {
 		return err
 	}

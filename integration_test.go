@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,7 +30,7 @@ func TestIntegrationContinuousBenchmarking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sess.RunAll()
+			rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func TestIntegrationManifestReproducibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunAll(); err != nil {
+	if _, _, err := sess.Run(context.Background(), core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	results := bp.Metrics.Query(metricsdb.Filter{Benchmark: "amg2023"})
@@ -117,7 +118,7 @@ func TestIntegrationHPCGSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestIntegrationWorkspaceOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestIntegrationAllSuitesOnAllCompatibleSystems(t *testing.T) {
 				// be rejected at setup.
 				continue
 			}
-			rep, err := sess.RunAll()
+			rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 			if err != nil {
 				t.Errorf("%s on %s: %v", suite, sysName, err)
 				continue
@@ -241,7 +242,7 @@ func TestIntegrationSection71ViaSuites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

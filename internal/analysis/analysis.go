@@ -16,18 +16,13 @@
 // standard library, because the module carries no external
 // dependencies.
 //
-// Two directives tune the checks in source:
+// One directive tunes the checks in source:
 //
 //	//benchlint:ignore <analyzer> <reason>
 //	    placed on the offending line, or alone on the line above it,
 //	    suppresses that analyzer's finding there. The reason is
 //	    mandatory and findings stay visible in -json output, marked
 //	    suppressed.
-//	//benchlint:compat
-//	    placed in a function's doc comment, marks a documented
-//	    compatibility wrapper (e.g. core.Session.InstallSoftware)
-//	    that is allowed to mint a fresh context.Background() for its
-//	    context-taking implementation.
 package analysis
 
 import (
@@ -159,27 +154,6 @@ func (p *Pass) editReplace(start, end token.Pos, newText string) TextEdit {
 	return TextEdit{File: s.Filename, Start: s.Offset, End: e.Offset, NewText: newText}
 }
 
-// IsCompat reports whether the function declaration carries a
-// //benchlint:compat marker in its doc comment (or between the doc
-// comment and the opening brace).
-func (p *Pass) IsCompat(decl *ast.FuncDecl) bool {
-	fset := p.Pkg.Fset
-	start := fset.Position(decl.Pos())
-	if decl.Doc != nil {
-		start = fset.Position(decl.Doc.Pos())
-	}
-	end := fset.Position(decl.Pos())
-	for _, d := range p.Pkg.Directives {
-		if d.Kind != DirectiveCompat || d.File != start.Filename {
-			continue
-		}
-		if d.Line >= start.Line && d.Line <= end.Line {
-			return true
-		}
-	}
-	return false
-}
-
 // Finding is one reported invariant violation.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
@@ -272,7 +246,7 @@ func SortFindings(all []Finding) {
 // chained call still matches a finding on an inner line.
 func suppressedBy(pkg *Package, f Finding) (Directive, bool) {
 	for _, d := range pkg.Directives {
-		if d.Kind != DirectiveIgnore || d.Analyzer != f.Analyzer || !sameFile(d.File, f.File) {
+		if d.Malformed != "" || d.Analyzer != f.Analyzer || !sameFile(d.File, f.File) {
 			continue
 		}
 		if d.Line == f.Line || d.Line == f.Line-1 {

@@ -10,12 +10,12 @@ import (
 // receive their caller's context.Context as the first parameter and
 // pass it down. Minting a fresh context with context.Background() or
 // context.TODO() severs the cancellation chain, so both are allowed
-// only in package main, in tests (benchlint does not load test
-// files), and in documented compatibility wrappers whose doc comment
-// carries //benchlint:compat.
+// only in package main and in tests (benchlint does not load test
+// files); a deliberate severing elsewhere carries a
+// //benchlint:ignore ctxflow directive that says why.
 var CtxFlow = &Analyzer{
 	Name:       "ctxflow",
-	Doc:        "contexts must flow from callers; Background/TODO only in main, tests, and //benchlint:compat wrappers",
+	Doc:        "contexts must flow from callers; Background/TODO only in main and tests",
 	EmitsFixes: true,
 	Run:        runCtxFlow,
 }
@@ -32,7 +32,7 @@ func runCtxFlow(pass *Pass) {
 				continue
 			}
 			checkCtxParamFirst(pass, fn)
-			if pass.Pkg.Name == "main" || pass.IsCompat(fn) {
+			if pass.Pkg.Name == "main" {
 				continue
 			}
 			if fn.Body != nil {
@@ -64,7 +64,7 @@ func reportFreshContexts(pass *Pass, n ast.Node, ctxParam string) {
 			}}
 		}
 		pass.ReportFix(call.Pos(), fixes,
-			"context.%s() severs the cancellation chain; take a context.Context from the caller (or mark a documented wrapper //benchlint:compat)",
+			"context.%s() severs the cancellation chain; take a context.Context from the caller",
 			name)
 		return true
 	})

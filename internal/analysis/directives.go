@@ -6,24 +6,17 @@ import (
 	"strings"
 )
 
-// Directive kinds.
-const (
-	// DirectiveIgnore is //benchlint:ignore <analyzer> <reason>.
-	DirectiveIgnore = "ignore"
-	// DirectiveCompat is //benchlint:compat.
-	DirectiveCompat = "compat"
-)
-
-// Directive is one parsed //benchlint:... comment.
+// Directive is one parsed //benchlint:ignore <analyzer> <reason>
+// comment.
 type Directive struct {
-	Kind     string
-	Analyzer string // ignore: which analyzer is silenced
-	Reason   string // ignore: mandatory justification
+	Analyzer string // which analyzer is silenced
+	Reason   string // mandatory justification
 	File     string
 	Line     int
 	// Malformed carries a diagnostic for directives that do not parse
-	// (e.g. an ignore without a reason); the runner surfaces these as
-	// findings so a typo cannot silently disable a check.
+	// (e.g. an ignore without a reason, or an unknown directive); the
+	// runner surfaces these as findings so a typo cannot silently
+	// disable a check.
 	Malformed string
 }
 
@@ -43,14 +36,7 @@ func collectDirectives(fset *token.FileSet, file *ast.File) []Directive {
 			switch {
 			case len(fields) == 0:
 				d.Malformed = "empty //benchlint: directive"
-			case fields[0] == DirectiveCompat:
-				d.Kind = DirectiveCompat
-				if len(fields) > 1 {
-					// Trailing words are fine: treated as commentary.
-					d.Reason = strings.Join(fields[1:], " ")
-				}
-			case fields[0] == DirectiveIgnore:
-				d.Kind = DirectiveIgnore
+			case fields[0] == "ignore":
 				if len(fields) < 3 {
 					d.Malformed = "//benchlint:ignore needs an analyzer name and a reason"
 					break

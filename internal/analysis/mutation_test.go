@@ -26,10 +26,10 @@ var seededMutations = []struct {
 	want     []string
 }{
 	{
-		// A callee handed a fresh context: cancelling the install no
-		// longer reaches the workers.
-		analyzer: CtxFlow, file: "internal/install/install.go",
-		edits: [][2]string{{"inst.executeParallel(ctx, order, states, workers)", "inst.executeParallel(context.Background(), order, states, workers)"}},
+		// An environment's root loop handing each install a fresh
+		// context: cancelling the session no longer stops the installs.
+		analyzer: CtxFlow, file: "internal/env/env.go",
+		edits: [][2]string{{"inst.Install(ctx, root)", "inst.Install(context.Background(), root)"}},
 		want:  []string{"context.Background()"},
 	},
 	{

@@ -1,5 +1,5 @@
 // Package fixture exercises the ctxflow analyzer: fresh contexts
-// outside main/compat, and misplaced context parameters.
+// outside main, and misplaced context parameters.
 package fixture
 
 import "context"
@@ -17,3 +17,14 @@ func syncAll() {
 func doWork(ctx context.Context) { _ = ctx }
 
 func misplaced(name string, ctx context.Context) { _, _ = name, ctx } //want ctxflow
+
+// runPipelineCompat is a context-free wrapper over runPipelineContext:
+// a documented wrapper severs the chain like any other caller.
+func runPipelineCompat() error {
+	return runPipelineContext(context.Background()) //want ctxflow
+}
+
+func runPipelineContext(ctx context.Context) error {
+	_ = ctx
+	return nil
+}

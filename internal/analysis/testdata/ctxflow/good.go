@@ -2,19 +2,6 @@ package fixture
 
 import "context"
 
-// runPipelineCompat is the documented wrapper for context-free
-// callers.
-//
-//benchlint:compat
-func runPipelineCompat() error {
-	return runPipelineContext(context.Background())
-}
-
-func runPipelineContext(ctx context.Context) error {
-	_ = ctx
-	return nil
-}
-
 func suppressed() {
 	//benchlint:ignore ctxflow fixture exercises the suppression directive
 	doWork(context.Background())

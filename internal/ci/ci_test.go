@@ -98,7 +98,7 @@ func TestFigure6Workflow(t *testing.T) {
 	pr := openContribution(t, gh, "newcomer", "experiments/osu/ramble.yaml", "ramble: {}")
 
 	// 1. Untrusted code must NOT run before review (Section 3.3.1).
-	if _, err := hub.Sync(pr.ID); err == nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err == nil {
 		t.Fatal("unapproved PR must not be mirrored")
 	}
 	if merr := gh.Merge(pr.ID); merr == nil {
@@ -111,7 +111,7 @@ func TestFigure6Workflow(t *testing.T) {
 	}
 
 	// 3. Hubcast mirrors and CI runs.
-	pipeline, err := hub.Sync(pr.ID)
+	pipeline, err := hub.Sync(context.Background(), pr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestJacamarUsesTriggeringUserWhenAccountExists(t *testing.T) {
 	if err := gh.Approve(pr.ID, "admin2"); err != nil {
 		t.Fatal(err)
 	}
-	pipeline, err := hub.Sync(pr.ID)
+	pipeline, err := hub.Sync(context.Background(), pr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestProtectedPathBlocked(t *testing.T) {
 	if err := gh.Approve(pr.ID, "olga"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.Sync(pr.ID); err == nil || !strings.Contains(err.Error(), "protected path") {
+	if _, err := hub.Sync(context.Background(), pr.ID); err == nil || !strings.Contains(err.Error(), "protected path") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestTrustedUserMayTouchProtectedPaths(t *testing.T) {
 	if err := gh.Approve(pr.ID, "admin2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.Sync(pr.ID); err != nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err != nil {
 		t.Errorf("trusted author blocked: %v", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestTrustedBypassCriteria(t *testing.T) {
 	})
 	pr := openContribution(t, gh, "jens", "docs/riken.md", "hi")
 	// No approval, but jens is trusted and bypass is on.
-	if _, err := hub.Sync(pr.ID); err != nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err != nil {
 		t.Errorf("trusted bypass failed: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestPipelineFailureStreamsFailure(t *testing.T) {
 	if err := gh.Approve(pr.ID, "olga"); err != nil {
 		t.Fatal(err)
 	}
-	pipeline, err := hub.Sync(pr.ID)
+	pipeline, err := hub.Sync(context.Background(), pr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestStageFailureSkipsLaterStages(t *testing.T) {
 	})
 	pr := openContribution(t, gh, "newcomer", "docs/z.md", "z")
 	_ = gh.Approve(pr.ID, "olga")
-	pipeline, _ := hub.Sync(pr.ID)
+	pipeline, _ := hub.Sync(context.Background(), pr.ID)
 	var bench *CIJob
 	for _, j := range pipeline.Jobs {
 		if j.Stage == "bench" {
@@ -295,7 +295,7 @@ gpu-only:
 		t.Fatal(err)
 	}
 	_ = gh.Approve(pr.ID, "olga")
-	pipeline, err := hub.Sync(pr.ID)
+	pipeline, err := hub.Sync(context.Background(), pr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,14 +352,14 @@ func TestStaleApprovalInvalidated(t *testing.T) {
 	if got.State == PRApproved {
 		t.Fatal("approval must not survive new commits")
 	}
-	if _, err := hub.Sync(pr.ID); err == nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err == nil {
 		t.Fatal("hubcast must refuse the un-reviewed head")
 	}
 	// Fresh approval of the new head unblocks it.
 	if err := gh.Approve(pr.ID, "olga"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.Sync(pr.ID); err != nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err != nil {
 		t.Fatalf("fresh approval should run: %v", err)
 	}
 }
@@ -386,7 +386,7 @@ func TestStaleApprovalSHACheck(t *testing.T) {
 	}
 	head, _ := fork.Head("feature")
 	pr.HeadSHA = head
-	if _, err := hub.Sync(pr.ID); err == nil {
+	if _, err := hub.Sync(context.Background(), pr.ID); err == nil {
 		t.Fatal("hubcast must detect approved SHA != head SHA")
 	}
 }

@@ -198,14 +198,14 @@ func (gl *GitLab) Pipelines() []*Pipeline {
 	return append([]*Pipeline(nil), gl.pipelines...)
 }
 
-// RunPipelineContext reads .gitlab-ci.yml from the mirrored commit and
+// RunPipeline reads .gitlab-ci.yml from the mirrored commit and
 // executes its jobs stage by stage. Jacamar decides the execution
 // identity: the triggering user when they hold an account at the
 // runner's site, otherwise the approving admin (Section 3.3.2). The
 // context is checked before each job dispatch and passed to every
 // runner, so a cancelled pipeline stops scheduling work and in-flight
 // jobs can abort. Jobs not yet dispatched are marked skipped.
-func (gl *GitLab) RunPipelineContext(ctx context.Context, sha, triggeredBy, approvedBy string) (*Pipeline, error) {
+func (gl *GitLab) RunPipeline(ctx context.Context, sha, triggeredBy, approvedBy string) (*Pipeline, error) {
 	content, ok := gl.Mirror.FileAt(sha, ".gitlab-ci.yml")
 	if !ok {
 		return nil, fmt.Errorf("ci: commit %s has no .gitlab-ci.yml", sha)
@@ -346,19 +346,10 @@ func NewHubcast(gh *GitHub, gl *GitLab, criteria SecurityCriteria) *Hubcast {
 }
 
 // Sync evaluates the security criteria for a PR; if they pass, the PR
-// head is mirrored to GitLab, the CI pipeline runs, and the status is
-// streamed back to the PR. It returns the pipeline (nil when
-// mirroring was refused, with the error explaining why). Cancellable
-// callers use SyncContext.
-//
-//benchlint:compat
-func (h *Hubcast) Sync(prID int) (*Pipeline, error) {
-	return h.SyncContext(context.Background(), prID)
-}
-
-// SyncContext is Sync with cancellation propagated into the pipeline
-// run and its benchmark jobs.
-func (h *Hubcast) SyncContext(ctx context.Context, prID int) (*Pipeline, error) {
+// head is mirrored to GitLab, the CI pipeline runs under ctx, and the
+// status is streamed back to the PR. It returns the pipeline (nil when
+// mirroring was refused, with the error explaining why).
+func (h *Hubcast) Sync(ctx context.Context, prID int) (*Pipeline, error) {
 	pr, ok := h.GitHub.PR(prID)
 	if !ok {
 		return nil, fmt.Errorf("hubcast: no PR #%d", prID)
@@ -407,7 +398,7 @@ func (h *Hubcast) SyncContext(ctx context.Context, prID int) (*Pipeline, error) 
 	if approver == "" {
 		approver = pr.Author // trusted bypass: author vouches
 	}
-	pipeline, err := h.GitLab.RunPipelineContext(ctx, pr.HeadSHA, pr.Author, approver)
+	pipeline, err := h.GitLab.RunPipeline(ctx, pr.HeadSHA, pr.Author, approver)
 	if err != nil {
 		check.State = StateFailure
 		check.Description = err.Error()

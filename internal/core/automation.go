@@ -175,13 +175,13 @@ func (a *Automation) jobExecutor(workDir string) ci.JobExecutor {
 	}
 }
 
-// RunNightlyContext executes the CI pipeline against the canonical
+// RunNightly executes the CI pipeline against the canonical
 // main branch — the "in service" stage of Section 1, where continuous
 // benchmarking tracks system performance over time. Results accrue in
 // the shared metrics database; the caller can then run regression
 // detection over the series. Cancellation propagates through the
 // pipeline into the benchmark engine.
-func (a *Automation) RunNightlyContext(ctx context.Context) (*ci.Pipeline, error) {
+func (a *Automation) RunNightly(ctx context.Context) (*ci.Pipeline, error) {
 	head, ok := a.GitHub.Canonical.Head("main")
 	if !ok || head == "" {
 		return nil, fmt.Errorf("benchpark: canonical main has no commits")
@@ -193,7 +193,7 @@ func (a *Automation) RunNightlyContext(ctx context.Context) (*ci.Pipeline, error
 	a.GitLab.Mirror.ImportCommit(commit, "main")
 	// Nightly runs are triggered by the bot and pre-trusted: they
 	// execute under the service owner's identity.
-	return a.GitLab.RunPipelineContext(ctx, head, "benchpark-bot", "olga")
+	return a.GitLab.RunPipeline(ctx, head, "benchpark-bot", "olga")
 }
 
 // ContributionResult summarizes one PR's trip through the Figure 6
@@ -204,11 +204,11 @@ type ContributionResult struct {
 	Results  []metricsdb.Result
 }
 
-// SubmitContributionContext opens a PR from a contributor's fork, has
+// SubmitContribution opens a PR from a contributor's fork, has
 // an admin approve it, syncs through Hubcast (running the pipelines on
 // the site runners), and merges on success. Cancellation propagates
 // through Hubcast into the pipeline's benchmark runs.
-func (a *Automation) SubmitContributionContext(ctx context.Context, author, title string, files map[string]string, approver string) (*ContributionResult, error) {
+func (a *Automation) SubmitContribution(ctx context.Context, author, title string, files map[string]string, approver string) (*ContributionResult, error) {
 	fork := a.GitHub.Fork(author + "/benchpark")
 	if _, err := fork.Commit("contribution", author, title, files); err != nil {
 		return nil, err
@@ -221,7 +221,7 @@ func (a *Automation) SubmitContributionContext(ctx context.Context, author, titl
 		return nil, err
 	}
 	before := a.Benchpark.Metrics.Len()
-	pipeline, err := a.Hubcast.SyncContext(ctx, pr.ID)
+	pipeline, err := a.Hubcast.Sync(ctx, pr.ID)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/adiak"
 	"repro/internal/bench"
 	"repro/internal/buildcache"
 	"repro/internal/cachekey"
@@ -151,11 +150,32 @@ func (bp *Benchpark) WithScratchSession(suite, systemName string, fn func(*Sessi
 	return fn(sess)
 }
 
-// installSoftwareContext is the Ramble→Spack hook (Figure 1c step 6):
-// each named environment concretizes together and installs, keeping
-// the lockfile for provenance, with cancellation propagated through
-// the install engine's worker pool.
-func (s *Session) installSoftwareContext(ctx context.Context, envName string, specs []string) (err error) {
+// Install is the Ramble→Spack hook (Figure 1c step 6): every software
+// environment the workspace names, in name order, concretizes together
+// and installs under ctx, keeping its lockfile for provenance.
+func (s *Session) Install(ctx context.Context) error {
+	envSpecs, err := s.Workspace.SoftwareEnvironments()
+	if err != nil {
+		return err
+	}
+	names := make([]string, 0, len(envSpecs))
+	for name := range envSpecs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := s.installEnv(ctx, name, envSpecs[name]); err != nil {
+			return fmt.Errorf("ramble: installing environment %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// installEnv concretizes and installs one named environment.
+func (s *Session) installEnv(ctx context.Context, envName string, specs []string) (err error) {
 	ctx, span := telemetry.StartSpan(ctx, "env:"+envName)
 	span.SetInt("specs", len(specs))
 	defer span.End()
@@ -178,7 +198,7 @@ func (s *Session) installSoftwareContext(ctx context.Context, envName string, sp
 	if err := e.Concretize(c); err != nil {
 		return err
 	}
-	if _, err := e.InstallContext(ctx, s.Installer); err != nil {
+	if _, err := e.Install(ctx, s.Installer); err != nil {
 		return err
 	}
 	lf, err := e.Lock()
@@ -227,7 +247,7 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 	if err != nil {
 		return err
 	}
-	if err := s.Scheduler.DrainContext(ctx); err != nil {
+	if err := s.Scheduler.Drain(ctx); err != nil {
 		return err
 	}
 	if job.State != scheduler.Completed || out == nil {
@@ -256,11 +276,9 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 // Executor is the session as a ramble.Executor, for drivers that call
 // Workspace.On themselves (the ramble CLI): each experiment is
 // executed and submitted exactly as Run does it, one at a time.
-//
-//benchlint:compat
-func (s *Session) Executor(e *ramble.Experiment) (string, float64, error) {
+func (s *Session) Executor(ctx context.Context, e *ramble.Experiment) (string, float64, error) {
 	out, err := s.execute(e, expandedVars(e))
-	if err := s.submit(context.Background(), e, out, err); err != nil {
+	if err := s.submit(ctx, e, out, err); err != nil {
 		return "", 0, err
 	}
 	if e.Status == ramble.Failed {
@@ -277,15 +295,6 @@ func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Worksp
 		return nil, err
 	}
 	return newSession(bp, sys, ws.Name, cfg, ws), nil
-}
-
-// InstallSoftware is the exported Ramble→Spack hook for external
-// drivers (the ramble CLI), which have no pipeline context to thread
-// through; engine-driven installs go via installSoftwareContext.
-//
-//benchlint:compat
-func (s *Session) InstallSoftware(envName string, specs []string) error {
-	return s.installSoftwareContext(context.Background(), envName, specs)
 }
 
 // expandedVars renders every experiment variable to its final value
@@ -305,21 +314,6 @@ func expandedVars(e *ramble.Experiment) map[string]string {
 type RunOptions struct {
 	// Jobs bounds the engine worker pool; <=0 means runtime.NumCPU().
 	Jobs int
-}
-
-// RunAll executes the full Figure 1c workflow after Setup: workspace
-// setup (software install + experiment generation), ramble on, and
-// analyze, recording every result in the metrics database and writing
-// the analysis artifact to the workspace's logs/ directory.
-//
-// Experiments execute concurrently on the engine's worker pool; the
-// results are identical to a sequential run (see internal/engine).
-// Cancellable callers use Run directly.
-//
-//benchlint:compat
-func (s *Session) RunAll() (*ramble.AnalysisReport, error) {
-	rep, _, err := s.Run(context.Background(), RunOptions{})
-	return rep, err
 }
 
 // Run drives the session through the execution engine: setup →
@@ -382,7 +376,7 @@ func (r *sessionRunner) Label() string {
 func (r *sessionRunner) Setup(ctx context.Context) error {
 	// Generate experiments and materialize directories; software
 	// installation is the engine's own install stage.
-	if err := r.s.Workspace.Setup(nil); err != nil {
+	if err := r.s.Workspace.Setup(); err != nil {
 		return err
 	}
 	r.exps = r.s.Workspace.Experiments
@@ -392,26 +386,7 @@ func (r *sessionRunner) Setup(ctx context.Context) error {
 	return nil
 }
 
-func (r *sessionRunner) Install(ctx context.Context) error {
-	envSpecs, err := r.s.Workspace.SoftwareEnvironments()
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(envSpecs))
-	for name := range envSpecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := r.s.installSoftwareContext(ctx, name, envSpecs[name]); err != nil {
-			return fmt.Errorf("ramble: installing environment %s: %w", name, err)
-		}
-	}
-	return nil
-}
+func (r *sessionRunner) Install(ctx context.Context) error { return r.s.Install(ctx) }
 
 func (r *sessionRunner) Experiments() []string {
 	names := make([]string, len(r.exps))
@@ -572,13 +547,4 @@ func (s *Session) InstalledSpec(pkgName string) (*spec.Spec, error) {
 		return nil, fmt.Errorf("benchpark: %s not installed in this session", pkgName)
 	}
 	return recs[0].Spec, nil
-}
-
-// AdiakEnsembleMetadata builds shared metadata for the session's
-// thicket entries.
-func (s *Session) AdiakEnsembleMetadata() *adiak.Metadata {
-	md := adiak.New()
-	md.Set("cluster", s.System.Name)
-	md.Set("suite", s.Suite)
-	return md
 }

@@ -295,7 +295,7 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 		return ci.CacheProvenance{}, false
 	}
 
-	first, err := auto.RunNightlyContext(context.Background())
+	first, err := auto.RunNightly(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 		}
 	}
 
-	second, err := auto.RunNightlyContext(context.Background())
+	second, err := auto.RunNightly(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

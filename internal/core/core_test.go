@@ -15,6 +15,7 @@ import (
 	"repro/internal/extrap"
 	"repro/internal/hpcsim"
 	"repro/internal/metricsdb"
+	"repro/internal/pkgrepo"
 	"repro/internal/ramble"
 	"repro/internal/thicket"
 )
@@ -91,7 +92,7 @@ func TestFigure1cQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestSection4Matrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: %v", suite, sysName, err)
 			}
-			rep, err := sess.RunAll()
+			rep, _, err := sess.Run(context.Background(), RunOptions{})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", suite, sysName, err)
 			}
@@ -215,7 +216,7 @@ func TestFigure14(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := New()
-	res, err := study.Run(bp)
+	res, err := study.Run(context.Background(), bp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +250,12 @@ func TestScalingStudyValidation(t *testing.T) {
 	cts, _ := hpcsim.Get("cts1")
 	st := &ScalingStudy{System: cts, Benchmark: "osu-micro-benchmarks",
 		Workload: "osu_bcast", FOM: "total_time", Scales: []int{2, 4}}
-	if _, err := st.Run(New()); err == nil {
+	if _, err := st.Run(context.Background(), New(), 0); err == nil {
 		t.Error("2 scales should fail")
 	}
 	st2 := &ScalingStudy{System: cts, Benchmark: "nope", Workload: "x",
 		FOM: "t", Scales: []int{2, 4, 8}}
-	if _, err := st2.Run(New()); err == nil {
+	if _, err := st2.Run(context.Background(), New(), 0); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
@@ -267,7 +268,7 @@ func TestFigure6Automation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auto.SubmitContributionContext(context.Background(), "jens", "add RIKEN results",
+	res, err := auto.SubmitContribution(context.Background(), "jens", "add RIKEN results",
 		map[string]string{"docs/riken.md": "notes"}, "olga")
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +331,7 @@ func TestAMGStrongScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := New()
-	res, err := study.Run(bp)
+	res, err := study.Run(context.Background(), bp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestResultsArtifactWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunAll(); err != nil {
+	if _, _, err := sess.Run(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Workspace.Save(); err != nil {
@@ -481,7 +482,7 @@ func TestRenderedScriptDirectivesParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Workspace.Setup(nil); err != nil {
+		if err := sess.Workspace.Setup(); err != nil {
 			t.Fatal(err)
 		}
 		widths := map[int]bool{}
@@ -504,6 +505,40 @@ func TestRenderedScriptDirectivesParse(t *testing.T) {
 	}
 }
 
+// TestSetupInstallsSoftware: the session's install hook concretizes
+// and installs every software environment the workspace names,
+// keeping each one's lockfile.
+func TestSetupInstallsSoftware(t *testing.T) {
+	sess, err := New().Setup("saxpy/openmp", "cts1", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Install(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if lf := sess.Lockfiles["saxpy"]; lf == nil || len(lf.Roots) != 2 {
+		t.Errorf("saxpy lockfile = %+v", lf)
+	}
+	if _, err := sess.InstalledSpec("saxpy"); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSetupInstallerFailurePropagates: an environment that cannot be
+// installed fails the hook, naming the environment.
+func TestSetupInstallerFailurePropagates(t *testing.T) {
+	bp := New()
+	bp.Repo = pkgrepo.NewRepo() // no recipes: nothing concretizes
+	sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Install(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "installing environment saxpy") {
+		t.Errorf("err = %v", err)
+	}
+}
+
 // TestFailurePropagatesThroughStack: an injected node fault fails the
 // benchmark, the batch job, the experiment, and keeps the result out
 // of the metrics database.
@@ -513,16 +548,18 @@ func TestFailurePropagatesThroughStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Workspace.Setup(sess.InstallSoftware); err != nil {
+	ctx := context.Background()
+	if err := sess.Workspace.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Install(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Inject the fault into every experiment.
 	for _, e := range sess.Workspace.Experiments {
 		e.Vars["inject_failure"] = "0"
 	}
-	if err := sess.Workspace.On(func(e *ramble.Experiment) (string, float64, error) {
-		return sess.Executor(e)
-	}); err != nil {
+	if err := sess.Workspace.On(ctx, sess.Executor); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := sess.Workspace.Analyze()
@@ -554,7 +591,7 @@ func TestSuiteOnProvisionedCloudCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +609,7 @@ func TestSuiteOnProvisionedCloudCluster(t *testing.T) {
 
 func TestGenerateReport(t *testing.T) {
 	var buf strings.Builder
-	if err := GenerateReport(&buf, false); err != nil {
+	if err := GenerateReport(context.Background(), &buf, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -626,7 +663,7 @@ func TestNightlyContinuousRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for night := 0; night < 2; night++ {
-		p, err := auto.RunNightlyContext(context.Background())
+		p, err := auto.RunNightly(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,7 +705,7 @@ func TestCaliFilesWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +734,7 @@ func TestAMGCubeSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.RunAll()
+	rep, _, err := sess.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

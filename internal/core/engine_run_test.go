@@ -224,7 +224,7 @@ func TestScalingStudyDeterministicAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		bp := New()
-		res, err := study.RunContext(context.Background(), bp, jobs)
+		res, err := study.Run(context.Background(), bp, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -16,8 +17,9 @@ import (
 // markdown paper-vs-measured report — the programmatic counterpart of
 // EXPERIMENTS.md. With full=true the Figure 14 sweep extends to the
 // paper's 3456 processes (minutes of wall time); otherwise a reduced
-// sweep is used.
-func GenerateReport(w io.Writer, full bool) error {
+// sweep is used. Every run honours ctx and uses jobs workers (<=0
+// means runtime.NumCPU()).
+func GenerateReport(ctx context.Context, w io.Writer, full bool, jobs int) error {
 	bp := New()
 	fmt.Fprintf(w, "# Benchpark reproduction report\n\n")
 	fmt.Fprintf(w, "Regenerated programmatically by `benchpark report`.\n\n")
@@ -27,7 +29,7 @@ func GenerateReport(w io.Writer, full bool) error {
 
 	// ---- Figure 10 matrix ------------------------------------------------
 	err := bp.WithScratchSession("saxpy/openmp", "cts1", func(sess *Session) error {
-		rep, err := sess.RunAll()
+		rep, _, err := sess.Run(ctx, RunOptions{Jobs: jobs})
 		if err != nil {
 			return err
 		}
@@ -53,7 +55,7 @@ func GenerateReport(w io.Writer, full bool) error {
 		{"saxpy/rocm", "ats4"}, {"amg2023/rocm", "ats4"},
 	} {
 		err := bp.WithScratchSession(cell.suite, cell.system, func(s *Session) error {
-			r, err := s.RunAll()
+			r, _, err := s.Run(ctx, RunOptions{Jobs: jobs})
 			if err != nil {
 				return err
 			}
@@ -75,7 +77,7 @@ func GenerateReport(w io.Writer, full bool) error {
 	if err != nil {
 		return err
 	}
-	res, err := study.Run(bp)
+	res, err := study.Run(ctx, bp, jobs)
 	if err != nil {
 		return err
 	}
@@ -133,13 +135,13 @@ func GenerateReport(w io.Writer, full bool) error {
 	siteA := install.New(pkgrepo.Builtin())
 	siteA.Cache = cache
 	siteA.PushToCache = true
-	repA, err := e.Install(siteA)
+	repA, err := e.Install(ctx, siteA)
 	if err != nil {
 		return err
 	}
 	siteB := install.New(pkgrepo.Builtin())
 	siteB.Cache = cache
-	repB, err := e.Install(siteB)
+	repB, err := e.Install(ctx, siteB)
 	if err != nil {
 		return err
 	}

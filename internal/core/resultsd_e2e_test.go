@@ -47,7 +47,7 @@ func TestPipelinePushesToResultsd(t *testing.T) {
 	auto.Results = resultsd.NewClient(ts.URL)
 
 	for night := 0; night < 2; night++ {
-		p, err := auto.RunNightlyContext(context.Background())
+		p, err := auto.RunNightly(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestPipelineTraceProvenanceEndToEnd(t *testing.T) {
 
 		runner := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
 		ctx := telemetry.WithTracer(context.Background(), runner)
-		p, err := auto.RunNightlyContext(ctx)
+		p, err := auto.RunNightly(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestPushFailureFailsJob(t *testing.T) {
 	c.MaxRetries = 1
 	c.RetryBackoff = time.Millisecond
 	auto.Results = c
-	p, err := auto.RunNightlyContext(context.Background())
+	p, err := auto.RunNightly(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

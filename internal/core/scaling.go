@@ -41,20 +41,12 @@ type StudyResult struct {
 	Thicket      *thicket.Thicket
 }
 
-// Run executes the study and fits the Extra-P model. Cancellable
-// callers use RunContext.
-//
-//benchlint:compat
-func (st *ScalingStudy) Run(bp *Benchpark) (*StudyResult, error) {
-	return st.RunContext(context.Background(), bp, 0)
-}
-
-// RunContext executes the study's scale×rep points concurrently on a
+// Run executes the study's scale×rep points concurrently on a
 // bounded worker pool (jobs <= 0 means NumCPU) and fits the Extra-P
 // model. The kernels run in parallel; measurements, thicket profiles
 // and metrics records are committed sequentially in sweep order, so
 // the result is identical to the sequential study.
-func (st *ScalingStudy) RunContext(ctx context.Context, bp *Benchpark, jobs int) (res *StudyResult, err error) {
+func (st *ScalingStudy) Run(ctx context.Context, bp *Benchpark, jobs int) (res *StudyResult, err error) {
 	ctx, root := telemetry.StartSpan(ctx, "scaling.study")
 	root.SetAttr("benchmark", st.Benchmark)
 	root.SetAttr("workload", st.Workload)

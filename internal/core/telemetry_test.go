@@ -120,7 +120,7 @@ func TestJobExecutorLogIsStructured(t *testing.T) {
 	}
 	tr := telemetry.New(telemetry.FixedClock{T: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)})
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	p, err := auto.RunNightlyContext(ctx)
+	p, err := auto.RunNightly(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func TestWarmSessionCostIndependentOfCacheSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunAll(); err != nil {
+	if _, _, err := sess.Run(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	small, spread := warm()

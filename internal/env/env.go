@@ -11,7 +11,7 @@
 //	spack env activate --dir . ->  (holding the *Environment)
 //	spack add amg2023+caliper  ->  e.Add("amg2023+caliper")
 //	spack concretize           ->  e.Concretize(concretizer)
-//	spack install              ->  e.Install(installer)
+//	spack install              ->  e.Install(ctx, installer)
 package env
 
 import (
@@ -100,30 +100,26 @@ func (e *Environment) Concretize(c *concretizer.Concretizer) error {
 // IsConcretized reports whether a lockfile-worthy solution exists.
 func (e *Environment) IsConcretized() bool { return len(e.Roots) == len(e.Specs) && len(e.Specs) > 0 }
 
-// Install installs every concretized root (`spack install`).
-// Cancellable callers use InstallContext.
-//
-//benchlint:compat
-func (e *Environment) Install(inst *install.Installer) (*install.Report, error) {
-	return e.InstallContext(context.Background(), inst)
-}
-
-// InstallContext is Install with cancellation between roots.
-func (e *Environment) InstallContext(ctx context.Context, inst *install.Installer) (*install.Report, error) {
+// Install installs every concretized root (`spack install`), checking
+// the context between roots.
+func (e *Environment) Install(ctx context.Context, inst *install.Installer) (*install.Report, error) {
 	if !e.IsConcretized() {
 		return nil, fmt.Errorf("env: %q is not concretized", e.Name)
 	}
+	return installRoots(ctx, e.Roots, inst)
+}
+
+// installRoots installs each root in turn and sums their reports.
+func installRoots(ctx context.Context, roots []*spec.Spec, inst *install.Installer) (*install.Report, error) {
 	total := &install.Report{}
-	for _, root := range e.Roots {
-		rep, err := inst.InstallContext(ctx, root)
+	for _, root := range roots {
+		rep, err := inst.Install(ctx, root)
 		if err != nil {
 			return nil, err
 		}
 		total.Results = append(total.Results, rep.Results...)
 		total.TotalWork += rep.TotalWork
-		if rep.Makespan > 0 {
-			total.Makespan += rep.Makespan
-		}
+		total.Makespan += rep.Makespan
 	}
 	return total, nil
 }
@@ -294,22 +290,12 @@ func (lf *Lockfile) Reconstruct() ([]*spec.Spec, error) {
 // InstallFromLock reproduces a lockfile's installation exactly: the
 // DAG is reconstructed, verified, and installed without consulting
 // the concretizer.
-func InstallFromLock(lf *Lockfile, inst *install.Installer) (*install.Report, error) {
+func InstallFromLock(ctx context.Context, lf *Lockfile, inst *install.Installer) (*install.Report, error) {
 	roots, err := lf.Reconstruct()
 	if err != nil {
 		return nil, err
 	}
-	total := &install.Report{}
-	for _, root := range roots {
-		rep, err := inst.Install(root)
-		if err != nil {
-			return nil, err
-		}
-		total.Results = append(total.Results, rep.Results...)
-		total.TotalWork += rep.TotalWork
-		total.Makespan += rep.Makespan
-	}
-	return total, nil
+	return installRoots(ctx, roots, inst)
 }
 
 // PackageNames returns the distinct package names in the lockfile,

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestFigure2Workflow(t *testing.T) {
 		t.Fatal("not concretized")
 	}
 	inst := install.New(pkgrepo.Builtin())
-	rep, err := e.Install(inst) // spack install
+	rep, err := e.Install(context.Background(), inst) // spack install
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestConcretizeEmptyEnv(t *testing.T) {
 func TestInstallBeforeConcretize(t *testing.T) {
 	e := New("early")
 	_ = e.Add("zlib")
-	if _, err := e.Install(install.New(pkgrepo.Builtin())); err == nil {
+	if _, err := e.Install(context.Background(), install.New(pkgrepo.Builtin())); err == nil {
 		t.Error("install before concretize should fail")
 	}
 }
@@ -314,7 +315,7 @@ func TestInstallFromLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	instA := install.New(pkgrepo.Builtin())
-	if _, err := e.Install(instA); err != nil {
+	if _, err := e.Install(context.Background(), instA); err != nil {
 		t.Fatal(err)
 	}
 	lf, _ := e.Lock()
@@ -325,7 +326,7 @@ func TestInstallFromLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	instB := install.New(pkgrepo.Builtin())
-	rep, err := InstallFromLock(lf2, instB)
+	rep, err := InstallFromLock(context.Background(), lf2, instB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 // Package install is the installation engine (Spack component 4 in
 // Section 3.1 of the Benchpark paper): it installs a concrete spec
-// DAG in dependency order with a bounded worker pool, consulting a
-// binary cache before building from source, and records every
-// installation in a thread-safe database.
+// DAG in dependency order, consulting a binary cache before building
+// from source, and records every installation in a thread-safe
+// database.
 //
 // Builds are simulated: each package's recipe declares a build cost,
 // perturbed deterministically by the spec hash, so install reports
-// and the cache-ablation benchmark are reproducible. The worker pool
-// is real (goroutines + channels); the reported makespan comes from a
-// deterministic list-scheduling simulation over the same DAG so that
-// results do not depend on goroutine timing.
+// and the cache-ablation benchmark are reproducible. One
+// list-scheduling pass over the DAG with Workers simulated build slots
+// yields the makespan and a dispatch order; the side effects (database
+// records, cache pushes) are then applied in that order on the calling
+// goroutine.
 package install
 
 import (
@@ -189,7 +190,7 @@ type Installer struct {
 	Repo    *pkgrepo.Repo
 	DB      *Database
 	Cache   *buildcache.Cache // optional; nil disables the binary cache
-	Workers int               // worker pool size; <=0 means 4
+	Workers int               // simulated build slots; <=0 means 4
 
 	// PushToCache mirrors every source build into the cache, the way
 	// Spack CI populates the rolling binary cache.
@@ -230,22 +231,15 @@ func (inst *Installer) BuildSeconds(node *spec.Spec, h string) (float64, error) 
 	return pkg.BuildCost * (0.9 + 0.2*v), nil
 }
 
-// Install installs the DAG rooted at root. The root is recorded as
-// explicitly installed. It is an error if root is not concrete.
-// Cancellable callers use InstallContext.
-//
-//benchlint:compat
-func (inst *Installer) Install(root *spec.Spec) (*Report, error) {
-	return inst.InstallContext(context.Background(), root)
-}
-
-// InstallContext is Install with cancellation: the context is checked
-// before scheduling and between node executions, so a cancelled
-// experiment engine does not keep building a deep DAG. Already
-// completed node installs stay in the database. When the context
-// carries a tracer, the install records a span and mirrors its cache
-// outcome into install_cache_hits_total / install_cache_misses_total.
-func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep *Report, err error) {
+// Install installs the DAG rooted at root, recording the root as
+// explicitly installed. It is an error if root is not concrete. The
+// context is checked before scheduling and before each node's side
+// effects, so a cancelled experiment engine does not keep installing a
+// deep DAG; already completed node installs stay in the database. When
+// the context carries a tracer, the install records a span and mirrors
+// its cache outcome into install_cache_hits_total /
+// install_cache_misses_total.
+func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Report, err error) {
 	ctx, span := telemetry.StartSpan(ctx, "install:"+root.Name)
 	defer span.End()
 	defer func() { span.SetError(err) }()
@@ -316,15 +310,17 @@ func (inst *Installer) InstallContext(ctx context.Context, root *spec.Spec) (rep
 	sort.Strings(order)
 
 	// Deterministic makespan: list scheduling with `workers` slots.
-	makespan, starts, err := listSchedule(order, states, workers)
+	makespan, starts, dispatch, err := listSchedule(order, states, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	// Real parallel execution of the install actions (DB/cache side
-	// effects) with a bounded worker pool.
-	if err := inst.executeParallel(ctx, order, states, workers); err != nil {
-		return nil, err
+	// The dispatch order is topological, so every node's dependencies
+	// are recorded before it is.
+	for _, h := range dispatch {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		inst.installOne(h, states[h])
 	}
 
 	report := &Report{Makespan: makespan}
@@ -379,8 +375,9 @@ func (inst *Installer) compatibleEntry(node *spec.Spec) bool {
 }
 
 // listSchedule computes a deterministic parallel schedule of the DAG
-// and returns the makespan and per-node start times.
-func listSchedule(order []string, states map[string]*nodeState, workers int) (float64, map[string]float64, error) {
+// and returns the makespan, per-node start times and the order nodes
+// were dispatched in.
+func listSchedule(order []string, states map[string]*nodeState, workers int) (float64, map[string]float64, []string, error) {
 	type ev struct {
 		time float64
 		hash string
@@ -403,6 +400,7 @@ func listSchedule(order []string, states map[string]*nodeState, workers int) (fl
 	sort.Strings(ready)
 
 	starts := map[string]float64{}
+	dispatch := make([]string, 0, len(order))
 	var running []ev
 	clock := 0.0
 	done := 0
@@ -411,10 +409,11 @@ func listSchedule(order []string, states map[string]*nodeState, workers int) (fl
 			h := ready[0]
 			ready = ready[1:]
 			starts[h] = clock
+			dispatch = append(dispatch, h)
 			running = append(running, ev{time: clock + states[h].seconds, hash: h})
 		}
 		if len(running) == 0 {
-			return 0, nil, fmt.Errorf("install: dependency cycle detected in schedule")
+			return 0, nil, nil, fmt.Errorf("install: dependency cycle detected in schedule")
 		}
 		// Pop the earliest finishing job (ties by hash for determinism).
 		sort.Slice(running, func(i, j int) bool {
@@ -435,86 +434,12 @@ func listSchedule(order []string, states map[string]*nodeState, workers int) (fl
 		}
 		sort.Strings(ready)
 	}
-	return clock, starts, nil
-}
-
-// executeParallel runs the side effects (database inserts, cache
-// pushes) with a real goroutine pool, honoring DAG order. On
-// cancellation the remaining nodes are skipped (the ready/done
-// bookkeeping still runs so the pool winds down cleanly) and the
-// context's error is returned.
-func (inst *Installer) executeParallel(ctx context.Context, order []string, states map[string]*nodeState, workers int) error {
-	remaining := map[string]int{}
-	dependents := map[string][]string{}
-	for _, h := range order {
-		st := states[h]
-		remaining[h] = len(st.deps)
-		for _, d := range st.deps {
-			dependents[d] = append(dependents[d], h)
-		}
-	}
-
-	readyCh := make(chan string, len(order))
-	doneCh := make(chan string, len(order))
-	errCh := make(chan error, len(order))
-	for _, h := range order {
-		if remaining[h] == 0 {
-			readyCh <- h
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range readyCh {
-				if ctx.Err() == nil {
-					st := states[h]
-					if err := inst.installOne(h, st.node, st.action, st.prefix, st.explicit); err != nil {
-						errCh <- err
-					}
-				}
-				doneCh <- h
-			}
-		}()
-	}
-
-	var firstErr error
-	completed := 0
-	for completed < len(order) {
-		select {
-		case err := <-errCh:
-			if firstErr == nil {
-				firstErr = err
-			}
-		case h := <-doneCh:
-			completed++
-			for _, dep := range dependents[h] {
-				remaining[dep]--
-				if remaining[dep] == 0 {
-					readyCh <- dep
-				}
-			}
-		}
-	}
-	close(readyCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		if firstErr == nil {
-			firstErr = err
-		}
-	default:
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
+	return clock, starts, dispatch, nil
 }
 
 // installOne performs the side effects for a single node.
-func (inst *Installer) installOne(hash string, node *spec.Spec, action Action, prefix string, explicit bool) error {
+func (inst *Installer) installOne(hash string, st *nodeState) {
+	node, action, prefix := st.node, st.action, st.prefix
 	if prefix == "" {
 		prefix = "/opt/benchpark/" + node.Name + "-" + node.ConcreteVersion().String() + "-" + hash[:7]
 	}
@@ -535,7 +460,7 @@ func (inst *Installer) installOne(hash string, node *spec.Spec, action Action, p
 		Spec:     node,
 		Prefix:   prefix,
 		External: action == UsedExternal,
-		Explicit: explicit,
+		Explicit: st.explicit,
 		Flags:    flags,
 	})
 	if inst.PushToCache && inst.Cache != nil && action == Built {
@@ -548,7 +473,6 @@ func (inst *Installer) installOne(hash string, node *spec.Spec, action Action, p
 			Target:   node.Target,
 		})
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package install
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func concretizeSaxpy(t *testing.T) *spec.Spec {
 func TestInstallSaxpy(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	rep, err := inst.Install(root)
+	rep, err := inst.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +84,10 @@ func TestInstallSaxpy(t *testing.T) {
 func TestInstallIdempotent(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(root); err != nil {
+	if _, err := inst.Install(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := inst.Install(root)
+	rep2, err := inst.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestInstallIdempotent(t *testing.T) {
 
 func TestInstallAbstractRejected(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
-	if _, err := inst.Install(spec.MustParse("saxpy")); err == nil {
+	if _, err := inst.Install(context.Background(), spec.MustParse("saxpy")); err == nil {
 		t.Error("abstract spec must be rejected")
 	}
 }
@@ -113,7 +114,7 @@ func TestBuildCacheSpeedsUpSecondSite(t *testing.T) {
 	siteA := New(pkgrepo.Builtin())
 	siteA.Cache = cache
 	siteA.PushToCache = true
-	repA, err := siteA.Install(root)
+	repA, err := siteA.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestBuildCacheSpeedsUpSecondSite(t *testing.T) {
 	// Site B (fresh database) fetches binaries.
 	siteB := New(pkgrepo.Builtin())
 	siteB.Cache = cache
-	repB, err := siteB.Install(root)
+	repB, err := siteB.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +148,13 @@ func TestMakespanImprovesWithWorkers(t *testing.T) {
 	}
 	inst1 := New(pkgrepo.Builtin())
 	inst1.Workers = 1
-	rep1, err := inst1.Install(root)
+	rep1, err := inst1.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst8 := New(pkgrepo.Builtin())
 	inst8.Workers = 8
-	rep8, err := inst8.Install(root)
+	rep8, err := inst8.Install(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestInstallDeterministicReport(t *testing.T) {
 	var first *Report
 	for i := 0; i < 3; i++ {
 		inst := New(pkgrepo.Builtin())
-		rep, err := inst.Install(root)
+		rep, err := inst.Install(context.Background(), root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestInstallDeterministicReport(t *testing.T) {
 func TestDatabaseFind(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(root); err != nil {
+	if _, err := inst.Install(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	recs := inst.DB.Find(spec.MustParse("saxpy"))
@@ -278,7 +279,7 @@ func TestReuseCompatibleBinaries(t *testing.T) {
 	builder := New(pkgrepo.Builtin())
 	builder.Cache = cache
 	builder.PushToCache = true
-	if _, err := builder.Install(genZlib); err != nil {
+	if _, err := builder.Install(context.Background(), genZlib); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,7 +303,7 @@ func TestReuseCompatibleBinaries(t *testing.T) {
 	site := New(pkgrepo.Builtin())
 	site.Cache = cache
 	site.ReuseCompatible = true
-	rep, err := site.Install(bdwZlib)
+	rep, err := site.Install(context.Background(), bdwZlib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestReuseCompatibleBinaries(t *testing.T) {
 	// Without the option, it rebuilds.
 	strict := New(pkgrepo.Builtin())
 	strict.Cache = cache
-	rep2, err := strict.Install(bdwZlib.Clone())
+	rep2, err := strict.Install(context.Background(), bdwZlib.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +328,13 @@ func TestReuseCompatibleBinaries(t *testing.T) {
 	builderB := New(pkgrepo.Builtin())
 	builderB.Cache = cacheB
 	builderB.PushToCache = true
-	if _, err := builderB.Install(bdwZlib.Clone()); err != nil {
+	if _, err := builderB.Install(context.Background(), bdwZlib.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	genSite := New(pkgrepo.Builtin())
 	genSite.Cache = cacheB
 	genSite.ReuseCompatible = true
-	rep3, err := genSite.Install(genZlib.Clone())
+	rep3, err := genSite.Install(context.Background(), genZlib.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestReuseCompatibleBinaries(t *testing.T) {
 func TestDatabaseSaveLoadJSON(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(root); err != nil {
+	if _, err := inst.Install(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	js, err := inst.DB.SaveJSON()
@@ -376,7 +377,7 @@ func TestDatabaseSaveLoadJSON(t *testing.T) {
 func TestDatabaseRemove(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(root); err != nil {
+	if _, err := inst.Install(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	h := root.DAGHash()
@@ -396,7 +397,7 @@ func TestDatabaseRemove(t *testing.T) {
 func TestArchspecFlagsRecorded(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(root); err != nil {
+	if _, err := inst.Install(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := inst.DB.Get(root.DAGHash())

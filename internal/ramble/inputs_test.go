@@ -3,6 +3,7 @@ package ramble
 import (
 	"archive/tar"
 	"compress/gzip"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -52,7 +53,7 @@ func reopened(t *testing.T, w *Workspace) *Workspace {
 
 func TestFetchInputsVerified(t *testing.T) {
 	w := problem2Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Save(); err != nil {
@@ -67,7 +68,7 @@ func TestFetchInputsVerified(t *testing.T) {
 		t.Errorf("content = %q...", data[:40])
 	}
 	// Second setup reuses the cached file: the fetcher is not called.
-	if err := reopened(t, w).Setup(nil); err != nil {
+	if err := reopened(t, w).Setup(); err != nil {
 		t.Fatal(err)
 	}
 	err = reopened(t, w).FetchInputs(func(url string) ([]byte, error) {
@@ -81,7 +82,7 @@ func TestFetchInputsVerified(t *testing.T) {
 func TestFetchInputsChecksumMismatch(t *testing.T) {
 	w := problem2Workspace(t)
 	// Generate experiments first, then fetch with a corrupting fetcher.
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Save(); err != nil {
@@ -101,7 +102,7 @@ func TestFetchInputsChecksumMismatch(t *testing.T) {
 
 func TestFetchInputsCorruptCacheRefetched(t *testing.T) {
 	w := problem2Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Save(); err != nil {
@@ -127,7 +128,7 @@ func TestFetchInputsCorruptCacheRefetched(t *testing.T) {
 
 func TestFetchInputsFetcherError(t *testing.T) {
 	w := problem2Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Save(); err != nil {
@@ -163,7 +164,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Save(); err != nil {
@@ -180,10 +181,10 @@ ramble:
 
 func TestArchiveRoundTrip(t *testing.T) {
 	w := problem2Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.On(func(e *Experiment) (string, float64, error) {
+	if err := w.On(context.Background(), func(_ context.Context, e *Experiment) (string, float64, error) {
 		return "Kernel done\n", 0.1, nil
 	}); err != nil {
 		t.Fatal(err)

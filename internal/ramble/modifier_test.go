@@ -1,6 +1,7 @@
 package ramble
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -79,7 +80,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.Experiments) != 1 {
@@ -106,7 +107,7 @@ ramble:
 
 	// Execute with PAPI-style output; analyze must pick up the
 	// modifier FOMs alongside the application's.
-	if err := w.On(func(*Experiment) (string, float64, error) {
+	if err := w.On(context.Background(), func(context.Context, *Experiment) (string, float64, error) {
 		return "saxpy_time: 0.002 s\npapi.PAPI_FP_OPS: 8.192000e+03\npapi.PAPI_L3_TCM: 7.680000e+02\nKernel done\n", 0.002, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
+	if err := w.Setup(); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -172,7 +173,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]*Experiment{}
@@ -209,7 +210,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := w.Experiments[0].Expander.Get("papi"); v != "0" {

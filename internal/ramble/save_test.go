@@ -2,6 +2,7 @@ package ramble
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io/fs"
 	"os"
@@ -14,10 +15,10 @@ import (
 func ranProblem2(t *testing.T) *Workspace {
 	t.Helper()
 	w := problem2Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.On(func(*Experiment) (string, float64, error) { return "Kernel done\n", 0.1, nil }); err != nil {
+	if err := w.On(context.Background(), func(context.Context, *Experiment) (string, float64, error) { return "Kernel done\n", 0.1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	return w

@@ -1,6 +1,7 @@
 package ramble
 
 import (
+	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -96,7 +97,6 @@ type Workspace struct {
 	effective *yamlite.Map // ramble: subtree with includes merged
 
 	Experiments []*Experiment
-	template    string
 	setupDone   bool
 
 	// files is everything written to the workspace since it was
@@ -117,7 +117,7 @@ func NewWorkspace(name, root string) (*Workspace, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("ramble: creating workspace: %w", err)
 	}
-	w := &Workspace{Name: name, Root: root, template: DefaultTemplate, files: map[string]file{}}
+	w := &Workspace{Name: name, Root: root, files: map[string]file{}}
 	for _, d := range []string{"configs", "experiments", "logs"} {
 		w.put(d, nil, fs.ModeDir|0o755)
 	}
@@ -194,9 +194,6 @@ func (w *Workspace) WriteOutput(e *Experiment, ext, content string) {
 	w.put(filepath.Join(e.relDir(), e.Name+ext), []byte(content), 0o644)
 }
 
-// SetTemplate overrides execute_experiment.tpl.
-func (w *Workspace) SetTemplate(tpl string) { w.template = tpl }
-
 // Configure parses ramble.yaml and merges its includes
 // (`ramble workspace edit` finishing with a save).
 func (w *Workspace) Configure(rambleYAML string) error {
@@ -237,15 +234,10 @@ func (w *Workspace) Configure(rambleYAML string) error {
 // Effective exposes the merged configuration (for inspection/tests).
 func (w *Workspace) Effective() *yamlite.Map { return w.effective }
 
-// SoftwareInstaller resolves and installs one named software
-// environment with the given abstract spec strings — the hook through
-// which Ramble drives Spack (Figure 1b arrow 6).
-type SoftwareInstaller func(envName string, specs []string) error
-
-// Setup generates all experiments and (optionally) installs software
-// (`ramble workspace setup`). Passing a nil installer skips software
-// installation.
-func (w *Workspace) Setup(installSoftware SoftwareInstaller) error {
+// Setup generates all experiments and fetches their inputs
+// (`ramble workspace setup`). Installing the software environments
+// (SoftwareEnvironments) is the driver's job.
+func (w *Workspace) Setup() error {
 	if w.effective == nil {
 		return fmt.Errorf("ramble: workspace %s not configured", w.Name)
 	}
@@ -259,19 +251,6 @@ func (w *Workspace) Setup(installSoftware SoftwareInstaller) error {
 	// checksums.
 	if err := w.FetchInputs(nil); err != nil {
 		return err
-	}
-
-	// Software environments (spack: section).
-	if installSoftware != nil {
-		envSpecs, err := w.SoftwareEnvironments()
-		if err != nil {
-			return err
-		}
-		for _, name := range sortedKeys(envSpecs) {
-			if err := installSoftware(name, envSpecs[name]); err != nil {
-				return fmt.Errorf("ramble: installing environment %s: %w", name, err)
-			}
-		}
 	}
 
 	for _, e := range w.Experiments {
@@ -398,7 +377,7 @@ func (w *Workspace) expandTemplate(app *Application, workload, nameTpl string,
 	}
 	// Per-experiment template override (Figure 1a keeps an
 	// exe_experiment.tpl next to each experiment definition).
-	tpl := w.template
+	tpl := DefaultTemplate
 	if expSec != nil {
 		if custom := expSec.GetString("template"); custom != "" {
 			tpl = custom
@@ -702,10 +681,11 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 // Executor runs one experiment and returns its textual output plus
 // simulated elapsed seconds. The Benchpark core wires this to the
 // batch scheduler and benchmark kernels.
-type Executor func(e *Experiment) (output string, elapsed float64, err error)
+type Executor func(ctx context.Context, e *Experiment) (output string, elapsed float64, err error)
 
-// On executes every generated experiment (`ramble on`).
-func (w *Workspace) On(exec Executor) error {
+// On executes every generated experiment (`ramble on`), checking the
+// context before each one.
+func (w *Workspace) On(ctx context.Context, exec Executor) error {
 	if !w.setupDone {
 		return fmt.Errorf("ramble: workspace %s: run Setup before On", w.Name)
 	}
@@ -713,7 +693,10 @@ func (w *Workspace) On(exec Executor) error {
 		return fmt.Errorf("ramble: no executor")
 	}
 	for _, e := range w.Experiments {
-		out, elapsed, err := exec(e)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out, elapsed, err := exec(ctx, e)
 		e.Output = out
 		e.Elapsed = elapsed
 		if err != nil {
@@ -776,14 +759,5 @@ func mapFromYAML(m *yamlite.Map) map[string]string {
 	for _, k := range m.Keys() {
 		out[k] = m.GetString(k)
 	}
-	return out
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package ramble
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,7 +100,7 @@ func figure10Workspace(t *testing.T) *Workspace {
 // processes_per_node/n_nodes zip (2 combos) -> 8 experiments.
 func TestFigure10ExperimentGeneration(t *testing.T) {
 	w := figure10Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.Experiments) != 8 {
@@ -135,7 +136,7 @@ func TestFigure10ExperimentGeneration(t *testing.T) {
 
 func TestFigure13ScriptRendering(t *testing.T) {
 	w := figure10Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	e := w.Experiments[0]
@@ -180,38 +181,13 @@ func TestSoftwareEnvironmentResolution(t *testing.T) {
 	}
 }
 
-func TestSetupInstallsSoftware(t *testing.T) {
-	w := figure10Workspace(t)
-	calls := map[string][]string{}
-	err := w.Setup(func(env string, specs []string) error {
-		calls[env] = specs
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls["saxpy"]) != 2 {
-		t.Errorf("installer calls = %v", calls)
-	}
-}
-
-func TestSetupInstallerFailurePropagates(t *testing.T) {
-	w := figure10Workspace(t)
-	err := w.Setup(func(env string, specs []string) error {
-		return fmt.Errorf("no compiler on this system")
-	})
-	if err == nil || !strings.Contains(err.Error(), "no compiler") {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestOnAndAnalyze(t *testing.T) {
 	w := figure10Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	// Fake executor: succeed for n=512, fail criteria for n=1024.
-	err := w.On(func(e *Experiment) (string, float64, error) {
+	err := w.On(context.Background(), func(_ context.Context, e *Experiment) (string, float64, error) {
 		n, _ := e.Expander.Expand("{n}")
 		if n == "512" {
 			return "saxpy: ok\nsaxpy_time: 0.001 s\nKernel done\n", 0.001, nil
@@ -255,10 +231,10 @@ func TestOnAndAnalyze(t *testing.T) {
 
 func TestExecutorErrorMarksFailed(t *testing.T) {
 	w := figure10Workspace(t)
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.On(func(e *Experiment) (string, float64, error) {
+	if err := w.On(context.Background(), func(_ context.Context, e *Experiment) (string, float64, error) {
 		return "", 0, fmt.Errorf("node failure")
 	}); err != nil {
 		t.Fatal(err)
@@ -277,10 +253,10 @@ func TestLifecycleOrderEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil {
+	if err := w.Setup(); err == nil {
 		t.Error("Setup before Configure should fail")
 	}
-	if err := w.On(nil); err == nil {
+	if err := w.On(context.Background(), nil); err == nil {
 		t.Error("On before Setup should fail")
 	}
 	if _, err := w.Analyze(); err == nil {
@@ -308,7 +284,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil || !strings.Contains(err.Error(), "equal lengths") {
+	if err := w.Setup(); err == nil || !strings.Contains(err.Error(), "equal lengths") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -332,7 +308,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil || !strings.Contains(err.Error(), "duplicate experiment name") {
+	if err := w.Setup(); err == nil || !strings.Contains(err.Error(), "duplicate experiment name") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -355,7 +331,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil {
+	if err := w.Setup(); err == nil {
 		t.Error("unknown application should fail")
 	}
 }
@@ -378,7 +354,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err == nil {
+	if err := w.Setup(); err == nil {
 		t.Error("unknown workload should fail")
 	}
 }
@@ -405,7 +381,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	e := w.Experiments[0]
@@ -451,7 +427,7 @@ ramble:
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = w.Setup(nil)
+		err = w.Setup()
 		switch {
 		case tc.wantErr != "":
 			if err == nil || !strings.HasSuffix(err.Error(), tc.wantErr) {
@@ -545,7 +521,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.Experiments) != 3 {
@@ -590,7 +566,7 @@ ramble:
 	if err := w.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(nil); err != nil {
+	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]*Experiment{}

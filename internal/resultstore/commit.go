@@ -69,8 +69,6 @@ func (p *Pending) Wait(ctx context.Context) (applied bool, err error) {
 // context.Background() deliberately: a group mixes batches from many
 // callers, so no one caller's context may abort it; shutdown is the
 // store's done channel.
-//
-//benchlint:compat
 func (s *Store) committer() {
 	defer s.wg.Done()
 	for {
@@ -97,6 +95,7 @@ func (s *Store) committer() {
 			for i, q := range group {
 				batches[i] = q.batch
 			}
+			//benchlint:ignore ctxflow a group mixes many callers' batches, so none of their contexts may abort it
 			applied, err := s.AppendMany(context.Background(), batches)
 			for i, q := range group {
 				if err == nil {

@@ -286,18 +286,10 @@ func (s *Scheduler) Step() bool {
 }
 
 // Drain runs the simulation until all jobs have completed. It returns
-// an error if pending jobs remain that can never start. Cancellable
-// callers use DrainContext.
-//
-//benchlint:compat
-func (s *Scheduler) Drain() error {
-	return s.DrainContext(context.Background())
-}
-
-// DrainContext is Drain with cancellation: the simulation checks the
-// context between completion events, so an engine timeout can stop a
-// long queue drain. Jobs already completed stay completed.
-func (s *Scheduler) DrainContext(ctx context.Context) error {
+// an error if pending jobs remain that can never start. The context is
+// checked between completion events, so an engine timeout can stop a
+// long queue drain; jobs already completed stay completed.
+func (s *Scheduler) Drain(ctx context.Context) error {
 	for s.Step() {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -336,6 +328,3 @@ func (s *Scheduler) Utilization() float64 {
 	}
 	return s.busyNodeSeconds / (s.clock * float64(s.sys.Nodes))
 }
-
-// QueueLength reports jobs still pending.
-func (s *Scheduler) QueueLength() int { return len(s.pending) }

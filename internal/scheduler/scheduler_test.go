@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -28,7 +29,7 @@ func TestSingleJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != Completed {
@@ -48,7 +49,7 @@ func TestFIFOQueueing(t *testing.T) {
 	// Two jobs that each need ALL nodes: strictly serial.
 	a, _ := s.Submit("a", sys.Nodes, 3600, fixed(50))
 	b, _ := s.Submit("b", sys.Nodes, 3600, fixed(50))
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if a.StartTime != 0 || b.StartTime != 50 {
@@ -65,7 +66,7 @@ func TestParallelJobs(t *testing.T) {
 	half := sys.Nodes / 2
 	a, _ := s.Submit("a", half, 3600, fixed(50))
 	b, _ := s.Submit("b", half, 3600, fixed(50))
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if a.StartTime != 0 || b.StartTime != 0 {
@@ -86,7 +87,7 @@ func TestBackfillImprovesThroughput(t *testing.T) {
 		s.Submit("wide-running", sys.Nodes-10, 7200, fixed(1000)) //nolint:errcheck
 		s.Submit("wide-head", sys.Nodes, 7200, fixed(500))        //nolint:errcheck
 		narrow, _ := s.Submit("narrow", 5, 600, fixed(400))       // fits in 10 free nodes, ends before head could start
-		if err := s.Drain(); err != nil {
+		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return s.Makespan(), narrow.StartTime
@@ -113,7 +114,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	// This job fits the free nodes but its TIME LIMIT (300s) extends
 	// past the head's shadow start (t=100), so it must NOT backfill.
 	blocker, _ := s.Submit("too-long", 10, 300, fixed(250))
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if head.StartTime != 100 {
@@ -127,7 +128,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 func TestTimeLimitEnforced(t *testing.T) {
 	s := New(cts(t))
 	j, _ := s.Submit("overrun", 1, 60, fixed(3600))
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != TimedOut {
@@ -143,7 +144,7 @@ func TestFailedPayload(t *testing.T) {
 	j, _ := s.Submit("crash", 1, 600, func() (float64, error) {
 		return 5, fmt.Errorf("segfault")
 	})
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != Failed || j.Err == nil {
@@ -188,7 +189,7 @@ srun -N 2 -n 16 saxpy -n 512
 	if j.TimeLimit != 120*60 {
 		t.Errorf("limit = %v", j.TimeLimit)
 	}
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != Completed {
@@ -220,7 +221,7 @@ func TestUtilization(t *testing.T) {
 	s := New(sys)
 	// One job on all nodes for the whole makespan: utilization 1.
 	s.Submit("full", sys.Nodes, 3600, fixed(100)) //nolint:errcheck
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if u := s.Utilization(); u < 0.999 || u > 1.001 {
@@ -236,7 +237,7 @@ func TestManyJobsThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Completed()) != 100 {
@@ -255,7 +256,7 @@ func TestDeterministicOrder(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.Submit(fmt.Sprintf("j%02d", i), 300, 3600, fixed(float64(10+i))) //nolint:errcheck
 		}
-		if err := s.Drain(); err != nil {
+		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		var order []string
@@ -288,7 +289,7 @@ func TestPropertyCapacityNeverExceeded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Drain(); err != nil {
+		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		jobs := s.Completed()
@@ -327,7 +328,7 @@ func TestCancelPendingJob(t *testing.T) {
 	if err := s.Cancel(victim.ID); err == nil {
 		t.Error("double cancel should fail")
 	}
-	if err := s.Drain(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Completed()) != 2 {

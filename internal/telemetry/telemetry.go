@@ -261,15 +261,6 @@ func (s *Span) TraceID() string {
 	return s.traceID
 }
 
-// ContextID returns the span's wire-level 16-hex ID — what a remote
-// callee records as its remote parent; "" for a nil span.
-func (s *Span) ContextID() string {
-	if s == nil {
-		return ""
-	}
-	return SpanContextID(s.traceID, s.id)
-}
-
 // Path returns the slash-joined region path (shared by repeated
 // sibling spans; the Caliper exporter aggregates on it).
 func (s *Span) Path() string {

@@ -4,7 +4,7 @@
 # Runs the tier-1 check (build + vet + benchlint + full test suite)
 # and then the race-detector pass over the packages that do real
 # concurrency: the execution engine, the session/scaling orchestration
-# built on it, the parallel installer, the concurrency-safe build
+# built on it, the install database's lock, the concurrency-safe build
 # cache, the telemetry layer (spans and metrics are recorded from the
 # engine's worker pool), the durable result store and its HTTP service
 # (concurrent ingest against the WAL, trace-context joins, the ops
@@ -59,6 +59,7 @@ if ! go run ./cmd/benchlint; then
 	echo "verify: benchlint found findings; run 'go run ./cmd/benchlint -fix' for the mechanical ones" >&2
 	exit 1
 fi
+! grep -rn --include='*.go' '//benchlint:compat' . || { echo "verify: //benchlint:compat is retired; take the caller's context instead" >&2; exit 1; }
 
 echo "==> go test ./..."
 go test ./...

@@ -243,10 +243,10 @@ ramble:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.Setup(nil); err != nil {
+	if err := ws.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	err = ws.On(func(*ramble.Experiment) (string, float64, error) {
+	err = ws.On(context.Background(), func(context.Context, *ramble.Experiment) (string, float64, error) {
 		return "Kernel done\nconverged\n", 0.1, nil
 	})
 	if err != nil {
