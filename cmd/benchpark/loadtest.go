@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -20,52 +21,21 @@ import (
 // demonstrate the read-only contract — a replica) and report
 // throughput, latency percentiles and the overload/error taxonomy.
 // --out writes the report as JSON.
-func loadtestCmd(args []string, opts *execOpts) error {
-	if len(args) < 1 {
+func loadtestCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
+	var cfg loadgen.Config
+	fs.Func("runners", "simulated runners", above(&cfg.Runners, 0, strconv.Atoi))
+	fs.Func("batches", "batches per runner", above(&cfg.BatchesPerRunner, 0, strconv.Atoi))
+	fs.Func("results", "results per batch", above(&cfg.ResultsPerBatch, 0, strconv.Atoi))
+	fs.StringVar(&cfg.KeyPrefix, "key-prefix", "", "ingest-key prefix")
+	out := fs.String("out", "", "write the report as JSON to this file")
+	args, err := parseAnywhere(fs, args)
+	if err != nil {
+		return err
+	}
+	if len(args) != 1 {
 		return fmt.Errorf("usage: benchpark loadtest <server-url> [--runners N] [--batches N] [--results N] [--key-prefix P] [--out FILE]")
 	}
 	serverURL := args[0]
-	cfg := loadgen.Config{}
-	out := ""
-	rest := args[1:]
-	for i := 0; i < len(rest); i++ {
-		need := func() (string, error) {
-			if i+1 >= len(rest) {
-				return "", fmt.Errorf("%s needs a value", rest[i])
-			}
-			i++
-			return rest[i], nil
-		}
-		needInt := func() (int, error) {
-			v, err := need()
-			if err != nil {
-				return 0, err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return 0, fmt.Errorf("bad value %q for %s", v, rest[i-1])
-			}
-			return n, nil
-		}
-		var err error
-		switch rest[i] {
-		case "--runners", "-runners":
-			cfg.Runners, err = needInt()
-		case "--batches", "-batches":
-			cfg.BatchesPerRunner, err = needInt()
-		case "--results", "-results":
-			cfg.ResultsPerBatch, err = needInt()
-		case "--key-prefix", "-key-prefix":
-			cfg.KeyPrefix, err = need()
-		case "--out", "-out":
-			out, err = need()
-		default:
-			return fmt.Errorf("loadtest: unknown argument %q", rest[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
 	ctx, cancel := opts.context()
 	defer cancel()
 
@@ -92,15 +62,15 @@ func loadtestCmd(args []string, opts *execOpts) error {
 	if rep.FirstError != "" {
 		fmt.Printf("    first error: %s\n", rep.FirstError)
 	}
-	if out != "" {
+	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("==> report written to %s\n", out)
+		fmt.Printf("==> report written to %s\n", *out)
 	}
 	return nil
 }

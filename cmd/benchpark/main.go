@@ -22,9 +22,13 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -139,86 +143,102 @@ func writeTrace(path string, tr *telemetry.Trace) error {
 	return os.WriteFile(path, []byte(out), 0o644)
 }
 
-// parseGlobalFlags strips the global flags (accepted anywhere on the
-// command line, before or after the subcommand, in both "--flag value"
-// and "--flag=value" forms) and returns the remaining arguments.
-func parseGlobalFlags(args []string) (execOpts, []string, error) {
-	opts := execOpts{jobs: runtime.NumCPU()}
-	// Normalize --flag=value into two tokens.
-	var split []string
-	for _, a := range args {
-		if strings.HasPrefix(a, "-") {
-			if i := strings.IndexByte(a, '='); i > 0 {
-				split = append(split, a[:i], a[i+1:])
-				continue
-			}
-		}
-		split = append(split, a)
-	}
-	args = split
-	var rest []string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "--jobs", "-jobs", "-j":
-			if i+1 >= len(args) {
-				return opts, nil, fmt.Errorf("%s needs a worker count", args[i])
-			}
-			n, err := strconv.Atoi(args[i+1])
-			if err != nil || n < 1 {
-				return opts, nil, fmt.Errorf("bad worker count %q", args[i+1])
-			}
-			opts.jobs = n
-			i++
-		case "--timeout", "-timeout":
-			if i+1 >= len(args) {
-				return opts, nil, fmt.Errorf("%s needs a duration (e.g. 30s, 5m)", args[i])
-			}
-			d, err := time.ParseDuration(args[i+1])
-			if err != nil || d <= 0 {
-				return opts, nil, fmt.Errorf("bad timeout %q", args[i+1])
-			}
-			opts.timeout = d
-			i++
-		case "--trace-out", "-trace-out":
-			if i+1 >= len(args) {
-				return opts, nil, fmt.Errorf("%s needs a file path", args[i])
-			}
-			opts.traceOut = args[i+1]
-			i++
-		case "--log-level", "-log-level":
-			if i+1 >= len(args) {
-				return opts, nil, fmt.Errorf("%s needs a level (debug|info|warn|error)", args[i])
-			}
-			if _, err := telemetry.ParseLevel(args[i+1]); err != nil {
-				return opts, nil, err
-			}
-			opts.logLevel = args[i+1]
-			i++
-		case "--cache-dir", "-cache-dir":
-			if i+1 >= len(args) {
-				return opts, nil, fmt.Errorf("%s needs a directory", args[i])
-			}
-			opts.cacheDir = args[i+1]
-			i++
-		case "--no-cache", "-no-cache":
-			opts.noCache = true
-		default:
-			rest = append(rest, args[i])
-		}
-	}
-	return opts, rest, nil
+// flagSet returns a flag set holding the six global flags, each
+// validated as it is parsed and stored in o. A parse error comes back
+// from Parse as one line; nothing is printed.
+func (o *execOpts) flagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	jobs := above(&o.jobs, 0, strconv.Atoi)
+	fs.Func("jobs", "engine worker-pool width", jobs)
+	fs.Func("j", "engine worker-pool width", jobs)
+	fs.Func("timeout", "overall deadline", above(&o.timeout, 0, time.ParseDuration))
+	fs.StringVar(&o.traceOut, "trace-out", o.traceOut, "telemetry trace file")
+	fs.Func("log-level", "stderr log level", func(v string) error {
+		o.logLevel = v
+		_, err := telemetry.ParseLevel(v)
+		return err
+	})
+	fs.StringVar(&o.cacheDir, "cache-dir", o.cacheDir, "durable cache directory")
+	fs.BoolVar(&o.noCache, "no-cache", o.noCache, "disable every cache layer")
+	return fs
 }
 
-func run(rawArgs []string) error {
-	opts, args, err := parseGlobalFlags(rawArgs)
-	if err != nil {
+// above returns a flag.Func setter that stores a parsed value in p only
+// if it is greater than lo, so an explicit zero is refused where the
+// zero value means "not set".
+func above[T int | float64 | time.Duration](p *T, lo T, parse func(string) (T, error)) func(string) error {
+	return func(v string) error {
+		x, err := parse(v)
+		if err != nil {
+			return err
+		}
+		if x <= lo {
+			return fmt.Errorf("must be greater than %v", lo)
+		}
+		*p = x
+		return nil
+	}
+}
+
+// parseAnywhere parses fs's flags wherever they stand among args and
+// returns the positional arguments in order.
+func parseAnywhere(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() == 0 {
+			return pos, nil
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+}
+
+// run parses the global flags before the subcommand, then hands the
+// rest to the subcommand's own flag set, which holds the global flags
+// too, so they are accepted on either side of it.
+func run(args []string) (err error) {
+	defer func() {
+		if errors.Is(err, flag.ErrHelp) { // -h or --help anywhere
+			usage()
+			err = nil
+		}
+	}()
+	opts := execOpts{jobs: runtime.NumCPU()}
+	fs := opts.flagSet("benchpark")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if len(args) == 0 {
+	if fs.NArg() == 0 {
 		usage()
 		return nil
 	}
-	switch args[0] {
+	cmd := fs.Arg(0)
+	fs, args = opts.flagSet(cmd), fs.Args()[1:]
+	switch cmd {
+	case "figure14":
+		return figure14(fs, args, &opts)
+	case "report":
+		return reportCmd(fs, args, &opts)
+	case "serve":
+		return serveCmd(fs, args, &opts)
+	case "history":
+		return historyCmd(fs, args, &opts)
+	case "loadtest":
+		return loadtestCmd(fs, args, &opts)
+	case "spec": // in spec syntax "-v" disables variant v: flags go first
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		return specCmd(fs.Args())
+	}
+	if args, err = parseAnywhere(fs, args); err != nil {
+		return err
+	}
+	switch cmd {
 	case "suites":
 		for _, s := range core.ExperimentTemplates() {
 			fmt.Println(s)
@@ -242,57 +262,43 @@ func run(rawArgs []string) error {
 	case "components":
 		fmt.Print(core.ComponentTable())
 		return nil
-	case "figure14":
-		return figure14(args[1:], &opts)
 	case "ci-demo":
 		return ciDemo(&opts)
 	case "run":
-		if len(args) != 4 {
+		if len(args) != 3 {
 			usage()
 			return fmt.Errorf("expected: benchpark run <suite> <system> <workspace-dir>")
 		}
-		return runSuite(args[1], args[2], args[3], &opts)
-	case "spec":
-		return specCmd(args[1:])
+		return runSuite(args[0], args[1], args[2], &opts)
 	case "find":
-		return findCmd(args[1:], &opts)
+		return findCmd(args, &opts)
 	case "dashboard":
-		return dashboardCmd(args[1:], &opts)
-	case "regressions":
-		return regressionsCmd(args[1:])
+		return dashboardCmd(args, &opts)
 	case "archive":
-		return archiveCmd(args[1:], &opts)
+		return archiveCmd(args, &opts)
 	case "provision":
-		return provisionCmd(args[1:], &opts)
-	case "report":
-		return reportCmd(args[1:], &opts)
-	case "serve":
-		return serveCmd(args[1:], &opts)
+		return provisionCmd(args, &opts)
 	case "push":
-		return pushCmd(args[1:], &opts)
-	case "history":
-		return historyCmd(args[1:], &opts)
-	case "loadtest":
-		return loadtestCmd(args[1:], &opts)
-	case "help", "-h", "--help":
+		return pushCmd(args, &opts)
+	case "help":
 		usage()
 		return nil
 	}
-	if len(args) != 3 {
+	if len(args) != 2 {
 		usage()
 		return fmt.Errorf("expected: benchpark <suite> <system> <workspace-dir>")
 	}
-	return runSuite(args[0], args[1], args[2], &opts)
+	return runSuite(cmd, args[0], args[1], &opts)
 }
 
 func usage() {
 	fmt.Println(`usage:
   benchpark [run] <experiment-suite> <system> <workspace-dir>
-  benchpark suites | systems | components | figure14 [p ...] | ci-demo
+  benchpark suites | systems | components | ci-demo
+  benchpark figure14 [p ...] [-svg F]  reproduce the Figure 14 model
   benchpark spec <system> <spec>       concretize and print the DAG
   benchpark find <system> [constraint] list installed packages
   benchpark dashboard [out.html]       render the results dashboard
-  benchpark regressions <json> <bench> <fom>
   benchpark archive <suite> <system> <out.tar.gz>
   benchpark provision <name> <instance-type> <nodes> [suite]
   benchpark report [out.md] [-full]
@@ -315,13 +321,17 @@ func usage() {
   benchpark push <suite> <system> <server-url>
                                        run a suite and push its results
   benchpark history <server-url> <benchmark> <fom> [--system S]
-            [--window N] [--threshold T] print a FOM series + regressions
+            [--workload W] [--experiment E] [--window N]
+            [--threshold T]            print a FOM series + regressions
   benchpark loadtest <server-url> [--runners N] [--batches N]
-            [--results N] [--out FILE] simulate a federated runner fleet
+            [--results N] [--key-prefix P] [--out FILE]
+                                       simulate a federated runner fleet
                                        and report throughput + latency
 
-global flags (accepted anywhere, --flag value or --flag=value):
-  --jobs N         engine worker-pool width (default: number of CPUs)
+Flags go anywhere: before or after the subcommand and its arguments
+(spec takes its flags before the system), as -flag, --flag, --flag=v.
+global flags:
+  --jobs N, -j N   engine worker-pool width (default: number of CPUs)
   --timeout DUR    overall deadline for the run (e.g. 30s, 5m)
   --trace-out F    write the run's telemetry trace to F; the extension
                    picks the format (.json trace, .cali Caliper
@@ -366,10 +376,15 @@ func runSuite(suite, system, dir string, opts *execOpts) error {
 	for _, e := range rep.Experiments {
 		fmt.Printf("  %-40s %-9s", e.Name, e.Status)
 		if e.Status == ramble.Succeeded {
-			for _, k := range []string{"saxpy_time", "fom", "total_time", "triad_bw"} {
-				if v, ok := e.FOMs[k]; ok {
-					fmt.Printf("  %s=%s", k, v)
+			names := make([]string, 0, len(e.FOMs))
+			for k := range e.FOMs {
+				if k != "success" {
+					names = append(names, k)
 				}
+			}
+			sort.Strings(names)
+			for _, k := range names {
+				fmt.Printf("  %s=%s", k, e.FOMs[k])
 			}
 		} else {
 			fmt.Printf("  %s", e.FailMsg)
@@ -395,19 +410,14 @@ func runSuite(suite, system, dir string, opts *execOpts) error {
 	return nil
 }
 
-func figure14(args []string, opts *execOpts) error {
+func figure14(fs *flag.FlagSet, args []string, opts *execOpts) error {
+	svgOut := fs.String("svg", "", "also write the plot as SVG to this file")
+	args, err := parseAnywhere(fs, args)
+	if err != nil {
+		return err
+	}
 	var scales []int
-	svgOut := ""
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if a == "-svg" || a == "--svg" {
-			if i+1 >= len(args) {
-				return fmt.Errorf("-svg needs a file path")
-			}
-			svgOut = args[i+1]
-			i++
-			continue
-		}
+	for _, a := range args {
 		n, err := strconv.Atoi(a)
 		if err != nil {
 			return fmt.Errorf("bad scale %q", a)
@@ -439,12 +449,12 @@ func figure14(args []string, opts *execOpts) error {
 	for _, m := range res.Measurements {
 		fmt.Printf("  p=%6.0f  total=%10.3f s   model=%10.3f s\n", m.P, m.Value, res.Model.Eval(m.P))
 	}
-	if svgOut != "" {
+	if *svgOut != "" {
 		svg := dashboard.ScalingSVG("CTS Extra-P Model — MPI_Bcast total time", res.Measurements, res.Model)
-		if err := os.WriteFile(svgOut, []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(*svgOut, []byte(svg), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nSVG plot written to %s\n", svgOut)
+		fmt.Printf("\nSVG plot written to %s\n", *svgOut)
 	}
 	return nil
 }

@@ -70,31 +70,6 @@ func TestRunBadArgs(t *testing.T) {
 	}
 }
 
-func TestRunRegressionsCmd(t *testing.T) {
-	// Build a database file with an obvious regression.
-	js := `[
-	  {"id":1,"seq":1,"benchmark":"saxpy","foms":{"time":1.0}},
-	  {"id":2,"seq":2,"benchmark":"saxpy","foms":{"time":1.0}},
-	  {"id":3,"seq":3,"benchmark":"saxpy","foms":{"time":1.0}},
-	  {"id":4,"seq":4,"benchmark":"saxpy","foms":{"time":1.0}},
-	  {"id":5,"seq":5,"benchmark":"saxpy","foms":{"time":1.0}},
-	  {"id":6,"seq":6,"benchmark":"saxpy","foms":{"time":2.5}}
-	]`
-	path := filepath.Join(t.TempDir(), "results.json")
-	if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"regressions", path, "saxpy", "time"}); err != nil {
-		t.Errorf("regressions: %v", err)
-	}
-	if err := run([]string{"regressions", "/nonexistent.json", "saxpy", "time"}); err == nil {
-		t.Error("missing file should fail")
-	}
-	if err := run([]string{"regressions", path}); err == nil {
-		t.Error("wrong arity should fail")
-	}
-}
-
 func TestRunArchiveCmd(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ws.tar.gz")
 	if err := run([]string{"archive", "saxpy/openmp", "cts1", out}); err != nil {
@@ -180,6 +155,22 @@ func TestRunReportCmd(t *testing.T) {
 	}
 }
 
+// TestRunPrintsEveryFOM: a suite run prints each experiment's FOMs,
+// whatever its benchmark names them.
+func TestRunPrintsEveryFOM(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"lulesh/hydro", "cts1", t.TempDir()})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fom_zs=", "grind_time="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunSuiteFailurePath(t *testing.T) {
 	// saxpy/cuda on a CPU system fails at setup, through the CLI.
 	if err := run([]string{"saxpy/cuda", "cts1", t.TempDir()}); err == nil {
@@ -187,8 +178,16 @@ func TestRunSuiteFailurePath(t *testing.T) {
 	}
 }
 
+// parseGlobal parses args the way run does before dispatch, with the
+// global flags allowed anywhere.
+func parseGlobal(args []string) (execOpts, []string, error) {
+	var opts execOpts
+	rest, err := parseAnywhere(opts.flagSet("benchpark"), args)
+	return opts, rest, err
+}
+
 func TestGlobalFlagsParsing(t *testing.T) {
-	opts, rest, err := parseGlobalFlags([]string{"--jobs", "4", "suites", "--timeout", "30s"})
+	opts, rest, err := parseGlobal([]string{"--jobs", "4", "suites", "--timeout", "30s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +205,8 @@ func TestGlobalFlagsParsing(t *testing.T) {
 		{"--timeout", "bogus"}, // not a duration
 		{"--timeout", "-5s"},   // not positive
 	} {
-		if _, _, err := parseGlobalFlags(bad); err == nil {
-			t.Errorf("parseGlobalFlags(%v) should fail", bad)
+		if _, _, err := parseGlobal(bad); err == nil {
+			t.Errorf("parseGlobal(%v) should fail", bad)
 		}
 	}
 }
@@ -261,10 +260,10 @@ func TestRunSuiteWithTraceOut(t *testing.T) {
 }
 
 func TestLogLevelFlagValidation(t *testing.T) {
-	if _, _, err := parseGlobalFlags([]string{"--log-level", "loud"}); err == nil {
+	if _, _, err := parseGlobal([]string{"--log-level", "loud"}); err == nil {
 		t.Error("bad log level should fail at parse time")
 	}
-	opts, rest, err := parseGlobalFlags([]string{"--log-level=debug", "--trace-out=t.json", "suites"})
+	opts, rest, err := parseGlobal([]string{"--log-level=debug", "--trace-out=t.json", "suites"})
 	if err != nil {
 		t.Fatal(err)
 	}

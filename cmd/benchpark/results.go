@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -28,7 +29,8 @@ import (
 //     queues (--shard-queue). Shards are for separate disks (mount them
 //     at DIR/shard-NN): on one device the same load runs slower through
 //     four shards than through one store. --shard-slow injects a
-//     per-commit delay for fault-injection drills.
+//     per-commit delay for fault-injection drills. Both shard flags are
+//     refused in the other modes, which would ignore them.
 //   - --replica-of URL: a read-only follower replica of either of the
 //     above — both serve the /v1/replica endpoints followers pull from,
 //     a plain store as a one-shard primary — serving /v1/series,
@@ -40,96 +42,30 @@ import (
 // a loop sampling the service's own request latency into the store
 // through the normal ingest path. The process runs until killed; the
 // stores' WALs make that safe at any instant.
-func serveCmd(args []string, opts *execOpts) error {
-	addr := "127.0.0.1:8321"
-	dataDir := "benchpark-results"
-	withMetrics, withPprof := false, false
-	var selfmonitor time.Duration
-	shards := 0
-	shardQueue := 0
-	var shardSlow time.Duration
-	replicaOf := ""
+func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
+	addr := fs.String("addr", "127.0.0.1:8321", "listen address")
+	dataDir := fs.String("data", "benchpark-results", "data directory")
+	withMetrics := fs.Bool("metrics", false, "serve /metrics and /debug/ops")
+	withPprof := fs.Bool("pprof", false, "serve /debug/pprof")
+	replicaOf := fs.String("replica-of", "", "follow this primary, read-only")
+	var shards, shardQueue int
+	var selfmonitor, shardSlow time.Duration
 	syncInterval := time.Second
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "--addr", "-addr":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--addr needs a host:port")
-			}
-			addr = args[i+1]
-			i++
-		case "--data", "-data":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--data needs a directory")
-			}
-			dataDir = args[i+1]
-			i++
-		case "--metrics", "-metrics":
-			withMetrics = true
-		case "--pprof", "-pprof":
-			withPprof = true
-		case "--selfmonitor", "-selfmonitor":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--selfmonitor needs an interval (e.g. 30s)")
-			}
-			d, err := time.ParseDuration(args[i+1])
-			if err != nil || d <= 0 {
-				return fmt.Errorf("bad --selfmonitor interval %q", args[i+1])
-			}
-			selfmonitor = d
-			i++
-		case "--shards", "-shards":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--shards needs a count")
-			}
-			n, err := strconv.Atoi(args[i+1])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad --shards count %q", args[i+1])
-			}
-			shards = n
-			i++
-		case "--shard-queue", "-shard-queue":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--shard-queue needs a depth")
-			}
-			n, err := strconv.Atoi(args[i+1])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad --shard-queue depth %q", args[i+1])
-			}
-			shardQueue = n
-			i++
-		case "--shard-slow", "-shard-slow":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--shard-slow needs a duration (e.g. 50ms)")
-			}
-			d, err := time.ParseDuration(args[i+1])
-			if err != nil || d <= 0 {
-				return fmt.Errorf("bad --shard-slow duration %q", args[i+1])
-			}
-			shardSlow = d
-			i++
-		case "--replica-of", "-replica-of":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--replica-of needs a primary URL")
-			}
-			replicaOf = args[i+1]
-			i++
-		case "--sync-interval", "-sync-interval":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--sync-interval needs a duration (e.g. 1s)")
-			}
-			d, err := time.ParseDuration(args[i+1])
-			if err != nil || d <= 0 {
-				return fmt.Errorf("bad --sync-interval %q", args[i+1])
-			}
-			syncInterval = d
-			i++
-		default:
-			return fmt.Errorf("serve: unknown argument %q", args[i])
-		}
-	}
-	if replicaOf != "" && shards > 0 {
+	fs.Func("selfmonitor", "self-sampling interval", above(&selfmonitor, 0, time.ParseDuration))
+	fs.Func("shards", "shard count", above(&shards, 0, strconv.Atoi))
+	fs.Func("shard-queue", "per-shard ingest queue depth", above(&shardQueue, 0, strconv.Atoi))
+	fs.Func("shard-slow", "injected per-commit delay", above(&shardSlow, 0, time.ParseDuration))
+	fs.Func("sync-interval", "replica sync period", above(&syncInterval, 0, time.ParseDuration))
+	rest, err := parseAnywhere(fs, args)
+	switch {
+	case err != nil:
+		return err
+	case len(rest) > 0:
+		return fmt.Errorf("serve: unexpected argument %q", rest[0])
+	case *replicaOf != "" && shards > 0:
 		return fmt.Errorf("serve: --replica-of and --shards are mutually exclusive (a replica mirrors the primary's topology)")
+	case shards < 2 && (shardQueue > 0 || shardSlow > 0):
+		return fmt.Errorf("serve: --shard-queue and --shard-slow need --shards N with N > 1 (one store has no shard queue)")
 	}
 
 	// The server gets its own wall-clock tracer so request metrics
@@ -137,26 +73,26 @@ func serveCmd(args []string, opts *execOpts) error {
 	// dumps them when the listener stops.
 	tracer := telemetry.New(nil)
 	var sopts []resultsd.Option
-	if withMetrics {
+	if *withMetrics {
 		sopts = append(sopts, resultsd.WithOps())
 	}
-	if withPprof {
+	if *withPprof {
 		sopts = append(sopts, resultsd.WithPprof())
 	}
 
 	var backend resultsd.Backend
 	mode := ""
 	switch {
-	case replicaOf != "":
+	case *replicaOf != "":
 		f := resultshard.NewFollower()
-		src := resultsd.NewReplicaClient(replicaOf)
+		src := resultsd.NewReplicaClient(*replicaOf)
 		fctx, fcancel := context.WithCancel(context.Background())
 		defer fcancel()
 		go resultsd.RunFollower(fctx, f, src, syncInterval, tracer)
 		backend = f
-		mode = fmt.Sprintf("replica of %s (sync every %s)", replicaOf, syncInterval)
+		mode = fmt.Sprintf("replica of %s (sync every %s)", *replicaOf, syncInterval)
 	case shards > 1:
-		router, err := resultshard.Open(dataDir, resultshard.Options{
+		router, err := resultshard.Open(*dataDir, resultshard.Options{
 			Shards: shards,
 			Store:  resultstore.Options{QueueDepth: shardQueue, CommitDelay: shardSlow},
 		})
@@ -165,25 +101,25 @@ func serveCmd(args []string, opts *execOpts) error {
 		}
 		defer router.Close()
 		backend = router
-		mode = fmt.Sprintf("%d shards (data %s)", shards, dataDir)
+		mode = fmt.Sprintf("%d shards (data %s)", shards, *dataDir)
 	default:
-		store, err := resultstore.Open(dataDir, resultstore.Options{})
+		store, err := resultstore.Open(*dataDir, resultstore.Options{})
 		if err != nil {
 			return err
 		}
 		defer store.Close()
 		backend = store
-		mode = fmt.Sprintf("single store (data %s)", dataDir)
+		mode = fmt.Sprintf("single store (data %s)", *dataDir)
 	}
 
 	srv := resultsd.New(backend, tracer, sopts...)
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("==> resultsd serving %d results on http://%s, %s\n",
 		backend.Len(), ln.Addr(), mode)
-	if withMetrics {
+	if *withMetrics {
 		fmt.Printf("==> ops plane on http://%s/metrics and /debug/ops\n", ln.Addr())
 	}
 	if selfmonitor > 0 {
@@ -260,65 +196,25 @@ func pushCmd(args []string, opts *execOpts) (err error) {
 // regression scan, and print them as one annotated table — the
 // "introspection into benchmark performance across systems and time"
 // view of Section 5, over the network.
-func historyCmd(args []string, opts *execOpts) error {
-	if len(args) < 3 {
-		return fmt.Errorf("usage: benchpark history <server-url> <benchmark> <fom> [--system S] [--window N] [--threshold T]")
+func historyCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
+	var f metricsdb.Filter
+	fs.StringVar(&f.System, "system", "", "only results from this system")
+	fs.StringVar(&f.Workload, "workload", "", "only results of this workload")
+	fs.StringVar(&f.Experiment, "experiment", "", "only results of this experiment")
+	window, threshold := 0, 0.0
+	fs.Func("window", "rolling-median window", above(&window, 1, strconv.Atoi))
+	fs.Func("threshold", "regression ratio", above(&threshold, 0, func(v string) (float64, error) {
+		return strconv.ParseFloat(v, 64)
+	}))
+	args, err := parseAnywhere(fs, args)
+	if err != nil {
+		return err
+	}
+	if len(args) != 3 {
+		return fmt.Errorf("usage: benchpark history <server-url> <benchmark> <fom> [--system S] [--workload W] [--experiment E] [--window N] [--threshold T]")
 	}
 	serverURL, benchmark, fom := args[0], args[1], args[2]
-	f := metricsdb.Filter{Benchmark: benchmark}
-	window, threshold := 0, 0.0
-	rest := args[3:]
-	for i := 0; i < len(rest); i++ {
-		need := func() (string, error) {
-			if i+1 >= len(rest) {
-				return "", fmt.Errorf("%s needs a value", rest[i])
-			}
-			i++
-			return rest[i], nil
-		}
-		switch rest[i] {
-		case "--system", "-system":
-			v, err := need()
-			if err != nil {
-				return err
-			}
-			f.System = v
-		case "--workload", "-workload":
-			v, err := need()
-			if err != nil {
-				return err
-			}
-			f.Workload = v
-		case "--experiment", "-experiment":
-			v, err := need()
-			if err != nil {
-				return err
-			}
-			f.Experiment = v
-		case "--window", "-window":
-			v, err := need()
-			if err != nil {
-				return err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 2 {
-				return fmt.Errorf("bad window %q", v)
-			}
-			window = n
-		case "--threshold", "-threshold":
-			v, err := need()
-			if err != nil {
-				return err
-			}
-			t, err := strconv.ParseFloat(v, 64)
-			if err != nil || t <= 0 {
-				return fmt.Errorf("bad threshold %q", v)
-			}
-			threshold = t
-		default:
-			return fmt.Errorf("history: unknown argument %q", rest[i])
-		}
-	}
+	f.Benchmark = benchmark
 	ctx, cancel := opts.context()
 	defer cancel()
 	client := resultsd.NewClient(serverURL)

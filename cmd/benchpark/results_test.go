@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,13 +97,22 @@ func TestRunHistoryCmdErrors(t *testing.T) {
 }
 
 func TestRunServeCmdFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"serve", "--addr"},         // missing value
-		{"serve", "--data"},         // missing value
-		{"serve", "unexpected-arg"}, // unknown argument
+	// Shard options on one store would be dropped silently; the listen
+	// address is unusable so a serve that took them fails, not serves.
+	unused := []string{"--addr", "127.0.0.1:99999", "--data", t.TempDir()}
+	for _, tc := range []struct {
+		args []string
+		want string // the error must contain this
+	}{
+		{[]string{"serve", "--addr"}, ""},         // missing value
+		{[]string{"serve", "--data"}, ""},         // missing value
+		{[]string{"serve", "unexpected-arg"}, ""}, // unknown argument
+		{append([]string{"serve", "--shard-queue", "4"}, unused...), "--shards"},
+		{append([]string{"serve", "--shards", "1", "--shard-slow", "5ms"}, unused...), "--shards"},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) should fail", args)
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/hpcsim"
 	"repro/internal/install"
-	"repro/internal/metricsdb"
 	"repro/internal/pkgrepo"
 	"repro/internal/spec"
 )
@@ -131,33 +131,6 @@ func dashboardCmd(args []string, opts *execOpts) error {
 	return nil
 }
 
-// regressionsCmd implements `benchpark regressions <results.json>
-// <benchmark> <fom>`: load a saved metrics database and scan a FOM
-// series for regressions.
-func regressionsCmd(args []string) error {
-	if len(args) != 3 {
-		return fmt.Errorf("usage: benchpark regressions <results.json> <benchmark> <fom>")
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		return err
-	}
-	db, err := metricsdb.LoadJSON(string(data))
-	if err != nil {
-		return err
-	}
-	regs := db.DetectRegressions(metricsdb.Filter{Benchmark: args[1]}, args[2], 4, 1.2)
-	if len(regs) == 0 {
-		fmt.Printf("no regressions in %s/%s across %d results\n", args[1], args[2], db.Len())
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Printf("REGRESSION seq=%d value=%.4g baseline=%.4g ratio=%.2fx\n",
-			r.Seq, r.Value, r.Baseline, r.Ratio)
-	}
-	return nil
-}
-
 // archiveCmd implements `benchpark archive <suite> <system> <out.tar.gz>`:
 // run the suite and bundle the complete workspace (configs, scripts,
 // outputs, results.json) into a shareable archive (Section 5).
@@ -223,15 +196,18 @@ func provisionCmd(args []string, opts *execOpts) error {
 // reportCmd implements `benchpark report [out.md] [-full]`: rerun the
 // reproduction experiments and emit a paper-vs-measured markdown
 // report.
-func reportCmd(args []string, opts *execOpts) error {
+func reportCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
+	full := fs.Bool("full", false, "sweep Figure 14 to the paper's 3456 processes")
+	args, err := parseAnywhere(fs, args)
+	if err != nil {
+		return err
+	}
+	if len(args) > 1 {
+		return fmt.Errorf("usage: benchpark report [out.md] [-full]")
+	}
 	out := ""
-	full := false
-	for _, a := range args {
-		if a == "-full" || a == "--full" {
-			full = true
-			continue
-		}
-		out = a
+	if len(args) == 1 {
+		out = args[0]
 	}
 	var w *os.File
 	if out == "" {
@@ -246,7 +222,7 @@ func reportCmd(args []string, opts *execOpts) error {
 	}
 	ctx, cancel := opts.context()
 	defer cancel()
-	if err := core.GenerateReport(ctx, w, full, opts.jobs); err != nil {
+	if err := core.GenerateReport(ctx, w, *full, opts.jobs); err != nil {
 		return err
 	}
 	if out != "" {

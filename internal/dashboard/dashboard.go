@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/metricsdb"
+	"repro/internal/ramble"
 )
 
 // Row is one benchmark × system summary line.
@@ -34,13 +35,10 @@ var primaryFOM = map[string]string{
 	"hpcg":                 "gflops",
 }
 
-// timeLike FOMs regress upward; throughput FOMs regress downward.
-var timeLike = map[string]bool{
-	"saxpy_time": true, "total_time": true, "solve_time": true, "setup_time": true,
-}
-
 // Build summarizes the database into dashboard rows, sorted by
-// benchmark then system.
+// benchmark then system. A benchmark without a primary FOM shows the
+// sorted-first FOM its latest result carries. A FOM the benchmark
+// declares in units of time regresses upward, any other downward.
 func Build(db *metricsdb.DB) []Row {
 	type key struct{ b, s string }
 	groups := map[key][]metricsdb.Result{}
@@ -52,10 +50,10 @@ func Build(db *metricsdb.DB) []Row {
 	for k, results := range groups {
 		fom := primaryFOM[k.b]
 		if fom == "" {
-			// Fall back to any numeric FOM the results carry.
 			for name := range results[len(results)-1].FOMs {
-				fom = name
-				break
+				if fom == "" || name < fom {
+					fom = name
+				}
 			}
 		}
 		row := Row{Benchmark: k.b, System: k.s, Runs: len(results), FOM: fom}
@@ -67,9 +65,9 @@ func Build(db *metricsdb.DB) []Row {
 		if len(row.Trend) > 0 {
 			row.Latest = row.Trend[len(row.Trend)-1]
 		}
-		threshold := 1.2
-		if !timeLike[fom] {
-			threshold = 0.8
+		threshold := 0.8
+		if ramble.FOMLowerIsBetter(k.b, fom) {
+			threshold = 1.2
 		}
 		row.Regressions = len(db.DetectRegressions(
 			metricsdb.Filter{Benchmark: k.b, System: k.s}, fom, 4, threshold))

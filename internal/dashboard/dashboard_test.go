@@ -124,3 +124,36 @@ func TestScalingSVG(t *testing.T) {
 		t.Error("single-point svg")
 	}
 }
+
+// TestHeadlineFOMIsStable: a benchmark without a primary FOM shows the
+// sorted-first of its FOMs, the same one on every render.
+func TestHeadlineFOMIsStable(t *testing.T) {
+	db := metricsdb.New()
+	for i := 0; i < 3; i++ {
+		db.Add(metricsdb.Result{Benchmark: "lulesh", System: "cts1",
+			FOMs: map[string]float64{"grind_time": 0.5, "fom_zs": 1e6}})
+	}
+	for i := 0; i < 40; i++ {
+		if rows := Build(db); rows[0].FOM != "fom_zs" {
+			t.Fatalf("render %d: headline FOM = %q, want fom_zs", i, rows[0].FOM)
+		}
+	}
+}
+
+// TestRegressionDirectionFromUnits: a FOM in time per unit of work
+// (grind_time, us/zone/cycle) regresses upward, a rate (fom_zs,
+// zones/s) downward.
+func TestRegressionDirectionFromUnits(t *testing.T) {
+	db := metricsdb.New()
+	for _, v := range []float64{1, 1, 1, 1, 1.3} {
+		db.Add(metricsdb.Result{Benchmark: "lulesh", System: "slower",
+			FOMs: map[string]float64{"grind_time": v}})
+		db.Add(metricsdb.Result{Benchmark: "lulesh", System: "faster",
+			FOMs: map[string]float64{"fom_zs": v}})
+	}
+	for _, r := range Build(db) {
+		if want := r.System == "slower"; (r.Regressions > 0) != want {
+			t.Errorf("%s %s: %d regressions, want some = %v", r.System, r.FOM, r.Regressions, want)
+		}
+	}
+}

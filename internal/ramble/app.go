@@ -44,6 +44,31 @@ type FOM struct {
 	re *regexp.Regexp // Regex as Validate compiled it
 }
 
+// timeUnits are the units a duration is declared in.
+var timeUnits = map[string]bool{"s": true, "ms": true, "us": true, "ns": true}
+
+// LowerIsBetter reports the FOM's direction from its Units: a time
+// ("s", "us") or a time per unit of work ("us/zone/cycle") is better
+// lower; a rate ("GB/s", "zones/s") and a FOM without units are better
+// higher.
+func (f FOM) LowerIsBetter() bool {
+	num, _, _ := strings.Cut(f.Units, "/")
+	return timeUnits[num]
+}
+
+// FOMLowerIsBetter reports the direction of the named FOM of a
+// registered application; a FOM no application declares is a rate.
+func FOMLowerIsBetter(app, fom string) bool {
+	if a, ok := appRegistry[app]; ok {
+		for _, f := range a.FOMs {
+			if f.Name == fom {
+				return f.LowerIsBetter()
+			}
+		}
+	}
+	return false
+}
+
 // compile checks the FOM's regex and keeps it for extraction.
 func (f *FOM) compile() error {
 	re, err := regexp.Compile(f.Regex)

@@ -583,3 +583,24 @@ ramble:
 		t.Errorf("sibling experiment lost the default template:\n%s", byName["standard"].Script)
 	}
 }
+
+// TestFOMDirectionFromUnits: every built-in FOM's direction follows from
+// the units it declares — times and times per unit of work are better
+// lower, rates and unitless counts better higher.
+func TestFOMDirectionFromUnits(t *testing.T) {
+	lower := map[string]bool{
+		"saxpy_time": true, "setup_time": true, "solve_time": true,
+		"grind_time": true, "total_time": true, "avg_latency": true,
+	}
+	for _, app := range ApplicationNames() {
+		a, _ := GetApplication(app)
+		for _, f := range a.FOMs {
+			if got := FOMLowerIsBetter(app, f.Name); got != lower[f.Name] {
+				t.Errorf("%s/%s (%q): lower is better = %v, want %v", app, f.Name, f.Units, got, lower[f.Name])
+			}
+		}
+	}
+	if FOMLowerIsBetter("saxpy", "nosuchfom") || FOMLowerIsBetter("nosuchapp", "saxpy_time") {
+		t.Error("an undeclared FOM should count as a rate")
+	}
+}
