@@ -428,6 +428,10 @@ func figure14(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	if err != nil {
 		return err
 	}
+	bp := core.New()
+	if err := opts.attachCache(bp); err != nil {
+		return err
+	}
 	fmt.Printf("==> MPI_Bcast on %s: scales %v (this sweeps a real %d-rank simulation)\n",
 		study.System.Name, study.Scales, study.Scales[len(study.Scales)-1])
 	ctx, cancel := opts.context()
@@ -436,7 +440,7 @@ func figure14(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	if err != nil {
 		return err
 	}
-	res, err := study.Run(ctx, core.New(), opts.jobs)
+	res, err := study.Run(ctx, bp, opts.jobs)
 	if ferr := opts.finish(); ferr != nil && err == nil {
 		err = ferr
 	}

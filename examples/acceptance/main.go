@@ -27,10 +27,10 @@ type criterion struct {
 	Benchmark string
 	Workload  string
 	FOM       string
-	// Threshold is the contractual minimum (HigherIsBetter) or
-	// maximum (otherwise), derived from the vendor's committed numbers.
+	// Threshold is the contractual minimum, or the maximum for a FOM
+	// that is better lower (ramble.FOMLowerIsBetter), derived from the
+	// vendor's committed numbers.
 	Threshold      float64
-	HigherIsBetter bool
 	Vars           map[string]string
 	Ranks, PerNode int
 	Threads        int
@@ -40,13 +40,13 @@ type criterion struct {
 // (thresholds set at 90% of the model's nominal performance, the
 // usual acceptance margin).
 var contract = []criterion{
-	{Benchmark: "stream", Workload: "triad", FOM: "triad_bw", Threshold: 180, HigherIsBetter: true,
+	{Benchmark: "stream", Workload: "triad", FOM: "triad_bw", Threshold: 180,
 		Vars: map[string]string{"n": "4000000", "iterations": "3"}, Ranks: 1, PerNode: 1, Threads: 64},
-	{Benchmark: "hpcg", Workload: "hpcg", FOM: "gflops", Threshold: 25, HigherIsBetter: true,
+	{Benchmark: "hpcg", Workload: "hpcg", FOM: "gflops", Threshold: 25,
 		Vars: map[string]string{"nx": "16", "ny": "16", "nz": "16", "iterations": "30"}, Ranks: 16, PerNode: 8},
-	{Benchmark: "amg2023", Workload: "problem1", FOM: "solve_time", Threshold: 0.02, HigherIsBetter: false,
+	{Benchmark: "amg2023", Workload: "problem1", FOM: "solve_time", Threshold: 0.02,
 		Vars: map[string]string{"nx": "16", "ny": "16", "nz": "16", "tolerance": "1e-6"}, Ranks: 16, PerNode: 8},
-	{Benchmark: "osu-micro-benchmarks", Workload: "osu_bcast", FOM: "avg_latency", Threshold: 40, HigherIsBetter: false,
+	{Benchmark: "osu-micro-benchmarks", Workload: "osu_bcast", FOM: "avg_latency", Threshold: 40,
 		Vars: map[string]string{"workload": "osu_bcast", "message_size": "8192", "iterations": "1000"}, Ranks: 64, PerNode: 16},
 }
 
@@ -97,7 +97,7 @@ func evaluate(name string, sys *hpcsim.System) (bool, error) {
 		}
 		ok := v >= c.Threshold
 		rel := ">="
-		if !c.HigherIsBetter {
+		if ramble.FOMLowerIsBetter(c.Benchmark, c.FOM) {
 			ok = v <= c.Threshold
 			rel = "<="
 		}

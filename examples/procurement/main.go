@@ -27,11 +27,9 @@ import (
 
 // workloadComponent is one entry of the center's workload mix.
 type workloadComponent struct {
-	Benchmark string
-	Workload  string
-	FOM       string
-	// HigherIsBetter: FOMs like GFLOP/s and zones/s; false for times.
-	HigherIsBetter bool
+	Benchmark      string
+	Workload       string
+	FOM            string
 	Weight         float64
 	Vars           map[string]string
 	Ranks, PerNode int
@@ -39,15 +37,15 @@ type workloadComponent struct {
 
 // centerWorkload mirrors a typical mixed procurement suite.
 var centerWorkload = []workloadComponent{
-	{Benchmark: "amg2023", Workload: "problem1", FOM: "fom", HigherIsBetter: true, Weight: 0.35,
+	{Benchmark: "amg2023", Workload: "problem1", FOM: "fom", Weight: 0.35,
 		Vars: map[string]string{"nx": "16", "ny": "16", "nz": "16", "tolerance": "1e-6"}, Ranks: 16, PerNode: 8},
-	{Benchmark: "hpcg", Workload: "hpcg", FOM: "gflops", HigherIsBetter: true, Weight: 0.25,
+	{Benchmark: "hpcg", Workload: "hpcg", FOM: "gflops", Weight: 0.25,
 		Vars: map[string]string{"nx": "16", "ny": "16", "nz": "16", "iterations": "30"}, Ranks: 16, PerNode: 8},
-	{Benchmark: "stream", Workload: "triad", FOM: "triad_bw", HigherIsBetter: true, Weight: 0.15,
+	{Benchmark: "stream", Workload: "triad", FOM: "triad_bw", Weight: 0.15,
 		Vars: map[string]string{"n": "4000000", "iterations": "3"}, Ranks: 1, PerNode: 1},
-	{Benchmark: "lulesh", Workload: "hydro", FOM: "fom_zs", HigherIsBetter: true, Weight: 0.15,
+	{Benchmark: "lulesh", Workload: "hydro", FOM: "fom_zs", Weight: 0.15,
 		Vars: map[string]string{"size": "16", "iterations": "15"}, Ranks: 8, PerNode: 8},
-	{Benchmark: "osu-micro-benchmarks", Workload: "osu_bcast", FOM: "total_time", HigherIsBetter: false, Weight: 0.10,
+	{Benchmark: "osu-micro-benchmarks", Workload: "osu_bcast", FOM: "total_time", Weight: 0.10,
 		Vars: map[string]string{"workload": "osu_bcast", "message_size": "8192", "iterations": "10000"}, Ranks: 64, PerNode: 16},
 }
 
@@ -125,7 +123,7 @@ func run() error {
 				return fmt.Errorf("%s %s: %w", candName, comp.Benchmark, err)
 			}
 			speedup := v / baseline[comp.Benchmark]
-			if !comp.HigherIsBetter {
+			if ramble.FOMLowerIsBetter(comp.Benchmark, comp.FOM) {
 				speedup = baseline[comp.Benchmark] / v
 			}
 			s.per[comp.Benchmark] = speedup

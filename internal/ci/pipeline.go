@@ -164,12 +164,11 @@ type AuditEntry struct {
 type GitLab struct {
 	Mirror *Repo
 
-	mu        sync.Mutex
-	runners   []*Runner
-	pipelines []*Pipeline
-	audit     []AuditEntry
-	nextID    int
-	github    *GitHub // for Jacamar account lookups
+	mu      sync.Mutex
+	runners []*Runner
+	audit   []AuditEntry
+	nextID  int
+	github  *GitHub // for Jacamar account lookups
 }
 
 // NewGitLab returns a GitLab instance mirroring into the given repo.
@@ -189,13 +188,6 @@ func (gl *GitLab) Audit() []AuditEntry {
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
 	return append([]AuditEntry(nil), gl.audit...)
-}
-
-// Pipelines returns all pipelines run so far.
-func (gl *GitLab) Pipelines() []*Pipeline {
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return append([]*Pipeline(nil), gl.pipelines...)
 }
 
 // RunPipeline reads .gitlab-ci.yml from the mirrored commit and
@@ -218,7 +210,6 @@ func (gl *GitLab) RunPipeline(ctx context.Context, sha, triggeredBy, approvedBy 
 	gl.nextID++
 	p := &Pipeline{ID: gl.nextID, SHA: sha, Stages: stages, Jobs: jobs,
 		TriggeredBy: triggeredBy, ApprovedBy: approvedBy}
-	gl.pipelines = append(gl.pipelines, p)
 	runners := append([]*Runner(nil), gl.runners...)
 	gl.mu.Unlock()
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,20 +76,32 @@ type Session struct {
 // the system configs, instantiate Spack and Ramble, and generate the
 // workspace configuration from the experiment suite template.
 func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, error) {
-	sys, err := hpcsim.Get(systemName)
+	sys, rambleYAML, err := lookupSuite(suite, systemName)
 	if err != nil {
 		return nil, err
+	}
+	return bp.setup(suite, sys, rambleYAML, workspaceDir)
+}
+
+// lookupSuite resolves a system name and renders the named experiment
+// suite's ramble.yaml for it.
+func lookupSuite(suite, systemName string) (*hpcsim.System, string, error) {
+	sys, err := hpcsim.Get(systemName)
+	if err != nil {
+		return nil, "", err
 	}
 	gen, ok := experimentSuites[suite]
 	if !ok {
-		return nil, fmt.Errorf("benchpark: unknown experiment suite %q (have %v)",
+		return nil, "", fmt.Errorf("benchpark: unknown experiment suite %q (have %v)",
 			suite, ExperimentTemplates())
 	}
 	rambleYAML, err := gen(sys)
-	if err != nil {
-		return nil, err
-	}
+	return sys, rambleYAML, err
+}
 
+// setup is Setup over an already rendered ramble.yaml: a workspace
+// named name@system in dir, configured from rambleYAML.
+func (bp *Benchpark) setup(name string, sys *hpcsim.System, rambleYAML, dir string) (*Session, error) {
 	// One rendering of the system's config files feeds both readers:
 	// the concretizer and the workspace's configs/.
 	files, err := SystemConfigs(sys)
@@ -101,17 +112,17 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	ws, err := ramble.NewWorkspace(suite+"@"+systemName, workspaceDir)
+	ws, err := ramble.NewWorkspace(name+"@"+sys.Name, dir)
 	if err != nil {
 		return nil, err
 	}
-	for name, content := range files {
-		ws.WriteConfig(name, content)
+	for file, content := range files {
+		ws.WriteConfig(file, content)
 	}
 	if err := ws.Configure(rambleYAML); err != nil {
 		return nil, err
 	}
-	return newSession(bp, sys, suite, cfg, ws), nil
+	return newSession(bp, sys, name, cfg, ws), nil
 }
 
 // newSession binds a configured workspace to a system, with a fresh
@@ -138,12 +149,21 @@ func newSession(bp *Benchpark, sys *hpcsim.System, suite string, cfg *concretize
 // tree — over a fresh temp directory, hands it to fn, and removes the
 // directory whatever Setup or fn returned.
 func (bp *Benchpark) WithScratchSession(suite, systemName string, fn func(*Session) error) error {
+	sys, rambleYAML, err := lookupSuite(suite, systemName)
+	if err != nil {
+		return err
+	}
+	return bp.withScratch(suite, sys, rambleYAML, fn)
+}
+
+// withScratch is WithScratchSession over an already rendered ramble.yaml.
+func (bp *Benchpark) withScratch(name string, sys *hpcsim.System, rambleYAML string, fn func(*Session) error) error {
 	dir, err := os.MkdirTemp("", "benchpark-scratch-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	sess, err := bp.Setup(suite, systemName, dir)
+	sess, err := bp.setup(name, sys, rambleYAML, dir)
 	if err != nil {
 		return err
 	}
@@ -158,12 +178,7 @@ func (s *Session) Install(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(envSpecs))
-	for name := range envSpecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(envSpecs) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

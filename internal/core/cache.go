@@ -251,12 +251,7 @@ func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte)
 		out.Profile = p
 	}
 	md := adiak.New()
-	names := make([]string, 0, len(co.Meta))
-	for name := range co.Meta {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(co.Meta) {
 		md.Set(name, co.Meta[name])
 	}
 	out.Metadata = md

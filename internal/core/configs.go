@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/concretizer"
@@ -153,12 +152,7 @@ func specName(s string) string {
 // Figure 1c workflow (`benchpark $experiment $system $workspace`).
 // Suites are "<benchmark>/<variant-or-workload>".
 func ExperimentTemplates() []string {
-	out := make([]string, 0, len(experimentSuites))
-	for name := range experimentSuites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(experimentSuites)
 }
 
 // suiteDef generates a ramble.yaml given the system (for GPU counts

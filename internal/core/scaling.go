@@ -3,16 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 
-	"repro/internal/bench"
-	"repro/internal/engine"
 	"repro/internal/extrap"
 	"repro/internal/hpcsim"
-	"repro/internal/metricsdb"
 	"repro/internal/ramble"
-	"repro/internal/telemetry"
 	"repro/internal/thicket"
+	"repro/internal/yamlite"
 )
 
 // ScalingStudy is a Figure 14 style experiment set: one benchmark
@@ -23,7 +22,6 @@ type ScalingStudy struct {
 	Benchmark string
 	Workload  string
 	FOM       string            // FOM name whose value is modeled
-	Region    string            // Caliper region to model (alternative to FOM)
 	Vars      map[string]string // fixed workload variables
 	Scales    []int             // process counts (the paper's nprocs axis)
 	Reps      int               // repetitions per scale (red dots per x)
@@ -41,109 +39,102 @@ type StudyResult struct {
 	Thicket      *thicket.Thicket
 }
 
-// Run executes the study's scale×rep points concurrently on a
-// bounded worker pool (jobs <= 0 means NumCPU) and fits the Extra-P
-// model. The kernels run in parallel; measurements, thicket profiles
-// and metrics records are committed sequentially in sweep order, so
-// the result is identical to the sequential study.
-func (st *ScalingStudy) Run(ctx context.Context, bp *Benchpark, jobs int) (res *StudyResult, err error) {
-	ctx, root := telemetry.StartSpan(ctx, "scaling.study")
-	root.SetAttr("benchmark", st.Benchmark)
-	root.SetAttr("workload", st.Workload)
-	defer root.End()
-	defer func() { root.SetError(err) }()
+// Run renders the study's scale×rep points as one generated ramble
+// suite and runs it as a scratch session of bp (jobs <= 0 means
+// NumCPU). Each point is an ordinary session experiment named
+// {workload}_{n_ranks}_rep{rep}: scheduled, recorded in bp.Metrics
+// with the session's manifest, and replayed from bp's run cache when
+// it has one. The points' FOMs, in sweep order, feed the Extra-P fit.
+func (st *ScalingStudy) Run(ctx context.Context, bp *Benchpark, jobs int) (*StudyResult, error) {
 	if len(st.Scales) < 3 {
 		return nil, fmt.Errorf("benchpark: scaling study needs >=3 scales")
 	}
 	if st.Reps <= 0 {
 		st.Reps = 1
 	}
-	b, err := bench.Get(st.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	app, err := ramble.GetApplication(st.Benchmark)
-	if err != nil {
-		return nil, err
-	}
+	var res *StudyResult
+	err := bp.withScratch(st.Benchmark+"/"+st.Workload, st.System, st.suite(), func(sess *Session) error {
+		rep, _, err := sess.Run(ctx, RunOptions{Jobs: jobs})
+		if err != nil {
+			return err
+		}
+		var measurements []extrap.Measurement
+		for _, e := range rep.Experiments {
+			if e.Status != ramble.Succeeded {
+				return fmt.Errorf("benchpark: scale %d: %s", e.NRanks, e.FailMsg)
+			}
+			val, err := strconv.ParseFloat(e.FOMs[st.FOM], 64)
+			if err != nil {
+				return fmt.Errorf("benchpark: scale %d: FOM %q not in output:\n%s", e.NRanks, st.FOM, e.Output)
+			}
+			measurements = append(measurements, extrap.Measurement{P: float64(e.NRanks), Value: val})
+		}
+		model, err := extrap.Fit(measurements)
+		if err != nil {
+			return err
+		}
+		res = &StudyResult{Measurements: extrap.SortMeasurements(measurements), Model: model, Thicket: sess.Thicket}
+		return nil
+	})
+	return res, err
+}
+
+// suite renders the study as a ramble.yaml. Vars and the workload are
+// workload variables; n_ranks, the n_nodes it needs at min(cores,
+// smallest scale) ranks per node, and every VarsByScale variable are
+// zipped over Scales; rep is a one-variable matrix crossed with them.
+func (st *ScalingStudy) suite() string {
 	rpn := st.System.Node.Cores()
 	for _, p := range st.Scales {
-		if p < rpn {
-			rpn = p
-		}
+		rpn = min(rpn, p)
 	}
-
-	// The sweep's point list, in the order results are committed.
-	type point struct{ p, rep int }
-	var points []point
+	wlVars := yamlite.NewMap()
+	for _, k := range sortedKeys(st.Vars) {
+		wlVars.Set(k, st.Vars[k])
+	}
+	wlVars.Set("workload", st.Workload)
+	vars := yamlite.MapOf("processes_per_node", strconv.Itoa(rpn))
+	zip := func(k, v string) {
+		vec, _ := vars.Get(k).([]yamlite.Value)
+		vars.Set(k, append(vec, v))
+	}
 	for _, p := range st.Scales {
-		for rep := 0; rep < st.Reps; rep++ {
-			points = append(points, point{p, rep})
-		}
-	}
-
-	// Concurrent measurement: each kernel run is independent. Every
-	// point gets its own span under the study root (the closure's ctx
-	// shares the root ctx's cancellation, so deriving from ctx here
-	// nests correctly).
-	outs, errs := engine.Map(ctx, jobs, len(points), func(_ context.Context, i int) (*bench.Output, error) {
-		pt := points[i]
-		_, span := telemetry.StartSpan(ctx, fmt.Sprintf("point:p=%d,rep=%d", pt.p, pt.rep))
-		defer span.End()
-		p := pt.p
-		vars := map[string]string{}
-		for k, v := range st.Vars {
-			vars[k] = v
-		}
+		zip("n_ranks", strconv.Itoa(p))
+		zip("n_nodes", strconv.Itoa((p+rpn-1)/rpn))
 		if st.VarsByScale != nil {
-			for k, v := range st.VarsByScale(p) {
-				vars[k] = v
+			byScale := st.VarsByScale(p)
+			for _, k := range sortedKeys(byScale) {
+				zip(k, byScale[k])
 			}
 		}
-		vars["workload"] = st.Workload
-		out, rerr := b.Run(bench.Params{
-			System: st.System, Ranks: p, RanksPerNode: rpn,
-			Vars: vars,
-		})
-		span.SetError(rerr)
-		return out, rerr
-	})
+	}
+	reps := make([]yamlite.Value, st.Reps)
+	for r := range reps {
+		reps[r] = strconv.Itoa(r)
+	}
+	vars.Set("rep", reps)
+	return yamlite.Marshal(yamlite.MapOf("ramble", yamlite.MapOf(
+		"include", []yamlite.Value{"./configs/variables.yaml"},
+		"applications", yamlite.MapOf(st.Benchmark, yamlite.MapOf(
+			"workloads", yamlite.MapOf(st.Workload, yamlite.MapOf(
+				"variables", wlVars,
+				"experiments", yamlite.MapOf("{workload}_{n_ranks}_rep{rep}", yamlite.MapOf(
+					"variables", vars,
+					"matrices", []yamlite.Value{yamlite.MapOf("reps", []yamlite.Value{"rep"})},
+				)),
+			)),
+		)),
+	)))
+}
 
-	// Sequential commit in sweep order keeps the thicket and metrics
-	// database streams deterministic.
-	th := thicket.New()
-	var measurements []extrap.Measurement
-	for i, pt := range points {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("benchpark: scale %d: %w", pt.p, errs[i])
-		}
-		out := outs[i]
-		foms := app.ExtractFOMs(out.Text)
-		val, ok := metricsdb.ParseFOMs(foms)[st.FOM]
-		if !ok {
-			return nil, fmt.Errorf("benchpark: scale %d: FOM %q not in output:\n%s", pt.p, st.FOM, out.Text)
-		}
-		measurements = append(measurements, extrap.Measurement{P: float64(pt.p), Value: val})
-		out.Metadata.Setf("nprocs", "%d", pt.p)
-		th.Add(out.Profile, out.Metadata)
-		bp.Metrics.Add(metricsdb.Result{
-			Benchmark: st.Benchmark, Workload: st.Workload,
-			System:     st.System.Name,
-			Experiment: fmt.Sprintf("%s_%d_rep%d", st.Workload, pt.p, pt.rep),
-			FOMs:       metricsdb.ParseFOMs(foms),
-			Meta:       map[string]string{"nprocs": fmt.Sprintf("%d", pt.p)},
-			Manifest:   fmt.Sprintf("system: %s\nscaling: %s/%s p=%d", st.System.Name, st.Benchmark, st.Workload, pt.p),
-		})
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	model, err := extrap.Fit(measurements)
-	if err != nil {
-		return nil, err
-	}
-	return &StudyResult{
-		Measurements: extrap.SortMeasurements(measurements),
-		Model:        model,
-		Thicket:      th,
-	}, nil
+	sort.Strings(keys)
+	return keys
 }
 
 // AMGStrongScalingStudy fixes a global grid (nx × ny × globalNZ) and

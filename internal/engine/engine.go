@@ -376,7 +376,7 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 	executed := make([]bool, len(names))
 	replayed := make([]bool, len(names))
 	cacheIO := make([]int64, len(names))
-	_, errs := Map(ctx, rep.Jobs, len(names), func(_ context.Context, i int) (struct{}, error) {
+	errs := forEach(ctx, rep.Jobs, len(names), func(_ context.Context, i int) error {
 		executed[i] = true
 		// phaseCtx shares ctx's cancellation chain; deriving the
 		// experiment span from it nests spans without detaching
@@ -411,7 +411,7 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 		span.SetError(err)
 		span.End()
 		execDur[i] = span.Duration()
-		return struct{}{}, err
+		return err
 	})
 	phase.End()
 	if useCache {
@@ -521,17 +521,16 @@ func stageSeconds(met *telemetry.Registry, st Stage) telemetry.Histogram {
 	return met.Histogram(fmt.Sprintf("engine_stage_seconds{stage=%q}", st))
 }
 
-// Map runs fn over the indices [0, n) on a bounded worker pool of
-// `jobs` goroutines and returns results and errors in index order —
-// the deterministic sorted merge of the concurrent completions.
-// When the context is cancelled, dispatch stops and every unexecuted
-// index reports the context's error; executions already in flight
-// finish. Map never fails as a whole: callers inspect errs.
-func Map[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) (vals []T, errs []error) {
-	vals = make([]T, n)
-	errs = make([]error, n)
+// forEach runs fn over the indices [0, n) on a bounded worker pool of
+// `jobs` goroutines and returns the errors in index order — the
+// deterministic sorted merge of the concurrent completions. When the
+// context is cancelled, dispatch stops and every unexecuted index
+// reports the context's error; executions already in flight finish.
+// forEach never fails as a whole: callers inspect errs.
+func forEach(ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) error) []error {
+	errs := make([]error, n)
 	if n == 0 {
-		return vals, errs
+		return errs
 	}
 	jobs = resolveJobs(jobs, n)
 
@@ -557,7 +556,7 @@ func Map[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i
 				if ctx.Err() != nil {
 					continue // drain without executing
 				}
-				vals[i], errs[i] = fn(ctx, i)
+				errs[i] = fn(ctx, i)
 				done[i] = true
 			}
 		}()
@@ -573,7 +572,7 @@ func Map[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i
 			}
 		}
 	}
-	return vals, errs
+	return errs
 }
 
 // SeededRNG returns a deterministic per-experiment random source

@@ -75,7 +75,6 @@ type VariantDef struct {
 type PkgVersion struct {
 	Version    spec.Version
 	Deprecated bool
-	Preferred  bool
 }
 
 // Package is a complete recipe.
@@ -121,13 +120,6 @@ func (p *Package) AddVersion(v string) *Package {
 	return p
 }
 
-// AddPreferredVersion registers a version the concretizer should pick
-// even when newer ones exist.
-func (p *Package) AddPreferredVersion(v string) *Package {
-	p.Versions = append(p.Versions, PkgVersion{Version: spec.NewVersion(v), Preferred: true})
-	return p
-}
-
 // AddDeprecatedVersion registers a version only selectable when
 // explicitly requested.
 func (p *Package) AddDeprecatedVersion(v string) *Package {
@@ -138,12 +130,6 @@ func (p *Package) AddDeprecatedVersion(v string) *Package {
 // BoolVariant declares a boolean variant with a default.
 func (p *Package) BoolVariant(name string, def bool, desc string) *Package {
 	p.Variants[name] = VariantDef{Name: name, Default: spec.BoolVariant(def), Description: desc}
-	return p
-}
-
-// StringVariantDef declares a single-valued string variant.
-func (p *Package) StringVariantDef(name, def, desc string, allowed ...string) *Package {
-	p.Variants[name] = VariantDef{Name: name, Default: spec.StringVariant(def), Description: desc, Values: allowed}
 	return p
 }
 
@@ -213,14 +199,9 @@ func (p *Package) Finalize() error {
 }
 
 // BestVersion returns the version the concretizer should pick under
-// the constraint: the preferred version if admitted, else the newest
-// non-deprecated admitted version, else the newest deprecated one.
+// the constraint: the newest non-deprecated admitted version, else the
+// newest deprecated one.
 func (p *Package) BestVersion(constraint spec.VersionList) (spec.Version, error) {
-	for _, pv := range p.Versions {
-		if pv.Preferred && constraint.Contains(pv.Version) {
-			return pv.Version, nil
-		}
-	}
 	for _, pv := range p.Versions {
 		if !pv.Deprecated && constraint.Contains(pv.Version) {
 			return pv.Version, nil

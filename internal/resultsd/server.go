@@ -46,10 +46,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/metricsdb"
+	"repro/internal/ramble"
 	"repro/internal/resultshard"
 	"repro/internal/resultstore"
 	"repro/internal/telemetry"
@@ -514,8 +516,11 @@ type RegressionsResponse struct {
 	Regressions []RegressionRecord `json:"regressions"`
 }
 
-// Regression-scan defaults: a 4-sample rolling median and the 20%
-// slowdown threshold the CLI's `regressions` subcommand uses.
+// Regression-scan defaults: a 4-sample rolling median and a 20%
+// slowdown threshold. A query without a threshold on a FOM that its
+// ramble application declares higher-is-better gets 0.8 instead, as
+// the dashboard does; every other FOM, declared or not, gets
+// DefaultThreshold.
 const (
 	DefaultWindow    = 4
 	DefaultThreshold = 1.2
@@ -535,6 +540,7 @@ func (s *Server) handleRegressions(ctx context.Context, w http.ResponseWriter, r
 		}
 		window = n
 	}
+	filter := filterFromQuery(r)
 	threshold := DefaultThreshold
 	if v := q.Get("threshold"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -542,8 +548,11 @@ func (s *Server) handleRegressions(ctx context.Context, w http.ResponseWriter, r
 			return fail(w, http.StatusBadRequest, fmt.Errorf("bad threshold %q (need a positive number)", v))
 		}
 		threshold = f
+	} else if app, err := ramble.GetApplication(filter.Benchmark); err == nil &&
+		slices.ContainsFunc(app.FOMs, func(d ramble.FOM) bool { return d.Name == fom && !d.LowerIsBetter() }) {
+		threshold = 0.8
 	}
-	regs := s.store.DetectRegressions(filterFromQuery(r), fom, window, threshold)
+	regs := s.store.DetectRegressions(filter, fom, window, threshold)
 	resp := RegressionsResponse{
 		FOM: fom, Window: window, Threshold: threshold,
 		Regressions: make([]RegressionRecord, 0, len(regs)),

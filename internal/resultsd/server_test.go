@@ -178,6 +178,52 @@ func TestRegressionsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRegressionsDefaultThresholdFollowsFOMDirection: without a
+// threshold, a FOM its ramble application declares higher-is-better
+// (triad_bw, GB/s) is scanned for drops, and every other FOM — a
+// declared time, or one of an unregistered benchmark — for rises.
+func TestRegressionsDefaultThresholdFollowsFOMDirection(t *testing.T) {
+	for _, tc := range []struct {
+		bench, fom  string
+		threshold   float64
+		upFlagged   bool // a 30% step up is reported
+		downFlagged bool // a 30% step down is reported
+	}{
+		{"stream", "triad_bw", 0.8, false, true},
+		{"amg2023", "solve_time", DefaultThreshold, true, false},
+		{"fedbench-01", "fom", DefaultThreshold, true, false},
+	} {
+		srv, _ := newTestServer(t)
+		h := srv.Handler()
+		var rs []metricsdb.Result
+		for _, step := range []struct {
+			system string
+			after  float64
+		}{{"up", 1.3}, {"down", 0.7}} {
+			for _, v := range []float64{1, 1, 1, 1, step.after, step.after} {
+				rs = append(rs, result(tc.bench, step.system, tc.fom, v))
+			}
+		}
+		if w := postResults(t, h, "k1", rs); w.Code != http.StatusOK {
+			t.Fatalf("%s: ingest: %d", tc.bench, w.Code)
+		}
+		for _, c := range []struct {
+			system string
+			want   bool
+		}{{"up", tc.upFlagged}, {"down", tc.downFlagged}} {
+			w := get(t, h, "/v1/regressions?benchmark="+tc.bench+"&system="+c.system+"&fom="+tc.fom)
+			var rr RegressionsResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
+				t.Fatalf("%s: %d %s", tc.bench, w.Code, w.Body)
+			}
+			if rr.Threshold != tc.threshold || (len(rr.Regressions) > 0) != c.want {
+				t.Errorf("%s/%s step %s: threshold %v, %d regressions; want threshold %v, flagged=%v",
+					tc.bench, tc.fom, c.system, rr.Threshold, len(rr.Regressions), tc.threshold, c.want)
+			}
+		}
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()

@@ -14,7 +14,6 @@ package yamlite
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -901,12 +900,4 @@ func needsQuote(s string) bool {
 		return true
 	}
 	return false
-}
-
-// SortedKeys returns m's keys sorted lexicographically (for stable
-// iteration where insertion order is not meaningful).
-func SortedKeys(m *Map) []string {
-	ks := m.Keys()
-	sort.Strings(ks)
-	return ks
 }
