@@ -16,7 +16,10 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,27 +45,39 @@ func usage() {
   ramble workspace archive -d DIR -o <out.tar.gz>`)
 }
 
-// parseFlags extracts simple "-flag value" pairs.
-func parseFlags(args []string) (map[string]string, error) {
-	out := map[string]string{}
-	for i := 0; i < len(args); i++ {
-		key := args[i]
-		if len(key) == 0 || key[0] != '-' {
-			return nil, fmt.Errorf("unexpected argument %q", key)
-		}
-		for len(key) > 0 && key[0] == '-' {
-			key = key[1:]
-		}
-		if i+1 >= len(args) {
-			return nil, fmt.Errorf("flag -%s needs a value", key)
-		}
-		out[key] = args[i+1]
-		i++
+// flagNames lists each workspace subcommand's flags besides -d.
+var flagNames = map[string][]string{"create": {"suite", "system"}, "archive": {"o"}}
+
+// parseFlags parses a command's flags with the standard flag package:
+// -d and the named string flags, each as -x v, --x v or --x=v. An
+// unknown flag or a positional argument is an error.
+func parseFlags(args []string, names ...string) (map[string]string, error) {
+	fs := flag.NewFlagSet("ramble", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	vals := map[string]*string{"d": fs.String("d", "", "workspace directory")}
+	for _, name := range names {
+		vals[name] = fs.String(name, "", "")
 	}
-	return out, nil
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	flags := make(map[string]string, len(vals))
+	for name, v := range vals {
+		flags[name] = *v
+	}
+	return flags, nil
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
+	defer func() {
+		if errors.Is(err, flag.ErrHelp) { // -h or --help after a command
+			usage()
+			err = nil
+		}
+	}()
 	if len(args) == 0 {
 		usage()
 		return nil
@@ -73,7 +88,7 @@ func run(args []string) error {
 			usage()
 			return fmt.Errorf("workspace needs a subcommand")
 		}
-		flags, err := parseFlags(args[2:])
+		flags, err := parseFlags(args[2:], flagNames[args[1]]...)
 		if err != nil {
 			return err
 		}
@@ -219,8 +234,19 @@ func onCmd(flags map[string]string) error {
 	if err := w.Save(); err != nil {
 		return err
 	}
-	fmt.Printf("==> executed %d experiments on %s (outputs in experiments/)\n",
-		len(w.Experiments), sys.Name)
+	failed := 0
+	for _, e := range w.Experiments {
+		if e.Status == ramble.Failed {
+			failed++
+		}
+	}
+	fmt.Printf("==> executed %d experiments on %s: %d succeeded, %d failed (outputs in experiments/)\n",
+		len(w.Experiments), sys.Name, len(w.Experiments)-failed, failed)
+	for _, e := range w.Experiments {
+		if e.Status == ramble.Failed {
+			fmt.Printf("  %-36s %-9s %s\n", e.Name, e.Status, e.FailMsg)
+		}
+	}
 	return nil
 }
 
@@ -243,7 +269,7 @@ func analyzeCmd(flags map[string]string) error {
 		data, err := os.ReadFile(filepath.Join(e.Dir, e.Name+".out"))
 		if err != nil {
 			e.Status = ramble.Failed
-			e.FailMsg = "no output (did `ramble on` run?)"
+			e.FailMsg = "no output (`ramble on` did not run it, or it failed)"
 			continue
 		}
 		e.Output = string(data)
@@ -258,6 +284,9 @@ func analyzeCmd(flags map[string]string) error {
 		rep.Total, rep.Succeeded, rep.Failed)
 	for _, e := range rep.Experiments {
 		fmt.Printf("  %-36s %-9s", e.Name, e.Status)
+		if e.Status == ramble.Failed {
+			fmt.Printf(" %s", e.FailMsg)
+		}
 		for _, k := range sortedFOMKeys(e.FOMs) {
 			if k == "success" {
 				continue

@@ -31,35 +31,15 @@ func TestFigure5Transcript(t *testing.T) {
 	}
 	defer os.Chdir(wd) //nolint:errcheck
 
-	r, w, err := os.Pipe()
+	got, err := transcript(t,
+		[]string{"workspace", "create", "-d", "ws", "--suite", "saxpy/openmp", "--system", "cts1"},
+		[]string{"workspace", "setup", "-d", "ws"},
+		[]string{"on", "-d", "ws"},
+		[]string{"workspace", "analyze", "-d", "ws"},
+		[]string{"workspace", "archive", "-d", "ws", "-o", "ws.tar.gz"},
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	printed := make(chan []byte, 1)
-	go func() {
-		data, _ := io.ReadAll(r)
-		printed <- data
-	}()
-	var runErr error
-	for _, args := range [][]string{
-		{"workspace", "create", "-d", "ws", "--suite", "saxpy/openmp", "--system", "cts1"},
-		{"workspace", "setup", "-d", "ws"},
-		{"on", "-d", "ws"},
-		{"workspace", "analyze", "-d", "ws"},
-		{"workspace", "archive", "-d", "ws", "-o", "ws.tar.gz"},
-	} {
-		fmt.Printf("$ ramble %v\n", args)
-		if runErr = run(args); runErr != nil {
-			break
-		}
-	}
-	os.Stdout = stdout
-	w.Close()
-	got := <-printed
-	if runErr != nil {
-		t.Fatalf("%v\n%s", runErr, got)
+		t.Fatalf("%v\n%s", err, got)
 	}
 	archive, err := os.ReadFile("ws.tar.gz")
 	if err != nil {
@@ -82,6 +62,66 @@ func TestFigure5Transcript(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("transcript differs:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// transcript runs the commands in order, each echoed as "$ ramble
+// [args]", and returns what they printed, stopping at the first error.
+func transcript(t *testing.T, cmds ...[]string) ([]byte, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		printed <- data
+	}()
+	var runErr error
+	for _, args := range cmds {
+		fmt.Printf("$ ramble %v\n", args)
+		if runErr = run(args); runErr != nil {
+			break
+		}
+	}
+	os.Stdout = stdout
+	w.Close()
+	return <-printed, runErr
+}
+
+// TestFailedExperimentsSayWhy: `ramble on` and `workspace analyze`
+// count the failed experiments and print each with its reason — the
+// kernel's error for `on` — and still exit 0.
+func TestFailedExperimentsSayWhy(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ws")
+	if err := run([]string{"workspace", "create", "-d", dir, "--suite", "amg2023/openmp", "--system", "cts1"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "configs", "ramble.yaml")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := replaceOnce(string(data), "nz: '32'\n", "nz: '32'\n            px: '0'\n            pz: '8'\n")
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := transcript(t, []string{"on", "-d", dir}, []string{"workspace", "analyze", "-d", dir})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, got)
+	}
+	for _, want := range []string{
+		"==> executed 2 experiments on cts1: 0 succeeded, 2 failed",
+		"amg2023_openmp_1_8                   failed    bench: process grid 0x1x8 has non-positive extent\n",
+		"==> analyzed 2 experiments: 0 succeeded, 2 failed",
+		"amg2023_openmp_2_16                  failed    no output (`ramble on` did not run it, or it failed)\n",
+	} {
+		if !contains(string(got), want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
 	}
 }
 
@@ -179,6 +219,31 @@ func TestErrorsWithoutWorkspace(t *testing.T) {
 	}
 	if err := run(nil); err != nil {
 		t.Errorf("bare invocation prints usage: %v", err)
+	}
+}
+
+// TestUnknownFlagsRefused: each command takes only its own flags.
+func TestUnknownFlagsRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ws")
+	if err := run([]string{"workspace", "create", "-d", dir, "--suite", "saxpy/openmp", "--system", "cts1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"workspace", "analyze", "-d", dir, "--jobs", "4"}, "flag provided but not defined: -jobs"},
+		{[]string{"workspace", "setup", "-d", dir, "--suite", "saxpy/openmp"}, "flag provided but not defined: -suite"},
+		{[]string{"on", "-d", dir, "-o", "out.tar.gz"}, "flag provided but not defined: -o"},
+		{[]string{"on", "-d", dir, "extra"}, `unexpected argument "extra"`},
+		{[]string{"workspace", "setup", "-d"}, "flag needs an argument: -d"},
+	} {
+		if err := run(tc.args); err == nil || err.Error() != tc.want {
+			t.Errorf("run(%v) = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+	if err := run([]string{"on", "-h"}); err != nil {
+		t.Errorf("-h prints the usage: %v", err)
 	}
 }
 

@@ -16,7 +16,10 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -47,44 +50,57 @@ func usage() {
   spack uninstall <package> --dir D`)
 }
 
-// splitArgs separates positional arguments from --flag value pairs.
-func splitArgs(args []string) (pos []string, flags map[string]string, err error) {
-	flags = map[string]string{}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if len(a) > 0 && a[0] == '-' {
-			key := a
-			for len(key) > 0 && key[0] == '-' {
-				key = key[1:]
-			}
-			if i+1 >= len(args) {
-				return nil, nil, fmt.Errorf("flag %s needs a value", a)
-			}
-			flags[key] = args[i+1]
-			i++
-			continue
+// parseArgs parses a command's flags with the standard flag package —
+// --dir and the named string flags, each as -x v, --x v or --x=v,
+// before or after the positional arguments — and returns the
+// positional arguments in order. An unknown flag is an error.
+func parseArgs(args []string, names ...string) (pos []string, flags map[string]string, err error) {
+	fs := flag.NewFlagSet("spack", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	vals := map[string]*string{"dir": fs.String("dir", "", "environment directory")}
+	for _, name := range names {
+		vals[name] = fs.String(name, "", "")
+	}
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, nil, err
 		}
-		pos = append(pos, a)
+		if fs.NArg() == 0 {
+			break
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+	flags = make(map[string]string, len(vals))
+	for name, v := range vals {
+		flags[name] = *v
 	}
 	return pos, flags, nil
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
+	defer func() {
+		if errors.Is(err, flag.ErrHelp) { // -h or --help after a command
+			usage()
+			err = nil
+		}
+	}()
 	if len(args) == 0 {
 		usage()
 		return nil
 	}
 	cmd := args[0]
 	rest := args[1:]
+	var names []string
 	if cmd == "env" {
 		if len(rest) == 0 || rest[0] != "create" {
 			usage()
 			return fmt.Errorf("only `spack env create` is supported")
 		}
 		rest = rest[1:]
-		cmd = "env-create"
+		cmd, names = "env-create", []string{"system"}
 	}
-	pos, flags, err := splitArgs(rest)
+	pos, flags, err := parseArgs(rest, names...)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,9 @@ func TestSpackCLIErrors(t *testing.T) {
 		{"env", "create", "--dir", t.TempDir()}, // no system
 		{"env", "create", "--system", "cts1"},   // no dir
 		{"bogus"},
-		{"add", "--dir", t.TempDir()}, // no spec positional
+		{"add", "--dir", t.TempDir()},                     // no spec positional
+		{"find", "--dir", t.TempDir(), "--sytem", "ats2"}, // unknown flag
+		{"install", "--dir"},                              // flag without its value
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): expected error", args)
@@ -79,7 +81,7 @@ func TestDatabasePersistenceAcrossCommands(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "envdir")
 	for _, args := range [][]string{
 		{"env", "create", "--dir", dir, "--system", "cts1"},
-		{"add", "zlib", "--dir", dir},
+		{"add", "--dir", dir, "zlib %gcc"}, // flags go anywhere; a quoted spec is one argument
 		{"concretize", "--dir", dir},
 		{"install", "--dir", dir},
 	} {
@@ -93,6 +95,9 @@ func TestDatabasePersistenceAcrossCommands(t *testing.T) {
 	}
 	if db.Len() == 0 {
 		t.Fatal("empty database after install")
+	}
+	if manifest, _ := os.ReadFile(filepath.Join(dir, "spack.yaml")); !strings.Contains(string(manifest), "zlib%gcc") {
+		t.Errorf("manifest lacks zlib%%gcc:\n%s", manifest)
 	}
 	// Tampering with the persisted file is detected on load.
 	path := filepath.Join(dir, "installdb.json")

@@ -62,12 +62,8 @@ func measure(sys *hpcsim.System, c criterion) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	threads := c.Threads
-	if threads == 0 {
-		threads = 1
-	}
 	out, err := b.Run(bench.Params{
-		System: sys, Ranks: c.Ranks, RanksPerNode: c.PerNode, Threads: threads,
+		System: sys, Ranks: c.Ranks, RanksPerNode: c.PerNode, Threads: c.Threads,
 		Vars: c.Vars,
 	})
 	if err != nil {

@@ -153,10 +153,3 @@ func run() error {
 	fmt.Println("Every number above is regenerable from the same Benchpark manifests on each system.")
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,15 +9,7 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name: "amg2023",
-		Description: "AMG2023 proxy: 3-D Poisson solved by multigrid-preconditioned " +
-			"conjugate gradient with slab decomposition and halo exchange",
-		Workloads: []string{"problem1", "problem2"},
-		Run:       runAMG,
-	})
-}
+func init() { register("amg2023", runAMG) }
 
 // grid is a local structured grid of nx×ny×nz points with spacing 1.
 type grid struct {
@@ -209,49 +201,26 @@ func newSlabExchanger(c *mpisim.Comm) *haloExchanger {
 	return newHaloExchanger(c, newProcGrid(c.Rank(), c.Size(), 1, 1, c.Size()))
 }
 
+// runAMG is the AMG2023 proxy: a 3-D Poisson problem solved by
+// multigrid-preconditioned conjugate gradient over a px×py×pz process
+// grid with halo exchange.
 func runAMG(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	nx, ny, nz := vars.int("nx", 32), vars.int("ny", 32), vars.int("nz", 32)
+	px, py := vars.int("px", 1), vars.int("py", 1)
+	pz := vars.int("pz", 0) // 0 = remaining ranks in z
+	maxIters := vars.int("max_iterations", 200)
+	tol := vars.float("tolerance", 1e-8)
+	if vars.err != nil {
+		return nil, vars.err
 	}
-	nx, err := p.IntVar("nx", 32)
-	if err != nil {
-		return nil, err
-	}
-	ny, err := p.IntVar("ny", 32)
-	if err != nil {
-		return nil, err
-	}
-	nz, err := p.IntVar("nz", 32)
-	if err != nil {
-		return nil, err
-	}
-	px, err := p.IntVar("px", 1)
-	if err != nil {
-		return nil, err
-	}
-	py, err := p.IntVar("py", 1)
-	if err != nil {
-		return nil, err
-	}
-	pz, err := p.IntVar("pz", 0) // 0 = remaining ranks in z
-	if err != nil {
-		return nil, err
-	}
-	if pz == 0 {
+	if pz == 0 && px > 0 && py > 0 {
 		if p.Ranks%(px*py) != 0 {
 			return nil, fmt.Errorf("amg2023: %d ranks do not fill a %dx%dx* grid", p.Ranks, px, py)
 		}
 		pz = p.Ranks / (px * py)
 	}
 	if err := validateDecomposition(p.Ranks, px, py, pz); err != nil {
-		return nil, err
-	}
-	maxIters, err := p.IntVar("max_iterations", 200)
-	if err != nil {
-		return nil, err
-	}
-	tol, err := p.FloatVar("tolerance", 1e-8)
-	if err != nil {
 		return nil, err
 	}
 	if nx < 2 || ny < 2 || nz < 2 {
@@ -265,7 +234,7 @@ func runAMG(p Params) (*Output, error) {
 		}
 	}
 	levels := 0
-	for m := min3(nx, ny, nz); m > 4; m /= 2 {
+	for m := min(nx, ny, nz); m > 4; m /= 2 {
 		levels++
 	}
 
@@ -281,11 +250,8 @@ func runAMG(p Params) (*Output, error) {
 		return nil
 	}
 
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var text string
 	var iterations int
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
-		rec := caliper.NewRecorder(c.Now)
+	out, err := runRanks("amg2023", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		rec.Begin("main")
 		hx := newHaloExchanger(c, newProcGrid(c.Rank(), c.Size(), px, py, pz))
 
@@ -297,11 +263,9 @@ func runAMG(p Params) (*Output, error) {
 			b.v[n] = 1.0
 		}
 		if err := charge(c, 2); err != nil { // grid + matrix setup
-			return err
+			return "", err
 		}
-		if err := rec.End("setup"); err != nil {
-			return err
-		}
+		rec.End("setup")
 
 		// --- solve phase: MG-preconditioned CG --------------------------
 		rec.Begin("solve")
@@ -330,11 +294,12 @@ func runAMG(p Params) (*Output, error) {
 			if err := charge(c, float64(4*levels+2)); err != nil {
 				return err
 			}
-			return rec.End("vcycle")
+			rec.End("vcycle")
+			return nil
 		}
 
 		if err := precond(r); err != nil {
-			return err
+			return "", err
 		}
 		pv := newGrid(nx, ny, nz)
 		copy(pv.v, z.v)
@@ -352,11 +317,9 @@ func runAMG(p Params) (*Output, error) {
 			applyA(q, pv, hx.exchange(pv))
 			hx.release()
 			if err := charge(c, 1); err != nil {
-				return err
+				return "", err
 			}
-			if err := rec.End("matvec"); err != nil {
-				return err
-			}
+			rec.End("matvec")
 			pq := allSum(dot(pv, q))
 			if pq == 0 {
 				break
@@ -374,7 +337,7 @@ func runAMG(p Params) (*Output, error) {
 				break
 			}
 			if err := precond(r); err != nil {
-				return err
+				return "", err
 			}
 			rzNew := allSum(dot(r, z))
 			beta := rzNew / rz
@@ -384,59 +347,37 @@ func runAMG(p Params) (*Output, error) {
 			}
 			chargeFlops(c, p, 2*float64(nLocal))
 		}
-		if err := rec.End("solve"); err != nil {
-			return err
-		}
-		if err := rec.End("main"); err != nil {
-			return err
-		}
+		rec.End("solve")
+		rec.End("main")
 		rec.AddMetric("iterations", float64(iters))
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		profiles[c.Rank()] = prof
-
-		if c.Rank() == 0 {
-			iterations = iters
-			setup := prof.Region("main/setup").Total
-			solve := prof.Region("main/solve").Total
-			dofGlobal := float64(nLocal) * float64(p.Ranks)
-			fom := dofGlobal * float64(iters) / solve
-			status := "converged"
-			if !converged {
-				status = "max-iterations"
-			}
-			var tb strings.Builder
-			fmt.Fprintf(&tb, "AMG2023 proxy: grid %dx%dx%d per rank, ranks=%d (P %dx%dx%d) variant=%s\n"+
-				"Setup time: %.6f s\nSolve time: %.6f s\nIterations: %d (%s)\n"+
-				"Relative residual: %.3e\nFigure of Merit (FOM_Solve): %.4e\n",
-				nx, ny, nz, p.Ranks, px, py, pz, variantLabel(p), setup, solve, iters, status,
-				resNorm/normB, fom)
-			writePAPI(&tb, p,
-				float64(iters)*float64(nLocal)*float64(p.Ranks)*50,
-				float64(iters)*sweepBytes*float64(p.Ranks))
-			tb.WriteString("Kernel done\n")
-			text = tb.String()
+		iterations = iters
+		setup := rec.Region("main/setup").Total
+		solve := rec.Region("main/solve").Total
+		dofGlobal := float64(nLocal) * float64(p.Ranks)
+		fom := dofGlobal * float64(iters) / solve
+		status := "converged"
+		if !converged {
+			status = "max-iterations"
 		}
-		return nil
+		var tb strings.Builder
+		fmt.Fprintf(&tb, "AMG2023 proxy: grid %dx%dx%d per rank, ranks=%d (P %dx%dx%d) variant=%s\n"+
+			"Setup time: %.6f s\nSolve time: %.6f s\nIterations: %d (%s)\n"+
+			"Relative residual: %.3e\nFigure of Merit (FOM_Solve): %.4e\n",
+			nx, ny, nz, p.Ranks, px, py, pz, variantLabel(p), setup, solve, iters, status,
+			resNorm/normB, fom)
+		writePAPI(&tb, p,
+			float64(iters)*float64(nLocal)*float64(p.Ranks)*50,
+			float64(iters)*sweepBytes*float64(p.Ranks))
+		tb.WriteString("Kernel done\n")
+		return tb.String(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	md := baseMetadata("amg2023", p)
-	md.Setf("grid", "%dx%dx%d", nx, ny, nz)
-	md.Setf("iterations", "%d", iterations)
-	return &Output{Text: text, Elapsed: res.MaxTime, Profile: caliper.MergeRanks(profiles), Metadata: md}, nil
-}
-
-func min3(a, b, c int) int {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
+	out.Metadata.Setf("grid", "%dx%dx%d", nx, ny, nz)
+	out.Metadata.Setf("iterations", "%d", iterations)
+	return out, nil
 }

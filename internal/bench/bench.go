@@ -43,30 +43,36 @@ func (p Params) Var(name, def string) string {
 	return def
 }
 
-// IntVar returns an integer workload variable with a default.
-func (p Params) IntVar(name string, def int) (int, error) {
-	v, ok := p.Vars[name]
-	if !ok || v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bench: variable %s=%q is not an integer", name, v)
-	}
-	return n, nil
+// varReader reads integer and float workload variables with defaults.
+// It keeps the first malformed value's error, so a kernel reads all its
+// variables and checks err once.
+type varReader struct {
+	vars map[string]string
+	err  error
 }
 
-// FloatVar returns a float workload variable with a default.
-func (p Params) FloatVar(name string, def float64) (float64, error) {
-	v, ok := p.Vars[name]
+func (r *varReader) int(name string, def int) int {
+	v, ok := r.vars[name]
 	if !ok || v == "" {
-		return def, nil
+		return def
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil && r.err == nil {
+		r.err = fmt.Errorf("bench: variable %s=%q is not an integer", name, v)
+	}
+	return n
+}
+
+func (r *varReader) float(name string, def float64) float64 {
+	v, ok := r.vars[name]
+	if !ok || v == "" {
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bench: variable %s=%q is not a number", name, v)
+	if err != nil && r.err == nil {
+		r.err = fmt.Errorf("bench: variable %s=%q is not a number", name, v)
 	}
-	return f, nil
+	return f
 }
 
 // Output is what one benchmark run produces: the text Ramble's FOM
@@ -79,24 +85,27 @@ type Output struct {
 	Metadata *adiak.Metadata
 }
 
-// RunFunc executes a benchmark.
-type RunFunc func(Params) (*Output, error)
-
 // Benchmark is one registered benchmark program.
 type Benchmark struct {
-	Name        string
-	Description string
-	Workloads   []string
-	Run         RunFunc
+	Name   string
+	kernel func(Params) (*Output, error)
+}
+
+// Run validates p, filling its defaults, and runs the benchmark.
+func (b Benchmark) Run(p Params) (*Output, error) {
+	if err := validate(&p); err != nil {
+		return nil, err
+	}
+	return b.kernel(p)
 }
 
 var registry = map[string]Benchmark{}
 
-func register(b Benchmark) {
-	if _, dup := registry[b.Name]; dup {
-		panic("bench: duplicate benchmark " + b.Name)
+func register(name string, kernel func(Params) (*Output, error)) {
+	if _, dup := registry[name]; dup {
+		panic("bench: duplicate benchmark " + name)
 	}
-	registry[b.Name] = b
+	registry[name] = Benchmark{Name: name, kernel: kernel}
 }
 
 // Get returns a registered benchmark.
@@ -164,6 +173,39 @@ func chargeFlops(c *mpisim.Comm, p Params, flops float64) {
 	c.Compute(flops / rate)
 }
 
+// rankFunc is a kernel: one rank's numerics, annotated with Caliper
+// regions on rec, which the rank may read back with rec.Region. Rank
+// 0's text is the run's; what other ranks return is ignored.
+type rankFunc func(c *mpisim.Comm, rec *caliper.Recorder) (text string, err error)
+
+// runRanks is how a kernel's ranks become an Output: it runs fn on p's
+// ranks, each with a Recorder on its own clock, and returns rank 0's
+// text, the slowest rank's elapsed time, the ranks' merged profiles and
+// the Adiak metadata of benchmark name. A rank's error, panic or
+// unbalanced regions fail the run.
+func runRanks(name string, p Params, fn rankFunc) (*Output, error) {
+	profiles := make([]*caliper.Profile, p.Ranks)
+	var text string
+	elapsed, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
+		rec := caliper.NewRecorder(c.Now)
+		t, err := fn(c, rec)
+		if err != nil {
+			return err
+		}
+		if profiles[c.Rank()], err = rec.Snapshot(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			text = t
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Output{Text: text, Elapsed: elapsed, Profile: caliper.MergeRanks(profiles), Metadata: baseMetadata(name, p)}, nil
+}
+
 // allreduce1 combines one value across the ranks and hands the result
 // buffer back to the transport.
 func allreduce1(c *mpisim.Comm, v float64, op mpisim.Op) float64 {
@@ -173,7 +215,8 @@ func allreduce1(c *mpisim.Comm, v float64, op mpisim.Op) float64 {
 	return v
 }
 
-// validate fills Params defaults and sanity checks.
+// validate fills Params defaults and sanity checks; Benchmark.Run
+// calls it before any kernel runs.
 func validate(p *Params) error {
 	if p.System == nil {
 		return fmt.Errorf("bench: no system")

@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/caliper"
 	"repro/internal/hpcsim"
+	"repro/internal/mpisim"
 )
 
 func system(t testing.TB, name string) *hpcsim.System {
@@ -332,24 +335,85 @@ func TestEffectiveMemBWModel(t *testing.T) {
 }
 
 func TestParamsVarHelpers(t *testing.T) {
-	p := Params{Vars: map[string]string{"a": "5", "f": "2.5", "s": "x"}}
-	if v, err := p.IntVar("a", 0); err != nil || v != 5 {
-		t.Errorf("IntVar = %d, %v", v, err)
+	p := Params{Vars: map[string]string{"a": "5", "f": "2.5", "s": "x", "empty": ""}}
+	r := varReader{vars: p.Vars}
+	if v := r.int("a", 0); v != 5 {
+		t.Errorf("int = %d", v)
 	}
-	if v, err := p.IntVar("missing", 7); err != nil || v != 7 {
-		t.Errorf("IntVar default = %d, %v", v, err)
+	if v, w := r.int("missing", 7), r.int("empty", 8); v != 7 || w != 8 {
+		t.Errorf("int defaults = %d, %d", v, w)
 	}
-	if _, err := p.IntVar("s", 0); err == nil {
-		t.Error("bad int should error")
+	if v := r.float("f", 0); v != 2.5 {
+		t.Errorf("float = %v", v)
 	}
-	if v, err := p.FloatVar("f", 0); err != nil || v != 2.5 {
-		t.Errorf("FloatVar = %v, %v", v, err)
+	if r.err != nil {
+		t.Fatalf("well-formed reads: %v", r.err)
+	}
+	r.int("s", 0)
+	r.float("a2", 1)
+	r.float("s", 0)
+	if r.err == nil || r.err.Error() != `bench: variable s="x" is not an integer` {
+		t.Errorf("the first malformed read's error is kept: %v", r.err)
 	}
 	if v := p.Var("s", "d"); v != "x" {
 		t.Errorf("Var = %q", v)
 	}
 	if v := p.Var("none", "d"); v != "d" {
 		t.Errorf("Var default = %q", v)
+	}
+}
+
+// kernelVars is every integer or float variable each registered kernel
+// reads.
+var kernelVars = map[string][]string{
+	"amg2023":              {"nx", "ny", "nz", "px", "py", "pz", "max_iterations", "tolerance"},
+	"gups":                 {"log2_table_size", "updates_per_rank", "rounds"},
+	"hpcg":                 {"nx", "ny", "nz", "iterations"},
+	"lulesh":               {"size", "iterations"},
+	"osu-micro-benchmarks": {"message_size", "iterations"},
+	"saxpy":                {"n", "inject_failure"},
+	"stream":               {"n", "iterations"},
+}
+
+// TestMalformedVariablesRefused: every kernel refuses a malformed value
+// of each variable it reads, before any rank runs, with an error that
+// names the variable.
+func TestMalformedVariablesRefused(t *testing.T) {
+	for _, name := range Names() {
+		vars, ok := kernelVars[name]
+		if !ok {
+			t.Errorf("%s: kernelVars does not list the variables it reads", name)
+			continue
+		}
+		b, _ := Get(name)
+		for _, v := range vars {
+			_, err := b.Run(Params{System: system(t, "cts1"), Ranks: 2, RanksPerNode: 2,
+				Vars: map[string]string{v: "1x"}})
+			if want := fmt.Sprintf("bench: variable %s=%q is not", v, "1x"); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s with %s=1x: %v, want %q…", name, v, err, want)
+			}
+		}
+	}
+}
+
+// TestUnbalancedRegionsFailTheRun: a rank whose Caliper regions do not
+// nest fails the whole run, naming the rank and both regions.
+func TestUnbalancedRegionsFailTheRun(t *testing.T) {
+	p := Params{System: system(t, "cts1"), Ranks: 4, RanksPerNode: 4}
+	_, err := runRanks("test", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
+		rec.Begin("outer")
+		rec.Begin("inner")
+		if c.Rank() == 2 {
+			rec.End("outer")
+		}
+		c.Barrier()
+		rec.End("inner")
+		rec.End("outer")
+		return "text", nil
+	})
+	want := `mpisim: rank 2: caliper: End("outer") does not match open region "inner"`
+	if err == nil || err.Error() != want {
+		t.Errorf("runRanks = %v, want %q", err, want)
 	}
 }
 
@@ -558,17 +622,24 @@ func TestAMG3DDecomposition(t *testing.T) {
 
 func TestAMGBadDecompositionRejected(t *testing.T) {
 	b, _ := Get("amg2023")
-	if _, err := b.Run(Params{
-		System: system(t, "cts1"), Ranks: 8, RanksPerNode: 8,
-		Vars: map[string]string{"nx": "8", "ny": "8", "nz": "8", "px": "3", "py": "1", "pz": "1"},
-	}); err == nil {
-		t.Error("3x1x1 on 8 ranks should be rejected")
-	}
-	if _, err := b.Run(Params{
-		System: system(t, "cts1"), Ranks: 8, RanksPerNode: 8,
-		Vars: map[string]string{"nx": "8", "ny": "8", "nz": "8", "px": "3", "py": "2"},
-	}); err == nil {
-		t.Error("px*py not dividing ranks should be rejected")
+	for _, tc := range []struct {
+		grid map[string]string
+		want string
+	}{
+		{map[string]string{"px": "3", "py": "1", "pz": "1"}, "needs 3 ranks"},
+		{map[string]string{"px": "3", "py": "2"}, "do not fill a 3x2x* grid"},
+		// A zero extent with pz left to fill used to divide by zero.
+		{map[string]string{"px": "0"}, "process grid 0x1x0 has non-positive extent"},
+		{map[string]string{"py": "0", "pz": "0"}, "process grid 1x0x0 has non-positive extent"},
+	} {
+		vars := map[string]string{"nx": "8", "ny": "8", "nz": "8"}
+		for k, v := range tc.grid {
+			vars[k] = v
+		}
+		_, err := b.Run(Params{System: system(t, "cts1"), Ranks: 8, RanksPerNode: 8, Vars: vars})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: %v, want an error containing %q", tc.grid, err, tc.want)
+		}
 	}
 }
 

@@ -8,15 +8,7 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name: "gups",
-		Description: "HPCC RandomAccess (GUPS): random updates to a distributed " +
-			"table via bucketed all-to-all exchanges",
-		Workloads: []string{"gups"},
-		Run:       runGUPS,
-	})
-}
+func init() { register("gups", runGUPS) }
 
 // runGUPS implements the RandomAccess pattern: each rank generates
 // pseudo-random 64-bit indices into a global table, buckets the
@@ -24,20 +16,11 @@ func init() {
 // the received updates into its local table slice. The FOM is giga
 // updates per second (GUPS).
 func runGUPS(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
-	}
-	logSize, err := p.IntVar("log2_table_size", 20) // per-rank table entries = 2^logSize
-	if err != nil {
-		return nil, err
-	}
-	updatesPerRank, err := p.IntVar("updates_per_rank", 4096)
-	if err != nil {
-		return nil, err
-	}
-	rounds, err := p.IntVar("rounds", 4)
-	if err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	logSize := vars.int("log2_table_size", 20) // per-rank table entries = 2^logSize
+	updatesPerRank, rounds := vars.int("updates_per_rank", 4096), vars.int("rounds", 4)
+	if vars.err != nil {
+		return nil, vars.err
 	}
 	if logSize < 4 || logSize > 28 || updatesPerRank < 1 || rounds < 1 {
 		return nil, fmt.Errorf("gups: log2_table_size=%d updates_per_rank=%d rounds=%d",
@@ -45,10 +28,7 @@ func runGUPS(p Params) (*Output, error) {
 	}
 	localSize := 1 << logSize
 
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var text string
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
-		rec := caliper.NewRecorder(c.Now)
+	out, err := runRanks("gups", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		rec.Begin("main")
 		nranks := c.Size()
 		table := make([]uint64, localSize)
@@ -80,9 +60,7 @@ func runGUPS(p Params) (*Output, error) {
 			}
 			rec.Begin("alltoall")
 			recv := c.Alltoall(send)
-			if err := rec.End("alltoall"); err != nil {
-				return err
-			}
+			rec.End("alltoall")
 			// Apply received updates: XOR into the local table.
 			for _, idxF := range recv {
 				idx := int(idxF) % localSize
@@ -92,18 +70,9 @@ func runGUPS(p Params) (*Output, error) {
 			// charge one cache line per update).
 			chargeMemory(c, p, float64(len(recv))*64)
 		}
-		if err := rec.End("updates"); err != nil {
-			return err
-		}
+		rec.End("updates")
 		elapsed := c.Now() - start
-		if err := rec.End("main"); err != nil {
-			return err
-		}
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
-		}
-		profiles[c.Rank()] = prof
+		rec.End("main")
 
 		// Verification: XOR-reduce a table checksum across ranks; the
 		// result must be deterministic for the same parameters.
@@ -112,24 +81,23 @@ func runGUPS(p Params) (*Output, error) {
 			local += float64(v % 1000)
 		}
 		sum := c.Allreduce([]float64{local}, mpisim.OpSum)
-		if c.Rank() == 0 {
-			totalUpdates := float64(nranks) * float64(nranks*perDest) * float64(rounds)
-			gups := totalUpdates / elapsed / 1e9
-			var tb strings.Builder
-			fmt.Fprintf(&tb, "RandomAccess: 2^%d entries per rank, ranks=%d, %d rounds\n",
-				logSize, nranks, rounds)
-			fmt.Fprintf(&tb, "Table checksum: %.0f\n", sum[0])
-			fmt.Fprintf(&tb, "GUPS: %.6f\n", gups)
-			writePAPI(&tb, p, totalUpdates, totalUpdates*64)
-			tb.WriteString("Kernel done\n")
-			text = tb.String()
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		return nil
+		totalUpdates := float64(nranks) * float64(nranks*perDest) * float64(rounds)
+		gups := totalUpdates / elapsed / 1e9
+		var tb strings.Builder
+		fmt.Fprintf(&tb, "RandomAccess: 2^%d entries per rank, ranks=%d, %d rounds\n",
+			logSize, nranks, rounds)
+		fmt.Fprintf(&tb, "Table checksum: %.0f\n", sum[0])
+		fmt.Fprintf(&tb, "GUPS: %.6f\n", gups)
+		writePAPI(&tb, p, totalUpdates, totalUpdates*64)
+		tb.WriteString("Kernel done\n")
+		return tb.String(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	md := baseMetadata("gups", p)
-	md.Setf("log2_table_size", "%d", logSize)
-	return &Output{Text: text, Elapsed: res.MaxTime, Profile: caliper.MergeRanks(profiles), Metadata: md}, nil
+	out.Metadata.Setf("log2_table_size", "%d", logSize)
+	return out, nil
 }

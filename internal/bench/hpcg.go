@@ -9,37 +9,16 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name: "hpcg",
-		Description: "High Performance Conjugate Gradients: fixed-iteration " +
-			"Jacobi-preconditioned CG on a 7-point stencil, reporting GFLOP/s",
-		Workloads: []string{"hpcg"},
-		Run:       runHPCG,
-	})
-}
+func init() { register("hpcg", runHPCG) }
 
 // runHPCG runs a fixed number of CG iterations (HPCG's rating model)
 // and reports the sustained GFLOP/s figure of merit.
 func runHPCG(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
-	}
-	nx, err := p.IntVar("nx", 32)
-	if err != nil {
-		return nil, err
-	}
-	ny, err := p.IntVar("ny", 32)
-	if err != nil {
-		return nil, err
-	}
-	nz, err := p.IntVar("nz", 32)
-	if err != nil {
-		return nil, err
-	}
-	iters, err := p.IntVar("iterations", 50)
-	if err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	nx, ny, nz := vars.int("nx", 32), vars.int("ny", 32), vars.int("nz", 32)
+	iters := vars.int("iterations", 50)
+	if vars.err != nil {
+		return nil, vars.err
 	}
 	if nx < 2 || ny < 2 || nz < 2 || iters < 1 {
 		return nil, fmt.Errorf("hpcg: bad geometry %dx%dx%d iters=%d", nx, ny, nz, iters)
@@ -51,10 +30,7 @@ func runHPCG(p Params) (*Output, error) {
 	//   Jacobi preconditioner: 2n.
 	flopsPerIter := float64(nLocal) * (14 + 6 + 6 + 2)
 
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var text string
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
-		rec := caliper.NewRecorder(c.Now)
+	out, err := runRanks("hpcg", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		rec.Begin("main")
 		x := newGrid(nx, ny, nz)
 		b := newGrid(nx, ny, nz)
@@ -96,9 +72,7 @@ func runHPCG(p Params) (*Output, error) {
 			applyA(q, pv, hx.exchange(pv))
 			hx.release()
 			chargeMemory(c, p, 72*float64(nLocal))
-			if err := rec.End("spmv"); err != nil {
-				return err
-			}
+			rec.End("spmv")
 			pq := allSum(dot(pv, q))
 			if pq == 0 {
 				break
@@ -119,38 +93,27 @@ func runHPCG(p Params) (*Output, error) {
 			chargeFlops(c, p, 2*float64(nLocal))
 		}
 		residual = math.Sqrt(allSum(dot(r, r)))
-		if err := rec.End("cg"); err != nil {
-			return err
-		}
+		rec.End("cg")
 		elapsed := c.Now() - start
-		if err := rec.End("main"); err != nil {
-			return err
+		rec.End("main")
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
-		}
-		profiles[c.Rank()] = prof
-
-		if c.Rank() == 0 {
-			totalFlops := flopsPerIter * float64(iters) * float64(p.Ranks)
-			gflops := totalFlops / elapsed / 1e9
-			var tb strings.Builder
-			fmt.Fprintf(&tb, "HPCG: grid %dx%dx%d per rank, ranks=%d, %d iterations\n",
-				nx, ny, nz, p.Ranks, iters)
-			fmt.Fprintf(&tb, "Final residual: %.6e\n", residual)
-			fmt.Fprintf(&tb, "Benchmark time: %.6f s\n", elapsed)
-			fmt.Fprintf(&tb, "HPCG rating (GFLOP/s): %.4f\n", gflops)
-			writePAPI(&tb, p, totalFlops, 72*float64(nLocal)*float64(iters)*float64(p.Ranks))
-			tb.WriteString("Kernel done\n")
-			text = tb.String()
-		}
-		return nil
+		totalFlops := flopsPerIter * float64(iters) * float64(p.Ranks)
+		gflops := totalFlops / elapsed / 1e9
+		var tb strings.Builder
+		fmt.Fprintf(&tb, "HPCG: grid %dx%dx%d per rank, ranks=%d, %d iterations\n",
+			nx, ny, nz, p.Ranks, iters)
+		fmt.Fprintf(&tb, "Final residual: %.6e\n", residual)
+		fmt.Fprintf(&tb, "Benchmark time: %.6f s\n", elapsed)
+		fmt.Fprintf(&tb, "HPCG rating (GFLOP/s): %.4f\n", gflops)
+		writePAPI(&tb, p, totalFlops, 72*float64(nLocal)*float64(iters)*float64(p.Ranks))
+		tb.WriteString("Kernel done\n")
+		return tb.String(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	md := baseMetadata("hpcg", p)
-	md.Setf("grid", "%dx%dx%d", nx, ny, nz)
-	return &Output{Text: text, Elapsed: res.MaxTime, Profile: caliper.MergeRanks(profiles), Metadata: md}, nil
+	out.Metadata.Setf("grid", "%dx%dx%d", nx, ny, nz)
+	return out, nil
 }

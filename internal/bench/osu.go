@@ -7,14 +7,7 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name:        "osu-micro-benchmarks",
-		Description: "OSU-style MPI micro-benchmarks: bcast, allreduce, latency",
-		Workloads:   []string{"osu_bcast", "osu_allreduce", "osu_latency"},
-		Run:         runOSU,
-	})
-}
+func init() { register("osu-micro-benchmarks", runOSU) }
 
 // measuredRepsFor returns the number of timed repetitions actually
 // executed; the reported total scales to the configured iteration
@@ -28,28 +21,21 @@ func measuredRepsFor(ranks int) int {
 	return 3
 }
 
+// runOSU runs the OSU-style MPI micro-benchmarks: bcast, allreduce
+// and latency.
 func runOSU(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
-	}
 	workload := p.Var("workload", "osu_bcast")
-	msgBytes, err := p.IntVar("message_size", 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	iters, err := p.IntVar("iterations", 32000)
-	if err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	msgBytes, iters := vars.int("message_size", 1<<20), vars.int("iterations", 32000)
+	if vars.err != nil {
+		return nil, vars.err
 	}
 	if msgBytes < 8 || iters <= 0 {
 		return nil, fmt.Errorf("osu: message_size=%d iterations=%d", msgBytes, iters)
 	}
 	elems := msgBytes / 8
 
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var text string
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
-		rec := caliper.NewRecorder(c.Now)
+	out, err := runRanks("osu-micro-benchmarks", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		// Like the real benchmarks, a rank allocates its message once and
 		// recycles what each repetition receives.
 		op := func() error { return nil }
@@ -81,7 +67,7 @@ func runOSU(p Params) (*Output, error) {
 			}
 		case "osu_latency":
 			if p.Ranks < 2 {
-				return fmt.Errorf("osu_latency needs 2 ranks")
+				return "", fmt.Errorf("osu_latency needs 2 ranks")
 			}
 			buf := make([]float64, elems)
 			op = func() error {
@@ -97,52 +83,42 @@ func runOSU(p Params) (*Output, error) {
 				return nil
 			}
 		default:
-			return fmt.Errorf("osu: unknown workload %q", workload)
+			return "", fmt.Errorf("osu: unknown workload %q", workload)
 		}
 
 		reps := measuredRepsFor(p.Ranks)
 		// Warmup, then timed repetitions.
 		rec.Begin("warmup")
 		if err := op(); err != nil {
-			return err
+			return "", err
 		}
-		if err := rec.End("warmup"); err != nil {
-			return err
-		}
+		rec.End("warmup")
 		c.Barrier()
 		start := c.Now()
 		rec.Begin("MPI_" + workload[4:])
 		for i := 0; i < reps; i++ {
 			if err := op(); err != nil {
-				return err
+				return "", err
 			}
 		}
-		if err := rec.End("MPI_" + workload[4:]); err != nil {
-			return err
-		}
+		rec.End("MPI_" + workload[4:])
 		perIter := (c.Now() - start) / float64(reps)
 
 		// The slowest rank defines the collective's time.
 		maxPerIter := c.Allreduce([]float64{perIter}, mpisim.OpMax)
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		profiles[c.Rank()] = prof
-		if c.Rank() == 0 {
-			total := maxPerIter[0] * float64(iters)
-			text = fmt.Sprintf("OSU %s: message_size=%d ranks=%d iterations=%d\n"+
-				"Avg latency: %.3f us\nTotal time: %.6f s\nKernel done\n",
-				workload, msgBytes, p.Ranks, iters, maxPerIter[0]*1e6, total)
-		}
-		return nil
+		total := maxPerIter[0] * float64(iters)
+		return fmt.Sprintf("OSU %s: message_size=%d ranks=%d iterations=%d\n"+
+			"Avg latency: %.3f us\nTotal time: %.6f s\nKernel done\n",
+			workload, msgBytes, p.Ranks, iters, maxPerIter[0]*1e6, total), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	md := baseMetadata("osu-micro-benchmarks", p)
-	md.Set("workload", workload)
-	md.Setf("message_size", "%d", msgBytes)
-	md.Setf("iterations", "%d", iters)
-	return &Output{Text: text, Elapsed: res.MaxTime, Profile: caliper.MergeRanks(profiles), Metadata: md}, nil
+	out.Metadata.Set("workload", workload)
+	out.Metadata.Setf("message_size", "%d", msgBytes)
+	out.Metadata.Setf("iterations", "%d", iters)
+	return out, nil
 }

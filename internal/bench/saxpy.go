@@ -8,14 +8,7 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name:        "saxpy",
-		Description: "Test saxpy problem: r[i] = A*x[i] + y[i] (Figure 7 of the paper)",
-		Workloads:   []string{"problem"},
-		Run:         runSaxpy,
-	})
-}
+func init() { register("saxpy", runSaxpy) }
 
 // saxpyKernel is the paper's Figure 7 kernel, verbatim in Go.
 func saxpyKernel(r, x, y []float32, a float32) {
@@ -29,12 +22,13 @@ func saxpyKernel(r, x, y []float32, a float32) {
 const maxRealElems = 1 << 22
 
 func runSaxpy(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
-	}
-	n, err := p.IntVar("n", 1)
-	if err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	n := vars.int("n", 1)
+	// Fault injection for failure-path testing: inject_failure=<rank>
+	// makes that rank abort mid-kernel (a simulated node fault).
+	failRank := vars.int("inject_failure", -1)
+	if vars.err != nil {
+		return nil, vars.err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("saxpy: problem size n = %d", n)
@@ -52,20 +46,10 @@ func runSaxpy(p Params) (*Output, error) {
 		}
 	}
 
-	// Fault injection for failure-path testing: inject_failure=<rank>
-	// makes that rank abort mid-kernel (a simulated node fault).
-	failRank, err := p.IntVar("inject_failure", -1)
-	if err != nil {
-		return nil, err
-	}
-
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var firstText string
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
+	out, err := runRanks("saxpy", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		if c.Rank() == failRank {
-			return fmt.Errorf("saxpy: rank %d received SIGBUS (injected node fault)", c.Rank())
+			return "", fmt.Errorf("saxpy: rank %d received SIGBUS (injected node fault)", c.Rank())
 		}
-		rec := caliper.NewRecorder(c.Now)
 		rec.Begin("main")
 
 		real := n
@@ -85,14 +69,12 @@ func runSaxpy(p Params) (*Output, error) {
 		// Charge the full problem: 3 arrays streamed, 4 bytes each.
 		if useGPU {
 			if err := c.ComputeOnGPU(2*float64(n), 12*float64(n)); err != nil {
-				return err
+				return "", err
 			}
 		} else {
 			chargeMemory(c, p, 12*float64(n))
 		}
-		if err := rec.End("saxpy_kernel"); err != nil {
-			return err
-		}
+		rec.End("saxpy_kernel")
 		rec.AddMetric("elements", float64(n))
 
 		// Verify: checksum of the touched region agrees across ranks.
@@ -102,46 +84,29 @@ func runSaxpy(p Params) (*Output, error) {
 		}
 		rec.Begin("checksum")
 		global := c.Allreduce([]float64{local}, mpisim.OpSum)
-		if err := rec.End("checksum"); err != nil {
-			return err
+		rec.End("checksum")
+		rec.End("main")
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		if err := rec.End("main"); err != nil {
-			return err
+		want := float64(p.Ranks) * local
+		status := "ok"
+		if diff := global[0] - want; diff > 1e-6 || diff < -1e-6 {
+			status = "MISMATCH"
 		}
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
-		}
-		profiles[c.Rank()] = prof
-
-		if c.Rank() == 0 {
-			want := float64(p.Ranks) * local
-			status := "ok"
-			if diff := global[0] - want; diff > 1e-6 || diff < -1e-6 {
-				status = "MISMATCH"
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "saxpy: n=%d ranks=%d threads=%d variant=%s\n", n, p.Ranks, p.Threads, variantLabel(p))
-			fmt.Fprintf(&b, "checksum: %.6e (%s)\n", global[0], status)
-			fmt.Fprintf(&b, "saxpy_time: %.9f s\n", c.Now())
-			writePAPI(&b, p, 2*float64(n)*float64(p.Ranks), 12*float64(n)*float64(p.Ranks))
-			fmt.Fprintf(&b, "Kernel done\n")
-			firstText = b.String()
-		}
-		return nil
+		var b strings.Builder
+		fmt.Fprintf(&b, "saxpy: n=%d ranks=%d threads=%d variant=%s\n", n, p.Ranks, p.Threads, variantLabel(p))
+		fmt.Fprintf(&b, "checksum: %.6e (%s)\n", global[0], status)
+		fmt.Fprintf(&b, "saxpy_time: %.9f s\n", c.Now())
+		writePAPI(&b, p, 2*float64(n)*float64(p.Ranks), 12*float64(n)*float64(p.Ranks))
+		fmt.Fprintf(&b, "Kernel done\n")
+		return b.String(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	md := baseMetadata("saxpy", p)
-	md.Setf("n", "%d", n)
-	return &Output{
-		Text:     firstText,
-		Elapsed:  res.MaxTime,
-		Profile:  caliper.MergeRanks(profiles),
-		Metadata: md,
-	}, nil
+	out.Metadata.Setf("n", "%d", n)
+	return out, nil
 }
 
 func variantLabel(p Params) string {

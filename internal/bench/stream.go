@@ -7,36 +7,22 @@ import (
 	"repro/internal/mpisim"
 )
 
-func init() {
-	register(Benchmark{
-		Name:        "stream",
-		Description: "STREAM triad: sustained memory bandwidth (a[i] = b[i] + s*c[i])",
-		Workloads:   []string{"triad"},
-		Run:         runStream,
-	})
-}
+func init() { register("stream", runStream) }
 
+// runStream is the STREAM triad: sustained memory bandwidth
+// (a[i] = b[i] + s*c[i]).
 func runStream(p Params) (*Output, error) {
-	if err := validate(&p); err != nil {
-		return nil, err
-	}
-	n, err := p.IntVar("n", 10_000_000)
-	if err != nil {
-		return nil, err
-	}
-	iters, err := p.IntVar("iterations", 10)
-	if err != nil {
-		return nil, err
+	vars := varReader{vars: p.Vars}
+	n, iters := vars.int("n", 10_000_000), vars.int("iterations", 10)
+	if vars.err != nil {
+		return nil, vars.err
 	}
 	if n <= 0 || iters <= 0 {
 		return nil, fmt.Errorf("stream: n=%d iterations=%d", n, iters)
 	}
 	const s = 3.0
 
-	profiles := make([]*caliper.Profile, p.Ranks)
-	var text string
-	res, err := mpisim.Run(p.System, p.Ranks, p.RanksPerNode, func(c *mpisim.Comm) error {
-		rec := caliper.NewRecorder(c.Now)
+	out, err := runRanks("stream", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		realN := n
 		if realN > maxRealElems {
 			realN = maxRealElems
@@ -56,33 +42,26 @@ func runStream(p Params) (*Output, error) {
 			}
 			chargeMemory(c, p, 24*float64(n)) // 3 arrays × 8 bytes
 		}
-		if err := rec.End("triad"); err != nil {
-			return err
-		}
+		rec.End("triad")
 		perRankGBs := 24 * float64(n) * float64(iters) / (c.Now() - start) / 1e9
 
 		// Aggregate node bandwidth = sum over the ranks of one node;
 		// report the min across ranks as STREAM does.
 		minBW := c.Allreduce([]float64{perRankGBs}, mpisim.OpMin)
-		prof, err := rec.Snapshot()
-		if err != nil {
-			return err
+		if c.Rank() != 0 {
+			return "", nil
 		}
-		profiles[c.Rank()] = prof
-		if c.Rank() == 0 {
-			nodeBW := minBW[0] * float64(c.RanksPerNode())
-			text = fmt.Sprintf("STREAM triad: n=%d iterations=%d\nTriad: %.2f GB/s per node\nBest rank rate: %.2f GB/s\nKernel done\n",
-				n, iters, nodeBW, perRankGBs)
-			if a[0] != b[0]+s*cc[0] {
-				text += "VALIDATION FAILED\n"
-			}
+		nodeBW := minBW[0] * float64(c.RanksPerNode())
+		text := fmt.Sprintf("STREAM triad: n=%d iterations=%d\nTriad: %.2f GB/s per node\nBest rank rate: %.2f GB/s\nKernel done\n",
+			n, iters, nodeBW, perRankGBs)
+		if a[0] != b[0]+s*cc[0] {
+			text += "VALIDATION FAILED\n"
 		}
-		return nil
+		return text, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	md := baseMetadata("stream", p)
-	md.Setf("n", "%d", n)
-	return &Output{Text: text, Elapsed: res.MaxTime, Profile: caliper.MergeRanks(profiles), Metadata: md}, nil
+	out.Metadata.Setf("n", "%d", n)
+	return out, nil
 }

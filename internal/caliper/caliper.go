@@ -64,6 +64,7 @@ type Recorder struct {
 	clock func() float64
 	stack []frame
 	prof  *Profile
+	err   error // the first mismatched End, Snapshot's error
 }
 
 type frame struct {
@@ -83,14 +84,21 @@ func (r *Recorder) Begin(name string) {
 	r.stack = append(r.stack, frame{name: name, start: r.clock()})
 }
 
-// End closes the innermost region; the name must match.
-func (r *Recorder) End(name string) error {
+// End closes the innermost region, which must be name. A mismatched
+// End leaves the open regions as they are and is Snapshot's error;
+// after one, End does nothing.
+func (r *Recorder) End(name string) {
+	if r.err != nil {
+		return
+	}
 	if len(r.stack) == 0 {
-		return fmt.Errorf("caliper: End(%q) with no open region", name)
+		r.err = fmt.Errorf("caliper: End(%q) with no open region", name)
+		return
 	}
 	top := r.stack[len(r.stack)-1]
 	if top.name != name {
-		return fmt.Errorf("caliper: End(%q) does not match open region %q", name, top.name)
+		r.err = fmt.Errorf("caliper: End(%q) does not match open region %q", name, top.name)
+		return
 	}
 	r.stack = r.stack[:len(r.stack)-1]
 	elapsed := r.clock() - top.start
@@ -108,7 +116,6 @@ func (r *Recorder) End(name string) error {
 		st.Max = elapsed
 	}
 	r.prof.Regions[path] = st
-	return nil
 }
 
 // path renders the open stack as "a/b/" (empty at top level).
@@ -124,62 +131,26 @@ func (r *Recorder) path() string {
 	return b.String()
 }
 
-// Wrap times fn inside a region.
-func (r *Recorder) Wrap(name string, fn func()) error {
-	r.Begin(name)
-	fn()
-	return r.End(name)
-}
+// Region returns the stats recorded so far for a path, so a rank can
+// report its own region times before its profile is snapshotted.
+func (r *Recorder) Region(path string) RegionStat { return r.prof.Regions[path] }
 
 // AddMetric accumulates a counter value.
 func (r *Recorder) AddMetric(name string, v float64) {
 	r.prof.Metrics[name] += v
 }
 
-// Snapshot returns the profile; open regions are an error.
+// Snapshot returns the profile. A mismatched End, or a region still
+// open, is an error.
 func (r *Recorder) Snapshot() (*Profile, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
 	if len(r.stack) != 0 {
 		return nil, fmt.Errorf("caliper: %d regions still open (innermost %q)",
 			len(r.stack), r.stack[len(r.stack)-1].name)
 	}
 	return r.prof, nil
-}
-
-// Exclusive returns the exclusive time of a region path: its
-// inclusive total minus the inclusive totals of its direct children
-// ("a/b" is a direct child of "a"). Negative rounding residue clamps
-// to zero.
-func (p *Profile) Exclusive(path string) float64 {
-	st, ok := p.Regions[path]
-	if !ok {
-		return 0
-	}
-	excl := st.Total
-	prefix := path + "/"
-	for child, cst := range p.Regions {
-		if !strings.HasPrefix(child, prefix) {
-			continue
-		}
-		// Direct children only: no further '/' after the prefix.
-		if strings.ContainsRune(child[len(prefix):], '/') {
-			continue
-		}
-		excl -= cst.Total
-	}
-	if excl < 0 {
-		return 0
-	}
-	return excl
-}
-
-// ExclusiveBreakdown returns every region path with its exclusive
-// time — the flat profile view performance reports use.
-func (p *Profile) ExclusiveBreakdown() map[string]float64 {
-	out := make(map[string]float64, len(p.Regions))
-	for path := range p.Regions {
-		out[path] = p.Exclusive(path)
-	}
-	return out
 }
 
 // MergeRanks combines per-rank profiles into one per-run profile:

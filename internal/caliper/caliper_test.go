@@ -18,13 +18,9 @@ func TestRegionTiming(t *testing.T) {
 	clk.advance(1)
 	r.Begin("solve")
 	clk.advance(2)
-	if err := r.End("solve"); err != nil {
-		t.Fatal(err)
-	}
+	r.End("solve")
 	clk.advance(0.5)
-	if err := r.End("main"); err != nil {
-		t.Fatal(err)
-	}
+	r.End("main")
 	p, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +42,7 @@ func TestRepeatedRegionStats(t *testing.T) {
 	for i, d := range []float64{1, 3, 2} {
 		r.Begin("iter")
 		clk.advance(d)
-		if err := r.End("iter"); err != nil {
-			t.Fatal(err)
-		}
+		r.End("iter")
 		_ = i
 	}
 	p, _ := r.Snapshot()
@@ -58,17 +52,20 @@ func TestRepeatedRegionStats(t *testing.T) {
 	}
 }
 
+// TestMismatchedEnd: a mismatched End is Snapshot's error, naming both
+// regions, and so is an End with nothing open.
 func TestMismatchedEnd(t *testing.T) {
 	r := NewRecorder(func() float64 { return 0 })
 	r.Begin("a")
-	if err := r.End("b"); err == nil {
-		t.Error("mismatched End should error")
+	r.End("b")
+	r.End("a") // after a mismatch End does nothing: the first error stands
+	if _, err := r.Snapshot(); err == nil || err.Error() != `caliper: End("b") does not match open region "a"` {
+		t.Errorf("Snapshot after a mismatched End: %v", err)
 	}
-	if err := r.End("a"); err != nil {
-		t.Errorf("matching End after failed End: %v", err)
-	}
-	if err := r.End("a"); err == nil {
-		t.Error("End on empty stack should error")
+	r = NewRecorder(func() float64 { return 0 })
+	r.End("a")
+	if _, err := r.Snapshot(); err == nil || err.Error() != `caliper: End("a") with no open region` {
+		t.Errorf("Snapshot after End on an empty stack: %v", err)
 	}
 }
 
@@ -80,16 +77,19 @@ func TestSnapshotWithOpenRegion(t *testing.T) {
 	}
 }
 
-func TestWrapAndMetrics(t *testing.T) {
+func TestMetrics(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(clk.now)
-	err := r.Wrap("kernel", func() {
-		clk.advance(4)
-		r.AddMetric("bytes", 100)
-		r.AddMetric("bytes", 50)
-	})
-	if err != nil {
-		t.Fatal(err)
+	r.Begin("kernel")
+	clk.advance(4)
+	r.AddMetric("bytes", 100)
+	r.AddMetric("bytes", 50)
+	if got := r.Region("kernel"); got.Count != 0 {
+		t.Errorf("open region recorded early: %+v", got)
+	}
+	r.End("kernel")
+	if got := r.Region("kernel"); got.Total != 4 {
+		t.Errorf("Recorder.Region(kernel) = %+v", got)
 	}
 	p, _ := r.Snapshot()
 	if p.Region("kernel").Total != 4 {
@@ -130,51 +130,12 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestExclusiveTimes(t *testing.T) {
-	clk := &fakeClock{}
-	r := NewRecorder(clk.now)
-	r.Begin("main")
-	clk.advance(1) // main exclusive
-	r.Begin("solve")
-	clk.advance(2) // solve exclusive
-	r.Begin("matvec")
-	clk.advance(3)
-	_ = r.End("matvec")
-	_ = r.End("solve")
-	clk.advance(0.5) // more main exclusive
-	_ = r.End("main")
-	p, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Exclusive("main"); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("main exclusive = %v", got)
-	}
-	if got := p.Exclusive("main/solve"); math.Abs(got-2) > 1e-12 {
-		t.Errorf("solve exclusive = %v", got)
-	}
-	if got := p.Exclusive("main/solve/matvec"); math.Abs(got-3) > 1e-12 {
-		t.Errorf("matvec exclusive = %v (leaf exclusive == inclusive)", got)
-	}
-	if got := p.Exclusive("absent"); got != 0 {
-		t.Errorf("absent = %v", got)
-	}
-	// Breakdown sums to the root inclusive time.
-	var sum float64
-	for _, v := range p.ExclusiveBreakdown() {
-		sum += v
-	}
-	if math.Abs(sum-p.Region("main").Total) > 1e-12 {
-		t.Errorf("breakdown sum %v != root inclusive %v", sum, p.Region("main").Total)
-	}
-}
-
 func TestProfileJSONRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(clk.now)
 	r.Begin("main")
 	clk.advance(2.5)
-	_ = r.End("main")
+	r.End("main")
 	r.AddMetric("iterations", 12)
 	p, _ := r.Snapshot()
 

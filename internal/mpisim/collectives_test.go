@@ -160,7 +160,7 @@ func TestAlltoall(t *testing.T) {
 
 func TestScatterTimeScalesWithFanout(t *testing.T) {
 	elapsed := func(p int) float64 {
-		res, err := Run(sys(t, "cts1"), p, 8, func(c *Comm) error {
+		secs, err := Run(sys(t, "cts1"), p, 8, func(c *Comm) error {
 			var data []float64
 			if c.Rank() == 0 {
 				data = make([]float64, p*1024)
@@ -171,7 +171,7 @@ func TestScatterTimeScalesWithFanout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.MaxTime
+		return secs
 	}
 	if e8, e64 := elapsed(8), elapsed(64); e64 <= e8 {
 		t.Errorf("scatter at 64 ranks (%g) should exceed 8 ranks (%g)", e64, e8)

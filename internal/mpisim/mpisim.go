@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -646,33 +647,25 @@ func (c *Comm) Allgather(data []float64) []float64 {
 // Job execution
 // ---------------------------------------------------------------------------
 
-// Result summarizes one simulated MPI job.
-type Result struct {
-	Ranks    int
-	MaxTime  float64 // simulated elapsed time (slowest rank)
-	MinTime  float64
-	MeanTime float64
-	PerRank  []float64
-}
-
 // Run executes fn on nranks simulated ranks placed ranksPerNode per
-// node on the given system, and returns per-rank simulated times.
+// node on the given system, and returns the job's simulated elapsed
+// time: the slowest rank's clock once every rank has returned.
 // A rank that returns an error or panics aborts the job with that
 // failure as the error; Run returns once every rank has unwound.
-func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (*Result, error) {
+func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (float64, error) {
 	if nranks <= 0 {
-		return nil, fmt.Errorf("mpisim: nranks = %d", nranks)
+		return 0, fmt.Errorf("mpisim: nranks = %d", nranks)
 	}
 	if ranksPerNode <= 0 {
 		ranksPerNode = sys.Node.Cores()
 	}
 	if ranksPerNode > sys.Node.Cores() {
-		return nil, fmt.Errorf("mpisim: %d ranks per node exceeds %d cores on %s",
+		return 0, fmt.Errorf("mpisim: %d ranks per node exceeds %d cores on %s",
 			ranksPerNode, sys.Node.Cores(), sys.Name)
 	}
 	nodesNeeded := (nranks + ranksPerNode - 1) / ranksPerNode
 	if nodesNeeded > sys.Nodes {
-		return nil, fmt.Errorf("mpisim: job needs %d nodes, %s has %d", nodesNeeded, sys.Name, sys.Nodes)
+		return 0, fmt.Errorf("mpisim: job needs %d nodes, %s has %d", nodesNeeded, sys.Name, sys.Nodes)
 	}
 
 	w := newWorld(sys, nranks, ranksPerNode)
@@ -715,19 +708,7 @@ func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (*R
 		}
 	}
 	if cause != nil {
-		return nil, cause
+		return 0, cause
 	}
-	res := &Result{Ranks: nranks, PerRank: times, MinTime: math.Inf(1)}
-	var sum float64
-	for _, t := range times {
-		if t > res.MaxTime {
-			res.MaxTime = t
-		}
-		if t < res.MinTime {
-			res.MinTime = t
-		}
-		sum += t
-	}
-	res.MeanTime = sum / float64(nranks)
-	return res, nil
+	return slices.Max(times), nil
 }

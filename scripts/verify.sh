@@ -62,6 +62,7 @@ fi
 ! grep -rn --include='*.go' '//benchlint:compat' . || { echo "verify: //benchlint:compat is retired; take the caller's context instead" >&2; exit 1; }
 ! grep -rn --include='*.go' --exclude='*_test.go' 'case "--' cmd/benchpark || { echo "verify: cmd/benchpark parses flags with flag.FlagSet; register the flag instead of matching it by hand" >&2; exit 1; }
 [ "$(grep -rn --include='*.go' --exclude='*_test.go' 'bench\.Params{' internal cmd | cut -d: -f1)" = internal/core/benchpark.go ] || { echo "verify: a kernel runs only in Session.execute (internal/core/benchpark.go); run a session instead of building bench.Params" >&2; exit 1; }
+[ "$(grep -rl --include='*.go' --exclude='*_test.go' -e 'mpisim\.Run(' -e 'caliper\.NewRecorder(' internal/bench)" = internal/bench/bench.go ] || { echo "verify: a kernel is its numerics; run its ranks through runRanks (internal/bench/bench.go) instead of calling mpisim.Run or caliper.NewRecorder" >&2; exit 1; }
 
 echo "==> go test ./..."
 go test ./...
