@@ -70,7 +70,8 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 
 	// The server gets its own wall-clock tracer so request metrics
 	// accrue for the life of the process; --trace-out additionally
-	// dumps them when the listener stops.
+	// dumps them, with the last requests' spans the tracer keeps, when
+	// the listener stops.
 	tracer := telemetry.New(nil)
 	var sopts []resultsd.Option
 	if *withMetrics {

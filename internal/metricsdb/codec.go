@@ -93,16 +93,47 @@ func sortedKeys[V any](buf []string, m map[string]V) []string {
 	return buf
 }
 
-// appendMap appends m as a JSON object, in key order as encoding/json
-// writes one, each value by value.
-func appendMap[V any](dst []byte, m map[string]V, value func([]byte, V) ([]byte, error)) (_ []byte, err error) {
-	var keys [8]string // on the stack: the common few-key map costs no allocation
+// pair is one member of a FOMs or Meta map, as a DB stores it and as
+// the encoder walks it.
+type pair[V any] struct {
+	name  string
+	value V
+}
+
+// sortedPairs appends m's members to buf and sorts them by name, as
+// encoding/json orders a map's keys: nil for a nil map, buf (empty, not
+// nil) for an empty one.
+func sortedPairs[V any](buf []pair[V], m map[string]V) []pair[V] {
+	if m == nil {
+		return nil
+	}
+	for k, v := range m {
+		buf = append(buf, pair[V]{k, v})
+	}
+	slices.SortFunc(buf, func(a, b pair[V]) int { return strings.Compare(a.name, b.name) })
+	return buf
+}
+
+// mapOf is the map ps came from: nil for nil pairs.
+func mapOf[V any](ps []pair[V]) map[string]V {
+	if ps == nil {
+		return nil
+	}
+	m := make(map[string]V, len(ps))
+	for _, p := range ps {
+		m[p.name] = p.value
+	}
+	return m
+}
+
+// appendPairs appends ps as a JSON object, each value by value.
+func appendPairs[V any](dst []byte, ps []pair[V], value func([]byte, V) ([]byte, error)) (_ []byte, err error) {
 	dst = append(dst, '{')
-	for i, k := range sortedKeys(keys[:0], m) {
+	for i, p := range ps {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if dst, err = value(append(AppendString(dst, k), ':'), m[k]); err != nil {
+		if dst, err = value(append(AppendString(dst, p.name), ':'), p.value); err != nil {
 			return dst, err
 		}
 	}
@@ -111,7 +142,17 @@ func appendMap[V any](dst []byte, m map[string]V, value func([]byte, V) ([]byte,
 
 // AppendResult appends r's JSON — the bytes json.Marshal(r) returns. A
 // FOM with no JSON form is an error, and dst comes back unchanged.
-func AppendResult(dst []byte, r *Result) (_ []byte, err error) {
+func AppendResult(dst []byte, r *Result) ([]byte, error) {
+	// On the stack: sorting a few-member map costs no allocation.
+	var foms [8]pair[float64]
+	var meta [8]pair[string]
+	v := rowOf(r, foms[:0], meta[:0])
+	return appendRow(dst, &v)
+}
+
+// appendRow is the one Result encoder, over the sorted pairs a row holds
+// — a stored one, or AppendResult's view of a Result.
+func appendRow(dst []byte, r *row) (_ []byte, err error) {
 	start := len(dst)
 	dst = strconv.AppendInt(append(dst, `{"id":`...), int64(r.ID), 10)
 	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(r.Seq), 10)
@@ -121,11 +162,11 @@ func AppendResult(dst []byte, r *Result) (_ []byte, err error) {
 	dst = AppendString(append(dst, `,"experiment":`...), r.Experiment)
 	if dst = append(dst, `,"foms":`...); r.FOMs == nil {
 		dst = append(dst, "null"...)
-	} else if dst, err = appendMap(dst, r.FOMs, AppendFloat); err != nil {
+	} else if dst, err = appendPairs(dst, r.FOMs, AppendFloat); err != nil {
 		return dst[:start], err
 	}
 	if len(r.Meta) > 0 {
-		dst, _ = appendMap(append(dst, `,"meta":`...), r.Meta, func(dst []byte, s string) ([]byte, error) {
+		dst, _ = appendPairs(append(dst, `,"meta":`...), r.Meta, func(dst []byte, s string) ([]byte, error) {
 			return AppendString(dst, s), nil
 		})
 	}
@@ -190,6 +231,27 @@ type Decoder struct {
 	scratch []byte            // the unescaped form of the last escaped string
 	names   map[string]string // interned strings, keyed by themselves
 	trace   string            // the last TraceID decoded
+	// foms and meta are maps handed back by Recycle, filled before a new
+	// one is made.
+	foms map[string]float64
+	meta map[string]string
+}
+
+// Recycle hands r's maps back to d, which empties them and fills them
+// for the next Result that needs one instead of making a new map. The
+// caller must be done with them — a DB that stored r holds copies — and
+// r keeps only its other fields. A map of more than a few members is
+// left to the GC: emptying it would cost its size on every reuse.
+func (d *Decoder) Recycle(r *Result) {
+	if r.FOMs != nil && len(r.FOMs) <= 8 {
+		clear(r.FOMs)
+		d.foms = r.FOMs
+	}
+	if r.Meta != nil && len(r.Meta) <= 8 {
+		clear(r.Meta)
+		d.meta = r.Meta
+	}
+	r.FOMs, r.Meta = nil, nil
 }
 
 // Reset points the decoder at data and clears its error. The string
@@ -501,15 +563,17 @@ func (d *Decoder) name(dst *string) {
 }
 
 // decodeMap fills *m from the object at the cursor as encoding/json
-// does: an object adds to the map already there (making one if need
-// be), a null makes it nil.
-func decodeMap[V any](d *Decoder, m *map[string]V, value func(*V)) {
+// does: an object adds to the map already there (taking the recycled
+// one, or making one, if need be), a null makes it nil.
+func decodeMap[V any](d *Decoder, m, recycled *map[string]V, value func(*V)) {
 	switch d.peek() {
 	case 'n':
 		*m = nil
 	case '{':
 		if *m == nil {
-			*m = map[string]V{}
+			if *m, *recycled = *recycled, nil; *m == nil {
+				*m = map[string]V{}
+			}
 		}
 	}
 	d.Object(func(name []byte) {
@@ -540,9 +604,9 @@ func (d *Decoder) Result(r *Result) {
 		case "experiment":
 			d.name(&r.Experiment)
 		case "foms":
-			decodeMap(d, &r.FOMs, d.Float)
+			decodeMap(d, &r.FOMs, &d.foms, d.Float)
 		case "meta":
-			decodeMap(d, &r.Meta, d.String)
+			decodeMap(d, &r.Meta, &d.meta, d.String)
 		case "manifest":
 			d.String(&r.Manifest)
 		case "trace_id":

@@ -81,11 +81,35 @@ func checkDecode(t *testing.T, d *Decoder, data []byte) {
 	checkEncode(t, &got)
 }
 
+// checkStored: a Result stored in a DB comes back out as the same bytes
+// both ways a DB hands it over — encoded straight from its row, and
+// built again by QueryAfterN and encoded by AppendResult.
+func checkStored(t *testing.T, r *Result, want []byte) {
+	t.Helper()
+	if r.Seq == math.MinInt {
+		return // no Seq lies below it to read after
+	}
+	db := New()
+	db.Insert(*r)
+	direct, last, err := db.AppendJSONAfter([]byte("prefix"), math.MinInt, r.Seq, math.MaxInt)
+	if err != nil || last != r.Seq || string(direct) != "prefix,"+string(want) {
+		t.Fatalf("the stored row encodes as\n%s (%v)\njson.Marshal\n%s", direct, err, want)
+	}
+	back := db.QueryAfterN(math.MinInt, 1)
+	if len(back) != 1 {
+		t.Fatalf("QueryAfterN returned %d results, want the one stored", len(back))
+	}
+	if got, err := AppendResult(nil, &back[0]); err != nil || string(got) != string(want) {
+		t.Fatalf("QueryAfterN's result encodes as\n%s (%v)\njson.Marshal\n%s", got, err, want)
+	}
+}
+
 // FuzzResultCodec is the differential test of the codec against the
 // encoding/json it replaces, both directions. Encode: a Result built
 // from the fuzz input marshals to the same bytes, or neither marshals,
-// and those bytes decode back to it. Decode: arbitrary bytes are
-// accepted by both or by neither, into equal values.
+// those bytes decode back to it, and a DB that stores it hands the same
+// bytes back. Decode: arbitrary bytes are accepted by both or by
+// neither, into equal values.
 func FuzzResultCodec(f *testing.F) {
 	full, _ := json.Marshal(fullResult())
 	for _, seed := range []string{
@@ -105,6 +129,10 @@ func FuzzResultCodec(f *testing.F) {
 	} {
 		f.Add([]byte(seed), "fom<&>\xff\u2029", 0.1, 3)
 	}
+	// Over eight FOMs and Meta members, starting from empty maps and
+	// from four members; shapes 0 and 1 below are nil and empty maps.
+	f.Add([]byte(`{}`), "many", 2.5, 5)
+	f.Add([]byte(`{}`), "many", 2.5, 7)
 	f.Add([]byte(`{}`), "", math.Inf(1), 0)
 	f.Add([]byte(`{}`), "k", math.NaN(), 1)
 	f.Add([]byte(`{}`), "\x00\x1f\x7f", 5e-324, 2)
@@ -122,20 +150,35 @@ func FuzzResultCodec(f *testing.F) {
 			r.FOMs = map[string]float64{text: num, "b": -num, "a": num * 1e22, "": num / 1e9}
 			r.Meta = map[string]string{"z": text, text: "", "a": text + text}
 		}
+		if shape&4 != 0 && r.FOMs != nil { // more members than the encoder sorts on the stack
+			for i := 0; i < 9; i++ {
+				r.FOMs[fmt.Sprintf("%s%d", text, i)] = num + float64(i)
+				r.Meta[fmt.Sprintf("m%d", 8-i)] = text
+			}
+		}
 		if encoded := checkEncode(t, &r); encoded != nil {
 			checkDecode(t, &d, encoded)
+			checkStored(t, &r, encoded)
 		}
 		checkDecode(t, &d, data)
 	})
 }
 
 // TestAppendResultMatchesJSON runs the encode half on the two shapes
-// the stores write — every optional field, and none — and on the
+// the stores write — every optional field, and none — on empty maps,
+// on more members than the encoder sorts on the stack, and on the
 // values with no JSON form.
 func TestAppendResultMatchesJSON(t *testing.T) {
 	var d Decoder
-	for _, r := range []Result{fullResult(), bareResult(), {FOMs: map[string]float64{}}} {
-		checkDecode(t, &d, checkEncode(t, &r))
+	many := fullResult()
+	for i := 0; i < 9; i++ {
+		many.FOMs[fmt.Sprintf("f%d", 8-i)] = float64(i)
+		many.Meta[fmt.Sprintf("m%d", i)] = "v"
+	}
+	for _, r := range []Result{fullResult(), bareResult(), {FOMs: map[string]float64{}}, {FOMs: map[string]float64{}, Meta: map[string]string{}}, many} {
+		encoded := checkEncode(t, &r)
+		checkDecode(t, &d, encoded)
+		checkStored(t, &r, encoded)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		r := fullResult()

@@ -40,9 +40,59 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// chunkLen is how many results one chunk of a DB holds: 1024 of them are
-// 128 KiB, so the slack a growing store carries — one partly filled
-// chunk — stays a rounding error beside the results' own maps, while a
+// row is how a DB holds one Result: the same scalar fields, with FOMs
+// and Meta as name-sorted (name, value) pairs instead of maps — a
+// one-FOM map costs 256 bytes, its pair 24. A nil map is kept as a nil
+// slice and an empty one as an empty slice, so "foms":null and {} both
+// come back as they went in. Add and InsertAll copy a Result's maps into
+// a row and every read builds fresh ones, so nothing a caller holds
+// aliases what is stored.
+type row struct {
+	ID, Seq                                 int
+	Benchmark, Workload, System, Experiment string
+	FOMs                                    []pair[float64]
+	Meta                                    []pair[string]
+	Manifest, TraceID                       string
+}
+
+// rowOf copies r into a row, its maps' pairs appended to foms and meta.
+func rowOf(r *Result, foms []pair[float64], meta []pair[string]) row {
+	return row{
+		ID: r.ID, Seq: r.Seq,
+		Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
+		FOMs: sortedPairs(foms, r.FOMs), Meta: sortedPairs(meta, r.Meta),
+		Manifest: r.Manifest, TraceID: r.TraceID,
+	}
+}
+
+// storedRow is rowOf into pairs of the row's own, sized once.
+func storedRow(r *Result) row {
+	return rowOf(r, make([]pair[float64], 0, len(r.FOMs)), make([]pair[string], 0, len(r.Meta)))
+}
+
+// result is the Result r holds, with maps of its own.
+func (r *row) result() Result {
+	return Result{
+		ID: r.ID, Seq: r.Seq,
+		Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
+		FOMs: mapOf(r.FOMs), Meta: mapOf(r.Meta),
+		Manifest: r.Manifest, TraceID: r.TraceID,
+	}
+}
+
+// fom is the value of the FOM named name, if r has one.
+func (r *row) fom(name string) (float64, bool) {
+	for _, p := range r.FOMs {
+		if p.name == name {
+			return p.value, true
+		}
+	}
+	return 0, false
+}
+
+// chunkLen is how many rows one chunk of a DB holds: 1024 of them are
+// 160 KiB, so the slack a growing store carries — one partly filled
+// chunk — stays a rounding error beside the rows themselves, while a
 // 100k-result store still needs under a hundred chunk headers. It is
 // also larger than any store the benchmark loop builds in one session,
 // which therefore never leaves the first chunk (see push).
@@ -59,13 +109,13 @@ type DB struct {
 	// LoadJSON all keep it so — at global positions: result p is
 	// chunks[p>>chunkShift][p&chunkMask], and every chunk but the last is
 	// full. Appending never moves a stored result (see push).
-	chunks [][]Result
+	chunks [][]row
 	// postings lists, per (system, benchmark) pair, the positions of
 	// that pair's results, ascending — so in Seq order. A dashboard
 	// series pins exactly that pair, and each (see there) walks its list
 	// instead of scanning. Positions are int32 to keep the index at 4
-	// bytes a result: a process cannot hold 2^31 Results (over 100 bytes
-	// each before their maps) anyway.
+	// bytes a result: a process cannot hold 2^31 rows (160 bytes each
+	// before their pairs) anyway.
 	postings map[pairKey][]int32
 	nextID   int
 	nextSeq  int
@@ -86,22 +136,25 @@ func (db *DB) len() int {
 	return (len(db.chunks)-1)<<chunkShift + len(db.chunks[len(db.chunks)-1])
 }
 
-// at is the result at position pos < len. Caller holds db.mu.
-func (db *DB) at(pos int) *Result { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
+// at is the row at position pos < len. Caller holds db.mu.
+func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
 
 // push stores r at the top position. One rule decides allocation: the
 // first chunk grows the way a slice does until it holds chunkLen, so a
-// small store costs what a plain []Result would; every later chunk is
-// allocated whole, once. (Should the first one's growth overshoot
-// chunkLen — at 128 bytes a Result it lands on it — the excess is slack
-// in that one chunk.) Caller holds db.mu.
-func (db *DB) push(r Result) {
+// small store costs what a plain []row would; every later chunk is
+// allocated whole, once. A slice of 160-byte rows would grow from 614
+// to 972 to 1,433, so the first chunk's growth past half of chunkLen
+// goes to chunkLen at once. Caller holds db.mu.
+func (db *DB) push(r row) {
 	if n := len(db.chunks); n == 0 {
 		db.chunks = append(db.chunks, nil)
 	} else if len(db.chunks[n-1]) == chunkLen {
-		db.chunks = append(db.chunks, make([]Result, 0, chunkLen))
+		db.chunks = append(db.chunks, make([]row, 0, chunkLen))
 	}
 	last := &db.chunks[len(db.chunks)-1]
+	if n := len(*last); n == cap(*last) && n > chunkLen/2 {
+		*last = append(make([]row, 0, chunkLen), *last...)
+	}
 	*last = append(*last, r)
 }
 
@@ -126,18 +179,19 @@ func (db *DB) reindex() {
 	}
 }
 
-// Add stores a result, assigning its ID and sequence number, which it
-// returns.
+// Add stores a copy of a result, assigning its ID and sequence number,
+// which it returns.
 func (db *DB) Add(r Result) int {
+	rw := storedRow(&r)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.nextID++
 	db.nextSeq++
-	r.ID = db.nextID
-	r.Seq = db.nextSeq
-	db.push(r)
+	rw.ID = db.nextID
+	rw.Seq = db.nextSeq
+	db.push(rw)
 	db.post(db.len() - 1)
-	return r.ID
+	return rw.ID
 }
 
 // Insert stores a result preserving its caller-assigned ID and Seq,
@@ -153,16 +207,17 @@ func (db *DB) Insert(r Result) { db.InsertAll([]Result{r}) }
 
 // InsertAll is Insert for each of rs in turn under one lock — a commit
 // group, a WAL record or a replica page at a time — so a concurrent
-// reader sees all of them or none. rs is only read.
+// reader sees all of them or none. rs is only read: what is stored is a
+// copy.
 func (db *DB) InsertAll(rs []Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	moved := false
 	for i := range rs {
-		r := &rs[i]
+		r := storedRow(&rs[i])
 		db.nextID, db.nextSeq = max(db.nextID, r.ID), max(db.nextSeq, r.Seq)
 		at, top := db.firstAfter(r.Seq), db.len()
-		if db.push(*r); at == top {
+		if db.push(r); at == top {
 			db.post(top)
 			continue
 		}
@@ -176,7 +231,7 @@ func (db *DB) InsertAll(rs []Result) {
 		}
 		chunk := db.chunks[first][at&chunkMask:]
 		copy(chunk[1:], chunk)
-		chunk[0] = *r
+		chunk[0] = r
 		moved = true
 	}
 	if moved {
@@ -209,7 +264,7 @@ type Filter struct {
 	Experiment string
 }
 
-func (f Filter) matches(r *Result) bool {
+func (f Filter) matches(r *row) bool {
 	return (f.Benchmark == "" || f.Benchmark == r.Benchmark) &&
 		(f.Workload == "" || f.Workload == r.Workload) &&
 		(f.System == "" || f.System == r.System) &&
@@ -222,7 +277,7 @@ func (f Filter) matches(r *Result) bool {
 // walks that pair's posting list and applies only the residual
 // Workload/Experiment match per hit; anything else scans, because no
 // other field is indexed. fn must not retain r. Caller holds db.mu.
-func (db *DB) each(f Filter, fn func(r *Result)) {
+func (db *DB) each(f Filter, fn func(r *row)) {
 	if f.System != "" && f.Benchmark != "" {
 		rest := Filter{Workload: f.Workload, Experiment: f.Experiment}
 		for _, pos := range db.postings[pairKey{f.System, f.Benchmark}] {
@@ -241,12 +296,13 @@ func (db *DB) each(f Filter, fn func(r *Result)) {
 	}
 }
 
-// Query returns matching results in sequence order.
+// Query returns matching results in sequence order, each with maps of
+// its own.
 func (db *DB) Query(f Filter) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Result
-	db.each(f, func(r *Result) { out = append(out, *r) })
+	db.each(f, func(r *row) { out = append(out, r.result()) })
 	return out
 }
 
@@ -255,31 +311,51 @@ func (db *DB) Query(f Filter) []Result {
 // primitive (see internal/resultshard): a follower at watermark W
 // applies QueryAfterN(W, n) page after page — from W = 0 to bootstrap —
 // and holds the primary's exact state, IDs, Seqs and trace provenance
-// included. The durable store's compaction walks a long tail the same
-// way. A page costs what it returns plus a binary search, and results
-// already stored never change, so pages read at different times agree.
-func (db *DB) QueryAfterN(seq, n int) []Result { return db.AppendAfterN(nil, seq, n) }
-
-// AppendAfterN is QueryAfterN into a slice the caller owns: the results
-// are appended to dst, so a caller walking page after page reuses one.
-func (db *DB) AppendAfterN(dst []Result, seq, n int) []Result {
+// included. A page costs what it returns plus a binary search, and
+// results already stored never change, so pages read at different times
+// agree.
+func (db *DB) QueryAfterN(seq, n int) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.appendFrom(dst, db.firstAfter(seq), n)
+	return db.resultsFrom(db.firstAfter(seq), n)
 }
 
-// appendFrom appends up to n results from position pos on to dst,
-// which it grows at most once. Caller holds db.mu.
-func (db *DB) appendFrom(dst []Result, pos, n int) []Result {
+// resultsFrom returns up to n results from position pos on, nil when
+// there are none. Caller holds db.mu.
+func (db *DB) resultsFrom(pos, n int) []Result {
 	n = min(n, db.len()-pos)
-	dst = slices.Grow(dst, n)
-	for n > 0 {
-		part := db.chunks[pos>>chunkShift][pos&chunkMask:]
-		part = part[:min(n, len(part))]
-		dst = append(dst, part...)
-		pos, n = pos+len(part), n-len(part)
+	if n <= 0 {
+		return nil
 	}
-	return dst
+	out := make([]Result, n)
+	for i := range out {
+		out[i] = db.at(pos + i).result()
+	}
+	return out
+}
+
+// AppendJSONAfter appends to dst the JSON of the stored results with
+// after < Seq <= upto, in Seq order, each preceded by a comma and
+// encoded as AppendResult encodes it, until dst holds limit bytes. It
+// is how a durable store's compaction reads the DB: the rows are
+// encoded where they lie, under the read lock, with no map or Result
+// built. It returns the Seq of the last result appended — after itself
+// when none was.
+func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int) (_ []byte, last int, err error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	last = after
+	for pos, n := db.firstAfter(after), db.len(); pos < n && len(dst) < limit; pos++ {
+		r := db.at(pos)
+		if r.Seq > upto {
+			break
+		}
+		if dst, err = appendRow(append(dst, ','), r); err != nil {
+			return dst, last, err
+		}
+		last = r.Seq
+	}
+	return dst, last, nil
 }
 
 // MaxSeq reports the highest assigned sequence number (0 when empty).
@@ -303,25 +379,33 @@ type Point struct {
 // Series extracts the time series of one FOM under a filter. It counts
 // the points, then fills a slice of exactly that size: no intermediate
 // []Result, no growth by doubling.
-func (db *DB) Series(f Filter, fom string) []Point {
+func (db *DB) Series(f Filter, fom string) []Point { return db.appendSeries(nil, f, fom) }
+
+// appendSeries appends the series to dst, which it grows at most once:
+// it counts the points first.
+func (db *DB) appendSeries(dst []Point, f Filter, fom string) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	db.each(f, func(r *Result) {
-		if _, ok := r.FOMs[fom]; ok {
+	db.each(f, func(r *row) {
+		if _, ok := r.fom(fom); ok {
 			n++
 		}
 	})
 	if n == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Point, 0, n)
-	db.each(f, func(r *Result) {
-		if v, ok := r.FOMs[fom]; ok {
-			out = append(out, Point{Seq: r.Seq, Value: v, TraceID: r.TraceID})
+	if dst == nil {
+		dst = make([]Point, 0, n)
+	} else {
+		dst = slices.Grow(dst, n)
+	}
+	db.each(f, func(r *row) {
+		if v, ok := r.fom(fom); ok {
+			dst = append(dst, Point{Seq: r.Seq, Value: v, TraceID: r.TraceID})
 		}
 	})
-	return out
+	return dst
 }
 
 // Regression flags a sample that deviates from its rolling baseline.
@@ -352,7 +436,7 @@ type Regression struct {
 // noise). Baselines of exactly 0 are skipped (the ratio is
 // undefined).
 func (db *DB) DetectRegressions(f Filter, fom string, window int, threshold float64) []Regression {
-	return DetectInSeries(db.Series(f, fom), window, threshold)
+	return NewReader(nil, db).DetectRegressions(f, fom, window, threshold)
 }
 
 // DetectInSeries runs the rolling-median regression scan over an
@@ -405,7 +489,7 @@ func median(pts []Point, vals []float64) float64 {
 func (db *DB) SaveJSON() (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	b, err := json.MarshalIndent(db.appendFrom(nil, 0, db.len()), "", "  ")
+	b, err := json.MarshalIndent(db.resultsFrom(0, db.len()), "", "  ")
 	if err != nil {
 		return "", err
 	}
@@ -459,7 +543,7 @@ func (db *DB) Usage() []UsageRow {
 		last    int
 	}
 	m := map[string]*agg{}
-	db.each(Filter{}, func(r *Result) {
+	db.each(Filter{}, func(r *row) {
 		a, ok := m[r.Benchmark]
 		if !ok {
 			a = &agg{systems: map[string]bool{}}

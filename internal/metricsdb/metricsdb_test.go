@@ -2,6 +2,7 @@ package metricsdb
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -389,7 +390,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 	reference := func(f Filter, after int) []Result {
 		var out []Result
 		for _, r := range shuffled {
-			if r.Seq > after && f.matches(&r) {
+			if rw := storedRow(&r); r.Seq > after && f.matches(&rw) {
 				out = append(out, r)
 			}
 		}
@@ -428,6 +429,44 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 		if db.MaxSeq() != 40 {
 			t.Errorf("%s: MaxSeq = %d, want 40", name, db.MaxSeq())
 		}
+	}
+}
+
+// TestStoredResultsAreCopies: results already stored never change. A
+// caller that changes a map it handed to Add or InsertAll, or a map of a
+// Result that Query, QueryAfterN or a Reader returned, changes nothing a
+// DB serves afterwards.
+func TestStoredResultsAreCopies(t *testing.T) {
+	fresh := func(seq int) Result {
+		return Result{ID: seq, Seq: seq, Benchmark: "b", System: "s",
+			FOMs: map[string]float64{"t": 1}, Meta: map[string]string{"runner": "r1"}}
+	}
+	dbs := []*DB{New(), New()}
+	added, inserted := fresh(0), []Result{fresh(2), fresh(3)}
+	dbs[0].Add(added)
+	dbs[1].InsertAll(inserted)
+	reader := NewReader(nil, dbs...)
+	served := func() string {
+		t.Helper()
+		data, err := json.Marshal(reader.Query(Filter{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(string(data), reader.Series(Filter{}, "t"))
+	}
+	want := served()
+	scribble := func(rs ...Result) {
+		for _, r := range rs {
+			r.FOMs["t"], r.FOMs["new"], r.Meta["runner"] = 9, 9, "someone else"
+		}
+	}
+	scribble(added)
+	scribble(inserted...)
+	scribble(dbs[0].Query(Filter{})...)
+	scribble(dbs[1].QueryAfterN(0, 10)...)
+	scribble(reader.Query(Filter{})...)
+	if got := served(); got != want {
+		t.Fatalf("after callers changed their maps the DBs serve\n%s\nwhere they served\n%s", got, want)
 	}
 }
 

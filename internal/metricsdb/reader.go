@@ -1,6 +1,9 @@
 package metricsdb
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Placement names which of n databases holds every result of one
 // (system, benchmark) pair (internal/resultshard.ShardFor).
@@ -108,10 +111,34 @@ func (r Reader) Series(f Filter, fom string) []Point {
 		func(p Point) int { return p.Seq })
 }
 
+// scanBufs holds the series DetectRegressions scans. Only the
+// regressions outlive a scan, so its points are borrowed.
+var scanBufs = sync.Pool{New: func() any { return new([]Point) }}
+
+// maxIdleScan is the most points a pooled scan buffer keeps room for
+// (640 KiB); a longer series' buffer is left to the GC.
+const maxIdleScan = 16 << 10
+
 // DetectRegressions scans the (merged) series with the single-DB
-// semantics; see DB.DetectRegressions.
+// semantics; see DB.DetectRegressions. The series is gathered into a
+// pooled buffer, in the order Series would return it.
 func (r Reader) DetectRegressions(f Filter, fom string, window int, threshold float64) []Regression {
-	return DetectInSeries(r.Series(f, fom), window, threshold)
+	buf := scanBufs.Get().(*[]Point)
+	series := (*buf)[:0]
+	dbs := r.covering(f)
+	for _, db := range dbs {
+		series = db.appendSeries(series, f, fom)
+	}
+	if len(dbs) > 1 {
+		sort.SliceStable(series, func(i, j int) bool { return series[i].Seq < series[j].Seq })
+	}
+	regs := DetectInSeries(series, window, threshold)
+	clear(series) // the pool pins no trace IDs
+	if cap(series) <= maxIdleScan {
+		*buf = series[:0]
+		scanBufs.Put(buf)
+	}
+	return regs
 }
 
 // Systems returns the distinct system names present, sorted.

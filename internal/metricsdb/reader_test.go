@@ -76,6 +76,9 @@ func TestReaderOneDBAndPartitionedAgree(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: DetectRegressions = %v, want %v", name, got, want)
 			}
+			if scanned := DetectInSeries(rd.Series(f, "t"), 4, 1.2); !reflect.DeepEqual(got, scanned) {
+				t.Errorf("%s: DetectRegressions = %v, but the served series holds %v", name, got, scanned)
+			}
 			if name == "empty" && len(want) == 0 {
 				t.Error("fixture seeds no regression: the detector comparison is vacuous")
 			}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,7 +111,8 @@ func jsonInto(out any) func([]byte) error {
 
 // do runs one API call with the retry policy — body, when there is one,
 // is the encoded request and encoding its Content-Encoding — and hands
-// the reply's bytes to decode.
+// the reply's bytes to decode, which must copy what it keeps: the bytes
+// are a pooled buffer's.
 //
 // The whole logical call is ONE span ("rpc:<route>") and ONE
 // traceparent: the header is computed once, before the retry loop, so
@@ -220,10 +222,17 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 		return &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	buf := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxIdleReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	data, err := readBody(resp, (*buf)[:0])
 	if err != nil {
 		return err
 	}
+	*buf = data
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// Server-side backpressure: reconstruct the typed overload so
 		// callers (and the retry loop above) see the Retry-After hint
@@ -246,19 +255,31 @@ func (c *Client) once(ctx context.Context, method, u, traceparent, encoding stri
 	return nil
 }
 
-// readBody reads a reply of at most maxIngestBytes: in one allocation
-// of the stated size when the server states one, else by growing. A
-// longer one is refused, terminally: a retry would read the same bytes.
-func readBody(resp *http.Response) (data []byte, err error) {
+// replyBufs holds the buffers replies are read into. Every decode copies
+// what it keeps out of the bytes, so a reply's buffer goes back once it
+// is decoded — unless a replica page grew it past maxIdleReply.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxIdleReply is the largest reply buffer kept for the next call: room
+// for a dashboard series of a few thousand points.
+const maxIdleReply = 256 << 10
+
+// readBody reads a reply of at most maxIngestBytes into buf's room: in
+// one step of the stated size when the server states one, else by
+// growing. A longer one is refused, terminally: a retry would read the
+// same bytes.
+func readBody(resp *http.Response, buf []byte) (data []byte, err error) {
 	n := resp.ContentLength
 	if n > maxIngestBytes {
 		return nil, fmt.Errorf("reply of %d bytes exceeds the %d-byte limit", n, maxIngestBytes)
 	}
 	if n >= 0 {
-		data = make([]byte, n)
+		data = slices.Grow(buf, int(n))[:n]
 		_, err = io.ReadFull(resp.Body, data)
 	} else { // chunked: one byte past the limit tells "at" from "over"
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxIngestBytes+1))
+		b := bytes.NewBuffer(buf)
+		_, err = b.ReadFrom(io.LimitReader(resp.Body, maxIngestBytes+1))
+		data = b.Bytes()
 	}
 	if err != nil {
 		return nil, &retryableError{err: err}
@@ -344,7 +365,17 @@ func (c *Client) Series(ctx context.Context, f metricsdb.Filter, fom string) ([]
 	q := queryFromFilter(f)
 	q.Set("fom", fom)
 	var resp SeriesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/series", q, nil, "", jsonInto(&resp)); err != nil {
+	err := c.do(ctx, http.MethodGet, "/v1/series", q, nil, "", func(data []byte) error {
+		// The server writes every point as {"seq":…, so counting those
+		// sizes the slice once; decoding into a nil one would grow it by
+		// doubling, twice the answer in garbage. A miscount only costs
+		// room.
+		if n := bytes.Count(data, []byte(`{"seq":`)); n > 0 {
+			resp.Points = make([]SeriesPoint, 0, n)
+		}
+		return json.Unmarshal(data, &resp)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Points, nil

@@ -407,6 +407,62 @@ func TestPushAllocationBudget(t *testing.T) {
 	}
 }
 
+// leastAllocation is the least of what 21 calls of fn allocate, after
+// one call that warms connections and pools: a call that meets a pool
+// the GC — or, under the race detector, chance — emptied reads high.
+func leastAllocation(fn func()) uint64 {
+	fn()
+	least := allocatedBy(fn)
+	for range 20 {
+		least = min(least, allocatedBy(fn))
+	}
+	return least
+}
+
+// TestQueryAllocationBudget pins what a dashboard read costs with client
+// and server in one process: a series GET allocates its two answers —
+// the server's []metricsdb.Point and the client's []SeriesPoint, 32
+// bytes a point each — plus the HTTP round trip, but neither the reply's
+// bytes (read into a pooled buffer) nor a slice grown by doubling; a
+// regression scan allocates no series at all (the server borrows it).
+// Over 2,000 points that is 140 kB a series GET and 9 kB a scan; reading
+// each reply into a buffer of its own, decoding into a slice grown by
+// doubling and scanning a fresh series took 325 kB and 75 kB.
+func TestQueryAllocationBudget(t *testing.T) {
+	srv, store := newTestServer(t)
+	const points = 2000
+	batch := make([]metricsdb.Result, points)
+	for i := range batch {
+		batch[i] = result("saxpy", "cts1", "saxpy_time", 1+float64(i%7)/100)
+	}
+	ctx := context.Background()
+	if _, err := store.AppendMany(ctx, []resultstore.Batch{{Key: "budget", Results: batch}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := fastClient(ts.URL)
+	f := metricsdb.Filter{System: "cts1", Benchmark: "saxpy"}
+	answers := uint64(2 * points * 32)
+	series := leastAllocation(func() {
+		if pts, err := c.Series(ctx, f, "saxpy_time"); err != nil || len(pts) != points || cap(pts) != points {
+			t.Fatalf("Series: %d points in room for %d, %v; want exactly %d", len(pts), cap(pts), err, points)
+		}
+	})
+	scan := leastAllocation(func() {
+		if regs, err := c.Regressions(ctx, f, "saxpy_time", 0, 0); err != nil || len(regs) != 0 {
+			t.Fatalf("Regressions over a flat series: %v, %v", regs, err)
+		}
+	})
+	t.Logf("a %d-point series GET allocates %d bytes, a scan of it %d (least of 21)", points, series, scan)
+	if series >= answers+answers/4 {
+		t.Errorf("a %d-point series GET allocates %d bytes, want < %d", points, series, answers+answers/4)
+	}
+	if scan >= answers/8 {
+		t.Errorf("a regression scan of %d points allocates %d bytes, want < %d", points, scan, answers/8)
+	}
+}
+
 // lastBatch is the Backend the fuzzer serves from: it keeps, in memory,
 // the last batch the handler handed down, so an exec costs microseconds
 // and runs the same code every time (a store's fsync and committer

@@ -80,6 +80,36 @@ func TestFollowerBootstrapAndByteIdenticalReads(t *testing.T) {
 	}
 }
 
+// TestFollowerReadsAreCopies: a follower in process mirrors its primary
+// from the primary's own pages, and a caller that changes the maps of
+// what either one's Query returned changes nothing either serves.
+func TestFollowerReadsAreCopies(t *testing.T) {
+	r := openRouter(t, t.TempDir(), 2)
+	defer r.Close()
+	if _, err := r.Append(context.Background(), resultstore.Batch{Key: "k0", Results: spreadResults(6)}); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower()
+	if _, err := f.Sync(context.Background(), Primary{r}); err != nil {
+		t.Fatal(err)
+	}
+	served := func() string {
+		t.Helper()
+		p, _ := json.Marshal(r.Query(metricsdb.Filter{}))
+		q, _ := json.Marshal(f.Query(metricsdb.Filter{}))
+		return string(p) + "\n" + string(q)
+	}
+	want := served()
+	for _, rs := range [][]metricsdb.Result{f.Query(metricsdb.Filter{}), r.Query(metricsdb.Filter{})} {
+		for _, res := range rs {
+			res.FOMs["fom"], res.FOMs["new"] = -1, -1
+		}
+	}
+	if got := served(); got != want {
+		t.Fatalf("after a caller changed returned maps the primary and follower serve\n%s\nwhere they served\n%s", got, want)
+	}
+}
+
 // TestFollowerCatchUpAndLag: a follower that synced once catches up
 // incrementally as the primary keeps ingesting, and Status reports the
 // interim lag: what the pass that caught up had to apply, then zero.

@@ -123,12 +123,13 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 // TestAppendManyAllocationBudget pins the write path's cost model: a
 // group is staged and framed in the store's own buffers and copied into
 // a DB chunk that is already there, so the median 100-result batch
-// allocates its bookkeeping — the applied flags, the group's key set,
-// the posting lists' growth — and neither a copy of the results nor an
-// encoded form. Measured 1.2 kB (one run in ten also opens a 128 KiB
-// chunk: the results' own bytes, once); with a make+copy per batch and
-// one growing slice in the DB it was 14.7, with a json.Marshal per
-// record on top 38.3.
+// allocates the FOM pairs the DB keeps (24 B a one-FOM result) and its
+// bookkeeping — the applied flags, the group's key set, the posting
+// lists' growth — and neither a copy of the results nor an encoded form.
+// Measured 3.4 kB, 2.4 of them the pairs (one run in ten also opens a
+// 160 KiB chunk: the rows' own bytes, once); with a make+copy per batch
+// and one growing slice in the DB it was 14.7 kB, with a json.Marshal
+// per record on top 38.3.
 func TestAppendManyAllocationBudget(t *testing.T) {
 	s, err := Open(t.TempDir(), fixedOpts())
 	if err != nil {
@@ -158,12 +159,13 @@ func TestAppendManyAllocationBudget(t *testing.T) {
 
 // TestOpenCostsWhatItKeeps pins recovery's cost model on a compacted
 // 20,000-result store of a loadgen-shaped fleet. Decoding record by
-// record with interned names into chunks that are never copied again,
-// Open allocates 3.9x the bytes it reads — 1.8x the results' maps, 1.0x
-// the file, 0.9x the results themselves — where one slice growing by a
-// quarter at a time took 6.9x and whole-file encoding/json 11.4x, and
-// what stays live afterwards is the results with each name held once:
-// 395 B a result, 477 when every decoded name was its own allocation.
+// record with interned names, one recycled FOM map and rows in chunks
+// that are never copied again, Open allocates 2.6x the bytes it reads —
+// 1.0x the file, 1.1x the rows, 0.2x their pairs — where a fresh map per
+// result took 4.4x, one slice growing by a quarter at a time 6.9x and
+// whole-file encoding/json 11.4x. What stays live afterwards is the rows
+// with each name held once: 196 B a result, 395 when the DB stored each
+// result's maps, 477 when every decoded name was its own allocation.
 // Both numbers repeat exactly.
 func TestOpenCostsWhatItKeeps(t *testing.T) {
 	const results = 20000
@@ -213,8 +215,8 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / results
 	t.Logf("Open allocated %.1fx the %d bytes it read and keeps %d B live per result", ratio, onDisk, per)
-	if per >= 440 {
-		t.Errorf("the reopened store keeps %d B live per result, want < 440", per)
+	if per >= 200 {
+		t.Errorf("the reopened store keeps %d B live per result, want < 200", per)
 	}
 }
 

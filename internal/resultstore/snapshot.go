@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -328,62 +327,59 @@ func (s *Store) planGeneration() (head *snapshotHeader, from int, err error) {
 	}, from, nil
 }
 
-// snapshotPage is how many results encodeGeneration holds at a time.
-const snapshotPage = 1024
+// genBufSize is the buffer one generation write borrows from a pool —
+// one the GC may empty, so an idle store holds none and a busy one does
+// not allocate one per generation. A page is what half of it holds: the
+// rows encoded under one hold of the DB's read lock, and then written
+// with the lock released. A page stops once it passes half the buffer,
+// so a result up to the other half's size never grows it.
+const genBufSize = 64 << 10
 
-// genScratch is what one generation write borrows: the page results are
-// copied out of the DB into, and the writer they are encoded through.
-// 192 KiB together, so they sit in a pool the GC may empty, not on the
-// store: an idle store holds neither. The page goes back cleared.
-type genScratch struct {
-	page []metricsdb.Result
-	bw   *bufio.Writer
-}
-
-var genScratches = sync.Pool{New: func() any {
-	return &genScratch{page: make([]metricsdb.Result, 0, snapshotPage), bw: bufio.NewWriterSize(nil, 64<<10)}
+var genBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, genBufSize)
+	return &buf
 }}
 
 // encodeGeneration writes the generation file head describes: the
 // header's JSON object with a "results" member spliced in, holding the
-// DB's results in (head.AfterSeq, head.NextSeq], read a page at a time
-// into one page it reuses.
+// DB's results in (head.AfterSeq, head.NextSeq], encoded straight from
+// the DB's rows a page at a time.
 func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	open, err := json.Marshal(head)
 	if err != nil {
 		return err
 	}
-	sc := genScratches.Get().(*genScratch)
-	defer func() {
-		clear(sc.page[:cap(sc.page)])
-		sc.bw.Reset(nil)
-		genScratches.Put(sc)
-	}()
-	bw, page := sc.bw, sc.page
-	bw.Reset(w)
-	bw.Write(open[:len(open)-1]) // bufio errors are sticky: Flush reports them
-	bw.WriteString(`,"results":[`)
-	for after, first := head.AfterSeq, true; ; {
-		page = s.db.AppendAfterN(page[:0], after, snapshotPage)
+	if _, err := w.Write(open[:len(open)-1]); err != nil {
+		return err
+	}
+	pooled := genBufs.Get().(*[]byte)
+	defer genBufs.Put(pooled)
+	// Every result comes preceded by a comma; the first one's opens the
+	// array instead.
+	buf := append((*pooled)[:0], `,"results":`...)
+	opening := len(buf)
+	for after := head.AfterSeq; after < head.NextSeq; {
+		var last int
 		// Appends keep landing; what they add is the next generation's.
-		n := sort.Search(len(page), func(i int) bool { return page[i].Seq > head.NextSeq })
-		for i := range page[:n] {
-			if !first {
-				bw.WriteByte(',')
-			}
-			first = false
-			// Into the writer's own free space when the result fits there.
-			data, err := metricsdb.AppendResult(bw.AvailableBuffer(), &page[i])
-			if err != nil {
-				return err
-			}
-			bw.Write(data)
+		if buf, last, err = s.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2); err != nil {
+			return err
 		}
-		if n < snapshotPage {
+		if last == after {
 			break
 		}
-		after = page[n-1].Seq
+		if opening > 0 {
+			buf[opening], opening = '[', 0
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		buf, after = buf[:0], last
 	}
-	bw.WriteString("]}")
-	return bw.Flush()
+	if opening > 0 {
+		buf = append(buf, '[')
+	}
+	buf = append(buf, "]}"...)
+	*pooled = buf[:0]
+	_, err = w.Write(buf)
+	return err
 }

@@ -227,7 +227,9 @@ func (s *Store) recover() error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	for _, snap := range chain {
-		if err := snap.eachResult(&dec, s.db.Insert); err != nil {
+		// The DB stores copies, so each result's maps go back to the
+		// decoder for the next one.
+		if err := snap.eachResult(&dec, func(r metricsdb.Result) { s.db.Insert(r); dec.Recycle(&r) }); err != nil {
 			return fmt.Errorf("resultstore: snapshot %s: %w", snapshotName(snap.Covered), err)
 		}
 		for _, k := range snap.Keys {

@@ -86,6 +86,13 @@ func (c *StepClock) Now() time.Time {
 	return now
 }
 
+// maxFinished is how many finished spans a Tracer keeps. Past it, a span
+// that ends takes the place of the oldest one kept, so a long-lived
+// server's tracer holds its last maxFinished requests rather than every
+// one it ever served. The largest trace any test or example run exports
+// holds 59 spans.
+const maxFinished = 4096
+
 // Tracer collects finished spans and owns the run's metrics registry.
 // It is safe for concurrent use: the engine's worker pool opens and
 // closes experiment spans from many goroutines.
@@ -96,8 +103,9 @@ type Tracer struct {
 	metrics *Registry
 
 	mu       sync.Mutex
-	finished []*Span
-	siblings map[string]int // parentID + "\x00" + name -> prior count
+	finished []*Span        // the last maxFinished spans to end; a ring once full
+	dropped  int            // spans pushed out of the full ring, oldest first
+	roots    map[string]int // root span name -> prior count; a child's count is on its parent
 }
 
 // New returns a Tracer reading the given clock (nil means the wall
@@ -109,11 +117,10 @@ func New(clock Clock) *Tracer {
 	}
 	epoch := clock.Now()
 	return &Tracer{
-		clock:    clock,
-		epoch:    epoch,
-		traceID:  deriveTraceID(epoch),
-		metrics:  NewRegistry(),
-		siblings: map[string]int{},
+		clock:   clock,
+		epoch:   epoch,
+		traceID: deriveTraceID(epoch),
+		metrics: NewRegistry(),
 	}
 }
 
@@ -162,12 +169,13 @@ type Span struct {
 	traceID      string
 	remoteParent string
 
-	mu     sync.Mutex
-	attrs  map[string]string
-	events []spanEvent
-	errMsg string
-	end    time.Time
-	ended  bool
+	mu       sync.Mutex
+	attrs    map[string]string
+	events   []spanEvent
+	errMsg   string
+	end      time.Time
+	ended    bool
+	children map[string]int // child span name -> prior count
 }
 
 type spanEvent struct {
@@ -206,7 +214,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	parentID, base := "", ""
+	parentID, base, n := "", "", 0
 	traceID, remoteParent := t.traceID, ""
 	if p := Current(ctx); p != nil {
 		parentID = p.id
@@ -214,16 +222,19 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		if p.traceID != "" {
 			traceID = p.traceID
 		}
-	} else if tc, ok := RemoteFromContext(ctx); ok && tc.Valid() {
-		// No local parent but a remote caller: join the caller's trace.
-		traceID = tc.TraceID
-		remoteParent = tc.ParentID
+		p.mu.Lock()
+		n = nextSibling(&p.children, name)
+		p.mu.Unlock()
+	} else {
+		if tc, ok := RemoteFromContext(ctx); ok && tc.Valid() {
+			// No local parent but a remote caller: join the caller's trace.
+			traceID = tc.TraceID
+			remoteParent = tc.ParentID
+		}
+		t.mu.Lock()
+		n = nextSibling(&t.roots, name)
+		t.mu.Unlock()
 	}
-	t.mu.Lock()
-	key := parentID + "\x00" + name
-	n := t.siblings[key]
-	t.siblings[key] = n + 1
-	t.mu.Unlock()
 	id := parentID + "/" + name
 	if parentID == "" {
 		id = name
@@ -243,6 +254,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		attrs:        map[string]string{},
 	}
 	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// nextSibling counts one more span named name in *counts, making the
+// map on first use, and returns how many came before it. The caller
+// holds the lock that guards *counts.
+func nextSibling(counts *map[string]int, name string) int {
+	if *counts == nil {
+		*counts = map[string]int{}
+	}
+	n := (*counts)[name]
+	(*counts)[name] = n + 1
+	return n
 }
 
 // ID returns the span's unique identifier ("" for a nil span).
@@ -328,8 +351,9 @@ func (s *Span) AddEvent(name string, kv ...string) {
 	})
 }
 
-// End closes the span and hands it to the tracer. Ending twice is a
-// no-op, so a defer may back up an explicit mid-function End.
+// End closes the span and hands it to the tracer, which drops its
+// oldest finished span if it already holds maxFinished. Ending twice is
+// a no-op, so a defer may back up an explicit mid-function End.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -342,9 +366,15 @@ func (s *Span) End() {
 	s.ended = true
 	s.end = s.tracer.clock.Now()
 	s.mu.Unlock()
-	s.tracer.mu.Lock()
-	s.tracer.finished = append(s.tracer.finished, s)
-	s.tracer.mu.Unlock()
+	t := s.tracer
+	t.mu.Lock()
+	if len(t.finished) < maxFinished {
+		t.finished = append(t.finished, s)
+	} else { // the oldest is where the ring wraps
+		t.finished[t.dropped%maxFinished] = s
+		t.dropped++
+	}
+	t.mu.Unlock()
 }
 
 // Duration returns the span's inclusive time; zero while open or for
@@ -392,18 +422,22 @@ type EventRecord struct {
 // Trace is an immutable snapshot of a tracer: finished spans in
 // deterministic order plus the metrics state.
 type Trace struct {
-	Format  string          `json:"format"`
-	Spans   []SpanRecord    `json:"spans"`
+	Format string       `json:"format"`
+	Spans  []SpanRecord `json:"spans"`
+	// Dropped is how many spans ended after the tracer already held its
+	// last maxFinished and so are not in Spans: the oldest ones.
+	Dropped int             `json:"dropped,omitempty"`
 	Metrics MetricsSnapshot `json:"metrics"`
 }
 
 // TraceFormat tags the trace interchange version.
 const TraceFormat = "benchpark-trace-1"
 
-// Snapshot freezes the tracer's state: every finished span (open
-// spans are excluded — End them first), sorted by start time then ID
-// so concurrent completions export identically, plus the metrics
-// snapshot. Nil-safe: a nil tracer yields an empty trace.
+// Snapshot freezes the tracer's state: every finished span it still
+// holds (open spans are excluded — End them first; the oldest beyond
+// maxFinished are counted in Dropped), sorted by start time then ID so
+// concurrent completions export identically, plus the metrics snapshot.
+// Nil-safe: a nil tracer yields an empty trace.
 func (t *Tracer) Snapshot() *Trace {
 	tr := &Trace{Format: TraceFormat, Spans: []SpanRecord{}}
 	if t == nil {
@@ -411,6 +445,7 @@ func (t *Tracer) Snapshot() *Trace {
 	}
 	t.mu.Lock()
 	spans := append([]*Span(nil), t.finished...)
+	tr.Dropped = t.dropped
 	t.mu.Unlock()
 	for _, s := range spans {
 		s.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,56 @@ func TestSpanHierarchyAndSiblingIDs(t *testing.T) {
 	}
 	if byID["run/stage/exp"].Parent != "run/stage" {
 		t.Fatalf("grandchild parent: %q", byID["run/stage/exp"].Parent)
+	}
+}
+
+// TestTracerKeepsItsLastSpans: a tracer holds its last maxFinished
+// finished spans. Past that, each span that ends pushes out the oldest,
+// the trace says how many went, and merging traces adds those counts; a
+// trace that lost nothing does not mention it. A child's sibling count
+// lives on its parent, so a tracer serving many requests keeps one count
+// per root name.
+func TestTracerKeepsItsLastSpans(t *testing.T) {
+	tr := New(FixedClock{T: epoch})
+	ctx := WithTracer(context.Background(), tr)
+	const requests = maxFinished/2 + 10 // each a root and one child
+	for i := 0; i < requests; i++ {
+		rctx, root := StartSpan(ctx, "http:results")
+		_, child := StartSpan(rctx, "wal:commit")
+		if want := fmt.Sprintf("http:results#%d/wal:commit", i+1); i > 0 && child.ID() != want {
+			t.Fatalf("child of request %d is %q, want %q", i, child.ID(), want)
+		}
+		child.End()
+		root.End()
+	}
+	if len(tr.roots) != 1 {
+		t.Fatalf("the tracer counts siblings under %d names, want 1 root name", len(tr.roots))
+	}
+	snap := tr.Snapshot()
+	if len(snap.Spans) != maxFinished || snap.Dropped != 2*requests-maxFinished {
+		t.Fatalf("trace holds %d spans and drops %d, want %d and %d", len(snap.Spans), snap.Dropped, maxFinished, 2*requests-maxFinished)
+	}
+	kept := map[string]bool{}
+	for _, s := range snap.Spans {
+		kept[s.ID] = true
+	}
+	// The first ten requests' spans went; the eleventh request's are the
+	// oldest kept.
+	for id, want := range map[string]bool{"http:results": false, "http:results#10/wal:commit": false,
+		"http:results#11/wal:commit": true, "http:results#11": true, fmt.Sprintf("http:results#%d", requests): true} {
+		if kept[id] != want {
+			t.Errorf("span %s kept: %v, want %v", id, kept[id], want)
+		}
+	}
+	js, err := snap.JSON()
+	if err != nil || !strings.Contains(js, fmt.Sprintf(`"dropped": %d`, snap.Dropped)) {
+		t.Fatalf("exported trace does not say it dropped %d spans (%v)", snap.Dropped, err)
+	}
+	if merged := MergeTraces(snap, snap); merged.Dropped != 2*snap.Dropped {
+		t.Fatalf("merged trace drops %d, want %d", merged.Dropped, 2*snap.Dropped)
+	}
+	if js, _ := New(FixedClock{T: epoch}).Snapshot().JSON(); strings.Contains(js, "dropped") {
+		t.Fatalf("a trace that dropped nothing mentions it:\n%s", js)
 	}
 }
 

@@ -187,10 +187,10 @@ func TraceIDFrom(ctx context.Context) string {
 // MergeTraces assembles one cross-process trace from per-process
 // snapshots: all spans, sorted by (trace ID, start, span ID) so the
 // merge is a pure function of its inputs — two runs that produced
-// byte-identical per-process traces produce a byte-identical merge.
-// Spans from different processes correlate through their TraceID and
-// RemoteParent fields (see SpanContextID). Metrics are per-process
-// state and are not merged.
+// byte-identical per-process traces produce a byte-identical merge —
+// and the sum of their Dropped counts. Spans from different processes
+// correlate through their TraceID and RemoteParent fields (see
+// SpanContextID). Metrics are per-process state and are not merged.
 func MergeTraces(traces ...*Trace) *Trace {
 	out := &Trace{Format: TraceFormat, Spans: []SpanRecord{}}
 	for _, t := range traces {
@@ -198,6 +198,7 @@ func MergeTraces(traces ...*Trace) *Trace {
 			continue
 		}
 		out.Spans = append(out.Spans, t.Spans...)
+		out.Dropped += t.Dropped
 	}
 	sort.Slice(out.Spans, func(i, j int) bool {
 		a, b := out.Spans[i], out.Spans[j]
