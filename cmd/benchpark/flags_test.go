@@ -103,10 +103,13 @@ func TestFlagSurface(t *testing.T) {
 		{args: []string{"loadtest"}, fail: true},
 		{args: []string{"loadtest", ts.URL, "--runners", "0"}, fail: true, errHas: "runners"},
 		{args: []string{"loadtest", ts.URL, "--batches", "x"}, fail: true, errHas: "batches"},
-		{args: []string{"loadtest", ts.URL, "--out"}, fail: true, errHas: "out"},
+		{args: []string{"loadtest", ts.URL, "--out", ws("lt.json")}, fail: true, errHas: "-out"},
+		{args: []string{"loadtest", "http://127.0.0.1:1", "--runners", "1", "--batches", "1", "--results", "1"},
+			fail: true, errHas: "1 of 1 batches were not acknowledged", outHas: "1 errors"},
 		{args: []string{"serve", "--addr"}, fail: true},
 		{args: []string{"serve", "--data"}, fail: true},
 		{args: []string{"serve", "unexpected-arg"}, fail: true, errHas: "unexpected-arg"},
+		{args: serve("--metrics"), fail: true, errHas: "-metrics"},
 		{args: serve("--shards", "0"), fail: true, errHas: "shards"},
 		{args: serve("--shard-queue", "0"), fail: true, errHas: "shard-queue"},
 		{args: serve("--shard-slow", "-1ms"), fail: true, errHas: "shard-slow"},

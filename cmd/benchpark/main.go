@@ -302,11 +302,12 @@ func usage() {
   benchpark archive <suite> <system> <out.tar.gz>
   benchpark provision <name> <instance-type> <nodes> [suite]
   benchpark report [out.md] [-full]
-  benchpark serve [--addr A] [--data DIR] [--metrics] [--pprof]
+  benchpark serve [--addr A] [--data DIR] [--pprof]
             [--selfmonitor DUR] [--shards N] [--shard-queue N]
             [--shard-slow DUR] [--replica-of URL] [--sync-interval DUR]
-                                       run the results federation service;
-                                       --metrics adds /metrics + /debug/ops,
+                                       run the results federation service
+                                       (ops endpoints /healthz /readyz
+                                       /metrics /debug/ops always on);
                                        --pprof adds /debug/pprof,
                                        --selfmonitor samples the service's
                                        own latency into its store,
@@ -324,9 +325,10 @@ func usage() {
             [--workload W] [--experiment E] [--window N]
             [--threshold T]            print a FOM series + regressions
   benchpark loadtest <server-url> [--runners N] [--batches N]
-            [--results N] [--key-prefix P] [--out FILE]
-                                       simulate a federated runner fleet
-                                       and report throughput + latency
+            [--results N] [--key-prefix P]
+                                       simulate a federated runner fleet,
+                                       report throughput + latency, fail
+                                       if any batch was not acknowledged
 
 Flags go anywhere: before or after the subcommand and its arguments
 (spec takes its flags before the system), as -flag, --flag, --flag=v.

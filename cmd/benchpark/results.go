@@ -18,7 +18,7 @@ import (
 )
 
 // serveCmd implements `benchpark serve [--addr A] [--data DIR]
-// [--metrics] [--pprof] [--selfmonitor DUR] [--shards N]
+// [--pprof] [--selfmonitor DUR] [--shards N]
 // [--shard-queue N] [--shard-slow DUR] [--replica-of URL]
 // [--sync-interval DUR]`: run the results federation service in one of
 // three modes.
@@ -37,15 +37,14 @@ import (
 //     /v1/regressions and /v1/systems from a snapshot-shipped mirror
 //     refreshed every --sync-interval.
 //
-// --metrics adds the /metrics and /debug/ops operations endpoints,
-// --pprof the /debug/pprof profile handlers, and --selfmonitor starts
-// a loop sampling the service's own request latency into the store
-// through the normal ingest path. The process runs until killed; the
+// Every mode serves the operations endpoints /healthz, /readyz,
+// /metrics and /debug/ops. --pprof adds the /debug/pprof profile
+// handlers, and --selfmonitor starts a loop sampling the service's own
+// request latency into the store through the normal ingest path. The process runs until killed; the
 // stores' WALs make that safe at any instant.
 func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address")
 	dataDir := fs.String("data", "benchpark-results", "data directory")
-	withMetrics := fs.Bool("metrics", false, "serve /metrics and /debug/ops")
 	withPprof := fs.Bool("pprof", false, "serve /debug/pprof")
 	replicaOf := fs.String("replica-of", "", "follow this primary, read-only")
 	var shards, shardQueue int
@@ -74,9 +73,6 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	// the listener stops.
 	tracer := telemetry.New(nil)
 	var sopts []resultsd.Option
-	if *withMetrics {
-		sopts = append(sopts, resultsd.WithOps())
-	}
 	if *withPprof {
 		sopts = append(sopts, resultsd.WithPprof())
 	}
@@ -120,11 +116,8 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	}
 	fmt.Printf("==> resultsd serving %d results on http://%s, %s\n",
 		backend.Len(), ln.Addr(), mode)
-	if *withMetrics {
-		fmt.Printf("==> ops plane on http://%s/metrics and /debug/ops\n", ln.Addr())
-	}
 	if selfmonitor > 0 {
-		mon := resultsd.NewSelfMonitor(resultsd.NewClient("http://"+ln.Addr().String()), srv, "")
+		mon := resultsd.NewSelfMonitor(resultsd.NewClient("http://"+ln.Addr().String()), srv)
 		mctx, mcancel := context.WithCancel(context.Background())
 		defer mcancel()
 		go mon.Run(mctx, selfmonitor)

@@ -25,6 +25,7 @@ import (
 	"repro/internal/ci"
 	"repro/internal/core"
 	"repro/internal/metricsdb"
+	"repro/internal/ramble"
 )
 
 func main() {
@@ -107,7 +108,7 @@ func run(ctx context.Context) error {
 	})
 	regs := bp.Metrics.DetectRegressions(
 		metricsdb.Filter{Benchmark: "saxpy", System: "cts1", Experiment: "nightly"},
-		"saxpy_time", 4, 1.2)
+		"saxpy_time", 4, ramble.RegressionThreshold("saxpy", "saxpy_time"))
 	if len(regs) == 0 {
 		return fmt.Errorf("regression not detected")
 	}

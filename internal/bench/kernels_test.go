@@ -110,7 +110,7 @@ func TestHaloExchangeAllocationBudget(t *testing.T) {
 	const messages = 8 * 3 // per iteration: every rank of the 2×2×2 cube has three neighbors
 	perMessage := (float64(job(520)) - float64(job(20))) / 500 / messages
 	t.Logf("%.2f bytes allocated per halo message in steady state", perMessage)
-	if perMessage > 16 {
+	if !raceEnabled && perMessage > 16 {
 		t.Errorf("a halo exchange allocates %.1f bytes per message in steady state, want <= 16", perMessage)
 	}
 }

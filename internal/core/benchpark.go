@@ -378,6 +378,8 @@ type sessionRunner struct {
 	results  []engine.ExperimentResult // what Analyze recorded, see Session.record
 	locks    sync.Map                  // environment name -> escaped lockfile JSON, see lockJSON
 
+	model string // the system's Fingerprint, taken once at Setup
+
 	// ExperimentKey's scratch, reused across the session's experiments.
 	keyMu    sync.Mutex
 	keyBuf   []byte
@@ -395,6 +397,7 @@ func (r *sessionRunner) Setup(ctx context.Context) error {
 		return err
 	}
 	r.exps = r.s.Workspace.Experiments
+	r.model = r.s.System.Fingerprint()
 	r.vars = make([]map[string]string, len(r.exps))
 	r.outs = make([]*bench.Output, len(r.exps))
 	r.errs = make([]error, len(r.exps))

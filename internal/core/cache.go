@@ -69,7 +69,9 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 
 // ExperimentKey implements engine.CacheableRunner: the content key of
 // one experiment's execution covers everything that can change its
-// outcome — the suite and system coordinates, the experiment's
+// outcome — the suite and system coordinates, the system's model
+// (hpcsim.System.Fingerprint: a model edited under an unchanged name
+// re-executes), the experiment's
 // rendered variables, environment, modifiers and batch script, its
 // execution geometry, and the lockfile of its software environment
 // (so a dependency bump re-executes even when the experiment text is
@@ -91,7 +93,7 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
 func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	e := r.exps[i]
 	lock, err := r.lockJSON(e.App.Name)
-	if err != nil {
+	if err != nil || r.model == "" {
 		return "" // no provenance, no caching
 	}
 	vars, root := r.expanded(i), r.s.Workspace.Root
@@ -122,6 +124,7 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	}
 	str(`{"Suite":`, r.s.Suite)
 	str(`,"System":`, r.s.System.Name)
+	str(`,"SystemModel":`, r.model)
 	str(`,"Experiment":`, e.Name)
 	str(`,"App":`, e.App.Name)
 	str(`,"Workload":`, e.Workload)

@@ -151,6 +151,50 @@ func TestWarmSessionRunReplaysByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunLayerSeesTheSystemModel: two deployments share one store, and
+// between their runs cts1's network bandwidth halves. The second run
+// must measure again — not replay FOMs taken on the old model as if
+// they were measured — and once the model is restored, the first run's
+// entries replay.
+func TestRunLayerSeesTheSystemModel(t *testing.T) {
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts, err := hpcsim.Get("cts1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() engine.CacheStat {
+		t.Helper()
+		bp := New()
+		bp.UseCache(st)
+		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runStat(t, erep, "run")
+	}
+	cold := run()
+	if cold.Hits != 0 || cold.Misses == 0 {
+		t.Fatalf("cold run layer = %+v", cold)
+	}
+	bw := cts.Network.BandwidthGBs
+	t.Cleanup(func() { cts.Network.BandwidthGBs = bw })
+	cts.Network.BandwidthGBs = bw / 2
+	if edited := run(); edited.Hits != 0 || edited.Misses != cold.Misses {
+		t.Errorf("after cts1's bandwidth halved, run layer = %+v, want %d misses and no replay", edited, cold.Misses)
+	}
+	cts.Network.BandwidthGBs = bw
+	if again := run(); again.Misses != 0 || again.Hits != cold.Misses {
+		t.Errorf("with the model restored, run layer = %+v, want %d hits", again, cold.Misses)
+	}
+}
+
 // deltaSuiteYAML is a three-experiment saxpy suite whose middle
 // experiment's problem size is the fmt parameter — the "single
 // variable edit" of the incremental-pipeline acceptance test.

@@ -250,7 +250,6 @@ func TestPushFailureFailsJob(t *testing.T) {
 	dead.Close()
 	c := resultsd.NewClient(dead.URL)
 	c.MaxRetries = 1
-	c.RetryBackoff = time.Millisecond
 	auto.Results = c
 	p, err := auto.RunNightly(context.Background())
 	if err != nil {

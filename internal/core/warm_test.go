@@ -21,10 +21,9 @@ var nightlyMatrix = [][2]string{
 	{"saxpy/cuda", "ats2"}, {"saxpy/rocm", "ats4"},
 }
 
-// marshalledKey is the run-layer key as it was defined before
-// ExperimentKey encoded it by hand: cachekey.Hash of this struct. The
-// keys of deployed run layers were derived this way, so it is the
-// oracle ExperimentKey must keep agreeing with.
+// marshalledKey is the run-layer key's definition: cachekey.Hash of
+// this struct. ExperimentKey writes the same canonical JSON by hand, so
+// this is the oracle it must keep agreeing with.
 func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 	t.Helper()
 	e := r.exps[i]
@@ -46,35 +45,37 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		}
 	}
 	in := struct {
-		Suite      string
-		System     string
-		Experiment string
-		App        string
-		Workload   string
-		Vars       map[string]string
-		Env        map[string]string
-		Modifiers  []string
-		Script     string
-		NNodes     int
-		ProcsNode  int
-		NRanks     int
-		NThreads   int
-		Lockfile   string
+		Suite       string
+		System      string
+		SystemModel string
+		Experiment  string
+		App         string
+		Workload    string
+		Vars        map[string]string
+		Env         map[string]string
+		Modifiers   []string
+		Script      string
+		NNodes      int
+		ProcsNode   int
+		NRanks      int
+		NThreads    int
+		Lockfile    string
 	}{
-		Suite:      r.s.Suite,
-		System:     r.s.System.Name,
-		Experiment: e.Name,
-		App:        e.App.Name,
-		Workload:   e.Workload,
-		Vars:       normMap(expandedVars(e)),
-		Env:        normMap(e.Env),
-		Modifiers:  e.Modifiers,
-		Script:     norm(e.Script),
-		NNodes:     e.NNodes,
-		ProcsNode:  e.ProcsPerNode,
-		NRanks:     e.NRanks,
-		NThreads:   e.NThreads,
-		Lockfile:   lock,
+		Suite:       r.s.Suite,
+		System:      r.s.System.Name,
+		SystemModel: r.s.System.Fingerprint(),
+		Experiment:  e.Name,
+		App:         e.App.Name,
+		Workload:    e.Workload,
+		Vars:        normMap(expandedVars(e)),
+		Env:         normMap(e.Env),
+		Modifiers:   e.Modifiers,
+		Script:      norm(e.Script),
+		NNodes:      e.NNodes,
+		ProcsNode:   e.ProcsPerNode,
+		NRanks:      e.NRanks,
+		NThreads:    e.NThreads,
+		Lockfile:    lock,
 	}
 	return cachekey.Hash(in).Derive("execute")
 }
@@ -222,7 +223,7 @@ func TestWarmSessionCostIndependentOfCacheSize(t *testing.T) {
 	bound := max(0.05, spread, spreadLarge)
 	t.Logf("warm session allocates %d bytes over the primed layer, %d with 2,000 more entries (%.3fx, bound %.1f%%)",
 		small, large, float64(large)/float64(small), 100*bound)
-	if float64(large) > (1+bound)*float64(small) {
+	if !raceEnabled && float64(large) > (1+bound)*float64(small) {
 		t.Errorf("a warm session allocates %d bytes over a 2,000-entry buildcache layer, %d over the primed one: want within %.0f%%",
 			large, small, 100*bound)
 	}

@@ -37,8 +37,9 @@ var primaryFOM = map[string]string{
 
 // Build summarizes the database into dashboard rows, sorted by
 // benchmark then system. A benchmark without a primary FOM shows the
-// sorted-first FOM its latest result carries. A FOM the benchmark
-// declares in units of time regresses upward, any other downward.
+// sorted-first FOM its latest result carries. A FOM regresses in the
+// direction ramble.RegressionThreshold gives it: downward when the
+// benchmark declares it a rate, upward otherwise.
 func Build(db *metricsdb.DB) []Row {
 	type key struct{ b, s string }
 	groups := map[key][]metricsdb.Result{}
@@ -65,12 +66,8 @@ func Build(db *metricsdb.DB) []Row {
 		if len(row.Trend) > 0 {
 			row.Latest = row.Trend[len(row.Trend)-1]
 		}
-		threshold := 0.8
-		if ramble.FOMLowerIsBetter(k.b, fom) {
-			threshold = 1.2
-		}
 		row.Regressions = len(db.DetectRegressions(
-			metricsdb.Filter{Benchmark: k.b, System: k.s}, fom, 4, threshold))
+			metricsdb.Filter{Benchmark: k.b, System: k.s}, fom, 4, ramble.RegressionThreshold(k.b, fom)))
 		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -157,3 +157,21 @@ func TestRegressionDirectionFromUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestUndeclaredFOMRegressesUpward: a FOM no application declares is
+// judged the way /v1/regressions judges it — a rise past 1.2x its
+// baseline is a regression, a drop is not.
+func TestUndeclaredFOMRegressesUpward(t *testing.T) {
+	db := metricsdb.New()
+	for _, v := range []float64{1, 1, 1, 1, 1.3} {
+		db.Add(metricsdb.Result{Benchmark: "custom", System: "rises",
+			FOMs: map[string]float64{"whatever": v}})
+		db.Add(metricsdb.Result{Benchmark: "custom", System: "drops",
+			FOMs: map[string]float64{"whatever": 2 - v}})
+	}
+	for _, r := range Build(db) {
+		if want := r.System == "rises"; (r.Regressions > 0) != want {
+			t.Errorf("%s %s: %d regressions, want some = %v", r.System, r.FOM, r.Regressions, want)
+		}
+	}
+}

@@ -14,6 +14,9 @@
 package hpcsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -121,6 +124,19 @@ func (s *System) CanRunBinary(target string) (bool, string) {
 		}
 	}
 	return false, fmt.Sprintf("binary targets %s which is not an ancestor of %s", target, mine.Name)
+}
+
+// Fingerprint is the SHA-256, in hex, of the system's canonical JSON:
+// every parameter of the model, so an edit to any of them — a
+// network's bandwidth, the noise amplitude, a CPU feature — changes it.
+// It is "" only for a model JSON cannot encode (a NaN parameter).
+func (s *System) Fingerprint() string {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // Clone returns an independent copy of the system profile, for

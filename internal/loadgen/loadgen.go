@@ -121,24 +121,24 @@ func (c Config) Batch(runner, batch int) []metricsdb.Result {
 
 // Report is the outcome of one campaign: fleet shape, wall-clock
 // throughput, latency percentiles and the failure taxonomy, as
-// `benchpark loadtest --out` writes it.
+// `benchpark loadtest` prints it.
 type Report struct {
-	Runners          int     `json:"runners"`
-	BatchesPerRunner int     `json:"batches_per_runner"`
-	ResultsPerBatch  int     `json:"results_per_batch"`
-	BatchesPushed    int     `json:"batches_pushed"`
-	ResultsPushed    int     `json:"results_pushed"`
-	Duplicates       int     `json:"duplicates"`
-	Overloads        int     `json:"overloads"`
-	Errors           int     `json:"errors"`
-	ElapsedSeconds   float64 `json:"elapsed_seconds"`
-	BatchesPerSecond float64 `json:"batches_per_second"`
-	ResultsPerSecond float64 `json:"results_per_second"`
-	P50Ms            float64 `json:"p50_ms"`
-	P90Ms            float64 `json:"p90_ms"`
-	P99Ms            float64 `json:"p99_ms"`
-	MaxMs            float64 `json:"max_ms"`
-	FirstError       string  `json:"first_error,omitempty"`
+	Runners          int
+	BatchesPerRunner int
+	ResultsPerBatch  int
+	BatchesPushed    int
+	ResultsPushed    int
+	Duplicates       int
+	Overloads        int
+	Errors           int
+	ElapsedSeconds   float64
+	BatchesPerSecond float64
+	ResultsPerSecond float64
+	P50Ms            float64
+	P90Ms            float64
+	P99Ms            float64
+	MaxMs            float64
+	FirstError       string
 }
 
 // Run drives the fleet: cfg.Runners goroutines, each pushing its

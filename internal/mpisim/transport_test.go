@@ -92,7 +92,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	} {
 		perMessage := steadyBytes(t, p, tc.body) / float64(tc.messages)
 		t.Logf("%s: %.2f bytes allocated per message in steady state", tc.name, perMessage)
-		if perMessage > 16 {
+		if !raceEnabled && perMessage > 16 {
 			t.Errorf("%s allocates %.1f bytes per message in steady state, want <= 16", tc.name, perMessage)
 		}
 	}
@@ -121,7 +121,7 @@ func TestBcastAllocationBudget(t *testing.T) {
 	bcast() // the runtime's first-use costs
 	got, returned := allocatedBy(bcast), uint64(p*n*8)
 	t.Logf("bcast allocated %d bytes for %d returned (%.2fx)", got, returned, float64(got)/float64(returned))
-	if got > 2*returned {
+	if !raceEnabled && got > 2*returned {
 		t.Errorf("bcast allocated %d bytes, want <= %d (2x the %d it returns)", got, 2*returned, returned)
 	}
 }

@@ -59,14 +59,32 @@ func (f FOM) LowerIsBetter() bool {
 // FOMLowerIsBetter reports the direction of the named FOM of a
 // registered application; a FOM no application declares is a rate.
 func FOMLowerIsBetter(app, fom string) bool {
+	f, ok := declaredFOM(app, fom)
+	return ok && f.LowerIsBetter()
+}
+
+// RegressionThreshold is the default ratio to its rolling baseline at
+// which the named FOM counts as regressed: 0.8, a 20 % drop, for a FOM
+// its application declares better higher; 1.2, a 20 % rise, for one
+// declared better lower and for a FOM no application declares. The
+// dashboard and the results service's /v1/regressions both ask here.
+func RegressionThreshold(app, fom string) float64 {
+	if f, ok := declaredFOM(app, fom); ok && !f.LowerIsBetter() {
+		return 0.8
+	}
+	return 1.2
+}
+
+// declaredFOM looks up the named FOM of a registered application.
+func declaredFOM(app, fom string) (FOM, bool) {
 	if a, ok := appRegistry[app]; ok {
 		for _, f := range a.FOMs {
 			if f.Name == fom {
-				return f.LowerIsBetter()
+				return f, true
 			}
 		}
 	}
-	return false
+	return FOM{}, false
 }
 
 // compile checks the FOM's regex and keeps it for extraction.

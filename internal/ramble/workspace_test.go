@@ -598,9 +598,16 @@ func TestFOMDirectionFromUnits(t *testing.T) {
 			if got := FOMLowerIsBetter(app, f.Name); got != lower[f.Name] {
 				t.Errorf("%s/%s (%q): lower is better = %v, want %v", app, f.Name, f.Units, got, lower[f.Name])
 			}
+			if want := map[bool]float64{true: 1.2, false: 0.8}[lower[f.Name]]; RegressionThreshold(app, f.Name) != want {
+				t.Errorf("%s/%s: regression threshold %v, want %v", app, f.Name, RegressionThreshold(app, f.Name), want)
+			}
 		}
 	}
 	if FOMLowerIsBetter("saxpy", "nosuchfom") || FOMLowerIsBetter("nosuchapp", "saxpy_time") {
 		t.Error("an undeclared FOM should count as a rate")
+	}
+	// ...but regresses upward, as the results service has always judged it.
+	if RegressionThreshold("saxpy", "nosuchfom") != 1.2 || RegressionThreshold("nosuchapp", "saxpy_time") != 1.2 {
+		t.Error("an undeclared FOM should regress past 1.2x its baseline")
 	}
 }

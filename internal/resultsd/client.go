@@ -24,17 +24,20 @@ import (
 
 // Client is a typed client for the resultsd API with context-aware
 // retries. Transport failures, 5xx responses and 429 overload
-// responses retry with jittered exponential backoff (cancelled
-// promptly by the context); other 4xx responses are terminal.
-// Retrying POST /v1/results is safe because ingest is idempotent
-// under the batch's ingest key — the worst case of a retry racing a
-// slow first attempt is a Duplicate ack.
+// responses retry (cancelled promptly by the context); other 4xx
+// responses are terminal. Retrying POST /v1/results is safe because
+// ingest is idempotent under the batch's ingest key — the worst case
+// of a retry racing a slow first attempt is a Duplicate ack.
 //
-// Backpressure: a 429 from an overloaded shard carries a Retry-After
-// header; the client waits (at least) that long before the next
-// attempt and, when retries are exhausted, returns an error matching
-// resultshard.ErrOverloaded so callers can distinguish "server shed
-// load" from "server broken".
+// The one retry rule: the wait before retry n+1 is uniform in
+// [d, 3d/2), where d is 50ms·2ⁿ or the server's Retry-After hint,
+// whichever is longer. Jitter only adds to d, so no retry arrives
+// before the hint, and thousands of federated runners told to back off
+// at the same moment do not come back in lockstep. When retries are
+// exhausted on an overload, the error matches resultshard.ErrOverloaded
+// so callers can tell "server shed load" from "server broken".
+//
+// Pushes of gzipMinBytes or more go over the wire gzip-encoded.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8321".
 	BaseURL string
@@ -43,19 +46,6 @@ type Client struct {
 	// MaxRetries is the number of re-attempts after the first try;
 	// negative means 0. Default (zero value via NewClient): 3.
 	MaxRetries int
-	// RetryBackoff is the first retry delay, doubling per attempt;
-	// <=0 means 50ms.
-	RetryBackoff time.Duration
-	// Jitter scales each computed retry delay. nil means FullJitter —
-	// uniform in [d/2, 3d/2) — which is what keeps thousands of
-	// federated runners from retrying in lockstep after a shared
-	// overload. Tests (and anything needing byte-identical merged
-	// traces) inject NoJitter so retry timing carries no wall-clock
-	// randomness.
-	Jitter func(time.Duration) time.Duration
-	// DisableCompression turns off gzip encoding of push bodies
-	// (bodies below gzipMinBytes are never compressed).
-	DisableCompression bool
 	// AttemptTimeout bounds each individual HTTP attempt (not the
 	// whole retry loop, which the caller's ctx governs). Zero means
 	// no per-attempt deadline. A wedged connection then costs one
@@ -69,17 +59,26 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, MaxRetries: 3}
 }
 
-// NoJitter is the deterministic jitter policy: the computed backoff is
-// used exactly. Inject it wherever retry timing must be reproducible.
-func NoJitter(d time.Duration) time.Duration { return d }
+// retryBase is the wait before the first retry, doubling per attempt,
+// and retryDraw draws uniformly from [0, n): package state so that
+// tests can shorten the one and fix the other.
+var (
+	retryBase = 50 * time.Millisecond
+	retryDraw = rand.Int63n
+)
 
-// FullJitter is the default policy: uniform in [d/2, 3d/2), so
-// synchronized retries de-correlate while the mean delay stays d.
-func FullJitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
+// retryWait is how long to wait before retry n+1 after the retryable
+// failure err: uniform in [d, 3d/2), d = max(retryBase·2ⁿ, Retry-After).
+func retryWait(n int, err error) time.Duration {
+	d := retryBase << min(n, 30) // capped near 1.7 years, short of overflow
+	var ov *resultshard.OverloadError
+	if errors.As(err, &ov) && ov.RetryAfter > d {
+		d = ov.RetryAfter
 	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
+	if half := int64(d / 2); half > 0 {
+		d += time.Duration(retryDraw(half))
+	}
+	return d
 }
 
 // gzipMinBytes is the payload size below which compression costs more
@@ -138,14 +137,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if tc, ok := telemetry.PropagationContext(ctx); ok {
 		traceparent = tc.Traceparent()
 	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	retries := c.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
+	retries := max(c.MaxRetries, 0)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -164,31 +156,14 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			return fmt.Errorf("resultsd: %s %s: %w", method, path, aerr)
 		}
 		lastErr = aerr
-		// An overloaded server's Retry-After hint floors the delay;
-		// jitter then de-correlates the fleet's retries.
-		delay := backoff
-		var ov *resultshard.OverloadError
-		if errors.As(aerr, &ov) && ov.RetryAfter > delay {
-			delay = ov.RetryAfter
-		}
-		delay = c.jitter(delay)
-		timer := time.NewTimer(delay)
+		timer := time.NewTimer(retryWait(attempt, aerr))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return fmt.Errorf("resultsd: %w (last attempt: %v)", ctx.Err(), lastErr)
 		case <-timer.C:
 		}
-		backoff *= 2
 	}
-}
-
-// jitter applies the client's jitter policy (FullJitter by default).
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if c.Jitter != nil {
-		return c.Jitter(d)
-	}
-	return FullJitter(d)
 }
 
 // once performs a single HTTP attempt. traceparent and the (possibly
@@ -310,7 +285,7 @@ var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
 // the same bytes, and into bytes of its own: a transport may still be
 // reading a request's body after Do returns, so the pooled buffer the
 // JSON is appended to is back in the pool before anything is sent.
-func (c *Client) encodePush(req *IngestRequest) (body []byte, encoding string, err error) {
+func encodePush(req *IngestRequest) (body []byte, encoding string, err error) {
 	buf := pushBufs.Get().(*[]byte)
 	defer pushBufs.Put(buf)
 	plain, err := req.appendJSON((*buf)[:0])
@@ -318,7 +293,7 @@ func (c *Client) encodePush(req *IngestRequest) (body []byte, encoding string, e
 		return nil, "", fmt.Errorf("resultsd: encoding request: %w", err)
 	}
 	*buf = plain
-	if len(plain) >= gzipMinBytes && !c.DisableCompression {
+	if len(plain) >= gzipMinBytes {
 		var out bytes.Buffer
 		zw := gzipWriters.Get().(*gzip.Writer)
 		zw.Reset(&out)
@@ -334,7 +309,7 @@ func (c *Client) encodePush(req *IngestRequest) (body []byte, encoding string, e
 
 // Push ingests one idempotent batch of results under the given key.
 func (c *Client) Push(ctx context.Context, key string, results []metricsdb.Result) (*IngestResponse, error) {
-	body, encoding, err := c.encodePush(&IngestRequest{IngestKey: key, Results: results})
+	body, encoding, err := encodePush(&IngestRequest{IngestKey: key, Results: results})
 	if err != nil {
 		return nil, err
 	}

@@ -17,18 +17,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-func fastClient(baseURL string) *Client {
-	c := NewClient(baseURL)
-	c.RetryBackoff = time.Millisecond
-	c.Jitter = NoJitter
-	return c
+// fastClient is a default client whose retries start 1ms apart instead
+// of 50ms, until the test ends. A test that calls it must not call
+// t.Parallel: the base delay is package state.
+func fastClient(t testing.TB, baseURL string) *Client {
+	old := retryBase
+	retryBase = time.Millisecond
+	t.Cleanup(func() { retryBase = old })
+	return NewClient(baseURL)
 }
 
 func TestClientRoundTrip(t *testing.T) {
 	srv, _ := newTestServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := fastClient(ts.URL)
+	c := fastClient(t, ts.URL)
 	ctx := context.Background()
 
 	resp, err := c.Push(ctx, "k1", []metricsdb.Result{
@@ -85,7 +88,7 @@ func TestClientRetriesServerErrors(t *testing.T) {
 		backend.Handler().ServeHTTP(w, r)
 	}))
 	defer flaky.Close()
-	c := fastClient(flaky.URL)
+	c := fastClient(t, flaky.URL)
 	resp, err := c.Push(context.Background(), "k1",
 		[]metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)})
 	if err != nil {
@@ -106,7 +109,7 @@ func TestClientRetriesExhaust(t *testing.T) {
 		http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
 	}))
 	defer down.Close()
-	c := fastClient(down.URL)
+	c := fastClient(t, down.URL)
 	c.MaxRetries = 2
 	_, err := c.Systems(context.Background())
 	if err == nil {
@@ -125,7 +128,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 		srv.Handler().ServeHTTP(w, r)
 	}))
 	defer counting.Close()
-	c := fastClient(counting.URL)
+	c := fastClient(t, counting.URL)
 	// Empty results is a 400 — terminal, one attempt only.
 	_, err := c.Push(context.Background(), "k1", nil)
 	if err == nil {
@@ -154,7 +157,7 @@ func TestClientRefusesReplyOverTheBound(t *testing.T) {
 			}
 			w.Write(body)
 		}))
-		_, err := fastClient(ts.URL).Systems(context.Background())
+		_, err := fastClient(t, ts.URL).Systems(context.Background())
 		ts.Close()
 		want := fmt.Sprintf("reply of %d bytes exceeds the %d-byte limit", len(body), maxIngestBytes)
 		if chunked {
@@ -178,7 +181,7 @@ func TestClientRefusesReplyOverTheBound(t *testing.T) {
 			}
 			w.Write(exact)
 		}))
-		got, err := fastClient(ts.URL).Systems(context.Background())
+		got, err := fastClient(t, ts.URL).Systems(context.Background())
 		ts.Close()
 		if err != nil || len(got) != 1 || len(exact) != maxIngestBytes {
 			t.Errorf("chunked=%v: a %d-byte reply: %d systems, err %v", chunked, len(exact), len(got), err)
@@ -190,7 +193,7 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	// A server that is immediately closed: connections are refused.
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
-	c := fastClient(dead.URL)
+	c := fastClient(t, dead.URL)
 	c.MaxRetries = 1
 	start := time.Now()
 	_, err := c.Systems(context.Background())
@@ -210,9 +213,8 @@ func TestClientContextCancellation(t *testing.T) {
 		http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
 	}))
 	defer down.Close()
-	c := fastClient(down.URL)
+	c := fastClient(t, down.URL)
 	c.MaxRetries = 1000
-	c.RetryBackoff = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	_, err := c.Systems(ctx)
@@ -250,7 +252,7 @@ func TestClientRetryIsIdempotent(t *testing.T) {
 		srv.Handler().ServeHTTP(w, r)
 	}))
 	defer evil.Close()
-	c := fastClient(evil.URL)
+	c := fastClient(t, evil.URL)
 	resp, err := c.Push(context.Background(), "k1",
 		[]metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)})
 	if err != nil {
@@ -266,10 +268,14 @@ func TestClientRetryIsIdempotent(t *testing.T) {
 
 // TestClientAttemptTimeout proves the per-attempt deadline frees a
 // wedged attempt without giving up the whole call: the first attempt
-// hangs until its own context fires, the retry succeeds.
+// hangs until its own context fires, the retry succeeds. The retry has
+// the same 50ms deadline, so it is served from memory: behind a store,
+// its fsync — slow under the race detector with the disk shared by
+// every package's tests — could spend the deadline too, and a third
+// attempt would fail the count.
 func TestClientAttemptTimeout(t *testing.T) {
 	var calls atomic.Int32
-	backend, _ := newTestServer(t)
+	backend := New(&lastBatch{}, nil)
 	release := make(chan struct{})
 	defer close(release)
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +293,7 @@ func TestClientAttemptTimeout(t *testing.T) {
 		backend.Handler().ServeHTTP(w, r)
 	}))
 	defer stuck.Close()
-	c := fastClient(stuck.URL)
+	c := fastClient(t, stuck.URL)
 	c.AttemptTimeout = 50 * time.Millisecond
 	resp, err := c.Push(context.Background(), "k1",
 		[]metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)})

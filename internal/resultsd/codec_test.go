@@ -99,7 +99,7 @@ func TestPooledCodecConcurrentPushes(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := fastClient(ts.URL)
+			c := NewClient(ts.URL)
 			for n := 0; n < pushes; n++ {
 				system := fmt.Sprintf("runner-%d-%d", g, n)
 				resp, err := c.Push(context.Background(), system, pushOf(system, 8+n%5))
@@ -279,7 +279,7 @@ func TestIngestRefusesAtTheFirstInvalidResult(t *testing.T) {
 		t.Fatalf("the hostile body is %d bytes compressed", len(hostile))
 	}
 	var w *httptest.ResponseRecorder
-	if got := allocatedBy(func() { w = postRaw(h, hostile, true) }); got >= 64<<20 {
+	if got := allocatedBy(func() { w = postRaw(h, hostile, true) }); !raceEnabled && got >= 64<<20 {
 		t.Errorf("refusing %d bytes on the wire allocated %d MB, want < 64", len(hostile), got>>20)
 	}
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"result 0 needs benchmark and system"`) {
@@ -373,23 +373,23 @@ func TestIngestAllocationBudget(t *testing.T) {
 	}
 	sort.Slice(perPush, func(i, j int) bool { return perPush[i] < perPush[j] })
 	t.Logf("a 100-result push allocates %d bytes (median)", perPush[len(perPush)/2])
-	if median := perPush[len(perPush)/2]; median >= 60<<10 {
+	if median := perPush[len(perPush)/2]; !raceEnabled && median >= 60<<10 {
 		t.Fatalf("median 100-result push allocates %d bytes, want < %d (sorted: %v)", median, 60<<10, perPush)
 	}
 }
 
 // TestPushAllocationBudget pins the client's cost model: a compressed
 // push borrows its compressor. Building one per push is ~850 KiB; the
-// median push here — the median, because the race detector makes
-// sync.Pool drop a quarter of what it is handed — stays under 128 KiB
-// with the whole in-process HTTP round trip included.
+// median push here — the median, because a push that meets a pool the
+// GC emptied reads high — stays under 128 KiB with the whole in-process
+// HTTP round trip included.
 func TestPushAllocationBudget(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body) //nolint:errcheck
 		writeJSON(w, http.StatusOK, IngestResponse{Accepted: 20})
 	}))
 	defer ts.Close()
-	c := fastClient(ts.URL)
+	c := fastClient(t, ts.URL)
 	batch := pushOf("budget", 20)
 	push := func(n int) {
 		if _, err := c.Push(context.Background(), fmt.Sprintf("budget-%d", n), batch); err != nil {
@@ -402,7 +402,7 @@ func TestPushAllocationBudget(t *testing.T) {
 		perPush = append(perPush, allocatedBy(func() { push(n) }))
 	}
 	sort.Slice(perPush, func(i, j int) bool { return perPush[i] < perPush[j] })
-	if median := perPush[len(perPush)/2]; median >= 128<<10 {
+	if median := perPush[len(perPush)/2]; !raceEnabled && median >= 128<<10 {
 		t.Fatalf("median push allocates %d KiB, want < 128 (per push, sorted: %v)", median>>10, perPush)
 	}
 }
@@ -441,7 +441,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := fastClient(ts.URL)
+	c := fastClient(t, ts.URL)
 	f := metricsdb.Filter{System: "cts1", Benchmark: "saxpy"}
 	answers := uint64(2 * points * 32)
 	series := leastAllocation(func() {
@@ -455,6 +455,9 @@ func TestQueryAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("a %d-point series GET allocates %d bytes, a scan of it %d (least of 21)", points, series, scan)
+	if raceEnabled {
+		return
+	}
 	if series >= answers+answers/4 {
 		t.Errorf("a %d-point series GET allocates %d bytes, want < %d", points, series, answers+answers/4)
 	}

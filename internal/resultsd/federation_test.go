@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,50 +192,141 @@ func TestIngestOverloadMapsTo429(t *testing.T) {
 }
 
 // TestClientHonorsRetryAfterAnd429: the retrying client treats 429 as
-// retryable, waits at least the server's hint, and succeeds when the
-// overload clears; when retries exhaust, the error matches
-// resultshard.ErrOverloaded.
+// retryable, and the wait it applies before each retry — measured at
+// the server, from the moment the 429 was answered to the next
+// attempt's arrival — is at least the server's one-second hint, not the
+// client's 1ms base; it succeeds when the overload clears. With no
+// retries left, the error matches resultshard.ErrOverloaded.
 func TestClientHonorsRetryAfterAnd429(t *testing.T) {
-	var calls atomic.Int64
+	var mu sync.Mutex
+	var answered, arrived []time.Time
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
+		mu.Lock()
+		defer mu.Unlock()
+		arrived = append(arrived, time.Now())
+		if len(arrived) <= 2 {
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTooManyRequests)
 			json.NewEncoder(w).Encode(apiError{Error: "overloaded"})
+			answered = append(answered, time.Now())
 			return
 		}
 		json.NewEncoder(w).Encode(IngestResponse{Accepted: 1})
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL)
-	c.MaxRetries = 3
-	c.RetryBackoff = time.Millisecond
-	var waits []time.Duration
-	c.Jitter = func(d time.Duration) time.Duration {
-		waits = append(waits, d)
-		return 0 // don't actually sleep a second in tests
-	}
+	c := fastClient(t, ts.URL)
 	resp, err := c.Push(context.Background(), "k", []metricsdb.Result{result("b", "s", "fom", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 1 || calls.Load() != 3 {
-		t.Fatalf("resp=%+v calls=%d", resp, calls.Load())
+	mu.Lock()
+	answeredAt, arrivedAt := slices.Clone(answered), slices.Clone(arrived)
+	mu.Unlock()
+	if resp.Accepted != 1 || len(arrivedAt) != 3 {
+		t.Fatalf("resp=%+v after %d attempts, want accepted on the third", resp, len(arrivedAt))
 	}
-	// Both waits were floored by the server's 1s hint, not the 1ms
-	// client backoff.
-	if len(waits) != 2 || waits[0] < time.Second || waits[1] < time.Second {
-		t.Fatalf("waits = %v, want two >= 1s (Retry-After floor)", waits)
+	for i, at := range answeredAt {
+		if wait := arrivedAt[i+1].Sub(at); wait < time.Second {
+			t.Errorf("retry %d came %v after the 429 that said Retry-After: 1", i+1, wait)
+		}
 	}
 
-	// A permanently overloaded server exhausts retries into an error
-	// that matches ErrOverloaded.
-	calls.Store(-1000)
-	c.MaxRetries = 1
-	_, err = c.Push(context.Background(), "k2", []metricsdb.Result{result("b", "s", "fom", 1)})
-	if !errors.Is(err, resultshard.ErrOverloaded) {
+	overloaded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer overloaded.Close()
+	c = NewClient(overloaded.URL)
+	c.MaxRetries = 0
+	if _, err := c.Push(context.Background(), "k2", []metricsdb.Result{result("b", "s", "fom", 1)}); !errors.Is(err, resultshard.ErrOverloaded) {
 		t.Fatalf("exhausted retries: %v, want ErrOverloaded", err)
+	}
+}
+
+// TestNoRetryBeforeRetryAfter: eight runners told at the same moment to
+// come back in one second each wait at least that second. Jitter that
+// spread the wait around the hint, rather than past it, would send each
+// one back early with probability ½, failing all but one run in 256.
+func TestNoRetryBeforeRetryAfter(t *testing.T) {
+	const runners = 8
+	var mu sync.Mutex
+	answered := map[string]time.Time{}
+	waited := map[string]time.Duration{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req IngestRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if first, ok := answered[req.IngestKey]; ok {
+			waited[req.IngestKey] = time.Since(first)
+			json.NewEncoder(w).Encode(IngestResponse{Accepted: len(req.Results)})
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(apiError{Error: "overloaded"})
+		answered[req.IngestKey] = time.Now()
+	}))
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	errs := make([]error, runners)
+	for i := range runners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("runner-%d", i)
+			_, errs[i] = NewClient(ts.URL).Push(context.Background(), key, []metricsdb.Result{result("b", "s", "fom", 1)})
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	for i, err := range errs {
+		key := fmt.Sprintf("runner-%d", i)
+		switch wait, ok := waited[key]; {
+		case err != nil:
+			t.Errorf("%s: %v", key, err)
+		case !ok:
+			t.Errorf("%s never retried", key)
+		case wait < time.Second:
+			t.Errorf("%s retried %v after its 429 said Retry-After: 1", key, wait)
+		}
+	}
+}
+
+// TestRetryWait pins the one retry rule: before retry n+1 the client
+// waits d plus a draw from [0, d/2), d the larger of 50ms·2ⁿ and the
+// server's Retry-After — so exactly d at the least draw and just under
+// 3d/2 at the greatest.
+func TestRetryWait(t *testing.T) {
+	defer func(old func(int64) int64) { retryDraw = old }(retryDraw)
+	failed := &retryableError{err: errors.New("server error 503")}
+	overloaded := &retryableError{err: &resultshard.OverloadError{Shard: -1, RetryAfter: time.Second}}
+	for _, tc := range []struct {
+		n   int
+		err error
+		d   time.Duration
+	}{
+		{0, failed, 50 * time.Millisecond},
+		{3, failed, 400 * time.Millisecond},
+		{0, overloaded, time.Second},
+		{4, overloaded, time.Second},
+		{5, overloaded, 1600 * time.Millisecond}, // the doubled base outgrew the hint
+		{99, failed, 50 * time.Millisecond << 30},
+	} {
+		retryDraw = func(int64) int64 { return 0 }
+		if got := retryWait(tc.n, tc.err); got != tc.d {
+			t.Errorf("retry %d after %v, least draw: wait %v, want %v", tc.n+1, tc.err, got, tc.d)
+		}
+		retryDraw = func(n int64) int64 { return n - 1 }
+		if got, want := retryWait(tc.n, tc.err), tc.d+tc.d/2-1; got != want {
+			t.Errorf("retry %d after %v, greatest draw: wait %v, want %v", tc.n+1, tc.err, got, want)
+		}
 	}
 }
 
@@ -289,7 +382,7 @@ func TestClientCompressesLargePushes(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	c := fastClient(ts.URL)
+	c := fastClient(t, ts.URL)
 
 	if _, err := c.Push(context.Background(), "small", []metricsdb.Result{result("b", "s", "fom", 1)}); err != nil {
 		t.Fatal(err)
@@ -302,15 +395,6 @@ func TestClientCompressesLargePushes(t *testing.T) {
 	}
 	if got := lastEncoding.Load().(string); got != "gzip" {
 		t.Fatalf("large push encoded as %q, want gzip", got)
-	}
-
-	// DisableCompression forces identity even for large pushes.
-	c.DisableCompression = true
-	if _, err := c.Push(context.Background(), "large2", fleetResults(200)); err != nil {
-		t.Fatal(err)
-	}
-	if got := lastEncoding.Load().(string); got != "" {
-		t.Fatalf("DisableCompression push encoded as %q", got)
 	}
 }
 
@@ -344,7 +428,6 @@ func TestFollowerOverHTTP(t *testing.T) {
 
 			f := resultshard.NewFollower()
 			src := NewReplicaClient(primary.URL)
-			src.Client().Jitter = NoJitter
 			applied, err := f.Sync(context.Background(), src)
 			if err != nil {
 				t.Fatal(err)
@@ -457,7 +540,6 @@ func TestFollowerBootstrapsAnyShardOverHTTP(t *testing.T) {
 
 			f := resultshard.NewFollower()
 			src := NewReplicaClient(primary.URL)
-			src.Client().Jitter = NoJitter
 			applied, err := f.Sync(context.Background(), src)
 			if err != nil || applied != tc.results || f.Len() != store.Len() {
 				t.Fatalf("one Sync applied %d of %d results: %v", applied, tc.results, err)
@@ -485,7 +567,6 @@ func TestRunFollowerLoop(t *testing.T) {
 
 	f := resultshard.NewFollower()
 	src := NewReplicaClient(primary.URL)
-	src.Client().Jitter = NoJitter
 	tracer := telemetry.New(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	loopDone := make(chan struct{})

@@ -40,7 +40,7 @@ func TestOpsEndpoints(t *testing.T) {
 		"nil tracer": nil,
 	} {
 		t.Run(name, func(t *testing.T) {
-			testOpsEndpoints(t, New(newOpsStore(t), tracer, WithOps()).Handler())
+			testOpsEndpoints(t, New(newOpsStore(t), tracer).Handler())
 		})
 	}
 }
@@ -151,17 +151,18 @@ func testOpsEndpoints(t *testing.T, h http.Handler) {
 	}
 }
 
+// TestOpsEndpointsAbsentWithoutOption: a server built with no options
+// serves no profiles, and every read-only ops endpoint all the same.
 func TestOpsEndpointsAbsentWithoutOption(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
-	for _, path := range []string{"/metrics", "/debug/ops", "/debug/pprof/cmdline"} {
-		if w := get(t, h, path); w.Code != http.StatusNotFound {
-			t.Errorf("GET %s = %d without the option, want 404", path, w.Code)
-		}
+	if w := get(t, h, "/debug/pprof/cmdline"); w.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/cmdline = %d without WithPprof, want 404", w.Code)
 	}
-	// Health probes are always on.
-	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
-		t.Errorf("/healthz = %d", w.Code)
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/debug/ops"} {
+		if w := get(t, h, path); w.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, w.Code)
+		}
 	}
 }
 
@@ -187,7 +188,7 @@ func TestReadyzDegradesWhenWALUnwritable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	srv := New(store, telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)}), WithOps())
+	srv := New(store, telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)}))
 	h := srv.Handler()
 
 	if w := postResults(t, h, "k1", []metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)}); w.Code != http.StatusOK {

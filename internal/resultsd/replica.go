@@ -98,10 +98,6 @@ func NewReplicaClient(baseURL string) *ReplicaClient {
 	return &ReplicaClient{c: NewClient(baseURL)}
 }
 
-// Client exposes the underlying typed client (retry knobs, jitter
-// injection for tests).
-func (rc *ReplicaClient) Client() *Client { return rc.c }
-
 // ReplicaMeta pulls the primary's topology descriptor.
 func (rc *ReplicaClient) ReplicaMeta(ctx context.Context) (meta resultshard.ReplicaMeta, err error) {
 	err = rc.c.do(ctx, http.MethodGet, "/v1/replica/meta", nil, nil, "", jsonInto(&meta))

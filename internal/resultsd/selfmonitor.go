@@ -14,8 +14,8 @@ import (
 // SelfMonitor samples resultsd's own operational metrics into the
 // metrics database through the normal ingest path — the service
 // benchmarks itself with the same machinery it offers everyone else.
-// Each sample becomes one batch of results under Benchmark
-// "resultsd", Workload "ops": one result per API route (FOMs:
+// Each sample becomes one batch of results under Benchmark, System
+// "resultsd" and Workload "ops": one result per API route (FOMs:
 // latency_mean_s over the interval, cumulative requests and errors)
 // plus one "store" result with WAL/ingest gauges. Because the samples
 // land in the ordinary store, `GET /v1/regressions` gates the service
@@ -24,7 +24,6 @@ import (
 type SelfMonitor struct {
 	client *Client
 	server *Server
-	system string
 
 	mu        sync.Mutex
 	seq       int
@@ -33,16 +32,11 @@ type SelfMonitor struct {
 }
 
 // NewSelfMonitor returns a monitor pushing through client into the
-// given server's store. system names the monitored instance in the
-// stored results; empty means "resultsd".
-func NewSelfMonitor(client *Client, server *Server, system string) *SelfMonitor {
-	if system == "" {
-		system = "resultsd"
-	}
+// given server's store.
+func NewSelfMonitor(client *Client, server *Server) *SelfMonitor {
 	return &SelfMonitor{
 		client:    client,
 		server:    server,
-		system:    system,
 		lastSum:   map[string]float64{},
 		lastCount: map[string]int64{},
 	}
@@ -83,7 +77,7 @@ func (m *SelfMonitor) Sample(ctx context.Context) error {
 		results = append(results, metricsdb.Result{
 			Benchmark:  "resultsd",
 			Workload:   "ops",
-			System:     m.system,
+			System:     "resultsd",
 			Experiment: route,
 			FOMs: map[string]float64{
 				"latency_mean_s": mean,
@@ -97,7 +91,7 @@ func (m *SelfMonitor) Sample(ctx context.Context) error {
 	results = append(results, metricsdb.Result{
 		Benchmark:  "resultsd",
 		Workload:   "ops",
-		System:     m.system,
+		System:     "resultsd",
 		Experiment: "store",
 		FOMs: map[string]float64{
 			"results":           float64(ops.Store.Results),
@@ -107,7 +101,7 @@ func (m *SelfMonitor) Sample(ctx context.Context) error {
 		},
 	})
 
-	key := fmt.Sprintf("selfmonitor-%s-%s-%d", m.system, m.server.Tracer().TraceID(), seq)
+	key := fmt.Sprintf("selfmonitor-resultsd-%s-%d", m.server.Tracer().TraceID(), seq)
 	span.SetAttr("ingest_key", key)
 	span.SetInt("results", len(results))
 	if _, err := m.client.Push(ctx, key, results); err != nil {

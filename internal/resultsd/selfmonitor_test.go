@@ -22,8 +22,8 @@ func TestSelfMonitorGatesServiceLatency(t *testing.T) {
 	srv := newServerAt(t, 1700000000)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := fastClient(ts.URL)
-	mon := NewSelfMonitor(c, srv, "")
+	c := fastClient(t, ts.URL)
+	mon := NewSelfMonitor(c, srv)
 	ctx := context.Background()
 
 	lat := srv.Tracer().Metrics().Histogram(`resultsd_request_seconds{route="results"}`)
@@ -87,16 +87,16 @@ func TestSelfMonitorKeysAreIdempotent(t *testing.T) {
 	srv := newServerAt(t, 1700000000)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := fastClient(ts.URL)
-	mon := NewSelfMonitor(c, srv, "cts1")
+	c := fastClient(t, ts.URL)
+	mon := NewSelfMonitor(c, srv)
 	if err := mon.Sample(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	key := "selfmonitor-cts1-" + srv.Tracer().TraceID() + "-1"
+	key := "selfmonitor-resultsd-" + srv.Tracer().TraceID() + "-1"
 	if !srv.store.(*resultstore.Store).HasKey(key) {
 		t.Fatalf("store lacks the expected selfmonitor key %q", key)
 	}
-	resp, err := c.Push(context.Background(), key, []metricsdb.Result{result("resultsd", "cts1", "x", 1)})
+	resp, err := c.Push(context.Background(), key, []metricsdb.Result{result("resultsd", "resultsd", "x", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,10 @@
 // TestServeByteIdenticalAcrossRestart).
 //
 // Beyond the data API, the server carries a live operations plane
-// (see ops.go): /healthz and /readyz are always registered; WithOps
-// adds /metrics (Prometheus text) and /debug/ops (a JSON snapshot of
-// in-flight work, WAL geometry and per-route latency), and WithPprof
-// opt-ins the net/http/pprof profile handlers.
+// (see ops.go), always registered: /healthz, /readyz, /metrics
+// (Prometheus text) and /debug/ops (a JSON snapshot of in-flight work,
+// WAL geometry and per-route latency). All four are read-only; WithPprof
+// opts in the net/http/pprof profile handlers, which expose internals.
 package resultsd
 
 import (
@@ -46,7 +46,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -97,12 +96,8 @@ type Server struct {
 type Option func(*serverConfig)
 
 type serverConfig struct {
-	ops   bool
 	pprof bool
 }
-
-// WithOps registers the /metrics and /debug/ops endpoints.
-func WithOps() Option { return func(c *serverConfig) { c.ops = true } }
 
 // WithPprof registers the net/http/pprof handlers under
 // /debug/pprof/. Off by default: profiles expose internals, so they
@@ -149,10 +144,8 @@ func New(store Backend, tracer *telemetry.Tracer, opts ...Option) *Server {
 	// don't pollute the request metrics they report.
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if cfg.ops {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-		s.mux.HandleFunc("GET /debug/ops", s.handleOps)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /debug/ops", s.handleOps)
 	if cfg.pprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -517,10 +510,9 @@ type RegressionsResponse struct {
 }
 
 // Regression-scan defaults: a 4-sample rolling median and a 20%
-// slowdown threshold. A query without a threshold on a FOM that its
-// ramble application declares higher-is-better gets 0.8 instead, as
-// the dashboard does; every other FOM, declared or not, gets
-// DefaultThreshold.
+// slowdown threshold. A query without a threshold gets
+// ramble.RegressionThreshold, as the dashboard does: DefaultThreshold
+// for every FOM but one its application declares higher-is-better.
 const (
 	DefaultWindow    = 4
 	DefaultThreshold = 1.2
@@ -541,16 +533,13 @@ func (s *Server) handleRegressions(ctx context.Context, w http.ResponseWriter, r
 		window = n
 	}
 	filter := filterFromQuery(r)
-	threshold := DefaultThreshold
+	threshold := ramble.RegressionThreshold(filter.Benchmark, fom)
 	if v := q.Get("threshold"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {
 			return fail(w, http.StatusBadRequest, fmt.Errorf("bad threshold %q (need a positive number)", v))
 		}
 		threshold = f
-	} else if app, err := ramble.GetApplication(filter.Benchmark); err == nil &&
-		slices.ContainsFunc(app.FOMs, func(d ramble.FOM) bool { return d.Name == fom && !d.LowerIsBetter() }) {
-		threshold = 0.8
 	}
 	regs := s.store.DetectRegressions(filter, fom, window, threshold)
 	resp := RegressionsResponse{

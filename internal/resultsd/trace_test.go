@@ -49,7 +49,7 @@ func TestMergedTraceByteIdentical(t *testing.T) {
 
 		runner := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
 		ctx := telemetry.WithTracer(context.Background(), runner)
-		c := fastClient(ts.URL)
+		c := fastClient(t, ts.URL)
 
 		pctx, span := telemetry.StartSpan(ctx, "push:nightly")
 		if _, err := c.Push(pctx, "k-trace", []metricsdb.Result{
@@ -164,7 +164,7 @@ func TestClientRetrySameTraceparentAndKey(t *testing.T) {
 	runner := telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)})
 	ctx := telemetry.WithTracer(context.Background(), runner)
 	ctx, span := telemetry.StartSpan(ctx, "push:nightly")
-	c := fastClient(flaky.URL)
+	c := fastClient(t, flaky.URL)
 	resp, err := c.Push(ctx, "k-retry", []metricsdb.Result{result("saxpy", "cts1", "saxpy_time", 1.0)})
 	span.End()
 	if err != nil {

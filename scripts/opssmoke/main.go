@@ -1,6 +1,6 @@
 // Command opssmoke is the verify gate's end-to-end check of the ops
 // plane: it builds the real benchpark binary, starts `benchpark serve
-// --metrics --pprof` on an ephemeral port, scrapes every operations
+// --pprof` on an ephemeral port, scrapes every operations
 // endpoint the way a monitoring stack would (liveness, readiness,
 // Prometheus text, the JSON ops snapshot, a pprof profile), asserts
 // each one's shape, pushes one suite into it with `benchpark push`
@@ -45,7 +45,7 @@ func main() {
 	srv := exec.Command(bin, "serve",
 		"--addr", "127.0.0.1:0",
 		"--data", filepath.Join(tmp, "data"),
-		"--metrics", "--pprof")
+		"--pprof")
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		fatalf("%v", err)

@@ -66,6 +66,9 @@ fi
 stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/metricsdb/metricsdb.go)
 [ -n "$stored" ] && ! sed -n "/^type $stored struct/,/^}/p" internal/metricsdb/*.go | grep 'map\[' || { echo "verify: metricsdb.DB stores rows whose FOMs and Meta are sorted pairs; the type its chunks hold (${stored:-not found}) must declare no map" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' '\.(AppendAfterN|QueryAfterN|Query)\(' internal/resultstore || { echo "verify: compaction encodes the DB's rows (DB.AppendJSONAfter); resultstore code must not build Results out of its own DB" >&2; exit 1; }
+! sed -n '/^type Client struct/,/^}/p' internal/resultsd/client.go | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]func\(' || { echo "verify: resultsd.Client has one retry rule; a test fixes its timing through package state, not a func-typed field" >&2; exit 1; }
+! grep -rnwE --include='*.go' --exclude='*_test.go' 'WithOps|NoJitter|FullJitter' . || { echo "verify: the ops endpoints are always served and jitter only ever adds to Retry-After; WithOps, NoJitter and FullJitter are gone" >&2; exit 1; }
+{ sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
 
 echo "==> go test ./..."
 go test ./...
@@ -94,7 +97,7 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemet
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
 
-echo "==> ops-plane smoke (serve --metrics --pprof, scrape every operations endpoint)"
+echo "==> ops-plane smoke (serve --pprof, scrape every operations endpoint)"
 go run ./scripts/opssmoke
 
 echo "==> federation smoke (4-shard primary + follower, loadgen ingest, plain serve + follower, 429 backpressure)"
