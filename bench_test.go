@@ -339,7 +339,6 @@ func BenchmarkAblation_BuildCache(b *testing.B) {
 		cache := buildcache.New()
 		siteA := install.New(pkgrepo.Builtin())
 		siteA.Cache = cache
-		siteA.PushToCache = true
 		repA, err := e.Install(context.Background(), siteA)
 		if err != nil {
 			b.Fatal(err)

@@ -360,7 +360,6 @@ func runSuite(suite, system, dir string, opts *execOpts) error {
 	if err != nil {
 		return err
 	}
-	bp.Cache.Instrument(opts.tracer.Metrics())
 	fmt.Printf("==> workspace %s for %s on %s (%d workers)\n", dir, suite, system, opts.jobs)
 	rep, erep, err := sess.Run(ctx, core.RunOptions{Jobs: opts.jobs})
 	// The workspace is what the user asked for: keep it, a failed run's
@@ -483,7 +482,6 @@ func ciDemo(opts *execOpts) error {
 	if err != nil {
 		return err
 	}
-	bp.Cache.Instrument(opts.tracer.Metrics())
 	res, err := auto.SubmitContribution(ctx, "jens", "add RIKEN notes",
 		map[string]string{"docs/riken.md": "results"}, "olga")
 	if ferr := opts.finish(); ferr != nil && err == nil {

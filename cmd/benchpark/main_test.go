@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -123,11 +125,22 @@ func TestRunDashboardCmd(t *testing.T) {
 	}
 }
 
+// provisions numbers this test binary's cluster registrations, so every
+// run of a test under -count=N provisions a cluster of its own name in
+// the process-wide system registry.
+var provisions atomic.Int64
+
+// perRun returns base suffixed with a name no earlier run has taken.
+func perRun(base string) string {
+	return fmt.Sprintf("%s-%d", base, provisions.Add(1))
+}
+
 func TestRunProvisionCmd(t *testing.T) {
-	if err := run([]string{"provision", "cli-test-burst", "c5n.18xlarge", "8"}); err != nil {
+	name := perRun("cli-test-burst")
+	if err := run([]string{"provision", name, "c5n.18xlarge", "8"}); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
-	if err := run([]string{"provision", "cli-test-burst", "c5n.18xlarge", "8"}); err == nil {
+	if err := run([]string{"provision", name, "c5n.18xlarge", "8"}); err == nil {
 		t.Error("duplicate name should fail")
 	}
 	if err := run([]string{"provision", "x", "bad-type", "8"}); err == nil {
@@ -294,7 +307,7 @@ func TestSubcommandsHonourTimeout(t *testing.T) {
 	for _, args := range [][]string{
 		{"archive", "saxpy/openmp", "cts1", filepath.Join(dir, "out.tgz")},
 		{"dashboard"},
-		{"provision", "timeout-burst", "c5n.18xlarge", "2", "saxpy/openmp"},
+		{"provision", perRun("timeout-burst"), "c5n.18xlarge", "2", "saxpy/openmp"},
 		{"report", filepath.Join(dir, "report.md")},
 	} {
 		t.Run(args[0], func(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 var WalAck = &Analyzer{
 	Name: "walack",
 	Doc:  "ingest/commit paths fsync the WAL before acknowledging (returning nil)",
-	// The cachekey store shares the contract: Store.Commit must sync
+	// The cachekey store shares the contract: durableCommit must sync
 	// entry bytes before renaming them into place — a torn entry that
 	// was "committed" is exactly the corruption the torture tests
 	// exist to catch early. The sharded router acks what its shard

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cachekey"
-	"repro/internal/telemetry"
 )
 
 func openLayer(t *testing.T, dir string) *cachekey.Layer {
@@ -24,11 +23,7 @@ func TestPersistWriteThroughAndRestore(t *testing.T) {
 	dir := t.TempDir()
 	c1 := New()
 	c1.Persist(openLayer(t, dir))
-	if n := c1.Len(); n != 0 {
-		t.Fatalf("%d entries over an empty store", n)
-	}
-	e := Entry{Hash: "abcdef123456", SpecText: "zlib@1.2.12%gcc@12.1.1", Size: 1024,
-		Package: "zlib", Version: "1.2.12", Target: "broadwell"}
+	e := Entry{Hash: "abcdef123456", SpecText: "zlib@1.2.12%gcc@12.1.1"}
 	c1.Put(e)
 
 	// A second instance over the same directory — a later CI job —
@@ -43,44 +38,48 @@ func TestPersistWriteThroughAndRestore(t *testing.T) {
 	if hits != 1 || misses != 0 || puts != 0 {
 		t.Errorf("reading instance stats = %d/%d/%d; a read-through must not count as a put", hits, misses, puts)
 	}
-	// A third asks a whole-set question first: that lists the layer.
-	c3 := New()
-	c3.Persist(openLayer(t, dir))
-	if n, size := c3.Len(), c3.TotalSize(); n != 1 || size != e.Size {
-		t.Errorf("listing instance holds %d entries, %d bytes; want 1, %d", n, size, e.Size)
+}
+
+// TestOlderEntriesStillDecode: an entry written when Entry also
+// carried size, package, version and target reads back as its hash and
+// spec text; the extra members are ignored.
+func TestOlderEntriesStillDecode(t *testing.T) {
+	layer := openLayer(t, t.TempDir())
+	old := `{"Hash":"h-old","SpecText":"zlib@1.2.12","Size":1024,"Package":"zlib","Version":"1.2.12","Target":"broadwell"}`
+	if err := layer.Put(entryKey("h-old"), []byte(old)); err != nil {
+		t.Fatal(err)
 	}
-	if found := c3.FindCompatible("zlib", "1.2.12", nil); len(found) != 1 || found[0] != e {
-		t.Errorf("FindCompatible over the layer = %+v", found)
+	c := New()
+	c.Persist(layer)
+	if e, ok := c.Get("h-old"); !ok || e != (Entry{Hash: "h-old", SpecText: "zlib@1.2.12"}) {
+		t.Errorf("older entry = %+v, %v", e, ok)
 	}
 }
 
 // TestSiblingPutIsVisible: B attaches, then A puts. B took no snapshot
 // at Persist, so it fetches what a sibling CI job finished a second
-// ago — before and after B has listed the layer — and a hash nobody
-// has put stays a miss that a later Put turns into a hit.
+// ago, and a hash nobody has put stays a miss that a later Put turns
+// into a hit.
 func TestSiblingPutIsVisible(t *testing.T) {
 	dir := t.TempDir()
 	a, b := New(), New()
 	a.Persist(openLayer(t, dir))
 	b.Persist(openLayer(t, dir))
-	e1 := Entry{Hash: "h-one", Package: "zlib", Version: "1.2.12", Target: "broadwell", Size: 1}
-	if _, ok := b.Get(e1.Hash); ok || b.Has(e1.Hash) {
+	e1 := Entry{Hash: "h-one", SpecText: "zlib@1.2.12"}
+	if _, ok := b.Get(e1.Hash); ok {
 		t.Fatal("hit on a hash nobody has put")
 	}
 	a.Put(e1)
 	if got, ok := b.Get(e1.Hash); !ok || got != e1 {
 		t.Errorf("B.Get after A.Put = %+v, %v; want A's entry", got, ok)
 	}
-	if n := b.Len(); n != 1 {
-		t.Errorf("B lists %d entries, want 1", n)
-	}
-	e2 := Entry{Hash: "h-two", Package: "zlib", Version: "1.2.13", Target: "broadwell", Size: 2}
+	e2 := Entry{Hash: "h-two", SpecText: "zlib@1.2.13"}
 	a.Put(e2)
-	if !b.Has(e2.Hash) {
-		t.Error("B.Has misses what A put after B listed the layer")
+	if got, ok := b.Get(e2.Hash); !ok || got != e2 {
+		t.Errorf("B.Get misses what A put after B's first hit: %+v, %v", got, ok)
 	}
-	if hits, misses, puts := b.Stats(); hits != 1 || misses != 1 || puts != 0 {
-		t.Errorf("B stats = %d/%d/%d, want 1/1/0 (Has counts nothing)", hits, misses, puts)
+	if hits, misses, puts := b.Stats(); hits != 2 || misses != 1 || puts != 0 {
+		t.Errorf("B stats = %d/%d/%d, want 2/1/0", hits, misses, puts)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestPersistSkipsCorruptEntries(t *testing.T) {
 	c1.Persist(openLayer(t, dir))
 	entries := map[string]Entry{}
 	for _, h := range []string{"garbage", "truncated", "foreign", "undecodable", "intact"} {
-		entries[h] = Entry{Hash: h, Package: "zlib", Version: "1.2.12", Target: "x86_64", Size: 7}
+		entries[h] = Entry{Hash: h, SpecText: "zlib@1.2.12"}
 		c1.Put(entries[h])
 	}
 	file := func(hash string) string {
@@ -119,25 +118,16 @@ func TestPersistSkipsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A miss by exact hash, and absent from the listed set — in either
-	// order of asking.
-	for _, listFirst := range []bool{false, true} {
-		c2 := New()
-		c2.Persist(openLayer(t, dir))
-		if listFirst {
-			c2.Hashes()
+	// Each damaged entry is a miss by exact hash; the intact one hits.
+	c2 := New()
+	c2.Persist(openLayer(t, dir))
+	for _, h := range []string{"garbage", "truncated", "foreign", "undecodable"} {
+		if e, ok := c2.Get(h); ok {
+			t.Errorf("%s entry is a hit: %+v", h, e)
 		}
-		for _, h := range []string{"garbage", "truncated", "foreign", "undecodable"} {
-			if e, ok := c2.Get(h); ok || c2.Has(h) {
-				t.Errorf("listFirst=%v: %s entry is a hit: %+v", listFirst, h, e)
-			}
-		}
-		if e, ok := c2.Get("intact"); !ok || e != entries["intact"] {
-			t.Errorf("listFirst=%v: intact entry = %+v, %v", listFirst, e, ok)
-		}
-		if got := c2.Hashes(); len(got) != 1 || got[0] != "intact" || c2.Len() != 1 {
-			t.Errorf("listFirst=%v: Hashes() = %v, want only the intact entry", listFirst, got)
-		}
+	}
+	if e, ok := c2.Get("intact"); !ok || e != entries["intact"] {
+		t.Errorf("intact entry = %+v, %v", e, ok)
 	}
 
 	// The slot heals on the next write-through Put.
@@ -149,46 +139,11 @@ func TestPersistSkipsCorruptEntries(t *testing.T) {
 	if e, ok := c4.Get("garbage"); !ok || e != entries["garbage"] {
 		t.Errorf("after heal: %+v, %v", e, ok)
 	}
-	if n := c4.Len(); n != 2 {
-		t.Errorf("after heal the layer lists %d entries, want 2", n)
-	}
-}
-
-func TestInstrumentBackfillsPriorTraffic(t *testing.T) {
-	dir := t.TempDir()
-	seed := New()
-	seed.Persist(openLayer(t, dir))
-	seed.Put(Entry{Hash: "h1", Package: "zlib", Version: "1.2.12", Size: 1})
-
-	c := New()
-	c.Persist(openLayer(t, dir))
-	c.Get("h1")     // hit
-	c.Get("absent") // miss
-	c.Put(Entry{Hash: "h2", Package: "zlib", Version: "1.2.13", Size: 2})
-
-	// Instrument attached late must report the same numbers as Stats.
-	reg := telemetry.NewRegistry()
-	c.Instrument(reg)
-	c.Get("h2") // one more hit after instrumentation
-
-	hits, misses, puts := c.Stats()
-	snap := reg.Snapshot().Counters
-	if int64(hits) != snap["buildcache_hits_total"] ||
-		int64(misses) != snap["buildcache_misses_total"] ||
-		int64(puts) != snap["buildcache_puts_total"] {
-		t.Errorf("Stats (%d/%d/%d) and counters (%v/%v/%v) diverge",
-			hits, misses, puts,
-			snap["buildcache_hits_total"], snap["buildcache_misses_total"], snap["buildcache_puts_total"])
-	}
-	if hits != 2 || misses != 1 || puts != 1 {
-		t.Errorf("stats = %d/%d/%d, want 2/1/1", hits, misses, puts)
-	}
 }
 
 // TestConcurrentReadThrough: goroutines put through one cache and read
-// through a sibling over the same layer while others list it; under
-// -race this is the check on Get/Has writing what they fetched and on
-// the whole-set load merging beside them.
+// through a sibling over the same layer; under -race this is the check
+// on Get writing what it fetched beside misses and sibling puts.
 func TestConcurrentReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	a, b := New(), New()
@@ -199,22 +154,16 @@ func TestConcurrentReadThrough(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := Entry{Hash: fmt.Sprintf("hash-%d", i), Package: "zlib", Version: "1.2.12", Target: "x86_64", Size: int64(i)}
+			e := Entry{Hash: fmt.Sprintf("hash-%d", i), SpecText: "zlib@1.2.12"}
 			a.Put(e)
 			if got, ok := b.Get(e.Hash); !ok || got != e {
 				t.Errorf("sibling Get(%s) = %+v, %v", e.Hash, got, ok)
 			}
-			b.Has("never")
-			b.Len()
-			b.FindCompatible("zlib", "1.2.12", nil)
-			b.Hashes()
+			b.Get("never")
 		}(i)
 	}
 	wg.Wait()
-	if hits, misses, puts := b.Stats(); hits != 16 || misses != 0 || puts != 0 {
-		t.Errorf("sibling stats = %d/%d/%d, want 16/0/0", hits, misses, puts)
-	}
-	if n := len(b.Hashes()); n == 0 || n > 16 {
-		t.Errorf("sibling lists %d entries", n)
+	if hits, misses, puts := b.Stats(); hits != 16 || misses != 16 || puts != 0 {
+		t.Errorf("sibling stats = %d/%d/%d, want 16/16/0", hits, misses, puts)
 	}
 }

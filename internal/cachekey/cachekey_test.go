@@ -2,7 +2,7 @@ package cachekey
 
 import (
 	"bytes"
-	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -126,9 +126,19 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if !ok || string(got) != "dag" {
 		t.Fatalf("reopened store lost the entry: %q, %v", got, ok)
 	}
-	keys := st2.Layer("concretize").Keys()
-	if len(keys) != 1 || keys[0] != key {
-		t.Errorf("Keys() = %v, want [%s]", keys, key)
+	var files []string
+	err = filepath.Walk(filepath.Join(dir, "concretize"), func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		files = append(files, info.Name())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0] != string(key) {
+		t.Errorf("entry files = %v, want [%s]", files, key)
 	}
 }
 
@@ -149,30 +159,39 @@ func TestInvalidKeyNeverStores(t *testing.T) {
 	}
 }
 
-func TestKeysSkipsStrays(t *testing.T) {
+// TestGetSkipsStrayFiles: a temp file a crashed writer left in a
+// bucket does not disturb the entry beside it, and a stray file under
+// a key's own name is a miss until the next Put heals the slot.
+func TestGetSkipsStrayFiles(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := st.Layer("run")
-	keys := []Key{Hash("a"), Hash("b"), Hash("c")}
-	for i, k := range keys {
-		if err := l.Put(k, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stray temp file in a bucket directory must not be listed.
-	stray := filepath.Join(st.Dir(), "run", string(keys[0][:2]), ".tmp-entry-stray")
-	if err := st.Commit(stray, frame([]byte("junk"))); err != nil {
+	entry, stray := Hash("a"), Hash("b")
+	if err := l.Put(entry, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	got := l.Keys()
-	if len(got) != 3 {
-		t.Fatalf("Keys() = %v, want the 3 real keys", got)
+	leftover := filepath.Join(filepath.Dir(l.path(entry)), ".tmp-entry-stray")
+	if err := durableCommit(leftover, frame([]byte("junk"))); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Errorf("Keys() not sorted: %v", got)
-		}
+	if got, ok := l.Get(entry); !ok || string(got) != "payload" {
+		t.Errorf("Get beside a leftover temp file = %q, %v", got, ok)
+	}
+	if err := os.MkdirAll(filepath.Dir(l.path(stray)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(l.path(stray), []byte("not a cache entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := l.Get(stray); ok {
+		t.Errorf("stray file served as a hit: %q", got)
+	}
+	if err := l.Put(stray, []byte("healed")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := l.Get(stray); !ok || string(got) != "healed" {
+		t.Errorf("Get after the healing Put = %q, %v", got, ok)
 	}
 }

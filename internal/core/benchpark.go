@@ -130,7 +130,6 @@ func (bp *Benchpark) setup(name string, sys *hpcsim.System, rambleYAML, dir stri
 func newSession(bp *Benchpark, sys *hpcsim.System, suite string, cfg *concretizer.Config, ws *ramble.Workspace) *Session {
 	inst := install.New(bp.Repo)
 	inst.Cache = bp.Cache
-	inst.PushToCache = true
 	return &Session{
 		Benchpark: bp,
 		System:    sys,

@@ -52,7 +52,6 @@ func TestWarmSessionRunReplaysByteIdentical(t *testing.T) {
 		bp := New()
 		bp.Store = st
 		tr := telemetry.New(telemetry.FixedClock{T: epoch})
-		bp.Cache.Instrument(tr.Metrics())
 		ctx := telemetry.WithTracer(context.Background(), tr)
 		dir := t.TempDir()
 		sess, err := bp.Setup("saxpy/openmp", "cts1", dir)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ci"
@@ -579,15 +581,26 @@ func TestFailurePropagatesThroughStack(t *testing.T) {
 	}
 }
 
+// provisions numbers this test binary's cluster registrations, so every
+// run of a test under -count=N provisions a cluster of its own name in
+// the process-wide system registry.
+var provisions atomic.Int64
+
+// perRun returns base suffixed with a name no earlier run has taken.
+func perRun(base string) string {
+	return fmt.Sprintf("%s-%d", base, provisions.Add(1))
+}
+
 // TestSuiteOnProvisionedCloudCluster: cloud as "another platform"
 // (Section 7.2) — a freshly provisioned cluster runs the standard
 // suite by name, with software concretized for its detected target.
 func TestSuiteOnProvisionedCloudCluster(t *testing.T) {
-	if _, err := hpcsim.ProvisionCloudCluster("test-burst", "hpc7g.16xlarge", 32); err != nil {
+	name := perRun("test-burst")
+	if _, err := hpcsim.ProvisionCloudCluster(name, "hpc7g.16xlarge", 32); err != nil {
 		t.Fatal(err)
 	}
 	bp := New()
-	sess, err := bp.Setup("saxpy/openmp", "test-burst", t.TempDir())
+	sess, err := bp.Setup("saxpy/openmp", name, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

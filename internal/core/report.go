@@ -134,7 +134,6 @@ func GenerateReport(ctx context.Context, w io.Writer, full bool, jobs int) error
 	cache := buildcache.New()
 	siteA := install.New(pkgrepo.Builtin())
 	siteA.Cache = cache
-	siteA.PushToCache = true
 	repA, err := e.Install(ctx, siteA)
 	if err != nil {
 		return err

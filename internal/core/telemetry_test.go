@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cachekey"
 	"repro/internal/engine"
+	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
 
@@ -22,7 +24,6 @@ func TestSessionTraceReconcilesAndIsByteIdentical(t *testing.T) {
 		t.Helper()
 		bp := New()
 		tr := telemetry.New(telemetry.FixedClock{T: epoch})
-		bp.Cache.Instrument(tr.Metrics())
 		ctx := telemetry.WithTracer(context.Background(), tr)
 		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
 		if err != nil {
@@ -80,14 +81,53 @@ func TestSessionTraceReconcilesAndIsByteIdentical(t *testing.T) {
 	if !sawSession || !sawEnv || !sawInstall {
 		t.Errorf("missing expected spans: session=%v env=%v install=%v", sawSession, sawEnv, sawInstall)
 	}
+}
 
-	// The instrumented build cache mirrored its statistics.
-	if _, ok := trace.Metrics.Counters["buildcache_misses_total"]; !ok {
-		t.Errorf("buildcache counters missing from trace metrics: %v", trace.Metrics.Counters)
+// TestBuildcacheCounterCountsTheInstall: one counter family per fact.
+// A cold session and a warm one over a shared store, traced into one
+// registry, move cache_{hits,misses}_total{layer="buildcache"} by
+// exactly their Report.Cache buildcache rows, and the cold session
+// misses once per binary its install had to build.
+func TestBuildcacheCounterCountsTheInstall(t *testing.T) {
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The installer recorded cache effectiveness.
-	if _, ok := trace.Metrics.Counters["install_cache_misses_total"]; !ok {
-		t.Errorf("install cache counters missing: %v", trace.Metrics.Counters)
+	tr := telemetry.New(telemetry.FixedClock{T: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)})
+	ctx := telemetry.WithTracer(context.Background(), tr)
+	var rows []engine.CacheStat
+	for run := range 2 {
+		bp := New()
+		bp.UseCache(st)
+		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, erep, err := sess.Run(ctx, RunOptions{Jobs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, runStat(t, erep, "buildcache"))
+		if run > 0 {
+			continue
+		}
+		built := 0
+		for _, rec := range sess.Installer.DB.Find(spec.New("")) {
+			if !rec.External {
+				built++
+			}
+		}
+		if built == 0 || rows[0].Misses != built || rows[0].Hits != 0 {
+			t.Errorf("cold buildcache row = %+v, want 0 hits and %d misses (one per non-external install)", rows[0], built)
+		}
+	}
+	if warm := rows[1]; warm.Misses != 0 || warm.Hits != rows[0].Misses {
+		t.Errorf("warm buildcache row = %+v, want %d hits and 0 misses", warm, rows[0].Misses)
+	}
+	counters := tr.Metrics().Snapshot().Counters
+	hits, misses := counters[`cache_hits_total{layer="buildcache"}`], counters[`cache_misses_total{layer="buildcache"}`]
+	if hits != int64(rows[0].Hits+rows[1].Hits) || misses != int64(rows[0].Misses+rows[1].Misses) {
+		t.Errorf("buildcache counters = %d hits, %d misses; the two reports' rows are %+v", hits, misses, rows)
 	}
 }
 

@@ -214,7 +214,6 @@ func TestWarmSessionCostIndependentOfCacheSize(t *testing.T) {
 		community.Put(buildcache.Entry{
 			Hash:     fmt.Sprintf("unrelated%023d", i),
 			SpecText: fmt.Sprintf("pkg%d@1.0%%gcc@12.1.1 target=broadwell", i),
-			Size:     1 << 20, Package: fmt.Sprintf("pkg%d", i), Version: "1.0", Target: "broadwell",
 		})
 	}
 	large, spreadLarge := warm()

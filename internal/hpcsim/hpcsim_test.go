@@ -1,7 +1,9 @@
 package hpcsim
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -160,13 +162,24 @@ func TestMathLibBugFlag(t *testing.T) {
 	}
 }
 
+// provisions numbers this test binary's cluster registrations, so every
+// run of a test under -count=N provisions a cluster of its own name in
+// the process-wide system registry.
+var provisions atomic.Int64
+
+// perRun returns base suffixed with a name no earlier run has taken.
+func perRun(base string) string {
+	return fmt.Sprintf("%s-%d", base, provisions.Add(1))
+}
+
 func TestProvisionCloudCluster(t *testing.T) {
-	sys, err := ProvisionCloudCluster("burst-c5n", "c5n.18xlarge", 128)
+	name := perRun("burst-c5n")
+	sys, err := ProvisionCloudCluster(name, "c5n.18xlarge", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registered: suites can target it by name.
-	got, err := Get("burst-c5n")
+	got, err := Get(name)
 	if err != nil || got != sys {
 		t.Fatalf("registry lookup: %v", err)
 	}
@@ -181,7 +194,7 @@ func TestProvisionCloudCluster(t *testing.T) {
 		t.Errorf("description should carry cost: %q", sys.Description)
 	}
 	// Duplicate name rejected.
-	if _, err := ProvisionCloudCluster("burst-c5n", "c5n.18xlarge", 4); err == nil {
+	if _, err := ProvisionCloudCluster(name, "c5n.18xlarge", 4); err == nil {
 		t.Error("duplicate registration should fail")
 	}
 	// Unknown instance type rejected.
@@ -192,7 +205,7 @@ func TestProvisionCloudCluster(t *testing.T) {
 		t.Error("zero nodes should fail")
 	}
 	// The Graviton type detects as neoverse_v1.
-	g, err := ProvisionCloudCluster("burst-arm", "hpc7g.16xlarge", 16)
+	g, err := ProvisionCloudCluster(perRun("burst-arm"), "hpc7g.16xlarge", 16)
 	if err != nil {
 		t.Fatal(err)
 	}

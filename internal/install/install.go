@@ -7,7 +7,7 @@
 // Builds are simulated: each package's recipe declares a build cost,
 // perturbed deterministically by the spec hash, so install reports
 // and the cache-ablation benchmark are reproducible. One
-// list-scheduling pass over the DAG with Workers simulated build slots
+// list-scheduling pass over the DAG with four simulated build slots
 // yields the makespan and a dispatch order; the side effects (database
 // records, cache pushes) are then applied in that order on the calling
 // goroutine.
@@ -185,27 +185,21 @@ type nodeState struct {
 	explicit bool
 }
 
-// Installer installs concrete spec DAGs.
+// Installer installs concrete spec DAGs. With a binary cache
+// attached it fetches what the cache holds and pushes every source
+// build, the way Spack CI populates the rolling binary cache.
 type Installer struct {
-	Repo    *pkgrepo.Repo
-	DB      *Database
-	Cache   *buildcache.Cache // optional; nil disables the binary cache
-	Workers int               // simulated build slots; <=0 means 4
+	Repo  *pkgrepo.Repo
+	DB    *Database
+	Cache *buildcache.Cache // optional; nil disables the binary cache
 
-	// PushToCache mirrors every source build into the cache, the way
-	// Spack CI populates the rolling binary cache.
-	PushToCache bool
-
-	// ReuseCompatible lets a cache miss fall back to a binary of the
-	// same package/version built for a compatible (ancestor)
-	// microarchitecture — Spack's relocatable-binary reuse, gated by
-	// archspec compatibility.
-	ReuseCompatible bool
+	workers int // simulated build slots; <=0 means 4
 }
 
-// New returns an installer with a fresh database.
+// New returns an installer with a fresh database and four simulated
+// build slots.
 func New(repo *pkgrepo.Repo) *Installer {
-	return &Installer{Repo: repo, DB: NewDatabase(), Workers: 4}
+	return &Installer{Repo: repo, DB: NewDatabase(), workers: 4}
 }
 
 // fetchCost is the simulated time to download + relocate a binary
@@ -236,9 +230,8 @@ func (inst *Installer) BuildSeconds(node *spec.Spec, h string) (float64, error) 
 // context is checked before scheduling and before each node's side
 // effects, so a cancelled experiment engine does not keep installing a
 // deep DAG; already completed node installs stay in the database. When
-// the context carries a tracer, the install records a span and mirrors
-// its cache outcome into install_cache_hits_total /
-// install_cache_misses_total.
+// the context carries a tracer, the install records a span; its cache
+// outcome is the report's FetchedFromCache and Built counts.
 func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Report, err error) {
 	ctx, span := telemetry.StartSpan(ctx, "install:"+root.Name)
 	defer span.End()
@@ -249,7 +242,7 @@ func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Repor
 	if !root.IsConcrete() {
 		return nil, fmt.Errorf("install: spec %q is not concrete", root.ShortString())
 	}
-	workers := inst.Workers
+	workers := inst.workers
 	if workers <= 0 {
 		workers = 4
 	}
@@ -286,11 +279,6 @@ func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Repor
 				if _, ok := inst.Cache.Get(h); ok {
 					st.action = FetchedFromCache
 					st.seconds = fetchCost(sec)
-					break
-				}
-				if inst.ReuseCompatible && inst.compatibleEntry(n) {
-					st.action = FetchedFromCache
-					st.seconds = fetchCost(sec) * 1.2 // relocation overhead
 					break
 				}
 			}
@@ -342,36 +330,9 @@ func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Repor
 		}
 		return a.Name < b.Name
 	})
-
-	// Cache effectiveness: a fetch is a hit, a source build with a
-	// configured cache is a miss (no cache at all counts neither).
-	if inst.Cache != nil {
-		met := telemetry.FromContext(ctx).Metrics()
-		met.Counter("install_cache_hits_total").Add(int64(report.Count(FetchedFromCache)))
-		met.Counter("install_cache_misses_total").Add(int64(report.Count(Built)))
-	}
 	span.SetInt("nodes", len(report.Results))
 	span.SetAttr("makespan_s", fmt.Sprintf("%.2f", report.Makespan))
 	return report, nil
-}
-
-// compatibleEntry reports whether the cache holds a binary of the
-// same package/version built for a microarchitecture the node's
-// target can execute (ancestor + feature check via archspec).
-func (inst *Installer) compatibleEntry(node *spec.Spec) bool {
-	mine, err := archspec.Lookup(node.Target)
-	if err != nil {
-		return false
-	}
-	ok := func(builtFor string) bool {
-		bm, err := archspec.Lookup(builtFor)
-		if err != nil {
-			return false
-		}
-		return mine.CompatibleWith(bm)
-	}
-	entries := inst.Cache.FindCompatible(node.Name, node.ConcreteVersion().String(), ok)
-	return len(entries) > 0
 }
 
 // listSchedule computes a deterministic parallel schedule of the DAG
@@ -463,15 +424,8 @@ func (inst *Installer) installOne(hash string, st *nodeState) {
 		Explicit: st.explicit,
 		Flags:    flags,
 	})
-	if inst.PushToCache && inst.Cache != nil && action == Built {
-		inst.Cache.Put(buildcache.Entry{
-			Hash:     hash,
-			SpecText: node.String(),
-			Size:     int64(1<<20) + int64(hash[0])*1024,
-			Package:  node.Name,
-			Version:  node.ConcreteVersion().String(),
-			Target:   node.Target,
-		})
+	if inst.Cache != nil && action == Built {
+		inst.Cache.Put(buildcache.Entry{Hash: hash, SpecText: node.String()})
 	}
 }
 

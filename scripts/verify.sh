@@ -69,9 +69,14 @@ stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/me
 ! sed -n '/^type Client struct/,/^}/p' internal/resultsd/client.go | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]func\(' || { echo "verify: resultsd.Client has one retry rule; a test fixes its timing through package state, not a func-typed field" >&2; exit 1; }
 ! grep -rnwE --include='*.go' --exclude='*_test.go' 'WithOps|NoJitter|FullJitter' . || { echo "verify: the ops endpoints are always served and jitter only ever adds to Retry-After; WithOps, NoJitter and FullJitter are gone" >&2; exit 1; }
 { sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
+! grep -rnE --include='*.go' --exclude='*_test.go' 'ReuseCompatible|PushToCache|FindCompatible|\.Instrument\(|"buildcache_|"install_cache_' internal cmd examples || { echo "verify: the binary cache is read by exact hash and counted once, as cache_{hits,misses}_total{layer=\"buildcache\"}; compatible-target reuse, PushToCache, Instrument and the buildcache_*/install_cache_* counters are gone" >&2; exit 1; }
+! grep -rn --include='*.go' --exclude='*_test.go' 'os\.ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
 
 echo "==> go test ./..."
 go test ./...
+# A test that registers a system in the process-wide registry must
+# pass when run twice in one process.
+go test -count=2 -run '^(TestProvisionCloudCluster|TestSuiteOnProvisionedCloudCluster|TestRunProvisionCmd|TestSubcommandsHonourTimeout)$' ./internal/hpcsim ./internal/core ./cmd/benchpark
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./internal/mpisim ./internal/bench
