@@ -55,51 +55,6 @@ func (m *Metadata) Names() []string {
 	return out
 }
 
-// Len reports the number of descriptors.
-func (m *Metadata) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.values)
-}
-
-// Clone returns an independent copy.
-func (m *Metadata) Clone() *Metadata {
-	c := New()
-	if m != nil {
-		for k, v := range m.values {
-			c.values[k] = v
-		}
-	}
-	return c
-}
-
-// Merge copies src's descriptors into m (src wins on collision).
-func (m *Metadata) Merge(src *Metadata) {
-	if src == nil {
-		return
-	}
-	for k, v := range src.values {
-		m.Set(k, v)
-	}
-}
-
-// Matches reports whether every key=value selector holds, e.g.
-// Matches("cluster=cts1", "compiler=gcc@12.1.1").
-func (m *Metadata) Matches(selectors ...string) bool {
-	for _, sel := range selectors {
-		k, want, ok := strings.Cut(sel, "=")
-		if !ok {
-			return false
-		}
-		got, exists := m.Get(k)
-		if !exists || got != want {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders "k=v" pairs sorted by key.
 func (m *Metadata) String() string {
 	var parts []string

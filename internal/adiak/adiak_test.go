@@ -18,43 +18,8 @@ func TestSetGet(t *testing.T) {
 	if _, ok := m.Get("absent"); ok {
 		t.Error("absent key should not exist")
 	}
-	if m.Len() != 2 {
-		t.Errorf("len = %d", m.Len())
-	}
-}
-
-func TestMatches(t *testing.T) {
-	m := New()
-	m.Set("cluster", "cts1")
-	m.Set("compiler", "gcc@12.1.1")
-	if !m.Matches("cluster=cts1") {
-		t.Error("single selector")
-	}
-	if !m.Matches("cluster=cts1", "compiler=gcc@12.1.1") {
-		t.Error("multi selector")
-	}
-	if m.Matches("cluster=ats2") {
-		t.Error("wrong value should not match")
-	}
-	if m.Matches("missing=x") {
-		t.Error("missing key should not match")
-	}
-	if m.Matches("malformed") {
-		t.Error("selector without '=' should not match")
-	}
-}
-
-func TestCloneAndMerge(t *testing.T) {
-	a := New()
-	a.Set("k", "v1")
-	b := a.Clone()
-	b.Set("k", "v2")
-	if v, _ := a.Get("k"); v != "v1" {
-		t.Error("clone mutated original")
-	}
-	a.Merge(b)
-	if v, _ := a.Get("k"); v != "v2" {
-		t.Error("merge should overwrite")
+	if names := m.Names(); len(names) != 2 || names[0] != "cluster" || names[1] != "n_ranks" {
+		t.Errorf("names = %v", names)
 	}
 }
 
@@ -80,15 +45,15 @@ func TestCollectDefaults(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var m *Metadata
-	if m.Len() != 0 || m.Names() != nil {
+	if m.Names() != nil || m.String() != "" {
 		t.Error("nil metadata should behave as empty")
 	}
 	if _, ok := m.Get("x"); ok {
 		t.Error("nil Get")
 	}
-	c := m.Clone()
-	c.Set("x", "1")
-	if c.Len() != 1 {
-		t.Error("clone of nil should be usable")
+	var zero Metadata
+	zero.Set("x", "1")
+	if v, ok := zero.Get("x"); !ok || v != "1" {
+		t.Error("the zero Metadata should be usable")
 	}
 }

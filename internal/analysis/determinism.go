@@ -33,8 +33,8 @@ var Determinism = &Analyzer{
 }
 
 // seededConstructors are the math/rand functions that build explicit,
-// seedable sources (the engine's SeededRNG pattern) rather than
-// drawing from the shared global generator.
+// seedable sources (a rand.New source seeded from the experiment)
+// rather than drawing from the shared global generator.
 var seededConstructors = map[string]bool{
 	"New":        true,
 	"NewSource":  true,
@@ -65,7 +65,7 @@ func runDeterminism(pass *Pass) {
 				// methods on an explicit *rand.Rand are fine.
 				if fn.Type().(*types.Signature).Recv() == nil && !seededConstructors[fn.Name()] {
 					pass.Reportf(sel.Pos(),
-						"%s.%s draws from the unseeded global generator; use a per-experiment seeded source (engine.SeededRNG)", fn.Pkg().Path(), fn.Name())
+						"%s.%s draws from the unseeded global generator; use a rand.New source seeded from the experiment", fn.Pkg().Path(), fn.Name())
 				}
 			}
 			return true

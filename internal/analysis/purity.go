@@ -93,8 +93,8 @@ func ambientCallBits(fn *types.Func) impureBits {
 		}
 	case "math/rand", "math/rand/v2":
 		// Package-scope draws use the shared, unseeded global
-		// generator; explicit sources (engine.SeededRNG) are
-		// deterministic and carry a receiver.
+		// generator; explicit sources (a rand.New source seeded
+		// from the experiment) are deterministic and carry a receiver.
 		if fn.Type().(*types.Signature).Recv() == nil && !seededConstructors[fn.Name()] {
 			return impureRand
 		}

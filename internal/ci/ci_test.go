@@ -79,14 +79,19 @@ func TestCommitContentAddressing(t *testing.T) {
 	if v, _ := r.FileAt(sha2, "f"); v != "1" {
 		t.Error("earlier file lost")
 	}
-	changed, err := r.ChangedPaths(sha2)
-	if err != nil || len(changed) != 1 || changed[0] != "g" {
-		t.Errorf("changed = %v, %v", changed, err)
+	c1, _ := r.Get(sha1)
+	c2, _ := r.Get(sha2)
+	if changed := changedPaths(c1.Files, c2.Files); len(changed) != 1 || changed[0] != "g" {
+		t.Errorf("changed = %v", changed)
 	}
 	// Deletion.
 	sha3, _ := r.Commit("main", "a", "rm", map[string]string{"f": ""})
 	if _, ok := r.FileAt(sha3, "f"); ok {
 		t.Error("deletion failed")
+	}
+	c3, _ := r.Get(sha3)
+	if changed := changedPaths(c2.Files, c3.Files); len(changed) != 1 || changed[0] != "f" {
+		t.Errorf("changed by deletion = %v", changed)
 	}
 }
 
@@ -200,6 +205,45 @@ func TestProtectedPathBlocked(t *testing.T) {
 	}
 }
 
+// TestProtectedPathBlockedBehindLaterCommit: an untrusted PR that
+// rewrites a protected path and then commits something else is still
+// refused, and the rewritten CI file never reaches a runner — from a
+// fork, and from a branch of the canonical repository itself.
+func TestProtectedPathBlockedBehindLaterCommit(t *testing.T) {
+	for _, source := range []string{"fork", "canonical"} {
+		var ran []string
+		gh, _, hub := setup(t, func(ctx context.Context, job *CIJob) (string, error) {
+			ran = append(ran, job.Name)
+			return "ok", nil
+		})
+		repo := gh.Canonical
+		if source == "fork" {
+			repo = gh.Fork("newcomer/benchpark")
+		}
+		for _, change := range []map[string]string{
+			{".gitlab-ci.yml": "stages: [pwn]\np:\n  stage: pwn\n  script: [curl evil]\n  tags: [cts1]"},
+			{"docs/a.md": "a"},
+		} {
+			if _, err := repo.Commit("feature", "newcomer", "contribution", change); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pr, err := gh.OpenPR("docs", "newcomer", repo, "feature", "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gh.Approve(pr.ID, "olga"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hub.Sync(context.Background(), pr.ID); err == nil || !strings.Contains(err.Error(), `protected path ".gitlab-ci.yml"`) {
+			t.Errorf("%s: err = %v, want the protected path refused", source, err)
+		}
+		if len(ran) != 0 {
+			t.Errorf("%s: jobs %v ran from an untrusted CI file", source, ran)
+		}
+	}
+}
+
 func TestTrustedUserMayTouchProtectedPaths(t *testing.T) {
 	gh, _, hub := setup(t, nil)
 	pr := openContribution(t, gh, "olga", ".gitlab-ci.yml", ciYAML+"# tweak\n")
@@ -275,8 +319,8 @@ func TestStageFailureSkipsLaterStages(t *testing.T) {
 func TestNoMatchingRunnerSkips(t *testing.T) {
 	gh, gl, hub := setup(t, nil)
 	gl.RegisterRunner(&Runner{Name: "riken", Site: "RIKEN", Tags: []string{"fugaku"}, Exec: func(context.Context, *CIJob) (string, error) { return "", nil }})
-	// Job demands a tag no runner offers.
-	fork := gh.Fork("newcomer/benchpark")
+	// The canonical CI file, which the fork inherits, demands a tag no
+	// runner offers.
 	custom := `
 stages: [bench]
 gpu-only:
@@ -284,23 +328,35 @@ gpu-only:
   script: [run]
   tags: [mi250x]
 `
+	if _, err := gh.Canonical.Commit("main", "olga", "gpu-only CI", map[string]string{".gitlab-ci.yml": custom}); err != nil {
+		t.Fatal(err)
+	}
+	fork := gh.Fork("newcomer/benchpark")
 	if _, err := fork.Commit("feature", "newcomer", "gpu", map[string]string{"unused.md": "x"}); err != nil {
 		t.Fatal(err)
 	}
-	// Replace the mirrored CI file by writing it in the canonical repo
-	// first (trusted path), then open the PR from the fork.
-	_ = custom
 	pr, err := gh.OpenPR("gpu", "newcomer", fork, "feature", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = gh.Approve(pr.ID, "olga")
+	if err := gh.Approve(pr.ID, "olga"); err != nil {
+		t.Fatal(err)
+	}
 	pipeline, err := hub.Sync(context.Background(), pr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipeline.Status() != JobSuccess {
-		t.Errorf("status = %v", pipeline.Status())
+	if len(pipeline.Jobs) != 1 || pipeline.Jobs[0].Status != JobSkipped {
+		t.Fatalf("jobs = %+v, want the one gpu-only job skipped", pipeline.Jobs)
+	}
+	if pipeline.Status() == JobSuccess {
+		t.Error("a pipeline in which no job ran reports success")
+	}
+	if got, _ := gh.PR(pr.ID); len(got.Checks) != 1 || got.Checks[0].State != StateFailure {
+		t.Errorf("checks = %+v, want one failure", got.Checks)
+	}
+	if err := gh.Merge(pr.ID); err == nil {
+		t.Error("a PR whose pipeline ran no job was merged")
 	}
 }
 

@@ -114,37 +114,22 @@ func (r *Repo) FileAt(sha, path string) (string, bool) {
 	return content, ok
 }
 
-// ChangedPaths diffs a commit against its parent.
-func (r *Repo) ChangedPaths(sha string) ([]string, error) {
-	c, ok := r.Get(sha)
-	if !ok {
-		return nil, fmt.Errorf("ci: unknown commit %s", sha)
-	}
-	var parentFiles map[string]string
-	if c.Parent != "" {
-		p, ok := r.Get(c.Parent)
-		if !ok {
-			return nil, fmt.Errorf("ci: dangling parent %s", c.Parent)
-		}
-		parentFiles = p.Files
-	}
-	changed := map[string]bool{}
-	for path, content := range c.Files {
-		if parentFiles[path] != content {
-			changed[path] = true
+// changedPaths lists, sorted, the paths whose content differs between
+// two tree snapshots, added and deleted files included.
+func changedPaths(base, head map[string]string) []string {
+	var out []string
+	for path, content := range head {
+		if old, ok := base[path]; !ok || old != content {
+			out = append(out, path)
 		}
 	}
-	for path := range parentFiles {
-		if _, ok := c.Files[path]; !ok {
-			changed[path] = true
+	for path := range base {
+		if _, ok := head[path]; !ok {
+			out = append(out, path)
 		}
-	}
-	out := make([]string, 0, len(changed))
-	for p := range changed {
-		out = append(out, p)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // ImportCommit copies a commit object verbatim (mirroring) and points
@@ -213,8 +198,6 @@ const (
 	PRApproved PRState = "approved"
 	// PRMerged into the target branch.
 	PRMerged PRState = "merged"
-	// PRClosed without merging.
-	PRClosed PRState = "closed"
 )
 
 // PullRequest models a GitHub PR, possibly from an untrusted fork.

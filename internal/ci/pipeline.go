@@ -72,15 +72,22 @@ type Pipeline struct {
 	TriggeredBy, ApprovedBy string
 }
 
-// Status reports the aggregate pipeline state.
+// Status reports the aggregate pipeline state: failed if any job
+// failed, else skipped if any job never ran, else pending if any job
+// has yet to run. Only a pipeline whose every job ran and passed
+// succeeds.
 func (p *Pipeline) Status() JobStatus {
 	status := JobSuccess
 	for _, j := range p.Jobs {
 		switch j.Status {
 		case JobFailed:
 			return JobFailed
+		case JobSkipped:
+			status = JobSkipped
 		case JobPending:
-			status = JobPending
+			if status == JobSuccess {
+				status = JobPending
+			}
 		}
 	}
 	return status
@@ -336,6 +343,44 @@ func NewHubcast(gh *GitHub, gl *GitLab, criteria SecurityCriteria) *Hubcast {
 	return &Hubcast{GitHub: gh, GitLab: gl, Criteria: criteria}
 }
 
+// changedByPR lists the paths a PR's head changes relative to the
+// commit its branch started from: the newest ancestor of the head that
+// the target repository holds (for a branch of the target repository
+// itself, the newest one on the target branch). So a protected path
+// changed by any commit of the branch counts, not only by the last.
+// A branch that shares no commit with the target diffs against the
+// empty tree.
+func (h *Hubcast) changedByPR(pr *PullRequest) ([]string, error) {
+	target := h.GitHub.Canonical
+	started := func(sha string) bool { _, ok := target.Get(sha); return ok }
+	if pr.SourceRepo == target {
+		onTarget := map[string]bool{}
+		sha, _ := target.Head(pr.TargetBranch)
+		for c, ok := target.Get(sha); ok; c, ok = target.Get(c.Parent) {
+			onTarget[c.SHA] = true
+		}
+		started = func(sha string) bool { return onTarget[sha] }
+	}
+	head, ok := pr.SourceRepo.Get(pr.HeadSHA)
+	if !ok {
+		return nil, fmt.Errorf("hubcast: PR head %s not found", pr.HeadSHA)
+	}
+	var base map[string]string
+	for sha := head.SHA; sha != ""; {
+		if started(sha) {
+			c, _ := target.Get(sha)
+			base = c.Files
+			break
+		}
+		c, ok := pr.SourceRepo.Get(sha)
+		if !ok {
+			return nil, fmt.Errorf("hubcast: PR #%d: commit %s is in neither repository", pr.ID, sha)
+		}
+		sha = c.Parent
+	}
+	return changedPaths(base, head.Files), nil
+}
+
 // Sync evaluates the security criteria for a PR; if they pass, the PR
 // head is mirrored to GitLab, the CI pipeline runs under ctx, and the
 // status is streamed back to the PR. It returns the pipeline (nil when
@@ -360,7 +405,7 @@ func (h *Hubcast) Sync(ctx context.Context, prID int) (*Pipeline, error) {
 		}
 	}
 	if len(h.Criteria.ProtectedPaths) > 0 && !author.Trusted {
-		changed, err := pr.SourceRepo.ChangedPaths(pr.HeadSHA)
+		changed, err := h.changedByPR(pr)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/cachekey"
 	"repro/internal/ci"
 	"repro/internal/engine"
 	"repro/internal/metricsdb"
@@ -96,12 +95,6 @@ func NewAutomation(bp *Benchpark, workDir string) (*Automation, error) {
 	})
 	return a, nil
 }
-
-// UseCache attaches a shared durable content-addressed store to the
-// deployment, so every pipeline job — nightly after nightly, PR after
-// PR — reuses the concretize/buildcache/run layers and re-runs only
-// the delta. Each job's hit/miss provenance lands on its CIJob.
-func (a *Automation) UseCache(st *cachekey.Store) { a.Benchpark.UseCache(st) }
 
 // jobExecutor interprets "benchpark <suite> <system> <workspace>"
 // script lines by actually running the session — the Benchpark

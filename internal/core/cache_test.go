@@ -327,7 +327,7 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto.UseCache(st)
+	auto.Benchpark.UseCache(st)
 
 	jobProvenance := func(j *ci.CIJob, layer string) (ci.CacheProvenance, bool) {
 		for _, cp := range j.Cache {

@@ -13,13 +13,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/caliper"
 	"repro/internal/ci"
 	"repro/internal/extrap"
 	"repro/internal/hpcsim"
 	"repro/internal/metricsdb"
 	"repro/internal/pkgrepo"
 	"repro/internal/ramble"
-	"repro/internal/thicket"
 )
 
 func TestSystemConfigsGenerate(t *testing.T) {
@@ -68,10 +68,6 @@ func TestTable1(t *testing.T) {
 		if r.Name != wantNames[i] {
 			t.Errorf("row %d = %q, want %q", i+1, r.Name, wantNames[i])
 		}
-		pkgs, err := ImplementsComponent(r.Number)
-		if err != nil || len(pkgs) == 0 {
-			t.Errorf("component %d has no implementing packages", r.Number)
-		}
 	}
 	tbl := ComponentTable()
 	for _, want := range []string{"package.py", "application.py", "ramble.yaml: spack",
@@ -79,9 +75,6 @@ func TestTable1(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("rendered table missing %q", want)
 		}
-	}
-	if _, err := ImplementsComponent(7); err == nil {
-		t.Error("component 7 should not exist")
 	}
 }
 
@@ -143,8 +136,8 @@ func TestFigure1cQuickstart(t *testing.T) {
 		t.Errorf("manifest = %q", results[0].Manifest)
 	}
 	// Caliper profiles composed into the session thicket.
-	if sess.Thicket.Len() != 8 {
-		t.Errorf("thicket runs = %d", sess.Thicket.Len())
+	if len(sess.Thicket.Runs) != 8 {
+		t.Errorf("thicket runs = %d", len(sess.Thicket.Runs))
 	}
 	// Workspace directories materialized (Figure 1a).
 	if err := sess.Workspace.Save(); err != nil {
@@ -711,7 +704,7 @@ func TestNightlyContinuousRuns(t *testing.T) {
 }
 
 // TestCaliFilesWritten: every experiment leaves a loadable .cali
-// profile next to its output, and Thicket can ingest it.
+// profile next to its output.
 func TestCaliFilesWritten(t *testing.T) {
 	bp := New()
 	sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
@@ -730,12 +723,12 @@ func TestCaliFilesWritten(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cali file: %v", err)
 	}
-	th := thicket.New()
-	if err := th.AddFromJSON(string(data), "cluster=cts1"); err != nil {
+	p, err := caliper.ParseProfile(string(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if th.RegionStats("main/saxpy_kernel").N == 0 {
-		t.Errorf("regions = %v", th.Regions())
+	if p.Regions["main/saxpy_kernel"].Count == 0 {
+		t.Errorf("regions = %v", p.Paths())
 	}
 }
 

@@ -40,22 +40,3 @@ func ComponentTable() string {
 	}
 	return b.String()
 }
-
-// ImplementsComponent maps each Table 1 row to the Go packages that
-// implement it in this reproduction — the DESIGN.md inventory,
-// queryable at runtime.
-func ImplementsComponent(number int) ([]string, error) {
-	m := map[int][]string{
-		1: {"internal/pkgrepo", "internal/archspec", "internal/ramble"},
-		2: {"internal/pkgrepo", "internal/concretizer", "internal/env", "internal/install"},
-		3: {"internal/ramble", "internal/bench"},
-		4: {"internal/ramble", "internal/scheduler", "internal/mpisim"},
-		5: {"internal/ramble", "internal/caliper", "internal/thicket", "internal/extrap"},
-		6: {"internal/ci", "internal/metricsdb", "internal/buildcache"},
-	}
-	pkgs, ok := m[number]
-	if !ok {
-		return nil, fmt.Errorf("benchpark: Table 1 has no component %d", number)
-	}
-	return pkgs, nil
-}

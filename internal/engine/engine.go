@@ -39,8 +39,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -573,15 +571,4 @@ func forEach(ctx context.Context, jobs, n int, fn func(ctx context.Context, i in
 		}
 	}
 	return errs
-}
-
-// SeededRNG returns a deterministic per-experiment random source
-// seeded from the experiment name. Runners that want randomized
-// payloads (perturbation, sampling) must draw from a per-experiment
-// source like this one rather than a shared generator, so figures of
-// merit stay byte-identical whatever the worker-pool interleaving.
-func SeededRNG(name string) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
 }

@@ -269,18 +269,6 @@ func TestMapZero(t *testing.T) {
 	}
 }
 
-func TestSeededRNGDeterministic(t *testing.T) {
-	a, b := SeededRNG("exp-001"), SeededRNG("exp-001")
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatal("same name must yield the same stream")
-		}
-	}
-	if SeededRNG("exp-001").Int63() == SeededRNG("exp-002").Int63() {
-		t.Error("different names should (almost surely) diverge")
-	}
-}
-
 func TestStageErrorFormat(t *testing.T) {
 	se := &StageError{Stage: StageExecute, Experiment: "saxpy_n64", System: "suite@sys", Err: errors.New("SIGBUS")}
 	if got := se.Error(); got != "engine: execute stage failed for experiment saxpy_n64 (suite@sys): SIGBUS" {

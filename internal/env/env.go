@@ -67,18 +67,6 @@ func (e *Environment) Add(specStr string) error {
 	return nil
 }
 
-// Remove drops the root for a package name.
-func (e *Environment) Remove(pkgName string) error {
-	for i, s := range e.Specs {
-		if s.Name == pkgName {
-			e.Specs = append(e.Specs[:i], e.Specs[i+1:]...)
-			e.Roots = nil
-			return nil
-		}
-	}
-	return fmt.Errorf("env: no root for package %q", pkgName)
-}
-
 // Concretize resolves all roots (`spack concretize`). With Unify,
 // shared packages resolve to identical nodes.
 func (e *Environment) Concretize(c *concretizer.Concretizer) error {

@@ -107,21 +107,6 @@ func TestAddDuplicateRejected(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	e := New("rm")
-	_ = e.Add("zlib")
-	_ = e.Add("cmake")
-	if err := e.Remove("zlib"); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Specs) != 1 || e.Specs[0].Name != "cmake" {
-		t.Errorf("specs = %v", e.Specs)
-	}
-	if err := e.Remove("zlib"); err == nil {
-		t.Error("removing absent root should error")
-	}
-}
-
 func TestUnifySharesNodes(t *testing.T) {
 	c := ctsConcretizer(t)
 

@@ -568,45 +568,6 @@ func (db *DB) Usage() []UsageRow {
 	return out
 }
 
-// Comparison is one row of a cross-system comparison.
-type Comparison struct {
-	Experiment string
-	A, B       float64
-	Ratio      float64 // B/A
-}
-
-// CompareSystems pairs up the latest value of a FOM for identical
-// experiment names on two systems — the quantitative core of the
-// paper's procurement and cloud-comparison use cases.
-func (db *DB) CompareSystems(benchmark, sysA, sysB, fom string) []Comparison {
-	latest := func(system string) map[string]float64 {
-		out := map[string]float64{}
-		for _, r := range db.Query(Filter{Benchmark: benchmark, System: system}) {
-			if v, ok := r.FOMs[fom]; ok {
-				out[r.Experiment] = v // later Seq overwrites: latest wins
-			}
-		}
-		return out
-	}
-	a, b := latest(sysA), latest(sysB)
-	var names []string
-	for name := range a {
-		if _, ok := b[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make([]Comparison, 0, len(names))
-	for _, name := range names {
-		c := Comparison{Experiment: name, A: a[name], B: b[name]}
-		if c.A != 0 {
-			c.Ratio = c.B / c.A
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // Systems returns the distinct system names present, sorted.
 func (db *DB) Systems() []string {
 	db.mu.RLock()

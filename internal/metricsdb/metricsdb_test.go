@@ -203,25 +203,6 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-func TestCompareSystems(t *testing.T) {
-	db := New()
-	for _, r := range []Result{
-		{Benchmark: "saxpy", System: "cts1", Experiment: "e1", FOMs: map[string]float64{"t": 1.0}},
-		{Benchmark: "saxpy", System: "cts1", Experiment: "e1", FOMs: map[string]float64{"t": 2.0}}, // latest
-		{Benchmark: "saxpy", System: "ats2", Experiment: "e1", FOMs: map[string]float64{"t": 1.0}},
-		{Benchmark: "saxpy", System: "cts1", Experiment: "only-cts", FOMs: map[string]float64{"t": 5}},
-	} {
-		db.Add(r)
-	}
-	cmp := db.CompareSystems("saxpy", "cts1", "ats2", "t")
-	if len(cmp) != 1 {
-		t.Fatalf("cmp = %+v", cmp)
-	}
-	if cmp[0].A != 2.0 || cmp[0].B != 1.0 || cmp[0].Ratio != 0.5 {
-		t.Errorf("row = %+v", cmp[0])
-	}
-}
-
 // TestDetectRegressionEdges pins the boundary semantics documented on
 // DetectRegressions: a full window of predecessors is required for
 // every judged sample, degenerate windows return nil, and zero
@@ -281,60 +262,6 @@ func TestUsageSingleBenchmark(t *testing.T) {
 	r := rows[0]
 	if r.Benchmark != "saxpy" || r.Runs != 3 || r.Systems != 2 || r.LastSeq != 3 {
 		t.Fatalf("row = %+v", r)
-	}
-}
-
-func TestCompareSystemsEdges(t *testing.T) {
-	// Empty DB: no rows.
-	if got := New().CompareSystems("saxpy", "cts1", "ats2", "t"); len(got) != 0 {
-		t.Fatalf("empty DB comparison = %+v", got)
-	}
-
-	db := New()
-	// e1 exists on both systems; e2 only on cts1 (one-sided).
-	db.Add(Result{Benchmark: "saxpy", System: "cts1", Experiment: "e1",
-		FOMs: map[string]float64{"t": 2.0}})
-	db.Add(Result{Benchmark: "saxpy", System: "ats2", Experiment: "e1",
-		FOMs: map[string]float64{"t": 1.0}})
-	db.Add(Result{Benchmark: "saxpy", System: "cts1", Experiment: "e2",
-		FOMs: map[string]float64{"t": 5.0}})
-	cmp := db.CompareSystems("saxpy", "cts1", "ats2", "t")
-	if len(cmp) != 1 || cmp[0].Experiment != "e1" {
-		t.Fatalf("one-sided data must pair only shared experiments: %+v", cmp)
-	}
-
-	// A system with NO data at all: nothing pairs.
-	if got := db.CompareSystems("saxpy", "cts1", "missing-system", "t"); len(got) != 0 {
-		t.Fatalf("absent system comparison = %+v", got)
-	}
-
-	// FOM present on one side only: the experiment does not pair.
-	db2 := New()
-	db2.Add(Result{Benchmark: "saxpy", System: "cts1", Experiment: "e1",
-		FOMs: map[string]float64{"t": 2.0}})
-	db2.Add(Result{Benchmark: "saxpy", System: "ats2", Experiment: "e1",
-		FOMs: map[string]float64{"other": 1.0}})
-	if got := db2.CompareSystems("saxpy", "cts1", "ats2", "t"); len(got) != 0 {
-		t.Fatalf("one-sided FOM must not pair: %+v", got)
-	}
-
-	// Zero on the A side: ratio stays 0 instead of dividing by zero.
-	db3 := New()
-	db3.Add(Result{Benchmark: "saxpy", System: "cts1", Experiment: "e1",
-		FOMs: map[string]float64{"t": 0}})
-	db3.Add(Result{Benchmark: "saxpy", System: "ats2", Experiment: "e1",
-		FOMs: map[string]float64{"t": 3}})
-	got := db3.CompareSystems("saxpy", "cts1", "ats2", "t")
-	if len(got) != 1 || got[0].Ratio != 0 {
-		t.Fatalf("zero-A comparison = %+v", got)
-	}
-
-	// Latest wins: a rerun of e1 on ats2 replaces the earlier value.
-	db.Add(Result{Benchmark: "saxpy", System: "ats2", Experiment: "e1",
-		FOMs: map[string]float64{"t": 4.0}})
-	cmp = db.CompareSystems("saxpy", "cts1", "ats2", "t")
-	if len(cmp) != 1 || cmp[0].B != 4.0 || cmp[0].Ratio != 2.0 {
-		t.Fatalf("latest-wins comparison = %+v", cmp)
 	}
 }
 

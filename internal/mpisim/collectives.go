@@ -1,10 +1,7 @@
 package mpisim
 
-// Additional collectives beyond the Figure-14 set: Scatter, Gather,
-// ReduceScatter and Alltoall, with the standard algorithms (binomial
-// trees for scatter/gather, pairwise exchange for alltoall). These
-// round out the MPI surface the benchmark kernels and future
-// applications can rely on.
+// Collectives beyond the Figure-14 set: Scatter (binomial tree) and
+// Alltoall (pairwise exchange, which GUPS's update rounds call).
 
 // Scatter distributes root's data in equal contiguous blocks; every
 // rank returns its block. len(data) must be divisible by Size() on
@@ -31,47 +28,6 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 		held = c.copyOf(data[:n]) // the root's block is a copy too
 	}
 	return held[:n]
-}
-
-// Gather collects equal-size contributions onto root in rank order;
-// root returns the concatenation, others nil (binomial tree, the
-// mirror of Scatter: each rank assembles blocks [vrank,hi) in place
-// and gives them to its parent).
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	p := c.w.size
-	n := len(data)
-	vrank := (c.rank - root + p) % p
-	parent, hi := scatterMeta(vrank, p)
-	held := c.buffer((hi - vrank) * n)
-	copy(held, data)
-	// Receive from children in reverse order of the scatter sends.
-	var children []int
-	for h := hi; h-vrank > 1; {
-		h = vrank + (h-vrank+1)/2
-		children = append(children, h)
-	}
-	for i := len(children) - 1; i >= 0; i-- {
-		in := c.Recv((children[i] + root) % p)
-		copy(held[(children[i]-vrank)*n:], in)
-		c.Release(in)
-	}
-	if vrank != 0 {
-		c.post((parent+root)%p, held, 0, 2+(hi-vrank)+len(held))
-		return nil
-	}
-	return held
-}
-
-// ReduceScatter element-wise reduces data across ranks and scatters
-// the result in equal blocks (reduce-to-root + scatter; len(data)
-// must be divisible by Size()).
-func (c *Comm) ReduceScatter(data []float64, op Op) []float64 {
-	p := c.w.size
-	reduced := c.Reduce(0, data, op)
-	if p == 1 {
-		return reduced
-	}
-	return c.Scatter(0, reduced)
 }
 
 // Alltoall sends block i of data to rank i and returns the blocks

@@ -218,9 +218,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.w.size }
 
-// System returns the system model the job runs on.
-func (c *Comm) System() *hpcsim.System { return c.w.sys }
-
 // RanksPerNode returns the block placement width.
 func (c *Comm) RanksPerNode() int { return c.w.ranksPerNode }
 
@@ -232,24 +229,6 @@ func (c *Comm) Compute(seconds float64) {
 	if seconds > 0 {
 		c.clock += seconds
 	}
-}
-
-// ComputeFlops advances the clock by flops at the node's sustained
-// per-core rate.
-func (c *Comm) ComputeFlops(flops float64) {
-	rate := c.w.sys.Node.GFlopsPerCore * 1e9
-	c.Compute(flops / rate)
-}
-
-// ComputeBytes advances the clock by a memory-bound sweep over the
-// given bytes; node bandwidth is shared by the ranks on the node.
-func (c *Comm) ComputeBytes(bytes float64) {
-	ranksOnNode := c.w.ranksPerNode
-	if ranksOnNode < 1 {
-		ranksOnNode = 1
-	}
-	bw := c.w.sys.Node.MemBWGBs * 1e9 / float64(ranksOnNode)
-	c.Compute(bytes / bw)
 }
 
 // ComputeOnGPU advances the clock by a GPU kernel: the max of its
@@ -394,57 +373,6 @@ func (c *Comm) recv(src int) message {
 func (c *Comm) SendRecv(dst int, data []float64, src int) []float64 {
 	c.Send(dst, data)
 	return c.Recv(src)
-}
-
-// Request is a handle for a nonblocking operation. Completion happens
-// at Wait; compute performed between posting and waiting overlaps
-// with the transfer (the arrival time is compared against the clock
-// at Wait, exactly like MPI overlap).
-type Request struct {
-	c       *Comm
-	src     int
-	isRecv  bool
-	done    bool
-	payload []float64
-}
-
-// Isend posts a nonblocking send. The runtime is eager-buffered, so
-// the send completes immediately; the returned request exists for API
-// symmetry.
-func (c *Comm) Isend(dst int, data []float64) *Request {
-	c.Send(dst, data)
-	return &Request{c: c, done: true}
-}
-
-// Irecv posts a nonblocking receive from src. The message is matched
-// at Wait time.
-func (c *Comm) Irecv(src int) *Request {
-	c.seq++
-	c.clock += 0.1e-6 // posting overhead
-	return &Request{c: c, src: src, isRecv: true}
-}
-
-// Wait completes a request, returning the received payload for
-// receives (nil for sends). Waiting twice returns the same payload.
-func (c *Comm) Wait(r *Request) []float64 {
-	if r.c != c {
-		panic("mpisim: request waited on a different rank's communicator")
-	}
-	if r.done {
-		return r.payload
-	}
-	r.payload = c.Recv(r.src)
-	r.done = true
-	return r.payload
-}
-
-// WaitAll completes several requests in order.
-func (c *Comm) WaitAll(reqs ...*Request) [][]float64 {
-	out := make([][]float64, len(reqs))
-	for i, r := range reqs {
-		out[i] = c.Wait(r)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -620,27 +548,6 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 		c.Release(in)
 	}
 	return acc
-}
-
-// Allgather concatenates each rank's contribution in rank order
-// (ring algorithm; a message is one contribution tagged with its
-// rank, charged one word on top).
-func (c *Comm) Allgather(data []float64) []float64 {
-	p := c.w.size
-	n := len(data)
-	out := c.buffer(n * p)
-	copy(out[c.rank*n:], data)
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	cur := c.rank
-	for s := 0; s < p-1; s++ {
-		c.send(right, out[cur*n:(cur+1)*n], cur, 1+n)
-		m := c.recv(left)
-		cur = m.tag
-		copy(out[cur*n:], m.data)
-		c.Release(m.data)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

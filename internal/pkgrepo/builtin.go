@@ -12,7 +12,7 @@ import (
 // the Benchpark benchmarks of Section 4 (saxpy, AMG2023) plus the
 // additional proxy benchmarks the suite runs continuously.
 //
-// Every call returns its own Repo, so a scope or overlay added to one
+// Every call returns its own Repo, so a scope added to one
 // is invisible to the next. The builtin recipes themselves are
 // finalized once and shared read-only between repos for as long as
 // callers keep coming: builtinScopes is a pool rather than a
@@ -31,7 +31,7 @@ func Builtin() *Repo {
 	// Nothing writes a finalized scope, so it goes straight back for the
 	// next caller while this one reads it.
 	builtinScopes.Put(scope)
-	return &Repo{scopes: []map[string]*Package{scope}, names: []string{"builtin"}}
+	return &Repo{scopes: []map[string]*Package{scope}}
 }
 
 var builtinScopes sync.Pool

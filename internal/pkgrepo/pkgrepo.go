@@ -4,9 +4,8 @@
 // conditional dependencies, conflicts, virtual packages it provides,
 // and a build-configuration function templatized by the concrete spec.
 //
-// A Repo combines recipes and supports overlays: Benchpark's repo/
-// directory (Figure 1a) is an overlay repo consulted before the
-// upstream builtin repo.
+// A Repo holds recipes in scopes; the builtin repo is one scope of
+// upstream recipes.
 package pkgrepo
 
 import (
@@ -60,7 +59,6 @@ type Conflict struct {
 // (e.g. mvapich2 provides mpi).
 type Provide struct {
 	Virtual string
-	When    *spec.Spec
 }
 
 // VariantDef declares one variant of the build space.
@@ -81,8 +79,6 @@ type PkgVersion struct {
 type Package struct {
 	Name        string
 	Description string
-	Homepage    string
-	Maintainers []string
 
 	Versions     []PkgVersion // sorted newest-first by Finalize
 	Variants     map[string]VariantDef
@@ -215,18 +211,17 @@ func (p *Package) BestVersion(constraint spec.VersionList) (spec.Version, error)
 	return spec.Version{}, fmt.Errorf("pkgrepo: no version of %s satisfies @%s", p.Name, constraint)
 }
 
-// Repo is an ordered collection of package recipes with overlay
-// semantics: earlier scopes shadow later ones.
+// Repo is an ordered collection of package recipe scopes: earlier
+// scopes shadow later ones.
 type Repo struct {
 	scopes []map[string]*Package
-	names  []string // scope names for diagnostics
 }
 
 // NewRepo returns an empty repository.
 func NewRepo() *Repo { return &Repo{} }
 
 // AddScope appends a recipe scope at lower precedence than all
-// existing scopes; use AddOverlay for a higher-precedence scope.
+// existing scopes.
 func (r *Repo) AddScope(name string, pkgs ...*Package) error {
 	scope := map[string]*Package{}
 	for _, p := range pkgs {
@@ -239,23 +234,10 @@ func (r *Repo) AddScope(name string, pkgs ...*Package) error {
 		scope[p.Name] = p
 	}
 	r.scopes = append(r.scopes, scope)
-	r.names = append(r.names, name)
 	return nil
 }
 
-// AddOverlay prepends a scope that shadows all existing scopes —
-// Benchpark's repo/ directory overlaying upstream Spack recipes.
-func (r *Repo) AddOverlay(name string, pkgs ...*Package) error {
-	if err := r.AddScope(name, pkgs...); err != nil {
-		return err
-	}
-	last := len(r.scopes) - 1
-	r.scopes = append([]map[string]*Package{r.scopes[last]}, r.scopes[:last]...)
-	r.names = append([]string{r.names[last]}, r.names[:last]...)
-	return nil
-}
-
-// Get returns the recipe for name, honoring overlay precedence.
+// Get returns the recipe for name from the first scope that has it.
 func (r *Repo) Get(name string) (*Package, error) {
 	for _, scope := range r.scopes {
 		if p, ok := scope[name]; ok {
@@ -263,12 +245,6 @@ func (r *Repo) Get(name string) (*Package, error) {
 		}
 	}
 	return nil, fmt.Errorf("pkgrepo: package %q not found", name)
-}
-
-// Has reports whether the package exists.
-func (r *Repo) Has(name string) bool {
-	_, err := r.Get(name)
-	return err == nil
 }
 
 // Names returns all package names visible in the repo, sorted.

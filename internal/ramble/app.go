@@ -21,7 +21,6 @@ type Executable struct {
 type Workload struct {
 	Name        string
 	Executables []string
-	Inputs      []string
 }
 
 // WorkloadVariable declares a tunable with a default
@@ -125,7 +124,6 @@ type SuccessCriterion struct {
 // information (Table 1, column "Benchmark-specific").
 type Application struct {
 	Name        string
-	Description string
 	Executables map[string]Executable
 	Workloads   map[string]Workload
 	Variables   []WorkloadVariable

@@ -57,21 +57,6 @@ func (e *Expander) Set(name, value string) {
 	clear(e.memo)
 }
 
-// Get returns the raw (unexpanded) value of a variable.
-func (e *Expander) Get(name string) (string, bool) {
-	v, ok := e.vars[name]
-	return v, ok
-}
-
-// Vars returns a copy of the variable map.
-func (e *Expander) Vars() map[string]string {
-	out := make(map[string]string, len(e.vars))
-	for k, v := range e.vars {
-		out[k] = v
-	}
-	return out
-}
-
 const maxDepth = 32
 
 // Expand substitutes all {…} references in s. Unknown variables are

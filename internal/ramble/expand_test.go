@@ -116,12 +116,12 @@ func TestQuickExpandPassthrough(t *testing.T) {
 func TestSetAndVars(t *testing.T) {
 	ex := NewExpander(nil)
 	ex.Set("k", "v")
-	if v, ok := ex.Get("k"); !ok || v != "v" {
-		t.Error("Set/Get")
+	ex.Set("ref", "{k}")
+	if v, err := ex.Expand("{ref}"); err != nil || v != "v" {
+		t.Errorf("Set then Expand = %q, %v", v, err)
 	}
-	vars := ex.Vars()
-	vars["k"] = "mutated"
-	if v, _ := ex.Get("k"); v != "v" {
-		t.Error("Vars() must return a copy")
+	ex.Set("k", "w") // a later Set must not be hidden by the memo
+	if v, err := ex.Expand("{ref}"); err != nil || v != "w" {
+		t.Errorf("Expand after a second Set = %q, %v", v, err)
 	}
 }

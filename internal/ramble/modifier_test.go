@@ -91,10 +91,10 @@ ramble:
 		t.Errorf("modifiers = %v", e.Modifiers)
 	}
 	// Modifier variables applied as defaults.
-	if v, _ := e.Expander.Get("papi"); v != "1" {
+	if v, _ := e.Expander.Expand("{papi}"); v != "1" {
 		t.Errorf("papi var = %q", v)
 	}
-	if v, _ := e.Expander.Get("caliper"); v != "1" {
+	if v, _ := e.Expander.Expand("{caliper}"); v != "1" {
 		t.Errorf("caliper var = %q", v)
 	}
 	// Modifier env vars rendered (with expansion of run dir).
@@ -180,10 +180,10 @@ ramble:
 	for _, e := range w.Experiments {
 		byName[e.Name] = e
 	}
-	if _, ok := byName["with_papi"].Expander.Get("papi"); !ok {
+	if _, err := byName["with_papi"].Expander.Expand("{papi}"); err != nil {
 		t.Error("experiment-level modifier not applied")
 	}
-	if _, ok := byName["without"].Expander.Get("papi"); ok {
+	if _, err := byName["without"].Expander.Expand("{papi}"); err == nil {
 		t.Error("modifier leaked into sibling experiment")
 	}
 }
@@ -213,7 +213,7 @@ ramble:
 	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := w.Experiments[0].Expander.Get("papi"); v != "0" {
+	if v, _ := w.Experiments[0].Expander.Expand("{papi}"); v != "0" {
 		t.Errorf("papi = %q, user value should win", v)
 	}
 }

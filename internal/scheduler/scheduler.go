@@ -30,8 +30,6 @@ const (
 	Failed
 	// TimedOut: the payload exceeded the job's time limit.
 	TimedOut
-	// Cancelled before it started.
-	Cancelled
 )
 
 func (s JobState) String() string {
@@ -46,8 +44,6 @@ func (s JobState) String() string {
 		return "FAILED"
 	case TimedOut:
 		return "TIMEOUT"
-	case Cancelled:
-		return "CANCELLED"
 	}
 	return "UNKNOWN"
 }
@@ -98,9 +94,6 @@ type Scheduler struct {
 func New(sys *hpcsim.System) *Scheduler {
 	return &Scheduler{sys: sys, freeNodes: sys.Nodes}
 }
-
-// Clock returns the simulated time.
-func (s *Scheduler) Clock() float64 { return s.clock }
 
 // Submit queues a job at the current simulated time.
 func (s *Scheduler) Submit(name string, nodes int, timeLimit float64, payload Payload) (*Job, error) {
@@ -300,19 +293,6 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 			len(s.pending), s.pending[0].Name, s.pending[0].Nodes)
 	}
 	return nil
-}
-
-// Cancel removes a pending job from the queue (scancel). Running or
-// finished jobs cannot be cancelled in the simulation.
-func (s *Scheduler) Cancel(jobID int) error {
-	for i, j := range s.pending {
-		if j.ID == jobID {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			j.State = Cancelled
-			return nil
-		}
-	}
-	return fmt.Errorf("scheduler: job %d is not pending", jobID)
 }
 
 // Completed returns finished jobs in completion order.

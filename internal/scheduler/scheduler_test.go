@@ -311,30 +311,3 @@ func TestPropertyCapacityNeverExceeded(t *testing.T) {
 		}
 	}
 }
-
-func TestCancelPendingJob(t *testing.T) {
-	sys := cts(t)
-	s := New(sys)
-	// Fill the machine, then queue a job and cancel it.
-	s.Submit("running", sys.Nodes, 7200, fixed(100)) //nolint:errcheck
-	victim, _ := s.Submit("victim", 10, 600, fixed(50))
-	surviving, _ := s.Submit("survivor", 10, 600, fixed(50))
-	if err := s.Cancel(victim.ID); err != nil {
-		t.Fatal(err)
-	}
-	if victim.State != Cancelled {
-		t.Errorf("state = %v", victim.State)
-	}
-	if err := s.Cancel(victim.ID); err == nil {
-		t.Error("double cancel should fail")
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Completed()) != 2 {
-		t.Errorf("completed = %d (victim must not run)", len(s.Completed()))
-	}
-	if surviving.State != Completed {
-		t.Errorf("survivor = %v", surviving.State)
-	}
-}

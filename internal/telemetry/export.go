@@ -117,14 +117,6 @@ func writeFamilies[V any](b *strings.Builder, typ string, m map[string]V, sample
 	}
 }
 
-// PrometheusText renders the registry's CURRENT state as Prometheus
-// text — the live scrape path behind a /metrics endpoint, as opposed
-// to the end-of-run Trace export below. Nil-safe: a nil registry
-// renders empty.
-func (r *Registry) PrometheusText() string {
-	return r.Snapshot().PrometheusText()
-}
-
 // PrometheusText renders the trace's metrics in the Prometheus text
 // exposition format, plus one derived metric family
 // (benchpark_span_seconds) summing span time per region path.

@@ -156,7 +156,7 @@ func TestPrometheusTextOneTypeLinePerFamily(t *testing.T) {
 	r.Counter("x_total_bytes").Add(7)
 	r.Histogram(`lat_seconds{route="a"}`).Observe(time.Millisecond)
 	r.Histogram(`lat_seconds{route="b"}`).Observe(time.Second)
-	text := r.PrometheusText()
+	text := r.Snapshot().PrometheusText()
 
 	seen := map[string]bool{}
 	family, typ := "", ""

@@ -63,8 +63,8 @@ func TestMetricsSnapshotDeterministicAcrossInterleavings(t *testing.T) {
 	}
 	wg.Wait()
 
-	want := sequential.PrometheusText()
-	got := interleaved.PrometheusText()
+	want := sequential.Snapshot().PrometheusText()
+	got := interleaved.Snapshot().PrometheusText()
 	if want == "" {
 		t.Fatal("sequential registry rendered empty")
 	}
@@ -82,7 +82,7 @@ func TestRegistryPrometheusTextMatchesTraceExport(t *testing.T) {
 	m.Gauge("g").Set(2)
 	m.Histogram("h_seconds").Observe(20 * time.Millisecond)
 
-	live := m.PrometheusText()
+	live := m.Snapshot().PrometheusText()
 	if live == "" {
 		t.Fatal("live render is empty")
 	}
@@ -94,7 +94,7 @@ func TestRegistryPrometheusTextMatchesTraceExport(t *testing.T) {
 	}
 
 	var nilReg *Registry
-	if nilReg.PrometheusText() != "" {
+	if nilReg.Snapshot().PrometheusText() != "" {
 		t.Fatal("nil registry rendered non-empty text")
 	}
 }
@@ -146,7 +146,7 @@ func TestSnapshotConsistentUnderConcurrentObserve(t *testing.T) {
 		t.Fatalf("final count %d, want %d", got, workers*perWorker)
 	}
 	// The rendered +Inf bucket and _count are the same number.
-	text := r.PrometheusText()
+	text := r.Snapshot().PrometheusText()
 	for _, want := range []string{`h_seconds_bucket{le="+Inf"} 16000`, "h_seconds_count 16000"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("missing %q in:\n%s", want, text)

@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer of the benchmarking
-// harness: context-propagated hierarchical spans, typed events, and a
+// harness: context-propagated hierarchical spans and a
 // metrics registry (counters, gauges, histograms), all stdlib-only
 // and driven by an injectable Clock.
 //
@@ -152,7 +152,7 @@ func (t *Tracer) Now() time.Time {
 }
 
 // Span is one timed region of the harness's execution: a name, an
-// ancestry path, attributes, typed events, and an optional error.
+// ancestry path, attributes, and an optional error.
 // A nil *Span (StartSpan without a tracer) is a valid no-op receiver
 // for every method.
 type Span struct {
@@ -171,17 +171,10 @@ type Span struct {
 
 	mu       sync.Mutex
 	attrs    map[string]string
-	events   []spanEvent
 	errMsg   string
 	end      time.Time
 	ended    bool
 	children map[string]int // child span name -> prior count
-}
-
-type spanEvent struct {
-	name    string
-	offsetS float64
-	attrs   map[string]string
 }
 
 type tracerKey struct{}
@@ -284,15 +277,6 @@ func (s *Span) TraceID() string {
 	return s.traceID
 }
 
-// Path returns the slash-joined region path (shared by repeated
-// sibling spans; the Caliper exporter aggregates on it).
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
 // StartTime returns when the span opened (zero for a nil span).
 func (s *Span) StartTime() time.Time {
 	if s == nil {
@@ -322,33 +306,6 @@ func (s *Span) SetError(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.errMsg = err.Error()
-}
-
-// AddEvent records a timed event with optional key/value attribute
-// pairs (an odd trailing key gets an empty value).
-func (s *Span) AddEvent(name string, kv ...string) {
-	if s == nil {
-		return
-	}
-	var attrs map[string]string
-	if len(kv) > 0 {
-		attrs = map[string]string{}
-		for i := 0; i < len(kv); i += 2 {
-			v := ""
-			if i+1 < len(kv) {
-				v = kv[i+1]
-			}
-			attrs[kv[i]] = v
-		}
-	}
-	now := s.tracer.clock.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, spanEvent{
-		name:    name,
-		offsetS: now.Sub(s.start).Seconds(),
-		attrs:   attrs,
-	})
 }
 
 // End closes the span and hands it to the tracer, which drops its
@@ -409,14 +366,6 @@ type SpanRecord struct {
 	DurS         float64           `json:"dur_s"`
 	Error        string            `json:"error,omitempty"`
 	Attrs        map[string]string `json:"attrs,omitempty"`
-	Events       []EventRecord     `json:"events,omitempty"`
-}
-
-// EventRecord is one span event in a snapshot.
-type EventRecord struct {
-	Name    string            `json:"name"`
-	OffsetS float64           `json:"offset_s"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
 // Trace is an immutable snapshot of a tracer: finished spans in
@@ -465,9 +414,6 @@ func (t *Tracer) Snapshot() *Trace {
 			for k, v := range s.attrs {
 				rec.Attrs[k] = v
 			}
-		}
-		for _, e := range s.events {
-			rec.Events = append(rec.Events, EventRecord{Name: e.name, OffsetS: e.offsetS, Attrs: e.attrs})
 		}
 		s.mu.Unlock()
 		tr.Spans = append(tr.Spans, rec)

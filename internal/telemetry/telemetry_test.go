@@ -25,9 +25,8 @@ func TestNilSafety(t *testing.T) {
 	s.SetAttr("k", "v")
 	s.SetInt("n", 1)
 	s.SetError(errors.New("boom"))
-	s.AddEvent("e", "k", "v")
 	s.End()
-	if s.ID() != "" || s.Path() != "" || s.Duration() != 0 || !s.StartTime().IsZero() {
+	if s.ID() != "" || s.Duration() != 0 || !s.StartTime().IsZero() {
 		t.Fatal("nil span accessors must return zero values")
 	}
 
@@ -63,8 +62,8 @@ func TestSpanHierarchyAndSiblingIDs(t *testing.T) {
 	c3.End()
 	root.End()
 
-	if root.ID() != "run" || root.Path() != "run" {
-		t.Fatalf("root id/path: %q %q", root.ID(), root.Path())
+	if root.ID() != "run" {
+		t.Fatalf("root id: %q", root.ID())
 	}
 	if c1.ID() != "run/stage" {
 		t.Fatalf("first sibling id: %q", c1.ID())
@@ -72,11 +71,8 @@ func TestSpanHierarchyAndSiblingIDs(t *testing.T) {
 	if c2.ID() != "run/stage#2" || c3.ID() != "run/stage#3" {
 		t.Fatalf("repeated sibling ids: %q %q", c2.ID(), c3.ID())
 	}
-	if c2.Path() != "run/stage" || c3.Path() != "run/stage" {
-		t.Fatal("repeated siblings must share the region path")
-	}
-	if g.ID() != "run/stage/exp" || g.Path() != "run/stage/exp" {
-		t.Fatalf("grandchild id/path: %q %q", g.ID(), g.Path())
+	if g.ID() != "run/stage/exp" {
+		t.Fatalf("grandchild id: %q", g.ID())
 	}
 
 	snap := tr.Snapshot()
@@ -89,6 +85,11 @@ func TestSpanHierarchyAndSiblingIDs(t *testing.T) {
 	}
 	if byID["run/stage/exp"].Parent != "run/stage" {
 		t.Fatalf("grandchild parent: %q", byID["run/stage/exp"].Parent)
+	}
+	for id, want := range map[string]string{"run": "run", "run/stage#2": "run/stage", "run/stage#3": "run/stage", "run/stage/exp": "run/stage/exp"} {
+		if got := byID[id].Path; got != want {
+			t.Fatalf("span %s path %q, want %q (repeated siblings share the region path)", id, got, want)
+		}
 	}
 }
 
@@ -202,7 +203,6 @@ func TestSpanErrorAttrsEvents(t *testing.T) {
 	s.SetAttr("k", "v")
 	s.SetInt("n", 7)
 	s.SetError(nil) // nil error must not mark the span failed
-	s.AddEvent("checkpoint", "phase", "mid", "odd")
 	s.SetError(errors.New("boom"))
 	s.End()
 	rec := tr.Snapshot().Spans[0]
@@ -211,12 +211,6 @@ func TestSpanErrorAttrsEvents(t *testing.T) {
 	}
 	if rec.Attrs["k"] != "v" || rec.Attrs["n"] != "7" {
 		t.Fatalf("span attrs: %v", rec.Attrs)
-	}
-	if len(rec.Events) != 1 || rec.Events[0].Name != "checkpoint" {
-		t.Fatalf("span events: %v", rec.Events)
-	}
-	if rec.Events[0].Attrs["phase"] != "mid" || rec.Events[0].Attrs["odd"] != "" {
-		t.Fatalf("event attrs (odd trailing key): %v", rec.Events[0].Attrs)
 	}
 }
 
@@ -311,7 +305,7 @@ func TestConcurrentMetricsAndSpans(t *testing.T) {
 			tr.Metrics().Counter("n_total").Inc()
 			tr.Metrics().Gauge("g").Add(1)
 			tr.Metrics().Histogram("h").Observe(time.Second)
-			s.AddEvent("tick")
+			s.SetAttr("k", "v")
 			s.End()
 		}()
 	}

@@ -119,7 +119,6 @@ func SpanContextID(traceID, spanID string) string {
 // Carrier is the header-like transport traceparent travels in.
 // net/http's Header satisfies it.
 type Carrier interface {
-	Set(key, value string)
 	Get(key string) string
 }
 
@@ -155,14 +154,6 @@ func PropagationContext(ctx context.Context) (TraceContext, bool) {
 		return tc, true
 	}
 	return TraceContext{}, false
-}
-
-// Inject writes the context's traceparent into the carrier; a no-op
-// when ctx carries neither an open span nor a remote context.
-func Inject(ctx context.Context, c Carrier) {
-	if tc, ok := PropagationContext(ctx); ok {
-		c.Set(TraceparentHeader, tc.Traceparent())
-	}
 }
 
 // Extract reads the carrier's traceparent. The zero TraceContext and

@@ -92,11 +92,12 @@ func TestInjectExtractJoinsRemoteTrace(t *testing.T) {
 	caller := New(fixed())
 	ctx, span := StartSpan(WithTracer(context.Background(), caller), "push")
 	h := http.Header{}
-	Inject(ctx, h)
+	out, ok := PropagationContext(ctx)
 	span.End()
-	if h.Get(TraceparentHeader) == "" {
-		t.Fatal("Inject wrote no traceparent")
+	if !ok {
+		t.Fatal("an open span propagated no trace context")
 	}
+	h.Set(TraceparentHeader, out.Traceparent())
 
 	// Callee process: different epoch, hence a different native trace
 	// ID — the request span must adopt the caller's.
@@ -161,7 +162,8 @@ func TestMergeTracesDeterministic(t *testing.T) {
 		caller := New(fixed())
 		ctx, span := StartSpan(WithTracer(context.Background(), caller), "push")
 		h := http.Header{}
-		Inject(ctx, h)
+		out, _ := PropagationContext(ctx)
+		h.Set(TraceparentHeader, out.Traceparent())
 		callee := New(FixedClock{T: time.Unix(1800000000, 0)})
 		tc, _ := Extract(h)
 		sctx := WithRemote(WithTracer(context.Background(), callee), tc)

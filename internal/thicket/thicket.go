@@ -1,9 +1,9 @@
 // Package thicket composes performance profiles from many runs —
 // potentially at different scales, on different architectures, with
-// different dependency versions — into one queryable ensemble for
-// exploratory data analysis, mirroring LLNL's Thicket as used in
-// Section 5 of the Benchpark paper (Figure 14 is an Extra-P model
-// computed over such an ensemble).
+// different dependency versions — into one ensemble that groups runs
+// by metadata and tabulates per-region statistics, mirroring LLNL's
+// Thicket as used in Section 5 of the Benchpark paper (Figure 14 is
+// an Extra-P model computed over such an ensemble).
 package thicket
 
 import (
@@ -38,21 +38,6 @@ func (t *Thicket) Add(profile *caliper.Profile, md *adiak.Metadata) {
 	t.Runs = append(t.Runs, &Run{Profile: profile, Metadata: md})
 }
 
-// Len reports the ensemble size.
-func (t *Thicket) Len() int { return len(t.Runs) }
-
-// Filter returns the sub-ensemble whose metadata matches every
-// key=value selector.
-func (t *Thicket) Filter(selectors ...string) *Thicket {
-	out := New()
-	for _, r := range t.Runs {
-		if r.Metadata.Matches(selectors...) {
-			out.Runs = append(out.Runs, r)
-		}
-	}
-	return out
-}
-
 // GroupBy partitions the ensemble by a metadata key; runs lacking the
 // key group under "".
 func (t *Thicket) GroupBy(key string) map[string]*Thicket {
@@ -66,23 +51,6 @@ func (t *Thicket) GroupBy(key string) map[string]*Thicket {
 		}
 		g.Runs = append(g.Runs, r)
 	}
-	return out
-}
-
-// Regions returns the union of region paths across the ensemble,
-// sorted.
-func (t *Thicket) Regions() []string {
-	seen := map[string]bool{}
-	for _, r := range t.Runs {
-		for path := range r.Profile.Regions {
-			seen[path] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -153,27 +121,6 @@ func (t *Thicket) ScalingSeries(paramKey, region string) ([]extrap.Measurement, 
 	return extrap.SortMeasurements(out), nil
 }
 
-// FitScalingModel runs Extra-P over a scaling series — the one-call
-// version of Figure 14.
-func (t *Thicket) FitScalingModel(paramKey, region string) (*extrap.Model, error) {
-	series, err := t.ScalingSeries(paramKey, region)
-	if err != nil {
-		return nil, err
-	}
-	return extrap.Fit(series)
-}
-
-// FitScalingModelMulti is FitScalingModel with Extra-P's two-term
-// hypothesis space — better fits when a region mixes two growth terms
-// (e.g. a latency term plus a bandwidth term).
-func (t *Thicket) FitScalingModelMulti(paramKey, region string) (*extrap.Model, error) {
-	series, err := t.ScalingSeries(paramKey, region)
-	if err != nil {
-		return nil, err
-	}
-	return extrap.FitMultiTerm(series)
-}
-
 // Table renders an ASCII statistics table of the given regions across
 // the ensemble, grouped by a metadata key.
 func (t *Thicket) Table(groupKey string, regions []string) string {
@@ -197,24 +144,4 @@ func (t *Thicket) Table(groupKey string, regions []string) string {
 		}
 	}
 	return b.String()
-}
-
-// AddFromJSON loads a serialized Caliper profile (caliper.Profile
-// JSON) with metadata selectors ("k=v" strings) into the ensemble —
-// how collaborators' shared profiles enter a Thicket analysis.
-func (t *Thicket) AddFromJSON(profileJSON string, selectors ...string) error {
-	p, err := caliper.ParseProfile(profileJSON)
-	if err != nil {
-		return err
-	}
-	md := adiak.New()
-	for _, sel := range selectors {
-		k, v, ok := strings.Cut(sel, "=")
-		if !ok {
-			return fmt.Errorf("thicket: bad metadata selector %q (want k=v)", sel)
-		}
-		md.Set(k, v)
-	}
-	t.Add(p, md)
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adiak"
 	"repro/internal/caliper"
+	"repro/internal/extrap"
 )
 
 func run(region string, total float64, meta map[string]string) (*caliper.Profile, *adiak.Metadata) {
@@ -24,20 +25,15 @@ func TestFilterAndGroupBy(t *testing.T) {
 	th.Add(run("solve", 1, map[string]string{"cluster": "cts1", "n_ranks": "64"}))
 	th.Add(run("solve", 2, map[string]string{"cluster": "cts1", "n_ranks": "128"}))
 	th.Add(run("solve", 3, map[string]string{"cluster": "ats2", "n_ranks": "64"}))
-	if th.Len() != 3 {
-		t.Fatalf("len = %d", th.Len())
-	}
-	cts := th.Filter("cluster=cts1")
-	if cts.Len() != 2 {
-		t.Errorf("filter = %d", cts.Len())
-	}
-	both := th.Filter("cluster=cts1", "n_ranks=64")
-	if both.Len() != 1 {
-		t.Errorf("multi filter = %d", both.Len())
-	}
 	groups := th.GroupBy("cluster")
-	if len(groups) != 2 || groups["cts1"].Len() != 2 || groups["ats2"].Len() != 1 {
+	if len(groups) != 2 || len(groups["cts1"].Runs) != 2 || len(groups["ats2"].Runs) != 1 {
 		t.Errorf("groups = %v", groups)
+	}
+	if byRanks := th.GroupBy("n_ranks"); len(byRanks["64"].Runs) != 2 || len(byRanks["128"].Runs) != 1 {
+		t.Errorf("groups by n_ranks = %v", byRanks)
+	}
+	if missing := th.GroupBy("compiler"); len(missing) != 1 || len(missing[""].Runs) != 3 {
+		t.Errorf("runs lacking the key should group under \"\": %v", missing)
 	}
 }
 
@@ -68,7 +64,11 @@ func TestFigure14Pipeline(t *testing.T) {
 			"cluster": "cts1", "n_ranks: ": "x", "nprocs": itoa(int(p)),
 		}))
 	}
-	model, err := th.FitScalingModel("nprocs", "MPI_Bcast")
+	series, err := th.ScalingSeries("nprocs", "MPI_Bcast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := extrap.Fit(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +105,6 @@ func TestScalingSeriesErrors(t *testing.T) {
 	}
 }
 
-func TestRegionsUnion(t *testing.T) {
-	th := New()
-	th.Add(run("a", 1, nil))
-	th.Add(run("b", 1, nil))
-	regions := th.Regions()
-	if len(regions) != 2 || regions[0] != "a" || regions[1] != "b" {
-		t.Errorf("regions = %v", regions)
-	}
-}
-
 func TestTable(t *testing.T) {
 	th := New()
 	th.Add(run("solve", 1.5, map[string]string{"cluster": "cts1"}))
@@ -123,45 +113,5 @@ func TestTable(t *testing.T) {
 	if !strings.Contains(tbl, "cts1") || !strings.Contains(tbl, "ats2") ||
 		!strings.Contains(tbl, "solve") {
 		t.Errorf("table:\n%s", tbl)
-	}
-}
-
-func TestFitScalingModelMulti(t *testing.T) {
-	th := New()
-	for _, p := range []float64{8, 16, 32, 64, 128, 256} {
-		total := 0.02*p + 1.5*math.Sqrt(p)
-		th.Add(run("mixed", total, map[string]string{"nprocs": itoa(int(p))}))
-	}
-	m, err := th.FitScalingModelMulti("nprocs", "mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.HasSecond {
-		t.Errorf("mixed-growth region should select a two-term model, got %s", m)
-	}
-}
-
-func TestAddFromJSON(t *testing.T) {
-	p := caliper.NewProfile()
-	p.Regions["solve"] = caliper.RegionStat{Count: 1, Total: 3.5, Min: 3.5, Max: 3.5}
-	js, err := p.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := New()
-	if err := th.AddFromJSON(js, "cluster=riken", "nprocs=64"); err != nil {
-		t.Fatal(err)
-	}
-	if th.Filter("cluster=riken").Len() != 1 {
-		t.Error("metadata lost")
-	}
-	if th.RegionStats("solve").Mean != 3.5 {
-		t.Error("profile lost")
-	}
-	if err := th.AddFromJSON(js, "malformed"); err == nil {
-		t.Error("bad selector should fail")
-	}
-	if err := th.AddFromJSON("{bad"); err == nil {
-		t.Error("bad json should fail")
 	}
 }

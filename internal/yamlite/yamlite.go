@@ -95,23 +95,6 @@ func (m *Map) Set(key string, v Value) {
 	m.vals[key] = v
 }
 
-// Delete removes key if present.
-func (m *Map) Delete(key string) {
-	if m == nil || m.vals == nil {
-		return
-	}
-	if _, ok := m.vals[key]; !ok {
-		return
-	}
-	delete(m.vals, key)
-	for i, k := range m.keys {
-		if k == key {
-			m.keys = append(m.keys[:i], m.keys[i+1:]...)
-			break
-		}
-	}
-}
-
 // GetMap returns the nested map at key, or nil if absent or not a map.
 func (m *Map) GetMap(key string) *Map {
 	v, _ := m.Get(key).(*Map)
@@ -149,20 +132,6 @@ func (m *Map) GetStrings(key string) []string {
 	default:
 		return []string{ScalarString(v)}
 	}
-}
-
-// GetInt returns the integer at key and whether it was present and integral.
-func (m *Map) GetInt(key string) (int64, bool) {
-	switch v := m.Get(key).(type) {
-	case int64:
-		return v, true
-	case float64:
-		return int64(v), true
-	case string:
-		n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		return n, err == nil
-	}
-	return 0, false
 }
 
 // GetBool returns the boolean at key, defaulting to def when absent
@@ -226,20 +195,6 @@ func (m *Map) Merge(src *Map) {
 		}
 		m.Set(k, cloneValue(sv))
 	}
-}
-
-// Lookup resolves a dotted path like "config.spack_flags.install"
-// starting at m. It returns nil when any segment is missing.
-func (m *Map) Lookup(path string) Value {
-	cur := Value(m)
-	for _, seg := range strings.Split(path, ".") {
-		mm, ok := cur.(*Map)
-		if !ok {
-			return nil
-		}
-		cur = mm.Get(seg)
-	}
-	return cur
 }
 
 // ScalarString renders a scalar value the way YAML would print it.

@@ -71,6 +71,8 @@ stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/me
 { sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' 'ReuseCompatible|PushToCache|FindCompatible|\.Instrument\(|"buildcache_|"install_cache_' internal cmd examples || { echo "verify: the binary cache is read by exact hash and counted once, as cache_{hits,misses}_total{layer=\"buildcache\"}; compatible-target reuse, PushToCache, Instrument and the buildcache_*/install_cache_* counters are gone" >&2; exit 1; }
 ! grep -rn --include='*.go' --exclude='*_test.go' 'os\.ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
+! grep -rnE --include='*.go' --exclude='*_test.go' -e '\b(Isend|Irecv|WaitAll|ReduceScatter|FitScalingModel\w*|AddFromJSON|AddEvent|EventRecord|spanEvent|CompareSystems|AddOverlay|ImplementsComponent|SeededRNG|ChangedPaths|PRClosed|Homepage|Maintainers)\b' -e 'func \(c \*Comm\) (Allgather|Gather|Wait|System|ComputeFlops|ComputeBytes)\(|type Request struct' -e 'func \(t \*Thicket\) (Len|Filter|Regions)\(|func \(m \*Metadata\) (Matches|Len|Clone|Merge)\(' -e 'func \(s \*Span\) Path\(|func Inject\(|func \(r \*Registry\) PrometheusText\(' -e 'func \(m \*Map\) (GetInt|Lookup|Delete)\(|type Comparison struct|func \(r \*Repo\) Has\(' -e 'func \(e \*Expander\) (Get|Vars)\(|func \(s \*Scheduler\) (Cancel|Clock)\(|"CANCELLED"|scheduler\.Cancelled\b' -e 'func \(a \*Automation\) UseCache\(|func \(e \*Environment\) Remove\(' internal cmd examples scripts || { echo "verify: nothing is exported only for its own tests; the MPI calls, Thicket queries, span events and other names no program reached are gone (see CHANGES.md for the list)" >&2; exit 1; }
+! { sed -n '/^type Provide struct/,/^}/p' internal/pkgrepo/pkgrepo.go | grep -w When; sed -n '/^type Workload struct/,/^}/p' internal/ramble/app.go | grep -w Inputs; sed -n '/^type Application struct/,/^}/p' internal/ramble/app.go | grep -w Description; } | grep . || { echo "verify: Provide.When, Workload.Inputs and Application.Description are gone: nothing read them, so a recipe or application that set them was silently ignored" >&2; exit 1; }
 
 echo "==> go test ./..."
 go test ./...
