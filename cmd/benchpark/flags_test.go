@@ -112,7 +112,7 @@ func TestFlagSurface(t *testing.T) {
 		{args: serve("--metrics"), fail: true, errHas: "-metrics"},
 		{args: serve("--shards", "0"), fail: true, errHas: "shards"},
 		{args: serve("--shard-queue", "0"), fail: true, errHas: "shard-queue"},
-		{args: serve("--shard-slow", "-1ms"), fail: true, errHas: "shard-slow"},
+		{args: serve("--shard-slow", "1ms"), fail: true, errHas: "-shard-slow"},
 		{args: serve("--selfmonitor", "0s"), fail: true, errHas: "selfmonitor"},
 		{args: serve("--sync-interval", "bogus"), fail: true, errHas: "sync-interval"},
 		{args: serve("--replica-of", ts.URL, "--shards", "2"), fail: true, errHas: "mutually exclusive"},

@@ -304,7 +304,7 @@ func usage() {
   benchpark report [out.md] [-full]
   benchpark serve [--addr A] [--data DIR] [--pprof]
             [--selfmonitor DUR] [--shards N] [--shard-queue N]
-            [--shard-slow DUR] [--replica-of URL] [--sync-interval DUR]
+            [--replica-of URL] [--sync-interval DUR]
                                        run the results federation service
                                        (ops endpoints /healthz /readyz
                                        /metrics /debug/ops always on);

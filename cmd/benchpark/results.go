@@ -19,18 +19,16 @@ import (
 
 // serveCmd implements `benchpark serve [--addr A] [--data DIR]
 // [--pprof] [--selfmonitor DUR] [--shards N]
-// [--shard-queue N] [--shard-slow DUR] [--replica-of URL]
-// [--sync-interval DUR]`: run the results federation service in one of
-// three modes.
+// [--shard-queue N] [--replica-of URL] [--sync-interval DUR]`: run the
+// results federation service in one of three modes.
 //
 //   - Default: one durable resultstore (today's single-node mode).
 //   - --shards N (N > 1): N independent stores in DIR/shard-NN behind
 //     the deterministic (system, benchmark) router, with bounded ingest
 //     queues (--shard-queue). Shards are for separate disks (mount them
 //     at DIR/shard-NN): on one device the same load runs slower through
-//     four shards than through one store. --shard-slow injects a
-//     per-commit delay for fault-injection drills. Both shard flags are
-//     refused in the other modes, which would ignore them.
+//     four shards than through one store. --shard-queue is refused in
+//     the other modes, which would ignore it.
 //   - --replica-of URL: a read-only follower replica of either of the
 //     above — both serve the /v1/replica endpoints followers pull from,
 //     a plain store as a one-shard primary — serving /v1/series,
@@ -48,12 +46,11 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	withPprof := fs.Bool("pprof", false, "serve /debug/pprof")
 	replicaOf := fs.String("replica-of", "", "follow this primary, read-only")
 	var shards, shardQueue int
-	var selfmonitor, shardSlow time.Duration
+	var selfmonitor time.Duration
 	syncInterval := time.Second
 	fs.Func("selfmonitor", "self-sampling interval", above(&selfmonitor, 0, time.ParseDuration))
 	fs.Func("shards", "shard count", above(&shards, 0, strconv.Atoi))
 	fs.Func("shard-queue", "per-shard ingest queue depth", above(&shardQueue, 0, strconv.Atoi))
-	fs.Func("shard-slow", "injected per-commit delay", above(&shardSlow, 0, time.ParseDuration))
 	fs.Func("sync-interval", "replica sync period", above(&syncInterval, 0, time.ParseDuration))
 	rest, err := parseAnywhere(fs, args)
 	switch {
@@ -63,8 +60,8 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 		return fmt.Errorf("serve: unexpected argument %q", rest[0])
 	case *replicaOf != "" && shards > 0:
 		return fmt.Errorf("serve: --replica-of and --shards are mutually exclusive (a replica mirrors the primary's topology)")
-	case shards < 2 && (shardQueue > 0 || shardSlow > 0):
-		return fmt.Errorf("serve: --shard-queue and --shard-slow need --shards N with N > 1 (one store has no shard queue)")
+	case shards < 2 && shardQueue > 0:
+		return fmt.Errorf("serve: --shard-queue needs --shards N with N > 1 (one store has no shard queue)")
 	}
 
 	// The server gets its own wall-clock tracer so request metrics
@@ -91,7 +88,7 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	case shards > 1:
 		router, err := resultshard.Open(*dataDir, resultshard.Options{
 			Shards: shards,
-			Store:  resultstore.Options{QueueDepth: shardQueue, CommitDelay: shardSlow},
+			Store:  resultstore.Options{QueueDepth: shardQueue},
 		})
 		if err != nil {
 			return err

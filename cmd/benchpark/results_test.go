@@ -108,7 +108,7 @@ func TestRunServeCmdFlagErrors(t *testing.T) {
 		{[]string{"serve", "--data"}, ""},         // missing value
 		{[]string{"serve", "unexpected-arg"}, ""}, // unknown argument
 		{append([]string{"serve", "--shard-queue", "4"}, unused...), "--shards"},
-		{append([]string{"serve", "--shards", "1", "--shard-slow", "5ms"}, unused...), "--shards"},
+		{append([]string{"serve", "--shards", "1", "--shard-queue", "4"}, unused...), "--shards"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -63,6 +63,9 @@ func closerAcquisition(info *types.Info, call *ast.CallExpr) (kind closerKind, h
 	if fn == nil || fn.Pkg() == nil {
 		return 0, false, false
 	}
+	if isSeam(fn.Pkg()) && (fn.Name() == "OpenAppend" || fn.Name() == "CreateTemp") {
+		return closerFile, true, true
+	}
 	switch fn.Pkg().Path() {
 	case "os":
 		switch fn.Name() {

@@ -426,9 +426,11 @@ func isMutableGlobalRead(pkg *Package, modPath string, id *ast.Ident) bool {
 	return true
 }
 
-// fileEffect classifies a direct standard-library call as writing
-// bytes to an *os.File/io.Writer or fsyncing a file: the ground truth
-// behind the Writes and Syncs facts, shared with walack.
+// fileEffect classifies a direct call as writing bytes to an
+// *os.File/io.Writer or fsyncing a file or directory — through the
+// standard library or through the file-system seam (internal/fsys),
+// whose File stands in for *os.File: the ground truth behind the Writes
+// and Syncs facts, shared with walack.
 func fileEffect(fn *types.Func) (writes, syncs bool) {
 	switch fn.Pkg().Path() {
 	case "os":
@@ -439,9 +441,17 @@ func fileEffect(fn *types.Func) (writes, syncs bool) {
 			return true, false
 		}
 	case "io":
-		return fn.Name() == "Write" || fn.Name() == "WriteString", false
+		return fn.Name() == "Write" || fn.Name() == "WriteString" || fn.Name() == "WriteTo", false
+	}
+	if isSeam(fn.Pkg()) {
+		return fn.Name() == "Write", fn.Name() == "Sync" || fn.Name() == "SyncDir"
 	}
 	return false, false
+}
+
+// isSeam reports whether a package is the module's file-system seam.
+func isSeam(p *types.Package) bool {
+	return strings.HasSuffix(p.Path(), "internal/fsys")
 }
 
 // classifyCall records one call expression's contribution: a direct

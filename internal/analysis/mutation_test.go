@@ -84,6 +84,14 @@ var seededMutations = []struct {
 		want:  []string{"Append"},
 	},
 	{
+		// The durable write's fsync stripped out: a snapshot, router
+		// manifest or cache entry renamed into place before its bytes
+		// are on disk, so a power cut can publish a torn file.
+		analyzer: WalAck, file: "internal/fsys/fsys.go",
+		edits: [][2]string{{"\tif err = tmp.Sync(); err != nil {\n\t\treturn 0, err\n\t}\n", ""}},
+		want:  []string{"Commit"},
+	},
+	{
 		// A time.Now() read inside the concretizer's memoized solve: the
 		// cached result is no longer a pure function of its key.
 		analyzer: Purity, file: "internal/concretizer/concretizer.go",

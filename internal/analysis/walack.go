@@ -22,13 +22,15 @@ import (
 var WalAck = &Analyzer{
 	Name: "walack",
 	Doc:  "ingest/commit paths fsync the WAL before acknowledging (returning nil)",
-	// The cachekey store shares the contract: durableCommit must sync
-	// entry bytes before renaming them into place — a torn entry that
-	// was "committed" is exactly the corruption the torture tests
-	// exist to catch early. The sharded router acks what its shard
-	// stores' committers acked, so its ingest path stays in scope: a
-	// write it ever grows of its own inherits the obligation.
-	Scope: []string{"internal/resultstore", "internal/cachekey", "internal/resultshard"},
+	// The file-system seam's one durable write, fsys.Commit, shares the
+	// contract: it must sync the bytes before renaming them into place —
+	// a torn cache entry, snapshot or router manifest that was
+	// "committed" is exactly the corruption the torture tests exist to
+	// catch early. The cachekey store publishes entries through it. The
+	// sharded router acks what its shard stores' committers acked, so its
+	// ingest path stays in scope: a write it ever grows of its own
+	// inherits the obligation.
+	Scope: []string{"internal/resultstore", "internal/cachekey", "internal/resultshard", "internal/fsys"},
 	Run:   runWalAck,
 }
 

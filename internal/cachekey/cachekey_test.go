@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fsys"
 )
 
 func TestHashStableAndInputSensitive(t *testing.T) {
@@ -172,8 +174,8 @@ func TestGetSkipsStrayFiles(t *testing.T) {
 	if err := l.Put(entry, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	leftover := filepath.Join(filepath.Dir(l.path(entry)), ".tmp-entry-stray")
-	if err := durableCommit(leftover, frame([]byte("junk"))); err != nil {
+	leftover := filepath.Join(filepath.Dir(l.path(entry)), fsys.TempPrefix+"stray")
+	if _, err := fsys.Commit(fsys.OS, leftover, bytes.NewReader(frame([]byte("junk")))); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := l.Get(entry); !ok || string(got) != "payload" {

@@ -5,8 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
+
+	"repro/internal/fsys"
 )
 
 // Store is the durable on-disk content-addressed store behind the
@@ -38,7 +39,7 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cachekey: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("cachekey: opening store: %w", err)
 	}
 	return &Store{dir: dir}, nil
@@ -113,7 +114,7 @@ func (l *Layer) Get(key Key) ([]byte, bool) {
 	if !key.Valid() {
 		return nil, false
 	}
-	raw, err := os.ReadFile(l.path(key))
+	raw, err := fsys.OS.ReadFile(l.path(key))
 	if err != nil {
 		return nil, false
 	}
@@ -128,44 +129,13 @@ func (l *Layer) Put(key Key, data []byte) error {
 		return fmt.Errorf("cachekey: refusing to store under invalid key %q", key)
 	}
 	path := l.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := fsys.OS.MkdirAll(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("cachekey: put %s: %w", key.Short(), err)
 	}
-	if err := durableCommit(path, frame(data)); err != nil {
+	// No directory fsync: an entry whose rename a crash undoes is a cold
+	// miss, and the pipeline recomputes it.
+	if _, err := fsys.Commit(fsys.OS, path, bytes.NewReader(frame(data))); err != nil {
 		return fmt.Errorf("cachekey: put %s: %w", key.Short(), err)
-	}
-	return nil
-}
-
-// durableCommit publishes one entry file: the frame is written to a
-// private temp file, fsynced, and atomically renamed over path. The
-// fsync-before-rename order is what makes a crash leave either the
-// old entry or the complete new one — never a torn frame under the
-// final name. (The walack analyzer checks that order on every
-// function whose name carries "Commit".)
-func durableCommit(path string, framed []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-entry-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(framed); err != nil {
-		f.Close()      //nolint:errcheck
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()      //nolint:errcheck
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return err
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/loadgen"
 	"repro/internal/metricsdb"
 	"repro/internal/resultshard"
@@ -149,11 +150,16 @@ func TestShardedServeByteIdenticalAcrossRestart(t *testing.T) {
 }
 
 // TestIngestOverloadMapsTo429: an overloaded shard surfaces as HTTP
-// 429 with a Retry-After header, not a hang or a 500.
+// 429 with a Retry-After header, not a hang or a 500. A 2-shard router
+// with depth-1 queues behind a disk whose Syncs take 100ms gets 32
+// concurrent ingests pinned to one shard: some are accepted, the rest
+// refused, every answer arrives within the deadline, and the shard
+// accepts again once its queue drains — overload is load shedding, not
+// a terminal state.
 func TestIngestOverloadMapsTo429(t *testing.T) {
 	srv, router := newShardedServer(t, t.TempDir(), resultshard.Options{
 		Shards: 2,
-		Store:  resultstore.Options{QueueDepth: 1, CommitDelay: 100 * time.Millisecond},
+		Store:  resultstore.Options{QueueDepth: 1, FS: slowDisk{fsys.OS, 100 * time.Millisecond}},
 	})
 	h := srv.Handler()
 	// Fire enough concurrent single-key ingests at the slow shards to
@@ -162,18 +168,26 @@ func TestIngestOverloadMapsTo429(t *testing.T) {
 		code       int
 		retryAfter string
 	}
-	results := make(chan resp, 32)
-	for i := 0; i < 32; i++ {
+	const posts = 32
+	results := make(chan resp, posts)
+	for i := 0; i < posts; i++ {
 		go func(i int) {
 			w := postResults(t, h, fmt.Sprintf("k%d", i), []metricsdb.Result{result("b", "s", "fom", float64(i))})
 			results <- resp{w.Code, w.Result().Header.Get("Retry-After")}
 		}(i)
 	}
-	overloaded := 0
-	for i := 0; i < 32; i++ {
-		r := <-results
+	deadline := time.After(10 * time.Second)
+	accepted, overloaded := 0, 0
+	for i := 0; i < posts; i++ {
+		var r resp
+		select {
+		case r = <-results:
+		case <-deadline:
+			t.Fatalf("overloaded shard hung: %d of %d concurrent ingests answered within 10s", i, posts)
+		}
 		switch r.code {
 		case http.StatusOK:
+			accepted++
 		case http.StatusTooManyRequests:
 			overloaded++
 			if r.retryAfter != "1" {
@@ -183,12 +197,49 @@ func TestIngestOverloadMapsTo429(t *testing.T) {
 			t.Fatalf("unexpected status %d", r.code)
 		}
 	}
-	if overloaded == 0 {
-		t.Fatal("no 429s from a depth-1 queue under 32 concurrent ingests")
+	if accepted == 0 || overloaded == 0 {
+		t.Fatalf("%d accepted, %d refused of %d concurrent ingests into a depth-1 queue: want both", accepted, overloaded, posts)
 	}
 	if router.Overloads() == 0 {
 		t.Fatal("router overload counter did not move")
 	}
+	for start := time.Now(); ; time.Sleep(50 * time.Millisecond) {
+		w := postResults(t, h, "recovery", []metricsdb.Result{result("b", "s", "fom", -1)})
+		if w.Code == http.StatusOK {
+			break
+		}
+		if w.Code != http.StatusTooManyRequests {
+			t.Fatalf("recovery ingest = %d, want 200 or 429", w.Code)
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the shard never accepted again after its queue drained")
+		}
+	}
+}
+
+// slowDisk is the real disk with every Sync of a file opened for
+// appending — a WAL segment — taking delay.
+type slowDisk struct {
+	fsys.FS
+	delay time.Duration
+}
+
+func (d slowDisk) OpenAppend(path string) (fsys.File, error) {
+	f, err := d.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return slowFile{f, d.delay}, nil
+}
+
+type slowFile struct {
+	fsys.File
+	delay time.Duration
+}
+
+func (f slowFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
 }
 
 // TestClientHonorsRetryAfterAnd429: the retrying client treats 429 as

@@ -28,6 +28,7 @@
 package resultshard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
 )
@@ -87,15 +89,19 @@ func Open(dir string, opts Options) (*Router, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	disk := opts.Store.FS
+	if disk == nil {
+		disk = fsys.OS
+	}
+	if err := disk.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resultshard: %w", err)
 	}
 	// What a crash while writing the manifest left; each shard's Open
 	// clears its own directory.
-	if err := resultstore.RemoveStaleTemps(dir); err != nil {
+	if err := fsys.RemoveTemps(disk, dir); err != nil {
 		return nil, fmt.Errorf("resultshard: %w", err)
 	}
-	if err := checkManifest(dir, opts.Shards); err != nil {
+	if err := checkManifest(disk, dir, opts.Shards); err != nil {
 		return nil, err
 	}
 	r := &Router{}
@@ -116,9 +122,9 @@ func Open(dir string, opts Options) (*Router, error) {
 func shardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 
 // checkManifest pins the topology on first open and verifies it after.
-func checkManifest(dir string, shards int) error {
+func checkManifest(disk fsys.FS, dir string, shards int) error {
 	path := filepath.Join(dir, "router.json")
-	data, err := os.ReadFile(path)
+	data, err := disk.ReadFile(path)
 	if os.IsNotExist(err) {
 		m := manifest{Format: manifestFormat, KeySchema: KeySchema, Shards: shards}
 		out, merr := json.Marshal(m)
@@ -127,7 +133,10 @@ func checkManifest(dir string, shards int) error {
 		}
 		// Temp + rename + dir fsync: a crash mid-write must not leave a
 		// torn manifest every later Open would refuse.
-		return resultstore.AtomicWriteFile(path, out)
+		if _, err := fsys.Commit(disk, path, bytes.NewReader(out)); err != nil {
+			return err
+		}
+		return disk.SyncDir(dir)
 	}
 	if err != nil {
 		return fmt.Errorf("resultshard: %w", err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
 	"repro/internal/telemetry"
@@ -28,8 +29,33 @@ func fixedStoreOpts() resultstore.Options {
 // disk: commits lag enqueues by delay.
 func slowStoreOpts(depth int, delay time.Duration) resultstore.Options {
 	o := fixedStoreOpts()
-	o.QueueDepth, o.CommitDelay = depth, delay
+	o.QueueDepth, o.FS = depth, slowDisk{fsys.OS, delay}
 	return o
+}
+
+// slowDisk is the real disk with every Sync of a file opened for
+// appending — a WAL segment — taking delay.
+type slowDisk struct {
+	fsys.FS
+	delay time.Duration
+}
+
+func (d slowDisk) OpenAppend(path string) (fsys.File, error) {
+	f, err := d.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return slowFile{f, d.delay}, nil
+}
+
+type slowFile struct {
+	fsys.File
+	delay time.Duration
+}
+
+func (f slowFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
 }
 
 func res(bench, system, fom string, v float64) metricsdb.Result {
@@ -138,7 +164,7 @@ func TestRouterBackpressure(t *testing.T) {
 	defer r.Close()
 
 	// Hammer one routing key so everything lands on one shard's
-	// depth-1 queue; with a 50ms commit delay the queue must fill.
+	// depth-1 queue; with a 50ms Sync the queue must fill.
 	errs := make(chan error, 64)
 	for i := 0; i < 64; i++ {
 		go func(i int) {
@@ -168,7 +194,7 @@ func TestRouterBackpressure(t *testing.T) {
 		overloads++
 	}
 	if overloads == 0 {
-		t.Fatal("64 appends against a depth-1 queue with a 50ms commit delay produced no overloads")
+		t.Fatal("64 appends against a depth-1 queue with a 50ms Sync produced no overloads")
 	}
 	if got := r.Overloads(); got != int64(overloads) {
 		t.Fatalf("Overloads() = %d, counted %d", got, overloads)
@@ -191,7 +217,7 @@ func TestRouterPartialApplyConverges(t *testing.T) {
 	}
 	shardB := ShardFor(b.System, b.Benchmark, 2)
 
-	// The commit delay keeps shard B's worker busy with the blocker
+	// The slow Sync keeps shard B's worker busy with the blocker
 	// while its depth-1 queue holds the filler, so the mixed batch's
 	// B-half is deterministically refused while the A-half commits.
 	r, err := Open(t.TempDir(), Options{Shards: 2, Store: slowStoreOpts(1, 200*time.Millisecond)})
@@ -201,7 +227,7 @@ func TestRouterPartialApplyConverges(t *testing.T) {
 	defer r.Close()
 
 	// Spins until the committer picks up whatever holds the depth-1
-	// queue (and starts its 200ms commit delay).
+	// queue (and starts its 200ms Sync).
 	enqueue := func(key string) *resultstore.Pending {
 		for {
 			p, err := r.shards[shardB].Enqueue(resultstore.Batch{Key: key, Results: []metricsdb.Result{b}})

@@ -105,8 +105,8 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 
 	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextID: next, NextSeq: next, Keys: []string{"traced <&>", "untraced"}}
 	var file bytes.Buffer
-	if err := s.encodeGeneration(&file, head); err != nil {
-		t.Fatal(err)
+	if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
+		t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 	}
 	whole, err := json.Marshal(wholeGeneration{snapshotHeader: *head, Results: s.db.QueryAfterN(0, next)})
 	if err != nil {

@@ -3,7 +3,6 @@ package resultstore
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // ErrQueueFull is Enqueue's refusal: the commit queue already holds
@@ -81,15 +80,6 @@ func (s *Store) committer() {
 			group := []*Pending{p}
 			for n := len(s.queue); n > 0 && len(group) < cap(s.queue); n-- {
 				group = append(group, <-s.queue)
-			}
-			if d := s.opts.CommitDelay; d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-s.done:
-					t.Stop()
-					return
-				case <-t.C:
-				}
 			}
 			batches := make([]Batch, len(group))
 			for i, q := range group {

@@ -11,18 +11,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 )
 
-// holdCommitter opens a store whose committer sleeps delay before every
-// group, enqueues a blocker, and returns once the committer has taken
-// it — so whatever the test queues next either joins the blocker's
-// group (if the committer has not sized it yet) or waits behind the
-// sleep in the queue. With QueueDepth 1 a group is one batch, so it
-// always waits.
-func holdCommitter(t *testing.T, opts Options, delay time.Duration) (*Store, *Pending) {
+// holdCommitter opens a store whose WAL Syncs each run hold first,
+// enqueues a blocker, and returns once the committer is syncing it — so
+// whatever the test queues next waits in the queue behind that Sync.
+func holdCommitter(t *testing.T, opts Options, hold func()) (*Store, *Pending) {
 	t.Helper()
-	opts.CommitDelay = delay
+	syncing := make(chan struct{}, 1)
+	opts.FS = &hookFS{FS: fsys.OS, sync: func() error {
+		select {
+		case syncing <- struct{}{}:
+		default:
+		}
+		hold()
+		return nil
+	}}
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +37,12 @@ func holdCommitter(t *testing.T, opts Options, delay time.Duration) (*Store, *Pe
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueueLen(t, s, 0)
+	<-syncing
 	return s, blocker
 }
+
+// sleep is a holdCommitter hold: a disk whose every Sync takes d.
+func sleep(d time.Duration) func() { return func() { time.Sleep(d) } }
 
 func waitQueueLen(t *testing.T, s *Store, n int) {
 	t.Helper()
@@ -125,7 +134,7 @@ func concurrentAppends(t *testing.T, opts Options, writers, pushes int) {
 		t.Fatal(err)
 	}
 	if !opts.NoBackgroundCompact {
-		if snaps, err := listNumbered(dir, snapshotPrefix, snapshotSuffix); err != nil || len(snaps) == 0 {
+		if snaps, err := listNumbered(fsys.OS, dir, snapshotPrefix, snapshotSuffix); err != nil || len(snaps) == 0 {
 			t.Fatalf("background compaction left snapshot files %v (%v): the case tested nothing", snaps, err)
 		}
 	}
@@ -161,7 +170,7 @@ func concurrentAppends(t *testing.T, opts Options, writers, pushes int) {
 func TestQueuedBatchesCommitAsOneGroup(t *testing.T) {
 	opts := fixedOpts()
 	opts.SegmentBytes = 1
-	s, blocker := holdCommitter(t, opts, 300*time.Millisecond)
+	s, blocker := holdCommitter(t, opts, sleep(300*time.Millisecond))
 	defer s.Close()
 	queued := []*Pending{blocker}
 	for i := 0; i < 5; i++ {
@@ -176,7 +185,7 @@ func TestQueuedBatchesCommitAsOneGroup(t *testing.T) {
 			t.Fatalf("Wait: applied=%v err=%v", applied, err)
 		}
 	}
-	segs, err := listNumbered(s.dir, segmentPrefix, segmentSuffix)
+	segs, err := listNumbered(fsys.OS, s.dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestAppendLeavesTheQueueWhenItsContextDoes(t *testing.T) {
 	opts := fixedOpts()
 	opts.QueueDepth = 1
 	const delay = 500 * time.Millisecond
-	s, blocker := holdCommitter(t, opts, delay)
+	s, blocker := holdCommitter(t, opts, sleep(delay))
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -246,15 +255,17 @@ func TestAppendLeavesTheQueueWhenItsContextDoes(t *testing.T) {
 }
 
 // TestCloseFailsQueuedWaiters: Close does not write what is still
-// queued or held; every waiter — handles already queued, Appends in
-// whatever state Close finds them — gets the closed error, and Close
-// returns only after the committer has exited.
+// queued. The group in flight when it begins commits; every other
+// waiter — handles already queued, Appends in whatever state Close finds
+// them — gets the closed error, and Close returns only after the
+// committer has exited.
 func TestCloseFailsQueuedWaiters(t *testing.T) {
-	s, blocker := holdCommitter(t, fixedOpts(), time.Hour)
+	release := make(chan struct{})
+	s, blocker := holdCommitter(t, fixedOpts(), func() { <-release })
 	batch := func(key string) Batch {
 		return Batch{Key: key, Results: []metricsdb.Result{res("b", "s", "t", 1)}}
 	}
-	queued := []*Pending{blocker}
+	var queued []*Pending
 	for i := 0; i < 6; i++ {
 		p, err := s.Enqueue(batch(fmt.Sprintf("queued-%d", i)))
 		if err != nil {
@@ -270,8 +281,15 @@ func TestCloseFailsQueuedWaiters(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	if err := s.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-s.done // Close has begun, while the blocker's Sync still holds the lock
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
+	}
+	if applied, err := blocker.Wait(context.Background()); err != nil || !applied {
+		t.Fatalf("the group in flight when Close began: applied=%v err=%v, want it committed", applied, err)
 	}
 	for i := 0; i < appenders; i++ {
 		if err := <-errs; !errors.Is(err, errClosed) {
@@ -292,7 +310,7 @@ func TestCloseFailsQueuedWaiters(t *testing.T) {
 	if !errors.Is(err, errClosed) {
 		t.Fatalf("Enqueue after Close returned %v, want the closed error", err)
 	}
-	if got := s.Len(); got != 0 {
-		t.Fatalf("Close wrote %d queued results", got)
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Close wrote %d queued results", got-1)
 	}
 }

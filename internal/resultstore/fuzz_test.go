@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 )
 
@@ -68,7 +69,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		var dec metricsdb.Decoder
-		chain, stale, err := loadChain(dir, &dec)
+		chain, stale, err := loadChain(fsys.OS, dir, &dec)
 		if err != nil {
 			refused("loadChain", err)
 			return

@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 )
 
@@ -59,7 +58,7 @@ func (s *Store) Health() Health {
 		h.CompactError = s.compactErr.Error()
 	}
 	switch {
-	case s.closed:
+	case s.closed.Load():
 		h.Ready, h.Reason = false, "store is closed"
 	case s.failed != nil:
 		h.Ready, h.Reason = false, fmt.Sprintf("store failed: %v", s.failed)
@@ -78,7 +77,7 @@ func (s *Store) Health() Health {
 // rotation renaming files around it.
 func (s *Store) probeWritableLocked() error {
 	path := filepath.Join(s.dir, ".readyz.probe")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := s.opts.FS.OpenAppend(path)
 	if err != nil {
 		return err
 	}
@@ -86,7 +85,7 @@ func (s *Store) probeWritableLocked() error {
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
-	if rerr := os.Remove(path); werr == nil {
+	if rerr := s.opts.FS.Remove(path); werr == nil {
 		werr = rerr
 	}
 	return werr

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 )
 
@@ -144,8 +144,8 @@ func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)
 // A link whose file is missing, or any chain file that does not decode
 // or contradicts its neighbour, is an error: a gap is never loaded
 // around.
-func loadChain(dir string, d *metricsdb.Decoder) (chain []*snapshot, stale []int, err error) {
-	nums, err := listNumbered(dir, snapshotPrefix, snapshotSuffix)
+func loadChain(disk fsys.FS, dir string, d *metricsdb.Decoder) (chain []*snapshot, stale []int, err error) {
+	nums, err := listNumbered(disk, dir, snapshotPrefix, snapshotSuffix)
 	if err != nil || len(nums) == 0 {
 		return nil, nil, err
 	}
@@ -160,7 +160,7 @@ func loadChain(dir string, d *metricsdb.Decoder) (chain []*snapshot, stale []int
 			return nil, nil, fmt.Errorf("snapshot chain is broken: %s builds on %s, which is missing; nothing covers segments %d..%d",
 				snapshotName(chain[0].Covered), snapshotName(n), older+1, n)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, snapshotName(n)))
+		data, err := disk.ReadFile(filepath.Join(dir, snapshotName(n)))
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading snapshot: %w", err)
 		}
@@ -239,9 +239,10 @@ func (s *Store) Compact() (err error) {
 	// sorted copy so equal states write equal bytes.
 	head.Keys = append([]string(nil), head.Keys...)
 	sort.Strings(head.Keys)
-	size, err := atomicWrite(filepath.Join(s.dir, snapshotName(head.Covered)), func(w io.Writer) error {
-		return s.encodeGeneration(w, head)
-	})
+	size, err := fsys.Commit(s.opts.FS, filepath.Join(s.dir, snapshotName(head.Covered)), generationFile{s.db, head})
+	if err == nil {
+		err = s.opts.FS.SyncDir(s.dir)
+	}
 	if err != nil {
 		return fmt.Errorf("resultstore: writing snapshot: %w", err)
 	}
@@ -265,13 +266,13 @@ func (s *Store) Compact() (err error) {
 	// recovery skips (covered segments) or removes (absorbed
 	// generations), so removal failures are harmless and only the first
 	// is surfaced.
-	segs, err := listNumbered(s.dir, segmentPrefix, segmentSuffix)
+	segs, err := listNumbered(s.opts.FS, s.dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	var firstErr error
 	remove := func(name string) {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && firstErr == nil {
+		if err := s.opts.FS.Remove(filepath.Join(s.dir, name)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -291,11 +292,11 @@ func (s *Store) Compact() (err error) {
 // the segment, Seq and key ranges from the generation beneath those up
 // to everything applied so far. A nil header means there is nothing to
 // write. It copies no results: those at or below NextSeq never change,
-// so encodeGeneration reads them from the DB after s.mu is released.
+// so generationFile reads them from the DB after s.mu is released.
 func (s *Store) planGeneration() (head *snapshotHeader, from int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, 0, errClosed
 	}
 	from = len(s.gens)
@@ -340,17 +341,28 @@ var genBufs = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// encodeGeneration writes the generation file head describes: the
-// header's JSON object with a "results" member spliced in, holding the
-// DB's results in (head.AfterSeq, head.NextSeq], encoded straight from
-// the DB's rows a page at a time.
-func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
-	open, err := json.Marshal(head)
-	if err != nil {
+// generationFile is the generation file head describes: the header's
+// JSON object with a "results" member spliced in, holding the DB's
+// results in (head.AfterSeq, head.NextSeq], encoded straight from the
+// DB's rows a page at a time as WriteTo writes it.
+type generationFile struct {
+	db   *metricsdb.DB
+	head *snapshotHeader
+}
+
+func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
+	write := func(p []byte) error {
+		n, err := w.Write(p)
+		size += int64(n)
 		return err
 	}
-	if _, err := w.Write(open[:len(open)-1]); err != nil {
-		return err
+	head := g.head
+	open, err := json.Marshal(head)
+	if err != nil {
+		return size, err
+	}
+	if err := write(open[:len(open)-1]); err != nil {
+		return size, err
 	}
 	pooled := genBufs.Get().(*[]byte)
 	defer genBufs.Put(pooled)
@@ -361,8 +373,8 @@ func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	for after := head.AfterSeq; after < head.NextSeq; {
 		var last int
 		// Appends keep landing; what they add is the next generation's.
-		if buf, last, err = s.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2); err != nil {
-			return err
+		if buf, last, err = g.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2); err != nil {
+			return size, err
 		}
 		if last == after {
 			break
@@ -370,8 +382,8 @@ func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 		if opening > 0 {
 			buf[opening], opening = '[', 0
 		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+		if err := write(buf); err != nil {
+			return size, err
 		}
 		buf, after = buf[:0], last
 	}
@@ -380,6 +392,5 @@ func (s *Store) encodeGeneration(w io.Writer, head *snapshotHeader) error {
 	}
 	buf = append(buf, "]}"...)
 	*pooled = buf[:0]
-	_, err = w.Write(buf)
-	return err
+	return size, write(buf)
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 )
 
@@ -35,7 +36,7 @@ func served(t *testing.T, s *Store) string {
 
 func snapshotFiles(t *testing.T, dir string) []int {
 	t.Helper()
-	snaps, err := listNumbered(dir, snapshotPrefix, snapshotSuffix)
+	snaps, err := listNumbered(fsys.OS, dir, snapshotPrefix, snapshotSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestChainSurvivesPowerCuts(t *testing.T) {
 			// file holding part of the generation.
 			name: "before rename",
 			files: func() map[string][]byte {
-				files := map[string][]byte{tempPrefix + "123456": after[mergedName][:len(after[mergedName])/2]}
+				files := map[string][]byte{fsys.TempPrefix + "123456": after[mergedName][:len(after[mergedName])/2]}
 				for name, data := range before {
 					files[name] = data
 				}
@@ -280,7 +281,7 @@ func TestChainSurvivesPowerCuts(t *testing.T) {
 			// Whatever the chain subsumes, and every temp file, is gone.
 			onDisk := 0
 			for name := range readDir(t, crashed) {
-				if strings.HasPrefix(name, tempPrefix) {
+				if strings.HasPrefix(name, fsys.TempPrefix) {
 					t.Errorf("%s survived Open", name)
 				}
 				if strings.HasPrefix(name, snapshotPrefix) {
@@ -436,7 +437,7 @@ func TestParentFormatStoreOpens(t *testing.T) {
 	requireState(t, dir, want, keys).Close()
 }
 
-// TestOpenRemovesStaleTemps: what a crash inside AtomicWriteFile
+// TestOpenRemovesStaleTemps: what a crash inside fsys.Commit
 // leaves behind is deleted by the next Open, and nothing else is.
 func TestOpenRemovesStaleTemps(t *testing.T) {
 	dir := t.TempDir()
@@ -449,14 +450,14 @@ func TestOpenRemovesStaleTemps(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{tempPrefix + "1234567890", "notes.txt"} {
+	for _, name := range []string{fsys.TempPrefix + "1234567890", "notes.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"format":"benchpark-snap-2","cov`), 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
 	requireState(t, dir, want, []string{"k1"}).Close()
 	files := readDir(t, dir)
-	if _, ok := files[tempPrefix+"1234567890"]; ok {
+	if _, ok := files[fsys.TempPrefix+"1234567890"]; ok {
 		t.Error("the stale temp file survived Open")
 	}
 	if _, ok := files["notes.txt"]; !ok {
@@ -497,8 +498,8 @@ func TestGenerationSpansPages(t *testing.T) {
 			}
 			mustAppend(t, s, "late", res("saxpy", "cts1", "saxpy_time", -2)) // after the capture
 			var file bytes.Buffer
-			if err := s.encodeGeneration(&file, head); err != nil {
-				t.Fatal(err)
+			if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
+				t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 			}
 			var snap wholeGeneration
 			if err := json.Unmarshal(file.Bytes(), &snap); err != nil {

@@ -33,13 +33,13 @@ package resultstore
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
-	"time"
+	"sync/atomic"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
 )
@@ -60,10 +60,9 @@ type Options struct {
 	// QueueDepth bounds the commit queue; <=0 means 64. Append waits
 	// for a slot; Enqueue fails fast with ErrQueueFull instead.
 	QueueDepth int
-	// CommitDelay injects a sleep before every group commit. It exists
-	// for fault injection only — scripts/fedsmoke uses it to simulate a
-	// slow disk and deterministically drive a shard into overload.
-	CommitDelay time.Duration
+	// FS is the disk every file of the store goes through; nil means
+	// the real one. Tests hand in one that slows or fails a write.
+	FS fsys.FS
 }
 
 const (
@@ -151,21 +150,21 @@ type Store struct {
 	keyLog     []string // the applied ingest keys, oldest first; generations index into it
 	nextID     int
 	nextSeq    int
-	active     *os.File
+	active     fsys.File
 	activeSeq  int
 	activeSize int64
 	walBuf     []byte             // the group being framed; at most maxIdleWALBuf between groups
 	staged     []metricsdb.Result // the group's results, identity assigned; empty and at most maxIdleStaged between groups
 	gens       []generation       // the snapshot chain, oldest first
-	closed     bool
-	failed     error // sticky: set when the WAL is in an unknown state
-	compactErr error // last Compact outcome; cleared by a later success
+	failed     error              // sticky: set when the WAL is in an unknown state
+	compactErr error              // last Compact outcome; cleared by a later success
 
 	compactions     int64 // generations written since Open
 	compactionBytes int64 // bytes of snapshot files written since Open
 
 	queue     chan *Pending // bounded commit queue, drained by committer
 	compactCh chan struct{}
+	closed    atomic.Bool // set when Close begins, before it waits for mu
 	done      chan struct{}
 	wg        sync.WaitGroup // committer + compactor, joined by Close
 }
@@ -187,7 +186,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Clock == nil {
 		opts.Clock = telemetry.WallClock()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if opts.FS == nil {
+		opts.FS = fsys.OS
+	}
+	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	db := metricsdb.New()
@@ -216,13 +218,13 @@ func Open(dir string, opts Options) (*Store, error) {
 // recover rebuilds in-memory state from disk and opens the active
 // segment for appending.
 func (s *Store) recover() error {
-	if err := RemoveStaleTemps(s.dir); err != nil {
+	if err := fsys.RemoveTemps(s.opts.FS, s.dir); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	// One decoder for everything recovery reads, so a name the store
 	// holds a hundred thousand times is allocated once.
 	var dec metricsdb.Decoder
-	chain, stale, err := loadChain(s.dir, &dec)
+	chain, stale, err := loadChain(s.opts.FS, s.dir, &dec)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -239,12 +241,12 @@ func (s *Store) recover() error {
 		s.gens = append(s.gens, generation{covered: snap.Covered, topSeq: snap.NextSeq, keyEnd: len(s.keyLog), bytes: snap.size})
 	}
 	for _, n := range stale {
-		if err := os.Remove(filepath.Join(s.dir, snapshotName(n))); err != nil {
+		if err := s.opts.FS.Remove(filepath.Join(s.dir, snapshotName(n))); err != nil {
 			return fmt.Errorf("resultstore: removing a subsumed snapshot: %w", err)
 		}
 	}
 	covered := s.genBefore(len(s.gens)).covered
-	segs, err := listNumbered(s.dir, segmentPrefix, segmentSuffix)
+	segs, err := listNumbered(s.opts.FS, s.dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -252,7 +254,9 @@ func (s *Store) recover() error {
 		if seg <= covered {
 			continue // already folded into the chain
 		}
-		if err := s.replaySegment(&dec, seg, i == len(segs)-1); err != nil {
+		// The newest segment replayed is the active one, so its size
+		// is what this leaves behind.
+		if s.activeSize, err = s.replaySegment(&dec, seg, i == len(segs)-1); err != nil {
 			return err
 		}
 	}
@@ -261,17 +265,11 @@ func (s *Store) recover() error {
 		s.activeSeq = segs[len(segs)-1]
 	}
 	path := filepath.Join(s.dir, segmentName(s.activeSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := s.opts.FS.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("resultstore: opening active segment: %w", err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
 	s.active = f
-	s.activeSize = fi.Size()
 	return nil
 }
 
@@ -282,21 +280,21 @@ func (s *Store) applyKey(k string) {
 	s.keyLog = append(s.keyLog, k)
 }
 
-// replaySegment applies a WAL segment's committed batches. A torn
-// tail is truncated away when the segment is the newest one (the only
-// place a crash can legitimately tear); older segments just stop at
-// the tear.
-func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) error {
+// replaySegment applies a WAL segment's committed batches and returns
+// the segment's size once replayed. A torn tail is truncated away when
+// the segment is the newest one (the only place a crash can
+// legitimately tear); older segments just stop at the tear.
+func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int64, error) {
 	path := filepath.Join(s.dir, segmentName(seg))
-	data, err := os.ReadFile(path)
+	data, err := s.opts.FS.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("resultstore: reading segment: %w", err)
+		return 0, fmt.Errorf("resultstore: reading segment: %w", err)
 	}
 	payloads, good := scanRecords(data)
 	var b walBatch
 	for _, p := range payloads {
 		if err := b.decode(dec, p); err != nil {
-			return fmt.Errorf("resultstore: segment %s holds a CRC-valid but undecodable record: %w",
+			return 0, fmt.Errorf("resultstore: segment %s holds a CRC-valid but undecodable record: %w",
 				segmentName(seg), err)
 		}
 		if s.keys[b.Key] {
@@ -309,11 +307,12 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) erro
 		}
 	}
 	if good < len(data) && newest {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("resultstore: truncating torn tail: %w", err)
+		if err := s.opts.FS.Truncate(path, int64(good)); err != nil {
+			return 0, fmt.Errorf("resultstore: truncating torn tail: %w", err)
 		}
+		return int64(good), nil
 	}
-	return nil
+	return int64(len(data)), nil
 }
 
 // noteCounters raises the ID/Seq watermarks.
@@ -428,7 +427,7 @@ func (b Batch) Validate() error {
 // group to the queryable state, in one InsertAll. Caller holds s.mu,
 // has validated every batch, and has rotated the segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
-	if s.closed {
+	if s.closed.Load() {
 		return nil, errClosed
 	}
 	if s.failed != nil {
@@ -513,11 +512,11 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("resultstore: sealing segment: %w", err)
 	}
 	next := s.activeSeq + 1
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := s.opts.FS.OpenAppend(filepath.Join(s.dir, segmentName(next)))
 	if err != nil {
 		// Reopen the sealed segment so the store keeps accepting
 		// appends; rotation retries on the next append.
-		re, rerr := os.OpenFile(filepath.Join(s.dir, segmentName(s.activeSeq)), os.O_WRONLY|os.O_APPEND, 0o644)
+		re, rerr := s.opts.FS.OpenAppend(filepath.Join(s.dir, segmentName(s.activeSeq)))
 		if rerr != nil {
 			s.failed = fmt.Errorf("rotation failed (%v) and reopen failed (%v)", err, rerr)
 			return fmt.Errorf("resultstore: %w", s.failed)
@@ -525,7 +524,7 @@ func (s *Store) rotateLocked() error {
 		s.active = re
 		return fmt.Errorf("resultstore: rotating segment: %w", err)
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := s.opts.FS.SyncDir(s.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -540,17 +539,15 @@ func (s *Store) rotateLocked() error {
 }
 
 // Close stops the committer and the compactor and seals the active
-// segment. Batches still queued are not written: their waiters fail
-// with the closed error (see Pending.Wait). The store rejects appends
-// afterwards; a new Open recovers the same state.
+// segment. Batches still queued are not written: the committer finishes
+// the group it is writing, if any, and every other waiter fails with the
+// closed error (see Pending.Wait). The store rejects appends from the
+// moment Close begins — it says so before it waits for the lock a group
+// in flight holds — and a new Open recovers the same state.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
 	close(s.done)
 	s.wg.Wait()
 	// A Compact some other goroutine called finishes its write first.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
 )
@@ -158,7 +159,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustAppend(t, s, "k"+string(rune('a'+i)), res("saxpy", "cts1", "saxpy_time", float64(i)))
 	}
-	segs, err := listNumbered(dir, segmentPrefix, segmentSuffix)
+	segs, err := listNumbered(fsys.OS, dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +170,11 @@ func TestRotationAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compaction keeps only the active segment plus one snapshot.
-	segs, err = listNumbered(dir, segmentPrefix, segmentSuffix)
+	segs, err = listNumbered(fsys.OS, dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := listNumbered(dir, snapshotPrefix, snapshotSuffix)
+	snaps, err := listNumbered(fsys.OS, dir, snapshotPrefix, snapshotSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}

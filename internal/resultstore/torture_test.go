@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/telemetry"
 )
 
@@ -210,7 +211,7 @@ func TestTornTailInteriorSegment(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listNumbered(dir, segmentPrefix, segmentSuffix)
+	segs, err := listNumbered(fsys.OS, dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/fsys"
 )
 
 // WAL framing: every record is
@@ -93,8 +92,8 @@ func parseNumbered(name, prefix, suffix string) (int, bool) {
 
 // listNumbered returns the sequence numbers of the files in dir
 // matching prefix/suffix, ascending.
-func listNumbered(dir, prefix, suffix string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
+func listNumbered(disk fsys.FS, dir, prefix, suffix string) ([]int, error) {
+	entries, err := disk.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -106,84 +105,4 @@ func listNumbered(dir, prefix, suffix string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// syncDir fsyncs a directory so renames and creates inside it are
-// durable. Errors are returned; on platforms where directories cannot
-// be fsynced the caller treats it as best-effort.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// tempPrefix starts the name of every AtomicWriteFile temp file.
-const tempPrefix = ".tmp-"
-
-// AtomicWriteFile writes data to path via a temp file + rename +
-// directory fsync, so a crash leaves either the old file or the new
-// one, never a partial write under the final name. The shard router's
-// manifest is written through it, snapshots through atomicWrite, its
-// streaming form. What a crash does leave is the temp file;
-// RemoveStaleTemps clears those.
-func AtomicWriteFile(path string, data []byte) error {
-	_, err := atomicWrite(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-	return err
-}
-
-// atomicWrite is AtomicWriteFile for content produced piecewise: write
-// fills the temp file, and size is what it wrote.
-func atomicWrite(path string, write func(w io.Writer) error) (size int64, err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close() // a second Close after the checked one is harmless
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return 0, err
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if err = tmp.Sync(); err != nil {
-		return 0, err
-	}
-	if err = tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	return fi.Size(), syncDir(dir)
-}
-
-// RemoveStaleTemps deletes the temp files a crash inside
-// AtomicWriteFile left in dir. Call it before anything writes there:
-// it cannot tell a leftover from a write in flight.
-func RemoveStaleTemps(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), tempPrefix) && e.Type().IsRegular() {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -1,20 +1,29 @@
-// Command fedsmoke is the verify gate's end-to-end check of the
-// results federation plane: it builds the real benchpark binary,
-// boots a 4-shard primary and one snapshot-shipping follower on
-// ephemeral ports, drives them with `benchpark loadtest` (≥100
-// simulated federated runners), and asserts the contracts the
-// federation layer exists for:
+// Command smoke is the verify gate's end-to-end check of the real
+// benchpark binary: it builds cmd/benchpark once and drives two planes
+// with it. It exercises the binary and the flag plumbing, not just the
+// handlers — the in-process tests already cover those.
+//
+// The ops plane: `benchpark serve --pprof` on an ephemeral port, every
+// operations endpoint scraped the way a monitoring stack would
+// (liveness, readiness, Prometheus text, the JSON ops snapshot, a pprof
+// profile) and each one's shape asserted, then one suite pushed into it
+// with `benchpark push`, which must leave its TMPDIR empty.
+//
+// The federation plane: a 4-shard primary and one snapshot-shipping
+// follower on ephemeral ports, driven by `benchpark loadtest` (≥100
+// simulated federated runners), asserting the contracts the federation
+// layer exists for:
 //
 //   - the follower keeps serving reads WHILE the primary ingests;
 //   - once a pass that started after ingest ended has completed with
 //     nothing left to apply, the follower's reads are byte-identical to
 //     the primary's across every query route;
-//   - any primary can be followed: a plain `serve` is a one-shard one;
-//   - a shard driven past its bounded queue answers 429 +
-//     Retry-After (typed ErrOverloaded) promptly — never a hang.
+//   - any primary can be followed: a plain `serve` is a one-shard one.
 //
-// Like opssmoke it exercises the binary and flag plumbing; the
-// in-process federation tests already cover the handlers.
+// The 429 + Retry-After contract of an overloaded shard is
+// resultsd.TestIngestOverloadMapsTo429's, in process.
+//
+//	go run ./scripts/smoke
 package main
 
 import (
@@ -28,21 +37,32 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/resultshard"
 )
 
+// tmp holds the binary and every server's data; running, the servers
+// still up. fatalf cleans both up before it exits.
+var (
+	tmp     string
+	running = map[*server]bool{}
+)
+
 func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fedsmoke: "+format+"\n", args...)
+	fmt.Fprintf(os.Stderr, "smoke: "+format+"\n", args...)
+	for s := range running {
+		s.stop()
+	}
+	os.RemoveAll(tmp)
 	os.Exit(1)
 }
 
 var httpc = &http.Client{Timeout: 10 * time.Second}
 
-// get fetches base+path and returns status and body.
-func get(base, path string) (int, []byte) {
+// get fetches base+path and returns status, body and headers.
+func get(base, path string) (int, []byte, http.Header) {
 	resp, err := httpc.Get(base + path)
 	if err != nil {
 		fatalf("GET %s%s: %v", base, path, err)
@@ -52,7 +72,7 @@ func get(base, path string) (int, []byte) {
 	if err != nil {
 		fatalf("GET %s%s: reading body: %v", base, path, err)
 	}
-	return resp.StatusCode, body
+	return resp.StatusCode, body, resp.Header
 }
 
 // server is one running `benchpark serve` process.
@@ -62,8 +82,11 @@ type server struct {
 }
 
 func (s *server) stop() {
-	s.cmd.Process.Kill()
-	s.cmd.Wait()
+	if running[s] {
+		delete(running, s)
+		s.cmd.Process.Kill()
+		s.cmd.Wait()
+	}
 }
 
 // startServe launches the binary with the given serve arguments and
@@ -78,13 +101,12 @@ func startServe(bin string, args ...string) *server {
 	if err := cmd.Start(); err != nil {
 		fatalf("starting serve %v: %v", args, err)
 	}
-	base, err := awaitAnnounce(stdout)
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
+	s := &server{cmd: cmd}
+	running[s] = true
+	if s.base, err = awaitAnnounce(stdout); err != nil {
 		fatalf("serve %v: %v", args, err)
 	}
-	return &server{cmd: cmd, base: base}
+	return s
 }
 
 var announceRE = regexp.MustCompile(`on (http://\S+),`)
@@ -118,6 +140,116 @@ func awaitAnnounce(stdout io.Reader) (string, error) {
 	}
 }
 
+func main() {
+	var err error
+	if tmp, err = os.MkdirTemp("", "smoke-"); err != nil {
+		fatalf("%v", err)
+	}
+	bin := filepath.Join(tmp, "benchpark")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/benchpark")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		fatalf("building benchpark: %v", err)
+	}
+	opsPlane(bin)
+	federationPlane(bin)
+	os.RemoveAll(tmp)
+}
+
+func opsPlane(bin string) {
+	srv := startServe(bin, "--data", filepath.Join(tmp, "data"), "--pprof")
+	defer srv.stop()
+	base := srv.base
+	fmt.Printf("    serve is up at %s\n", base)
+
+	if code, body, _ := get(base, "/healthz"); code != http.StatusOK || string(body) != "ok\n" {
+		fatalf("/healthz = %d %q, want 200 ok", code, body)
+	}
+	if code, body, _ := get(base, "/readyz"); code != http.StatusOK || string(body) != "ready\n" {
+		fatalf("/readyz = %d %q, want 200 ready", code, body)
+	}
+
+	code, body, hdr := get(base, "/metrics")
+	text := string(body)
+	if code != http.StatusOK {
+		fatalf("/metrics = %d", code)
+	}
+	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		fatalf("/metrics content type %q", ct)
+	}
+	for _, want := range []string{
+		"# TYPE resultsd_requests_total counter",
+		"resultsd_store_ready 1\n",
+		"resultsd_inflight_requests",
+		"resultsd_ingest_batches_total 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			fatalf("/metrics lacks %q:\n%s", want, text)
+		}
+	}
+	// The text parser rejects a second TYPE line for a family.
+	typed := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		if typed[line] {
+			fatalf("/metrics repeats %q:\n%s", line, text)
+		}
+		typed[line] = true
+	}
+
+	code, body, _ = get(base, "/debug/ops")
+	if code != http.StatusOK {
+		fatalf("/debug/ops = %d", code)
+	}
+	var ops struct {
+		Store  map[string]json.RawMessage `json:"store"`
+		Routes map[string]json.RawMessage `json:"routes"`
+	}
+	if err := json.Unmarshal(body, &ops); err != nil {
+		fatalf("/debug/ops is not the ops snapshot: %v\n%s", err, body)
+	}
+	if string(ops.Store["ready"]) != "true" {
+		fatalf("/debug/ops reports an unready store: %s", body)
+	}
+	// The compaction gauges are there even before the first snapshot:
+	// write amplification must be readable from any running server.
+	for _, field := range []string{"snapshot_generations", "snapshot_bytes", "compactions", "compaction_bytes_written"} {
+		if _, found := ops.Store[field]; !found {
+			fatalf("/debug/ops store lacks %q: %s", field, body)
+		}
+	}
+	if _, found := ops.Routes["results"]; !found {
+		fatalf("/debug/ops lacks the results route: %s", body)
+	}
+
+	if code, _, _ := get(base, "/debug/pprof/cmdline"); code != http.StatusOK {
+		fatalf("/debug/pprof/cmdline = %d with --pprof, want 200", code)
+	}
+
+	// A push throws its workspace away, so it must never write it: with
+	// TMPDIR pointed at a fresh directory, the only thing `benchpark
+	// push` may do there is create and remove its empty scratch root.
+	scratch := filepath.Join(tmp, "push-tmp")
+	if err := os.Mkdir(scratch, 0o755); err != nil {
+		fatalf("%v", err)
+	}
+	push := exec.Command(bin, "push", "saxpy/openmp", "cts1", base)
+	push.Env = append(os.Environ(), "TMPDIR="+scratch)
+	if out, err := push.CombinedOutput(); err != nil || !strings.Contains(string(out), "==> pushed 8 results") {
+		fatalf("benchpark push: %v\n%s", err, out)
+	}
+	if left, err := os.ReadDir(scratch); err != nil || len(left) != 0 {
+		fatalf("benchpark push left %d entries in TMPDIR (%v)", len(left), err)
+	}
+	if _, body, _ := get(base, "/metrics"); !strings.Contains(string(body), "resultsd_ingest_batches_total 1\n") {
+		fatalf("/metrics does not count the pushed batch:\n%s", body)
+	}
+
+	fmt.Println("    ops plane OK: /healthz /readyz /metrics /debug/ops /debug/pprof, push leaves TMPDIR empty")
+}
+
 // awaitQuietPass blocks until the follower has completed a pass that
 // STARTED after this call and had nothing to apply — everything the
 // primary acked before the call is then mirrored. The follower reports
@@ -126,7 +258,7 @@ func awaitAnnounce(stdout io.Reader) (string, error) {
 // one (and a quiet one: a still-ingesting primary keeps it waiting).
 func awaitQuietPass(follower *server) resultshard.FollowerStatus {
 	status := func() (st resultshard.FollowerStatus) {
-		code, body := get(follower.base, "/v1/replica/status")
+		code, body, _ := get(follower.base, "/v1/replica/status")
 		if code != http.StatusOK {
 			fatalf("/v1/replica/status = %d", code)
 		}
@@ -152,8 +284,8 @@ func awaitQuietPass(follower *server) resultshard.FollowerStatus {
 // assertSameBytes compares primary and follower answers byte for byte.
 func assertSameBytes(primary, follower *server, paths ...string) {
 	for _, path := range paths {
-		pcode, pbody := get(primary.base, path)
-		fcode, fbody := get(follower.base, path)
+		pcode, pbody, _ := get(primary.base, path)
+		fcode, fbody, _ := get(follower.base, path)
 		if pcode != http.StatusOK || fcode != http.StatusOK {
 			fatalf("%s: primary %d, follower %d", path, pcode, fcode)
 		}
@@ -163,35 +295,18 @@ func assertSameBytes(primary, follower *server, paths ...string) {
 	}
 }
 
-func main() {
-	tmp, err := os.MkdirTemp("", "fedsmoke-")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "benchpark")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/benchpark")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("building benchpark: %v", err)
-	}
-
+func federationPlane(bin string) {
 	// ---- Topology: 4-shard primary + 1 follower ----------------------
-	// --shard-slow injects a small per-commit delay so the ingest phase
-	// lasts long enough to observe the follower serving reads during it;
-	// --shard-queue is sized so the ≤150 in-flight pushes never overflow
-	// (the overload drill below uses a separate, deliberately tiny
-	// topology).
+	// --shard-queue is sized so the ≤150 in-flight pushes never overflow.
 	primary := startServe(bin,
 		"--data", filepath.Join(tmp, "primary"),
-		"--shards", "4", "--shard-queue", "256", "--shard-slow", "20ms")
+		"--shards", "4", "--shard-queue", "256")
 	defer primary.stop()
 	follower := startServe(bin, "--replica-of", primary.base, "--sync-interval", "25ms")
 	defer follower.stop()
 	fmt.Printf("    primary (4 shards) at %s, follower at %s\n", primary.base, follower.base)
 
-	if code, body := get(primary.base, "/v1/replica/meta"); code != http.StatusOK || !bytes.Contains(body, []byte(`"shards":4`)) {
+	if code, body, _ := get(primary.base, "/v1/replica/meta"); code != http.StatusOK || !bytes.Contains(body, []byte(`"shards":4`)) {
 		fatalf("/v1/replica/meta = %d %s, want 200 with 4 shards", code, body)
 	}
 
@@ -221,10 +336,10 @@ ingest:
 			}
 			break ingest
 		default:
-			if code, _ := get(follower.base, "/v1/systems"); code != http.StatusOK {
+			if code, _, _ := get(follower.base, "/v1/systems"); code != http.StatusOK {
 				fatalf("follower /v1/systems = %d during ingest, want 200", code)
 			}
-			if code, _ := get(follower.base, "/healthz"); code != http.StatusOK {
+			if code, _, _ := get(follower.base, "/healthz"); code != http.StatusOK {
 				fatalf("follower /healthz = %d during ingest, want 200", code)
 			}
 			readsDuringIngest++
@@ -246,7 +361,7 @@ ingest:
 		fatalf("caught-up follower mirrors %d results in %d shards, loadtest pushed %d into 4", held, len(st.Shards), want)
 	}
 	fmt.Printf("    follower caught up (%d results as of pass %d, lag 0)\n", held, st.Syncs)
-	if code, _ := get(follower.base, "/readyz"); code != http.StatusOK {
+	if code, _, _ := get(follower.base, "/readyz"); code != http.StatusOK {
 		fatalf("synced follower /readyz = %d, want 200", code)
 	}
 	assertSameBytes(primary, follower,
@@ -262,7 +377,7 @@ ingest:
 	// ---- Any primary can be followed: a plain serve is one shard -----
 	plain := startServe(bin, "--data", filepath.Join(tmp, "plain"))
 	defer plain.stop()
-	if code, body := get(plain.base, "/v1/replica/meta"); code != http.StatusOK || !bytes.Contains(body, []byte(`"shards":1`)) {
+	if code, body, _ := get(plain.base, "/v1/replica/meta"); code != http.StatusOK || !bytes.Contains(body, []byte(`"shards":1`)) {
 		fatalf("plain serve /v1/replica/meta = %d %s, want 200 with 1 shard", code, body)
 	}
 	plainFollower := startServe(bin, "--replica-of", plain.base, "--sync-interval", "25ms")
@@ -276,99 +391,11 @@ ingest:
 		fatalf("plain follower mirrors %+v, want one shard of %d results", st.Shards, 4*2*5)
 	}
 	const plainSeries = "/v1/series?benchmark=fedbench-00&system=fedsys-000&fom=figure_of_merit"
-	if _, series := get(plain.base, plainSeries); !bytes.Contains(series, []byte(`"value"`)) {
+	if _, series, _ := get(plain.base, plainSeries); !bytes.Contains(series, []byte(`"value"`)) {
 		fatalf("plain serve %s = %s, want the pushed samples", plainSeries, series)
 	}
 	assertSameBytes(plain, plainFollower, "/v1/systems", plainSeries)
 	fmt.Println("    a follower of a plain serve is byte-identical too")
-	plain.stop()
-	plainFollower.stop()
 
-	// ---- Overload drill: full queue answers 429, never hangs ---------
-	overloadDrill(bin, tmp)
-
-	fmt.Println("    federation plane OK: sharded ingest, live follower reads, generation catch-up, byte-identical replicas of a sharded and a plain primary, 429 backpressure")
-}
-
-// overloadDrill boots a deliberately tiny topology (2 shards, queue
-// depth 1, 300ms commits), fires 8 concurrent raw pushes pinned to one
-// shard, and asserts the overflow answers are prompt 429s carrying
-// Retry-After — the ErrOverloaded contract — rather than a wedge.
-func overloadDrill(bin, tmp string) {
-	srv := startServe(bin,
-		"--data", filepath.Join(tmp, "overload"),
-		"--shards", "2", "--shard-queue", "1", "--shard-slow", "300ms")
-	defer srv.stop()
-
-	type outcome struct {
-		code       int
-		retryAfter string
-	}
-	const posts = 8
-	outcomes := make([]outcome, posts)
-	var wg sync.WaitGroup
-	for i := 0; i < posts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Same (system, benchmark) pins every push to one shard;
-			// distinct keys keep dedup out of the way.
-			body := fmt.Sprintf(`{"ingest_key":"overload-%d","results":[{"benchmark":"amg2023","workload":"w","system":"tioga","foms":{"figure_of_merit":1}}]}`, i)
-			resp, err := httpc.Post(srv.base+"/v1/results", "application/json", bytes.NewReader([]byte(body)))
-			if err != nil {
-				fatalf("overload push %d: %v", i, err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			outcomes[i] = outcome{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		fatalf("overloaded shard hung: %d concurrent pushes did not all answer within 10s", posts)
-	}
-
-	accepted, overloaded := 0, 0
-	for i, o := range outcomes {
-		switch o.code {
-		case http.StatusOK:
-			accepted++
-		case http.StatusTooManyRequests:
-			if o.retryAfter == "" {
-				fatalf("overload push %d: 429 without a Retry-After hint", i)
-			}
-			overloaded++
-		default:
-			fatalf("overload push %d = %d, want 200 or 429", i, o.code)
-		}
-	}
-	if accepted == 0 || overloaded == 0 {
-		fatalf("overload drill: %d accepted / %d overloaded of %d — the drill needs both outcomes to prove backpressure", accepted, overloaded, posts)
-	}
-	// The shard must come back once the queue drains: the overload is
-	// load shedding, not a terminal state.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := httpc.Post(srv.base+"/v1/results", "application/json",
-			bytes.NewReader([]byte(`{"ingest_key":"overload-recovery","results":[{"benchmark":"amg2023","workload":"w","system":"tioga","foms":{"figure_of_merit":2}}]}`)))
-		if err != nil {
-			fatalf("recovery push: %v", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if resp.StatusCode != http.StatusTooManyRequests {
-			fatalf("recovery push = %d, want 200 or 429", resp.StatusCode)
-		}
-		if time.Now().After(deadline) {
-			fatalf("shard never recovered from overload")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fmt.Printf("    overload drill: %d accepted, %d refused with 429 + Retry-After, shard recovered\n", accepted, overloaded)
+	fmt.Println("    federation plane OK: sharded ingest, live follower reads, generation catch-up, byte-identical replicas of a sharded and a plain primary")
 }

@@ -29,15 +29,15 @@
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
 # analyzer over every package, any unsuppressed finding fails (one
 # with a mechanical fix too, so there is no separate unapplied-fixes
-# check). The ops plane is smoke-checked by scripts/opssmoke, which
-# starts the real binary and scrapes /healthz, /readyz, /metrics, /debug/ops, and /debug/pprof,
-# then pushes a suite into it and checks the push left its TMPDIR empty.
-# The federation plane is smoke-checked end to end by
-# scripts/fedsmoke: a 4-shard primary plus one snapshot-shipping
-# follower under loadgen ingest, follower reads during ingest,
-# byte-identical reads after a pass that started once ingest ended,
-# a follower of a plain serve, and the 429/Retry-After backpressure
-# contract on an overloaded shard.
+# check). scripts/smoke builds the real binary once and smoke-checks two
+# planes with it: the ops plane — it scrapes /healthz, /readyz,
+# /metrics, /debug/ops and /debug/pprof, then pushes a suite and checks
+# the push left its TMPDIR empty — and the federation plane end to end:
+# a 4-shard primary plus one snapshot-shipping follower under loadgen
+# ingest, follower reads during ingest, byte-identical reads after a
+# pass that started once ingest ended, and a follower of a plain serve.
+# (The 429/Retry-After contract on an overloaded shard is
+# resultsd.TestIngestOverloadMapsTo429's, in process.)
 #
 # Finally, the incremental re-run gate runs the example suite twice
 # over a shared --cache-dir: the second run must be 100% run-layer
@@ -70,7 +70,9 @@ stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/me
 ! grep -rnwE --include='*.go' --exclude='*_test.go' 'WithOps|NoJitter|FullJitter' . || { echo "verify: the ops endpoints are always served and jitter only ever adds to Retry-After; WithOps, NoJitter and FullJitter are gone" >&2; exit 1; }
 { sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' 'ReuseCompatible|PushToCache|FindCompatible|\.Instrument\(|"buildcache_|"install_cache_' internal cmd examples || { echo "verify: the binary cache is read by exact hash and counted once, as cache_{hits,misses}_total{layer=\"buildcache\"}; compatible-target reuse, PushToCache, Instrument and the buildcache_*/install_cache_* counters are gone" >&2; exit 1; }
-! grep -rn --include='*.go' --exclude='*_test.go' 'os\.ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
+! grep -rn --include='*.go' --exclude='*_test.go' 'ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
+! grep -rnE --include='*.go' --exclude='*_test.go' '\bos\.(Open|OpenFile|Create|CreateTemp|Rename|Remove|ReadFile|ReadDir|MkdirAll|Truncate)\b' internal/resultstore internal/resultshard internal/cachekey || { echo "verify: resultstore, resultshard and cachekey reach the disk only through internal/fsys (its FS, Commit and RemoveTemps)" >&2; exit 1; }
+! grep -rn --include='*.go' --exclude='*_test.go' -e 'CommitDelay' -e 'shard-slow' . || { echo "verify: CommitDelay and serve --shard-slow are gone; a test slows the disk through resultstore.Options.FS" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' -e '\b(Isend|Irecv|WaitAll|ReduceScatter|FitScalingModel\w*|AddFromJSON|AddEvent|EventRecord|spanEvent|CompareSystems|AddOverlay|ImplementsComponent|SeededRNG|ChangedPaths|PRClosed|Homepage|Maintainers)\b' -e 'func \(c \*Comm\) (Allgather|Gather|Wait|System|ComputeFlops|ComputeBytes)\(|type Request struct' -e 'func \(t \*Thicket\) (Len|Filter|Regions)\(|func \(m \*Metadata\) (Matches|Len|Clone|Merge)\(' -e 'func \(s \*Span\) Path\(|func Inject\(|func \(r \*Registry\) PrometheusText\(' -e 'func \(m \*Map\) (GetInt|Lookup|Delete)\(|type Comparison struct|func \(r \*Repo\) Has\(' -e 'func \(e \*Expander\) (Get|Vars)\(|func \(s \*Scheduler\) (Cancel|Clock)\(|"CANCELLED"|scheduler\.Cancelled\b' -e 'func \(a \*Automation\) UseCache\(|func \(e \*Environment\) Remove\(' internal cmd examples scripts || { echo "verify: nothing is exported only for its own tests; the MPI calls, Thicket queries, span events and other names no program reached are gone (see CHANGES.md for the list)" >&2; exit 1; }
 ! { sed -n '/^type Provide struct/,/^}/p' internal/pkgrepo/pkgrepo.go | grep -w When; sed -n '/^type Workload struct/,/^}/p' internal/ramble/app.go | grep -w Inputs; sed -n '/^type Application struct/,/^}/p' internal/ramble/app.go | grep -w Description; } | grep . || { echo "verify: Provide.When, Workload.Inputs and Application.Description are gone: nothing read them, so a recipe or application that set them was silently ignored" >&2; exit 1; }
 
@@ -104,11 +106,8 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemet
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
 
-echo "==> ops-plane smoke (serve --pprof, scrape every operations endpoint)"
-go run ./scripts/opssmoke
-
-echo "==> federation smoke (4-shard primary + follower, loadgen ingest, plain serve + follower, 429 backpressure)"
-go run ./scripts/fedsmoke
+echo "==> smoke (one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
+go run ./scripts/smoke
 
 echo "==> incremental re-run gate (second run over a shared cache must replay everything)"
 cache_tmp=$(mktemp -d)
