@@ -27,9 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -91,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchlint: %v\n", err)
 			return 2
 		}
-		for _, file := range sortedFiles(contents) {
+		for _, file := range slices.Sorted(maps.Keys(contents)) {
 			if err := os.WriteFile(filepath.Join(res.Module.Root, file), contents[file], 0o644); err != nil {
 				fmt.Fprintf(stderr, "benchlint: %v\n", err)
 				return 2
@@ -189,14 +190,4 @@ func listAnalyzers(stdout, stderr io.Writer, analyzers []*analysis.Analyzer, jso
 		fmt.Fprintf(stdout, "%-12s %s [%s]%s\n", a.Name, a.Doc, scope, fixes)
 	}
 	return 0
-}
-
-// sortedFiles returns the changed-file keys in stable order.
-func sortedFiles(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

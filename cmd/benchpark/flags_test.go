@@ -67,7 +67,7 @@ func TestFlagSurface(t *testing.T) {
 		{args: []string{"run", "saxpy/openmp", "--jobs", "4", "cts1", ws("d")}, outHas: "(4 workers)"},
 		{args: []string{"saxpy/openmp", "cts1", ws("e"), "-j", "7"}, outHas: "(7 workers)"},
 		{args: []string{"run", "--trace-out=" + ws("t.json"), "saxpy/openmp", "cts1", ws("f")}, fileHas: ws("t.json")},
-		{args: []string{"suites", "--timeout=5s", "--no-cache", "-cache-dir", ws("cache")}, outHas: "saxpy/openmp"},
+		{args: []string{"suites", "--timeout=5s", "-cache-dir", ws("cache")}, outHas: "saxpy/openmp"},
 		{args: []string{"--log-level=warn", "components"}, outHas: "Benchmark"},
 		// Subcommand flags after positional arguments.
 		{args: []string{"figure14", "36", "72", "144", "-svg", ws("f14.svg")}, fileHas: ws("f14.svg")},
@@ -91,6 +91,7 @@ func TestFlagSurface(t *testing.T) {
 		{args: []string{"suites", "--timeout=0s"}, fail: true},
 		{args: []string{"--log-level", "loud"}, fail: true},
 		{args: []string{"suites", "--log-level=loud"}, fail: true},
+		{args: []string{"suites", "--no-cache"}, fail: true, errHas: "-no-cache"},
 		// Refused subcommand arguments.
 		{args: []string{"figure14", "-svg"}, fail: true},
 		{args: []string{"figure14", "not-a-number"}, fail: true},

@@ -57,21 +57,15 @@ type execOpts struct {
 	traceOut string
 	logLevel string
 	cacheDir string // durable content-addressed cache (--cache-dir)
-	noCache  bool   // disable all caching, including the in-memory memo
 
 	tracer *telemetry.Tracer // created by instrument when traceOut is set
 }
 
 // attachCache wires the incremental-pipeline cache into a deployment:
 // --cache-dir opens (or creates) the durable store so concretization,
-// built binaries and experiment outcomes persist across invocations;
-// --no-cache switches every cache layer off, including the in-memory
-// concretization memo.
+// built binaries and experiment outcomes persist across invocations.
+// Without it nothing outlives the invocation.
 func (o *execOpts) attachCache(bp *core.Benchpark) error {
-	if o.noCache {
-		bp.Memo = nil
-		return nil
-	}
 	if o.cacheDir == "" {
 		return nil
 	}
@@ -143,7 +137,7 @@ func writeTrace(path string, tr *telemetry.Trace) error {
 	return os.WriteFile(path, []byte(out), 0o644)
 }
 
-// flagSet returns a flag set holding the six global flags, each
+// flagSet returns a flag set holding the five global flags, each
 // validated as it is parsed and stored in o. A parse error comes back
 // from Parse as one line; nothing is printed.
 func (o *execOpts) flagSet(name string) *flag.FlagSet {
@@ -160,7 +154,6 @@ func (o *execOpts) flagSet(name string) *flag.FlagSet {
 		return err
 	})
 	fs.StringVar(&o.cacheDir, "cache-dir", o.cacheDir, "durable cache directory")
-	fs.BoolVar(&o.noCache, "no-cache", o.noCache, "disable every cache layer")
 	return fs
 }
 
@@ -341,8 +334,7 @@ global flags:
   --log-level L    structured logs on stderr (debug|info|warn|error)
   --cache-dir D    durable content-addressed cache: concretization,
                    built binaries and experiment outcomes persist in D
-                   and warm re-runs replay instead of re-executing
-  --no-cache       disable every cache layer for this invocation`)
+                   and warm re-runs replay instead of re-executing`)
 }
 
 func runSuite(suite, system, dir string, opts *execOpts) error {

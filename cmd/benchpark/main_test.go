@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -269,6 +270,25 @@ func TestRunSuiteWithTraceOut(t *testing.T) {
 	}
 	if data, err = os.ReadFile(prom); err != nil || !strings.Contains(string(data), "# TYPE") {
 		t.Errorf("prometheus exposition: %v %.60s", err, data)
+	}
+}
+
+// TestTraceOutPrintsEachCacheLayerOnce: a traced run over a cache
+// directory names every cache layer once, in its "==> cache[layer]"
+// line; the stage timings do not repeat them.
+func TestTraceOutPrintsEachCacheLayerOnce(t *testing.T) {
+	dir := t.TempDir()
+	out, err := captureStdout(t, func() error {
+		return run([]string{"--cache-dir", filepath.Join(dir, "cache"), "--trace-out", filepath.Join(dir, "t.json"),
+			"saxpy/openmp", "cts1", filepath.Join(dir, "ws")})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layer := range []string{"concretize", "buildcache", "run"} {
+		if n := len(regexp.MustCompile(`\b`+layer+`\b`).FindAllString(out, -1)); n != 1 {
+			t.Errorf("stdout names the %s layer %d times, want once:\n%s", layer, n, out)
+		}
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hpcsim"
@@ -287,7 +288,7 @@ func analyzeCmd(flags map[string]string) error {
 		if e.Status == ramble.Failed {
 			fmt.Printf(" %s", e.FailMsg)
 		}
-		for _, k := range sortedFOMKeys(e.FOMs) {
+		for _, k := range slices.Sorted(maps.Keys(e.FOMs)) {
 			if k == "success" {
 				continue
 			}
@@ -296,15 +297,6 @@ func analyzeCmd(flags map[string]string) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-func sortedFOMKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // archiveCmd bundles the workspace for sharing.

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -148,17 +149,6 @@ func (pf *PackageFacts) Fact(key string) *FuncFact {
 	return pf.Funcs[key]
 }
 
-// sortedKeys returns m's keys sorted, so map iteration order never
-// leaks into facts or findings.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // moduleDeps computes each path's transitive dependency closure,
 // restricted to the given path set, sorted. Interprocedural analyzers
 // see exactly this closure's facts. A package's closure strictly
@@ -190,7 +180,7 @@ func moduleDeps(paths []string, imports func(string) []string) map[string][]stri
 	}
 	out := make(map[string][]string, len(paths))
 	for _, p := range paths {
-		out[p] = sortedKeys(visit(p))
+		out[p] = slices.Sorted(maps.Keys(visit(p)))
 	}
 	return out
 }

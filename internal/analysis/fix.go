@@ -3,8 +3,10 @@ package analysis
 import (
 	"fmt"
 	"go/format"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -70,7 +72,7 @@ func ApplyFixes(modRoot string, findings []Finding) (map[string][]byte, []bool, 
 	}
 
 	out := map[string][]byte{}
-	for _, file := range sortedKeys(planned) {
+	for _, file := range slices.Sorted(maps.Keys(planned)) {
 		path := file
 		if modRoot != "" && !filepath.IsAbs(path) {
 			path = filepath.Join(modRoot, file)

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,13 +33,13 @@ func runLockOrder(pass *Pass) {
 		own bool
 	}
 	var edges []edge
-	for _, path := range sortedKeys(pass.AllFacts) {
+	for _, path := range slices.Sorted(maps.Keys(pass.AllFacts)) {
 		pf := pass.AllFacts[path]
 		if pf == nil {
 			continue
 		}
 		own := pf == pass.Facts
-		for _, key := range sortedKeys(pf.Funcs) {
+		for _, key := range slices.Sorted(maps.Keys(pf.Funcs)) {
 			for _, e := range pf.Funcs[key].Edges {
 				edges = append(edges, edge{LockEdge: e, own: own})
 			}
@@ -115,7 +117,7 @@ func canonicalCycle(cycle []string) string {
 	for _, n := range cycle {
 		set[n] = true
 	}
-	return strings.Join(sortedKeys(set), ",")
+	return strings.Join(slices.Sorted(maps.Keys(set)), ",")
 }
 
 // shortClass trims the lock class's package path to its last element

@@ -92,11 +92,11 @@ var seededMutations = []struct {
 		want:  []string{"Commit"},
 	},
 	{
-		// A time.Now() read inside the concretizer's memoized solve: the
+		// A time.Now() read inside the concretizer's cached solve: the
 		// cached result is no longer a pure function of its key.
 		analyzer: Purity, file: "internal/concretizer/concretizer.go",
 		edits: [][2]string{
-			{"c.Memo.store(key, out)", "_ = time.Now().Unix()\n\tc.Memo.store(key, out)"},
+			{"\tc.Misses++\n", "\tc.Misses++\n\t_ = time.Now().Unix()\n"},
 			{"\"sort\"", "\"sort\"\n\t\"time\""},
 		},
 		want: []string{"ConcretizeTogether", "wall clock"},

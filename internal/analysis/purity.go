@@ -8,7 +8,7 @@ import (
 
 // Purity proves the incremental pipeline's central assumption (DESIGN
 // §10): every cached computation is a pure function of what its cache
-// key hashes. The content-addressed layers — the concretizer memo,
+// key hashes. The content-addressed layers — the concretize layer,
 // the buildcache and the engine run-cache — replay stored results
 // whenever the key matches, so any ambient state a keyed computation
 // reads (wall clock, RNG, environment, mutable globals) silently
@@ -21,8 +21,8 @@ import (
 // flags the two path shapes the caches rest on:
 //
 //   - memoized roots — functions bracketing a compute with a
-//     cache/memo lookup and store (Memo.lookup/store,
-//     ExperimentCache.Get/Put).
+//     cache/memo lookup and store (Layer.Get/Put around the
+//     concretizer's solve, ExperimentCache.Get/Put).
 //     Calls reachable from the bracket must not read the clock, an
 //     unseeded RNG, or the process environment. Filesystem reads are
 //     allowed here: content-addressed keys legitimately hash file
@@ -173,8 +173,8 @@ func isKeyFunc(pass *Pass, fn *ast.FuncDecl) bool {
 // containing both a read-shaped and a write-shaped call against a
 // cache-like target (receiver type or function name mentioning
 // cache/memo/layer/store). This is how every caching layer in the
-// module brackets its compute: Memo.lookup/store around the
-// concretizer solve, ExperimentCache.Get/Put around Execute.
+// module brackets its compute: Layer.Get/Put around the concretizer
+// solve, ExperimentCache.Get/Put around Execute.
 func isMemoBracket(pass *Pass, fn *ast.FuncDecl) bool {
 	var reads, writes bool
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -203,7 +203,7 @@ const (
 
 // cacheCallShape classifies one call as a cache lookup, a cache
 // store, or neither. The cache-ness comes from the receiver type's
-// name (Memo, Layer, ExperimentCache, ...) or, for plain functions,
+// name (Layer, ExperimentCache, ...) or, for plain functions,
 // the function name itself (loadCacheEntry).
 func cacheCallShape(pass *Pass, call *ast.CallExpr) cacheShape {
 	fn := calleeFunc(pass.TypesInfo(), call)

@@ -4,8 +4,9 @@
 // built binaries keyed by the concrete spec's DAG hash.
 //
 // The cache is safe for concurrent use — in a continuous-benchmarking
-// deployment many site installers push and fetch at once — and keeps
-// hit/miss/put statistics for the cache-ablation experiments.
+// deployment many site installers push and fetch at once. It keeps no
+// statistics: an installer's report says which nodes it fetched and
+// which it built.
 //
 // Over a durable layer (Persist) it reads through by exact hash: a
 // lookup costs one entry file, whatever the layer holds, and finds
@@ -38,8 +39,6 @@ type Cache struct {
 	// layer, when set, durably mirrors every entry (write-through)
 	// and answers what entries does not hold (read-through).
 	layer *cachekey.Layer
-
-	hits, misses, puts int
 }
 
 // New returns an empty cache.
@@ -54,8 +53,7 @@ func entryKey(hash string) cachekey.Key {
 
 // Persist attaches a durable cache layer and performs no IO: entries
 // already on disk are read when asked for and every future Put writes
-// through. Reading an entry is not a put; only this process's own
-// traffic moves the statistics.
+// through.
 func (c *Cache) Persist(l *cachekey.Layer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -77,10 +75,10 @@ func readEntry(l *cachekey.Layer, k cachekey.Key) (Entry, bool) {
 	return e, true
 }
 
-// lookup finds hash in memory, then in the durable layer (IO outside
-// the lock). A layer hit is remembered; a miss is not, so an entry a
-// sibling process puts later is seen.
-func (c *Cache) lookup(hash string) (Entry, bool) {
+// Get finds the entry for hash in memory, then in the durable layer
+// (IO outside the lock). A layer hit is remembered; a miss is not, so
+// an entry a sibling process puts later is seen.
+func (c *Cache) Get(hash string) (Entry, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[hash]
 	layer := c.layer
@@ -104,31 +102,10 @@ func (c *Cache) lookup(hash string) (Entry, bool) {
 func (c *Cache) Put(e Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.puts++
 	c.entries[e.Hash] = e
 	if c.layer != nil {
 		if data, err := json.Marshal(e); err == nil {
 			c.layer.Put(entryKey(e.Hash), data) //nolint:errcheck // cache write failure must not fail the build
 		}
 	}
-}
-
-// Get fetches the entry for a hash, recording a hit or a miss.
-func (c *Cache) Get(hash string) (Entry, bool) {
-	e, ok := c.lookup(hash)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return e, ok
-}
-
-// Stats returns the lifetime hit/miss/put counters.
-func (c *Cache) Stats() (hits, misses, puts int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses, c.puts
 }

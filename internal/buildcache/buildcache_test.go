@@ -22,10 +22,6 @@ func TestPutGetContentAddressed(t *testing.T) {
 	if _, ok := c.Get("missing"); ok {
 		t.Error("missing hash should miss")
 	}
-	hits, misses, puts := c.Stats()
-	if hits != 2 || misses != 1 || puts != 2 {
-		t.Errorf("stats = %d/%d/%d, want 2/1/2", hits, misses, puts)
-	}
 }
 
 // TestConcurrentAccess hammers the cache from many goroutines; run
@@ -40,14 +36,13 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			h := fmt.Sprintf("hash-%d", i)
 			c.Put(Entry{Hash: h, SpecText: "zlib@1.2.12"})
-			c.Get(h)
-			c.Get("never")
-			c.Stats()
+			if _, ok := c.Get(h); !ok {
+				t.Errorf("Get(%s) missed its own Put", h)
+			}
+			if _, ok := c.Get("never"); ok {
+				t.Error("hit on a hash nobody has put")
+			}
 		}(i)
 	}
 	wg.Wait()
-	hits, misses, puts := c.Stats()
-	if hits != 32 || misses != 32 || puts != 32 {
-		t.Errorf("stats = %d/%d/%d", hits, misses, puts)
-	}
 }

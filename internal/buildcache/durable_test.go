@@ -34,9 +34,13 @@ func TestPersistWriteThroughAndRestore(t *testing.T) {
 	if !ok || got != e {
 		t.Fatalf("Get through the layer = %+v, %v; want the original entry", got, ok)
 	}
-	hits, misses, puts := c2.Stats()
-	if hits != 1 || misses != 0 || puts != 0 {
-		t.Errorf("reading instance stats = %d/%d/%d; a read-through must not count as a put", hits, misses, puts)
+	// The read-through is remembered: the entry outlives its file.
+	k := string(entryKey(e.Hash))
+	if err := os.Remove(filepath.Join(dir, "buildcache", k[:2], k)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c2.Get(e.Hash); !ok || got != e {
+		t.Errorf("Get after the entry file went = %+v, %v; want the remembered entry", got, ok)
 	}
 }
 
@@ -77,9 +81,6 @@ func TestSiblingPutIsVisible(t *testing.T) {
 	a.Put(e2)
 	if got, ok := b.Get(e2.Hash); !ok || got != e2 {
 		t.Errorf("B.Get misses what A put after B's first hit: %+v, %v", got, ok)
-	}
-	if hits, misses, puts := b.Stats(); hits != 2 || misses != 1 || puts != 0 {
-		t.Errorf("B stats = %d/%d/%d, want 2/1/0", hits, misses, puts)
 	}
 }
 
@@ -159,11 +160,10 @@ func TestConcurrentReadThrough(t *testing.T) {
 			if got, ok := b.Get(e.Hash); !ok || got != e {
 				t.Errorf("sibling Get(%s) = %+v, %v", e.Hash, got, ok)
 			}
-			b.Get("never")
+			if _, ok := b.Get("never"); ok {
+				t.Error("hit on a hash nobody has put")
+			}
 		}(i)
 	}
 	wg.Wait()
-	if hits, misses, puts := b.Stats(); hits != 16 || misses != 16 || puts != 0 {
-		t.Errorf("sibling stats = %d/%d/%d, want 16/16/0", hits, misses, puts)
-	}
 }

@@ -41,20 +41,6 @@ type CIJob struct {
 	// RunAs is the account Jacamar executed the job under (setuid).
 	RunAs string
 	Log   string
-	// Cache is the job's incremental-pipeline provenance: one entry
-	// per cache layer the job's benchmark runs touched (concretize,
-	// buildcache, run). A fully warm job shows Misses == 0 on the run
-	// layer — the pipeline re-ran nothing for it.
-	Cache []CacheProvenance
-}
-
-// CacheProvenance records one cache layer's traffic during a job, so
-// a pipeline's results carry exactly which experiments were replayed
-// and which were executed fresh.
-type CacheProvenance struct {
-	Layer  string
-	Hits   int
-	Misses int
 }
 
 // Pipeline is one CI run for a commit.

@@ -10,9 +10,18 @@ import (
 	"repro/internal/spec"
 )
 
+func openLayer(t *testing.T, dir string) *cachekey.Layer {
+	t.Helper()
+	st, err := cachekey.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Layer("concretize")
+}
+
 func TestMemoHitReplaysEqualResult(t *testing.T) {
 	c := newC(t)
-	c.Memo = NewMemo()
+	c.Cache = openLayer(t, t.TempDir())
 	roots := []*spec.Spec{spec.MustParse("saxpy@1.0.0 +openmp ^cmake@3.23.1")}
 
 	cold, err := c.ConcretizeTogether(roots)
@@ -23,14 +32,14 @@ func TestMemoHitReplaysEqualResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Memo.Stats(); got.Hits != 1 || got.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit 1 miss", got)
+	if c.Hits != 1 || c.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1 hit 1 miss", c.Hits, c.Misses)
 	}
 	if cold[0].DAGHash() != warm[0].DAGHash() {
-		t.Errorf("memo hit must replay the identical DAG:\ncold %s\nwarm %s", cold[0], warm[0])
+		t.Errorf("cache hit must replay the identical DAG:\ncold %s\nwarm %s", cold[0], warm[0])
 	}
 	if cold[0] == warm[0] {
-		t.Error("memo hit must decode a fresh DAG, not alias the cold result")
+		t.Error("cache hit must decode a fresh DAG, not alias the cold result")
 	}
 	if !warm[0].IsConcrete() {
 		t.Error("replayed root not concrete")
@@ -39,7 +48,7 @@ func TestMemoHitReplaysEqualResult(t *testing.T) {
 
 func TestMemoKeySensitivity(t *testing.T) {
 	c := newC(t)
-	c.Memo = NewMemo()
+	c.Cache = openLayer(t, t.TempDir())
 	if _, err := c.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0")}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +57,8 @@ func TestMemoKeySensitivity(t *testing.T) {
 	if _, err := c.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0 +openmp")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Memo.Stats(); got.Hits != 0 || got.Misses != 2 {
-		t.Fatalf("stats after distinct roots = %+v, want 0 hits 2 misses", got)
+	if c.Hits != 0 || c.Misses != 2 {
+		t.Fatalf("hits/misses after distinct roots = %d/%d, want 0 hits 2 misses", c.Hits, c.Misses)
 	}
 
 	// A configuration change is a miss even for the same root.
@@ -57,8 +66,8 @@ func TestMemoKeySensitivity(t *testing.T) {
 	if _, err := c.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Memo.Stats(); got.Hits != 0 || got.Misses != 3 {
-		t.Fatalf("stats after config change = %+v, want 0 hits 3 misses", got)
+	if c.Hits != 0 || c.Misses != 3 {
+		t.Fatalf("hits/misses after config change = %d/%d, want 0 hits 3 misses", c.Hits, c.Misses)
 	}
 }
 
@@ -103,33 +112,23 @@ func mustConcrete(t *testing.T, s string) *spec.Spec {
 
 func TestMemoDurableLayerSharedAcrossProcesses(t *testing.T) {
 	dir := t.TempDir()
-	st1, err := cachekey.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c1 := newC(t)
-	c1.Memo = NewMemo()
-	c1.Memo.Persist(st1.Layer("concretize"))
+	c1.Cache = openLayer(t, dir)
 	cold, err := c1.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0 +openmp")})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A second memo over the same store directory (a new process in a
-	// CI pipeline) hits without solving.
-	st2, err := cachekey.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A second concretizer over the same store directory (a new
+	// process in a CI pipeline) hits without solving.
 	c2 := newC(t)
-	c2.Memo = NewMemo()
-	c2.Memo.Persist(st2.Layer("concretize"))
+	c2.Cache = openLayer(t, dir)
 	warm, err := c2.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0 +openmp")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Memo.Stats(); got.Hits != 1 || got.Misses != 0 {
-		t.Errorf("durable stats = %+v, want 1 hit 0 misses", got)
+	if c2.Hits != 1 || c2.Misses != 0 {
+		t.Errorf("durable hits/misses = %d/%d, want 1 hit 0 misses", c2.Hits, c2.Misses)
 	}
 	if cold[0].DAGHash() != warm[0].DAGHash() {
 		t.Errorf("durable hit must replay the identical DAG")
@@ -138,20 +137,15 @@ func TestMemoDurableLayerSharedAcrossProcesses(t *testing.T) {
 
 func TestMemoCorruptDurableEntryIsColdMiss(t *testing.T) {
 	dir := t.TempDir()
-	st, err := cachekey.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := newC(t)
-	c.Memo = NewMemo()
-	c.Memo.Persist(st.Layer("concretize"))
+	c.Cache = openLayer(t, dir)
 	if _, err := c.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0")}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Corrupt every persisted entry on disk.
 	root := filepath.Join(dir, "concretize")
-	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
 		}
@@ -161,14 +155,9 @@ func TestMemoCorruptDurableEntryIsColdMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh memo over the corrupted store must re-solve, not fail.
-	st2, err := cachekey.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fresh concretizer over the corrupted store must re-solve, not fail.
 	c2 := newC(t)
-	c2.Memo = NewMemo()
-	c2.Memo.Persist(st2.Layer("concretize"))
+	c2.Cache = openLayer(t, dir)
 	got, err := c2.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0")})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +165,7 @@ func TestMemoCorruptDurableEntryIsColdMiss(t *testing.T) {
 	if !got[0].IsConcrete() {
 		t.Error("re-solve after corruption must yield a concrete spec")
 	}
-	if s := c2.Memo.Stats(); s.Hits != 0 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want the corrupt entry counted as a miss", s)
+	if c2.Hits != 0 || c2.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want the corrupt entry counted as a miss", c2.Hits, c2.Misses)
 	}
 }

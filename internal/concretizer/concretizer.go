@@ -1,6 +1,7 @@
 package concretizer
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -17,10 +18,22 @@ type Concretizer struct {
 	Repo   *pkgrepo.Repo
 	Config *Config
 
-	// Memo, when set, short-circuits ConcretizeTogether for inputs it
-	// has solved before (the "concretize" layer of the incremental
-	// pipeline). nil disables memoization.
-	Memo *Memo
+	// Cache, when set, is the "concretize" layer of the incremental
+	// pipeline: ConcretizeTogether replays the solves it holds and
+	// stores the ones it makes. Hits and Misses count this
+	// concretizer's lookups in it.
+	Cache        *cachekey.Layer
+	Hits, Misses int
+}
+
+// cachedSolve is the serialized form of one concretization result.
+// A hit is decoded fresh (spec.DecodeDAG), so callers never share
+// mutable nodes with the cache — the install database holds spec
+// pointers — and corrupt or tampered bytes fail DecodeDAG's hash
+// verification and degrade to a miss.
+type cachedSolve struct {
+	Nodes map[string]spec.EncodedNode `json:"nodes"`
+	Roots []string                    `json:"roots"`
 }
 
 // New returns a concretizer.
@@ -44,15 +57,15 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // Config.ReuseFromContext (unify: true), all roots share one concrete
 // node per package name; otherwise each root is solved independently.
 //
-// With a Memo attached, the solve is keyed by the configuration
+// With a Cache attached, the solve is keyed by the configuration
 // fingerprint derived with the abstract root renderings
-// (Config.Fingerprint().Derive("concretize", ...)); repeated requests
-// replay the stored DAG, decoded fresh on every hit so callers never
-// share mutable nodes with the cache. The key is computed here — not
-// at construction — because callers (internal/env) toggle Config
-// fields around the call.
+// (Config.Fingerprint().Derive("concretize", ...)), so any change to
+// the system configuration, the reuse set or the requested specs is a
+// miss. The key is computed here — not at construction — because
+// callers (internal/env) toggle Config fields around the call. A
+// failed cache write never fails the solve.
 func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, error) {
-	if c.Memo == nil {
+	if c.Cache == nil {
 		return c.concretizeTogether(roots)
 	}
 	rootStrs := make([]string, len(roots))
@@ -60,14 +73,24 @@ func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, erro
 		rootStrs[i] = r.String()
 	}
 	key := c.Config.Fingerprint().Derive("concretize", cachekey.Hash(rootStrs))
-	if out, ok := c.Memo.lookup(key); ok {
-		return out, nil
+	if data, ok := c.Cache.Get(key); ok {
+		var ent cachedSolve
+		if json.Unmarshal(data, &ent) == nil {
+			if out, err := spec.DecodeDAG(ent.Nodes, ent.Roots); err == nil {
+				c.Hits++
+				return out, nil
+			}
+		}
 	}
+	c.Misses++
 	out, err := c.concretizeTogether(roots)
 	if err != nil {
 		return nil, err
 	}
-	c.Memo.store(key, out)
+	nodes, rootHashes := spec.EncodeDAG(out)
+	if data, err := json.Marshal(cachedSolve{Nodes: nodes, Roots: rootHashes}); err == nil {
+		c.Cache.Put(key, data) //nolint:errcheck // cache write failure must not fail the solve
+	}
 	return out, nil
 }
 

@@ -79,7 +79,7 @@ type Config struct {
 // Fingerprint returns the content key of everything in the
 // configuration that can influence a concretization result: two
 // configs with equal fingerprints concretize any spec identically.
-// It anchors the memo key of every concretization (the "concretize"
+// It anchors the cache key of every concretization (the "concretize"
 // cache layer), so adding a compiler, changing a preference, or
 // growing the reuse set invalidates exactly the solves it could
 // affect.

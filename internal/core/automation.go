@@ -137,9 +137,6 @@ func (a *Automation) jobExecutor(workDir string) ci.JobExecutor {
 			// Per-job cache provenance: which layers served the run, and
 			// how much of it was replayed vs executed fresh.
 			for _, cs := range erep.Cache {
-				job.Cache = append(job.Cache, ci.CacheProvenance{
-					Layer: cs.Layer, Hits: cs.Hits, Misses: cs.Misses,
-				})
 				log.Info("cache layer", "layer", cs.Layer, "hits", cs.Hits, "misses", cs.Misses)
 			}
 			if rep.Failed > 0 {

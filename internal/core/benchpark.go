@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,19 +31,17 @@ import (
 
 // Benchpark is the shared state of a continuous-benchmarking
 // deployment: the package repository, the community binary cache, the
-// metrics database results stream into, and the incremental-pipeline
-// caches (concretization memo, durable content-addressed store).
+// metrics database results stream into, and the durable
+// content-addressed store of the incremental pipeline.
 type Benchpark struct {
 	Repo    *pkgrepo.Repo
 	Cache   *buildcache.Cache
 	Metrics *metricsdb.DB
 
-	// Memo caches concretization results across the deployment's
-	// sessions (the "concretize" layer); always on — a memo hit is
-	// pinned byte-identical to a fresh solve.
-	Memo *concretizer.Memo
-	// Store is the durable content-addressed store every cache layer
-	// persists through (UseCache); nil keeps all caching in-memory.
+	// Store is the durable content-addressed store the cache layers
+	// persist through: sessions read and write its "concretize" and
+	// "run" layers, and UseCache puts the binary cache over its
+	// "buildcache" layer. nil caches no solve and no run.
 	Store *cachekey.Store
 }
 
@@ -51,7 +51,6 @@ func New() *Benchpark {
 		Repo:    pkgrepo.Builtin(),
 		Cache:   buildcache.New(),
 		Metrics: metricsdb.New(),
-		Memo:    concretizer.NewMemo(),
 	}
 }
 
@@ -70,6 +69,10 @@ type Session struct {
 	Lockfiles map[string]*env.Lockfile // software env name -> lockfile
 
 	manifests map[string]string // experiment name -> manifest, rendered by record
+
+	// concretize and buildcache count this session's own lookups in
+	// those cache layers, for appendCacheStats.
+	concretize, buildcache engine.CacheStat
 }
 
 // Setup implements Figure 1c steps 1-4: create the workspace, write
@@ -140,6 +143,9 @@ func newSession(bp *Benchpark, sys *hpcsim.System, suite string, cfg *concretize
 		Scheduler: scheduler.New(sys),
 		Thicket:   thicket.New(),
 		Lockfiles: map[string]*env.Lockfile{},
+
+		concretize: engine.CacheStat{Layer: "concretize"},
+		buildcache: engine.CacheStat{Layer: "buildcache"},
 	}
 }
 
@@ -177,7 +183,7 @@ func (s *Session) Install(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	for _, name := range sortedKeys(envSpecs) {
+	for _, name := range slices.Sorted(maps.Keys(envSpecs)) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -208,13 +214,21 @@ func (s *Session) installEnv(ctx context.Context, envName string, specs []string
 	}
 	s.Config.ReuseInstalled = reuse
 	c := concretizer.New(s.Benchpark.Repo, s.Config)
-	c.Memo = s.Benchpark.Memo
-	if err := e.Concretize(c); err != nil {
+	if st := s.Benchpark.Store; st != nil {
+		c.Cache = st.Layer("concretize")
+	}
+	err = e.Concretize(c)
+	s.concretize.Hits += c.Hits
+	s.concretize.Misses += c.Misses
+	if err != nil {
 		return err
 	}
-	if _, err := e.Install(ctx, s.Installer); err != nil {
+	rep, err := e.Install(ctx, s.Installer)
+	if err != nil {
 		return err
 	}
+	s.buildcache.Hits += rep.Count(install.FetchedFromCache)
+	s.buildcache.Misses += rep.Count(install.Built)
 	lf, err := e.Lock()
 	if err != nil {
 		return err
@@ -350,10 +364,8 @@ func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport
 	if s.Benchpark.Store != nil {
 		eopts.Cache = s.Benchpark.Store.Layer("run")
 	}
-	memoBefore := s.Benchpark.Memo.Stats()
-	bcHits, bcMisses, _ := s.Benchpark.Cache.Stats()
 	erep, err := engine.Run(ctx, r, eopts)
-	s.appendCacheStats(ctx, erep, memoBefore, bcHits, bcMisses)
+	s.appendCacheStats(ctx, erep)
 	span.SetError(err)
 	span.End()
 	telemetry.Log(ctx).Info("session done",

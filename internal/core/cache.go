@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,55 +14,42 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cachekey"
 	"repro/internal/caliper"
-	"repro/internal/concretizer"
 	"repro/internal/engine"
 	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
 )
 
 // UseCache attaches a durable content-addressed store to the
-// deployment: the concretization memo and the binary cache persist
-// through it, and every Session.Run consults the store's "run" layer
-// to replay unchanged experiments. Passing nil detaches nothing —
-// call it once, at deployment construction (cmd/benchpark --cache-dir,
-// Automation over a shared CI cache).
+// deployment: sessions solve through its "concretize" layer and
+// replay unchanged experiments from its "run" layer, and the binary
+// cache persists through its "buildcache" layer. Passing nil detaches
+// nothing — call it once, at deployment construction
+// (cmd/benchpark --cache-dir, Automation over a shared CI cache).
 func (bp *Benchpark) UseCache(st *cachekey.Store) {
 	if st == nil {
 		return
 	}
 	bp.Store = st
-	if bp.Memo == nil {
-		bp.Memo = concretizer.NewMemo()
-	}
-	bp.Memo.Persist(st.Layer("concretize"))
 	bp.Cache.Persist(st.Layer("buildcache"))
 }
 
-// appendCacheStats prepends the upstream layers' traffic during this
-// run (concretize memo, buildcache) to the engine report's cache
-// table, which already carries the "run" layer, and mirrors the
-// deltas into cache_hits_total / cache_misses_total counters labeled
-// per layer — the same naming the engine uses for the run layer.
-func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report,
-	memoBefore concretizer.MemoStats, bcHits, bcMisses int) {
+// appendCacheStats prepends this session's traffic on the upstream
+// layers (concretize, buildcache) to the engine report's cache table,
+// which already carries the "run" layer, and mirrors it into
+// cache_hits_total / cache_misses_total counters labeled per layer —
+// the same naming the engine uses for the run layer. A layer the
+// session never looked in gets no row.
+func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 	if rep == nil {
 		return
 	}
 	var upstream []engine.CacheStat
-	memoAfter := s.Benchpark.Memo.Stats()
-	if d := (engine.CacheStat{Layer: "concretize",
-		Hits:   memoAfter.Hits - memoBefore.Hits,
-		Misses: memoAfter.Misses - memoBefore.Misses}); d.Hits+d.Misses > 0 {
-		upstream = append(upstream, d)
-	}
-	hitsAfter, missesAfter, _ := s.Benchpark.Cache.Stats()
-	if d := (engine.CacheStat{Layer: "buildcache",
-		Hits:   hitsAfter - bcHits,
-		Misses: missesAfter - bcMisses}); d.Hits+d.Misses > 0 {
-		upstream = append(upstream, d)
-	}
 	met := telemetry.FromContext(ctx).Metrics()
-	for _, d := range upstream {
+	for _, d := range []engine.CacheStat{s.concretize, s.buildcache} {
+		if d.Hits+d.Misses == 0 {
+			continue
+		}
+		upstream = append(upstream, d)
 		met.Counter(fmt.Sprintf("cache_hits_total{layer=%q}", d.Layer)).Add(int64(d.Hits))
 		met.Counter(fmt.Sprintf("cache_misses_total{layer=%q}", d.Layer)).Add(int64(d.Misses))
 	}
@@ -254,7 +243,7 @@ func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte)
 		out.Profile = p
 	}
 	md := adiak.New()
-	for _, name := range sortedKeys(co.Meta) {
+	for _, name := range slices.Sorted(maps.Keys(co.Meta)) {
 		md.Set(name, co.Meta[name])
 	}
 	out.Metadata = md

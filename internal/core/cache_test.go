@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,10 +315,79 @@ func TestWarmRunReExecutesOnlyTheEditedExperiment(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsCountOnlyTheirOwnCacheTraffic: two suites run
+// at once on one deployment with a store. Each session's concretize
+// and buildcache rows count the lookups that session made, so together
+// they make as many as the same suites make each alone on a fresh
+// deployment — whatever the interleaving decides about hit or miss,
+// the number of lookups is fixed.
+func TestConcurrentSessionsCountOnlyTheirOwnCacheTraffic(t *testing.T) {
+	suites := []string{"saxpy/openmp", "amg2023/openmp"}
+	deployment := func() *Benchpark {
+		st, err := cachekey.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp := New()
+		bp.UseCache(st)
+		return bp
+	}
+	run := func(bp *Benchpark, suite string) *engine.Report {
+		sess, err := bp.Setup(suite, "cts1", t.TempDir())
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 2})
+		if err != nil {
+			t.Error(err)
+		}
+		return erep
+	}
+	lookups := func(reps []*engine.Report) map[string]int {
+		n := map[string]int{}
+		for _, rep := range reps {
+			if rep == nil {
+				t.FailNow()
+			}
+			for _, cs := range rep.Cache {
+				if cs.Layer != "run" {
+					n[cs.Layer] += cs.Hits + cs.Misses
+				}
+			}
+		}
+		return n
+	}
+
+	alone := make([]*engine.Report, len(suites))
+	for i, suite := range suites {
+		alone[i] = run(deployment(), suite)
+	}
+	together := make([]*engine.Report, len(suites))
+	bp := deployment()
+	var wg sync.WaitGroup
+	for i, suite := range suites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = run(bp, suite)
+		}()
+	}
+	wg.Wait()
+
+	want, got := lookups(alone), lookups(together)
+	for _, layer := range []string{"concretize", "buildcache"} {
+		if want[layer] == 0 || got[layer] != want[layer] {
+			t.Errorf("%s lookups: concurrent sessions report %d, alone %d", layer, got[layer], want[layer])
+		}
+	}
+}
+
 // TestNightlyPipelineCacheProvenance: a CI deployment over a shared
-// durable store records per-job cache provenance, and the second
-// nightly's jobs are 100% run-layer hits — the pipeline re-ran the
-// benchmarks without executing any of them.
+// durable store records per-job cache provenance in each job log's
+// "cache layer" records, and the second nightly's jobs are 100%
+// run-layer hits — the pipeline re-ran the benchmarks without
+// executing any of them.
 func TestNightlyPipelineCacheProvenance(t *testing.T) {
 	bp := New()
 	auto, err := NewAutomation(bp, t.TempDir())
@@ -329,13 +400,23 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 	}
 	auto.Benchpark.UseCache(st)
 
-	jobProvenance := func(j *ci.CIJob, layer string) (ci.CacheProvenance, bool) {
-		for _, cp := range j.Cache {
-			if cp.Layer == layer {
-				return cp, true
+	// jobProvenance sums one layer's "cache layer" records over the
+	// job's benchpark runs.
+	jobProvenance := func(j *ci.CIJob, layer string) (cp engine.CacheStat, ok bool) {
+		for _, line := range strings.Split(j.Log, "\n") {
+			if !strings.Contains(line, `msg="cache layer"`) || !strings.Contains(line, " layer="+layer+" ") {
+				continue
 			}
+			var hits, misses int
+			_, counts, _ := strings.Cut(line, " hits=")
+			if _, err := fmt.Sscanf(counts, "%d misses=%d", &hits, &misses); err != nil {
+				t.Fatalf("job %s: unreadable cache record %q: %v", j.Name, line, err)
+			}
+			cp.Hits += hits
+			cp.Misses += misses
+			ok = true
 		}
-		return ci.CacheProvenance{}, false
+		return cp, ok
 	}
 
 	first, err := auto.RunNightly(context.Background())
@@ -348,7 +429,7 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 	for _, j := range first.Jobs {
 		cp, ok := jobProvenance(j, "run")
 		if !ok {
-			t.Fatalf("job %s recorded no run-layer provenance: %+v", j.Name, j.Cache)
+			t.Fatalf("job %s recorded no run-layer provenance: %s", j.Name, j.Log)
 		}
 		if cp.Hits != 0 || cp.Misses == 0 {
 			t.Errorf("job %s cold provenance = %+v, want all misses", j.Name, cp)
@@ -365,13 +446,13 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 	for _, j := range second.Jobs {
 		cp, ok := jobProvenance(j, "run")
 		if !ok {
-			t.Fatalf("job %s recorded no run-layer provenance: %+v", j.Name, j.Cache)
+			t.Fatalf("job %s recorded no run-layer provenance: %s", j.Name, j.Log)
 		}
 		if cp.Misses != 0 || cp.Hits == 0 {
 			t.Errorf("job %s warm provenance = %+v, want all hits", j.Name, cp)
 		}
 		if _, ok := jobProvenance(j, "concretize"); !ok {
-			t.Errorf("job %s has no concretize provenance: %+v", j.Name, j.Cache)
+			t.Errorf("job %s has no concretize provenance: %s", j.Name, j.Log)
 		}
 	}
 }

@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/concretizer"
@@ -152,7 +154,7 @@ func specName(s string) string {
 // Figure 1c workflow (`benchpark $experiment $system $workspace`).
 // Suites are "<benchmark>/<variant-or-workload>".
 func ExperimentTemplates() []string {
-	return sortedKeys(experimentSuites)
+	return slices.Sorted(maps.Keys(experimentSuites))
 }
 
 // suiteDef generates a ramble.yaml given the system (for GPU counts

@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -89,7 +90,7 @@ func (st *ScalingStudy) suite() string {
 		rpn = min(rpn, p)
 	}
 	wlVars := yamlite.NewMap()
-	for _, k := range sortedKeys(st.Vars) {
+	for _, k := range slices.Sorted(maps.Keys(st.Vars)) {
 		wlVars.Set(k, st.Vars[k])
 	}
 	wlVars.Set("workload", st.Workload)
@@ -103,7 +104,7 @@ func (st *ScalingStudy) suite() string {
 		zip("n_nodes", strconv.Itoa((p+rpn-1)/rpn))
 		if st.VarsByScale != nil {
 			byScale := st.VarsByScale(p)
-			for _, k := range sortedKeys(byScale) {
+			for _, k := range slices.Sorted(maps.Keys(byScale)) {
 				zip(k, byScale[k])
 			}
 		}
@@ -125,16 +126,6 @@ func (st *ScalingStudy) suite() string {
 			)),
 		)),
 	)))
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // AMGStrongScalingStudy fixes a global grid (nx × ny × globalNZ) and

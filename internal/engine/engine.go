@@ -175,8 +175,8 @@ type Report struct {
 	Results []ExperimentResult
 	// Cache holds per-layer cache-traffic accounts for the run: the
 	// engine appends the "run" layer when Options.Cache is active, and
-	// callers (internal/core) append upstream layers (concretize,
-	// buildcache). TimingSummary renders the table.
+	// callers (internal/core) prepend upstream layers (concretize,
+	// buildcache).
 	Cache []CacheStat
 }
 
@@ -224,26 +224,17 @@ type StageTiming struct {
 // Succeeded reports the number of cleanly executed experiments.
 func (r *Report) Succeeded() int { return r.Executed - r.Failed }
 
-// TimingSummary renders the per-stage timing table, followed by the
-// per-layer cache-traffic table when the run used any cache layer
-// (empty string when the run recorded neither).
+// TimingSummary renders the per-stage timing table (empty string when
+// the run recorded no timings).
 func (r *Report) TimingSummary() string {
-	if len(r.Timings) == 0 && len(r.Cache) == 0 {
+	if len(r.Timings) == 0 {
 		return ""
 	}
 	var b strings.Builder
-	if len(r.Timings) > 0 {
-		fmt.Fprintf(&b, "%-8s %6s %10s %10s %10s\n", "stage", "spans", "total(s)", "max(s)", "wall(s)")
-		for _, t := range r.Timings {
-			fmt.Fprintf(&b, "%-8s %6d %10.3f %10.3f %10.3f\n",
-				t.Stage, t.Count, t.Seconds, t.MaxSeconds, t.WallSeconds)
-		}
-	}
-	if len(r.Cache) > 0 {
-		fmt.Fprintf(&b, "%-12s %6s %8s %12s\n", "cache", "hits", "misses", "bytes")
-		for _, cs := range r.Cache {
-			fmt.Fprintf(&b, "%-12s %6d %8d %12d\n", cs.Layer, cs.Hits, cs.Misses, cs.Bytes)
-		}
+	fmt.Fprintf(&b, "%-8s %6s %10s %10s %10s\n", "stage", "spans", "total(s)", "max(s)", "wall(s)")
+	for _, t := range r.Timings {
+		fmt.Fprintf(&b, "%-8s %6d %10.3f %10.3f %10.3f\n",
+			t.Stage, t.Count, t.Seconds, t.MaxSeconds, t.WallSeconds)
 	}
 	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -279,15 +278,5 @@ func TestUncacheableRunnerIgnoresCache(t *testing.T) {
 	}
 	if len(m.executed) != 5 {
 		t.Errorf("executed = %v", m.executed)
-	}
-}
-
-func TestTimingSummaryRendersCacheTable(t *testing.T) {
-	rep := &Report{Cache: []CacheStat{{Layer: "run", Hits: 3, Misses: 1, Bytes: 2048}}}
-	got := rep.TimingSummary()
-	for _, want := range []string{"cache", "hits", "run", "2048"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q:\n%s", want, got)
-		}
 	}
 }

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,7 +102,7 @@ func (m MetricsSnapshot) writeText(b *strings.Builder) {
 // the text parser rejects a repeated TYPE line, and plain full-name
 // order would let `x_total_bytes` split `x_total` from `x_total{...}`.
 func writeFamilies[V any](b *strings.Builder, typ string, m map[string]V, sample func(base, labels string, v V)) {
-	names := sortedKeys(m)
+	names := slices.Sorted(maps.Keys(m))
 	sort.SliceStable(names, func(i, j int) bool {
 		bi, _ := splitLabels(names[i])
 		bj, _ := splitLabels(names[j])
@@ -134,15 +136,6 @@ func (t *Trace) PrometheusText() string {
 		fmt.Fprintf(&b, "%s %s\n", joinLabels(base, labels), formatFloat(v))
 	})
 	return b.String()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // splitLabels separates `base{k="v",...}` into base and the label

@@ -70,6 +70,7 @@ stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/me
 ! grep -rnwE --include='*.go' --exclude='*_test.go' 'WithOps|NoJitter|FullJitter' . || { echo "verify: the ops endpoints are always served and jitter only ever adds to Retry-After; WithOps, NoJitter and FullJitter are gone" >&2; exit 1; }
 { sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' 'ReuseCompatible|PushToCache|FindCompatible|\.Instrument\(|"buildcache_|"install_cache_' internal cmd examples || { echo "verify: the binary cache is read by exact hash and counted once, as cache_{hits,misses}_total{layer=\"buildcache\"}; compatible-target reuse, PushToCache, Instrument and the buildcache_*/install_cache_* counters are gone" >&2; exit 1; }
+! grep -rnE --include='*.go' --exclude='*_test.go' -e '\b(NewMemo|MemoStats|CacheProvenance)\b' -e 'func \(c \*Cache\) Stats\(' -e '"no-cache"' internal cmd examples || { echo "verify: a session counts its own cache traffic (concretizer hits/misses, install report counts); the concretizer memo, buildcache.Cache.Stats, ci.CacheProvenance and benchpark --no-cache are gone" >&2; exit 1; }
 ! grep -rn --include='*.go' --exclude='*_test.go' 'ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' '\bos\.(Open|OpenFile|Create|CreateTemp|Rename|Remove|ReadFile|ReadDir|MkdirAll|Truncate)\b' internal/resultstore internal/resultshard internal/cachekey || { echo "verify: resultstore, resultshard and cachekey reach the disk only through internal/fsys (its FS, Commit and RemoveTemps)" >&2; exit 1; }
 ! grep -rn --include='*.go' --exclude='*_test.go' -e 'CommitDelay' -e 'shard-slow' . || { echo "verify: CommitDelay and serve --shard-slow are gone; a test slows the disk through resultstore.Options.FS" >&2; exit 1; }
