@@ -32,7 +32,8 @@ func (g goldenCase) name() string {
 // core/configs.go, with the ranks, placement and variables the
 // session hands each kernel), plus the kernels and collective shapes
 // the matrix does not reach: gups, osu_latency, a binomial broadcast,
-// a power-of-two Allreduce and a slab-decomposed AMG.
+// a power-of-two Allreduce and a slab-decomposed AMG, and the edges
+// of a kernel's touched region.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	// saxpy/{openmp,cuda,rocm}: (ppn, nodes) zipped, n × n_threads crossed.
@@ -78,6 +79,15 @@ func goldenCases() []goldenCase {
 			"workload": "osu_bcast", "message_size": "8192", "iterations": "1000"}},
 		goldenCase{"osu-micro-benchmarks", "cts1", 16, 8, 1, "", map[string]string{
 			"workload": "osu_allreduce", "message_size": "8192", "iterations": "1000"}},
+		// The edges of a kernel's touched region: larger than
+		// maxRealElems, one element past a whole tile, and a STREAM
+		// region that is not a multiple of the tile.
+		goldenCase{"saxpy", "cts1", 1, 1, 1, "openmp", map[string]string{
+			"n": "5000000", "variant": "openmp"}},
+		goldenCase{"saxpy", "cts1", 2, 2, 1, "openmp", map[string]string{
+			"n": "4099", "variant": "openmp"}},
+		goldenCase{"stream", "cts1", 1, 1, 1, "", map[string]string{
+			"n": "5000", "iterations": "3"}},
 	)
 	return cases
 }
