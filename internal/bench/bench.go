@@ -6,11 +6,12 @@
 //
 // Each benchmark executes real Go computation on simulated MPI ranks
 // (internal/mpisim): numerics, reductions and halo exchanges are
-// real; elapsed time is the simulated logical clock, with large
-// memory sweeps charged to the clock through the system's performance
-// model. Kernels are annotated with Caliper regions and emit the
-// textual output that Ramble's figure-of-merit regexes parse
-// (Figure 8: "Kernel done").
+// real; elapsed time is the simulated logical clock. A streaming
+// kernel (saxpy, STREAM) computes every element of its touched region
+// through one reused cache-sized tile, and the clock is charged for
+// the full problem through the system's performance model. Kernels
+// are annotated with Caliper regions and emit the textual output that
+// Ramble's figure-of-merit regexes parse (Figure 8: "Kernel done").
 package bench
 
 import (

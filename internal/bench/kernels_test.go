@@ -114,3 +114,35 @@ func TestHaloExchangeAllocationBudget(t *testing.T) {
 		t.Errorf("a halo exchange allocates %.1f bytes per message in steady state, want <= 16", perMessage)
 	}
 }
+
+// TestKernelWorkingSetIsOneTile: a kernel computes its whole touched
+// region through one reused tile, so a run's allocation does not grow
+// with n. One rank of STREAM at n=10,000,000 and of saxpy at
+// n=50,000,000 each touch maxRealElems elements — 96 MiB and 48 MiB if
+// they were materialised — and must allocate at most 1 MiB.
+func TestKernelWorkingSetIsOneTile(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		vars  map[string]string
+	}{
+		{"stream", map[string]string{"n": "10000000", "iterations": "10"}},
+		{"saxpy", map[string]string{"n": "50000000"}},
+	} {
+		b, err := Get(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{System: system(t, "cts1"), Ranks: 1, RanksPerNode: 1, Threads: 1, Vars: c.vars}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := b.Run(p); err != nil {
+			t.Fatalf("%s: %v", c.bench, err)
+		}
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s %v: %d bytes allocated", c.bench, c.vars, alloc)
+		if !raceEnabled && alloc > 1<<20 {
+			t.Errorf("%s %v allocates %.1f MiB, want <= 1 MiB", c.bench, c.vars, float64(alloc)/(1<<20))
+		}
+	}
+}

@@ -23,22 +23,23 @@ func runStream(p Params) (*Output, error) {
 	const s = 3.0
 
 	out, err := runRanks("stream", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
-		realN := n
-		if realN > maxRealElems {
-			realN = maxRealElems
-		}
-		a := make([]float64, realN)
-		b := make([]float64, realN)
-		cc := make([]float64, realN)
+		realN := min(n, maxRealElems)
+		a := make([]float64, min(realN, tileElems))
+		b := make([]float64, len(a))
+		cc := make([]float64, len(a))
 		for i := range b {
 			b[i] = 1.0
 			cc[i] = 2.0
 		}
 		rec.Begin("triad")
 		start := c.Now()
+		last := a // the last tile swept
 		for it := 0; it < iters; it++ {
-			for i := range a {
-				a[i] = b[i] + s*cc[i]
+			for off := 0; off < realN; off += len(a) {
+				last = a[:min(len(a), realN-off)]
+				for i := range last {
+					last[i] = b[i] + s*cc[i]
+				}
 			}
 			chargeMemory(c, p, 24*float64(n)) // 3 arrays × 8 bytes
 		}
@@ -54,8 +55,11 @@ func runStream(p Params) (*Output, error) {
 		nodeBW := minBW[0] * float64(c.RanksPerNode())
 		text := fmt.Sprintf("STREAM triad: n=%d iterations=%d\nTriad: %.2f GB/s per node\nBest rank rate: %.2f GB/s\nKernel done\n",
 			n, iters, nodeBW, perRankGBs)
-		if a[0] != b[0]+s*cc[0] {
-			text += "VALIDATION FAILED\n"
+		for i, v := range last {
+			if v != b[i]+s*cc[i] {
+				text += "VALIDATION FAILED\n"
+				break
+			}
 		}
 		return text, nil
 	})

@@ -88,6 +88,10 @@ const gzipMinBytes = 1 << 10
 // gzipWriters holds idle compressors. A gzip.Writer carries ~0.85 MB
 // of deflate state — more than a hundred times the batch it squeezes —
 // so a push borrows one and Resets it rather than building its own.
+// The pool only helps when pushes come closer together than GC cycles:
+// an idle writer survives one collection and is dropped at the next,
+// so a push that follows other allocating work (a nightly that ran its
+// kernels) usually builds a fresh writer.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 func (c *Client) httpClient() *http.Client {
