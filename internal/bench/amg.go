@@ -17,8 +17,9 @@ type grid struct {
 	v          []float64
 }
 
-func newGrid(nx, ny, nz int) *grid {
-	return &grid{nx: nx, ny: ny, nz: nz, v: make([]float64, nx*ny*nz)}
+// newGrid returns a zeroed grid whose values the rank of c owns.
+func newGrid(c *mpisim.Comm, nx, ny, nz int) *grid {
+	return &grid{nx: nx, ny: ny, nz: nz, v: c.Alloc(nx * ny * nz)}
 }
 
 func (g *grid) idx(i, j, k int) int { return i + g.nx*(j+g.ny*k) }
@@ -165,11 +166,11 @@ type mgScratch struct{ au, r, rc, ec *grid }
 
 // newMGScratch builds, once per rank, the scratch of every level of a
 // V-cycle that starts at nx×ny×nz on the given level.
-func newMGScratch(nx, ny, nz, level int) []mgScratch {
+func newMGScratch(c *mpisim.Comm, nx, ny, nz, level int) []mgScratch {
 	ws := make([]mgScratch, level+1)
 	for ; level >= 0; level-- {
 		cx, cy, cz := half(nx), half(ny), half(nz)
-		ws[level] = mgScratch{newGrid(nx, ny, nz), newGrid(nx, ny, nz), newGrid(cx, cy, cz), newGrid(cx, cy, cz)}
+		ws[level] = mgScratch{newGrid(c, nx, ny, nz), newGrid(c, nx, ny, nz), newGrid(c, cx, cy, cz), newGrid(c, cx, cy, cz)}
 		nx, ny, nz = cx, cy, cz
 	}
 	return ws
@@ -257,8 +258,8 @@ func runAMG(p Params) (*Output, error) {
 
 		// --- setup phase ----------------------------------------------
 		rec.Begin("setup")
-		x := newGrid(nx, ny, nz)
-		b := newGrid(nx, ny, nz)
+		x := newGrid(c, nx, ny, nz)
+		b := newGrid(c, nx, ny, nz)
 		for n := range b.v {
 			b.v[n] = 1.0
 		}
@@ -269,8 +270,8 @@ func runAMG(p Params) (*Output, error) {
 
 		// --- solve phase: MG-preconditioned CG --------------------------
 		rec.Begin("solve")
-		r := newGrid(nx, ny, nz)
-		q := newGrid(nx, ny, nz)
+		r := newGrid(c, nx, ny, nz)
+		q := newGrid(c, nx, ny, nz)
 		// r = b - A x  (x = 0)
 		copy(r.v, b.v)
 		dot := func(a, bb *grid) float64 {
@@ -285,7 +286,7 @@ func runAMG(p Params) (*Output, error) {
 		normB := math.Sqrt(allSum(dot(b, b)))
 		resNorm := math.Sqrt(allSum(dot(r, r)))
 
-		z, ws := newGrid(nx, ny, nz), newMGScratch(nx, ny, nz, levels)
+		z, ws := newGrid(c, nx, ny, nz), newMGScratch(c, nx, ny, nz, levels)
 		precond := func(rr *grid) error {
 			clear(z.v) // the V-cycle's initial guess
 			rec.Begin("vcycle")
@@ -301,7 +302,7 @@ func runAMG(p Params) (*Output, error) {
 		if err := precond(r); err != nil {
 			return "", err
 		}
-		pv := newGrid(nx, ny, nz)
+		pv := newGrid(c, nx, ny, nz)
 		copy(pv.v, z.v)
 		rz := allSum(dot(r, z))
 		iters := 0

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/hpcsim"
 )
 
 // goldenCase is one kernel execution pinned bit for bit.
@@ -97,23 +102,36 @@ func goldenCases() []goldenCase {
 // its merged Caliper profile.
 func goldenLine(t *testing.T, g goldenCase) string {
 	t.Helper()
-	b, err := Get(g.bench)
+	line, err := runGolden(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return line
+}
+
+// runGolden is goldenLine for any goroutine: it returns its failure.
+func runGolden(g goldenCase) (string, error) {
+	sys, err := hpcsim.Get(g.system)
+	if err != nil {
+		return "", err
+	}
+	b, err := Get(g.bench)
+	if err != nil {
+		return "", err
+	}
 	out, err := b.Run(Params{
-		System: system(t, g.system), Ranks: g.ranks, RanksPerNode: g.ppn,
+		System: sys, Ranks: g.ranks, RanksPerNode: g.ppn,
 		Threads: g.threads, Variant: g.variant, Vars: g.vars,
 	})
 	if err != nil {
-		t.Fatalf("%s: %v", g.name(), err)
+		return "", fmt.Errorf("%s: %w", g.name(), err)
 	}
 	prof, err := out.Profile.JSON()
 	if err != nil {
-		t.Fatalf("%s: %v", g.name(), err)
+		return "", fmt.Errorf("%s: %w", g.name(), err)
 	}
 	return fmt.Sprintf("%s\t%016x\t%x\t%q", g.name(), math.Float64bits(out.Elapsed),
-		sha256.Sum256([]byte(prof)), out.Text)
+		sha256.Sum256([]byte(prof)), out.Text), nil
 }
 
 // TestKernelsGolden pins every simulated number the nightly matrix
@@ -149,5 +167,76 @@ func TestKernelsGolden(t *testing.T) {
 				t.Errorf("pass %d:\n got %s\nwant %s", pass, got, want[i])
 			}
 		}
+	}
+}
+
+// TestPooledArraysNeverLeakBetweenJobs: a job's arrays come from the
+// pools earlier jobs filled, so anything one job left in them would
+// move a later job's numbers. Every golden case runs in table order,
+// then in reverse, then two at a time, and must match the file each
+// time.
+func TestPooledArraysNeverLeakBetweenJobs(t *testing.T) {
+	raw, err := os.ReadFile("testdata/kernels.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := goldenCases()
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(cases) {
+		t.Fatalf("kernels.golden has %d lines, the table %d cases", len(want), len(cases))
+	}
+	check := func(pass string, i int) {
+		if got, err := runGolden(cases[i]); err != nil {
+			t.Errorf("%s: %v", pass, err)
+		} else if got != want[i] {
+			t.Errorf("%s:\n got %s\nwant %s", pass, got, want[i])
+		}
+	}
+	for i := range cases {
+		check("in order", i)
+	}
+	for i := len(cases) - 1; i >= 0; i-- {
+		check("reversed", i)
+	}
+	for i := 0; i < len(cases); i += 2 {
+		var wg sync.WaitGroup
+		for j := i; j < min(i+2, len(cases)); j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check("two at a time", j)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestSecondJobReusesTheFirstJobsArrays: with the collector off, so
+// nothing leaves the pools, a second identical 16-rank HPCG run finds
+// the grids, scratch and transport buffers the first one returned and
+// allocates at most a tenth of what the first did. Both run on one P,
+// so no array waits in another P's private pool slot.
+func TestSecondJobReusesTheFirstJobsArrays(t *testing.T) {
+	gcPercent, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gcPercent)
+		runtime.GOMAXPROCS(procs)
+	})
+	runtime.GC() // empty the pools earlier tests filled: the first run is cold
+	runtime.GC()
+	g := goldenCase{"hpcg", "cts1", 16, 8, 1, "", map[string]string{
+		"nx": "16", "ny": "16", "nz": "16", "iterations": "50"}}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		goldenLine(t, g)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	second := run()
+	t.Logf("first run %d bytes, second %d (%.1f%%)", first, second, 100*float64(second)/float64(first))
+	if !raceEnabled && second > first/10 {
+		t.Errorf("the second run allocated %d bytes, want <= %d (10%% of the first's %d)", second, first/10, first)
 	}
 }

@@ -49,10 +49,11 @@ func runGUPS(p Params) (*Output, error) {
 		if perDest == 0 {
 			perDest = 1
 		}
+		// Bucket updates by destination rank (fixed-size buckets so
+		// Alltoall blocks stay uniform, as HPCC's bucketed variant does);
+		// every round refills the one bucket.
+		send := c.Alloc(nranks * perDest)
 		for round := 0; round < rounds; round++ {
-			// Bucket updates by destination rank (fixed-size buckets so
-			// Alltoall blocks stay uniform, as HPCC's bucketed variant does).
-			send := make([]float64, nranks*perDest)
 			for d := 0; d < nranks; d++ {
 				for u := 0; u < perDest; u++ {
 					send[d*perDest+u] = float64(next() % uint64(localSize))
@@ -69,6 +70,7 @@ func runGUPS(p Params) (*Output, error) {
 			// Memory cost of the random-access sweep (cache-hostile:
 			// charge one cache line per update).
 			chargeMemory(c, p, float64(len(recv))*64)
+			c.Release(recv)
 		}
 		rec.End("updates")
 		elapsed := c.Now() - start

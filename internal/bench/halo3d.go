@@ -100,7 +100,7 @@ func (x *haloExchanger) plane(u *grid, dim, face int) []float64 {
 		return u.v[k*u.nx*u.ny : (k+1)*u.nx*u.ny]
 	}
 	if x.pack == nil {
-		x.pack = make([]float64, 0, max(u.nx, u.ny)*u.nz)
+		x.pack = x.c.Alloc(max(u.nx, u.ny) * u.nz)
 	}
 	x.pack = x.pack[:0]
 	for k := 0; k < u.nz; k++ {

@@ -32,14 +32,14 @@ func runHPCG(p Params) (*Output, error) {
 
 	out, err := runRanks("hpcg", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		rec.Begin("main")
-		x := newGrid(nx, ny, nz)
-		b := newGrid(nx, ny, nz)
+		x := newGrid(c, nx, ny, nz)
+		b := newGrid(c, nx, ny, nz)
 		for n := range b.v {
 			b.v[n] = 1.0
 		}
-		r := newGrid(nx, ny, nz)
-		q := newGrid(nx, ny, nz)
-		pv := newGrid(nx, ny, nz)
+		r := newGrid(c, nx, ny, nz)
+		q := newGrid(c, nx, ny, nz)
+		pv := newGrid(c, nx, ny, nz)
 		copy(r.v, b.v)
 
 		dot := func(a, bb *grid) float64 {
@@ -53,7 +53,7 @@ func runHPCG(p Params) (*Output, error) {
 		allSum := func(v float64) float64 { return allreduce1(c, v, mpisim.OpSum) }
 
 		// z = D^{-1} r (Jacobi preconditioner; D = 6).
-		z, hx := newGrid(nx, ny, nz), newSlabExchanger(c)
+		z, hx := newGrid(c, nx, ny, nz), newSlabExchanger(c)
 		precond := func(rr *grid) {
 			for n := range z.v {
 				z.v[n] = rr.v[n] / 6.0

@@ -33,11 +33,11 @@ func runLulesh(p Params) (*Output, error) {
 
 		// Energy field with a point deposit at rank 0's origin — the
 		// Sedov initial condition.
-		e := newGrid(size, size, size)
+		e := newGrid(c, size, size, size)
 		if c.Rank() == 0 {
 			e.v[0] = 3.948746e+7
 		}
-		eNew, hx := newGrid(size, size, size), newSlabExchanger(c)
+		eNew, hx := newGrid(c, size, size, size), newSlabExchanger(c)
 		dt := 1e-7
 		elapsedT := 0.0
 

@@ -43,7 +43,7 @@ func runOSU(p Params) (*Output, error) {
 		case "osu_bcast":
 			var buf []float64
 			if c.Rank() == 0 {
-				buf = make([]float64, elems)
+				buf = c.Alloc(elems)
 			}
 			op = func() error {
 				got := c.Bcast(0, buf)
@@ -56,7 +56,7 @@ func runOSU(p Params) (*Output, error) {
 				return nil
 			}
 		case "osu_allreduce":
-			buf := make([]float64, elems)
+			buf := c.Alloc(elems)
 			op = func() error {
 				out := c.Allreduce(buf, mpisim.OpSum)
 				if len(out) != elems {
@@ -69,7 +69,7 @@ func runOSU(p Params) (*Output, error) {
 			if p.Ranks < 2 {
 				return "", fmt.Errorf("osu_latency needs 2 ranks")
 			}
-			buf := make([]float64, elems)
+			buf := c.Alloc(elems)
 			op = func() error {
 				switch c.Rank() {
 				case 0:

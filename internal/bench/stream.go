@@ -9,6 +9,20 @@ import (
 
 func init() { register("stream", runStream) }
 
+// triad computes a[i] = b[i] + s·c[i] for the first realN elements of
+// the touched region, tile by tile through a, b and c, and returns
+// the last tile of a it swept.
+func triad(a, b, c []float64, s float64, realN int) (last []float64) {
+	for off := 0; off < realN; off += len(a) {
+		last = a[:min(len(a), realN-off)]
+		bt, ct := b[:len(last)], c[:len(last)]
+		for i := range last {
+			last[i] = bt[i] + s*ct[i]
+		}
+	}
+	return last
+}
+
 // runStream is the STREAM triad: sustained memory bandwidth
 // (a[i] = b[i] + s*c[i]).
 func runStream(p Params) (*Output, error) {
@@ -24,23 +38,18 @@ func runStream(p Params) (*Output, error) {
 
 	out, err := runRanks("stream", p, func(c *mpisim.Comm, rec *caliper.Recorder) (string, error) {
 		realN := min(n, maxRealElems)
-		a := make([]float64, min(realN, tileElems))
-		b := make([]float64, len(a))
-		cc := make([]float64, len(a))
+		a := c.Alloc(min(realN, tileElems))
+		b := c.Alloc(len(a))
+		cc := c.Alloc(len(a))
 		for i := range b {
 			b[i] = 1.0
 			cc[i] = 2.0
 		}
 		rec.Begin("triad")
 		start := c.Now()
-		last := a // the last tile swept
+		var last []float64 // the last tile swept
 		for it := 0; it < iters; it++ {
-			for off := 0; off < realN; off += len(a) {
-				last = a[:min(len(a), realN-off)]
-				for i := range last {
-					last[i] = b[i] + s*cc[i]
-				}
-			}
+			last = triad(a, b, cc, s, realN)
 			chargeMemory(c, p, 24*float64(n)) // 3 arrays × 8 bytes
 		}
 		rec.End("triad")

@@ -32,11 +32,14 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 
 // Alltoall sends block i of data to rank i and returns the blocks
 // received from every rank, in rank order (pairwise-exchange
-// algorithm: p-1 rounds of SendRecv with XOR/shift partners).
+// algorithm: p-1 rounds of SendRecv with XOR/shift partners). The
+// result is a transport buffer, the caller's until it calls Release;
+// elements past the last whole block are zero.
 func (c *Comm) Alltoall(data []float64) []float64 {
 	p := c.w.size
 	n := len(data) / p
-	out := make([]float64, len(data))
+	out := c.buffer(len(data))
+	clear(out[p*n:])
 	copy(out[c.rank*n:(c.rank+1)*n], data[c.rank*n:(c.rank+1)*n])
 	for round := 1; round < p; round++ {
 		dst := (c.rank + round) % p

@@ -16,8 +16,18 @@
 // beside the payload, out of band, and is charged to the clock as the
 // words it would have occupied. A received payload belongs to the
 // receiver until it hands it to Release, after which it must not be
-// touched; forgetting Release costs garbage, never correctness. Nothing
-// outlives the job: mailboxes, free lists and buffers die with Run.
+// touched; forgetting Release costs garbage, never correctness.
+//
+// A rank's arrays outlive its job, recycled rather than collected. A
+// kernel takes its arrays from Alloc, zeroed and the rank's until its
+// function returns. A transport buffer comes from the rank's free
+// list, or else from process-wide pools of power-of-two size classes,
+// which also take what a full free list cannot hold. When a rank
+// returns cleanly, Run hands its free list and its Alloc'd arrays to
+// the pools, where the next job's ranks find them; a rank that fails
+// or panics hands back nothing. The pools are sync.Pools, so what
+// stays unused is collected within two GC cycles. Mailboxes die with
+// Run.
 //
 // Wall-clock time is decoupled from simulated time: a 3456-rank
 // broadcast sweep runs in milliseconds of real time.
@@ -26,6 +36,7 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -210,6 +221,7 @@ type Comm struct {
 
 	noiseSeed uint64      // FNV-1a state after "<system>|<rank>|"
 	free      [][]float64 // transport buffers this rank may reuse
+	owned     [][]float64 // Alloc'd arrays, recycled when the rank returns
 }
 
 // Rank returns this rank's index.
@@ -288,12 +300,19 @@ func (c *Comm) transferTime(partner, n int) float64 {
 }
 
 // maxFree bounds a rank's free list: enough for a 3-D halo exchange
-// and the scalars between two of them, small enough that a rank that
-// only receives keeps a few kilobytes, not the job's traffic.
+// and the scalars between two of them, so steady-state messages never
+// touch the shared pools; a buffer released into a full list goes to
+// the pools instead.
 const maxFree = 16
 
+// pools holds idle arrays of every rank of every job, by size class:
+// pools[k] holds *[]float64 of capacity at least 1<<k. A header is
+// boxed per Put, so only a full free list and a returning rank put.
+var pools [bits.UintSize]sync.Pool
+
 // buffer returns n elements with unspecified contents: the tightest
-// fit on the free list, or a new slice.
+// fit on the free list, else an array from the pools, else a new one
+// of its class's capacity.
 func (c *Comm) buffer(n int) []float64 {
 	best := -1
 	for i, b := range c.free {
@@ -302,11 +321,42 @@ func (c *Comm) buffer(n int) []float64 {
 		}
 	}
 	if best < 0 {
-		return make([]float64, n)
+		k := bits.Len(uint(max(n, 1) - 1)) // the class whose arrays fit n
+		if b, ok := pools[k].Get().(*[]float64); ok {
+			return (*b)[:n]
+		}
+		return make([]float64, n, 1<<k)
 	}
 	b, last := c.free[best], len(c.free)-1
 	c.free[best], c.free = c.free[last], c.free[:last]
 	return b[:n]
+}
+
+// pool hands buf, of non-zero capacity, to the class its capacity
+// fills.
+func pool(buf []float64) {
+	pools[bits.Len(uint(cap(buf)))-1].Put(&buf)
+}
+
+// Alloc returns n zeroed elements that the rank owns until its
+// function returns; then Run recycles them for a later rank. They must
+// not be handed to Release or kept past the rank's return.
+func (c *Comm) Alloc(n int) []float64 {
+	b := c.buffer(n)
+	clear(b)
+	c.owned = append(c.owned, b)
+	return b
+}
+
+// recycle hands the rank's free list and Alloc'd arrays to the pools.
+func (c *Comm) recycle() {
+	for _, b := range c.free {
+		pool(b)
+	}
+	for _, b := range c.owned {
+		pool(b)
+	}
+	c.free, c.owned = nil, nil
 }
 
 // copyOf returns data copied into a buffer.
@@ -318,11 +368,15 @@ func (c *Comm) copyOf(data []float64) []float64 {
 
 // Release hands a slice the caller owns and is done with — a received
 // payload, a collective's result — to this rank's free list, where the
-// next send draws its transport buffer. The caller must not use buf
-// afterwards.
+// next send draws its transport buffer, or to the pools when the list
+// is full. The caller must not use buf afterwards.
 func (c *Comm) Release(buf []float64) {
-	if cap(buf) > 0 && len(c.free) < maxFree {
+	switch {
+	case cap(buf) == 0:
+	case len(c.free) < maxFree:
 		c.free = append(c.free, buf)
+	default:
+		pool(buf)
 	}
 }
 
@@ -558,7 +612,8 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 // node on the given system, and returns the job's simulated elapsed
 // time: the slowest rank's clock once every rank has returned.
 // A rank that returns an error or panics aborts the job with that
-// failure as the error; Run returns once every rank has unwound.
+// failure as the error; Run returns once every rank has unwound. A
+// rank that returns nil hands its arrays to the pools (see Alloc).
 func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (float64, error) {
 	if nranks <= 0 {
 		return 0, fmt.Errorf("mpisim: nranks = %d", nranks)
@@ -603,7 +658,9 @@ func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (fl
 			}()
 			if err := fn(comm); err != nil {
 				errs[rank] = fmt.Errorf("mpisim: rank %d: %w", rank, err)
+				return
 			}
+			comm.recycle()
 		}(r)
 	}
 	wg.Wait()

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,7 +102,8 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 // TestBcastAllocationBudget: a cold 144-rank scatter-allgather
 // broadcast of 1,024 elements — world, mailboxes, every transport
 // buffer and every rank's result — allocates at most twice the
-// p × n × 8 bytes it returns.
+// p × n × 8 bytes it returns. Two collections first empty the pools
+// the warm-up job's ranks filled, so nothing is recycled.
 func TestBcastAllocationBudget(t *testing.T) {
 	const p, n = 144, 1024
 	bcast := func() {
@@ -118,6 +121,8 @@ func TestBcastAllocationBudget(t *testing.T) {
 		}
 	}
 	bcast() // the runtime's first-use costs
+	runtime.GC()
+	runtime.GC()
 	got, returned := allocatedBy(bcast), uint64(p*n*8)
 	t.Logf("bcast allocated %d bytes for %d returned (%.2fx)", got, returned, float64(got)/float64(returned))
 	if !raceEnabled && got > 2*returned {
@@ -287,6 +292,55 @@ func TestMailboxQueueOrder(t *testing.T) {
 	for src, f := range b.from {
 		if in := len(f.q) - f.head; in != sent[f.src]-received[f.src] || cap(f.q) > 4*in+16 {
 			t.Errorf("source %d: %d queued in room for %d, want %d in flight", src, in, cap(f.q), sent[f.src]-received[f.src])
+		}
+	}
+}
+
+// TestAllocRecyclesOnlyCleanRanks: with the collector off, a job's
+// Alloc finds the arrays an earlier job's ranks returned, zeroed
+// although they were left dirty, and never one of a rank that failed.
+// Each job allocates a size class no other test of this package uses,
+// on one P, so no array waits in another P's private pool slot.
+func TestAllocRecyclesOnlyCleanRanks(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const p, n = 4, 3 << 12
+	job := func(fail bool) (arrays []*float64, err error) {
+		arrays = make([]*float64, p)
+		_, err = Run(sys(t, "cts1"), p, p, func(c *Comm) error {
+			a := c.Alloc(n)
+			arrays[c.Rank()] = &a[0]
+			for i, v := range a {
+				if v != 0 {
+					return fmt.Errorf("a[%d] = %v, want a zeroed array", i, v)
+				}
+				a[i] = float64(c.Rank() + 1)
+			}
+			if fail {
+				return fmt.Errorf("injected failure")
+			}
+			return nil
+		})
+		return arrays, err
+	}
+	failed, err := job(true)
+	if err == nil {
+		t.Fatal("a failing job reported no error")
+	}
+	first, err := job(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := job(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range second {
+		if slices.Contains(failed, a) {
+			t.Errorf("a failed rank's array came back to a later job")
+		}
+		if !raceEnabled && !slices.Contains(first, a) {
+			t.Errorf("the second job allocated a new array, not one the first returned")
 		}
 	}
 }

@@ -82,8 +82,12 @@ func retryWait(n int, err error) time.Duration {
 }
 
 // gzipMinBytes is the payload size below which compression costs more
-// than it saves.
-const gzipMinBytes = 1 << 10
+// than it saves. The bytes saved are few next to the writer's fixed
+// cost: about 0.85 MB of deflate state, built afresh whenever the GC
+// has emptied gzipWriters, as it usually has between a nightly's
+// pushes. A nightly session's push (0.4–6 KB) therefore goes plain; a
+// loaded runner's 100-result batch (about 16 KB) is still squeezed.
+const gzipMinBytes = 8 << 10
 
 // gzipWriters holds idle compressors. A gzip.Writer carries ~0.85 MB
 // of deflate state — more than a hundred times the batch it squeezes —

@@ -40,7 +40,7 @@ func freshGzip(t testing.TB, body []byte) []byte {
 
 // pushOf is a batch of n results under one system name nothing else
 // uses, so what the store holds for that system is what this push
-// delivered. At n >= 8 the body is over gzipMinBytes.
+// delivered. At n >= 64 the body is over gzipMinBytes.
 func pushOf(system string, n int) []metricsdb.Result {
 	out := make([]metricsdb.Result, n)
 	for i := range out {
@@ -102,8 +102,8 @@ func TestPooledCodecConcurrentPushes(t *testing.T) {
 			c := NewClient(ts.URL)
 			for n := 0; n < pushes; n++ {
 				system := fmt.Sprintf("runner-%d-%d", g, n)
-				resp, err := c.Push(context.Background(), system, pushOf(system, 8+n%5))
-				if err != nil || resp.Accepted != 8+n%5 {
+				resp, err := c.Push(context.Background(), system, pushOf(system, 64+n%5))
+				if err != nil || resp.Accepted != 64+n%5 {
 					t.Errorf("push %s: %+v, %v", system, resp, err)
 					return
 				}
@@ -117,7 +117,7 @@ func TestPooledCodecConcurrentPushes(t *testing.T) {
 	for g := 0; g < runners; g++ {
 		for n := 0; n < pushes; n++ {
 			system := fmt.Sprintf("runner-%d-%d", g, n)
-			pushed := pushOf(system, 8+n%5)
+			pushed := pushOf(system, 64+n%5)
 			if got := storedAs(store, system); !reflect.DeepEqual(got, pushed) {
 				t.Fatalf("%s: the store holds %+v, the runner pushed %+v", system, got, pushed)
 			}
@@ -386,11 +386,14 @@ func TestIngestAllocationBudget(t *testing.T) {
 func TestPushAllocationBudget(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body) //nolint:errcheck
-		writeJSON(w, http.StatusOK, IngestResponse{Accepted: 20})
+		if r.Header.Get("Content-Encoding") != "gzip" {
+			t.Errorf("push arrived uncompressed")
+		}
+		writeJSON(w, http.StatusOK, IngestResponse{Accepted: 80})
 	}))
 	defer ts.Close()
 	c := fastClient(t, ts.URL)
-	batch := pushOf("budget", 20)
+	batch := pushOf("budget", 80) // over gzipMinBytes
 	push := func(n int) {
 		if _, err := c.Push(context.Background(), fmt.Sprintf("budget-%d", n), batch); err != nil {
 			t.Fatal(err)

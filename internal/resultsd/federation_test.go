@@ -422,7 +422,8 @@ func TestIngestAcceptsGzip(t *testing.T) {
 }
 
 // TestClientCompressesLargePushes: pushes at or above the gzip
-// threshold go over the wire compressed; small ones stay plain.
+// threshold go over the wire compressed; small ones stay plain, a
+// nightly session's few kilobytes among them.
 func TestClientCompressesLargePushes(t *testing.T) {
 	var lastEncoding atomic.Value
 	lastEncoding.Store("")
@@ -440,6 +441,13 @@ func TestClientCompressesLargePushes(t *testing.T) {
 	}
 	if got := lastEncoding.Load().(string); got != "" {
 		t.Fatalf("small push encoded as %q, want identity", got)
+	}
+	session := pushOf("session", 20) // 3.4 KB of JSON
+	if _, err := c.Push(context.Background(), "session", session); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastEncoding.Load().(string); got != "" {
+		t.Fatalf("session-sized push encoded as %q, want identity", got)
 	}
 	if _, err := c.Push(context.Background(), "large", fleetResults(200)); err != nil {
 		t.Fatal(err)

@@ -64,6 +64,7 @@ fi
 [ "$(grep -rn --include='*.go' --exclude='*_test.go' 'bench\.Params{' internal cmd | cut -d: -f1)" = internal/core/benchpark.go ] || { echo "verify: a kernel runs only in Session.execute (internal/core/benchpark.go); run a session instead of building bench.Params" >&2; exit 1; }
 [ "$(grep -rl --include='*.go' --exclude='*_test.go' -e 'mpisim\.Run(' -e 'caliper\.NewRecorder(' internal/bench)" = internal/bench/bench.go ] || { echo "verify: a kernel is its numerics; run its ranks through runRanks (internal/bench/bench.go) instead of calling mpisim.Run or caliper.NewRecorder" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]float(32|64), (real|realN)\)' internal/bench || { echo "verify: a kernel computes its touched region through one reused tile of tileElems elements (internal/bench/saxpy.go); allocate min(real, tileElems), not the touched region" >&2; exit 1; }
+! grep -rn --include='*.go' --exclude='*_test.go' 'make(\[\]float64' internal/bench || { echo "verify: a rank's arrays come from c.Alloc (mpisim.Comm.Alloc) so that mpisim can recycle them for the next job; do not make([]float64 in internal/bench" >&2; exit 1; }
 stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/metricsdb/metricsdb.go)
 [ -n "$stored" ] && ! sed -n "/^type $stored struct/,/^}/p" internal/metricsdb/*.go | grep 'map\[' || { echo "verify: metricsdb.DB stores rows whose FOMs and Meta are sorted pairs; the type its chunks hold (${stored:-not found}) must declare no map" >&2; exit 1; }
 ! grep -rnE --include='*.go' --exclude='*_test.go' '\.(AppendAfterN|QueryAfterN|Query)\(' internal/resultstore || { echo "verify: compaction encodes the DB's rows (DB.AppendJSONAfter); resultstore code must not build Results out of its own DB" >&2; exit 1; }
