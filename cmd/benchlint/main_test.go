@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // writeModule materializes a small throwaway module so the tests can
@@ -48,42 +45,10 @@ func runSuppressed() {
 func use(ctx context.Context) { _ = ctx }
 `
 
-func TestCLIJSONAndSuppression(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":                    "module tmplint\n\ngo 1.22\n",
-		"internal/engine/engine.go": badEngine,
-	})
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "-json"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
-	}
-	var out struct {
-		Module   string
-		Packages int
-		Findings []analysis.Finding
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON output: %v\n%s", err, stdout.String())
-	}
-	if out.Module != "tmplint" {
-		t.Errorf("module = %q, want tmplint", out.Module)
-	}
-	if len(out.Findings) != 2 {
-		t.Fatalf("want 2 findings (1 live, 1 suppressed), got %v", out.Findings)
-	}
-	live, suppressed := out.Findings[0], out.Findings[1]
-	if live.Suppressed || live.Analyzer != "ctxflow" || live.File != "internal/engine/engine.go" || live.Line != 7 {
-		t.Errorf("live finding = %+v, want ctxflow at internal/engine/engine.go:7", live)
-	}
-	if !suppressed.Suppressed || suppressed.Line != 14 {
-		t.Errorf("suppressed finding = %+v, want suppressed at line 14", suppressed)
-	}
-	if want := "wrapper kept for the v0 CLI surface"; suppressed.Reason != want {
-		t.Errorf("suppression reason = %q, want %q", suppressed.Reason, want)
-	}
-}
-
+// TestCLITextOutputAndExitCodes pins the CLI's contract on a module
+// with one live and one suppressed finding: the live one printed as
+// file:line:col: analyzer: message, the suppressed one neither printed
+// nor counted, exit 1; and exit 2 for a usage or load error.
 func TestCLITextOutputAndExitCodes(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":                    "module tmplint\n\ngo 1.22\n",
@@ -92,45 +57,27 @@ func TestCLITextOutputAndExitCodes(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-C", dir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
-	text := stdout.String()
-	if !strings.Contains(text, "internal/engine/engine.go:7:9: ctxflow:") {
-		t.Errorf("text output missing file:line:col diagnostic:\n%s", text)
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "internal/engine/engine.go:7:9: ctxflow: context.TODO()") {
+		t.Errorf("want the one live finding as file:line:col: analyzer: message, got:\n%s", stdout.String())
 	}
-	if strings.Contains(text, "suppressed") {
-		t.Errorf("suppressed finding leaked into default text output:\n%s", text)
-	}
-
-	// The suppressed finding appears with -v, marked as such.
-	stdout.Reset()
-	if code := run([]string{"-C", dir, "-v"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-v exit code = %d, want 1", code)
-	}
-	if !strings.Contains(stdout.String(), "(suppressed: wrapper kept for the v0 CLI surface)") {
-		t.Errorf("-v output missing suppressed finding:\n%s", stdout.String())
+	if !strings.Contains(stderr.String(), "benchlint: 1 finding(s) in 1 package(s)") {
+		t.Errorf("the suppressed finding counted, or the summary is missing:\n%s", stderr.String())
 	}
 
-	// Restricting to an analyzer with no findings exits clean.
-	stdout.Reset()
-	if code := run([]string{"-C", dir, "-run", "locks"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-run locks exit code = %d, want 0\n%s", code, stdout.String())
-	}
-
-	// Unknown analyzers are a usage error.
-	if code := run([]string{"-C", dir, "-run", "nope"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-run nope exit code = %d, want 2", code)
-	}
-}
-
-func TestCLIList(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-list exit code = %d", code)
-	}
-	for _, name := range []string{"ctxflow", "determinism", "stageerr", "locks"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
+	// An unknown flag, a package pattern and an unloadable module are
+	// usage or load errors.
+	for _, args := range [][]string{
+		{"-C", dir, "-json"},
+		{"-C", dir, "./..."},
+		{"-C", filepath.Join(dir, "missing")},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
 	}
 }

@@ -39,14 +39,11 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in findings and directives.
 	Name string
-	// Doc is the one-line description `benchlint -list` prints.
-	Doc string
 	// Scope lists the module-relative package paths the analyzer is
-	// confined to (e.g. "internal/engine"). Empty means every package.
+	// confined to (e.g. "internal/engine"). Empty means every package;
+	// only an analyzer whose rule is about particular packages sets it,
+	// and TestEveryScopeIsNeeded holds each list to that.
 	Scope []string
-	// EmitsFixes marks analyzers that attach machine-applicable fixes
-	// to (some of) their findings; `benchlint -list` surfaces it.
-	EmitsFixes bool
 	// Run inspects one package and reports findings on the pass.
 	Run func(*Pass)
 }
@@ -156,25 +153,24 @@ func (p *Pass) editReplace(start, end token.Pos, newText string) TextEdit {
 
 // Finding is one reported invariant violation.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the source file, relative to the module root once the
 	// runner has normalized it.
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Message string
 	// Suppressed marks findings silenced by a //benchlint:ignore
 	// directive; Reason carries the directive's justification.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	Suppressed bool
+	Reason     string
 	// Fixes are the machine-applicable repairs, when the analyzer has
 	// one for this finding.
-	Fixes []Fix `json:"fixes,omitempty"`
+	Fixes []Fix
 
 	// StmtLine is the first line of the statement the finding sits in
 	// (0 if none) — the anchor suppression directives match against.
-	// Internal: not part of the JSON schema.
-	StmtLine int `json:"-"`
+	StmtLine int
 }
 
 // String renders the canonical file:line:col: analyzer: message form.

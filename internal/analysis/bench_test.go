@@ -9,7 +9,7 @@ import (
 // fact-computed and analyzed.
 func BenchmarkSuiteModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunModule(RunOptions{Dir: "../..", Analyzers: Suite()})
+		res, err := RunModule("../..", Suite())
 		if err != nil {
 			b.Fatal(err)
 		}

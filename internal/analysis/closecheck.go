@@ -22,15 +22,7 @@ import (
 // timer's C also drains it), resp.Body.Close for HTTP responses.
 var CloseCheck = &Analyzer{
 	Name: "closecheck",
-	Doc:  "acquired closers (files, tickers, response bodies) released on every path",
-	// The federation data plane owns nearly all of the module's
-	// tickers, response bodies and WAL file handles.
-	Scope: []string{
-		"internal/resultstore", "internal/resultsd",
-		"internal/resultshard", "internal/loadgen",
-	},
-	EmitsFixes: true,
-	Run:        obligationRule(closeCheckRule).run,
+	Run:  obligationRule(closeCheckRule).run,
 }
 
 // closerKind describes what kind of resource an acquisition returns
@@ -129,7 +121,6 @@ func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 		},
 		message: fmt.Sprintf("%s %s is not %sped on every path to return; defer %s.%s() (or transfer ownership) so no exit leaks it",
 			closerKinds[kind].what, res.Name, closerKinds[kind].verb, res.Name, kind.release()),
-		fixMessage: "defer the release immediately after the acquisition",
 		fixText:    "defer " + res.Name + "." + kind.release() + "()",
 		afterGuard: hasErr,
 	}
@@ -137,7 +128,6 @@ func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 		o.fixText = "defer " + res.Name + ".Body.Close()"
 	}
 	if hasErr {
-		o.fixMessage = "defer the release after the error guard"
 		if errIdent, isIdent := as.Lhs[1].(*ast.Ident); isIdent && errIdent.Name != "_" {
 			o.guardErr = info.ObjectOf(errIdent)
 			o.prune = errGuardPruner(info, o.guardErr)

@@ -14,10 +14,8 @@ import (
 // files); a deliberate severing elsewhere carries a
 // //benchlint:ignore ctxflow directive that says why.
 var CtxFlow = &Analyzer{
-	Name:       "ctxflow",
-	Doc:        "contexts must flow from callers; Background/TODO only in main and tests",
-	EmitsFixes: true,
-	Run:        runCtxFlow,
+	Name: "ctxflow",
+	Run:  runCtxFlow,
 }
 
 func runCtxFlow(pass *Pass) {
@@ -58,10 +56,7 @@ func reportFreshContexts(pass *Pass, n ast.Node, ctxParam string) {
 		}
 		var fixes []Fix
 		if ctxParam != "" {
-			fixes = []Fix{{
-				Message: "use the caller's context " + ctxParam,
-				Edits:   []TextEdit{pass.editReplace(call.Pos(), call.End(), ctxParam)},
-			}}
+			fixes = []Fix{{Edits: []TextEdit{pass.editReplace(call.Pos(), call.End(), ctxParam)}}}
 		}
 		pass.ReportFix(call.Pos(), fixes,
 			"context.%s() severs the cancellation chain; take a context.Context from the caller",

@@ -17,17 +17,7 @@ import (
 // that is a per-request leak.
 var CtxLeak = &Analyzer{
 	Name: "ctxleak",
-	Doc:  "context cancel functions run on every path (defer cancel() recognized)",
-	// Every package that builds contexts: the engine's timeout
-	// bracket, the federation client/follower, the ops CLIs.
-	Scope: []string{
-		"internal/engine", "internal/core", "internal/ci",
-		"internal/resultstore", "internal/resultsd", "internal/resultshard",
-		"internal/loadgen", "internal/telemetry",
-		"cmd/benchpark", "cmd/benchlint",
-	},
-	EmitsFixes: true,
-	Run:        obligationRule(ctxLeakRule).run,
+	Run:  obligationRule(ctxLeakRule).run,
 }
 
 // contextCancelCall matches context.WithCancel/WithTimeout/
@@ -76,9 +66,8 @@ func ctxLeakRule(pass *Pass, stmt ast.Stmt) *obligation {
 		discharged: func(n ast.Node) bool {
 			return nodeCallsObj(n, info, cancelObj) || nodeTransfersObj(n, info, cancelObj)
 		},
-		message:    cancel.Name + " from context." + ctor + " is not called on every path to return; defer it immediately after the acquisition (a leaked cancel pins the context's timer and goroutine)",
-		fixMessage: "defer " + cancel.Name + "() immediately after context." + ctor,
-		fixText:    "defer " + cancel.Name + "()",
+		message: cancel.Name + " from context." + ctor + " is not called on every path to return; defer it immediately after the acquisition (a leaked cancel pins the context's timer and goroutine)",
+		fixText: "defer " + cancel.Name + "()",
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 // constructs breaks one of those properties.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no time.Now, unseeded math/rand, or order-sensitive map iteration in the deterministic packages",
 	Scope: []string{
 		"internal/engine",
 		"internal/concretizer",

@@ -68,7 +68,7 @@ func AB(x *a.A, y *B) {
 `,
 	})
 
-	res, err := RunModule(RunOptions{Dir: dir, Analyzers: []*Analyzer{LockOrder}})
+	res, err := RunModule(dir, []*Analyzer{LockOrder})
 	if err != nil {
 		t.Fatal(err)
 	}

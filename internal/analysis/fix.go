@@ -20,18 +20,16 @@ import (
 // Offsets are 0-based byte offsets into the file as loaded; File is
 // relative to the module root like Finding.File.
 type TextEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
+	File    string
+	Start   int
+	End     int
+	NewText string
 }
 
-// Fix is one suggested repair for a finding: a human-readable message
-// and the edits that implement it. Edits within one Fix must not
-// overlap.
+// Fix is one suggested repair for a finding: the edits that
+// implement it. Edits within one Fix must not overlap.
 type Fix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
+	Edits []TextEdit
 }
 
 // ApplyFixes computes the post-fix content of every file any finding's

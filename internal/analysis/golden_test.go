@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,8 +14,8 @@ import (
 // runOnDir loads one testdata fixture package and runs a single
 // analyzer over it through the production per-package path
 // (computePackageFacts + runPackage), with scope filtering bypassed
-// (fixtures live under testdata/, not in the analyzer's production
-// scope). File names in the returned findings are relative to the
+// (fixtures live under testdata/, outside determinism's and
+// stageerr's scopes). File names in the returned findings are relative to the
 // fixture directory.
 func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
@@ -63,9 +64,16 @@ func wantComments(t *testing.T, dir string) map[string][]string {
 	return wants
 }
 
+// fixers are the analyzers that attach machine-applicable fixes to
+// (some of) their findings; cmd/benchlint's TestCLIFix* tests apply
+// each one's fix end to end.
+var fixers = map[string]bool{"ctxflow": true, "spanend": true, "maporder": true, "keycover": true, "closecheck": true, "ctxleak": true}
+
 // TestAnalyzerGoldens runs every analyzer over its bad+good fixture
 // pair: each //want marker must produce exactly one unsuppressed
-// finding on that line, and nothing else may be reported.
+// finding on that line, and nothing else may be reported. An analyzer
+// in fixers attaches a fix to at least one finding; any other attaches
+// none.
 func TestAnalyzerGoldens(t *testing.T) {
 	for _, a := range Suite() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -74,6 +82,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 			wants := wantComments(t, dir)
 
 			got := map[string][]string{}
+			fixed := false
 			for _, f := range findings {
 				if f.Suppressed {
 					continue
@@ -83,6 +92,10 @@ func TestAnalyzerGoldens(t *testing.T) {
 				}
 				key := fmt.Sprintf("%s:%d", f.File, f.Line)
 				got[key] = append(got[key], f.Analyzer)
+				fixed = fixed || len(f.Fixes) > 0
+			}
+			if fixed != fixers[a.Name] {
+				t.Errorf("%s attaches fixes = %v, want %v", a.Name, fixed, fixers[a.Name])
 			}
 			for key, analyzers := range wants {
 				g := got[key]
@@ -99,29 +112,24 @@ func TestAnalyzerGoldens(t *testing.T) {
 }
 
 // TestSuppressionDirective pins the ignore-directive contract: the
-// ctxflow fixture's good.go silences one Background call on its own
-// line and one on an inner line of a multi-line composite literal
-// (the statement-anchored case); both reasons must surface.
+// ctxflow fixture's good.go silences one Background call on the line
+// below its directive and one on an inner line of a multi-line
+// composite literal (the statement-anchored case); both findings are
+// kept, marked suppressed at their own lines, with their reasons.
 func TestSuppressionDirective(t *testing.T) {
 	findings := runOnDir(t, CtxFlow, filepath.Join("testdata", "ctxflow"))
-	var reasons []string
+	var got []string
 	for _, f := range findings {
-		if !f.Suppressed {
-			continue
+		if f.Suppressed {
+			got = append(got, fmt.Sprintf("%s:%d: %s", f.File, f.Line, f.Reason))
 		}
-		if f.File != "good.go" {
-			t.Errorf("suppressed finding in %s, want good.go", f.File)
-		}
-		reasons = append(reasons, f.Reason)
 	}
 	want := []string{
-		"fixture exercises the suppression directive",
-		"fixture anchors the directive to the statement",
+		"good.go:7: fixture exercises the suppression directive",
+		"good.go:21: fixture anchors the directive to the statement",
 	}
-	sort.Strings(want)
-	sort.Strings(reasons)
-	if strings.Join(reasons, "|") != strings.Join(want, "|") {
-		t.Errorf("suppression reasons = %q, want %q", reasons, want)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("suppressed findings = %q, want %q", got, want)
 	}
 }
 
@@ -167,7 +175,7 @@ func TestExactPositions(t *testing.T) {
 // one: every package parses and type-checks (any failure is
 // RunModule's error).
 func TestRunModuleLoadsWholeModule(t *testing.T) {
-	res, err := RunModule(RunOptions{Dir: "../.."})
+	res, err := RunModule("../..", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +184,39 @@ func TestRunModuleLoadsWholeModule(t *testing.T) {
 	}
 	if len(res.Packages) < 20 {
 		t.Fatalf("loaded %d packages, expected the full module", len(res.Packages))
+	}
+}
+
+// TestEveryScopeIsNeeded holds each Scope to the reason it exists:
+// run over the whole module without its list, a scoped analyzer must
+// report a finding in some package outside the list. One that would
+// stay silent there loses its list and checks every package, like the
+// rest of the suite.
+func TestEveryScopeIsNeeded(t *testing.T) {
+	var unscoped []*Analyzer
+	scopes := map[string][]string{}
+	for _, a := range Suite() {
+		if len(a.Scope) > 0 {
+			u := *a
+			u.Scope = nil
+			unscoped = append(unscoped, &u)
+			scopes[a.Name] = a.Scope
+		}
+	}
+	res, err := RunModule("../..", unscoped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := map[string]int{}
+	for _, f := range res.Findings {
+		if !f.Suppressed && !slices.Contains(scopes[f.Analyzer], path.Dir(f.File)) {
+			outside[f.Analyzer]++
+		}
+	}
+	for name, scope := range scopes {
+		if outside[name] == 0 {
+			t.Errorf("%s reports nothing outside its scope %v: delete the scope", name, scope)
+		}
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// GoroLeak enforces the goroutine-lifetime discipline of the
-// concurrent packages: every goroutine spawned there must be joinable
-// or bounded — it calls (*sync.WaitGroup).Done (the spawner Waits),
-// or it blocks on channel state (a select, a receive, or a range over
-// a channel, which is how context cancellation and done-channel
-// shutdown reach it). A goroutine with neither runs until process
+// GoroLeak enforces the goroutine-lifetime discipline: every
+// goroutine the module spawns must be joinable or bounded — it calls
+// (*sync.WaitGroup).Done (the spawner Waits), or it blocks on channel
+// state (a select, a receive, or a range over a channel, which is how
+// context cancellation and done-channel shutdown reach it). A goroutine with neither runs until process
 // exit: a leak under the engine's bounded-concurrency contract and a
 // shutdown hazard for the resultsd service.
 //
@@ -27,20 +26,7 @@ import (
 // check closes that false negative.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
-	Doc:  "every goroutine is joined (WaitGroup) or bounded (select/receive on a ctx or done channel)",
-	Scope: []string{
-		"internal/engine", "internal/resultstore", "internal/resultsd",
-		"internal/analysis", "cmd/benchlint",
-		// The on-disk cache is hit by concurrent writers (engine worker
-		// pool, CI runners); any goroutine it spawns must be bounded.
-		"internal/cachekey", "internal/buildcache",
-		// The sharded router starts no goroutine of its own any more
-		// (each shard store's committer is resultstore's, joined by its
-		// Close) and must stay that way; the load generator runs one
-		// goroutine per simulated runner (joined by Run).
-		"internal/resultshard", "internal/loadgen",
-	},
-	Run: runGoroLeak,
+	Run:  runGoroLeak,
 }
 
 func runGoroLeak(pass *Pass) {

@@ -27,10 +27,8 @@ import (
 // (not string-kinded, integer-kinded, or a TextMarshaler). Types with
 // their own MarshalJSON/MarshalText are trusted to cover themselves.
 var KeyCover = &Analyzer{
-	Name:       "keycover",
-	Doc:        "structs hashed into cache keys expose every field to the canonical-JSON encoder",
-	EmitsFixes: true,
-	Run:        runKeyCover,
+	Name: "keycover",
+	Run:  runKeyCover,
 }
 
 func runKeyCover(pass *Pass) {
@@ -223,10 +221,7 @@ func (w *keyWalker) dropTagFix(f *types.Var) []Fix {
 			}
 			for _, name := range field.Names {
 				if name.Pos() == f.Pos() && field.Tag.Value == "`json:\"-\"`" {
-					fix = []Fix{{
-						Message: fmt.Sprintf("remove the json:\"-\" tag so %s reaches the key encoder", f.Name()),
-						Edits:   []TextEdit{w.pass.editReplace(field.Type.End(), field.Tag.End(), "")},
-					}}
+					fix = []Fix{{Edits: []TextEdit{w.pass.editReplace(field.Type.End(), field.Tag.End(), "")}}}
 					return false
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Package is one loaded, parsed, type-checked module package.
@@ -140,11 +141,12 @@ func LoadDir(dir string) (*Package, error) {
 	return loadPackage(fset, newExportImporter(fset, exports), target)
 }
 
-// loadPackage parses the target package's files on a GOMAXPROCS-wide
-// worker pool (which is why internal/analysis is on the verify gate's
-// -race list) and type-checks it, resolving imports through imp —
-// caller-owned, so the runner shares one importer (and its loaded-
-// dependency map) across the module's packages.
+// loadPackage parses the target package's files on up to GOMAXPROCS
+// workers that claim file indices from one counter (which is why
+// internal/analysis is on the verify gate's -race list) and
+// type-checks it, resolving imports through imp — caller-owned, so
+// the runner shares one importer (and its loaded-dependency map)
+// across the module's packages.
 func loadPackage(fset *token.FileSet, imp types.Importer, t *listPackage) (*Package, error) {
 	pkg := &Package{
 		ImportPath: t.ImportPath,
@@ -158,16 +160,16 @@ func loadPackage(fset *token.FileSet, imp types.Importer, t *listPackage) (*Pack
 	// token.FileSet and parser.ParseFile are safe for concurrent use;
 	// each worker writes only its own file's slots.
 	var wg sync.WaitGroup
+	var next atomic.Int64
 	errs := make([]error, len(t.GoFiles))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, name := range t.GoFiles {
+	for range min(runtime.GOMAXPROCS(0), len(t.GoFiles)) {
 		wg.Add(1)
-		go func(i int, path string) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pkg.Files[i], errs[i] = parser.ParseFile(fset, path, nil, parser.ParseComments)
-		}(i, filepath.Join(t.Dir, name))
+			for i := int(next.Add(1)) - 1; i < len(t.GoFiles); i = int(next.Add(1)) - 1 {
+				pkg.Files[i], errs[i] = parser.ParseFile(fset, filepath.Join(t.Dir, t.GoFiles[i]), nil, parser.ParseComments)
+			}
+		}()
 	}
 	wg.Wait()
 	if err := joinErrors("parsing", errs); err != nil {

@@ -20,7 +20,6 @@ import (
 // the closing edge).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "no cycles in the module-wide lock acquisition graph (potential deadlock)",
 	Run:  runLockOrder,
 }
 

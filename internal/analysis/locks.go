@@ -5,17 +5,15 @@ import (
 	"go/types"
 )
 
-// Locks enforces the buildcache/engine locking discipline: a
+// Locks enforces the module's locking discipline: a
 // Lock/RLock acquired in a function is released on every return path —
 // either by an immediate defer (the house style) or by an explicit
 // unlock that no return can bypass. It is a row of the obligation
 // table (obligation.go, DESIGN §7). Sync primitives copied by value
 // are `go vet`'s copylocks check, which verify.sh runs first.
 var Locks = &Analyzer{
-	Name:  "locks",
-	Doc:   "every Lock has an Unlock on every return path",
-	Scope: []string{"internal/buildcache", "internal/engine", "internal/resultstore", "internal/resultsd", "internal/analysis", "cmd/benchlint", "internal/resultshard", "internal/loadgen"},
-	Run:   obligationRule(locksRule).run,
+	Name: "locks",
+	Run:  obligationRule(locksRule).run,
 }
 
 // locksRule is locks' row of the obligation table: a Lock/RLock

@@ -28,10 +28,8 @@ import (
 // slice appends, and channel sends in its scoped packages; this
 // analyzer owns the hashing/serialization/commit sinks everywhere.
 var MapOrder = &Analyzer{
-	Name:       "maporder",
-	Doc:        "map iteration feeding hashing, serialization, or commit/merge paths must range over sorted keys",
-	EmitsFixes: true,
-	Run:        runMapOrder,
+	Name: "maporder",
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {
@@ -260,10 +258,7 @@ func sortKeysFix(pass *Pass, file *ast.File, fn *ast.FuncDecl, rng *ast.RangeStm
 	} else if !importsPath(file, "sort") {
 		return nil
 	}
-	return []Fix{{
-		Message: fmt.Sprintf("collect the keys, sort.Strings them, and range over %s", keysName),
-		Edits:   edits,
-	}}
+	return []Fix{{Edits: edits}}
 }
 
 // freshName picks a name for the sorted-keys slice that no identifier

@@ -10,11 +10,12 @@ import (
 )
 
 // seededMutations is the audit table behind DESIGN.md's analyzer
-// list: at least one row per analyzer in Suite(), each a bug that
-// analyzer exists for, seeded into a copy of the real module. A row
-// passes when the analyzer flags
-// the mutated tree — every finding in wantFile (default: the mutated
-// file) and carrying every `want` fragment — and `go vet` on the same
+// list: at least one row per analyzer in Suite() and none for an
+// analyzer outside it, each a bug that analyzer exists for, seeded
+// into a copy of the real module. A row passes when the analyzer, run
+// over the whole mutated module as benchlint runs it, flags the
+// mutation — every finding in wantFile (default: the mutated file)
+// and carrying every `want` fragment — and `go vet` on the mutated
 // package still passes, so the row proves the analyzer sees what vet
 // does not. cmd/benchlint's TestRepoIsClean pins the other half: the
 // untouched tree produces nothing.
@@ -173,8 +174,7 @@ func TestSeededMutations(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			pkg := "./" + filepath.ToSlash(filepath.Dir(m.file))
-			res, err := RunModule(RunOptions{Dir: root, Patterns: []string{pkg}, Analyzers: []*Analyzer{m.analyzer}})
+			res, err := RunModule(root, []*Analyzer{m.analyzer})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,6 +201,7 @@ func TestSeededMutations(t *testing.T) {
 				t.Fatalf("%s missed the mutation seeded into %s", m.analyzer.Name, m.file)
 			}
 
+			pkg := "./" + filepath.ToSlash(filepath.Dir(m.file))
 			vet := exec.Command("go", "vet", pkg)
 			vet.Dir = root
 			if out, err := vet.CombinedOutput(); err != nil {
@@ -212,6 +213,10 @@ func TestSeededMutations(t *testing.T) {
 		if !covered[a.Name] {
 			t.Errorf("analyzer %s has no seeded-mutation row: add one or delete the analyzer", a.Name)
 		}
+		delete(covered, a.Name)
+	}
+	for name := range covered {
+		t.Errorf("analyzer %s has seeded-mutation rows but is not in Suite(): benchlint never runs it", name)
 	}
 }
 

@@ -28,9 +28,9 @@ type obligation struct {
 	prune func(cond ast.Expr, branch bool) bool
 	// message is the finding when some path returns undischarged.
 	message string
-	// fixText is the `defer …` statement to insert and fixMessage its
-	// description; an empty fixText offers no fix.
-	fixMessage, fixText string
+	// fixText is the `defer …` statement to insert; empty offers no
+	// fix.
+	fixText string
 	// afterGuard places the defer after the `if guardErr != nil { …
 	// return }` statement that directly follows the acquisition, so a
 	// nil resource is never deferred on; without that exact guard no
@@ -102,7 +102,7 @@ func deferFix(pass *Pass, body *ast.BlockStmt, stmt ast.Stmt, o *obligation) []F
 		}
 		at = guard.End()
 	}
-	return []Fix{{Message: o.fixMessage, Edits: []TextEdit{pass.editReplace(at, at, "\n"+o.fixText)}}}
+	return []Fix{{Edits: []TextEdit{pass.editReplace(at, at, "\n"+o.fixText)}}}
 }
 
 // forEachFuncBody invokes fn once per function body in the file:

@@ -39,7 +39,6 @@ import (
 // suppressed in source with a justification.
 var Purity = &Analyzer{
 	Name: "purity",
-	Doc:  "cachekey-keyed and memoized paths are pure functions of their keys: no clock, RNG, env, or unkeyed ambient reads",
 	Run:  runPurity,
 }
 

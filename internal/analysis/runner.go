@@ -6,16 +6,6 @@ import (
 	"sort"
 )
 
-// RunOptions configures a module analysis.
-type RunOptions struct {
-	// Dir is where go list runs; the module is found at or above it.
-	Dir string
-	// Patterns defaults to ./...
-	Patterns []string
-	// Analyzers is the set to apply (e.g. Suite()).
-	Analyzers []*Analyzer
-}
-
 // ModuleResult is one analysis run's outcome.
 type ModuleResult struct {
 	Module   Module
@@ -23,15 +13,12 @@ type ModuleResult struct {
 	Findings []Finding
 }
 
-// RunModule analyzes a module: every matched package is loaded,
-// fact-computed and analyzed, in import order so each package sees
-// the facts of its in-module dependencies.
-func RunModule(opts RunOptions) (*ModuleResult, error) {
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(opts.Dir, patterns)
+// RunModule applies analyzers (e.g. Suite()) to the module found at
+// or above dir: every package of it is loaded, fact-computed and
+// analyzed, in import order so each package sees the facts of its
+// in-module dependencies.
+func RunModule(dir string, analyzers []*Analyzer) (*ModuleResult, error) {
+	listed, err := goList(dir, []string{"./..."})
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +43,9 @@ func RunModule(opts RunOptions) (*ModuleResult, error) {
 		}
 	}
 	if mod.Path == "" {
-		return nil, fmt.Errorf("analysis: no module packages match %v", patterns)
+		return nil, fmt.Errorf("analysis: no module packages under %s", dir)
 	}
-	mod.Root = moduleRoot(opts.Dir)
+	mod.Root = moduleRoot(dir)
 
 	closure := moduleDeps(paths, func(p string) []string { return byPath[p].Imports })
 	order := append([]string(nil), paths...)
@@ -86,7 +73,7 @@ func RunModule(opts RunOptions) (*ModuleResult, error) {
 		for _, dep := range closure[path] {
 			visible[dep] = facts[dep]
 		}
-		res.Findings = append(res.Findings, runPackage(pkg, opts.Analyzers, mod.Path, mod.Root, pf, visible)...)
+		res.Findings = append(res.Findings, runPackage(pkg, analyzers, mod.Path, mod.Root, pf, visible)...)
 	}
 
 	res.Packages = append(res.Packages, paths...)

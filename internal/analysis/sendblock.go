@@ -7,9 +7,9 @@ import (
 	"go/types"
 )
 
-// SendBlock enforces send discipline inside the concurrent packages'
-// goroutines: a channel send in a worker must be select-guarded by an
-// alternative that can always fire (a receive case — typically on
+// SendBlock enforces send discipline inside every goroutine: a
+// channel send in a worker must be select-guarded by an alternative
+// that can always fire (a receive case — typically on
 // ctx.Done()/done — or a default), or target a provably bounded
 // queue: a channel every make() of which carries a constant capacity
 // of at least one (the one-shot ack idiom, `done: make(chan error,
@@ -25,12 +25,7 @@ import (
 // bounding mechanism goroleak checks for, not a defect.
 var SendBlock = &Analyzer{
 	Name: "sendblock",
-	Doc:  "goroutine channel sends are select-guarded or target a provably buffered channel",
-	Scope: []string{
-		"internal/resultstore", "internal/resultsd",
-		"internal/resultshard", "internal/loadgen",
-	},
-	Run: runSendBlock,
+	Run:  runSendBlock,
 }
 
 func runSendBlock(pass *Pass) {

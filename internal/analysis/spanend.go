@@ -18,11 +18,8 @@ import (
 // while another arm returns, and spans opened in nested blocks and
 // never closed anywhere.
 var SpanEnd = &Analyzer{
-	Name:       "spanend",
-	Doc:        "every StartSpan has a matching End on every return path",
-	Scope:      []string{"internal/engine", "internal/core", "internal/ci", "internal/install", "internal/telemetry", "internal/resultstore", "internal/resultsd"},
-	EmitsFixes: true,
-	Run:        obligationRule(spanEndRule).run,
+	Name: "spanend",
+	Run:  obligationRule(spanEndRule).run,
 }
 
 // spanEndRule is spanend's row of the obligation table: a StartSpan
@@ -41,9 +38,8 @@ func spanEndRule(_ *Pass, stmt ast.Stmt) *obligation {
 		discharged: func(n ast.Node) bool {
 			return nodeContainsCall(n, func(call *ast.CallExpr) bool { return endCallExpr(call, span) })
 		},
-		message:    "span " + span + " is not Ended on every return path; defer " + span + ".End() immediately after StartSpan",
-		fixMessage: "defer " + span + ".End() immediately after StartSpan",
-		fixText:    "defer " + span + ".End()",
+		message: "span " + span + " is not Ended on every return path; defer " + span + ".End() immediately after StartSpan",
+		fixText: "defer " + span + ".End()",
 	}
 }
 

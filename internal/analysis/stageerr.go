@@ -15,7 +15,6 @@ import (
 // errors.As keep seeing the cause.
 var StageErr = &Analyzer{
 	Name:  "stageerr",
-	Doc:   "engine errors must be typed *StageError; fmt.Errorf wrapping an error must use %w",
 	Scope: []string{"internal/engine"},
 	Run:   runStageErr,
 }

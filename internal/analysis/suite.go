@@ -14,20 +14,3 @@ func Suite() []*Analyzer {
 		CloseCheck, CtxLeak, SendBlock,
 	}
 }
-
-// ByName resolves a comma-separated selection against the suite.
-func ByName(names []string) ([]*Analyzer, bool) {
-	byName := map[string]*Analyzer{}
-	for _, a := range Suite() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, a)
-	}
-	return out, true
-}

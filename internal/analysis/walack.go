@@ -9,7 +9,9 @@ import (
 // a batch is acknowledged — an ingest/commit-shaped function returns
 // a nil error — only after the WAL bytes it wrote are fsynced. An ack
 // without an fsync turns "acknowledged batches survive a crash" into
-// a lie the power-cut torture test exists to prevent.
+// a lie the power-cut torture test exists to prevent. The file-system
+// seam's one durable write, fsys.Commit, owes the same: it syncs the
+// bytes before renaming them into place.
 //
 // The check is interprocedural through facts: a write performed by a
 // helper (appendRecord) and a sync performed by another helper both
@@ -21,17 +23,7 @@ import (
 // order sees the sync last).
 var WalAck = &Analyzer{
 	Name: "walack",
-	Doc:  "ingest/commit paths fsync the WAL before acknowledging (returning nil)",
-	// The file-system seam's one durable write, fsys.Commit, shares the
-	// contract: it must sync the bytes before renaming them into place —
-	// a torn cache entry, snapshot or router manifest that was
-	// "committed" is exactly the corruption the torture tests exist to
-	// catch early. The cachekey store publishes entries through it. The
-	// sharded router acks what its shard stores' committers acked, so its
-	// ingest path stays in scope: a write it ever grows of its own
-	// inherits the obligation.
-	Scope: []string{"internal/resultstore", "internal/cachekey", "internal/resultshard", "internal/fsys"},
-	Run:   runWalAck,
+	Run:  runWalAck,
 }
 
 // ackNames are the function-name markers of an acknowledgement path.

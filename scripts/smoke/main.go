@@ -120,6 +120,7 @@ func awaitAnnounce(stdout io.Reader) (string, error) {
 		err  error
 	}
 	ch := make(chan scanResult, 1)
+	//benchlint:ignore goroleak the scan ends when the serve child exits and its stdout closes
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
@@ -321,6 +322,7 @@ func federationPlane(bin string) {
 		fatalf("starting loadtest: %v", err)
 	}
 	ltDone := make(chan error, 1)
+	//benchlint:ignore goroleak ends when the loadtest child it waits on exits
 	go func() { ltDone <- lt.Wait() }()
 
 	// While the fleet ingests, the follower must answer reads: that is
