@@ -161,7 +161,7 @@ func pushCmd(args []string, opts *execOpts) (err error) {
 			return err
 		}
 		key, resp, err := sess.Push(ctx, resultsd.NewClient(serverURL), "cli",
-			"cli-"+sess.Suite+"-"+system, "", rep, erep)
+			fmt.Sprintf("cli-%s-%s", sess.Suite, system), "", rep, erep)
 		if err != nil {
 			return err
 		}

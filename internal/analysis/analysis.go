@@ -21,8 +21,8 @@
 //	//benchlint:ignore <analyzer> <reason>
 //	    placed on the offending line, or alone on the line above it,
 //	    suppresses that analyzer's finding there. The reason is
-//	    mandatory and findings stay visible in -json output, marked
-//	    suppressed.
+//	    mandatory; a suppressed finding is neither printed nor counted
+//	    against benchlint's exit code.
 package analysis
 
 import (
@@ -74,6 +74,7 @@ type Pass struct {
 	Facts    *PackageFacts
 	AllFacts map[string]*PackageFacts
 
+	mod      Module // the module the package belongs to
 	findings []Finding
 }
 
@@ -198,7 +199,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer, modPath, modRoot string, fa
 		if !a.AppliesTo(modPath, pkg.ImportPath) {
 			continue
 		}
-		pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, AllFacts: allFacts}
+		pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, AllFacts: allFacts, mod: Module{Path: modPath, Root: modRoot}}
 		a.Run(pass)
 		for _, f := range pass.findings {
 			if d, ok := suppressedBy(pkg, f); ok {

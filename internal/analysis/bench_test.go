@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// BenchmarkSuiteModule measures what CI pays: a full fourteen-analyzer
+// BenchmarkSuiteModule measures what CI pays: a full fifteen-analyzer
 // pass over this module — every package parsed, type-checked,
 // fact-computed and analyzed.
 func BenchmarkSuiteModule(b *testing.B) {

@@ -15,8 +15,10 @@ import (
 // analyzer over it through the production per-package path
 // (computePackageFacts + runPackage), with scope filtering bypassed
 // (fixtures live under testdata/, outside determinism's and
-// stageerr's scopes). File names in the returned findings are relative to the
-// fixture directory.
+// stageerr's scopes). A fixture may import this module's packages
+// ("repro/internal/..."), which the guards analyzer names by their
+// module-relative paths. File names in the returned findings are
+// relative to the fixture directory.
 func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
 	pkg, err := LoadDir(dir)
@@ -27,7 +29,7 @@ func runOnDir(t *testing.T, a *Analyzer, dir string) []Finding {
 	pf := computePackageFacts(pkg, "", abs, nil)
 	unscoped := *a
 	unscoped.Scope = nil
-	out := runPackage(pkg, []*Analyzer{&unscoped}, "", abs, pf, map[string]*PackageFacts{pkg.ImportPath: pf})
+	out := runPackage(pkg, []*Analyzer{&unscoped}, "repro", abs, pf, map[string]*PackageFacts{pkg.ImportPath: pf})
 	SortFindings(out)
 	return out
 }
@@ -223,12 +225,11 @@ func TestEveryScopeIsNeeded(t *testing.T) {
 // TestMalformedDirective checks that a broken or unknown directive
 // surfaces as a finding instead of silently disabling a check.
 func TestMalformedDirective(t *testing.T) {
-	// The retired compat directive, spelled in two pieces so verify.sh's
-	// grep for leftovers in *.go files stays quiet.
-	compat := "//benchlint:" + "compat"
+	// The retired compat directive fails here, and so anywhere in the
+	// module: it is not a directive the parser knows.
 	for _, c := range []struct{ directive, want string }{
 		{"//benchlint:ignore ctxflow", "needs an analyzer name and a reason"},
-		{compat, "unknown " + compat + " directive"},
+		{"//benchlint:compat", "unknown //benchlint:compat directive"},
 	} {
 		dir := t.TempDir()
 		src := "package fixture\n\n" + c.directive + "\nfunc f() {}\n"

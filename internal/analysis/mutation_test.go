@@ -147,6 +147,23 @@ var seededMutations = []struct {
 		wantFile: "internal/resultstore/store.go",
 		want:     []string{"s.committer", "unguarded channel send"},
 	},
+	{
+		// A nonblocking send brought back to mpisim for a test's sake:
+		// it was retired because no kernel ever called it.
+		analyzer: Guards, file: "internal/mpisim/mpisim.go",
+		edits: [][2]string{{"func (c *Comm) Now() float64 { return c.clock }\n", "func (c *Comm) Now() float64 { return c.clock }\n\nfunc (c *Comm) Isend(dst int, data []float64) {}\n"}},
+		want:  []string{"internal/mpisim.Comm.Isend is retired"},
+	},
+	{
+		// A cache entry written straight to disk, past fsys.Commit: a
+		// crash mid-write leaves a torn entry under the real name.
+		analyzer: Guards, file: "internal/cachekey/store.go",
+		edits: [][2]string{
+			{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"os\"\n"},
+			{"func (s *Store) Layer(name string) *Layer {\n", "func (s *Store) Layer(name string) *Layer {\n\t_ = os.WriteFile(filepath.Join(s.dir, name), nil, 0o644)\n"},
+		},
+		want: []string{"os is refused in internal/cachekey"},
+	},
 }
 
 func TestSeededMutations(t *testing.T) {

@@ -6,11 +6,13 @@ package analysis
 // fact system, the cache-soundness tier that proves warm replays are
 // pure functions of their keys, and the CFG-backed resource-leak tier
 // guarding the federation plane's closers, cancel funcs and worker
-// sends. DESIGN.md §7 lists each with the bug it catches.
+// sends, and the guards table of retired and confined names. DESIGN.md
+// §7 lists each with the bug it catches.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow, Determinism, StageErr, Locks, SpanEnd, LockOrder, GoroLeak, WalAck,
 		Purity, MapOrder, KeyCover,
 		CloseCheck, CtxLeak, SendBlock,
+		Guards,
 	}
 }

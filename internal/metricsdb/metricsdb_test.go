@@ -404,3 +404,27 @@ func seqs(rs []Result) []int {
 	}
 	return out
 }
+
+// TestStoredRowsHoldNoMap pins the stored layout: the rows DB's chunks
+// hold keep their FOMs and Meta as name-sorted pairs, so no map (with
+// its buckets and its random iteration order) is reachable from one.
+func TestStoredRowsHoldNoMap(t *testing.T) {
+	chunks, ok := reflect.TypeOf(DB{}).FieldByName("chunks")
+	if !ok {
+		t.Fatal("DB has no chunks field")
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Map:
+			t.Errorf("%s is a %s: a stored row holds sorted pairs, not maps", path, typ)
+		case reflect.Slice, reflect.Array, reflect.Pointer:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("DB.chunks", chunks.Type)
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -305,5 +306,17 @@ func TestClientAttemptTimeout(t *testing.T) {
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("server saw %d calls, want 2 (one wedged, one retried)", got)
+	}
+}
+
+// TestClientHasNoFuncField pins the one retry rule: a test fixes a
+// Client's timing through package state (retryBase, retryDraw), never
+// through a func-typed field a caller could set.
+func TestClientHasNoFuncField(t *testing.T) {
+	typ := reflect.TypeOf(Client{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("Client.%s is a %s: the retry rule has no per-client hook", f.Name, f.Type)
+		}
 	}
 }

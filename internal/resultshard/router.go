@@ -33,7 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -125,7 +125,7 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 func checkManifest(disk fsys.FS, dir string, shards int) error {
 	path := filepath.Join(dir, "router.json")
 	data, err := disk.ReadFile(path)
-	if os.IsNotExist(err) {
+	if errors.Is(err, fs.ErrNotExist) {
 		m := manifest{Format: manifestFormat, KeySchema: KeySchema, Shards: shards}
 		out, merr := json.Marshal(m)
 		if merr != nil {

@@ -28,14 +28,18 @@
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
 # analyzer over every package, any unsuppressed finding fails (one
-# with a mechanical fix too, so there is no separate unapplied-fixes
-# check). scripts/smoke builds the real binary once and smoke-checks two
-# planes with it: the ops plane — it scrapes /healthz, /readyz,
-# /metrics, /debug/ops and /debug/pprof, then pushes a suite and checks
-# the push left its TMPDIR empty — and the federation plane end to end:
-# a 4-shard primary plus one snapshot-shipping follower under loadgen
-# ingest, follower reads during ingest, byte-identical reads after a
-# pass that started once ingest ended, and a follower of a plain serve.
+# with a mechanical fix too: `go run ./cmd/benchlint -fix` applies
+# those). It is the one place a source rule is enforced: the names
+# the project retired and the objects confined to a few packages are
+# rows of its guards analyzer (internal/analysis/guards.go), and this
+# script greps no Go source. scripts/smoke builds the real binary
+# once and smoke-checks two planes with it: the ops plane — it scrapes
+# /healthz, /readyz, /metrics, /debug/ops and /debug/pprof, then pushes
+# a suite and checks the push left its TMPDIR empty — and the
+# federation plane end to end: a 4-shard primary plus one
+# snapshot-shipping follower under loadgen ingest, follower reads
+# during ingest, byte-identical reads after a pass that started once
+# ingest ended, and a follower of a plain serve.
 # (The 429/Retry-After contract on an overloaded shard is
 # resultsd.TestIngestOverloadMapsTo429's, in process.)
 #
@@ -54,30 +58,8 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> benchlint (project invariants)"
-if ! go run ./cmd/benchlint; then
-	echo "verify: benchlint found findings; run 'go run ./cmd/benchlint -fix' for the mechanical ones" >&2
-	exit 1
-fi
-! grep -rn --include='*.go' '//benchlint:compat' . || { echo "verify: //benchlint:compat is retired; take the caller's context instead" >&2; exit 1; }
-! grep -rn --include='*.go' --exclude='*_test.go' 'case "--' cmd/benchpark || { echo "verify: cmd/benchpark parses flags with flag.FlagSet; register the flag instead of matching it by hand" >&2; exit 1; }
-[ "$(grep -rn --include='*.go' --exclude='*_test.go' 'bench\.Params{' internal cmd | cut -d: -f1)" = internal/core/benchpark.go ] || { echo "verify: a kernel runs only in Session.execute (internal/core/benchpark.go); run a session instead of building bench.Params" >&2; exit 1; }
-[ "$(grep -rl --include='*.go' --exclude='*_test.go' -e 'mpisim\.Run(' -e 'caliper\.NewRecorder(' internal/bench)" = internal/bench/bench.go ] || { echo "verify: a kernel is its numerics; run its ranks through runRanks (internal/bench/bench.go) instead of calling mpisim.Run or caliper.NewRecorder" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]float(32|64), (real|realN)\)' internal/bench || { echo "verify: a kernel computes its touched region through one reused tile of tileElems elements (internal/bench/saxpy.go); allocate min(real, tileElems), not the touched region" >&2; exit 1; }
-! grep -rn --include='*.go' --exclude='*_test.go' 'make(\[\]float64' internal/bench || { echo "verify: a rank's arrays come from c.Alloc (mpisim.Comm.Alloc) so that mpisim can recycle them for the next job; do not make([]float64 in internal/bench" >&2; exit 1; }
-stored=$(sed -n 's/^[[:space:]]*chunks \[\]\[\]\([A-Za-z_]*\)$/\1/p' internal/metricsdb/metricsdb.go)
-[ -n "$stored" ] && ! sed -n "/^type $stored struct/,/^}/p" internal/metricsdb/*.go | grep 'map\[' || { echo "verify: metricsdb.DB stores rows whose FOMs and Meta are sorted pairs; the type its chunks hold (${stored:-not found}) must declare no map" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' '\.(AppendAfterN|QueryAfterN|Query)\(' internal/resultstore || { echo "verify: compaction encodes the DB's rows (DB.AppendJSONAfter); resultstore code must not build Results out of its own DB" >&2; exit 1; }
-! sed -n '/^type Client struct/,/^}/p' internal/resultsd/client.go | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]func\(' || { echo "verify: resultsd.Client has one retry rule; a test fixes its timing through package state, not a func-typed field" >&2; exit 1; }
-! grep -rnwE --include='*.go' --exclude='*_test.go' 'WithOps|NoJitter|FullJitter' . || { echo "verify: the ops endpoints are always served and jitter only ever adds to Retry-After; WithOps, NoJitter and FullJitter are gone" >&2; exit 1; }
-{ sed -n '/^func (r \*sessionRunner) ExperimentKey(/,/^}/p' internal/core/cache.go | grep -q 'r\.model' && grep -q 'r\.model = r\.s\.System\.Fingerprint()' internal/core/benchpark.go; } || { echo "verify: ExperimentKey must hash the system model (hpcsim.System.Fingerprint), or a changed model replays stale FOMs" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' 'ReuseCompatible|PushToCache|FindCompatible|\.Instrument\(|"buildcache_|"install_cache_' internal cmd examples || { echo "verify: the binary cache is read by exact hash and counted once, as cache_{hits,misses}_total{layer=\"buildcache\"}; compatible-target reuse, PushToCache, Instrument and the buildcache_*/install_cache_* counters are gone" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' -e '\b(NewMemo|MemoStats|CacheProvenance)\b' -e 'func \(c \*Cache\) Stats\(' -e '"no-cache"' internal cmd examples || { echo "verify: a session counts its own cache traffic (concretizer hits/misses, install report counts); the concretizer memo, buildcache.Cache.Stats, ci.CacheProvenance and benchpark --no-cache are gone" >&2; exit 1; }
-! grep -rn --include='*.go' --exclude='*_test.go' 'ReadDir' internal/cachekey || { echo "verify: a cachekey layer is read by exact key and never listed; internal/cachekey must not read directories" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' '\bos\.(Open|OpenFile|Create|CreateTemp|Rename|Remove|ReadFile|ReadDir|MkdirAll|Truncate)\b' internal/resultstore internal/resultshard internal/cachekey || { echo "verify: resultstore, resultshard and cachekey reach the disk only through internal/fsys (its FS, Commit and RemoveTemps)" >&2; exit 1; }
-! grep -rn --include='*.go' --exclude='*_test.go' -e 'CommitDelay' -e 'shard-slow' . || { echo "verify: CommitDelay and serve --shard-slow are gone; a test slows the disk through resultstore.Options.FS" >&2; exit 1; }
-! grep -rnE --include='*.go' --exclude='*_test.go' -e '\b(Isend|Irecv|WaitAll|ReduceScatter|FitScalingModel\w*|AddFromJSON|AddEvent|EventRecord|spanEvent|CompareSystems|AddOverlay|ImplementsComponent|SeededRNG|ChangedPaths|PRClosed|Homepage|Maintainers)\b' -e 'func \(c \*Comm\) (Allgather|Gather|Wait|System|ComputeFlops|ComputeBytes)\(|type Request struct' -e 'func \(t \*Thicket\) (Len|Filter|Regions)\(|func \(m \*Metadata\) (Matches|Len|Clone|Merge)\(' -e 'func \(s \*Span\) Path\(|func Inject\(|func \(r \*Registry\) PrometheusText\(' -e 'func \(m \*Map\) (GetInt|Lookup|Delete)\(|type Comparison struct|func \(r \*Repo\) Has\(' -e 'func \(e \*Expander\) (Get|Vars)\(|func \(s \*Scheduler\) (Cancel|Clock)\(|"CANCELLED"|scheduler\.Cancelled\b' -e 'func \(a \*Automation\) UseCache\(|func \(e \*Environment\) Remove\(' internal cmd examples scripts || { echo "verify: nothing is exported only for its own tests; the MPI calls, Thicket queries, span events and other names no program reached are gone (see CHANGES.md for the list)" >&2; exit 1; }
-! { sed -n '/^type Provide struct/,/^}/p' internal/pkgrepo/pkgrepo.go | grep -w When; sed -n '/^type Workload struct/,/^}/p' internal/ramble/app.go | grep -w Inputs; sed -n '/^type Application struct/,/^}/p' internal/ramble/app.go | grep -w Description; } | grep . || { echo "verify: Provide.When, Workload.Inputs and Application.Description are gone: nothing read them, so a recipe or application that set them was silently ignored" >&2; exit 1; }
+echo "==> benchlint (project invariants and source rules)"
+go run ./cmd/benchlint
 
 echo "==> go test ./..."
 go test ./...
