@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/buildcache"
 	"repro/internal/cachekey"
+	"repro/internal/yamlite"
 )
 
 // nightlyMatrix is the eleven sessions of benchmarks/sysbench's nightly.
@@ -225,5 +227,36 @@ func TestWarmSessionCostIndependentOfCacheSize(t *testing.T) {
 	if !raceEnabled && float64(large) > (1+bound)*float64(small) {
 		t.Errorf("a warm session allocates %d bytes over a 2,000-entry buildcache layer, %d over the primed one: want within %.0f%%",
 			large, small, 100*bound)
+	}
+}
+
+// TestEffectiveConfigGolden pins what Configure makes of each nightly
+// session's ramble.yaml and its includes: testdata/effective.golden
+// holds the marshalled effective tree of every session, in matrix
+// order, with the workspace root written as $WORKSPACE. A change to
+// how yamlite parses or merges that moves a key or a value shows here.
+func TestEffectiveConfigGolden(t *testing.T) {
+	const path = "testdata/effective.golden"
+	var got strings.Builder
+	for _, spec := range nightlyMatrix {
+		sess, err := New().Setup(spec[0], spec[1], t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eff := yamlite.Marshal(sess.Workspace.Effective())
+		fmt.Fprintf(&got, "### %s %s\n%s", spec[0], spec[1], strings.ReplaceAll(eff, sess.Workspace.Root, "$WORKSPACE"))
+	}
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s did not exist and has been recorded from this tree; review it and run again", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(raw) {
+		t.Errorf("effective configs differ from %s:\n got:\n%s\nwant:\n%s", path, got.String(), raw)
 	}
 }
