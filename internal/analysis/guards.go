@@ -93,7 +93,11 @@ var guardTable = []guard{
 		why: "a run without --cache-dir caches nothing across invocations; there is no --no-cache"},
 	{pr: 40, uses: []string{"make([]float64)"}, not: []string{"internal/bench"},
 		why: "a rank's arrays come from c.Alloc (mpisim.Comm.Alloc) so that mpisim can recycle them for the next job"},
+	{pr: 43, pkg: "internal/yamlite", retired: []string{"Map.Clone", "cloneValue"}, why: mergedByMove},
+	{pr: 43, pkg: "internal/ramble", retired: []string{"Workspace.raw"}, why: mergedByMove},
 }
+
+const mergedByMove = "a parsed config is merged by move; nothing needs a copy"
 
 // guardUses maps each confined object to its row.
 var guardUses = func() map[string]*guard {

@@ -103,10 +103,11 @@ var seededMutations = []struct {
 		want: []string{"ConcretizeTogether", "wall clock"},
 	},
 	{
-		// A deep merge walking the source's value map instead of its
-		// ordered key list: merged documents come out in map order.
+		// A deep merge that indexes the source's pairs by key in a Go
+		// map and walks the index instead of the ordered pairs: merged
+		// documents come out in map order.
 		analyzer: MapOrder, file: "internal/yamlite/yamlite.go",
-		edits: [][2]string{{"\tfor _, k := range src.keys {\n\t\tsv := src.vals[k]\n", "\tfor k, sv := range src.vals {\n"}},
+		edits: [][2]string{{"\tfor _, p := range src.pairs {\n", "\tbyKey := map[string]pair{}\n\tfor _, p := range src.pairs {\n\t\tbyKey[p.key] = p\n\t}\n\tfor _, p := range byKey {\n"}},
 		want:  []string{"Merge"},
 	},
 	{

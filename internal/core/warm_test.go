@@ -260,3 +260,27 @@ func TestEffectiveConfigGolden(t *testing.T) {
 		t.Errorf("effective configs differ from %s:\n got:\n%s\nwant:\n%s", path, got.String(), raw)
 	}
 }
+
+// TestSetupAllocationBudget pins what a session's setup costs before
+// anything runs: the system's config files and the suite's ramble.yaml
+// are rendered and parsed, and Configure merges the parsed trees by
+// moving them, not copying. The least of ten runs is the measure, as in
+// TestWarmSessionCostIndependentOfCacheSize, and the race detector's
+// own allocations make the bound meaningless under -race.
+func TestSetupAllocationBudget(t *testing.T) {
+	const budget = 40_000
+	runs := make([]uint64, 10)
+	for i := range runs {
+		dir := t.TempDir()
+		runs[i] = allocatedBy(func() {
+			if _, err := New().Setup("saxpy/openmp", "cts1", dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	least := slices.Min(runs)
+	t.Logf("Setup(saxpy/openmp, cts1) allocates %d bytes at least, budget %d", least, budget)
+	if !raceEnabled && least > budget {
+		t.Errorf("Setup(saxpy/openmp, cts1) allocates %d bytes at least of ten runs: want at most %d", least, budget)
+	}
+}

@@ -93,7 +93,6 @@ type Workspace struct {
 	Name string
 	Root string
 
-	raw       *yamlite.Map // parsed ramble.yaml
 	effective *yamlite.Map // ramble: subtree with includes merged
 
 	Experiments []*Experiment
@@ -206,7 +205,9 @@ func (w *Workspace) Configure(rambleYAML string) error {
 		return fmt.Errorf("ramble: ramble.yaml missing top-level 'ramble' key")
 	}
 	w.WriteConfig("ramble.yaml", rambleYAML)
-	eff := r.Clone()
+	// Every tree merged here was parsed just now and is read by
+	// nothing else, so Merge moves it rather than copying.
+	eff := r
 	for _, inc := range r.GetStrings("include") {
 		base := filepath.Base(inc) // ./configs/spack.yaml -> spack.yaml
 		data, err := w.read(filepath.Join("configs", base))
@@ -220,11 +221,9 @@ func (w *Workspace) Configure(rambleYAML string) error {
 		// Included top-level sections (spack:, variables:) merge into
 		// the ramble: subtree, system config underneath experiment
 		// config (experiment-specific keys win).
-		merged := incDoc.Clone()
-		merged.Merge(eff)
-		eff = merged
+		incDoc.Merge(eff)
+		eff = incDoc
 	}
-	w.raw = doc
 	w.effective = eff
 	w.Experiments = nil
 	w.setupDone = false

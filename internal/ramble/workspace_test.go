@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/yamlite"
 )
 
 // figure10YAML is the paper's ramble.yaml (Figure 10), with the
@@ -92,6 +94,34 @@ func figure10Workspace(t *testing.T) *Workspace {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestConfigureTwiceGivesEqualTrees: Configure merges its parsed
+// trees by moving them, so each call builds its effective tree from
+// its own parse. Configuring again after Setup gives an equal tree
+// that shares nothing with the first.
+func TestConfigureTwiceGivesEqualTrees(t *testing.T) {
+	w := figure10Workspace(t)
+	first := w.Effective()
+	want := yamlite.Marshal(first)
+	if err := w.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Configure(figure10YAML); err != nil {
+		t.Fatal(err)
+	}
+	second := w.Effective()
+	if got := yamlite.Marshal(second); got != want {
+		t.Fatalf("second Configure gives\n%s\nfirst gave\n%s", got, want)
+	}
+	if got := yamlite.Marshal(first); got != want {
+		t.Errorf("Setup changed the effective tree:\n%s\nwant\n%s", got, want)
+	}
+	first.GetMap("spack").GetMap("packages").Set("default-mpi", "changed")
+	first.GetMap("variables").Set("n_ranks", "changed")
+	if got := yamlite.Marshal(second); got != want {
+		t.Errorf("the second tree shares maps with the first:\n%s", got)
+	}
 }
 
 // TestFigure10ExperimentGeneration checks the exact experiment set the

@@ -9,7 +9,11 @@
 //
 // Mappings preserve key order (a *Map), which keeps emitted
 // manifests and lockfiles stable and diffable — a data-integrity
-// requirement from Section 2 of the paper.
+// requirement from Section 2 of the paper. A Map is one slice of
+// key/value pairs in insertion order, and Get, Has and Set scan it:
+// a configuration mapping holds a few dozen keys at most, and at that
+// size a scan is cheaper than hashing and a slice costs one
+// allocation where a Go map costs several.
 package yamlite
 
 import (
@@ -25,8 +29,12 @@ type Value any
 // Map is an order-preserving string-keyed mapping.
 // The zero value is an empty map ready to use.
 type Map struct {
-	keys []string
-	vals map[string]Value
+	pairs []pair // in insertion order, keys distinct
+}
+
+type pair struct {
+	key string
+	val Value
 }
 
 // NewMap returns an empty ordered map.
@@ -38,7 +46,7 @@ func MapOf(pairs ...any) *Map {
 	if len(pairs)%2 != 0 {
 		panic("yamlite.MapOf: odd number of arguments")
 	}
-	m := NewMap()
+	m := &Map{pairs: make([]pair, 0, len(pairs)/2)}
 	for i := 0; i < len(pairs); i += 2 {
 		k, ok := pairs[i].(string)
 		if !ok {
@@ -54,7 +62,7 @@ func (m *Map) Len() int {
 	if m == nil {
 		return 0
 	}
-	return len(m.keys)
+	return len(m.pairs)
 }
 
 // Keys returns the keys in insertion order.
@@ -62,37 +70,44 @@ func (m *Map) Keys() []string {
 	if m == nil {
 		return nil
 	}
-	out := make([]string, len(m.keys))
-	copy(out, m.keys)
+	out := make([]string, len(m.pairs))
+	for i, p := range m.pairs {
+		out[i] = p.key
+	}
 	return out
 }
 
-// Has reports whether key is present.
-func (m *Map) Has(key string) bool {
-	if m == nil || m.vals == nil {
-		return false
+// index returns the position of key in m.pairs, or -1.
+func (m *Map) index(key string) int {
+	if m == nil {
+		return -1
 	}
-	_, ok := m.vals[key]
-	return ok
+	for i := range m.pairs {
+		if m.pairs[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
+
+// Has reports whether key is present.
+func (m *Map) Has(key string) bool { return m.index(key) >= 0 }
 
 // Get returns the value for key, or nil if absent.
 func (m *Map) Get(key string) Value {
-	if m == nil || m.vals == nil {
-		return nil
+	if i := m.index(key); i >= 0 {
+		return m.pairs[i].val
 	}
-	return m.vals[key]
+	return nil
 }
 
 // Set stores key=v, appending key to the order if new.
 func (m *Map) Set(key string, v Value) {
-	if m.vals == nil {
-		m.vals = make(map[string]Value)
+	if i := m.index(key); i >= 0 {
+		m.pairs[i].val = v
+		return
 	}
-	if _, ok := m.vals[key]; !ok {
-		m.keys = append(m.keys, key)
-	}
-	m.vals[key] = v
+	m.pairs = append(m.pairs, pair{key, v})
 }
 
 // GetMap returns the nested map at key, or nil if absent or not a map.
@@ -151,49 +166,22 @@ func (m *Map) GetBool(key string, def bool) bool {
 	return def
 }
 
-// Clone returns a deep copy of the map.
-func (m *Map) Clone() *Map {
-	if m == nil {
-		return nil
-	}
-	out := NewMap()
-	for _, k := range m.keys {
-		out.Set(k, cloneValue(m.vals[k]))
-	}
-	return out
-}
-
-func cloneValue(v Value) Value {
-	switch t := v.(type) {
-	case *Map:
-		return t.Clone()
-	case []Value:
-		out := make([]Value, len(t))
-		for i, e := range t {
-			out[i] = cloneValue(e)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
 // Merge deep-merges src into m: nested maps merge recursively,
 // everything else (including sequences) is replaced by src's value.
-// This mirrors Spack's configuration-scope precedence.
+// This mirrors Spack's configuration-scope precedence. src's values
+// move into m rather than being copied, so m may now hold src's
+// nested maps and sequences: src must not be used afterwards.
 func (m *Map) Merge(src *Map) {
 	if src == nil {
 		return
 	}
-	for _, k := range src.keys {
-		sv := src.vals[k]
-		if dstMap, ok := m.Get(k).(*Map); ok {
-			if srcMap, ok2 := sv.(*Map); ok2 {
-				dstMap.Merge(srcMap)
-				continue
-			}
+	for _, p := range src.pairs {
+		dstMap, ok := m.Get(p.key).(*Map)
+		if srcMap, ok2 := p.val.(*Map); ok && ok2 {
+			dstMap.Merge(srcMap)
+			continue
 		}
-		m.Set(k, cloneValue(sv))
+		m.Set(p.key, p.val)
 	}
 }
 
@@ -279,9 +267,10 @@ func ParseMap(src string) (*Map, error) {
 }
 
 func splitLines(src string) ([]line, error) {
-	var out []line
-	for i, rawLine := range strings.Split(src, "\n") {
-		num := i + 1
+	out := make([]line, 0, strings.Count(src, "\n")+1)
+	for num, rest, more := 1, src, true; more; num++ {
+		var rawLine string
+		rawLine, rest, more = strings.Cut(rest, "\n")
 		raw := strings.TrimRight(rawLine, " \r")
 		if strings.TrimSpace(raw) == "---" {
 			continue // document start marker
@@ -387,41 +376,26 @@ func (p *parser) parseMapping(indent int) (Value, error) {
 			return nil, errf(ln.num, "duplicate key %q", key)
 		}
 		p.pos++
-		if rest == "|" || rest == "|-" || rest == ">" || rest == ">-" {
-			v, err := p.parseBlockScalar(indent, rest)
-			if err != nil {
-				return nil, err
-			}
-			m.Set(key, v)
-			continue
-		}
-		if rest != "" {
-			v, err := parseScalar(rest, ln.num)
-			if err != nil {
-				return nil, err
-			}
-			m.Set(key, v)
-			continue
-		}
-		// Value is a nested block (or empty). A block sequence may sit
-		// at the same indent as its parent key (common YAML style).
-		next, ok := p.peek()
+		var v Value
 		switch {
-		case ok && next.indent == indent && (strings.HasPrefix(next.text, "- ") || next.text == "-"):
-			v, err := p.parseSequence(indent)
-			if err != nil {
-				return nil, err
-			}
-			m.Set(key, v)
-		case !ok || next.indent <= indent:
-			m.Set(key, nil)
+		case rest == "|" || rest == "|-" || rest == ">" || rest == ">-":
+			v, err = p.parseBlockScalar(indent, rest)
+		case rest != "":
+			v, err = parseScalar(rest, ln.num)
 		default:
-			v, err := p.parseBlock(next.indent)
-			if err != nil {
-				return nil, err
+			// Value is a nested block (or empty). A block sequence may sit
+			// at the same indent as its parent key (common YAML style).
+			next, ok := p.peek()
+			if ok && next.indent == indent && (strings.HasPrefix(next.text, "- ") || next.text == "-") {
+				v, err = p.parseSequence(indent)
+			} else if ok && next.indent > indent {
+				v, err = p.parseBlock(next.indent)
 			}
-			m.Set(key, v)
 		}
+		if err != nil {
+			return nil, err
+		}
+		m.pairs = append(m.pairs, pair{key, v}) // not a duplicate: checked above
 	}
 }
 
@@ -453,7 +427,7 @@ func (p *parser) parseSequence(indent int) (Value, error) {
 			seq = append(seq, v)
 			continue
 		}
-		if k, r, err := splitKey(line{num: ln.num, text: rest}); err == nil {
+		if _, _, err := splitKey(line{num: ln.num, text: rest}); err == nil {
 			// "- key: value" starts an inline mapping entry; following
 			// lines indented deeper than the dash extend it.
 			p.lines[p.pos] = line{num: ln.num, indent: entryIndent, text: rest}
@@ -461,8 +435,6 @@ func (p *parser) parseSequence(indent int) (Value, error) {
 			if err2 != nil {
 				return nil, err2
 			}
-			_ = k
-			_ = r
 			seq = append(seq, v)
 			continue
 		}
@@ -547,16 +519,13 @@ func blockSlice(raw string, base int) string {
 // splitKey splits "key: rest" handling quoted keys and inline flow values.
 func splitKey(ln line) (key, rest string, err error) {
 	s := ln.text
-	var i int
 	if len(s) > 0 && (s[0] == '\'' || s[0] == '"') {
-		q := s[0]
-		j := strings.IndexByte(s[1:], q)
+		j := closeQuote(s)
 		if j < 0 {
 			return "", "", errf(ln.num, "unterminated quoted key")
 		}
-		key = s[1 : 1+j]
-		i = j + 2
-		s2 := strings.TrimLeft(s[i:], " ")
+		key = unquote(s[:j+1])
+		s2 := strings.TrimLeft(s[j+1:], " ")
 		if !strings.HasPrefix(s2, ":") {
 			return "", "", errf(ln.num, "expected ':' after quoted key")
 		}
@@ -566,7 +535,7 @@ func splitKey(ln line) (key, rest string, err error) {
 	// Find a ':' that is followed by space/EOL and not inside brackets/quotes.
 	depth := 0
 	inS, inD := false, false
-	for i = 0; i < len(s); i++ {
+	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case c == '\'' && !inD:
@@ -592,6 +561,33 @@ func splitKey(ln line) (key, rest string, err error) {
 	return "", "", errf(ln.num, "not a mapping entry: %q", s)
 }
 
+// closeQuote returns the index of the quote that closes the quoted
+// scalar s opens, or -1: inside single quotes a doubled quote stands
+// for one, inside double quotes a backslash escapes the next byte.
+func closeQuote(s string) int {
+	q := s[0]
+	for i := 1; i < len(s); i++ {
+		switch {
+		case q == '"' && s[i] == '\\':
+			i++
+		case s[i] == q && q == '\'' && i+1 < len(s) && s[i+1] == '\'':
+			i++
+		case s[i] == q:
+			return i
+		}
+	}
+	return -1
+}
+
+// unquote returns the value of s, a scalar wrapped in matching quotes.
+func unquote(s string) string {
+	body := s[1 : len(s)-1]
+	if s[0] == '\'' {
+		return strings.ReplaceAll(body, "''", "'")
+	}
+	return unescapeDouble(body)
+}
+
 // parseScalar parses an inline value: quoted string, flow seq/map,
 // number, bool, null, or plain string.
 func parseScalar(s string, num int) (Value, error) {
@@ -604,11 +600,7 @@ func parseScalar(s string, num int) (Value, error) {
 		if len(s) < 2 || s[len(s)-1] != q {
 			return nil, errf(num, "unterminated quoted string %q", s)
 		}
-		body := s[1 : len(s)-1]
-		if q == '\'' {
-			return strings.ReplaceAll(body, "''", "'"), nil
-		}
-		return unescapeDouble(body), nil
+		return unquote(s), nil
 	case s[0] == '[':
 		return parseFlowSeq(s, num)
 	case s[0] == '{':
@@ -622,6 +614,9 @@ func parseScalar(s string, num int) (Value, error) {
 	case "false", "False", "FALSE":
 		return false, nil
 	}
+	if !couldBeNumber(s) {
+		return s, nil
+	}
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return n, nil
 	}
@@ -629,6 +624,20 @@ func parseScalar(s string, num int) (Value, error) {
 		return f, nil
 	}
 	return s, nil
+}
+
+// couldBeNumber reports, without allocating, whether strconv.ParseInt
+// or strconv.ParseFloat might accept s; a strconv call that fails
+// allocates its *NumError. It admits signs, then an inf, infinity or
+// nan spelling, or a digit or '.' followed only by bytes a decimal or
+// hexadecimal float can hold ('_' included) with at most one '.'.
+func couldBeNumber(s string) bool {
+	s = strings.TrimLeft(s, "+-")
+	if strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan") {
+		return true
+	}
+	return s != "" && ('0' <= s[0] && s[0] <= '9' || s[0] == '.') && strings.Count(s, ".") <= 1 &&
+		strings.Trim(s, "0123456789abcdefABCDEFxXpP_+-.") == ""
 }
 
 func unescapeDouble(s string) string {
@@ -729,15 +738,18 @@ func parseFlowMap(s string, num int) (Value, error) {
 		return nil, err
 	}
 	for _, part := range parts {
-		kv := strings.SplitN(part, ":", 2)
-		if len(kv) != 2 {
-			return nil, errf(num, "bad flow mapping entry %q", part)
-		}
-		v, err := parseScalar(strings.TrimSpace(kv[1]), num)
+		key, rest, err := splitKey(line{num: num, text: strings.TrimSpace(part)})
 		if err != nil {
 			return nil, err
 		}
-		m.Set(strings.TrimSpace(kv[0]), v)
+		if m.Has(key) {
+			return nil, errf(num, "duplicate key %q", key)
+		}
+		v, err := parseScalar(rest, num)
+		if err != nil {
+			return nil, err
+		}
+		m.Set(key, v)
 	}
 	return m, nil
 }
@@ -762,12 +774,12 @@ func emit(b *strings.Builder, v Value, indent int, inSeq bool) {
 			b.WriteString(pad + "{}\n")
 			return
 		}
-		for i, k := range t.keys {
+		for i, kv := range t.pairs {
 			p := pad
 			if inSeq && i == 0 {
 				p = "" // caller already wrote "- "
 			}
-			val := t.vals[k]
+			k, val := kv.key, kv.val
 			switch vv := val.(type) {
 			case *Map:
 				if vv.Len() == 0 {

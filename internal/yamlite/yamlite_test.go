@@ -207,6 +207,7 @@ empty_seq: []
 empty_map: {}
 inline: {a: 1, b: [x, y]}
 nested: [[1, 2], [3]]
+quoted: {"a": 1, 'x:y': 2, 'it''s': {"k q": z}}
 `)
 	if got := m.GetStrings("compilers"); !reflect.DeepEqual(got, []string{"gcc1211", "intel202160classic"}) {
 		t.Errorf("compilers = %#v", got)
@@ -227,6 +228,14 @@ nested: [[1, 2], [3]]
 	}
 	if inner := nested[0].([]Value); inner[1] != int64(2) {
 		t.Errorf("nested[0] = %#v", inner)
+	}
+	// Flow-mapping keys split and unquote as block-mapping keys do.
+	quoted := m.GetMap("quoted")
+	if got := quoted.Keys(); !reflect.DeepEqual(got, []string{"a", "x:y", "it's"}) {
+		t.Errorf("quoted keys = %q", got)
+	}
+	if quoted.Get("a") != int64(1) || quoted.Get("x:y") != int64(2) || quoted.GetMap("it's").GetString("k q") != "z" {
+		t.Errorf("quoted = %s", Marshal(quoted))
 	}
 }
 
@@ -255,6 +264,9 @@ func TestParseErrors(t *testing.T) {
 		"key: [a, b",           // unterminated flow
 		"key: 'oops",           // unterminated quote
 		"just some text\nmore", // not a mapping
+		"key: {a: 1, a: 2}",    // duplicate flow-mapping key
+		"key: {'a': 1, a: 2}",  // duplicate once unquoted
+		"key: {a}",             // flow-mapping entry without ':'
 	}
 	for _, src := range cases {
 		if _, err := ParseMap(src); err == nil {
@@ -310,15 +322,6 @@ packages:
 	}
 	if base.GetMap("packages").GetMap("lapack").GetString("vendor") != "mkl" {
 		t.Error("lapack entry not merged in")
-	}
-}
-
-func TestClone(t *testing.T) {
-	orig := mustParseMap(t, "a:\n  b: [1, 2]\n")
-	cl := orig.Clone()
-	cl.GetMap("a").Set("b", "changed")
-	if got := orig.GetMap("a").GetStrings("b"); !reflect.DeepEqual(got, []string{"1", "2"}) {
-		t.Errorf("clone mutated original: %#v", got)
 	}
 }
 
@@ -379,8 +382,8 @@ func marshalScalar(s string) string {
 // survives a marshal/parse round trip as a map value. A string outside
 // the subset's scope passes vacuously.
 func scalarRoundTrips(s string) bool {
-	if strings.ContainsAny(s, "\n\r\t") || !isPrintable(s) {
-		return true // out of the subset's scope
+	if outOfScope(s) {
+		return true
 	}
 	got, err := ParseMap(marshalScalar(s))
 	if err != nil {
@@ -395,10 +398,25 @@ func scalarRoundTrips(s string) bool {
 	return ScalarString(gv) == s
 }
 
+// outOfScope reports a string the subset does not promise to round-trip.
+func outOfScope(s string) bool { return strings.ContainsAny(s, "\n\r\t") || !isPrintable(s) }
+
+// keyRoundTrips is the same property for s as a mapping key.
+func keyRoundTrips(s string) bool {
+	if outOfScope(s) {
+		return true
+	}
+	got, err := ParseMap(Marshal(MapOf(s, "v")))
+	return err == nil && reflect.DeepEqual(got.Keys(), []string{s}) && got.Get(s) == "v"
+}
+
 // TestQuickScalarRoundTrip checks the property on testing/quick's
 // (time-seeded) strings.
 func TestQuickScalarRoundTrip(t *testing.T) {
 	if err := quick.Check(scalarRoundTrips, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(keyRoundTrips, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
@@ -417,11 +435,15 @@ func TestScalarEdgeWhitespaceRoundTrips(t *testing.T) {
 		if !scalarRoundTrips(s) {
 			t.Errorf("%q does not survive Marshal → ParseMap (marshalled %q)", s, marshalScalar(s))
 		}
+		if !keyRoundTrips(s) {
+			t.Errorf("key %q does not survive Marshal → ParseMap (marshalled %q)", s, Marshal(MapOf(s, "v")))
+		}
 	}
 }
 
-// FuzzScalarRoundTrip drives the same property from the fuzzer's
-// corpus; scripts/verify.sh gives it five seconds.
+// FuzzScalarRoundTrip drives the same property, for the string as a
+// value and as a key, from the fuzzer's corpus; scripts/verify.sh
+// gives it five seconds.
 func FuzzScalarRoundTrip(f *testing.F) {
 	for _, s := range append([]string{"", "a", "1.5", "true", "- a", "k: v", "it's", "#c"}, unicodeEdgeSpace...) {
 		f.Add(s)
@@ -429,6 +451,9 @@ func FuzzScalarRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		if !scalarRoundTrips(s) {
 			t.Fatalf("%q does not survive Marshal → ParseMap (marshalled %q)", s, marshalScalar(s))
+		}
+		if !keyRoundTrips(s) {
+			t.Fatalf("key %q does not survive Marshal → ParseMap (marshalled %q)", s, Marshal(MapOf(s, "v")))
 		}
 	})
 }
@@ -510,6 +535,12 @@ func TestQuotedKeys(t *testing.T) {
 	}
 	if m.GetString("another") != "w" {
 		t.Errorf("dquoted key = %#v", m.Keys())
+	}
+	// A quoted key unquotes as a quoted scalar does (FuzzScalarRoundTrip
+	// holds keys Marshal writes to it; this is the double-quoted form).
+	m = mustParseMap(t, `"a\"b": 1`+"\n'c''d': 2\n")
+	if got := m.Keys(); !reflect.DeepEqual(got, []string{`a"b`, "c'd"}) {
+		t.Errorf("escaped quoted keys = %q", got)
 	}
 }
 
