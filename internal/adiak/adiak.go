@@ -20,6 +20,12 @@ func New() *Metadata {
 	return &Metadata{values: map[string]string{}}
 }
 
+// FromMap returns a metadata set holding values. It keeps the map
+// (nil is an empty set); later writes to it go through Set.
+func FromMap(values map[string]string) *Metadata {
+	return &Metadata{values: values}
+}
+
 // Set records one descriptor, overwriting any previous value.
 func (m *Metadata) Set(name, value string) {
 	if m.values == nil {

@@ -95,6 +95,8 @@ var guardTable = []guard{
 		why: "a rank's arrays come from c.Alloc (mpisim.Comm.Alloc) so that mpisim can recycle them for the next job"},
 	{pr: 43, pkg: "internal/yamlite", retired: []string{"Map.Clone", "cloneValue"}, why: mergedByMove},
 	{pr: 43, pkg: "internal/ramble", retired: []string{"Workspace.raw"}, why: mergedByMove},
+	{pr: 44, pkg: "internal/core", retired: []string{"sessionRunner.lockJSON", "sessionRunner.locks"},
+		why: "the run key folds in lockfile root hashes; nothing renders a lockfile per session"},
 }
 
 const mergedByMove = "a parsed config is merged by move; nothing needs a copy"

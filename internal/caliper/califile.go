@@ -30,7 +30,8 @@ func (p *Profile) JSON() (string, error) {
 	return string(b), nil
 }
 
-// ParseProfile reads a profile back from its JSON form.
+// ParseProfile reads a profile back from its JSON form. The decoded
+// maps become the profile's own; nothing is copied.
 func ParseProfile(src string) (*Profile, error) {
 	var f caliFile
 	if err := json.Unmarshal([]byte(src), &f); err != nil {
@@ -39,12 +40,12 @@ func ParseProfile(src string) (*Profile, error) {
 	if f.Format != caliFormat {
 		return nil, fmt.Errorf("caliper: unsupported profile format %q", f.Format)
 	}
-	p := NewProfile()
-	for k, v := range f.Regions {
-		p.Regions[k] = v
+	p := &Profile{Regions: f.Regions, Metrics: f.Metrics}
+	if p.Regions == nil {
+		p.Regions = map[string]RegionStat{}
 	}
-	for k, v := range f.Metrics {
-		p.Metrics[k] = v
+	if p.Metrics == nil {
+		p.Metrics = map[string]float64{}
 	}
 	return p, nil
 }

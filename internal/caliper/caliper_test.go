@@ -156,4 +156,15 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if _, err := ParseProfile(`{"format":"cali-v99"}`); err == nil {
 		t.Error("unknown format should fail")
 	}
+	// A file without regions or metrics parses to a profile whose maps
+	// are there to be added to, as NewProfile's are.
+	for _, src := range []string{`{"format":"cali-json-1"}`, `{"format":"cali-json-1","regions":null,"metrics":null}`} {
+		empty, err := ParseProfile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty.Regions == nil || empty.Metrics == nil {
+			t.Errorf("ParseProfile(%s) = %+v, want empty maps", src, empty)
+		}
+	}
 }

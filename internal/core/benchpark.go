@@ -263,9 +263,10 @@ func (s *Session) execute(e *ramble.Experiment, vars map[string]string) (*bench.
 // that did settles it — outcome on the experiment, Caliper profile +
 // Adiak metadata into the session thicket, and the .cali (the file
 // always-on profiling leaves behind, Section 5) and .out next to its
-// batch script. The returned error is the scheduler's own, not the
-// experiment's.
-func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.Output, rerr error) error {
+// batch script. cali is the profile's text when the caller already has
+// it (stored for, or restored from, the run layer); "" renders it. The
+// returned error is the scheduler's own, not the experiment's.
+func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.Output, rerr error, cali string) error {
 	job, err := s.Scheduler.Submit(e.Name, e.NNodes, e.BatchTime*60, func() (float64, error) {
 		if rerr != nil {
 			return 0, rerr
@@ -294,7 +295,10 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 	md.Setf("experiment", "%s", e.Name)
 	md.Setf("nprocs", "%d", e.NRanks)
 	s.Thicket.Add(out.Profile, md)
-	if cali, err := out.Profile.JSON(); err == nil {
+	if cali == "" {
+		cali, _ = out.Profile.JSON() // a profile JSON cannot encode leaves no .cali
+	}
+	if cali != "" {
 		s.Workspace.WriteOutput(e, ".cali", cali)
 	}
 	s.Workspace.WriteOutput(e, ".out", out.Text)
@@ -306,7 +310,7 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 // executed and submitted exactly as Run does it, one at a time.
 func (s *Session) Executor(ctx context.Context, e *ramble.Experiment) (string, float64, error) {
 	out, err := s.execute(e, expandedVars(e))
-	if err := s.submit(ctx, e, out, err); err != nil {
+	if err := s.submit(ctx, e, out, err, ""); err != nil {
 		return "", 0, err
 	}
 	if e.Status == ramble.Failed {
@@ -328,10 +332,9 @@ func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Worksp
 // expandedVars renders every experiment variable to its final value
 // (skipping ones that need runtime-only context).
 func expandedVars(e *ramble.Experiment) map[string]string {
-	out := map[string]string{}
+	out := make(map[string]string, len(e.Vars))
 	for k := range e.Vars {
-		v, err := e.Expander.Expand("{" + k + "}")
-		if err == nil {
+		if v, err := e.Expander.ExpandVar(k); err == nil {
 			out[k] = v
 		}
 	}
@@ -385,9 +388,9 @@ type sessionRunner struct {
 	vars     []map[string]string // per-experiment rendered variables, see expanded
 	outs     []*bench.Output     // per-experiment kernel output
 	errs     []error             // per-experiment kernel error
+	calis    []string            // per-experiment .cali text, once rendered or restored
 	analysis *ramble.AnalysisReport
 	results  []engine.ExperimentResult // what Analyze recorded, see Session.record
-	locks    sync.Map                  // environment name -> escaped lockfile JSON, see lockJSON
 
 	model string // the system's Fingerprint, taken once at Setup
 
@@ -412,6 +415,7 @@ func (r *sessionRunner) Setup(ctx context.Context) error {
 	r.vars = make([]map[string]string, len(r.exps))
 	r.outs = make([]*bench.Output, len(r.exps))
 	r.errs = make([]error, len(r.exps))
+	r.calis = make([]string, len(r.exps))
 	return nil
 }
 
@@ -444,9 +448,9 @@ func (r *sessionRunner) expanded(i int) map[string]string {
 }
 
 // Commit submits one executed (or replayed) experiment, in index
-// order.
+// order, with the .cali text the run layer already holds for it.
 func (r *sessionRunner) Commit(ctx context.Context, i int) error {
-	return r.s.submit(ctx, r.exps[i], r.outs[i], r.errs[i])
+	return r.s.submit(ctx, r.exps[i], r.outs[i], r.errs[i], r.calis[i])
 }
 
 func (r *sessionRunner) Analyze(ctx context.Context) error {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,17 +60,20 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 // (hpcsim.System.Fingerprint: a model edited under an unchanged name
 // re-executes), the experiment's
 // rendered variables, environment, modifiers and batch script, its
-// execution geometry, and the lockfile of its software environment
-// (so a dependency bump re-executes even when the experiment text is
-// unchanged). cachekey.HashJSON folds in the schema and toolchain
-// versions on top.
+// execution geometry, and the root DAG hashes of its software
+// environment's lockfile (env.Lockfile.Roots). A root hash is a Merkle
+// hash over every node below it — name, version, compiler, variants,
+// target, platform, external prefix and each dependency's hash — so it
+// covers everything the lockfile lists, and a dependency bump
+// re-executes even when the experiment text is unchanged.
+// cachekey.HashJSON folds in the schema and toolchain versions on top.
 //
 // The key is cachekey.Hash of a struct of those fields — the struct
 // TestExperimentKeyMatchesMarshalledStruct keeps — whose canonical
 // JSON is written here by hand, member by member in declaration
-// order with map keys sorted, so deployed run layers stay warm: a
-// session hashes the same bytes without building the struct, copying
-// its maps or re-escaping the lockfile per experiment.
+// order with map keys sorted: a session hashes the same bytes
+// encoding/json would give without building the struct or copying its
+// maps.
 //
 // The workspace root is normalized out of every rendered value: batch
 // scripts and expanded variables legitimately embed the workspace
@@ -81,8 +82,7 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 // apply to committed artifacts.
 func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	e := r.exps[i]
-	lock, err := r.lockJSON(e.App.Name)
-	if err != nil || r.model == "" {
+	if r.model == "" {
 		return "" // no provenance, no caching
 	}
 	vars, root := r.expanded(i), r.s.Workspace.Root
@@ -92,6 +92,20 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	b := r.keyBuf[:0]
 	str := func(member, v string) {
 		b = metricsdb.AppendString(append(b, member...), v)
+	}
+	list := func(member string, l []string) {
+		if l == nil {
+			b = append(append(b, member...), "null"...)
+			return
+		}
+		b = append(append(b, member...), '[')
+		for j, v := range l {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = metricsdb.AppendString(b, v)
+		}
+		b = append(b, ']')
 	}
 	normMap := func(member string, m map[string]string) {
 		b = append(b, member...)
@@ -119,24 +133,18 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	str(`,"Workload":`, e.Workload)
 	normMap(`,"Vars":{`, vars)
 	normMap(`,"Env":{`, e.Env)
-	if e.Modifiers == nil {
-		b = append(b, `,"Modifiers":null`...)
-	} else {
-		b = append(b, `,"Modifiers":[`...)
-		for j, m := range e.Modifiers {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = metricsdb.AppendString(b, m)
-		}
-		b = append(b, ']')
-	}
+	list(`,"Modifiers":`, e.Modifiers)
 	b = appendNorm(append(b, `,"Script":`...), e.Script, root)
 	num(`,"NNodes":`, e.NNodes)
 	num(`,"ProcsNode":`, e.ProcsPerNode)
 	num(`,"NRanks":`, e.NRanks)
 	num(`,"NThreads":`, e.NThreads)
-	b = append(append(append(b, `,"Lockfile":`...), lock...), '}')
+	var roots []string
+	if lf, ok := r.s.Lockfiles[e.App.Name]; ok {
+		roots = lf.Roots
+	}
+	list(`,"LockRoots":`, roots)
+	b = append(b, '}')
 	r.keyBuf = b
 	return cachekey.HashJSON(b).Derive("execute")
 }
@@ -166,27 +174,6 @@ func appendNorm(b []byte, v, root string) []byte {
 	}
 }
 
-// lockJSON returns the named environment's lockfile as the JSON
-// string the experiment keys embed, serialized and escaped once per
-// session, not once per experiment: every experiment of an
-// environment folds in the same text. Two workers racing to be first
-// both encode it, to the same bytes.
-func (r *sessionRunner) lockJSON(envName string) ([]byte, error) {
-	if j, ok := r.locks.Load(envName); ok {
-		return j.([]byte), nil
-	}
-	text := ""
-	if lf, ok := r.s.Lockfiles[envName]; ok {
-		var err error
-		if text, err = lf.JSON(); err != nil {
-			return nil, err
-		}
-	}
-	j := metricsdb.AppendString(make([]byte, 0, len(text)+len(text)/4), text)
-	r.locks.Store(envName, j)
-	return j, nil
-}
-
 // cachedOutcome is the serialized form of one successful execution:
 // the kernel's text output and elapsed time, the Caliper profile, and
 // the Adiak metadata — everything Commit needs to settle the
@@ -199,7 +186,8 @@ type cachedOutcome struct {
 }
 
 // MarshalExperiment implements engine.CacheableRunner; the engine
-// calls it only after a successful Execute.
+// calls it only after a successful Execute. The profile is rendered
+// once: the same text is kept for Commit's .cali.
 func (r *sessionRunner) MarshalExperiment(i int) ([]byte, error) {
 	out := r.outs[i]
 	if out == nil {
@@ -212,6 +200,7 @@ func (r *sessionRunner) MarshalExperiment(i int) ([]byte, error) {
 			return nil, err
 		}
 		co.Profile = p
+		r.calis[i] = p
 	}
 	if out.Metadata != nil {
 		co.Meta = map[string]string{}
@@ -227,26 +216,21 @@ func (r *sessionRunner) MarshalExperiment(i int) ([]byte, error) {
 // RestoreExperiment implements engine.CacheableRunner: it reinstates
 // the cached outcome in the experiment's execution slots, so the
 // sequential Commit stage — scheduler submission, profile into the
-// thicket, .cali/.out files — replays identically to a cold run. Any
-// decode failure returns an error and the engine re-executes.
+// thicket, .cali/.out files — replays identically to a cold run. The
+// stored profile text is kept as the .cali, not rendered again, and
+// the decoded metadata map becomes the Adiak metadata whole. An entry
+// that does not decode, or has no profile for Commit to settle,
+// returns an error and the engine re-executes.
 func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte) error {
 	var co cachedOutcome
 	if err := json.Unmarshal(data, &co); err != nil {
 		return err
 	}
-	out := &bench.Output{Text: co.Text, Elapsed: co.Elapsed}
-	if co.Profile != "" {
-		p, err := caliper.ParseProfile(co.Profile)
-		if err != nil {
-			return err
-		}
-		out.Profile = p
+	p, err := caliper.ParseProfile(co.Profile) // an entry with no profile does not parse
+	if err != nil {
+		return err
 	}
-	md := adiak.New()
-	for _, name := range slices.Sorted(maps.Keys(co.Meta)) {
-		md.Set(name, co.Meta[name])
-	}
-	out.Metadata = md
-	r.outs[i], r.errs[i] = out, nil
+	r.outs[i] = &bench.Output{Text: co.Text, Elapsed: co.Elapsed, Profile: p, Metadata: adiak.FromMap(co.Meta)}
+	r.errs[i], r.calis[i] = nil, co.Profile
 	return nil
 }

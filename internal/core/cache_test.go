@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cachekey"
+	"repro/internal/caliper"
 	"repro/internal/ci"
 	"repro/internal/engine"
 	"repro/internal/hpcsim"
@@ -455,4 +458,201 @@ func TestNightlyPipelineCacheProvenance(t *testing.T) {
 			t.Errorf("job %s has no concretize provenance: %s", j.Name, j.Log)
 		}
 	}
+}
+
+// TestRunLayerSeesTheLockfile: a dependency below saxpy's root changes
+// (zlib, under cmake, pinned to its older version) while no
+// experiment's text does. The run key folds in the environment's root
+// DAG hashes, which cover every node below the root, so every
+// experiment must measure again; with the preference undone, the first
+// run's entries replay.
+func TestRunLayerSeesTheLockfile(t *testing.T) {
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type text struct{ vars, env, script string }
+	run := func(zlib string) (engine.CacheStat, []text, string) {
+		t.Helper()
+		bp := New()
+		bp.UseCache(st)
+		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zlib != "" {
+			sess.Config.VersionPrefs["zlib"] = zlib
+		}
+		_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := sess.Workspace.Root
+		var texts []text
+		for _, e := range sess.Workspace.Experiments {
+			norm := func(v any) string { return strings.ReplaceAll(fmt.Sprint(v), root, "$WORKSPACE") }
+			texts = append(texts, text{norm(expandedVars(e)), norm(e.Env), norm(e.Script)})
+		}
+		var zlibSpec string
+		for _, n := range sess.Lockfiles["saxpy"].Nodes {
+			if n.Name == "zlib" {
+				zlibSpec = n.Version
+			}
+		}
+		return runStat(t, erep, "run"), texts, zlibSpec
+	}
+	cold, coldText, coldZlib := run("")
+	if cold.Hits != 0 || cold.Misses == 0 {
+		t.Fatalf("cold run layer = %+v", cold)
+	}
+	edited, editedText, editedZlib := run("1.2.11")
+	if coldZlib != "1.2.12" || editedZlib != "1.2.11" {
+		t.Fatalf("saxpy's zlib went %q -> %q, want 1.2.12 -> 1.2.11", coldZlib, editedZlib)
+	}
+	if !slices.Equal(coldText, editedText) {
+		t.Fatalf("pinning zlib changed an experiment's text:\n%v\nvs\n%v", coldText, editedText)
+	}
+	if edited.Hits != 0 || edited.Misses != cold.Misses {
+		t.Errorf("after zlib moved under cmake, run layer = %+v, want %d misses and no replay", edited, cold.Misses)
+	}
+	if again, _, _ := run(""); again.Misses != 0 || again.Hits != cold.Misses {
+		t.Errorf("with the preference undone, run layer = %+v, want %d hits", again, cold.Misses)
+	}
+}
+
+// savedOutputs saves the session's workspace and returns every .cali
+// and .out file under it, keyed by path relative to the root.
+func savedOutputs(t *testing.T, sess *Session) map[string]string {
+	t.Helper()
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	root := sess.Workspace.Root
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".cali") && !strings.HasSuffix(path, ".out") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(root, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRunEntryWithoutProfileReExecutes: a run-layer entry that decodes
+// but holds no profile cannot settle an experiment. The restore refuses
+// it, the engine re-executes that experiment and counts a miss, and
+// every .cali and .out — the replayed ones written from their stored
+// text, the re-executed one rendered afresh — is byte for byte the cold
+// run's.
+func TestRunEntryWithoutProfileReExecutes(t *testing.T) {
+	ctx := context.Background()
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func() *Session {
+		t.Helper()
+		bp := New()
+		bp.UseCache(st)
+		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	sess := session()
+	if _, _, err := sess.Run(ctx, RunOptions{Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	cold := savedOutputs(t, sess)
+
+	r := &sessionRunner{s: session()}
+	if err := r.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Install(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Layer("run").Put(r.ExperimentKey(0), []byte(`{"text":"x","elapsed_s":1}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	sess = session()
+	_, erep, err := sess.Run(ctx, RunOptions{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := runStat(t, erep, "run"); cs.Misses != 1 || cs.Hits != erep.Total-1 || erep.Failed != 0 {
+		t.Errorf("run layer = %+v with %d failed, want 1 miss, %d hits, none failed", cs, erep.Failed, erep.Total-1)
+	}
+	warm := savedOutputs(t, sess)
+	if len(cold) != 2*erep.Total {
+		t.Fatalf("cold run left %d .cali/.out files for %d experiments", len(cold), erep.Total)
+	}
+	for rel, want := range cold {
+		if warm[rel] != want {
+			t.Errorf("%s differs from the cold run's:\n got %q\nwant %q", rel, warm[rel], want)
+		}
+	}
+}
+
+// FuzzRestoreExperiment: whatever bytes a run layer hands back, a
+// restore either fails — leaving the experiment's slots empty for the
+// engine to execute into — or leaves a profile and metadata for Commit
+// to settle, with the kept .cali text being the stored text the
+// profile was parsed from.
+func FuzzRestoreExperiment(f *testing.F) {
+	ctx := context.Background()
+	sess, err := New().Setup("saxpy/openmp", "cts1", f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := &sessionRunner{s: sess}
+	if err := r.Setup(ctx); err != nil {
+		f.Fatal(err)
+	}
+	for i := range r.exps[:2] {
+		if err := r.Execute(ctx, i); err != nil {
+			f.Fatal(err)
+		}
+		data, err := r.MarshalExperiment(i)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{"text":"x","elapsed_s":1}`))
+	f.Add([]byte(`{"text":"x","profile":"{\"format\":\"cali-json-1\",\"regions\":null}","meta":null}`))
+	f.Add([]byte(`{"profile":"{\"format\":\"cali-json-1\",\"regions\":{\"a\":{\"Count\":1}},\"regions\":null}"}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r.outs[0], r.errs[0], r.calis[0] = nil, nil, ""
+		if err := r.RestoreExperiment(ctx, 0, data); err != nil {
+			if r.outs[0] != nil || r.calis[0] != "" {
+				t.Fatalf("a failed restore (%v) left output %+v and .cali %q", err, r.outs[0], r.calis[0])
+			}
+			return
+		}
+		out := r.outs[0]
+		if out == nil || out.Profile == nil || out.Metadata == nil {
+			t.Fatalf("restore succeeded but left output %+v", out)
+		}
+		var co cachedOutcome
+		if err := json.Unmarshal(data, &co); err != nil {
+			t.Fatal(err)
+		}
+		if r.calis[0] != co.Profile {
+			t.Fatalf("kept .cali %q, the entry stores %q", r.calis[0], co.Profile)
+		}
+		if p, err := caliper.ParseProfile(r.calis[0]); err != nil || !reflect.DeepEqual(p, out.Profile) {
+			t.Fatalf("kept .cali parses to %+v, %v; the restored profile is %+v", p, err, out.Profile)
+		}
+	})
 }

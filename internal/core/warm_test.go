@@ -39,11 +39,20 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		}
 		return out
 	}
-	lock := ""
+	var roots []string
 	if lf, ok := r.s.Lockfiles[e.App.Name]; ok {
-		var err error
-		if lock, err = lf.JSON(); err != nil {
-			t.Fatal(err)
+		roots = lf.Roots
+	}
+	// Every variable as Expand renders it, and ExpandVar must agree
+	// with that, value and error.
+	vars := map[string]string{}
+	for k := range e.Vars {
+		v, err := e.Expander.Expand("{" + k + "}")
+		if got, gotErr := e.Expander.ExpandVar(k); got != v || fmt.Sprint(gotErr) != fmt.Sprint(err) {
+			t.Errorf("%s: ExpandVar(%q) = %q, %v; Expand gives %q, %v", e.Name, k, got, gotErr, v, err)
+		}
+		if err == nil {
+			vars[k] = v
 		}
 	}
 	in := struct {
@@ -61,7 +70,7 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		ProcsNode   int
 		NRanks      int
 		NThreads    int
-		Lockfile    string
+		LockRoots   []string
 	}{
 		Suite:       r.s.Suite,
 		System:      r.s.System.Name,
@@ -69,7 +78,7 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		Experiment:  e.Name,
 		App:         e.App.Name,
 		Workload:    e.Workload,
-		Vars:        normMap(expandedVars(e)),
+		Vars:        normMap(vars),
 		Env:         normMap(e.Env),
 		Modifiers:   e.Modifiers,
 		Script:      norm(e.Script),
@@ -77,7 +86,7 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		ProcsNode:   e.ProcsPerNode,
 		NRanks:      e.NRanks,
 		NThreads:    e.NThreads,
-		Lockfile:    lock,
+		LockRoots:   roots,
 	}
 	return cachekey.Hash(in).Derive("execute")
 }
@@ -282,5 +291,51 @@ func TestSetupAllocationBudget(t *testing.T) {
 	t.Logf("Setup(saxpy/openmp, cts1) allocates %d bytes at least, budget %d", least, budget)
 	if !raceEnabled && least > budget {
 		t.Errorf("Setup(saxpy/openmp, cts1) allocates %d bytes at least of ten runs: want at most %d", least, budget)
+	}
+}
+
+// TestReplayAllocationBudget pins what replaying a session costs: a
+// warm saxpy/openmp@cts1 Session.Run over a primed store looks each
+// experiment up by a key that folds in the lockfile's root hashes and
+// renders each variable alone, and settles it from the stored text —
+// the .cali is written as stored, not parsed and rendered again. The
+// least of ten runs is the measure, as in
+// TestWarmSessionCostIndependentOfCacheSize, and the race detector's
+// own allocations make the bound meaningless under -race.
+func TestReplayAllocationBudget(t *testing.T) {
+	const budget = 270_000
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func() *Session {
+		bp := New()
+		bp.UseCache(st)
+		sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	if _, _, err := session().Run(context.Background(), RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]uint64, 10)
+	for i := range runs {
+		sess := session()
+		runs[i] = allocatedBy(func() {
+			_, erep, err := sess.Run(context.Background(), RunOptions{Jobs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if erep.CacheHits != erep.Total {
+				t.Fatalf("session not fully warm: %d of %d replayed", erep.CacheHits, erep.Total)
+			}
+		})
+	}
+	least := slices.Min(runs)
+	t.Logf("a warm Session.Run(saxpy/openmp, cts1) allocates %d bytes at least, budget %d", least, budget)
+	if !raceEnabled && least > budget {
+		t.Errorf("a warm Session.Run(saxpy/openmp, cts1) allocates %d bytes at least of ten runs: want at most %d", least, budget)
 	}
 }

@@ -66,6 +66,18 @@ func (e *Expander) Expand(s string) (string, error) {
 	return out, err
 }
 
+// ExpandVar returns Expand("{"+name+"}"): the same value and the same
+// error. A name the tokenizer keeps whole — non-empty, trimmed, with
+// none of " *+-/{}" — is resolved directly, without building the
+// template or copying the value out of it.
+func (e *Expander) ExpandVar(name string) (string, error) {
+	if name == "" || strings.TrimSpace(name) != name || strings.ContainsAny(name, " *+-/{}") {
+		return e.Expand("{" + name + "}")
+	}
+	val, _, err := e.resolveToken(name, 0)
+	return val, err
+}
+
 func depthError(s string) error {
 	return fmt.Errorf("ramble: expansion depth exceeded (circular variable reference?) in %q", s)
 }

@@ -306,7 +306,8 @@ func TestVariablesNamedLikeFloats(t *testing.T) {
 
 // FuzzExpand holds the memoising expander to the memo-less oracle on
 // templates and variable tables from the fuzzer ("name=value" lines):
-// each variable is expanded first, to fill the memo, then the template.
+// each variable is expanded first, to fill the memo — and ExpandVar of
+// its name must agree — then the template.
 func FuzzExpand(f *testing.F) {
 	f.Add("{mpi_command} {n}", "mpi_command=srun -N {n_nodes} -n {n_ranks}\nn_nodes=2\nn_ranks={ppn*n_nodes}\nppn=8\nn=512")
 	f.Add("{a}{b}", "a={b}\nb={a}")
@@ -327,6 +328,10 @@ func FuzzExpand(f *testing.F) {
 		for _, k := range names {
 			if !agree(t, ex, o, "{"+k+"}", "filling the memo") {
 				t.Skip("exponential without a memo")
+			}
+			want, werr := ex.Expand("{" + k + "}")
+			if got, gerr := ex.ExpandVar(k); got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("ExpandVar(%q) = %q, %v; Expand gives %q, %v", k, got, gerr, want, werr)
 			}
 		}
 		if !agree(t, ex, o, tpl, "template") {

@@ -1,6 +1,9 @@
 package ramble
 
 import (
+	"fmt"
+	"maps"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,5 +126,37 @@ func TestSetAndVars(t *testing.T) {
 	ex.Set("k", "w") // a later Set must not be hidden by the memo
 	if v, err := ex.Expand("{ref}"); err != nil || v != "w" {
 		t.Errorf("Expand after a second Set = %q, %v", v, err)
+	}
+}
+
+// TestExpandVarAgreesWithExpand: ExpandVar(name) is Expand("{"+name+"}"),
+// value and error, both for names it resolves directly and for names
+// with spaces, operators, braces or surrounding whitespace, numeric
+// names and the empty name, which take the template path. Each side
+// runs on its own expander, so neither reads the other's memo. (Every
+// variable of the nightly matrix is held to the same rule by core's
+// TestExperimentKeyMatchesMarshalledStruct.)
+func TestExpandVarAgreesWithExpand(t *testing.T) {
+	vars := map[string]string{
+		"n_nodes": "2", "processes_per_node": "8", "n_ranks": "{processes_per_node*n_nodes}",
+		"mpi_command": "srun -N {n_nodes} -n {n_ranks}", "batch_time": "120",
+		"experiment_name": "saxpy_{n}_{n_nodes}", "n": "512", "log_dir": "{workspace}/logs",
+		"half": "{n/2}", "quot": "{n//3}", "neg": "{n-1024}", "zero": "0", "bad_div": "{n/zero}",
+		"undef_ref": "{no_such}", "loop_a": "{loop_b}", "loop_b": "{loop_a}", "not_num": "{mpi_command*2}",
+		"open": "{n", "inf": "7", "1e3": "shadowed", "0x10": "hex", "a b": "spaced", " n": "lead",
+		"n ": "trail", "a*b": "star", "a+b": "plus", "a-b": "minus", "a/b": "slash", "{n}": "braced",
+		"a}b": "close", "tab\tname": "tab", "": "empty", "\u2028n": "separator", "n\u00a0": "nbsp", "é": "accent",
+	}
+	names := []string{"no_such", "n*2", "n_nodes + n", " n_nodes", "n_nodes\n", "{n}}", "a{b", "12", "-3", "+4.5e1", ".5"}
+	for k := range vars {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want, werr := NewExpander(maps.Clone(vars)).Expand("{" + name + "}")
+		got, gerr := NewExpander(maps.Clone(vars)).ExpandVar(name)
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Errorf("ExpandVar(%q) = %q, %v; Expand gives %q, %v", name, got, gerr, want, werr)
+		}
 	}
 }

@@ -22,9 +22,11 @@
 # decompressor), yamlite's scalar emitter/parser round trip, the
 # Result codec against encoding/json, both directions, telemetry's
 # traceparent header parser, the spec parser's render/re-parse
-# round trip and ramble's memoising variable expander against its
+# round trip, ramble's memoising variable expander against its
 # memo-less oracle (templates and variable tables are user-written
-# YAML) are fuzzed for five seconds each from their seed corpora.
+# YAML) and core's restore of a run-layer entry (bytes read back from
+# a shared cache directory) are fuzzed for five seconds each from
+# their seed corpora.
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
 # analyzer over every package, any unsuppressed finding fails (one
@@ -73,7 +75,7 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, ramble expander; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, ramble expander, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
@@ -90,6 +92,9 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemet
 # stall on it.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
+# The seeds are whole run-layer entries of a few kB; minimizing one
+# that reaches new coverage would take the whole budget.
+go test -run '^$' -fuzz '^FuzzRestoreExperiment$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
 
 echo "==> smoke (one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
 go run ./scripts/smoke
