@@ -239,18 +239,14 @@ func concretize(flags map[string]string) error {
 	if err := e.Concretize(c); err != nil {
 		return err
 	}
-	lf, err := e.Lock()
+	lock, err := e.Lock()
 	if err != nil {
 		return err
 	}
-	js, err := lf.JSON()
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "spack.lock"), lock, 0o644); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "spack.lock"), []byte(js), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("==> concretized %d roots (%d packages); lockfile written\n", len(e.Roots), len(lf.Nodes))
+	fmt.Printf("==> concretized %d roots (%d packages); lockfile written\n", len(e.Roots), e.DistinctInstalls())
 	for _, root := range e.Roots {
 		fmt.Print(spec.FormatTree(root))
 	}
@@ -282,13 +278,9 @@ func installCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	lockData, err := os.ReadFile(filepath.Join(dir, "spack.lock"))
+	lock, err := os.ReadFile(filepath.Join(dir, "spack.lock"))
 	if err != nil {
 		return fmt.Errorf("no lockfile (run `spack concretize` first): %w", err)
-	}
-	lf, err := env.ParseLockfile(string(lockData))
-	if err != nil {
-		return err
 	}
 	db, err := loadDB(dir)
 	if err != nil {
@@ -296,7 +288,7 @@ func installCmd(flags map[string]string) error {
 	}
 	inst := install.New(pkgrepo.Builtin())
 	inst.DB = db
-	rep, err := env.InstallFromLock(context.Background(), lf, inst)
+	rep, err := env.InstallFromLock(context.Background(), lock, inst)
 	if err != nil {
 		return err
 	}

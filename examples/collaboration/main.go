@@ -60,17 +60,18 @@ func run(ctx context.Context) error {
 	if err := sessA.Workspace.Archive(archivePath); err != nil {
 		return err
 	}
-	lockJSON, err := sessA.Lockfiles["saxpy"].JSON()
+	saxpyEnv := sessA.Envs["saxpy"]
+	lock, err := saxpyEnv.Lock()
 	if err != nil {
 		return err
 	}
 	lockPath := filepath.Join(pub, "spack.lock")
-	if err := os.WriteFile(lockPath, []byte(lockJSON), 0o644); err != nil {
+	if err := os.WriteFile(lockPath, lock, 0o644); err != nil {
 		return err
 	}
 	fi, _ := os.Stat(archivePath)
 	fmt.Printf("published: %s (%d bytes) + spack.lock (%d packages)\n",
-		filepath.Base(archivePath), fi.Size(), len(sessA.Lockfiles["saxpy"].Nodes))
+		filepath.Base(archivePath), fi.Size(), saxpyEnv.DistinctInstalls())
 
 	// ---------------- Site B (RIKEN): reproduce ----------------------
 	fmt.Println("\n== Site B: reproduce from the published artifacts alone ==")
@@ -97,12 +98,8 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	lf, err := env.ParseLockfile(string(lockData))
-	if err != nil {
-		return err
-	}
 	instB := install.New(pkgrepo.Builtin())
-	repInstall, err := env.InstallFromLock(ctx, lf, instB)
+	repInstall, err := env.InstallFromLock(ctx, lockData, instB)
 	if err != nil {
 		return err
 	}

@@ -82,8 +82,7 @@ func run() error {
 		return &core.ExperimentFailuresError{Report: erep}
 	}
 
-	lf := sess2.Lockfiles["saxpy"]
-	fmt.Printf("\nSoftware environment (locked): %s\n", strings.Join(lf.PackageNames(), ", "))
+	fmt.Printf("\nSoftware environment (locked): %s\n", strings.Join(sess2.Envs["saxpy"].PackageNames(), ", "))
 
 	one := rep.Experiments[0]
 	fmt.Printf("\nRendered batch script for %s:\n", one.Name)

@@ -97,7 +97,12 @@ var guardTable = []guard{
 	{pr: 43, pkg: "internal/ramble", retired: []string{"Workspace.raw"}, why: mergedByMove},
 	{pr: 44, pkg: "internal/core", retired: []string{"sessionRunner.lockJSON", "sessionRunner.locks"},
 		why: "the run key folds in lockfile root hashes; nothing renders a lockfile per session"},
+	{pr: 45, pkg: "internal/spec", retired: []string{"DecodeDAG"}, why: oneStoredDAG},
+	{pr: 45, pkg: "internal/env", retired: []string{"LockNode", "Lockfile", "ParseLockfile"}, why: oneStoredDAG},
+	{pr: 45, pkg: "internal/concretizer", retired: []string{"cachedSolve"}, why: oneStoredDAG},
 }
+
+const oneStoredDAG = "a concrete DAG is stored one way: spack.lock, concretize entries and the install database are spec.DAG (EncodeDAG, DAG.Decode)"
 
 const mergedByMove = "a parsed config is merged by move; nothing needs a copy"
 

@@ -213,30 +213,34 @@ func TestPooledArraysNeverLeakBetweenJobs(t *testing.T) {
 
 // TestSecondJobReusesTheFirstJobsArrays: with the collector off, so
 // nothing leaves the pools, a second identical 16-rank HPCG run finds
-// the grids, scratch and transport buffers the first one returned and
-// allocates at most a tenth of what the first did. Both run on one P,
-// so no array waits in another P's private pool slot.
+// the grids, scratch, transport buffers and mailbox queues the first
+// one returned, and a second 8-rank saxpy run its tiles and queues;
+// each allocates at most a tenth of what the first did. Both run on one
+// P, so nothing waits in another P's private pool slot.
 func TestSecondJobReusesTheFirstJobsArrays(t *testing.T) {
 	gcPercent, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
 	t.Cleanup(func() {
 		debug.SetGCPercent(gcPercent)
 		runtime.GOMAXPROCS(procs)
 	})
-	runtime.GC() // empty the pools earlier tests filled: the first run is cold
-	runtime.GC()
-	g := goldenCase{"hpcg", "cts1", 16, 8, 1, "", map[string]string{
-		"nx": "16", "ny": "16", "nz": "16", "iterations": "50"}}
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		goldenLine(t, g)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first := run()
-	second := run()
-	t.Logf("first run %d bytes, second %d (%.1f%%)", first, second, 100*float64(second)/float64(first))
-	if !raceEnabled && second > first/10 {
-		t.Errorf("the second run allocated %d bytes, want <= %d (10%% of the first's %d)", second, first/10, first)
+	for _, g := range []goldenCase{
+		{"hpcg", "cts1", 16, 8, 1, "", map[string]string{"nx": "16", "ny": "16", "nz": "16", "iterations": "50"}},
+		{"saxpy", "cts1", 8, 8, 2, "openmp", map[string]string{"n": "50000000", "variant": "openmp"}},
+	} {
+		runtime.GC() // empty the pools earlier runs filled: the first run is cold
+		runtime.GC()
+		run := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			goldenLine(t, g)
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		first := run()
+		second := run()
+		t.Logf("%s: first run %d bytes, second %d (%.1f%%)", g.bench, first, second, 100*float64(second)/float64(first))
+		if !raceEnabled && second > first/10 {
+			t.Errorf("%s: the second run allocated %d bytes, want <= %d (10%% of the first's %d)", g.bench, second, first/10, first)
+		}
 	}
 }

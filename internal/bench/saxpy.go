@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/caliper"
 	"repro/internal/mpisim"
@@ -27,6 +28,11 @@ const maxRealElems = 1 << 22
 // its touched region through, tile by tile: small enough to stay in
 // cache, so a rank's arrays take at most 3 × 32 KiB whatever its n.
 const tileElems = 1 << 12
+
+// saxpyTiles holds idle x, y, r tile sets, one per rank: like mpisim's
+// arrays, a rank's tiles outlive its job, recycled rather than
+// collected.
+var saxpyTiles = sync.Pool{New: func() any { return new([3][tileElems]float32) }}
 
 func runSaxpy(p Params) (*Output, error) {
 	vars := varReader{vars: p.Vars}
@@ -60,9 +66,10 @@ func runSaxpy(p Params) (*Output, error) {
 		rec.Begin("main")
 
 		real := min(n, maxRealElems)
-		x := make([]float32, min(real, tileElems))
-		y := make([]float32, len(x))
-		r := make([]float32, len(x))
+		tiles := saxpyTiles.Get().(*[3][tileElems]float32)
+		defer saxpyTiles.Put(tiles)
+		width := min(real, tileElems)
+		x, y, r := tiles[0][:width], tiles[1][:width], tiles[2][:width]
 
 		rec.Begin("saxpy_kernel")
 		// The checksum of the touched region, summed in index order.

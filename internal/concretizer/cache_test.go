@@ -169,3 +169,50 @@ func TestMemoCorruptDurableEntryIsColdMiss(t *testing.T) {
 		t.Errorf("hits/misses = %d/%d, want the corrupt entry counted as a miss", c2.Hits, c2.Misses)
 	}
 }
+
+// deployedSaxpyEntry is a concretize-layer entry as deployed stores
+// hold it: the bytes stored for saxpy@1.0.0 +openmp under testConfig
+// before concretize entries, spack.lock and the install database
+// shared spec.DAG, captured as a literal.
+const deployedSaxpyEntry = `{"nodes":{"63wrtrnxen2khqgu6pi3vtuiu6zdwbns":{"node":"mvapich2@2.3.7 target=broadwell platform=linux","external":"/usr/tce/mvapich2"},"6mmi7rebhxqu7xkvarluifp7ueykuex3":{"node":"zlib@1.2.12%gcc@12.1.1 target=broadwell platform=linux"},"6tklakm7shebgjv4ka6r3bjnnn5liosd":{"node":"saxpy@1.0.0%gcc@12.1.1~cuda+openmp~rocm target=broadwell platform=linux","deps":{"cmake":"izehj4volecqc2oyam3uwbgaifk3kyou","mvapich2":"63wrtrnxen2khqgu6pi3vtuiu6zdwbns"}},"izehj4volecqc2oyam3uwbgaifk3kyou":{"node":"cmake@3.23.1%gcc@12.1.1 target=broadwell platform=linux","deps":{"zlib":"6mmi7rebhxqu7xkvarluifp7ueykuex3"}}},"roots":["6tklakm7shebgjv4ka6r3bjnnn5liosd"]}`
+
+// TestDeployedEntryReplays: no deployed concretize layer goes cold. A
+// cold solve stores exactly the deployed entry's bytes, and those
+// bytes, put under the key, replay as a hit with the cold DAG.
+func TestDeployedEntryReplays(t *testing.T) {
+	dir := t.TempDir()
+	solve := func() (*Concretizer, *spec.Spec) {
+		t.Helper()
+		c := newC(t)
+		c.Cache = openLayer(t, dir)
+		out, err := c.ConcretizeTogether([]*spec.Spec{spec.MustParse("saxpy@1.0.0 +openmp")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, out[0]
+	}
+	c, cold := solve()
+	var keys []cachekey.Key
+	err := filepath.WalkDir(filepath.Join(dir, "concretize"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			keys = append(keys, cachekey.Key(d.Name()))
+		}
+		return err
+	})
+	if err != nil || len(keys) != 1 || !keys[0].Valid() {
+		t.Fatalf("concretize layer holds %v (%v), want one entry", keys, err)
+	}
+	if got, _ := c.Cache.Get(keys[0]); string(got) != deployedSaxpyEntry {
+		t.Errorf("cold solve stored\n%s\nwant the deployed entry\n%s", got, deployedSaxpyEntry)
+	}
+	if err := c.Cache.Put(keys[0], []byte(deployedSaxpyEntry)); err != nil {
+		t.Fatal(err)
+	}
+	warm, replayed := solve()
+	if warm.Hits != 1 || warm.Misses != 0 {
+		t.Errorf("deployed entry: hits/misses = %d/%d, want 1 hit", warm.Hits, warm.Misses)
+	}
+	if replayed.DAGHash() != cold.DAGHash() {
+		t.Errorf("deployed entry replays %s, the cold solve gave %s", replayed, cold)
+	}
+}

@@ -26,16 +26,6 @@ type Concretizer struct {
 	Hits, Misses int
 }
 
-// cachedSolve is the serialized form of one concretization result.
-// A hit is decoded fresh (spec.DecodeDAG), so callers never share
-// mutable nodes with the cache — the install database holds spec
-// pointers — and corrupt or tampered bytes fail DecodeDAG's hash
-// verification and degrade to a miss.
-type cachedSolve struct {
-	Nodes map[string]spec.EncodedNode `json:"nodes"`
-	Roots []string                    `json:"roots"`
-}
-
 // New returns a concretizer.
 func New(repo *pkgrepo.Repo, cfg *Config) *Concretizer {
 	if cfg == nil {
@@ -62,7 +52,10 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // (Config.Fingerprint().Derive("concretize", ...)), so any change to
 // the system configuration, the reuse set or the requested specs is a
 // miss. The key is computed here — not at construction — because
-// callers (internal/env) toggle Config fields around the call. A
+// callers (internal/env) toggle Config fields around the call. An
+// entry is the solve's spec.DAG. A hit is decoded fresh, so callers
+// never share mutable nodes with the cache — the install database
+// holds spec pointers — and bytes that fail DAG.Decode are a miss. A
 // failed cache write never fails the solve.
 func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, error) {
 	if c.Cache == nil {
@@ -74,9 +67,9 @@ func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, erro
 	}
 	key := c.Config.Fingerprint().Derive("concretize", cachekey.Hash(rootStrs))
 	if data, ok := c.Cache.Get(key); ok {
-		var ent cachedSolve
-		if json.Unmarshal(data, &ent) == nil {
-			if out, err := spec.DecodeDAG(ent.Nodes, ent.Roots); err == nil {
+		var dag spec.DAG
+		if json.Unmarshal(data, &dag) == nil {
+			if out, err := dag.Decode(); err == nil {
 				c.Hits++
 				return out, nil
 			}
@@ -87,8 +80,7 @@ func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, erro
 	if err != nil {
 		return nil, err
 	}
-	nodes, rootHashes := spec.EncodeDAG(out)
-	if data, err := json.Marshal(cachedSolve{Nodes: nodes, Roots: rootHashes}); err == nil {
+	if data, err := json.Marshal(spec.EncodeDAG(out)); err == nil {
 		c.Cache.Put(key, data) //nolint:errcheck // cache write failure must not fail the solve
 	}
 	return out, nil

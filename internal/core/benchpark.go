@@ -66,9 +66,10 @@ type Session struct {
 	Workspace *ramble.Workspace
 	Scheduler *scheduler.Scheduler
 	Thicket   *thicket.Thicket
-	Lockfiles map[string]*env.Lockfile // software env name -> lockfile
+	Envs      map[string]*env.Environment // software env name -> installed environment
 
-	manifests map[string]string // experiment name -> manifest, rendered by record
+	manifests map[string]string    // experiment name -> manifest, rendered by record
+	locked    map[string]lockedEnv // software env name -> what keys and manifests read of it
 
 	// concretize and buildcache count this session's own lookups in
 	// those cache layers, for appendCacheStats.
@@ -142,7 +143,8 @@ func newSession(bp *Benchpark, sys *hpcsim.System, suite string, cfg *concretize
 		Workspace: ws,
 		Scheduler: scheduler.New(sys),
 		Thicket:   thicket.New(),
-		Lockfiles: map[string]*env.Lockfile{},
+		Envs:      map[string]*env.Environment{},
+		locked:    map[string]lockedEnv{},
 
 		concretize: engine.CacheStat{Layer: "concretize"},
 		buildcache: engine.CacheStat{Layer: "buildcache"},
@@ -177,7 +179,7 @@ func (bp *Benchpark) withScratch(name string, sys *hpcsim.System, rambleYAML str
 
 // Install is the Ramble→Spack hook (Figure 1c step 6): every software
 // environment the workspace names, in name order, concretizes together
-// and installs under ctx, keeping its lockfile for provenance.
+// and installs under ctx, keeping its concrete roots for provenance.
 func (s *Session) Install(ctx context.Context) error {
 	envSpecs, err := s.Workspace.SoftwareEnvironments()
 	if err != nil {
@@ -229,12 +231,26 @@ func (s *Session) installEnv(ctx context.Context, envName string, specs []string
 	}
 	s.buildcache.Hits += rep.Count(install.FetchedFromCache)
 	s.buildcache.Misses += rep.Count(install.Built)
-	lf, err := e.Lock()
-	if err != nil {
-		return err
-	}
-	s.Lockfiles[envName] = lf
+	s.Envs[envName] = e
+	s.locked[envName] = newLockedEnv(e)
 	return nil
+}
+
+// lockedEnv is what the run key and the manifest read of one installed
+// environment, computed once when it is installed.
+type lockedEnv struct {
+	roots []string // the roots' DAG hashes: the run key's LockRoots
+	lines string   // the manifest's software: and root: lines
+}
+
+func newLockedEnv(e *env.Environment) lockedEnv {
+	l := lockedEnv{lines: "software: " + strings.Join(e.PackageNames(), ", ") + "\n"}
+	hs := spec.Hasher{}
+	for _, root := range e.Roots {
+		l.roots = append(l.roots, hs.Hash(root))
+		l.lines += "root: " + root.String() + "\n"
+	}
+	return l
 }
 
 // execute runs e's benchmark kernel over its rendered variables
@@ -563,12 +579,7 @@ func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult,
 func (s *Session) manifest(e *ramble.Experiment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "system: %s\nsuite: %s\nexperiment: %s\n", s.System.Name, s.Suite, e.Name)
-	if lf, ok := s.Lockfiles[e.App.Name]; ok {
-		fmt.Fprintf(&b, "software: %s\n", strings.Join(lf.PackageNames(), ", "))
-		for _, root := range lf.Roots {
-			fmt.Fprintf(&b, "root: %s\n", lf.Nodes[root].Spec)
-		}
-	}
+	b.WriteString(s.locked[e.App.Name].lines)
 	return b.String()
 }
 

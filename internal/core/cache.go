@@ -60,8 +60,9 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 // (hpcsim.System.Fingerprint: a model edited under an unchanged name
 // re-executes), the experiment's
 // rendered variables, environment, modifiers and batch script, its
-// execution geometry, and the root DAG hashes of its software
-// environment's lockfile (env.Lockfile.Roots). A root hash is a Merkle
+// execution geometry, and the DAG hashes of its software
+// environment's concrete roots (lockedEnv.roots, the roots of its
+// spack.lock, computed once per session). A root hash is a Merkle
 // hash over every node below it — name, version, compiler, variants,
 // target, platform, external prefix and each dependency's hash — so it
 // covers everything the lockfile lists, and a dependency bump
@@ -139,11 +140,7 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	num(`,"ProcsNode":`, e.ProcsPerNode)
 	num(`,"NRanks":`, e.NRanks)
 	num(`,"NThreads":`, e.NThreads)
-	var roots []string
-	if lf, ok := r.s.Lockfiles[e.App.Name]; ok {
-		roots = lf.Roots
-	}
-	list(`,"LockRoots":`, roots)
+	list(`,"LockRoots":`, r.s.locked[e.App.Name].roots)
 	b = append(b, '}')
 	r.keyBuf = b
 	return cachekey.HashJSON(b).Derive("execute")

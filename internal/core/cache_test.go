@@ -19,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hpcsim"
 	"repro/internal/ramble"
+	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
 
@@ -494,10 +495,12 @@ func TestRunLayerSeesTheLockfile(t *testing.T) {
 			texts = append(texts, text{norm(expandedVars(e)), norm(e.Env), norm(e.Script)})
 		}
 		var zlibSpec string
-		for _, n := range sess.Lockfiles["saxpy"].Nodes {
-			if n.Name == "zlib" {
-				zlibSpec = n.Version
-			}
+		for _, root := range sess.Envs["saxpy"].Roots {
+			root.Traverse(func(n *spec.Spec) {
+				if n.Name == "zlib" {
+					zlibSpec = n.ConcreteVersion().String()
+				}
+			})
 		}
 		return runStat(t, erep, "run"), texts, zlibSpec
 	}

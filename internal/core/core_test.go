@@ -108,15 +108,15 @@ func TestFigure1cQuickstart(t *testing.T) {
 			t.Errorf("%s: FOMs = %v", e.Name, e.FOMs)
 		}
 	}
-	// Software was installed through Spack with the environment lockfile kept.
-	lf, ok := sess.Lockfiles["saxpy"]
+	// Software was installed through Spack with the environment kept.
+	installed, ok := sess.Envs["saxpy"]
 	if !ok {
-		t.Fatal("saxpy environment lockfile missing")
+		t.Fatal("saxpy environment missing")
 	}
-	names := strings.Join(lf.PackageNames(), ",")
+	names := strings.Join(installed.PackageNames(), ",")
 	for _, want := range []string{"saxpy", "cmake", "mvapich2"} {
 		if !strings.Contains(names, want) {
-			t.Errorf("lockfile packages %s missing %s", names, want)
+			t.Errorf("environment packages %s missing %s", names, want)
 		}
 	}
 	// The installed saxpy spec targets the system's microarchitecture.
@@ -502,7 +502,7 @@ func TestRenderedScriptDirectivesParse(t *testing.T) {
 
 // TestSetupInstallsSoftware: the session's install hook concretizes
 // and installs every software environment the workspace names,
-// keeping each one's lockfile.
+// keeping each one's concrete roots.
 func TestSetupInstallsSoftware(t *testing.T) {
 	sess, err := New().Setup("saxpy/openmp", "cts1", t.TempDir())
 	if err != nil {
@@ -511,8 +511,8 @@ func TestSetupInstallsSoftware(t *testing.T) {
 	if err := sess.Install(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if lf := sess.Lockfiles["saxpy"]; lf == nil || len(lf.Roots) != 2 {
-		t.Errorf("saxpy lockfile = %+v", lf)
+	if installed := sess.Envs["saxpy"]; installed == nil || len(installed.Roots) != 2 {
+		t.Errorf("saxpy environment = %+v", installed)
 	}
 	if _, err := sess.InstalledSpec("saxpy"); err != nil {
 		t.Error(err)

@@ -39,9 +39,13 @@ func marshalledKey(t *testing.T, r *sessionRunner, i int) cachekey.Key {
 		}
 		return out
 	}
+	// LockRoots: the DAG hash of each concrete root of the
+	// experiment's installed environment, each hashed on its own.
 	var roots []string
-	if lf, ok := r.s.Lockfiles[e.App.Name]; ok {
-		roots = lf.Roots
+	if installed, ok := r.s.Envs[e.App.Name]; ok {
+		for _, root := range installed.Roots {
+			roots = append(roots, root.DAGHash())
+		}
 	}
 	// Every variable as Expand renders it, and ExpandVar must agree
 	// with that, value and error.

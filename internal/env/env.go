@@ -18,8 +18,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 
 	"repro/internal/concretizer"
 	"repro/internal/install"
@@ -182,121 +182,38 @@ func (e *Environment) ManifestYAML() string {
 // Lockfile (spack.lock)
 // ---------------------------------------------------------------------------
 
-// LockNode is one concrete node in the lockfile.
-type LockNode struct {
-	Name     string            `json:"name"`
-	Version  string            `json:"version"`
-	Spec     string            `json:"spec"`
-	Hash     string            `json:"hash"`
-	External string            `json:"external,omitempty"`
-	Deps     map[string]string `json:"dependencies,omitempty"` // name -> hash
-}
-
-// Lockfile is the concretizer output written alongside the manifest.
-type Lockfile struct {
-	Roots []string            `json:"roots"` // hashes of root nodes in manifest order
-	Nodes map[string]LockNode `json:"concrete_specs"`
-}
-
-// Lock captures the current concretization as a lockfile.
-func (e *Environment) Lock() (*Lockfile, error) {
+// Lock renders the current concretization as spack.lock: the roots'
+// spec.DAG as deterministic, indented JSON.
+func (e *Environment) Lock() ([]byte, error) {
 	if !e.IsConcretized() {
 		return nil, fmt.Errorf("env: %q is not concretized", e.Name)
 	}
-	lf := &Lockfile{Nodes: map[string]LockNode{}}
-	hs := spec.Hasher{}
-	for _, root := range e.Roots {
-		lf.Roots = append(lf.Roots, hs.Hash(root))
-		root.Traverse(func(n *spec.Spec) {
-			h := hs.Hash(n)
-			if _, ok := lf.Nodes[h]; ok {
-				return
-			}
-			ln := LockNode{
-				Name:     n.Name,
-				Version:  n.ConcreteVersion().String(),
-				Spec:     n.String(),
-				Hash:     h,
-				External: n.External,
-			}
-			if len(n.Deps) > 0 {
-				ln.Deps = map[string]string{}
-				for dn, d := range n.Deps {
-					ln.Deps[dn] = hs.Hash(d)
-				}
-			}
-			lf.Nodes[h] = ln
-		})
-	}
-	return lf, nil
+	return json.MarshalIndent(spec.EncodeDAG(e.Roots), "", "  ")
 }
 
-// JSON renders the lockfile as deterministic, indented JSON.
-func (lf *Lockfile) JSON() (string, error) {
-	b, err := json.MarshalIndent(lf, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// ParseLockfile reads a lockfile from JSON.
-func ParseLockfile(src string) (*Lockfile, error) {
-	var lf Lockfile
-	if err := json.Unmarshal([]byte(src), &lf); err != nil {
+// InstallFromLock reproduces a lockfile's installation exactly — the
+// other half of functional reproducibility: a collaborator who
+// receives only spack.lock rebuilds its DAG, every hash re-derived and
+// verified (a tampered or corrupted lockfile is rejected), and installs
+// it without consulting the concretizer.
+func InstallFromLock(ctx context.Context, lock []byte, inst *install.Installer) (*install.Report, error) {
+	var dag spec.DAG
+	if err := json.Unmarshal(lock, &dag); err != nil {
 		return nil, fmt.Errorf("env: bad lockfile: %w", err)
 	}
-	return &lf, nil
-}
-
-// Reconstruct rebuilds the concrete spec DAG from the lockfile —
-// the other half of functional reproducibility: a collaborator who
-// receives only the lockfile can reproduce the exact installation.
-// Hashes are re-derived and verified against the recorded ones, so a
-// tampered or corrupted lockfile is rejected.
-func (lf *Lockfile) Reconstruct() ([]*spec.Spec, error) {
-	nodes := map[string]spec.EncodedNode{}
-	for hash, ln := range lf.Nodes {
-		// The node's own rendering is everything before the first
-		// " ^" dependency clause; the external annotation is metadata.
-		text := ln.Spec
-		if i := strings.Index(text, " ^"); i >= 0 {
-			text = text[:i]
-		}
-		if i := strings.Index(text, " [external:"); i >= 0 {
-			text = text[:i]
-		}
-		nodes[hash] = spec.EncodedNode{Node: text, External: ln.External, Deps: ln.Deps}
-	}
-	roots, err := spec.DecodeDAG(nodes, lf.Roots)
+	roots, err := dag.Decode()
 	if err != nil {
 		return nil, fmt.Errorf("env: lockfile: %w", err)
-	}
-	return roots, nil
-}
-
-// InstallFromLock reproduces a lockfile's installation exactly: the
-// DAG is reconstructed, verified, and installed without consulting
-// the concretizer.
-func InstallFromLock(ctx context.Context, lf *Lockfile, inst *install.Installer) (*install.Report, error) {
-	roots, err := lf.Reconstruct()
-	if err != nil {
-		return nil, err
 	}
 	return installRoots(ctx, roots, inst)
 }
 
-// PackageNames returns the distinct package names in the lockfile,
-// sorted.
-func (lf *Lockfile) PackageNames() []string {
+// PackageNames returns the distinct package names of the concretized
+// DAG, sorted.
+func (e *Environment) PackageNames() []string {
 	seen := map[string]bool{}
-	for _, n := range lf.Nodes {
-		seen[n.Name] = true
+	for _, r := range e.Roots {
+		r.Traverse(func(n *spec.Spec) { seen[n.Name] = true })
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }

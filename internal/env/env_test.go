@@ -2,6 +2,7 @@ package env
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -138,6 +139,20 @@ func TestUnifySharesNodes(t *testing.T) {
 	}
 }
 
+// lockDAG is e's spack.lock, parsed back into its spec.DAG.
+func lockDAG(t *testing.T, e *Environment) spec.DAG {
+	t.Helper()
+	lock, err := e.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dag spec.DAG
+	if err := json.Unmarshal(lock, &dag); err != nil {
+		t.Fatal(err)
+	}
+	return dag
+}
+
 func TestLockfile(t *testing.T) {
 	c := ctsConcretizer(t)
 	e := New("lock")
@@ -145,42 +160,29 @@ func TestLockfile(t *testing.T) {
 	if err := e.Concretize(c); err != nil {
 		t.Fatal(err)
 	}
-	lf, err := e.Lock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf := lockDAG(t, e)
 	if len(lf.Roots) != 1 {
 		t.Fatalf("roots = %v", lf.Roots)
 	}
 	rootNode, ok := lf.Nodes[lf.Roots[0]]
-	if !ok || rootNode.Name != "saxpy" || rootNode.Version != "1.0.0" {
+	if !ok || !strings.HasPrefix(rootNode.Node, "saxpy@1.0.0%") {
 		t.Errorf("root node = %+v", rootNode)
 	}
-	names := lf.PackageNames()
+	names := e.PackageNames()
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"saxpy", "cmake", "mvapich2", "zlib"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("lockfile packages %v missing %s", names, want)
 		}
 	}
+	if len(lf.Nodes) != e.DistinctInstalls() {
+		t.Errorf("lockfile holds %d nodes, the DAG %d", len(lf.Nodes), e.DistinctInstalls())
+	}
 	// Dependencies recorded by hash and resolvable.
 	for dn, dh := range rootNode.Deps {
 		if _, ok := lf.Nodes[dh]; !ok {
 			t.Errorf("dep %s hash %s not in lockfile", dn, dh)
 		}
-	}
-
-	// JSON round trip.
-	js, err := lf.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lf2, err := ParseLockfile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lf2.Nodes) != len(lf.Nodes) || lf2.Roots[0] != lf.Roots[0] {
-		t.Error("lockfile JSON round trip mismatch")
 	}
 }
 
@@ -192,15 +194,11 @@ func TestLockfileStableAcrossRuns(t *testing.T) {
 		if err := e.Concretize(c); err != nil {
 			t.Fatal(err)
 		}
-		lf, err := e.Lock()
+		lock, err := e.Lock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, err := lf.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js
+		return string(lock)
 	}
 	a, b := render(), render()
 	if a != b {
@@ -239,7 +237,7 @@ func TestAddInvalidatesConcretization(t *testing.T) {
 }
 
 // TestLockfileReconstructRoundTrip: concretize → lock → JSON →
-// reconstruct → identical DAG hashes (functional reproducibility).
+// decode → identical DAG hashes (functional reproducibility).
 func TestLockfileReconstructRoundTrip(t *testing.T) {
 	c := ctsConcretizer(t)
 	e := New("repro")
@@ -247,20 +245,8 @@ func TestLockfileReconstructRoundTrip(t *testing.T) {
 	if err := e.Concretize(c); err != nil {
 		t.Fatal(err)
 	}
-	lf, err := e.Lock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := lf.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The collaborator receives only the JSON.
-	lf2, err := ParseLockfile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots, err := lf2.Reconstruct()
+	roots, err := lockDAG(t, e).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +264,7 @@ func TestLockfileReconstructRoundTrip(t *testing.T) {
 	}
 	// Shared nodes stay shared (one cmake object).
 	seen := map[string]int{}
-	ptrs := map[string]map[*struct{}]bool{}
-	_ = ptrs
-	count := 0
-	roots[0].Traverse(func(n *spec.Spec) {
-		seen[n.Name]++
-		count++
-	})
+	roots[0].Traverse(func(n *spec.Spec) { seen[n.Name]++ })
 	if seen["cmake"] != 1 {
 		t.Errorf("cmake visited %d times", seen["cmake"])
 	}
@@ -303,15 +283,13 @@ func TestInstallFromLock(t *testing.T) {
 	if _, err := e.Install(context.Background(), instA); err != nil {
 		t.Fatal(err)
 	}
-	lf, _ := e.Lock()
-	js, _ := lf.JSON()
-
-	lf2, err := ParseLockfile(js)
+	lock, err := e.Lock()
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	instB := install.New(pkgrepo.Builtin())
-	rep, err := InstallFromLock(context.Background(), lf2, instB)
+	rep, err := InstallFromLock(context.Background(), lock, instB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +297,8 @@ func TestInstallFromLock(t *testing.T) {
 		t.Error("site B should build the same packages")
 	}
 	// Both databases hold identical hashes.
-	for _, h := range lf.Roots {
-		if !instB.DB.Has(h) {
+	for _, r := range e.Roots {
+		if h := r.DAGHash(); !instB.DB.Has(h) {
 			t.Errorf("site B missing root %s", h)
 		}
 	}
@@ -335,26 +313,51 @@ func TestReconstructRejectsTampering(t *testing.T) {
 	if err := e.Concretize(c); err != nil {
 		t.Fatal(err)
 	}
-	lf, _ := e.Lock()
-	js, _ := lf.JSON()
-	evil := strings.Replace(js, "1.2.12", "1.2.11", -1)
-	if evil == js {
-		t.Skip("version string not present to tamper")
-	}
-	lf2, err := ParseLockfile(evil)
+	lock, err := e.Lock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lf2.Reconstruct(); err == nil {
+	evil := strings.Replace(string(lock), "1.2.12", "1.2.11", -1)
+	if evil == string(lock) {
+		t.Skip("version string not present to tamper")
+	}
+	if _, err := InstallFromLock(context.Background(), []byte(evil), install.New(pkgrepo.Builtin())); err == nil {
 		t.Error("tampered lockfile must fail integrity verification")
 	}
 }
 
 // TestReconstructDanglingHash rejects lockfiles with missing nodes.
 func TestReconstructDanglingHash(t *testing.T) {
-	lf := &Lockfile{Roots: []string{"deadbeef"}, Nodes: map[string]LockNode{}}
-	if _, err := lf.Reconstruct(); err == nil {
+	lock := []byte(`{"nodes": {}, "roots": ["deadbeef"]}`)
+	if _, err := InstallFromLock(context.Background(), lock, install.New(pkgrepo.Builtin())); err == nil {
 		t.Error("dangling root hash should fail")
+	}
+}
+
+// TestOldLockfileFailsToDecode: a spack.lock in the schema before the
+// stored DAG form (its table under "concrete_specs") installs nothing
+// and fails; `spack concretize` writes it anew.
+func TestOldLockfileFailsToDecode(t *testing.T) {
+	const old = `{
+  "roots": [
+    "6mmi7rebhxqu7xkvarluifp7ueykuex3"
+  ],
+  "concrete_specs": {
+    "6mmi7rebhxqu7xkvarluifp7ueykuex3": {
+      "name": "zlib",
+      "version": "1.2.12",
+      "spec": "zlib@1.2.12%gcc@12.1.1 target=broadwell platform=linux",
+      "hash": "6mmi7rebhxqu7xkvarluifp7ueykuex3"
+    }
+  }
+}`
+	inst := install.New(pkgrepo.Builtin())
+	_, err := InstallFromLock(context.Background(), []byte(old), inst)
+	if err == nil || !strings.Contains(err.Error(), "unknown hash 6mmi7rebhxqu7xkvarluifp7ueykuex3") {
+		t.Errorf("old lockfile: err = %v, want its root reported unknown", err)
+	}
+	if inst.DB.Len() != 0 {
+		t.Errorf("old lockfile installed %d records", inst.DB.Len())
 	}
 }
 
@@ -389,10 +392,7 @@ func TestHasherAgreesWithDAGHashOnSolvedDAGs(t *testing.T) {
 			t.Errorf("%s, leaves first: Hasher %s, DAGHash %s", n.Name, got, want)
 		}
 	}
-	lf, err := e.Lock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf := lockDAG(t, e)
 	for i, r := range e.Roots {
 		if lf.Roots[i] != r.DAGHash() {
 			t.Errorf("lockfile root %d = %s, want %s", i, lf.Roots[i], r.DAGHash())
@@ -400,8 +400,8 @@ func TestHasherAgreesWithDAGHashOnSolvedDAGs(t *testing.T) {
 	}
 	for _, n := range nodes {
 		ln, ok := lf.Nodes[n.DAGHash()]
-		if !ok || ln.Hash != n.DAGHash() {
-			t.Errorf("%s: lockfile node under %s = %+v, %v", n.Name, n.DAGHash(), ln, ok)
+		if !ok {
+			t.Errorf("%s: no lockfile node under %s", n.Name, n.DAGHash())
 			continue
 		}
 		for dn, d := range n.Deps {

@@ -447,22 +447,22 @@ type dbRecord struct {
 	Flags    string `json:"flags,omitempty"`
 }
 
-// SaveJSON serializes the database, DAG-encoded so a later LoadJSON
-// can reconstruct every spec with hash verification.
+// SaveJSON serializes the database: the records beside their specs'
+// spec.DAG node table (the records' hashes are its roots), so
+// LoadDatabaseJSON rebuilds every spec with hash verification.
 func (db *Database) SaveJSON() (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var roots []*spec.Spec
 	hashes := make([]string, 0, len(db.records))
 	for h := range db.records {
 		hashes = append(hashes, h)
 	}
 	sort.Strings(hashes)
-	for _, h := range hashes {
-		roots = append(roots, db.records[h].Spec)
+	roots := make([]*spec.Spec, len(hashes))
+	for i, h := range hashes {
+		roots[i] = db.records[h].Spec
 	}
-	nodes, _ := spec.EncodeDAG(roots)
-	out := dbFile{Nodes: nodes}
+	out := dbFile{Nodes: spec.EncodeDAG(roots).Nodes}
 	for _, h := range hashes {
 		r := db.records[h]
 		out.Records = append(out.Records, dbRecord{
@@ -478,21 +478,27 @@ func (db *Database) SaveJSON() (string, error) {
 }
 
 // LoadDatabaseJSON reconstructs a database from SaveJSON output,
-// verifying every spec hash.
+// verifying every spec hash. All records decode as one DAG, so a node
+// several specs depend on is one spec, as in the database that saved
+// them.
 func LoadDatabaseJSON(src string) (*Database, error) {
 	var in dbFile
 	if err := json.Unmarshal([]byte(src), &in); err != nil {
 		return nil, fmt.Errorf("install: bad database file: %w", err)
 	}
+	dag := spec.DAG{Nodes: in.Nodes, Roots: make([]string, len(in.Records))}
+	for i, rec := range in.Records {
+		dag.Roots[i] = rec.Hash
+	}
+	specs, err := dag.Decode()
+	if err != nil {
+		return nil, fmt.Errorf("install: bad database file: %w", err)
+	}
 	db := NewDatabase()
-	for _, rec := range in.Records {
-		specs, err := spec.DecodeDAG(in.Nodes, []string{rec.Hash})
-		if err != nil {
-			return nil, fmt.Errorf("install: record %s: %w", rec.Hash, err)
-		}
+	for i, rec := range in.Records {
 		db.Add(Record{
 			Hash:     rec.Hash,
-			Spec:     specs[0],
+			Spec:     specs[i],
 			Prefix:   rec.Prefix,
 			External: rec.External,
 			Explicit: rec.Explicit,

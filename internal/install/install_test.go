@@ -325,6 +325,44 @@ func TestDatabaseSaveLoadJSON(t *testing.T) {
 	}
 }
 
+// TestReloadedDatabaseSharesNodes: in a live database saxpy's cmake
+// dependency is the cmake record's spec, and zlib below it is the zlib
+// record's; a database reloaded from SaveJSON keeps that sharing
+// instead of giving every record its own copy of its subtree.
+func TestReloadedDatabaseSharesNodes(t *testing.T) {
+	inst := New(pkgrepo.Builtin())
+	if _, err := inst.Install(context.Background(), concretizeSaxpy(t)); err != nil {
+		t.Fatal(err)
+	}
+	js, err := inst.DB.SaveJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadDatabaseJSON(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []struct {
+		name string
+		db   *Database
+	}{{"live", inst.DB}, {"reloaded", reloaded}} {
+		one := func(name string) *spec.Spec {
+			recs := db.db.Find(spec.MustParse(name))
+			if len(recs) != 1 {
+				t.Fatalf("%s: %d %s records", db.name, len(recs), name)
+			}
+			return recs[0].Spec
+		}
+		saxpy, cmake, zlib := one("saxpy"), one("cmake"), one("zlib")
+		if saxpy.Deps["cmake"] != cmake {
+			t.Errorf("%s: saxpy's cmake is not the cmake record's spec", db.name)
+		}
+		if cmake.Deps["zlib"] != zlib {
+			t.Errorf("%s: cmake's zlib is not the zlib record's spec", db.name)
+		}
+	}
+}
+
 func TestDatabaseRemove(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)

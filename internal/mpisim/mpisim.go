@@ -25,9 +25,11 @@
 // which also take what a full free list cannot hold. When a rank
 // returns cleanly, Run hands its free list and its Alloc'd arrays to
 // the pools, where the next job's ranks find them; a rank that fails
-// or panics hands back nothing. The pools are sync.Pools, so what
-// stays unused is collected within two GC cycles. Mailboxes die with
-// Run.
+// or panics hands back nothing. A mailbox's queues outlive their job
+// too: once every rank has returned, Run empties them and pools each
+// mailbox's table of queues, so the next job's queues start with the
+// capacity earlier jobs grew. The pools are sync.Pools, so what stays
+// unused is collected within two GC cycles.
 //
 // Wall-clock time is decoupled from simulated time: a 3456-rank
 // broadcast sweep runs in milliseconds of real time.
@@ -124,8 +126,7 @@ func (b *mailbox) put(src int, m message) (depth int) {
 	}
 	f := b.queue(src)
 	if f == nil {
-		b.from = append(b.from, fifo{src: src})
-		f = &b.from[len(b.from)-1]
+		f = b.addQueue(src)
 	}
 	if f.head > 0 && f.head >= len(f.q)/2 && len(f.q) == cap(f.q) {
 		// Reclaim the consumed prefix before growing.
@@ -137,6 +138,43 @@ func (b *mailbox) put(src int, m message) (depth int) {
 	b.arrived.Signal()
 	return len(f.q) - f.head
 }
+
+// addQueue appends an empty queue for src, in a slot of a pooled table
+// if the mailbox has none of its own, keeping the slot's capacity.
+func (b *mailbox) addQueue(src int) *fifo {
+	if b.from == nil {
+		if t, ok := queueTables.Get().(*[]fifo); ok {
+			b.from = *t
+		}
+	}
+	if len(b.from) == cap(b.from) {
+		b.from = append(b.from, fifo{})
+	} else {
+		b.from = b.from[:len(b.from)+1]
+	}
+	f := &b.from[len(b.from)-1]
+	f.src = src
+	return f
+}
+
+// recycle empties every queue, dropping whatever a failed job left in
+// flight, and pools the table. Each slot past len(from) holds an empty
+// queue.
+func (b *mailbox) recycle() {
+	if cap(b.from) == 0 {
+		return
+	}
+	t := b.from
+	for i := range t {
+		clear(t[i].q)
+		t[i].q, t[i].head = t[i].q[:0], 0
+	}
+	t, b.from = t[:0], nil
+	queueTables.Put(&t)
+}
+
+// queueTables holds idle mailbox tables, *[]fifo of empty queues.
+var queueTables sync.Pool
 
 // take blocks until a message from src is queued and removes it.
 func (b *mailbox) take(src int) message {
@@ -664,6 +702,9 @@ func Run(sys *hpcsim.System, nranks, ranksPerNode int, fn func(*Comm) error) (fl
 		}(r)
 	}
 	wg.Wait()
+	for i := range w.boxes {
+		w.boxes[i].recycle()
+	}
 	// Report the root-cause failure, not the collateral aborts.
 	var cause error
 	for _, err := range errs {

@@ -344,3 +344,62 @@ func TestAllocRecyclesOnlyCleanRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestMailboxQueuesOutliveTheirJob: Run pools each mailbox's table of
+// queues emptied — a message no rank received pins no payload — and a
+// later job's mailbox takes the table and the queue's capacity. On one
+// P with the collector off, so the table waits where the next job
+// looks.
+func TestMailboxQueuesOutliveTheirJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled tables at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for queueTables.Get() != nil { // what earlier tests left
+	}
+	const unreceived = 5
+	if _, err := Run(sys(t, "cts1"), 2, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			for range unreceived {
+				c.Send(1, []float64{1, 2, 3})
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p, ok := queueTables.Get().(*[]fifo)
+	if !ok {
+		t.Fatal("Run pooled no mailbox table")
+	}
+	table := (*p)[:cap(*p)]
+	if len(*p) != 0 || table[0].src != 0 || cap(table[0].q) < unreceived {
+		t.Fatalf("pooled table holds %d queues, the first from %d with room for %d; want 0 in use and room for %d from rank 0",
+			len(*p), table[0].src, cap(table[0].q), unreceived)
+	}
+	for _, f := range table {
+		for i, m := range f.q[:cap(f.q)] {
+			if len(f.q) != 0 || f.head != 0 || m.data != nil {
+				t.Fatalf("queue from %d: %d queued, head %d, slot %d pins %v", f.src, len(f.q), f.head, i, m.data)
+			}
+		}
+	}
+	queueTables.Put(p)
+	var reused bool
+	if _, err := Run(sys(t, "cts1"), 2, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Send(1, []float64{4})
+			return nil
+		}
+		c.Release(c.Recv(0))
+		q := c.w.boxes[1].from[0].q
+		reused = &q[:1][0] == &table[0].q[:1][0]
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Error("the next job's mailbox grew a new queue, not the pooled one")
+	}
+}

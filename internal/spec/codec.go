@@ -1,60 +1,56 @@
 package spec
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// EncodedNode is the serialized form of one concrete DAG node: its
-// own rendering (no dependency clauses), its external prefix, and its
-// dependency edges by hash. The format is shared by environment
-// lockfiles and the persistent install database.
+// DAG is the one stored form of concrete spec DAGs, shared by
+// spack.lock, the concretize cache layer and the install database:
+// the root hashes, in order, and every node reachable from them, once,
+// keyed by its DAG hash.
+type DAG struct {
+	Nodes map[string]EncodedNode `json:"nodes"`
+	Roots []string               `json:"roots"`
+}
+
+// EncodedNode is one node of a DAG: its own canonical rendering (no
+// dependency clauses, no external annotation), its external prefix,
+// and its dependency edges, each named after its target's package, by
+// hash.
 type EncodedNode struct {
 	Node     string            `json:"node"`
 	External string            `json:"external,omitempty"`
 	Deps     map[string]string `json:"deps,omitempty"` // name -> hash
 }
 
-// EncodeDAG flattens the DAGs rooted at the given concrete specs into
-// a hash-keyed node table plus the root hashes.
-func EncodeDAG(roots []*Spec) (map[string]EncodedNode, []string) {
-	nodes := map[string]EncodedNode{}
-	var rootHashes []string
+// EncodeDAG flattens the DAGs rooted at the given concrete specs.
+func EncodeDAG(roots []*Spec) DAG {
+	d := DAG{Nodes: map[string]EncodedNode{}}
 	hs := Hasher{}
 	for _, root := range roots {
-		rootHashes = append(rootHashes, hs.Hash(root))
+		d.Roots = append(d.Roots, hs.Hash(root))
 		root.Traverse(func(n *Spec) {
 			h := hs.Hash(n)
-			if _, ok := nodes[h]; ok {
+			if _, ok := d.Nodes[h]; ok {
 				return
 			}
-			en := EncodedNode{Node: n.renderNodeNoExternal(), External: n.External}
+			en := EncodedNode{Node: n.nodeText(), External: n.External}
 			if len(n.Deps) > 0 {
-				en.Deps = map[string]string{}
-				for dn, d := range n.Deps {
-					en.Deps[dn] = hs.Hash(d)
+				en.Deps = make(map[string]string, len(n.Deps))
+				for dn, dep := range n.Deps {
+					en.Deps[dn] = hs.Hash(dep)
 				}
 			}
-			nodes[h] = en
+			d.Nodes[h] = en
 		})
 	}
-	return nodes, rootHashes
+	return d
 }
 
-// renderNodeNoExternal renders the node without the external
-// annotation (which EncodedNode carries separately).
-func (s *Spec) renderNodeNoExternal() string {
-	text := s.renderNode()
-	if i := strings.Index(text, " [external:"); i >= 0 {
-		text = text[:i]
-	}
-	return text
-}
-
-// DecodeDAG rebuilds concrete spec DAGs from an encoded node table,
-// re-deriving and verifying every hash (a tampered table is
-// rejected). Shared nodes are shared in the result.
-func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
+// Decode rebuilds the DAG's roots, in order; shared nodes are shared in
+// the result. It accepts only what EncodeDAG writes: a node whose text
+// is not its canonical rendering, an edge not named after its target's
+// package, a dangling or cyclic edge, or a node that does not rebuild
+// to its hash is an error, so corrupt or tampered bytes never decode.
+func (d DAG) Decode() ([]*Spec, error) {
 	built := map[string]*Spec{} // nil while a node's dependencies are being built
 	hs := Hasher{}
 	var build func(hash string) (*Spec, error)
@@ -65,7 +61,7 @@ func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
 			}
 			return n, nil
 		}
-		en, ok := nodes[hash]
+		en, ok := d.Nodes[hash]
 		if !ok {
 			return nil, fmt.Errorf("spec: encoded DAG references unknown hash %s", hash)
 		}
@@ -76,14 +72,20 @@ func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
 		if len(s.Deps) > 0 {
 			return nil, fmt.Errorf("spec: encoded node %s carries inline deps", hash)
 		}
+		if text := s.nodeText(); text != en.Node {
+			return nil, fmt.Errorf("spec: encoded node %s is %q, not its canonical %q", hash, en.Node, text)
+		}
 		s.External = en.External
 		built[hash] = nil
 		for name, dh := range en.Deps {
-			dn, err := build(dh)
+			dep, err := build(dh)
 			if err != nil {
 				return nil, err
 			}
-			s.Deps[name] = dn
+			if dep.Name != name {
+				return nil, fmt.Errorf("spec: encoded node %s names its edge to %s %q", hash, dep.Name, name)
+			}
+			s.Deps[name] = dep
 		}
 		if err := s.MarkConcrete(); err != nil {
 			return nil, fmt.Errorf("spec: encoded node %s: %w", hash, err)
@@ -96,8 +98,8 @@ func DecodeDAG(nodes map[string]EncodedNode, roots []string) ([]*Spec, error) {
 		built[hash] = s
 		return s, nil
 	}
-	out := make([]*Spec, 0, len(roots))
-	for _, rh := range roots {
+	out := make([]*Spec, 0, len(d.Roots))
+	for _, rh := range d.Roots {
 		r, err := build(rh)
 		if err != nil {
 			return nil, err

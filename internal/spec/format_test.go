@@ -68,11 +68,11 @@ func TestEncodeDecodeDAG(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodes, roots := EncodeDAG([]*Spec{root})
-	if len(nodes) != 3 || len(roots) != 1 {
-		t.Fatalf("nodes=%d roots=%d", len(nodes), len(roots))
+	dag := EncodeDAG([]*Spec{root})
+	if len(dag.Nodes) != 3 || len(dag.Roots) != 1 {
+		t.Fatalf("nodes=%d roots=%d", len(dag.Nodes), len(dag.Roots))
 	}
-	decoded, err := DecodeDAG(nodes, roots)
+	decoded, err := dag.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +84,17 @@ func TestEncodeDecodeDAG(t *testing.T) {
 	}
 
 	// Tampering detected.
-	for h, en := range nodes {
+	for h, en := range dag.Nodes {
 		en.Node = strings.Replace(en.Node, "2.0", "2.1", 1)
-		nodes[h] = en
+		dag.Nodes[h] = en
 	}
-	if _, err := DecodeDAG(nodes, roots); err == nil {
+	if _, err := dag.Decode(); err == nil {
 		t.Error("tampered table must fail verification")
 	}
 }
 
 func TestDecodeDAGDangling(t *testing.T) {
-	if _, err := DecodeDAG(map[string]EncodedNode{}, []string{"nope"}); err == nil {
+	if _, err := (DAG{Nodes: map[string]EncodedNode{}, Roots: []string{"nope"}}).Decode(); err == nil {
 		t.Error("dangling root should fail")
 	}
 }
@@ -120,7 +120,7 @@ func TestDecodeDAGRejectsCycle(t *testing.T) {
 		hb: {Node: "b@1.0 target=broadwell", Deps: map[string]string{"a": ha}},
 	}
 	for _, root := range []string{ha, hb} {
-		if _, err := DecodeDAG(nodes, []string{root}); err == nil || !strings.Contains(err.Error(), "cycle") {
+		if _, err := (DAG{Nodes: nodes, Roots: []string{root}}).Decode(); err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Errorf("cyclic table from %s: err = %v, want a cycle error", root, err)
 		}
 	}

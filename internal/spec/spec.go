@@ -269,6 +269,15 @@ func (s *Spec) String() string {
 
 // renderNode renders one node without its ^dependencies.
 func (s *Spec) renderNode() string {
+	if s.External == "" {
+		return s.nodeText()
+	}
+	return s.nodeText() + " [external:" + s.External + "]"
+}
+
+// nodeText is renderNode without the external annotation: the text a
+// stored DAG keeps for a node (EncodedNode.Node).
+func (s *Spec) nodeText() string {
 	var b strings.Builder
 	b.WriteString(s.Name)
 	if !s.Versions.Any() {
@@ -290,9 +299,6 @@ func (s *Spec) renderNode() string {
 	}
 	if s.Platform != "" {
 		b.WriteString(" platform=" + s.Platform)
-	}
-	if s.External != "" {
-		b.WriteString(" [external:" + s.External + "]")
 	}
 	return b.String()
 }

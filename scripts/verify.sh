@@ -22,7 +22,9 @@
 # decompressor), yamlite's scalar emitter/parser round trip, the
 # Result codec against encoding/json, both directions, telemetry's
 # traceparent header parser, the spec parser's render/re-parse
-# round trip, ramble's memoising variable expander against its
+# round trip, the decoder of stored concrete DAGs (spack.lock,
+# concretize-layer entries and the install database are read from
+# disk), ramble's memoising variable expander against its
 # memo-less oracle (templates and variable tables are user-written
 # YAML) and core's restore of a run-layer entry (bytes read back from
 # a shared cache directory) are fuzzed for five seconds each from
@@ -75,7 +77,7 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, ramble expander, run-layer restore; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
@@ -91,6 +93,9 @@ go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime=5s ./internal/telemet
 # randomises, so the sort's coverage flaps and the minimizer would
 # stall on it.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
+# Decoding walks each node's edges in map order, so its coverage flaps
+# the same way.
+go test -run '^$' -fuzz '^FuzzDecodeDAG$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
 # The seeds are whole run-layer entries of a few kB; minimizing one
 # that reaches new coverage would take the whole budget.
