@@ -128,14 +128,13 @@ func BenchmarkFig5_RambleWorkflow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// create+edit happened in Setup; now setup/on/analyze:
+		// create+edit happened in Setup; now setup, `on` (each
+		// experiment given an output) and analyze:
 		if err := sess.Workspace.Setup(); err != nil {
 			b.Fatal(err)
 		}
-		if err := sess.Workspace.On(context.Background(), func(_ context.Context, e *ramble.Experiment) (string, float64, error) {
-			return "Kernel done\nsaxpy_time: 0.001 s\n", 0.001, nil
-		}); err != nil {
-			b.Fatal(err)
+		for _, e := range sess.Workspace.Experiments {
+			e.Output, e.Elapsed, e.Status = "Kernel done\nsaxpy_time: 0.001 s\n", 0.001, ramble.Succeeded
 		}
 		rep, err := sess.Workspace.Analyze()
 		if err != nil {

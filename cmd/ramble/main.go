@@ -189,8 +189,14 @@ func setupCmd(flags map[string]string) error {
 		return err
 	}
 	// Reuse the Benchpark session machinery for the Spack install hook.
-	sess, err := setupSession(context.Background(), w, sys)
+	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
 	if err != nil {
+		return err
+	}
+	if err := w.Setup(); err != nil {
+		return err
+	}
+	if err := sess.Install(context.Background()); err != nil {
 		return err
 	}
 	if err := w.Save(); err != nil {
@@ -201,20 +207,9 @@ func setupCmd(flags map[string]string) error {
 	return nil
 }
 
-// setupSession binds a reopened workspace to its system, generates its
-// experiments and installs its software environments.
-func setupSession(ctx context.Context, w *ramble.Workspace, sys *hpcsim.System) (*core.Session, error) {
-	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Setup(); err != nil {
-		return nil, err
-	}
-	return sess, sess.Install(ctx)
-}
-
-// onCmd executes all experiments.
+// onCmd executes all experiments the way `benchpark <suite> <system>
+// <dir>` does: one Session.Run over the reopened workspace, which
+// applies the success criteria and leaves logs/results.json.
 func onCmd(flags map[string]string) error {
 	dir, err := needDir(flags)
 	if err != nil {
@@ -224,26 +219,21 @@ func onCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	sess, err := setupSession(ctx, w, sys)
+	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
 	if err != nil {
 		return err
 	}
-	if err := w.On(ctx, sess.Executor); err != nil {
-		return err
+	rep, _, err := sess.Run(context.Background(), core.RunOptions{})
+	// Keep the workspace, a failed run's partial one included.
+	if serr := w.Save(); err == nil {
+		err = serr
 	}
-	if err := w.Save(); err != nil {
+	if err != nil {
 		return err
-	}
-	failed := 0
-	for _, e := range w.Experiments {
-		if e.Status == ramble.Failed {
-			failed++
-		}
 	}
 	fmt.Printf("==> executed %d experiments on %s: %d succeeded, %d failed (outputs in experiments/)\n",
-		len(w.Experiments), sys.Name, len(w.Experiments)-failed, failed)
-	for _, e := range w.Experiments {
+		rep.Total, sys.Name, rep.Succeeded, rep.Failed)
+	for _, e := range rep.Experiments {
 		if e.Status == ramble.Failed {
 			fmt.Printf("  %-36s %-9s %s\n", e.Name, e.Status, e.FailMsg)
 		}

@@ -1,22 +1,26 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from what this tree prints")
 
 // TestFigure5Transcript pins what the five commands print and the
-// archive they end with, recorded from the commit before the workspace
-// moved into memory (ISSUE 17). The workspace path is relative, so the
-// rendered scripts — and with them the archive bytes — do not depend
-// on where the test runs.
+// archive they end with, logs/results.json of `ramble on` included. The
+// workspace path is relative, so the rendered scripts — and with them
+// the archive bytes — do not depend on where the test runs.
 func TestFigure5Transcript(t *testing.T) {
 	golden, err := filepath.Abs(filepath.Join("testdata", "figure5_transcript.golden"))
 	if err != nil {
@@ -105,7 +109,7 @@ func TestFailedExperimentsSayWhy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := replaceOnce(string(data), "nz: '32'\n", "nz: '32'\n            px: '0'\n            pz: '8'\n")
+	edited := strings.Replace(string(data), "nz: '32'\n", "nz: '32'\n            px: '0'\n            pz: '8'\n", 1)
 	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestFailedExperimentsSayWhy(t *testing.T) {
 		"==> analyzed 2 experiments: 0 succeeded, 2 failed",
 		"amg2023_openmp_2_16                  failed    no output (`ramble on` did not run it, or it failed)\n",
 	} {
-		if !contains(string(got), want) {
+		if !strings.Contains(string(got), want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
 		}
 	}
@@ -165,6 +169,68 @@ func TestFigure5CommandSequence(t *testing.T) {
 	}
 }
 
+// TestOnIsSessionRun: `ramble on` is a Session.Run. After `workspace
+// create` and `on`, the workspace's experiments/ files and
+// logs/results.json are byte for byte what Setup, Session.Run and Save
+// leave for the same suite and system, once each workspace's root is
+// normalised out. A reopened workspace is named after its directory,
+// so the reference session takes that name for its suite.
+func TestOnIsSessionRun(t *testing.T) {
+	cli := filepath.Join(t.TempDir(), "ws")
+	for _, args := range [][]string{
+		{"workspace", "create", "-d", cli, "--suite", "saxpy/openmp", "--system", "cts1"},
+		{"on", "-d", cli},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	ref := filepath.Join(t.TempDir(), "ws")
+	sess, err := core.New().Setup("saxpy/openmp", "cts1", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Suite = filepath.Base(cli)
+	if _, _, err := sess.Run(context.Background(), core.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := runFiles(t, cli), runFiles(t, ref)
+	if want["logs/results.json"] == "" || len(got) != len(want) {
+		t.Errorf("`ramble on` left %d files, Session.Run %d (results.json %d bytes)", len(got), len(want), len(want["logs/results.json"]))
+	}
+	for rel, data := range want {
+		if got[rel] != data {
+			t.Errorf("%s differs:\n--- ramble on ---\n%s\n--- Session.Run ---\n%s", rel, got[rel], data)
+		}
+	}
+}
+
+// runFiles returns every file under root's experiments/ and logs/,
+// keyed by slash path relative to root, with root itself replaced by
+// $WORKSPACE in their contents.
+func runFiles(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	for _, sub := range []string{"experiments", "logs"} {
+		err := filepath.WalkDir(filepath.Join(root, sub), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(root, path)
+			files[filepath.ToSlash(rel)] = strings.ReplaceAll(string(data), root, "$WORKSPACE")
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
 func TestEditBetweenCommands(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ws")
 	if err := run([]string{"workspace", "create", "-d", dir, "--suite", "stream/triad", "--system", "cts1"}); err != nil {
@@ -176,8 +242,7 @@ func TestEditBetweenCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := string(data)
-	edited = replaceOnce(edited, "n: '10000000'", "n: '1000'")
+	edited := strings.Replace(string(data), "n: '10000000'", "n: '1000'", 1)
 	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +255,7 @@ func TestEditBetweenCommands(t *testing.T) {
 		t.Fatal("no scripts")
 	}
 	content, _ := os.ReadFile(scripts[0])
-	if !contains(string(content), "-n 1000 ") && !contains(string(content), "-n 1000\n") {
+	if !strings.Contains(string(content), "-n 1000 ") && !strings.Contains(string(content), "-n 1000\n") {
 		t.Errorf("edited n not in script:\n%s", content)
 	}
 }
@@ -245,25 +310,4 @@ func TestUnknownFlagsRefused(t *testing.T) {
 	if err := run([]string{"on", "-h"}); err != nil {
 		t.Errorf("-h prints the usage: %v", err)
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && index(s, sub) >= 0
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
-func replaceOnce(s, old, new string) string {
-	i := index(s, old)
-	if i < 0 {
-		return s
-	}
-	return s[:i] + new + s[i+len(old):]
 }

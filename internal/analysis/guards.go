@@ -100,7 +100,11 @@ var guardTable = []guard{
 	{pr: 45, pkg: "internal/spec", retired: []string{"DecodeDAG"}, why: oneStoredDAG},
 	{pr: 45, pkg: "internal/env", retired: []string{"LockNode", "Lockfile", "ParseLockfile"}, why: oneStoredDAG},
 	{pr: 45, pkg: "internal/concretizer", retired: []string{"cachedSolve"}, why: oneStoredDAG},
+	{pr: 46, pkg: "internal/ramble", retired: []string{"Workspace.On", "Executor"}, why: oneRunPath},
+	{pr: 46, pkg: "internal/core", retired: []string{"Session.Executor"}, why: oneRunPath},
 }
+
+const oneRunPath = "an experiment reaches its result one way: `ramble on` and `benchpark run` are a Session.Run"
 
 const oneStoredDAG = "a concrete DAG is stored one way: spack.lock, concretize entries and the install database are spec.DAG (EncodeDAG, DAG.Decode)"
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -321,20 +320,6 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 	return nil
 }
 
-// Executor is the session as a ramble.Executor, for drivers that call
-// Workspace.On themselves (the ramble CLI): each experiment is
-// executed and submitted exactly as Run does it, one at a time.
-func (s *Session) Executor(ctx context.Context, e *ramble.Experiment) (string, float64, error) {
-	out, err := s.execute(e, expandedVars(e))
-	if err := s.submit(ctx, e, out, err, ""); err != nil {
-		return "", 0, err
-	}
-	if e.Status == ramble.Failed {
-		return "", 0, errors.New(e.FailMsg)
-	}
-	return out.Text, out.Elapsed, nil
-}
-
 // NewSessionForWorkspace binds an already-configured workspace (e.g.
 // one reopened from disk by the ramble CLI) to a system.
 func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Workspace) (*Session, error) {
@@ -372,7 +357,9 @@ type RunOptions struct {
 // and the terminal error if the run did not complete. Individual
 // experiment failures do not fail the run; they appear as failed
 // experiments in the analysis and as typed errors in the engine
-// report.
+// report. A completed run's results go into Benchpark.Metrics through
+// metricsdb.ResultsFromReport, the bridge Push uses, so a local row
+// and a pushed result are the same record, trace ID included.
 func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport, *engine.Report, error) {
 	ctx, span := telemetry.StartSpan(ctx, "session")
 	span.SetAttr("suite", s.Suite)
@@ -384,6 +371,9 @@ func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport
 		eopts.Cache = s.Benchpark.Store.Layer("run")
 	}
 	erep, err := engine.Run(ctx, r, eopts)
+	for _, res := range metricsdb.ResultsFromReport(erep, s.manifests) {
+		s.Benchpark.Metrics.Add(res)
+	}
 	s.appendCacheStats(ctx, erep)
 	span.SetError(err)
 	span.End()
@@ -394,9 +384,9 @@ func (s *Session) Run(ctx context.Context, o RunOptions) (*ramble.AnalysisReport
 
 // sessionRunner adapts a Session to the engine's Runner interface.
 // Execute runs the benchmark kernels concurrently; every shared side
-// effect (scheduler submission, thicket, metrics database, files)
-// happens in the sequential Commit/Analyze stages, in experiment index
-// order, so a concurrent run is byte-identical to a sequential one.
+// effect (scheduler submission, thicket, files) happens in the
+// sequential Commit/Analyze stages, in experiment index order, so a
+// concurrent run is byte-identical to a sequential one.
 type sessionRunner struct {
 	s *Session
 
@@ -482,16 +472,16 @@ func (r *sessionRunner) Analyze(ctx context.Context) error {
 }
 
 // Results implements engine.ResultReporter: the records Analyze made,
-// which the engine attaches to Report.Results — what the federation
-// path (metricsdb.ResultsFromReport → resultsd) pushes to a shared
-// results service.
+// which the engine attaches to Report.Results — what Run adds to the
+// deployment's metrics database and a push sends to a shared results
+// service, both through metricsdb.ResultsFromReport.
 func (r *sessionRunner) Results() []engine.ExperimentResult { return r.results }
 
 // Manifests returns the reproducibility manifest of every experiment
 // in the analysis Run returned, keyed by experiment name, as Run
 // rendered them — the map metricsdb.ResultsFromReport attaches to
-// pushed results so a remote store carries the same provenance as the
-// local one. A nil analysis has none.
+// results, so a remote store carries the same provenance as the local
+// one. A nil analysis has none.
 func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
 	if rep == nil {
 		return nil
@@ -503,10 +493,9 @@ func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
 // manifest is rendered once (kept for Manifests) and goes with its
 // status into logs/results.json — the shareable record Section 5 wants
 // contributors to publish alongside the manifests. Every succeeded
-// experiment becomes one identity + Meta record that is streamed into
-// the deployment's metrics database and returned for the engine
-// report, so the local database, the artifact and a pushed batch
-// cannot disagree.
+// experiment becomes one identity + Meta record, returned for the
+// engine report, from which Run feeds the local database and Push a
+// pushed batch, so neither can disagree with the artifact.
 func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult, error) {
 	type entry struct {
 		Experiment string            `json:"experiment"`
@@ -558,17 +547,6 @@ func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult,
 		return nil, err
 	}
 	s.Workspace.WriteLog("results.json", data)
-	for _, r := range results {
-		s.Benchpark.Metrics.Add(metricsdb.Result{
-			Benchmark:  r.Benchmark,
-			Workload:   r.Workload,
-			System:     r.System,
-			Experiment: r.Experiment,
-			FOMs:       metricsdb.ParseFOMs(r.FOMs),
-			Meta:       r.Meta,
-			Manifest:   s.manifests[r.Experiment],
-		})
-	}
 	return results, nil
 }
 

@@ -12,14 +12,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/caliper"
 	"repro/internal/ci"
+	"repro/internal/engine"
 	"repro/internal/extrap"
 	"repro/internal/hpcsim"
 	"repro/internal/metricsdb"
 	"repro/internal/pkgrepo"
 	"repro/internal/ramble"
+	"repro/internal/telemetry"
 )
 
 func TestSystemConfigsGenerate(t *testing.T) {
@@ -347,6 +350,8 @@ func TestAMGStrongScaling(t *testing.T) {
 	}
 }
 
+// TestResultsArtifactWritten: a saved run holds logs/results.json and,
+// beside each experiment's script, the .out its analysis read.
 func TestResultsArtifactWritten(t *testing.T) {
 	bp := New()
 	dir := t.TempDir()
@@ -354,11 +359,18 @@ func TestResultsArtifactWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.Run(context.Background(), RunOptions{}); err != nil {
+	rep, _, err := sess.Run(context.Background(), RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Workspace.Save(); err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range rep.Experiments {
+		out, err := os.ReadFile(filepath.Join(e.Dir, e.Name+".out"))
+		if err != nil || e.Output == "" || string(out) != e.Output {
+			t.Errorf("%s: .out = %q (%v), want the analysed output %q", e.Name, out, err, e.Output)
+		}
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
 	if err != nil {
@@ -379,11 +391,12 @@ func TestResultsArtifactWritten(t *testing.T) {
 }
 
 // TestAnalysedExperimentIsOneRecord: the three consumers of an analysis
-// agree. For every succeeded experiment, the manifest in
-// logs/results.json, the Manifest and Meta in the deployment's metrics
-// database, and the Manifest and Meta of the batch a push would carry
-// (ResultsFromReport over Session.Manifests) are equal, n_threads
-// included.
+// agree. For every succeeded experiment of a traced run, the manifest in
+// logs/results.json equals the row in the deployment's metrics database
+// and the result a push would carry (ResultsFromReport over
+// Session.Manifests), and those two are equal field for field — trace
+// ID, Meta and n_threads included — but for the identity the database
+// assigns (ID, Seq).
 func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	bp := New()
 	dir := t.TempDir()
@@ -391,7 +404,8 @@ func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, erep, err := sess.Run(context.Background(), RunOptions{})
+	ctx := telemetry.WithTracer(context.Background(), telemetry.New(telemetry.FixedClock{T: time.Unix(1700000000, 0)}))
+	rep, erep, err := sess.Run(ctx, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,6 +429,7 @@ func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	byName := func(rs []metricsdb.Result) map[string]metricsdb.Result {
 		out := map[string]metricsdb.Result{}
 		for _, r := range rs {
+			r.ID, r.Seq = 0, 0
 			out[r.Experiment] = r
 		}
 		return out
@@ -426,12 +441,11 @@ func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	}
 	for _, e := range rep.Experiments {
 		l, p := local[e.Name], pushed[e.Name]
-		if artifact[e.Name] == "" || artifact[e.Name] != l.Manifest || l.Manifest != p.Manifest {
-			t.Errorf("%s: manifests differ:\nresults.json %q\nlocal        %q\npushed       %q",
-				e.Name, artifact[e.Name], l.Manifest, p.Manifest)
+		if artifact[e.Name] == "" || artifact[e.Name] != l.Manifest {
+			t.Errorf("%s: manifests differ:\nresults.json %q\nlocal        %q", e.Name, artifact[e.Name], l.Manifest)
 		}
-		if l.Meta["n_threads"] == "" || !reflect.DeepEqual(l.Meta, p.Meta) {
-			t.Errorf("%s: meta local %v, pushed %v; want equal with n_threads", e.Name, l.Meta, p.Meta)
+		if l.TraceID == "" || l.Meta["n_threads"] == "" || !reflect.DeepEqual(l, p) {
+			t.Errorf("%s: local row\n%+v\npushed result\n%+v\nwant equal, with a trace ID and n_threads", e.Name, l, p)
 		}
 	}
 }
@@ -535,38 +549,68 @@ func TestSetupInstallerFailurePropagates(t *testing.T) {
 }
 
 // TestFailurePropagatesThroughStack: an injected node fault fails the
-// benchmark, the batch job, the experiment, and keeps the result out
-// of the metrics database.
+// benchmark, the batch job, the experiment and its entry in
+// logs/results.json, is reported as the experiment's execute error, and
+// keeps the result out of the metrics database.
 func TestFailurePropagatesThroughStack(t *testing.T) {
 	bp := New()
-	sess, err := bp.Setup("saxpy/openmp", "cts1", t.TempDir())
+	dir := t.TempDir()
+	sess, err := bp.Setup("saxpy/openmp", "cts1", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := sess.Workspace.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Install(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Inject the fault into every experiment.
-	for _, e := range sess.Workspace.Experiments {
-		e.Vars["inject_failure"] = "0"
-	}
-	if err := sess.Workspace.On(ctx, sess.Executor); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Workspace.Analyze()
+	// Inject the fault into every experiment, as an edit of ramble.yaml.
+	yaml, err := experimentSuites["saxpy/openmp"](sess.System)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed != rep.Total {
+	edited := strings.Replace(yaml, "variant: 'openmp'\n", "variant: 'openmp'\n            inject_failure: '0'\n", 1)
+	if edited == yaml {
+		t.Fatal("saxpy/openmp's ramble.yaml has no workload variant to inject the fault beside")
+	}
+	if err := sess.Workspace.Configure(edited); err != nil {
+		t.Fatal(err)
+	}
+	rep, erep, err := sess.Run(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Workspace.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != 8 || rep.Failed != rep.Total {
 		t.Fatalf("failures = %d/%d", rep.Failed, rep.Total)
 	}
 	for _, e := range rep.Experiments {
 		if !strings.Contains(e.FailMsg, "SIGBUS") {
 			t.Errorf("%s: failmsg = %q", e.Name, e.FailMsg)
+		}
+	}
+	if len(erep.Errors) != rep.Total {
+		t.Errorf("engine report holds %d errors, want %d", len(erep.Errors), rep.Total)
+	}
+	for i, se := range erep.Errors {
+		if se.Stage != engine.StageExecute || se.Experiment != rep.Experiments[i].Name {
+			t.Errorf("error %d = %v, want %s's execute error", i, se, rep.Experiments[i].Name)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Failed  int
+		Results []struct{ Experiment, Status string }
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Failed != rep.Total || len(doc.Results) != rep.Total {
+		t.Errorf("results.json counts %d failed of %d entries, want %d of %d", doc.Failed, len(doc.Results), rep.Total, rep.Total)
+	}
+	for _, r := range doc.Results {
+		if r.Status != "failed" {
+			t.Errorf("results.json: %s is %q, want failed", r.Experiment, r.Status)
 		}
 	}
 	if bp.Metrics.Len() != 0 {

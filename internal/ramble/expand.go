@@ -3,14 +3,16 @@
 // workloads, variables, figures of merit, success criteria), and a
 // workspace turns a concise YAML configuration into a concrete set of
 // experiments — expanding variables, crossing matrices, rendering
-// batch-script templates — then executes them and extracts metrics.
+// batch-script templates — and extracts metrics from their outputs.
+// Running an experiment is the driver's job: it fills each one's
+// Output, Elapsed and Status.
 //
 // The five-command workflow of Figure 5 maps to:
 //
 //	ramble workspace create  -> NewWorkspace
 //	ramble workspace edit    -> Workspace.Configure (ramble.yaml)
 //	ramble workspace setup   -> Workspace.Setup
-//	ramble on                -> Workspace.On
+//	ramble on                -> the driver's run (core.Session.Run)
 //	ramble workspace analyze -> Workspace.Analyze
 package ramble
 

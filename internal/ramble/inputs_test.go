@@ -3,7 +3,6 @@ package ramble
 import (
 	"archive/tar"
 	"compress/gzip"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -180,15 +179,7 @@ ramble:
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
-	w := problem2Workspace(t)
-	if err := w.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.On(context.Background(), func(_ context.Context, e *Experiment) (string, float64, error) {
-		return "Kernel done\n", 0.1, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	w := ranProblem2(t)
 	archive := filepath.Join(t.TempDir(), "ws.tar.gz")
 	if err := w.Archive(archive); err != nil {
 		t.Fatal(err)

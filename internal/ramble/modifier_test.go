@@ -1,7 +1,6 @@
 package ramble
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -105,12 +104,11 @@ ramble:
 		t.Errorf("CALI_CONFIG = %q should reference run dir", e.Env["CALI_CONFIG"])
 	}
 
-	// Execute with PAPI-style output; analyze must pick up the
+	// Each experiment printed PAPI-style output; analyze must pick up the
 	// modifier FOMs alongside the application's.
-	if err := w.On(context.Background(), func(context.Context, *Experiment) (string, float64, error) {
-		return "saxpy_time: 0.002 s\npapi.PAPI_FP_OPS: 8.192000e+03\npapi.PAPI_L3_TCM: 7.680000e+02\nKernel done\n", 0.002, nil
-	}); err != nil {
-		t.Fatal(err)
+	for _, e := range w.Experiments {
+		e.Output = "saxpy_time: 0.002 s\npapi.PAPI_FP_OPS: 8.192000e+03\npapi.PAPI_L3_TCM: 7.680000e+02\nKernel done\n"
+		e.Elapsed, e.Status = 0.002, Succeeded
 	}
 	rep, err := w.Analyze()
 	if err != nil {

@@ -1,7 +1,6 @@
 package ramble
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -72,7 +71,8 @@ type Experiment struct {
 	// BatchTime is the batch job's time limit in minutes (batch_time).
 	BatchTime float64
 
-	// Execution results.
+	// Execution results: the driver that ran the experiment sets
+	// them, and Analyze settles Status and FOMs.
 	Status  Status
 	Output  string
 	Elapsed float64
@@ -675,39 +675,6 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 		return nil, fmt.Errorf("ramble: batch_time=%q is not a number", s)
 	}
 	return e, nil
-}
-
-// Executor runs one experiment and returns its textual output plus
-// simulated elapsed seconds. The Benchpark core wires this to the
-// batch scheduler and benchmark kernels.
-type Executor func(ctx context.Context, e *Experiment) (output string, elapsed float64, err error)
-
-// On executes every generated experiment (`ramble on`), checking the
-// context before each one.
-func (w *Workspace) On(ctx context.Context, exec Executor) error {
-	if !w.setupDone {
-		return fmt.Errorf("ramble: workspace %s: run Setup before On", w.Name)
-	}
-	if exec == nil {
-		return fmt.Errorf("ramble: no executor")
-	}
-	for _, e := range w.Experiments {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		out, elapsed, err := exec(ctx, e)
-		e.Output = out
-		e.Elapsed = elapsed
-		if err != nil {
-			e.Status = Failed
-			e.FailMsg = err.Error()
-			continue
-		}
-		// Status is finalized by Analyze (success criteria).
-		e.Status = Succeeded
-		w.WriteOutput(e, ".out", out)
-	}
-	return nil
 }
 
 // AnalysisReport is the result of `ramble workspace analyze`.

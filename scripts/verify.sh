@@ -14,7 +14,8 @@
 # layer (concurrent routed appends into each shard store's commit
 # queue) and its load generator (one goroutine per simulated runner), benchlint's
 # concurrent file parser, the benchlint CLI whose tests drive
-# that loader end to end, and the simulated MPI runtime with the kernels
+# that loader end to end, the ramble CLI (`ramble on` is a Session.Run
+# on the engine's worker pool), and the simulated MPI runtime with the kernels
 # that run on it (one goroutine per rank, up to 3,456 a job, meeting in
 # hand-written mailboxes: a mutex and a condition per rank). After it, the result store's two decoders of
 # on-disk bytes — WAL frames and snapshot generations — the ingest
@@ -72,7 +73,7 @@ go test ./...
 go test -count=2 -run '^(TestProvisionCloudCluster|TestSuiteOnProvisionedCloudCluster|TestRunProvisionCmd|TestSubcommandsHonourTimeout)$' ./internal/hpcsim ./internal/core ./cmd/benchpark
 
 echo "==> go test -race (concurrent packages)"
-go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./internal/mpisim ./internal/bench
+go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./cmd/ramble ./internal/mpisim ./internal/bench
 # Order-independence of the rendered metrics is a claim about every
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
