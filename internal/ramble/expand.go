@@ -4,15 +4,15 @@
 // workspace turns a concise YAML configuration into a concrete set of
 // experiments — expanding variables, crossing matrices, rendering
 // batch-script templates — and extracts metrics from their outputs.
-// Running an experiment is the driver's job: it fills each one's
-// Output, Elapsed and Status.
+// Running an experiment is left to the caller (core.Session.Run),
+// which fills each one's Output, Elapsed and Status.
 //
 // The five-command workflow of Figure 5 maps to:
 //
 //	ramble workspace create  -> NewWorkspace
 //	ramble workspace edit    -> Workspace.Configure (ramble.yaml)
 //	ramble workspace setup   -> Workspace.Setup
-//	ramble on                -> the driver's run (core.Session.Run)
+//	ramble on                -> core.Session.Run
 //	ramble workspace analyze -> Workspace.Analyze
 package ramble
 

@@ -11,7 +11,7 @@ import (
 )
 
 // ranProblem2 is the inputs workspace set up and executed, unsaved:
-// each experiment holds the outcome a driver sets and the .out it
+// each experiment holds the outcome a run sets and the .out it
 // writes beside the script.
 func ranProblem2(t *testing.T) *Workspace {
 	t.Helper()

@@ -71,8 +71,8 @@ type Experiment struct {
 	// BatchTime is the batch job's time limit in minutes (batch_time).
 	BatchTime float64
 
-	// Execution results: the driver that ran the experiment sets
-	// them, and Analyze settles Status and FOMs.
+	// Execution results: whatever ran the experiment sets them, and
+	// Analyze settles Status and FOMs.
 	Status  Status
 	Output  string
 	Elapsed float64

@@ -214,7 +214,7 @@ func TestOnAndAnalyze(t *testing.T) {
 	if err := w.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	// As a driver leaves them: n=512 ran, n=1024 crashed before the
+	// As a run leaves them: n=512 ran, n=1024 crashed before the
 	// kernel and fails the success criteria.
 	for _, e := range w.Experiments {
 		e.Output, e.Elapsed, e.Status = "crashed before kernel\n", 0.0005, Succeeded
@@ -247,7 +247,7 @@ func TestOnAndAnalyze(t *testing.T) {
 	}
 }
 
-// TestFailedExperimentStaysFailed: Analyze keeps the failure a driver
+// TestFailedExperimentStaysFailed: Analyze keeps the failure a run
 // recorded, with its reason, instead of checking an output it lacks.
 func TestFailedExperimentStaysFailed(t *testing.T) {
 	w := figure10Workspace(t)

@@ -246,7 +246,7 @@ ramble:
 	if err := ws.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	// Each experiment as a driver leaves it: outcome set, .out written.
+	// Each experiment as a run leaves it: outcome set, .out written.
 	for _, e := range ws.Experiments {
 		e.Output, e.Elapsed, e.Status = "Kernel done\nconverged\n", 0.1, ramble.Succeeded
 		ws.WriteOutput(e, ".out", e.Output)
