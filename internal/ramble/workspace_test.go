@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -624,5 +625,109 @@ func TestFOMDirectionFromUnits(t *testing.T) {
 	// ...but regresses upward, as the results service has always judged it.
 	if RegressionThreshold("saxpy", "nosuchfom") != 1.2 || RegressionThreshold("nosuchapp", "saxpy_time") != 1.2 {
 		t.Error("an undeclared FOM should regress past 1.2x its baseline")
+	}
+}
+
+// TestTemplateExpansionOrderAndPrecedence pins the expansion rule: the
+// zipped vectors form the outermost axis, then each matrix variable in
+// matrix order, the last varying fastest; an exclusion drops whole
+// combinations; and every variable comes from the highest layer that
+// sets it — built-in < modifier < application default < global <
+// workload < experiment.
+func TestTemplateExpansionOrderAndPrecedence(t *testing.T) {
+	modifierRegistry["pin-layers"] = &Modifier{
+		Name: "pin-layers",
+		Variables: map[string]string{
+			"spack_setup": "modifier", "tolerance": "modifier",
+			"max_iterations": "modifier", "px": "modifier", "py": "modifier",
+		},
+		EnvVars: map[string]string{"PIN_ENV": "modifier", "PIN_RANKS": "{n_ranks}"},
+	}
+	t.Cleanup(func() { delete(modifierRegistry, "pin-layers") })
+	w, err := NewWorkspace("pin", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := `
+ramble:
+  variables:
+    max_iterations: 'global'
+    px: 'global'
+    py: 'global'
+  applications:
+    amg2023:
+      workloads:
+        problem1:
+          modifiers: [pin-layers]
+          env_vars:
+            set:
+              PIN_ENV: 'workload'
+          variables:
+            px: 'workload'
+            py: 'workload'
+          experiments:
+            pin_{nx}_{ny}_{nz}_{n_nodes}_{processes_per_node}:
+              variables:
+                py: 'experiment'
+                nx: ['8', '16']
+                ny: ['4', '2']
+                nz: ['1', '2']
+                n_nodes: ['1', '2']
+                processes_per_node: ['1', '4']
+              matrices:
+              - depth:
+                - nz
+              - grid:
+                - n_nodes
+                - processes_per_node
+              exclude:
+                variables:
+                - nz: '2'
+                  n_nodes: '2'
+`
+	if err := w.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name  string
+		nodes int
+		ranks int
+	}{
+		{"pin_8_4_1_1_1", 1, 1}, {"pin_8_4_1_1_4", 1, 4}, {"pin_8_4_1_2_1", 2, 2}, {"pin_8_4_1_2_4", 2, 8},
+		{"pin_8_4_2_1_1", 1, 1}, {"pin_8_4_2_1_4", 1, 4},
+		{"pin_16_2_1_1_1", 1, 1}, {"pin_16_2_1_1_4", 1, 4}, {"pin_16_2_1_2_1", 2, 2}, {"pin_16_2_1_2_4", 2, 8},
+		{"pin_16_2_2_1_1", 1, 1}, {"pin_16_2_2_1_4", 1, 4},
+	}
+	if len(w.Experiments) != len(want) {
+		var names []string
+		for _, e := range w.Experiments {
+			names = append(names, e.Name)
+		}
+		t.Fatalf("generated %v, want %d experiments", names, len(want))
+	}
+	for i, e := range w.Experiments {
+		if e.Name != want[i].name || e.NNodes != want[i].nodes || e.NRanks != want[i].ranks {
+			t.Errorf("experiment %d = %s (%d nodes, %d ranks), want %s (%d nodes, %d ranks)",
+				i, e.Name, e.NNodes, e.NRanks, want[i].name, want[i].nodes, want[i].ranks)
+		}
+		for k, v := range map[string]string{
+			"batch_time":      "60",         // built-in
+			"spack_setup":     "modifier",   // beats the built-in
+			"tolerance":       "1e-8",       // application default beats the modifier
+			"max_iterations":  "global",     // beats the application default
+			"px":              "workload",   // beats global
+			"py":              "experiment", // beats the workload
+			"experiment_name": e.Name,
+		} {
+			if got, err := e.Expander.ExpandVar(k); err != nil || got != v {
+				t.Errorf("%s: %s = %q (%v), want %q", e.Name, k, got, err, v)
+			}
+		}
+		if e.Env["PIN_ENV"] != "workload" || e.Env["PIN_RANKS"] != strconv.Itoa(want[i].ranks) {
+			t.Errorf("%s: env = %v, want the workload's PIN_ENV over the modifier's", e.Name, e.Env)
+		}
 	}
 }
