@@ -123,12 +123,24 @@ ramble:
 	}
 }
 
+// TestUnknownModifierRejected: a template that names an unregistered
+// modifier fails Setup even when it generates no experiment, because
+// every combination is excluded or a vector is empty.
 func TestUnknownModifierRejected(t *testing.T) {
-	w, err := NewWorkspace("badmod", t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := `
+	for _, vars := range []string{`
+                n: '1'`, `
+                n: ['1', '2']
+              exclude:
+                variables:
+                - n: '1'
+                - n: '2'`, `
+                n: []`,
+	} {
+		w, err := NewWorkspace("badmod", t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := `
 ramble:
   applications:
     saxpy:
@@ -136,15 +148,14 @@ ramble:
         problem:
           modifiers: [not-a-modifier]
           experiments:
-            x:
-              variables:
-                n: '1'
-`
-	if err := w.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Setup(); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
-		t.Errorf("err = %v", err)
+            x_{n}:
+              variables:` + vars + "\n"
+		if err := w.Configure(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Setup(); err == nil || !strings.Contains(err.Error(), `unknown modifier "not-a-modifier"`) {
+			t.Errorf("variables %q: err = %v", vars, err)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package ramble
 
 import (
+	"cmp"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -307,8 +310,7 @@ func (w *Workspace) SoftwareEnvironments() (map[string][]string, error) {
 }
 
 // generateExperiments walks applications → workloads → experiment
-// templates, expanding vector variables and matrices into concrete
-// experiments.
+// templates, expanding each template into concrete experiments.
 func (w *Workspace) generateExperiments() ([]*Experiment, error) {
 	apps := w.effective.GetMap("applications")
 	if apps == nil || apps.Len() == 0 {
@@ -333,20 +335,14 @@ func (w *Workspace) generateExperiments() ([]*Experiment, error) {
 			}
 			wlSec := workloads.GetMap(wlName)
 			wlVars := mapFromYAML(wlSec.GetMap("variables"))
-			wlMods := wlSec.GetStrings("modifiers")
-			envVars := map[string]string{}
-			if ev := wlSec.GetMap("env_vars"); ev != nil {
-				for k, v := range mapFromYAML(ev.GetMap("set")) {
-					envVars[k] = v
-				}
-			}
+			envVars := mapFromYAML(wlSec.GetMap("env_vars").GetMap("set"))
 			exps := wlSec.GetMap("experiments")
 			if exps == nil {
 				return nil, fmt.Errorf("ramble: %s/%s has no experiments section", appName, wlName)
 			}
 			for _, nameTpl := range exps.Keys() {
-				expSec := exps.GetMap(nameTpl)
-				gen, err := w.expandTemplate(app, wlName, nameTpl, expSec, globalVars, wlVars, envVars, wlMods)
+				gen, err := w.expandTemplate(app, wlName, nameTpl, exps.GetMap(nameTpl),
+					globalVars, wlVars, envVars, wlSec.GetStrings("modifiers"))
 				if err != nil {
 					return nil, fmt.Errorf("ramble: experiment %s: %w", nameTpl, err)
 				}
@@ -365,92 +361,112 @@ func (w *Workspace) generateExperiments() ([]*Experiment, error) {
 	return out, nil
 }
 
-// expandTemplate produces the concrete experiments for one experiment
-// template: zip unmatrixed vector variables, cross matrices.
+// builtinVars is the lowest layer of every experiment's variables.
+func builtinVars(app, workload, nameTpl string) map[string]string {
+	return map[string]string{
+		"application_name":   app,
+		"workload_name":      workload,
+		"experiment_name":    nameTpl,
+		"n_nodes":            "1",
+		"processes_per_node": "1",
+		"n_ranks":            "{processes_per_node*n_nodes}",
+		"n_threads":          "1",
+		"batch_time":         "60",
+		"spack_setup":        ". $SPACK_ROOT/share/spack/setup-env.sh",
+		// Scheduler variables normally supplied by the system's
+		// variables.yaml (Figure 12); generic fallbacks keep minimal
+		// workspaces functional.
+		"batch_nodes":        "#SBATCH -N {n_nodes}",
+		"batch_ranks":        "#SBATCH -n {n_ranks}",
+		"batch_timeout":      "#SBATCH -t {batch_time}:00",
+		"mpi_command":        "mpirun -n {n_ranks}",
+		"execute_experiment": "{experiment_run_dir}/execute_experiment.sh",
+		"batch_submit":       "sbatch {execute_experiment}",
+	}
+}
+
+// expandTemplate produces the concrete experiments of one experiment
+// template. This is the whole expansion rule (Section 3.2):
+//
+//   - Axes. The template's vector variables that no matrix names are
+//     zipped into one axis: they advance together and must have equal
+//     lengths. Each variable of each matrix is one more axis, in matrix
+//     order and then variable order. One odometer walks the axes, the
+//     last fastest, so the zip index is outermost; an empty axis
+//     yields no experiment.
+//   - Precedence. A combination's variables are, lowest first: the
+//     built-ins (builtinVars), each listed modifier's Variables (a
+//     later modifier wins), the application's defaults for the
+//     workload, the global variables, the workload's variables, the
+//     template's scalar variables, and then its axis values. The
+//     environment is each listed modifier's EnvVars beneath the
+//     workload's env_vars.
+//   - Exclusion. A combination is dropped when its variables, the
+//     lower layers included, hold every value of one exclude: entry.
+//
+// Everything but the axis values is resolved once per template, so an
+// unknown modifier fails even a template that yields no experiment.
 func (w *Workspace) expandTemplate(app *Application, workload, nameTpl string,
 	expSec *yamlite.Map, globalVars, wlVars, envVars map[string]string,
-	modifiers []string) ([]*Experiment, error) {
+	wlMods []string) ([]*Experiment, error) {
 
-	if expSec != nil {
-		modifiers = append(append([]string(nil), modifiers...), expSec.GetStrings("modifiers")...)
-	}
-	// Per-experiment template override (Figure 1a keeps an
-	// exe_experiment.tpl next to each experiment definition).
-	tpl := DefaultTemplate
-	if expSec != nil {
-		if custom := expSec.GetString("template"); custom != "" {
-			tpl = custom
+	modifiers := append(append([]string(nil), wlMods...), expSec.GetStrings("modifiers")...)
+	base := builtinVars(app.Name, workload, nameTpl)
+	env := map[string]string{}
+	for _, name := range modifiers {
+		mod, err := GetModifier(name)
+		if err != nil {
+			return nil, err
 		}
+		maps.Copy(base, mod.Variables)
+		maps.Copy(env, mod.EnvVars)
 	}
-
-	scalars := map[string]string{}
+	maps.Copy(env, envVars)
+	for _, layer := range []map[string]string{app.DefaultVars(workload), globalVars, wlVars} {
+		maps.Copy(base, layer)
+	}
 	vectors := map[string][]string{}
-	order := []string{}
-	if expSec != nil {
-		if vs := expSec.GetMap("variables"); vs != nil {
-			for _, k := range vs.Keys() {
-				switch v := vs.Get(k).(type) {
-				case []yamlite.Value:
-					vals := make([]string, len(v))
-					for i, e := range v {
-						vals[i] = yamlite.ScalarString(e)
-					}
-					vectors[k] = vals
-					order = append(order, k)
-				default:
-					scalars[k] = yamlite.ScalarString(v)
-				}
-			}
+	var order []string
+	vs := expSec.GetMap("variables")
+	for _, k := range vs.Keys() {
+		v, ok := vs.Get(k).([]yamlite.Value)
+		if !ok {
+			base[k] = vs.GetString(k)
+			continue
 		}
+		vectors[k] = make([]string, len(v))
+		for i, e := range v {
+			vectors[k][i] = yamlite.ScalarString(e)
+		}
+		order = append(order, k)
 	}
 
-	// Matrices consume vector variables into cross products.
-	type matrix struct {
-		name string
-		vars []string
-	}
-	var matrices []matrix
-	if expSec != nil {
-		for _, mv := range expSec.GetSlice("matrices") {
-			mm, ok := mv.(*yamlite.Map)
-			if !ok || mm.Len() != 1 {
-				return nil, fmt.Errorf("bad matrices entry (want '- name: [vars]')")
-			}
-			mname := mm.Keys()[0]
-			mvars := mm.GetStrings(mname)
-			for _, v := range mvars {
-				if _, ok := vectors[v]; !ok {
-					return nil, fmt.Errorf("matrix %s references non-vector variable %q", mname, v)
-				}
-			}
-			matrices = append(matrices, matrix{name: mname, vars: mvars})
-		}
-	}
+	var axes [][]string
 	inMatrix := map[string]bool{}
-	for _, m := range matrices {
-		for _, v := range m.vars {
+	for _, mv := range expSec.GetSlice("matrices") {
+		mm, ok := mv.(*yamlite.Map)
+		if !ok || mm.Len() != 1 {
+			return nil, fmt.Errorf("bad matrices entry (want '- name: [vars]')")
+		}
+		mname := mm.Keys()[0]
+		for _, v := range mm.GetStrings(mname) {
+			if _, ok := vectors[v]; !ok {
+				return nil, fmt.Errorf("matrix %s references non-vector variable %q", mname, v)
+			}
+			axes = append(axes, []string{v})
 			inMatrix[v] = true
 		}
 	}
 
-	// Exclusions: drop generated combinations matching every variable
-	// of any exclusion entry (Ramble's exclude: construct; used to
-	// prune infeasible corners like "1024 ranks on 1 node").
+	// Exclusions prune infeasible corners like "1024 ranks on 1 node"
+	// (Ramble's exclude: construct).
 	var exclusions []map[string]string
-	if expSec != nil {
-		if ex := expSec.GetMap("exclude"); ex != nil {
-			for _, ev := range ex.GetSlice("variables") {
-				em, ok := ev.(*yamlite.Map)
-				if !ok {
-					return nil, fmt.Errorf("bad exclude entry (want '- var: value' mappings)")
-				}
-				entry := map[string]string{}
-				for _, k := range em.Keys() {
-					entry[k] = em.GetString(k)
-				}
-				exclusions = append(exclusions, entry)
-			}
+	for _, ev := range expSec.GetMap("exclude").GetSlice("variables") {
+		em, ok := ev.(*yamlite.Map)
+		if !ok {
+			return nil, fmt.Errorf("bad exclude entry (want '- var: value' mappings)")
 		}
+		exclusions = append(exclusions, mapFromYAML(em))
 	}
 	excluded := func(vars map[string]string) bool {
 		for _, entry := range exclusions {
@@ -468,140 +484,56 @@ func (w *Workspace) expandTemplate(app *Application, workload, nameTpl string,
 		return false
 	}
 
-	// Zip the remaining vector variables: all must share a length.
-	var zipVars []string
-	zipLen := 1
-	for _, k := range order {
-		if inMatrix[k] {
+	zipped := slices.DeleteFunc(order, func(k string) bool { return inMatrix[k] })
+	for _, k := range zipped {
+		if len(vectors[k]) != len(vectors[zipped[0]]) {
+			return nil, fmt.Errorf("vector variables %v must have equal lengths to zip (%s has %d, %s has %d)",
+				zipped, zipped[0], len(vectors[zipped[0]]), k, len(vectors[k]))
+		}
+	}
+	if len(zipped) > 0 {
+		axes = append([][]string{zipped}, axes...)
+	}
+
+	// Per-experiment template override (Figure 1a keeps an
+	// exe_experiment.tpl next to each experiment definition).
+	tpl := cmp.Or(expSec.GetString("template"), DefaultTemplate)
+	combinations := 1
+	for _, ax := range axes {
+		combinations *= len(vectors[ax[0]])
+	}
+	idx := make([]int, len(axes))
+	var out []*Experiment
+	for ; combinations > 0; combinations-- {
+		vars := maps.Clone(base)
+		for a, ax := range axes {
+			for _, k := range ax {
+				vars[k] = vectors[k][idx[a]]
+			}
+		}
+		for a := len(axes) - 1; a >= 0; a-- {
+			if idx[a]++; idx[a] < len(vectors[axes[a][0]]) {
+				break
+			}
+			idx[a] = 0
+		}
+		if excluded(vars) {
 			continue
 		}
-		zipVars = append(zipVars, k)
-	}
-	if len(zipVars) > 0 {
-		zipLen = len(vectors[zipVars[0]])
-		for _, k := range zipVars {
-			if len(vectors[k]) != zipLen {
-				return nil, fmt.Errorf("vector variables %v must have equal lengths to zip (%s has %d, %s has %d)",
-					zipVars, zipVars[0], zipLen, k, len(vectors[k]))
-			}
+		exp, err := w.buildExperiment(app, workload, nameTpl, tpl, vars, env, modifiers)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	// Enumerate: zip index × matrix cross products.
-	matrixSizes := make([][]int, len(matrices))
-	for mi, m := range matrices {
-		sizes := make([]int, len(m.vars))
-		for vi, v := range m.vars {
-			sizes[vi] = len(vectors[v])
-		}
-		matrixSizes[mi] = sizes
-	}
-	var enumerate func(mi int, idx [][]int)
-	var allIdx [][][]int
-	enumerate = func(mi int, idx [][]int) {
-		if mi == len(matrices) {
-			cp := make([][]int, len(idx))
-			for i := range idx {
-				cp[i] = append([]int(nil), idx[i]...)
-			}
-			allIdx = append(allIdx, cp)
-			return
-		}
-		var rec func(vi int, cur []int)
-		rec = func(vi int, cur []int) {
-			if vi == len(matrices[mi].vars) {
-				enumerate(mi+1, append(idx, append([]int(nil), cur...)))
-				return
-			}
-			for k := 0; k < matrixSizes[mi][vi]; k++ {
-				rec(vi+1, append(cur, k))
-			}
-		}
-		rec(0, nil)
-	}
-	enumerate(0, nil)
-
-	var out []*Experiment
-	for zi := 0; zi < zipLen; zi++ {
-		for _, midx := range allIdx {
-			vars := map[string]string{}
-			// precedence: app defaults < global < workload < experiment
-			for k, v := range app.DefaultVars(workload) {
-				vars[k] = v
-			}
-			for k, v := range globalVars {
-				vars[k] = v
-			}
-			for k, v := range wlVars {
-				vars[k] = v
-			}
-			for k, v := range scalars {
-				vars[k] = v
-			}
-			for _, k := range zipVars {
-				vars[k] = vectors[k][zi]
-			}
-			for mi, m := range matrices {
-				for vi, v := range m.vars {
-					vars[v] = vectors[v][midx[mi][vi]]
-				}
-			}
-			if excluded(vars) {
-				continue
-			}
-			exp, err := w.buildExperiment(app, workload, nameTpl, vars, envVars, modifiers, tpl)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, exp)
-		}
+		out = append(out, exp)
 	}
 	return out, nil
 }
 
-// buildExperiment finalizes one variable assignment into an
-// Experiment: built-in variables, name expansion, script rendering.
-func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
-	vars map[string]string, envVars map[string]string, modifiers []string,
-	template string) (*Experiment, error) {
-
-	setDefault := func(k, v string) {
-		if _, ok := vars[k]; !ok {
-			vars[k] = v
-		}
-	}
-	// Modifiers contribute default variables and extra env vars.
-	extraEnv := map[string]string{}
-	for _, name := range modifiers {
-		mod, err := GetModifier(name)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range mod.Variables {
-			setDefault(k, v)
-		}
-		for k, v := range mod.EnvVars {
-			extraEnv[k] = v
-		}
-	}
-	setDefault("application_name", app.Name)
-	setDefault("workload_name", workload)
-	setDefault("n_nodes", "1")
-	setDefault("processes_per_node", "1")
-	setDefault("n_ranks", "{processes_per_node*n_nodes}")
-	setDefault("n_threads", "1")
-	setDefault("batch_time", "60")
-	setDefault("spack_setup", ". $SPACK_ROOT/share/spack/setup-env.sh")
-	setDefault("experiment_name", nameTpl)
-	// Scheduler variables normally supplied by the system's
-	// variables.yaml (Figure 12); generic fallbacks keep minimal
-	// workspaces functional.
-	setDefault("batch_nodes", "#SBATCH -N {n_nodes}")
-	setDefault("batch_ranks", "#SBATCH -n {n_ranks}")
-	setDefault("batch_timeout", "#SBATCH -t {batch_time}:00")
-	setDefault("mpi_command", "mpirun -n {n_ranks}")
-	setDefault("execute_experiment", "{experiment_run_dir}/execute_experiment.sh")
-	setDefault("batch_submit", "sbatch {execute_experiment}")
+// buildExperiment finalizes one combination's variables into an
+// Experiment: its name, run directory, command, script, environment
+// and geometry.
+func (w *Workspace) buildExperiment(app *Application, workload, nameTpl, template string,
+	vars, env map[string]string, modifiers []string) (*Experiment, error) {
 
 	ex := NewExpander(vars)
 	name, err := ex.Expand(nameTpl)
@@ -613,8 +545,7 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 	ex.Set("experiment_run_dir", dir)
 
 	// Command: the workload's executables under the system launcher.
-	mpiCmd := vars["mpi_command"]
-	cmds, err := renderCommand(app, workload, ex, mpiCmd)
+	cmds, err := renderCommand(app, workload, ex, vars["mpi_command"])
 	if err != nil {
 		return nil, err
 	}
@@ -625,14 +556,10 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 		return nil, err
 	}
 
-	env := map[string]string{}
-	for _, src := range []map[string]string{extraEnv, envVars} {
-		for k, v := range src {
-			rendered, err := ex.Expand(v)
-			if err != nil {
-				return nil, err
-			}
-			env[k] = rendered
+	rendered := make(map[string]string, len(env))
+	for k, v := range env {
+		if rendered[k], err = ex.Expand(v); err != nil {
+			return nil, err
 		}
 	}
 
@@ -642,10 +569,10 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl string,
 		Workload:  workload,
 		Vars:      vars,
 		Expander:  ex,
-		Env:       env,
+		Env:       rendered,
 		Script:    script,
 		Dir:       dir,
-		Modifiers: append([]string(nil), modifiers...),
+		Modifiers: modifiers,
 		FOMs:      map[string]string{},
 	}
 	for _, g := range []struct {
