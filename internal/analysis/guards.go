@@ -102,6 +102,8 @@ var guardTable = []guard{
 	{pr: 45, pkg: "internal/concretizer", retired: []string{"cachedSolve"}, why: oneStoredDAG},
 	{pr: 46, pkg: "internal/ramble", retired: []string{"Workspace.On", "Executor"}, why: oneRunPath},
 	{pr: 46, pkg: "internal/core", retired: []string{"Session.Executor"}, why: oneRunPath},
+	{pr: 47, pkg: "internal/archspec", retired: []string{"versionInRange", "compareDotted", "atoiSafe"},
+		why: "a compiler version range is a spec.VersionList; dotted versions are compared one way, by spec.Version"},
 }
 
 const oneRunPath = "an experiment reaches its result one way: `ramble on` and `benchpark run` are a Session.Run"

@@ -14,7 +14,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+
+	"repro/internal/spec"
 )
 
 // Microarchitecture describes one CPU target.
@@ -37,7 +38,7 @@ type Microarchitecture struct {
 }
 
 type flagEntry struct {
-	versions string // "lo:hi" textual range, "" = any
+	versions string // a spec version list such as "lo:hi"; "" = any
 	flags    string
 }
 
@@ -155,13 +156,15 @@ func (m *Microarchitecture) AllFeatures() []string {
 // the compiler, ancestors are consulted from most to least specific.
 func (m *Microarchitecture) OptimizationFlags(compiler, version string) (string, error) {
 	chain := append([]*Microarchitecture{m}, m.ancestorsByDepth()...)
+	v := spec.NewVersion(version)
 	for _, cand := range chain {
 		entries, ok := cand.compilerFlags[compiler]
 		if !ok {
 			continue
 		}
 		for _, e := range entries {
-			if versionInRange(version, e.versions) {
+			vl, err := spec.ParseVersionList(e.versions)
+			if e.versions == "" || err == nil && vl.Contains(v) {
 				return e.flags, nil
 			}
 		}
@@ -187,56 +190,6 @@ func (m *Microarchitecture) ancestorsByDepth() []*Microarchitecture {
 		queue = append(queue, a.Parents...)
 	}
 	return out
-}
-
-// versionInRange checks a dotted version against "lo:hi" (inclusive,
-// empty endpoint = open; "" = any).
-func versionInRange(version, rng string) bool {
-	if rng == "" {
-		return true
-	}
-	lo, hi, found := strings.Cut(rng, ":")
-	if !found {
-		hi = lo
-	}
-	if lo != "" && compareDotted(version, lo) < 0 {
-		return false
-	}
-	if hi != "" && compareDotted(version, hi) > 0 && !strings.HasPrefix(version, hi+".") && version != hi {
-		return false
-	}
-	return true
-}
-
-func compareDotted(a, b string) int {
-	as, bs := strings.Split(a, "."), strings.Split(b, ".")
-	for i := 0; i < len(as) && i < len(bs); i++ {
-		an, bn := atoiSafe(as[i]), atoiSafe(bs[i])
-		if an != bn {
-			if an < bn {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(as) < len(bs):
-		return -1
-	case len(as) > len(bs):
-		return 1
-	}
-	return 0
-}
-
-func atoiSafe(s string) int {
-	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return n
-		}
-		n = n*10 + int(r-'0')
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------

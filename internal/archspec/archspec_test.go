@@ -194,6 +194,9 @@ func remove(list []string, drop ...string) []string {
 	return out
 }
 
+// TestVersionInRange: a flag entry's range is a spec version list —
+// inclusive, its upper bound a prefix ("11" admits "11.2") — and ""
+// admits any version.
 func TestVersionInRange(t *testing.T) {
 	cases := []struct {
 		v, rng string
@@ -209,8 +212,9 @@ func TestVersionInRange(t *testing.T) {
 		{"11.2", "11", true},
 	}
 	for _, c := range cases {
-		if got := versionInRange(c.v, c.rng); got != c.want {
-			t.Errorf("versionInRange(%q, %q) = %v, want %v", c.v, c.rng, got, c.want)
+		m := &Microarchitecture{Name: "t", compilerFlags: map[string][]flagEntry{"gcc": {{c.rng, "-O2"}}}}
+		if _, err := m.OptimizationFlags("gcc", c.v); (err == nil) != c.want {
+			t.Errorf("gcc@%s with flags for %q: err = %v, want a match %v", c.v, c.rng, err, c.want)
 		}
 	}
 }
