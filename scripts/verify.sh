@@ -27,7 +27,9 @@
 # concretize-layer entries and the install database are read from
 # disk), ramble's memoising variable expander against its
 # memo-less oracle (templates and variable tables are user-written
-# YAML) and core's restore of a run-layer entry (bytes read back from
+# YAML), ramble's expansion of an experiment template against a
+# nested-loop oracle (`ramble workspace setup` and `ramble on` expand
+# a configs/ramble.yaml read back from disk) and core's restore of a run-layer entry (bytes read back from
 # a shared cache directory) are fuzzed for five seconds each from
 # their seed corpora.
 #
@@ -78,7 +80,7 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, run-layer restore; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
@@ -98,6 +100,7 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0s ./intern
 # the same way.
 go test -run '^$' -fuzz '^FuzzDecodeDAG$' -fuzztime=5s -fuzzminimizetime=0s ./internal/spec
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=5s ./internal/ramble
+go test -run '^$' -fuzz '^FuzzExpansionMatchesOracle$' -fuzztime=5s ./internal/ramble
 # The seeds are whole run-layer entries of a few kB; minimizing one
 # that reaches new coverage would take the whole budget.
 go test -run '^$' -fuzz '^FuzzRestoreExperiment$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
