@@ -341,8 +341,10 @@ func (w *Workspace) generateExperiments() ([]*Experiment, error) {
 				return nil, fmt.Errorf("ramble: %s/%s has no experiments section", appName, wlName)
 			}
 			for _, nameTpl := range exps.Keys() {
-				gen, err := w.expandTemplate(app, wlName, nameTpl, exps.GetMap(nameTpl),
-					globalVars, wlVars, envVars, wlSec.GetStrings("modifiers"))
+				expSec := exps.GetMap(nameTpl)
+				// nil when none is listed: a run key encodes nil and empty apart.
+				modifiers := slices.Concat(wlSec.GetStrings("modifiers"), expSec.GetStrings("modifiers"))
+				gen, err := w.expandTemplate(app, wlName, nameTpl, expSec, globalVars, wlVars, envVars, modifiers)
 				if err != nil {
 					return nil, fmt.Errorf("ramble: experiment %s: %w", nameTpl, err)
 				}
@@ -408,9 +410,8 @@ func builtinVars(app, workload, nameTpl string) map[string]string {
 // unknown modifier fails even a template that yields no experiment.
 func (w *Workspace) expandTemplate(app *Application, workload, nameTpl string,
 	expSec *yamlite.Map, globalVars, wlVars, envVars map[string]string,
-	wlMods []string) ([]*Experiment, error) {
+	modifiers []string) ([]*Experiment, error) {
 
-	modifiers := append(append([]string(nil), wlMods...), expSec.GetStrings("modifiers")...)
 	base := builtinVars(app.Name, workload, nameTpl)
 	env := map[string]string{}
 	for _, name := range modifiers {
@@ -511,6 +512,7 @@ func (w *Workspace) expandTemplate(app *Application, workload, nameTpl string,
 				vars[k] = vectors[k][idx[a]]
 			}
 		}
+		// Advance the odometer: the last axis turns fastest.
 		for a := len(axes) - 1; a >= 0; a-- {
 			if idx[a]++; idx[a] < len(vectors[axes[a][0]]) {
 				break
