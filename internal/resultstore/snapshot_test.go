@@ -437,6 +437,48 @@ func TestParentFormatStoreOpens(t *testing.T) {
 	requireState(t, dir, want, keys).Close()
 }
 
+// TestInlineManifestStoreOpens: a data directory whose results carry
+// their manifests inline — one benchpark-snap-2 generation, a segment
+// it covers in part and a sealed one, manifests equal and unequal
+// within a record and across files — opens to the same served bytes,
+// and still does once a Compact has rewritten it in the current format.
+func TestInlineManifestStoreOpens(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "inline-manifests.query.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	dir := writeDir(t, readDir(t, filepath.Join("testdata", "inline-manifests")))
+	var keys []string
+	for i := 0; i < 5; i++ {
+		keys = append(keys, fmt.Sprintf("m-%d", i))
+	}
+	s := requireState(t, dir, want, keys)
+	if h := s.Health(); h.SnapshotGenerations != 1 || h.SnapshotCovered != 1 {
+		t.Fatalf("fixture opened as %+v, want one generation covering segment 1", h)
+	}
+	// The 8-result tail outweighs the 6-result generation: the merge
+	// rewrites all of it.
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshotFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot files %v, want the one merged generation", snaps)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName(snaps[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
+		t.Fatalf("merged generation: %+v, %v", snap, err)
+	}
+	requireState(t, dir, want, keys).Close()
+}
+
 // TestOpenRemovesStaleTemps: what a crash inside fsys.Commit
 // leaves behind is deleted by the next Open, and nothing else is.
 func TestOpenRemovesStaleTemps(t *testing.T) {
