@@ -143,6 +143,13 @@ func createCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
+	// The suite goes next to the system variable, for the commands
+	// that reopen the workspace (loadWorkspace).
+	files, err := core.SystemConfigs(sess.System)
+	if err != nil {
+		return err
+	}
+	sess.Workspace.WriteConfig("variables.yaml", files["variables.yaml"]+"  suite: "+suite+"\n")
 	if err := sess.Workspace.Save(); err != nil {
 		return err
 	}
@@ -151,31 +158,43 @@ func createCmd(flags map[string]string) error {
 	return nil
 }
 
-// loadWorkspace reopens a workspace directory created earlier.
-func loadWorkspace(dir string) (*ramble.Workspace, *hpcsim.System, error) {
+// loadWorkspace reopens a workspace directory created earlier, with
+// the system and the suite its variables name. A workspace that names
+// no suite (one `benchpark run` generated) is named after its
+// directory.
+func loadWorkspace(dir string) (w *ramble.Workspace, sys *hpcsim.System, suite string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, "configs", "ramble.yaml"))
 	if err != nil {
-		return nil, nil, fmt.Errorf("no workspace at %s (run `ramble workspace create` first): %w", dir, err)
+		return nil, nil, "", fmt.Errorf("no workspace at %s (run `ramble workspace create` first): %w", dir, err)
 	}
-	w, err := ramble.NewWorkspace(filepath.Base(dir), dir)
-	if err != nil {
-		return nil, nil, err
+	if w, err = ramble.NewWorkspace(filepath.Base(dir), dir); err != nil {
+		return nil, nil, "", err
 	}
 	if err := w.Configure(string(data)); err != nil {
-		return nil, nil, err
+		return nil, nil, "", err
 	}
-	sysName := ""
-	if vars := w.Effective().GetMap("variables"); vars != nil {
-		sysName = vars.GetString("system")
-	}
+	vars := w.Effective().GetMap("variables")
+	sysName := vars.GetString("system")
 	if sysName == "" {
-		return nil, nil, fmt.Errorf("configs/variables.yaml does not name the system")
+		return nil, nil, "", fmt.Errorf("configs/variables.yaml does not name the system")
 	}
-	sys, err := hpcsim.Get(sysName)
+	if sys, err = hpcsim.Get(sysName); err != nil {
+		return nil, nil, "", err
+	}
+	if suite = vars.GetString("suite"); suite == "" {
+		suite = w.Name
+	}
+	return w, sys, suite, nil
+}
+
+// loadSession reopens a workspace directory as a session of the suite
+// it was created for.
+func loadSession(dir string) (*core.Session, error) {
+	w, sys, suite, err := loadWorkspace(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return w, sys, nil
+	return core.NewSessionForWorkspace(core.New(), sys, suite, w)
 }
 
 // setupCmd regenerates experiments and installs the software stack.
@@ -184,15 +203,12 @@ func setupCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	w, sys, err := loadWorkspace(dir)
-	if err != nil {
-		return err
-	}
 	// Reuse the Benchpark session machinery for the Spack install hook.
-	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
+	sess, err := loadSession(dir)
 	if err != nil {
 		return err
 	}
+	w := sess.Workspace
 	if err := w.Setup(); err != nil {
 		return err
 	}
@@ -215,24 +231,20 @@ func onCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	w, sys, err := loadWorkspace(dir)
-	if err != nil {
-		return err
-	}
-	sess, err := core.NewSessionForWorkspace(core.New(), sys, w)
+	sess, err := loadSession(dir)
 	if err != nil {
 		return err
 	}
 	rep, _, err := sess.Run(context.Background(), core.RunOptions{})
 	// Keep the workspace, a failed run's partial one included.
-	if serr := w.Save(); err == nil {
+	if serr := sess.Workspace.Save(); err == nil {
 		err = serr
 	}
 	if err != nil {
 		return err
 	}
 	fmt.Printf("==> executed %d experiments on %s: %d succeeded, %d failed (outputs in experiments/)\n",
-		rep.Total, sys.Name, rep.Succeeded, rep.Failed)
+		rep.Total, sess.System.Name, rep.Succeeded, rep.Failed)
 	for _, e := range rep.Experiments {
 		if e.Status == ramble.Failed {
 			fmt.Printf("  %-36s %-9s %s\n", e.Name, e.Status, e.FailMsg)
@@ -247,7 +259,7 @@ func analyzeCmd(flags map[string]string) error {
 	if err != nil {
 		return err
 	}
-	w, _, err := loadWorkspace(dir)
+	w, _, _, err := loadWorkspace(dir)
 	if err != nil {
 		return err
 	}
@@ -299,7 +311,7 @@ func archiveCmd(flags map[string]string) error {
 	if out == "" {
 		return fmt.Errorf("missing -o <out.tar.gz>")
 	}
-	w, _, err := loadWorkspace(dir)
+	w, _, _, err := loadWorkspace(dir)
 	if err != nil {
 		return err
 	}

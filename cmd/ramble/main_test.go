@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -173,8 +174,7 @@ func TestFigure5CommandSequence(t *testing.T) {
 // create` and `on`, the workspace's experiments/ files and
 // logs/results.json are byte for byte what Setup, Session.Run and Save
 // leave for the same suite and system, once each workspace's root is
-// normalised out. A reopened workspace is named after its directory,
-// so the reference session takes that name for its suite.
+// normalised out.
 func TestOnIsSessionRun(t *testing.T) {
 	cli := filepath.Join(t.TempDir(), "ws")
 	for _, args := range [][]string{
@@ -190,7 +190,6 @@ func TestOnIsSessionRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Suite = filepath.Base(cli)
 	if _, _, err := sess.Run(context.Background(), core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +203,43 @@ func TestOnIsSessionRun(t *testing.T) {
 	for rel, data := range want {
 		if got[rel] != data {
 			t.Errorf("%s differs:\n--- ramble on ---\n%s\n--- Session.Run ---\n%s", rel, got[rel], data)
+		}
+	}
+}
+
+// TestOnRecordsTheCreatedSuite: a workspace created for saxpy/openmp
+// in a directory named ws is a saxpy/openmp session when `ramble on`
+// reopens it — in logs/results.json and in every manifest there — not
+// one named after the directory.
+func TestOnRecordsTheCreatedSuite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ws")
+	for _, args := range [][]string{
+		{"workspace", "create", "-d", dir, "--suite", "saxpy/openmp", "--system", "cts1"},
+		{"on", "-d", dir},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "logs", "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		Suite   string `json:"suite"`
+		Results []struct {
+			Manifest string `json:"manifest"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &log); err != nil {
+		t.Fatal(err)
+	}
+	if log.Suite != "saxpy/openmp" || len(log.Results) != 8 {
+		t.Fatalf("results.json names suite %q over %d results, want saxpy/openmp over 8", log.Suite, len(log.Results))
+	}
+	for _, r := range log.Results {
+		if !strings.HasPrefix(r.Manifest, "suite: saxpy/openmp\nsystem-model: ") {
+			t.Errorf("manifest does not name the created suite:\n%s", r.Manifest)
 		}
 	}
 }

@@ -90,9 +90,17 @@ func TestIntegrationManifestReproducibility(t *testing.T) {
 		t.Fatal("no results")
 	}
 	m := results[0].Manifest
-	for _, want := range []string{"system: cts1", "suite: amg2023/openmp", "root: amg2023@1.0"} {
+	model := "system-model: " + sess.System.Fingerprint()[:16]
+	for _, want := range []string{"suite: amg2023/openmp\n" + model + "\n", "root: amg2023@1.0"} {
 		if !strings.Contains(m, want) {
 			t.Errorf("manifest missing %q:\n%s", want, m)
+		}
+	}
+	// The system and the experiment are the result's own fields, so
+	// every experiment of the environment shares the one text.
+	for _, r := range results[1:] {
+		if r.Manifest != m {
+			t.Errorf("%s has manifest %q, %s has %q", r.Experiment, r.Manifest, results[0].Experiment, m)
 		}
 	}
 	// The database round-trips through JSON with manifests intact.

@@ -321,13 +321,14 @@ func (s *Session) submit(ctx context.Context, e *ramble.Experiment, out *bench.O
 }
 
 // NewSessionForWorkspace binds an already-configured workspace (e.g.
-// one reopened from disk by the ramble CLI) to a system.
-func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, ws *ramble.Workspace) (*Session, error) {
+// one reopened from disk by the ramble CLI) to a system, as a session
+// of the named suite.
+func NewSessionForWorkspace(bp *Benchpark, sys *hpcsim.System, suite string, ws *ramble.Workspace) (*Session, error) {
 	cfg, err := ConcretizerConfig(sys)
 	if err != nil {
 		return nil, err
 	}
-	return newSession(bp, sys, ws.Name, cfg, ws), nil
+	return newSession(bp, sys, suite, cfg, ws), nil
 }
 
 // expandedVars renders every experiment variable to its final value
@@ -464,7 +465,7 @@ func (r *sessionRunner) Analyze(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if r.results, err = r.s.record(rep); err != nil {
+	if r.results, err = r.s.record(rep, r.model); err != nil {
 		return err
 	}
 	r.analysis = rep
@@ -490,13 +491,14 @@ func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
 }
 
 // record is what one analysis leaves behind. Every experiment's
-// manifest is rendered once (kept for Manifests) and goes with its
+// manifest — its environment's, rendered once per environment and
+// shared by its experiments (kept for Manifests) — goes with its
 // status into logs/results.json — the shareable record Section 5 wants
 // contributors to publish alongside the manifests. Every succeeded
 // experiment becomes one identity + Meta record, returned for the
 // engine report, from which Run feeds the local database and Push a
 // pushed batch, so neither can disagree with the artifact.
-func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult, error) {
+func (s *Session) record(rep *ramble.AnalysisReport, model string) ([]engine.ExperimentResult, error) {
 	type entry struct {
 		Experiment string            `json:"experiment"`
 		Status     string            `json:"status"`
@@ -508,8 +510,13 @@ func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult,
 	var entries []entry
 	var results []engine.ExperimentResult
 	s.manifests = make(map[string]string, len(rep.Experiments))
+	envs := map[string]string{} // software env name -> its manifest
 	for _, e := range rep.Experiments {
-		m := s.manifest(e)
+		m, ok := envs[e.App.Name]
+		if !ok {
+			m = s.manifest(e.App.Name, model)
+			envs[e.App.Name] = m
+		}
 		s.manifests[e.Name] = m
 		entries = append(entries, entry{
 			Experiment: e.Name,
@@ -550,15 +557,15 @@ func (s *Session) record(rep *ramble.AnalysisReport) ([]engine.ExperimentResult,
 	return results, nil
 }
 
-// manifest renders the exact experiment specification (Section 5:
-// "Storing the Benchpark manifest with the performance results will
-// enable introspection into benchmark performance across systems and
-// time").
-func (s *Session) manifest(e *ramble.Experiment) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "system: %s\nsuite: %s\nexperiment: %s\n", s.System.Name, s.Suite, e.Name)
-	b.WriteString(s.locked[e.App.Name].lines)
-	return b.String()
+// manifest renders the environment one software environment's
+// experiments ran in (Section 5: "Storing the Benchpark manifest with
+// the performance results will enable introspection into benchmark
+// performance across systems and time"): the suite, a 16-hex prefix of
+// the system model's fingerprint, and the environment's software: and
+// root: lines. The system's name and the experiment's are the result's
+// own fields, so every experiment of the environment shares the text.
+func (s *Session) manifest(envName, model string) string {
+	return "suite: " + s.Suite + "\nsystem-model: " + model[:min(16, len(model))] + "\n" + s.locked[envName].lines
 }
 
 // InstalledSpec returns the installed concrete spec for a package in

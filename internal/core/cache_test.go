@@ -265,7 +265,7 @@ func deltaSession(t *testing.T, bp *Benchpark, mediumN string) *Session {
 	if err := ws.Configure(fmt.Sprintf(deltaSuiteYAML, mediumN)); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSessionForWorkspace(bp, sys, ws)
+	sess, err := NewSessionForWorkspace(bp, sys, ws.Name, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

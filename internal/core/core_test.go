@@ -135,7 +135,7 @@ func TestFigure1cQuickstart(t *testing.T) {
 	if len(results) != 8 {
 		t.Fatalf("metrics results = %d", len(results))
 	}
-	if !strings.Contains(results[0].Manifest, "system: cts1") {
+	if !strings.Contains(results[0].Manifest, "system-model: "+sess.System.Fingerprint()[:16]+"\n") {
 		t.Errorf("manifest = %q", results[0].Manifest)
 	}
 	// Caliper profiles composed into the session thicket.
