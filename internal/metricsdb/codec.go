@@ -142,17 +142,22 @@ func appendPairs[V any](dst []byte, ps []pair[V], value func([]byte, V) ([]byte,
 
 // AppendResult appends r's JSON — the bytes json.Marshal(r) returns. A
 // FOM with no JSON form is an error, and dst comes back unchanged.
-func AppendResult(dst []byte, r *Result) ([]byte, error) {
+func AppendResult(dst []byte, r *Result) ([]byte, error) { return appendResult(dst, r, -1) }
+
+// appendResult is AppendResult with r's manifest written as the index
+// ref of a file's table (ManifestTable) when ref is not negative.
+func appendResult(dst []byte, r *Result, ref int) ([]byte, error) {
 	// On the stack: sorting a few-member map costs no allocation.
 	var foms [8]pair[float64]
 	var meta [8]pair[string]
 	v := rowOf(r, foms[:0], meta[:0])
-	return appendRow(dst, &v)
+	return appendRow(dst, &v, ref)
 }
 
 // appendRow is the one Result encoder, over the sorted pairs a row holds
-// — a stored one, or AppendResult's view of a Result.
-func appendRow(dst []byte, r *row) (_ []byte, err error) {
+// — a stored one, or AppendResult's view of a Result — with the manifest
+// written as ref when ref is not negative.
+func appendRow(dst []byte, r *row, ref int) (_ []byte, err error) {
 	start := len(dst)
 	dst = strconv.AppendInt(append(dst, `{"id":`...), int64(r.ID), 10)
 	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(r.Seq), 10)
@@ -170,7 +175,9 @@ func appendRow(dst []byte, r *row) (_ []byte, err error) {
 			return AppendString(dst, s), nil
 		})
 	}
-	if r.Manifest != "" {
+	if ref >= 0 {
+		dst = strconv.AppendInt(append(dst, `,"manifest":`...), int64(ref), 10)
+	} else if r.Manifest != "" {
 		dst = AppendString(append(dst, `,"manifest":`...), r.Manifest)
 	}
 	if r.TraceID != "" {
@@ -181,7 +188,11 @@ func appendRow(dst []byte, r *row) (_ []byte, err error) {
 
 // AppendResults appends the JSON array of rs, null for a nil slice — as
 // json.Marshal(rs) — up to the first result AppendResult refuses.
-func AppendResults(dst []byte, rs []Result) (_ []byte, err error) {
+func AppendResults(dst []byte, rs []Result) ([]byte, error) { return appendResults(dst, rs, nil) }
+
+// appendResults is AppendResults with each manifest written as its
+// index in t when t is not nil.
+func appendResults(dst []byte, rs []Result, t *ManifestTable) (_ []byte, err error) {
 	if rs == nil {
 		return append(dst, "null"...), nil
 	}
@@ -190,9 +201,80 @@ func AppendResults(dst []byte, rs []Result) (_ []byte, err error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst, err = AppendResult(dst, &rs[i])
+		dst, err = appendResult(dst, &rs[i], t.ref(rs[i].Manifest))
 	}
 	return append(dst, ']'), err
+}
+
+// ManifestTable lists the distinct manifests of one file a durable
+// store writes, in the order the file first uses them, so the file
+// holds each manifest once: the table is written as a "manifests" array
+// and each result's "manifest" member is an index into it. Nothing on
+// the wire uses it — there a result's manifest is its own string, as
+// encoding/json writes it. The zero value is an empty table.
+type ManifestTable struct {
+	list  []string
+	index map[string]int
+	last  int // the index Ref returned last: a run of equal manifests is one compare
+}
+
+// Ref is m's index in the table, m added at the end on first use.
+func (t *ManifestTable) Ref(m string) int {
+	if t.last < len(t.list) && t.list[t.last] == m {
+		return t.last
+	}
+	i, ok := t.index[m]
+	if !ok {
+		if t.index == nil {
+			t.index = map[string]int{}
+		}
+		i = len(t.list)
+		t.list = append(t.list, m)
+		t.index[m] = i
+	}
+	t.last = i
+	return i
+}
+
+// ref is Ref for a manifest a result has, -1 for none or no table.
+func (t *ManifestTable) ref(m string) int {
+	if t == nil || m == "" {
+		return -1
+	}
+	return t.Ref(m)
+}
+
+// Reset empties the table for the next file, keeping none of the
+// manifests, and its storage only while that is small.
+func (t *ManifestTable) Reset() {
+	if len(t.list) > maxIdleManifests {
+		t.list, t.index = nil, nil
+	}
+	clear(t.list)
+	t.list, t.last = t.list[:0], 0
+	clear(t.index)
+}
+
+// AppendResults appends the JSON array of rs as AppendResults does,
+// each manifest written as its index in t.
+func (t *ManifestTable) AppendResults(dst []byte, rs []Result) ([]byte, error) {
+	return appendResults(dst, rs, t)
+}
+
+// AppendMember appends the table as a file's "manifests" member, after
+// a comma — nothing at all when the table is empty.
+func (t *ManifestTable) AppendMember(dst []byte) []byte {
+	if len(t.list) == 0 {
+		return dst
+	}
+	dst = append(dst, `,"manifests":[`...)
+	for i, m := range t.list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, m)
+	}
+	return append(dst, ']')
 }
 
 const (
@@ -203,6 +285,10 @@ const (
 	// sends. A full table stops growing; later names are plain copies.
 	internCap    = 1024
 	internMaxLen = 64
+	// maxIdleManifests is the most manifests a ManifestTable keeps room
+	// for across a Reset: a few sessions' environments. A wider file's
+	// table goes with it, so emptying it never costs its size again.
+	maxIdleManifests = 64
 )
 
 // Decoder reads JSON values off a []byte, one call per value, in the
@@ -221,16 +307,25 @@ const (
 // Workload, System and Experiment values and FOM and Meta keys — the
 // names a fleet repeats in every result — go through a table the
 // Decoder keeps across Resets, so equal names share one allocation; a
-// TraceID equal to the previous one reuses it. Manifest and Meta values
-// are never shared. A Decoder is not safe for concurrent use.
+// TraceID or a manifest equal to the previous one reuses it, as a
+// session's results carry one environment's manifest after another.
+// Meta values are never shared. A Decoder is not safe for concurrent
+// use.
+//
+// What a durable store wrote is read with one more rule: after
+// UseManifests, a number as a result's "manifest" is an index into the
+// file's table (see ManifestTable). Without a table it is refused as
+// encoding/json refuses a number for a string.
 type Decoder struct {
-	data    []byte
-	pos     int
-	depth   int
-	err     error
-	scratch []byte            // the unescaped form of the last escaped string
-	names   map[string]string // interned strings, keyed by themselves
-	trace   string            // the last TraceID decoded
+	data     []byte
+	pos      int
+	depth    int
+	err      error
+	scratch  []byte            // the unescaped form of the last escaped string
+	names    map[string]string // interned strings, keyed by themselves
+	trace    string            // the last TraceID decoded
+	manifest string            // the last manifest decoded
+	table    []string          // the file's manifests, set by UseManifests until the next Reset
 	// foms and meta are maps handed back by Recycle, filled before a new
 	// one is made.
 	foms map[string]float64
@@ -254,9 +349,28 @@ func (d *Decoder) Recycle(r *Result) {
 	r.FOMs, r.Meta = nil, nil
 }
 
-// Reset points the decoder at data and clears its error. The string
-// table carries over.
-func (d *Decoder) Reset(data []byte) { d.data, d.pos, d.depth, d.err = data, 0, 0, nil }
+// Reset points the decoder at data and clears its error and its
+// manifest table. The string table carries over.
+func (d *Decoder) Reset(data []byte) {
+	d.data, d.pos, d.depth, d.err, d.table = data, 0, 0, nil, nil
+}
+
+// UseManifests makes a number as a result's "manifest" an index into
+// table until the next Reset; an index table does not hold is an error.
+// A nil table reads a manifest as a string only.
+func (d *Decoder) UseManifests(table []string) { d.table = table }
+
+// Manifests appends to dst the manifests in the array of strings at
+// the cursor — a file's table — each sharing the allocation of an equal
+// manifest decoded just before it.
+func (d *Decoder) Manifests(dst []string) []string {
+	d.Array(func() {
+		var m string
+		d.manifestString(&m)
+		dst = append(dst, m)
+	})
+	return dst
+}
 
 // Offset is the cursor: how many bytes of the input are consumed.
 func (d *Decoder) Offset() int { return d.pos }
@@ -608,7 +722,11 @@ func (d *Decoder) Result(r *Result) {
 		case "meta":
 			decodeMap(d, &r.Meta, &d.meta, d.String)
 		case "manifest":
-			d.String(&r.Manifest)
+			if c := d.peek(); d.table != nil && (c == '-' || c-'0' <= 9) {
+				d.manifestRef(&r.Manifest)
+			} else {
+				d.manifestString(&r.Manifest)
+			}
 		case "trace_id":
 			if b, ok := d.text(); ok {
 				if string(b) != d.trace {
@@ -620,6 +738,32 @@ func (d *Decoder) Result(r *Result) {
 			d.Skip()
 		}
 	})
+}
+
+// manifestString stores the string at the cursor in *dst: the last
+// manifest decoded when they are equal, else a copy that becomes it.
+func (d *Decoder) manifestString(dst *string) {
+	if b, ok := d.text(); ok {
+		if string(b) != d.manifest {
+			d.manifest = string(b)
+		}
+		*dst = d.manifest
+	}
+}
+
+// manifestRef stores the manifest the index at the cursor names in the
+// table (UseManifests) in *dst.
+func (d *Decoder) manifestRef(dst *string) {
+	i := -1
+	if d.Int(&i); d.err != nil {
+		return
+	}
+	if i < 0 || i >= len(d.table) {
+		d.Fail(fmt.Errorf("metricsdb: manifest %d is not in the file's table of %d", i, len(d.table)))
+		return
+	}
+	d.manifest = d.table[i]
+	*dst = d.manifest
 }
 
 // Results appends the results in the array at the cursor to dst.

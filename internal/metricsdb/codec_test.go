@@ -91,7 +91,7 @@ func checkStored(t *testing.T, r *Result, want []byte) {
 	}
 	db := New()
 	db.Insert(*r)
-	direct, last, err := db.AppendJSONAfter([]byte("prefix"), math.MinInt, r.Seq, math.MaxInt)
+	direct, last, err := db.AppendJSONAfter([]byte("prefix"), math.MinInt, r.Seq, math.MaxInt, nil)
 	if err != nil || last != r.Seq || string(direct) != "prefix,"+string(want) {
 		t.Fatalf("the stored row encodes as\n%s (%v)\njson.Marshal\n%s", direct, err, want)
 	}
@@ -221,9 +221,10 @@ func TestAppendResultAllocatesNothing(t *testing.T) {
 }
 
 // TestDecoderInternsNames: the names a fleet repeats are one
-// allocation however many results carry them, across Resets; values
-// that do not repeat are never shared; and the table stops at its cap
-// whatever is sent.
+// allocation however many results carry them, across Resets; so is a
+// manifest equal to the one before it, while an unequal one and Meta
+// values are not shared; and the table stops at its cap whatever is
+// sent.
 func TestDecoderInternsNames(t *testing.T) {
 	var d Decoder
 	decode := func(doc string) Result {
@@ -260,8 +261,14 @@ func TestDecoderInternsNames(t *testing.T) {
 	bf, bm := key(b)
 	same("fom name", af, bf)
 	same("meta name", am, bm)
-	if unsafe.StringData(a.Manifest) == unsafe.StringData(b.Manifest) || unsafe.StringData(a.Meta["runner"]) == unsafe.StringData(b.Meta["runner"]) {
-		t.Error("manifests or meta values share their bytes")
+	same("manifest", a.Manifest, b.Manifest)
+	if unsafe.StringData(a.Meta["runner"]) == unsafe.StringData(b.Meta["runner"]) {
+		t.Error("meta values share their bytes")
+	}
+	other := decode(strings.Replace(doc, "spack: {}", "spack: {specs: []}", 1))
+	if again := decode(doc); other.Manifest != "spack: {specs: []}" || unsafe.StringData(other.Manifest) == unsafe.StringData(a.Manifest) ||
+		unsafe.StringData(again.Manifest) == unsafe.StringData(other.Manifest) {
+		t.Errorf("unequal manifests %q and %q share their bytes", other.Manifest, again.Manifest)
 	}
 	if a.System != "cts1" {
 		t.Errorf("system %q", a.System)

@@ -339,13 +339,13 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 								wantJSON = append(append(wantJSON, ','), mustJSON(t, r)...)
 							}
 						}
-						got, last, err := db.AppendJSONAfter([]byte("kept"), seq, upto, math.MaxInt)
+						got, last, err := db.AppendJSONAfter([]byte("kept"), seq, upto, math.MaxInt, nil)
 						if err != nil || last != upto || string(got) != string(wantJSON) {
 							t.Fatalf("%s: AppendJSONAfter(seq %d, upto %d) = %d bytes to Seq %d (%v), want %d bytes",
 								name, seq, upto, len(got), last, err, len(wantJSON))
 						}
 						// A limit the first result passes ends the page after it.
-						if got, last, _ := db.AppendJSONAfter(nil, seq, upto, 1); string(got) != ","+string(mustJSON(t, w[0])) || last != w[0].Seq {
+						if got, last, _ := db.AppendJSONAfter(nil, seq, upto, 1, nil); string(got) != ","+string(mustJSON(t, w[0])) || last != w[0].Seq {
 							t.Fatalf("%s: AppendJSONAfter(seq %d, limit 1) = %s to Seq %d, want result Seq %d alone", name, seq, got, last, w[0].Seq)
 						}
 					}

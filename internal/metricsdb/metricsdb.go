@@ -28,9 +28,11 @@ type Result struct {
 	Experiment string             `json:"experiment"`
 	FOMs       map[string]float64 `json:"foms"`
 	Meta       map[string]string  `json:"meta,omitempty"`
-	// Manifest is the exact experiment specification (application-,
-	// system-, and experiment-specific) enabling functional
-	// reproducibility of this data point.
+	// Manifest describes the environment that produced this data
+	// point: the suite, the system model (a 16-hex prefix of its
+	// fingerprint) and the software stack, one root spec a line. System
+	// and Experiment complete it, so every result of one environment
+	// carries the same text, and a DB holds one copy of it.
 	Manifest string `json:"manifest,omitempty"`
 	// TraceID identifies the run that produced this result (32
 	// lowercase hex chars, W3C trace-context format). It links every
@@ -46,7 +48,8 @@ type Result struct {
 // slice and an empty one as an empty slice, so "foms":null and {} both
 // come back as they went in. Add and InsertAll copy a Result's maps into
 // a row and every read builds fresh ones, so nothing a caller holds
-// aliases what is stored.
+// aliases what is stored. Manifest is the DB's one copy of that text
+// (DB.manifests); strings are immutable, so reads hand it out as is.
 type row struct {
 	ID, Seq                                 int
 	Benchmark, Workload, System, Experiment string
@@ -117,8 +120,12 @@ type DB struct {
 	// bytes a result: a process cannot hold 2^31 rows (160 bytes each
 	// before their pairs) anyway.
 	postings map[pairKey][]int32
-	nextID   int
-	nextSeq  int
+	// manifests holds one copy of each distinct manifest, keyed by
+	// itself: every row with an equal manifest holds that copy. A
+	// store's results repeat a few environments' text thousands of times.
+	manifests map[string]string
+	nextID    int
+	nextSeq   int
 }
 
 // pairKey names one posting list. Its strings alias the first stored
@@ -126,7 +133,20 @@ type DB struct {
 type pairKey struct{ system, benchmark string }
 
 // New returns an empty database.
-func New() *DB { return &DB{postings: map[pairKey][]int32{}} }
+func New() *DB { return &DB{postings: map[pairKey][]int32{}, manifests: map[string]string{}} }
+
+// shared returns the DB's copy of manifest m, m itself when it is the
+// first. Caller holds db.mu.
+func (db *DB) shared(m string) string {
+	if m == "" {
+		return m
+	}
+	if held, ok := db.manifests[m]; ok {
+		return held
+	}
+	db.manifests[m] = m
+	return m
+}
 
 // len is the number of stored results. Caller holds db.mu.
 func (db *DB) len() int {
@@ -189,6 +209,7 @@ func (db *DB) Add(r Result) int {
 	db.nextSeq++
 	rw.ID = db.nextID
 	rw.Seq = db.nextSeq
+	rw.Manifest = db.shared(rw.Manifest)
 	db.push(rw)
 	db.post(db.len() - 1)
 	return rw.ID
@@ -215,6 +236,7 @@ func (db *DB) InsertAll(rs []Result) {
 	moved := false
 	for i := range rs {
 		r := storedRow(&rs[i])
+		r.Manifest = db.shared(r.Manifest)
 		db.nextID, db.nextSeq = max(db.nextID, r.ID), max(db.nextSeq, r.Seq)
 		at, top := db.firstAfter(r.Seq), db.len()
 		if db.push(r); at == top {
@@ -336,12 +358,12 @@ func (db *DB) resultsFrom(pos, n int) []Result {
 
 // AppendJSONAfter appends to dst the JSON of the stored results with
 // after < Seq <= upto, in Seq order, each preceded by a comma and
-// encoded as AppendResult encodes it, until dst holds limit bytes. It
-// is how a durable store's compaction reads the DB: the rows are
-// encoded where they lie, under the read lock, with no map or Result
-// built. It returns the Seq of the last result appended — after itself
-// when none was.
-func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int) (_ []byte, last int, err error) {
+// encoded as AppendResult encodes it — each manifest as its index in t
+// when t is not nil — until dst holds limit bytes. It is how a durable
+// store's compaction reads the DB: the rows are encoded where they lie,
+// under the read lock, with no map or Result built. It returns the Seq
+// of the last result appended — after itself when none was.
+func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *ManifestTable) (_ []byte, last int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	last = after
@@ -350,7 +372,7 @@ func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int) (_ []byte, las
 		if r.Seq > upto {
 			break
 		}
-		if dst, err = appendRow(append(dst, ','), r); err != nil {
+		if dst, err = appendRow(append(dst, ','), r, t.ref(r.Manifest)); err != nil {
 			return dst, last, err
 		}
 		last = r.Seq

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -49,11 +50,47 @@ func allocated(runs int, fn func(run int)) uint64 {
 	return per[len(per)/2]
 }
 
+// storedResult is a Result as a store's files write it: its manifest
+// the index of the file's table, nil for none.
+type storedResult struct {
+	ID         int                `json:"id"`
+	Seq        int                `json:"seq"`
+	Benchmark  string             `json:"benchmark"`
+	Workload   string             `json:"workload"`
+	System     string             `json:"system"`
+	Experiment string             `json:"experiment"`
+	FOMs       map[string]float64 `json:"foms"`
+	Meta       map[string]string  `json:"meta,omitempty"`
+	Manifest   *int               `json:"manifest,omitempty"`
+	TraceID    string             `json:"trace_id,omitempty"`
+}
+
+// stored is rs as one file writes them: its table lists each distinct
+// manifest once, in first-use order, and each result names its own by
+// index.
+func stored(rs []metricsdb.Result) (table []string, out []storedResult) {
+	for _, r := range rs {
+		var ref *int
+		if r.Manifest != "" {
+			i := slices.Index(table, r.Manifest)
+			if i < 0 {
+				i, table = len(table), append(table, r.Manifest)
+			}
+			ref = &i
+		}
+		out = append(out, storedResult{r.ID, r.Seq, r.Benchmark, r.Workload, r.System, r.Experiment, r.FOMs, r.Meta, ref, r.TraceID})
+	}
+	return table, out
+}
+
 // TestWrittenBytesMatchEncodingJSON: with a fixed clock, the WAL segment
 // and the generation file the store writes are byte for byte what
-// json.Marshal makes of the same walBatch values and of the header with
-// its results spliced in — for a result with every optional field set,
-// one with none, and batches with and without a trace ID.
+// json.Marshal makes of the same records and of the header with its
+// results and its manifest table spliced in — each result's manifest
+// the index of the file's table — for a result with every optional
+// field set, one with none, manifests equal and unequal, and batches
+// with and without a trace ID. A record without manifests is what
+// json.Marshal makes of its results alone.
 func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, fixedOpts())
@@ -67,26 +104,48 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 		Manifest: "spack:\n  specs: [saxpy@1.0 +openmp]\n\t# tab, \\ and \x01 and \xff\n",
 		TraceID:  "4bf92f3577b34da6a3ce929d0e0e4736",
 	}
+	other := res("stream", "cts1", "triad_bw", 3)
+	other.Manifest = "suite: stream/openmp\n"
 	bare := metricsdb.Result{Benchmark: "b", System: "s"}
 	batches := []Batch{
 		{Key: "traced <&>", TraceID: "00f067aa0ba902b700f067aa0ba902b7", Results: []metricsdb.Result{full, bare}},
-		{Key: "untraced", Results: []metricsdb.Result{bare, full, res("saxpy", "cts1", "saxpy_time", 2)}},
+		{Key: "untraced", Results: []metricsdb.Result{bare, full, res("saxpy", "cts1", "saxpy_time", 2), other, full}},
+		{Key: "no manifests", Results: []metricsdb.Result{bare, res("saxpy", "cts1", "saxpy_time", 4)}},
+	}
+	type record struct {
+		Key       string         `json:"key"`
+		TraceID   string         `json:"trace_id,omitempty"`
+		Received  int64          `json:"received_unix_ns"`
+		Manifests []string       `json:"manifests,omitempty"`
+		Results   []storedResult `json:"results"`
 	}
 	var want []byte
 	next := 0
 	for _, b := range batches {
-		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Received: fixedOpts().Clock.Now().UnixNano()}
+		var rs []metricsdb.Result
 		for _, r := range b.Results {
 			next++
 			r.ID, r.Seq = next, next
 			if r.TraceID == "" {
 				r.TraceID = b.TraceID
 			}
-			wb.Results = append(wb.Results, r)
+			rs = append(rs, r)
 		}
-		payload, err := json.Marshal(wb)
+		rec := record{Key: b.Key, TraceID: b.TraceID, Received: fixedOpts().Clock.Now().UnixNano()}
+		rec.Manifests, rec.Results = stored(rs)
+		payload, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rec.Manifests == nil {
+			plain, err := json.Marshal(struct {
+				Key      string             `json:"key"`
+				Received int64              `json:"received_unix_ns"`
+				Results  []metricsdb.Result `json:"results"`
+			}{b.Key, rec.Received, rs})
+			if err != nil || !bytes.Equal(plain, payload) {
+				t.Fatalf("a record without manifests is\n%s\nnot json.Marshal of its results\n%s (%v)", payload, plain, err)
+			}
 		}
 		want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
 		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
@@ -103,12 +162,17 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("WAL segment holds\n%q\njson.Marshal of the same batches, framed, is\n%q", got, want)
 	}
 
-	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextID: next, NextSeq: next, Keys: []string{"traced <&>", "untraced"}}
+	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextID: next, NextSeq: next, Keys: []string{"no manifests", "traced <&>", "untraced"}}
 	var file bytes.Buffer
 	if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 		t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 	}
-	whole, err := json.Marshal(wholeGeneration{snapshotHeader: *head, Results: s.db.QueryAfterN(0, next)})
+	table, results := stored(s.db.QueryAfterN(0, next))
+	whole, err := json.Marshal(struct {
+		snapshotHeader
+		Results   []storedResult `json:"results"`
+		Manifests []string       `json:"manifests"`
+	}{*head, results, table})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +286,9 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 
 // TestRecoverySharesNames: after a restart, results that arrived in
 // different pushes — one since folded into a generation, one still in
-// the WAL — hold one copy of the system name they share, and their own
-// copies of what is theirs alone.
+// the WAL — hold one copy of the system name they share, and of the
+// manifest they share; unequal manifests keep their own. So they do
+// once a Compact has folded the WAL in too.
 func TestRecoverySharesNames(t *testing.T) {
 	dir := t.TempDir()
 	opts := fixedOpts()
@@ -232,31 +297,44 @@ func TestRecoverySharesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := res("saxpy", "cts1", "saxpy_time", 1), res("stream", "cts1", "triad_bw", 2)
-	first.Manifest, second.Manifest = "spack: {}", "spack: {}"
+	first, second, other := res("saxpy", "cts1", "saxpy_time", 1), res("stream", "cts1", "triad_bw", 2), res("amg2023", "cts1", "fom", 3)
+	first.Manifest, second.Manifest, other.Manifest = "spack: {}", "spack: {}", "spack: {specs: []}"
 	mustAppend(t, s, "first", first)
-	mustAppend(t, s, "second", second)
+	mustAppend(t, s, "second", second, other)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, s, "third", second)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = Open(dir, opts); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	got := s.Query(metricsdb.Filter{System: "cts1"})
-	if len(got) != 3 || got[0].System != "cts1" || got[2].System != "cts1" {
-		t.Fatalf("recovered %+v", got)
-	}
-	for _, r := range got[1:] {
-		if unsafe.StringData(r.System) != unsafe.StringData(got[0].System) || unsafe.StringData(r.Workload) != unsafe.StringData(got[0].Workload) {
-			t.Errorf("result %d holds its own copy of a name result 1 holds too", r.Seq)
+	mustAppend(t, s, "third", other, second)
+	for _, compact := range []bool{false, true} {
+		if compact {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if unsafe.StringData(r.Manifest) == unsafe.StringData(got[0].Manifest) {
-			t.Errorf("result %d shares its manifest's bytes with result 1", r.Seq)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		got := s.Query(metricsdb.Filter{System: "cts1"})
+		if len(got) != 5 || got[0].System != "cts1" || got[4].System != "cts1" {
+			t.Fatalf("recovered %+v", got)
+		}
+		byText := map[string]*byte{}
+		for _, r := range got {
+			if unsafe.StringData(r.System) != unsafe.StringData(got[0].System) || unsafe.StringData(r.Workload) != unsafe.StringData(got[0].Workload) {
+				t.Errorf("result %d holds its own copy of a name result 1 holds too", r.Seq)
+			}
+			if held, ok := byText[r.Manifest]; !ok {
+				byText[r.Manifest] = unsafe.StringData(r.Manifest)
+			} else if held != unsafe.StringData(r.Manifest) {
+				t.Errorf("compacted %v: result %d holds its own copy of manifest %q", compact, r.Seq, r.Manifest)
+			}
+		}
+		if len(byText) != 2 || byText["spack: {}"] == byText["spack: {specs: []}"] {
+			t.Errorf("compacted %v: manifests %v", compact, byText)
 		}
 	}
+	s.Close()
 }

@@ -2,8 +2,11 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/fsys"
@@ -31,6 +34,82 @@ func FuzzScanRecords(f *testing.F) {
 		}
 		if again, g := scanRecords(data[:good]); g != good || len(again) != len(payloads) {
 			t.Fatalf("the committed prefix rescans to %d payloads / %d bytes, want %d / %d", len(again), g, len(payloads), good)
+		}
+	})
+}
+
+// FuzzWALRecord: replay decodes whatever payload a CRC-valid record
+// holds. The decoder must never panic. What it accepts, appendJSON
+// writes back as a record that decodes to the same batch and re-encodes
+// to the same bytes. And a record whose table lists tableLen manifests
+// and whose result names manifest ref is refused exactly when ref is
+// not an index of that table.
+func FuzzWALRecord(f *testing.F) {
+	manifest := "suite: saxpy/openmp\nsystem-model: 0123456789abcdef\nroot: saxpy@1.0 <&>\n"
+	r := res("saxpy", "cts1", "saxpy_time", 1)
+	r.ID, r.Seq, r.Manifest = 1, 1, manifest
+	other := res("stream", "cts1", "triad_bw", 2)
+	other.ID, other.Seq, other.Manifest = 2, 2, "suite: stream/openmp\n"
+	bare := res("amg2023", "cts1", "fom", 3)
+	bare.ID, bare.Seq = 3, 3
+	var table metricsdb.ManifestTable
+	for _, b := range []walBatch{
+		{Key: "k", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Received: 1700000000000000000, Results: []metricsdb.Result{r, other, r, bare}},
+		{Key: "bare", Received: 1, Results: []metricsdb.Result{bare}},
+	} {
+		payload, err := b.appendJSON(nil, &table)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload, uint8(2), 1)
+	}
+	inline, err := json.Marshal(map[string]any{"key": "old", "received_unix_ns": 1, "results": []metricsdb.Result{r, other}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(inline, uint8(0), 0)
+	f.Add([]byte(`{"key":"late","results":[{"manifest":0}],"manifests":["m"]}`), uint8(1), -1)
+	f.Add([]byte(`{"key":"out","manifests":["m"],"results":[{"manifest":1}]}`), uint8(3), 3)
+	f.Fuzz(func(t *testing.T, payload []byte, tableLen uint8, ref int) {
+		var d metricsdb.Decoder
+		var b walBatch
+		if b.decode(&d, payload) == nil {
+			var table metricsdb.ManifestTable
+			first, err := b.appendJSON(nil, &table)
+			if err != nil {
+				return // a FOM with no JSON form never reaches a record
+			}
+			var back walBatch
+			if err := back.decode(&d, first); err != nil {
+				t.Fatalf("appendJSON wrote %s, which does not decode: %v", first, err)
+			}
+			if back.Key != b.Key || len(back.Results) != len(b.Results) {
+				t.Fatalf("decoded back as key %q with %d results, want %q with %d", back.Key, len(back.Results), b.Key, len(b.Results))
+			}
+			for i := range b.Results {
+				if back.Results[i].Manifest != b.Results[i].Manifest {
+					t.Fatalf("result %d decoded back with manifest %q, want %q", i, back.Results[i].Manifest, b.Results[i].Manifest)
+				}
+			}
+			if again, _ := back.appendJSON(nil, &table); !bytes.Equal(again, first) {
+				t.Fatalf("re-encoding the decoded record gives\n%s\nnot\n%s", again, first)
+			}
+		}
+		n := int(tableLen % 4)
+		record := []byte(`{"key":"k","manifests":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				record = append(record, ',')
+			}
+			record = strconv.AppendQuote(record, fmt.Sprint("m", i))
+		}
+		record = fmt.Appendf(record, `],"results":[{"benchmark":"b","system":"s","manifest":%d}]}`, ref)
+		err := b.decode(&d, record)
+		if inside := ref >= 0 && ref < n; (err == nil) != inside {
+			t.Fatalf("%s: decode error %v, index %d of a %d-manifest table", record, err, ref, n)
+		}
+		if err == nil && b.Results[0].Manifest != fmt.Sprint("m", ref) {
+			t.Fatalf("%s: manifest %q", record, b.Results[0].Manifest)
 		}
 	})
 }
@@ -79,7 +158,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		results, before := 0, &snapshot{}
 		for _, snap := range chain {
-			if snap.Format != snapshotFormat && snap.Format != fullSnapshotFormat {
+			if snap.Format != snapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat {
 				t.Fatalf("accepted format %q", snap.Format)
 			}
 			if snap.Base != before.Covered || snap.AfterSeq != before.NextSeq || snap.Covered <= snap.Base {

@@ -18,14 +18,19 @@ import (
 // (Base, Covered] — Base is the Covered of the generation beneath, 0
 // for the oldest — and holds exactly the results with
 // AfterSeq < Seq <= NextSeq, so a chain whose links agree on Base and
-// AfterSeq has neither a gap nor an overlap. A file in the previous
-// format (one full snapshot, no base) is a chain of one. In memory it
-// is the decoded header and the file's bytes from its results on:
-// those are decoded once, straight into the DB (eachResult).
+// AfterSeq has neither a gap nor an overlap. After the results comes
+// the file's manifest table: each distinct manifest of its results
+// once, in first-use order, which each result's "manifest" names by
+// index; a file whose results carry none has no table. A file in the
+// oldest format (one full snapshot, no base) is a chain of one. In
+// memory it is the decoded header and table and the file's bytes from
+// its results on: those are decoded once, straight into the DB
+// (eachResult).
 type snapshot struct {
 	snapshotHeader
-	results []byte // the file from the value of its "results" member on; nil without one
-	size    int64  // bytes of the file it was read from
+	manifests []string // the file's manifest table
+	results   []byte   // the file from the value of its "results" member on; nil without one
+	size      int64    // bytes of the file it was read from
 }
 
 // snapshotHeader is a generation file without its results — all of it
@@ -42,10 +47,14 @@ type snapshotHeader struct {
 
 const (
 	// snapshotFormat tags generation files. A binary that predates the
-	// chain refuses it by name instead of loading the newest generation
-	// as if it were the whole store.
-	snapshotFormat = "benchpark-snap-2"
-	// fullSnapshotFormat is the single whole-state snapshot older
+	// manifest table refuses it by name instead of failing on a
+	// manifest's index, as one that predates the chain refuses it
+	// instead of loading the newest generation as the whole store.
+	snapshotFormat = "benchpark-snap-3"
+	// chainSnapshotFormat is a generation older stores wrote: the same
+	// chain link, each result's manifest inline.
+	chainSnapshotFormat = "benchpark-snap-2"
+	// fullSnapshotFormat is the single whole-state snapshot the oldest
 	// stores wrote; it carries no base and no after_seq.
 	fullSnapshotFormat = "benchpark-snap-1"
 )
@@ -73,19 +82,25 @@ type generation struct {
 // decodeHeader parses the bytes of snap-<n>.json except its results,
 // which it only checks for syntax and remembers the place of, and
 // rejects a file that disagrees with its own name or is not a
-// well-formed generation. The codec splits the file; the header — every
-// other member, a few hundred bytes and the key list — is read through
-// its declared struct, as the encoder writes it.
+// well-formed generation. The codec splits the file and reads the
+// manifest table, wherever it stands; the header — every other member,
+// a few hundred bytes and the key list — is read through its declared
+// struct, as the encoder writes it.
 func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 	snap := &snapshot{size: int64(len(data))}
 	head := []byte{'{'}
 	err := d.Document(data, func(name []byte) {
 		member, from := string(name), d.Offset() // a copy: Skip may reuse name's bytes
-		d.Skip()
-		if member == "results" {
+		switch member {
+		case "manifests":
+			snap.manifests = d.Manifests(snap.manifests[:0])
+			return
+		case "results":
+			d.Skip()
 			snap.results = data[from:]
 			return
 		}
+		d.Skip()
 		head = append(append(append(metricsdb.AppendString(head, member), ':'), data[from:d.Offset()]...), ',')
 	})
 	if err != nil {
@@ -96,8 +111,10 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 		return nil, err
 	}
 	switch {
-	case snap.Format != snapshotFormat && snap.Format != fullSnapshotFormat:
+	case snap.Format != snapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat:
 		return nil, fmt.Errorf("unknown format %q", snap.Format)
+	case snap.Format != snapshotFormat && snap.manifests != nil:
+		return nil, fmt.Errorf("format %s has no manifest table", snap.Format)
 	case snap.Format == fullSnapshotFormat && (snap.Base != 0 || snap.AfterSeq != 0):
 		return nil, fmt.Errorf("format %s cannot build on an older snapshot", fullSnapshotFormat)
 	case snap.Covered != n:
@@ -112,14 +129,16 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 
 // eachResult decodes the generation's results, in file order, into fn
 // one at a time and then lets go of the file's bytes. A Seq out of
-// order or outside (AfterSeq, NextSeq] is an error, and fn has by then
-// seen the results before it.
+// order or outside (AfterSeq, NextSeq], or a manifest the file's table
+// does not hold, is an error, and fn has by then seen the results
+// before it.
 func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)) error {
 	if snap.results == nil {
 		return nil
 	}
 	d.Reset(snap.results)
-	snap.results = nil
+	d.UseManifests(snap.manifests)
+	snap.results, snap.manifests = nil, nil
 	last := snap.AfterSeq
 	d.Array(func() {
 		var r metricsdb.Result
@@ -344,7 +363,8 @@ var genBufs = sync.Pool{New: func() any {
 // generationFile is the generation file head describes: the header's
 // JSON object with a "results" member spliced in, holding the DB's
 // results in (head.AfterSeq, head.NextSeq], encoded straight from the
-// DB's rows a page at a time as WriteTo writes it.
+// DB's rows a page at a time as WriteTo writes it, and then, when they
+// carry manifests, the "manifests" table their indexes name.
 type generationFile struct {
 	db   *metricsdb.DB
 	head *snapshotHeader
@@ -366,6 +386,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	}
 	pooled := genBufs.Get().(*[]byte)
 	defer genBufs.Put(pooled)
+	var table metricsdb.ManifestTable
 	// Every result comes preceded by a comma; the first one's opens the
 	// array instead.
 	buf := append((*pooled)[:0], `,"results":`...)
@@ -373,7 +394,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	for after := head.AfterSeq; after < head.NextSeq; {
 		var last int
 		// Appends keep landing; what they add is the next generation's.
-		if buf, last, err = g.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2); err != nil {
+		if buf, last, err = g.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2, &table); err != nil {
 			return size, err
 		}
 		if last == after {
@@ -390,7 +411,9 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	if opening > 0 {
 		buf = append(buf, '[')
 	}
-	buf = append(buf, "]}"...)
-	*pooled = buf[:0]
+	buf = append(table.AppendMember(append(buf, ']')), '}')
+	if cap(buf) <= genBufSize { // a table of many manifests leaves its growth behind
+		*pooled = buf[:0]
+	}
 	return size, write(buf)
 }

@@ -441,7 +441,8 @@ func TestParentFormatStoreOpens(t *testing.T) {
 // their manifests inline — one benchpark-snap-2 generation, a segment
 // it covers in part and a sealed one, manifests equal and unequal
 // within a record and across files — opens to the same served bytes,
-// and still does once a Compact has rewritten it in the current format.
+// and still does once a Compact has rewritten it as one benchpark-snap-3
+// generation.
 func TestInlineManifestStoreOpens(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "inline-manifests.query.json"))
 	if err != nil {
@@ -473,7 +474,9 @@ func TestInlineManifestStoreOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
+	// Three distinct manifests among the 14 results: the table lists
+	// each once.
+	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != "benchpark-snap-3" || snap.Base != 0 || len(snap.manifests) != 3 {
 		t.Fatalf("merged generation: %+v, %v", snap, err)
 	}
 	requireState(t, dir, want, keys).Close()

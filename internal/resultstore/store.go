@@ -93,35 +93,56 @@ type Batch struct {
 }
 
 // walBatch is the WAL record payload. Results carry their assigned
-// ID/Seq so replay reconstructs the exact in-memory state.
+// ID/Seq so replay reconstructs the exact in-memory state. A record
+// lists its results' distinct manifests once, in first-use order, before
+// the results, and each result's "manifest" is an index into that list:
+//
+//	{"key":…,"trace_id":…,"received_unix_ns":…,"manifests":[…],"results":[…]}
+//
+// A record whose results carry no manifest has no "manifests" member,
+// so it is byte for byte what json.Marshal makes of its results.
+// Records written before the table existed carry each manifest inline,
+// and replay still reads them.
 type walBatch struct {
-	Key      string             `json:"key"`
-	TraceID  string             `json:"trace_id,omitempty"`
-	Received int64              `json:"received_unix_ns"`
-	Results  []metricsdb.Result `json:"results"`
+	Key       string
+	TraceID   string
+	Received  int64
+	Manifests []string // what decode read of the record's table
+	Results   []metricsdb.Result
 }
 
-// appendJSON appends the record payload: the bytes json.Marshal(b)
-// returns.
-func (b *walBatch) appendJSON(dst []byte) ([]byte, error) {
+// appendJSON appends the record payload, the record's manifest table
+// built in t — which comes empty and is left empty.
+func (b *walBatch) appendJSON(dst []byte, t *metricsdb.ManifestTable) ([]byte, error) {
+	defer t.Reset()
 	dst = metricsdb.AppendString(append(dst, `{"key":`...), b.Key)
 	if b.TraceID != "" {
 		dst = metricsdb.AppendString(append(dst, `,"trace_id":`...), b.TraceID)
 	}
 	dst = strconv.AppendInt(append(dst, `,"received_unix_ns":`...), b.Received, 10)
-	dst, err := metricsdb.AppendResults(append(dst, `,"results":`...), b.Results)
+	for i := range b.Results {
+		if m := b.Results[i].Manifest; m != "" {
+			t.Ref(m)
+		}
+	}
+	dst, err := t.AppendResults(append(t.AppendMember(dst), `,"results":`...), b.Results)
 	return append(dst, '}'), err
 }
 
-// decode reads what replay needs of a record payload into b — its key
-// and its results, reusing b.Results. The rest is an audit trail nothing
-// reads back, checked for syntax like any member a record has no use for.
+// decode reads what replay needs of a record payload into b — its key,
+// its manifest table and its results, reusing b's slices. The rest is
+// an audit trail nothing reads back, checked for syntax like any member
+// a record has no use for. A result naming a manifest the record's
+// table (so far) does not hold is an error.
 func (b *walBatch) decode(d *metricsdb.Decoder, payload []byte) error {
-	b.Key, b.Results = "", b.Results[:0]
+	b.Key, b.Manifests, b.Results = "", b.Manifests[:0], b.Results[:0]
 	return d.Document(payload, func(name []byte) {
 		switch string(name) {
 		case "key":
 			d.String(&b.Key)
+		case "manifests":
+			b.Manifests = d.Manifests(b.Manifests[:0])
+			d.UseManifests(b.Manifests)
 		case "results":
 			b.Results = d.Results(b.Results[:0])
 		default:
@@ -153,11 +174,12 @@ type Store struct {
 	active     fsys.File
 	activeSeq  int
 	activeSize int64
-	walBuf     []byte             // the group being framed; at most maxIdleWALBuf between groups
-	staged     []metricsdb.Result // the group's results, identity assigned; empty and at most maxIdleStaged between groups
-	gens       []generation       // the snapshot chain, oldest first
-	failed     error              // sticky: set when the WAL is in an unknown state
-	compactErr error              // last Compact outcome; cleared by a later success
+	walBuf     []byte                  // the group being framed; at most maxIdleWALBuf between groups
+	walTable   metricsdb.ManifestTable // the manifests of the record being framed; empty between records
+	staged     []metricsdb.Result      // the group's results, identity assigned; empty and at most maxIdleStaged between groups
+	gens       []generation            // the snapshot chain, oldest first
+	failed     error                   // sticky: set when the WAL is in an unknown state
+	compactErr error                   // last Compact outcome; cleared by a later success
 
 	compactions     int64 // generations written since Open
 	compactionBytes int64 // bytes of snapshot files written since Open
@@ -469,7 +491,7 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Received: s.opts.Clock.Now().UnixNano(), Results: rs}
 		at := len(buf)
 		var err error
-		if buf, err = wb.appendJSON(append(buf, make([]byte, recordHeaderSize)...)); err != nil {
+		if buf, err = wb.appendJSON(append(buf, make([]byte, recordHeaderSize)...), &s.walTable); err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
 		sealRecord(buf, at)
