@@ -754,7 +754,7 @@ func (d *Decoder) manifestString(dst *string) {
 // manifestRef stores the manifest the index at the cursor names in the
 // table (UseManifests) in *dst.
 func (d *Decoder) manifestRef(dst *string) {
-	i := -1
+	var i int
 	if d.Int(&i); d.err != nil {
 		return
 	}

@@ -17,8 +17,9 @@
 # that loader end to end, the ramble CLI (`ramble on` is a Session.Run
 # on the engine's worker pool), and the simulated MPI runtime with the kernels
 # that run on it (one goroutine per rank, up to 3,456 a job, meeting in
-# hand-written mailboxes: a mutex and a condition per rank). After it, the result store's two decoders of
-# on-disk bytes — WAL frames and snapshot generations — the ingest
+# hand-written mailboxes: a mutex and a condition per rank). After it, the result store's three decoders of
+# on-disk bytes — WAL frames, WAL record payloads and snapshot
+# generations — the ingest
 # handler's reader of network bytes (plain or gzip, through its pooled
 # decompressor), yamlite's scalar emitter/parser round trip, the
 # Result codec against encoding/json, both directions, telemetry's
@@ -80,8 +81,9 @@ go test -race ./internal/engine ./internal/core ./internal/install ./internal/bu
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
+echo "==> go test -fuzz (WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
+go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
 # Whether a pooled decompressor is reused or built depends on the GC, so
 # coverage flaps and the minimizer (60 s per "new" input by default)
