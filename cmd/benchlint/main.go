@@ -5,16 +5,15 @@
 //
 // Usage:
 //
-//	benchlint [-C dir] [-fix]
+//	benchlint [-C dir]
 //
 //	-C dir      run in dir (the module to lint; default ".")
-//	-fix        apply suggested fixes to the source tree
 //
 // benchlint prints each unsuppressed finding as
 // file:line:col: analyzer: message and exits 0 when the module is
 // clean, 1 on unsuppressed findings, and 2 on usage or load errors.
-// With -fix, findings repaired by an applied fix no longer count
-// against the exit code. Suppress a single finding with
+// Each message says what to change; the repair is made by hand.
+// Suppress a single finding with
 // `//benchlint:ignore <analyzer> <reason>` on (or directly above) the
 // offending line — or above the statement it sits in.
 package main
@@ -23,10 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"path/filepath"
-	"slices"
 
 	"repro/internal/analysis"
 )
@@ -39,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "module directory to lint")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -54,28 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// fixed[i] marks findings whose fixes -fix applied: they no longer
-	// gate the exit code.
-	fixed := make([]bool, len(res.Findings))
-	if *fix {
-		contents, applied, err := analysis.ApplyFixes(res.Module.Root, res.Findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchlint: %v\n", err)
-			return 2
-		}
-		for _, file := range slices.Sorted(maps.Keys(contents)) {
-			if err := os.WriteFile(filepath.Join(res.Module.Root, file), contents[file], 0o644); err != nil {
-				fmt.Fprintf(stderr, "benchlint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "benchlint: fixed %s\n", file)
-		}
-		fixed = applied
-	}
-
 	unsuppressed := 0
-	for i, f := range res.Findings {
-		if !f.Suppressed && !fixed[i] {
+	for _, f := range res.Findings {
+		if !f.Suppressed {
 			fmt.Fprintln(stdout, f)
 			unsuppressed++
 		}

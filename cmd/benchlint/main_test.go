@@ -67,10 +67,12 @@ func TestCLITextOutputAndExitCodes(t *testing.T) {
 		t.Errorf("the suppressed finding counted, or the summary is missing:\n%s", stderr.String())
 	}
 
-	// An unknown flag, a package pattern and an unloadable module are
-	// usage or load errors.
+	// An unknown flag (-fix included: benchlint only reports), a
+	// package pattern and an unloadable module are usage or load
+	// errors.
 	for _, args := range [][]string{
 		{"-C", dir, "-json"},
+		{"-C", dir, "-fix"},
 		{"-C", dir, "./..."},
 		{"-C", filepath.Join(dir, "missing")},
 	} {

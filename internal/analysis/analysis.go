@@ -86,11 +86,6 @@ func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix records a finding at pos carrying suggested fixes.
-func (p *Pass) ReportFix(pos token.Pos, fixes []Fix, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	p.findings = append(p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
@@ -99,7 +94,6 @@ func (p *Pass) ReportFix(pos token.Pos, fixes []Fix, format string, args ...any)
 		Col:      position.Column,
 		StmtLine: p.stmtLine(pos),
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
 }
 
@@ -144,14 +138,6 @@ func (p *Pass) stmtLine(pos token.Pos) int {
 	return 0
 }
 
-// editReplace builds a TextEdit replacing the source range
-// [start, end) with newText; use start == end for a pure insertion.
-func (p *Pass) editReplace(start, end token.Pos, newText string) TextEdit {
-	s := p.Pkg.Fset.Position(start)
-	e := p.Pkg.Fset.Position(end)
-	return TextEdit{File: s.Filename, Start: s.Offset, End: e.Offset, NewText: newText}
-}
-
 // Finding is one reported invariant violation.
 type Finding struct {
 	Analyzer string
@@ -165,9 +151,6 @@ type Finding struct {
 	// directive; Reason carries the directive's justification.
 	Suppressed bool
 	Reason     string
-	// Fixes are the machine-applicable repairs, when the analyzer has
-	// one for this finding.
-	Fixes []Fix
 
 	// StmtLine is the first line of the statement the finding sits in
 	// (0 if none) — the anchor suppression directives match against.
@@ -207,11 +190,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, modPath, modRoot string, fa
 				f.Reason = d.Reason
 			}
 			f.File = relPath(modRoot, f.File)
-			for i := range f.Fixes {
-				for j := range f.Fixes[i].Edits {
-					f.Fixes[i].Edits[j].File = relPath(modRoot, f.Fixes[i].Edits[j].File)
-				}
-			}
 			out = append(out, f)
 		}
 	}

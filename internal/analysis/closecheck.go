@@ -36,7 +36,7 @@ const (
 	closerBody                     // .Body.Close()
 )
 
-// closerKinds spells each kind for the diagnostics and the fix: the
+// closerKinds spells each kind for the diagnostics: the
 // release method, the resource noun, and the release verb's stem.
 var closerKinds = [...]struct{ release, what, verb string }{
 	closerFile:   {"Close", "closer", "close"},
@@ -88,8 +88,7 @@ func closerAcquisition(info *types.Info, call *ast.CallExpr) (kind closerKind, h
 // closeCheckRule is closecheck's row of the obligation table: an
 // acquisition assigned to a named variable owes that kind's release,
 // or an ownership transfer; the error-return arm of its own `if err !=
-// nil` guard is pruned, and with a paired error the offered defer goes
-// after that guard.
+// nil` guard is pruned.
 func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 	info := pass.TypesInfo()
 	as, ok := stmt.(*ast.AssignStmt)
@@ -121,16 +120,10 @@ func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 		},
 		message: fmt.Sprintf("%s %s is not %sped on every path to return; defer %s.%s() (or transfer ownership) so no exit leaks it",
 			closerKinds[kind].what, res.Name, closerKinds[kind].verb, res.Name, kind.release()),
-		fixText:    "defer " + res.Name + "." + kind.release() + "()",
-		afterGuard: hasErr,
-	}
-	if kind == closerBody {
-		o.fixText = "defer " + res.Name + ".Body.Close()"
 	}
 	if hasErr {
 		if errIdent, isIdent := as.Lhs[1].(*ast.Ident); isIdent && errIdent.Name != "_" {
-			o.guardErr = info.ObjectOf(errIdent)
-			o.prune = errGuardPruner(info, o.guardErr)
+			o.prune = errGuardPruner(info, info.ObjectOf(errIdent))
 		}
 	}
 	return o

@@ -25,7 +25,7 @@ func runCtxFlow(pass *Pass) {
 			if !ok {
 				// Package-level initializers can also mint contexts.
 				if pass.Pkg.Name != "main" {
-					reportFreshContexts(pass, decl, "")
+					reportFreshContexts(pass, decl)
 				}
 				continue
 			}
@@ -34,17 +34,15 @@ func runCtxFlow(pass *Pass) {
 				continue
 			}
 			if fn.Body != nil {
-				reportFreshContexts(pass, fn.Body, ctxParamName(pass, fn))
+				reportFreshContexts(pass, fn.Body)
 			}
 		}
 	}
 }
 
 // reportFreshContexts flags every context.Background()/context.TODO()
-// call under n. When the enclosing function already has a named
-// context parameter (ctxParam), the mechanical repair — use it — is
-// attached as a fix.
-func reportFreshContexts(pass *Pass, n ast.Node, ctxParam string) {
+// call under n.
+func reportFreshContexts(pass *Pass, n ast.Node) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -54,35 +52,11 @@ func reportFreshContexts(pass *Pass, n ast.Node, ctxParam string) {
 		if !ok || (name != "Background" && name != "TODO") {
 			return true
 		}
-		var fixes []Fix
-		if ctxParam != "" {
-			fixes = []Fix{{Edits: []TextEdit{pass.editReplace(call.Pos(), call.End(), ctxParam)}}}
-		}
-		pass.ReportFix(call.Pos(), fixes,
+		pass.Reportf(call.Pos(),
 			"context.%s() severs the cancellation chain; take a context.Context from the caller",
 			name)
 		return true
 	})
-}
-
-// ctxParamName returns the name of the function's first named
-// context.Context parameter, or "" when there is none to route the
-// fix through.
-func ctxParamName(pass *Pass, fn *ast.FuncDecl) string {
-	if fn.Type.Params == nil {
-		return ""
-	}
-	for _, field := range fn.Type.Params.List {
-		if !isContextType(pass.TypesInfo().TypeOf(field.Type)) {
-			continue
-		}
-		for _, name := range field.Names {
-			if name.Name != "_" {
-				return name.Name
-			}
-		}
-	}
-	return ""
 }
 
 // contextPackageFunc resolves a call to a function of package context.

@@ -67,7 +67,6 @@ func ctxLeakRule(pass *Pass, stmt ast.Stmt) *obligation {
 			return nodeCallsObj(n, info, cancelObj) || nodeTransfersObj(n, info, cancelObj)
 		},
 		message: cancel.Name + " from context." + ctor + " is not called on every path to return; defer it immediately after the acquisition (a leaked cancel pins the context's timer and goroutine)",
-		fixText: "defer " + cancel.Name + "()",
 	}
 }
 

@@ -126,7 +126,7 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 			}
 		}
 		return ""
-	}, func(rng *ast.RangeStmt, _ *types.Map, finding string) {
+	}, func(rng *ast.RangeStmt, finding string) {
 		pass.Reportf(rng.For, "%s", finding)
 	})
 }

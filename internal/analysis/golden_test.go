@@ -66,16 +66,9 @@ func wantComments(t *testing.T, dir string) map[string][]string {
 	return wants
 }
 
-// fixers are the analyzers that attach machine-applicable fixes to
-// (some of) their findings; cmd/benchlint's TestCLIFix* tests apply
-// each one's fix end to end.
-var fixers = map[string]bool{"ctxflow": true, "spanend": true, "maporder": true, "keycover": true, "closecheck": true, "ctxleak": true}
-
 // TestAnalyzerGoldens runs every analyzer over its bad+good fixture
 // pair: each //want marker must produce exactly one unsuppressed
-// finding on that line, and nothing else may be reported. An analyzer
-// in fixers attaches a fix to at least one finding; any other attaches
-// none.
+// finding on that line, and nothing else may be reported.
 func TestAnalyzerGoldens(t *testing.T) {
 	for _, a := range Suite() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -84,7 +77,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 			wants := wantComments(t, dir)
 
 			got := map[string][]string{}
-			fixed := false
 			for _, f := range findings {
 				if f.Suppressed {
 					continue
@@ -94,10 +86,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 				}
 				key := fmt.Sprintf("%s:%d", f.File, f.Line)
 				got[key] = append(got[key], f.Analyzer)
-				fixed = fixed || len(f.Fixes) > 0
-			}
-			if fixed != fixers[a.Name] {
-				t.Errorf("%s attaches fixes = %v, want %v", a.Name, fixed, fixers[a.Name])
 			}
 			for key, analyzers := range wants {
 				g := got[key]
@@ -148,6 +136,7 @@ func TestExactPositions(t *testing.T) {
 			"bad.go:14:9: ctxflow",
 			"bad.go:19:29: ctxflow",
 			"bad.go:24:28: ctxflow",
+			"bad.go:35:9: ctxflow",
 		}},
 		{Locks, []string{
 			"bad.go:17:2: locks",

@@ -104,7 +104,11 @@ var guardTable = []guard{
 	{pr: 46, pkg: "internal/core", retired: []string{"Session.Executor"}, why: oneRunPath},
 	{pr: 47, pkg: "internal/archspec", retired: []string{"versionInRange", "compareDotted", "atoiSafe"},
 		why: "a compiler version range is a spec.VersionList; dotted versions are compared one way, by spec.Version"},
+	{pr: 49, pkg: "internal/analysis", retired: []string{"ApplyFixes", "Fix", "TextEdit", "Pass.ReportFix", "Finding.Fixes"}, why: reportsOnly},
+	{pr: 49, pkg: "cmd/benchlint", retired: []string{`"fix`}, why: reportsOnly},
 }
+
+const reportsOnly = "benchlint reports findings; a finding is repaired by hand"
 
 const oneRunPath = "an experiment reaches its result one way: `ramble on` and `benchpark run` are a Session.Run"
 

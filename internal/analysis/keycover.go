@@ -20,12 +20,12 @@ import (
 //
 // The analyzer walks the hashed argument's static type transitively
 // and flags: unexported struct fields (invisible to encoding/json),
-// exported fields tagged `json:"-"` (explicitly excluded — fix
-// attached when the tag is the whole story), fields of unencodable
-// type (func/chan make Marshal fail at runtime, after the cold run
-// already happened), and map key types canonical JSON cannot order
-// (not string-kinded, integer-kinded, or a TextMarshaler). Types with
-// their own MarshalJSON/MarshalText are trusted to cover themselves.
+// exported fields tagged `json:"-"` (explicitly excluded), fields of
+// unencodable type (func/chan make Marshal fail at runtime, after the
+// cold run already happened), and map key types canonical JSON cannot
+// order (not string-kinded, integer-kinded, or a TextMarshaler). Types
+// with their own MarshalJSON/MarshalText are trusted to cover
+// themselves.
 var KeyCover = &Analyzer{
 	Name: "keycover",
 	Run:  runKeyCover,
@@ -102,7 +102,7 @@ func (w *keyWalker) walk(t types.Type, path string, depth int) {
 		w.walk(u.Elem(), path, depth+1)
 	case *types.Map:
 		if !encodableMapKey(u.Key()) {
-			w.reportFix(token.NoPos, nil,
+			w.report(token.NoPos,
 				"map key type %s cannot be canonically JSON-encoded (not string-kinded, integer-kinded, or a TextMarshaler); the Hash call fails at runtime", u.Key())
 		}
 		w.walk(u.Elem(), path, depth+1)
@@ -121,18 +121,17 @@ func (w *keyWalker) walkStruct(st *types.Struct, path string, depth int) {
 		jsonTag := reflect.StructTag(st.Tag(i)).Get("json")
 		switch {
 		case !f.Exported():
-			w.reportFix(f.Pos(), nil,
+			w.report(f.Pos(),
 				"unexported field %s is invisible to the canonical-JSON encoder; its value never reaches the cache key — export it or drop it from the hashed struct", fpath)
 			continue
 		case jsonTag == "-":
-			fix := w.dropTagFix(f)
-			w.reportFix(f.Pos(), fix,
+			w.report(f.Pos(),
 				`field %s is tagged json:"-" so the key encoder skips it; two inputs differing only there hash to the same key — remove the tag or remove the field`, fpath)
 			continue
 		}
 		switch f.Type().Underlying().(type) {
 		case *types.Signature, *types.Chan:
-			w.reportFix(f.Pos(), nil,
+			w.report(f.Pos(),
 				"field %s has unencodable type %s; the Hash call fails at runtime — derive a stable representation instead", fpath, f.Type())
 			continue
 		case *types.Interface:
@@ -179,15 +178,15 @@ func hasMethod(t types.Type, name string) bool {
 	return false
 }
 
-// reportFix anchors the finding at the field's declaration when it
+// report anchors the finding at the field's declaration when it
 // lives in the package under analysis, else at the Hash call site (the
 // message's field path names the blind spot either way).
-func (w *keyWalker) reportFix(pos token.Pos, fixes []Fix, format string, args ...any) {
+func (w *keyWalker) report(pos token.Pos, format string, args ...any) {
 	if w.posInPackage(pos) {
-		w.pass.ReportFix(pos, fixes, format, args...)
+		w.pass.Reportf(pos, format, args...)
 		return
 	}
-	w.pass.ReportFix(w.call.Pos(), fixes, "hashed value: %s", fmt.Sprintf(format, args...))
+	w.pass.Reportf(w.call.Pos(), "hashed value: %s", fmt.Sprintf(format, args...))
 }
 
 func (w *keyWalker) posInPackage(pos token.Pos) bool {
@@ -200,34 +199,4 @@ func (w *keyWalker) posInPackage(pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// dropTagFix removes a field's struct tag when the tag is exactly
-// `json:"-"` (anything else carries information the fix would lose)
-// and the field is declared in the package under analysis.
-func (w *keyWalker) dropTagFix(f *types.Var) []Fix {
-	if !w.posInPackage(f.Pos()) {
-		return nil
-	}
-	for _, file := range w.pass.Files() {
-		if f.Pos() < file.Pos() || f.Pos() > file.End() {
-			continue
-		}
-		var fix []Fix
-		ast.Inspect(file, func(n ast.Node) bool {
-			field, ok := n.(*ast.Field)
-			if !ok || field.Tag == nil {
-				return true
-			}
-			for _, name := range field.Names {
-				if name.Pos() == f.Pos() && field.Tag.Value == "`json:\"-\"`" {
-					fix = []Fix{{Edits: []TextEdit{w.pass.editReplace(field.Type.End(), field.Tag.End(), "")}}}
-					return false
-				}
-			}
-			return true
-		})
-		return fix
-	}
-	return nil
 }

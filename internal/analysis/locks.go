@@ -18,8 +18,8 @@ var Locks = &Analyzer{
 
 // locksRule is locks' row of the obligation table: a Lock/RLock
 // statement owes the matching unlock on the same receiver expression.
-// No transfer rule (a lock handed to another function to release is
-// exactly what the discipline forbids) and no fix.
+// No transfer rule: a lock handed to another function to release is
+// exactly what the discipline forbids.
 func locksRule(pass *Pass, stmt ast.Stmt) *obligation {
 	recvExpr, method := syncLockStmt(pass.TypesInfo(), stmt)
 	if method != "Lock" && method != "RLock" {

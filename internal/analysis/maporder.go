@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"slices"
 	"strings"
@@ -21,10 +20,8 @@ import (
 // sorted-merge commit fed in map order loses its determinism
 // guarantee.
 //
-// Where the loop's key type is string and the shape is simple, the
-// fix is mechanical and attached: collect the keys, sort them, range
-// over the sorted slice (adding a `v := m[k]` binding when the loop
-// bound a value). determinism keeps owning direct fmt/io writes,
+// The repair is to collect the keys, sort them, and range over the
+// sorted slice. determinism keeps owning direct fmt/io writes,
 // slice appends, and channel sends in its scoped packages; this
 // analyzer owns the hashing/serialization/commit sinks everywhere.
 var MapOrder = &Analyzer{
@@ -44,8 +41,8 @@ func runMapOrder(pass *Pass) {
 					return orderSink(pass, call)
 				}
 				return ""
-			}, func(rng *ast.RangeStmt, mt *types.Map, sink string) {
-				pass.ReportFix(rng.For, sortKeysFix(pass, file, fn, rng, mt),
+			}, func(rng *ast.RangeStmt, sink string) {
+				pass.Reportf(rng.For,
 					"map iteration order reaches %s; the bytes differ run to run — range over sorted keys", sink)
 			})
 		}
@@ -57,7 +54,7 @@ func runMapOrder(pass *Pass) {
 // calling analyzer's row of order-sensitive effects — about each node
 // of the loop body in source order, and hands the first non-empty
 // answer to report.
-func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.RangeStmt, n ast.Node) string, report func(rng *ast.RangeStmt, mt *types.Map, hit string)) {
+func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.RangeStmt, n ast.Node) string, report func(rng *ast.RangeStmt, hit string)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -67,8 +64,7 @@ func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.Ran
 		if t == nil {
 			return true
 		}
-		mt, isMap := t.Underlying().(*types.Map)
-		if !isMap {
+		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
 		hit := ""
@@ -79,7 +75,7 @@ func forEachMapRangeSink(pass *Pass, body *ast.BlockStmt, sink func(rng *ast.Ran
 			return hit == ""
 		})
 		if hit != "" {
-			report(rng, mt, hit)
+			report(rng, hit)
 		}
 		return true
 	})
@@ -193,116 +189,4 @@ func inModule(pass *Pass, pkg *types.Package) bool {
 	}
 	_, ok := pass.AllFacts[pkg.Path()]
 	return ok
-}
-
-// sortKeysFix builds the sort-keys rewrite when it is mechanical:
-//
-//	for k, v := range m {        for _, k := range ks {   // ks sorted
-//	    sink(k, v)          =>       v := m[k]
-//	}                                sink(k, v)
-//	                             }
-//
-// Conditions: the key type is string (sort.Strings suffices), the
-// range expression is a plain identifier or selector (re-evaluating it
-// for the collect loop and the `m[k]` load is effect-free), and the
-// loop binds a named key with `:=`. Anything else gets the finding
-// without a fix.
-func sortKeysFix(pass *Pass, file *ast.File, fn *ast.FuncDecl, rng *ast.RangeStmt, mt *types.Map) []Fix {
-	basic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || basic.Kind() != types.String {
-		return nil
-	}
-	switch rng.X.(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return nil
-	}
-	if rng.Tok != token.DEFINE {
-		return nil
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil
-	}
-	var val *ast.Ident
-	if rng.Value != nil {
-		v, ok := rng.Value.(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if v.Name != "_" {
-			val = v
-		}
-	}
-
-	keysName := freshName(fn, key.Name)
-	if keysName == "" {
-		return nil
-	}
-	m := types.ExprString(rng.X)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s := make([]string, 0, len(%s))\n", keysName, m)
-	fmt.Fprintf(&b, "for %s := range %s {\n", key.Name, m)
-	fmt.Fprintf(&b, "%s = append(%s, %s)\n", keysName, keysName, key.Name)
-	fmt.Fprintf(&b, "}\n")
-	fmt.Fprintf(&b, "sort.Strings(%s)\n", keysName)
-	fmt.Fprintf(&b, "for _, %s := range %s {\n", key.Name, keysName)
-	if val != nil {
-		fmt.Fprintf(&b, "%s := %s[%s]\n", val.Name, m, key.Name)
-	}
-
-	edits := []TextEdit{pass.editReplace(rng.For, rng.Body.Lbrace+1, b.String())}
-	if imp := sortImportEdit(pass, file); imp != nil {
-		edits = append(edits, *imp)
-	} else if !importsPath(file, "sort") {
-		return nil
-	}
-	return []Fix{{Edits: edits}}
-}
-
-// freshName picks a name for the sorted-keys slice that no identifier
-// in the function already uses; empty when every candidate collides.
-func freshName(fn *ast.FuncDecl, key string) string {
-	used := map[string]bool{}
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			used[id.Name] = true
-		}
-		return true
-	})
-	for _, cand := range []string{key + "s", key + "Keys", "sorted" + strings.Title(key)} {
-		if !used[cand] {
-			return cand
-		}
-	}
-	return ""
-}
-
-// sortImportEdit inserts "sort" into the file's grouped import block
-// when missing; nil when already imported or when there is no grouped
-// block to extend (the applied file is gofmt-validated, which also
-// re-sorts the import block around the insertion).
-func sortImportEdit(pass *Pass, file *ast.File) *TextEdit {
-	if importsPath(file, "sort") {
-		return nil
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
-			continue
-		}
-		e := pass.editReplace(gd.Lparen+1, gd.Lparen+1, "\n\t\"sort\"")
-		return &e
-	}
-	return nil
-}
-
-func importsPath(file *ast.File, path string) bool {
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"`+path+`"` {
-			return true
-		}
-	}
-	return false
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // obligation.go is the one implementation of "X acquired ⇒ Y on every
-// path to return, else offer `defer Y`" (DESIGN §7). spanend,
+// path to return" (DESIGN §7). spanend,
 // ctxleak, closecheck and locks are rows over it: a row recognizes
 // its acquisition statement and says what that acquisition owes; the
 // engine walks every function body, asks the body's CFG whether the
 // debt is paid on every path from the acquisition to exit
-// (MustReachOnAllPaths), and builds the defer-insertion fix.
+// (MustReachOnAllPaths), and reports the acquisition when it is not.
 
 // obligation is what one matched acquisition owes.
 type obligation struct {
@@ -28,15 +28,6 @@ type obligation struct {
 	prune func(cond ast.Expr, branch bool) bool
 	// message is the finding when some path returns undischarged.
 	message string
-	// fixText is the `defer …` statement to insert; empty offers no
-	// fix.
-	fixText string
-	// afterGuard places the defer after the `if guardErr != nil { …
-	// return }` statement that directly follows the acquisition, so a
-	// nil resource is never deferred on; without that exact guard no
-	// fix is offered.
-	afterGuard bool
-	guardErr   types.Object
 }
 
 // obligationRule is one row's acquisition matcher: nil when stmt
@@ -66,43 +57,12 @@ func (rule obligationRule) run(pass *Pass) {
 					c = BuildCFG(pass.TypesInfo(), body)
 				}
 				if !c.MustReachOnAllPaths(stmt, PathQuery{Satisfied: o.discharged, PruneEdge: o.prune}) {
-					pass.ReportFix(stmt.Pos(), deferFix(pass, body, stmt, o), "%s", o.message)
+					pass.Reportf(stmt.Pos(), "%s", o.message)
 				}
 				return true
 			})
 		})
 	}
-}
-
-// deferFix inserts the obligation's defer when the placement is
-// unambiguous: the acquisition is a direct statement of a block (not
-// an if-init, not a case-clause statement).
-func deferFix(pass *Pass, body *ast.BlockStmt, stmt ast.Stmt, o *obligation) []Fix {
-	if o.fixText == "" {
-		return nil
-	}
-	blk, idx := stmtContext(body, stmt)
-	if blk == nil {
-		return nil
-	}
-	at := stmt.End()
-	if o.afterGuard {
-		if o.guardErr == nil || idx+1 >= len(blk.List) {
-			return nil
-		}
-		guard, ok := blk.List[idx+1].(*ast.IfStmt)
-		if !ok || guard.Init != nil || guard.Else != nil || len(guard.Body.List) == 0 {
-			return nil
-		}
-		if op, okNil := isNilCheck(pass.TypesInfo(), guard.Cond, o.guardErr); !okNil || op != token.NEQ {
-			return nil
-		}
-		if _, returns := guard.Body.List[len(guard.Body.List)-1].(*ast.ReturnStmt); !returns {
-			return nil
-		}
-		at = guard.End()
-	}
-	return []Fix{{Edits: []TextEdit{pass.editReplace(at, at, "\n"+o.fixText)}}}
 }
 
 // forEachFuncBody invokes fn once per function body in the file:
@@ -135,31 +95,6 @@ func ownFuncNodes(body *ast.BlockStmt, visit func(ast.Node) bool) {
 		}
 		return visit(n)
 	})
-}
-
-// stmtContext locates stmt as a direct element of some block
-// statement list inside body (not an if-init, not inside a nested
-// function literal), so a `defer …` can be inserted right after it.
-func stmtContext(body *ast.BlockStmt, stmt ast.Stmt) (*ast.BlockStmt, int) {
-	var blk *ast.BlockStmt
-	idx := -1
-	ownFuncNodes(body, func(n ast.Node) bool {
-		if blk != nil {
-			return false
-		}
-		b, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range b.List {
-			if s == stmt {
-				blk, idx = b, i
-				return false
-			}
-		}
-		return true
-	})
-	return blk, idx
 }
 
 // nodeTransfersObj is the shared transfer rule: it reports whether

@@ -24,8 +24,8 @@ var SpanEnd = &Analyzer{
 
 // spanEndRule is spanend's row of the obligation table: a StartSpan
 // assignment owes an End on the span. Span.End is documented
-// idempotent ("Ending twice is a no-op"), so the offered defer is safe
-// even when an explicit End already covers some paths.
+// idempotent ("Ending twice is a no-op"), so the defer the message asks
+// for is safe even when an explicit End already covers some paths.
 func spanEndRule(_ *Pass, stmt ast.Stmt) *obligation {
 	span, ok := startSpanAssign(stmt)
 	if !ok {
@@ -39,7 +39,6 @@ func spanEndRule(_ *Pass, stmt ast.Stmt) *obligation {
 			return nodeContainsCall(n, func(call *ast.CallExpr) bool { return endCallExpr(call, span) })
 		},
 		message: "span " + span + " is not Ended on every return path; defer " + span + ".End() immediately after StartSpan",
-		fixText: "defer " + span + ".End()",
 	}
 }
 

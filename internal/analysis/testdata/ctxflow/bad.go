@@ -28,3 +28,9 @@ func runPipelineContext(ctx context.Context) error {
 	_ = ctx
 	return nil
 }
+
+// reroute already holds its caller's context, and a fresh one is
+// still a finding: the caller's cancellation never reaches doWork.
+func reroute(ctx context.Context) {
+	doWork(context.Background()) //want ctxflow
+}

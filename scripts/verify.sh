@@ -35,9 +35,8 @@
 # their seed corpora.
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
-# analyzer over every package, any unsuppressed finding fails (one
-# with a mechanical fix too: `go run ./cmd/benchlint -fix` applies
-# those). It is the one place a source rule is enforced: the names
+# analyzer over every package, any unsuppressed finding fails, and its
+# message says what to change. It is the one place a source rule is enforced: the names
 # the project retired and the objects confined to a few packages are
 # rows of its guards analyzer (internal/analysis/guards.go), and this
 # script greps no Go source. scripts/smoke builds the real binary
