@@ -36,13 +36,14 @@ const (
 	closerBody                     // .Body.Close()
 )
 
-// closerKinds spells each kind for the diagnostics: the
-// release method, the resource noun, and the release verb's stem.
-var closerKinds = [...]struct{ release, what, verb string }{
-	closerFile:   {"Close", "closer", "close"},
-	closerTicker: {"Stop", "ticker", "stop"},
-	closerTimer:  {"Stop", "timer", "stop"},
-	closerBody:   {"Close", "response body", "close"},
+// closerKinds spells each kind for the diagnostics: the release
+// method, the resource noun, the release's past participle, and the
+// field of the resource the method is called on, if any.
+var closerKinds = [...]struct{ release, what, done, field string }{
+	closerFile:   {"Close", "closer", "closed", ""},
+	closerTicker: {"Stop", "ticker", "stopped", ""},
+	closerTimer:  {"Stop", "timer", "stopped", ""},
+	closerBody:   {"Close", "response body", "closed", ".Body"},
 }
 
 func (k closerKind) release() string { return closerKinds[k].release }
@@ -118,8 +119,8 @@ func closeCheckRule(pass *Pass, stmt ast.Stmt) *obligation {
 		discharged: func(n ast.Node) bool {
 			return nodeReleasesCloser(n, info, resObj, kind) || nodeTransfersObj(n, info, resObj)
 		},
-		message: fmt.Sprintf("%s %s is not %sped on every path to return; defer %s.%s() (or transfer ownership) so no exit leaks it",
-			closerKinds[kind].what, res.Name, closerKinds[kind].verb, res.Name, kind.release()),
+		message: fmt.Sprintf("%s %s is not %s on every path to return; defer %s%s.%s() (or transfer ownership) so no exit leaks it",
+			closerKinds[kind].what, res.Name, closerKinds[kind].done, res.Name, closerKinds[kind].field, kind.release()),
 	}
 	if hasErr {
 		if errIdent, isIdent := as.Lhs[1].(*ast.Ident); isIdent && errIdent.Name != "_" {

@@ -1,4 +1,4 @@
-// Package fixture exercises closecheck: files, tickers and response
+// Package fixture exercises closecheck: files, tickers, timers and response
 // bodies with at least one exit path that leaks them.
 package fixture
 
@@ -60,4 +60,13 @@ func closeInOneArm(path string) error {
 	}
 	f.Close()
 	return nil
+}
+
+// timerNoStop returns early with the timer neither stopped nor fired.
+func timerNoStop(d time.Duration, skip bool) {
+	t := time.NewTimer(d) //want closecheck
+	if skip {
+		return
+	}
+	<-t.C
 }
