@@ -147,10 +147,12 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) { return appendResult(d
 // appendResult is AppendResult with r's manifest written as the index
 // ref of a file's table (ManifestTable) when ref is not negative.
 func appendResult(dst []byte, r *Result, ref int) ([]byte, error) {
-	// On the stack: sorting a few-member map costs no allocation.
+	// On the stack, the head too: sorting a few-member map costs no
+	// allocation.
 	var foms [8]pair[float64]
 	var meta [8]pair[string]
-	v := rowOf(r, foms[:0], meta[:0])
+	h := headOf(r)
+	v := rowOf(r, &h, foms[:0], meta[:0])
 	return appendRow(dst, &v, ref)
 }
 

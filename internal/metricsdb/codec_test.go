@@ -58,8 +58,9 @@ func checkEncode(t *testing.T, r *Result) []byte {
 }
 
 // checkDecode: the Decoder accepts data iff json.Unmarshal does, and
-// into the same value; what it accepted encodes identically again.
-func checkDecode(t *testing.T, d *Decoder, data []byte) {
+// into the same value; what it accepted encodes identically again. It
+// returns that value, and false when there is none to compare.
+func checkDecode(t *testing.T, d *Decoder, data []byte) (Result, bool) {
 	t.Helper()
 	var want, got Result
 	werr := json.Unmarshal(data, &want)
@@ -67,18 +68,60 @@ func checkDecode(t *testing.T, d *Decoder, data []byte) {
 	d.Result(&got)
 	gerr := d.End()
 	if foldedMember(data) {
-		return
+		return got, false
 	}
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("json.Unmarshal: %v, Decoder: %v, for %q", werr, gerr, data)
 	}
 	if werr != nil {
-		return
+		return got, false
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Decoder read %+v, json.Unmarshal %+v, from %q", got, want, data)
 	}
 	checkEncode(t, &got)
+	return got, true
+}
+
+// checkHeads: r goes into a DB by InsertAll beside a copy that differs
+// from it in the head field numbered field. Both come back from Query
+// and from AppendJSONAfter exactly as they went in, and the two rows
+// point at two heads.
+func checkHeads(t *testing.T, r *Result, field uint) {
+	t.Helper()
+	if r.Seq == math.MinInt {
+		return // no Seq lies below it to read after
+	}
+	other := *r
+	switch field % 5 {
+	case 0:
+		other.Benchmark += "'"
+	case 1:
+		other.Workload += "'"
+	case 2:
+		other.System += "'"
+	case 3:
+		other.Experiment += "'"
+	case 4:
+		other.Manifest += "'"
+	}
+	in := []Result{*r, other}
+	db := New()
+	db.InsertAll(in)
+	if got := db.Query(Filter{}); !reflect.DeepEqual(got, in) {
+		t.Fatalf("Query returned\n%+v\nwhere InsertAll stored\n%+v", got, in)
+	}
+	want, err := AppendResults(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[0], want = ',', want[:len(want)-1]
+	if got, last, err := db.AppendJSONAfter(nil, math.MinInt, r.Seq, math.MaxInt, nil); err != nil || last != r.Seq || !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSONAfter wrote\n%s (%v, last %d)\nwhere the stored results are\n%s", got, err, last, want)
+	}
+	if len(db.heads) != 2 || db.at(0).head == db.at(1).head {
+		t.Fatalf("results that differ in head field %d share a head (%d heads)", field%5, len(db.heads))
+	}
 }
 
 // checkStored: a Result stored in a DB comes back out as the same bytes
@@ -109,7 +152,8 @@ func checkStored(t *testing.T, r *Result, want []byte) {
 // from the fuzz input marshals to the same bytes, or neither marshals,
 // those bytes decode back to it, and a DB that stores it hands the same
 // bytes back. Decode: arbitrary bytes are accepted by both or by
-// neither, into equal values.
+// neither, into equal values; what was accepted is stored beside a
+// result of another head and comes back as it went in (checkHeads).
 func FuzzResultCodec(f *testing.F) {
 	full, _ := json.Marshal(fullResult())
 	for _, seed := range []string{
@@ -160,7 +204,9 @@ func FuzzResultCodec(f *testing.F) {
 			checkDecode(t, &d, encoded)
 			checkStored(t, &r, encoded)
 		}
-		checkDecode(t, &d, data)
+		if decoded, ok := checkDecode(t, &d, data); ok {
+			checkHeads(t, &decoded, uint(shape))
+		}
 	})
 }
 

@@ -539,10 +539,12 @@ func TestDetectRegressionsBorrowsItsSeries(t *testing.T) {
 // TestInsertNeverCopiesTheStore pins the write path's cost model: a
 // stored row is copied into its chunk once and no append moves it
 // again. Filling a 50,000-result database allocates under 1.3 times the
-// rows' own bytes (160 each), posting lists aside — one growing slice
-// took 5 times, copying itself for every quarter it grew by — and a
-// database smaller than one chunk, all a benchmark session ever builds,
-// allocates what that slice did.
+// rows' own bytes (88 each), posting lists aside — measured 1.03 times;
+// one growing slice took 4.9 times, copying itself for every quarter it
+// grew by — and a database of at most half a chunk, all a benchmark
+// session ever builds, allocates what that slice and a map of its heads
+// did. (Past half a chunk the first chunk grows to a whole one at once,
+// where the slice would take one more step first.)
 func TestInsertNeverCopiesTheStore(t *testing.T) {
 	results := func(n int) []Result {
 		rs := make([]Result, n)
@@ -559,14 +561,21 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	// flat is the storage the chunks replaced — one slice — under the
-	// same posting lists; with keep false, the lists alone.
+	// same posting lists and one head per tuple; with keep false, the
+	// lists alone.
 	flat := func(rs []Result, keep bool) uint64 {
 		return allocated(func() {
 			var store []row
-			postings := map[pairKey][]int32{}
+			postings, heads := map[pairKey][]int32{}, map[head]*head{}
 			for i := range rs {
 				if keep {
-					store = append(store, storedRow(&rs[i]))
+					k := headOf(&rs[i])
+					h, ok := heads[k]
+					if !ok {
+						h = new(head)
+						*h, heads[k] = k, h
+					}
+					store = append(store, storedRow(&rs[i], h))
 				}
 				k := pairKey{rs[i].System, rs[i].Benchmark}
 				postings[k] = append(postings[k], int32(i))
@@ -598,10 +607,56 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 		t.Errorf("one slice allocated %d for %d bytes of rows: this no longer measures copying", was, own)
 	}
 
-	small := results(600)
-	// 1 KiB: the DB, its chunk table and its map's first bucket, which a
-	// local slice and a local map keep on the stack.
-	if got, was := chunked(small, 1), flat(small, true); got > was+1<<10 {
-		t.Errorf("a 600-result DB allocated %d bytes, one slice with the same posting lists %d", got, was)
+	small := results(chunkLen / 2)
+	// 2 KiB: the DB, its chunk table and its two maps' first groups,
+	// which a local slice and local maps keep on the stack, and the room
+	// its first head chunk keeps for two more heads.
+	if got, was := chunked(small, 1), flat(small, true); got > was+2<<10 {
+		t.Errorf("a %d-result DB allocated %d bytes, one slice with the same posting lists and heads %d", len(small), got, was)
+	}
+}
+
+// TestRowsShareTheirHeads pins what a stored result costs: a row points
+// at the one head of its series, so 100,000 one-FOM results over 512
+// heads keep under 128 B live each — the 88-byte row, its 24-byte pair,
+// its 4-byte posting and a share of the last chunk's slack; 188 B when
+// every row held its own five strings.
+func TestRowsShareTheirHeads(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(row{}) != 88 {
+		t.Errorf("a row is %d bytes, want 88", unsafe.Sizeof(row{}))
+	}
+	const results, heads = 100000, 512
+	tuples := make([]Result, heads)
+	for i := range tuples {
+		tuples[i] = Result{Benchmark: fmt.Sprintf("bench-%d", i%8), Workload: "standard",
+			System: fmt.Sprintf("sys-%02d", i/8%16), Experiment: fmt.Sprintf("exp-%03d", i), Manifest: fmt.Sprintf("spack: {env: %d}", i/64)}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := New()
+	batch := make([]Result, 100)
+	for at := 0; at < results; at += len(batch) {
+		for i := range batch {
+			r := tuples[(at+i)%heads]
+			r.ID, r.Seq, r.FOMs = at+i+1, at+i+1, map[string]float64{"t": float64(i)}
+			batch[i] = r
+		}
+		db.InsertAll(batch)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / results
+	t.Logf("%d results over %d heads keep %.1f B live each", results, heads, per)
+	if !raceEnabled && per >= 128 {
+		t.Errorf("%d one-FOM results keep %.1f B live each, want < 128", results, per)
+	}
+	if len(db.heads) != heads {
+		t.Errorf("the DB holds %d heads, want %d", len(db.heads), heads)
+	}
+	for pos := range results {
+		if r, want := db.at(pos), db.heads[headOf(&tuples[pos%heads])]; r.head != want {
+			t.Fatalf("result %d points at head %p %+v, want the DB's %p", r.Seq, r.head, *r.head, want)
+		}
 	}
 }

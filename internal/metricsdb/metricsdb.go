@@ -42,35 +42,51 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// row is how a DB holds one Result: the same scalar fields, with FOMs
-// and Meta as name-sorted (name, value) pairs instead of maps — a
-// one-FOM map costs 256 bytes, its pair 24. A nil map is kept as a nil
-// slice and an empty one as an empty slice, so "foms":null and {} both
-// come back as they went in. Add and InsertAll copy a Result's maps into
-// a row and every read builds fresh ones, so nothing a caller holds
-// aliases what is stored. Manifest is the DB's one copy of that text
-// (DB.manifests); strings are immutable, so reads hand it out as is.
-type row struct {
-	ID, Seq                                 int
-	Benchmark, Workload, System, Experiment string
-	FOMs                                    []pair[float64]
-	Meta                                    []pair[string]
-	Manifest, TraceID                       string
+// head is the part of a Result its series repeats: every result of one
+// experiment on one system carries the same five strings, so a DB holds
+// one head per distinct tuple (DB.heads) and every row with that tuple
+// points at it. A head is never changed once a row points at it.
+type head struct {
+	Benchmark, Workload, System, Experiment, Manifest string
 }
 
-// rowOf copies r into a row, its maps' pairs appended to foms and meta.
-func rowOf(r *Result, foms []pair[float64], meta []pair[string]) row {
+// headOf is r's head, as a value.
+func headOf(r *Result) head {
+	return head{r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest}
+}
+
+// row is how a DB holds one Result: its head, shared with every row of
+// the same tuple, the other scalar fields, and FOMs and Meta as
+// name-sorted (name, value) pairs instead of maps — a one-FOM map costs
+// 256 bytes, its pair 24. A nil map is kept as a nil slice and an empty
+// one as an empty slice, so "foms":null and {} both come back as they
+// went in. Add and InsertAll copy a Result's maps into a row and every
+// read builds fresh ones, so nothing a caller holds aliases what is
+// stored; strings are immutable, so reads hand the head's out as they
+// are. Embedding the head keeps r.System and the rest readable as
+// fields: a row is 88 bytes, where the five strings of its own made it
+// 160.
+type row struct {
+	ID, Seq int
+	*head
+	FOMs    []pair[float64]
+	Meta    []pair[string]
+	TraceID string
+}
+
+// rowOf copies r into a row under head h, its maps' pairs appended to
+// foms and meta.
+func rowOf(r *Result, h *head, foms []pair[float64], meta []pair[string]) row {
 	return row{
-		ID: r.ID, Seq: r.Seq,
-		Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
+		ID: r.ID, Seq: r.Seq, head: h,
 		FOMs: sortedPairs(foms, r.FOMs), Meta: sortedPairs(meta, r.Meta),
-		Manifest: r.Manifest, TraceID: r.TraceID,
+		TraceID: r.TraceID,
 	}
 }
 
 // storedRow is rowOf into pairs of the row's own, sized once.
-func storedRow(r *Result) row {
-	return rowOf(r, make([]pair[float64], 0, len(r.FOMs)), make([]pair[string], 0, len(r.Meta)))
+func storedRow(r *Result, h *head) row {
+	return rowOf(r, h, make([]pair[float64], 0, len(r.FOMs)), make([]pair[string], 0, len(r.Meta)))
 }
 
 // result is the Result r holds, with maps of its own.
@@ -94,7 +110,7 @@ func (r *row) fom(name string) (float64, bool) {
 }
 
 // chunkLen is how many rows one chunk of a DB holds: 1024 of them are
-// 160 KiB, so the slack a growing store carries — one partly filled
+// 88 KiB, so the slack a growing store carries — one partly filled
 // chunk — stays a rounding error beside the rows themselves, while a
 // 100k-result store still needs under a hundred chunk headers. It is
 // also larger than any store the benchmark loop builds in one session,
@@ -117,35 +133,42 @@ type DB struct {
 	// that pair's results, ascending — so in Seq order. A dashboard
 	// series pins exactly that pair, and each (see there) walks its list
 	// instead of scanning. Positions are int32 to keep the index at 4
-	// bytes a result: a process cannot hold 2^31 rows (160 bytes each
-	// before their pairs) anyway.
+	// bytes a result: a process cannot hold 2^31 rows (88 bytes each
+	// before their pairs and heads) anyway.
 	postings map[pairKey][]int32
-	// manifests holds one copy of each distinct manifest, keyed by
-	// itself: every row with an equal manifest holds that copy. A
-	// store's results repeat a few environments' text thousands of times.
-	manifests map[string]string
+	// heads maps each distinct head to the one copy every row with that
+	// tuple points at. A store's results repeat a few hundred tuples —
+	// a nightly reruns the same experiments — thousands of times each.
+	// The copies live in chunks as the rows do, allocated whole and
+	// never moved: headChunk is the newest, and a full one is followed by
+	// one as large as all before it (8 heads at first, chunkLen at most),
+	// so a store of a few experiments allocates room for a few.
+	heads     map[head]*head
+	headChunk []head
 	nextID    int
 	nextSeq   int
 }
 
-// pairKey names one posting list. Its strings alias the first stored
-// result's, so a key costs two string headers and no copy.
+// pairKey names one posting list. Its strings alias the head of the
+// pair's first result, so a key costs two string headers and no copy.
 type pairKey struct{ system, benchmark string }
 
 // New returns an empty database.
-func New() *DB { return &DB{postings: map[pairKey][]int32{}, manifests: map[string]string{}} }
+func New() *DB { return &DB{postings: map[pairKey][]int32{}, heads: map[head]*head{}} }
 
-// shared returns the DB's copy of manifest m, m itself when it is the
-// first. Caller holds db.mu.
-func (db *DB) shared(m string) string {
-	if m == "" {
-		return m
-	}
-	if held, ok := db.manifests[m]; ok {
+// intern returns the DB's copy of h, storing one first when h is new.
+// Caller holds db.mu.
+func (db *DB) intern(h head) *head {
+	if held, ok := db.heads[h]; ok {
 		return held
 	}
-	db.manifests[m] = m
-	return m
+	if len(db.headChunk) == cap(db.headChunk) {
+		db.headChunk = make([]head, 0, min(max(len(db.heads), 8), chunkLen))
+	}
+	db.headChunk = append(db.headChunk, h)
+	held := &db.headChunk[len(db.headChunk)-1]
+	db.heads[h] = held
+	return held
 }
 
 // len is the number of stored results. Caller holds db.mu.
@@ -162,8 +185,8 @@ func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMas
 // push stores r at the top position. One rule decides allocation: the
 // first chunk grows the way a slice does until it holds chunkLen, so a
 // small store costs what a plain []row would; every later chunk is
-// allocated whole, once. A slice of 160-byte rows would grow from 614
-// to 972 to 1,433, so the first chunk's growth past half of chunkLen
+// allocated whole, once. A slice of 88-byte rows would grow from 558
+// to 930 to 1,396, so the first chunk's growth past half of chunkLen
 // goes to chunkLen at once. Caller holds db.mu.
 func (db *DB) push(r row) {
 	if n := len(db.chunks); n == 0 {
@@ -202,14 +225,14 @@ func (db *DB) reindex() {
 // Add stores a copy of a result, assigning its ID and sequence number,
 // which it returns.
 func (db *DB) Add(r Result) int {
-	rw := storedRow(&r)
+	rw := storedRow(&r, nil)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.nextID++
 	db.nextSeq++
 	rw.ID = db.nextID
 	rw.Seq = db.nextSeq
-	rw.Manifest = db.shared(rw.Manifest)
+	rw.head = db.intern(headOf(&r))
 	db.push(rw)
 	db.post(db.len() - 1)
 	return rw.ID
@@ -235,8 +258,7 @@ func (db *DB) InsertAll(rs []Result) {
 	defer db.mu.Unlock()
 	moved := false
 	for i := range rs {
-		r := storedRow(&rs[i])
-		r.Manifest = db.shared(r.Manifest)
+		r := storedRow(&rs[i], db.intern(headOf(&rs[i])))
 		db.nextID, db.nextSeq = max(db.nextID, r.ID), max(db.nextSeq, r.Seq)
 		at, top := db.firstAfter(r.Seq), db.len()
 		if db.push(r); at == top {

@@ -317,7 +317,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 	reference := func(f Filter, after int) []Result {
 		var out []Result
 		for _, r := range shuffled {
-			if rw := storedRow(&r); r.Seq > after && f.matches(&rw) {
+			if h := headOf(&r); r.Seq > after && f.matches(&row{head: &h}) {
 				out = append(out, r)
 			}
 		}
