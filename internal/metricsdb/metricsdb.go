@@ -11,6 +11,7 @@ package metricsdb
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -140,9 +141,8 @@ type DB struct {
 	// tuple points at. A store's results repeat a few hundred tuples —
 	// a nightly reruns the same experiments — thousands of times each.
 	// The copies live in chunks as the rows do, allocated whole and
-	// never moved: headChunk is the newest, and a full one is followed by
-	// one as large as all before it (8 heads at first, chunkLen at most),
-	// so a store of a few experiments allocates room for a few.
+	// never moved: headChunk is the newest (see intern), so a store of a
+	// few experiments allocates room for a few.
 	heads     map[head]*head
 	headChunk []head
 	nextID    int
@@ -157,13 +157,25 @@ type pairKey struct{ system, benchmark string }
 func New() *DB { return &DB{postings: map[pairKey][]int32{}, heads: map[head]*head{}} }
 
 // intern returns the DB's copy of h, storing one first when h is new.
-// Caller holds db.mu.
+// Heads live in chunks, as rows do. The first holds 8, what one suite's
+// session brings; a store past that is a fleet's, so the next chunk
+// takes the table to 64 heads at once, its map made anew for as many,
+// and each later chunk holds three times all heads before it, at most
+// chunkLen, while the map grows by itself. A store that keeps gaining
+// experiments thus pays for its heads in few writes. Caller holds db.mu.
 func (db *DB) intern(h head) *head {
 	if held, ok := db.heads[h]; ok {
 		return held
 	}
-	if len(db.headChunk) == cap(db.headChunk) {
-		db.headChunk = make([]head, 0, min(max(len(db.heads), 8), chunkLen))
+	if n := len(db.heads); len(db.headChunk) == cap(db.headChunk) {
+		room := min(max(3*n, 8), chunkLen)
+		if n == 8 {
+			room = 64 - n
+			heads := make(map[head]*head, 64)
+			maps.Copy(heads, db.heads)
+			db.heads = heads
+		}
+		db.headChunk = make([]head, 0, room)
 	}
 	db.headChunk = append(db.headChunk, h)
 	held := &db.headChunk[len(db.headChunk)-1]
@@ -183,11 +195,12 @@ func (db *DB) len() int {
 func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
 
 // push stores r at the top position. One rule decides allocation: the
-// first chunk grows the way a slice does until it holds chunkLen, so a
-// small store costs what a plain []row would; every later chunk is
-// allocated whole, once. A slice of 88-byte rows would grow from 558
-// to 930 to 1,396, so the first chunk's growth past half of chunkLen
-// goes to chunkLen at once. Caller holds db.mu.
+// first chunk grows the way a slice does until the slice's next step
+// would pass chunkLen, and then to chunkLen at once, so a small store
+// costs what a plain []row would; every later chunk is allocated whole,
+// once. 88-byte rows grow 558, 930 and then to chunkLen, where a slice
+// would take 1,396: from 256 on, append grows a full slice of n to
+// n+(n+768)/4 before rounding up to a size class. Caller holds db.mu.
 func (db *DB) push(r row) {
 	if n := len(db.chunks); n == 0 {
 		db.chunks = append(db.chunks, nil)
@@ -195,7 +208,7 @@ func (db *DB) push(r row) {
 		db.chunks = append(db.chunks, make([]row, 0, chunkLen))
 	}
 	last := &db.chunks[len(db.chunks)-1]
-	if n := len(*last); n == cap(*last) && n > chunkLen/2 {
+	if n := len(*last); n == cap(*last) && n+(n+3*256)/4 > chunkLen {
 		*last = append(make([]row, 0, chunkLen), *last...)
 	}
 	*last = append(*last, r)

@@ -192,11 +192,11 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 // lists' growth — and neither a copy of the results nor an encoded form.
 // Measured 3.4 kB, 2.4 of them the pairs (one run in ten also opens an
 // 88 KiB chunk: the rows' own bytes, once). Each batch also brings eight
-// new heads, which go into the DB's head chunks; a run that opens one,
-// or grows the head table, is one of the few above the median; a
-// new(head) per head put the median at 4.1 kB. With a make+copy per
-// batch and one growing slice in the DB it was 14.7 kB, with a
-// json.Marshal per record on top 38.3.
+// new heads: the DB's head table grows twice in the 21 runs, in runs
+// that also open a row chunk or grow the posting map, and a new(head)
+// per head put the median at 4.1 kB. With a make+copy per batch and one
+// growing slice in the DB it was 14.7 kB, with a json.Marshal per
+// record on top 38.3.
 func TestAppendManyAllocationBudget(t *testing.T) {
 	s, err := Open(t.TempDir(), fixedOpts())
 	if err != nil {
