@@ -106,7 +106,12 @@ var guardTable = []guard{
 		why: "a compiler version range is a spec.VersionList; dotted versions are compared one way, by spec.Version"},
 	{pr: 49, pkg: "internal/analysis", retired: []string{"ApplyFixes", "Fix", "TextEdit", "Pass.ReportFix", "Finding.Fixes"}, why: reportsOnly},
 	{pr: 49, pkg: "cmd/benchlint", retired: []string{`"fix`}, why: reportsOnly},
+	{pr: 52, pkg: "internal/metricsdb", retired: []string{"Result.ID", "DB.nextID", "DB.nextSeq"}, why: oneSeq},
+	{pr: 52, pkg: "internal/resultstore", retired: []string{"Store.nextID", "Store.nextSeq", "Store.noteCounters", "snapshotHeader.NextID"},
+		why: oneSeq},
 }
+
+const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"
 
 const reportsOnly = "benchlint reports findings; a finding is repaired by hand"
 

@@ -429,7 +429,7 @@ func TestAnalysedExperimentIsOneRecord(t *testing.T) {
 	byName := func(rs []metricsdb.Result) map[string]metricsdb.Result {
 		out := map[string]metricsdb.Result{}
 		for _, r := range rs {
-			r.ID, r.Seq = 0, 0
+			r.Seq = 0
 			out[r.Experiment] = r
 		}
 		return out

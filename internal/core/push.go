@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/metricsdb"
@@ -43,13 +44,23 @@ func (s *Session) Push(ctx context.Context, c *resultsd.Client, who, keyPrefix, 
 
 // ingestKey derives the deterministic idempotency key of one push:
 // prefix, then the first eight bytes of SHA-256 over salt and the
-// results' JSON (the codec's bytes are encoding/json's, so keys match
-// those of binaries that hashed json.Marshal output).
+// results' JSON array (the codec's bytes are encoding/json's, so keys
+// match those of binaries that hashed json.Marshal output). Results
+// once carried an "id" beside their Seq, 0 in every push; each result
+// is hashed with that member written back in front, so a push keeps the
+// key it had before the member was retired and a re-push still dedups.
+// results is not empty: Push pushes nothing then.
 func ingestKey(prefix, salt string, results []metricsdb.Result) (string, error) {
-	data, err := metricsdb.AppendResults([]byte(salt), results)
-	if err != nil {
-		return "", err
+	data := []byte(salt)
+	for i := range results {
+		at := len(data) // each result comes after a comma; the first one's opens the array
+		var err error
+		if data, err = metricsdb.AppendResult(append(data, ','), &results[i]); err != nil {
+			return "", err
+		}
+		data = slices.Insert(data, at+2, []byte(`"id":0,`)...)
 	}
-	sum := sha256.Sum256(data)
+	data[len(salt)] = '['
+	sum := sha256.Sum256(append(data, ']'))
 	return fmt.Sprintf("%s-%x", prefix, sum[:8]), nil
 }

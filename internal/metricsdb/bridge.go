@@ -20,9 +20,9 @@ import (
 // are all non-numeric is kept with an empty FOM map only if the raw
 // map was non-empty, preserving the fact that it ran.
 //
-// ID and Seq are left zero: the receiving store assigns identity at
-// ingest time (resultstore.Store.Append), so the same report pushed
-// to two different stores gets each store's own sequence.
+// Seq is left zero: the receiving store assigns it at ingest time
+// (resultstore.Store.Append), so the same report pushed to two
+// different stores gets each store's own sequence.
 func ResultsFromReport(rep *engine.Report, manifests map[string]string) []Result {
 	if rep == nil {
 		return nil

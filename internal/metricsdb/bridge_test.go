@@ -45,8 +45,8 @@ func TestResultsFromReport(t *testing.T) {
 		r.Experiment != "saxpy_problem_1024" {
 		t.Fatalf("identity fields wrong: %+v", r)
 	}
-	if r.ID != 0 || r.Seq != 0 {
-		t.Fatalf("ID/Seq must be left for the store to assign: %+v", r)
+	if r.Seq != 0 {
+		t.Fatalf("Seq must be left for the store to assign: %+v", r)
 	}
 	if v, ok := r.FOMs["saxpy_time"]; !ok || v != 1.25 {
 		t.Fatalf("FOMs = %v", r.FOMs)

@@ -161,8 +161,7 @@ func appendResult(dst []byte, r *Result, ref int) ([]byte, error) {
 // written as ref when ref is not negative.
 func appendRow(dst []byte, r *row, ref int) (_ []byte, err error) {
 	start := len(dst)
-	dst = strconv.AppendInt(append(dst, `{"id":`...), int64(r.ID), 10)
-	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(r.Seq), 10)
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(r.Seq), 10)
 	dst = AppendString(append(dst, `,"benchmark":`...), r.Benchmark)
 	dst = AppendString(append(dst, `,"workload":`...), r.Workload)
 	dst = AppendString(append(dst, `,"system":`...), r.System)
@@ -303,7 +302,7 @@ const (
 // unknown members skipped but still validated, numbers that do not fit
 // their target refused — with one deliberate strictness: member names
 // match exactly, where encoding/json also matches them case-folded
-// ("ID", "Seq"). Everything this package's encoders emit is accepted.
+// ("Seq", "FOMs"). Everything this package's encoders emit is accepted.
 //
 // Decoded strings are copies, never views of the input. Benchmark,
 // Workload, System and Experiment values and FOM and Meta keys — the
@@ -703,12 +702,12 @@ func decodeMap[V any](d *Decoder, m, recycled *map[string]V, value func(*V)) {
 }
 
 // Result fills *r from the object at the cursor; members the input
-// does not name keep the values *r came with.
+// does not name keep the values *r came with. A member Result does not
+// have is skipped: the "id" that files, bodies and pages written before
+// a result's Seq became its one identity carry reads as nothing.
 func (d *Decoder) Result(r *Result) {
 	d.Object(func(name []byte) {
 		switch string(name) {
-		case "id":
-			d.Int(&r.ID)
 		case "seq":
 			d.Int(&r.Seq)
 		case "benchmark":

@@ -14,7 +14,7 @@ import (
 // fullResult sets every optional field; bareResult none of them.
 func fullResult() Result {
 	return Result{
-		ID: 7, Seq: 9, Benchmark: "saxpy", Workload: "problem", System: "cts1", Experiment: "saxpy_512",
+		Seq: 9, Benchmark: "saxpy", Workload: "problem", System: "cts1", Experiment: "saxpy_512",
 		FOMs:     map[string]float64{"time": 1.25, "bw<GB/s>": 1e21, "tiny": 1e-7, "a&b": -0.5},
 		Meta:     map[string]string{"runner": "r-1", "note": "line\nbreak \"quoted\" \u2028", "": "empty key"},
 		Manifest: "spack:\n  specs: [saxpy@1.0 +openmp]\n\t# tab, \\ and \x01\n",
@@ -33,7 +33,7 @@ func foldedMember(data []byte) bool {
 		return false
 	}
 	for name := range members {
-		for _, field := range []string{"id", "seq", "benchmark", "workload", "system", "experiment", "foms", "meta", "manifest", "trace_id"} {
+		for _, field := range []string{"seq", "benchmark", "workload", "system", "experiment", "foms", "meta", "manifest", "trace_id"} {
 			if name != field && strings.EqualFold(name, field) {
 				return true
 			}
@@ -182,7 +182,7 @@ func FuzzResultCodec(f *testing.F) {
 	f.Add([]byte(`{}`), "\x00\x1f\x7f", 5e-324, 2)
 	f.Fuzz(func(t *testing.T, data []byte, text string, num float64, shape int) {
 		var d Decoder // a new one each time: what the table holds must not steer coverage
-		r := Result{ID: shape, Seq: -shape, Benchmark: text, Workload: text + "w", System: "s", Experiment: text,
+		r := Result{Seq: -shape, Benchmark: text, Workload: text + "w", System: "s", Experiment: text,
 			Manifest: strings.Repeat(text, shape&3), TraceID: text}
 		switch shape & 3 {
 		case 1:

@@ -62,13 +62,12 @@ func (s *schedule) draw(mod int) int {
 type oracle struct {
 	arrived []Result
 	flat    []Result // sorted's answer for len(flat) arrivals
-	maxID   int
 	maxSeq  int
 }
 
 func (o *oracle) store(r Result) {
 	o.arrived = append(o.arrived, r)
-	o.maxID, o.maxSeq = max(o.maxID, r.ID), max(o.maxSeq, r.Seq)
+	o.maxSeq = max(o.maxSeq, r.Seq)
 }
 
 // sorted is the flat store a DB must agree with: one plain []Result,
@@ -230,7 +229,7 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 			rs := make([]Result, n)
 			for j := range rs {
 				rs[j] = fresh()
-				rs[j].ID, rs[j].Seq = want.maxID+1+j, want.maxSeq+1+j
+				rs[j].Seq = want.maxSeq + 1 + j
 			}
 			if straggler {
 				rs[sch.draw(n)].Seq = sch.draw(want.maxSeq + 1)
@@ -277,19 +276,19 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 			switch {
 			case op < 3: // Add
 				r := fresh()
-				r.ID, r.Seq = want.maxID+1, want.maxSeq+1
-				if id := db.Add(r); id != r.ID {
-					t.Fatalf("%s step %d: Add assigned ID %d, want %d", seed, step, id, r.ID)
+				r.Seq = want.maxSeq + 1
+				if seq := db.Add(r); seq != r.Seq {
+					t.Fatalf("%s step %d: Add assigned Seq %d, want %d", seed, step, seq, r.Seq)
 				}
 				want.store(r)
 			case op < 5: // in-order Insert: a new top Seq, or a tie with it
 				r := fresh()
-				r.ID, r.Seq = want.maxID+1, want.maxSeq+sch.draw(3)
+				r.Seq = want.maxSeq + sch.draw(3)
 				db.Insert(r)
 				want.store(r)
 			case op < 9: // out-of-order Insert: anywhere below, 0 lands first
 				r := fresh()
-				r.ID, r.Seq = want.maxID+1, sch.draw(want.maxSeq+1)
+				r.Seq = sch.draw(want.maxSeq + 1)
 				db.Insert(r)
 				want.store(r)
 			case op < 11: // InsertAll: a few at once, every other batch with a straggler
@@ -368,15 +367,15 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 			// the one before it ties — then this seed needs another draw.
 			flat := want.sorted()
 			r := fresh()
-			r.ID, r.Seq = want.maxID+1, flat[pos].Seq-1
+			r.Seq = flat[pos].Seq - 1
 			if pos > 0 && flat[pos-1].Seq > r.Seq {
 				t.Fatalf("%s: results %d and %d tie at Seq %d; nothing lands between them", seed, pos-1, pos, flat[pos].Seq)
 			}
 			db.Insert(r)
 			want.store(r)
 			name := fmt.Sprintf("%s insert at %d of %d", seed, pos, len(flat))
-			if at := db.at(pos); at.ID != r.ID {
-				t.Fatalf("%s: position %d holds ID %d Seq %d, want ID %d Seq %d", name, pos, at.ID, at.Seq, r.ID, r.Seq)
+			if at := db.at(pos).result(); !reflect.DeepEqual(at, r) {
+				t.Fatalf("%s: position %d holds %+v, want %+v", name, pos, at, r)
 			}
 			check(name, pairs)
 			pages(name)
@@ -457,7 +456,7 @@ func TestIndexUnderConcurrentInsert(t *testing.T) {
 		if i%8 == 0 {
 			seq = i // odd or even, well below the top
 		}
-		db.Insert(Result{ID: i, Seq: seq, System: fmt.Sprintf("s%d", i%2), Benchmark: "b1",
+		db.Insert(Result{Seq: seq, System: fmt.Sprintf("s%d", i%2), Benchmark: "b1",
 			FOMs: map[string]float64{"t": float64(i)}})
 	}
 	close(done)
@@ -509,7 +508,7 @@ func TestSeriesAllocatesOnce(t *testing.T) {
 func TestDetectRegressionsBorrowsItsSeries(t *testing.T) {
 	one, parts := New(), []*DB{New(), New()}
 	for i := 0; i < 5000; i++ {
-		r := Result{ID: i + 1, Seq: i + 1, System: "hot", Benchmark: "b", FOMs: map[string]float64{"t": 1}}
+		r := Result{Seq: i + 1, System: "hot", Benchmark: "b", FOMs: map[string]float64{"t": 1}}
 		one.Insert(r)
 		parts[i%2].Insert(r)
 	}
@@ -543,7 +542,7 @@ var flatHeads map[head]*head
 // TestInsertNeverCopiesTheStore pins the write path's cost model: a
 // stored row is copied into its chunk once and no append moves it
 // again. Filling a 50,000-result database allocates under 1.3 times the
-// rows' own bytes (88 each), posting lists aside — measured 1.03 times;
+// rows' own bytes (80 each), posting lists aside — measured 1.03 times;
 // one growing slice took 4.9 times, copying itself for every quarter it
 // grew by — and a database smaller than one chunk, all a benchmark
 // session ever builds, allocates what that slice and a map of its heads
@@ -552,7 +551,7 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 	results := func(n int) []Result {
 		rs := make([]Result, n)
 		for i := range rs {
-			rs[i] = Result{ID: i + 1, Seq: i + 1, System: propSystems[i%3], Benchmark: propBenchmarks[i/3%2]}
+			rs[i] = Result{Seq: i + 1, System: propSystems[i%3], Benchmark: propBenchmarks[i/3%2]}
 		}
 		return rs
 	}
@@ -622,12 +621,13 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 
 // TestRowsShareTheirHeads pins what a stored result costs: a row points
 // at the one head of its series, so 100,000 one-FOM results over 512
-// heads keep under 128 B live each — the 88-byte row, its 24-byte pair,
-// its 4-byte posting and a share of the last chunk's slack; 188 B when
-// every row held its own five strings.
+// heads keep under 116 B live each — the 80-byte row, its 24-byte pair,
+// its 4-byte posting and a share of the last chunk's slack; 118 B when
+// a row also held an ID beside its Seq, 188 B when every row held its
+// own five strings.
 func TestRowsShareTheirHeads(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(row{}) != 88 {
-		t.Errorf("a row is %d bytes, want 88", unsafe.Sizeof(row{}))
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(row{}) != 80 {
+		t.Errorf("a row is %d bytes, want 80", unsafe.Sizeof(row{}))
 	}
 	const results, heads = 100000, 512
 	tuples := make([]Result, heads)
@@ -643,7 +643,7 @@ func TestRowsShareTheirHeads(t *testing.T) {
 	for at := 0; at < results; at += len(batch) {
 		for i := range batch {
 			r := tuples[(at+i)%heads]
-			r.ID, r.Seq, r.FOMs = at+i+1, at+i+1, map[string]float64{"t": float64(i)}
+			r.Seq, r.FOMs = at+i+1, map[string]float64{"t": float64(i)}
 			batch[i] = r
 		}
 		db.InsertAll(batch)
@@ -652,8 +652,8 @@ func TestRowsShareTheirHeads(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / results
 	t.Logf("%d results over %d heads keep %.1f B live each", results, heads, per)
-	if !raceEnabled && per >= 128 {
-		t.Errorf("%d one-FOM results keep %.1f B live each, want < 128", results, per)
+	if !raceEnabled && per >= 116 {
+		t.Errorf("%d one-FOM results keep %.1f B live each, want < 116", results, per)
 	}
 	if len(db.heads) != heads {
 		t.Errorf("the DB holds %d heads, want %d", len(db.heads), heads)

@@ -21,8 +21,7 @@ import (
 
 // Result is one experiment outcome with its reproducibility manifest.
 type Result struct {
-	ID         int                `json:"id"`
-	Seq        int                `json:"seq"` // monotonically increasing "when"
+	Seq        int                `json:"seq"` // monotonically increasing "when", and the result's identity
 	Benchmark  string             `json:"benchmark"`
 	Workload   string             `json:"workload"`
 	System     string             `json:"system"`
@@ -65,10 +64,10 @@ func headOf(r *Result) head {
 // read builds fresh ones, so nothing a caller holds aliases what is
 // stored; strings are immutable, so reads hand the head's out as they
 // are. Embedding the head keeps r.System and the rest readable as
-// fields: a row is 88 bytes, where the five strings of its own made it
+// fields: a row is 80 bytes, where the five strings of its own made it
 // 160.
 type row struct {
-	ID, Seq int
+	Seq int
 	*head
 	FOMs    []pair[float64]
 	Meta    []pair[string]
@@ -79,7 +78,7 @@ type row struct {
 // foms and meta.
 func rowOf(r *Result, h *head, foms []pair[float64], meta []pair[string]) row {
 	return row{
-		ID: r.ID, Seq: r.Seq, head: h,
+		Seq: r.Seq, head: h,
 		FOMs: sortedPairs(foms, r.FOMs), Meta: sortedPairs(meta, r.Meta),
 		TraceID: r.TraceID,
 	}
@@ -93,8 +92,7 @@ func storedRow(r *Result, h *head) row {
 // result is the Result r holds, with maps of its own.
 func (r *row) result() Result {
 	return Result{
-		ID: r.ID, Seq: r.Seq,
-		Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
+		Seq: r.Seq, Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
 		FOMs: mapOf(r.FOMs), Meta: mapOf(r.Meta),
 		Manifest: r.Manifest, TraceID: r.TraceID,
 	}
@@ -111,7 +109,7 @@ func (r *row) fom(name string) (float64, bool) {
 }
 
 // chunkLen is how many rows one chunk of a DB holds: 1024 of them are
-// 88 KiB, so the slack a growing store carries — one partly filled
+// 80 KiB, so the slack a growing store carries — one partly filled
 // chunk — stays a rounding error beside the rows themselves, while a
 // 100k-result store still needs under a hundred chunk headers. It is
 // also larger than any store the benchmark loop builds in one session,
@@ -126,7 +124,8 @@ const (
 type DB struct {
 	mu sync.RWMutex
 	// chunks holds the results in Seq order — Add, Insert, InsertAll and
-	// LoadJSON all keep it so — at global positions: result p is
+	// LoadJSON all keep it so, which makes the newest row's Seq the DB's
+	// one watermark (maxSeq) — at global positions: result p is
 	// chunks[p>>chunkShift][p&chunkMask], and every chunk but the last is
 	// full. Appending never moves a stored result (see push).
 	chunks [][]row
@@ -134,7 +133,7 @@ type DB struct {
 	// that pair's results, ascending — so in Seq order. A dashboard
 	// series pins exactly that pair, and each (see there) walks its list
 	// instead of scanning. Positions are int32 to keep the index at 4
-	// bytes a result: a process cannot hold 2^31 rows (88 bytes each
+	// bytes a result: a process cannot hold 2^31 rows (80 bytes each
 	// before their pairs and heads) anyway.
 	postings map[pairKey][]int32
 	// heads maps each distinct head to the one copy every row with that
@@ -145,8 +144,6 @@ type DB struct {
 	// few experiments allocates room for a few.
 	heads     map[head]*head
 	headChunk []head
-	nextID    int
-	nextSeq   int
 }
 
 // pairKey names one posting list. Its strings alias the head of the
@@ -198,9 +195,10 @@ func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMas
 // first chunk grows the way a slice does until the slice's next step
 // would pass chunkLen, and then to chunkLen at once, so a small store
 // costs what a plain []row would; every later chunk is allocated whole,
-// once. 88-byte rows grow 558, 930 and then to chunkLen, where a slice
-// would take 1,396: from 256 on, append grows a full slice of n to
-// n+(n+768)/4 before rounding up to a size class. Caller holds db.mu.
+// once. From 256 on, append grows a full slice of n to n+(n+768)/4
+// before rounding up to a size class: 80-byte rows grow 272, 614 and
+// then 1,024, chunkLen itself, so the jump only ever fires for a row
+// of another size. Caller holds db.mu.
 func (db *DB) push(r row) {
 	if n := len(db.chunks); n == 0 {
 		db.chunks = append(db.chunks, nil)
@@ -235,27 +233,23 @@ func (db *DB) reindex() {
 	}
 }
 
-// Add stores a copy of a result, assigning its ID and sequence number,
-// which it returns.
+// Add stores a copy of a result under the next sequence number, one
+// past the newest row's, which it returns.
 func (db *DB) Add(r Result) int {
 	rw := storedRow(&r, nil)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.nextID++
-	db.nextSeq++
-	rw.ID = db.nextID
-	rw.Seq = db.nextSeq
+	rw.Seq = db.maxSeq() + 1
 	rw.head = db.intern(headOf(&r))
 	db.push(rw)
 	db.post(db.len() - 1)
-	return rw.ID
+	return rw.Seq
 }
 
-// Insert stores a result preserving its caller-assigned ID and Seq,
-// raising the database's ID/Seq watermarks as needed. It is the
+// Insert stores a result preserving its caller-assigned Seq. It is the
 // restore path for durable stores (internal/resultstore) that assign
-// identity at WAL-append time and must reconstruct the exact same
-// state on replay; fresh results should go through Add instead. A Seq
+// Seqs at WAL-append time and must reconstruct the exact same state on
+// replay; fresh results should go through Add instead. A Seq
 // below the newest one held is placed in order (after any equal Seq),
 // so every read can rely on the results being sorted. That costs what
 // it would in one slice: every result above it moves up one position,
@@ -272,7 +266,6 @@ func (db *DB) InsertAll(rs []Result) {
 	moved := false
 	for i := range rs {
 		r := storedRow(&rs[i], db.intern(headOf(&rs[i])))
-		db.nextID, db.nextSeq = max(db.nextID, r.ID), max(db.nextSeq, r.Seq)
 		at, top := db.firstAfter(r.Seq), db.len()
 		if db.push(r); at == top {
 			db.post(top)
@@ -294,6 +287,15 @@ func (db *DB) InsertAll(rs []Result) {
 	if moved {
 		db.reindex()
 	}
+}
+
+// maxSeq is the newest row's Seq, 0 when there is none. Caller holds
+// db.mu.
+func (db *DB) maxSeq() int {
+	if n := db.len(); n > 0 {
+		return db.at(n - 1).Seq
+	}
+	return 0
 }
 
 // firstAfter is the position of the first result with Seq > seq. Caller
@@ -367,7 +369,7 @@ func (db *DB) Query(f Filter) []Result {
 // than seq, in sequence order. With MaxSeq it is the snapshot-shipping
 // primitive (see internal/resultshard): a follower at watermark W
 // applies QueryAfterN(W, n) page after page — from W = 0 to bootstrap —
-// and holds the primary's exact state, IDs, Seqs and trace provenance
+// and holds the primary's exact state, Seqs and trace provenance
 // included. A page costs what it returns plus a binary search, and
 // results already stored never change, so pages read at different times
 // agree.
@@ -415,13 +417,14 @@ func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *ManifestTab
 	return dst, last, nil
 }
 
-// MaxSeq reports the highest assigned sequence number (0 when empty).
-// It is the replication watermark: a follower whose MaxSeq matches the
-// primary's holds the identical result set.
+// MaxSeq reports the newest row's sequence number (0 when empty): the
+// rows are in Seq order, so it is the highest one held. It is the
+// replication watermark: a follower whose MaxSeq matches the primary's
+// holds the identical result set.
 func (db *DB) MaxSeq() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.nextSeq
+	return db.maxSeq()
 }
 
 // Point is one (sequence, value) sample of a FOM series, tagged with

@@ -171,13 +171,13 @@ func TestConcurrentAdds(t *testing.T) {
 	if db.Len() != 32 {
 		t.Errorf("len = %d", db.Len())
 	}
-	// IDs must be unique.
+	// Seqs must be unique.
 	seen := map[int]bool{}
 	for _, r := range db.Query(Filter{}) {
-		if seen[r.ID] {
-			t.Errorf("duplicate id %d", r.ID)
+		if seen[r.Seq] {
+			t.Errorf("duplicate seq %d", r.Seq)
 		}
-		seen[r.ID] = true
+		seen[r.Seq] = true
 	}
 }
 
@@ -265,22 +265,30 @@ func TestUsageSingleBenchmark(t *testing.T) {
 	}
 }
 
+// TestInsertPreservesIdentity: Insert keeps the Seq it is given, and
+// the newest row's Seq is the watermark Add continues from — an Insert
+// below the top moves neither.
 func TestInsertPreservesIdentity(t *testing.T) {
 	db := New()
-	db.Insert(Result{ID: 7, Seq: 9, Benchmark: "b", System: "s",
+	db.Insert(Result{Seq: 9, Benchmark: "b", System: "s",
 		FOMs: map[string]float64{"t": 1}})
 	all := db.Query(Filter{})
-	if len(all) != 1 || all[0].ID != 7 || all[0].Seq != 9 {
+	if len(all) != 1 || all[0].Seq != 9 {
 		t.Fatalf("Insert mangled identity: %+v", all)
 	}
-	// Add after Insert continues past the restored watermark.
-	id := db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 2}})
-	if id != 8 {
-		t.Fatalf("Add after Insert assigned ID %d, want 8", id)
+	if seq := db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 2}}); seq != 10 {
+		t.Fatalf("Add after an Insert at Seq 9 assigned Seq %d, want 10", seq)
+	}
+	db.Insert(Result{Seq: 4, Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 3}})
+	if got := db.MaxSeq(); got != 10 {
+		t.Fatalf("MaxSeq after an Insert below the top = %d, want the newest row's 10", got)
+	}
+	if seq := db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 4}}); seq != 11 {
+		t.Fatalf("Add after an Insert below the top assigned Seq %d, want 11", seq)
 	}
 	all = db.Query(Filter{})
-	if all[len(all)-1].Seq != 10 {
-		t.Fatalf("Add after Insert assigned Seq %d, want 10", all[len(all)-1].Seq)
+	if got := all[len(all)-1].Seq; got != 11 || db.MaxSeq() != 11 {
+		t.Fatalf("newest row has Seq %d and MaxSeq is %d, want 11 both", got, db.MaxSeq())
 	}
 }
 
@@ -298,7 +306,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 		if seq%3 == 0 {
 			sys = "ats2"
 		}
-		shuffled = append(shuffled, Result{ID: seq, Seq: seq, Benchmark: "saxpy", System: sys,
+		shuffled = append(shuffled, Result{Seq: seq, Benchmark: "saxpy", System: sys,
 			FOMs: map[string]float64{"t": float64(seq)}})
 	}
 	inserted := New()
@@ -365,7 +373,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 // DB serves afterwards.
 func TestStoredResultsAreCopies(t *testing.T) {
 	fresh := func(seq int) Result {
-		return Result{ID: seq, Seq: seq, Benchmark: "b", System: "s",
+		return Result{Seq: seq, Benchmark: "b", System: "s",
 			FOMs: map[string]float64{"t": 1}, Meta: map[string]string{"runner": "r1"}}
 	}
 	dbs := []*DB{New(), New()}

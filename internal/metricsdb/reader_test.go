@@ -19,7 +19,7 @@ func TestReaderOneDBAndPartitionedAgree(t *testing.T) {
 	benches := []string{"saxpy", "stream", "amg2023", "hpcg"}
 	for i := 0; i < 240; i++ {
 		r := Result{
-			ID: i + 1, Seq: i + 1,
+			Seq:        i + 1,
 			System:     systems[i%len(systems)],
 			Benchmark:  benches[(i/3)%len(benches)],
 			Experiment: fmt.Sprintf("exp-%d", i%2),

@@ -54,7 +54,7 @@ func pushOf(system string, n int) []metricsdb.Result {
 func storedAs(store *resultstore.Store, system string) []metricsdb.Result {
 	got := store.Query(metricsdb.Filter{System: system})
 	for i := range got {
-		got[i].ID, got[i].Seq, got[i].TraceID = 0, 0, ""
+		got[i].Seq, got[i].TraceID = 0, ""
 	}
 	return got
 }

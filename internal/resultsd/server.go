@@ -246,9 +246,8 @@ func writeBody(w http.ResponseWriter, code int, data []byte) {
 var newline = []byte{'\n'}
 
 // IngestRequest is the POST /v1/results body: a client-chosen
-// idempotency key and the results it covers. Result IDs and sequence
-// numbers are assigned server-side; client-supplied values are
-// ignored.
+// idempotency key and the results it covers. Sequence numbers are
+// assigned server-side; client-supplied values are ignored.
 type IngestRequest struct {
 	IngestKey string             `json:"ingest_key"`
 	Results   []metricsdb.Result `json:"results"`

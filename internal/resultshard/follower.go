@@ -12,7 +12,7 @@ import (
 // Follower is a read-only replica of a primary, fed by snapshot
 // shipping: each Sync pass pulls every shard's pages after its mirror's
 // Seq watermark into an in-memory mirror. Results arrive in Seq order
-// with their primary-assigned IDs, Seqs and trace provenance, so a
+// with their primary-assigned Seqs and trace provenance, so a
 // mirror is always a Seq-prefix of its shard and a caught-up follower's
 // responses are byte-identical to the primary's.
 //

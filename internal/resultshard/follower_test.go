@@ -303,7 +303,7 @@ func TestReplicaPageIsCutWhileEncoding(t *testing.T) {
 	page := ReplicaDelta{MaxSeq: 12}
 	for i := 1; i <= 6; i++ {
 		page.Results = append(page.Results, metricsdb.Result{
-			ID: i, Seq: i, Benchmark: "saxpy", System: fmt.Sprintf("sys-%d", i),
+			Seq: i, Benchmark: "saxpy", System: fmt.Sprintf("sys-%d", i),
 			FOMs: map[string]float64{"t": float64(i) / 4}, Manifest: strings.Repeat("m", 10*i),
 		})
 	}

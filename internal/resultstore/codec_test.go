@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -35,9 +36,11 @@ func fleetBatch(runner, batch, n int) Batch {
 	return Batch{Key: fmt.Sprintf("fleet-%d-%d", runner, batch), Results: rs}
 }
 
-// allocated is the bytes fn allocates, as the median of several runs:
-// a slice in the DB doubling, or the GC emptying a pool, lands on some.
+// allocated is the bytes fn allocates, as the median of several runs: a
+// slice in the DB doubling lands on some. The collector is held off
+// while it measures, so no run meets a pool a GC emptied.
 func allocated(runs int, fn func(run int)) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var per []uint64
 	var before, after runtime.MemStats
 	for run := 0; run < runs; run++ {
@@ -53,7 +56,6 @@ func allocated(runs int, fn func(run int)) uint64 {
 // storedResult is a Result as a store's files write it: its manifest
 // the index of the file's table, nil for none.
 type storedResult struct {
-	ID         int                `json:"id"`
 	Seq        int                `json:"seq"`
 	Benchmark  string             `json:"benchmark"`
 	Workload   string             `json:"workload"`
@@ -78,7 +80,7 @@ func stored(rs []metricsdb.Result) (table []string, out []storedResult) {
 			}
 			ref = &i
 		}
-		out = append(out, storedResult{r.ID, r.Seq, r.Benchmark, r.Workload, r.System, r.Experiment, r.FOMs, r.Meta, ref, r.TraceID})
+		out = append(out, storedResult{r.Seq, r.Benchmark, r.Workload, r.System, r.Experiment, r.FOMs, r.Meta, ref, r.TraceID})
 	}
 	return table, out
 }
@@ -125,7 +127,7 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 		var rs []metricsdb.Result
 		for _, r := range b.Results {
 			next++
-			r.ID, r.Seq = next, next
+			r.Seq = next
 			if r.TraceID == "" {
 				r.TraceID = b.TraceID
 			}
@@ -162,7 +164,7 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("WAL segment holds\n%q\njson.Marshal of the same batches, framed, is\n%q", got, want)
 	}
 
-	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextID: next, NextSeq: next, Keys: []string{"no manifests", "traced <&>", "untraced"}}
+	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextSeq: next, Keys: []string{"no manifests", "traced <&>", "untraced"}}
 	var file bytes.Buffer
 	if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 		t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
@@ -191,7 +193,7 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 // bookkeeping — the applied flags, the group's key set, the posting
 // lists' growth — and neither a copy of the results nor an encoded form.
 // Measured 3.4 kB, 2.4 of them the pairs (one run in ten also opens an
-// 88 KiB chunk: the rows' own bytes, once). Each batch also brings eight
+// 80 KiB chunk: the rows' own bytes, once). Each batch also brings eight
 // new heads: the DB's head table grows twice in the 21 runs, in runs
 // that also open a row chunk or grow the posting map, and a new(head)
 // per head put the median at 4.1 kB. With a make+copy per batch and one
@@ -231,8 +233,9 @@ func TestAppendManyAllocationBudget(t *testing.T) {
 // 1.0x the file, 0.6x the rows, 0.2x their pairs — where a fresh map per
 // result took 4.4x, one slice growing by a quarter at a time 6.9x and
 // whole-file encoding/json 11.4x. What stays live afterwards is the rows,
-// each pointing at its series' one head: 140 B a result, 196 when each
-// row held its own five name and manifest strings, 395 when the DB
+// each pointing at its series' one head: 132 B a result, 140 when each
+// row also held an ID beside its Seq, 196 when it held its own five name
+// and manifest strings, 395 when the DB
 // stored each result's maps, 477 when every decoded name was its own
 // allocation. Both numbers repeat exactly.
 func TestOpenCostsWhatItKeeps(t *testing.T) {
@@ -283,8 +286,8 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / results
 	t.Logf("Open allocated %.1fx the %d bytes it read and keeps %d B live per result", ratio, onDisk, per)
-	if !raceEnabled && per >= 150 {
-		t.Errorf("the reopened store keeps %d B live per result, want < 150", per)
+	if !raceEnabled && per >= 140 {
+		t.Errorf("the reopened store keeps %d B live per result, want < 140", per)
 	}
 }
 

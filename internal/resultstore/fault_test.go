@@ -14,13 +14,20 @@ import (
 )
 
 // hookFS is the real disk with a hook in front of every Write, Sync and
-// Truncate on a WAL segment. A hook that returns an error fails the
-// call — a failed Write still writes the first half of its bytes, the
-// way a disk that fills up mid-write does — and a hook that sleeps
-// makes a slow disk.
+// Truncate on a WAL segment, and of every CreateTemp, where a generation
+// write begins. A hook that returns an error fails the call — a failed
+// Write still writes the first half of its bytes, the way a disk that
+// fills up mid-write does — and a hook that sleeps makes a slow disk.
 type hookFS struct {
 	fsys.FS
-	write, sync, truncate func() error
+	write, sync, truncate, createTemp func() error
+}
+
+func (d *hookFS) CreateTemp(dir string) (fsys.File, error) {
+	if err := runHook(d.createTemp); err != nil {
+		return nil, err
+	}
+	return d.FS.CreateTemp(dir)
 }
 
 func (d *hookFS) OpenAppend(path string) (fsys.File, error) {

@@ -47,11 +47,11 @@ func FuzzScanRecords(f *testing.F) {
 func FuzzWALRecord(f *testing.F) {
 	manifest := "suite: saxpy/openmp\nsystem-model: 0123456789abcdef\nroot: saxpy@1.0 <&>\n"
 	r := res("saxpy", "cts1", "saxpy_time", 1)
-	r.ID, r.Seq, r.Manifest = 1, 1, manifest
+	r.Seq, r.Manifest = 1, manifest
 	other := res("stream", "cts1", "triad_bw", 2)
-	other.ID, other.Seq, other.Manifest = 2, 2, "suite: stream/openmp\n"
+	other.Seq, other.Manifest = 2, "suite: stream/openmp\n"
 	bare := res("amg2023", "cts1", "fom", 3)
-	bare.ID, bare.Seq = 3, 3
+	bare.Seq = 3
 	var table metricsdb.ManifestTable
 	for _, b := range []walBatch{
 		{Key: "k", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Received: 1700000000000000000, Results: []metricsdb.Result{r, other, r, bare}},

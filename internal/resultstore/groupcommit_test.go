@@ -165,8 +165,8 @@ func TestReplicationAccessors(t *testing.T) {
 	}
 }
 
-// TestGroupIsStagedInTheStoresOwnSlice: a commit group gets its IDs,
-// Seqs and trace IDs in a slice the store owns, so the caller's results
+// TestGroupIsStagedInTheStoresOwnSlice: a commit group gets its Seqs
+// and trace IDs in a slice the store owns, so the caller's results
 // are never written to; between groups that slice is empty, holds no
 // result's strings or maps through its whole capacity, and is no larger
 // than maxIdleStaged — after a wide group, after a group of duplicates
@@ -213,7 +213,7 @@ func TestGroupIsStagedInTheStoresOwnSlice(t *testing.T) {
 		}
 		for _, b := range pristine {
 			for _, r := range b.Results {
-				r.ID, r.Seq, r.TraceID = len(want)+1, len(want)+1, b.TraceID
+				r.Seq, r.TraceID = len(want)+1, b.TraceID
 				want = append(want, r)
 			}
 		}

@@ -40,7 +40,6 @@ type snapshotHeader struct {
 	Base     int      `json:"base_segment,omitempty"`
 	Covered  int      `json:"covered_segment"`
 	AfterSeq int      `json:"after_seq,omitempty"`
-	NextID   int      `json:"next_id"`
 	NextSeq  int      `json:"next_seq"`
 	Keys     []string `json:"keys"`
 }
@@ -241,18 +240,28 @@ func (s *Store) compactor() {
 // the results go to disk a page at a time, so a merge of the whole
 // store needs no more memory than the smallest one. Safe to call at
 // any time, including with background compaction enabled. Health
-// reports the last outcome.
-func (s *Store) Compact() (err error) {
+// reports the last outcome. A closed store refuses it: after Close,
+// the files are no longer the store's to change.
+func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+	if s.closed.Load() {
+		return errClosed
+	}
+	return s.compactLocked()
+}
+
+// compactLocked is Compact for a caller that holds compactMu: Compact
+// itself, and Close's fold of the WAL tail.
+func (s *Store) compactLocked() (err error) {
 	defer func() {
 		s.mu.Lock()
 		s.compactErr = err
 		s.mu.Unlock()
 	}()
-	head, from, err := s.planGeneration()
+	head, from := s.planGeneration()
 	if head == nil {
-		return err
+		return nil
 	}
 	// head.Keys still aliases the store's key log; the file gets its own
 	// sorted copy so equal states write equal bytes.
@@ -312,19 +321,17 @@ func (s *Store) Compact() (err error) {
 // to everything applied so far. A nil header means there is nothing to
 // write. It copies no results: those at or below NextSeq never change,
 // so generationFile reads them from the DB after s.mu is released.
-func (s *Store) planGeneration() (head *snapshotHeader, from int, err error) {
+func (s *Store) planGeneration() (head *snapshotHeader, from int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, 0, errClosed
-	}
 	from = len(s.gens)
 	covered := s.activeSeq - 1
 	if covered <= s.genBefore(from).covered {
-		return nil, 0, nil // nothing sealed since the newest generation
+		return nil, 0 // nothing sealed since the newest generation
 	}
 	// Seqs are dense, so a Seq range is a result count.
-	writing := s.nextSeq - s.genBefore(from).topSeq
+	top := s.db.MaxSeq()
+	writing := top - s.genBefore(from).topSeq
 	for from > 0 {
 		held := s.gens[from-1].topSeq - s.genBefore(from-1).topSeq
 		if held > mergeFactor*writing {
@@ -339,12 +346,11 @@ func (s *Store) planGeneration() (head *snapshotHeader, from int, err error) {
 		Base:     before.covered,
 		Covered:  covered,
 		AfterSeq: before.topSeq,
-		NextID:   s.nextID,
-		NextSeq:  s.nextSeq,
+		NextSeq:  top,
 		// Entries below len(keyLog) are never written again, so this
 		// view stays readable after s.mu is released.
 		Keys: s.keyLog[before.keyEnd:len(s.keyLog):len(s.keyLog)],
-	}, from, nil
+	}, from
 }
 
 // genBufSize is the buffer one generation write borrows from a pool —

@@ -537,9 +537,9 @@ func TestGenerationSpansPages(t *testing.T) {
 			}
 			mustAppend(t, s, "bulk", rs...)
 			mustAppend(t, s, "seal", res("saxpy", "cts1", "saxpy_time", -1)) // rotates; in the generation too
-			head, _, err := s.planGeneration()
-			if err != nil || head == nil {
-				t.Fatalf("planGeneration: %+v, %v", head, err)
+			head, _ := s.planGeneration()
+			if head == nil {
+				t.Fatal("planGeneration planned nothing")
 			}
 			mustAppend(t, s, "late", res("saxpy", "cts1", "saxpy_time", -2)) // after the capture
 			var file bytes.Buffer

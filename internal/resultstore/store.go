@@ -31,6 +31,7 @@
 package resultstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -93,7 +94,7 @@ type Batch struct {
 }
 
 // walBatch is the WAL record payload. Results carry their assigned
-// ID/Seq so replay reconstructs the exact in-memory state. A record
+// Seq so replay reconstructs the exact in-memory state. A record
 // lists its results' distinct manifests once, in first-use order, before
 // the results, and each result's "manifest" is an index into that list:
 //
@@ -169,14 +170,12 @@ type Store struct {
 	db         *metricsdb.DB
 	keys       map[string]bool
 	keyLog     []string // the applied ingest keys, oldest first; generations index into it
-	nextID     int
-	nextSeq    int
 	active     fsys.File
 	activeSeq  int
 	activeSize int64
 	walBuf     []byte                  // the group being framed; at most maxIdleWALBuf between groups
 	walTable   metricsdb.ManifestTable // the manifests of the record being framed; empty between records
-	staged     []metricsdb.Result      // the group's results, identity assigned; empty and at most maxIdleStaged between groups
+	staged     []metricsdb.Result      // the group's results, Seqs assigned; empty and at most maxIdleStaged between groups
 	gens       []generation            // the snapshot chain, oldest first
 	failed     error                   // sticky: set when the WAL is in an unknown state
 	compactErr error                   // last Compact outcome; cleared by a later success
@@ -259,7 +258,6 @@ func (s *Store) recover() error {
 		for _, k := range snap.Keys {
 			s.applyKey(k)
 		}
-		s.noteCounters(snap.NextID, snap.NextSeq)
 		s.gens = append(s.gens, generation{covered: snap.Covered, topSeq: snap.NextSeq, keyEnd: len(s.keyLog), bytes: snap.size})
 	}
 	for _, n := range stale {
@@ -324,9 +322,6 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int
 		}
 		s.applyKey(b.Key)
 		s.db.InsertAll(b.Results)
-		for i := range b.Results {
-			s.noteCounters(b.Results[i].ID, b.Results[i].Seq)
-		}
 	}
 	if good < len(data) && newest {
 		if err := s.opts.FS.Truncate(path, int64(good)); err != nil {
@@ -335,16 +330,6 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int
 		return int64(good), nil
 	}
 	return int64(len(data)), nil
-}
-
-// noteCounters raises the ID/Seq watermarks.
-func (s *Store) noteCounters(id, seq int) {
-	if id > s.nextID {
-		s.nextID = id
-	}
-	if seq > s.nextSeq {
-		s.nextSeq = seq
-	}
 }
 
 // Append durably ingests one batch: it queues the batch, waiting for a
@@ -443,11 +428,12 @@ func (b Batch) Validate() error {
 }
 
 // appendGroupLocked copies each new batch's results into the store's
-// staging slice — the caller's are never written to — assigns their
-// identity there, frames one record per batch into the store's buffer,
-// writes them in one Write, fsyncs once, and only then applies the
-// group to the queryable state, in one InsertAll. Caller holds s.mu,
-// has validated every batch, and has rotated the segment.
+// staging slice — the caller's are never written to — numbers them
+// there on from the DB's newest Seq, frames one record per batch into
+// the store's buffer, writes them in one Write, fsyncs once, and only
+// then applies the group to the queryable state, in one InsertAll.
+// Caller holds s.mu, has validated every batch, and has rotated the
+// segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.closed.Load() {
 		return nil, errClosed
@@ -461,10 +447,10 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	}
 	applied := make([]bool, len(batches))
 	var (
-		id, seq = s.nextID, s.nextSeq              // advanced for real only once the group is durable
-		seen    = map[string]bool{}                // keys earlier in this group
-		buf     = s.walBuf[:0]                     // the group's records, framed
-		staged  = slices.Grow(s.staged[:0], total) // the group's results, sized once
+		seq    = s.db.MaxSeq()                    // the watermark: s.mu makes this the DB's only writer
+		seen   = map[string]bool{}                // keys earlier in this group
+		buf    = s.walBuf[:0]                     // the group's records, framed
+		staged = slices.Grow(s.staged[:0], total) // the group's results, sized once
 	)
 	defer func() {
 		clear(staged) // whatever happened to them, the store pins no strings or maps
@@ -480,9 +466,7 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		staged = append(staged, b.Results...)
 		rs := staged[len(staged)-len(b.Results):]
 		for j := range rs {
-			id++
 			seq++
-			rs[j].ID = id
 			rs[j].Seq = seq
 			if rs[j].TraceID == "" {
 				rs[j].TraceID = b.TraceID
@@ -517,7 +501,6 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		return nil, fmt.Errorf("resultstore: appending batch: %w", werr)
 	}
 	s.activeSize += int64(len(buf))
-	s.nextID, s.nextSeq = id, seq
 	for i, b := range batches {
 		if applied[i] {
 			s.applyKey(b.Key)
@@ -566,6 +549,14 @@ func (s *Store) rotateLocked() error {
 // closed error (see Pending.Wait). The store rejects appends from the
 // moment Close begins — it says so before it waits for the lock a group
 // in flight holds — and a new Open recovers the same state.
+//
+// With background compaction on, Close then folds the WAL tail: it
+// seals a non-empty active segment and writes the generation Compact
+// would, so a store at rest holds generations and an empty segment, and
+// what it leaves on disk does not depend on whether its WAL happened to
+// reach the rotation threshold. A failed fold is returned once the
+// files are closed; the WAL still holds every acknowledged batch.
+// NoBackgroundCompact stores fold only on an explicit Compact.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -575,13 +566,18 @@ func (s *Store) Close() error {
 	// A Compact some other goroutine called finishes its write first.
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+	var fold error
+	if !s.opts.NoBackgroundCompact {
+		if s.mu.Lock(); s.activeSize > 0 {
+			fold = s.rotateLocked() // sealed, so the Compact below folds it
+		}
+		if s.mu.Unlock(); fold == nil {
+			fold = s.compactLocked()
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.active.Sync()
-	if cerr := s.active.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return cmp.Or(fold, s.active.Sync(), s.active.Close())
 }
 
 // HasKey reports whether an ingest key has been applied.

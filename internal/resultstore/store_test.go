@@ -2,10 +2,16 @@ package resultstore
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -56,8 +62,8 @@ func TestAppendAssignsIdentityAndQueries(t *testing.T) {
 	}
 	all := s.Query(metricsdb.Filter{})
 	for i, r := range all {
-		if r.ID != i+1 || r.Seq != i+1 {
-			t.Fatalf("result %d has ID=%d Seq=%d, want %d/%d", i, r.ID, r.Seq, i+1, i+1)
+		if r.Seq != i+1 {
+			t.Fatalf("result %d has Seq=%d, want %d", i, r.Seq, i+1)
 		}
 	}
 	pts := s.Series(metricsdb.Filter{Benchmark: "saxpy"}, "saxpy_time")
@@ -134,7 +140,7 @@ func TestReopenRecoversState(t *testing.T) {
 	if got := s2.Query(metricsdb.Filter{}); !reflect.DeepEqual(got, before) {
 		t.Fatalf("recovered state differs:\n got %+v\nwant %+v", got, before)
 	}
-	// Identity assignment continues past the recovered watermark, and
+	// Seq assignment continues past the recovered watermark, and
 	// applied keys stay applied.
 	if applied, err := s2.Append(context.Background(), Batch{
 		Key: "k1", Results: []metricsdb.Result{res("x", "y", "t", 1)},
@@ -143,8 +149,8 @@ func TestReopenRecoversState(t *testing.T) {
 	}
 	mustAppend(t, s2, "k3", res("saxpy", "cts1", "saxpy_time", 1.4))
 	all := s2.Query(metricsdb.Filter{})
-	if last := all[len(all)-1]; last.Seq != 3 || last.ID != 3 {
-		t.Fatalf("post-recovery identity: ID=%d Seq=%d, want 3/3", last.ID, last.Seq)
+	if last := all[len(all)-1]; last.Seq != 3 {
+		t.Fatalf("post-recovery identity: Seq=%d, want 3", last.Seq)
 	}
 }
 
@@ -233,6 +239,111 @@ func TestBackgroundCompactor(t *testing.T) {
 	defer s2.Close()
 	if s2.Len() != 8 {
 		t.Fatalf("Len after background compaction + reopen = %d, want 8", s2.Len())
+	}
+}
+
+// defaultOpts is what benchpark serve opens a store with, on a fixed
+// clock: background compaction on, the default segment size.
+func defaultOpts() Options {
+	opts := fixedOpts()
+	opts.NoBackgroundCompact = false
+	return opts
+}
+
+// servedSeries is the byte form of one series a store serves.
+func servedSeries(t *testing.T, s *Store) string {
+	t.Helper()
+	data, err := json.Marshal(s.Series(metricsdb.Filter{System: "cts1", Benchmark: "saxpy"}, "saxpy_time"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestCleanCloseFoldsTheTail: a store on default options whose WAL
+// never reached the rotation threshold leaves, once closed cleanly, one
+// generation and an empty active segment, not the WAL it wrote, and
+// reopens to the same answers.
+func TestCleanCloseFoldsTheTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustAppend(t, s, fmt.Sprintf("k%d", i), res("saxpy", "cts1", "saxpy_time", float64(i)), res("stream", "cts1", "triad_bw", float64(i)))
+	}
+	query, series := served(t, s), servedSeries(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := readDir(t, dir)
+	if got := snapshotFilesOf(files); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("snapshot files %v after a clean Close, want [1]", got)
+	}
+	if wal, ok := files[segmentName(2)]; len(files) != 2 || !ok || len(wal) != 0 {
+		t.Fatalf("a clean Close left %d files, want the generation and an empty %s", len(files), segmentName(2))
+	}
+	s, err = Open(dir, fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := served(t, s); got != query {
+		t.Fatalf("Query after reopen:\n got %s\nwant %s", got, query)
+	}
+	if got := servedSeries(t, s); got != series {
+		t.Fatalf("Series after reopen:\n got %s\nwant %s", got, series)
+	}
+}
+
+// TestFailedFoldKeepsTheWAL: when Close's generation write fails, Close
+// says so, and the WAL it could not fold still holds every acknowledged
+// batch.
+func TestFailedFoldKeepsTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	opts := defaultOpts()
+	opts.FS = &hookFS{FS: fsys.OS, createTemp: failNth(1, syscall.ENOSPC)}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustAppend(t, s, fmt.Sprintf("k%d", i), res("saxpy", "cts1", "saxpy_time", float64(i)))
+	}
+	want := served(t, s)
+	if err := s.Close(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Close with a failing generation write = %v, want ENOSPC", err)
+	}
+	if snaps := snapshotFiles(t, dir); len(snaps) != 0 {
+		t.Fatalf("a failed fold left snapshot files %v", snaps)
+	}
+	s, err = Open(dir, fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := served(t, s); got != want {
+		t.Fatalf("reopen after a failed fold serves\n%s\nthe acknowledged batches are\n%s", got, want)
+	}
+}
+
+// TestCloseWithoutBackgroundCompactionFoldsNothing: a NoBackgroundCompact
+// store folds only on an explicit Compact, so Close leaves its files
+// byte for byte as they were.
+func TestCloseWithoutBackgroundCompactionFoldsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, "k1", res("saxpy", "cts1", "saxpy_time", 1))
+	before := readDir(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) || len(after) != 1 || after[segmentName(1)] == nil {
+		t.Fatalf("Close changed the layout %v into %v, want %s alone, untouched", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)), segmentName(1))
 	}
 }
 
