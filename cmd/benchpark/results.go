@@ -2,11 +2,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -38,8 +42,12 @@ import (
 // Every mode serves the operations endpoints /healthz, /readyz,
 // /metrics and /debug/ops. --pprof adds the /debug/pprof profile
 // handlers, and --selfmonitor starts a loop sampling the service's own
-// request latency into the store through the normal ingest path. The process runs until killed; the
-// stores' WALs make that safe at any instant.
+// request latency into the store through the normal ingest path.
+//
+// SIGINT or SIGTERM stops the server: it finishes the requests in
+// flight and then closes its stores, so each folds its WAL tail into a
+// generation and leaves an empty segment. A process killed otherwise
+// loses nothing either: the stores' WALs make that safe at any instant.
 func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address")
 	dataDir := fs.String("data", "benchpark-results", "data directory")
@@ -63,6 +71,9 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	case shards < 2 && shardQueue > 0:
 		return fmt.Errorf("serve: --shard-queue needs --shards N with N > 1 (one store has no shard queue)")
 	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// The server gets its own wall-clock tracer so request metrics
 	// accrue for the life of the process; --trace-out additionally
@@ -120,7 +131,18 @@ func serveCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 		go mon.Run(mctx, selfmonitor)
 		fmt.Printf("==> selfmonitor sampling every %s\n", selfmonitor)
 	}
-	serveErr := http.Serve(ln, srv.Handler())
+	hs := &http.Server{Handler: srv.Handler()}
+	shut := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		shut <- hs.Shutdown(context.Background())
+	}()
+	serveErr := hs.Serve(ln)
+	stop() // a Serve that failed by itself ends the goroutine above too
+	// Serve returns as Shutdown begins; the stores close once it is done.
+	if err := <-shut; errors.Is(serveErr, http.ErrServerClosed) {
+		serveErr = err
+	}
 	if opts.traceOut != "" {
 		if err := writeTrace(opts.traceOut, tracer.Snapshot()); err != nil {
 			return err

@@ -3,8 +3,13 @@ package main
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -114,5 +119,75 @@ func TestRunServeCmdFlagErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestServeStopsOnSignal: an in-process serve stopped by SIGINT after
+// one push returns without error and has closed its store on the way
+// out, so the data directory holds one generation and an empty segment
+// — the WAL tail folded, as a clean Close does.
+func TestServeStopsOnSignal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	dir := filepath.Join(t.TempDir(), "data")
+	served := make(chan error, 1)
+	go func() { served <- run([]string{"serve", "--addr", addr, "--data", dir}) }()
+	url := "http://" + addr
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(url + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		select {
+		case err := <-served:
+			t.Fatalf("serve returned before it served: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve is not answering on %s: %v", addr, err)
+		}
+	}
+	if err := run([]string{"push", "saxpy/openmp", "cts1", url}); err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	// The serve registered for SIGINT before it listened, so the signal
+	// reaches it and not the test binary's default handler.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve stopped with %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not stop on SIGINT")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps, segs []string
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "snap-"):
+			snaps = append(snaps, name)
+		case strings.HasPrefix(name, "wal-") && info.Size() == 0:
+			segs = append(segs, name)
+		default:
+			t.Errorf("the stopped store left %s (%d bytes)", name, info.Size())
+		}
+	}
+	if len(snaps) != 1 || len(segs) != 1 {
+		t.Fatalf("the stopped store left generations %v and empty segments %v, want one of each", snaps, segs)
 	}
 }

@@ -109,6 +109,8 @@ var guardTable = []guard{
 	{pr: 52, pkg: "internal/metricsdb", retired: []string{"Result.ID", "DB.nextID", "DB.nextSeq"}, why: oneSeq},
 	{pr: 52, pkg: "internal/resultstore", retired: []string{"Store.nextID", "Store.nextSeq", "Store.noteCounters", "snapshotHeader.NextID"},
 		why: oneSeq},
+	{pr: 53, pkg: "internal/metricsdb", retired: []string{"ManifestTable", "Decoder.UseManifests", "Decoder.Manifests"},
+		why: "a store's file names each series once through one HeadTable, its manifests included; Decoder.UseTable reads it"},
 }
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"

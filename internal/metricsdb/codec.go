@@ -142,30 +142,36 @@ func appendPairs[V any](dst []byte, ps []pair[V], value func([]byte, V) ([]byte,
 
 // AppendResult appends r's JSON — the bytes json.Marshal(r) returns. A
 // FOM with no JSON form is an error, and dst comes back unchanged.
-func AppendResult(dst []byte, r *Result) ([]byte, error) { return appendResult(dst, r, -1) }
+func AppendResult(dst []byte, r *Result) ([]byte, error) { return appendResult(dst, r, nil) }
 
-// appendResult is AppendResult with r's manifest written as the index
-// ref of a file's table (ManifestTable) when ref is not negative.
-func appendResult(dst []byte, r *Result, ref int) ([]byte, error) {
+// appendResult is AppendResult, or with a table r's form in t's file.
+func appendResult(dst []byte, r *Result, t *HeadTable) ([]byte, error) {
 	// On the stack, the head too: sorting a few-member map costs no
 	// allocation.
 	var foms [8]pair[float64]
 	var meta [8]pair[string]
 	h := headOf(r)
 	v := rowOf(r, &h, foms[:0], meta[:0])
-	return appendRow(dst, &v, ref)
+	ref, prev := t.next(h, nil, r.TraceID)
+	return appendRow(dst, &v, ref, prev)
 }
 
 // appendRow is the one Result encoder, over the sorted pairs a row holds
-// — a stored one, or AppendResult's view of a Result — with the manifest
-// written as ref when ref is not negative.
-func appendRow(dst []byte, r *row, ref int) (_ []byte, err error) {
+// — a stored one, or AppendResult's view of a Result. With ref -1 it
+// writes what encoding/json does. Otherwise it writes the form a file
+// with a table holds: the head as ref, its index there, and the trace
+// ID only where it differs from prev, the previous result's.
+func appendRow(dst []byte, r *row, ref int, prev string) (_ []byte, err error) {
 	start := len(dst)
 	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(r.Seq), 10)
-	dst = AppendString(append(dst, `,"benchmark":`...), r.Benchmark)
-	dst = AppendString(append(dst, `,"workload":`...), r.Workload)
-	dst = AppendString(append(dst, `,"system":`...), r.System)
-	dst = AppendString(append(dst, `,"experiment":`...), r.Experiment)
+	if ref >= 0 {
+		dst = strconv.AppendInt(append(dst, `,"head":`...), int64(ref), 10)
+	} else {
+		dst = AppendString(append(dst, `,"benchmark":`...), r.Benchmark)
+		dst = AppendString(append(dst, `,"workload":`...), r.Workload)
+		dst = AppendString(append(dst, `,"system":`...), r.System)
+		dst = AppendString(append(dst, `,"experiment":`...), r.Experiment)
+	}
 	if dst = append(dst, `,"foms":`...); r.FOMs == nil {
 		dst = append(dst, "null"...)
 	} else if dst, err = appendPairs(dst, r.FOMs, AppendFloat); err != nil {
@@ -176,12 +182,10 @@ func appendRow(dst []byte, r *row, ref int) (_ []byte, err error) {
 			return AppendString(dst, s), nil
 		})
 	}
-	if ref >= 0 {
-		dst = strconv.AppendInt(append(dst, `,"manifest":`...), int64(ref), 10)
-	} else if r.Manifest != "" {
+	if ref < 0 && r.Manifest != "" {
 		dst = AppendString(append(dst, `,"manifest":`...), r.Manifest)
 	}
-	if r.TraceID != "" {
+	if r.TraceID != prev {
 		dst = AppendString(append(dst, `,"trace_id":`...), r.TraceID)
 	}
 	return append(dst, '}'), nil
@@ -191,9 +195,9 @@ func appendRow(dst []byte, r *row, ref int) (_ []byte, err error) {
 // json.Marshal(rs) — up to the first result AppendResult refuses.
 func AppendResults(dst []byte, rs []Result) ([]byte, error) { return appendResults(dst, rs, nil) }
 
-// appendResults is AppendResults with each manifest written as its
-// index in t when t is not nil.
-func appendResults(dst []byte, rs []Result, t *ManifestTable) (_ []byte, err error) {
+// appendResults is AppendResults, or with a table the results' form in
+// t's file.
+func appendResults(dst []byte, rs []Result, t *HeadTable) (_ []byte, err error) {
 	if rs == nil {
 		return append(dst, "null"...), nil
 	}
@@ -202,80 +206,9 @@ func appendResults(dst []byte, rs []Result, t *ManifestTable) (_ []byte, err err
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst, err = appendResult(dst, &rs[i], t.ref(rs[i].Manifest))
+		dst, err = appendResult(dst, &rs[i], t)
 	}
 	return append(dst, ']'), err
-}
-
-// ManifestTable lists the distinct manifests of one file a durable
-// store writes, in the order the file first uses them, so the file
-// holds each manifest once: the table is written as a "manifests" array
-// and each result's "manifest" member is an index into it. Nothing on
-// the wire uses it — there a result's manifest is its own string, as
-// encoding/json writes it. The zero value is an empty table.
-type ManifestTable struct {
-	list  []string
-	index map[string]int
-	last  int // the index Ref returned last: a run of equal manifests is one compare
-}
-
-// Ref is m's index in the table, m added at the end on first use.
-func (t *ManifestTable) Ref(m string) int {
-	if t.last < len(t.list) && t.list[t.last] == m {
-		return t.last
-	}
-	i, ok := t.index[m]
-	if !ok {
-		if t.index == nil {
-			t.index = map[string]int{}
-		}
-		i = len(t.list)
-		t.list = append(t.list, m)
-		t.index[m] = i
-	}
-	t.last = i
-	return i
-}
-
-// ref is Ref for a manifest a result has, -1 for none or no table.
-func (t *ManifestTable) ref(m string) int {
-	if t == nil || m == "" {
-		return -1
-	}
-	return t.Ref(m)
-}
-
-// Reset empties the table for the next file, keeping none of the
-// manifests, and its storage only while that is small.
-func (t *ManifestTable) Reset() {
-	if len(t.list) > maxIdleManifests {
-		t.list, t.index = nil, nil
-	}
-	clear(t.list)
-	t.list, t.last = t.list[:0], 0
-	clear(t.index)
-}
-
-// AppendResults appends the JSON array of rs as AppendResults does,
-// each manifest written as its index in t.
-func (t *ManifestTable) AppendResults(dst []byte, rs []Result) ([]byte, error) {
-	return appendResults(dst, rs, t)
-}
-
-// AppendMember appends the table as a file's "manifests" member, after
-// a comma — nothing at all when the table is empty.
-func (t *ManifestTable) AppendMember(dst []byte) []byte {
-	if len(t.list) == 0 {
-		return dst
-	}
-	dst = append(dst, `,"manifests":[`...)
-	for i, m := range t.list {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendString(dst, m)
-	}
-	return append(dst, ']')
 }
 
 const (
@@ -286,10 +219,6 @@ const (
 	// sends. A full table stops growing; later names are plain copies.
 	internCap    = 1024
 	internMaxLen = 64
-	// maxIdleManifests is the most manifests a ManifestTable keeps room
-	// for across a Reset: a few sessions' environments. A wider file's
-	// table goes with it, so emptying it never costs its size again.
-	maxIdleManifests = 64
 )
 
 // Decoder reads JSON values off a []byte, one call per value, in the
@@ -313,10 +242,14 @@ const (
 // Meta values are never shared. A Decoder is not safe for concurrent
 // use.
 //
-// What a durable store wrote is read with one more rule: after
-// UseManifests, a number as a result's "manifest" is an index into the
-// file's table (see ManifestTable). Without a table it is refused as
-// encoding/json refuses a number for a string.
+// What a durable store wrote is read with its file's table (see
+// HeadTable): after UseTable, a result's "head" is an index into the
+// table's heads and a number as its "manifest" one into its manifests —
+// an index the table does not hold is an error — and, once the table
+// lists heads, a result without a "trace_id" carries the previous
+// one's. Without a table a "head" is skipped as any unknown member, and
+// a number as a "manifest" is refused as encoding/json refuses a number
+// for a string.
 type Decoder struct {
 	data     []byte
 	pos      int
@@ -326,7 +259,7 @@ type Decoder struct {
 	names    map[string]string // interned strings, keyed by themselves
 	trace    string            // the last TraceID decoded
 	manifest string            // the last manifest decoded
-	table    []string          // the file's manifests, set by UseManifests until the next Reset
+	table    *HeadTable        // the file's table, set by UseTable until the next Reset
 	// foms and meta are maps handed back by Recycle, filled before a new
 	// one is made.
 	foms map[string]float64
@@ -350,27 +283,10 @@ func (d *Decoder) Recycle(r *Result) {
 	r.FOMs, r.Meta = nil, nil
 }
 
-// Reset points the decoder at data and clears its error and its
-// manifest table. The string table carries over.
+// Reset points the decoder at data and clears its error and its file
+// table. The string table carries over.
 func (d *Decoder) Reset(data []byte) {
 	d.data, d.pos, d.depth, d.err, d.table = data, 0, 0, nil, nil
-}
-
-// UseManifests makes a number as a result's "manifest" an index into
-// table until the next Reset; an index table does not hold is an error.
-// A nil table reads a manifest as a string only.
-func (d *Decoder) UseManifests(table []string) { d.table = table }
-
-// Manifests appends to dst the manifests in the array of strings at
-// the cursor — a file's table — each sharing the allocation of an equal
-// manifest decoded just before it.
-func (d *Decoder) Manifests(dst []string) []string {
-	d.Array(func() {
-		var m string
-		d.manifestString(&m)
-		dst = append(dst, m)
-	})
-	return dst
 }
 
 // Offset is the cursor: how many bytes of the input are consumed.
@@ -702,10 +618,14 @@ func decodeMap[V any](d *Decoder, m, recycled *map[string]V, value func(*V)) {
 }
 
 // Result fills *r from the object at the cursor; members the input
-// does not name keep the values *r came with. A member Result does not
+// does not name keep the values *r came with, but for the trace rule of
+// a file whose table lists heads (see Decoder). A member Result does not
 // have is skipped: the "id" that files, bodies and pages written before
 // a result's Seq became its one identity carry reads as nothing.
 func (d *Decoder) Result(r *Result) {
+	if d.table != nil && len(d.table.heads) > 0 {
+		r.TraceID = d.trace
+	}
 	d.Object(func(name []byte) {
 		switch string(name) {
 		case "seq":
@@ -722,11 +642,18 @@ func (d *Decoder) Result(r *Result) {
 			decodeMap(d, &r.FOMs, &d.foms, d.Float)
 		case "meta":
 			decodeMap(d, &r.Meta, &d.meta, d.String)
+		case "head":
+			if d.table == nil {
+				d.Skip()
+			} else if i := d.index(len(d.table.heads), "head"); d.err == nil {
+				h := &d.table.heads[i]
+				r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest = h.Benchmark, h.Workload, h.System, h.Experiment, h.Manifest
+			}
 		case "manifest":
-			if c := d.peek(); d.table != nil && (c == '-' || c-'0' <= 9) {
-				d.manifestRef(&r.Manifest)
-			} else {
+			if c := d.peek(); d.table == nil || c != '-' && c-'0' > 9 {
 				d.manifestString(&r.Manifest)
+			} else if i := d.index(len(d.table.manifests), "manifest"); d.err == nil {
+				r.Manifest = d.table.manifests[i]
 			}
 		case "trace_id":
 			if b, ok := d.text(); ok {
@@ -752,19 +679,14 @@ func (d *Decoder) manifestString(dst *string) {
 	}
 }
 
-// manifestRef stores the manifest the index at the cursor names in the
-// table (UseManifests) in *dst.
-func (d *Decoder) manifestRef(dst *string) {
-	var i int
-	if d.Int(&i); d.err != nil {
-		return
+// index reads the integer at the cursor as an index into one of the
+// file's tables, of n entries; one it does not hold is an error.
+func (d *Decoder) index(n int, what string) int {
+	i := -1
+	if d.Int(&i); d.err == nil && (i < 0 || i >= n) {
+		d.Fail(fmt.Errorf("metricsdb: %s %d is not in the file's table of %d", what, i, n))
 	}
-	if i < 0 || i >= len(d.table) {
-		d.Fail(fmt.Errorf("metricsdb: manifest %d is not in the file's table of %d", i, len(d.table)))
-		return
-	}
-	d.manifest = d.table[i]
-	*dst = d.manifest
+	return i
 }
 
 // Results appends the results in the array at the cursor to dst.

@@ -113,7 +113,8 @@ func (r *row) fom(name string) (float64, bool) {
 // chunk — stays a rounding error beside the rows themselves, while a
 // 100k-result store still needs under a hundred chunk headers. It is
 // also larger than any store the benchmark loop builds in one session,
-// which therefore never leaves the first chunk (see push).
+// which therefore never leaves the first chunk, the one that grows as a
+// slice does (see push).
 const (
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift
@@ -191,14 +192,13 @@ func (db *DB) len() int {
 // at is the row at position pos < len. Caller holds db.mu.
 func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
 
-// push stores r at the top position. One rule decides allocation: the
-// first chunk grows the way a slice does until the slice's next step
-// would pass chunkLen, and then to chunkLen at once, so a small store
-// costs what a plain []row would; every later chunk is allocated whole,
-// once. From 256 on, append grows a full slice of n to n+(n+768)/4
-// before rounding up to a size class: 80-byte rows grow 272, 614 and
-// then 1,024, chunkLen itself, so the jump only ever fires for a row
-// of another size. Caller holds db.mu.
+// push stores r at the top position. The first chunk grows the way a
+// slice does, so a small store costs what a plain []row would: append
+// doubles a full slice below 256 elements and from there grows n to
+// n+(n+768)/4, each rounded up to a size class, so 80-byte rows grow
+// 153, 307, 614 and then 1,024 — chunkLen itself, where the chunk stops
+// (TestFirstChunkGrowsToChunkLen). Every later chunk is allocated
+// whole, once. Caller holds db.mu.
 func (db *DB) push(r row) {
 	if n := len(db.chunks); n == 0 {
 		db.chunks = append(db.chunks, nil)
@@ -206,9 +206,6 @@ func (db *DB) push(r row) {
 		db.chunks = append(db.chunks, make([]row, 0, chunkLen))
 	}
 	last := &db.chunks[len(db.chunks)-1]
-	if n := len(*last); n == cap(*last) && n+(n+3*256)/4 > chunkLen {
-		*last = append(make([]row, 0, chunkLen), *last...)
-	}
 	*last = append(*last, r)
 }
 
@@ -395,12 +392,14 @@ func (db *DB) resultsFrom(pos, n int) []Result {
 
 // AppendJSONAfter appends to dst the JSON of the stored results with
 // after < Seq <= upto, in Seq order, each preceded by a comma and
-// encoded as AppendResult encodes it — each manifest as its index in t
-// when t is not nil — until dst holds limit bytes. It is how a durable
-// store's compaction reads the DB: the rows are encoded where they lie,
-// under the read lock, with no map or Result built. It returns the Seq
-// of the last result appended — after itself when none was.
-func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *ManifestTable) (_ []byte, last int, err error) {
+// encoded as AppendResult encodes it — or, with a table, in the form
+// t's file holds, t gathering their heads and carrying the trace rule
+// from one call to the next (see HeadTable) — until dst holds limit
+// bytes. It is how a durable store's compaction reads the DB: the rows
+// are encoded where they lie, under the read lock, with no map or
+// Result built. It returns the Seq of the last result appended — after
+// itself when none was.
+func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *HeadTable) (_ []byte, last int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	last = after
@@ -409,7 +408,8 @@ func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *ManifestTab
 		if r.Seq > upto {
 			break
 		}
-		if dst, err = appendRow(append(dst, ','), r, t.ref(r.Manifest)); err != nil {
+		ref, prev := t.next(*r.head, r.head, r.TraceID)
+		if dst, err = appendRow(append(dst, ','), r, ref, prev); err != nil {
 			return dst, last, err
 		}
 		last = r.Seq

@@ -53,46 +53,82 @@ func allocated(runs int, fn func(run int)) uint64 {
 	return per[len(per)/2]
 }
 
-// storedResult is a Result as a store's files write it: its manifest
-// the index of the file's table, nil for none.
+// storedResult is a Result as a store's files write it: its head an
+// index into the file's heads, its trace ID nil where it equals the
+// previous result's.
 type storedResult struct {
-	Seq        int                `json:"seq"`
-	Benchmark  string             `json:"benchmark"`
-	Workload   string             `json:"workload"`
-	System     string             `json:"system"`
-	Experiment string             `json:"experiment"`
-	FOMs       map[string]float64 `json:"foms"`
-	Meta       map[string]string  `json:"meta,omitempty"`
-	Manifest   *int               `json:"manifest,omitempty"`
-	TraceID    string             `json:"trace_id,omitempty"`
+	Seq     int                `json:"seq"`
+	Head    int                `json:"head"`
+	FOMs    map[string]float64 `json:"foms"`
+	Meta    map[string]string  `json:"meta,omitempty"`
+	TraceID *string            `json:"trace_id,omitempty"`
 }
 
-// stored is rs as one file writes them: its table lists each distinct
-// manifest once, in first-use order, and each result names its own by
-// index.
-func stored(rs []metricsdb.Result) (table []string, out []storedResult) {
+// storedTables are a file's tables: its distinct manifests, and its
+// distinct heads as [benchmark, workload, system, experiment, m], m the
+// index of the head's manifest or -1.
+type storedTables struct {
+	Manifests []string `json:"manifests,omitempty"`
+	Heads     [][]any  `json:"heads,omitempty"`
+}
+
+// stored is rs as one file writes them, the first result's trace ID
+// compared against trace: the tables list each distinct manifest and
+// head once, in first-use order, and each result names its head by
+// index and carries its trace ID only where it differs from the
+// previous result's.
+func stored(rs []metricsdb.Result, trace string) (tables storedTables, out []storedResult) {
+	var heads [][5]string
 	for _, r := range rs {
-		var ref *int
-		if r.Manifest != "" {
-			i := slices.Index(table, r.Manifest)
-			if i < 0 {
-				i, table = len(table), append(table, r.Manifest)
+		h := [5]string{r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest}
+		i := slices.Index(heads, h)
+		if i < 0 {
+			m := -1
+			if r.Manifest != "" {
+				if m = slices.Index(tables.Manifests, r.Manifest); m < 0 {
+					m, tables.Manifests = len(tables.Manifests), append(tables.Manifests, r.Manifest)
+				}
 			}
-			ref = &i
+			i, heads = len(heads), append(heads, h)
+			tables.Heads = append(tables.Heads, []any{r.Benchmark, r.Workload, r.System, r.Experiment, m})
 		}
-		out = append(out, storedResult{r.Seq, r.Benchmark, r.Workload, r.System, r.Experiment, r.FOMs, r.Meta, ref, r.TraceID})
+		sr := storedResult{Seq: r.Seq, Head: i, FOMs: r.FOMs, Meta: r.Meta}
+		if r.TraceID != trace {
+			sr.TraceID = &r.TraceID
+		}
+		trace = r.TraceID
+		out = append(out, sr)
 	}
-	return table, out
+	return tables, out
+}
+
+// generationBytes is the generation file of head and rs as json.Marshal
+// writes it from declared structs: the header, then the results and the
+// tables as stored writes them, then the CRC-32 of every byte before it.
+func generationBytes(t *testing.T, head *snapshotHeader, rs []metricsdb.Result) []byte {
+	t.Helper()
+	tables, results := stored(rs, "")
+	whole, err := json.Marshal(struct {
+		snapshotHeader
+		Results []storedResult `json:"results"`
+		storedTables
+	}{*head, results, tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole = whole[:len(whole)-1]
+	return fmt.Appendf(whole, `,"crc32":%d}`, crc32.ChecksumIEEE(whole))
 }
 
 // TestWrittenBytesMatchEncodingJSON: with a fixed clock, the WAL segment
 // and the generation file the store writes are byte for byte what
-// json.Marshal makes of the same records and of the header with its
-// results and its manifest table spliced in — each result's manifest
-// the index of the file's table — for a result with every optional
-// field set, one with none, manifests equal and unequal, and batches
-// with and without a trace ID. A record without manifests is what
-// json.Marshal makes of its results alone.
+// json.Marshal makes of declared structs holding the same records, and
+// the header with its results, its tables and its checksum — each
+// result's head the index of the file's table and its trace ID written
+// only where it changes — for a result with every optional field set,
+// one with none, manifests equal and unequal, heads repeated, and
+// batches with and without a trace ID, whose results carry traces of
+// their own or none.
 func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, fixedOpts())
@@ -110,16 +146,16 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 	other.Manifest = "suite: stream/openmp\n"
 	bare := metricsdb.Result{Benchmark: "b", System: "s"}
 	batches := []Batch{
-		{Key: "traced <&>", TraceID: "00f067aa0ba902b700f067aa0ba902b7", Results: []metricsdb.Result{full, bare}},
-		{Key: "untraced", Results: []metricsdb.Result{bare, full, res("saxpy", "cts1", "saxpy_time", 2), other, full}},
+		{Key: "traced <&>", TraceID: "00f067aa0ba902b700f067aa0ba902b7", Results: []metricsdb.Result{full, bare, bare}},
+		{Key: "untraced", Results: []metricsdb.Result{bare, full, res("saxpy", "cts1", "saxpy_time", 2), other, full, bare}},
 		{Key: "no manifests", Results: []metricsdb.Result{bare, res("saxpy", "cts1", "saxpy_time", 4)}},
 	}
 	type record struct {
-		Key       string         `json:"key"`
-		TraceID   string         `json:"trace_id,omitempty"`
-		Received  int64          `json:"received_unix_ns"`
-		Manifests []string       `json:"manifests,omitempty"`
-		Results   []storedResult `json:"results"`
+		Key      string `json:"key"`
+		TraceID  string `json:"trace_id,omitempty"`
+		Received int64  `json:"received_unix_ns"`
+		storedTables
+		Results []storedResult `json:"results"`
 	}
 	var want []byte
 	next := 0
@@ -134,20 +170,10 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 			rs = append(rs, r)
 		}
 		rec := record{Key: b.Key, TraceID: b.TraceID, Received: fixedOpts().Clock.Now().UnixNano()}
-		rec.Manifests, rec.Results = stored(rs)
+		rec.storedTables, rec.Results = stored(rs, b.TraceID)
 		payload, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if rec.Manifests == nil {
-			plain, err := json.Marshal(struct {
-				Key      string             `json:"key"`
-				Received int64              `json:"received_unix_ns"`
-				Results  []metricsdb.Result `json:"results"`
-			}{b.Key, rec.Received, rs})
-			if err != nil || !bytes.Equal(plain, payload) {
-				t.Fatalf("a record without manifests is\n%s\nnot json.Marshal of its results\n%s (%v)", payload, plain, err)
-			}
 		}
 		want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
 		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
@@ -169,16 +195,7 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 	if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 		t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 	}
-	table, results := stored(s.db.QueryAfterN(0, next))
-	whole, err := json.Marshal(struct {
-		snapshotHeader
-		Results   []storedResult `json:"results"`
-		Manifests []string       `json:"manifests"`
-	}{*head, results, table})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if file.String() != string(whole) {
+	if whole := generationBytes(t, head, s.db.QueryAfterN(0, next)); !bytes.Equal(file.Bytes(), whole) {
 		t.Fatalf("generation file holds\n%s\njson.Marshal of the same generation is\n%s", file.Bytes(), whole)
 	}
 	if err := s.Close(); err != nil {
@@ -229,15 +246,18 @@ func TestAppendManyAllocationBudget(t *testing.T) {
 // TestOpenCostsWhatItKeeps pins recovery's cost model on a compacted
 // 20,000-result store of a loadgen-shaped fleet. Decoding record by
 // record with interned names, one recycled FOM map and rows in chunks
-// that are never copied again, Open allocates 2.3x the bytes it reads —
-// 1.0x the file, 0.6x the rows, 0.2x their pairs — where a fresh map per
-// result took 4.4x, one slice growing by a quarter at a time 6.9x and
-// whole-file encoding/json 11.4x. What stays live afterwards is the rows,
-// each pointing at its series' one head: 132 B a result, 140 when each
-// row also held an ID beside its Seq, 196 when it held its own five name
-// and manifest strings, 395 when the DB
-// stored each result's maps, 477 when every decoded name was its own
-// allocation. Both numbers repeat exactly.
+// that are never copied again, Open allocates 4.4x the bytes it reads —
+// 1.0x the file, 1.4x the rows, 0.4x their pairs, 0.4x each of the
+// DB's and the file's head tables. That is 5.3 MB: the files list each
+// head once, so they shrank from 2.8 MB to 1.2 MB and what Open
+// allocates from 6.4 MB, 2.3x the larger files. A fresh map per result
+// took 4.4x of those, one slice growing by a quarter at a time 6.9x and
+// whole-file encoding/json 11.4x. What stays live afterwards is the
+// rows, each pointing at its series' one head: 132 B a result, 140 when
+// each row also held an ID beside its Seq, 196 when it held its own
+// five name and manifest strings, 395 when the DB stored each result's
+// maps, 477 when every decoded name was its own allocation. Both
+// numbers repeat exactly.
 func TestOpenCostsWhatItKeeps(t *testing.T) {
 	const results = 20000
 	dir := t.TempDir()
@@ -285,9 +305,9 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / results
-	t.Logf("Open allocated %.1fx the %d bytes it read and keeps %d B live per result", ratio, onDisk, per)
-	if !raceEnabled && per >= 140 {
-		t.Errorf("the reopened store keeps %d B live per result, want < 140", per)
+	t.Logf("Open allocated %.3fx the %d bytes it read and keeps %d B live per result", ratio, onDisk, per)
+	if !raceEnabled && per >= 135 {
+		t.Errorf("the reopened store keeps %d B live per result, want < 135", per)
 	}
 }
 

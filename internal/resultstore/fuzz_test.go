@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fsys"
@@ -40,22 +41,24 @@ func FuzzScanRecords(f *testing.F) {
 
 // FuzzWALRecord: replay decodes whatever payload a CRC-valid record
 // holds. The decoder must never panic. What it accepts, appendJSON
-// writes back as a record that decodes to the same batch and re-encodes
-// to the same bytes. And a record whose table lists tableLen manifests
-// and whose result names manifest ref is refused exactly when ref is
-// not an index of that table.
+// writes back as a record that decodes to the same batch — each result's
+// head and trace ID included — and re-encodes to the same bytes. And
+// with ref and a table of tableLen entries, three records are refused
+// exactly when ref is not an index of that table: a result naming
+// manifest ref inline (as records before the head table did), a head
+// naming manifest ref (or -1, none), and a result naming head ref.
 func FuzzWALRecord(f *testing.F) {
 	manifest := "suite: saxpy/openmp\nsystem-model: 0123456789abcdef\nroot: saxpy@1.0 <&>\n"
 	r := res("saxpy", "cts1", "saxpy_time", 1)
 	r.Seq, r.Manifest = 1, manifest
 	other := res("stream", "cts1", "triad_bw", 2)
-	other.Seq, other.Manifest = 2, "suite: stream/openmp\n"
+	other.Seq, other.Manifest, other.TraceID = 2, "suite: stream/openmp\n", "00f067aa0ba902b700f067aa0ba902b7"
 	bare := res("amg2023", "cts1", "fom", 3)
 	bare.Seq = 3
-	var table metricsdb.ManifestTable
+	var table metricsdb.HeadTable
 	for _, b := range []walBatch{
 		{Key: "k", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Received: 1700000000000000000, Results: []metricsdb.Result{r, other, r, bare}},
-		{Key: "bare", Received: 1, Results: []metricsdb.Result{bare}},
+		{Key: "bare", Received: 1, Results: []metricsdb.Result{bare, other, bare}},
 	} {
 		payload, err := b.appendJSON(nil, &table)
 		if err != nil {
@@ -68,13 +71,30 @@ func FuzzWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(inline, uint8(0), 0)
-	f.Add([]byte(`{"key":"late","results":[{"manifest":0}],"manifests":["m"]}`), uint8(1), -1)
-	f.Add([]byte(`{"key":"out","manifests":["m"],"results":[{"manifest":1}]}`), uint8(3), 3)
+	for _, seed := range []string{
+		// Manifest tables, as records before the head table wrote them.
+		`{"key":"late","results":[{"manifest":0}],"manifests":["m"]}`,
+		`{"key":"out","manifests":["m"],"results":[{"manifest":1}]}`,
+		// Heads: an index of -1 and one past the table, a manifest index
+		// past its table inside a head, names given inline and by index,
+		// and the table after the results.
+		`{"key":"neg","heads":[["b","w","s","e",-1]],"results":[{"seq":1,"head":-1}]}`,
+		`{"key":"past","heads":[["b","w","s","e",-1]],"results":[{"seq":1,"head":1}]}`,
+		`{"key":"mpast","manifests":["m"],"heads":[["b","w","s","e",1]],"results":[{"seq":1,"head":0}]}`,
+		`{"key":"both","manifests":["m"],"heads":[["b","w","s","e",0]],"results":[{"seq":1,"system":"x","head":0,"benchmark":"y","manifest":"n"}]}`,
+		`{"key":"after","results":[{"seq":1,"head":0}],"manifests":["m"],"heads":[["b","w","s","e",0]]}`,
+		`{"key":"short","heads":[["b","w","s","e"]],"results":[{"seq":1,"head":0}]}`,
+		// Trace IDs: omitted after the record's, and an explicit "" after
+		// a traced result.
+		`{"key":"tr","trace_id":"t1","heads":[["b","w","s","e",-1]],"results":[{"seq":1,"head":0},{"seq":2,"head":0,"trace_id":"t2"},{"seq":3,"head":0},{"seq":4,"head":0,"trace_id":""},{"seq":5,"head":0}]}`,
+	} {
+		f.Add([]byte(seed), uint8(1), 0)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, tableLen uint8, ref int) {
 		var d metricsdb.Decoder
 		var b walBatch
 		if b.decode(&d, payload) == nil {
-			var table metricsdb.ManifestTable
+			var table metricsdb.HeadTable
 			first, err := b.appendJSON(nil, &table)
 			if err != nil {
 				return // a FOM with no JSON form never reaches a record
@@ -83,12 +103,15 @@ func FuzzWALRecord(f *testing.F) {
 			if err := back.decode(&d, first); err != nil {
 				t.Fatalf("appendJSON wrote %s, which does not decode: %v", first, err)
 			}
-			if back.Key != b.Key || len(back.Results) != len(b.Results) {
-				t.Fatalf("decoded back as key %q with %d results, want %q with %d", back.Key, len(back.Results), b.Key, len(b.Results))
+			if back.Key != b.Key || back.TraceID != b.TraceID || len(back.Results) != len(b.Results) {
+				t.Fatalf("decoded back as key %q trace %q with %d results, want %q %q with %d",
+					back.Key, back.TraceID, len(back.Results), b.Key, b.TraceID, len(b.Results))
 			}
-			for i := range b.Results {
-				if back.Results[i].Manifest != b.Results[i].Manifest {
-					t.Fatalf("result %d decoded back with manifest %q, want %q", i, back.Results[i].Manifest, b.Results[i].Manifest)
+			for i, r := range b.Results {
+				g := back.Results[i]
+				if g.Seq != r.Seq || g.Benchmark != r.Benchmark || g.Workload != r.Workload || g.System != r.System ||
+					g.Experiment != r.Experiment || g.Manifest != r.Manifest || g.TraceID != r.TraceID {
+					t.Fatalf("result %d decoded back as %+v, want %+v", i, g, r)
 				}
 			}
 			if again, _ := back.appendJSON(nil, &table); !bytes.Equal(again, first) {
@@ -96,20 +119,34 @@ func FuzzWALRecord(f *testing.F) {
 			}
 		}
 		n := int(tableLen % 4)
-		record := []byte(`{"key":"k","manifests":[`)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				record = append(record, ',')
+		list := func(each func(i int) string) string {
+			var out []string
+			for i := 0; i < n; i++ {
+				out = append(out, each(i))
 			}
-			record = strconv.AppendQuote(record, fmt.Sprint("m", i))
+			return "[" + strings.Join(out, ",") + "]"
 		}
-		record = fmt.Appendf(record, `],"results":[{"benchmark":"b","system":"s","manifest":%d}]}`, ref)
-		err := b.decode(&d, record)
-		if inside := ref >= 0 && ref < n; (err == nil) != inside {
-			t.Fatalf("%s: decode error %v, index %d of a %d-manifest table", record, err, ref, n)
-		}
-		if err == nil && b.Results[0].Manifest != fmt.Sprint("m", ref) {
-			t.Fatalf("%s: manifest %q", record, b.Results[0].Manifest)
+		manifests := list(func(i int) string { return strconv.Quote(fmt.Sprint("m", i)) })
+		heads := list(func(i int) string { return fmt.Sprintf(`["b","w","s%d","e",-1]`, i) })
+		for _, c := range []struct {
+			record string
+			inside bool
+			check  func(r metricsdb.Result) bool
+		}{
+			{fmt.Sprintf(`{"key":"k","manifests":%s,"results":[{"benchmark":"b","system":"s","manifest":%d}]}`, manifests, ref),
+				ref >= 0 && ref < n, func(r metricsdb.Result) bool { return r.Manifest == fmt.Sprint("m", ref) }},
+			{fmt.Sprintf(`{"key":"k","manifests":%s,"heads":[["b","w","s","e",%d]],"results":[{"head":0}]}`, manifests, ref),
+				ref >= -1 && ref < n, func(r metricsdb.Result) bool { return r.System == "s" && (ref < 0) == (r.Manifest == "") }},
+			{fmt.Sprintf(`{"key":"k","heads":%s,"results":[{"seq":1,"head":%d}]}`, heads, ref),
+				ref >= 0 && ref < n, func(r metricsdb.Result) bool { return r.System == fmt.Sprint("s", ref) && r.Manifest == "" }},
+		} {
+			err := b.decode(&d, []byte(c.record))
+			if (err == nil) != c.inside {
+				t.Fatalf("%s: decode error %v, index %d of a %d-entry table", c.record, err, ref, n)
+			}
+			if err == nil && !c.check(b.Results[0]) {
+				t.Fatalf("%s: decoded as %+v", c.record, b.Results[0])
+			}
 		}
 	})
 }
@@ -158,7 +195,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		results, before := 0, &snapshot{}
 		for _, snap := range chain {
-			if snap.Format != snapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat {
+			if snap.Format != snapshotFormat && snap.Format != manifestSnapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat {
 				t.Fatalf("accepted format %q", snap.Format)
 			}
 			if snap.Base != before.Covered || snap.AfterSeq != before.NextSeq || snap.Covered <= snap.Base {

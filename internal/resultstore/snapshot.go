@@ -3,6 +3,7 @@ package resultstore
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
@@ -18,19 +19,20 @@ import (
 // (Base, Covered] — Base is the Covered of the generation beneath, 0
 // for the oldest — and holds exactly the results with
 // AfterSeq < Seq <= NextSeq, so a chain whose links agree on Base and
-// AfterSeq has neither a gap nor an overlap. After the results comes
-// the file's manifest table: each distinct manifest of its results
-// once, in first-use order, which each result's "manifest" names by
-// index; a file whose results carry none has no table. A file in the
+// AfterSeq has neither a gap nor an overlap. After the results come the
+// file's tables (see metricsdb.HeadTable): its distinct manifests and
+// heads once each, in first-use order, which each result names by
+// index, its trace ID written only where it differs from the previous
+// result's. Last comes a CRC-32 of every byte before it. A file in the
 // oldest format (one full snapshot, no base) is a chain of one. In
-// memory it is the decoded header and table and the file's bytes from
+// memory it is the decoded header and tables and the file's bytes from
 // its results on: those are decoded once, straight into the DB
 // (eachResult).
 type snapshot struct {
 	snapshotHeader
-	manifests []string // the file's manifest table
-	results   []byte   // the file from the value of its "results" member on; nil without one
-	size      int64    // bytes of the file it was read from
+	table   metricsdb.HeadTable // the file's tables
+	results []byte              // the file from the value of its "results" member on; nil without one
+	size    int64               // bytes of the file it was read from
 }
 
 // snapshotHeader is a generation file without its results — all of it
@@ -46,12 +48,15 @@ type snapshotHeader struct {
 
 const (
 	// snapshotFormat tags generation files. A binary that predates the
-	// manifest table refuses it by name instead of failing on a
-	// manifest's index, as one that predates the chain refuses it
-	// instead of loading the newest generation as the whole store.
-	snapshotFormat = "benchpark-snap-3"
-	// chainSnapshotFormat is a generation older stores wrote: the same
-	// chain link, each result's manifest inline.
+	// head table refuses it by name instead of failing on a result's
+	// head, as one that predates the chain refuses it instead of loading
+	// the newest generation as the whole store.
+	snapshotFormat = "benchpark-snap-4"
+	// manifestSnapshotFormat is a generation older stores wrote: each
+	// result's names whole and its manifest an index into "manifests",
+	// with no checksum.
+	manifestSnapshotFormat = "benchpark-snap-3"
+	// chainSnapshotFormat is older still: each result's manifest inline.
 	chainSnapshotFormat = "benchpark-snap-2"
 	// fullSnapshotFormat is the single whole-state snapshot the oldest
 	// stores wrote; it carries no base and no after_seq.
@@ -80,27 +85,31 @@ type generation struct {
 
 // decodeHeader parses the bytes of snap-<n>.json except its results,
 // which it only checks for syntax and remembers the place of, and
-// rejects a file that disagrees with its own name or is not a
-// well-formed generation. The codec splits the file and reads the
-// manifest table, wherever it stands; the header — every other member,
-// a few hundred bytes and the key list — is read through its declared
-// struct, as the encoder writes it.
+// rejects a file that disagrees with its own name or its checksum or is
+// not a well-formed generation. The codec splits the file and reads the
+// tables, wherever they stand; the header — every other member, a few
+// hundred bytes and the key list — is read through its declared struct,
+// as the encoder writes it.
 func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 	snap := &snapshot{size: int64(len(data))}
 	head := []byte{'{'}
+	has, last := map[string]bool{}, "" // the members read, and the last one
+	end, sum, summed := 0, -1, 0       // end: where the member before the current one ends
 	err := d.Document(data, func(name []byte) {
 		member, from := string(name), d.Offset() // a copy: Skip may reuse name's bytes
-		switch member {
-		case "manifests":
-			snap.manifests = d.Manifests(snap.manifests[:0])
-			return
-		case "results":
+		switch has[member], last = true, member; {
+		case d.Table(&snap.table, name):
+		case member == "results":
 			d.Skip()
 			snap.results = data[from:]
-			return
+		case member == "crc32":
+			summed = end
+			d.Int(&sum)
+		default:
+			d.Skip()
+			head = append(append(append(metricsdb.AppendString(head, member), ':'), data[from:d.Offset()]...), ',')
 		}
-		d.Skip()
-		head = append(append(append(metricsdb.AppendString(head, member), ':'), data[from:d.Offset()]...), ',')
+		end = d.Offset()
 	})
 	if err != nil {
 		return nil, err
@@ -109,11 +118,13 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 	if err := json.Unmarshal(append(head, `"":0}`...), &snap.snapshotHeader); err != nil {
 		return nil, err
 	}
-	switch {
-	case snap.Format != snapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat:
+	switch snap4 := snap.Format == snapshotFormat; {
+	case !snap4 && snap.Format != manifestSnapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat:
 		return nil, fmt.Errorf("unknown format %q", snap.Format)
-	case snap.Format != snapshotFormat && snap.manifests != nil:
-		return nil, fmt.Errorf("format %s has no manifest table", snap.Format)
+	case !snap4 && (has["heads"] || has["crc32"] || has["manifests"] && snap.Format != manifestSnapshotFormat):
+		return nil, fmt.Errorf("format %s has no head table and no checksum, and before snap-3 no manifest table", snap.Format)
+	case snap4 && (last != "crc32" || sum != int(crc32.ChecksumIEEE(data[:summed]))):
+		return nil, fmt.Errorf("checksum %d does not end the file, or does not match the %d bytes before it", sum, summed)
 	case snap.Format == fullSnapshotFormat && (snap.Base != 0 || snap.AfterSeq != 0):
 		return nil, fmt.Errorf("format %s cannot build on an older snapshot", fullSnapshotFormat)
 	case snap.Covered != n:
@@ -128,16 +139,16 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 
 // eachResult decodes the generation's results, in file order, into fn
 // one at a time and then lets go of the file's bytes. A Seq out of
-// order or outside (AfterSeq, NextSeq], or a manifest the file's table
-// does not hold, is an error, and fn has by then seen the results
-// before it.
+// order or outside (AfterSeq, NextSeq], or a head or a manifest the
+// file's tables do not hold, is an error, and fn has by then seen the
+// results before it.
 func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)) error {
 	if snap.results == nil {
 		return nil
 	}
 	d.Reset(snap.results)
-	d.UseManifests(snap.manifests)
-	snap.results, snap.manifests = nil, nil
+	d.UseTable(&snap.table, "")
+	snap.results = nil
 	last := snap.AfterSeq
 	d.Array(func() {
 		var r metricsdb.Result
@@ -369,17 +380,19 @@ var genBufs = sync.Pool{New: func() any {
 // generationFile is the generation file head describes: the header's
 // JSON object with a "results" member spliced in, holding the DB's
 // results in (head.AfterSeq, head.NextSeq], encoded straight from the
-// DB's rows a page at a time as WriteTo writes it, and then, when they
-// carry manifests, the "manifests" table their indexes name.
+// DB's rows a page at a time as WriteTo writes it, then the tables their
+// indexes name and the CRC-32 of every byte before it.
 type generationFile struct {
 	db   *metricsdb.DB
 	head *snapshotHeader
 }
 
 func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
+	var sum uint32
 	write := func(p []byte) error {
 		n, err := w.Write(p)
 		size += int64(n)
+		sum = crc32.Update(sum, crc32.IEEETable, p[:n])
 		return err
 	}
 	head := g.head
@@ -392,7 +405,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	}
 	pooled := genBufs.Get().(*[]byte)
 	defer genBufs.Put(pooled)
-	var table metricsdb.ManifestTable
+	var table metricsdb.HeadTable
 	// Every result comes preceded by a comma; the first one's opens the
 	// array instead.
 	buf := append((*pooled)[:0], `,"results":`...)
@@ -417,8 +430,10 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	if opening > 0 {
 		buf = append(buf, '[')
 	}
-	buf = append(table.AppendMember(append(buf, ']')), '}')
-	if cap(buf) <= genBufSize { // a table of many manifests leaves its growth behind
+	buf = table.AppendTables(append(buf, ']'))
+	sum = crc32.Update(sum, crc32.IEEETable, buf) // every byte before the checksum's member
+	buf = fmt.Appendf(buf, `,"crc32":%d}`, sum)
+	if cap(buf) <= genBufSize { // a table of many heads leaves its growth behind
 		*pooled = buf[:0]
 	}
 	return size, write(buf)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -318,10 +320,19 @@ func snapshotFilesOf(files map[string][]byte) []int {
 	return out
 }
 
+// resealed is a generation file's bytes with its checksum made to
+// match them again: a file a writer got wrong rather than one damaged
+// after it was written.
+func resealed(data []byte) []byte {
+	at := bytes.LastIndex(data, []byte(`,"crc32":`))
+	return fmt.Appendf(data[:at:at], `,"crc32":%d}`, crc32.ChecksumIEEE(data[:at]))
+}
+
 // TestOpenRefusesBrokenChain: a missing or damaged generation is a
-// loud Open error naming the file, never a store with a hole in it.
-// (Bytes inside a value carry no checksum: a flip there that still
-// decodes is as invisible as it was in the single-snapshot format.)
+// loud Open error naming the file, never a store with a hole in it —
+// and so is a chain whose links disagree though each file's checksum
+// matches it (a flip the checksum catches, TestOpenRefusesAFlippedByte
+// pins).
 func TestOpenRefusesBrokenChain(t *testing.T) {
 	dir, _, _ := threeGenerations(t)
 	intact := readDir(t, dir)
@@ -335,7 +346,7 @@ func TestOpenRefusesBrokenChain(t *testing.T) {
 				t.Fatalf("%s does not contain %q", name, at)
 			}
 			data[i] ^= 0x01
-			files[name] = data
+			files[name] = resealed(data)
 		}
 	}
 	cases := []struct {
@@ -357,7 +368,7 @@ func TestOpenRefusesBrokenChain(t *testing.T) {
 			delete(f, newest)
 		}, "its name says"},
 		{"seq ranges disagree", func(f map[string][]byte) {
-			f[middle] = []byte(strings.Replace(string(f[middle]), `"after_seq":4`, `"after_seq":3`, 1))
+			f[middle] = resealed([]byte(strings.Replace(string(f[middle]), `"after_seq":4`, `"after_seq":3`, 1)))
 		}, "snapshot chain is broken"},
 	}
 	for _, tc := range cases {
@@ -441,7 +452,7 @@ func TestParentFormatStoreOpens(t *testing.T) {
 // their manifests inline — one benchpark-snap-2 generation, a segment
 // it covers in part and a sealed one, manifests equal and unequal
 // within a record and across files — opens to the same served bytes,
-// and still does once a Compact has rewritten it as one benchpark-snap-3
+// and still does once a Compact has rewritten it as one benchpark-snap-4
 // generation.
 func TestInlineManifestStoreOpens(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "inline-manifests.query.json"))
@@ -476,10 +487,169 @@ func TestInlineManifestStoreOpens(t *testing.T) {
 	}
 	// Three distinct manifests among the 14 results: the table lists
 	// each once.
-	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != "benchpark-snap-3" || snap.Base != 0 || len(snap.manifests) != 3 {
+	var tables storedTables
+	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != "benchpark-snap-4" || snap.Base != 0 {
 		t.Fatalf("merged generation: %+v, %v", snap, err)
 	}
+	if err := json.Unmarshal(data, &tables); err != nil || len(tables.Manifests) != 3 {
+		t.Fatalf("merged generation lists manifests %q (%v), want 3", tables.Manifests, err)
+	}
 	requireState(t, dir, want, keys).Close()
+}
+
+// TestSnap3StoreOpens: a data directory the format before the head
+// table wrote — one benchpark-snap-3 generation with a manifest table,
+// a segment it covers in part and two sealed ones whose records list
+// their manifests, traced and untraced batches whose results carry
+// traces of their own or none — opens to the same served bytes, and
+// still does once the first merge has rewritten it as one
+// benchpark-snap-4 generation that lists each of its 4 heads and 3
+// manifests once.
+func TestSnap3StoreOpens(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "snap3-manifests.query.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	dir := writeDir(t, readDir(t, filepath.Join("testdata", "snap3-manifests")))
+	var keys []string
+	for i := 0; i < 4; i++ {
+		keys = append(keys, fmt.Sprintf("s3-%d", i))
+	}
+	s := requireState(t, dir, want, keys)
+	if h := s.Health(); h.SnapshotGenerations != 1 || h.SnapshotCovered != 1 {
+		t.Fatalf("fixture opened as %+v, want one generation covering segment 1", h)
+	}
+	// The 6-result tail outweighs the 5-result generation: the merge
+	// rewrites all of it.
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshotFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot files %v, want the one merged generation", snaps)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName(snaps[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables storedTables
+	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
+		t.Fatalf("merged generation: %+v, %v", snap, err)
+	}
+	if err := json.Unmarshal(data, &tables); err != nil || len(tables.Manifests) != 3 || len(tables.Heads) != 4 {
+		t.Fatalf("merged generation lists %d manifests and heads %v (%v), want 3 and 4", len(tables.Manifests), tables.Heads, err)
+	}
+	requireState(t, dir, want, keys).Close()
+}
+
+// TestGenerationTablesAreChecked: a benchpark-snap-4 generation's
+// results read through its tables, wherever they stand, with each trace
+// ID the previous result's unless it names one; and a head or a
+// manifest the tables do not hold, a head of other than five members, a
+// checksum that does not match or does not end the file, and a head
+// table or a checksum in an older format are refused.
+func TestGenerationTablesAreChecked(t *testing.T) {
+	const (
+		header  = `{"format":"benchpark-snap-4","base_segment":2,"covered_segment":3,"after_seq":3,"next_seq":6,"keys":["c"]`
+		results = `,"results":[{"seq":4,"head":0,"foms":{"t":4},"trace_id":"t1"},{"seq":5,"head":1,"foms":{"t":5}},{"seq":6,"head":0,"foms":{"t":6},"trace_id":""}]`
+		tables  = `,"manifests":["m0"],"heads":[["saxpy","problem","cts1","e",0],["saxpy","problem","cts1","f",-1]]`
+	)
+	sealed := func(body string) string { return string(resealed([]byte(header + body + `,"crc32":0}`))) }
+	read := func(file string) ([]metricsdb.Result, error) {
+		var d metricsdb.Decoder
+		var got []metricsdb.Result
+		snap, err := decodeHeader(&d, []byte(file), 3)
+		if err == nil {
+			err = snap.eachResult(&d, func(r metricsdb.Result) { got = append(got, r) })
+		}
+		return got, err
+	}
+	want := []string{"4 e m0 t1", "5 f  t1", "6 e m0 "}
+	for _, file := range []string{sealed(results + tables), sealed(tables + results)} {
+		got, err := read(file)
+		var short []string
+		for _, r := range got {
+			if r.Benchmark != "saxpy" || r.Workload != "problem" || r.System != "cts1" {
+				t.Errorf("result %d reads as %+v", r.Seq, r)
+			}
+			short = append(short, fmt.Sprint(r.Seq, " ", r.Experiment, " ", r.Manifest, " ", r.TraceID))
+		}
+		if err != nil || !reflect.DeepEqual(short, want) {
+			t.Errorf("%s\nreads as %q (%v), want %q", file, short, err, want)
+		}
+	}
+	whole := sealed(results + tables)
+	for _, file := range []string{
+		sealed(strings.Replace(results, `"head":1`, `"head":-1`, 1) + tables),
+		sealed(strings.Replace(results, `"head":1`, `"head":2`, 1) + tables),
+		sealed(results + strings.Replace(tables, `"f",-1`, `"f",1`, 1)),
+		sealed(results + strings.Replace(tables, `"f",-1`, `"f"`, 1)),
+		header + results + tables + `,"crc32":1}`,
+		header + results + tables + `}`,
+		whole[:len(whole)-1] + `,"x":1}`,
+		strings.Replace(header, "snap-4", "snap-3", 1) + results + tables + `}`,
+		string(resealed([]byte(strings.Replace(header, "snap-4", "snap-3", 1) + `,"results":[],"crc32":0}`))),
+	} {
+		if got, err := read(file); err == nil {
+			t.Errorf("%s\nread as %d results, want it refused", file, len(got))
+		}
+	}
+}
+
+// TestOpenRefusesAFlippedByte: a generation's checksum covers every
+// byte before it, so one byte changed inside the results of a compacted
+// store — a FOM's digit, which still parses — makes Open refuse the
+// store, naming the file, where the unchanged bytes open.
+func TestOpenRefusesAFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, chainOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, "k1", res("saxpy", "cts1", "saxpy_time", 1234))
+	mustAppend(t, s, "k2", res("saxpy", "cts1", "saxpy_time", 5678))
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := snapshotName(snapshotFiles(t, dir)[0])
+	path := filepath.Join(dir, name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(`"saxpy_time":1234`)) + len(`"saxpy_time":12`)
+	if at < len(`"saxpy_time":12`) || bytes.Index(data, []byte(`"results":`)) > at {
+		t.Fatalf("no FOM 1234 among the results of %s", data)
+	}
+	flipped := slices.Clone(data)
+	flipped[at] = '9'
+	if err := json.Unmarshal(flipped, new(any)); err != nil {
+		t.Fatalf("the flipped file is not valid JSON (%v), so it proves nothing", err)
+	}
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, chainOpts()); err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "checksum") {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open of a generation with one byte flipped: %v, want a checksum error naming %s", err, name)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, chainOpts())
+	if err != nil {
+		t.Fatalf("Open of the unchanged bytes: %v", err)
+	}
+	s.Close()
 }
 
 // TestOpenRemovesStaleTemps: what a crash inside fsys.Commit
@@ -510,14 +680,6 @@ func TestOpenRemovesStaleTemps(t *testing.T) {
 	}
 }
 
-// wholeGeneration is a generation file as one value encoding/json can
-// marshal and unmarshal: the reference the streaming encoder and
-// recovery's header-then-results decoder are held to.
-type wholeGeneration struct {
-	snapshotHeader
-	Results []metricsdb.Result `json:"results"`
-}
-
 // TestGenerationSpansPages: Compact streams a generation's results a
 // page at a time while appends keep landing. Whatever the tail's size —
 // four to eight pages of these results, the last one ending at a
@@ -546,7 +708,10 @@ func TestGenerationSpansPages(t *testing.T) {
 			if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 				t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 			}
-			var snap wholeGeneration
+			var snap struct {
+				snapshotHeader
+				Results []storedResult `json:"results"`
+			}
 			if err := json.Unmarshal(file.Bytes(), &snap); err != nil {
 				t.Fatal(err)
 			}
@@ -559,24 +724,22 @@ func TestGenerationSpansPages(t *testing.T) {
 				}
 			}
 			// The same bytes a whole-value encode gives.
-			whole, err := json.Marshal(wholeGeneration{snapshotHeader: *head, Results: s.db.QueryAfterN(0, results+1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if file.String() != string(whole) {
+			held := s.db.QueryAfterN(0, results+1)
+			if !bytes.Equal(file.Bytes(), generationBytes(t, head, held)) {
 				t.Fatal("streamed generation differs from json.Marshal of the same snapshot")
 			}
 			// And what recovery reads back, header then results streamed,
-			// is what the whole-value decode gives.
+			// is the header json.Unmarshal reads and the results the DB
+			// holds.
 			var dec metricsdb.Decoder
 			var streamed []metricsdb.Result
 			read, err := decodeHeader(&dec, file.Bytes(), head.Covered)
 			if err == nil {
 				err = read.eachResult(&dec, func(r metricsdb.Result) { streamed = append(streamed, r) })
 			}
-			if err != nil || !reflect.DeepEqual(read.snapshotHeader, snap.snapshotHeader) || !reflect.DeepEqual(streamed, snap.Results) {
+			if err != nil || !reflect.DeepEqual(read.snapshotHeader, snap.snapshotHeader) || !reflect.DeepEqual(streamed, held) {
 				t.Fatalf("recovery reads the generation as %+v with %d results (%v), json.Unmarshal as %+v with %d",
-					read.snapshotHeader, len(streamed), err, snap.snapshotHeader, len(snap.Results))
+					read.snapshotHeader, len(streamed), err, snap.snapshotHeader, len(held))
 			}
 			// And through the real path: compact, reopen, same served bytes.
 			if err := s.Compact(); err != nil {

@@ -94,57 +94,54 @@ type Batch struct {
 }
 
 // walBatch is the WAL record payload. Results carry their assigned
-// Seq so replay reconstructs the exact in-memory state. A record
-// lists its results' distinct manifests once, in first-use order, before
-// the results, and each result's "manifest" is an index into that list:
+// Seq so replay reconstructs the exact in-memory state. A record lists
+// its results' distinct manifests and heads once, before the results,
+// each of which names its head by index and writes its trace ID only
+// where it differs from the previous result's, the first one's from the
+// record's (see metricsdb.HeadTable):
 //
-//	{"key":…,"trace_id":…,"received_unix_ns":…,"manifests":[…],"results":[…]}
+//	{"key":…,"trace_id":…,"received_unix_ns":…,"manifests":[…],"heads":[…],"results":[…]}
 //
-// A record whose results carry no manifest has no "manifests" member,
-// so it is byte for byte what json.Marshal makes of its results.
-// Records written before the table existed carry each manifest inline,
-// and replay still reads them.
+// Records written before the head table carry each result's names
+// whole, and each manifest inline or as an index into "manifests";
+// replay still reads them.
 type walBatch struct {
-	Key       string
-	TraceID   string
-	Received  int64
-	Manifests []string // what decode read of the record's table
-	Results   []metricsdb.Result
+	Key      string
+	TraceID  string
+	Received int64
+	Results  []metricsdb.Result
+	table    metricsdb.HeadTable // what decode read of the record's tables
 }
 
-// appendJSON appends the record payload, the record's manifest table
-// built in t — which comes empty and is left empty.
-func (b *walBatch) appendJSON(dst []byte, t *metricsdb.ManifestTable) ([]byte, error) {
-	defer t.Reset()
+// appendJSON appends the record payload, its tables built in t — which
+// comes empty and is left empty.
+func (b *walBatch) appendJSON(dst []byte, t *metricsdb.HeadTable) ([]byte, error) {
 	dst = metricsdb.AppendString(append(dst, `{"key":`...), b.Key)
 	if b.TraceID != "" {
 		dst = metricsdb.AppendString(append(dst, `,"trace_id":`...), b.TraceID)
 	}
 	dst = strconv.AppendInt(append(dst, `,"received_unix_ns":`...), b.Received, 10)
-	for i := range b.Results {
-		if m := b.Results[i].Manifest; m != "" {
-			t.Ref(m)
-		}
-	}
-	dst, err := t.AppendResults(append(t.AppendMember(dst), `,"results":`...), b.Results)
+	dst, err := t.AppendRecord(dst, b.TraceID, b.Results)
 	return append(dst, '}'), err
 }
 
 // decode reads what replay needs of a record payload into b — its key,
-// its manifest table and its results, reusing b's slices. The rest is
-// an audit trail nothing reads back, checked for syntax like any member
-// a record has no use for. A result naming a manifest the record's
-// table (so far) does not hold is an error.
+// its trace ID, its tables and its results, reusing b's slices. The rest
+// is an audit trail nothing reads back, checked for syntax like any
+// member a record has no use for. A result naming a head or a manifest
+// the record's tables (so far) do not hold is an error.
 func (b *walBatch) decode(d *metricsdb.Decoder, payload []byte) error {
-	b.Key, b.Manifests, b.Results = "", b.Manifests[:0], b.Results[:0]
+	b.Key, b.TraceID, b.Results = "", "", b.Results[:0]
+	b.table.Reset()
 	return d.Document(payload, func(name []byte) {
-		switch string(name) {
-		case "key":
+		switch {
+		case d.Table(&b.table, name):
+		case string(name) == "key":
 			d.String(&b.Key)
-		case "manifests":
-			b.Manifests = d.Manifests(b.Manifests[:0])
-			d.UseManifests(b.Manifests)
-		case "results":
+		case string(name) == "trace_id":
+			d.String(&b.TraceID)
+		case string(name) == "results":
+			d.UseTable(&b.table, b.TraceID)
 			b.Results = d.Results(b.Results[:0])
 		default:
 			d.Skip()
@@ -173,12 +170,12 @@ type Store struct {
 	active     fsys.File
 	activeSeq  int
 	activeSize int64
-	walBuf     []byte                  // the group being framed; at most maxIdleWALBuf between groups
-	walTable   metricsdb.ManifestTable // the manifests of the record being framed; empty between records
-	staged     []metricsdb.Result      // the group's results, Seqs assigned; empty and at most maxIdleStaged between groups
-	gens       []generation            // the snapshot chain, oldest first
-	failed     error                   // sticky: set when the WAL is in an unknown state
-	compactErr error                   // last Compact outcome; cleared by a later success
+	walBuf     []byte              // the group being framed; at most maxIdleWALBuf between groups
+	walTable   metricsdb.HeadTable // the tables of the record being framed; empty between records
+	staged     []metricsdb.Result  // the group's results, Seqs assigned; empty and at most maxIdleStaged between groups
+	gens       []generation        // the snapshot chain, oldest first
+	failed     error               // sticky: set when the WAL is in an unknown state
+	compactErr error               // last Compact outcome; cleared by a later success
 
 	compactions     int64 // generations written since Open
 	compactionBytes int64 // bytes of snapshot files written since Open
