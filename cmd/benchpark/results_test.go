@@ -16,13 +16,11 @@ import (
 	"repro/internal/metricsdb"
 	"repro/internal/resultsd"
 	"repro/internal/resultstore"
-	"repro/internal/telemetry"
 )
 
 func startTestResultsd(t *testing.T) (*resultstore.Store, *httptest.Server) {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {

@@ -111,6 +111,10 @@ var guardTable = []guard{
 		why: oneSeq},
 	{pr: 53, pkg: "internal/metricsdb", retired: []string{"ManifestTable", "Decoder.UseManifests", "Decoder.Manifests"},
 		why: "a store's file names each series once through one HeadTable, its manifests included; Decoder.UseTable reads it"},
+	{pr: 54, pkg: "internal/metricsdb", retired: []string{"DB.reindex"},
+		why: "a DB only appends: InsertAll refuses a Seq at or below the newest row's, so no stored result moves"},
+	{pr: 54, pkg: "internal/resultstore", retired: []string{"Options.Clock", "walBatch.Received"},
+		why: "a WAL record holds what replay reads; nothing read the receive time it was stamped with"},
 }
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"

@@ -19,7 +19,6 @@ import (
 func startResultsd(t *testing.T) (*resultstore.Store, *httptest.Server) {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {
@@ -113,7 +112,6 @@ func TestPipelinePushesToResultsd(t *testing.T) {
 func TestPipelineTraceProvenanceEndToEnd(t *testing.T) {
 	run := func() (pipelineTraceID string, pts []resultsd.SeriesPoint, merged string) {
 		store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-			Clock:               telemetry.FixedClock{T: time.Unix(1800000000, 0)},
 			NoBackgroundCompact: true,
 		})
 		if err != nil {

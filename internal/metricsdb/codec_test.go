@@ -83,16 +83,17 @@ func checkDecode(t *testing.T, d *Decoder, data []byte) (Result, bool) {
 	return got, true
 }
 
-// checkHeads: r goes into a DB by InsertAll beside a copy that differs
-// from it in the head field numbered field. Both come back from Query
-// and from AppendJSONAfter exactly as they went in, and the two rows
-// point at two heads.
+// checkHeads: r goes into a DB by InsertAll beside a copy, on the next
+// Seq, that differs from it in the head field numbered field. Both come
+// back from Query and from AppendJSONAfter exactly as they went in, and
+// the two rows point at two heads.
 func checkHeads(t *testing.T, r *Result, field uint) {
 	t.Helper()
-	if r.Seq == math.MinInt {
-		return // no Seq lies below it to read after
+	if r.Seq == math.MinInt || r.Seq == math.MaxInt {
+		return // no Seq lies below it to read after, or above it for the copy
 	}
 	other := *r
+	other.Seq++
 	switch field % 5 {
 	case 0:
 		other.Benchmark += "'"
@@ -107,7 +108,9 @@ func checkHeads(t *testing.T, r *Result, field uint) {
 	}
 	in := []Result{*r, other}
 	db := New()
-	db.InsertAll(in)
+	if err := db.InsertAll(in); err != nil {
+		t.Fatal(err)
+	}
 	if got := db.Query(Filter{}); !reflect.DeepEqual(got, in) {
 		t.Fatalf("Query returned\n%+v\nwhere InsertAll stored\n%+v", got, in)
 	}
@@ -116,7 +119,7 @@ func checkHeads(t *testing.T, r *Result, field uint) {
 		t.Fatal(err)
 	}
 	want[0], want = ',', want[:len(want)-1]
-	if got, last, err := db.AppendJSONAfter(nil, math.MinInt, r.Seq, math.MaxInt, nil); err != nil || last != r.Seq || !bytes.Equal(got, want) {
+	if got, last, err := db.AppendJSONAfter(nil, math.MinInt, other.Seq, math.MaxInt, nil); err != nil || last != other.Seq || !bytes.Equal(got, want) {
 		t.Fatalf("AppendJSONAfter wrote\n%s (%v, last %d)\nwhere the stored results are\n%s", got, err, last, want)
 	}
 	if len(db.heads) != 2 || db.at(0).head == db.at(1).head {
@@ -133,7 +136,9 @@ func checkStored(t *testing.T, r *Result, want []byte) {
 		return // no Seq lies below it to read after
 	}
 	db := New()
-	db.Insert(*r)
+	if err := db.Insert(*r); err != nil {
+		t.Fatal(err)
+	}
 	direct, last, err := db.AppendJSONAfter([]byte("prefix"), math.MinInt, r.Seq, math.MaxInt, nil)
 	if err != nil || last != r.Seq || string(direct) != "prefix,"+string(want) {
 		t.Fatalf("the stored row encodes as\n%s (%v)\njson.Marshal\n%s", direct, err, want)

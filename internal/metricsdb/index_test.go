@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -56,33 +58,22 @@ func (s *schedule) draw(mod int) int {
 	return int(binary.BigEndian.Uint64(sum[:8]) % uint64(mod))
 }
 
-// oracle is the naive model: every result ever stored, in arrival
-// order. Its answers scan all of it and stable-sort by Seq, which is
-// where Insert's "after any equal Seq" puts a tie.
+// oracle is the naive model: every result a DB took, in arrival order —
+// which is Seq order, a DB only appending — and answers that scan all of
+// it.
 type oracle struct {
 	arrived []Result
-	flat    []Result // sorted's answer for len(flat) arrivals
 	maxSeq  int
 }
 
 func (o *oracle) store(r Result) {
 	o.arrived = append(o.arrived, r)
-	o.maxSeq = max(o.maxSeq, r.Seq)
-}
-
-// sorted is the flat store a DB must agree with: one plain []Result,
-// rebuilt from scratch whenever something arrived since the last call.
-func (o *oracle) sorted() []Result {
-	if len(o.flat) != len(o.arrived) {
-		o.flat = append(o.flat[:0], o.arrived...)
-		sort.SliceStable(o.flat, func(i, j int) bool { return o.flat[i].Seq < o.flat[j].Seq })
-	}
-	return o.flat
+	o.maxSeq = r.Seq
 }
 
 func (o *oracle) query(f Filter) []Result {
 	var out []Result
-	for _, r := range o.sorted() {
+	for _, r := range o.arrived {
 		if (f.System == "" || f.System == r.System) && (f.Benchmark == "" || f.Benchmark == r.Benchmark) &&
 			(f.Workload == "" || f.Workload == r.Workload) && (f.Experiment == "" || f.Experiment == r.Experiment) {
 			out = append(out, r)
@@ -93,7 +84,7 @@ func (o *oracle) query(f Filter) []Result {
 
 // after is QueryAfterN off the flat store: a linear search, a slice.
 func (o *oracle) after(seq, n int) []Result {
-	flat := o.sorted()
+	flat := o.arrived
 	for len(flat) > 0 && flat[0].Seq <= seq {
 		flat = flat[1:]
 	}
@@ -192,15 +183,16 @@ func propFilters() []Filter {
 }
 
 // TestIndexAgreesWithScanOracle drives seeded interleavings of Add,
-// in-order Insert, out-of-order Insert (equal-Seq ties and inserts at
-// position 0 included), InsertAll (in order, and with one straggler
-// inside the batch) and a SaveJSON→LoadJSON round trip, and after every
-// step holds every filtered read to the naive oracle's answer. Each
-// seed then grows its database across three chunks a batch at a time,
-// lands an out-of-order insert on each side of a chunk boundary, at
-// position 0 and one below the top — every one ripples through the
-// chunks above it — and reads every page that straddles a boundary,
-// both as Results and encoded from the rows.
+// Insert of a new top Seq, InsertAll (in order, and with one straggler
+// at or below the result before it) and a SaveJSON→LoadJSON round trip,
+// beside inserts the DB must refuse — a tie with the top, a Seq below it,
+// a batch with a straggler — and after every step holds every filtered
+// read to the naive oracle's answer: a refused insert stores nothing.
+// Each seed then grows its database across three chunks a batch at a
+// time, reads every page that straddles a boundary, both as Results and
+// encoded from the rows, and offers the Seq of the result at position 0,
+// chunkLen-1, chunkLen and the top, and the Seq just below each: every
+// one is refused, and every read stays as it was.
 func TestIndexAgreesWithScanOracle(t *testing.T) {
 	filters := propFilters()
 	for _, seed := range []string{"index-1", "index-2", "index-3"} {
@@ -223,23 +215,44 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 			}
 			return r
 		}
-		// batch is n fresh results on new top Seqs; with a straggler, one
-		// of them is anywhere below instead.
-		batch := func(n int, straggler bool) []Result {
+		// batch is n fresh results on new top Seqs; with a straggler, one of
+		// them, whose index it returns (-1 without), lies anywhere at or
+		// below the Seq before it.
+		batch := func(n int, straggler bool) ([]Result, int) {
 			rs := make([]Result, n)
 			for j := range rs {
 				rs[j] = fresh()
 				rs[j].Seq = want.maxSeq + 1 + j
 			}
-			if straggler {
-				rs[sch.draw(n)].Seq = sch.draw(want.maxSeq + 1)
+			if !straggler {
+				return rs, -1
 			}
-			return rs
+			bad, prev := sch.draw(n), want.maxSeq
+			if bad > 0 {
+				prev = rs[bad-1].Seq
+			}
+			rs[bad].Seq = sch.draw(prev + 1)
+			return rs, bad
 		}
-		insertAll := func(rs []Result) {
-			db.InsertAll(rs)
-			for _, r := range rs {
-				want.store(r)
+		// apply inserts rs — one alone by Insert — which the DB must take
+		// when bad < 0, and otherwise refuse, naming result bad.
+		apply := func(name string, bad int, rs ...Result) {
+			t.Helper()
+			var err error
+			if len(rs) == 1 {
+				err = db.Insert(rs[0])
+			} else {
+				err = db.InsertAll(rs)
+			}
+			switch {
+			case bad < 0 && err != nil:
+				t.Fatalf("%s: inserting Seqs %v over %d: %v", name, seqs(rs), want.maxSeq, err)
+			case bad < 0:
+				for _, r := range rs {
+					want.store(r)
+				}
+			case err == nil || !strings.Contains(err.Error(), fmt.Sprintf("result %d of %d has Seq %d,", bad, len(rs), rs[bad].Seq)):
+				t.Fatalf("%s: inserting Seqs %v over %d: err %v, want result %d refused", name, seqs(rs), want.maxSeq, err, bad)
 			}
 		}
 		// check holds the cheap reads, and every filtered read under fs, to
@@ -271,28 +284,37 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 				}
 			}
 		}
+		// An empty DB takes any first Seq (TestRefusedInsertAllChangesNothing);
+		// from here on every op meets a top.
+		r := fresh()
+		r.Seq = db.Add(r)
+		want.store(r)
 		for step := 0; step < 90; step++ {
+			name := fmt.Sprintf("%s step %d", seed, step)
 			op := sch.draw(12)
 			switch {
 			case op < 3: // Add
 				r := fresh()
 				r.Seq = want.maxSeq + 1
 				if seq := db.Add(r); seq != r.Seq {
-					t.Fatalf("%s step %d: Add assigned Seq %d, want %d", seed, step, seq, r.Seq)
+					t.Fatalf("%s: Add assigned Seq %d, want %d", name, seq, r.Seq)
 				}
 				want.store(r)
-			case op < 5: // in-order Insert: a new top Seq, or a tie with it
+			case op < 6: // Insert: a new top Seq, past a gap or not, or a tie with the top
+				r, gap := fresh(), sch.draw(3)
+				r.Seq = want.maxSeq + gap
+				bad := -1
+				if gap == 0 {
+					bad = 0
+				}
+				apply(name, bad, r)
+			case op < 8: // Insert below the top, 0 included
 				r := fresh()
-				r.Seq = want.maxSeq + sch.draw(3)
-				db.Insert(r)
-				want.store(r)
-			case op < 9: // out-of-order Insert: anywhere below, 0 lands first
-				r := fresh()
-				r.Seq = sch.draw(want.maxSeq + 1)
-				db.Insert(r)
-				want.store(r)
+				r.Seq = sch.draw(want.maxSeq)
+				apply(name, 0, r)
 			case op < 11: // InsertAll: a few at once, every other batch with a straggler
-				insertAll(batch(1+sch.draw(4), op == 10))
+				rs, bad := batch(1+sch.draw(4), op == 10)
+				apply(name, bad, rs...)
 			default: // round trip; nothing new is stored
 				dump, err := db.SaveJSON()
 				if err != nil {
@@ -302,7 +324,7 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			check(fmt.Sprintf("%s step %d", seed, step), filters)
+			check(name, filters)
 		}
 		if len(want.arrived) < 40 {
 			t.Fatalf("%s stored only %d results", seed, len(want.arrived))
@@ -311,13 +333,14 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 		// Across three chunks, a commit group at a time. Every filter after
 		// every batch would be minutes: a drawn handful, then all of them.
 		for n := 0; len(want.arrived) < 2*chunkLen+chunkLen/8; n++ {
-			insertAll(batch(50+sch.draw(200), n%3 == 2))
-			check(fmt.Sprintf("%s at %d results", seed, len(want.arrived)),
-				[]Filter{filters[sch.draw(len(filters))], filters[sch.draw(len(filters))], {}})
+			name := fmt.Sprintf("%s at %d results", seed, len(want.arrived))
+			rs, bad := batch(50+sch.draw(200), n%3 == 2)
+			apply(name, bad, rs...)
+			check(name, []Filter{filters[sch.draw(len(filters))], filters[sch.draw(len(filters))], {}})
 		}
 		pages := func(name string) {
 			t.Helper()
-			flat := want.sorted()
+			flat := want.arrived
 			for _, b := range []int{chunkLen, 2 * chunkLen} {
 				for from := b - 3; from <= b+1; from++ {
 					for _, n := range []int{0, 1, 2, 3, 5, chunkLen, chunkLen + 2, math.MaxInt} {
@@ -329,14 +352,11 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 						if len(w) == 0 {
 							continue
 						}
-						// The same page encoded from the rows, up to its last Seq:
-						// a tie just past it comes along, as the Seq bound says.
+						// The same page encoded from the rows, up to its last Seq.
 						upto := w[len(w)-1].Seq
 						wantJSON := []byte("kept")
-						for _, r := range want.after(seq, math.MaxInt) {
-							if r.Seq <= upto {
-								wantJSON = append(append(wantJSON, ','), mustJSON(t, r)...)
-							}
+						for _, r := range w {
+							wantJSON = append(append(wantJSON, ','), mustJSON(t, r)...)
 						}
 						got, last, err := db.AppendJSONAfter([]byte("kept"), seq, upto, math.MaxInt, nil)
 						if err != nil || last != upto || string(got) != string(wantJSON) {
@@ -363,22 +383,14 @@ func TestIndexAgreesWithScanOracle(t *testing.T) {
 			}
 		}
 		for _, pos := range []int{0, chunkLen - 1, chunkLen, len(want.arrived) - 1} {
-			// The Seq just below the result now at pos lands there, unless
-			// the one before it ties — then this seed needs another draw.
-			flat := want.sorted()
-			r := fresh()
-			r.Seq = flat[pos].Seq - 1
-			if pos > 0 && flat[pos-1].Seq > r.Seq {
-				t.Fatalf("%s: results %d and %d tie at Seq %d; nothing lands between them", seed, pos-1, pos, flat[pos].Seq)
+			for _, seq := range []int{want.arrived[pos].Seq - 1, want.arrived[pos].Seq} {
+				r := fresh()
+				r.Seq = seq
+				name := fmt.Sprintf("%s Seq %d at position %d of %d", seed, seq, pos, len(want.arrived))
+				apply(name, 0, r)
+				check(name, pairs)
+				pages(name)
 			}
-			db.Insert(r)
-			want.store(r)
-			name := fmt.Sprintf("%s insert at %d of %d", seed, pos, len(flat))
-			if at := db.at(pos).result(); !reflect.DeepEqual(at, r) {
-				t.Fatalf("%s: position %d holds %+v, want %+v", name, pos, at, r)
-			}
-			check(name, pairs)
-			pages(name)
 		}
 		dump, err := db.SaveJSON()
 		if err != nil {
@@ -417,11 +429,10 @@ func sameRegressions(a, b []Regression) bool {
 	return true
 }
 
-// TestIndexUnderConcurrentInsert: one goroutine Inserts — mostly at the
-// top, every eighth below it, which moves every result above it, across
-// two chunk boundaries by the end, and rebuilds the index — while
-// others read through it. Run under -race; the reads must also stay
-// sorted.
+// TestIndexUnderConcurrentInsert: one goroutine appends — a result at
+// a time and in batches, across two chunk boundaries by the end — while
+// others read through the index. Run under -race; the reads must also
+// stay sorted.
 func TestIndexUnderConcurrentInsert(t *testing.T) {
 	db := New()
 	const total = 2*chunkLen + 200
@@ -451,13 +462,16 @@ func TestIndexUnderConcurrentInsert(t *testing.T) {
 			}
 		}()
 	}
+	var batch []Result
 	for i := 1; i <= total; i++ {
-		seq := 2 * i
-		if i%8 == 0 {
-			seq = i // odd or even, well below the top
-		}
-		db.Insert(Result{Seq: seq, System: fmt.Sprintf("s%d", i%2), Benchmark: "b1",
+		batch = append(batch, Result{Seq: 2 * i, System: fmt.Sprintf("s%d", i%2), Benchmark: "b1",
 			FOMs: map[string]float64{"t": float64(i)}})
+		if i%8 == 0 || i%3 == 0 || i == total { // batches of one to three
+			if err := db.InsertAll(batch); err != nil {
+				t.Error(err)
+			}
+			batch = batch[:0]
+		}
 	}
 	close(done)
 	wg.Wait()
@@ -509,8 +523,9 @@ func TestDetectRegressionsBorrowsItsSeries(t *testing.T) {
 	one, parts := New(), []*DB{New(), New()}
 	for i := 0; i < 5000; i++ {
 		r := Result{Seq: i + 1, System: "hot", Benchmark: "b", FOMs: map[string]float64{"t": 1}}
-		one.Insert(r)
-		parts[i%2].Insert(r)
+		if err := errors.Join(one.Insert(r), parts[i%2].Insert(r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f := Filter{System: "hot", Benchmark: "b"}
 	series := uint64(5000 * unsafe.Sizeof(Point{}))
@@ -590,7 +605,9 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 		return allocated(func() {
 			db := New()
 			for at := 0; at < len(rs); at += group {
-				db.InsertAll(rs[at:min(at+group, len(rs))])
+				if err := db.InsertAll(rs[at:min(at+group, len(rs))]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			runtime.KeepAlive(db)
 		})
@@ -667,7 +684,9 @@ func TestRowsShareTheirHeads(t *testing.T) {
 			r.Seq, r.FOMs = at+i+1, map[string]float64{"t": float64(i)}
 			batch[i] = r
 		}
-		db.InsertAll(batch)
+		if err := db.InsertAll(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

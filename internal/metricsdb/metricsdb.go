@@ -124,11 +124,11 @@ const (
 // DB is a thread-safe result store.
 type DB struct {
 	mu sync.RWMutex
-	// chunks holds the results in Seq order — Add, Insert, InsertAll and
-	// LoadJSON all keep it so, which makes the newest row's Seq the DB's
-	// one watermark (maxSeq) — at global positions: result p is
-	// chunks[p>>chunkShift][p&chunkMask], and every chunk but the last is
-	// full. Appending never moves a stored result (see push).
+	// chunks holds the results in Seq order — a DB only appends, and
+	// InsertAll refuses a Seq that is not above the newest row's, which is
+	// therefore the DB's one watermark (maxSeq) — at global positions:
+	// result p is chunks[p>>chunkShift][p&chunkMask], and every chunk but
+	// the last is full. Nothing moves a stored result (see push).
 	chunks [][]row
 	// postings lists, per (system, benchmark) pair, the positions of
 	// that pair's results, ascending — so in Seq order. A dashboard
@@ -217,19 +217,6 @@ func (db *DB) post(pos int) {
 	db.postings[k] = append(db.postings[k], int32(pos))
 }
 
-// reindex rebuilds every posting list from the results, after an
-// out-of-order insert has shifted the positions behind it. Nothing is
-// ever deleted, so every list that exists refills in place. Caller
-// holds db.mu.
-func (db *DB) reindex() {
-	for k, list := range db.postings {
-		db.postings[k] = list[:0]
-	}
-	for i, n := 0, db.len(); i < n; i++ {
-		db.post(i)
-	}
-}
-
 // Add stores a copy of a result under the next sequence number, one
 // past the newest row's, which it returns.
 func (db *DB) Add(r Result) int {
@@ -243,48 +230,34 @@ func (db *DB) Add(r Result) int {
 	return rw.Seq
 }
 
-// Insert stores a result preserving its caller-assigned Seq. It is the
-// restore path for durable stores (internal/resultstore) that assign
-// Seqs at WAL-append time and must reconstruct the exact same state on
-// replay; fresh results should go through Add instead. A Seq
-// below the newest one held is placed in order (after any equal Seq),
-// so every read can rely on the results being sorted. That costs what
-// it would in one slice: every result above it moves up one position,
-// chunk by chunk, and the index is rebuilt.
-func (db *DB) Insert(r Result) { db.InsertAll([]Result{r}) }
-
-// InsertAll is Insert for each of rs in turn under one lock — a commit
-// group, a WAL record or a replica page at a time — so a concurrent
-// reader sees all of them or none. rs is only read: what is stored is a
-// copy.
-func (db *DB) InsertAll(rs []Result) {
+// InsertAll stores copies of rs under the Seqs they carry, under one
+// lock — a commit group, a WAL record or a replica page at a time — so a
+// concurrent reader sees all of them or none. It is the restore path for
+// durable stores (internal/resultstore), which assign Seqs at WAL-append
+// time and must rebuild the same state on replay; fresh results go
+// through Add. A DB only appends: each Seq must be above the one before
+// it, the first above the newest row's (an empty DB takes any first
+// Seq). When one is not, InsertAll stores none of them and says which.
+// rs is only read.
+func (db *DB) InsertAll(rs []Result) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	moved := false
+	last, held := db.maxSeq(), db.len() > 0
 	for i := range rs {
-		r := storedRow(&rs[i], db.intern(headOf(&rs[i])))
-		at, top := db.firstAfter(r.Seq), db.len()
-		if db.push(r); at == top {
-			db.post(top)
-			continue
+		if held && rs[i].Seq <= last {
+			return fmt.Errorf("metricsdb: result %d of %d has Seq %d, not above %d: a DB only appends", i, len(rs), rs[i].Seq, last)
 		}
-		// Everything from at up moves one position: within each chunk,
-		// and each chunk's last result into the next one's first place.
-		first := at >> chunkShift
-		for c := len(db.chunks) - 1; c > first; c-- {
-			chunk := db.chunks[c]
-			copy(chunk[1:], chunk)
-			chunk[0] = db.chunks[c-1][chunkLen-1]
-		}
-		chunk := db.chunks[first][at&chunkMask:]
-		copy(chunk[1:], chunk)
-		chunk[0] = r
-		moved = true
+		last, held = rs[i].Seq, true
 	}
-	if moved {
-		db.reindex()
+	for i := range rs {
+		db.push(storedRow(&rs[i], db.intern(headOf(&rs[i]))))
+		db.post(db.len() - 1)
 	}
+	return nil
 }
+
+// Insert is InsertAll of r alone.
+func (db *DB) Insert(r Result) error { return db.InsertAll([]Result{r}) }
 
 // maxSeq is the newest row's Seq, 0 when there is none. Caller holds
 // db.mu.
@@ -300,7 +273,7 @@ func (db *DB) maxSeq() int {
 func (db *DB) firstAfter(seq int) int {
 	n := db.len()
 	if n == 0 || db.at(n-1).Seq <= seq {
-		return n // the append case, without the search
+		return n // nothing after seq, without the search
 	}
 	return sort.Search(n, func(i int) bool { return db.at(i).Seq > seq })
 }
@@ -562,10 +535,13 @@ func LoadJSON(src string) (*DB, error) {
 	if err := json.Unmarshal([]byte(src), &results); err != nil {
 		return nil, fmt.Errorf("metricsdb: %w", err)
 	}
-	// Sorted first, so every one of them is an append.
+	// Sorted first, so every one of them is an append; two of one Seq
+	// are refused.
 	sort.SliceStable(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
 	db := New()
-	db.InsertAll(results)
+	if err := db.InsertAll(results); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -267,11 +268,12 @@ func TestUsageSingleBenchmark(t *testing.T) {
 
 // TestInsertPreservesIdentity: Insert keeps the Seq it is given, and
 // the newest row's Seq is the watermark Add continues from — an Insert
-// below the top moves neither.
+// at or below the top is refused and moves neither.
 func TestInsertPreservesIdentity(t *testing.T) {
 	db := New()
-	db.Insert(Result{Seq: 9, Benchmark: "b", System: "s",
-		FOMs: map[string]float64{"t": 1}})
+	if err := db.Insert(Result{Seq: 9, Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 1}}); err != nil {
+		t.Fatal(err)
+	}
 	all := db.Query(Filter{})
 	if len(all) != 1 || all[0].Seq != 9 {
 		t.Fatalf("Insert mangled identity: %+v", all)
@@ -279,12 +281,16 @@ func TestInsertPreservesIdentity(t *testing.T) {
 	if seq := db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 2}}); seq != 10 {
 		t.Fatalf("Add after an Insert at Seq 9 assigned Seq %d, want 10", seq)
 	}
-	db.Insert(Result{Seq: 4, Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 3}})
-	if got := db.MaxSeq(); got != 10 {
-		t.Fatalf("MaxSeq after an Insert below the top = %d, want the newest row's 10", got)
+	for _, seq := range []int{4, 10} {
+		if err := db.Insert(Result{Seq: seq, Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 3}}); err == nil {
+			t.Fatalf("Insert at Seq %d under the top 10 was taken", seq)
+		}
+	}
+	if got := db.MaxSeq(); got != 10 || db.Len() != 2 {
+		t.Fatalf("after refused Inserts MaxSeq = %d and Len = %d, want 10 and 2", got, db.Len())
 	}
 	if seq := db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": 4}}); seq != 11 {
-		t.Fatalf("Add after an Insert below the top assigned Seq %d, want 11", seq)
+		t.Fatalf("Add after refused Inserts assigned Seq %d, want 11", seq)
 	}
 	all = db.Query(Filter{})
 	if got := all[len(all)-1].Seq; got != 11 || db.MaxSeq() != 11 {
@@ -292,11 +298,70 @@ func TestInsertPreservesIdentity(t *testing.T) {
 	}
 }
 
-// TestResultsStayInSeqOrder: out-of-order Inserts and a LoadJSON of a
-// shuffled dump must answer Query, QueryAfterN and Series exactly as a
-// scan of the inserted set followed by a sort on Seq does — the
-// invariant that lets Query skip its sort and QueryAfterN binary-search
-// its start.
+// TestRefusedInsertAllChangesNothing: a batch that is not an append — its
+// first Seq at or below the top, or a Seq at or below the one before it —
+// is refused whole, with an error naming that result, and stores nothing:
+// not its rows, not its heads, not a posting list for a pair it brings.
+// Len, MaxSeq and every read stay as they were, and Add continues from
+// the same top. An empty DB takes any first Seq, negative ones included.
+func TestRefusedInsertAllChangesNothing(t *testing.T) {
+	db := New()
+	base := make([]Result, chunkLen+10) // past a chunk boundary
+	for i := range base {
+		base[i] = Result{Seq: -5 + 2*i, Benchmark: "saxpy", System: fmt.Sprintf("cts%d", i%3),
+			FOMs: map[string]float64{"t": float64(i)}}
+	}
+	if err := db.InsertAll(base); err != nil {
+		t.Fatalf("an empty DB refused Seqs from -5: %v", err)
+	}
+	top := base[len(base)-1].Seq
+	served := func() string {
+		t.Helper()
+		dump, err := db.SaveJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(dump, db.Len(), db.MaxSeq(), db.Systems(), db.Usage(), len(db.heads),
+			db.Series(Filter{System: "cts1", Benchmark: "saxpy"}, "t"), db.QueryAfterN(top-10, 100))
+	}
+	want := served()
+	fresh := func(seqs ...int) []Result {
+		rs := make([]Result, len(seqs))
+		for i, seq := range seqs {
+			rs[i] = Result{Seq: seq, Benchmark: "saxpy", System: "new-system", FOMs: map[string]float64{"t": 1}}
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		rs  []Result
+		bad int
+	}{
+		{fresh(top), 0},
+		{fresh(top - 1), 0},
+		{fresh(-100, top+1), 0},
+		{fresh(top+1, top+2, top+2), 2},
+		{fresh(top+1, top+5, top+3, top+4), 2},
+		{fresh(top+1, top+2, 0), 2},
+	} {
+		err := db.InsertAll(tc.rs)
+		if msg := fmt.Sprintf("result %d of %d has Seq %d,", tc.bad, len(tc.rs), tc.rs[tc.bad].Seq); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Fatalf("InsertAll of Seqs %v over top %d: err %v, want one naming %q", seqs(tc.rs), top, err, msg)
+		}
+		if got := served(); got != want {
+			t.Fatalf("a refused InsertAll of Seqs %v changed what the DB serves", seqs(tc.rs))
+		}
+	}
+	if seq := db.Add(fresh(0)[0]); seq != top+1 {
+		t.Fatalf("Add after refused batches assigned Seq %d, want %d", seq, top+1)
+	}
+}
+
+// TestResultsStayInSeqOrder: a LoadJSON of a shuffled dump answers
+// Query, QueryAfterN and Series exactly as a scan of the set followed by
+// a sort on Seq does — the invariant that lets Query skip its sort and
+// QueryAfterN binary-search its start. Inserted in the dump's order, the
+// same results are refused at the first step back, and a dump that
+// holds one Seq twice does not load.
 func TestResultsStayInSeqOrder(t *testing.T) {
 	// A fixed shuffle of Seqs 1..40 (7 is coprime to 41), two systems.
 	var shuffled []Result
@@ -311,15 +376,23 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 	}
 	inserted := New()
 	for _, r := range shuffled {
-		inserted.Insert(r)
+		if inserted.Insert(r) != nil {
+			break
+		}
+	}
+	if got := seqs(inserted.Query(Filter{})); !reflect.DeepEqual(got, []int{7, 14, 21, 28, 35}) {
+		t.Fatalf("Inserting the shuffle stored Seqs %v, want those before its first step back, to Seq 1", got)
 	}
 	dump, err := json.Marshal(shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadJSON(string(dump))
+	db, err := LoadJSON(string(dump))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := LoadJSON(`[{"seq":28},{"seq":3},{"seq":28}]`); err == nil || !strings.Contains(err.Error(), "Seq 28,") {
+		t.Fatalf("LoadJSON of a dump holding Seq 28 twice: %v", err)
 	}
 	// The reference: scan everything, keep what matches, sort by Seq.
 	reference := func(f Filter, after int) []Result {
@@ -332,38 +405,34 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 		return out
 	}
-	for name, db := range map[string]*DB{"Insert": inserted, "LoadJSON": loaded} {
-		// The shift an out-of-order Insert causes must leave the postings
-		// naming the moved positions, not the old ones.
-		checkPostings(t, name, db)
-		for _, f := range []Filter{{}, {System: "cts1"}, {System: "ats2"}, {System: "nowhere"},
-			{System: "cts1", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "nothing"}} {
-			if got, want := db.Query(f), reference(f, 0); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Query(%+v) = Seqs %v, want %v", name, f, seqs(got), seqs(want))
-			}
-			var want []Point
-			for _, r := range reference(f, 0) {
-				want = append(want, Point{Seq: r.Seq, Value: r.FOMs["t"]})
-			}
-			if got := db.Series(f, "t"); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Series(%+v) = %v, want %v", name, f, got, want)
-			}
+	checkPostings(t, "LoadJSON", db)
+	for _, f := range []Filter{{}, {System: "cts1"}, {System: "ats2"}, {System: "nowhere"},
+		{System: "cts1", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "saxpy"}, {System: "ats2", Benchmark: "nothing"}} {
+		if got, want := db.Query(f), reference(f, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("Query(%+v) = Seqs %v, want %v", f, seqs(got), seqs(want))
 		}
-		for _, after := range []int{-1, 0, 1, 17, 39, 40, 41} {
-			if got, want := db.QueryAfterN(after, math.MaxInt), reference(Filter{}, after); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: QueryAfterN(%d, all) = Seqs %v, want %v", name, after, seqs(got), seqs(want))
-			}
+		var want []Point
+		for _, r := range reference(f, 0) {
+			want = append(want, Point{Seq: r.Seq, Value: r.FOMs["t"]})
 		}
-		for _, n := range []int{0, 1, 5, 40, 100} {
-			want := reference(Filter{}, 17)
-			want = want[:min(n, len(want))]
-			if got := db.QueryAfterN(17, n); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Errorf("%s: QueryAfterN(17, %d) = Seqs %v, want %v", name, n, seqs(got), seqs(want))
-			}
+		if got := db.Series(f, "t"); !reflect.DeepEqual(got, want) {
+			t.Errorf("Series(%+v) = %v, want %v", f, got, want)
 		}
-		if db.MaxSeq() != 40 {
-			t.Errorf("%s: MaxSeq = %d, want 40", name, db.MaxSeq())
+	}
+	for _, after := range []int{-1, 0, 1, 17, 39, 40, 41} {
+		if got, want := db.QueryAfterN(after, math.MaxInt), reference(Filter{}, after); !reflect.DeepEqual(got, want) {
+			t.Errorf("QueryAfterN(%d, all) = Seqs %v, want %v", after, seqs(got), seqs(want))
 		}
+	}
+	for _, n := range []int{0, 1, 5, 40, 100} {
+		want := reference(Filter{}, 17)
+		want = want[:min(n, len(want))]
+		if got := db.QueryAfterN(17, n); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("QueryAfterN(17, %d) = Seqs %v, want %v", n, seqs(got), seqs(want))
+		}
+	}
+	if db.MaxSeq() != 40 {
+		t.Errorf("MaxSeq = %d, want 40", db.MaxSeq())
 	}
 }
 
@@ -379,7 +448,9 @@ func TestStoredResultsAreCopies(t *testing.T) {
 	dbs := []*DB{New(), New()}
 	added, inserted := fresh(0), []Result{fresh(2), fresh(3)}
 	dbs[0].Add(added)
-	dbs[1].InsertAll(inserted)
+	if err := dbs[1].InsertAll(inserted); err != nil {
+		t.Fatal(err)
+	}
 	reader := NewReader(nil, dbs...)
 	served := func() string {
 		t.Helper()

@@ -1,6 +1,7 @@
 package metricsdb
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -29,8 +30,9 @@ func TestReaderOneDBAndPartitionedAgree(t *testing.T) {
 		if i%60 == 59 {
 			r.FOMs["t"] = 9 // a regression against the rolling median of 1s
 		}
-		one.Insert(r)
-		parts[place(r.System, r.Benchmark, len(parts))].Insert(r)
+		if err := errors.Join(one.Insert(r), parts[place(r.System, r.Benchmark, len(parts))].Insert(r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	single := NewReader(nil, one)
 	sharded := MergeReaders(place, NewReader(nil, parts[:2]...), NewReader(nil, parts[2:]...))

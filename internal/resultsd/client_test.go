@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
-	"repro/internal/telemetry"
 )
 
 // fastClient is a default client whose retries start 1ms apart instead
@@ -232,7 +231,6 @@ func TestClientContextCancellation(t *testing.T) {
 // does not double-ingest, because the ingest key dedups.
 func TestClientRetryIsIdempotent(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {

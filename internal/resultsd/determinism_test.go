@@ -20,7 +20,7 @@ import (
 func TestServeByteIdenticalAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	clock := telemetry.FixedClock{T: time.Unix(1700000000, 0)}
-	opts := resultstore.Options{Clock: clock, SegmentBytes: 256, NoBackgroundCompact: true}
+	opts := resultstore.Options{SegmentBytes: 256, NoBackgroundCompact: true}
 
 	store, err := resultstore.Open(dir, opts)
 	if err != nil {

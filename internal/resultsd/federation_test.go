@@ -37,7 +37,6 @@ func newShardedServer(t *testing.T, dir string, opts resultshard.Options) (*Serv
 	if opts.Shards == 0 {
 		opts.Shards = 4
 	}
-	opts.Store.Clock = telemetry.FixedClock{T: time.Unix(1700000000, 0)}
 	opts.Store.NoBackgroundCompact = true
 	router, err := resultshard.Open(dir, opts)
 	if err != nil {
@@ -670,6 +669,85 @@ func TestRunFollowerLoop(t *testing.T) {
 	}
 	if _, ok := snap.Counters["resultsd_replica_sync_errors_total"]; !ok {
 		t.Fatal("resultsd_replica_sync_errors_total is not registered")
+	}
+}
+
+// TestStaleReplicaPageIsExplained: a primary that starts serving pages
+// repeating the follower's watermark leaves the follower where its last
+// good pass put it, and says why through what a replica already emits:
+// RunFollower counts each failed pass in
+// resultsd_replica_sync_errors_total, /v1/replica/status carries the
+// refusal in last_error with syncs standing still, and the follower's
+// reads are those of its last good pass.
+func TestStaleReplicaPageIsExplained(t *testing.T) {
+	primarySrv, store := newTestServer(t)
+	var stale atomic.Bool
+	inner := primarySrv.Handler()
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if stale.Load() && r.URL.Path == "/v1/replica/delta" {
+			q := r.URL.Query()
+			after, _ := strconv.Atoi(q.Get("after"))
+			q.Set("after", strconv.Itoa(after-1)) // the page starts at the watermark
+			r.URL.RawQuery = q.Encode()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer primary.Close()
+	if w := postResults(t, inner, "k0", fleetResults(10)); w.Code != http.StatusOK {
+		t.Fatalf("primary ingest: %d %s", w.Code, w.Body)
+	}
+	f := resultshard.NewFollower()
+	src := NewReplicaClient(primary.URL)
+	if _, err := f.Sync(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	tracer := telemetry.New(nil)
+	fh := New(f, tracer).Handler()
+	reads := func() (out []string) {
+		for _, u := range []string{"/v1/series?benchmark=bench-01&fom=fom", "/v1/systems"} {
+			w := get(t, fh, u)
+			out = append(out, fmt.Sprint(w.Code, w.Body))
+		}
+		return out
+	}
+	good := reads()
+
+	if _, err := store.Append(context.Background(), resultstore.Batch{Key: "k1", Results: fleetResults(10)}); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		RunFollower(ctx, f, src, 5*time.Millisecond, tracer)
+	}()
+	// Everything below is read while the loop still runs: a pass that
+	// cancelling cuts short fails for that reason instead.
+	defer func() {
+		cancel()
+		<-loopDone
+	}()
+	deadline := time.After(5 * time.Second)
+	for tracer.Metrics().Snapshot().Counters["resultsd_replica_sync_errors_total"] < 2 {
+		select {
+		case <-deadline:
+			t.Fatal("RunFollower counted no failed pass against the stale primary")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if got := tracer.Metrics().Snapshot().Counters["resultsd_replica_syncs_total"]; got != 0 {
+		t.Fatalf("resultsd_replica_syncs_total = %d against a stale primary, want 0", got)
+	}
+	var st resultshard.FollowerStatus
+	if w := get(t, fh, "/v1/replica/status"); w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &st) != nil {
+		t.Fatalf("replica/status: %d %s", w.Code, w.Body)
+	}
+	if st.Syncs != 1 || st.Shards[0].MaxSeq != 10 || !strings.Contains(st.LastError, "does not follow this follower's seq 10") {
+		t.Fatalf("status after stale pages = %+v, want syncs 1 at seq 10 and the refusal in last_error", st)
+	}
+	if got := reads(); !slices.Equal(got, good) {
+		t.Fatalf("follower reads after stale pages\n%v\nwant those of its last good pass\n%v", got, good)
 	}
 }
 

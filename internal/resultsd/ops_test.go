@@ -20,7 +20,6 @@ import (
 func newOpsStore(t *testing.T) *resultstore.Store {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {
@@ -181,7 +180,6 @@ func TestPprofOptIn(t *testing.T) {
 func TestReadyzDegradesWhenWALUnwritable(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir, resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {

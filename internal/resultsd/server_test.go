@@ -17,7 +17,6 @@ import (
 func newTestServer(t testing.TB) (*Server, *resultstore.Store) {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {

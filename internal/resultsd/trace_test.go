@@ -16,14 +16,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newServerAt builds a server whose store and tracer both run on a
-// FixedClock at the given epoch — a different epoch than the runner's
-// so trace-ID adoption is provable (with equal epochs the native IDs
-// would coincide and the join assertions would pass vacuously).
+// newServerAt builds a server whose tracer runs on a FixedClock at the
+// given epoch — a different epoch than the runner's so trace-ID
+// adoption is provable (with equal epochs the native IDs would coincide
+// and the join assertions would pass vacuously).
 func newServerAt(t *testing.T, epoch int64) *Server {
 	t.Helper()
 	store, err := resultstore.Open(t.TempDir(), resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(epoch, 0)},
 		NoBackgroundCompact: true,
 	})
 	if err != nil {

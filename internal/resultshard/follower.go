@@ -14,7 +14,8 @@ import (
 // Seq watermark into an in-memory mirror. Results arrive in Seq order
 // with their primary-assigned Seqs and trace provenance, so a
 // mirror is always a Seq-prefix of its shard and a caught-up follower's
-// responses are byte-identical to the primary's.
+// responses are byte-identical to the primary's. A page whose Seqs do
+// not rise above the watermark fails the pass and is not applied.
 //
 // A follower reports only what it knows: its mirrors and how many
 // passes have completed. A pass leaves each mirror holding everything
@@ -114,7 +115,9 @@ func (f *Follower) Sync(ctx context.Context, src Source) (applied int, err error
 				return applied, fmt.Errorf("resultshard: shard %d is at seq %d with %d results after this follower's %d: not the store this follower bootstrapped from; restart the follower to re-bootstrap",
 					i, page.MaxSeq, len(page.Results), at)
 			}
-			db.InsertAll(page.Results)
+			if err := db.InsertAll(page.Results); err != nil {
+				return applied, fmt.Errorf("resultshard: shard %d sent a page that does not follow this follower's seq %d: %w", i, at, err)
+			}
 			applied += len(page.Results)
 		}
 	}

@@ -208,6 +208,59 @@ func TestFollowerRefusesPrimaryBehindItsMirror(t *testing.T) {
 	}
 }
 
+// TestFollowerRefusesAStalePage: a primary whose page repeats the
+// follower's watermark — here the result at it, again and again — does
+// not advance the mirror. The pass fails at that page, naming the shard
+// and the watermark, without pulling it again or applying any of it; a
+// pass against a sound primary then carries on.
+func TestFollowerRefusesAStalePage(t *testing.T) {
+	ctx := context.Background()
+	r := openRouter(t, t.TempDir(), 2)
+	defer r.Close()
+	if _, err := r.Append(ctx, resultstore.Batch{Key: "k0", Results: spreadResults(12)}); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower()
+	if _, err := f.Sync(ctx, Primary{r}); err != nil {
+		t.Fatal(err)
+	}
+	at := f.Status().Shards[0].MaxSeq
+	if at == 0 {
+		t.Fatal("shard 0 holds nothing: no watermark to repeat")
+	}
+	// The primary has more, so the follower asks for it.
+	if _, err := r.Append(ctx, resultstore.Batch{Key: "k1", Results: spreadResults(12)}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := json.Marshal(f.Query(metricsdb.Filter{}))
+	pulls := 0
+	stale := sourceFunc{
+		meta: func() (ReplicaMeta, error) { return Primary{r}.ReplicaMeta(ctx) },
+		delta: func(shard, after int) (ReplicaDelta, error) {
+			if pulls++; pulls > 50 {
+				return ReplicaDelta{}, errors.New("the stale primary stopped serving")
+			}
+			page, err := Primary{r}.ReplicaDelta(ctx, shard, after-1)
+			page.Results = page.Results[:min(1, len(page.Results))]
+			return page, err
+		},
+	}
+	applied, err := f.Sync(ctx, stale)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard 0 sent a page that does not follow this follower's seq %d", at)) {
+		t.Fatalf("pass against a stale page: err = %v, want one naming shard 0 and seq %d", err, at)
+	}
+	st := f.Status()
+	if applied != 0 || pulls != 1 || st.Syncs != 1 || st.LastError != err.Error() || st.Shards[0].MaxSeq != at {
+		t.Fatalf("failed pass applied %d in %d pulls, status %+v; want nothing applied in one pull, syncs still 1, last_error set", applied, pulls, st)
+	}
+	if after, _ := json.Marshal(f.Query(metricsdb.Filter{})); string(after) != string(before) {
+		t.Fatal("failed pass changed the mirrors")
+	}
+	if _, err := f.Sync(ctx, Primary{r}); err != nil || f.Len() != r.Len() || f.Status().LastError != "" {
+		t.Fatalf("pass against the sound primary: %v, %d of %d results, status %+v", err, f.Len(), r.Len(), f.Status())
+	}
+}
+
 // TestFollowerIsReadOnly: Append on a replica fails with ErrReadOnly.
 func TestFollowerIsReadOnly(t *testing.T) {
 	f := NewFollower()

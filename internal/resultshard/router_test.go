@@ -15,12 +15,10 @@ import (
 	"repro/internal/fsys"
 	"repro/internal/metricsdb"
 	"repro/internal/resultstore"
-	"repro/internal/telemetry"
 )
 
 func fixedStoreOpts() resultstore.Options {
 	return resultstore.Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	}
 }

@@ -57,8 +57,8 @@ func FuzzWALRecord(f *testing.F) {
 	bare.Seq = 3
 	var table metricsdb.HeadTable
 	for _, b := range []walBatch{
-		{Key: "k", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Received: 1700000000000000000, Results: []metricsdb.Result{r, other, r, bare}},
-		{Key: "bare", Received: 1, Results: []metricsdb.Result{bare, other, bare}},
+		{Key: "k", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Results: []metricsdb.Result{r, other, r, bare}},
+		{Key: "bare", Results: []metricsdb.Result{bare, other, bare}},
 	} {
 		payload, err := b.appendJSON(nil, &table)
 		if err != nil {
@@ -202,11 +202,12 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatalf("generation segments (%d, %d] seqs (%d, %d] does not continue segments ..%d seqs ..%d",
 					snap.Base, snap.Covered, snap.AfterSeq, snap.NextSeq, before.Covered, before.NextSeq)
 			}
-			err := snap.eachResult(&dec, func(r metricsdb.Result) {
+			err := snap.eachResult(&dec, func(r metricsdb.Result) error {
 				if r.Seq <= snap.AfterSeq || r.Seq > snap.NextSeq {
 					t.Fatalf("seq %d outside (%d, %d]", r.Seq, snap.AfterSeq, snap.NextSeq)
 				}
 				results++
+				return nil
 			})
 			if err != nil {
 				refused("streaming "+snapshotName(snap.Covered), err)

@@ -139,10 +139,10 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 
 // eachResult decodes the generation's results, in file order, into fn
 // one at a time and then lets go of the file's bytes. A Seq out of
-// order or outside (AfterSeq, NextSeq], or a head or a manifest the
-// file's tables do not hold, is an error, and fn has by then seen the
-// results before it.
-func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)) error {
+// order or outside (AfterSeq, NextSeq], a head or a manifest the file's
+// tables do not hold, or an error from fn ends the walk with that error,
+// and fn has by then seen the results before it.
+func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result) error) error {
 	if snap.results == nil {
 		return nil
 	}
@@ -160,7 +160,9 @@ func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result)
 			return
 		}
 		last = r.Seq
-		fn(r)
+		if err := fn(r); err != nil {
+			d.Fail(err)
+		}
 	})
 	return d.Err() // what follows the array, decodeHeader has checked
 }

@@ -564,7 +564,7 @@ func TestGenerationTablesAreChecked(t *testing.T) {
 		var got []metricsdb.Result
 		snap, err := decodeHeader(&d, []byte(file), 3)
 		if err == nil {
-			err = snap.eachResult(&d, func(r metricsdb.Result) { got = append(got, r) })
+			err = snap.eachResult(&d, func(r metricsdb.Result) error { got = append(got, r); return nil })
 		}
 		return got, err
 	}
@@ -735,7 +735,7 @@ func TestGenerationSpansPages(t *testing.T) {
 			var streamed []metricsdb.Result
 			read, err := decodeHeader(&dec, file.Bytes(), head.Covered)
 			if err == nil {
-				err = read.eachResult(&dec, func(r metricsdb.Result) { streamed = append(streamed, r) })
+				err = read.eachResult(&dec, func(r metricsdb.Result) error { streamed = append(streamed, r); return nil })
 			}
 			if err != nil || !reflect.DeepEqual(read.snapshotHeader, snap.snapshotHeader) || !reflect.DeepEqual(streamed, held) {
 				t.Fatalf("recovery reads the generation as %+v with %d results (%v), json.Unmarshal as %+v with %d",

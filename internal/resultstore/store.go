@@ -25,9 +25,6 @@
 //     write order and truncates a torn tail — it never errors on one.
 //     Reopening a store yields byte-identical query results (the
 //     resultsd determinism test pins this over HTTP).
-//
-// Timestamps on WAL records come from an injectable telemetry.Clock,
-// so tests using FixedClock produce byte-identical WAL files.
 package resultstore
 
 import (
@@ -36,7 +33,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -50,10 +46,6 @@ type Options struct {
 	// SegmentBytes is the rotation threshold for the active WAL
 	// segment; <=0 means 256 KiB.
 	SegmentBytes int64
-	// Clock stamps WAL batches (ingest audit trail); nil means the
-	// wall clock. Query responses never contain these stamps, so the
-	// clock choice cannot leak into served results.
-	Clock telemetry.Clock
 	// NoBackgroundCompact disables the compaction goroutine; sealed
 	// segments then only fold into a snapshot generation on explicit
 	// Compact calls (tests use this for deterministic file layouts).
@@ -100,17 +92,17 @@ type Batch struct {
 // where it differs from the previous result's, the first one's from the
 // record's (see metricsdb.HeadTable):
 //
-//	{"key":…,"trace_id":…,"received_unix_ns":…,"manifests":[…],"heads":[…],"results":[…]}
+//	{"key":…,"trace_id":…,"manifests":[…],"heads":[…],"results":[…]}
 //
 // Records written before the head table carry each result's names
 // whole, and each manifest inline or as an index into "manifests";
-// replay still reads them.
+// replay still reads them. Older records also carry a receive time,
+// "received_unix_ns", which nothing reads.
 type walBatch struct {
-	Key      string
-	TraceID  string
-	Received int64
-	Results  []metricsdb.Result
-	table    metricsdb.HeadTable // what decode read of the record's tables
+	Key     string
+	TraceID string
+	Results []metricsdb.Result
+	table   metricsdb.HeadTable // what decode read of the record's tables
 }
 
 // appendJSON appends the record payload, its tables built in t — which
@@ -120,16 +112,15 @@ func (b *walBatch) appendJSON(dst []byte, t *metricsdb.HeadTable) ([]byte, error
 	if b.TraceID != "" {
 		dst = metricsdb.AppendString(append(dst, `,"trace_id":`...), b.TraceID)
 	}
-	dst = strconv.AppendInt(append(dst, `,"received_unix_ns":`...), b.Received, 10)
 	dst, err := t.AppendRecord(dst, b.TraceID, b.Results)
 	return append(dst, '}'), err
 }
 
 // decode reads what replay needs of a record payload into b — its key,
-// its trace ID, its tables and its results, reusing b's slices. The rest
-// is an audit trail nothing reads back, checked for syntax like any
-// member a record has no use for. A result naming a head or a manifest
-// the record's tables (so far) do not hold is an error.
+// its trace ID, its tables and its results, reusing b's slices. Any other
+// member, such as an old record's receive time, is checked for syntax
+// and skipped. A result naming a head or a manifest the record's tables
+// (so far) do not hold is an error.
 func (b *walBatch) decode(d *metricsdb.Decoder, payload []byte) error {
 	b.Key, b.TraceID, b.Results = "", "", b.Results[:0]
 	b.table.Reset()
@@ -201,9 +192,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = defaultQueueDepth
 	}
-	if opts.Clock == nil {
-		opts.Clock = telemetry.WallClock()
-	}
 	if opts.FS == nil {
 		opts.FS = fsys.OS
 	}
@@ -249,7 +237,7 @@ func (s *Store) recover() error {
 	for _, snap := range chain {
 		// The DB stores copies, so each result's maps go back to the
 		// decoder for the next one.
-		if err := snap.eachResult(&dec, func(r metricsdb.Result) { s.db.Insert(r); dec.Recycle(&r) }); err != nil {
+		if err := snap.eachResult(&dec, func(r metricsdb.Result) error { err := s.db.Insert(r); dec.Recycle(&r); return err }); err != nil {
 			return fmt.Errorf("resultstore: snapshot %s: %w", snapshotName(snap.Covered), err)
 		}
 		for _, k := range snap.Keys {
@@ -317,8 +305,10 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int
 		if s.keys[b.Key] {
 			continue // a snapshot already covers this batch
 		}
+		if err := s.db.InsertAll(b.Results); err != nil {
+			return 0, fmt.Errorf("resultstore: segment %s holds a record the store cannot apply: %w", segmentName(seg), err)
+		}
 		s.applyKey(b.Key)
-		s.db.InsertAll(b.Results)
 	}
 	if good < len(data) && newest {
 		if err := s.opts.FS.Truncate(path, int64(good)); err != nil {
@@ -428,9 +418,9 @@ func (b Batch) Validate() error {
 // staging slice — the caller's are never written to — numbers them
 // there on from the DB's newest Seq, frames one record per batch into
 // the store's buffer, writes them in one Write, fsyncs once, and only
-// then applies the group to the queryable state, in one InsertAll.
-// Caller holds s.mu, has validated every batch, and has rotated the
-// segment.
+// then applies the group to the queryable state, in one InsertAll; a
+// group the DB refuses fails the store. Caller holds s.mu, has
+// validated every batch, and has rotated the segment.
 func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 	if s.closed.Load() {
 		return nil, errClosed
@@ -469,7 +459,7 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 				rs[j].TraceID = b.TraceID
 			}
 		}
-		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Received: s.opts.Clock.Now().UnixNano(), Results: rs}
+		wb := walBatch{Key: b.Key, TraceID: b.TraceID, Results: rs}
 		at := len(buf)
 		var err error
 		if buf, err = wb.appendJSON(append(buf, make([]byte, recordHeaderSize)...), &s.walTable); err != nil {
@@ -498,12 +488,17 @@ func (s *Store) appendGroupLocked(batches []Batch) ([]bool, error) {
 		return nil, fmt.Errorf("resultstore: appending batch: %w", werr)
 	}
 	s.activeSize += int64(len(buf))
+	if err := s.db.InsertAll(staged); err != nil {
+		// The group is durable but not queryable: what the store serves
+		// no longer matches its WAL.
+		s.failed = fmt.Errorf("the WAL holds a group the DB refused: %w", err)
+		return nil, fmt.Errorf("resultstore: %w", s.failed)
+	}
 	for i, b := range batches {
 		if applied[i] {
 			s.applyKey(b.Key)
 		}
 	}
-	s.db.InsertAll(staged)
 	return applied, nil
 }
 

@@ -10,22 +10,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/fsys"
 	"repro/internal/metricsdb"
-	"repro/internal/telemetry"
 )
 
-func fixedOpts() Options {
-	return Options{
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
-		NoBackgroundCompact: true,
-	}
-}
+// fixedOpts is a store whose files change only on an explicit Compact.
+func fixedOpts() Options { return Options{NoBackgroundCompact: true} }
 
 func res(bench, system string, fom string, v float64) metricsdb.Result {
 	return metricsdb.Result{
@@ -154,6 +149,72 @@ func TestReopenRecoversState(t *testing.T) {
 	}
 }
 
+// TestReplayAppendsOnly: replay applies a WAL record under a new key —
+// an old one carrying its receive time as well — only when its Seqs rise
+// above the store's top. A record under an applied key is skipped
+// whatever its Seqs; one under a new key whose Seqs tie with the top,
+// fall below it or step back within the record fails Open, naming the
+// segment, as a CRC-valid but undecodable record does.
+func TestReplayAppendsOnly(t *testing.T) {
+	golden := t.TempDir()
+	s, err := Open(golden, fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, s, "k1", res("saxpy", "cts1", "saxpy_time", 1.0))
+	mustAppend(t, s, "k2", res("saxpy", "cts1", "saxpy_time", 1.2))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	result := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"benchmark":"saxpy","workload":"problem","system":"cts1","experiment":"e","foms":{"t":%d}}`, seq, seq)
+	}
+	// open reopens golden's files with records of payloads appended to
+	// its segment, in a directory of their own.
+	open := func(payloads ...string) (*Store, error) {
+		dir := t.TempDir()
+		for name, data := range readDir(t, golden) {
+			if name == segmentName(1) {
+				for _, p := range payloads {
+					at := len(data)
+					data = append(append(data, make([]byte, recordHeaderSize)...), p...)
+					sealRecord(data, at)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Open(dir, fixedOpts())
+	}
+	taken := []string{
+		`{"key":"old","received_unix_ns":1700000000000000000,"results":[` + result(3) + `]}`,
+		`{"key":"k1","results":[` + result(1) + `]}`,
+	}
+	s, err = open(taken...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 3 || s.MaxSeq() != 3 || !s.HasKey("old") {
+		t.Fatalf("replay holds %d results to Seq %d (key old applied: %v), want 3 to Seq 3", s.Len(), s.MaxSeq(), s.HasKey("old"))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{
+		`{"key":"tie","results":[` + result(3) + `]}`,
+		`{"key":"below","results":[` + result(1) + `]}`,
+		`{"key":"back","results":[` + result(5) + "," + result(4) + `]}`,
+	} {
+		if s, err := open(append(taken, bad)...); err == nil {
+			s.Close()
+			t.Fatalf("Open replayed %s over top Seq 3", bad)
+		} else if !strings.Contains(err.Error(), segmentName(1)) {
+			t.Fatalf("Open refused %s with %v, which does not name the segment", bad, err)
+		}
+	}
+}
+
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := fixedOpts()
@@ -219,7 +280,6 @@ func TestBackgroundCompactor(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
 		SegmentBytes: 64,
-		Clock:        telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +410,6 @@ func TestCloseWithoutBackgroundCompactionFoldsNothing(t *testing.T) {
 func TestConcurrentAppend(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{
 		SegmentBytes: 256,
-		Clock:        telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 	})
 	if err != nil {
 		t.Fatal(err)

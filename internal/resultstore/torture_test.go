@@ -5,10 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/fsys"
-	"repro/internal/telemetry"
 )
 
 // TestPowerCutAtEveryByte is the crash-safety contract of the WAL,
@@ -40,7 +38,6 @@ func TestPowerCutAtEveryByte(t *testing.T) {
 	}
 	opts := Options{
 		SegmentBytes:        1 << 20, // never rotate: one segment, exact offsets
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	}
 	s, err := Open(golden, opts)
@@ -142,7 +139,6 @@ func TestPowerCutWithBitrot(t *testing.T) {
 	golden := t.TempDir()
 	opts := Options{
 		SegmentBytes:        1 << 20,
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	}
 	s, err := Open(golden, opts)
@@ -198,7 +194,6 @@ func TestTornTailInteriorSegment(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		SegmentBytes:        40, // tiny: force rotation between batches
-		Clock:               telemetry.FixedClock{T: time.Unix(1700000000, 0)},
 		NoBackgroundCompact: true,
 	}
 	s, err := Open(dir, opts)
