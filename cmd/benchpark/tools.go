@@ -205,28 +205,22 @@ func reportCmd(fs *flag.FlagSet, args []string, opts *execOpts) error {
 	if len(args) > 1 {
 		return fmt.Errorf("usage: benchpark report [out.md] [-full]")
 	}
-	out := ""
-	if len(args) == 1 {
-		out = args[0]
-	}
-	var w *os.File
-	if out == "" {
-		w = os.Stdout
-	} else {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	ctx, cancel := opts.context()
 	defer cancel()
-	if err := core.GenerateReport(ctx, w, *full, opts.jobs); err != nil {
+	if len(args) == 0 {
+		return core.GenerateReport(ctx, os.Stdout, *full, opts.jobs)
+	}
+	f, err := os.Create(args[0])
+	if err != nil {
 		return err
 	}
-	if out != "" {
-		fmt.Printf("==> report written to %s\n", out)
+	err = core.GenerateReport(ctx, f, *full, opts.jobs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("==> report written to %s\n", args[0])
 	return nil
 }

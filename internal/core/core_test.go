@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,32 +155,26 @@ func TestFigure1cQuickstart(t *testing.T) {
 	}
 }
 
-// TestSection4Matrix builds and runs both paper benchmarks on all
-// three paper systems (the Section 4 demonstration).
+// reducedReport is the report's reduced reproduction, run once per
+// test binary: every test that checks a paper study reads it.
+var reducedReport = sync.OnceValues(func() (*reproduction, error) {
+	return reproduce(context.Background(), false, 0)
+})
+
+// TestSection4Matrix: the report ran both paper benchmarks on all
+// three paper systems (the Section 4 demonstration), every experiment
+// passed, and the deployment's metrics database holds those systems.
 func TestSection4Matrix(t *testing.T) {
-	suiteFor := map[string]map[string]string{
-		"cts1": {"saxpy": "saxpy/openmp", "amg2023": "amg2023/openmp"},
-		"ats2": {"saxpy": "saxpy/cuda", "amg2023": "amg2023/cuda"},
-		"ats4": {"saxpy": "saxpy/rocm", "amg2023": "amg2023/rocm"},
+	r, err := reducedReport()
+	if err != nil {
+		t.Fatal(err)
 	}
-	bp := New()
-	for sysName, suites := range suiteFor {
-		for benchName, suite := range suites {
-			sess, err := bp.Setup(suite, sysName, t.TempDir())
-			if err != nil {
-				t.Fatalf("%s on %s: %v", suite, sysName, err)
-			}
-			rep, _, err := sess.Run(context.Background(), RunOptions{})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", suite, sysName, err)
-			}
-			if rep.Failed > 0 || rep.Total == 0 {
-				t.Errorf("%s on %s: %d/%d failed", benchName, sysName, rep.Failed, rep.Total)
-			}
+	for i, cell := range section4Cells {
+		if rep := r.section4[i]; rep.Failed > 0 || rep.Total == 0 {
+			t.Errorf("%s on %s: %d/%d failed", cell.suite, cell.system, rep.Failed, rep.Total)
 		}
 	}
-	// All three systems appear in the shared metrics database.
-	if got := bp.Metrics.Systems(); len(got) != 3 {
+	if got := r.bp.Metrics.Systems(); !slices.Equal(got, []string{"ats2", "ats4", "cts1"}) {
 		t.Errorf("systems in metrics db = %v", got)
 	}
 }
@@ -205,19 +202,15 @@ func TestUnknownSuiteAndSystem(t *testing.T) {
 	}
 }
 
-// TestFigure14 runs the MPI_Bcast scaling study (at reduced scales
-// for test speed) and checks the Extra-P model shape: linear in p
-// with positive slope, matching the paper's -0.6356 + 0.0466*p.
+// TestFigure14 checks the report's MPI_Bcast scaling study (at
+// reduced scales) for the Extra-P model shape: linear in p with
+// positive slope, matching the paper's -0.6356 + 0.0466*p.
 func TestFigure14(t *testing.T) {
-	study, err := Figure14Study([]int{36, 72, 144, 288, 576})
+	r, err := reducedReport()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := New()
-	res, err := study.Run(context.Background(), bp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := r.fig14
 	if res.Model.I != 1 || res.Model.J != 0 {
 		t.Fatalf("model = %s; Figure 14 selects p^(1)", res.Model)
 	}
@@ -238,9 +231,15 @@ func TestFigure14(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, txt)
 		}
 	}
-	// Measurements recorded in the metrics database.
-	if got := bp.Metrics.Query(metricsdb.Filter{Workload: "osu_bcast"}); len(got) != 5 {
-		t.Errorf("recorded points = %d", len(got))
+	// Without the last scale the model passes above the largest point,
+	// and the plot's axis tops out at the model.
+	short := &StudyResult{Measurements: res.Measurements[:len(res.Measurements)-1], Model: res.Model}
+	if want := fmt.Sprintf("%8.1f s ┤", res.Model.Eval(short.Measurements[len(short.Measurements)-1].P)); !strings.Contains(RenderFigure14(short), want) {
+		t.Errorf("plot without the last scale does not top out at %q:\n%s", want, RenderFigure14(short))
+	}
+	// Measurements recorded in the metrics database, one per scale.
+	if got := r.bp.Metrics.Query(metricsdb.Filter{Workload: "osu_bcast"}); len(got) != len(figure14Reduced) {
+		t.Errorf("recorded points = %d, want %d", len(got), len(figure14Reduced))
 	}
 }
 
@@ -657,9 +656,16 @@ func TestSuiteOnProvisionedCloudCluster(t *testing.T) {
 	}
 }
 
+// TestGenerateReport: the report renders the shared run, Figure 14's
+// model family matching the paper's, and a failed run or write is
+// returned.
 func TestGenerateReport(t *testing.T) {
+	r, err := reducedReport()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf strings.Builder
-	if err := GenerateReport(context.Background(), &buf, false, 0); err != nil {
+	if err := r.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -676,6 +682,19 @@ func TestGenerateReport(t *testing.T) {
 	}
 	if strings.Contains(out, "MISMATCH") {
 		t.Error("Figure 14 model family mismatched")
+	}
+
+	full := errors.New("disk full")
+	pr, pw := io.Pipe()
+	pr.CloseWithError(full) // every write to pw fails with full
+	if err := r.write(pw); !errors.Is(err, full) {
+		t.Errorf("write to a failing writer returned %v, want %v", err, full)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	buf.Reset()
+	if err := GenerateReport(ctx, &buf, false, 0); !errors.Is(err, context.Canceled) || buf.Len() != 0 {
+		t.Errorf("report under a cancelled context: err %v, wrote %d bytes; want context.Canceled and nothing", err, buf.Len())
 	}
 }
 

@@ -212,44 +212,3 @@ func TestRunTimeoutOption(t *testing.T) {
 		t.Errorf("report = %+v", erep)
 	}
 }
-
-// TestScalingStudyDeterministicAcrossJobs: the concurrent scaling
-// sweep commits measurements and metrics in sweep order, matching the
-// sequential study exactly.
-func TestScalingStudyDeterministicAcrossJobs(t *testing.T) {
-	runOnce := func(jobs int) (*StudyResult, []metricsdb.Result) {
-		t.Helper()
-		study, err := Figure14Study([]int{36, 72, 144, 288})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp := New()
-		res, err := study.Run(context.Background(), bp, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, bp.Metrics.Query(metricsdb.Filter{})
-	}
-	serial, serialMetrics := runOnce(1)
-	concurrent, concurrentMetrics := runOnce(8)
-	if len(serial.Measurements) != len(concurrent.Measurements) {
-		t.Fatalf("measurement counts differ")
-	}
-	for i := range serial.Measurements {
-		a, b := serial.Measurements[i], concurrent.Measurements[i]
-		if a.P != b.P || a.Value != b.Value {
-			t.Errorf("measurement %d: %v vs %v", i, a, b)
-		}
-	}
-	if serial.Model.String() != concurrent.Model.String() {
-		t.Errorf("models differ: %s vs %s", serial.Model, concurrent.Model)
-	}
-	if len(serialMetrics) != len(concurrentMetrics) {
-		t.Fatalf("metrics count: %d vs %d", len(serialMetrics), len(concurrentMetrics))
-	}
-	for i := range serialMetrics {
-		if serialMetrics[i].Experiment != concurrentMetrics[i].Experiment {
-			t.Errorf("metrics order diverges at %d", i)
-		}
-	}
-}

@@ -166,7 +166,7 @@ func Figure14Study(scales []int) (*ScalingStudy, error) {
 		return nil, err
 	}
 	if len(scales) == 0 {
-		scales = []int{64, 128, 256, 512, 1024, 2048, 3456}
+		scales = slices.Clone(figure14Full)
 	}
 	return &ScalingStudy{
 		System:    cts,

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cachekey"
 	"repro/internal/hpcsim"
+	"repro/internal/metricsdb"
 	"repro/internal/telemetry"
 )
 
@@ -46,9 +48,11 @@ func goldenStudies(t *testing.T) map[string]*ScalingStudy {
 
 // studyBlock runs one study and renders what the golden file pins:
 // each measurement's scale and the bits of its value, then the model.
-func studyBlock(t *testing.T, name string, st *ScalingStudy, jobs int) string {
+// It also returns the experiments of the metrics DB's rows, in order.
+func studyBlock(t *testing.T, name string, st *ScalingStudy, jobs int) (string, []string) {
 	t.Helper()
-	res, err := st.Run(context.Background(), New(), jobs)
+	bp := New()
+	res, err := st.Run(context.Background(), bp, jobs)
 	if err != nil {
 		t.Fatalf("%s jobs=%d: %v", name, jobs, err)
 	}
@@ -58,11 +62,16 @@ func studyBlock(t *testing.T, name string, st *ScalingStudy, jobs int) string {
 		fmt.Fprintf(&b, "p=%g\t%016x\n", m.P, math.Float64bits(m.Value))
 	}
 	fmt.Fprintf(&b, "model: %s\n", res.Model)
-	return b.String()
+	var rows []string
+	for _, r := range bp.Metrics.Query(metricsdb.Filter{}) {
+		rows = append(rows, r.Experiment)
+	}
+	return b.String(), rows
 }
 
 // TestStudiesGolden pins every measurement and model the scaling
-// studies produce, at one worker and at eight. To record the file anew
+// studies produce, at one worker and at eight, and checks that both
+// commit their metrics DB rows in the same order. To record the file anew
 // — only when the studies' numbers are meant to change — delete it and
 // run the test.
 func TestStudiesGolden(t *testing.T) {
@@ -73,7 +82,8 @@ func TestStudiesGolden(t *testing.T) {
 	if os.IsNotExist(err) {
 		var b strings.Builder
 		for _, name := range names {
-			b.WriteString(studyBlock(t, name, studies[name], 1))
+			block, _ := studyBlock(t, name, studies[name], 1)
+			b.WriteString(block)
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -87,14 +97,20 @@ func TestStudiesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got strings.Builder
+	rows := map[int][]string{}
 	for _, jobs := range []int{1, 8} {
 		got.Reset()
 		for _, name := range names {
-			got.WriteString(studyBlock(t, name, studies[name], jobs))
+			block, exps := studyBlock(t, name, studies[name], jobs)
+			got.WriteString(block)
+			rows[jobs] = append(rows[jobs], exps...)
 		}
 		if got.String() != string(raw) {
 			t.Errorf("jobs=%d:\n got:\n%s\nwant:\n%s", jobs, got.String(), raw)
 		}
+	}
+	if !slices.Equal(rows[1], rows[8]) {
+		t.Errorf("metrics DB rows in experiment order\n%v at jobs=1,\n%v at jobs=8", rows[1], rows[8])
 	}
 }
 

@@ -751,6 +751,80 @@ func TestStaleReplicaPageIsExplained(t *testing.T) {
 	}
 }
 
+// TestStoppedFollowerReportsNoError: cancelling RunFollower while a
+// pass waits on the primary stops that pass; it is neither a completed
+// pass nor a failed one. The status still shows the last good pass and
+// no last_error, and neither counter moves.
+func TestStoppedFollowerReportsNoError(t *testing.T) {
+	primarySrv, _ := newTestServer(t)
+	inner := primarySrv.Handler()
+	var block atomic.Bool
+	blocked := make(chan struct{}, 1)
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if block.Load() && r.URL.Path == "/v1/replica/delta" {
+			select {
+			case blocked <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done() // until the follower gives up the request
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer primary.Close()
+	if w := postResults(t, inner, "k0", fleetResults(10)); w.Code != http.StatusOK {
+		t.Fatalf("primary ingest: %d %s", w.Code, w.Body)
+	}
+	f := resultshard.NewFollower()
+	tracer := telemetry.New(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		RunFollower(ctx, f, NewReplicaClient(primary.URL), 5*time.Millisecond, tracer)
+	}()
+	deadline := time.After(5 * time.Second)
+	for !f.Status().Synced {
+		select {
+		case <-deadline:
+			t.Fatal("follower never completed a pass")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	block.Store(true)
+	select {
+	case <-blocked:
+	case <-deadline:
+		t.Fatal("no pass reached the blocking primary")
+	}
+	before := f.Status()
+	counters := tracer.Metrics().Snapshot().Counters
+	cancel()
+	select {
+	case <-loopDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunFollower did not stop on cancel")
+	}
+
+	var st resultshard.FollowerStatus
+	if w := get(t, New(f, tracer).Handler(), "/v1/replica/status"); w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &st) != nil {
+		t.Fatalf("replica/status: %d %s", w.Code, w.Body)
+	}
+	if st.Syncs != before.Syncs || st.Shards[0].MaxSeq != 10 || st.LastError != "" {
+		t.Fatalf("status after a stopped pass = %+v, want syncs %d at seq 10 and no last_error", st, before.Syncs)
+	}
+	after := tracer.Metrics().Snapshot().Counters
+	for _, name := range []string{"resultsd_replica_syncs_total", "resultsd_replica_sync_errors_total"} {
+		if after[name] != counters[name] {
+			t.Errorf("%s = %d after the stopped pass, %d before it", name, after[name], counters[name])
+		}
+	}
+	if got := after["resultsd_replica_syncs_total"]; got != int64(st.Syncs) {
+		t.Errorf("resultsd_replica_syncs_total = %d, status says %d completed passes", got, st.Syncs)
+	}
+}
+
 // Ensure the Retry-After rendering rounds up and floors at 1s.
 func TestRetryAfterSeconds(t *testing.T) {
 	cases := []struct {

@@ -120,7 +120,8 @@ func (rc *ReplicaClient) ReplicaDelta(ctx context.Context, shard, afterSeq int) 
 // until ctx is done, recording what each completed pass had to apply
 // in the tracer's "resultsd_replica_lag_results" gauge (plus sync/error
 // counters) for the follower's own /metrics. A failed pass is counted
-// and retried next tick — a follower outlives primary restarts.
+// and retried next tick — a follower outlives primary restarts. A pass
+// that ctx's end cuts short is counted neither way.
 func RunFollower(ctx context.Context, f *resultshard.Follower, src resultshard.Source, interval time.Duration, tracer *telemetry.Tracer) {
 	met := tracer.Metrics()
 	lagGauge := met.Gauge("resultsd_replica_lag_results")
@@ -129,12 +130,14 @@ func RunFollower(ctx context.Context, f *resultshard.Follower, src resultshard.S
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		applied, err := f.Sync(ctx, src)
-		if err != nil {
-			errs.Inc()
-		} else {
+		switch applied, err := f.Sync(ctx, src); {
+		case err == nil:
 			syncs.Inc()
 			lagGauge.Set(int64(applied))
+		case err == ctx.Err():
+			return // stopped, not failed
+		default:
+			errs.Inc()
 		}
 		select {
 		case <-ctx.Done():

@@ -62,9 +62,16 @@ type FollowerStatus struct {
 
 // Sync runs one pass — every shard, page by page, until its mirror
 // holds the MaxSeq the shard first reported — and returns how many
-// results it applied. A failed pass keeps those: still a prefix.
+// results it applied. A failed pass keeps those: still a prefix. A
+// pass that returns with ctx done was stopped, not failed: it returns
+// ctx.Err() itself, is counted neither way and leaves the status as
+// it was.
 func (f *Follower) Sync(ctx context.Context, src Source) (applied int, err error) {
 	defer func() {
+		if ctx.Err() != nil {
+			err = ctx.Err()
+			return
+		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if err != nil {

@@ -59,28 +59,43 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "==> go build ./..."
+# stage [NAME [DETAIL...]]: print the running stage's wall time, then
+# announce NAME as the next one (none without arguments).
+verify_t0=$(date +%s)
+stage_name='' stage_t0=$verify_t0
+stage() {
+	now=$(date +%s)
+	if [ -n "$stage_name" ]; then
+		echo "==> $stage_name took $((now - stage_t0))s"
+	fi
+	stage_name=${1-} stage_t0=$now
+	if [ $# -gt 0 ]; then
+		echo "==> $*"
+	fi
+}
+
+stage "go build ./..."
 go build ./...
 
-echo "==> go vet ./..."
+stage "go vet ./..."
 go vet ./...
 
-echo "==> benchlint (project invariants and source rules)"
+stage "benchlint" "(project invariants and source rules)"
 go run ./cmd/benchlint
 
-echo "==> go test ./..."
+stage "go test ./..."
 go test ./...
 # A test that registers a system in the process-wide registry must
 # pass when run twice in one process.
 go test -count=2 -run '^(TestProvisionCloudCluster|TestSuiteOnProvisionedCloudCluster|TestRunProvisionCmd|TestSubcommandsHonourTimeout)$' ./internal/hpcsim ./internal/core ./cmd/benchpark
 
-echo "==> go test -race (concurrent packages)"
+stage "go test -race" "(concurrent packages)"
 go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./cmd/ramble ./internal/mpisim ./internal/bench
 # Order-independence of the rendered metrics is a claim about every
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-echo "==> go test -fuzz (WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
+stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s ./internal/resultstore
@@ -106,10 +121,10 @@ go test -run '^$' -fuzz '^FuzzExpansionMatchesOracle$' -fuzztime=5s ./internal/r
 # that reaches new coverage would take the whole budget.
 go test -run '^$' -fuzz '^FuzzRestoreExperiment$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
 
-echo "==> smoke (one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
+stage "smoke" "(one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
 go run ./scripts/smoke
 
-echo "==> incremental re-run gate (second run over a shared cache must replay everything)"
+stage "incremental re-run gate" "(second run over a shared cache must replay everything)"
 cache_tmp=$(mktemp -d)
 go run ./cmd/benchpark --cache-dir "$cache_tmp/cache" saxpy/openmp cts1 "$cache_tmp/cold-ws" >"$cache_tmp/cold.out"
 go run ./cmd/benchpark --cache-dir "$cache_tmp/cache" saxpy/openmp cts1 "$cache_tmp/warm-ws" >"$cache_tmp/warm.out"
@@ -153,4 +168,5 @@ diff "$cache_tmp/cold.tree" "$cache_tmp/warm.tree" >&2 || {
 }
 rm -rf "$cache_tmp"
 
-echo "==> verify OK"
+stage
+echo "==> verify OK in $(($(date +%s) - verify_t0))s"
