@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/metricsdb"
@@ -177,6 +178,7 @@ func (s *Server) instrument(route string, fn handlerFunc) http.HandlerFunc {
 	errors := s.metrics.Counter(routeMetric("resultsd_errors_total", route))
 	latency := s.metrics.Histogram(routeMetric("resultsd_request_seconds", route))
 	s.routes = append(s.routes, route)
+	name := "http:" + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if s.tracer != nil {
@@ -191,9 +193,9 @@ func (s *Server) instrument(route string, fn handlerFunc) http.HandlerFunc {
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
 		start := s.tracer.Now()
-		ctx, span := telemetry.StartSpan(ctx, "http:"+route)
+		ctx, span := telemetry.StartSpan(ctx, name)
 		defer span.End()
-		span.SetAttr("method", r.Method)
+		span.SetAttr("method", methodName(r.Method))
 		requests.Inc()
 		defer func() { latency.Observe(s.tracer.Now().Sub(start)) }()
 		if err := fn(ctx, w, r); err != nil {
@@ -201,6 +203,19 @@ func (s *Server) instrument(route string, fn handlerFunc) http.HandlerFunc {
 			errors.Inc()
 		}
 	}
+}
+
+// methodName returns method as a string of its own. net/http cuts a
+// request's Method out of its request line, so a finished span that kept
+// r.Method would keep the whole line, URL and query included, alive in
+// the tracer's ring.
+func methodName(method string) string {
+	for _, m := range [...]string{http.MethodGet, http.MethodPost, http.MethodHead} {
+		if method == m {
+			return m
+		}
+	}
+	return strings.Clone(method)
 }
 
 // routeMetric names one route's sample of a per-route family.

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -339,7 +340,7 @@ func (s *Store) Append(ctx context.Context, b Batch) (applied bool, err error) {
 		if err != nil {
 			span.SetError(err)
 		} else {
-			span.SetAttr("applied", fmt.Sprintf("%v", applied))
+			span.SetAttr("applied", strconv.FormatBool(applied))
 		}
 	}()
 	p := &Pending{store: s, batch: b, done: make(chan error, 1)}

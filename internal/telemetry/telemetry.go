@@ -34,8 +34,8 @@ package telemetry
 
 import (
 	"context"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -89,9 +89,17 @@ func (c *StepClock) Now() time.Time {
 // maxFinished is how many finished spans a Tracer keeps. Past it, a span
 // that ends takes the place of the oldest one kept, so a long-lived
 // server's tracer holds its last maxFinished requests rather than every
-// one it ever served. The largest trace any test or example run exports
-// holds 59 spans.
+// one it ever served. The ring holds records, not spans: a kept span
+// is a keptSpan value plus its ID and attribute strings, 224 B for a
+// resultsd GET, so a full ring of those takes 0.92 MB. The largest
+// trace any test or example run exports holds 59 spans.
 const maxFinished = 4096
+
+// ringChunk is how many kept spans one allocation of the ring holds. The
+// ring is allocated as it fills, 18 KB at a time (a size class of its
+// own, so nothing is rounded up), and never copied: a short run's tracer
+// takes one chunk, a server's all 32.
+const ringChunk = 128
 
 // Tracer collects finished spans and owns the run's metrics registry.
 // It is safe for concurrent use: the engine's worker pool opens and
@@ -103,9 +111,9 @@ type Tracer struct {
 	metrics *Registry
 
 	mu       sync.Mutex
-	finished []*Span        // the last maxFinished spans to end; a ring once full
-	dropped  int            // spans pushed out of the full ring, oldest first
-	roots    map[string]int // root span name -> prior count; a child's count is on its parent
+	ring     [maxFinished / ringChunk]*[ringChunk]keptSpan // the last maxFinished spans to end
+	endCount int                                           // spans ended; the i-th is at ring index i%maxFinished
+	roots    []siblingCount                                // root spans opened per name; a child's count is on its parent
 }
 
 // New returns a Tracer reading the given clock (nil means the wall
@@ -154,27 +162,52 @@ func (t *Tracer) Now() time.Time {
 // Span is one timed region of the harness's execution: a name, an
 // ancestry path, attributes, and an optional error.
 // A nil *Span (StartSpan without a tracer) is a valid no-op receiver
-// for every method.
+// for every method. An open Span is bookkeeping: End copies its
+// keptSpan into the tracer's ring (144 B plus the strings it points to,
+// 224 B for a resultsd GET) and the Span itself becomes garbage with the
+// request that opened it. Attributes and errors set after End are not
+// exported.
 type Span struct {
 	tracer *Tracer
+	start  time.Time
+
+	// The keptSpan's names and trace are fixed at StartSpan; mu guards
+	// its times, error and attributes.
+	mu sync.Mutex
+	keptSpan
+	ended    bool
+	children []siblingCount // child spans opened per name
+}
+
+// keptSpan is what a tracer keeps of a span once it ends: the fields
+// Snapshot exports, by value, 144 B on a 64-bit machine.
+type keptSpan struct {
 	id     string
 	parent string
-	name   string
 	path   string
-	start  time.Time
+	nameAt int // the span's name is path[nameAt:]
 	// traceID and remoteParent are fixed at StartSpan: the trace the
 	// span belongs to (inherited from the parent span, adopted from a
 	// WithRemote caller, or the tracer's own) and, for a span joining
 	// a remote caller's trace, the caller's wire-level span ID.
 	traceID      string
 	remoteParent string
+	sinceEpoch   time.Duration // when the span opened; set at End
+	dur          time.Duration // set at End
+	errMsg       string
+	attrs        []attr // in the order first set; a key set again is overwritten
+}
 
-	mu       sync.Mutex
-	attrs    map[string]string
-	errMsg   string
-	end      time.Time
-	ended    bool
-	children map[string]int // child span name -> prior count
+// attr is one span attribute. A span carries a handful, so a slice
+// searched in order costs less than a map.
+type attr struct{ key, value string }
+
+// siblingCount is how many spans named name one parent (or the tracer,
+// for root spans) has opened. A parent has few distinct child names, so
+// a slice searched in order costs less than a map.
+type siblingCount struct {
+	name string
+	n    int
 }
 
 type tracerKey struct{}
@@ -207,13 +240,14 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	parentID, base, n := "", "", 0
-	traceID, remoteParent := t.traceID, ""
-	if p := Current(ctx); p != nil {
-		parentID = p.id
-		base = p.path + "/"
+	s := &Span{tracer: t}
+	s.traceID = t.traceID
+	n := 0
+	p := Current(ctx)
+	if p != nil {
+		s.parent = p.id
 		if p.traceID != "" {
-			traceID = p.traceID
+			s.traceID = p.traceID
 		}
 		p.mu.Lock()
 		n = nextSibling(&p.children, name)
@@ -221,44 +255,39 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	} else {
 		if tc, ok := RemoteFromContext(ctx); ok && tc.Valid() {
 			// No local parent but a remote caller: join the caller's trace.
-			traceID = tc.TraceID
-			remoteParent = tc.ParentID
+			s.traceID = tc.TraceID
+			s.remoteParent = tc.ParentID
 		}
 		t.mu.Lock()
 		n = nextSibling(&t.roots, name)
 		t.mu.Unlock()
 	}
-	id := parentID + "/" + name
-	if parentID == "" {
-		id = name
-	}
+	suffix := ""
 	if n > 0 {
-		id = fmt.Sprintf("%s#%d", id, n+1)
+		suffix = "#" + strconv.Itoa(n+1)
 	}
-	s := &Span{
-		tracer:       t,
-		id:           id,
-		parent:       parentID,
-		name:         name,
-		path:         base + name,
-		start:        t.clock.Now(),
-		traceID:      traceID,
-		remoteParent: remoteParent,
-		attrs:        map[string]string{},
+	if p == nil {
+		s.id, s.path = name+suffix, name
+	} else {
+		s.id, s.path = p.id+"/"+name+suffix, p.path+"/"+name
 	}
+	s.nameAt = len(s.path) - len(name)
+	s.start = t.clock.Now()
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// nextSibling counts one more span named name in *counts, making the
-// map on first use, and returns how many came before it. The caller
-// holds the lock that guards *counts.
-func nextSibling(counts *map[string]int, name string) int {
-	if *counts == nil {
-		*counts = map[string]int{}
+// nextSibling counts one more span named name in *counts and returns
+// how many came before it. The caller holds the lock that guards
+// *counts.
+func nextSibling(counts *[]siblingCount, name string) int {
+	for i := range *counts {
+		if c := &(*counts)[i]; c.name == name {
+			c.n++
+			return c.n - 1
+		}
 	}
-	n := (*counts)[name]
-	(*counts)[name] = n + 1
-	return n
+	*counts = append(*counts, siblingCount{name: name, n: 1})
+	return 0
 }
 
 // ID returns the span's unique identifier ("" for a nil span).
@@ -285,52 +314,75 @@ func (s *Span) StartTime() time.Time {
 	return s.start
 }
 
-// SetAttr records a string attribute.
+// SetAttr records a string attribute; setting a key again replaces its
+// value. A no-op once the span has ended.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.attrs[key] = value
+	if s.ended {
+		return
+	}
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
+	}
+	s.attrs = append(s.attrs, attr{key: key, value: value})
 }
 
-// SetInt records an integer attribute.
-func (s *Span) SetInt(key string, v int) { s.SetAttr(key, fmt.Sprintf("%d", v)) }
+// SetInt records an integer attribute in decimal.
+func (s *Span) SetInt(key string, v int) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, strconv.Itoa(v))
+}
 
-// SetError marks the span failed, recording the error message.
+// SetError marks the span failed, recording the error message. A no-op
+// once the span has ended.
 func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.errMsg = err.Error()
+	if !s.ended {
+		s.errMsg = err.Error()
+	}
 }
 
-// End closes the span and hands it to the tracer, which drops its
-// oldest finished span if it already holds maxFinished. Ending twice is
-// a no-op, so a defer may back up an explicit mid-function End.
+// End closes the span and copies its record into the tracer, which
+// drops its oldest finished span if it already holds maxFinished.
+// Ending twice is a no-op, so a defer may back up an explicit
+// mid-function End.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	t := s.tracer
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.end = s.tracer.clock.Now()
+	s.sinceEpoch = s.start.Sub(t.epoch)
+	s.dur = t.clock.Now().Sub(s.start)
+	kept := s.keptSpan // the attrs' array is never written again: SetAttr stops at ended
 	s.mu.Unlock()
-	t := s.tracer
 	t.mu.Lock()
-	if len(t.finished) < maxFinished {
-		t.finished = append(t.finished, s)
-	} else { // the oldest is where the ring wraps
-		t.finished[t.dropped%maxFinished] = s
-		t.dropped++
+	i := t.endCount % maxFinished // once the ring is full, the oldest span's place
+	chunk := t.ring[i/ringChunk]
+	if chunk == nil {
+		chunk = new([ringChunk]keptSpan)
+		t.ring[i/ringChunk] = chunk
 	}
+	chunk[i%ringChunk] = kept
+	t.endCount++
 	t.mu.Unlock()
 }
 
@@ -342,10 +394,7 @@ func (s *Span) Duration() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ended {
-		return 0
-	}
-	return s.end.Sub(s.start)
+	return s.dur // zero until End sets it
 }
 
 // SpanRecord is one finished span in a Trace snapshot. Times are
@@ -393,29 +442,31 @@ func (t *Tracer) Snapshot() *Trace {
 		return tr
 	}
 	t.mu.Lock()
-	spans := append([]*Span(nil), t.finished...)
-	tr.Dropped = t.dropped
+	kept := make([]keptSpan, min(t.endCount, maxFinished))
+	for c := 0; c*ringChunk < len(kept); c++ {
+		copy(kept[c*ringChunk:], t.ring[c][:])
+	}
+	tr.Dropped = t.endCount - len(kept)
 	t.mu.Unlock()
-	for _, s := range spans {
-		s.mu.Lock()
+	tr.Spans = make([]SpanRecord, 0, len(kept))
+	for _, k := range kept {
 		rec := SpanRecord{
-			ID:           s.id,
-			Parent:       s.parent,
-			TraceID:      s.traceID,
-			RemoteParent: s.remoteParent,
-			Name:         s.name,
-			Path:         s.path,
-			StartS:       s.start.Sub(t.epoch).Seconds(),
-			DurS:         s.end.Sub(s.start).Seconds(),
-			Error:        s.errMsg,
+			ID:           k.id,
+			Parent:       k.parent,
+			TraceID:      k.traceID,
+			RemoteParent: k.remoteParent,
+			Name:         k.path[k.nameAt:],
+			Path:         k.path,
+			StartS:       k.sinceEpoch.Seconds(),
+			DurS:         k.dur.Seconds(),
+			Error:        k.errMsg,
 		}
-		if len(s.attrs) > 0 {
-			rec.Attrs = make(map[string]string, len(s.attrs))
-			for k, v := range s.attrs {
-				rec.Attrs[k] = v
+		if len(k.attrs) > 0 {
+			rec.Attrs = make(map[string]string, len(k.attrs))
+			for _, a := range k.attrs {
+				rec.Attrs[a.key] = a.value
 			}
 		}
-		s.mu.Unlock()
 		tr.Spans = append(tr.Spans, rec)
 	}
 	sort.Slice(tr.Spans, func(i, j int) bool {

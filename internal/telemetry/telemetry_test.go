@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -196,21 +198,127 @@ func TestStepClockDurations(t *testing.T) {
 	}
 }
 
+// TestSpanErrorAttrsEvents exports a trace and checks every field of
+// every record: IDs, parents, trace, name and path, times, error and
+// attributes. A key set twice keeps its last value, an integer reads as
+// %d prints it, and a child of a repeated sibling is named by the
+// sibling's ID but keeps the shared region path.
 func TestSpanErrorAttrsEvents(t *testing.T) {
+	tr := New(NewStepClock(epoch, time.Second)) // the epoch takes the first tick
+	ctx := WithTracer(context.Background(), tr)
+	_, first := StartSpan(ctx, "req") // +1s
+	first.SetAttr("method", "GET")
+	first.End()                          // +2s
+	rctx, again := StartSpan(ctx, "req") // +3s
+	_, s := StartSpan(rctx, "step")      // +4s
+	s.SetAttr("k", "a")
+	s.SetInt("zero", 0)
+	s.SetInt("neg", -42)
+	s.SetInt("max", math.MaxInt)
+	s.SetInt("min", math.MinInt)
+	s.SetAttr("k", "b")
+	s.SetError(nil) // nil error must not mark the span failed
+	s.SetError(errors.New("boom"))
+	s.End()     // +5s
+	again.End() // +6s
+	if len(s.attrs) != 5 {
+		t.Errorf("the span keeps %d attributes for 5 keys: a key set again must replace its value", len(s.attrs))
+	}
+	remote := TraceContext{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", ParentID: "00f067aa0ba902b7"}
+	_, joined := StartSpan(WithRemote(ctx, remote), "joined") // +7s
+	joined.End()                                              // +8s
+
+	own := tr.TraceID()
+	want := []SpanRecord{
+		{ID: "req", TraceID: own, Name: "req", Path: "req", StartS: 1, DurS: 1, Attrs: map[string]string{"method": "GET"}},
+		{ID: "req#2", TraceID: own, Name: "req", Path: "req", StartS: 3, DurS: 3},
+		{ID: "req#2/step", Parent: "req#2", TraceID: own, Name: "step", Path: "req/step", StartS: 4, DurS: 1, Error: "boom",
+			Attrs: map[string]string{"k": "b", "zero": "0", "neg": "-42",
+				"max": fmt.Sprintf("%d", math.MaxInt), "min": fmt.Sprintf("%d", math.MinInt)}},
+		{ID: "joined", TraceID: remote.TraceID, RemoteParent: remote.ParentID, Name: "joined", Path: "joined", StartS: 7, DurS: 1},
+	}
+	got := tr.Snapshot().Spans
+	if len(got) != len(want) {
+		t.Fatalf("exported %d spans, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("span %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSetAfterEndIsNotExported: End copies a span's record into the
+// tracer, so an attribute or error set on the span afterwards is not
+// exported, and the record already kept does not change.
+func TestSetAfterEndIsNotExported(t *testing.T) {
 	tr := New(FixedClock{T: epoch})
 	ctx := WithTracer(context.Background(), tr)
 	_, s := StartSpan(ctx, "a")
 	s.SetAttr("k", "v")
-	s.SetInt("n", 7)
-	s.SetError(nil) // nil error must not mark the span failed
-	s.SetError(errors.New("boom"))
 	s.End()
+	s.SetAttr("k", "late")
+	s.SetAttr("new", "late")
+	s.SetInt("n", 1)
+	s.SetError(errors.New("late"))
 	rec := tr.Snapshot().Spans[0]
-	if rec.Error != "boom" {
-		t.Fatalf("span error: %q", rec.Error)
+	if rec.Error != "" || !reflect.DeepEqual(rec.Attrs, map[string]string{"k": "v"}) {
+		t.Fatalf("a span changed after End exports error %q and attrs %v, want none and k=v", rec.Error, rec.Attrs)
 	}
-	if rec.Attrs["k"] != "v" || rec.Attrs["n"] != "7" {
-		t.Fatalf("span attrs: %v", rec.Attrs)
+}
+
+// TestConcurrentSiblingsNumberOnce: 8 goroutines start and end children
+// of one parent while Snapshot runs; each child gets its own "#n", and
+// every snapshot taken meanwhile exports whole records.
+func TestConcurrentSiblingsNumberOnce(t *testing.T) {
+	tr := New(FixedClock{T: epoch})
+	ctx := WithTracer(context.Background(), tr)
+	pctx, parent := StartSpan(ctx, "parent")
+	const workers, each = 8, 50
+	stop, snapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(snapped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, s := range tr.Snapshot().Spans {
+				if s.Name != "child" || s.Path != "parent/child" || s.Parent != "parent" || s.Attrs["worker"] == "" {
+					t.Errorf("a snapshot taken while children end exports %+v", s)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				_, c := StartSpan(pctx, "child")
+				c.SetInt("worker", w)
+				c.End()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-snapped
+	parent.End()
+	ids := map[string]bool{}
+	for _, s := range tr.Snapshot().Spans {
+		ids[s.ID] = true
+	}
+	if len(ids) != workers*each+1 || !ids["parent/child"] {
+		t.Fatalf("%d distinct span IDs, want %d with parent/child among them", len(ids), workers*each+1)
+	}
+	for n := 2; n <= workers*each; n++ {
+		if id := fmt.Sprintf("parent/child#%d", n); !ids[id] {
+			t.Fatalf("no child numbered %s", id)
+		}
 	}
 }
 

@@ -83,14 +83,16 @@ go vet ./...
 stage "benchlint" "(project invariants and source rules)"
 go run ./cmd/benchlint
 
+# -count=1 on every test step: a gate re-run on an unchanged tree runs
+# the tests again instead of reporting cached passes.
 stage "go test ./..."
-go test ./...
+go test -count=1 ./...
 # A test that registers a system in the process-wide registry must
 # pass when run twice in one process.
 go test -count=2 -run '^(TestProvisionCloudCluster|TestSuiteOnProvisionedCloudCluster|TestRunProvisionCmd|TestSubcommandsHonourTimeout)$' ./internal/hpcsim ./internal/core ./cmd/benchpark
 
 stage "go test -race" "(concurrent packages)"
-go test -race ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./cmd/ramble ./internal/mpisim ./internal/bench
+go test -race -count=1 ./internal/engine ./internal/core ./internal/install ./internal/buildcache ./internal/cachekey ./internal/telemetry ./internal/analysis ./internal/resultstore ./internal/resultsd ./internal/resultshard ./internal/loadgen ./internal/ci ./internal/metricsdb ./cmd/benchlint ./cmd/ramble ./internal/mpisim ./internal/bench
 # Order-independence of the rendered metrics is a claim about every
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
