@@ -151,17 +151,17 @@ func appendResult(dst []byte, r *Result, t *HeadTable) ([]byte, error) {
 	var foms [8]pair[float64]
 	var meta [8]pair[string]
 	h := headOf(r)
-	v := rowOf(r, &h, foms[:0], meta[:0])
-	ref, prev := t.next(h, nil, r.TraceID)
+	v := viewOf(r, &h, foms[:0], meta[:0])
+	ref, prev := t.next(&h, -1, r.TraceID)
 	return appendRow(dst, &v, ref, prev)
 }
 
-// appendRow is the one Result encoder, over the sorted pairs a row holds
-// — a stored one, or AppendResult's view of a Result. With ref -1 it
+// appendRow is the one Result encoder, over the sorted pairs a view
+// holds — a stored row's, or AppendResult's of a Result. With ref -1 it
 // writes what encoding/json does. Otherwise it writes the form a file
 // with a table holds: the head as ref, its index there, and the trace
 // ID only where it differs from prev, the previous result's.
-func appendRow(dst []byte, r *row, ref int, prev string) (_ []byte, err error) {
+func appendRow(dst []byte, r *view, ref int, prev string) (_ []byte, err error) {
 	start := len(dst)
 	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(r.Seq), 10)
 	if ref >= 0 {

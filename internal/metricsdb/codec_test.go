@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"strings"
@@ -152,13 +153,96 @@ func checkStored(t *testing.T, r *Result, want []byte) {
 	}
 }
 
+// checkBatches: copies of r — some under another head, some from
+// another run, some with their FOMs or Meta nil, empty or wider — go
+// into one DB in batches split where split's bits say and into another
+// one at a time. Both encode them as the flat list does, with and
+// without a file's table, and save the same JSON.
+func checkBatches(t *testing.T, r *Result, split uint64) {
+	t.Helper()
+	in := make([]Result, 3+split%29)
+	for i := range in {
+		c := *r
+		c.Seq = i + 1
+		if i%4 == 3 {
+			c.Experiment += "'"
+		}
+		if i%3 == 2 {
+			c.TraceID += "'"
+		}
+		switch i % 5 {
+		case 1:
+			c.FOMs, c.Meta = nil, nil
+		case 2:
+			c.FOMs, c.Meta = map[string]float64{}, map[string]string{}
+		case 3:
+			c.FOMs, c.Meta = maps.Clone(c.FOMs), maps.Clone(c.Meta)
+			if c.FOMs == nil {
+				c.FOMs = map[string]float64{}
+			}
+			if c.Meta == nil {
+				c.Meta = map[string]string{}
+			}
+			for j := 0; j < 9; j++ {
+				c.FOMs[fmt.Sprint("wide", j)] = float64(j)
+				c.Meta[fmt.Sprint("wide", j)] = c.Experiment
+			}
+		}
+		in[i] = c
+	}
+	batched, single := New(), New()
+	for at := 0; at < len(in); {
+		size := 1 + int(split&3)
+		split = split>>2 | split<<62
+		if err := batched.InsertAll(in[at:min(at+size, len(in))]); err != nil {
+			t.Fatal(err)
+		}
+		at += size
+	}
+	for i := range in {
+		if err := single.Insert(in[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := AppendResults(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flatTable HeadTable
+	file, err := appendResults(nil, in, &flatTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file = flatTable.AppendTables(file)
+	want, err := json.MarshalIndent(in, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"batched": batched, "one at a time": single} {
+		got, _, err := db.AppendJSONAfter([]byte{'['}, 0, len(in), math.MaxInt, nil)
+		if err != nil || string(append(got[:1], append(got[2:], ']')...)) != string(flat) {
+			t.Fatalf("%s: the DB encodes its results as\n%s (%v)\nthe flat list as\n%s", name, got, err, flat)
+		}
+		var table HeadTable
+		got, _, err = db.AppendJSONAfter([]byte{'['}, 0, len(in), math.MaxInt, &table)
+		if got = table.AppendTables(append(got[:1], append(got[2:], ']')...)); err != nil || !bytes.Equal(got, file) {
+			t.Fatalf("%s: the DB writes its results in a file as\n%s (%v)\nthe flat list as\n%s", name, got, err, file)
+		}
+		if save, err := db.SaveJSON(); err != nil || save != string(want) {
+			t.Fatalf("%s: SaveJSON wrote\n%s (%v)\njson.MarshalIndent\n%s", name, save, err, want)
+		}
+	}
+}
+
 // FuzzResultCodec is the differential test of the codec against the
 // encoding/json it replaces, both directions. Encode: a Result built
 // from the fuzz input marshals to the same bytes, or neither marshals,
 // those bytes decode back to it, and a DB that stores it hands the same
 // bytes back. Decode: arbitrary bytes are accepted by both or by
 // neither, into equal values; what was accepted is stored beside a
-// result of another head and comes back as it went in (checkHeads).
+// result of another head and comes back as it went in (checkHeads), and
+// stored with variants of itself in randomly split batches and one at
+// a time, which encode alike (checkBatches).
 func FuzzResultCodec(f *testing.F) {
 	full, _ := json.Marshal(fullResult())
 	for _, seed := range []string{
@@ -211,6 +295,7 @@ func FuzzResultCodec(f *testing.F) {
 		}
 		if decoded, ok := checkDecode(t, &d, data); ok {
 			checkHeads(t, &decoded, uint(shape))
+			checkBatches(t, &decoded, math.Float64bits(num)^uint64(shape))
 		}
 	})
 }

@@ -34,8 +34,8 @@ func checkPostings(t *testing.T, name string, db *DB) {
 			if int(pos) >= db.len() {
 				t.Fatalf("%s: postings of %+v name position %d of %d", name, k, pos, db.len())
 			}
-			if r := db.at(int(pos)); r.System != k.system || r.Benchmark != k.benchmark {
-				t.Errorf("%s: postings of %+v name Seq %d of (%s, %s)", name, k, r.Seq, r.System, r.Benchmark)
+			if r, h := db.at(int(pos)), &db.heads[db.at(int(pos)).head]; h.System != k.system || h.Benchmark != k.benchmark {
+				t.Errorf("%s: postings of %+v name Seq %d of (%s, %s)", name, k, r.Seq, h.System, h.Benchmark)
 			}
 		}
 		total += len(list)
@@ -551,22 +551,24 @@ func TestDetectRegressionsBorrowsItsSeries(t *testing.T) {
 }
 
 // flatHeads puts the head map of TestInsertNeverCopiesTheStore's
-// one-slice reference on the heap, where a DB's is.
-var flatHeads map[head]*head
+// reference on the heap, where a DB's is.
+var flatHeads map[head]int32
 
 // TestInsertNeverCopiesTheStore pins the write path's cost model: a
-// stored row is copied into its chunk once and no append moves it
-// again. Filling a 50,000-result database allocates under 1.3 times the
-// rows' own bytes (80 each), posting lists aside — measured 1.03 times;
-// one growing slice took 4.9 times, copying itself for every quarter it
-// grew by — and a database smaller than one chunk, all a benchmark
-// session ever builds, allocates what that slice and a map of its heads
-// did.
+// stored row and its pairs are copied into their chunks once and no
+// append moves them again. Filling a 50,000-result database of one FOM
+// each allocates under 1.3 times the bytes of its rows (32 each) and
+// pairs (24 each), posting lists aside — measured 1.03 times; a growing
+// slice of rows and one of pairs took 4.9 times, copying themselves for
+// every quarter they grew by — and a database smaller than one chunk,
+// all a benchmark session ever builds, allocates what those two slices
+// and a table of its heads did.
 func TestInsertNeverCopiesTheStore(t *testing.T) {
 	results := func(n int) []Result {
 		rs := make([]Result, n)
 		for i := range rs {
-			rs[i] = Result{Seq: i + 1, System: propSystems[i%3], Benchmark: propBenchmarks[i/3%2]}
+			rs[i] = Result{Seq: i + 1, System: propSystems[i%3], Benchmark: propBenchmarks[i/3%2],
+				FOMs: map[string]float64{"t": float64(i)}}
 		}
 		return rs
 	}
@@ -577,28 +579,36 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// flat is the storage the chunks replaced — one slice — under the
-	// same posting lists and one head per tuple; with keep false, the
-	// lists alone.
+	// flat is the storage the chunks replaced — a slice of rows and one
+	// of their pairs — under the same posting lists and head table; with
+	// keep false, the lists alone.
 	flat := func(rs []Result, keep bool) uint64 {
 		return allocated(func() {
 			var store []row
-			postings, heads := map[pairKey][]int32{}, map[head]*head{}
+			var pairs []pair[float64]
+			postings, heads, ids := map[pairKey][]int32{}, []head(nil), map[head]int32{}
 			for i := range rs {
 				if keep {
 					k := headOf(&rs[i])
-					h, ok := heads[k]
+					id, ok := ids[k]
 					if !ok {
-						h = new(head)
-						*h, heads[k] = k, h
+						id, heads = int32(len(heads)), append(heads, k)
+						ids[k] = id
 					}
-					store = append(store, storedRow(&rs[i], h))
+					at := len(pairs)
+					for name, v := range rs[i].FOMs {
+						pairs = append(pairs, pair[float64]{name, v})
+					}
+					store = append(store, row{Seq: rs[i].Seq, head: id,
+						foms: span{uint32(at), uint32(len(pairs) - at)}, meta: span{n: absent}})
 				}
 				k := pairKey{rs[i].System, rs[i].Benchmark}
 				postings[k] = append(postings[k], int32(i))
 			}
 			runtime.KeepAlive(store)
-			flatHeads = heads
+			runtime.KeepAlive(pairs)
+			runtime.KeepAlive(heads)
+			flatHeads = ids
 		})
 	}
 	chunked := func(rs []Result, group int) uint64 {
@@ -614,58 +624,66 @@ func TestInsertNeverCopiesTheStore(t *testing.T) {
 	}
 
 	large := results(50000)
-	own, lists := uint64(len(large))*uint64(unsafe.Sizeof(row{})), flat(large, false)
+	own := uint64(len(large)) * uint64(unsafe.Sizeof(row{})+unsafe.Sizeof(pair[float64]{}))
+	lists := flat(large, false)
 	got, was := chunked(large, 100)-lists, flat(large, true)-lists
-	t.Logf("%d bytes of rows: the DB allocates %d for them, one slice %d (posting lists, %d, aside)", own, got, was, lists)
+	t.Logf("%d bytes of rows and pairs: the DB allocates %d for them, two slices %d (posting lists, %d, aside)", own, got, was, lists)
 	if raceEnabled {
 		return
 	}
 	if got >= own*13/10 {
-		t.Errorf("storing %d bytes of rows allocated %d, want < 1.3x", own, got)
+		t.Errorf("storing %d bytes of rows and pairs allocated %d, want < 1.3x", own, got)
 	}
 	if was < 4*own {
-		t.Errorf("one slice allocated %d for %d bytes of rows: this no longer measures copying", was, own)
+		t.Errorf("two slices allocated %d for %d bytes of rows and pairs: this no longer measures copying", was, own)
 	}
 
 	small := results(600)
-	// 1 KiB: the DB, its chunk table and its posting map's first group,
-	// which a local slice and a local map keep on the stack, and the room
-	// its first head chunk keeps for two more heads.
-	if got, was := chunked(small, 1), flat(small, true); got > was+1<<10 {
-		t.Errorf("a 600-result DB allocated %d bytes, one slice with the same posting lists and heads %d", got, was)
+	// 1 KiB: the DB, its chunk tables, its trace table and its posting
+	// map's first group, which local slices and a local map keep on the
+	// stack.
+	got, was = chunked(small, 1), flat(small, true)
+	t.Logf("a 600-result DB allocates %d bytes, two slices with the same posting lists and heads %d", got, was)
+	if got > was+1<<10 {
+		t.Errorf("a 600-result DB allocated %d bytes, two slices with the same posting lists and heads %d", got, was)
 	}
 }
 
 // TestFirstChunkGrowsToChunkLen: the first chunk grows as a slice of
-// 80-byte rows does, through 307, 614 and then 1,024 rows, and that step
-// lands on chunkLen exactly: a full first chunk has no slack, and the
-// next result opens a second chunk instead of growing the first.
+// 32-byte rows does, through 512 and 852 rows, and its next step, which
+// would pass chunkLen, lands on chunkLen exactly: a full first chunk has
+// no slack, and the next result opens a second chunk instead of growing
+// the first.
 func TestFirstChunkGrowsToChunkLen(t *testing.T) {
 	db := New()
 	var caps []int
 	for i := 0; i <= chunkLen; i++ {
 		db.Add(Result{Benchmark: "b", System: "s", FOMs: map[string]float64{"t": float64(i)}})
-		if c := cap(db.chunks[0]); len(caps) == 0 || caps[len(caps)-1] != c {
+		if c := cap(db.rows[0]); len(caps) == 0 || caps[len(caps)-1] != c {
 			caps = append(caps, c)
 		}
 	}
-	if c := caps[len(caps)-1]; c != chunkLen || len(db.chunks) != 2 || len(db.chunks[0]) != chunkLen {
+	if c := caps[len(caps)-1]; c != chunkLen || len(db.rows) != 2 || len(db.rows[0]) != chunkLen {
 		t.Fatalf("the first chunk grew through capacities %v to %d rows in %d chunks, want it full at exactly %d and a second chunk",
-			caps, len(db.chunks[0]), len(db.chunks), chunkLen)
+			caps, len(db.rows[0]), len(db.rows), chunkLen)
+	}
+	if want := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 852, chunkLen}; unsafe.Sizeof(uintptr(0)) == 8 && !reflect.DeepEqual(caps, want) {
+		t.Errorf("the first chunk grew through capacities %v, want %v", caps, want)
 	}
 	t.Logf("the first chunk grew through capacities %v", caps)
 }
 
-// TestRowsShareTheirHeads pins what a stored result costs: a row points
-// at the one head of its series, so 100,000 one-FOM results over 512
-// heads keep under 112 B live each (110.4 measured) — the 80-byte row,
-// its 24-byte pair, its 4-byte posting and a share of the last chunk's
-// slack; 118 B when
+// TestRowsShareTheirHeads pins what a stored result costs: a row names
+// the one head of its series by number, so 100,000 one-FOM results over
+// 512 heads keep under 66 B live each (64.6 measured) — the 32-byte
+// row, its 24-byte pair in the FOM arena, its 4-byte posting and a share
+// of the last chunks' slack; 110.4 B when the row was 80 bytes, pointing
+// at its head and holding its pairs' and trace ID's headers, 118 B when
 // a row also held an ID beside its Seq, 188 B when every row held its
 // own five strings.
 func TestRowsShareTheirHeads(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(row{}) != 80 {
-		t.Errorf("a row is %d bytes, want 80", unsafe.Sizeof(row{}))
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(row{}) > 32 {
+		t.Errorf("a row is %d bytes, want at most 32", unsafe.Sizeof(row{}))
 	}
 	const results, heads = 100000, 512
 	tuples := make([]Result, heads)
@@ -692,15 +710,134 @@ func TestRowsShareTheirHeads(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / results
 	t.Logf("%d results over %d heads keep %.1f B live each", results, heads, per)
-	if !raceEnabled && per >= 112 {
-		t.Errorf("%d one-FOM results keep %.1f B live each, want < 112", results, per)
+	if !raceEnabled && per >= 66 {
+		t.Errorf("%d one-FOM results keep %.1f B live each, want < 66", results, per)
 	}
 	if len(db.heads) != heads {
 		t.Errorf("the DB holds %d heads, want %d", len(db.heads), heads)
 	}
 	for pos := range results {
-		if r, want := db.at(pos), db.heads[headOf(&tuples[pos%heads])]; r.head != want {
-			t.Fatalf("result %d points at head %p %+v, want the DB's %p", r.Seq, r.head, *r.head, want)
+		if r, want := db.at(pos), db.headIDs[headOf(&tuples[pos%heads])]; r.head != want || db.heads[want] != headOf(&tuples[pos%heads]) {
+			t.Fatalf("result %d names head %d %+v, want the DB's %d", r.Seq, r.head, db.heads[r.head], want)
+		}
+	}
+}
+
+// TestArenaEdgesMatchFlatOracle stores results whose pairs lie where the
+// arenas' layout has edges — runs of 9 to 13 pairs, which end a chunk
+// with a rest too short for the next run; runs of chunkLen-1, chunkLen
+// and chunkLen+1; nil, empty and single maps between them; and one
+// result of 1<<16+1 FOMs and Meta members, more than a 16-bit count
+// holds, which gets a chunk of its own — in batches and one at a time.
+// Query, QueryAfterN, AppendJSONAfter with and without a table, Series
+// and SaveJSON all answer as the flat list of what went in.
+func TestArenaEdgesMatchFlatOracle(t *testing.T) {
+	members := func(n int, seed int) (map[string]float64, map[string]string) {
+		foms, meta := make(map[string]float64, n), make(map[string]string, n)
+		for i := range n {
+			foms[fmt.Sprintf("f%05d", (i*7919+seed)%n)] = float64(i*seed) / 8
+			meta[fmt.Sprintf("m%d", n-i)] = fmt.Sprint(i + seed)
+		}
+		return foms, meta
+	}
+	var in []Result
+	add := func(foms map[string]float64, meta map[string]string) {
+		i := len(in)
+		in = append(in, Result{Seq: 3 * (i + 1), Benchmark: propBenchmarks[i%2], System: propSystems[i%3],
+			Experiment: propExperiments[i/5%2], FOMs: foms, Meta: meta, TraceID: fmt.Sprintf("run-%d", i/4)})
+	}
+	for i := 0; i < 600; i++ {
+		switch i % 7 {
+		case 0:
+			add(nil, nil)
+		case 1:
+			add(map[string]float64{}, map[string]string{})
+		case 2:
+			add(map[string]float64{"t": float64(i)}, nil)
+		default:
+			add(members(9+i%5, i))
+		}
+		switch i {
+		case 100:
+			add(members(chunkLen-1, i))
+		case 200:
+			add(members(chunkLen, i))
+		case 300:
+			add(members(chunkLen+1, i))
+		case 400:
+			add(members(1<<16+1, i))
+			in[len(in)-1].System = "wide" // in no filtered read
+		}
+	}
+
+	batched, single := New(), New()
+	for at, size := 0, 1; at < len(in); at, size = at+size, size%37+1 {
+		if err := batched.InsertAll(in[at:min(at+size, len(in))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range in {
+		if err := single.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var short, own bool // a chunk left with a rest unused, a chunk of a run's own
+	for _, chunk := range batched.foms[:len(batched.foms)-1] {
+		short = short || len(chunk) < chunkLen
+		own = own || cap(chunk) > chunkLen
+	}
+	if !short || !own {
+		t.Fatalf("the FOM arena's chunks (%d) have no unused rest (%v) or no chunk of a run's own (%v): this no longer tests the edges",
+			len(batched.foms), short, own)
+	}
+
+	flatJSON, err := AppendResults(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flatTable HeadTable
+	flatFile, err := appendResults(nil, in, &flatTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatFile = flatTable.AppendTables(flatFile)
+	flatSave, err := json.MarshalIndent(in, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &oracle{arrived: in}
+	for name, db := range map[string]*DB{"batched": batched, "one at a time": single} {
+		if got := db.Query(Filter{}); !reflect.DeepEqual(got, in) {
+			t.Fatalf("%s: Query returns %d results that are not the %d stored", name, len(got), len(in))
+		}
+		for _, f := range []Filter{{System: "s1", Benchmark: "b0"}, {System: "s2"}, {Experiment: "e1"}} {
+			if got, want := db.Query(f), o.query(f); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Query(%+v) = Seqs %v, want %v", name, f, seqs(got), seqs(want))
+			}
+			for _, fom := range []string{"t", "f00003", "f65536"} {
+				if got, want := db.Series(f, fom), o.series(f, fom); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Series(%+v, %q) = %v, want %v", name, f, fom, got, want)
+				}
+			}
+		}
+		for seq := 0; seq <= in[len(in)-1].Seq; seq += 61 {
+			if got, want := db.QueryAfterN(seq, 50), o.after(seq, 50); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: QueryAfterN(%d, 50) = Seqs %v, want %v", name, seq, seqs(got), seqs(want))
+			}
+		}
+		got, last, err := db.AppendJSONAfter(nil, 0, math.MaxInt, math.MaxInt, nil)
+		if err != nil || last != in[len(in)-1].Seq || string(got[1:]) != string(flatJSON[1:len(flatJSON)-1]) {
+			t.Fatalf("%s: AppendJSONAfter wrote %d bytes (%v, last %d), not the %d of the stored results", name, len(got), err, last, len(flatJSON))
+		}
+		var table HeadTable
+		if got, _, err = db.AppendJSONAfter([]byte{'['}, 0, math.MaxInt, math.MaxInt, &table); err == nil {
+			got = table.AppendTables(append(got[:1], append(got[2:], ']')...))
+		}
+		if err != nil || string(got) != string(flatFile) {
+			t.Fatalf("%s: AppendJSONAfter with a table wrote %d bytes (%v), not the %d a file of the stored results holds", name, len(got), err, len(flatFile))
+		}
+		if save, err := db.SaveJSON(); err != nil || save != string(flatSave) {
+			t.Fatalf("%s: SaveJSON wrote %d bytes (%v), json.MarshalIndent of the stored results %d", name, len(save), err, len(flatSave))
 		}
 	}
 }

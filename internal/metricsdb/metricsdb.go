@@ -45,7 +45,8 @@ type Result struct {
 // head is the part of a Result its series repeats: every result of one
 // experiment on one system carries the same five strings, so a DB holds
 // one head per distinct tuple (DB.heads) and every row with that tuple
-// points at it. A head is never changed once a row points at it.
+// names it by its number there. A head is never changed once a row
+// names it.
 type head struct {
 	Benchmark, Workload, System, Experiment, Manifest string
 }
@@ -55,18 +56,39 @@ func headOf(r *Result) head {
 	return head{r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest}
 }
 
-// row is how a DB holds one Result: its head, shared with every row of
-// the same tuple, the other scalar fields, and FOMs and Meta as
+// row is how a DB holds one Result, in 32 bytes: its Seq; its head by
+// number, shared with every row of the same tuple (DB.heads); its trace
+// ID by number, shared with the rows next to it from the same run
+// (DB.traces); and where its FOMs and Meta lie in the DB's arenas, as
 // name-sorted (name, value) pairs instead of maps — a one-FOM map costs
-// 256 bytes, its pair 24. A nil map is kept as a nil slice and an empty
-// one as an empty slice, so "foms":null and {} both come back as they
-// went in. Add and InsertAll copy a Result's maps into a row and every
-// read builds fresh ones, so nothing a caller holds aliases what is
-// stored; strings are immutable, so reads hand the head's out as they
-// are. Embedding the head keeps r.System and the rest readable as
-// fields: a row is 80 bytes, where the five strings of its own made it
-// 160.
+// 256 bytes, its pair 24. Add and InsertAll copy a Result's maps into
+// the arenas and every read builds fresh ones, so nothing a caller holds
+// aliases what is stored; strings are immutable, so reads hand the
+// head's and the trace table's out as they are. A row was 80 bytes when
+// it held a *head, two pair slices and its trace ID's string header,
+// 160 when it held the five strings of its head too.
 type row struct {
+	Seq         int
+	head, trace int32
+	foms, meta  span
+}
+
+// span is where a row's FOMs or Meta lie in their arena: n pairs from
+// position at. A nil map is the span of absent pairs and an empty one
+// a span of none, so "foms":null and {} both come back as they went in.
+type span struct{ at, n uint32 }
+
+// absent is the n of a nil map's span. No map comes near it: a result
+// with 2^32-1 members is more JSON than any file or body a store reads.
+const absent = math.MaxUint32
+
+// view is a Result as the encoder and the reads walk it: the row's head
+// and trace ID resolved, its maps as the sorted pairs. A stored row's
+// (DB.view) reads the DB's tables and arenas in place, so it is valid
+// while the caller holds db.mu; AppendResult's (viewOf) is built on the
+// stack. Embedding the head keeps v.System and the rest readable as
+// fields.
+type view struct {
 	Seq int
 	*head
 	FOMs    []pair[float64]
@@ -74,77 +96,153 @@ type row struct {
 	TraceID string
 }
 
-// rowOf copies r into a row under head h, its maps' pairs appended to
-// foms and meta.
-func rowOf(r *Result, h *head, foms []pair[float64], meta []pair[string]) row {
-	return row{
+// viewOf is r under head h, its maps' pairs appended to foms and meta.
+func viewOf(r *Result, h *head, foms []pair[float64], meta []pair[string]) view {
+	return view{
 		Seq: r.Seq, head: h,
 		FOMs: sortedPairs(foms, r.FOMs), Meta: sortedPairs(meta, r.Meta),
 		TraceID: r.TraceID,
 	}
 }
 
-// storedRow is rowOf into pairs of the row's own, sized once.
-func storedRow(r *Result, h *head) row {
-	return rowOf(r, h, make([]pair[float64], 0, len(r.FOMs)), make([]pair[string], 0, len(r.Meta)))
-}
-
-// result is the Result r holds, with maps of its own.
-func (r *row) result() Result {
+// result is the Result v shows, with maps of its own.
+func (v *view) result() Result {
 	return Result{
-		Seq: r.Seq, Benchmark: r.Benchmark, Workload: r.Workload, System: r.System, Experiment: r.Experiment,
-		FOMs: mapOf(r.FOMs), Meta: mapOf(r.Meta),
-		Manifest: r.Manifest, TraceID: r.TraceID,
+		Seq: v.Seq, Benchmark: v.Benchmark, Workload: v.Workload, System: v.System, Experiment: v.Experiment,
+		FOMs: mapOf(v.FOMs), Meta: mapOf(v.Meta),
+		Manifest: v.Manifest, TraceID: v.TraceID,
 	}
 }
 
-// fom is the value of the FOM named name, if r has one.
-func (r *row) fom(name string) (float64, bool) {
-	for _, p := range r.FOMs {
-		if p.name == name {
-			return p.value, true
-		}
-	}
-	return 0, false
-}
-
-// chunkLen is how many rows one chunk of a DB holds: 1024 of them are
-// 80 KiB, so the slack a growing store carries — one partly filled
-// chunk — stays a rounding error beside the rows themselves, while a
-// 100k-result store still needs under a hundred chunk headers. It is
-// also larger than any store the benchmark loop builds in one session,
-// which therefore never leaves the first chunk, the one that grows as a
-// slice does (see push).
+// chunkLen is how many rows one chunk of a DB holds, and how many pairs
+// one chunk of an arena: 1024 rows are 32 KiB, so the slack a growing
+// store carries — one partly filled chunk of each — stays a rounding
+// error beside the rows themselves, while a 100k-result store still
+// needs about a hundred chunk headers. It is also larger than any store
+// the benchmark loop builds in one session, which therefore never leaves
+// the first chunk, the one that grows as a slice does (see add).
 const (
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
 )
 
+// chunked holds Ts at global positions that never move: the Ts from
+// position p on are c[p>>chunkShift][p&chunkMask:]. A DB's rows and its
+// trace table hold one T a position, every chunk but the last full; its
+// arenas hold each row's run of pairs whole in one chunk.
+type chunked[T any] [][]T
+
+// len is how many Ts c holds, when it holds one a position: the rows,
+// the trace table.
+func (c chunked[T]) len() int {
+	if len(c) == 0 {
+		return 0
+	}
+	return (len(c)-1)<<chunkShift + len(c[len(c)-1])
+}
+
+// at is the T at position pos.
+func (c chunked[T]) at(pos int) *T { return &c[pos>>chunkShift][pos&chunkMask] }
+
+// run is the pairs s names: nil for a nil map's, capped, so appending to
+// them cannot write into the arena.
+func (c chunked[T]) run(s span) []T {
+	switch s.n {
+	case absent:
+		return nil
+	case 0:
+		return []T{}
+	}
+	p := int(s.at)
+	return c[p>>chunkShift][p&chunkMask:][:s.n:s.n]
+}
+
+// add makes room for n > 0 Ts in one chunk, and returns the position of
+// the first and the n of them. The first chunk grows the way a slice
+// does, so a small store costs what a plain slice would: append doubles
+// a full slice below 256 elements and from there grows n to
+// n+(n+768)/4, each rounded up to a size class, so 32-byte rows grow
+// through 512 and 852 — and then to chunkLen itself, where the chunk
+// stops (TestFirstChunkGrowsToChunkLen), instead of past it. Every later
+// chunk is allocated whole, once: chunkLen Ts, or n when a run is longer
+// than that, which gets a chunk of its own. A run that does not fit
+// what is left of the newest chunk opens the next one and leaves that
+// rest unused, so one T at a time fills every chunk.
+func (c *chunked[T]) add(n int) (pos int, run []T) {
+	if len(*c) == 0 {
+		*c = append(*c, nil)
+	}
+	k := len(*c) - 1
+	last := (*c)[k]
+	if len(last)+n > cap(last) {
+		switch {
+		case k > 0 || len(last)+n > chunkLen:
+			*c, k, last = append(*c, nil), k+1, make([]T, 0, max(n, chunkLen))
+		case grownCap(cap(last)) >= chunkLen:
+			last = append(make([]T, 0, chunkLen), last...)
+		default:
+			last = slices.Grow(last, n)
+		}
+	}
+	pos, last = k<<chunkShift+len(last), last[:len(last)+n]
+	(*c)[k] = last
+	return pos, last[len(last)-n:]
+}
+
+// grownCap is the capacity append grows a full slice of capacity c to,
+// before rounding up to a size class.
+func grownCap(c int) int {
+	if c < 256 {
+		return 2 * c
+	}
+	return c + (c+768)/4
+}
+
+// putPairs stores m's members in arena a sorted by name, as encoding/json
+// orders a map's keys, and returns their span.
+func putPairs[V any](a *chunked[pair[V]], m map[string]V) span {
+	if m == nil {
+		return span{n: absent}
+	}
+	if len(m) == 0 {
+		return span{}
+	}
+	at, run := a.add(len(m))
+	sortedPairs(run[:0], m)
+	return span{uint32(at), uint32(len(m))}
+}
+
 // DB is a thread-safe result store.
 type DB struct {
 	mu sync.RWMutex
-	// chunks holds the results in Seq order — a DB only appends, and
+	// rows holds the results in Seq order — a DB only appends, and
 	// InsertAll refuses a Seq that is not above the newest row's, which is
 	// therefore the DB's one watermark (maxSeq) — at global positions:
-	// result p is chunks[p>>chunkShift][p&chunkMask], and every chunk but
-	// the last is full. Nothing moves a stored result (see push).
-	chunks [][]row
+	// result p is rows.at(p). Nothing moves a stored result (see add).
+	rows chunked[row]
+	// foms and meta are the arenas: every row's FOMs and Meta pairs, a
+	// row's run at the span it holds. Pairs, like rows, are never moved or
+	// changed once stored.
+	foms chunked[pair[float64]]
+	meta chunked[pair[string]]
+	// traces holds the rows' trace IDs, one entry a run: it gains one
+	// only when a row's trace ID differs from the row's before it, so the
+	// results of one push share an entry.
+	traces chunked[string]
 	// postings lists, per (system, benchmark) pair, the positions of
 	// that pair's results, ascending — so in Seq order. A dashboard
 	// series pins exactly that pair, and each (see there) walks its list
 	// instead of scanning. Positions are int32 to keep the index at 4
-	// bytes a result: a process cannot hold 2^31 rows (80 bytes each
-	// before their pairs and heads) anyway.
+	// bytes a result: a process cannot hold 2^31 rows (32 bytes each
+	// before their pairs) anyway.
 	postings map[pairKey][]int32
-	// heads maps each distinct head to the one copy every row with that
-	// tuple points at. A store's results repeat a few hundred tuples —
-	// a nightly reruns the same experiments — thousands of times each.
-	// The copies live in chunks as the rows do, allocated whole and
-	// never moved: headChunk is the newest (see intern), so a store of a
-	// few experiments allocates room for a few.
-	heads     map[head]*head
-	headChunk []head
+	// heads holds each distinct head once, and headIDs its number there,
+	// which every row with that tuple holds. A store's results repeat a
+	// few hundred tuples — a nightly reruns the same experiments —
+	// thousands of times each.
+	heads   []head
+	headIDs map[head]int32
 }
 
 // pairKey names one posting list. Its strings alias the head of the
@@ -152,82 +250,105 @@ type DB struct {
 type pairKey struct{ system, benchmark string }
 
 // New returns an empty database.
-func New() *DB { return &DB{postings: map[pairKey][]int32{}, heads: map[head]*head{}} }
+func New() *DB { return &DB{postings: map[pairKey][]int32{}, headIDs: map[head]int32{}} }
 
-// intern returns the DB's copy of h, storing one first when h is new.
-// Heads live in chunks, as rows do. The first holds 8, what one suite's
-// session brings; a store past that is a fleet's, so the next chunk
-// takes the table to 64 heads at once, its map made anew for as many,
-// and each later chunk holds three times all heads before it, at most
-// chunkLen, while the map grows by itself. A store that keeps gaining
-// experiments thus pays for its heads in few writes. Caller holds db.mu.
-func (db *DB) intern(h head) *head {
-	if held, ok := db.heads[h]; ok {
-		return held
+// intern returns h's number, storing h first when it is new. The table
+// grows as a slice and a map do, but for its first two steps: the first
+// 8 heads are what one suite's session brings, so the slice starts with
+// room for 8, and a store past that is a fleet's, so the slice and the
+// map are made anew for 64 at once. A bulk push that brings new
+// experiments thus rarely grows them. Caller holds db.mu.
+func (db *DB) intern(h head) int32 {
+	if id, ok := db.headIDs[h]; ok {
+		return id
 	}
-	if n := len(db.heads); len(db.headChunk) == cap(db.headChunk) {
-		room := min(max(3*n, 8), chunkLen)
-		if n == 8 {
-			room = 64 - n
-			heads := make(map[head]*head, 64)
-			maps.Copy(heads, db.heads)
-			db.heads = heads
-		}
-		db.headChunk = make([]head, 0, room)
+	id := int32(len(db.heads))
+	switch id {
+	case 0:
+		db.heads = make([]head, 0, 8)
+	case 8:
+		db.heads = append(make([]head, 0, 64), db.heads...)
+		ids := make(map[head]int32, 64)
+		maps.Copy(ids, db.headIDs)
+		db.headIDs = ids
 	}
-	db.headChunk = append(db.headChunk, h)
-	held := &db.headChunk[len(db.headChunk)-1]
-	db.heads[h] = held
-	return held
+	db.heads = append(db.heads, h)
+	db.headIDs[h] = id
+	return id
+}
+
+// traceOf returns the number of trace ID id, adding an entry to the
+// trace table when id is not the newest one's. Caller holds db.mu.
+func (db *DB) traceOf(id string) int32 {
+	n := db.traces.len()
+	if n == 0 || *db.traces.at(n - 1) != id {
+		_, run := db.traces.add(1)
+		run[0] = id
+		n++
+	}
+	return int32(n - 1)
 }
 
 // len is the number of stored results. Caller holds db.mu.
-func (db *DB) len() int {
-	if len(db.chunks) == 0 {
-		return 0
-	}
-	return (len(db.chunks)-1)<<chunkShift + len(db.chunks[len(db.chunks)-1])
-}
+func (db *DB) len() int { return db.rows.len() }
 
 // at is the row at position pos < len. Caller holds db.mu.
-func (db *DB) at(pos int) *row { return &db.chunks[pos>>chunkShift][pos&chunkMask] }
+func (db *DB) at(pos int) *row { return db.rows.at(pos) }
 
-// push stores r at the top position. The first chunk grows the way a
-// slice does, so a small store costs what a plain []row would: append
-// doubles a full slice below 256 elements and from there grows n to
-// n+(n+768)/4, each rounded up to a size class, so 80-byte rows grow
-// 153, 307, 614 and then 1,024 — chunkLen itself, where the chunk stops
-// (TestFirstChunkGrowsToChunkLen). Every later chunk is allocated
-// whole, once. Caller holds db.mu.
-func (db *DB) push(r row) {
-	if n := len(db.chunks); n == 0 {
-		db.chunks = append(db.chunks, nil)
-	} else if len(db.chunks[n-1]) == chunkLen {
-		db.chunks = append(db.chunks, make([]row, 0, chunkLen))
+// view is r as the encoder and the reads walk it. Caller holds db.mu.
+func (db *DB) view(r *row) view {
+	return view{
+		Seq: r.Seq, head: &db.heads[r.head],
+		FOMs: db.foms.run(r.foms), Meta: db.meta.run(r.meta),
+		TraceID: *db.traces.at(int(r.trace)),
 	}
-	last := &db.chunks[len(db.chunks)-1]
-	*last = append(*last, r)
+}
+
+// result is the Result r holds, with maps of its own. Caller holds
+// db.mu.
+func (db *DB) result(r *row) Result {
+	v := db.view(r)
+	return v.result()
+}
+
+// fom is the value of r's FOM named name, if r has one. Caller holds
+// db.mu.
+func (db *DB) fom(r *row, name string) (float64, bool) {
+	for _, p := range db.foms.run(r.foms) {
+		if p.name == name {
+			return p.value, true
+		}
+	}
+	return 0, false
+}
+
+// store appends a copy of r under Seq seq, and posts it. Caller holds
+// db.mu.
+func (db *DB) store(r *Result, seq int) {
+	pos, run := db.rows.add(1)
+	run[0] = row{
+		Seq: seq, head: db.intern(headOf(r)), trace: db.traceOf(r.TraceID),
+		foms: putPairs(&db.foms, r.FOMs), meta: putPairs(&db.meta, r.Meta),
+	}
+	db.post(pos)
 }
 
 // post appends pos, the highest position posted so far, to the list of
 // the pair the result there belongs to. Caller holds db.mu.
 func (db *DB) post(pos int) {
-	r := db.at(pos)
-	k := pairKey{r.System, r.Benchmark}
+	h := &db.heads[db.at(pos).head]
+	k := pairKey{h.System, h.Benchmark}
 	db.postings[k] = append(db.postings[k], int32(pos))
 }
 
 // Add stores a copy of a result under the next sequence number, one
 // past the newest row's, which it returns.
 func (db *DB) Add(r Result) int {
-	rw := storedRow(&r, nil)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rw.Seq = db.maxSeq() + 1
-	rw.head = db.intern(headOf(&r))
-	db.push(rw)
-	db.post(db.len() - 1)
-	return rw.Seq
+	seq := db.maxSeq() + 1
+	db.store(&r, seq)
+	return seq
 }
 
 // InsertAll stores copies of rs under the Seqs they carry, under one
@@ -250,8 +371,7 @@ func (db *DB) InsertAll(rs []Result) error {
 		last, held = rs[i].Seq, true
 	}
 	for i := range rs {
-		db.push(storedRow(&rs[i], db.intern(headOf(&rs[i]))))
-		db.post(db.len() - 1)
+		db.store(&rs[i], rs[i].Seq)
 	}
 	return nil
 }
@@ -293,11 +413,11 @@ type Filter struct {
 	Experiment string
 }
 
-func (f Filter) matches(r *row) bool {
-	return (f.Benchmark == "" || f.Benchmark == r.Benchmark) &&
-		(f.Workload == "" || f.Workload == r.Workload) &&
-		(f.System == "" || f.System == r.System) &&
-		(f.Experiment == "" || f.Experiment == r.Experiment)
+func (f Filter) matches(h *head) bool {
+	return (f.Benchmark == "" || f.Benchmark == h.Benchmark) &&
+		(f.Workload == "" || f.Workload == h.Workload) &&
+		(f.System == "" || f.System == h.System) &&
+		(f.Experiment == "" || f.Experiment == h.Experiment)
 }
 
 // each calls fn for every stored result f matches, in sequence order.
@@ -310,15 +430,15 @@ func (db *DB) each(f Filter, fn func(r *row)) {
 	if f.System != "" && f.Benchmark != "" {
 		rest := Filter{Workload: f.Workload, Experiment: f.Experiment}
 		for _, pos := range db.postings[pairKey{f.System, f.Benchmark}] {
-			if r := db.at(int(pos)); rest.matches(r) {
+			if r := db.at(int(pos)); rest.matches(&db.heads[r.head]) {
 				fn(r)
 			}
 		}
 		return
 	}
-	for _, chunk := range db.chunks {
+	for _, chunk := range db.rows {
 		for i := range chunk {
-			if r := &chunk[i]; f.matches(r) {
+			if r := &chunk[i]; f.matches(&db.heads[r.head]) {
 				fn(r)
 			}
 		}
@@ -331,7 +451,7 @@ func (db *DB) Query(f Filter) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Result
-	db.each(f, func(r *row) { out = append(out, r.result()) })
+	db.each(f, func(r *row) { out = append(out, db.result(r)) })
 	return out
 }
 
@@ -358,7 +478,7 @@ func (db *DB) resultsFrom(pos, n int) []Result {
 	}
 	out := make([]Result, n)
 	for i := range out {
-		out[i] = db.at(pos + i).result()
+		out[i] = db.result(db.at(pos + i))
 	}
 	return out
 }
@@ -381,8 +501,9 @@ func (db *DB) AppendJSONAfter(dst []byte, after, upto, limit int, t *HeadTable) 
 		if r.Seq > upto {
 			break
 		}
-		ref, prev := t.next(*r.head, r.head, r.TraceID)
-		if dst, err = appendRow(append(dst, ','), r, ref, prev); err != nil {
+		v := db.view(r)
+		ref, prev := t.next(v.head, r.head, v.TraceID)
+		if dst, err = appendRow(append(dst, ','), &v, ref, prev); err != nil {
 			return dst, last, err
 		}
 		last = r.Seq
@@ -421,7 +542,7 @@ func (db *DB) appendSeries(dst []Point, f Filter, fom string) []Point {
 	defer db.mu.RUnlock()
 	n := 0
 	db.each(f, func(r *row) {
-		if _, ok := r.fom(fom); ok {
+		if _, ok := db.fom(r, fom); ok {
 			n++
 		}
 	})
@@ -434,8 +555,8 @@ func (db *DB) appendSeries(dst []Point, f Filter, fom string) []Point {
 		dst = slices.Grow(dst, n)
 	}
 	db.each(f, func(r *row) {
-		if v, ok := r.fom(fom); ok {
-			dst = append(dst, Point{Seq: r.Seq, Value: v, TraceID: r.TraceID})
+		if v, ok := db.fom(r, fom); ok {
+			dst = append(dst, Point{Seq: r.Seq, Value: v, TraceID: *db.traces.at(int(r.trace))})
 		}
 	})
 	return dst
@@ -580,13 +701,14 @@ func (db *DB) Usage() []UsageRow {
 	}
 	m := map[string]*agg{}
 	db.each(Filter{}, func(r *row) {
-		a, ok := m[r.Benchmark]
+		h := &db.heads[r.head]
+		a, ok := m[h.Benchmark]
 		if !ok {
 			a = &agg{systems: map[string]bool{}}
-			m[r.Benchmark] = a
+			m[h.Benchmark] = a
 		}
 		a.runs++
-		a.systems[r.System] = true
+		a.systems[h.System] = true
 		if r.Seq > a.last {
 			a.last = r.Seq
 		}

@@ -398,7 +398,7 @@ func TestResultsStayInSeqOrder(t *testing.T) {
 	reference := func(f Filter, after int) []Result {
 		var out []Result
 		for _, r := range shuffled {
-			if h := headOf(&r); r.Seq > after && f.matches(&row{head: &h}) {
+			if h := headOf(&r); r.Seq > after && f.matches(&h) {
 				out = append(out, r)
 			}
 		}
@@ -485,13 +485,11 @@ func seqs(rs []Result) []int {
 }
 
 // TestStoredRowsHoldNoMap pins the stored layout: the rows DB's chunks
-// hold keep their FOMs and Meta as name-sorted pairs, so no map (with
-// its buckets and its random iteration order) is reachable from one.
+// hold keep their FOMs and Meta as spans of name-sorted pairs in the
+// DB's arenas, so no map (with its buckets and its random iteration
+// order) is reachable from a row, from an arena, or from the head and
+// trace tables a row names.
 func TestStoredRowsHoldNoMap(t *testing.T) {
-	chunks, ok := reflect.TypeOf(DB{}).FieldByName("chunks")
-	if !ok {
-		t.Fatal("DB has no chunks field")
-	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
@@ -505,5 +503,11 @@ func TestStoredRowsHoldNoMap(t *testing.T) {
 			}
 		}
 	}
-	walk("DB.chunks", chunks.Type)
+	for _, name := range []string{"rows", "foms", "meta", "traces", "heads"} {
+		field, ok := reflect.TypeOf(DB{}).FieldByName(name)
+		if !ok {
+			t.Fatalf("DB has no %s field", name)
+		}
+		walk("DB."+name, field.Type)
+	}
 }

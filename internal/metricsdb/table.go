@@ -21,81 +21,92 @@ import (
 //
 // Encoding (HeadTable.AppendRecord, DB.AppendJSONAfter), the table
 // gathers the heads as the results are written, and carries the trace
-// rule from one page of a file to the next. Decoding (Decoder.Table,
+// rule from one page of a file to the next; within one file, the rows a
+// table is given come from one DB. Decoding (Decoder.Table,
 // Decoder.UseTable), it holds what the file lists. The zero value is an
 // empty table.
 type HeadTable struct {
 	heads     []head
 	manifests []string
-	rows      map[*head]int  // heads[i] by the DB's copy, which its rows share
+	ids       []int32        // i+1 at the DB's number for heads[i], 0 at a head not listed
 	values    map[head]int   // heads[i] by value
 	refs      map[string]int // i+1 by manifests[i], so a head without one finds -1
 	last      int            // the index ref returned last
-	lastRow   *head          // the DB head ref was given last
 	trace     string         // the previous result's trace ID
 }
 
-// maxIdleHeads is the most heads a HeadTable keeps room for across a
-// Reset: a few sessions' experiments. A wider file's table goes with it,
-// so emptying it never costs its size again.
+// maxIdleHeads is the most heads a table of heads given by value keeps
+// room for across a Reset: a few sessions' experiments. A wider file's
+// table goes with it, so emptying it never costs its size again.
 const maxIdleHeads = 64
 
 // next is what a result of head h and trace ID trace is written with in
 // t's file — h's index, h added on first use, and the trace ID of the
 // result before it — and records trace for the next one. Without a
-// table it is -1 and "": the form encoding/json writes. row is the DB's
-// shared copy of h, nil for a head given by value.
-func (t *HeadTable) next(h head, row *head, trace string) (ref int, prev string) {
+// table it is -1 and "": the form encoding/json writes. id is the DB's
+// number for h, -1 for a head given by value.
+func (t *HeadTable) next(h *head, id int32, trace string) (ref int, prev string) {
 	if t == nil {
 		return -1, ""
 	}
 	prev, t.trace = t.trace, trace
-	return t.ref(h, row), prev
+	return t.ref(h, id), prev
 }
 
-// ref is h's index, h added on first use. A DB's rows (row, the DB's
-// copy of h) are keyed by the head they share (DB.intern), so a run of
-// equal heads costs one pointer compare and a new one hashes no string;
-// heads given by value are keyed by value.
-func (t *HeadTable) ref(h head, row *head) int {
-	if row != nil && row == t.lastRow || row == nil && t.last < len(t.heads) && t.heads[t.last] == h {
-		return t.last
+// ref is h's index, h added on first use. A DB's rows (id >= 0) are
+// looked up by the number the DB gave their head (DB.intern), so no
+// string is hashed or compared; heads given by value are keyed by value,
+// a run of equal ones compared with the last.
+func (t *HeadTable) ref(h *head, id int32) int {
+	if id >= 0 && int(id) < len(t.ids) && t.ids[id] > 0 {
+		return int(t.ids[id]) - 1
 	}
-	i, ok := t.values[h]
-	if row != nil {
-		i, ok = t.rows[row]
+	if id < 0 {
+		if t.last < len(t.heads) && t.heads[t.last] == *h {
+			return t.last
+		}
+		if i, ok := t.values[*h]; ok {
+			t.last = i
+			return i
+		}
 	}
-	if !ok {
-		if t.refs == nil {
-			t.rows, t.values, t.refs = map[*head]int{}, map[head]int{}, map[string]int{}
-		}
-		if t.refs[h.Manifest] == 0 && h.Manifest != "" {
-			t.manifests = append(t.manifests, h.Manifest)
-			t.refs[h.Manifest] = len(t.manifests)
-		}
-		if i = len(t.heads); row != nil {
-			t.rows[row] = i
-		} else {
-			t.values[h] = i
-		}
-		t.heads = append(t.heads, h)
+	if t.refs == nil {
+		t.values, t.refs = map[head]int{}, map[string]int{}
 	}
-	t.last, t.lastRow = i, row
+	if t.refs[h.Manifest] == 0 && h.Manifest != "" {
+		t.manifests = append(t.manifests, h.Manifest)
+		t.refs[h.Manifest] = len(t.manifests)
+	}
+	i := len(t.heads)
+	if id >= 0 {
+		if grow := int(id) + 1 - len(t.ids); grow > 0 {
+			t.ids = append(t.ids, make([]int32, grow)...)
+		}
+		t.ids[id] = int32(i + 1)
+	} else {
+		t.values[*h] = i
+	}
+	t.heads = append(t.heads, *h)
+	t.last = i
 	return i
 }
 
 // Reset empties the table for the next file, keeping none of its
-// strings, and its storage only while that is small.
+// strings. A table a DB's rows were written through keeps all of its
+// storage: it lists that DB's heads, so the next file it writes — a
+// store's next generation — names as many again, and emptying it costs
+// less than growing it anew. A table of heads given by value keeps its
+// storage only while that is small.
 func (t *HeadTable) Reset() {
 	clear(t.heads)
 	clear(t.manifests)
-	clear(t.rows)
+	clear(t.ids)
 	clear(t.values)
 	clear(t.refs)
-	if len(t.heads) > maxIdleHeads {
+	if len(t.heads) > maxIdleHeads && t.ids == nil {
 		*t = HeadTable{}
 	} else {
-		*t = HeadTable{heads: t.heads[:0], manifests: t.manifests[:0], rows: t.rows, values: t.values, refs: t.refs}
+		*t = HeadTable{heads: t.heads[:0], manifests: t.manifests[:0], ids: t.ids, values: t.values, refs: t.refs}
 	}
 }
 
@@ -105,7 +116,8 @@ func (t *HeadTable) Reset() {
 func (t *HeadTable) AppendRecord(dst []byte, trace string, rs []Result) ([]byte, error) {
 	defer t.Reset()
 	for i := range rs {
-		t.ref(headOf(&rs[i]), nil)
+		h := headOf(&rs[i])
+		t.ref(&h, -1)
 	}
 	t.trace = trace
 	return appendResults(append(t.AppendTables(dst), `,"results":`...), rs, t)

@@ -191,7 +191,7 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 
 	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextSeq: next, Keys: []string{"no manifests", "traced <&>", "untraced"}}
 	var file bytes.Buffer
-	if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
+	if n, err := (generationFile{s.db, head, new(metricsdb.HeadTable)}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 		t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 	}
 	if whole := generationBytes(t, head, s.db.QueryAfterN(0, next)); !bytes.Equal(file.Bytes(), whole) {
@@ -204,17 +204,18 @@ func TestWrittenBytesMatchEncodingJSON(t *testing.T) {
 
 // TestAppendManyAllocationBudget pins the write path's cost model: a
 // group is staged and framed in the store's own buffers and copied into
-// a DB chunk that is already there, so the median 100-result batch
-// allocates the FOM pairs the DB keeps (24 B a one-FOM result) and its
-// bookkeeping — the applied flags, the group's key set, the posting
-// lists' growth — and neither a copy of the results nor an encoded form.
-// Measured 3.4 kB, 2.4 of them the pairs (one run in ten also opens an
-// 80 KiB chunk: the rows' own bytes, once). Each batch also brings eight
-// new heads: the DB's head table grows twice in the 21 runs, in runs
-// that also open a row chunk or grow the posting map, and a new(head)
-// per head put the median at 4.1 kB. With a make+copy per batch and one
-// growing slice in the DB it was 14.7 kB, with a json.Marshal per
-// record on top 38.3.
+// DB chunks that are already there — the rows and their FOM pairs — so
+// the median 100-result batch allocates only bookkeeping — the applied
+// flags, the group's key set, the posting lists' growth — and neither a
+// copy of the results nor an encoded form. Measured 1.9 kB: most runs
+// allocate 1.0 kB, and the runs that open or grow a chunk of rows or of
+// pairs, or grow the head table or the posting map, allocate their new
+// storage, 7 to 72 kB, once. Each batch also brings eight new heads,
+// which the head table takes in one jump to 64 and then grows as a
+// slice does. With each result's pairs in a slice of its own, and rows
+// of 80 bytes, it was 3.4 kB, 2.4 of them the pairs; with a make+copy
+// per batch and one growing slice in the DB 14.7 kB, with a json.Marshal
+// per record on top 38.3.
 func TestAppendManyAllocationBudget(t *testing.T) {
 	s, err := Open(t.TempDir(), fixedOpts())
 	if err != nil {
@@ -244,21 +245,23 @@ func TestAppendManyAllocationBudget(t *testing.T) {
 
 // TestOpenCostsWhatItKeeps pins recovery's cost model on a compacted
 // 20,000-result store of a loadgen-shaped fleet, per result. Decoding
-// record by record with interned names, one recycled FOM map and rows in
-// chunks that are never copied again, Open allocates 265 B a result: the
-// 60 B of file it reads, the 80-byte row and its share of a chunk, the
-// 24-byte FOM pair, and the DB's and the file's head tables. Before the
-// files listed each head once (2.8 MB where they are now 1.2 MB) it was
-// 320 B; a fresh map per result took about 610 B, one slice growing by a
-// quarter at a time about 960 B and whole-file encoding/json about
-// 1.6 kB. The bound is per result, not per byte read, because a smaller
-// file raises the ratio while Open allocates less. What stays live
-// afterwards is the rows, each pointing at its series' one head: 132 B
-// a result, 140 when each row also held an ID beside its Seq, 196 when
-// it held its own five name and manifest strings, 395 when the DB stored
-// each result's maps, 477 when every decoded name was its own
-// allocation. The live number repeats exactly, the allocation within
-// half a byte.
+// record by record with interned names, one recycled FOM map, and rows
+// and pairs in chunks that are never copied again, Open allocates 234 B
+// a result: the 60 B of file it reads, the 32-byte row and the 24-byte
+// FOM pair and their shares of chunks grown as slices grow, and the
+// DB's and the file's head tables. It was 265 B when a row was 80 bytes
+// and each result's pair a slice of its own; before the files listed
+// each head once (2.8 MB where they are now 1.2 MB) 320 B; a fresh map
+// per result took about 610 B, one slice growing by a quarter at a time
+// about 960 B and whole-file encoding/json about 1.6 kB. The bound is
+// per result, not per byte read, because a smaller file raises the
+// ratio while Open allocates less. What stays live afterwards is the
+// rows, each naming its series' one head and its FOMs' run in the
+// arena: 86 B a result, 132 B with 80-byte rows, 140 when each row also
+// held an ID beside its Seq, 196 when it held its own five name and
+// manifest strings, 395 when the DB stored each result's maps, 477 when
+// every decoded name was its own allocation. The live number repeats
+// exactly, the allocation within a byte.
 func TestOpenCostsWhatItKeeps(t *testing.T) {
 	const results = 20000
 	dir := t.TempDir()
@@ -299,16 +302,55 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 		t.Fatalf("reopened store holds %d results, want %d", s.Len(), results)
 	}
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / results
-	if !raceEnabled && alloc >= 271 {
-		t.Errorf("Open allocated %.1f B per result, want < 271", alloc)
+	if !raceEnabled && alloc >= 240 {
+		t.Errorf("Open allocated %.1f B per result, want < 240", alloc)
 	}
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / results
 	t.Logf("Open read %d bytes of generations, allocated %.1f B per result and keeps %d B live per result", onDisk, alloc, per)
-	if !raceEnabled && per >= 135 {
-		t.Errorf("the reopened store keeps %d B live per result, want < 135", per)
+	if !raceEnabled && per >= 88 {
+		t.Errorf("the reopened store keeps %d B live per result, want < 88", per)
+	}
+}
+
+// TestGenerationKeepsItsTable: a store writes every generation through
+// one HeadTable. A generation of 512 heads written through a table that
+// already wrote one allocates none of the table again — measured 96 B,
+// the header's JSON — where a table of its own made it allocate 102 kB,
+// and it writes the same bytes.
+func TestGenerationKeepsItsTable(t *testing.T) {
+	s, err := Open(t.TempDir(), fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for runner := 0; runner < 64; runner++ { // 8 heads each
+		if _, err := s.AppendMany(context.Background(), []Batch{fleetBatch(runner, runner, 16)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := &snapshotHeader{Format: snapshotFormat, Covered: 1, NextSeq: s.db.MaxSeq()}
+	var want bytes.Buffer
+	write := func(into *bytes.Buffer, table *metricsdb.HeadTable) {
+		into.Reset()
+		if _, err := (generationFile{s.db, head, table}).WriteTo(into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := allocated(5, func(int) { write(&want, new(metricsdb.HeadTable)) })
+	var kept metricsdb.HeadTable
+	got := bytes.NewBuffer(make([]byte, 0, 2*want.Len()))
+	write(got, &kept)
+	again := allocated(5, func(int) { write(got, &kept) })
+	t.Logf("a 512-head generation allocates %d bytes through a kept table, %d through a table of its own", again, fresh)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("through a kept table the generation is\n%s\nthrough a table of its own\n%s", got.Bytes(), want.Bytes())
+	}
+	if !raceEnabled && (again >= 1<<10 || fresh < 64<<10) {
+		t.Errorf("a 512-head generation allocates %d bytes through a kept table, want < %d, and %d through its own, want >= %d",
+			again, 1<<10, fresh, 64<<10)
 	}
 }
 

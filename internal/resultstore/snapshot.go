@@ -280,7 +280,7 @@ func (s *Store) compactLocked() (err error) {
 	// sorted copy so equal states write equal bytes.
 	head.Keys = append([]string(nil), head.Keys...)
 	sort.Strings(head.Keys)
-	size, err := fsys.Commit(s.opts.FS, filepath.Join(s.dir, snapshotName(head.Covered)), generationFile{s.db, head})
+	size, err := fsys.Commit(s.opts.FS, filepath.Join(s.dir, snapshotName(head.Covered)), generationFile{s.db, head, &s.genTable})
 	if err == nil {
 		err = s.opts.FS.SyncDir(s.dir)
 	}
@@ -383,10 +383,12 @@ var genBufs = sync.Pool{New: func() any {
 // JSON object with a "results" member spliced in, holding the DB's
 // results in (head.AfterSeq, head.NextSeq], encoded straight from the
 // DB's rows a page at a time as WriteTo writes it, then the tables their
-// indexes name and the CRC-32 of every byte before it.
+// indexes name and the CRC-32 of every byte before it. The tables are
+// gathered in table, which comes empty and is left empty.
 type generationFile struct {
-	db   *metricsdb.DB
-	head *snapshotHeader
+	db    *metricsdb.DB
+	head  *snapshotHeader
+	table *metricsdb.HeadTable
 }
 
 func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
@@ -407,7 +409,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	}
 	pooled := genBufs.Get().(*[]byte)
 	defer genBufs.Put(pooled)
-	var table metricsdb.HeadTable
+	defer g.table.Reset()
 	// Every result comes preceded by a comma; the first one's opens the
 	// array instead.
 	buf := append((*pooled)[:0], `,"results":`...)
@@ -415,7 +417,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	for after := head.AfterSeq; after < head.NextSeq; {
 		var last int
 		// Appends keep landing; what they add is the next generation's.
-		if buf, last, err = g.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2, &table); err != nil {
+		if buf, last, err = g.db.AppendJSONAfter(buf, after, head.NextSeq, genBufSize/2, g.table); err != nil {
 			return size, err
 		}
 		if last == after {
@@ -432,7 +434,7 @@ func (g generationFile) WriteTo(w io.Writer) (size int64, err error) {
 	if opening > 0 {
 		buf = append(buf, '[')
 	}
-	buf = table.AppendTables(append(buf, ']'))
+	buf = g.table.AppendTables(append(buf, ']'))
 	sum = crc32.Update(sum, crc32.IEEETable, buf) // every byte before the checksum's member
 	buf = fmt.Appendf(buf, `,"crc32":%d}`, sum)
 	if cap(buf) <= genBufSize { // a table of many heads leaves its growth behind

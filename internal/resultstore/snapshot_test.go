@@ -705,7 +705,7 @@ func TestGenerationSpansPages(t *testing.T) {
 			}
 			mustAppend(t, s, "late", res("saxpy", "cts1", "saxpy_time", -2)) // after the capture
 			var file bytes.Buffer
-			if n, err := (generationFile{s.db, head}).WriteTo(&file); err != nil || n != int64(file.Len()) {
+			if n, err := (generationFile{s.db, head, new(metricsdb.HeadTable)}).WriteTo(&file); err != nil || n != int64(file.Len()) {
 				t.Fatalf("WriteTo wrote %d bytes, reports %d: %v", file.Len(), n, err)
 			}
 			var snap struct {

@@ -154,6 +154,10 @@ type Store struct {
 	// compactMu admits one Compact at a time. It is taken before mu and
 	// never while holding it; the snapshot write happens under it alone.
 	compactMu sync.Mutex
+	// genTable gathers the tables of the generation being written, under
+	// compactMu; empty between generations. One table serves them all, so
+	// a generation does not grow one anew (see metricsdb.HeadTable.Reset).
+	genTable metricsdb.HeadTable
 
 	mu         sync.Mutex
 	db         *metricsdb.DB
