@@ -115,6 +115,8 @@ var guardTable = []guard{
 		why: "a DB only appends: InsertAll refuses a Seq at or below the newest row's, so no stored result moves"},
 	{pr: 54, pkg: "internal/resultstore", retired: []string{"Options.Clock", "walBatch.Received"},
 		why: "a WAL record holds what replay reads; nothing read the receive time it was stamped with"},
+	{pr: 58, uses: []string{"internal/metricsdb.Decoder.Recycle"}, only: []string{"internal/resultstore/store.go", "internal/resultsd/server.go", "internal/metricsdb"},
+		why: "the next decode refills a recycled map, so only the code that owns a result's maps, once the DB holds copies, hands them back"},
 }
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"

@@ -260,27 +260,40 @@ type Decoder struct {
 	trace    string            // the last TraceID decoded
 	manifest string            // the last manifest decoded
 	table    *HeadTable        // the file's table, set by UseTable until the next Reset
-	// foms and meta are maps handed back by Recycle, filled before a new
-	// one is made.
-	foms map[string]float64
-	meta map[string]string
+	// foms and meta are the maps handed back by Recycle, at most
+	// maxIdleMaps of each, taken before a new one is made.
+	foms []map[string]float64
+	meta []map[string]string
 }
 
+const (
+	// maxIdleMaps is the most maps of each kind a Decoder keeps for
+	// reuse: a bulk push's worth of results (resultsd's maxIdleResults).
+	maxIdleMaps = 256
+	// maxRecycledLen is the most members a recycled map may hold: a
+	// larger one is left to the GC, as emptying it would cost its size
+	// on every reuse.
+	maxRecycledLen = 8
+)
+
 // Recycle hands r's maps back to d, which empties them and fills them
-// for the next Result that needs one instead of making a new map. The
+// for later Results that need one instead of making new maps. The
 // caller must be done with them — a DB that stored r holds copies — and
-// r keeps only its other fields. A map of more than a few members is
-// left to the GC: emptying it would cost its size on every reuse.
+// r must be their only holder: r keeps only its other fields.
 func (d *Decoder) Recycle(r *Result) {
-	if r.FOMs != nil && len(r.FOMs) <= 8 {
-		clear(r.FOMs)
-		d.foms = r.FOMs
-	}
-	if r.Meta != nil && len(r.Meta) <= 8 {
-		clear(r.Meta)
-		d.meta = r.Meta
-	}
+	d.foms = recycle(d.foms, r.FOMs)
+	d.meta = recycle(d.meta, r.Meta)
 	r.FOMs, r.Meta = nil, nil
+}
+
+// recycle adds m, emptied, to the free list unless it is nil, too
+// large, or the list is full.
+func recycle[V any](free []map[string]V, m map[string]V) []map[string]V {
+	if m == nil || len(m) > maxRecycledLen || len(free) >= maxIdleMaps {
+		return free
+	}
+	clear(m)
+	return append(free, m)
 }
 
 // Reset points the decoder at data and clears its error and its file
@@ -594,15 +607,18 @@ func (d *Decoder) name(dst *string) {
 }
 
 // decodeMap fills *m from the object at the cursor as encoding/json
-// does: an object adds to the map already there (taking the recycled
-// one, or making one, if need be), a null makes it nil.
-func decodeMap[V any](d *Decoder, m, recycled *map[string]V, value func(*V)) {
+// does: an object adds to the map already there (taking a recycled
+// one from free, or making one, if need be), a null makes it nil.
+func decodeMap[V any](d *Decoder, m *map[string]V, free *[]map[string]V, value func(*V)) {
 	switch d.peek() {
 	case 'n':
 		*m = nil
 	case '{':
 		if *m == nil {
-			if *m, *recycled = *recycled, nil; *m == nil {
+			if n := len(*free); n > 0 {
+				*m, (*free)[n-1] = (*free)[n-1], nil
+				*free = (*free)[:n-1]
+			} else {
 				*m = map[string]V{}
 			}
 		}

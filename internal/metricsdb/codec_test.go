@@ -422,3 +422,64 @@ func TestDecoderInternsNames(t *testing.T) {
 		t.Fatalf("table holds %d names after %d distinct ones, want the cap %d", len(d.names), 20*internCap, internCap)
 	}
 }
+
+// TestRecycleFillsBoundedFreeLists: the maps Recycle is handed are the
+// ones the next results decode into, emptied, so a push decoded after
+// the last one was recycled makes no map; each free list stops at
+// maxIdleMaps, and a map of more than maxRecycledLen members is left to
+// the GC.
+func TestRecycleFillsBoundedFreeLists(t *testing.T) {
+	var d Decoder
+	array := func(n int, doc string) []byte {
+		return []byte("[" + strings.TrimSuffix(strings.Repeat(doc+",", n), ",") + "]")
+	}
+	decode := func(dst []Result, data []byte) []Result {
+		d.Reset(data)
+		dst = d.Results(dst[:0])
+		if err := d.End(); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	recycle := func(rs []Result) {
+		for i := range rs {
+			d.Recycle(&rs[i])
+		}
+	}
+	const doc = `{"benchmark":"saxpy","system":"cts1","foms":{"time":1,"bw":2},"meta":{"runner":"r1"}}`
+	first := decode(nil, array(maxIdleMaps+10, doc))
+	held := map[uintptr]bool{}
+	for _, r := range first {
+		held[reflect.ValueOf(r.FOMs).Pointer()] = true
+		held[reflect.ValueOf(r.Meta).Pointer()] = true
+	}
+	recycle(first)
+	if len(d.foms) != maxIdleMaps || len(d.meta) != maxIdleMaps || first[0].FOMs != nil {
+		t.Fatalf("free lists hold %d and %d maps (result 0's FOMs %v), want %d each and the result's maps gone",
+			len(d.foms), len(d.meta), first[0].FOMs, maxIdleMaps)
+	}
+	data, second := array(maxIdleMaps, doc), make([]Result, 0, maxIdleMaps)
+	second = decode(second, data)
+	for _, r := range second {
+		if !held[reflect.ValueOf(r.FOMs).Pointer()] || !held[reflect.ValueOf(r.Meta).Pointer()] ||
+			!reflect.DeepEqual(r.FOMs, map[string]float64{"time": 1, "bw": 2}) || !reflect.DeepEqual(r.Meta, map[string]string{"runner": "r1"}) {
+			t.Fatalf("a result decoded after the recycle reads %v %v in maps of its own", r.FOMs, r.Meta)
+		}
+	}
+	recycle(second)
+	// What is left to allocate, per result, is its Meta value (those are
+	// never shared) and the walk's three closures: four. Fresh maps took
+	// eight.
+	if n := testing.AllocsPerRun(10, func() { recycle(decode(second, data)) }); !raceEnabled && n > 4*maxIdleMaps {
+		t.Errorf("decoding %d results into recycled maps allocates %v times, want at most %d", maxIdleMaps, n, 4*maxIdleMaps)
+	}
+	big := `{"foms":{"f0":1`
+	for i := 1; i <= maxRecycledLen; i++ {
+		big += fmt.Sprintf(`,"f%d":1`, i)
+	}
+	d.foms = d.foms[:0]
+	recycle(decode(nil, []byte("["+big+"}}]")))
+	if len(d.foms) != 0 {
+		t.Errorf("a map of %d members was kept", maxRecycledLen+1)
+	}
+}

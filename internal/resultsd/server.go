@@ -67,6 +67,12 @@ const maxIngestBytes = 8 << 20
 // *resultshard.Follower replica (serve --replica-of URL), so every
 // route — including the trace-context join on ingest — works
 // identically across all three.
+//
+// An Append that returns nil keeps nothing of b.Results: the server
+// hands it results decoded into memory it pools, and after a nil return
+// decodes the next push into the same slice and maps. A failed Append
+// may keep the batch (a cancelled wait leaves it queued for commit), so
+// the server never reuses what it handed to one.
 type Backend interface {
 	Append(ctx context.Context, b resultstore.Batch) (bool, error)
 	Series(f metricsdb.Filter, fom string) []metricsdb.Point
@@ -286,12 +292,13 @@ var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // scratch is what a handler borrows to move results across the wire:
 // the buffer a request body is read into, the decoder that reads it —
-// with its table of the fleet's names (metricsdb.Decoder) — the slice a
-// push's results are decoded into, and the buffer a reply is appended
-// to. What is decoded is copied out of the body, the backend is handed
-// its own copy of the results (it may keep a batch queued after the
-// request is gone) and a reply is written before the handler returns,
-// so all four go back to the pool.
+// with its table of the fleet's names and the maps results handed back
+// (metricsdb.Decoder) — the slice a push's results are decoded into, and
+// the buffer a reply is appended to. What is decoded is copied out of
+// the body, the backend is handed the scratch's results and keeps
+// nothing of them once its Append returns nil (see Backend), and a reply
+// is written before the handler returns, so all four go back to the
+// pool — but for a failed Append's, which the backend may still hold.
 type scratch struct {
 	body    bytes.Buffer
 	dec     metricsdb.Decoder
@@ -305,6 +312,21 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 // 32 KiB, the store's maxIdleStaged: a bulk push decodes in place, and
 // the slice an 8 MiB body of valid results grew is not pooled.
 const maxIdleResults = 256
+
+// release hands the results' maps back to the decoder, empties the
+// results and returns the scratch to the pool; the slice goes with it
+// unless a push grew it past maxIdleResults.
+func (sc *scratch) release() {
+	for i := range sc.results {
+		sc.dec.Recycle(&sc.results[i])
+	}
+	clear(sc.results)
+	sc.results = sc.results[:0]
+	if cap(sc.results) > maxIdleResults {
+		sc.results = nil
+	}
+	scratches.Put(sc)
+}
 
 // invalidResult is a push refused while decoding: the index of its
 // first result that names no benchmark or no system.
@@ -348,24 +370,35 @@ func (req *IngestRequest) decode(dec *metricsdb.Decoder, body []byte) error {
 	})
 }
 
-// decodeIngest reads the push in sc.body. The results are decoded into
-// the scratch's slice and returned as an exact-size copy — nothing
-// pooled is handed on — and the slice goes back empty, or not at all
-// once a push has grown it past maxIdleResults.
-func (sc *scratch) decodeIngest() (IngestRequest, error) {
+// readIngest reads a push's body to its end into the scratch and
+// decodes it into the scratch's slice, which the returned request's
+// Results are until release. An error is the 400 the push earns.
+func (sc *scratch) readIngest(body io.Reader) (IngestRequest, error) {
+	// The body is read to its end before any of it is decoded: only
+	// there does gzip check its CRC and length, and only then is it
+	// known that nothing follows the JSON value.
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(body); err != nil {
+		return IngestRequest{}, fmt.Errorf("reading ingest body: %w", err)
+	}
+	if sc.body.Len() > maxIngestBytes {
+		return IngestRequest{}, fmt.Errorf("ingest body exceeds %d bytes decompressed", maxIngestBytes)
+	}
 	req := IngestRequest{Results: sc.results}
 	err := req.decode(&sc.dec, sc.body.Bytes())
-	borrowed := req.Results
-	req.Results = nil
-	if err == nil && len(borrowed) > 0 {
-		req.Results = append(make([]metricsdb.Result, 0, len(borrowed)), borrowed...)
+	sc.results = req.Results
+	var bad invalidResult
+	switch {
+	case errors.As(err, &bad):
+		return req, bad
+	case err != nil:
+		return req, fmt.Errorf("decoding ingest body: %w", err)
+	case req.IngestKey == "":
+		return req, fmt.Errorf("ingest_key is required")
+	case len(req.Results) == 0:
+		return req, fmt.Errorf("results must be non-empty")
 	}
-	clear(borrowed)
-	sc.results = nil
-	if cap(borrowed) <= maxIdleResults {
-		sc.results = borrowed[:0]
-	}
-	return req, err
+	return req, nil
 }
 
 func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -386,29 +419,11 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 		}()
 		body = io.LimitReader(zr, maxIngestBytes+1)
 	}
-	// The body is read to its end before any of it is decoded: only
-	// there does gzip check its CRC and length, and only then is it
-	// known that nothing follows the JSON value.
 	sc := scratches.Get().(*scratch)
-	defer scratches.Put(sc)
-	sc.body.Reset()
-	if _, err := sc.body.ReadFrom(body); err != nil {
-		return fail(w, http.StatusBadRequest, fmt.Errorf("reading ingest body: %w", err))
-	}
-	if sc.body.Len() > maxIngestBytes {
-		return fail(w, http.StatusBadRequest, fmt.Errorf("ingest body exceeds %d bytes decompressed", maxIngestBytes))
-	}
-	req, err := sc.decodeIngest()
-	var bad invalidResult
-	switch {
-	case errors.As(err, &bad):
-		return fail(w, http.StatusBadRequest, bad)
-	case err != nil:
-		return fail(w, http.StatusBadRequest, fmt.Errorf("decoding ingest body: %w", err))
-	case req.IngestKey == "":
-		return fail(w, http.StatusBadRequest, fmt.Errorf("ingest_key is required"))
-	case len(req.Results) == 0:
-		return fail(w, http.StatusBadRequest, fmt.Errorf("results must be non-empty"))
+	req, err := sc.readIngest(body)
+	if err != nil {
+		sc.release()
+		return fail(w, http.StatusBadRequest, err)
 	}
 	span := telemetry.Current(ctx)
 	span.SetAttr("ingest_key", req.IngestKey)
@@ -421,6 +436,9 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 		Results: req.Results,
 	})
 	if err != nil {
+		// The backend may still hold the batch (see Backend), so the
+		// scratch is left to the GC, not returned to the pool.
+		//
 		// Backpressure contract: an overloaded shard answers 429 with a
 		// Retry-After hint; the retrying client honours it. Retrying is
 		// safe — whatever partially applied dedups under the ingest key.
@@ -436,6 +454,7 @@ func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *htt
 		}
 		return fail(w, http.StatusInternalServerError, err)
 	}
+	sc.release()
 	s.ingestBatches.Inc()
 	resp := IngestResponse{Duplicate: !applied}
 	if applied {

@@ -85,6 +85,56 @@ func spreadResults(n int) []metricsdb.Result {
 	return out
 }
 
+// TestAppendKeepsNothingOfTheBatch: the router keeps the ownership rule
+// of the stores it routes to (resultsd.Backend). Once Append returns nil
+// — every shard it enqueued on has committed, and a duplicate's nil as
+// well — the caller overwrites every string of its results and empties
+// every map, and Query and Series read exactly as before, as does the
+// router reopened from its shards' WALs.
+func TestAppendKeepsNothingOfTheBatch(t *testing.T) {
+	dir := t.TempDir()
+	r := openRouter(t, dir, 4)
+	reads := func(r *Router) [2]string {
+		query, err := json.Marshal(r.Query(metricsdb.Filter{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := json.Marshal(r.Series(metricsdb.Filter{}, "fom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]string{string(query), string(series)}
+	}
+	for _, key := range []string{"k1", "k2", "k1"} {
+		rs := spreadResults(40)
+		for i := range rs {
+			rs[i].Meta = map[string]string{"slot": fmt.Sprint(i)}
+		}
+		if _, err := r.Append(context.Background(), resultstore.Batch{Key: key, Results: rs}); err != nil {
+			t.Fatal(err)
+		}
+		before := reads(r)
+		for i := range rs {
+			rs[i].Benchmark, rs[i].Workload, rs[i].System, rs[i].Experiment = "x", "x", "x", "x"
+			clear(rs[i].FOMs)
+			rs[i].FOMs["fom"] = -1
+			clear(rs[i].Meta)
+		}
+		if after := reads(r); after != before {
+			t.Fatalf("push %s: after the caller reused its results the router reads\n%v\nwant\n%v", key, after, before)
+		}
+	}
+	want := reads(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r = openRouter(t, dir, 4)
+	defer r.Close()
+	if got := reads(r); got != want || r.Len() != 80 {
+		t.Fatalf("reopened router holds %d results and reads\n%v\nwant 80 and\n%v", r.Len(), got, want)
+	}
+}
+
 // TestRouterRoutesAndMerges: a mixed batch lands on the shards the key
 // function names, and merged reads see every result exactly once.
 func TestRouterRoutesAndMerges(t *testing.T) {

@@ -315,6 +315,59 @@ func TestOpenCostsWhatItKeeps(t *testing.T) {
 	}
 }
 
+// TestWALReplayCostsWhatItKeeps pins crash recovery's cost model: a
+// store that never compacted reopens from its WAL alone, record by
+// record, each record's FOM maps handed back to the decoder once the DB
+// has stored its copies, so a replayed result allocates its share of
+// the segments read (58 B), the row and pair chunks and the head
+// tables, but no map: 227 B a result, where a fresh FOM map per
+// replayed result made it 481.
+func TestWALReplayCostsWhatItKeeps(t *testing.T) {
+	const results = 20000
+	dir := t.TempDir()
+	opts := fixedOpts()
+	opts.SegmentBytes = 64 << 10
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < results/100; i++ {
+		if _, err := s.AppendMany(context.Background(), []Batch{fleetBatch(i, i, 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var segments, onDisk int
+	for name, data := range readDir(t, dir) {
+		if _, ok := parseNumbered(name, snapshotPrefix, snapshotSuffix); ok {
+			t.Fatalf("the store wrote generation %s: recovery would not be from the WAL alone", name)
+		}
+		if _, ok := parseNumbered(name, segmentPrefix, segmentSuffix); ok {
+			segments++
+			onDisk += len(data)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	defer s.Close()
+	if s.Len() != results {
+		t.Fatalf("reopened store holds %d results, want %d", s.Len(), results)
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / results
+	t.Logf("Open replayed %d segments (%d bytes) and allocated %.1f B per result", segments, onDisk, alloc)
+	if !raceEnabled && alloc >= 256 {
+		t.Errorf("Open allocated %.1f B per result, want < 256", alloc)
+	}
+}
+
 // TestGenerationKeepsItsTable: a store writes every generation through
 // one HeadTable. A generation of 512 heads written through a table that
 // already wrote one allocates none of the table again — measured 96 B,

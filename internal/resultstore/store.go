@@ -307,13 +307,17 @@ func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int
 			return 0, fmt.Errorf("resultstore: segment %s holds a CRC-valid but undecodable record: %w",
 				segmentName(seg), err)
 		}
-		if s.keys[b.Key] {
-			continue // a snapshot already covers this batch
+		if !s.keys[b.Key] { // else a snapshot already covers this batch
+			if err := s.db.InsertAll(b.Results); err != nil {
+				return 0, fmt.Errorf("resultstore: segment %s holds a record the store cannot apply: %w", segmentName(seg), err)
+			}
+			s.applyKey(b.Key)
 		}
-		if err := s.db.InsertAll(b.Results); err != nil {
-			return 0, fmt.Errorf("resultstore: segment %s holds a record the store cannot apply: %w", segmentName(seg), err)
+		// The DB stores copies, so the record's maps go back to the
+		// decoder for the next record's results.
+		for i := range b.Results {
+			dec.Recycle(&b.Results[i])
 		}
-		s.applyKey(b.Key)
 	}
 	if good < len(data) && newest {
 		if err := s.opts.FS.Truncate(path, int64(good)); err != nil {

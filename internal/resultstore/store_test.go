@@ -114,6 +114,61 @@ func TestDuplicateKeyIsNoOp(t *testing.T) {
 	}
 }
 
+// TestAppendKeepsNothingOfTheBatch pins the ownership rule the ingest
+// handler reuses its memory by (resultsd.Backend): once Append returns
+// nil — a duplicate's included — the store holds copies of what it was
+// handed. The caller then overwrites every string of its results and
+// empties every map, as the server's next push decodes into them, and
+// Query, Series and the DB's SaveJSON read exactly as before.
+func TestAppendKeepsNothingOfTheBatch(t *testing.T) {
+	s, err := Open(t.TempDir(), fixedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reads := func() [3]string {
+		dump, err := s.db.SaveJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [3]string{served(t, s), servedSeries(t, s), dump}
+	}
+	for i, key := range []string{"k1", "k2", "k1"} {
+		rs := []metricsdb.Result{res("saxpy", "cts1", "saxpy_time", float64(i)), res("stream", "cts1", "triad_bw", float64(i))}
+		rs[0].Meta = map[string]string{"runner": "r1"}
+		rs[1].Manifest, rs[1].TraceID = "spack: {}", "0af7651916cd43dd8448eb211c80319c"
+		if _, err := s.Append(context.Background(), Batch{Key: key, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Results: rs}); err != nil {
+			t.Fatal(err)
+		}
+		before := reads()
+		scribble(rs)
+		if after := reads(); after != before {
+			t.Fatalf("push %s: after the caller reused its results the store reads\n%v\nwant\n%v", key, after, before)
+		}
+	}
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", s.Len())
+	}
+}
+
+// scribble overwrites every string of rs and empties every map, giving
+// each one other member, as decoding the next push into them would.
+func scribble(rs []metricsdb.Result) {
+	for i := range rs {
+		r := &rs[i]
+		r.Seq = -1
+		r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest, r.TraceID = "x", "x", "x", "x", "x", "x"
+		if r.FOMs != nil {
+			clear(r.FOMs)
+			r.FOMs["saxpy_time"] = -1
+		}
+		if r.Meta != nil {
+			clear(r.Meta)
+			r.Meta["x"] = "x"
+		}
+	}
+}
+
 func TestReopenRecoversState(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, fixedOpts())
