@@ -120,6 +120,40 @@ func TestRunServeCmdFlagErrors(t *testing.T) {
 	}
 }
 
+// TestServeRefusesAnOldStore: serve on a data directory written in a
+// format older than the one this binary writes fails at start-up with
+// the store's refusal, naming the file and its format, and never
+// listens.
+func TestServeRefusesAnOldStore(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "resultstore", "testdata", "snap3-manifests")
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := make(chan error, 1)
+	go func() { served <- run([]string{"serve", "--addr", "127.0.0.1:0", "--data", dir}) }()
+	select {
+	case err = <-served:
+	case <-time.After(30 * time.Second): // a serve that listened answers until a signal stops it
+		t.Fatal("serve on an old store did not return: it is serving")
+	}
+	for _, want := range []string{"snap-00000001.json", `format "benchpark-snap-3": this binary reads only benchpark-snap-4`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("serve on an old store returned %v, want an error naming %q", err, want)
+		}
+	}
+}
+
 // TestServeStopsOnSignal: an in-process serve stopped by SIGINT after
 // one push returns without error and has closed its store on the way
 // out, so the data directory holds one generation and an empty segment

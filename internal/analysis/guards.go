@@ -117,6 +117,8 @@ var guardTable = []guard{
 		why: "a WAL record holds what replay reads; nothing read the receive time it was stamped with"},
 	{pr: 58, uses: []string{"internal/metricsdb.Decoder.Recycle"}, only: []string{"internal/resultstore/store.go", "internal/resultsd/server.go", "internal/metricsdb"},
 		why: "the next decode refills a recycled map, so only the code that owns a result's maps, once the DB holds copies, hands them back"},
+	{pr: 59, pkg: "internal/resultstore", retired: []string{"manifestSnapshotFormat", "chainSnapshotFormat", "fullSnapshotFormat"},
+		why: "a store reads only the format it writes (snapshotFormat); an older store is refused by name, not read"},
 }
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"

@@ -244,12 +244,11 @@ const (
 //
 // What a durable store wrote is read with its file's table (see
 // HeadTable): after UseTable, a result's "head" is an index into the
-// table's heads and a number as its "manifest" one into its manifests —
-// an index the table does not hold is an error — and, once the table
-// lists heads, a result without a "trace_id" carries the previous
-// one's. Without a table a "head" is skipped as any unknown member, and
-// a number as a "manifest" is refused as encoding/json refuses a number
-// for a string.
+// table's heads — an index the table does not hold is an error, and so
+// is any result of a file whose table lists no heads, as files written
+// before the head table are — and a result without a "trace_id" carries
+// the previous one's. Without a table a "head" is skipped as any unknown
+// member. A "manifest" is a string, with a table or without.
 type Decoder struct {
 	data     []byte
 	pos      int
@@ -635,11 +634,15 @@ func decodeMap[V any](d *Decoder, m *map[string]V, free *[]map[string]V, value f
 
 // Result fills *r from the object at the cursor; members the input
 // does not name keep the values *r came with, but for the trace rule of
-// a file whose table lists heads (see Decoder). A member Result does not
-// have is skipped: the "id" that files, bodies and pages written before
-// a result's Seq became its one identity carry reads as nothing.
+// a file (see Decoder). A member Result does not have is skipped: the
+// "id" that bodies and pages written before a result's Seq became its
+// one identity carry reads as nothing.
 func (d *Decoder) Result(r *Result) {
-	if d.table != nil && len(d.table.heads) > 0 {
+	if d.table != nil {
+		if len(d.table.heads) == 0 {
+			d.Fail(fmt.Errorf("metricsdb: a result of a file with no head table: this binary reads only files that list their heads"))
+			return
+		}
 		r.TraceID = d.trace
 	}
 	d.Object(func(name []byte) {
@@ -666,11 +669,7 @@ func (d *Decoder) Result(r *Result) {
 				r.Benchmark, r.Workload, r.System, r.Experiment, r.Manifest = h.Benchmark, h.Workload, h.System, h.Experiment, h.Manifest
 			}
 		case "manifest":
-			if c := d.peek(); d.table == nil || c != '-' && c-'0' > 9 {
-				d.manifestString(&r.Manifest)
-			} else if i := d.index(len(d.table.manifests), "manifest"); d.err == nil {
-				r.Manifest = d.table.manifests[i]
-			}
+			d.manifestString(&r.Manifest)
 		case "trace_id":
 			if b, ok := d.text(); ok {
 				if string(b) != d.trace {

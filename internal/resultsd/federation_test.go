@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -553,6 +554,93 @@ func TestFollowerOverHTTP(t *testing.T) {
 				t.Fatalf("unsynced follower readyz: %d, want 503", w.Code)
 			}
 		})
+	}
+}
+
+// TestFollowerAcrossRotationMergeAndRestart: a follower pulling over
+// HTTP from a plain store answers Query and Series byte for byte as the
+// store does while the store rotates its WAL every batch or two, merges
+// generations, and is closed — which folds the WAL tail — and reopened
+// on the same directory. The reopened store's rows are rebuilt from its
+// generations under the trace rule; the follower's came over the wire.
+func TestFollowerAcrossRotationMergeAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *resultstore.Store {
+		s, err := resultstore.Open(dir, resultstore.Options{SegmentBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	store := open()
+	defer func() { store.Close() }()
+	var handler atomic.Value // the current primary's http.Handler
+	handler.Store(New(store, nil).Handler())
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer primary.Close()
+	f, src := resultshard.NewFollower(), NewReplicaClient(primary.URL)
+	same := func(step string) {
+		t.Helper()
+		if _, err := f.Sync(context.Background(), src); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for _, flt := range []metricsdb.Filter{{}, {Benchmark: "bench-01"}, {System: "sys-02"}} {
+			pq, _ := json.Marshal(store.Query(flt))
+			fq, _ := json.Marshal(f.Query(flt))
+			ps, _ := json.Marshal(store.Series(flt, "fom"))
+			fs, _ := json.Marshal(f.Series(flt, "fom"))
+			if !bytes.Equal(pq, fq) || !bytes.Equal(ps, fs) {
+				t.Fatalf("%s: Query(%+v) or its Series differs:\nprimary:  %s\n%s\nfollower: %s\n%s", step, flt, pq, ps, fq, fs)
+			}
+		}
+	}
+	// Each round a traced batch, one of whose results carries its own
+	// trace ID, and an untraced one; then a Compact.
+	round := func(name string, i int) {
+		traced := fleetResults(6)
+		traced[2].TraceID = fmt.Sprintf("%032x", 1000+i)
+		for _, b := range []resultstore.Batch{
+			{Key: fmt.Sprintf("%s-traced-%d", name, i), TraceID: fmt.Sprintf("%032x", i+1), Results: traced},
+			{Key: fmt.Sprintf("%s-untraced-%d", name, i), Results: fleetResults(4)},
+		} {
+			if _, err := store.Append(context.Background(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := store.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("%s round %d", name, i))
+	}
+	for i := 0; i < 6; i++ {
+		round("first", i)
+	}
+	if h := store.Health(); h.ActiveSegment < 6 || h.SnapshotGenerations >= int(h.Compactions) {
+		t.Fatalf("health %+v: want rotations and a merge (fewer generations than compactions)", h)
+	}
+	before, _ := json.Marshal(store.Query(metricsdb.Filter{}))
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if info, err := e.Info(); err != nil || strings.HasPrefix(e.Name(), "wal-") && info.Size() > 0 {
+			t.Fatalf("after Close %s holds %d bytes (%v): the tail is not folded", e.Name(), info.Size(), err)
+		}
+	}
+	store = open()
+	handler.Store(New(store, nil).Handler())
+	if after, _ := json.Marshal(store.Query(metricsdb.Filter{})); !bytes.Equal(after, before) {
+		t.Fatalf("the reopened store serves\n%s\nwhere it served\n%s", after, before)
+	}
+	same("after the restart")
+	for i := 0; i < 3; i++ {
+		round("reopened", i)
 	}
 }
 

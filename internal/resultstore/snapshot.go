@@ -23,11 +23,10 @@ import (
 // file's tables (see metricsdb.HeadTable): its distinct manifests and
 // heads once each, in first-use order, which each result names by
 // index, its trace ID written only where it differs from the previous
-// result's. Last comes a CRC-32 of every byte before it. A file in the
-// oldest format (one full snapshot, no base) is a chain of one. In
-// memory it is the decoded header and tables and the file's bytes from
-// its results on: those are decoded once, straight into the DB
-// (eachResult).
+// result's. Last comes a CRC-32 of every byte before it. A file in any
+// other format is refused by name (see snapshotFormat). In memory it is
+// the decoded header and tables and the file's bytes from its results
+// on: those are decoded once, straight into the DB (eachResult).
 type snapshot struct {
 	snapshotHeader
 	table   metricsdb.HeadTable // the file's tables
@@ -46,22 +45,10 @@ type snapshotHeader struct {
 	Keys     []string `json:"keys"`
 }
 
-const (
-	// snapshotFormat tags generation files. A binary that predates the
-	// head table refuses it by name instead of failing on a result's
-	// head, as one that predates the chain refuses it instead of loading
-	// the newest generation as the whole store.
-	snapshotFormat = "benchpark-snap-4"
-	// manifestSnapshotFormat is a generation older stores wrote: each
-	// result's names whole and its manifest an index into "manifests",
-	// with no checksum.
-	manifestSnapshotFormat = "benchpark-snap-3"
-	// chainSnapshotFormat is older still: each result's manifest inline.
-	chainSnapshotFormat = "benchpark-snap-2"
-	// fullSnapshotFormat is the single whole-state snapshot the oldest
-	// stores wrote; it carries no base and no after_seq.
-	fullSnapshotFormat = "benchpark-snap-1"
-)
+// snapshotFormat tags generation files, and is the one format Open
+// reads: a generation in any other is refused by name, before recovery
+// changes a file, as a binary older than this format refuses these.
+const snapshotFormat = "benchpark-snap-4"
 
 // mergeFactor is the size-tiered merge rule's one constant: a Compact
 // absorbs the next older generation while that generation holds at
@@ -85,19 +72,19 @@ type generation struct {
 
 // decodeHeader parses the bytes of snap-<n>.json except its results,
 // which it only checks for syntax and remembers the place of, and
-// rejects a file that disagrees with its own name or its checksum or is
-// not a well-formed generation. The codec splits the file and reads the
-// tables, wherever they stand; the header — every other member, a few
-// hundred bytes and the key list — is read through its declared struct,
-// as the encoder writes it.
+// rejects a file in another format, one that disagrees with its own
+// name or its checksum, and one that is not a well-formed generation.
+// The codec splits the file and reads the tables, wherever they stand;
+// the header — every other member, a few hundred bytes and the key list
+// — is read through its declared struct, as the encoder writes it.
 func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 	snap := &snapshot{size: int64(len(data))}
 	head := []byte{'{'}
-	has, last := map[string]bool{}, "" // the members read, and the last one
-	end, sum, summed := 0, -1, 0       // end: where the member before the current one ends
+	last := ""                   // the last member read
+	end, sum, summed := 0, -1, 0 // end: where the member before the current one ends
 	err := d.Document(data, func(name []byte) {
 		member, from := string(name), d.Offset() // a copy: Skip may reuse name's bytes
-		switch has[member], last = true, member; {
+		switch last = member; {
 		case d.Table(&snap.table, name):
 		case member == "results":
 			d.Skip()
@@ -118,15 +105,11 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 	if err := json.Unmarshal(append(head, `"":0}`...), &snap.snapshotHeader); err != nil {
 		return nil, err
 	}
-	switch snap4 := snap.Format == snapshotFormat; {
-	case !snap4 && snap.Format != manifestSnapshotFormat && snap.Format != chainSnapshotFormat && snap.Format != fullSnapshotFormat:
-		return nil, fmt.Errorf("unknown format %q", snap.Format)
-	case !snap4 && (has["heads"] || has["crc32"] || has["manifests"] && snap.Format != manifestSnapshotFormat):
-		return nil, fmt.Errorf("format %s has no head table and no checksum, and before snap-3 no manifest table", snap.Format)
-	case snap4 && (last != "crc32" || sum != int(crc32.ChecksumIEEE(data[:summed]))):
+	switch {
+	case snap.Format != snapshotFormat:
+		return nil, fmt.Errorf("format %q: this binary reads only %s", snap.Format, snapshotFormat)
+	case last != "crc32" || sum != int(crc32.ChecksumIEEE(data[:summed])):
 		return nil, fmt.Errorf("checksum %d does not end the file, or does not match the %d bytes before it", sum, summed)
-	case snap.Format == fullSnapshotFormat && (snap.Base != 0 || snap.AfterSeq != 0):
-		return nil, fmt.Errorf("format %s cannot build on an older snapshot", fullSnapshotFormat)
 	case snap.Covered != n:
 		return nil, fmt.Errorf("covers segment %d, but its name says %d", snap.Covered, n)
 	case snap.Base < 0 || snap.Base >= snap.Covered:
@@ -139,9 +122,10 @@ func decodeHeader(d *metricsdb.Decoder, data []byte, n int) (*snapshot, error) {
 
 // eachResult decodes the generation's results, in file order, into fn
 // one at a time and then lets go of the file's bytes. A Seq out of
-// order or outside (AfterSeq, NextSeq], a head or a manifest the file's
-// tables do not hold, or an error from fn ends the walk with that error,
-// and fn has by then seen the results before it.
+// order or outside (AfterSeq, NextSeq], a head the file's tables do not
+// hold, any result of a file with no head table, or an error from fn
+// ends the walk with that error, and fn has by then seen the results
+// before it.
 func (snap *snapshot) eachResult(d *metricsdb.Decoder, fn func(metricsdb.Result) error) error {
 	if snap.results == nil {
 		return nil

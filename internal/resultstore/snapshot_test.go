@@ -322,9 +322,16 @@ func snapshotFilesOf(files map[string][]byte) []int {
 
 // resealed is a generation file's bytes with its checksum made to
 // match them again: a file a writer got wrong rather than one damaged
-// after it was written.
+// after it was written. A file without a checksum gets one in place of
+// its last '}'; one without a '}' comes back as it is.
 func resealed(data []byte) []byte {
 	at := bytes.LastIndex(data, []byte(`,"crc32":`))
+	if at < 0 {
+		at = bytes.LastIndexByte(data, '}')
+	}
+	if at < 0 {
+		return data
+	}
 	return fmt.Appendf(data[:at:at], `,"crc32":%d}`, crc32.ChecksumIEEE(data[:at]))
 }
 
@@ -390,168 +397,55 @@ func TestOpenRefusesBrokenChain(t *testing.T) {
 	}
 }
 
-// TestParentFormatStoreOpens: a data directory written before the
-// chain existed — one full benchpark-snap-1 file, a sealed and an
-// active segment — opens to the same served bytes, compacts into a
-// chain on top of the old file, and finally into generation files only.
-func TestParentFormatStoreOpens(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "parent-format.query.json"))
-	if err != nil {
-		t.Fatal(err)
+// TestOldFormatStoresAreRefused: a store reads only the format it
+// writes. A data directory of an older one — a benchpark-snap-1, -2 or
+// -3 generation, or WAL records whose results come without a head table
+// — fails Open with an error naming the file and its format or the
+// missing head table, and Open leaves every file as it was.
+func TestOldFormatStoresAreRefused(t *testing.T) {
+	fixture := func(name string, without ...string) map[string][]byte {
+		files := readDir(t, filepath.Join("testdata", name))
+		for _, file := range without {
+			delete(files, file)
+		}
+		return files
 	}
-	want := strings.TrimSpace(string(golden))
-	dir := writeDir(t, readDir(t, filepath.Join("testdata", "parent-format")))
-	var keys []string
-	for i := 0; i < 10; i++ {
-		keys = append(keys, fmt.Sprintf("old-%d", i))
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		want  []string // what the error must name
+	}{
+		{"parent-format", fixture("parent-format"), []string{"snap-00000003.json", `format "benchpark-snap-1"`}},
+		{"inline-manifests", fixture("inline-manifests"), []string{"snap-00000001.json", `format "benchpark-snap-2"`}},
+		{"snap3-manifests", fixture("snap3-manifests"), []string{"snap-00000001.json", `format "benchpark-snap-3"`}},
+		{"inline-manifests WAL only", fixture("inline-manifests", "snap-00000001.json"), []string{"wal-00000002.log", "no head table"}},
+		{"snap3-manifests WAL only", fixture("snap3-manifests", "snap-00000001.json"), []string{"wal-00000002.log", "no head table"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeDir(t, tc.files)
+			s, err := Open(dir, chainOpts())
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open took the store, serving %d results", s.Len())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("Open error %q does not name %q", err, want)
+				}
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, tc.files) {
+				t.Errorf("the refused Open changed the directory: %d files before, %d after", len(tc.files), len(after))
+			}
+		})
 	}
-	s := requireState(t, dir, want, keys)
-	if h := s.Health(); h.SnapshotGenerations != 1 || h.SnapshotCovered != 3 {
-		t.Fatalf("fixture opened as %+v, want one generation covering segment 3", h)
-	}
-	// The 2-result tail does not outweigh the 16-result full snapshot:
-	// the old file stays as the chain's base.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotFiles(t, dir); !reflect.DeepEqual(got, []int{3, 4}) {
-		t.Fatalf("snapshot files %v after the first compaction, want [3 4]", got)
-	}
-	s = requireState(t, dir, want, keys)
-	// Outgrow it, so a merge rewrites the old snapshot in the new format.
-	for i := 0; i < 20; i++ {
-		key := fmt.Sprintf("new-%d", i)
-		mustAppend(t, s, key, res("saxpy", "cts1", "saxpy_time", float64(i)))
-		keys = append(keys, key)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	want = served(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps := snapshotFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshot files %v, want the one merged generation", snaps)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName(snaps[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
-		t.Fatalf("merged generation: %+v, %v", snap, err)
-	}
-	requireState(t, dir, want, keys).Close()
-}
-
-// TestInlineManifestStoreOpens: a data directory whose results carry
-// their manifests inline — one benchpark-snap-2 generation, a segment
-// it covers in part and a sealed one, manifests equal and unequal
-// within a record and across files — opens to the same served bytes,
-// and still does once a Compact has rewritten it as one benchpark-snap-4
-// generation.
-func TestInlineManifestStoreOpens(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "inline-manifests.query.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.TrimSpace(string(golden))
-	dir := writeDir(t, readDir(t, filepath.Join("testdata", "inline-manifests")))
-	var keys []string
-	for i := 0; i < 5; i++ {
-		keys = append(keys, fmt.Sprintf("m-%d", i))
-	}
-	s := requireState(t, dir, want, keys)
-	if h := s.Health(); h.SnapshotGenerations != 1 || h.SnapshotCovered != 1 {
-		t.Fatalf("fixture opened as %+v, want one generation covering segment 1", h)
-	}
-	// The 8-result tail outweighs the 6-result generation: the merge
-	// rewrites all of it.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps := snapshotFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshot files %v, want the one merged generation", snaps)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName(snaps[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three distinct manifests among the 14 results: the table lists
-	// each once.
-	var tables storedTables
-	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != "benchpark-snap-4" || snap.Base != 0 {
-		t.Fatalf("merged generation: %+v, %v", snap, err)
-	}
-	if err := json.Unmarshal(data, &tables); err != nil || len(tables.Manifests) != 3 {
-		t.Fatalf("merged generation lists manifests %q (%v), want 3", tables.Manifests, err)
-	}
-	requireState(t, dir, want, keys).Close()
-}
-
-// TestSnap3StoreOpens: a data directory the format before the head
-// table wrote — one benchpark-snap-3 generation with a manifest table,
-// a segment it covers in part and two sealed ones whose records list
-// their manifests, traced and untraced batches whose results carry
-// traces of their own or none — opens to the same served bytes, and
-// still does once the first merge has rewritten it as one
-// benchpark-snap-4 generation that lists each of its 4 heads and 3
-// manifests once.
-func TestSnap3StoreOpens(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "snap3-manifests.query.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.TrimSpace(string(golden))
-	dir := writeDir(t, readDir(t, filepath.Join("testdata", "snap3-manifests")))
-	var keys []string
-	for i := 0; i < 4; i++ {
-		keys = append(keys, fmt.Sprintf("s3-%d", i))
-	}
-	s := requireState(t, dir, want, keys)
-	if h := s.Health(); h.SnapshotGenerations != 1 || h.SnapshotCovered != 1 {
-		t.Fatalf("fixture opened as %+v, want one generation covering segment 1", h)
-	}
-	// The 6-result tail outweighs the 5-result generation: the merge
-	// rewrites all of it.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps := snapshotFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshot files %v, want the one merged generation", snaps)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName(snaps[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tables storedTables
-	if snap, err := decodeHeader(new(metricsdb.Decoder), data, snaps[0]); err != nil || snap.Format != snapshotFormat || snap.Base != 0 {
-		t.Fatalf("merged generation: %+v, %v", snap, err)
-	}
-	if err := json.Unmarshal(data, &tables); err != nil || len(tables.Manifests) != 3 || len(tables.Heads) != 4 {
-		t.Fatalf("merged generation lists %d manifests and heads %v (%v), want 3 and 4", len(tables.Manifests), tables.Heads, err)
-	}
-	requireState(t, dir, want, keys).Close()
 }
 
 // TestGenerationTablesAreChecked: a benchpark-snap-4 generation's
 // results read through its tables, wherever they stand, with each trace
 // ID the previous result's unless it names one; and a head or a
 // manifest the tables do not hold, a head of other than five members, a
-// checksum that does not match or does not end the file, and a head
-// table or a checksum in an older format are refused.
+// checksum that does not match or does not end the file, and the same
+// tables or checksum under an older format tag are refused.
 func TestGenerationTablesAreChecked(t *testing.T) {
 	const (
 		header  = `{"format":"benchpark-snap-4","base_segment":2,"covered_segment":3,"after_seq":3,"next_seq":6,"keys":["c"]`
@@ -591,11 +485,15 @@ func TestGenerationTablesAreChecked(t *testing.T) {
 		header + results + tables + `,"crc32":1}`,
 		header + results + tables + `}`,
 		whole[:len(whole)-1] + `,"x":1}`,
-		strings.Replace(header, "snap-4", "snap-3", 1) + results + tables + `}`,
-		string(resealed([]byte(strings.Replace(header, "snap-4", "snap-3", 1) + `,"results":[],"crc32":0}`))),
 	} {
 		if got, err := read(file); err == nil {
 			t.Errorf("%s\nread as %d results, want it refused", file, len(got))
+		}
+	}
+	snap3 := strings.Replace(header, "snap-4", "snap-3", 1)
+	for _, file := range []string{snap3 + results + tables + `}`, string(resealed([]byte(snap3 + `,"results":[],"crc32":0}`)))} {
+		if _, err := read(file); err == nil || !strings.Contains(err.Error(), `format "benchpark-snap-3": this binary reads only benchpark-snap-4`) {
+			t.Errorf("%s\nread with error %v, want it refused for its format", file, err)
 		}
 	}
 }

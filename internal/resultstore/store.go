@@ -95,10 +95,10 @@ type Batch struct {
 //
 //	{"key":…,"trace_id":…,"manifests":[…],"heads":[…],"results":[…]}
 //
-// Records written before the head table carry each result's names
-// whole, and each manifest inline or as an index into "manifests";
-// replay still reads them. Older records also carry a receive time,
-// "received_unix_ns", which nothing reads.
+// This is the one form replay reads, but for a "received_unix_ns" member
+// after "trace_id", which the first head-table records carried and
+// replay skips. A record whose results come without a head table, as
+// records written before it did, fails Open, naming its segment.
 type walBatch struct {
 	Key     string
 	TraceID string
@@ -119,9 +119,9 @@ func (b *walBatch) appendJSON(dst []byte, t *metricsdb.HeadTable) ([]byte, error
 
 // decode reads what replay needs of a record payload into b — its key,
 // its trace ID, its tables and its results, reusing b's slices. Any other
-// member, such as an old record's receive time, is checked for syntax
-// and skipped. A result naming a head or a manifest the record's tables
-// (so far) do not hold is an error.
+// member is checked for syntax and skipped. A result naming a head the
+// record's tables (so far) do not hold is an error, and so is any result
+// of a record that lists no heads before it.
 func (b *walBatch) decode(d *metricsdb.Decoder, payload []byte) error {
 	b.Key, b.TraceID, b.Results = "", "", b.Results[:0]
 	b.table.Reset()
@@ -183,13 +183,15 @@ type Store struct {
 	wg        sync.WaitGroup // committer + compactor, joined by Close
 }
 
-// Open recovers (or creates) a store in dir. Recovery removes the
-// temp files a crashed snapshot write left, loads the snapshot chain
-// oldest generation first (see loadChain: a broken chain is an error),
-// replays every newer WAL segment in order, skips batches whose ingest
-// key is already applied, and truncates a torn tail on the active
-// segment. It never fails on a torn tail — that is the expected shape
-// of a crash.
+// Open recovers (or creates) a store in dir. Recovery loads the
+// snapshot chain oldest generation first (see loadChain: a broken chain
+// is an error), replays every newer WAL segment in order, skips batches
+// whose ingest key is already applied, and truncates a torn tail on the
+// active segment; then it removes the temp files a crashed snapshot
+// write left and the generations the chain subsumes. It never fails on
+// a torn tail — that is the expected shape of a crash. A directory it
+// cannot read, such as one of a format this binary does not write, fails
+// Open before any of its files is changed.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
@@ -229,9 +231,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // recover rebuilds in-memory state from disk and opens the active
 // segment for appending.
 func (s *Store) recover() error {
-	if err := fsys.RemoveTemps(s.opts.FS, s.dir); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
 	// One decoder for everything recovery reads, so a name the store
 	// holds a hundred thousand times is allocated once.
 	var dec metricsdb.Decoder
@@ -250,11 +249,6 @@ func (s *Store) recover() error {
 		}
 		s.gens = append(s.gens, generation{covered: snap.Covered, topSeq: snap.NextSeq, keyEnd: len(s.keyLog), bytes: snap.size})
 	}
-	for _, n := range stale {
-		if err := s.opts.FS.Remove(filepath.Join(s.dir, snapshotName(n))); err != nil {
-			return fmt.Errorf("resultstore: removing a subsumed snapshot: %w", err)
-		}
-	}
 	covered := s.genBefore(len(s.gens)).covered
 	segs, err := listNumbered(s.opts.FS, s.dir, segmentPrefix, segmentSuffix)
 	if err != nil {
@@ -269,6 +263,16 @@ func (s *Store) recover() error {
 		if s.activeSize, err = s.replaySegment(&dec, seg, i == len(segs)-1); err != nil {
 			return err
 		}
+	}
+	// Every file has been read and accepted: only now is the directory
+	// the store's to clean.
+	for _, n := range stale {
+		if err := s.opts.FS.Remove(filepath.Join(s.dir, snapshotName(n))); err != nil {
+			return fmt.Errorf("resultstore: removing a subsumed snapshot: %w", err)
+		}
+	}
+	if err := fsys.RemoveTemps(s.opts.FS, s.dir); err != nil {
+		return fmt.Errorf("resultstore: %w", err)
 	}
 	s.activeSeq = covered + 1
 	if len(segs) > 0 && segs[len(segs)-1] > covered {

@@ -205,11 +205,12 @@ func TestReopenRecoversState(t *testing.T) {
 }
 
 // TestReplayAppendsOnly: replay applies a WAL record under a new key —
-// an old one carrying its receive time as well — only when its Seqs rise
-// above the store's top. A record under an applied key is skipped
-// whatever its Seqs; one under a new key whose Seqs tie with the top,
-// fall below it or step back within the record fails Open, naming the
-// segment, as a CRC-valid but undecodable record does.
+// one carrying its receive time as well — only when its Seqs rise above
+// the store's top. A record under an
+// applied key is skipped whatever its Seqs; one under a new key whose
+// Seqs tie with the top, fall below it or step back within the record
+// fails Open, naming the segment and the Seq, as a CRC-valid but
+// undecodable record does.
 func TestReplayAppendsOnly(t *testing.T) {
 	golden := t.TempDir()
 	s, err := Open(golden, fixedOpts())
@@ -221,9 +222,18 @@ func TestReplayAppendsOnly(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	result := func(seq int) string {
-		return fmt.Sprintf(`{"seq":%d,"benchmark":"saxpy","workload":"problem","system":"cts1","experiment":"e","foms":{"t":%d}}`, seq, seq)
+	// record is a record of one result per Seq under key, in the form
+	// appendJSON writes: a head table, and each result naming its head.
+	record := func(key string, seqs ...int) string {
+		var rs []string
+		for _, seq := range seqs {
+			rs = append(rs, fmt.Sprintf(`{"seq":%d,"head":0,"foms":{"t":%d}}`, seq, seq))
+		}
+		return fmt.Sprintf(`{"key":%q,"heads":[["saxpy","problem","cts1","e",-1]],"results":[%s]}`, key, strings.Join(rs, ","))
 	}
+	// The first head-table records carried their receive time as well,
+	// in this form; replay skips that member.
+	timed := `{"key":"k3","trace_id":"","received_unix_ns":1700000000000000000,"manifests":[],"heads":[["saxpy","problem","cts1","e",-1]],"results":[{"seq":3,"head":0,"foms":{"t":3}}]}`
 	// open reopens golden's files with records of payloads appended to
 	// its segment, in a directory of their own.
 	open := func(payloads ...string) (*Store, error) {
@@ -242,30 +252,27 @@ func TestReplayAppendsOnly(t *testing.T) {
 		}
 		return Open(dir, fixedOpts())
 	}
-	taken := []string{
-		`{"key":"old","received_unix_ns":1700000000000000000,"results":[` + result(3) + `]}`,
-		`{"key":"k1","results":[` + result(1) + `]}`,
-	}
+	taken := []string{timed, record("k1", 1)}
 	s, err = open(taken...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 3 || s.MaxSeq() != 3 || !s.HasKey("old") {
-		t.Fatalf("replay holds %d results to Seq %d (key old applied: %v), want 3 to Seq 3", s.Len(), s.MaxSeq(), s.HasKey("old"))
+	if s.Len() != 3 || s.MaxSeq() != 3 || !s.HasKey("k3") {
+		t.Fatalf("replay holds %d results to Seq %d (key k3 applied: %v), want 3 to Seq 3", s.Len(), s.MaxSeq(), s.HasKey("k3"))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{
-		`{"key":"tie","results":[` + result(3) + `]}`,
-		`{"key":"below","results":[` + result(1) + `]}`,
-		`{"key":"back","results":[` + result(5) + "," + result(4) + `]}`,
+	for _, bad := range []struct{ record, want string }{
+		{record("tie", 3), "Seq 3, not above 3"},
+		{record("below", 1), "Seq 1, not above 3"},
+		{record("back", 5, 4), "Seq 4, not above 5"},
 	} {
-		if s, err := open(append(taken, bad)...); err == nil {
+		if s, err := open(append(taken, bad.record)...); err == nil {
 			s.Close()
-			t.Fatalf("Open replayed %s over top Seq 3", bad)
-		} else if !strings.Contains(err.Error(), segmentName(1)) {
-			t.Fatalf("Open refused %s with %v, which does not name the segment", bad, err)
+			t.Fatalf("Open replayed %s over top Seq 3", bad.record)
+		} else if !strings.Contains(err.Error(), segmentName(1)) || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("Open refused %s with %v, which does not name the segment and %q", bad.record, err, bad.want)
 		}
 	}
 }
