@@ -119,6 +119,8 @@ var guardTable = []guard{
 		why: "the next decode refills a recycled map, so only the code that owns a result's maps, once the DB holds copies, hands them back"},
 	{pr: 59, pkg: "internal/resultstore", retired: []string{"manifestSnapshotFormat", "chainSnapshotFormat", "fullSnapshotFormat"},
 		why: "a store reads only the format it writes (snapshotFormat); an older store is refused by name, not read"},
+	{pr: 60, uses: []string{"internal/metricsdb.RecyclePoints", "internal/metricsdb.RecycleRegressions"}, only: []string{"internal/resultsd/server.go", "internal/metricsdb"},
+		why: "the next query's answer is built in recycled room, so only the handler that encoded an answer and holds nothing else of it hands it back"},
 }
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"

@@ -550,6 +550,46 @@ func TestDetectRegressionsBorrowsItsSeries(t *testing.T) {
 	}
 }
 
+// TestRecycledAnswersReuseTheirRoom: a Reader's Series and
+// DetectRegressions answers are built in room borrowed from the pools
+// RecyclePoints and RecycleRegressions refill, so a caller that hands
+// each answer back reads a 5,000-point series, and scans it into 1,000
+// flags, allocating under a hundredth of the 160 kB series (the scan's
+// median buffer), on one DB and merged from two alike.
+func TestRecycledAnswersReuseTheirRoom(t *testing.T) {
+	one, parts := New(), []*DB{New(), New()}
+	for i := 0; i < 5000; i++ {
+		r := Result{Seq: i + 1, System: "hot", Benchmark: "b", FOMs: map[string]float64{"t": float64(1 + i%5/4)}}
+		if err := errors.Join(one.Insert(r), parts[i%2].Insert(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := Filter{System: "hot", Benchmark: "b"}
+	series := uint64(5000 * unsafe.Sizeof(Point{}))
+	for name, r := range map[string]Reader{"one DB": NewReader(nil, one), "merged": NewReader(nil, parts...)} {
+		read := func() {
+			pts, regs := r.Series(f, "t"), r.DetectRegressions(f, "t", 4, 1.2)
+			if len(pts) != 5000 || len(regs) != 1000 {
+				t.Fatalf("%s: %d points and %d flags, want 5000 and 1000", name, len(pts), len(regs))
+			}
+			RecyclePoints(pts)
+			RecycleRegressions(regs)
+		}
+		read()
+		least := uint64(math.MaxUint64)
+		for range 21 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			read()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if !raceEnabled && least >= series/100 {
+			t.Errorf("%s: reading and scanning %d bytes of series, handed back, allocates %d", name, series, least)
+		}
+	}
+}
+
 // flatHeads puts the head map of TestInsertNeverCopiesTheStore's
 // reference on the heap, where a DB's is.
 var flatHeads map[head]int32

@@ -599,10 +599,14 @@ func (db *DB) DetectRegressions(f Filter, fom string, window int, threshold floa
 // merged from several databases is judged with the exact same
 // semantics as one database's.
 func DetectInSeries(series []Point, window int, threshold float64) []Regression {
-	if window < 2 || len(series) < window+1 {
-		return nil
+	return appendRegressions(nil, series, window, threshold)
+}
+
+// appendRegressions appends DetectInSeries' flags to dst.
+func appendRegressions(dst []Regression, series []Point, window int, threshold float64) []Regression {
+	if window < 2 || len(series) <= window {
+		return dst
 	}
-	var out []Regression
 	scratch := make([]float64, window) // median's sort buffer, reused per sample
 	for i := window; i < len(series); i++ {
 		base := median(series[i-window:i], scratch)
@@ -612,12 +616,12 @@ func DetectInSeries(series []Point, window int, threshold float64) []Regression 
 		ratio := series[i].Value / base
 		bad := (threshold >= 1 && ratio >= threshold) || (threshold < 1 && ratio <= threshold)
 		if bad {
-			out = append(out, Regression{
+			dst = append(dst, Regression{
 				Seq: series[i].Seq, Value: series[i].Value, Baseline: base, Ratio: ratio,
 			})
 		}
 	}
-	return out
+	return dst
 }
 
 // median returns the median Value of pts, sorting a copy of the values

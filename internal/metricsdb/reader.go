@@ -1,6 +1,8 @@
 package metricsdb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -105,40 +107,79 @@ func (r Reader) MaxSeq() int {
 	return top
 }
 
-// Series extracts the time series of one FOM under a filter.
+// Series extracts the time series of one FOM under a filter, in Seq
+// order, into room borrowed from scanBufs: nil when nothing matches.
+// The answer is the caller's, to keep or to hand back with
+// RecyclePoints once done with it.
 func (r Reader) Series(f Filter, fom string) []Point {
-	return mergeBySeq(r.covering(f), func(db *DB) []Point { return db.Series(f, fom) },
-		func(p Point) int { return p.Seq })
+	buf := scanBufs.Get().(*[]Point)
+	return lend(&scanBufs, buf, r.appendSeries((*buf)[:0], f, fom))
 }
 
-// scanBufs holds the series DetectRegressions scans. Only the
-// regressions outlive a scan, so its points are borrowed.
-var scanBufs = sync.Pool{New: func() any { return new([]Point) }}
-
-// maxIdleScan is the most points a pooled scan buffer keeps room for
-// (640 KiB); a longer series' buffer is left to the GC.
-const maxIdleScan = 16 << 10
-
-// DetectRegressions scans the (merged) series with the single-DB
-// semantics; see DB.DetectRegressions. The series is gathered into a
-// pooled buffer, in the order Series would return it.
-func (r Reader) DetectRegressions(f Filter, fom string, window int, threshold float64) []Regression {
-	buf := scanBufs.Get().(*[]Point)
-	series := (*buf)[:0]
+// appendSeries appends the (merged) series to dst: each DB's points in
+// DB order, then stable-sorted by Seq when there are several.
+func (r Reader) appendSeries(dst []Point, f Filter, fom string) []Point {
 	dbs := r.covering(f)
 	for _, db := range dbs {
-		series = db.appendSeries(series, f, fom)
+		dst = db.appendSeries(dst, f, fom)
 	}
 	if len(dbs) > 1 {
-		sort.SliceStable(series, func(i, j int) bool { return series[i].Seq < series[j].Seq })
+		slices.SortStableFunc(dst, func(a, b Point) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
-	regs := DetectInSeries(series, window, threshold)
-	clear(series) // the pool pins no trace IDs
-	if cap(series) <= maxIdleScan {
-		*buf = series[:0]
-		scanBufs.Put(buf)
+	return dst
+}
+
+// scanBufs and regBufs hold the room Series and DetectRegressions
+// answers are built in.
+var (
+	scanBufs = sync.Pool{New: func() any { return new([]Point) }}
+	regBufs  = sync.Pool{New: func() any { return new([]Regression) }}
+)
+
+// maxIdleScan is the most points or flags a pooled buffer keeps room
+// for (640 KiB of points); a longer answer's room is left to the GC.
+const maxIdleScan = 16 << 10
+
+// lend returns s, built in the room box holds, as an answer: nil, with
+// the room back in pool, when s is empty.
+func lend[T any](pool *sync.Pool, box *[]T, s []T) []T {
+	if len(s) > 0 {
+		return s
 	}
-	return regs
+	*box = s
+	pool.Put(box)
+	return nil
+}
+
+// putBack puts an answer's room back in pool, emptied.
+func putBack[T any](pool *sync.Pool, s []T) {
+	if cap(s) == 0 || cap(s) > maxIdleScan {
+		return
+	}
+	clear(s) // the pool pins no trace IDs
+	s = s[:0]
+	pool.Put(&s)
+}
+
+// RecyclePoints hands an answer of Reader.Series back, as Series
+// returned it, to be the room of a later answer. The caller must hold
+// no other reference to it: its points are overwritten.
+func RecyclePoints(pts []Point) { putBack(&scanBufs, pts) }
+
+// RecycleRegressions hands an answer of Reader.DetectRegressions back,
+// under RecyclePoints' rule.
+func RecycleRegressions(regs []Regression) { putBack(&regBufs, regs) }
+
+// DetectRegressions scans the (merged) series with the single-DB
+// semantics; see DB.DetectRegressions. It scans what Series answers and
+// hands that back; the flags are appended to room borrowed from regBufs,
+// nil when none is flagged. The answer is the caller's, to keep or to
+// hand back with RecycleRegressions.
+func (r Reader) DetectRegressions(f Filter, fom string, window int, threshold float64) []Regression {
+	series := r.Series(f, fom)
+	defer RecyclePoints(series)
+	buf := regBufs.Get().(*[]Regression)
+	return lend(&regBufs, buf, appendRegressions((*buf)[:0], series, window, threshold))
 }
 
 // Systems returns the distinct system names present, sorted.

@@ -5,10 +5,12 @@ import (
 	"compress/gzip"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,6 +18,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -249,6 +252,151 @@ func TestRepliesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
+// regressionsReply is the reference body of a regression scan: what
+// json.Marshal makes of the RegressionsResponse of DetectInSeries over
+// the series, and a newline; an error where it cannot encode one.
+func regressionsReply(fom string, window int, threshold float64, series []metricsdb.Point) (string, error) {
+	resp := RegressionsResponse{FOM: fom, Window: window, Threshold: threshold, Regressions: []RegressionRecord{}}
+	for _, reg := range metricsdb.DetectInSeries(series, window, threshold) {
+		resp.Regressions = append(resp.Regressions, RegressionRecord{Seq: reg.Seq, Value: reg.Value, Baseline: reg.Baseline, Ratio: reg.Ratio})
+	}
+	data, err := json.Marshal(resp)
+	return string(data) + "\n", err
+}
+
+// regressionsQuery is the GET /v1/regressions URL of a scan.
+func regressionsQuery(f metricsdb.Filter, fom string, window int, threshold float64) string {
+	q := queryFromFilter(f)
+	q.Set("fom", fom)
+	q.Set("window", strconv.Itoa(window))
+	q.Set("threshold", strconv.FormatFloat(threshold, 'g', -1, 64))
+	return "/v1/regressions?" + q.Encode()
+}
+
+// TestRegressionsBodyMatchesEncodingJSON: the regression reply the
+// server appends by hand is byte for byte the reference body — over no
+// points, a flat series and one flagged all over, under thresholds
+// either side of 1 and either side of the float encoder's switches to
+// exponents, windows of 2, 9 and 17, and a FOM name that needs
+// escaping.
+func TestRegressionsBodyMatchesEncodingJSON(t *testing.T) {
+	srv, store := newTestServer(t)
+	h := srv.Handler()
+	const fom = "bw <GB/s> & \"time\"\u2028\x01"
+	var batch []metricsdb.Result
+	for i := range 120 {
+		batch = append(batch, result("kernel", "flat", fom, 2.5))
+		// Near 1 with a fraction that needs all its digits, then a
+		// billionth of that and 1e23 times it: flags under every
+		// threshold.
+		v := 1 + float64(i%4)/3
+		switch i % 7 {
+		case 2:
+			v *= 1e-9
+		case 5:
+			v *= 1e23
+		case 6:
+			v *= 1.7
+		}
+		batch = append(batch, result("kernel", "wild", fom, v))
+	}
+	if _, err := store.AppendMany(context.Background(), []resultstore.Batch{{Key: "wire", Results: batch}}); err != nil {
+		t.Fatal(err)
+	}
+	flagged := math.MaxInt
+	for _, system := range []string{"nowhere", "flat", "wild"} {
+		f := metricsdb.Filter{System: system, Benchmark: "kernel"}
+		series := store.Series(f, fom)
+		for _, threshold := range []float64{1.2, 0.8, 1e-7, 1e21} {
+			for _, window := range []int{2, 9, 17} {
+				want, err := regressionsReply(fom, window, threshold, series)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u := regressionsQuery(f, fom, window, threshold)
+				if w := get(t, h, u); w.Code != http.StatusOK || w.Body.String() != want {
+					t.Fatalf("GET %s: %d\n%s\njson.Marshal of the reply type gives\n%s", u, w.Code, w.Body, want)
+				}
+				if system == "wild" {
+					flagged = min(flagged, strings.Count(want, `"seq"`))
+				}
+			}
+		}
+	}
+	if flagged < 10 {
+		t.Fatalf("a scan flags the wild series %d times, want many under every scan", flagged)
+	}
+}
+
+// readerBackend serves a Reader over in-memory DBs: nothing behind it
+// syncs or wakes a goroutine, so a fuzz exec takes microseconds. Only
+// its reads are called.
+type readerBackend struct {
+	Backend
+	r metricsdb.Reader
+}
+
+func (b *readerBackend) Series(f metricsdb.Filter, fom string) []metricsdb.Point {
+	return b.r.Series(f, fom)
+}
+
+func (b *readerBackend) DetectRegressions(f metricsdb.Filter, fom string, window int, threshold float64) []metricsdb.Regression {
+	return b.r.DetectRegressions(f, fom, window, threshold)
+}
+
+// float64s is vs as FuzzRegressionsBody reads values: the bits of each,
+// little-endian.
+func float64s(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzRegressionsBody: whatever the series, the window and the
+// threshold, GET /v1/regressions answers the reference body, refuses a
+// window below 2 or a threshold that is not a positive finite number
+// with 400, and answers 500 where json.Marshal refuses a value (a ratio
+// that overflows). Each 8 bytes of values are the bits of one sample, so
+// every float encoding is reachable.
+func FuzzRegressionsBody(f *testing.F) {
+	f.Add(float64s(1, 1, 1, 2, 1, 1, 3, 1, 0.5), 2, 1.2)
+	f.Add(float64s(4, 4, 4, 4, 1e-9, 4, 4, 1e300, 4), 3, 0.8)
+	f.Add(float64s(), 4, 1e-7)
+	f.Add(float64s(1e-300, 1, 1, 1, 1e300, 1), 2, 1e21)
+	f.Add(float64s(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 0, 18, 19), 17, 1.0000001)
+	f.Add(float64s(1, 1, 1), 1, 1.2)
+	f.Add(float64s(1, 1, 1), math.MaxInt, 1.2)
+	f.Add(float64s(1, 1, 1, 5), 2, math.Inf(1))
+	f.Add(float64s(1, 1, 1, 5), 2, math.NaN())
+
+	backend := &readerBackend{}
+	h := New(backend, nil).Handler()
+	flt := metricsdb.Filter{System: "s", Benchmark: "b"}
+	f.Fuzz(func(t *testing.T, values []byte, window int, threshold float64) {
+		db := metricsdb.New()
+		for i := 0; i+8 <= len(values) && i < 8*256; i += 8 {
+			db.Add(result("b", "s", "fom", math.Float64frombits(binary.LittleEndian.Uint64(values[i:]))))
+		}
+		backend.r = metricsdb.NewReader(nil, db)
+		w := get(t, h, regressionsQuery(flt, "fom", window, threshold))
+		if window < 2 || !(threshold > 0) || math.IsInf(threshold, 1) {
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("window %d, threshold %v: %d %s; want 400", window, threshold, w.Code, w.Body)
+			}
+			return
+		}
+		want, err := regressionsReply("fom", window, threshold, db.Series(flt, "fom"))
+		switch {
+		case err != nil && w.Code != http.StatusInternalServerError:
+			t.Fatalf("json.Marshal refuses the reply (%v), the server answered %d %s; want 500", err, w.Code, w.Body)
+		case err == nil && (w.Code != http.StatusOK || w.Body.String() != want):
+			t.Fatalf("window %d, threshold %v: %d\n%s\njson.Marshal of the reply type gives\n%s", window, threshold, w.Code, w.Body, want)
+		}
+	})
+}
+
 // emptyObjects is the largest body the ingest bound admits made of the
 // cheapest element there is: 2.8 million results that say nothing, a
 // few kilobytes once compressed.
@@ -427,20 +575,25 @@ func leastAllocation(fn func()) uint64 {
 }
 
 // TestQueryAllocationBudget pins what a dashboard read costs with client
-// and server in one process: a series GET allocates its two answers —
-// the server's []metricsdb.Point and the client's []SeriesPoint, 32
-// bytes a point each — plus the HTTP round trip, but neither the reply's
-// bytes (read into a pooled buffer) nor a slice grown by doubling; a
-// regression scan allocates no series at all (the server borrows it).
-// Over 2,000 points that is 140 kB a series GET and 9 kB a scan; reading
-// each reply into a buffer of its own, decoding into a slice grown by
-// doubling and scanning a fresh series took 325 kB and 75 kB.
+// and server in one process. A series GET allocates the client's
+// []SeriesPoint, 32 bytes a point, plus the HTTP round trip: the server
+// builds its points in room the last answer handed back, and appends the
+// reply to a pooled buffer the client reads into one of its own. A scan
+// allocates no series, no flags and no copy of them on the server, and
+// encodes no reply by reflection, so what it costs beyond the round trip
+// is the client's list. Over 2,000 points that is 74 kB a series GET,
+// 8 kB a scan of a flat series and 41 kB one that flags 400 steps; an
+// exact-size []Point per GET made the series 140 kB, and the server's
+// list, its []RegressionRecord copy and json.Marshal made the step scan
+// 107 kB.
 func TestQueryAllocationBudget(t *testing.T) {
 	srv, store := newTestServer(t)
 	const points = 2000
-	batch := make([]metricsdb.Result, points)
-	for i := range batch {
+	batch := make([]metricsdb.Result, 2*points)
+	for i := range points {
 		batch[i] = result("saxpy", "cts1", "saxpy_time", 1+float64(i%7)/100)
+		// Every fifth sample doubles: its 4-sample median is 1.
+		batch[points+i] = result("steps", "cts1", "saxpy_time", float64(1+i%5/4))
 	}
 	ctx := context.Background()
 	if _, err := store.AppendMany(ctx, []resultstore.Batch{{Key: "budget", Results: batch}}); err != nil {
@@ -450,7 +603,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	defer ts.Close()
 	c := fastClient(t, ts.URL)
 	f := metricsdb.Filter{System: "cts1", Benchmark: "saxpy"}
-	answers := uint64(2 * points * 32)
+	answer := uint64(points * 32)
 	series := leastAllocation(func() {
 		if pts, err := c.Series(ctx, f, "saxpy_time"); err != nil || len(pts) != points || cap(pts) != points {
 			t.Fatalf("Series: %d points in room for %d, %v; want exactly %d", len(pts), cap(pts), err, points)
@@ -461,15 +614,29 @@ func TestQueryAllocationBudget(t *testing.T) {
 			t.Fatalf("Regressions over a flat series: %v, %v", regs, err)
 		}
 	})
-	t.Logf("a %d-point series GET allocates %d bytes, a scan of it %d (least of 21)", points, series, scan)
+	const flags = points / 5
+	steps := metricsdb.Filter{System: "cts1", Benchmark: "steps"}
+	stepScan := leastAllocation(func() {
+		if regs, err := c.Regressions(ctx, steps, "saxpy_time", 0, 0); err != nil || len(regs) != flags {
+			t.Fatalf("Regressions over a step series: %d flags, %v; want %d", len(regs), err, flags)
+		}
+	})
+	t.Logf("a %d-point series GET allocates %d bytes, a scan of it %d, a scan flagging %d steps %d (least of 21)",
+		points, series, scan, flags, stepScan)
 	if raceEnabled {
 		return
 	}
-	if series >= answers+answers/4 {
-		t.Errorf("a %d-point series GET allocates %d bytes, want < %d", points, series, answers+answers/4)
+	if series >= answer+answer/4 {
+		t.Errorf("a %d-point series GET allocates %d bytes, want < %d", points, series, answer+answer/4)
 	}
-	if scan >= answers/8 {
-		t.Errorf("a regression scan of %d points allocates %d bytes, want < %d", points, scan, answers/8)
+	if scan >= answer/4 {
+		t.Errorf("a regression scan of %d points allocates %d bytes, want < %d", points, scan, answer/4)
+	}
+	// The client decodes the flags into a list grown by doubling, which
+	// allocates at most four times the 32 bytes a flag holds; the round
+	// trip is the flat scan's.
+	if bound := scan + 4*flags*32; stepScan >= bound {
+		t.Errorf("a scan flagging %d of %d points allocates %d bytes, want < %d", flags, points, stepScan, bound)
 	}
 }
 

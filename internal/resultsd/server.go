@@ -44,8 +44,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,6 +75,11 @@ const maxIngestBytes = 8 << 20
 // decodes the next push into the same slice and maps. A failed Append
 // may keep the batch (a cancelled wait leaves it queued for commit), so
 // the server never reuses what it handed to one.
+//
+// A Series or DetectRegressions answer is the caller's: the backend
+// keeps no reference to it. The server encodes it and hands it back
+// with metricsdb.RecyclePoints or RecycleRegressions, so the next answer
+// is built in its room; every other caller keeps what it gets.
 type Backend interface {
 	Append(ctx context.Context, b resultstore.Batch) (bool, error)
 	Series(f metricsdb.Filter, fom string) []metricsdb.Point
@@ -484,8 +491,7 @@ type SeriesResponse struct {
 }
 
 // filterFromQuery reads the shared filter parameters.
-func filterFromQuery(r *http.Request) metricsdb.Filter {
-	q := r.URL.Query()
+func filterFromQuery(q url.Values) metricsdb.Filter {
 	return metricsdb.Filter{
 		Benchmark:  q.Get("benchmark"),
 		Workload:   q.Get("workload"),
@@ -495,11 +501,13 @@ func filterFromQuery(r *http.Request) metricsdb.Filter {
 }
 
 func (s *Server) handleSeries(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	fom := r.URL.Query().Get("fom")
+	q := r.URL.Query()
+	fom := q.Get("fom")
 	if fom == "" {
 		return fail(w, http.StatusBadRequest, fmt.Errorf("fom parameter is required"))
 	}
-	pts := s.store.Series(filterFromQuery(r), fom)
+	pts := s.store.Series(filterFromQuery(q), fom)
+	defer metricsdb.RecyclePoints(pts) // the answer is ours (see Backend)
 	telemetry.Current(ctx).SetInt("points", len(pts))
 	// Straight from the points: what json.Marshal writes for a
 	// SeriesResponse of them, without building one.
@@ -565,28 +573,55 @@ func (s *Server) handleRegressions(ctx context.Context, w http.ResponseWriter, r
 		}
 		window = n
 	}
-	filter := filterFromQuery(r)
+	filter := filterFromQuery(q)
 	threshold := ramble.RegressionThreshold(filter.Benchmark, fom)
 	if v := q.Get("threshold"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0) || math.IsInf(f, 1) { // NaN and Inf parse, but no reply can carry them
 			return fail(w, http.StatusBadRequest, fmt.Errorf("bad threshold %q (need a positive number)", v))
 		}
 		threshold = f
 	}
 	regs := s.store.DetectRegressions(filter, fom, window, threshold)
-	resp := RegressionsResponse{
-		FOM: fom, Window: window, Threshold: threshold,
-		Regressions: make([]RegressionRecord, 0, len(regs)),
+	defer metricsdb.RecycleRegressions(regs) // the answer is ours (see Backend)
+	telemetry.Current(ctx).SetInt("regressions", len(regs))
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	out, err := appendRegressionsBody(sc.out[:0], fom, window, threshold, regs)
+	if err != nil {
+		return fail(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 	}
-	for _, reg := range regs {
-		resp.Regressions = append(resp.Regressions, RegressionRecord{
-			Seq: reg.Seq, Value: reg.Value, Baseline: reg.Baseline, Ratio: reg.Ratio,
-		})
-	}
-	telemetry.Current(ctx).SetInt("regressions", len(resp.Regressions))
-	writeJSON(w, http.StatusOK, resp)
+	sc.out = out
+	writeBody(w, http.StatusOK, sc.out)
 	return nil
+}
+
+// appendRegressionsBody appends what json.Marshal writes for the
+// RegressionsResponse of a scan, without building one.
+func appendRegressionsBody(dst []byte, fom string, window int, threshold float64, regs []metricsdb.Regression) ([]byte, error) {
+	dst = metricsdb.AppendString(append(dst, `{"fom":`...), fom)
+	dst = strconv.AppendInt(append(dst, `,"window":`...), int64(window), 10)
+	dst, err := metricsdb.AppendFloat(append(dst, `,"threshold":`...), threshold)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"regressions":[`...)
+	for i, reg := range regs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(reg.Seq), 10)
+		for _, m := range [...]struct {
+			name string
+			v    float64
+		}{{`,"value":`, reg.Value}, {`,"baseline":`, reg.Baseline}, {`,"ratio":`, reg.Ratio}} {
+			if dst, err = metricsdb.AppendFloat(append(dst, m.name...), m.v); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...), nil
 }
 
 // SystemsResponse is the GET /v1/systems body.

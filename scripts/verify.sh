@@ -21,7 +21,8 @@
 # on-disk bytes — WAL frames, WAL record payloads and snapshot
 # generations — the ingest
 # handler's reader of network bytes (plain or gzip, through its pooled
-# decompressor), yamlite's scalar emitter/parser round trip, the
+# decompressor), the regression reply it encodes by hand against
+# encoding/json, yamlite's scalar emitter/parser round trip, the
 # Result codec against encoding/json, both directions, telemetry's
 # traceparent header parser, the spec parser's render/re-parse
 # round trip, the decoder of stored concrete DAGs (spack.lock,
@@ -97,7 +98,7 @@ go test -race -count=1 ./internal/engine ./internal/core ./internal/install ./in
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
+stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, regression reply encoder, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=5s ./internal/resultstore
 # Each FuzzReadSnapshot exec opens and closes a store (a goroutine and an
@@ -107,6 +108,9 @@ go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime=5s -fuzzminimizetime=0s .
 # coverage flaps and the minimizer (60 s per "new" input by default)
 # would eat the five seconds; spend them on new inputs instead.
 go test -run '^$' -fuzz '^FuzzIngestBody$' -fuzztime=5s -fuzzminimizetime=0s ./internal/resultsd
+# A regression reply is built in room the last one handed back, so
+# coverage flaps with the GC the same way.
+go test -run '^$' -fuzz '^FuzzRegressionsBody$' -fuzztime=5s -fuzzminimizetime=0s ./internal/resultsd
 go test -run '^$' -fuzz '^FuzzScalarRoundTrip$' -fuzztime=5s ./internal/yamlite
 # The seeds include 4 kB manifests and 10,000-deep nesting; minimizing
 # one of those when it reaches new coverage would take the whole budget.
