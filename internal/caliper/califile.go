@@ -1,9 +1,6 @@
 package caliper
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // caliFile is the JSON schema of a serialized profile — the simulated
 // analogue of a .cali file, letting always-on profiles travel with
@@ -14,13 +11,15 @@ type caliFile struct {
 	Metrics map[string]float64    `json:"metrics,omitempty"`
 }
 
-// caliFormat tags the interchange version.
-const caliFormat = "cali-json-1"
+// FileFormat tags the interchange version: the "format" member of
+// every profile JSON writes. The one reader of the form is core's
+// restore of a run-layer entry, which refuses any other tag.
+const FileFormat = "cali-json-1"
 
 // JSON serializes the profile as a .cali-style JSON document.
 func (p *Profile) JSON() (string, error) {
 	b, err := json.MarshalIndent(caliFile{
-		Format:  caliFormat,
+		Format:  FileFormat,
 		Regions: p.Regions,
 		Metrics: p.Metrics,
 	}, "", "  ")
@@ -28,24 +27,4 @@ func (p *Profile) JSON() (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// ParseProfile reads a profile back from its JSON form. The decoded
-// maps become the profile's own; nothing is copied.
-func ParseProfile(src string) (*Profile, error) {
-	var f caliFile
-	if err := json.Unmarshal([]byte(src), &f); err != nil {
-		return nil, fmt.Errorf("caliper: bad profile file: %w", err)
-	}
-	if f.Format != caliFormat {
-		return nil, fmt.Errorf("caliper: unsupported profile format %q", f.Format)
-	}
-	p := &Profile{Regions: f.Regions, Metrics: f.Metrics}
-	if p.Regions == nil {
-		p.Regions = map[string]RegionStat{}
-	}
-	if p.Metrics == nil {
-		p.Metrics = map[string]float64{}
-	}
-	return p, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -405,6 +404,12 @@ type sessionRunner struct {
 	keyMu    sync.Mutex
 	keyBuf   []byte
 	keyNames []string
+
+	// RestoreExperiment's decoder and the profile text it reads into,
+	// reused across the session's experiments.
+	decMu sync.Mutex
+	dec   metricsdb.Decoder
+	cali  []byte
 }
 
 func (r *sessionRunner) Label() string {
@@ -499,15 +504,6 @@ func (s *Session) Manifests(rep *ramble.AnalysisReport) map[string]string {
 // engine report, from which Run feeds the local database and Push a
 // pushed batch, so neither can disagree with the artifact.
 func (s *Session) record(rep *ramble.AnalysisReport, model string) ([]engine.ExperimentResult, error) {
-	type entry struct {
-		Experiment string            `json:"experiment"`
-		Status     string            `json:"status"`
-		Elapsed    float64           `json:"elapsed_s"`
-		FOMs       map[string]string `json:"foms,omitempty"`
-		Error      string            `json:"error,omitempty"`
-		Manifest   string            `json:"manifest"`
-	}
-	var entries []entry
 	var results []engine.ExperimentResult
 	s.manifests = make(map[string]string, len(rep.Experiments))
 	envs := map[string]string{} // software env name -> its manifest
@@ -518,14 +514,6 @@ func (s *Session) record(rep *ramble.AnalysisReport, model string) ([]engine.Exp
 			envs[e.App.Name] = m
 		}
 		s.manifests[e.Name] = m
-		entries = append(entries, entry{
-			Experiment: e.Name,
-			Status:     e.Status.String(),
-			Elapsed:    e.Elapsed,
-			FOMs:       e.FOMs,
-			Error:      e.FailMsg,
-			Manifest:   m,
-		})
 		if e.Status != ramble.Succeeded {
 			continue
 		}
@@ -542,19 +530,65 @@ func (s *Session) record(rep *ramble.AnalysisReport, model string) ([]engine.Exp
 			},
 		})
 	}
-	data, err := json.MarshalIndent(map[string]any{
-		"system":  s.System.Name,
-		"suite":   s.Suite,
-		"total":   rep.Total,
-		"passed":  rep.Succeeded,
-		"failed":  rep.Failed,
-		"results": entries,
-	}, "", "  ")
+	buf := logBufs.Get().(*[]byte)
+	defer logBufs.Put(buf)
+	data, err := appendResultsLog((*buf)[:0], s.System.Name, s.Suite, rep, s.manifests)
+	*buf = data
 	if err != nil {
 		return nil, err
 	}
 	s.Workspace.WriteLog("results.json", data)
 	return results, nil
+}
+
+// logBufs lends record the buffer results.json is appended to, which
+// WriteLog copies out of.
+var logBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendResultsLog appends logs/results.json: what json.MarshalIndent
+// with a two-space indent gives for a map of "system", "suite",
+// "total", "passed", "failed" and "results" — the last a list of each
+// experiment's name, status, elapsed time, FOMs and error (those two
+// left out when empty) and its manifest, null when there is none. An
+// elapsed time JSON cannot hold is an error.
+func appendResultsLog(b []byte, system, suite string, rep *ramble.AnalysisReport, manifests map[string]string) (_ []byte, err error) {
+	str := func(member, v string) { b = metricsdb.AppendString(append(b, member...), v) }
+	b = strconv.AppendInt(append(b, "{\n  \"failed\": "...), int64(rep.Failed), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"passed\": "...), int64(rep.Succeeded), 10)
+	b = append(b, ",\n  \"results\": "...)
+	if len(rep.Experiments) == 0 {
+		b = append(b, "null"...)
+	}
+	open := "["
+	for _, e := range rep.Experiments {
+		str(open+"\n    {\n      \"experiment\": ", e.Name)
+		open = ","
+		str(",\n      \"status\": ", e.Status.String())
+		if b, err = metricsdb.AppendFloat(append(b, ",\n      \"elapsed_s\": "...), e.Elapsed); err != nil {
+			return b, err
+		}
+		if len(e.FOMs) > 0 {
+			sep := ",\n      \"foms\": {\n        "
+			for _, k := range slices.Sorted(maps.Keys(e.FOMs)) {
+				str(sep, k)
+				str(": ", e.FOMs[k])
+				sep = ",\n        "
+			}
+			b = append(b, "\n      }"...)
+		}
+		if e.FailMsg != "" {
+			str(",\n      \"error\": ", e.FailMsg)
+		}
+		str(",\n      \"manifest\": ", manifests[e.Name])
+		b = append(b, "\n    }"...)
+	}
+	if len(rep.Experiments) > 0 {
+		b = append(b, "\n  ]"...)
+	}
+	str(",\n  \"suite\": ", suite)
+	str(",\n  \"system\": ", system)
+	b = strconv.AppendInt(append(b, ",\n  \"total\": "...), int64(rep.Total), 10)
+	return append(b, "\n}"...), nil
 }
 
 // manifest renders the environment one software environment's

@@ -4,7 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,7 +60,10 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 // outcome — the suite and system coordinates, the system's model
 // (hpcsim.System.Fingerprint: a model edited under an unchanged name
 // re-executes), the experiment's
-// rendered variables, environment, modifiers and batch script, its
+// rendered variables (expandedVars: each of e.Vars' names through
+// Expander.ExpandVar, which answers from the memo buildExperiment
+// filled, a name that does not expand left out), environment,
+// modifiers and batch script, its
 // execution geometry, and the DAG hashes of its software
 // environment's concrete roots (lockedEnv.roots, the roots of its
 // spack.lock, computed once per session). A root hash is a Merkle
@@ -73,8 +77,9 @@ func (s *Session) appendCacheStats(ctx context.Context, rep *engine.Report) {
 // TestExperimentKeyMatchesMarshalledStruct keeps — whose canonical
 // JSON is written here by hand, member by member in declaration
 // order with map keys sorted: a session hashes the same bytes
-// encoding/json would give without building the struct or copying its
-// maps.
+// encoding/json would give without building the struct or its maps —
+// the rendered variables are written name by name, and only a miss
+// builds them as a map, for Execute.
 //
 // The workspace root is normalized out of every rendered value: batch
 // scripts and expanded variables legitimately embed the workspace
@@ -86,7 +91,7 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	if r.model == "" {
 		return "" // no provenance, no caching
 	}
-	vars, root := r.expanded(i), r.s.Workspace.Root
+	root := r.s.Workspace.Root
 
 	r.keyMu.Lock()
 	defer r.keyMu.Unlock()
@@ -108,18 +113,20 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 		}
 		b = append(b, ']')
 	}
-	normMap := func(member string, m map[string]string) {
+	// normMap writes m's members in name order, each value the one
+	// value gives for its name; a name it has none for is left out.
+	normMap := func(member string, m map[string]string, value func(string) (string, error)) {
 		b = append(b, member...)
-		r.keyNames = r.keyNames[:0]
-		for k := range m {
-			r.keyNames = append(r.keyNames, k)
-		}
-		sort.Strings(r.keyNames)
-		for j, k := range r.keyNames {
-			if j > 0 {
-				b = append(b, ',')
+		open := len(b)
+		r.keyNames = slices.AppendSeq(r.keyNames[:0], maps.Keys(m))
+		slices.Sort(r.keyNames)
+		for _, k := range r.keyNames {
+			if v, err := value(k); err == nil {
+				if len(b) > open {
+					b = append(b, ',')
+				}
+				b = appendNorm(append(metricsdb.AppendString(b, k), ':'), v, root)
 			}
-			b = appendNorm(append(metricsdb.AppendString(b, k), ':'), m[k], root)
 		}
 		b = append(b, '}')
 	}
@@ -132,8 +139,8 @@ func (r *sessionRunner) ExperimentKey(i int) cachekey.Key {
 	str(`,"Experiment":`, e.Name)
 	str(`,"App":`, e.App.Name)
 	str(`,"Workload":`, e.Workload)
-	normMap(`,"Vars":{`, vars)
-	normMap(`,"Env":{`, e.Env)
+	normMap(`,"Vars":{`, e.Vars, e.Expander.ExpandVar)
+	normMap(`,"Env":{`, e.Env, func(k string) (string, error) { return e.Env[k], nil })
 	list(`,"Modifiers":`, e.Modifiers)
 	b = appendNorm(append(b, `,"Script":`...), e.Script, root)
 	num(`,"NNodes":`, e.NNodes)
@@ -218,16 +225,113 @@ func (r *sessionRunner) MarshalExperiment(i int) ([]byte, error) {
 // the decoded metadata map becomes the Adiak metadata whole. An entry
 // that does not decode, or has no profile for Commit to settle,
 // returns an error and the engine re-executes.
+//
+// The entry is read by hand with the runner's one decoder, profile
+// text and all: the outcome is the one encoding/json gives for a
+// cachedOutcome and the profile it holds, except that a member name
+// the entry's writer never emits is refused (encoding/json would match
+// it case-folded or skip it). A refused entry is only a miss.
 func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte) error {
+	r.decMu.Lock()
+	defer r.decMu.Unlock()
+	d := &r.dec
 	var co cachedOutcome
-	if err := json.Unmarshal(data, &co); err != nil {
+	r.cali = r.cali[:0]
+	err := d.Document(data, func(name []byte) {
+		switch string(name) {
+		case "text":
+			d.String(&co.Text)
+		case "elapsed_s":
+			d.Float(&co.Elapsed)
+		case "profile":
+			d.Bytes(&r.cali)
+		case "meta":
+			decodeMap(d, &co.Meta, d.String)
+		default:
+			unknownMember(d, name)
+		}
+	})
+	if err != nil {
 		return err
 	}
-	p, err := caliper.ParseProfile(co.Profile) // an entry with no profile does not parse
+	p, err := decodeProfile(d, r.cali) // an entry with no profile does not decode
 	if err != nil {
 		return err
 	}
 	r.outs[i] = &bench.Output{Text: co.Text, Elapsed: co.Elapsed, Profile: p, Metadata: adiak.FromMap(co.Meta)}
-	r.errs[i], r.calis[i] = nil, co.Profile
+	r.errs[i], r.calis[i] = nil, string(r.cali)
 	return nil
+}
+
+// decodeProfile reads a profile from the JSON Profile.JSON writes, as
+// encoding/json would decode it: the format must be
+// caliper.FileFormat, and absent or null regions or metrics are empty
+// maps.
+func decodeProfile(d *metricsdb.Decoder, text []byte) (*caliper.Profile, error) {
+	var format string
+	p := &caliper.Profile{}
+	err := d.Document(text, func(name []byte) {
+		switch string(name) {
+		case "format":
+			d.String(&format)
+		case "regions":
+			decodeMap(d, &p.Regions, func(st *caliper.RegionStat) {
+				d.Object(func(name []byte) {
+					switch string(name) {
+					case "Count":
+						d.Int(&st.Count)
+					case "Total":
+						d.Float(&st.Total)
+					case "Min":
+						d.Float(&st.Min)
+					case "Max":
+						d.Float(&st.Max)
+					default:
+						unknownMember(d, name)
+					}
+				})
+			})
+		case "metrics":
+			decodeMap(d, &p.Metrics, d.Float)
+		default:
+			unknownMember(d, name)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: bad profile in a run entry: %w", err)
+	}
+	if format != caliper.FileFormat {
+		return nil, fmt.Errorf("core: run entry profile has format %q, want %q", format, caliper.FileFormat)
+	}
+	if p.Regions == nil {
+		p.Regions = map[string]caliper.RegionStat{}
+	}
+	if p.Metrics == nil {
+		p.Metrics = map[string]float64{}
+	}
+	return p, nil
+}
+
+// decodeMap fills *m from the object at the cursor as encoding/json
+// fills a map: each member adds to the map there, made if need be, and
+// a null makes it nil.
+func decodeMap[V any](d *metricsdb.Decoder, m *map[string]V, value func(*V)) {
+	if d.Null() {
+		*m = nil
+		return
+	}
+	if *m == nil {
+		*m = map[string]V{}
+	}
+	d.Object(func(name []byte) {
+		k := string(name) // name is d's until the value is read
+		var v V
+		value(&v)
+		(*m)[k] = v
+	})
+}
+
+// unknownMember refuses a member no writer of a run entry emits.
+func unknownMember(d *metricsdb.Decoder, name []byte) {
+	d.Fail(fmt.Errorf("core: unknown member %q in a run entry", name))
 }

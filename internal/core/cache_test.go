@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adiak"
+	"repro/internal/bench"
 	"repro/internal/cachekey"
 	"repro/internal/caliper"
 	"repro/internal/ci"
@@ -608,9 +610,12 @@ func TestRunEntryWithoutProfileReExecutes(t *testing.T) {
 
 // FuzzRestoreExperiment: whatever bytes a run layer hands back, a
 // restore either fails — leaving the experiment's slots empty for the
-// engine to execute into — or leaves a profile and metadata for Commit
-// to settle, with the kept .cali text being the stored text the
-// profile was parsed from.
+// engine to execute into — or leaves the outcome encoding/json decodes
+// from the same bytes (jsonOutcome): text, elapsed time, metadata and
+// the profile the kept .cali text holds, that text being the stored
+// one. The restore may refuse an entry encoding/json takes, never
+// restore one differently. Every entry MarshalExperiment wrote
+// restores.
 func FuzzRestoreExperiment(f *testing.F) {
 	ctx := context.Background()
 	sess, err := New().Setup("saxpy/openmp", "cts1", f.TempDir())
@@ -629,12 +634,18 @@ func FuzzRestoreExperiment(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		if err := r.RestoreExperiment(ctx, i, data); err != nil {
+			f.Fatalf("the entry MarshalExperiment wrote does not restore: %v", err)
+		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
 	f.Add([]byte(`{"text":"x","elapsed_s":1}`))
 	f.Add([]byte(`{"text":"x","profile":"{\"format\":\"cali-json-1\",\"regions\":null}","meta":null}`))
 	f.Add([]byte(`{"profile":"{\"format\":\"cali-json-1\",\"regions\":{\"a\":{\"Count\":1}},\"regions\":null}"}`))
+	f.Add([]byte(`{"profile":"{\"format\":\"cali-json-1\",\"metrics\":{\"a\":null}}","profile":null,"meta":{"k":null},"meta":{"j":"v"}}`))
+	f.Add([]byte(`{"profile":"{\"format\":\"cali-json-1\",\"regions\":{\"\\u00e9\":null,\"r\":{\"Count\":2,\"Count\":3}}}","meta":{"a":"1"},"meta":null}`))
+	f.Add([]byte(`{"Text":"x","profile":"{\"format\":\"cali-json-1\"}"}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r.outs[0], r.errs[0], r.calis[0] = nil, nil, ""
@@ -648,15 +659,44 @@ func FuzzRestoreExperiment(f *testing.F) {
 		if out == nil || out.Profile == nil || out.Metadata == nil {
 			t.Fatalf("restore succeeded but left output %+v", out)
 		}
-		var co cachedOutcome
-		if err := json.Unmarshal(data, &co); err != nil {
-			t.Fatal(err)
+		want, cali, err := jsonOutcome(data)
+		if err != nil {
+			t.Fatalf("restored an entry encoding/json refuses: %v", err)
 		}
-		if r.calis[0] != co.Profile {
-			t.Fatalf("kept .cali %q, the entry stores %q", r.calis[0], co.Profile)
+		if r.calis[0] != cali {
+			t.Fatalf("kept .cali %q, the entry stores %q", r.calis[0], cali)
 		}
-		if p, err := caliper.ParseProfile(r.calis[0]); err != nil || !reflect.DeepEqual(p, out.Profile) {
-			t.Fatalf("kept .cali parses to %+v, %v; the restored profile is %+v", p, err, out.Profile)
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("restored %+v (profile %+v), encoding/json decodes %+v (profile %+v)", out, out.Profile, want, want.Profile)
 		}
 	})
+}
+
+// jsonOutcome is the outcome encoding/json decodes from a run-layer
+// entry, and the profile text it keeps: the restore as it was before
+// it was read by hand, its oracle.
+func jsonOutcome(data []byte) (*bench.Output, string, error) {
+	var co cachedOutcome
+	if err := json.Unmarshal(data, &co); err != nil {
+		return nil, "", err
+	}
+	var f struct {
+		Format  string                        `json:"format"`
+		Regions map[string]caliper.RegionStat `json:"regions"`
+		Metrics map[string]float64            `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(co.Profile), &f); err != nil {
+		return nil, "", err
+	}
+	if f.Format != caliper.FileFormat {
+		return nil, "", fmt.Errorf("format %q", f.Format)
+	}
+	p := &caliper.Profile{Regions: f.Regions, Metrics: f.Metrics}
+	if p.Regions == nil {
+		p.Regions = map[string]caliper.RegionStat{}
+	}
+	if p.Metrics == nil {
+		p.Metrics = map[string]float64{}
+	}
+	return &bench.Output{Text: co.Text, Elapsed: co.Elapsed, Profile: p, Metadata: adiak.FromMap(co.Meta)}, co.Profile, nil
 }

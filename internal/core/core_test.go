@@ -786,8 +786,8 @@ func TestCaliFilesWritten(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cali file: %v", err)
 	}
-	p, err := caliper.ParseProfile(string(data))
-	if err != nil {
+	var p caliper.Profile
+	if err := json.Unmarshal(data, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Regions["main/saxpy_kernel"].Count == 0 {

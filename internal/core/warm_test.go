@@ -301,13 +301,17 @@ func TestSetupAllocationBudget(t *testing.T) {
 // TestReplayAllocationBudget pins what replaying a session costs: a
 // warm saxpy/openmp@cts1 Session.Run over a primed store looks each
 // experiment up by a key that folds in the lockfile's root hashes and
-// renders each variable alone, and settles it from the stored text —
-// the .cali is written as stored, not parsed and rendered again. The
-// least of ten runs is the measure, as in
+// writes each variable from the expander's memo, and settles it from
+// the stored text — the entry and the profile in it are read by hand
+// with one decoder, and the .cali is written as stored, not rendered
+// again. That is about 175 kB: decoding the entry with encoding/json
+// makes it 186 kB, and the profile in it too 189 kB (223 kB before the
+// key was written from the memo and results.json by hand). The least
+// of ten runs is the measure, as in
 // TestWarmSessionCostIndependentOfCacheSize, and the race detector's
 // own allocations make the bound meaningless under -race.
 func TestReplayAllocationBudget(t *testing.T) {
-	const budget = 270_000
+	const budget = 185_000
 	st, err := cachekey.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

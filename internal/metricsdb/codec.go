@@ -582,6 +582,19 @@ func (d *Decoder) String(dst *string) {
 	}
 }
 
+// Bytes stores the string at the cursor in *dst as String does, but
+// in *dst's own room, grown if need be: a caller that keeps its buffer
+// reads strings into it without allocating.
+func (d *Decoder) Bytes(dst *[]byte) {
+	if b, ok := d.text(); ok {
+		*dst = append((*dst)[:0], b...)
+	}
+}
+
+// Null consumes the null at the cursor, if there is one, and reports
+// whether there was: what tells a null member from an empty one.
+func (d *Decoder) Null() bool { return d.null() }
+
 // intern returns b as a string, shared with every equal string the
 // table holds or has room for.
 func (d *Decoder) intern(b []byte) string {

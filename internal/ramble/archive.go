@@ -71,7 +71,7 @@ func (w *Workspace) archiveTo(out io.Writer) error {
 		if err := tw.WriteHeader(hdr); err != nil {
 			return err
 		}
-		if _, err := tw.Write(data); err != nil {
+		if _, err := io.WriteString(tw, data); err != nil {
 			return err
 		}
 	}

@@ -25,9 +25,9 @@ import (
 // Expander substitutes {variable} references in templates, with
 // recursive expansion and simple arithmetic ({a}*{b} inside one brace
 // pair: {n_nodes*processes_per_node}). Each variable's successful
-// expansion is remembered until the next Set, so a variable reached
-// through many templates is expanded once; an Expander is therefore
-// not safe for concurrent use.
+// expansion is remembered until a Set of a variable it read, so a
+// variable reached through many templates is expanded once; an
+// Expander is therefore not safe for concurrent use.
 type Expander struct {
 	vars map[string]string
 	memo map[string]expansion
@@ -50,13 +50,20 @@ func NewExpander(vars map[string]string) *Expander {
 	return &Expander{vars: vars}
 }
 
-// Set defines or overrides a variable.
+// Set defines or overrides a variable. The remembered expansions are
+// dropped only when name is one of them: every variable a successful
+// expansion reads is remembered itself (a failure is never
+// remembered), so a name the memo does not hold fed none of it —
+// buildExperiment's Sets of experiment_name, experiment_run_dir and
+// command keep what the name template expanded.
 func (e *Expander) Set(name, value string) {
 	if e.vars == nil {
 		e.vars = map[string]string{}
 	}
 	e.vars[name] = value
-	clear(e.memo)
+	if _, ok := e.memo[name]; ok {
+		clear(e.memo)
+	}
 }
 
 const maxDepth = 32

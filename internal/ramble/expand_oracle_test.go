@@ -307,35 +307,54 @@ func TestVariablesNamedLikeFloats(t *testing.T) {
 // FuzzExpand holds the memoising expander to the memo-less oracle on
 // templates and variable tables from the fuzzer ("name=value" lines):
 // each variable is expanded first, to fill the memo — and ExpandVar of
-// its name must agree — then the template.
+// its name must agree — then the template. Then each line of sets is
+// a Set on the warm expander, of a name already expanded or of a new
+// one, after which every variable and the template must agree with a
+// fresh oracle over the changed table: a Set that keeps the memo keeps
+// only what the changed variable did not feed.
 func FuzzExpand(f *testing.F) {
-	f.Add("{mpi_command} {n}", "mpi_command=srun -N {n_nodes} -n {n_ranks}\nn_nodes=2\nn_ranks={ppn*n_nodes}\nppn=8\nn=512")
-	f.Add("{a}{b}", "a={b}\nb={a}")
-	f.Add("{inf*2}{x//0}", "inf=3\nx=1")
-	f.Add("{a", "a=}")
-	f.Fuzz(func(t *testing.T, tpl, table string) {
+	f.Add("{mpi_command} {n}", "mpi_command=srun -N {n_nodes} -n {n_ranks}\nn_nodes=2\nn_ranks={ppn*n_nodes}\nppn=8\nn=512", "ppn=4\nexperiment_name=x_{n}\nn_nodes={n}")
+	f.Add("{a}{b}", "a={b}\nb={a}", "b=1\na=2")
+	f.Add("{inf*2}{x//0}", "inf=3\nx=1", "x=0\ny={inf}")
+	f.Add("{a", "a=}", "a={a}")
+	f.Add("{top}", "top={mid}!\nmid={leaf}\nleaf=1", "other={top}\nleaf=2\nmid=3")
+	f.Fuzz(func(t *testing.T, tpl, table, sets string) {
 		vars := map[string]string{}
 		var names []string
+		define := func(k, v string) {
+			if _, dup := vars[k]; !dup {
+				names = append(names, k)
+			}
+			vars[k] = v
+		}
 		for _, line := range strings.Split(table, "\n") {
 			if k, v, ok := strings.Cut(line, "="); ok {
-				if _, dup := vars[k]; !dup {
-					names = append(names, k)
-				}
-				vars[k] = v
+				define(k, v)
 			}
 		}
-		ex, o := NewExpander(maps.Clone(vars)), &oracle{vars: vars}
-		for _, k := range names {
-			if !agree(t, ex, o, "{"+k+"}", "filling the memo") {
+		ex := NewExpander(maps.Clone(vars))
+		check := func(when string) {
+			o := &oracle{vars: maps.Clone(vars)}
+			for _, k := range names {
+				if !agree(t, ex, o, "{"+k+"}", when) {
+					t.Skip("exponential without a memo")
+				}
+				want, werr := ex.Expand("{" + k + "}")
+				if got, gerr := ex.ExpandVar(k); got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Errorf("%s: ExpandVar(%q) = %q, %v; Expand gives %q, %v", when, k, got, gerr, want, werr)
+				}
+			}
+			if !agree(t, ex, o, tpl, when+": template") {
 				t.Skip("exponential without a memo")
 			}
-			want, werr := ex.Expand("{" + k + "}")
-			if got, gerr := ex.ExpandVar(k); got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-				t.Errorf("ExpandVar(%q) = %q, %v; Expand gives %q, %v", k, got, gerr, want, werr)
-			}
 		}
-		if !agree(t, ex, o, tpl, "template") {
-			t.Skip("exponential without a memo")
+		check("filling the memo")
+		for _, line := range strings.Split(sets, "\n") {
+			if k, v, ok := strings.Cut(line, "="); ok {
+				ex.Set(k, v)
+				define(k, v)
+				check(fmt.Sprintf("after Set(%q, %q)", k, v))
+			}
 		}
 	})
 }

@@ -52,13 +52,13 @@ func DefaultFetcher(url string) ([]byte, error) {
 	h := fnv.New64a()
 	h.Write([]byte(url))
 	seed := h.Sum64()
-	buf := make([]byte, 4096)
-	for i := range buf {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		buf[i] = byte(seed >> 33)
-	}
 	header := fmt.Sprintf("# input fetched from %s\n", url)
-	return append([]byte(header), buf...), nil
+	buf := append(make([]byte, 0, len(header)+4096), header...)
+	for range 4096 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		buf = append(buf, byte(seed>>33))
+	}
+	return buf, nil
 }
 
 // ContentSHA256 computes the digest DefaultFetcher's content will
@@ -77,7 +77,7 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 	if fetch == nil {
 		fetch = DefaultFetcher
 	}
-	w.put("inputs", nil, fs.ModeDir|0o755)
+	w.put("inputs", "", fs.ModeDir|0o755)
 	done := map[string]bool{}
 	for _, e := range w.Experiments {
 		for _, in := range e.App.InputsFor(e.Workload) {
@@ -87,7 +87,7 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 			done[in.Name] = true
 			path := filepath.Join("inputs", in.Name)
 			if data, err := w.read(path); err == nil {
-				if digestOK(data, in.SHA256) {
+				if digestOK([]byte(data), in.SHA256) {
 					continue // cached and intact
 				}
 				// Cached but corrupt: refetch.
@@ -101,7 +101,7 @@ func (w *Workspace) FetchInputs(fetch Fetcher) error {
 				return fmt.Errorf("ramble: input %s: checksum mismatch (got %s, want %s)",
 					in.Name, hex.EncodeToString(sum[:])[:16], strings.TrimSpace(in.SHA256)[:16])
 			}
-			w.put(path, data, 0o644)
+			w.put(path, string(data), 0o644)
 		}
 	}
 	return nil

@@ -33,7 +33,7 @@ func ranProblem2(t *testing.T) *Workspace {
 func TestSaveAndArchiveFollowWalkOrder(t *testing.T) {
 	w := ranProblem2(t)
 	for _, rel := range []string{"logs/a/x", "logs/a-b/x", "logs/a.txt", "logs/a+c"} {
-		w.put(filepath.FromSlash(rel), []byte(rel), 0o644)
+		w.put(filepath.FromSlash(rel), rel, 0o644)
 	}
 	var unsaved bytes.Buffer
 	if err := w.archiveTo(&unsaved); err != nil {

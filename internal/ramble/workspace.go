@@ -58,7 +58,9 @@ type Experiment struct {
 	// Vars is the complete raw variable table (values may still hold
 	// {…} references; Expander resolves them). It is the Expander's
 	// own map: change a variable with Expander.Set, which also drops
-	// the expansions remembered for the old value.
+	// the expansions remembered for the old value. Expander.ExpandVar
+	// of each name is its rendered value, from the Expander's memo once
+	// the experiment is built (core's run key reads them that way).
 	Vars     map[string]string
 	Expander *Expander
 	Env      map[string]string // rendered environment variables
@@ -107,8 +109,11 @@ type Workspace struct {
 	files map[string]file
 }
 
+// file is one written file. Its text is a string, so the rendered
+// scripts, configs and outputs handed in as strings are kept as they
+// are, not copied.
 type file struct {
-	data []byte
+	data string
 	mode fs.FileMode
 }
 
@@ -121,24 +126,25 @@ func NewWorkspace(name, root string) (*Workspace, error) {
 	}
 	w := &Workspace{Name: name, Root: root, files: map[string]file{}}
 	for _, d := range []string{"configs", "experiments", "logs"} {
-		w.put(d, nil, fs.ModeDir|0o755)
+		w.put(d, "", fs.ModeDir|0o755)
 	}
 	return w, nil
 }
 
 // put is the one way anything is written to a workspace.
-func (w *Workspace) put(rel string, data []byte, mode fs.FileMode) {
+func (w *Workspace) put(rel, data string, mode fs.FileMode) {
 	w.files[rel] = file{data, mode}
 }
 
 // read returns a workspace file: what this process wrote if it wrote
 // it, else what an earlier one saved under Root — which is how a
 // reopened workspace finds its includes and cached inputs.
-func (w *Workspace) read(rel string) ([]byte, error) {
+func (w *Workspace) read(rel string) (string, error) {
 	if f, ok := w.files[rel]; ok && !f.mode.IsDir() {
 		return f.data, nil
 	}
-	return os.ReadFile(filepath.Join(w.Root, rel))
+	data, err := os.ReadFile(filepath.Join(w.Root, rel))
+	return string(data), err
 }
 
 // walkSorted returns m's keys, read as paths, in the order
@@ -172,7 +178,7 @@ func (w *Workspace) Save() error {
 		if f.mode.IsDir() {
 			continue
 		}
-		if err := os.WriteFile(path, f.data, f.mode); err != nil {
+		if err := os.WriteFile(path, []byte(f.data), f.mode); err != nil {
 			return fmt.Errorf("ramble: saving workspace: %w", err)
 		}
 	}
@@ -182,18 +188,18 @@ func (w *Workspace) Save() error {
 // WriteConfig stores a named config file under configs/
 // (spack.yaml, variables.yaml — the system-specific inputs).
 func (w *Workspace) WriteConfig(name, content string) {
-	w.put(filepath.Join("configs", name), []byte(content), 0o644)
+	w.put(filepath.Join("configs", name), content, 0o644)
 }
 
 // WriteLog stores an analysis artifact under logs/.
 func (w *Workspace) WriteLog(name string, data []byte) {
-	w.put(filepath.Join("logs", name), data, 0o644)
+	w.put(filepath.Join("logs", name), string(data), 0o644)
 }
 
 // WriteOutput stores <experiment><ext> in the experiment's run
 // directory: the .out the kernel printed, the .cali it profiled.
 func (w *Workspace) WriteOutput(e *Experiment, ext, content string) {
-	w.put(filepath.Join(e.relDir(), e.Name+ext), []byte(content), 0o644)
+	w.put(filepath.Join(e.relDir(), e.Name+ext), content, 0o644)
 }
 
 // Configure parses ramble.yaml and merges its includes
@@ -217,7 +223,7 @@ func (w *Workspace) Configure(rambleYAML string) error {
 		if err != nil {
 			return fmt.Errorf("ramble: include %q: %w", inc, err)
 		}
-		incDoc, err := yamlite.ParseMap(string(data))
+		incDoc, err := yamlite.ParseMap(data)
 		if err != nil {
 			return fmt.Errorf("ramble: include %q: %w", inc, err)
 		}
@@ -256,7 +262,7 @@ func (w *Workspace) Setup() error {
 	}
 
 	for _, e := range w.Experiments {
-		w.put(filepath.Join(e.relDir(), "execute_experiment.sh"), []byte(e.Script), 0o755)
+		w.put(filepath.Join(e.relDir(), "execute_experiment.sh"), e.Script, 0o755)
 	}
 	w.setupDone = true
 	return nil
@@ -586,7 +592,7 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl, templat
 		{"n_ranks", &e.NRanks},
 		{"n_threads", &e.NThreads},
 	} {
-		s, err := ex.Expand("{" + g.key + "}")
+		s, err := ex.ExpandVar(g.key)
 		if err != nil {
 			return nil, err
 		}
@@ -596,7 +602,7 @@ func (w *Workspace) buildExperiment(app *Application, workload, nameTpl, templat
 		}
 		*g.dst = n
 	}
-	s, err := ex.Expand("{batch_time}")
+	s, err := ex.ExpandVar("batch_time")
 	if err != nil {
 		return nil, err
 	}

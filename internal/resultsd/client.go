@@ -349,19 +349,24 @@ func (c *Client) Series(ctx context.Context, f metricsdb.Filter, fom string) ([]
 	q.Set("fom", fom)
 	var resp SeriesResponse
 	err := c.do(ctx, http.MethodGet, "/v1/series", q, nil, "", func(data []byte) error {
-		// The server writes every point as {"seq":…, so counting those
-		// sizes the slice once; decoding into a nil one would grow it by
-		// doubling, twice the answer in garbage. A miscount only costs
-		// room.
-		if n := bytes.Count(data, []byte(`{"seq":`)); n > 0 {
-			resp.Points = make([]SeriesPoint, 0, n)
-		}
+		roomPerSeq(data, &resp.Points)
 		return json.Unmarshal(data, &resp)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Points, nil
+}
+
+// roomPerSeq gives *list room for one element per {"seq": in a reply:
+// the server writes every series point and every flag that way, so
+// counting those sizes the list once; decoding into a nil one would
+// grow it by doubling, twice the answer in garbage. A miscount only
+// costs room.
+func roomPerSeq[T any](data []byte, list *[]T) {
+	if n := bytes.Count(data, []byte(`{"seq":`)); n > 0 {
+		*list = make([]T, 0, n)
+	}
 }
 
 // Regressions runs a server-side regression scan. window <= 0 and
@@ -376,7 +381,11 @@ func (c *Client) Regressions(ctx context.Context, f metricsdb.Filter, fom string
 		q.Set("threshold", strconv.FormatFloat(threshold, 'g', -1, 64))
 	}
 	var resp RegressionsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/regressions", q, nil, "", jsonInto(&resp)); err != nil {
+	err := c.do(ctx, http.MethodGet, "/v1/regressions", q, nil, "", func(data []byte) error {
+		roomPerSeq(data, &resp.Regressions)
+		return json.Unmarshal(data, &resp)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Regressions, nil

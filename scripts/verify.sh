@@ -31,8 +31,9 @@
 # memo-less oracle (templates and variable tables are user-written
 # YAML), ramble's expansion of an experiment template against a
 # nested-loop oracle (`ramble workspace setup` and `ramble on` expand
-# a configs/ramble.yaml read back from disk) and core's restore of a run-layer entry (bytes read back from
-# a shared cache directory) are fuzzed for five seconds each from
+# a configs/ramble.yaml read back from disk), core's restore of a run-layer entry (bytes read back from
+# a shared cache directory) and core's hand-appended logs/results.json
+# against json.MarshalIndent are fuzzed for five seconds each from
 # their seed corpora.
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
@@ -98,7 +99,7 @@ go test -race -count=1 ./internal/engine ./internal/core ./internal/install ./in
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, regression reply encoder, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore; 5s each)"
+stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, regression reply encoder, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore, results.json encoder; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=5s ./internal/resultstore
 # Each FuzzReadSnapshot exec opens and closes a store (a goroutine and an
@@ -128,6 +129,9 @@ go test -run '^$' -fuzz '^FuzzExpansionMatchesOracle$' -fuzztime=5s ./internal/r
 # The seeds are whole run-layer entries of a few kB; minimizing one
 # that reaches new coverage would take the whole budget.
 go test -run '^$' -fuzz '^FuzzRestoreExperiment$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
+# logs/results.json sorts each experiment's FOM names out of a map, so
+# the sort's coverage flaps as FuzzParse's does.
+go test -run '^$' -fuzz '^FuzzResultsLog$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
 
 stage "smoke" "(one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
 go run ./scripts/smoke
