@@ -137,3 +137,28 @@ func TestFlagSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestSuitesListing pins `benchpark suites`: every embedded suite, one
+// a line, sorted by name.
+func TestSuitesListing(t *testing.T) {
+	const want = `amg2023/cube
+amg2023/cuda
+amg2023/openmp
+amg2023/rocm
+hpcg/hpcg
+lulesh/hydro
+osu/allreduce
+osu/bcast
+saxpy/cuda
+saxpy/openmp
+saxpy/rocm
+stream/triad
+`
+	out, err := captureStdout(t, func() error { return run([]string{"suites"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != want {
+		t.Errorf("benchpark suites printed:\n%s\nwant:\n%s", out, want)
+	}
+}

@@ -205,8 +205,12 @@ func TestIntegrationAllSuitesOnAllCompatibleSystems(t *testing.T) {
 		for _, sysName := range []string{"cts1", "ats2", "ats4", "cloud-c5n", "fugaku-a64fx"} {
 			sess, err := bp.Setup(suite, sysName, t.TempDir())
 			if err != nil {
-				// GPU variants on incompatible systems are expected to
-				// be rejected at setup.
+				// A GPU variant on a system without its GPUs is refused
+				// at setup; any other setup error is a broken suite.
+				msg := err.Error()
+				if !strings.Contains(msg, " has no GPUs for variant ") && !strings.Contains(msg, " GPUs use ") {
+					t.Errorf("%s on %s: %v", suite, sysName, err)
+				}
 				continue
 			}
 			rep, _, err := sess.Run(context.Background(), core.RunOptions{})

@@ -27,10 +27,11 @@ var seededMutations = []struct {
 	want     []string
 }{
 	{
-		// An environment's root loop handing each install a fresh
-		// context: cancelling the session no longer stops the installs.
-		analyzer: CtxFlow, file: "internal/env/env.go",
-		edits: [][2]string{{"inst.Install(ctx, root)", "inst.Install(context.Background(), root)"}},
+		// Hubcast running a PR's pipeline under a fresh context: a
+		// cancelled or timed-out sync no longer stops the pipeline's
+		// jobs. No test cancels a Sync, so only ctxflow sees it.
+		analyzer: CtxFlow, file: "internal/ci/pipeline.go",
+		edits: [][2]string{{"h.GitLab.RunPipeline(ctx, pr.HeadSHA", "h.GitLab.RunPipeline(context.Background(), pr.HeadSHA"}},
 		want:  []string{"context.Background()"},
 	},
 	{

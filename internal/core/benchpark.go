@@ -85,22 +85,6 @@ func (bp *Benchpark) Setup(suite, systemName, workspaceDir string) (*Session, er
 	return bp.setup(suite, sys, rambleYAML, workspaceDir)
 }
 
-// lookupSuite resolves a system name and renders the named experiment
-// suite's ramble.yaml for it.
-func lookupSuite(suite, systemName string) (*hpcsim.System, string, error) {
-	sys, err := hpcsim.Get(systemName)
-	if err != nil {
-		return nil, "", err
-	}
-	gen, ok := experimentSuites[suite]
-	if !ok {
-		return nil, "", fmt.Errorf("benchpark: unknown experiment suite %q (have %v)",
-			suite, ExperimentTemplates())
-	}
-	rambleYAML, err := gen(sys)
-	return sys, rambleYAML, err
-}
-
 // setup is Setup over an already rendered ramble.yaml: a workspace
 // named name@system in dir, configured from rambleYAML.
 func (bp *Benchpark) setup(name string, sys *hpcsim.System, rambleYAML, dir string) (*Session, error) {

@@ -8,9 +8,12 @@
 package core
 
 import (
+	"embed"
 	"fmt"
-	"maps"
+	"io/fs"
+	"path"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/concretizer"
@@ -149,55 +152,50 @@ func specName(s string) string {
 	return s
 }
 
-// ExperimentTemplates returns the ramble.yaml text for a named
-// experiment suite on a system — the "$experiment" argument of the
-// Figure 1c workflow (`benchpark $experiment $system $workspace`).
-// Suites are "<benchmark>/<variant-or-workload>".
+// experiments holds the suites: experiments/<benchmark>/<variant>/
+// ramble.yaml, Figure 1a's layout. A suite names a system value only
+// as {sys_cores_per_node} or {sys_gpus_per_node}, which lookupSuite
+// fills in.
+//
+//go:embed experiments
+var experiments embed.FS
+
+// ExperimentTemplates lists the experiment suites, sorted — the
+// "$experiment" argument of the Figure 1c workflow (`benchpark
+// $experiment $system $workspace`). Suites are
+// "<benchmark>/<variant-or-workload>".
 func ExperimentTemplates() []string {
-	return slices.Sorted(maps.Keys(experimentSuites))
+	files, _ := fs.Glob(experiments, "experiments/*/*/ramble.yaml") // the pattern is well formed
+	suites := make([]string, len(files))
+	for i, f := range files {
+		suites[i] = path.Dir(strings.TrimPrefix(f, "experiments/"))
+	}
+	slices.Sort(suites) // Glob lists directory by directory: "a/b" before "a-b/c"
+	return suites
 }
 
-// suiteDef generates a ramble.yaml given the system (for GPU counts
-// and core counts).
-type suiteDef func(sys *hpcsim.System) (string, error)
-
-var experimentSuites = map[string]suiteDef{
-	"saxpy/openmp": func(sys *hpcsim.System) (string, error) {
-		return saxpySuite(sys, "openmp")
-	},
-	"saxpy/cuda": func(sys *hpcsim.System) (string, error) {
-		return saxpySuite(sys, "cuda")
-	},
-	"saxpy/rocm": func(sys *hpcsim.System) (string, error) {
-		return saxpySuite(sys, "rocm")
-	},
-	"amg2023/openmp": func(sys *hpcsim.System) (string, error) {
-		return amgSuite(sys, "openmp")
-	},
-	"amg2023/cuda": func(sys *hpcsim.System) (string, error) {
-		return amgSuite(sys, "cuda")
-	},
-	"amg2023/rocm": func(sys *hpcsim.System) (string, error) {
-		return amgSuite(sys, "rocm")
-	},
-	"amg2023/cube": func(sys *hpcsim.System) (string, error) {
-		return amgCubeSuite(sys)
-	},
-	"stream/triad": func(sys *hpcsim.System) (string, error) {
-		return streamSuite(sys)
-	},
-	"hpcg/hpcg": func(sys *hpcsim.System) (string, error) {
-		return hpcgSuite(sys)
-	},
-	"lulesh/hydro": func(sys *hpcsim.System) (string, error) {
-		return luleshSuite(sys)
-	},
-	"osu/bcast": func(sys *hpcsim.System) (string, error) {
-		return osuSuite(sys, "osu_bcast")
-	},
-	"osu/allreduce": func(sys *hpcsim.System) (string, error) {
-		return osuSuite(sys, "osu_allreduce")
-	},
+// lookupSuite resolves a system name and renders the named experiment
+// suite's ramble.yaml for it: a GPU variant (the suite's cuda or rocm
+// directory) needs the system's GPUs to use that runtime.
+func lookupSuite(suite, systemName string) (*hpcsim.System, string, error) {
+	sys, err := hpcsim.Get(systemName)
+	if err != nil {
+		return nil, "", err
+	}
+	text, err := experiments.ReadFile("experiments/" + suite + "/ramble.yaml")
+	if err != nil {
+		return nil, "", fmt.Errorf("benchpark: unknown experiment suite %q (have %v)",
+			suite, ExperimentTemplates())
+	}
+	if err := checkGPU(sys, path.Base(suite)); err != nil {
+		return nil, "", err
+	}
+	rambleYAML := strings.ReplaceAll(string(text), "{sys_cores_per_node}", strconv.Itoa(sys.Node.Cores()))
+	if gpu := sys.Node.GPU; gpu != nil {
+		// Without GPUs the name stays, and ramble refuses it as undefined.
+		rambleYAML = strings.ReplaceAll(rambleYAML, "{sys_gpus_per_node}", strconv.Itoa(gpu.PerNode))
+	}
+	return sys, rambleYAML, nil
 }
 
 func checkGPU(sys *hpcsim.System, variant string) error {
@@ -211,271 +209,4 @@ func checkGPU(sys *hpcsim.System, variant string) error {
 		return fmt.Errorf("benchpark: system %s GPUs use %s, not %s", sys.Name, sys.Node.GPU.Runtime, variant)
 	}
 	return nil
-}
-
-// saxpySuite is the paper's Figure 10 configuration, with the GPU
-// variants of Figure 1a's experiments/saxpy/{cuda,rocm} directories.
-func saxpySuite(sys *hpcsim.System, variant string) (string, error) {
-	if err := checkGPU(sys, variant); err != nil {
-		return "", err
-	}
-	spackVariant := "+openmp"
-	if variant != "openmp" {
-		spackVariant = "+" + variant + "~openmp"
-	}
-	return fmt.Sprintf(`
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    saxpy:
-      workloads:
-        problem:
-          env_vars:
-            set:
-              OMP_NUM_THREADS: '{n_threads}'
-          variables:
-            variant: '%s'
-            batch_time: '120'
-          experiments:
-            saxpy_%s_{n}_{n_nodes}_{n_ranks}_{n_threads}:
-              variables:
-                processes_per_node: ['8', '4']
-                n_nodes: ['1', '2']
-                n_threads: ['2', '4']
-                n: ['512', '1024']
-              matrices:
-              - size_threads:
-                - n
-                - n_threads
-  spack:
-    packages:
-      saxpy:
-        spack_spec: saxpy@1.0.0 %s ^cmake@3.23.1
-        compiler: default-compiler
-    environments:
-      saxpy:
-        packages:
-        - default-mpi
-        - saxpy
-`, variant, variant, spackVariant), nil
-}
-
-func amgSuite(sys *hpcsim.System, variant string) (string, error) {
-	if err := checkGPU(sys, variant); err != nil {
-		return "", err
-	}
-	spackVariant := "+caliper"
-	if variant != "openmp" {
-		spackVariant += "+" + variant
-	} else {
-		spackVariant += "+openmp"
-	}
-	ppn := 8
-	if variant != "openmp" && sys.Node.GPU != nil {
-		ppn = sys.Node.GPU.PerNode // one rank per GPU
-	}
-	return fmt.Sprintf(`
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    amg2023:
-      workloads:
-        problem1:
-          variables:
-            variant: '%s'
-            batch_time: '120'
-            processes_per_node: '%d'
-            nx: '32'
-            ny: '32'
-            nz: '32'
-          experiments:
-            amg2023_%s_{n_nodes}_{n_ranks}:
-              variables:
-                n_nodes: ['1', '2']
-  spack:
-    packages:
-      amg2023:
-        spack_spec: amg2023@1.0 %s ^hypre@2.28.0
-        compiler: default-compiler
-    environments:
-      amg2023:
-        packages:
-        - default-mpi
-        - amg2023
-`, variant, ppn, variant, spackVariant), nil
-}
-
-// amgCubeSuite runs AMG with a 2x2x2 process cube — the 3-D
-// decomposition path of the proxy.
-func amgCubeSuite(sys *hpcsim.System) (string, error) {
-	return `
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    amg2023:
-      workloads:
-        problem1:
-          variables:
-            batch_time: '120'
-            processes_per_node: '8'
-            n_nodes: '1'
-            px: '2'
-            py: '2'
-            pz: '2'
-            nx: '16'
-            ny: '16'
-            nz: '16'
-          experiments:
-            amg2023_cube_{px}x{py}x{pz}:
-              variables:
-                tolerance: '1e-6'
-  spack:
-    packages:
-      amg2023:
-        spack_spec: amg2023@1.0 +caliper ^hypre@2.28.0
-        compiler: default-compiler
-    environments:
-      amg2023:
-        packages:
-        - default-mpi
-        - amg2023
-`, nil
-}
-
-func streamSuite(sys *hpcsim.System) (string, error) {
-	return fmt.Sprintf(`
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    stream:
-      workloads:
-        triad:
-          variables:
-            batch_time: '30'
-            processes_per_node: '1'
-            n_threads: '%d'
-          experiments:
-            stream_{n}_{n_nodes}:
-              variables:
-                n_nodes: '1'
-                n: '10000000'
-  spack:
-    packages:
-      stream:
-        spack_spec: stream@5.10 +openmp
-        compiler: default-compiler
-    environments:
-      stream:
-        packages:
-        - stream
-`, sys.Node.Cores()), nil
-}
-
-func hpcgSuite(sys *hpcsim.System) (string, error) {
-	return `
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    hpcg:
-      workloads:
-        hpcg:
-          modifiers:
-          - papi
-          variables:
-            batch_time: '60'
-            processes_per_node: '8'
-            nx: '16'
-            ny: '16'
-            nz: '16'
-          experiments:
-            hpcg_{n_nodes}_{n_ranks}:
-              variables:
-                n_nodes: ['1', '2']
-  spack:
-    packages:
-      hpcg:
-        spack_spec: hpcg@3.1 +openmp
-        compiler: default-compiler
-    environments:
-      hpcg:
-        packages:
-        - default-mpi
-        - hpcg
-`, nil
-}
-
-func luleshSuite(sys *hpcsim.System) (string, error) {
-	return `
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    lulesh:
-      workloads:
-        hydro:
-          variables:
-            batch_time: '60'
-            processes_per_node: '8'
-            size: '16'
-            iterations: '20'
-          experiments:
-            lulesh_{size}_{n_nodes}_{n_ranks}:
-              variables:
-                n_nodes: ['1', '2']
-  spack:
-    packages:
-      lulesh:
-        spack_spec: lulesh@2.0.3 +openmp
-        compiler: default-compiler
-    environments:
-      lulesh:
-        packages:
-        - default-mpi
-        - lulesh
-`, nil
-}
-
-func osuSuite(sys *hpcsim.System, workload string) (string, error) {
-	ppn := sys.Node.Cores()
-	return fmt.Sprintf(`
-ramble:
-  include:
-  - ./configs/spack.yaml
-  - ./configs/variables.yaml
-  applications:
-    osu-micro-benchmarks:
-      workloads:
-        %s:
-          variables:
-            workload: '%s'
-            batch_time: '60'
-            processes_per_node: '%d'
-            message_size: '8192'
-            iterations: '32000'
-          experiments:
-            %s_{n_ranks}:
-              variables:
-                n_nodes: ['1', '2', '4']
-  spack:
-    packages:
-      osu-micro-benchmarks:
-        spack_spec: osu-micro-benchmarks@6.1
-        compiler: default-compiler
-    environments:
-      osu-micro-benchmarks:
-        packages:
-        - default-mpi
-        - osu-micro-benchmarks
-`, workload, workload, ppn, workload), nil
 }

@@ -559,10 +559,11 @@ func TestFailurePropagatesThroughStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject the fault into every experiment, as an edit of ramble.yaml.
-	yaml, err := experimentSuites["saxpy/openmp"](sess.System)
+	raw, err := experiments.ReadFile("experiments/saxpy/openmp/ramble.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
+	yaml := string(raw)
 	edited := strings.Replace(yaml, "variant: 'openmp'\n", "variant: 'openmp'\n            inject_failure: '0'\n", 1)
 	if edited == yaml {
 		t.Fatal("saxpy/openmp's ramble.yaml has no workload variant to inject the fault beside")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -259,19 +258,7 @@ func TestEffectiveConfigGolden(t *testing.T) {
 		eff := yamlite.Marshal(sess.Workspace.Effective())
 		fmt.Fprintf(&got, "### %s %s\n%s", spec[0], spec[1], strings.ReplaceAll(eff, sess.Workspace.Root, "$WORKSPACE"))
 	}
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("%s did not exist and has been recorded from this tree; review it and run again", path)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(raw) {
-		t.Errorf("effective configs differ from %s:\n got:\n%s\nwant:\n%s", path, got.String(), raw)
-	}
+	checkGolden(t, path, got.String())
 }
 
 // TestSetupAllocationBudget pins what a session's setup costs before
