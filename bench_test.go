@@ -434,7 +434,7 @@ func BenchmarkAblation_Reuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		inst := install.New(pkgrepo.Builtin())
-		if _, err := inst.Install(context.Background(), oldCmake); err != nil {
+		if _, err := inst.Install(context.Background(), oldCmake, nil); err != nil {
 			b.Fatal(err)
 		}
 
@@ -452,7 +452,7 @@ func BenchmarkAblation_Reuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := inst.Install(context.Background(), adiakSpec)
+			rep, err := inst.Install(context.Background(), adiakSpec, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

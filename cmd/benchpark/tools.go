@@ -74,7 +74,7 @@ func findCmd(args []string, opts *execOpts) error {
 		if err != nil {
 			return err
 		}
-		if _, err := inst.Install(ctx, concrete); err != nil {
+		if _, err := inst.Install(ctx, concrete, nil); err != nil {
 			return err
 		}
 	}

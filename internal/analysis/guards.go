@@ -121,7 +121,15 @@ var guardTable = []guard{
 		why: "a store reads only the format it writes (snapshotFormat); an older store is refused by name, not read"},
 	{pr: 60, uses: []string{"internal/metricsdb.RecyclePoints", "internal/metricsdb.RecycleRegressions"}, only: []string{"internal/resultsd/server.go", "internal/metricsdb"},
 		why: "the next query's answer is built in recycled room, so only the handler that encoded an answer and holds nothing else of it hands it back"},
+	{pr: 63, uses: []string{"internal/cachekey.Layer.Read", "internal/engine.ExperimentCache.Read"},
+		only: []string{"internal/concretizer/concretizer.go", "internal/buildcache/buildcache.go", "internal/engine/engine.go"},
+		why:  "a read lends its payload from pooled room that the next read refills, so only the three layers' decoders, which copy what they keep, read an entry"},
+	{pr: 63, pkg: "internal/cachekey", retired: []string{"Layer.Get"}, why: oneCacheRead},
+	{pr: 63, pkg: "internal/engine", retired: []string{"ExperimentCache.Get"}, why: oneCacheRead},
+	{pr: 63, pkg: "internal/fsys", retired: []string{"FS.ReadFile"}, why: oneCacheRead},
 }
+
+const oneCacheRead = "a file is read one way, into the caller's buffer (fsys.FS.ReadInto), and a cache entry one way, lent to a callback (cachekey.Layer.Read)"
 
 const oneSeq = "a result has one sequence number; the newest row's Seq is the watermark"
 

@@ -119,12 +119,14 @@ var seededMutations = []struct {
 		want:  []string{"hash-state update", "fmt.Fprintf"},
 	},
 	{
-		// "Someone added a field but not to the key": an exported field
-		// tagged json:"-" in the struct the concretizer hashes into its
-		// config fingerprint. (core's execute key is encoded by hand and
-		// held to its struct by TestExperimentKeyMatchesMarshalledStruct.)
+		// "Someone added a field but not to the key": the config
+		// fingerprint taken back to cachekey.Hash of a struct, with a
+		// new field tagged json:"-". (Every key in the module is now
+		// appended by hand and held to its struct by a test —
+		// ExperimentKey, Config.Fingerprint, buildcache's entryKey — so
+		// keycover guards the reflective form coming back.)
 		analyzer: KeyCover, file: "internal/concretizer/config.go",
-		edits: [][2]string{{"ReuseInstalled   []string\n\t}{", "ReuseInstalled   []string\n\t\tDeadline         string `json:\"-\"`\n\t}{"}},
+		edits: [][2]string{{"\treturn cachekey.HashJSON(c.appendFingerprint(nil))\n", "\treturn cachekey.Hash(struct {\n\t\tConfig   string\n\t\tDeadline string `json:\"-\"`\n\t}{Config: string(c.appendFingerprint(nil))})\n"}},
 		want:  []string{"Deadline"},
 	},
 	{

@@ -21,8 +21,8 @@ import (
 // flags the two path shapes the caches rest on:
 //
 //   - memoized roots — functions bracketing a compute with a
-//     cache/memo lookup and store (Layer.Get/Put around the
-//     concretizer's solve, ExperimentCache.Get/Put).
+//     cache/memo lookup and store (Layer.Read/Put around the
+//     concretizer's solve, ExperimentCache.Read/Put).
 //     Calls reachable from the bracket must not read the clock, an
 //     unseeded RNG, or the process environment. Filesystem reads are
 //     allowed here: content-addressed keys legitimately hash file
@@ -172,8 +172,8 @@ func isKeyFunc(pass *Pass, fn *ast.FuncDecl) bool {
 // containing both a read-shaped and a write-shaped call against a
 // cache-like target (receiver type or function name mentioning
 // cache/memo/layer/store). This is how every caching layer in the
-// module brackets its compute: Layer.Get/Put around the concretizer
-// solve, ExperimentCache.Get/Put around Execute.
+// module brackets its compute: Layer.Read/Put around the concretizer
+// solve, ExperimentCache.Read/Put around Execute.
 func isMemoBracket(pass *Pass, fn *ast.FuncDecl) bool {
 	var reads, writes bool
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -223,7 +223,8 @@ func cacheCallShape(pass *Pass, call *ast.CallExpr) cacheShape {
 	name := strings.ToLower(fn.Name())
 	switch {
 	case strings.Contains(name, "get") || strings.Contains(name, "lookup") ||
-		strings.Contains(name, "load") || strings.Contains(name, "fetch"):
+		strings.Contains(name, "load") || strings.Contains(name, "fetch") ||
+		strings.Contains(name, "read"):
 		return cacheRead
 	case strings.Contains(name, "put") || strings.Contains(name, "store") ||
 		strings.Contains(name, "save"):

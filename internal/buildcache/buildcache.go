@@ -16,9 +16,11 @@ package buildcache
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 
 	"repro/internal/cachekey"
+	"repro/internal/metricsdb"
 )
 
 // Entry is one cached binary: the content address (spec DAG hash)
@@ -39,6 +41,9 @@ type Cache struct {
 	// layer, when set, durably mirrors every entry (write-through)
 	// and answers what entries does not hold (read-through).
 	layer *cachekey.Layer
+
+	decMu sync.Mutex
+	dec   metricsdb.Decoder // reads layer entries, under decMu
 }
 
 // New returns an empty cache.
@@ -46,9 +51,11 @@ func New() *Cache {
 	return &Cache{entries: map[string]Entry{}}
 }
 
-// entryKey maps a spec DAG hash to its durable store key.
+// entryKey maps a spec DAG hash to its durable store key:
+// cachekey.Hash(hash).Derive("buildcache"), with the hash's JSON
+// string, which is what json.Marshal gives for it, appended by hand.
 func entryKey(hash string) cachekey.Key {
-	return cachekey.Hash(hash).Derive("buildcache")
+	return cachekey.HashJSON(metricsdb.AppendString(make([]byte, 0, len(hash)+2), hash)).Derive("buildcache")
 }
 
 // Persist attaches a durable cache layer and performs no IO: entries
@@ -60,19 +67,42 @@ func (c *Cache) Persist(l *cachekey.Layer) {
 	c.layer = l
 }
 
-// readEntry fetches and checks the entry stored under k: the frame
-// digest holds, the payload decodes, and the entry is filed under its
-// own hash's key. Anything else is a cold miss, never a wrong hit.
-func readEntry(l *cachekey.Layer, k cachekey.Key) (Entry, bool) {
-	data, ok := l.Get(k)
+// readEntry fetches and checks the entry for hash from the layer: the
+// frame digest holds, the payload decodes, and the entry is filed
+// under its own hash. Anything else is a cold miss, never a wrong hit.
+func (c *Cache) readEntry(l *cachekey.Layer, hash string) (Entry, bool) {
+	var e Entry
+	ok := l.Read(entryKey(hash), func(data []byte) bool {
+		c.decMu.Lock()
+		defer c.decMu.Unlock()
+		return decodeEntry(&c.dec, data, &e) == nil && e.Hash != "" && e.Hash == hash
+	})
 	if !ok {
 		return Entry{}, false
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Hash == "" || entryKey(e.Hash) != k {
-		return Entry{}, false
-	}
 	return e, true
+}
+
+// decodeEntry reads a layer entry — json.Marshal of an Entry — into *e
+// with d: the Entry encoding/json gives for the same bytes, except
+// that a member name no writer of an entry ever emitted is refused
+// (encoding/json would match it case-folded or skip it), which is only
+// a miss. The members older writers added are skipped, as
+// encoding/json skips them. Every string is a copy: data is the
+// layer's, borrowed.
+func decodeEntry(d *metricsdb.Decoder, data []byte, e *Entry) error {
+	return d.Document(data, func(name []byte) {
+		switch string(name) {
+		case "Hash":
+			d.String(&e.Hash)
+		case "SpecText":
+			d.String(&e.SpecText)
+		case "Size", "Package", "Version", "Target": // what older entries also carry
+			d.Skip()
+		default:
+			d.Fail(fmt.Errorf("buildcache: unknown member %q in an entry", name))
+		}
+	})
 }
 
 // Get finds the entry for hash in memory, then in the durable layer
@@ -86,7 +116,7 @@ func (c *Cache) Get(hash string) (Entry, bool) {
 	if ok || layer == nil {
 		return e, ok
 	}
-	if e, ok = readEntry(layer, entryKey(hash)); ok {
+	if e, ok = c.readEntry(layer, hash); ok {
 		c.mu.Lock()
 		c.entries[hash] = e
 		c.mu.Unlock()

@@ -1,6 +1,7 @@
 package buildcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cachekey"
+	"repro/internal/metricsdb"
 )
 
 func openLayer(t *testing.T, dir string) *cachekey.Layer {
@@ -166,4 +168,34 @@ func TestConcurrentReadThrough(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// FuzzEntry holds the layer's two hand codecs to encoding/json:
+// whatever decodeEntry takes, json.Unmarshal takes too and decodes to
+// the same Entry (refusing is always allowed: a refused entry is a
+// miss and a rebuild), and entryKey is the key cachekey.Hash derives
+// from json.Marshal of the hash.
+func FuzzEntry(f *testing.F) {
+	f.Add([]byte(`{"Hash":"6tklakm7shebgjv4ka6r3bjnnn5liosd","SpecText":"saxpy@1.0.0%gcc@12.1.1+openmp"}`), "6tklakm7shebgjv4ka6r3bjnnn5liosd")
+	f.Add([]byte(`{"Hash":"h-old","SpecText":"zlib@1.2.12","Size":1024,"Package":"zlib","Version":"1.2.12","Target":"broadwell"}`), "h-old")
+	f.Add([]byte(` {"SpecText":null,"Hash":"a\u0026b","Hash":"\ud800x","Size":[{"x":null}]} `), "<&>\u2028\xff")
+	f.Add([]byte(`{"hash":"x"}`), "")
+	f.Add([]byte(`{"Hash": 7}`), "\x00\"")
+	var d metricsdb.Decoder
+	f.Fuzz(func(t *testing.T, data []byte, hash string) {
+		if got, want := entryKey(hash), cachekey.Hash(hash).Derive("buildcache"); got != want {
+			t.Fatalf("entryKey(%q) = %s, want %s", hash, got, want)
+		}
+		var got Entry
+		if decodeEntry(&d, data, &got) != nil {
+			return
+		}
+		var want Entry
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("decodeEntry took %q, which encoding/json refuses: %v", data, err)
+		}
+		if got != want {
+			t.Fatalf("decodeEntry(%q) = %+v, encoding/json gives %+v", data, got, want)
+		}
+	})
 }

@@ -80,15 +80,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	key := Hash("experiment-1")
 	payload := []byte(`{"text":"Kernel done","elapsed":1.5}`)
 
-	if _, ok := l.Get(key); ok {
+	if _, ok := get(l, key); ok {
 		t.Fatal("empty store must miss")
 	}
 	if err := l.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := l.Get(key)
+	got, ok := get(l, key)
 	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("Get = %q, %v; want payload back", got, ok)
+		t.Fatalf("Read = %q, %v; want payload back", got, ok)
 	}
 }
 
@@ -101,10 +101,10 @@ func TestStoreLayersAreIsolatedButShared(t *testing.T) {
 	if err := st.Layer("run").Put(key, []byte("run-data")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Layer("buildcache").Get(key); ok {
+	if _, ok := get(st.Layer("buildcache"), key); ok {
 		t.Error("layers must not share entries")
 	}
-	if got, ok := st.Layer("run").Get(key); !ok || string(got) != "run-data" {
+	if got, ok := get(st.Layer("run"), key); !ok || string(got) != "run-data" {
 		t.Errorf("run layer lost its entry: %q, %v", got, ok)
 	}
 }
@@ -124,7 +124,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st2.Layer("concretize").Get(key)
+	got, ok := get(st2.Layer("concretize"), key)
 	if !ok || string(got) != "dag" {
 		t.Fatalf("reopened store lost the entry: %q, %v", got, ok)
 	}
@@ -156,7 +156,7 @@ func TestInvalidKeyNeverStores(t *testing.T) {
 	if err := l.Put(Key("../../etc/passwd-0000000000000000000000000000000000000000000"), []byte("x")); err == nil {
 		t.Error("Put under a malformed key must fail")
 	}
-	if _, ok := l.Get(Key("")); ok {
+	if _, ok := get(l, Key("")); ok {
 		t.Error("invalid key must miss")
 	}
 }
@@ -178,8 +178,8 @@ func TestGetSkipsStrayFiles(t *testing.T) {
 	if _, err := fsys.Commit(fsys.OS, leftover, bytes.NewReader(frame([]byte("junk")))); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := l.Get(entry); !ok || string(got) != "payload" {
-		t.Errorf("Get beside a leftover temp file = %q, %v", got, ok)
+	if got, ok := get(l, entry); !ok || string(got) != "payload" {
+		t.Errorf("Read beside a leftover temp file = %q, %v", got, ok)
 	}
 	if err := os.MkdirAll(filepath.Dir(l.path(stray)), 0o755); err != nil {
 		t.Fatal(err)
@@ -187,13 +187,53 @@ func TestGetSkipsStrayFiles(t *testing.T) {
 	if err := os.WriteFile(l.path(stray), []byte("not a cache entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := l.Get(stray); ok {
+	if got, ok := get(l, stray); ok {
 		t.Errorf("stray file served as a hit: %q", got)
 	}
 	if err := l.Put(stray, []byte("healed")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := l.Get(stray); !ok || string(got) != "healed" {
-		t.Errorf("Get after the healing Put = %q, %v", got, ok)
+	if got, ok := get(l, stray); !ok || string(got) != "healed" {
+		t.Errorf("Read after the healing Put = %q, %v", got, ok)
+	}
+}
+
+// get reads the entry under key as the pipeline's layers do and keeps
+// a copy of the borrowed payload.
+func get(l *Layer, key Key) ([]byte, bool) {
+	var out []byte
+	ok := l.Read(key, func(payload []byte) bool {
+		out = bytes.Clone(payload)
+		return true
+	})
+	return out, ok
+}
+
+// TestReadLendsEachPayloadWhole: a read into room a longer entry grew
+// hands over exactly the shorter payload, and a payload the callback
+// refuses is a miss.
+func TestReadLendsEachPayloadWhole(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := st.Layer("run")
+	long, short := Hash("long"), Hash("short")
+	if err := l.Put(long, bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put(short, []byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if got, ok := get(l, long); !ok || len(got) != 64<<10 {
+			t.Fatalf("long entry: %d bytes, %v", len(got), ok)
+		}
+		if got, ok := get(l, short); !ok || string(got) != "short" {
+			t.Fatalf("short entry after the long one = %q, %v", got, ok)
+		}
+	}
+	if l.Read(short, func([]byte) bool { return false }) {
+		t.Error("a refused payload must read as a miss")
 	}
 }

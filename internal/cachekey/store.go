@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/fsys"
 )
@@ -21,7 +22,7 @@ import (
 //     and renamed into place, so readers never observe a torn entry.
 //   - Corruption degrades to a cold miss, never a wrong hit: a
 //     truncated, bit-flipped, or foreign file fails the frame check
-//     and Get reports a miss (the pipeline then recomputes and
+//     and Read reports a miss (the pipeline then recomputes and
 //     overwrites it).
 //   - Concurrent same-key writers are safe: each writes its own temp
 //     file and the rename is atomic, so a reader sees one complete
@@ -49,16 +50,32 @@ func Open(dir string) (*Store, error) {
 // "run", ...). A Layer holds no state of its own: every handle on one
 // name reads and writes the same entries on disk.
 func (s *Store) Layer(name string) *Layer {
-	return &Layer{store: s, name: name}
+	return &Layer{dir: filepath.Join(s.dir, name)}
 }
 
-// Layer is one named partition of a Store. It implements the Get/Put
+// Layer is one named partition of a Store. It implements the Read/Put
 // contract the engine's run cache and the other pipeline layers
 // consume.
+//
+// Read lends its payload: the bytes live in a buffer the layer takes
+// from a pool for that one read and hands back when the callback
+// returns, so they are the callback's to read and never to keep. A
+// consumer copies what it keeps — every decoder of the three layers
+// does, string by string — and a warm session reads each entry once
+// into room an earlier read already grew.
 type Layer struct {
-	store *Store
-	name  string
+	dir string // <store>/<name>
 }
+
+// readBufs holds the buffers Read fills, one per read in flight. The
+// pool keeps nothing across two garbage collections, so a warm
+// session's read room is no live heap once it is idle.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRead is the largest buffer Read hands back to the pool: an
+// entry larger than any the pipeline writes is read once and left to
+// the GC rather than pinned for every later read.
+const maxPooledRead = 1 << 20
 
 // entry framing: magic, format version, payload length, payload
 // sha256, payload. Any mismatch — wrong magic, short file, bad
@@ -103,22 +120,35 @@ func unframe(raw []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// path maps a key to its entry file.
+// path maps a valid key to its entry file: what filepath.Join gives for
+// the layer directory, the key's first two characters and the key,
+// which are clean already.
 func (l *Layer) path(key Key) string {
-	return filepath.Join(l.store.dir, l.name, string(key[:2]), string(key))
+	return l.dir + string(filepath.Separator) + string(key[:2]) + string(filepath.Separator) + string(key)
 }
 
-// Get fetches the payload stored under key. An invalid key, a missing
-// entry, or a corrupt entry all report a miss.
-func (l *Layer) Get(key Key) ([]byte, bool) {
+// Read hands the payload stored under key to use and reports whether
+// there was one and use took it. An invalid key, a missing entry or a
+// corrupt one is a miss, and use is not called; use returns false for
+// a payload it refuses, which is a miss too. The payload is borrowed:
+// it is valid only until use returns (see Layer).
+func (l *Layer) Read(key Key, use func(payload []byte) bool) bool {
 	if !key.Valid() {
-		return nil, false
+		return false
 	}
-	raw, err := fsys.OS.ReadFile(l.path(key))
+	buf := readBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledRead {
+			readBufs.Put(buf)
+		}
+	}()
+	raw, err := fsys.OS.ReadInto(l.path(key), *buf)
+	*buf = raw // keep the room the read grew
 	if err != nil {
-		return nil, false
+		return false
 	}
-	return unframe(raw)
+	payload, ok := unframe(raw)
+	return ok && use(payload)
 }
 
 // Put stores payload under key, atomically (write temp, fsync,

@@ -32,7 +32,7 @@ func TestTortureTruncateAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(l.path(key), full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := l.Get(key); ok {
+		if got, ok := get(l, key); ok {
 			t.Fatalf("truncation at byte %d/%d served a hit (%q); must be a cold miss",
 				n, len(full), got)
 		}
@@ -41,7 +41,7 @@ func TestTortureTruncateAtEveryByte(t *testing.T) {
 	if err := os.WriteFile(l.path(key), full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := l.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := get(l, key); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("intact entry must hit with the exact payload, got %q, %v", got, ok)
 	}
 }
@@ -71,7 +71,7 @@ func TestTortureFlipEveryByte(t *testing.T) {
 		if err := os.WriteFile(l.path(key), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := l.Get(key); ok {
+		if got, ok := get(l, key); ok {
 			t.Fatalf("flip at byte %d served a hit (%q); must be a cold miss", i, got)
 		}
 	}
@@ -118,7 +118,7 @@ func TestTortureConcurrentSameKeyWriters(t *testing.T) {
 		go func() {
 			defer rg.Done()
 			for i := 0; i < 200; i++ {
-				got, ok := l.Get(key)
+				got, ok := get(l, key)
 				if ok && !valid[string(got)] {
 					select {
 					case readErrs <- string(got):
@@ -136,7 +136,7 @@ func TestTortureConcurrentSameKeyWriters(t *testing.T) {
 		t.Fatalf("reader observed a torn/foreign payload: %q", torn)
 	}
 
-	got, ok := l.Get(key)
+	got, ok := get(l, key)
 	if !ok || !valid[string(got)] {
 		t.Fatalf("final read must hit with one writer's intact payload, got %q, %v", got, ok)
 	}

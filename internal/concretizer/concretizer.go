@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/archspec"
 	"repro/internal/cachekey"
+	"repro/internal/metricsdb"
 	"repro/internal/pkgrepo"
 	"repro/internal/spec"
 )
@@ -24,6 +25,8 @@ type Concretizer struct {
 	// concretizer's lookups in it.
 	Cache        *cachekey.Layer
 	Hits, Misses int
+
+	dec metricsdb.Decoder // reads this concretizer's cache hits
 }
 
 // New returns a concretizer.
@@ -36,7 +39,7 @@ func New(repo *pkgrepo.Repo, cfg *Config) *Concretizer {
 
 // Concretize resolves one abstract spec into a fully concrete DAG.
 func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
-	out, err := c.ConcretizeTogether([]*spec.Spec{abstract})
+	out, err := c.ConcretizeTogether([]*spec.Spec{abstract}, spec.Hasher{})
 	if err != nil {
 		return nil, err
 	}
@@ -55,35 +58,99 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // callers (internal/env) toggle Config fields around the call. An
 // entry is the solve's spec.DAG. A hit is decoded fresh, so callers
 // never share mutable nodes with the cache — the install database
-// holds spec pointers — and bytes that fail DAG.Decode are a miss. A
-// failed cache write never fails the solve.
-func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec) ([]*spec.Spec, error) {
+// holds spec pointers — and bytes that fail decodeEntry or DAG.Decode
+// are a miss. A failed cache write never fails the solve.
+//
+// hs is the hash table the caller keeps for the roots returned (see
+// spec.Hasher): a hit's DAG.Decode and a stored miss's EncodeDAG hash
+// every node into it, so nothing downstream hashes them again.
+func (c *Concretizer) ConcretizeTogether(roots []*spec.Spec, hs spec.Hasher) ([]*spec.Spec, error) {
 	if c.Cache == nil {
 		return c.concretizeTogether(roots)
 	}
-	rootStrs := make([]string, len(roots))
+	b := c.Config.appendFingerprint(make([]byte, 0, 1024))
+	fingerprint := cachekey.HashJSON(b)
+	b = append(b[:0], '[') // the roots' renderings, as json.Marshal writes a []string
 	for i, r := range roots {
-		rootStrs[i] = r.String()
-	}
-	key := c.Config.Fingerprint().Derive("concretize", cachekey.Hash(rootStrs))
-	if data, ok := c.Cache.Get(key); ok {
-		var dag spec.DAG
-		if json.Unmarshal(data, &dag) == nil {
-			if out, err := dag.Decode(); err == nil {
-				c.Hits++
-				return out, nil
-			}
+		if i > 0 {
+			b = append(b, ',')
 		}
+		b = metricsdb.AppendString(b, r.String())
+	}
+	key := fingerprint.Derive("concretize", cachekey.HashJSON(append(b, ']')))
+	var out []*spec.Spec
+	if c.Cache.Read(key, func(data []byte) bool {
+		var dag spec.DAG
+		if decodeEntry(&c.dec, data, &dag) != nil {
+			return false
+		}
+		var err error
+		out, err = dag.Decode(hs)
+		return err == nil
+	}) {
+		c.Hits++
+		return out, nil
 	}
 	c.Misses++
 	out, err := c.concretizeTogether(roots)
 	if err != nil {
 		return nil, err
 	}
-	if data, err := json.Marshal(spec.EncodeDAG(out)); err == nil {
+	if data, err := json.Marshal(spec.EncodeDAG(out, hs)); err == nil {
 		c.Cache.Put(key, data) //nolint:errcheck // cache write failure must not fail the solve
 	}
 	return out, nil
+}
+
+// decodeEntry reads a concretize entry — json.Marshal of a spec.DAG —
+// into *dag with d: the DAG encoding/json gives for the same bytes,
+// except that what the entry's writer never emits is refused — a
+// member name other than the DAG's and its nodes' own (encoding/json
+// would match it case-folded or skip it), or a second "roots" member.
+// A refused entry is only a miss. Every string is a copy: data is the
+// layer's, borrowed.
+func decodeEntry(d *metricsdb.Decoder, data []byte, dag *spec.DAG) error {
+	rootsSeen := false
+	return d.Document(data, func(name []byte) {
+		switch string(name) {
+		case "nodes":
+			metricsdb.DecodeMap(d, &dag.Nodes, 0, func(en *spec.EncodedNode) {
+				d.Object(func(name []byte) {
+					switch string(name) {
+					case "node":
+						d.String(&en.Node)
+					case "external":
+						d.String(&en.External)
+					case "deps":
+						metricsdb.DecodeMap(d, &en.Deps, 0, d.String)
+					default:
+						unknownMember(d, name)
+					}
+				})
+			})
+		case "roots":
+			if rootsSeen {
+				d.Fail(fmt.Errorf("concretizer: a second \"roots\" in a concretize entry"))
+				return
+			}
+			rootsSeen = true
+			if d.Null() {
+				return
+			}
+			dag.Roots = []string{}
+			d.Array(func() {
+				dag.Roots = append(dag.Roots, "")
+				d.String(&dag.Roots[len(dag.Roots)-1])
+			})
+		default:
+			unknownMember(d, name)
+		}
+	})
+}
+
+// unknownMember refuses a member no writer of a concretize entry emits.
+func unknownMember(d *metricsdb.Decoder, name []byte) {
+	d.Fail(fmt.Errorf("concretizer: unknown member %q in a concretize entry", name))
 }
 
 func (c *Concretizer) concretizeTogether(roots []*spec.Spec) ([]*spec.Spec, error) {

@@ -319,7 +319,7 @@ func TestUnifiedConcretization(t *testing.T) {
 	roots, err := c.ConcretizeTogether([]*spec.Spec{
 		spec.MustParse("saxpy"),
 		spec.MustParse("amg2023+caliper"),
-	})
+	}, spec.Hasher{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestUnifiedConflictAcrossRoots(t *testing.T) {
 	_, err := c.ConcretizeTogether([]*spec.Spec{
 		spec.MustParse("adiak ^cmake@3.23.1"),
 		spec.MustParse("caliper ^cmake@3.20.6"),
-	})
+	}, spec.Hasher{})
 	if err == nil {
 		t.Error("conflicting cmake pins across unified roots should fail")
 	}
@@ -356,7 +356,7 @@ func TestIndependentConcretization(t *testing.T) {
 	roots, err := c.ConcretizeTogether([]*spec.Spec{
 		spec.MustParse("adiak ^cmake@3.23.1"),
 		spec.MustParse("caliper ^cmake@3.20.6"),
-	})
+	}, spec.Hasher{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,13 @@ package concretizer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cachekey"
+	"repro/internal/metricsdb"
 	"repro/internal/spec"
 	"repro/internal/yamlite"
 )
@@ -84,58 +87,114 @@ type Config struct {
 // growing the reuse set invalidates exactly the solves it could
 // affect.
 func (c *Config) Fingerprint() cachekey.Key {
-	type extFP struct {
-		Spec   string
-		Prefix string
-	}
-	fp := struct {
-		Platform         string
-		Target           string
-		Compilers        []string
-		DefaultCompiler  string
-		Externals        map[string][]extFP
-		NotBuildable     []string
-		ProviderPrefs    map[string][]string
-		VersionPrefs     map[string]string
-		VariantPrefs     map[string]string
-		ReuseFromContext bool
-		ReuseInstalled   []string
-	}{
-		Platform:         c.Platform,
-		Target:           c.Target,
-		DefaultCompiler:  c.DefaultCompiler,
-		ProviderPrefs:    c.ProviderPrefs,
-		VersionPrefs:     c.VersionPrefs,
-		VariantPrefs:     c.VariantPrefs,
-		ReuseFromContext: c.ReuseFromContext,
-	}
-	for _, def := range c.Compilers {
-		fp.Compilers = append(fp.Compilers, def.Name+"@"+def.Version.String()+" prefix="+def.Prefix)
-	}
-	if len(c.Externals) > 0 {
-		fp.Externals = map[string][]extFP{}
-		for name, exts := range c.Externals {
-			for _, e := range exts {
-				fp.Externals[name] = append(fp.Externals[name], extFP{Spec: e.Spec.String(), Prefix: e.Prefix})
+	return cachekey.HashJSON(c.appendFingerprint(nil))
+}
+
+// appendFingerprint appends the canonical JSON Fingerprint hashes: byte
+// for byte what json.Marshal gives for the struct the tests keep
+// (fingerprintOf in cache_test.go), written by hand member by member
+// in its declaration order —
+//
+//	Platform, Target, Compilers, DefaultCompiler, Externals,
+//	NotBuildable, ProviderPrefs, VersionPrefs, VariantPrefs,
+//	ReuseFromContext, ReuseInstalled
+//
+// — with map keys sorted and a nil list or map as null. A compiler is
+// "name@version prefix=path", an external {"Spec","Prefix"},
+// NotBuildable the sorted names marked true, and ReuseInstalled the
+// reuse set's renderings in order: reuse order is load-bearing (the first
+// compatible candidate wins during seeding), so a reordered reuse set
+// may miss, but can never hit a result it would not have produced.
+func (c *Config) appendFingerprint(b []byte) []byte {
+	// array writes n elements, each by elem, as a JSON array, or null
+	// for a nil list.
+	array := func(isNil bool, n int, elem func(i int)) {
+		if isNil {
+			b = append(b, "null"...)
+			return
+		}
+		b = append(b, '[')
+		for i := range n {
+			if i > 0 {
+				b = append(b, ',')
 			}
+			elem(i)
+		}
+		b = append(b, ']')
+	}
+	strs := func(l []string) {
+		array(l == nil, len(l), func(i int) { b = metricsdb.AppendString(b, l[i]) })
+	}
+	// object writes the members of a map with the given keys, which
+	// are sorted, each value by value, or null for a nil map.
+	object := func(isNil bool, keys []string, value func(k string)) {
+		if isNil {
+			b = append(b, "null"...)
+			return
+		}
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(metricsdb.AppendString(b, k), ':')
+			value(k)
+		}
+		b = append(b, '}')
+	}
+	strMap := func(m map[string]string) {
+		object(m == nil, slices.Sorted(maps.Keys(m)), func(k string) { b = metricsdb.AppendString(b, m[k]) })
+	}
+
+	b = metricsdb.AppendString(append(b, `{"Platform":`...), c.Platform)
+	b = metricsdb.AppendString(append(b, `,"Target":`...), c.Target)
+	b = append(b, `,"Compilers":`...)
+	array(len(c.Compilers) == 0, len(c.Compilers), func(i int) {
+		def := c.Compilers[i]
+		b = metricsdb.AppendString(b, def.Name+"@"+def.Version.String()+" prefix="+def.Prefix)
+	})
+	b = metricsdb.AppendString(append(b, `,"DefaultCompiler":`...), c.DefaultCompiler)
+	b = append(b, `,"Externals":`...)
+	var listed []string // a name none of whose externals is listed is left out
+	for name, exts := range c.Externals {
+		if len(exts) > 0 {
+			listed = append(listed, name)
 		}
 	}
+	slices.Sort(listed)
+	object(len(c.Externals) == 0, listed, func(name string) {
+		exts := c.Externals[name]
+		array(false, len(exts), func(i int) {
+			b = metricsdb.AppendString(append(b, `{"Spec":`...), exts[i].Spec.String())
+			b = metricsdb.AppendString(append(b, `,"Prefix":`...), exts[i].Prefix)
+			b = append(b, '}')
+		})
+	})
+	var notBuildable []string
 	for name, nb := range c.NotBuildable {
 		if nb {
-			fp.NotBuildable = append(fp.NotBuildable, name)
+			notBuildable = append(notBuildable, name)
 		}
 	}
-	sort.Strings(fp.NotBuildable)
-	// Reuse order is load-bearing (the first compatible candidate wins
-	// during seeding), so it is hashed in order, not sorted: a reordered
-	// reuse set may miss, but can never hit a result it would not have
-	// produced.
+	slices.Sort(notBuildable)
+	b = append(b, `,"NotBuildable":`...)
+	strs(notBuildable)
+	b = append(b, `,"ProviderPrefs":`...)
+	object(c.ProviderPrefs == nil, slices.Sorted(maps.Keys(c.ProviderPrefs)), func(k string) { strs(c.ProviderPrefs[k]) })
+	b = append(b, `,"VersionPrefs":`...)
+	strMap(c.VersionPrefs)
+	b = append(b, `,"VariantPrefs":`...)
+	strMap(c.VariantPrefs)
+	b = strconv.AppendBool(append(b, `,"ReuseFromContext":`...), c.ReuseFromContext)
+	var reuse []string
 	for _, s := range c.ReuseInstalled {
 		if s != nil {
-			fp.ReuseInstalled = append(fp.ReuseInstalled, s.String())
+			reuse = append(reuse, s.String())
 		}
 	}
-	return cachekey.Hash(fp)
+	b = append(b, `,"ReuseInstalled":`...)
+	strs(reuse)
+	return append(b, '}')
 }
 
 // NewConfig returns an empty configuration.

@@ -227,7 +227,7 @@ type lockedEnv struct {
 
 func newLockedEnv(e *env.Environment) lockedEnv {
 	l := lockedEnv{lines: "software: " + strings.Join(e.PackageNames(), ", ") + "\n"}
-	hs := spec.Hasher{}
+	hs := e.Hashes()
 	for _, root := range e.Roots {
 		l.roots = append(l.roots, hs.Hash(root))
 		l.lines += "root: " + root.String() + "\n"
@@ -390,10 +390,13 @@ type sessionRunner struct {
 	keyNames []string
 
 	// RestoreExperiment's decoder and the profile text it reads into,
-	// reused across the session's experiments.
-	decMu sync.Mutex
-	dec   metricsdb.Decoder
-	cali  []byte
+	// reused across the session's experiments, and the size of the
+	// last metadata map it restored: a session's experiments carry
+	// the same Adiak names, so the next map is made that size.
+	decMu    sync.Mutex
+	dec      metricsdb.Decoder
+	cali     []byte
+	metaHint int
 }
 
 func (r *sessionRunner) Label() string {

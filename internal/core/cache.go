@@ -246,7 +246,7 @@ func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte)
 		case "profile":
 			d.Bytes(&r.cali)
 		case "meta":
-			decodeMap(d, &co.Meta, d.String)
+			metricsdb.DecodeMap(d, &co.Meta, r.metaHint, d.String)
 		default:
 			unknownMember(d, name)
 		}
@@ -258,6 +258,7 @@ func (r *sessionRunner) RestoreExperiment(_ context.Context, i int, data []byte)
 	if err != nil {
 		return err
 	}
+	r.metaHint = len(co.Meta)
 	r.outs[i] = &bench.Output{Text: co.Text, Elapsed: co.Elapsed, Profile: p, Metadata: adiak.FromMap(co.Meta)}
 	r.errs[i], r.calis[i] = nil, string(r.cali)
 	return nil
@@ -275,7 +276,7 @@ func decodeProfile(d *metricsdb.Decoder, text []byte) (*caliper.Profile, error) 
 		case "format":
 			d.String(&format)
 		case "regions":
-			decodeMap(d, &p.Regions, func(st *caliper.RegionStat) {
+			metricsdb.DecodeMap(d, &p.Regions, 0, func(st *caliper.RegionStat) {
 				d.Object(func(name []byte) {
 					switch string(name) {
 					case "Count":
@@ -292,7 +293,7 @@ func decodeProfile(d *metricsdb.Decoder, text []byte) (*caliper.Profile, error) 
 				})
 			})
 		case "metrics":
-			decodeMap(d, &p.Metrics, d.Float)
+			metricsdb.DecodeMap(d, &p.Metrics, 0, d.Float)
 		default:
 			unknownMember(d, name)
 		}
@@ -310,25 +311,6 @@ func decodeProfile(d *metricsdb.Decoder, text []byte) (*caliper.Profile, error) 
 		p.Metrics = map[string]float64{}
 	}
 	return p, nil
-}
-
-// decodeMap fills *m from the object at the cursor as encoding/json
-// fills a map: each member adds to the map there, made if need be, and
-// a null makes it nil.
-func decodeMap[V any](d *metricsdb.Decoder, m *map[string]V, value func(*V)) {
-	if d.Null() {
-		*m = nil
-		return
-	}
-	if *m == nil {
-		*m = map[string]V{}
-	}
-	d.Object(func(name []byte) {
-		k := string(name) // name is d's until the value is read
-		var v V
-		value(&v)
-		(*m)[k] = v
-	})
 }
 
 // unknownMember refuses a member no writer of a run entry emits.

@@ -379,12 +379,13 @@ func Run(ctx context.Context, r Runner, opts Options) (*Report, error) {
 			key = rc.ExperimentKey(i)
 		}
 		if key.Valid() {
-			if data, ok := opts.Cache.Get(key); ok {
-				if rerr := rc.RestoreExperiment(sctx, i, data); rerr == nil {
-					replayed[i] = true
-					cacheIO[i] = int64(len(data))
+			replayed[i] = opts.Cache.Read(key, func(data []byte) bool {
+				if rc.RestoreExperiment(sctx, i, data) != nil {
+					return false
 				}
-			}
+				cacheIO[i] = int64(len(data))
+				return true
+			})
 		}
 		if !replayed[i] {
 			err = r.Execute(sctx, i)

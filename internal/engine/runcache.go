@@ -10,9 +10,10 @@ import (
 // layer: a durable byte store keyed by content. *cachekey.Layer
 // implements it; tests substitute fakes.
 type ExperimentCache interface {
-	// Get fetches the payload stored under key; any corruption is a
-	// miss.
-	Get(key cachekey.Key) ([]byte, bool)
+	// Read hands the payload stored under key to use and reports
+	// whether there was one and use took it; any corruption is a miss.
+	// The payload is borrowed: it is valid only until use returns.
+	Read(key cachekey.Key, use func(payload []byte) bool) bool
 	// Put durably stores payload under key.
 	Put(key cachekey.Key, data []byte) error
 }
@@ -26,11 +27,12 @@ type ExperimentCache interface {
 //     — everything that can influence its outcome (spec, system,
 //     variables, software provenance), derived via cachekey. An
 //     invalid key (cachekey.Key("")) opts the experiment out.
-//   - On a hit, the engine calls RestoreExperiment instead of Execute:
-//     the runner reinstates the cached outcome so the subsequent
-//     Commit — still run through the same sorted merge, in index
-//     order — observes exactly the state a fresh execution would have
-//     left. The experiment's telemetry span is opened either way, so
+//   - On a hit, the engine calls RestoreExperiment instead of Execute,
+//     inside the cache's Read: the entry is read once, into memory the
+//     cache only lends, and the runner copies what it keeps as it
+//     reinstates the cached outcome, so the subsequent Commit — still
+//     run through the same sorted merge, in index order — observes
+//     exactly the state a fresh execution would have left. The experiment's telemetry span is opened either way, so
 //     a warm run's span structure is identical to a cold run's.
 //   - On a miss, Execute runs normally; if it succeeds, the engine
 //     stores MarshalExperiment's bytes under the key. Failed
@@ -45,8 +47,9 @@ type CacheableRunner interface {
 	// successful Execute.
 	MarshalExperiment(i int) ([]byte, error)
 	// RestoreExperiment reinstates a previously marshalled outcome for
-	// experiment i. ctx carries the experiment's telemetry span. An
-	// error falls back to a real execution.
+	// experiment i. ctx carries the experiment's telemetry span. data
+	// is borrowed and valid only until it returns. An error falls back
+	// to a real execution.
 	RestoreExperiment(ctx context.Context, i int, data []byte) error
 }
 

@@ -205,11 +205,11 @@ func TestCorruptedCacheEntryReExecutes(t *testing.T) {
 // failingRestoreCache serves bytes the runner cannot restore.
 type failingRestoreCache struct{ inner ExperimentCache }
 
-func (f failingRestoreCache) Get(k cachekey.Key) ([]byte, bool) {
-	if _, ok := f.inner.Get(k); ok {
-		return []byte("not json"), true
+func (f failingRestoreCache) Read(k cachekey.Key, use func([]byte) bool) bool {
+	if f.inner.Read(k, func([]byte) bool { return true }) {
+		return use([]byte("not json"))
 	}
-	return nil, false
+	return false
 }
 func (f failingRestoreCache) Put(k cachekey.Key, d []byte) error { return f.inner.Put(k, d) }
 

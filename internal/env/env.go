@@ -43,6 +43,10 @@ type Environment struct {
 	// Roots holds the concretized roots after Concretize, parallel to
 	// Specs. Nil until concretized.
 	Roots []*spec.Spec
+
+	// hashes is the DAG hash table of Roots' nodes, kept exactly as
+	// long as Roots (see Hashes).
+	hashes spec.Hasher
 }
 
 // New returns an empty named environment.
@@ -63,8 +67,21 @@ func (e *Environment) Add(specStr string) error {
 		}
 	}
 	e.Specs = append(e.Specs, s)
-	e.Roots = nil // invalidate any previous concretization
+	e.Roots, e.hashes = nil, nil // invalidate any previous concretization
 	return nil
+}
+
+// Hashes is the table of DAG hashes of e's concrete roots: the one
+// the concretize layer filled as it decoded a cached solve or encoded
+// a fresh one, so Install, Lock, DistinctInstalls and a caller that
+// needs a root's hash read each node's hash without hashing it again.
+// It lives as long as Roots, whose nodes nothing mutates (see
+// spec.Hasher).
+func (e *Environment) Hashes() spec.Hasher {
+	if e.hashes == nil {
+		e.hashes = spec.Hasher{}
+	}
+	return e.hashes
 }
 
 // Concretize resolves all roots (`spack concretize`). With Unify,
@@ -77,11 +94,12 @@ func (e *Environment) Concretize(c *concretizer.Concretizer) error {
 	c.Config.ReuseFromContext = e.Unify
 	defer func() { c.Config.ReuseFromContext = saved }()
 
-	roots, err := c.ConcretizeTogether(cloneAll(e.Specs))
+	hs := spec.Hasher{}
+	roots, err := c.ConcretizeTogether(cloneAll(e.Specs), hs)
 	if err != nil {
 		return err
 	}
-	e.Roots = roots
+	e.Roots, e.hashes = roots, hs
 	return nil
 }
 
@@ -94,14 +112,15 @@ func (e *Environment) Install(ctx context.Context, inst *install.Installer) (*in
 	if !e.IsConcretized() {
 		return nil, fmt.Errorf("env: %q is not concretized", e.Name)
 	}
-	return installRoots(ctx, e.Roots, inst)
+	return installRoots(ctx, e.Roots, e.Hashes(), inst)
 }
 
-// installRoots installs each root in turn and sums their reports.
-func installRoots(ctx context.Context, roots []*spec.Spec, inst *install.Installer) (*install.Report, error) {
+// installRoots installs each root in turn, reading hashes from hs, and
+// sums their reports.
+func installRoots(ctx context.Context, roots []*spec.Spec, hs spec.Hasher, inst *install.Installer) (*install.Report, error) {
 	total := &install.Report{}
 	for _, root := range roots {
-		rep, err := inst.Install(ctx, root)
+		rep, err := inst.Install(ctx, root, hs)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +135,7 @@ func installRoots(ctx context.Context, roots []*spec.Spec, inst *install.Install
 // — the ablation metric for unify on/off.
 func (e *Environment) DistinctInstalls() int {
 	seen := map[string]bool{}
-	hs := spec.Hasher{}
+	hs := e.Hashes()
 	for _, r := range e.Roots {
 		r.Traverse(func(n *spec.Spec) { seen[hs.Hash(n)] = true })
 	}
@@ -188,7 +207,7 @@ func (e *Environment) Lock() ([]byte, error) {
 	if !e.IsConcretized() {
 		return nil, fmt.Errorf("env: %q is not concretized", e.Name)
 	}
-	return json.MarshalIndent(spec.EncodeDAG(e.Roots), "", "  ")
+	return json.MarshalIndent(spec.EncodeDAG(e.Roots, e.Hashes()), "", "  ")
 }
 
 // InstallFromLock reproduces a lockfile's installation exactly — the
@@ -201,11 +220,12 @@ func InstallFromLock(ctx context.Context, lock []byte, inst *install.Installer) 
 	if err := json.Unmarshal(lock, &dag); err != nil {
 		return nil, fmt.Errorf("env: bad lockfile: %w", err)
 	}
-	roots, err := dag.Decode()
+	hs := spec.Hasher{}
+	roots, err := dag.Decode(hs)
 	if err != nil {
 		return nil, fmt.Errorf("env: lockfile: %w", err)
 	}
-	return installRoots(ctx, roots, inst)
+	return installRoots(ctx, roots, hs, inst)
 }
 
 // PackageNames returns the distinct package names of the concretized

@@ -3,9 +3,11 @@ package env
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cachekey"
 	"repro/internal/concretizer"
 	"repro/internal/install"
 	"repro/internal/pkgrepo"
@@ -246,7 +248,7 @@ func TestLockfileReconstructRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The collaborator receives only the JSON.
-	roots, err := lockDAG(t, e).Decode()
+	roots, err := lockDAG(t, e).Decode(spec.Hasher{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +410,63 @@ func TestHasherAgreesWithDAGHashOnSolvedDAGs(t *testing.T) {
 			if ln.Deps[dn] != d.DAGHash() {
 				t.Errorf("%s -> %s: lockfile edge %s, want %s", n.Name, dn, ln.Deps[dn], d.DAGHash())
 			}
+		}
+	}
+}
+
+// TestKeptHashTableIsTheDAGHash is the oracle for the table an
+// environment keeps: on a concretize-layer miss (EncodeDAG fills it)
+// and on a hit (DAG.Decode fills it), it already holds every node of
+// the roots, each with the hash DAGHash computes afresh; and an
+// install that reads it hashes nothing and reports exactly what an
+// install with a fresh spec.Hasher reports.
+func TestKeptHashTableIsTheDAGHash(t *testing.T) {
+	st, err := cachekey.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		name         string
+		hits, misses int
+	}{{"miss", 0, 1}, {"hit", 1, 0}} {
+		c := ctsConcretizer(t)
+		c.Cache = st.Layer("concretize")
+		e := New("kept")
+		for _, s := range []string{"amg2023+caliper", "saxpy@1.0.0+openmp"} {
+			if err := e.Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Concretize(c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Hits != want.hits || c.Misses != want.misses {
+			t.Fatalf("%s: hits/misses = %d/%d", want.name, c.Hits, c.Misses)
+		}
+		hs := e.Hashes()
+		nodes := map[*spec.Spec]bool{}
+		for _, r := range e.Roots {
+			r.Traverse(func(n *spec.Spec) {
+				nodes[n] = true
+				if h, ok := hs[n]; !ok || h != n.DAGHash() {
+					t.Errorf("%s: the kept table holds %q, %v for %s; DAGHash is %s", want.name, h, ok, n.Name, n.DAGHash())
+				}
+			})
+		}
+		held := len(hs)
+		kept, err := e.Install(context.Background(), install.New(pkgrepo.Builtin()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hs) != held || held != len(nodes) {
+			t.Errorf("%s: the table held %d hashes for %d nodes, %d after Install", want.name, held, len(nodes), len(hs))
+		}
+		fresh, err := installRoots(context.Background(), e.Roots, spec.Hasher{}, install.New(pkgrepo.Builtin()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(kept, fresh) {
+			t.Errorf("%s: an install with the kept table reports\n%+v\nwith a fresh one\n%+v", want.name, kept, fresh)
 		}
 	}
 }

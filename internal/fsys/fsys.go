@@ -18,7 +18,13 @@ import (
 type FS interface {
 	MkdirAll(dir string) error
 	ReadDir(dir string) ([]fs.DirEntry, error)
-	ReadFile(path string) ([]byte, error)
+	// ReadInto reads the whole file at path into buf's room, grown if
+	// need be, and returns buf[:0] filled with it. The bytes belong to
+	// whoever owns buf, before the call and after: a caller that keeps
+	// its buffer (cachekey pools one per read in flight) reads the next
+	// file without allocating, and one that passes nil gets a slice of
+	// its own. On an error the slice returned holds whatever was read.
+	ReadInto(path string, buf []byte) ([]byte, error)
 	// OpenAppend opens path for appending, creating it if need be.
 	OpenAppend(path string) (File, error)
 	// CreateTemp creates a new file in dir whose name starts with
@@ -48,10 +54,36 @@ type osFS struct{}
 
 func (osFS) MkdirAll(dir string) error                 { return os.MkdirAll(dir, 0o755) }
 func (osFS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
-func (osFS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
 func (osFS) Truncate(path string, size int64) error    { return os.Truncate(path, size) }
 func (osFS) Rename(from, to string) error              { return os.Rename(from, to) }
 func (osFS) Remove(path string) error                  { return os.Remove(path) }
+
+func (osFS) ReadInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	if cap(buf) == 0 { // no room to reuse: size it once, as os.ReadFile does
+		if fi, err := f.Stat(); err == nil {
+			buf = make([]byte, 0, max(fi.Size()+1, 512))
+		}
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
 
 func (osFS) OpenAppend(path string) (File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -136,3 +136,27 @@ func assertNoTemps(t *testing.T, dir string) {
 		}
 	}
 }
+
+// TestReadIntoFillsTheCallersRoom: a file is read whole whatever room
+// the caller brings — none, too little, or more than enough, which is
+// then reused rather than replaced — and a missing file is an error.
+func TestReadIntoFillsTheCallersRoom(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "entry")
+	want := bytes.Repeat([]byte("0123456789"), 1000)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	roomy := make([]byte, 3, 1<<16)
+	for _, buf := range [][]byte{nil, make([]byte, 7, 16), roomy} {
+		got, err := OS.ReadInto(path, buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadInto with room %d = %d bytes, %v", cap(buf), len(got), err)
+		}
+	}
+	if got, _ := OS.ReadInto(path, roomy); &got[0] != &roomy[:1][0] {
+		t.Error("ReadInto replaced room that was large enough")
+	}
+	if _, err := OS.ReadInto(filepath.Join(t.TempDir(), "missing"), nil); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: %v", err)
+	}
+}

@@ -232,7 +232,12 @@ func (inst *Installer) BuildSeconds(node *spec.Spec, h string) (float64, error) 
 // deep DAG; already completed node installs stay in the database. When
 // the context carries a tracer, the install records a span; its cache
 // outcome is the report's FetchedFromCache and Built counts.
-func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Report, err error) {
+//
+// hs is the table of root's DAG hashes the caller keeps — an
+// environment's, which its concretization already filled (see
+// spec.Hasher) — so a warm install hashes nothing; it gains whatever
+// node it lacked. A nil hs hashes with a table of this call's own.
+func (inst *Installer) Install(ctx context.Context, root *spec.Spec, hs spec.Hasher) (rep *Report, err error) {
 	ctx, span := telemetry.StartSpan(ctx, "install:"+root.Name)
 	defer span.End()
 	defer func() { span.SetError(err) }()
@@ -251,7 +256,9 @@ func (inst *Installer) Install(ctx context.Context, root *spec.Spec) (rep *Repor
 	states := map[string]*nodeState{}
 	var order []string // deterministic traversal order
 	var gatherErr error
-	hs := spec.Hasher{}
+	if hs == nil {
+		hs = spec.Hasher{}
+	}
 	root.Traverse(func(n *spec.Spec) {
 		if gatherErr != nil {
 			return
@@ -462,7 +469,7 @@ func (db *Database) SaveJSON() (string, error) {
 	for i, h := range hashes {
 		roots[i] = db.records[h].Spec
 	}
-	out := dbFile{Nodes: spec.EncodeDAG(roots).Nodes}
+	out := dbFile{Nodes: spec.EncodeDAG(roots, spec.Hasher{}).Nodes}
 	for _, h := range hashes {
 		r := db.records[h]
 		out.Records = append(out.Records, dbRecord{
@@ -490,7 +497,7 @@ func LoadDatabaseJSON(src string) (*Database, error) {
 	for i, rec := range in.Records {
 		dag.Roots[i] = rec.Hash
 	}
-	specs, err := dag.Decode()
+	specs, err := dag.Decode(spec.Hasher{})
 	if err != nil {
 		return nil, fmt.Errorf("install: bad database file: %w", err)
 	}

@@ -46,7 +46,7 @@ func concretizeSaxpy(t *testing.T) *spec.Spec {
 func TestInstallSaxpy(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	rep, err := inst.Install(context.Background(), root)
+	rep, err := inst.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func TestInstallSaxpy(t *testing.T) {
 func TestInstallIdempotent(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(context.Background(), root); err != nil {
+	if _, err := inst.Install(context.Background(), root, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := inst.Install(context.Background(), root)
+	rep2, err := inst.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestInstallIdempotent(t *testing.T) {
 
 func TestInstallAbstractRejected(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
-	if _, err := inst.Install(context.Background(), spec.MustParse("saxpy")); err == nil {
+	if _, err := inst.Install(context.Background(), spec.MustParse("saxpy"), nil); err == nil {
 		t.Error("abstract spec must be rejected")
 	}
 }
@@ -113,7 +113,7 @@ func TestBuildCacheSpeedsUpSecondSite(t *testing.T) {
 	// Site A builds from source and pushes to the cache.
 	siteA := New(pkgrepo.Builtin())
 	siteA.Cache = cache
-	repA, err := siteA.Install(context.Background(), root)
+	repA, err := siteA.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBuildCacheSpeedsUpSecondSite(t *testing.T) {
 	// Site B (fresh database) fetches binaries.
 	siteB := New(pkgrepo.Builtin())
 	siteB.Cache = cache
-	repB, err := siteB.Install(context.Background(), root)
+	repB, err := siteB.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestMakespanImprovesWithWorkers(t *testing.T) {
 	}
 	inst1 := New(pkgrepo.Builtin())
 	inst1.workers = 1
-	rep1, err := inst1.Install(context.Background(), root)
+	rep1, err := inst1.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst8 := New(pkgrepo.Builtin())
 	inst8.workers = 8
-	rep8, err := inst8.Install(context.Background(), root)
+	rep8, err := inst8.Install(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestInstallDeterministicReport(t *testing.T) {
 	var first *Report
 	for i := 0; i < 3; i++ {
 		inst := New(pkgrepo.Builtin())
-		rep, err := inst.Install(context.Background(), root)
+		rep, err := inst.Install(context.Background(), root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestInstallDeterministicReport(t *testing.T) {
 func TestDatabaseFind(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(context.Background(), root); err != nil {
+	if _, err := inst.Install(context.Background(), root, nil); err != nil {
 		t.Fatal(err)
 	}
 	recs := inst.DB.Find(spec.MustParse("saxpy"))
@@ -280,12 +280,12 @@ func TestOtherTargetBinaryIsRebuilt(t *testing.T) {
 	cache := buildcache.New()
 	builder := New(pkgrepo.Builtin())
 	builder.Cache = cache
-	if _, err := builder.Install(context.Background(), genZlib); err != nil {
+	if _, err := builder.Install(context.Background(), genZlib, nil); err != nil {
 		t.Fatal(err)
 	}
 	site := New(pkgrepo.Builtin())
 	site.Cache = cache
-	rep, err := site.Install(context.Background(), bdwZlib)
+	rep, err := site.Install(context.Background(), bdwZlib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestOtherTargetBinaryIsRebuilt(t *testing.T) {
 func TestDatabaseSaveLoadJSON(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(context.Background(), root); err != nil {
+	if _, err := inst.Install(context.Background(), root, nil); err != nil {
 		t.Fatal(err)
 	}
 	js, err := inst.DB.SaveJSON()
@@ -331,7 +331,7 @@ func TestDatabaseSaveLoadJSON(t *testing.T) {
 // instead of giving every record its own copy of its subtree.
 func TestReloadedDatabaseSharesNodes(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
-	if _, err := inst.Install(context.Background(), concretizeSaxpy(t)); err != nil {
+	if _, err := inst.Install(context.Background(), concretizeSaxpy(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	js, err := inst.DB.SaveJSON()
@@ -366,7 +366,7 @@ func TestReloadedDatabaseSharesNodes(t *testing.T) {
 func TestDatabaseRemove(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(context.Background(), root); err != nil {
+	if _, err := inst.Install(context.Background(), root, nil); err != nil {
 		t.Fatal(err)
 	}
 	h := root.DAGHash()
@@ -386,7 +386,7 @@ func TestDatabaseRemove(t *testing.T) {
 func TestArchspecFlagsRecorded(t *testing.T) {
 	inst := New(pkgrepo.Builtin())
 	root := concretizeSaxpy(t)
-	if _, err := inst.Install(context.Background(), root); err != nil {
+	if _, err := inst.Install(context.Background(), root, nil); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := inst.DB.Get(root.DAGHash())

@@ -595,6 +595,27 @@ func (d *Decoder) Bytes(dst *[]byte) {
 // whether there was: what tells a null member from an empty one.
 func (d *Decoder) Null() bool { return d.null() }
 
+// DecodeMap fills *m from the object at the cursor as encoding/json
+// fills a map: each member adds to the map there — made, with room for
+// hint members, if there is none — its value read by value into a zero
+// V, and a null makes the map nil. Each member name is copied: the
+// caller's decoders keep what they read.
+func DecodeMap[V any](d *Decoder, m *map[string]V, hint int, value func(*V)) {
+	if d.Null() {
+		*m = nil
+		return
+	}
+	if *m == nil {
+		*m = make(map[string]V, hint)
+	}
+	d.Object(func(name []byte) {
+		k := string(name) // name is d's until the value is read
+		var v V
+		value(&v)
+		(*m)[k] = v
+	})
+}
+
 // intern returns b as a string, shared with every equal string the
 // table holds or has room for.
 func (d *Decoder) intern(b []byte) string {

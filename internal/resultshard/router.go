@@ -124,7 +124,7 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 // checkManifest pins the topology on first open and verifies it after.
 func checkManifest(disk fsys.FS, dir string, shards int) error {
 	path := filepath.Join(dir, "router.json")
-	data, err := disk.ReadFile(path)
+	data, err := disk.ReadInto(path, nil)
 	if errors.Is(err, fs.ErrNotExist) {
 		m := manifest{Format: manifestFormat, KeySchema: KeySchema, Shards: shards}
 		out, merr := json.Marshal(m)

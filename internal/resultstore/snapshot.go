@@ -175,7 +175,7 @@ func loadChain(disk fsys.FS, dir string, d *metricsdb.Decoder) (chain []*snapsho
 			return nil, nil, fmt.Errorf("snapshot chain is broken: %s builds on %s, which is missing; nothing covers segments %d..%d",
 				snapshotName(chain[0].Covered), snapshotName(n), older+1, n)
 		}
-		data, err := disk.ReadFile(filepath.Join(dir, snapshotName(n)))
+		data, err := disk.ReadInto(filepath.Join(dir, snapshotName(n)), nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading snapshot: %w", err)
 		}

@@ -300,7 +300,7 @@ func (s *Store) applyKey(k string) {
 // legitimately tear); older segments just stop at the tear.
 func (s *Store) replaySegment(dec *metricsdb.Decoder, seg int, newest bool) (int64, error) {
 	path := filepath.Join(s.dir, segmentName(seg))
-	data, err := s.opts.FS.ReadFile(path)
+	data, err := s.opts.FS.ReadInto(path, nil)
 	if err != nil {
 		return 0, fmt.Errorf("resultstore: reading segment: %w", err)
 	}

@@ -21,10 +21,10 @@ type EncodedNode struct {
 	Deps     map[string]string `json:"deps,omitempty"` // name -> hash
 }
 
-// EncodeDAG flattens the DAGs rooted at the given concrete specs.
-func EncodeDAG(roots []*Spec) DAG {
+// EncodeDAG flattens the DAGs rooted at the given concrete specs,
+// hashing each node with hs, which keeps every hash for the caller.
+func EncodeDAG(roots []*Spec, hs Hasher) DAG {
 	d := DAG{Nodes: map[string]EncodedNode{}}
-	hs := Hasher{}
 	for _, root := range roots {
 		d.Roots = append(d.Roots, hs.Hash(root))
 		root.Traverse(func(n *Spec) {
@@ -50,9 +50,11 @@ func EncodeDAG(roots []*Spec) DAG {
 // is not its canonical rendering, an edge not named after its target's
 // package, a dangling or cyclic edge, or a node that does not rebuild
 // to its hash is an error, so corrupt or tampered bytes never decode.
-func (d DAG) Decode() ([]*Spec, error) {
+// Checking a node's hash computes it, and hs keeps it: after a Decode
+// that succeeds, hs holds the hash of every node of the roots, so the
+// caller that keeps hs never hashes them again.
+func (d DAG) Decode(hs Hasher) ([]*Spec, error) {
 	built := map[string]*Spec{} // nil while a node's dependencies are being built
-	hs := Hasher{}
 	var build func(hash string) (*Spec, error)
 	build = func(hash string) (*Spec, error) {
 		if n, ok := built[hash]; ok {

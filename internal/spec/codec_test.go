@@ -27,11 +27,11 @@ func concreteNode(t testing.TB, text string) *Spec {
 func TestDecodeRefusesMisnamedEdge(t *testing.T) {
 	a := concreteNode(t, "a@1.0 target=broadwell")
 	a.Deps["zlib"] = concreteNode(t, "b@1.0 target=broadwell")
-	dag := EncodeDAG([]*Spec{a})
+	dag := EncodeDAG([]*Spec{a}, Hasher{})
 	if got := dag.Nodes[dag.Roots[0]].Deps["zlib"]; got == "" {
 		t.Fatalf("table %+v has no zlib edge", dag.Nodes)
 	}
-	_, err := dag.Decode()
+	_, err := dag.Decode(Hasher{})
 	if err == nil || !strings.Contains(err.Error(), `names its edge to b "zlib"`) {
 		t.Errorf("misnamed edge: err = %v, want it refused", err)
 	}
@@ -42,10 +42,10 @@ func TestDecodeRefusesMisnamedEdge(t *testing.T) {
 // same spec and rebuilds to the same hash, but it is not the stored
 // form, and re-encoding would not give the bytes that were read.
 func TestDecodeRefusesNonCanonicalNode(t *testing.T) {
-	dag := EncodeDAG([]*Spec{concreteNode(t, "zlib@1.2.12%gcc@12.1.1 target=broadwell")})
+	dag := EncodeDAG([]*Spec{concreteNode(t, "zlib@1.2.12%gcc@12.1.1 target=broadwell")}, Hasher{})
 	h := dag.Roots[0]
 	canonical := dag.Nodes[h].Node
-	if _, err := dag.Decode(); err != nil {
+	if _, err := dag.Decode(Hasher{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, text := range []string{
@@ -57,7 +57,7 @@ func TestDecodeRefusesNonCanonicalNode(t *testing.T) {
 			t.Fatalf("%q parses to %q, not the stored node", text, got)
 		}
 		dag.Nodes[h] = EncodedNode{Node: text}
-		if _, err := dag.Decode(); err == nil || !strings.Contains(err.Error(), "canonical") {
+		if _, err := dag.Decode(Hasher{}); err == nil || !strings.Contains(err.Error(), "canonical") {
 			t.Errorf("node %q: err = %v, want it refused as non-canonical", text, err)
 		}
 	}
@@ -86,8 +86,8 @@ func FuzzDecodeDAG(f *testing.F) {
 	// refuse: a misnamed edge, and a node spelled non-canonically.
 	a := concreteNode(f, "a@1.0 target=broadwell")
 	a.Deps["zlib"] = concreteNode(f, "b@1.0 target=broadwell")
-	misnamed := EncodeDAG([]*Spec{a})
-	spaced := EncodeDAG([]*Spec{concreteNode(f, "zlib@1.2.12 target=broadwell")})
+	misnamed := EncodeDAG([]*Spec{a}, Hasher{})
+	spaced := EncodeDAG([]*Spec{concreteNode(f, "zlib@1.2.12 target=broadwell")}, Hasher{})
 	spaced.Nodes[spaced.Roots[0]] = EncodedNode{Node: "zlib@1.2.12  target=broadwell"}
 	for _, dag := range []DAG{misnamed, spaced} {
 		data, err := json.Marshal(dag)
@@ -102,7 +102,8 @@ func FuzzDecodeDAG(f *testing.F) {
 		if json.Unmarshal(data, &in) != nil {
 			return
 		}
-		specs, err := in.Decode()
+		hs := Hasher{}
+		specs, err := in.Decode(hs)
 		if err != nil {
 			return
 		}
@@ -112,6 +113,11 @@ func FuzzDecodeDAG(f *testing.F) {
 					if dep.Name != name {
 						t.Errorf("%s's edge %q leads to %s", n.Name, name, dep.Name)
 					}
+				}
+				// The table Decode leaves behind answers every node, with
+				// the hash a fresh one computes.
+				if h, ok := hs[n]; !ok || h != n.DAGHash() {
+					t.Errorf("%s: the decoded table holds %q, %v; DAGHash is %s", n.Name, h, ok, n.DAGHash())
 				}
 			})
 		}
@@ -128,7 +134,7 @@ func FuzzDecodeDAG(f *testing.F) {
 		for _, h := range in.Roots {
 			walk(h)
 		}
-		out := EncodeDAG(specs)
+		out := EncodeDAG(specs, Hasher{})
 		if !slices.Equal(out.Roots, in.Roots) {
 			t.Errorf("roots re-encode to %v, read %v", out.Roots, in.Roots)
 		}

@@ -68,11 +68,11 @@ func TestEncodeDecodeDAG(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dag := EncodeDAG([]*Spec{root})
+	dag := EncodeDAG([]*Spec{root}, Hasher{})
 	if len(dag.Nodes) != 3 || len(dag.Roots) != 1 {
 		t.Fatalf("nodes=%d roots=%d", len(dag.Nodes), len(dag.Roots))
 	}
-	decoded, err := dag.Decode()
+	decoded, err := dag.Decode(Hasher{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestEncodeDecodeDAG(t *testing.T) {
 		en.Node = strings.Replace(en.Node, "2.0", "2.1", 1)
 		dag.Nodes[h] = en
 	}
-	if _, err := dag.Decode(); err == nil {
+	if _, err := dag.Decode(Hasher{}); err == nil {
 		t.Error("tampered table must fail verification")
 	}
 }
 
 func TestDecodeDAGDangling(t *testing.T) {
-	if _, err := (DAG{Nodes: map[string]EncodedNode{}, Roots: []string{"nope"}}).Decode(); err == nil {
+	if _, err := (DAG{Nodes: map[string]EncodedNode{}, Roots: []string{"nope"}}).Decode(Hasher{}); err == nil {
 		t.Error("dangling root should fail")
 	}
 }
@@ -120,7 +120,7 @@ func TestDecodeDAGRejectsCycle(t *testing.T) {
 		hb: {Node: "b@1.0 target=broadwell", Deps: map[string]string{"a": ha}},
 	}
 	for _, root := range []string{ha, hb} {
-		if _, err := (DAG{Nodes: nodes, Roots: []string{root}}).Decode(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		if _, err := (DAG{Nodes: nodes, Roots: []string{root}}).Decode(Hasher{}); err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Errorf("cyclic table from %s: err = %v, want a cycle error", root, err)
 		}
 	}

@@ -486,14 +486,23 @@ func (s *Spec) Constrain(other *Spec) error {
 
 // DAGHash returns the content hash of a concrete spec, covering the
 // node's full assignment and the hashes of all dependencies. It is the
-// identity used by the install database and binary cache. A walk that
+// identity used by the install database and binary cache. Code that
 // hashes more than one node of a DAG uses one Hasher instead.
 func (s *Spec) DAGHash() string { return Hasher{}.Hash(s) }
 
-// Hasher computes DAG hashes for one walk over a DAG, hashing each node
-// once however many parents reach it. Specs are mutable, so no hash is
-// kept on a Spec: a Hasher lives for one walk and is dropped before
-// anything it has seen changes.
+// Hasher is a table of DAG hashes: each node is hashed once however
+// many parents or callers reach it. Specs are mutable, so no hash is
+// kept on a Spec; a table is valid only while nothing it has seen
+// changes. Two lifetimes meet that rule:
+//
+//   - one walk over a DAG, dropped when the walk ends;
+//   - one concretization's nodes: an env.Environment keeps the table
+//     DAG.Decode or EncodeDAG filled for its Roots, and Install, its
+//     lockfile and its run keys read hashes from it, as long as it
+//     keeps those Roots. Nothing mutates a node once it is concrete —
+//     the concretizer edits only nodes of the solve in progress, and
+//     every later step (install, lock, key, reuse seeding, which
+//     clones its candidates) only reads them.
 type Hasher map[*Spec]string
 
 // Hash returns s.DAGHash(), remembering it and every hash below it.

@@ -32,9 +32,11 @@
 # YAML), ramble's expansion of an experiment template against a
 # nested-loop oracle (`ramble workspace setup` and `ramble on` expand
 # a configs/ramble.yaml read back from disk), core's restore of a run-layer entry (bytes read back from
-# a shared cache directory) and core's hand-appended logs/results.json
-# against json.MarshalIndent are fuzzed for five seconds each from
-# their seed corpora.
+# a shared cache directory), core's hand-appended logs/results.json
+# against json.MarshalIndent, and the concretize and buildcache
+# layers' hand codecs against encoding/json (the entry decoders, read
+# from the same shared directory, and the key encoders) are fuzzed
+# for five seconds each from their seed corpora.
 #
 # benchlint runs once — `go run ./cmd/benchlint`, no flags: every
 # analyzer over every package, any unsuppressed finding fails, and its
@@ -99,7 +101,7 @@ go test -race -count=1 ./internal/engine ./internal/core ./internal/install ./in
 # schedule, so the interleaving test runs many times, not once.
 go test -race -count=20 -run '^TestMetricsSnapshotDeterministicAcrossInterleavings$' ./internal/telemetry
 
-stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, regression reply encoder, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore, results.json encoder; 5s each)"
+stage "go test -fuzz" "(WAL frame decoder, WAL record decoder, snapshot generation loader, ingest body reader, regression reply encoder, yamlite scalars, Result codec, traceparent, spec parser, stored DAG decoder, ramble expander, ramble template expansion, run-layer restore, results.json encoder, concretize entry decoder, concretize config fingerprint, buildcache entry codec; 5s each)"
 go test -run '^$' -fuzz '^FuzzScanRecords$' -fuzztime=5s ./internal/resultstore
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime=5s ./internal/resultstore
 # Each FuzzReadSnapshot exec opens and closes a store (a goroutine and an
@@ -132,6 +134,13 @@ go test -run '^$' -fuzz '^FuzzRestoreExperiment$' -fuzztime=5s -fuzzminimizetime
 # logs/results.json sorts each experiment's FOM names out of a map, so
 # the sort's coverage flaps as FuzzParse's does.
 go test -run '^$' -fuzz '^FuzzResultsLog$' -fuzztime=5s -fuzzminimizetime=0s ./internal/core
+# A concretize entry's nodes and deps are maps and the fingerprint sorts
+# names taken from maps, so their coverage flaps as FuzzDecodeDAG's
+# does; a buildcache entry is checked beside its key, whose hash input
+# flaps the same way.
+go test -run '^$' -fuzz '^FuzzConcretizeEntry$' -fuzztime=5s -fuzzminimizetime=0s ./internal/concretizer
+go test -run '^$' -fuzz '^FuzzFingerprint$' -fuzztime=5s -fuzzminimizetime=0s ./internal/concretizer
+go test -run '^$' -fuzz '^FuzzEntry$' -fuzztime=5s -fuzzminimizetime=0s ./internal/buildcache
 
 stage "smoke" "(one binary: serve --pprof and every operations endpoint; 4-shard primary + follower under loadgen ingest; plain serve + follower)"
 go run ./scripts/smoke
